@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "fig8 | fig9 | fig10 | fig11 | table1 | kernels | cluster | traj | all")
+	exp := flag.String("exp", "all", "fig8 | fig9 | fig10 | fig11 | table1 | all")
 	scale := flag.Int("scale", 16, "divide the published node and fragment counts by this factor (1 = full scale)")
 	seed := flag.Int64("seed", 1, "workload seed")
 	withFaults := flag.Bool("faults", false, "inject node failures into the simulations (per-node MTBF from -mtbf)")
@@ -53,21 +53,6 @@ func main() {
 	run("fig10", func() error { return fig10(opt) })
 	run("fig11", func() error { return fig11(opt) })
 	run("table1", func() error { return table1(*seed) })
-	// The kernel-scaling experiment is minutes of real compute (a full
-	// grid-mode waterbox run); it only runs when asked for by name.
-	if *exp == "kernels" {
-		run("kernels", kernels)
-	}
-	// The cluster experiment spins up real loopback TCP daemons and does
-	// full waterbox compute twice; it also only runs when named.
-	if *exp == "cluster" {
-		run("cluster", clusterExp)
-	}
-	// The trajectory experiment does full waterbox compute once per frame
-	// plus the incremental run; it also only runs when named.
-	if *exp == "traj" {
-		run("traj", trajExp)
-	}
 }
 
 func fig8(opt simhpc.ExperimentOptions) error {

@@ -14,9 +14,6 @@
 // Job IDs are capabilities (96 random bits); a front proxy that
 // authenticates tenants can inject X-Tenant, which the daemon enforces
 // against the job's owner on reads and cancels.
-//
-// With -bench it instead runs the sustained concurrent-job benchmark
-// against its own in-process listener and writes BENCH_serve.json.
 package main
 
 import (
@@ -51,8 +48,6 @@ func main() {
 	tenants := flag.String("tenants", "", "fair-share weights, e.g. alice=3,bob=1 (unlisted tenants weigh 1)")
 	grace := flag.Duration("grace", 30*time.Second, "drain grace period on SIGTERM/SIGINT")
 	clusterAddr := flag.String("cluster", "", "dispatch every job's fragments to a qfcoord coordinator at this address instead of computing in-process")
-	bench := flag.Bool("bench", false, "run the sustained serving benchmark and write BENCH_serve.json")
-	benchJobs := flag.Int("bench-jobs", 12, "benchmark job count")
 	flag.Parse()
 
 	if *kernelThreads > 0 {
@@ -84,13 +79,6 @@ func main() {
 	}
 	if *clusterAddr != "" {
 		cfg.Backend = cluster.NewClient(*clusterAddr)
-	}
-
-	if *bench {
-		if err := runBench(cfg, *benchJobs); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	s := serve.New(cfg)

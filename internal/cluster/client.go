@@ -13,11 +13,11 @@ import (
 )
 
 // Client is the sched.Backend that fans a run's fragments out to a
-// coordinator: it fingerprints every fragment, submits one producer per
-// content class (lowest index, matching the in-process runtime's
-// election), and expands each canonical result to all class members via
-// their own rigid frames — so the assembled spectrum is bit-identical to
-// the single-process store-backed run.
+// coordinator: it submits the representative of each content class
+// (store.Classify — the same table the in-process runtime schedules from)
+// and expands each canonical result to all class members via their own
+// rigid frames — so the assembled spectrum is bit-identical to the
+// single-process store-backed run.
 type Client struct {
 	// Addr is the coordinator's TCP address.
 	Addr string
@@ -47,21 +47,10 @@ func (c *Client) Run(dec *fragment.Decomposition, opt sched.Options) ([]*hessian
 	_, runSpan := opt.Obs.Begin("cluster.run", "sched", obs.A("frags", int64(nf)))
 	defer runSpan.End()
 
-	// Fingerprint every fragment and elect one producer per content class
-	// (lowest index first — the same deterministic election the
-	// in-process runtime uses).
-	keys := make([]store.Key, nf)
-	frames := make([]store.Frame, nf)
-	classes := make(map[store.Key][]int, nf)
-	var producers []int
-	for i := range dec.Fragments {
-		k, fr := store.Fingerprint(&dec.Fragments[i], opt.Job)
-		keys[i], frames[i] = k, fr
-		if len(classes[k]) == 0 {
-			producers = append(producers, i)
-		}
-		classes[k] = append(classes[k], i)
-	}
+	// One submission per content class: the representative travels, and its
+	// canonical result fills every member (DESIGN.md, "Content classes").
+	cls := store.Classify(dec.Fragments, opt.Job)
+	keys, frames, producers := cls.Keys, cls.Frames, cls.Reps
 
 	hb := c.HeartbeatInterval
 	if hb <= 0 {
@@ -140,7 +129,7 @@ func (c *Client) Run(dec *fragment.Decomposition, opt sched.Options) ([]*hessian
 				return nil, nil, err
 			}
 			i := int(sv.Frag)
-			if i < 0 || i >= nf || results[i] != nil {
+			if i < 0 || i >= nf || cls.Members[i] == nil || results[i] != nil {
 				return nil, nil, fmt.Errorf("%w: SERVE for unknown fragment %d", ErrProtocol, i)
 			}
 			canon, err := store.Decode(sv.Blob)
@@ -150,7 +139,7 @@ func (c *Client) Run(dec *fragment.Decomposition, opt sched.Options) ([]*hessian
 			// Expand the canonical result to every member of the class
 			// through its own rigid frame — exactly the store's Get
 			// path, so bits match the single-process run.
-			for _, m := range classes[keys[i]] {
+			for _, m := range cls.Members[i] {
 				results[m], err = frames[m].FromCanonical(canon)
 				if err != nil {
 					return nil, nil, fmt.Errorf("cluster: fragment %d result: %w", m, err)

@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"os"
 	"sync/atomic"
 
 	"qframan/internal/par"
@@ -11,41 +10,17 @@ import (
 // §V-C): independent GemmCalls are grouped into same-shape-class batches —
 // dimensions padded up to multiples of BatchStride, exactly the grouping the
 // simulated accelerator (internal/accel) offloads — and each group runs as
-// one "gemm_batch" kernel that fans across batch members. Groups from
-// *concurrent* DFPT cycles are merged opportunistically through a
-// process-wide par.Elastic aggregator, so several fragments in flight yield
-// fewer, larger batches (more work per launch) without any added latency
-// when a cycle runs alone.
+// one "gemm_batch" kernel that fans across batch members.
 //
 // Padding exists only in the grouping key. The host kernel computes every
 // call at its true shape — the blocked micro-kernel masks its register-tile
 // tails at write-back (block.go), so padded lanes are never even computed,
-// let alone leaked — which is why batching on vs off is bit-identical.
+// let alone leaked — which is why a batched call is bit-identical to a
+// plain Gemm (gemmref is the test reference).
 
 // BatchStride is the shape-class padding stride (the paper batches with a
 // stride of 32); a call of shape (m,k,n) lands in class (⌈m/32⌉·32, …).
 const BatchStride = 32
-
-// gemmBatching gates the batch path: 1 = group + aggregate (default),
-// 0 = run every call as a plain Gemm. QF_GEMM_BATCH=0/off/false disables.
-var gemmBatching atomic.Bool
-
-func init() {
-	on := true
-	switch os.Getenv("QF_GEMM_BATCH") {
-	case "0", "off", "false":
-		on = false
-	}
-	gemmBatching.Store(on)
-}
-
-// SetGemmBatching toggles the batched execution path at runtime (the
-// QF_GEMM_BATCH env knob sets the initial state). Results never depend on
-// the setting — only grouping and wall time do.
-func SetGemmBatching(on bool) { gemmBatching.Store(on) }
-
-// GemmBatching reports whether the batch path is enabled.
-func GemmBatching() bool { return gemmBatching.Load() }
 
 // batchClass is the padded shape class used for grouping.
 type batchClass struct{ m, k, n int }
@@ -57,11 +32,13 @@ func classOf(c *GemmCall) batchClass {
 	return batchClass{padStride(m), padStride(k), padStride(n)}
 }
 
-// gemmBatcher merges same-class groups across concurrent submitters. The
-// flush runs each call at its true shape with the inline blocked kernel —
-// parallelism comes from fanning across batch members, so profiling sees one
-// flat "gemm_batch" region with no nested kernels.
-var gemmBatcher = par.NewElastic(func(_ batchClass, calls []GemmCall) {
+// runBatch executes one shape-class group. Each call runs at its true shape
+// with the inline blocked kernel — parallelism comes from fanning across
+// batch members, so profiling sees one flat "gemm_batch" region with no
+// nested kernels.
+func runBatch(calls []GemmCall) {
+	batchSubmits.Add(1)
+	batchItems.Add(int64(len(calls)))
 	par.For("gemm_batch", len(calls), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			c := &calls[i]
@@ -69,12 +46,17 @@ var gemmBatcher = par.NewElastic(func(_ batchClass, calls []GemmCall) {
 			gemmBlocked(c.TransA, c.TransB, c.Alpha, c.A, c.B, c.Beta, c.C, m, k, n, "", true)
 		}
 	})
-})
+}
 
-// GemmBatchStats returns the cross-fragment aggregator counters (how many
-// submissions, how many flushes, how many flushes merged work from
-// concurrent cycles).
-func GemmBatchStats() par.ElasticStats { return gemmBatcher.Stats() }
+var batchSubmits, batchItems atomic.Int64
+
+// GemmBatchStats counts the shape-class groups executed and their calls.
+// It keeps the par.ElasticStats shape only because bench/ compiles against
+// it; every group is its own flush, so Merged is always 0.
+func GemmBatchStats() par.ElasticStats {
+	n := batchSubmits.Load()
+	return par.ElasticStats{Submits: n, Items: batchItems.Load(), Flushes: n}
+}
 
 // transposeInto sets dst = srcᵀ elementwise; shapes must be transposes.
 func transposeInto(dst, src *Matrix) {
@@ -103,23 +85,16 @@ func transposePairOf(i, j *GemmCall) bool {
 		i.C != j.C
 }
 
-// ExecuteBatched runs a set of independent GemmCalls through the elastic
-// batch path: transpose-pair duplicates are strength-reduced to a copy,
-// the rest are split by padded shape class (mixed-shape submissions are
-// legal — they simply split), and each class group is submitted to the
-// cross-fragment aggregator. Counting: executed calls add to GEMMCalls and
-// FLOPs; skipped calls add only to TransposeSkips (§V-D — fewer invocations,
-// identical results). Blocks until every call's C is final.
+// ExecuteBatched runs a set of independent GemmCalls through the batch
+// path: transpose-pair duplicates are strength-reduced to a copy, the rest
+// are split by padded shape class (mixed-shape submissions are legal — they
+// simply split), and each class group runs as one gemm_batch kernel.
+// Counting: executed calls add to GEMMCalls and FLOPs; skipped calls add
+// only to TransposeSkips (§V-D — fewer invocations, identical results).
+// Blocks until every call's C is final.
 func ExecuteBatched(calls []GemmCall, ops *Ops) {
 	if ops == nil {
 		ops = &DefaultOps
-	}
-	if !gemmBatching.Load() {
-		for i := range calls {
-			c := &calls[i]
-			Gemm(c.TransA, c.TransB, c.Alpha, c.A, c.B, c.Beta, c.C, ops)
-		}
-		return
 	}
 
 	// Strength reduction: find calls whose result is the exact transpose of
@@ -143,9 +118,9 @@ func ExecuteBatched(calls []GemmCall, ops *Ops) {
 		}
 	}
 
-	// Split executed calls by padded shape class and submit each group.
+	// Split executed calls by padded shape class and run each group.
 	groups := map[batchClass][]GemmCall{}
-	var order []batchClass // deterministic submission order
+	var order []batchClass // deterministic execution order
 	for i := range calls {
 		if skipOf[i] >= 0 {
 			continue
@@ -160,12 +135,8 @@ func ExecuteBatched(calls []GemmCall, ops *Ops) {
 		groups[key] = append(groups[key], *c)
 	}
 	ops.BatchCalls.Add(int64(len(order)))
-	tickets := make([]par.Ticket, 0, len(order))
 	for _, key := range order {
-		tickets = append(tickets, gemmBatcher.Submit(key, groups[key]))
-	}
-	for _, t := range tickets {
-		t.Wait()
+		runBatch(groups[key])
 	}
 
 	// All sources are final; materialize the skipped results.

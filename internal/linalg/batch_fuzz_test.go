@@ -107,9 +107,6 @@ func FuzzGemmBatch(f *testing.F) {
 			oracle = append(oracle, w)
 		}
 
-		old := linalg.GemmBatching()
-		defer linalg.SetGemmBatching(old)
-		linalg.SetGemmBatching(true)
 		linalg.ExecuteBatched(calls, nil)
 
 		for i := range calls {

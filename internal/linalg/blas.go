@@ -79,7 +79,7 @@ func gemmParName(transA, transB bool) string {
 // All four trans cases run the packed blocked kernel (block.go): op(A) and
 // op(B) are packed into 4×4 micro-tile panels and each output element
 // accumulates its k terms in ascending order in a single chain, so results
-// are bit-identical at any kernel width, with batching on or off, and to the
+// are bit-identical at any kernel width, through the batch path, and to the
 // naive triple-loop reference. Row-panel chunks shard across the par pool
 // and double as cache tiles.
 func Gemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix, ops *Ops) {

@@ -1,7 +1,6 @@
 package linalg_test
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -132,7 +131,7 @@ func TestGemmSyrkPathMatchesReference(t *testing.T) {
 }
 
 // TestExecuteBatchedMatchesReference runs mixed-shape, mixed-trans batches
-// through the batch path — batching on and off — against the reference.
+// through the batch path against the reference.
 func TestExecuteBatchedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	var calls []linalg.GemmCall
@@ -161,21 +160,11 @@ func TestExecuteBatchedMatchesReference(t *testing.T) {
 		refGemm(transA, transB, 1.5, a, b, 0, w)
 		want = append(want, w)
 	}
-	for _, batching := range []bool{true, false} {
-		t.Run(fmt.Sprintf("batching=%v", batching), func(t *testing.T) {
-			old := linalg.GemmBatching()
-			defer linalg.SetGemmBatching(old)
-			linalg.SetGemmBatching(batching)
-			for i := range calls {
-				calls[i].C.Zero()
-			}
-			linalg.ExecuteBatched(calls, nil)
-			for i := range calls {
-				if j, ok := bitEqual(calls[i].C.Data, want[i].Data); !ok {
-					t.Fatalf("call %d: C[%d] differs from reference", i, j)
-				}
-			}
-		})
+	linalg.ExecuteBatched(calls, nil)
+	for i := range calls {
+		if j, ok := bitEqual(calls[i].C.Data, want[i].Data); !ok {
+			t.Fatalf("call %d: C[%d] differs from reference", i, j)
+		}
 	}
 }
 
@@ -189,45 +178,31 @@ func TestTransposePairSkipBitExact(t *testing.T) {
 	fillMat(x, rng)
 	fillMat(v, rng)
 
-	run := func(batching bool) (*linalg.Matrix, *linalg.Matrix, int64) {
-		old := linalg.GemmBatching()
-		defer linalg.SetGemmBatching(old)
-		linalg.SetGemmBatching(batching)
-		m2 := linalg.NewMatrix(13, 13)
-		m3 := linalg.NewMatrix(13, 13)
-		var ops linalg.Ops
-		linalg.ExecuteBatched([]linalg.GemmCall{
-			{TransA: true, Alpha: 1, A: x, B: v, C: m2},
-			{TransA: true, Alpha: 1, A: v, B: x, C: m3},
-		}, &ops)
-		return m2, m3, ops.TransposeSkips.Load()
+	m2 := linalg.NewMatrix(13, 13)
+	m3 := linalg.NewMatrix(13, 13)
+	var ops linalg.Ops
+	linalg.ExecuteBatched([]linalg.GemmCall{
+		{TransA: true, Alpha: 1, A: x, B: v, C: m2},
+		{TransA: true, Alpha: 1, A: v, B: x, C: m3},
+	}, &ops)
+	if skips := ops.TransposeSkips.Load(); skips != 1 {
+		t.Fatalf("TransposeSkips = %d, want 1", skips)
 	}
-
-	m2on, m3on, skipsOn := run(true)
-	m2off, m3off, skipsOff := run(false)
-
-	if skipsOn != 1 {
-		t.Fatalf("batching on: TransposeSkips = %d, want 1", skipsOn)
-	}
-	if skipsOff != 0 {
-		t.Fatalf("batching off: TransposeSkips = %d, want 0", skipsOff)
-	}
-	if i, ok := bitEqual(m2on.Data, m2off.Data); !ok {
-		t.Fatalf("m2 differs between batching on/off at %d", i)
-	}
-	if i, ok := bitEqual(m3on.Data, m3off.Data); !ok {
-		t.Fatalf("m3 (skipped vs executed) differs at %d", i)
-	}
-	// And both match the reference.
+	// Both the executed source and the skipped call match the reference of
+	// executing them.
 	want := linalg.NewMatrix(13, 13)
+	refGemm(true, false, 1, x, v, 0, want)
+	if i, ok := bitEqual(m2.Data, want.Data); !ok {
+		t.Fatalf("executed m2 differs from reference at %d", i)
+	}
 	refGemm(true, false, 1, v, x, 0, want)
-	if i, ok := bitEqual(m3on.Data, want.Data); !ok {
+	if i, ok := bitEqual(m3.Data, want.Data); !ok {
 		t.Fatalf("skipped m3 differs from reference at %d", i)
 	}
 	// The skipped result is the exact transpose of its source.
 	for i := 0; i < 13; i++ {
 		for j := 0; j < 13; j++ {
-			if math.Float64bits(m3on.At(i, j)) != math.Float64bits(m2on.At(j, i)) {
+			if math.Float64bits(m3.At(i, j)) != math.Float64bits(m2.At(j, i)) {
 				t.Fatalf("m3[%d,%d] != m2[%d,%d] bitwise", i, j, j, i)
 			}
 		}

@@ -60,13 +60,12 @@ type HostExecutor struct {
 	Ops *Ops
 }
 
-// Execute runs the calls through the elastic batch path (batch.go):
-// transpose-pair duplicates are strength-reduced, the rest group by padded
-// shape class and fan across the kernel pool, merging with concurrent
-// cycles' submissions. Calls write disjoint C matrices (the DFPT grid
+// Execute runs the calls through the batch path (batch.go): transpose-pair
+// duplicates are strength-reduced, the rest group by padded shape class and
+// fan across the kernel pool. Calls write disjoint C matrices (the DFPT grid
 // phases build one per batch) and every call computes its true shape with
-// the same blocked kernel as a direct Gemm, so batching — on, off, merged
-// or not — cannot change results.
+// the same blocked kernel as a direct Gemm, so batching cannot change
+// results.
 func (h *HostExecutor) Execute(calls []GemmCall) {
 	ExecuteBatched(calls, h.Ops)
 }

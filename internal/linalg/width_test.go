@@ -121,14 +121,13 @@ func TestExecuteWidthInvariance(t *testing.T) {
 	}
 }
 
-// TestExecuteBatchedWidthAndBatchingInvariance runs a mixed-shape batch —
-// several padded shape classes plus a literal transpose pair — through
-// ExecuteBatched over the cross product of kernel widths {1, 3, NumCPU} and
-// batching {on, off}. Every combination must produce bit-identical outputs:
-// grouping, class padding, pair skips, and pool width all invisible.
-func TestExecuteBatchedWidthAndBatchingInvariance(t *testing.T) {
+// TestExecuteBatchedWidthInvariance runs a mixed-shape batch — several
+// padded shape classes plus a literal transpose pair — through
+// ExecuteBatched at kernel widths {1, 3, NumCPU}. Every width must produce
+// bit-identical outputs: grouping, class padding, pair skips, and pool width
+// all invisible.
+func TestExecuteBatchedWidthInvariance(t *testing.T) {
 	defer par.SetBudget(0)
-	defer SetGemmBatching(true)
 	shapes := [][3]int{{30, 20, 25}, {33, 40, 31}, {7, 5, 3}, {64, 32, 32}, {1, 9, 1}}
 
 	mk := func() ([]GemmCall, []*Matrix) {
@@ -154,23 +153,18 @@ func TestExecuteBatchedWidthAndBatchingInvariance(t *testing.T) {
 	}
 
 	var ref []*Matrix
-	var refDesc string
-	for _, batching := range []bool{true, false} {
-		for _, w := range []int{1, 3, runtime.NumCPU()} {
-			SetGemmBatching(batching)
-			par.SetBudget(w)
-			calls, outs := mk()
-			ExecuteBatched(calls, nil)
-			if ref == nil {
-				ref, refDesc = outs, "width 1 / batching on"
-				continue
-			}
-			for i := range outs {
-				for j, v := range outs[i].Data {
-					if math.Float64bits(v) != math.Float64bits(ref[i].Data[j]) {
-						t.Fatalf("width %d batching %v: call %d element %d differs from %s",
-							w, batching, i, j, refDesc)
-					}
+	for _, w := range []int{1, 3, runtime.NumCPU()} {
+		par.SetBudget(w)
+		calls, outs := mk()
+		ExecuteBatched(calls, nil)
+		if ref == nil {
+			ref = outs
+			continue
+		}
+		for i := range outs {
+			for j, v := range outs[i].Data {
+				if math.Float64bits(v) != math.Float64bits(ref[i].Data[j]) {
+					t.Fatalf("width %d: call %d element %d differs from width 1", w, i, j)
 				}
 			}
 		}

@@ -30,7 +30,6 @@ const (
 	MetricRetries         = "sched_retries_total"
 	MetricRequeues        = "sched_requeues_total"
 	MetricPanics          = "sched_panics_total"
-	MetricDedupWaits      = "sched_dedup_waits_total"
 	MetricCacheHits       = "sched_cache_hits_total"
 	MetricCacheMisses     = "sched_cache_misses_total"
 	MetricStoreGetSeconds = "store_get_seconds"

@@ -224,8 +224,8 @@ func ForChunks(name string, n, minChunk int, body func(chunk, lo, hi int)) {
 	if helpers == 0 {
 		// Inline: one chunk, or no tokens free, or profiling (which times
 		// every chunk individually on the caller). count ≤ maxChunks, so the
-		// capture buffer lives on the stack; add copies it into the profile's
-		// flat per-kernel log.
+		// capture buffer lives on the stack; add folds it into the profile's
+		// per-kernel totals.
 		if prof != nil {
 			var durs [maxChunks]time.Duration
 			for c := 0; c < count; c++ {
@@ -386,4 +386,10 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// ElasticStats is the counter shape of the deleted cross-fragment batch
+// aggregator, kept (Merged always 0) only because bench/ compiles against it.
+type ElasticStats struct {
+	Submits, Items, Flushes, Merged int64
 }

@@ -1,36 +1,24 @@
 package par
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Profile captures per-chunk kernel timings for the modeled-scaling
-// experiment (EXPERIMENTS.md "Kernel scaling"). While capture is active,
-// every For/ReduceSum runs its chunks serially on the caller, timing each
-// chunk individually; Replay then computes the makespan a work-conserving
-// w-worker pool would achieve on exactly those chunks. This is the same
-// measure-small/model-large methodology as the simhpc scale experiments —
-// it models intra-kernel scaling on hosts with fewer cores than the target
-// width, with per-chunk costs that are measured, not synthesized.
-//
-// Storage is two flat slices per kernel name — all chunk durations
-// back-to-back, plus the chunk count of every job — rather than a slice
-// header and duration array per job. A production-resolution capture holds
-// O(10⁸–10⁹) chunks across O(10⁷) jobs; the flat layout keeps that as a
-// handful of pointer-free allocations the garbage collector never scans,
-// instead of tens of millions of small objects whose mark cost alone would
-// distort the non-kernel wall time the experiment reports.
+// Profile accumulates per-kernel chunk timings for the benchmark harness's
+// kernel-share table (bench/README.md, "Per-layer metrics"). While capture
+// is active, every For/ReduceSum runs its chunks serially on the caller,
+// timing each chunk individually, so the totals are computed-serial kernel
+// seconds: measured per chunk, never mixed into a wall-clock number.
 type Profile struct {
 	mu   sync.Mutex
 	logs map[string]*kernelLog
 }
 
 type kernelLog struct {
-	durs    []time.Duration // all jobs' chunks, concatenated in job order
-	jobLens []int32         // chunks per job; job i owns the next jobLens[i] durs
+	total  time.Duration
+	chunks int
 }
 
 var profile atomic.Pointer[Profile]
@@ -53,120 +41,34 @@ func (p *Profile) add(name string, durs []time.Duration) {
 		kl = &kernelLog{}
 		p.logs[name] = kl
 	}
-	kl.durs = append(kl.durs, durs...)
-	kl.jobLens = append(kl.jobLens, int32(len(durs)))
+	for _, d := range durs {
+		kl.total += d
+	}
+	kl.chunks += len(durs)
 	p.mu.Unlock()
-}
-
-// Jobs returns the number of captured parallel regions.
-func (p *Profile) Jobs() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, kl := range p.logs {
-		n += len(kl.jobLens)
-	}
-	return n
-}
-
-// Chunks returns the total number of captured chunks.
-func (p *Profile) Chunks() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, kl := range p.logs {
-		n += len(kl.durs)
-	}
-	return n
-}
-
-// SerialSeconds returns the summed duration of every captured chunk — the
-// kernel time a 1-thread run spends inside parallel regions.
-func (p *Profile) SerialSeconds() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var s time.Duration
-	for _, kl := range p.logs {
-		for _, d := range kl.durs {
-			s += d
-		}
-	}
-	return s.Seconds()
-}
-
-// Replay returns the modeled kernel-region time at width w: for each
-// captured job, chunks are assigned longest-processing-time-first to the
-// least-loaded of w workers (the greedy schedule a work-conserving pool
-// converges to), and the job costs its makespan. Job-to-job ordering is
-// serial, as in the real pipeline where regions are separated by serial
-// phases — so the total is a sum over jobs and the order in which kernels
-// are visited cannot change it. w <= 1 returns SerialSeconds.
-func (p *Profile) Replay(w int) float64 {
-	if w <= 1 {
-		return p.SerialSeconds()
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var total time.Duration
-	load := make([]time.Duration, w)
-	var scratch []time.Duration
-	for _, kl := range p.logs {
-		off := 0
-		for _, jl := range kl.jobLens {
-			chunks := kl.durs[off : off+int(jl)]
-			off += int(jl)
-			scratch = append(scratch[:0], chunks...)
-			sort.Slice(scratch, func(a, b int) bool { return scratch[a] > scratch[b] })
-			for i := range load {
-				load[i] = 0
-			}
-			for _, d := range scratch {
-				mi := 0
-				for i := 1; i < w; i++ {
-					if load[i] < load[mi] {
-						mi = i
-					}
-				}
-				load[mi] += d
-			}
-			makespan := load[0]
-			for _, l := range load[1:] {
-				if l > makespan {
-					makespan = l
-				}
-			}
-			total += makespan
-		}
-	}
-	return total.Seconds()
 }
 
 // ChunksByKernel returns the captured chunk count per kernel name. A kernel
 // whose per-chunk times are below the timer or reporting resolution still
-// shows its chunks here — the coverage check the benchmark harness uses to
-// prove every wired kernel actually executed.
+// shows its chunks here — the coverage check that proves every wired kernel
+// actually executed.
 func (p *Profile) ChunksByKernel() map[string]int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make(map[string]int, len(p.logs))
 	for name, kl := range p.logs {
-		out[name] = len(kl.durs)
+		out[name] = kl.chunks
 	}
 	return out
 }
 
-// ByKernel returns the captured serial seconds per kernel name, for the
-// experiment's breakdown table.
+// ByKernel returns the captured serial seconds per kernel name.
 func (p *Profile) ByKernel() map[string]float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make(map[string]float64, len(p.logs))
 	for name, kl := range p.logs {
-		var s time.Duration
-		for _, d := range kl.durs {
-			s += d
-		}
-		out[name] = s.Seconds()
+		out[name] = kl.total.Seconds()
 	}
 	return out
 }

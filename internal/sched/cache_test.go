@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -11,6 +12,8 @@ import (
 	"qframan/internal/fragment"
 	"qframan/internal/geom"
 	"qframan/internal/hessian"
+	"qframan/internal/linalg"
+	"qframan/internal/obs"
 	"qframan/internal/store"
 )
 
@@ -273,8 +276,9 @@ func TestCacheCorruptRecordRequeued(t *testing.T) {
 }
 
 // TestCacheReadOnlyStore: with checkpointing disabled nothing is written,
-// every fragment computes itself (no producer to wait on after completion —
-// the recheck path), and the run still terminates exactly-once.
+// every fragment computes itself (a representative that finishes without a
+// record to share hands the class on — the promote path), and the run still
+// terminates exactly-once.
 func TestCacheReadOnlyStore(t *testing.T) {
 	dec := cacheDecomposition(8)
 	for i := 1; i < 4; i++ { // a dedup class that can never be served
@@ -301,9 +305,9 @@ func TestCacheReadOnlyStore(t *testing.T) {
 	}
 }
 
-// TestCacheProducerFailureTakeover: when a key's elected producer fails
-// permanently under a fail-soft budget, a waiting duplicate must inherit the
-// election and compute, so the class still completes.
+// TestCacheProducerFailureTakeover: when a class's representative fails
+// permanently under a fail-soft budget, the next member must be promoted
+// and compute, so the class still completes.
 func TestCacheProducerFailureTakeover(t *testing.T) {
 	dec := cacheDecomposition(6)
 	dec.Fragments[3].Pos = dec.Fragments[0].Pos // fragment 0 produces for both
@@ -320,4 +324,136 @@ func TestCacheProducerFailureTakeover(t *testing.T) {
 	if datas[3] == nil || !datas[3].BitEqual(fakeData(3)) {
 		t.Fatal("fragment 3 did not take over production after its producer failed")
 	}
+}
+
+// rotatedDuplicates builds a decomposition of bent waters in which every
+// geometry occurs several times in different rigid poses, interleaved, so
+// each content class has rotating frames and a non-trivial membership.
+func rotatedDuplicates(distinct, copies int) *fragment.Decomposition {
+	dec := &fragment.Decomposition{}
+	for c := 0; c < copies; c++ {
+		for g := 0; g < distinct; g++ {
+			bond := 0.9 + 0.05*float64(g)
+			pos := []geom.Vec3{{}, {X: bond}, {X: -0.25 * bond, Y: 0.95 * bond}}
+			for i, p := range pos {
+				p = geom.RotateAbout(p, geom.Vec3{X: 1, Y: -2, Z: 0.5}, geom.Vec3{X: 1, Y: float64(g + 1), Z: -2}, 0.9*float64(c))
+				pos[i] = p.Add(geom.Vec3{X: 3 * float64(c), Y: -1.5 * float64(g), Z: float64(c * g)})
+			}
+			dec.Fragments = append(dec.Fragments, fragment.Fragment{
+				ID:  len(dec.Fragments),
+				Els: []constants.Element{constants.O, constants.H, constants.H},
+				Pos: pos,
+			})
+		}
+	}
+	return dec
+}
+
+// fullData is a deterministic 3-atom payload with every tensor block
+// present, so frame rotations act on it.
+func fullData(fragID int) *hessian.FragmentData {
+	rng := rand.New(rand.NewSource(int64(fragID) + 1))
+	fd := &hessian.FragmentData{Hess: linalg.NewMatrix(9, 9)}
+	for i := range fd.Hess.Data {
+		fd.Hess.Data[i] = rng.NormFloat64()
+	}
+	for c := range fd.DAlpha {
+		fd.DAlpha[c] = make([]float64, 9)
+		for i := range fd.DAlpha[c] {
+			fd.DAlpha[c][i] = rng.NormFloat64()
+		}
+	}
+	for k := range fd.DDipole {
+		fd.DDipole[k] = make([]float64, 9)
+		for i := range fd.DDipole[k] {
+			fd.DDipole[k][i] = rng.NormFloat64()
+		}
+	}
+	return fd
+}
+
+// TestCacheOneStoreOperationPerClass: the store is read (or written) once
+// per distinct content key, not once per fragment, and every member of a
+// class still carries exactly the bits a per-fragment Store.Get — the path
+// every fragment took before classes were the unit of scheduling — returns.
+func TestCacheOneStoreOperationPerClass(t *testing.T) {
+	const distinct, copies = 3, 5
+	dec := rotatedDuplicates(distinct, copies)
+	nf := len(dec.Fragments)
+	cls := store.Classify(dec.Fragments, DefaultOptions().Job)
+	if len(cls.Reps) != distinct {
+		t.Fatalf("decomposition has %d content classes, want %d", len(cls.Reps), distinct)
+	}
+	for _, fr := range cls.Frames {
+		if !fr.Rotate {
+			t.Fatal("bent water got a translation-only frame: the test would not exercise rotation")
+		}
+	}
+	perFragment := func(s *store.Store, datas []*hessian.FragmentData) {
+		t.Helper()
+		for i := range datas {
+			want, _, err := s.Get(cls.Keys[i], cls.Frames[i])
+			if err != nil || want == nil {
+				t.Fatalf("fragment %d: no record behind a completed run (err %v)", i, err)
+			}
+			if !datas[i].BitEqual(want) {
+				t.Fatalf("fragment %d differs bitwise from a per-fragment Store.Get", i)
+			}
+		}
+	}
+	engine := func(calls *atomic.Int64) ProcessFunc {
+		return func(f *fragment.Fragment, _ Options) (*hessian.FragmentData, error) {
+			calls.Add(1)
+			return fullData(f.ID), nil
+		}
+	}
+
+	dir := t.TempDir()
+	var calls atomic.Int64
+	s := openStore(t, dir)
+	opt := cacheOptions(t, s, false, nil)
+	opt.Process = engine(&calls)
+	cold, rep, err := Run(dec, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() != distinct || rep.CacheMisses != distinct || rep.Deduped != nf-distinct || rep.Resumed != 0 {
+		t.Fatalf("cold: %d engine calls, misses=%d deduped=%d resumed=%d; want %d/%d/%d/0",
+			calls.Load(), rep.CacheMisses, rep.Deduped, rep.Resumed, distinct, distinct, nf-distinct)
+	}
+	if st := s.Stats(); st.Objects != distinct || st.Logical != nf {
+		t.Fatalf("cold run left %d objects backing %d results, want %d/%d", st.Objects, st.Logical, distinct, nf)
+	}
+	perFragment(s, cold)
+	s.Close()
+
+	s2 := openStore(t, dir)
+	before := s2.Stats().Logical
+	reg := obs.NewRegistry()
+	opt = cacheOptions(t, s2, true, nil)
+	opt.Process = engine(&calls)
+	opt.Obs = obs.NewScope(nil, reg) // attaches the store's Get latency histogram
+	warm, rep2, err := Run(dec, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reads := reg.Snapshot().Hists[obs.MetricStoreGetSeconds].Count; reads != distinct {
+		t.Fatalf("warm run read the store %d times for %d fragments, want %d (one per distinct key)", reads, nf, distinct)
+	}
+	if backed := s2.Stats().Logical - before; backed != nf {
+		t.Fatalf("manifest tallies %d results backed by the store for %d fragments", backed, nf)
+	}
+	if calls.Load() != distinct || rep2.CacheMisses != 0 || rep2.Resumed != nf || rep2.Deduped != 0 {
+		t.Fatalf("warm: %d engine calls in total, misses=%d resumed=%d deduped=%d; want %d/0/%d/0",
+			calls.Load(), rep2.CacheMisses, rep2.Resumed, rep2.Deduped, distinct, nf)
+	}
+	if rep2.NumTasks > distinct {
+		t.Fatalf("warm run dispatched %d tasks for %d classes", rep2.NumTasks, distinct)
+	}
+	for i := range cold {
+		if !warm[i].BitEqual(cold[i]) {
+			t.Fatalf("fragment %d: warm result differs bitwise from cold", i)
+		}
+	}
+	perFragment(s2, warm)
 }

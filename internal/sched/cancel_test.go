@@ -72,7 +72,7 @@ func TestCancelNilChannelIsNormalRun(t *testing.T) {
 
 // TestCacheProducerTakeoverUnderCancellation is the cross-job takeover
 // property behind the serving daemon: job A (one tenant) is cancelled while
-// its elected producer for a shared key class is mid-fragment and its
+// the representative of a shared key class is mid-fragment and its
 // attempt dies with the job; job B (another tenant), sharing the store,
 // must take over production of that key and finish with results
 // bit-identical to an undisturbed reference run.
@@ -80,7 +80,7 @@ func TestCacheProducerTakeoverUnderCancellation(t *testing.T) {
 	const nf = 6
 	mkDec := func() *fragment.Decomposition {
 		dec := cacheDecomposition(nf)
-		// Fragments 0 and 3 share one geometry: 0 is the elected producer.
+		// Fragments 0 and 3 share one geometry: 0 represents the class.
 		dec.Fragments[3].Pos = dec.Fragments[0].Pos
 		return dec
 	}

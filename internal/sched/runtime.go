@@ -76,9 +76,9 @@ type Options struct {
 	// resolved before the close is a normal completion.
 	Cancel <-chan struct{}
 	// Cache wires the persistent fragment-result store into the runtime:
-	// content-addressed lookup before dispatch, checkpoint writes on
-	// completion, and deterministic within-run dedup of identical
-	// fragments.
+	// the run is scheduled by content class (store.Classify) — one lookup or
+	// one computation plus checkpoint per distinct key, every other member
+	// filled from that canonical record.
 	Cache CacheOptions
 	// Obs carries the observability sinks (span tracer, metrics registry).
 	// The runtime records run/task/frag/attempt spans, dispatch and cache
@@ -125,9 +125,9 @@ type CacheOptions struct {
 	// Store is the open store; nil disables caching entirely.
 	Store *store.Store
 	// Resume serves results recorded by *previous* runs. Without it the
-	// store still checkpoints completions and dedupes identical fragments
-	// within this run, but pre-existing records are ignored (and
-	// re-verified by overwriting them when their fragments recompute).
+	// store still checkpoints completions and identical fragments still
+	// share one computation, but pre-existing records are ignored (and
+	// re-verified by overwriting them when their classes recompute).
 	Resume bool
 	// ReadOnly disables checkpoint writes (lookup-only cache).
 	ReadOnly bool
@@ -220,10 +220,6 @@ type retryEntry struct {
 // elsewhere).
 const waitTick = time.Millisecond
 
-// dedupWaitTick is the requeue delay of a fragment waiting for its key's
-// elected producer to finish computing their shared result.
-const dedupWaitTick = 2 * time.Millisecond
-
 // Run executes the displacement loops of all fragments on the three-level
 // runtime and returns per-fragment data in decomposition order. With a
 // fail-soft budget (Options.MaxFailedFragments > 0) the returned slice may
@@ -240,8 +236,36 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 	for i := range dec.Fragments {
 		sizes[i] = dec.Fragments[i].NumAtoms()
 	}
+
+	// The unit of scheduling is the content class. With a store attached,
+	// store.Classify groups the fragments by content key; only each class's
+	// representative (its lowest index, so results never depend on goroutine
+	// timing) is packed and dispatched, and its canonical record — looked up
+	// once, or computed and checkpointed once — fills every other member
+	// through that member's own rigid frame. Without a store every fragment
+	// is a class of one and the same loop runs.
+	cacheOn := opt.Cache.Store != nil
+	var keys []store.Key
+	var frames []store.Frame
+	var reps []int
+	// members[r] lists the fragments representative r resolves, r first.
+	members := make([][]int, nf)
+	if cacheOn {
+		cls := store.Classify(dec.Fragments, opt.Job)
+		keys, frames, reps, members = cls.Keys, cls.Frames, cls.Reps, cls.Members
+	} else {
+		reps = make([]int, nf)
+		for i := range reps {
+			reps[i] = i
+			members[i] = reps[i : i+1 : i+1]
+		}
+	}
+	repSizes := make([]int, len(reps))
+	for j, r := range reps {
+		repSizes[j] = sizes[r]
+	}
 	opt.Packer.NumLeaders = opt.NumLeaders
-	packer := NewPacker(sizes, opt.Packer)
+	packer := NewPacker(repSizes, opt.Packer)
 	process := opt.Process
 	if process == nil {
 		process = leaderProcessFragment
@@ -259,7 +283,6 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 	mRetries := obsSc.R.Counter(obs.MetricRetries)
 	mRequeues := obsSc.R.Counter(obs.MetricRequeues)
 	mPanics := obsSc.R.Counter(obs.MetricPanics)
-	mDedup := obsSc.R.Counter(obs.MetricDedupWaits)
 	mHits := obsSc.R.Counter(obs.MetricCacheHits)
 	mMisses := obsSc.R.Counter(obs.MetricCacheMisses)
 	mFragWall := obsSc.R.Histogram(obs.MetricFragmentSeconds, obs.DurationBuckets)
@@ -277,29 +300,8 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 		cacheServed = make([]bool, nf)
 	}
 
-	// With a store attached, fingerprint every fragment up front and elect
-	// one deterministic producer per content key — the lowest fragment
-	// index. Only producers compute; every other fragment of a key class
-	// waits and is served the producer's checkpointed result, rotated into
-	// its own frame. Electing by index (rather than first-to-arrive) makes
-	// results independent of goroutine scheduling, which is what lets a
-	// resumed run bit-match an uninterrupted one.
-	cacheOn := opt.Cache.Store != nil
 	if cacheOn && obsOn {
 		opt.Cache.Store.SetObs(obsSc)
-	}
-	var keys []store.Key
-	var frames []store.Frame
-	producer := make(map[store.Key]int)
-	if cacheOn {
-		keys = make([]store.Key, nf)
-		frames = make([]store.Frame, nf)
-		for i := range dec.Fragments {
-			keys[i], frames[i] = store.Fingerprint(&dec.Fragments[i], opt.Job)
-			if _, ok := producer[keys[i]]; !ok {
-				producer[keys[i]] = i
-			}
-		}
 	}
 
 	// The master hands out tasks through a mutex-guarded packer: this is
@@ -370,10 +372,11 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 			if t == nil {
 				return nil, resolved < nf
 			}
-			// Drop fragments already completed via a requeue duplicate.
+			// The packer indexes representatives; drop those already
+			// completed via a requeue duplicate.
 			kept := t.Fragments[:0]
-			for _, fi := range t.Fragments {
-				if state[fi] == statePending {
+			for _, j := range t.Fragments {
+				if fi := reps[j]; state[fi] == statePending {
 					kept = append(kept, fi)
 				}
 			}
@@ -402,7 +405,12 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 		}
 		return attempts[fi], true
 	}
-	complete := func(fi int, data *hessian.FragmentData, served bool) bool {
+	// complete records a fragment's result and its cache provenance: served
+	// means the bits came from a canonical record this fragment did not
+	// compute, prior that the record predates this run. A class member
+	// filled from its representative's record was never claimed, so its
+	// start time is zero and it adds no wall.
+	complete := func(fi int, data *hessian.FragmentData, served, prior bool) bool {
 		mu.Lock()
 		defer mu.Unlock()
 		if state[fi] == stateDone || state[fi] == stateFailed {
@@ -411,8 +419,24 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 		state[fi] = stateDone
 		results[fi] = data
 		resolved++
+		switch {
+		case !cacheOn:
+		case !served:
+			report.CacheMisses++
+			mMisses.Inc()
+		default:
+			report.CacheHits++
+			mHits.Inc()
+			if prior {
+				report.Resumed++
+			} else {
+				report.Deduped++
+			}
+		}
 		if obsOn {
-			fragWall[fi] += time.Since(startedAt[fi])
+			if !startedAt[fi].IsZero() {
+				fragWall[fi] += time.Since(startedAt[fi])
+			}
 			cacheServed[fi] = served
 			mFragWall.ObserveDuration(fragWall[fi])
 			mQueue.Set(int64(nf - resolved))
@@ -422,72 +446,85 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 		}
 		return true
 	}
-	// unmark releases a claim taken by markProcessing without recording an
-	// attempt — used by fragments that must wait for their key's producer.
-	// The attempt counter is rolled back so waiting never consumes retry
-	// budget.
-	unmark := func(fi, attempt int) {
-		mu.Lock()
-		defer mu.Unlock()
-		if state[fi] == stateProcessing && attempts[fi] == attempt {
-			state[fi] = statePending
-			attempts[fi]--
-			mDedup.Inc()
-			retryQ = append(retryQ, retryEntry{fi: fi, readyAt: time.Now().Add(dedupWaitTick)})
+	// promote makes the first of a class's unresolved members its new
+	// representative and enqueues it — when the old one failed permanently,
+	// or finished without a canonical record to share (checkpointing off or
+	// failed), the rest of the class still has to be produced. Callers hold
+	// mu.
+	promote := func(rest []int) {
+		if len(rest) > 0 {
+			members[rest[0]] = rest
+			retryQ = append(retryQ, retryEntry{fi: rest[0], readyAt: time.Now()})
 		}
 	}
-	// election verdicts for a fragment whose store lookup missed.
-	const (
-		produceNow = iota
-		produceWait
-		produceRecheck
-	)
-	// elect decides whether fi should run the engine for its key after a
-	// lookup miss. The elected producer (and any fragment inheriting from
-	// a permanently failed one) computes. A fragment whose producer is
-	// still in flight waits. A fragment whose producer completed re-checks
-	// the store once — the checkpoint lands before completion, so the
-	// re-check hits unless writes are disabled or failed, and only then
-	// does the fragment compute for itself.
-	elect := func(fi int) int {
+	storeError := func() {
 		mu.Lock()
-		defer mu.Unlock()
-		p := producer[keys[fi]]
-		switch {
-		case p == fi:
-			return produceNow
-		case state[p] == stateFailed:
-			producer[keys[fi]] = fi
-			return produceNow
-		case state[p] == stateDone:
-			return produceRecheck
-		}
-		return produceWait
+		report.StoreErrors++
+		mu.Unlock()
 	}
-	// lookup serves a fragment from the store if an eligible record
-	// exists; prior-run records require Resume. Store errors (corrupt or
-	// unreadable records) degrade to a miss and are counted. The lookup is
-	// recorded as a store.get child of the attempt span.
-	lookup := func(fi int, parent uint64, track int32) (*hessian.FragmentData, bool) {
+	// Records travel to and from the store in the canonical pose, addressed
+	// by the identity frame; expand rotates one into member m's own frame.
+	canonFrame := func(fi int) store.Frame { return store.Frame{NAtoms: frames[fi].NAtoms} }
+	expand := func(m int, canon *hessian.FragmentData) *hessian.FragmentData {
+		fd, err := frames[m].FromCanonical(canon)
+		if err != nil {
+			storeError()
+			return nil
+		}
+		return fd
+	}
+	// lookup resolves a representative from the store if an eligible record
+	// exists, returning it both in fi's frame and canonical; prior-run
+	// records require Resume. Store errors (corrupt or unreadable records)
+	// degrade to a miss and are counted. The lookup is recorded as a
+	// store.get child of the attempt span.
+	lookup := func(fi int, parent uint64, track int32) (data, canon *hessian.FragmentData, prior bool) {
 		var t0 time.Time
 		if tracing {
 			t0 = time.Now()
 		}
-		fd, prior, err := opt.Cache.Store.Get(keys[fi], frames[fi])
+		canon, prior, err := opt.Cache.Store.Get(keys[fi], canonFrame(fi))
+		switch {
+		case err != nil:
+			storeError()
+		case canon != nil && (!prior || opt.Cache.Resume):
+			data = expand(fi, canon)
+		}
 		if tracing {
 			obsSc.T.Record(parent, track, "store.get", "store",
-				obsSc.T.Since(t0), time.Since(t0), obs.A("hit", b2i(fd != nil)))
+				obsSc.T.Since(t0), time.Since(t0), obs.A("hit", b2i(data != nil)))
+		}
+		if data == nil {
+			return nil, nil, false
+		}
+		return data, canon, prior
+	}
+	// checkpoint writes a computed result and returns its canonical
+	// roundtrip — in fi's frame and canonical — so computed and cache-served
+	// completions are bit-identical. A failed checkpoint degrades to keeping
+	// the in-memory result, with no record for the class to share.
+	checkpoint := func(fi int, data *hessian.FragmentData, parent uint64, track int32) (rt, canon *hessian.FragmentData) {
+		var t0 time.Time
+		if tracing {
+			t0 = time.Now()
+		}
+		canon, err := frames[fi].ToCanonical(data)
+		if err == nil {
+			canon, err = opt.Cache.Store.Put(keys[fi], canonFrame(fi), canon)
 		}
 		if err != nil {
-			mu.Lock()
-			report.StoreErrors++
-			mu.Unlock()
-			return nil, false
+			storeError()
+		} else {
+			rt = expand(fi, canon)
 		}
-		if fd == nil || (prior && !opt.Cache.Resume) {
-			return nil, false
+		if tracing {
+			obsSc.T.Record(parent, track, "store.put", "store",
+				obsSc.T.Since(t0), time.Since(t0), obs.A("err", b2i(rt == nil)))
 		}
-		return fd, prior
+		if rt == nil {
+			return data, nil
+		}
+		return rt, canon
 	}
 	// restore returns undispatched fragments (a prefetched task, or the
 	// unprocessed remainder of the current task) to the pool when a leader
@@ -532,6 +569,7 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 			state[fi] = stateFailed
 			failed = append(failed, fi)
 			resolved++
+			promote(members[fi][1:])
 			if obsOn {
 				mFragWall.ObserveDuration(fragWall[fi])
 				mQueue.Set(int64(nf - resolved))
@@ -675,28 +713,13 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 							attSc = attSc.WithSpan(attSpan)
 						}
 					}
-					var data *hessian.FragmentData
-					served, servedPrior := false, false
+					var data, canon *hessian.FragmentData
+					prior := false
 					if cacheOn {
-						fd, prior := lookup(fi, attSpan.ID(), leaderTrack)
-						if fd == nil {
-							switch elect(fi) {
-							case produceWait:
-								unmark(fi, attempt) // wait for the key's producer
-								attSpan.End(obs.A("wait", 1))
-								continue
-							case produceRecheck:
-								// Producer completed after our miss; its
-								// checkpoint (if writes are on) landed
-								// before completion, so look again.
-								fd, prior = lookup(fi, attSpan.ID(), leaderTrack)
-							}
-						}
-						if fd != nil {
-							data, served, servedPrior = fd, true, prior
-						}
+						data, canon, prior = lookup(fi, attSpan.ID(), leaderTrack)
 					}
-					if data == nil {
+					served := data != nil
+					if !served {
 						var err error
 						data, err = attemptFragment(fi, attempt, attSc)
 						if err != nil {
@@ -709,48 +732,34 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 							continue
 						}
 						if cacheOn && !opt.Cache.ReadOnly {
-							// Checkpoint, and serve the canonical roundtrip
-							// so computed and cache-served completions are
-							// bit-identical. A failed checkpoint degrades
-							// to keeping the in-memory result.
-							var pt0 time.Time
-							if tracing {
-								pt0 = time.Now()
-							}
-							rt, perr := opt.Cache.Store.Put(keys[fi], frames[fi], data)
-							if tracing {
-								obsSc.T.Record(attSpan.ID(), leaderTrack, "store.put", "store",
-									obsSc.T.Since(pt0), time.Since(pt0), obs.A("err", b2i(perr != nil)))
-							}
-							if perr != nil {
-								mu.Lock()
-								report.StoreErrors++
-								mu.Unlock()
-							} else {
-								data = rt
-							}
+							data, canon = checkpoint(fi, data, attSpan.ID(), leaderTrack)
 						}
 					}
 					attSpan.End(obs.A("cachehit", b2i(served)))
-					if complete(fi, data, served) {
-						stats.Fragments++
-						stats.Displacements += 6 * dec.Fragments[fi].NumAtoms()
-						if cacheOn {
-							mu.Lock()
-							if served {
-								report.CacheHits++
-								if servedPrior {
-									report.Resumed++
-								} else {
-									report.Deduped++
-								}
-								mHits.Inc()
-							} else {
-								report.CacheMisses++
-								mMisses.Inc()
-							}
-							mu.Unlock()
+					if !complete(fi, data, served, prior) {
+						continue
+					}
+					// Fill the rest of the class from the canonical record,
+					// outside the master mutex; whatever cannot be filled gets
+					// a new representative.
+					class := members[fi]
+					n := 1 // resolved members, the representative first
+					for ; canon != nil && n < len(class); n++ {
+						fd := expand(class[n], canon)
+						if fd == nil {
+							break
 						}
+						complete(class[n], fd, true, prior)
+					}
+					mu.Lock()
+					promote(class[n:])
+					mu.Unlock()
+					if n > 1 {
+						opt.Cache.Store.Ref(keys[fi], n-1)
+					}
+					for _, m := range class[:n] {
+						stats.Fragments++
+						stats.Displacements += 6 * sizes[m]
 					}
 				}
 				taskSpan.End()

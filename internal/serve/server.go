@@ -500,13 +500,12 @@ func (s *Server) execute(j *Job) (*ReportSummary, *SpectrumPayload, error) {
 	// work are visible as such. Fingerprinting hashes every fragment's
 	// canonical geometry, so it runs off the server mutex (the store has
 	// its own lock); s.mu is held only for the ledger lookups.
-	keys := make([]store.Key, len(dec.Fragments))
+	var keys []store.Key
 	crossJob, crossTenant := 0, 0
 	if s.cfg.Store != nil {
-		hit := make([]bool, len(dec.Fragments))
-		for i := range dec.Fragments {
-			k, _ := store.Fingerprint(&dec.Fragments[i], opt.Job)
-			keys[i] = k
+		keys = store.Classify(dec.Fragments, opt.Job).Keys
+		hit := make([]bool, len(keys))
+		for i, k := range keys {
 			hit[i] = s.cfg.Store.Has(k)
 		}
 		s.mu.Lock()

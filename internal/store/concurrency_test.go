@@ -57,7 +57,7 @@ func TestStoreConcurrentMixedGetPut(t *testing.T) {
 					puts.Add(1)
 					continue
 				}
-				fd, _, err := s.Get(keys[ki], frames[ki])
+				fd, prior, err := s.Get(keys[ki], frames[ki])
 				if err != nil {
 					errs <- fmt.Errorf("worker %d get key %d: %w", w, ki, err)
 					return
@@ -67,6 +67,12 @@ func TestStoreConcurrentMixedGetPut(t *testing.T) {
 					continue // clean miss: no writer has landed this key yet
 				}
 				hits.Add(1)
+				if prior {
+					// The store started empty: every record was written by this
+					// process, however the Get raced its Put.
+					errs <- fmt.Errorf("worker %d: key %d served as prior in a fresh store", w, ki)
+					return
+				}
 				if !fd.BitEqual(want[ki]) {
 					errs <- fmt.Errorf("worker %d: torn/wrong read of key %d", w, ki)
 					return
@@ -113,6 +119,58 @@ func TestStoreConcurrentMixedGetPut(t *testing.T) {
 		if !prior {
 			t.Fatalf("key %d not marked prior after reopen", i)
 		}
+	}
+}
+
+// TestStoreGetMissRacingCommit pins the eviction race the benchmark found
+// (bench/README "A finding"): a Get looks a key up while its Put is between
+// the WAL line and the rename, misses the object file, and the Put's commit
+// lands before the Get decides about eviction. The committed record must
+// stay indexed and be served as this process's own, for Get and GetRaw alike.
+func TestStoreGetMissRacingCommit(t *testing.T) {
+	for name, read := range map[string]func(*Store, Key, Frame) bool{
+		"Get":    func(s *Store, k Key, fr Frame) bool { fd, _, err := s.Get(k, fr); return fd != nil || err != nil },
+		"GetRaw": func(s *Store, k Key, _ Frame) bool { b, _, err := s.GetRaw(k); return b != nil || err != nil },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := mustOpen(t, t.TempDir())
+			defer s.Close()
+			k, fr := flatKey(1, 2)
+			want := randomData(2, 7)
+			blob, err := Encode(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Put, split at its commit point: WAL line and in-flight entry
+			// now, object rename from inside the racing read.
+			if err := s.registerPut(k, fr.NAtoms, int64(len(blob))); err != nil {
+				t.Fatal(err)
+			}
+			readMissHook = func() {
+				if err := s.commitObject(k, blob); err != nil {
+					t.Error(err)
+				}
+			}
+			defer func() { readMissHook = nil }()
+			if read(s, k, fr) {
+				t.Fatal("read served a record (or failed) before its object existed")
+			}
+			readMissHook = nil
+
+			if !s.Has(k) {
+				t.Fatal("a committed record was evicted by the read that raced its commit")
+			}
+			fd, prior, err := s.Get(k, fr)
+			if err != nil || fd == nil || !fd.BitEqual(want) {
+				t.Fatalf("committed record not served after the race: fd=%v err=%v", fd != nil, err)
+			}
+			if prior {
+				t.Fatal("record committed by this process reported as prior")
+			}
+			if got, want := s.Stats().Logical, 2; got != want {
+				t.Fatalf("logical records %d, want %d (one put, one serve): the racing put was double-counted", got, want)
+			}
+		})
 	}
 }
 

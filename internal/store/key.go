@@ -68,6 +68,47 @@ func Fingerprint(f *fragment.Fragment, opt hessian.JobOptions) (Key, Frame) {
 	return k, fr
 }
 
+// Classes is the content-class inventory of a fragment list. The Eq. 1
+// decomposition emits the same geometry many times (a water monomer is
+// subtracted once per pair it joins), so everything that dedupes by content
+// — the scheduler, the cluster client, the trajectory differ, the serving
+// ledger — consumes this one table instead of fingerprinting for itself.
+type Classes struct {
+	// Keys and Frames hold Fingerprint's outputs for every fragment.
+	Keys   []Key
+	Frames []Frame
+	// Reps lists, ascending, each class's representative: the lowest
+	// fragment index carrying its key. Choosing by index rather than by
+	// arrival makes results independent of goroutine scheduling.
+	Reps []int
+	// Members[r] lists, ascending and starting with r itself, the fragments
+	// sharing representative r's key; it is nil for every other index.
+	Members [][]int
+}
+
+// Classify fingerprints every fragment under the job options and groups the
+// fragments by key. A canonical record resolved for a representative serves
+// each member m as Frames[m].FromCanonical(record).
+func Classify(frags []fragment.Fragment, job hessian.JobOptions) *Classes {
+	c := &Classes{
+		Keys:    make([]Key, len(frags)),
+		Frames:  make([]Frame, len(frags)),
+		Members: make([][]int, len(frags)),
+	}
+	rep := make(map[Key]int, len(frags))
+	for i := range frags {
+		c.Keys[i], c.Frames[i] = Fingerprint(&frags[i], job)
+		r, ok := rep[c.Keys[i]]
+		if !ok {
+			r = i
+			rep[c.Keys[i]] = i
+			c.Reps = append(c.Reps, i)
+		}
+		c.Members[r] = append(c.Members[r], i)
+	}
+	return c
+}
+
 // fpScratch is the reusable canonicalization/hashing state of one
 // Fingerprint call: the serialization buffer and the SHA-256 digest. The
 // trajectory engine fingerprints every fragment of every frame on its diff

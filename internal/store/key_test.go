@@ -2,6 +2,7 @@ package store
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"qframan/internal/constants"
@@ -191,5 +192,93 @@ func TestKeyStringRoundtrip(t *testing.T) {
 	}
 	if _, err := ParseKey("zz"); err == nil {
 		t.Fatal("ParseKey accepted garbage")
+	}
+}
+
+// TestClassify pins the content-class table every dedup consumer works from:
+// classes partition the fragment list, each is represented by its lowest
+// index, rigid motion of any member leaves the table unchanged, and a change
+// of job options yields disjoint keys.
+func TestClassify(t *testing.T) {
+	w, c := waterFragment(), chiralFragment()
+	shift := geom.Vec3{X: 4, Y: -9, Z: 2.5}
+	spin := func(f *fragment.Fragment, theta float64) *fragment.Fragment {
+		return rotated(f, geom.Vec3{X: 1, Y: 2, Z: 3}, geom.Vec3{X: 1, Y: 1, Z: -2}, theta)
+	}
+	cases := []struct {
+		name    string
+		frags   []*fragment.Fragment
+		reps    []int
+		members map[int][]int
+	}{
+		{"empty", nil, nil, map[int][]int{}},
+		{"all distinct", []*fragment.Fragment{w, c, mirrored(c)}, []int{0, 1, 2},
+			map[int][]int{0: {0}, 1: {1}, 2: {2}}},
+		{"all one class", []*fragment.Fragment{w, translated(w, shift), spin(w, 0.7), spin(translated(w, shift), 2.9)},
+			[]int{0}, map[int][]int{0: {0, 1, 2, 3}}},
+		{"interleaved", []*fragment.Fragment{c, w, spin(c, 1.3), mirrored(c), translated(w, shift), spin(mirrored(c), 0.4), c},
+			[]int{0, 1, 3}, map[int][]int{0: {0, 2, 6}, 1: {1, 4}, 3: {3, 5}}},
+	}
+	opt := hessian.DefaultJobOptions()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			frags := make([]fragment.Fragment, len(tc.frags))
+			for i, f := range tc.frags {
+				frags[i] = *f
+			}
+			cls := Classify(frags, opt)
+			if !reflect.DeepEqual(cls.Reps, tc.reps) {
+				t.Fatalf("Reps = %v, want %v", cls.Reps, tc.reps)
+			}
+			seen := make([]bool, len(frags))
+			for i, ms := range cls.Members {
+				if want := tc.members[i]; !reflect.DeepEqual(ms, want) {
+					t.Fatalf("Members[%d] = %v, want %v", i, ms, want)
+				}
+				for _, m := range ms {
+					if seen[m] {
+						t.Fatalf("fragment %d is a member of two classes", m)
+					}
+					seen[m] = true
+					if cls.Keys[m] != cls.Keys[i] {
+						t.Fatalf("member %d carries a different key than its representative %d", m, i)
+					}
+				}
+			}
+			for i := range frags {
+				if !seen[i] {
+					t.Fatalf("fragment %d belongs to no class", i)
+				}
+				if k, fr := Fingerprint(&frags[i], opt); k != cls.Keys[i] || fr != cls.Frames[i] {
+					t.Fatalf("fragment %d: Classify disagrees with Fingerprint", i)
+				}
+			}
+
+			// Rigid motion of any one member changes frames, never classes.
+			for i := range frags {
+				moved := append([]fragment.Fragment(nil), frags...)
+				moved[i] = *spin(translated(&frags[i], shift), 1.9)
+				got := Classify(moved, opt)
+				if !reflect.DeepEqual(got.Reps, cls.Reps) || !reflect.DeepEqual(got.Members, cls.Members) ||
+					!reflect.DeepEqual(got.Keys, cls.Keys) {
+					t.Fatalf("rigid motion of fragment %d changed the class table", i)
+				}
+			}
+
+			// Different physics: same grouping, no key in common.
+			other := opt
+			other.Step *= 2
+			got := Classify(frags, other)
+			if !reflect.DeepEqual(got.Members, cls.Members) {
+				t.Fatal("job options changed the grouping of identical geometries")
+			}
+			for i := range frags {
+				for j := range frags {
+					if got.Keys[i] == cls.Keys[j] {
+						t.Fatalf("fragment %d under Step×2 shares a key with fragment %d under the default job", i, j)
+					}
+				}
+			}
+		})
 	}
 }

@@ -211,12 +211,12 @@ func (s *Store) appendLine(line string) error {
 
 // Put checkpoints a fragment result under its key: the data is rotated into
 // the canonical frame, encoded, logged to the manifest, and written with
-// temp-file + fsync + atomic rename. If another fragment of this run
-// already wrote the key (a within-run duplicate racing past the dedup
-// election), only a `ref` line is appended. The returned data is the
-// result as a subsequent Get would serve it — the canonical roundtrip of
-// the input — and callers should use it in place of the input so computed
-// and cache-served fragments are bit-identical.
+// temp-file + fsync + atomic rename. If this process already wrote the key
+// (a straggler duplicate of the same attempt, or another job sharing the
+// store), only a `ref` line is appended. The returned data is the result as
+// a subsequent Get would serve it — the canonical roundtrip of the input —
+// and callers should use it in place of the input so computed and
+// cache-served fragments are bit-identical.
 func (s *Store) Put(k Key, fr Frame, fd *hessian.FragmentData) (*hessian.FragmentData, error) {
 	if h := s.obsPut.Load(); h != nil {
 		defer func(t0 time.Time) { h.ObserveDuration(time.Since(t0)) }(time.Now())
@@ -330,28 +330,20 @@ func (s *Store) Get(k Key, fr Frame) (*hessian.FragmentData, bool, error) {
 		defer func(t0 time.Time) { h.ObserveDuration(time.Since(t0)) }(time.Now())
 	}
 	s.mu.Lock()
-	e, ok := s.idx[k]
-	var prior bool
-	if ok {
-		prior = e.prior && !e.fresh
+	e := s.idx[k]
+	var prior, writing bool
+	if e != nil {
+		prior, writing = e.prior && !e.fresh, e.writing
 	}
 	s.mu.Unlock()
 
 	blob, err := os.ReadFile(s.objectPath(k))
 	if os.IsNotExist(err) {
-		if ok {
-			s.evictMissing(k)
-		}
+		s.evictMissing(k, e, writing)
 		return nil, false, nil
 	}
 	if err != nil {
 		return nil, false, fmt.Errorf("store: %w", err)
-	}
-	if !ok {
-		// The object exists but the manifest lost it (crash before the
-		// line was durable, or an external copy): adopt it as prior after
-		// it validates below, and repair the manifest.
-		prior = true
 	}
 	canon, err := Decode(blob)
 	if err != nil {
@@ -359,9 +351,17 @@ func (s *Store) Get(k Key, fr Frame) (*hessian.FragmentData, bool, error) {
 		os.Remove(s.objectPath(k))
 		return nil, false, err
 	}
-	if !ok {
+	if e == nil {
+		// The object exists but the index did not know it at lookup. Either
+		// a racing Put committed it meanwhile — the entry it registered
+		// carries the provenance — or the manifest lost it (crash before the
+		// line was durable, or an external copy): adopt it as prior and
+		// repair the manifest.
 		s.mu.Lock()
-		if _, again := s.idx[k]; !again {
+		if cur := s.idx[k]; cur != nil {
+			prior = cur.prior && !cur.fresh
+		} else {
+			prior = true
 			s.idx[k] = &entry{natoms: fr.NAtoms, bytes: int64(len(blob)), prior: true}
 			s.logical++
 			s.appendLine(fmt.Sprintf("put %s %d %d", k.String(), fr.NAtoms, len(blob)))
@@ -387,6 +387,24 @@ func (s *Store) Get(k Key, fr Frame) (*hessian.FragmentData, bool, error) {
 	return fd, prior, nil
 }
 
+// Ref records n further results backed by k's record — class members the
+// scheduler filled in memory from one Get or Put — so the manifest keeps
+// tallying every fragment result the store backed (the numerator of the
+// dedup ratio) while the store is touched once per class. Best-effort
+// bookkeeping, like Get's own ref line.
+func (s *Store) Ref(k Key, n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.manifest == nil || n <= 0 {
+		return
+	}
+	s.logical += n
+	if e := s.idx[k]; e != nil {
+		e.refs += n
+	}
+	s.manifest.WriteString(strings.Repeat("ref "+k.String()+"\n", n))
+}
+
 // GetRaw serves the validated canonical record bytes for k — the peer-fetch
 // path of the cluster's tiered cache (DESIGN.md §9): record blobs travel
 // CRC-guarded end to end between worker-local stores and the coordinator
@@ -397,13 +415,12 @@ func (s *Store) Get(k Key, fr Frame) (*hessian.FragmentData, bool, error) {
 // not a logical fragment completion.
 func (s *Store) GetRaw(k Key) ([]byte, bool, error) {
 	s.mu.Lock()
-	_, ok := s.idx[k]
+	e := s.idx[k]
+	writing := e != nil && e.writing
 	s.mu.Unlock()
 	blob, err := os.ReadFile(s.objectPath(k))
 	if os.IsNotExist(err) {
-		if ok {
-			s.evictMissing(k)
-		}
+		s.evictMissing(k, e, writing)
 		return nil, false, nil
 	}
 	if err != nil {
@@ -452,12 +469,25 @@ func (s *Store) evict(k Key) {
 	s.mu.Unlock()
 }
 
-// evictMissing drops an index entry whose object file is absent — unless the
-// entry's object commit is still in flight (the racing put's rename is about
-// to make the file appear, so the miss is transient, not damage).
-func (s *Store) evictMissing(k Key) {
+// readMissHook, when non-nil, runs between a Get/GetRaw object-read miss and
+// the eviction decision; tests land a racing Put's commit exactly there.
+var readMissHook func()
+
+// evictMissing drops the index entry a lookup observed (seen, with its
+// in-flight marker as of that lookup) after the object read missed. The
+// decision rests on that observation alone: an entry that was mid-commit is
+// kept (the rename is landing, the miss is transient), and so is one a later
+// Put has replaced — re-reading the marker now would evict a record whose
+// commit finished between the read and this call.
+func (s *Store) evictMissing(k Key, seen *entry, writing bool) {
+	if readMissHook != nil {
+		readMissHook()
+	}
+	if seen == nil || writing {
+		return
+	}
 	s.mu.Lock()
-	if e := s.idx[k]; e != nil && !e.writing {
+	if s.idx[k] == seen {
 		delete(s.idx, k)
 	}
 	s.mu.Unlock()
@@ -486,7 +516,8 @@ type Stats struct {
 	Objects int
 	Bytes   int64
 	// Logical counts the results recorded across all runs (manifest put +
-	// ref lines): every fragment completion that was backed by the store.
+	// ref lines): every fragment completion that was backed by the store,
+	// whether it read the record itself or was filled from its class's read.
 	Logical int
 	// DedupRatio is Logical/Objects — how many fragment results each
 	// stored record serves on average.

@@ -224,13 +224,12 @@ type diffResult struct {
 func (e *Engine) diff(dec *fragment.Decomposition) *diffResult {
 	d := &diffResult{
 		ids:    identities(dec),
-		keys:   make([]store.Key, len(dec.Fragments)),
+		keys:   store.Classify(dec.Fragments, e.opt.Core.Sched.Job).Keys,
 		reused: make([]*hessian.FragmentData, len(dec.Fragments)),
 		moved:  make(map[int]bool),
 	}
 	for i := range dec.Fragments {
 		f := &dec.Fragments[i]
-		d.keys[i], _ = store.Fingerprint(f, e.opt.Core.Sched.Job)
 		p := e.prev[d.ids[i]]
 		switch {
 		case p != nil && p.key == d.keys[i] && samePos(p.pos, f.Pos):

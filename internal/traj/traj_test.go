@@ -2,6 +2,7 @@ package traj
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"qframan/internal/core"
@@ -198,13 +199,13 @@ func TestWarmStartGolden(t *testing.T) {
 // fakeOptions overrides the engine with a deterministic 3N-dimensional
 // payload (waterbox fragment frames rotate, so 1×1 fakes would be rejected
 // by the store's tensor rotation) and counts invocations.
-func fakeOptions(t *testing.T, calls *int) core.Config {
+func fakeOptions(t *testing.T, calls *atomic.Int64) core.Config {
 	t.Helper()
 	cfg := testConfig()
 	cfg.Sched.Job.SkipAlpha = true // no spectrum: this is a scheduling test
 	cfg.Sched.Cache = sched.CacheOptions{Store: openStore(t, t.TempDir()), Resume: true}
 	cfg.Sched.Process = func(f *fragment.Fragment, _ sched.Options) (*hessian.FragmentData, error) {
-		*calls++ // sched serializes Process per leader; NumLeaders=1 below
+		calls.Add(1)
 		n3 := 3 * f.NumAtoms()
 		fd := &hessian.FragmentData{Hess: linalg.NewMatrix(n3, n3)}
 		for i := 0; i < n3; i++ {
@@ -221,54 +222,62 @@ func fakeOptions(t *testing.T, calls *int) core.Config {
 // for every frame, the engine-invocation count must equal exactly the
 // number of *distinct new* content keys — fragments whose fingerprint
 // changed, minus store dedup — computed here by an independent seen-set
-// simulation over store.Fingerprint.
+// simulation over store.Fingerprint. The long two-leader case is the stress
+// form: a moved molecule's monomer terms all share one new key, and no
+// interleaving of leaders may ever compute such a key twice.
 func TestRecomputePerFrameEqualsChangedKeys(t *testing.T) {
-	systems := trajSystems(t, 2, 2, 2, 4, structure.PerturbOptions{
-		MoveFrac: 0.3, Jitter: 0.05, Seed: 3,
-	})
-	calls := 0
-	cfg := fakeOptions(t, &calls)
-	eng := New(Options{Core: cfg})
+	for _, tc := range []struct {
+		name            string
+		frames, leaders int
+		popt            structure.PerturbOptions
+	}{
+		{"4 frames, 1 leader", 4, 1, structure.PerturbOptions{MoveFrac: 0.3, Jitter: 0.05, Seed: 3}},
+		{"201 frames, 2 leaders", 201, 2, structure.PerturbOptions{MoveFrac: 0.15, Jitter: 0.01, Seed: 11}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			systems := trajSystems(t, 2, 2, 2, tc.frames, tc.popt)
+			var calls atomic.Int64
+			cfg := fakeOptions(t, &calls)
+			cfg.Sched.NumLeaders = tc.leaders
+			eng := New(Options{Core: cfg})
 
-	seen := make(map[store.Key]bool)
-	for i, sys := range systems {
-		// Independent expectation: which distinct keys are new this frame?
-		dec, err := fragment.Decompose(sys, cfg.Fragment)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frameKeys := make(map[store.Key]bool)
-		for j := range dec.Fragments {
-			k, _ := store.Fingerprint(&dec.Fragments[j], cfg.Sched.Job)
-			frameKeys[k] = true
-		}
-		expected := 0
-		for k := range frameKeys {
-			if !seen[k] {
-				expected++
-				seen[k] = true
+			seen := make(map[store.Key]bool)
+			for i, sys := range systems {
+				// Independent expectation: which distinct keys are new this frame?
+				dec, err := fragment.Decompose(sys, cfg.Fragment)
+				if err != nil {
+					t.Fatal(err)
+				}
+				expected := 0
+				for j := range dec.Fragments {
+					k, _ := store.Fingerprint(&dec.Fragments[j], cfg.Sched.Job)
+					if !seen[k] {
+						expected++
+						seen[k] = true
+					}
+				}
+
+				calls.Store(0)
+				res, err := eng.Step(sys)
+				if err != nil {
+					t.Fatalf("frame %d: %v", i, err)
+				}
+				r := res.Report
+				if r.Recomputed != expected || int(calls.Load()) != expected {
+					t.Fatalf("frame %d: recomputed=%d engine calls=%d, want exactly %d new keys (%+v)",
+						i, r.Recomputed, calls.Load(), expected, r)
+				}
+				if r.Moved+r.Rotated+r.Reused != r.Fragments {
+					t.Fatalf("frame %d classification does not partition: %+v", i, r)
+				}
+				if i == 0 && r.Moved != r.Fragments {
+					t.Fatalf("frame 0: moved=%d of %d", r.Moved, r.Fragments)
+				}
+				if i > 0 && r.Reused == 0 {
+					t.Fatalf("frame %d reused nothing under a %.0f%% perturbation", i, 100*tc.popt.MoveFrac)
+				}
 			}
-		}
-
-		calls = 0
-		res, err := eng.Step(sys)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		r := res.Report
-		if r.Recomputed != expected || calls != expected {
-			t.Fatalf("frame %d: recomputed=%d engine calls=%d, want exactly %d new keys (%+v)",
-				i, r.Recomputed, calls, expected, r)
-		}
-		if r.Moved+r.Rotated+r.Reused != r.Fragments {
-			t.Fatalf("frame %d classification does not partition: %+v", i, r)
-		}
-		if i == 0 && r.Moved != r.Fragments {
-			t.Fatalf("frame 0: moved=%d of %d", r.Moved, r.Fragments)
-		}
-		if i > 0 && r.Reused == 0 {
-			t.Fatalf("frame %d reused nothing under a 30%% perturbation", i)
-		}
+		})
 	}
 }
 
@@ -287,20 +296,20 @@ func TestRigidMotionNeverRecomputes(t *testing.T) {
 		}
 		systems = append(systems, moved)
 	}
-	calls := 0
+	var calls atomic.Int64
 	eng := New(Options{Core: fakeOptions(t, &calls)})
 	if _, err := eng.Step(systems[0]); err != nil {
 		t.Fatal(err)
 	}
 	for i, sys := range systems[1:] {
-		calls = 0
+		calls.Store(0)
 		res, err := eng.Step(sys)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i+1, err)
 		}
 		r := res.Report
-		if r.Recomputed != 0 || calls != 0 {
-			t.Fatalf("frame %d: rigid motion recomputed %d fragments (%d calls)", i+1, r.Recomputed, calls)
+		if r.Recomputed != 0 || calls.Load() != 0 {
+			t.Fatalf("frame %d: rigid motion recomputed %d fragments (%d calls)", i+1, r.Recomputed, calls.Load())
 		}
 		if r.Moved != 0 {
 			t.Fatalf("frame %d: rigid motion classified %d fragments as moved", i+1, r.Moved)
