@@ -43,9 +43,9 @@ func waterFragment() *fragment.Fragment {
 // produce bit-identical FragmentData — checked both structurally (BitEqual)
 // and through the store codec (the bytes that content addressing and
 // crash-resume dedup hash). The grid-Coulomb pipeline is used because it
-// exercises every parallel kernel family: batched GEMMs, the Poisson CG
-// with its chunked reductions, grid gather/scatter, and the Forces
-// chunk-accumulator combine.
+// exercises every parallel kernel family: batched GEMMs, the Poisson
+// sine transforms and boundary-moment reduction, grid gather/scatter, and
+// the Forces chunk-accumulator combine.
 func TestFragmentDataBitIdenticalAcrossKernelWidths(t *testing.T) {
 	opt := hessian.DefaultJobOptions()
 	opt.DFPT.Coulomb = dfpt.GridCoulomb

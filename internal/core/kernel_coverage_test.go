@@ -25,9 +25,8 @@ var wiredKernels = []string{
 	"grid_tabulate",
 	"lanczos_density",
 	"lanczos_vec",
-	"poisson_axpy",
 	"poisson_boundary",
-	"poisson_stencil",
+	"poisson_dst",
 	"scf_forces",
 	"spmv",
 }

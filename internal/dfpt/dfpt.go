@@ -14,7 +14,7 @@
 //     the derivative of the variational SCF energy and is validated against
 //     finite-field calculations to machine-ish precision.
 //   - GridCoulomb: the paper's real-space pipeline — batched basis
-//     evaluation, many small GEMMs, conjugate-gradient Poisson solve. It
+//     evaluation, many small GEMMs, direct sine-transform Poisson solve. It
 //     exercises the exact computational pattern the paper optimizes
 //     (including the symmetry-reduced kernels of Fig. 6) and is the mode
 //     benchmarked for Table I and Fig. 9.
@@ -103,8 +103,6 @@ type PhaseMetrics struct {
 	GEMMsN1, GEMMsH1 int64
 	// FLOPs for the grid phases (Table I reports these two parts).
 	FLOPsN1, FLOPsH1 int64
-	// PoissonIters accumulates CG iterations of phase 3.
-	PoissonIters int
 	// GradN1Integral accumulates ∫∇n⁽¹⁾ d³r over all cycles — a grid
 	// health diagnostic that must stay near zero (the response density
 	// decays inside the box).
@@ -138,6 +136,12 @@ func Polarizability(m *scf.Model, ground *scf.Result, opt Options) (*Response, e
 	if opt.MaxIter <= 0 || opt.Tol <= 0 || opt.Mixing <= 0 || opt.Mixing > 1 {
 		return nil, fmt.Errorf("dfpt: invalid options %+v", opt)
 	}
+	return polarizability(m, ground, opt, nil)
+}
+
+// polarizability is Polarizability on validated options. Grid mode builds
+// its environment unless the caller (a test) brings one.
+func polarizability(m *scf.Model, ground *scf.Result, opt Options, gridEnv *gridEnv) (*Response, error) {
 	resp := &Response{}
 	sc, dfptSpan := opt.Obs.Begin("dfpt", "dfpt")
 	defer dfptSpan.End()
@@ -145,8 +149,7 @@ func Polarizability(m *scf.Model, ground *scf.Result, opt Options) (*Response, e
 		var cycScratch []obs.CycleSample
 		opt.cycBuf = &cycScratch
 	}
-	var gridEnv *gridEnv
-	if opt.Coulomb == GridCoulomb {
+	if opt.Coulomb == GridCoulomb && gridEnv == nil {
 		var err error
 		gridEnv, err = newGridEnv(m, opt)
 		if err != nil {
@@ -250,7 +253,7 @@ func respond(m *scf.Model, ground *scf.Result, dir int, opt Options, env *gridEn
 			// The grid pipeline already times its three phases into met;
 			// per-cycle durations are the deltas across the call.
 			preN1, preV1, preH1 := met.TimeN1, met.TimeV1, met.TimeH1
-			if err := env.addGridResponse(m, p1, h1, dir, opt, met); err != nil {
+			if err := env.addGridResponse(p1, h1, dir, met); err != nil {
 				return nil, iter, err
 			}
 			durs[obs.PhaseN1] = met.TimeN1 - preN1

@@ -194,7 +194,11 @@ func gridOptions() Options {
 
 func TestGridModeRuns(t *testing.T) {
 	m, res := waterModel(t)
-	resp, err := Polarizability(m, res, gridOptions())
+	env, err := newGridEnv(m, gridOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := polarizability(m, res, gridOptions(), env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +217,13 @@ func TestGridModeRuns(t *testing.T) {
 	if met.GEMMsN1 == 0 || met.GEMMsH1 == 0 || met.FLOPsN1 == 0 || met.FLOPsH1 == 0 {
 		t.Fatalf("grid phase metrics empty: %+v", met)
 	}
-	if met.PoissonIters == 0 {
-		t.Fatal("no Poisson iterations recorded")
+	// Phase 3 ran and left a finite, non-trivial response potential.
+	var v1Norm float64
+	for _, v := range env.v1 {
+		v1Norm += v * v
+	}
+	if v1Norm == 0 || math.IsNaN(v1Norm) || math.IsInf(v1Norm, 0) {
+		t.Fatalf("response potential has squared norm %v", v1Norm)
 	}
 	if met.TimeN1 == 0 || met.TimeV1 == 0 || met.TimeH1 == 0 || met.TimeP1 == 0 {
 		t.Fatal("phase timings empty")

@@ -11,23 +11,55 @@ import (
 	"qframan/internal/scf"
 )
 
-// gridEnv holds the precomputed real-space machinery for one fragment
-// geometry: the integration grid, its batches, and per-batch tabulated basis
-// values and gradients. Building it once per geometry and reusing it across
-// DFPT cycles and field directions mirrors the paper's setup/loop split.
+// gridEnv holds the real-space machinery for one fragment geometry: the
+// integration grid, its batches with per-batch tabulated basis values and
+// gradients, the Poisson plan, and every workspace phases 2–4 write into.
+// Building it once per geometry and reusing it across DFPT cycles and field
+// directions mirrors the paper's setup/loop split: a cycle allocates no
+// matrix, vector or call list of its own. One goroutine at a time.
 type gridEnv struct {
 	g       *grid.Grid
 	batches []batchData
+	// reduced selects the symmetry-aware kernels of §V-D (Fig. 6).
+	reduced bool
+
+	exec linalg.Executor
+	// phased is exec when it wants to be told which pipeline phase the
+	// upcoming GEMMs belong to (the elastic-offloading accel.BatchingExecutor).
+	phased interface{ BeginPhase(string) }
+
+	// solveV1 is phase 3: the Poisson plan's Solve. A field so the package's
+	// tests can run the same cycle against the CG reference.
+	solveV1 func(rho, v []float64) error
+
+	// n1 and gradN1 (∇n⁽¹⁾ along the field direction, a diagnostic) are
+	// written only at points some batch owns — each exactly once per cycle —
+	// and stay zero elsewhere; v1 is the Poisson output.
+	n1, gradN1, v1 []float64
+
+	// The phase-2 and phase-4 call lists over the batch workspaces, built
+	// once: only the naive phase-2 calls change between field directions
+	// (their A operand is ∇X along dir).
+	n1Calls, h1Calls []linalg.GemmCall
+	flopsN1, flopsH1 int64
 }
 
 // batchData is one grid batch: the local basis tabulation X (points×nloc)
-// and its Cartesian gradients, plus the index maps back to the global grid
-// and basis.
+// and its Cartesian gradients, the index maps back to the global grid and
+// basis, and the batch's per-cycle workspaces.
 type batchData struct {
 	indices []int // global grid point indices
 	funcs   []int // global basis function indices
 	x       *linalg.Matrix
 	gx      [3]*linalg.Matrix
+
+	p1loc *linalg.Matrix // nloc×nloc: the P⁽¹⁾ block of funcs
+	g1    *linalg.Matrix // points×nloc: X·P⁽¹⁾
+	y     *linalg.Matrix // points×nloc: V·(X/2 + ∇X); naive kernels: V·X
+	bm    *linalg.Matrix // nloc×nloc: Xᵀ·y
+	// Naive kernels only (nil when reduced): ∇X·P⁽¹⁾, V·∇X and the two
+	// cross terms Xᵀ(V∇X), (V∇X)ᵀX.
+	ng, vgx, m2, m3 *linalg.Matrix
 }
 
 func newGridEnv(m *scf.Model, opt Options) (*gridEnv, error) {
@@ -35,8 +67,25 @@ func newGridEnv(m *scf.Model, opt Options) (*gridEnv, error) {
 		return nil, fmt.Errorf("dfpt: invalid grid options %+v", opt)
 	}
 	g := grid.Cover(m.Pos, opt.GridMargin, opt.GridSpacing)
+	plan, err := poisson.NewPlan(g)
+	if err != nil {
+		return nil, fmt.Errorf("dfpt: %w", err)
+	}
 	raw := g.Batches(opt.BatchSide, m.Basis)
-	env := &gridEnv{g: g, batches: make([]batchData, len(raw))}
+	env := &gridEnv{
+		g:       g,
+		batches: make([]batchData, len(raw)),
+		reduced: opt.StrengthReduction,
+		exec:    opt.Executor,
+		solveV1: plan.Solve,
+		n1:      make([]float64, g.NumPoints()),
+		gradN1:  make([]float64, g.NumPoints()),
+		v1:      make([]float64, g.NumPoints()),
+	}
+	if env.exec == nil {
+		env.exec = &linalg.HostExecutor{Ops: m.Ops}
+	}
+	env.phased, _ = env.exec.(interface{ BeginPhase(string) })
 	// Tabulation is the expensive part of every displaced geometry's setup;
 	// batches are independent (each writes only env.batches[bi]), so it
 	// shards across the kernel pool.
@@ -60,223 +109,184 @@ func newGridEnv(m *scf.Model, opt Options) (*gridEnv, error) {
 					gx[2].Set(p, c, gr.Z)
 				}
 			}
-			env.batches[bi] = batchData{indices: b.Indices, funcs: b.Funcs, x: x, gx: gx}
+			bd := batchData{
+				indices: b.Indices, funcs: b.Funcs, x: x, gx: gx,
+				p1loc: linalg.NewMatrix(nloc, nloc),
+				g1:    linalg.NewMatrix(npts, nloc),
+				y:     linalg.NewMatrix(npts, nloc),
+				bm:    linalg.NewMatrix(nloc, nloc),
+			}
+			if !env.reduced {
+				bd.ng = linalg.NewMatrix(npts, nloc)
+				bd.vgx = linalg.NewMatrix(npts, nloc)
+				bd.m2 = linalg.NewMatrix(nloc, nloc)
+				bd.m3 = linalg.NewMatrix(nloc, nloc)
+			}
+			env.batches[bi] = bd
 		}
 	})
+	env.buildCalls(m.Basis.Size())
 	return env, nil
 }
 
-// gather extracts the local block p1[funcs×funcs].
-func (b *batchData) gather(p1 *linalg.Matrix) *linalg.Matrix {
-	nloc := len(b.funcs)
-	out := linalg.NewMatrix(nloc, nloc)
+// buildCalls lays out the two GEMM call lists over the batch workspaces.
+//
+// Transfer model (paper §V-F, aggregated data transfer). Phase 2: P⁽¹⁾ is
+// uploaded once per cycle and scattered on the device, X is resident, so
+// each call carries its share of that upload plus its own reduced n⁽¹⁾
+// values. Phase 4: each call uploads its batch's v⁽¹⁾ values; the H⁽¹⁾
+// blocks accumulate on the device and come back as one aggregated matrix per
+// cycle, whose share is charged per call.
+func (e *gridEnv) buildCalls(nb int) {
+	n := len(e.batches)
+	share := 8 * int64(nb) * int64(nb) / int64(n)
+	if e.reduced {
+		e.n1Calls = make([]linalg.GemmCall, n)
+		e.h1Calls = make([]linalg.GemmCall, n)
+	} else {
+		e.n1Calls = make([]linalg.GemmCall, 2*n)
+		e.h1Calls = make([]linalg.GemmCall, 3*n)
+	}
+	for bi := range e.batches {
+		b := &e.batches[bi]
+		tb := share + 8*int64(b.x.Rows)
+		e.n1Calls[bi] = linalg.GemmCall{Alpha: 1, A: b.x, B: b.p1loc, C: b.g1, TransferBytes: tb}
+		if e.reduced {
+			// Fig. 6(a): B = Xᵀ·V·(X/2 + ∇X_dir); H⁽¹⁾ block = B + Bᵀ.
+			e.h1Calls[bi] = linalg.GemmCall{TransA: true, Alpha: 1, A: b.x, B: b.y, C: b.bm, TransferBytes: tb}
+			continue
+		}
+		// Naive ∇n⁽¹⁾ ignores the symmetry of P⁽¹⁾ and computes the second
+		// contraction ∇X·P⁽¹⁾ with its own GEMM per batch (Fig. 6(b)); A is
+		// set per field direction.
+		e.n1Calls[n+bi] = linalg.GemmCall{Alpha: 1, A: b.gx[0], B: b.p1loc, C: b.ng, TransferBytes: tb}
+		// Naive H⁽¹⁾: Xᵀ(VX) + Xᵀ(V∇X) + (V∇X)ᵀX — three GEMMs. The third
+		// term is ∇Xᵀ·V·X written with V absorbed into ∇X, which makes it the
+		// literal operand-swapped transpose pair of the second call — the
+		// pattern the batch planner's §V-D strength reduction detects and
+		// replaces with a bit-exact copy.
+		e.h1Calls[3*bi] = linalg.GemmCall{TransA: true, Alpha: 1, A: b.x, B: b.y, C: b.bm, TransferBytes: tb}
+		e.h1Calls[3*bi+1] = linalg.GemmCall{TransA: true, Alpha: 1, A: b.x, B: b.vgx, C: b.m2, TransferBytes: tb}
+		e.h1Calls[3*bi+2] = linalg.GemmCall{TransA: true, Alpha: 1, A: b.vgx, B: b.x, C: b.m3, TransferBytes: tb}
+	}
+	for i := range e.n1Calls {
+		e.flopsN1 += e.n1Calls[i].FLOPs()
+	}
+	for i := range e.h1Calls {
+		e.flopsH1 += e.h1Calls[i].FLOPs()
+	}
+}
+
+// gather copies the block p1[funcs×funcs] into the batch's p1loc.
+func (b *batchData) gather(p1 *linalg.Matrix) {
 	for i, fi := range b.funcs {
-		row := out.Row(i)
+		row := b.p1loc.Row(i)
 		src := p1.Row(fi)
 		for j, fj := range b.funcs {
 			row[j] = src[fj]
 		}
 	}
-	return out
 }
 
-// addGridResponse runs phases 2–4 of the DFPT cycle: response density on the
-// grid, Poisson solve, and the grid response Hamiltonian added into h1.
-func (e *gridEnv) addGridResponse(m *scf.Model, p1, h1 *linalg.Matrix, dir int, opt Options, met *PhaseMetrics) error {
-	exec := opt.Executor
-	if exec == nil {
-		exec = &linalg.HostExecutor{Ops: m.Ops}
-	}
-	// Phase-aware executors (the elastic-offloading accel.BatchingExecutor)
-	// get told which pipeline phase the upcoming GEMMs belong to.
-	phased, _ := exec.(interface{ BeginPhase(string) })
+// addGridResponse runs phases 2–4 of the DFPT cycle for field direction dir:
+// response density on the grid, Poisson solve, and the grid response
+// Hamiltonian added into h1.
+func (e *gridEnv) addGridResponse(p1, h1 *linalg.Matrix, dir int, met *PhaseMetrics) error {
+	nb := len(e.batches)
 
 	// ---- Phase 2: n⁽¹⁾(r) (and ∇n⁽¹⁾) by batched GEMMs. ----
-	// Transfer model (paper §V-F, aggregated data transfer): P⁽¹⁾ is
-	// uploaded once per cycle and scattered on the device, so each call
-	// carries only its share of that upload plus its own small output.
-	nb := m.Basis.Size()
-	p1Share := 8 * int64(nb) * int64(nb) / int64(len(e.batches))
 	t0 := time.Now()
-	n1 := make([]float64, e.g.NumPoints())
-	gradN1 := make([]float64, e.g.NumPoints()) // ∇n⁽¹⁾ along dir (diagnostic)
-	g1s := make([]*linalg.Matrix, len(e.batches))
-	calls := make([]linalg.GemmCall, len(e.batches))
-	// Per-batch gathers write disjoint slots of calls/g1s — point-sharded
-	// over batches.
-	par.For("grid_gather", len(e.batches), 1, func(lo, hi int) {
+	// Per-batch gathers write only their batch's p1loc — sharded over batches.
+	par.For("grid_gather", nb, 1, func(lo, hi int) {
 		for bi := lo; bi < hi; bi++ {
-			b := &e.batches[bi]
-			p1loc := b.gather(p1)
-			g1 := linalg.NewMatrix(b.x.Rows, b.x.Cols)
-			g1s[bi] = g1
-			calls[bi] = linalg.GemmCall{
-				Alpha: 1, A: b.x, B: p1loc, C: g1,
-				// Offloaded as a fused density kernel: X is resident on the
-				// device, the aggregated P⁽¹⁾ share moves in, the reduced
-				// n⁽¹⁾ values move out.
-				TransferBytes: p1Share + 8*int64(b.x.Rows),
-			}
+			e.batches[bi].gather(p1)
 		}
 	})
-	var extra []linalg.GemmCall
-	var naiveG []*linalg.Matrix
-	if !opt.StrengthReduction {
-		// Naive ∇n⁽¹⁾ ignores the symmetry of P⁽¹⁾ and computes the second
-		// contraction ∇X·P⁽¹⁾ with its own GEMM per batch (Fig. 6(b)).
-		naiveG = make([]*linalg.Matrix, len(e.batches))
-		extra = make([]linalg.GemmCall, len(e.batches))
-		par.For("grid_gather", len(e.batches), 1, func(lo, hi int) {
-			for bi := lo; bi < hi; bi++ {
-				b := &e.batches[bi]
-				p1loc := b.gather(p1)
-				ng := linalg.NewMatrix(b.x.Rows, b.x.Cols)
-				naiveG[bi] = ng
-				extra[bi] = linalg.GemmCall{
-					Alpha: 1, A: b.gx[dir], B: p1loc, C: ng,
-					TransferBytes: p1Share + 8*int64(b.x.Rows),
-				}
-			}
-		})
+	if !e.reduced {
+		for bi := range e.batches {
+			e.n1Calls[nb+bi].A = e.batches[bi].gx[dir]
+		}
 	}
-	all := append(calls, extra...)
-	met.GEMMsN1 += int64(len(all))
-	for i := range all {
-		met.FLOPsN1 += all[i].FLOPs()
+	met.GEMMsN1 += int64(len(e.n1Calls))
+	met.FLOPsN1 += e.flopsN1
+	if e.phased != nil {
+		e.phased.BeginPhase("n1")
 	}
-	if phased != nil {
-		phased.BeginPhase("n1")
-	}
-	exec.Execute(all)
+	e.exec.Execute(e.n1Calls)
 	// Batches partition the grid, so their point scatters into n1/gradN1
 	// touch disjoint indices — safe to shard over batches.
-	par.For("grid_scatter", len(e.batches), 1, func(lo, hi int) {
+	par.For("grid_scatter", nb, 1, func(lo, hi int) {
 		for bi := lo; bi < hi; bi++ {
 			b := &e.batches[bi]
-			g1 := g1s[bi]
 			for p, idx := range b.indices {
-				n1[idx] += linalg.Dot(g1.Row(p), b.x.Row(p))
-				if opt.StrengthReduction {
+				g1p := b.g1.Row(p)
+				e.n1[idx] = linalg.Dot(g1p, b.x.Row(p))
+				if e.reduced {
 					// Symmetric P⁽¹⁾: ∇n⁽¹⁾ = 2·(X·P⁽¹⁾)∘∇X, no extra GEMM.
-					gradN1[idx] += 2 * linalg.Dot(g1.Row(p), b.gx[dir].Row(p))
+					e.gradN1[idx] = 2 * linalg.Dot(g1p, b.gx[dir].Row(p))
 				} else {
-					gradN1[idx] += linalg.Dot(g1.Row(p), b.gx[dir].Row(p)) +
-						linalg.Dot(naiveG[bi].Row(p), b.x.Row(p))
+					e.gradN1[idx] = linalg.Dot(g1p, b.gx[dir].Row(p)) +
+						linalg.Dot(b.ng.Row(p), b.x.Row(p))
 				}
 			}
 		}
 	})
 	// ∫∇n⁽¹⁾ d³r vanishes for a density that decays inside the box; the
 	// accumulated value is exposed as a pipeline health diagnostic.
-	for _, v := range gradN1 {
-		met.GradN1Integral += v * e.g.Weight()
+	w := e.g.Weight()
+	for _, v := range e.gradN1 {
+		met.GradN1Integral += v * w
 	}
 	met.TimeN1 += time.Since(t0)
 
 	// ---- Phase 3: Poisson solve for the response potential. ----
 	t0 = time.Now()
-	v1, iters, err := poisson.Solve(e.g, n1, poisson.Options{Tol: 1e-7, MaxIter: 20000})
-	if err != nil {
+	if err := e.solveV1(e.n1, e.v1); err != nil {
 		return fmt.Errorf("dfpt: response Poisson solve: %w", err)
 	}
-	met.PoissonIters += iters
 	met.TimeV1 += time.Since(t0)
 
 	// ---- Phase 4: response Hamiltonian H⁽¹⁾ by batched GEMMs. ----
-	// Transfer model: each call uploads its batch's v⁽¹⁾ values; the H⁽¹⁾
-	// blocks accumulate on the device and come back as one aggregated
-	// matrix per cycle (its share is charged per call).
-	h1Share := 8 * int64(nb) * int64(nb) / int64(len(e.batches))
 	t0 = time.Now()
-	w := e.g.Weight()
-	type h1Batch struct {
-		bi   int
-		mats []*linalg.Matrix // result matrices to scatter
-	}
-	// Each batch contributes a fixed number of calls (1 strength-reduced,
-	// 3 naive), so the call list is preallocated and every batch writes its
-	// own slots — sharded over batches like the density phase.
-	callsPerBatch := 1
-	if !opt.StrengthReduction {
-		callsPerBatch = 3
-	}
-	h1calls := make([]linalg.GemmCall, callsPerBatch*len(e.batches))
-	h1batches := make([]h1Batch, len(e.batches))
-	par.For("grid_h1_build", len(e.batches), 1, func(lo, hi int) {
+	// Each batch scales its own right-hand operands by V = w·v⁽¹⁾ on its
+	// points — sharded over batches like the density phase.
+	par.For("grid_h1_build", nb, 1, func(lo, hi int) {
 		for bi := lo; bi < hi; bi++ {
 			b := &e.batches[bi]
-			npts, nloc := b.x.Rows, b.x.Cols
-			// V = w·v⁽¹⁾ on the batch points.
-			vv := make([]float64, npts)
 			for p, idx := range b.indices {
-				vv[p] = w * v1[idx]
-			}
-			if opt.StrengthReduction {
-				// Fig. 6(a): B = Xᵀ·V·(X/2 + ∇X_dir); H⁽¹⁾ block = B + Bᵀ.
-				y := linalg.NewMatrix(npts, nloc)
-				for p := 0; p < npts; p++ {
-					xr, gr, yr := b.x.Row(p), b.gx[dir].Row(p), y.Row(p)
-					for c := 0; c < nloc; c++ {
-						yr[c] = vv[p] * (0.5*xr[c] + gr[c])
+				vp := w * e.v1[idx]
+				xr, gr, yr := b.x.Row(p), b.gx[dir].Row(p), b.y.Row(p)
+				if e.reduced {
+					for c := range yr {
+						yr[c] = vp * (0.5*xr[c] + gr[c])
+					}
+				} else {
+					vgr := b.vgx.Row(p)
+					for c := range yr {
+						yr[c] = vp * xr[c]
+						vgr[c] = vp * gr[c]
 					}
 				}
-				bm := linalg.NewMatrix(nloc, nloc)
-				h1calls[bi] = linalg.GemmCall{
-					TransA: true, Alpha: 1, A: b.x, B: y, C: bm,
-					// Fused Hamiltonian kernel: v⁽¹⁾ values in, aggregated
-					// H⁽¹⁾ share out.
-					TransferBytes: 8*int64(npts) + h1Share,
-				}
-				h1batches[bi] = h1Batch{bi: bi, mats: []*linalg.Matrix{bm}}
-			} else {
-				// Naive: Xᵀ(VX) + Xᵀ(V∇X) + (V∇X)ᵀX — three GEMMs. The third
-				// term is ∇Xᵀ·V·X written with V absorbed into ∇X, which
-				// makes it the literal operand-swapped transpose pair of the
-				// second call — the pattern the batch planner's §V-D strength
-				// reduction detects and replaces with a bit-exact copy.
-				vx := linalg.NewMatrix(npts, nloc)
-				vgx := linalg.NewMatrix(npts, nloc)
-				for p := 0; p < npts; p++ {
-					xr, gr := b.x.Row(p), b.gx[dir].Row(p)
-					vxr, vgr := vx.Row(p), vgx.Row(p)
-					for c := 0; c < nloc; c++ {
-						vxr[c] = vv[p] * xr[c]
-						vgr[c] = vv[p] * gr[c]
-					}
-				}
-				m1 := linalg.NewMatrix(nloc, nloc)
-				m2 := linalg.NewMatrix(nloc, nloc)
-				m3 := linalg.NewMatrix(nloc, nloc)
-				tb := 8*int64(npts) + h1Share
-				h1calls[3*bi] = linalg.GemmCall{TransA: true, Alpha: 1, A: b.x, B: vx, C: m1, TransferBytes: tb}
-				h1calls[3*bi+1] = linalg.GemmCall{TransA: true, Alpha: 1, A: b.x, B: vgx, C: m2, TransferBytes: tb}
-				h1calls[3*bi+2] = linalg.GemmCall{TransA: true, Alpha: 1, A: vgx, B: b.x, C: m3, TransferBytes: tb}
-				h1batches[bi] = h1Batch{bi: bi, mats: []*linalg.Matrix{m1, m2, m3}}
 			}
 		}
 	})
-	met.GEMMsH1 += int64(len(h1calls))
-	for i := range h1calls {
-		met.FLOPsH1 += h1calls[i].FLOPs()
+	met.GEMMsH1 += int64(len(e.h1Calls))
+	met.FLOPsH1 += e.flopsH1
+	if e.phased != nil {
+		e.phased.BeginPhase("h1")
 	}
-	if phased != nil {
-		phased.BeginPhase("h1")
-	}
-	exec.Execute(h1calls)
-	for _, hb := range h1batches {
-		b := &e.batches[hb.bi]
-		nloc := len(b.funcs)
-		for i := 0; i < nloc; i++ {
-			gi := b.funcs[i]
-			for j := 0; j < nloc; j++ {
-				gj := b.funcs[j]
+	e.exec.Execute(e.h1Calls)
+	for bi := range e.batches {
+		b := &e.batches[bi]
+		for i, gi := range b.funcs {
+			for j, gj := range b.funcs {
 				var v float64
-				if opt.StrengthReduction {
-					v = hb.mats[0].At(i, j) + hb.mats[0].At(j, i)
+				if e.reduced {
+					v = b.bm.At(i, j) + b.bm.At(j, i)
 				} else {
-					// m1 symmetric + m2 + m3, where m3 = m2ᵀ bit for bit
+					// bm symmetric + m2 + m3, where m3 = m2ᵀ bit for bit
 					// (whether the planner skipped it or computed it).
-					v = hb.mats[0].At(i, j) + hb.mats[1].At(i, j) + hb.mats[2].At(i, j)
+					v = b.bm.At(i, j) + b.m2.At(i, j) + b.m3.At(i, j)
 				}
 				h1.Add(gi, gj, v)
 			}

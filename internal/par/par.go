@@ -1,8 +1,8 @@
 // Package par is the deterministic intra-fragment parallel kernel layer —
 // the second of the paper's two nested levels of parallelism (§V): fragments
 // fan out across leaders and workers (internal/sched), while *inside* every
-// DFPT phase the data-parallel loops — grid-batch GEMMs, the CG Poisson
-// stencil, density/potential integration, the sparse Hessian–vector products
+// DFPT phase the data-parallel loops — grid-batch GEMMs, the Poisson sine
+// transforms, density/potential integration, the sparse Hessian–vector products
 // of the Lanczos solver — fan out across the cores of one node (the Sunway
 // CPE clusters and ORISE GPUs of §V-B/§V-C; here, a bounded goroutine pool).
 //
@@ -338,13 +338,12 @@ func runChunked(name string, size, count, n, helpers int, run func(chunk int)) {
 // dotChunk is the reduction floor for Dot/SumSq: vectors below it take the
 // exact serial path, and longer vectors split into ≥2,048-element chunks —
 // ~µs of fused multiply-add work per chunk, enough to amortize dispatch
-// while giving the 10⁴–10⁵-element CG vectors of fragment Poisson solves
-// real intra-solve parallelism.
+// while giving the long Lanczos vectors of large systems real parallelism.
 const dotChunk = 2048
 
 // dotRange is the per-chunk dot body: four independent accumulator chains
 // (the SIMD-friendly unrolled form — the add-latency chain of the naive loop
-// is the bottleneck, not bandwidth, for L1/L2-resident CG vectors). The
+// is the bottleneck, not bandwidth, for L1/L2-resident vectors). The
 // association depends only on (lo, hi), which the chunk layout fixes, so the
 // combined value stays bit-identical at any width.
 func dotRange(a, b []float64, lo, hi int) float64 {

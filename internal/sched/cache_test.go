@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"qframan/internal/constants"
+	"qframan/internal/dfpt"
 	"qframan/internal/faults"
 	"qframan/internal/fragment"
 	"qframan/internal/geom"
@@ -205,6 +206,59 @@ func TestCacheKeyIsolation(t *testing.T) {
 			t.Fatalf("%s: engine ran %d times, want 6", name, calls.Load())
 		}
 		s2.Close()
+	}
+}
+
+// TestCacheSolverMigration: a store still holding a grid-mode record under
+// the key the previous Poisson solver (CG) gave this fragment — the constant
+// was recorded on that commit — must not serve it to a resumed run on the
+// direct solver: the run reports a miss, recomputes, and files the new
+// record beside the old one. The γ-mode key of the same fragment has not
+// moved, so γ-mode stores keep resuming.
+func TestCacheSolverMigration(t *testing.T) {
+	const (
+		gridKeyBeforeTag  = "491822e02145f4fdd5cbfa1f6c0b3b3a8602bf3c7a7cc9a949d44f803500ea81"
+		gammaKeyBeforeTag = "cd98eb85c57e590b9ad4f2deb97e72188cb54f3108e6396df1ea25c3c28cdad7"
+	)
+	dec := cacheDecomposition(1)
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	for _, hex := range []string{gridKeyBeforeTag, gammaKeyBeforeTag} {
+		k, err := store.ParseKey(hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, fr := store.Fingerprint(&dec.Fragments[0], DefaultOptions().Job)
+		if _, err := s.Put(k, fr, fakeData(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+
+	for _, tc := range []struct {
+		mode        dfpt.CoulombMode
+		calls, hits int
+	}{
+		{dfpt.GridCoulomb, 1, 0},
+		{dfpt.GammaCoulomb, 0, 1},
+	} {
+		s2 := openStore(t, dir)
+		var calls atomic.Int64
+		opt := cacheOptions(t, s2, true, &calls)
+		opt.Job.DFPT.Coulomb = tc.mode
+		_, rep, err := Run(dec, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(calls.Load()) != tc.calls || rep.Resumed != tc.hits || rep.CacheMisses != tc.calls {
+			t.Fatalf("Coulomb mode %d: %d engine calls, %d resumed, %d misses; want %d/%d/%d",
+				tc.mode, calls.Load(), rep.Resumed, rep.CacheMisses, tc.calls, tc.hits, tc.calls)
+		}
+		s2.Close()
+	}
+	s3 := openStore(t, dir)
+	if n := s3.Len(); n != 3 {
+		t.Fatalf("store holds %d records, want the two old ones and the recomputed grid-mode one", n)
 	}
 }
 

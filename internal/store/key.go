@@ -8,9 +8,11 @@ import (
 	"math"
 	"sync"
 
+	"qframan/internal/dfpt"
 	"qframan/internal/fragment"
 	"qframan/internal/geom"
 	"qframan/internal/hessian"
+	"qframan/internal/poisson"
 )
 
 // Key is the content address of a fragment result: a SHA-256 of the
@@ -167,6 +169,12 @@ func quantize(x float64) int64 { return int64(math.Round(x / coordQuantum)) }
 // with exact float bit patterns into the caller's buffer. Field order is
 // part of the format; extending JobOptions with a new physics knob must
 // append it here and bump fingerprintVersion.
+//
+// Grid-mode jobs end with the Poisson solver's tag: a change of that
+// solver's numerics changes grid-mode keys — a record computed with one
+// solver is never served to another — and only those. γ-mode jobs never
+// enter internal/poisson, so their keys carry no tag and stores populated
+// before the tag existed keep serving them.
 func appendJobFingerprint(b []byte, opt hessian.JobOptions) []byte {
 	b = appendU64(b, math.Float64bits(opt.Step))
 	b = appendBool(b, opt.SkipAlpha)
@@ -185,6 +193,9 @@ func appendJobFingerprint(b []byte, opt hessian.JobOptions) []byte {
 	b = appendU64(b, math.Float64bits(opt.DFPT.GridMargin))
 	b = appendU64(b, uint64(opt.DFPT.BatchSide))
 	b = appendBool(b, opt.DFPT.StrengthReduction)
+	if opt.DFPT.Coulomb == dfpt.GridCoulomb {
+		b = append(b, poisson.SolverTag...)
+	}
 	return b
 }
 

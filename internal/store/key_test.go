@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"qframan/internal/constants"
+	"qframan/internal/dfpt"
 	"qframan/internal/fragment"
 	"qframan/internal/geom"
 	"qframan/internal/hessian"
@@ -181,6 +182,26 @@ func TestKeyDegenerateGeometries(t *testing.T) {
 	}
 	if kl, _ := Fingerprint(longer, hessian.DefaultJobOptions()); kl == kc {
 		t.Error("different collinear chains share a key")
+	}
+}
+
+// TestKeySolverTagTouchesOnlyGridMode pins the two sides of the Poisson
+// solver tag against keys recorded on the commit before the tag existed
+// (the CG solver): a γ-mode key is byte-identical, so every store populated
+// by γ-mode runs keeps serving; a grid-mode key has moved, so no CG-era
+// record can be served to the direct solver.
+func TestKeySolverTagTouchesOnlyGridMode(t *testing.T) {
+	const (
+		gammaKeyBeforeTag = "f5191d75104962f781428508a5c936bf4a14e2bb68f911d7bf75554df7af00b4"
+		gridKeyBeforeTag  = "46fe0c3247a5da97912afeee8e3dd06d6f61d58aacdb8f7b0c4c8fd6aef45a27"
+	)
+	opt := hessian.DefaultJobOptions()
+	if k, _ := Fingerprint(waterFragment(), opt); k.String() != gammaKeyBeforeTag {
+		t.Errorf("γ-mode key moved: %s, recorded %s", k, gammaKeyBeforeTag)
+	}
+	opt.DFPT.Coulomb = dfpt.GridCoulomb
+	if k, _ := Fingerprint(waterFragment(), opt); k.String() == gridKeyBeforeTag {
+		t.Error("grid-mode key still equals the key of the CG solver's records")
 	}
 }
 
