@@ -1,14 +1,14 @@
-// Package accel implements the paper's elastic workload offloading (§V-C,
-// Fig. 5). The DFPT grid phases emit thousands of tiny GEMMs, each far too
-// short to amortize an accelerator launch; the BatchingExecutor pads their
-// shapes to a stride, groups calls of identical padded shape (i.e. similar
-// computational strength) into batched workloads, and offloads a batch only
-// when it is profitable under the device's cost model — otherwise the batch
-// stays on the host. Devices are simulated: numerics always execute on the
-// host so results are bit-identical, while a calibrated cost model
-// accumulates the *virtual* time an accelerator (ORISE-like GPU or
-// Sunway-like many-core CPE cluster) would have spent, which is what the
-// Fig. 9 and Table I benchmarks report.
+// Package accel is the cost model of the paper's elastic workload offloading
+// (§V-C, Fig. 5). The DFPT grid phases emit thousands of tiny GEMMs, each far
+// too short to amortize an accelerator launch; Cost pads their shapes to a
+// stride, groups calls of identical padded shape (i.e. similar computational
+// strength) into batched workloads, and offloads a batch only when it is
+// profitable under the device's cost model — otherwise the batch stays on
+// the host. Nothing here executes a GEMM: Cost reads a call list's shapes
+// and returns the *virtual* time an accelerator (ORISE-like GPU or
+// Sunway-like many-core CPE cluster) would have spent on it, which is what
+// the Fig. 9 and Table I experiments (internal/perf) report. The engine runs
+// its numerics through linalg.BatchPlan and never imports this package.
 package accel
 
 import (
@@ -60,7 +60,7 @@ func SunwayDevice() Device {
 	}
 }
 
-// Stats accumulates executor accounting.
+// Stats is the modeled cost of one call list.
 type Stats struct {
 	GEMMs          int64
 	Batches        int64 // offloaded batched workloads
@@ -69,11 +69,6 @@ type Stats struct {
 	// HostTime/DeviceTime are modeled times under the cost model.
 	HostTime   time.Duration
 	DeviceTime time.Duration
-	// MeasuredHostTime is the wall time the host actually spent executing
-	// the numerics (batched blocked kernels, internal/linalg). Comparing it
-	// against the modeled times validates the profitability model against
-	// the machine it runs on rather than trusting the calibration constants.
-	MeasuredHostTime time.Duration
 	// FLOPs moved to the device vs kept on host.
 	OffloadedFLOPs int64
 	HostFLOPs      int64
@@ -82,19 +77,7 @@ type Stats struct {
 // ModeledTime returns the total virtual execution time (host and device
 // phases are serialized, matching the synchronous offload of the paper's
 // per-strip execution).
-func (s *Stats) ModeledTime() time.Duration { return s.HostTime + s.DeviceTime }
-
-// MeasuredVsModeled returns the ratio of measured host execution time to
-// the modeled total — the batch-profitability calibration figure (>1 means
-// the cost model is optimistic about this host, <1 pessimistic). Zero when
-// nothing has been modeled yet.
-func (s *Stats) MeasuredVsModeled() float64 {
-	m := s.ModeledTime()
-	if m == 0 {
-		return 0
-	}
-	return float64(s.MeasuredHostTime) / float64(m)
-}
+func (s Stats) ModeledTime() time.Duration { return s.HostTime + s.DeviceTime }
 
 // Options tunes the elastic batching decisions.
 type Options struct {
@@ -122,150 +105,94 @@ func DefaultOptions() Options {
 	return Options{Stride: 32, MinBatch: 1, Offload: true}
 }
 
-// BatchingExecutor implements linalg.Executor with elastic offloading.
-type BatchingExecutor struct {
-	Device Device
-	Opt    Options
-	Stats  Stats
-	// PhaseStats splits the accounting by pipeline phase (set via
-	// BeginPhase); Table I reports the n⁽¹⁾ and H⁽¹⁾ phases separately.
-	PhaseStats map[string]*Stats
-	phase      string
-	host       linalg.HostExecutor
+// shapeKey is the padded GEMM shape used for grouping.
+type shapeKey struct{ m, k, n int }
+
+func pad(v, stride int) int {
+	if stride <= 1 {
+		return v
+	}
+	return (v + stride - 1) / stride * stride
 }
 
-// NewBatchingExecutor builds an executor over the device.
-func NewBatchingExecutor(dev Device, opt Options) *BatchingExecutor {
-	return &BatchingExecutor{Device: dev, Opt: opt, PhaseStats: map[string]*Stats{}}
-}
-
-// BeginPhase labels subsequent Execute calls; the DFPT pipeline announces
-// its grid phases ("n1", "h1") so per-phase rates can be reported.
-func (e *BatchingExecutor) BeginPhase(name string) { e.phase = name }
-
-// phaseStats returns the current phase's accumulator.
-func (e *BatchingExecutor) phaseStats() *Stats {
-	s, ok := e.PhaseStats[e.phase]
-	if !ok {
-		s = &Stats{}
-		e.PhaseStats[e.phase] = s
+// Cost models one submission of calls — one phase of one DFPT cycle — under
+// the device and the offload strategy, executing nothing. bytes[i] is the
+// host↔device traffic of calls[i] when the caller knows it (the DFPT grid
+// phases keep their basis tabulations resident on the accelerator and return
+// only small reductions); a nil bytes means everything moves: A and B in, C
+// out, 8 bytes per element.
+func Cost(dev Device, opt Options, calls []linalg.GemmCall, bytes []int64) Stats {
+	bytesOf := func(i int) int64 {
+		if bytes != nil {
+			return bytes[i]
+		}
+		c := &calls[i]
+		return 8 * int64(len(c.A.Data)+len(c.B.Data)+len(c.C.Data))
+	}
+	s := Stats{GEMMs: int64(len(calls))}
+	onHost := func(i int) {
+		f := calls[i].FLOPs()
+		s.HostTime += dev.hostTime(f)
+		s.HostGEMMs++
+		s.HostFLOPs += f
+	}
+	onDevice := func(gemms int, flops, moved int64) {
+		s.DeviceTime += dev.deviceTime(flops, moved)
+		s.OffloadedGEMMs += int64(gemms)
+		s.OffloadedFLOPs += flops
+	}
+	switch {
+	case !opt.Offload:
+		for i := range calls {
+			onHost(i)
+		}
+	case opt.BatchingDisabled:
+		for i := range calls {
+			onDevice(1, calls[i].FLOPs(), bytesOf(i))
+		}
+	default:
+		// Elastic batching: group by padded shape; offload profitable
+		// groups. Durations and counts are integers, so the map's iteration
+		// order cannot change the sums.
+		groups := map[shapeKey][]int{}
+		for i := range calls {
+			m, k, n := calls[i].Shape()
+			key := shapeKey{pad(m, opt.Stride), pad(k, opt.Stride), pad(n, opt.Stride)}
+			groups[key] = append(groups[key], i)
+		}
+		for key, idxs := range groups {
+			// The batched kernel computes the padded shape; the host
+			// alternative computes the actual shapes.
+			padded := int64(len(idxs)) * linalg.GemmFLOPs(key.m, key.k, key.n)
+			var actual, moved int64
+			for _, i := range idxs {
+				actual += calls[i].FLOPs()
+				moved += bytesOf(i)
+			}
+			if len(idxs) >= opt.MinBatch && dev.deviceTime(padded, moved) < dev.hostTime(actual) {
+				onDevice(len(idxs), padded, moved)
+				s.Batches++
+			} else {
+				for _, i := range idxs {
+					onHost(i)
+				}
+			}
+		}
 	}
 	return s
 }
 
-// shapeKey is the padded GEMM shape used for grouping.
-type shapeKey struct{ m, k, n int }
-
-func (e *BatchingExecutor) pad(v int) int {
-	s := e.Opt.Stride
-	if s <= 1 {
-		return v
-	}
-	return (v + s - 1) / s * s
+// hostTime is the time the host core needs for flops.
+func (d Device) hostTime(flops int64) time.Duration {
+	return time.Duration(float64(flops) / d.HostFLOPsPerSec * 1e9)
 }
 
-// Execute runs all calls on the host (numerics) and accumulates the modeled
-// cost of the chosen offload strategy.
-func (e *BatchingExecutor) Execute(calls []linalg.GemmCall) {
-	t0 := time.Now()
-	e.host.Execute(calls) // numerics: always exact, always on host
-	measured := time.Since(t0)
-	e.Stats.MeasuredHostTime += measured
-	e.Stats.GEMMs += int64(len(calls))
-	ps := e.phaseStats()
-	ps.MeasuredHostTime += measured
-	ps.GEMMs += int64(len(calls))
-
-	if !e.Opt.Offload {
-		for i := range calls {
-			e.costHost(&calls[i])
-		}
-		return
+// deviceTime is one offloaded workload: launch, compute, and — unless the
+// device shares memory with the host — transfer.
+func (d Device) deviceTime(flops, bytes int64) time.Duration {
+	t := d.LaunchOverhead + time.Duration(float64(flops)/d.FLOPsPerSec*1e9)
+	if d.TransferBytesPerSec > 0 {
+		t += time.Duration(float64(bytes) / d.TransferBytesPerSec * 1e9)
 	}
-	if e.Opt.BatchingDisabled {
-		for i := range calls {
-			e.costDevice(1, calls[i].FLOPs(), e.bytesOf(&calls[i]))
-			e.Stats.OffloadedGEMMs++
-			e.phaseStats().OffloadedGEMMs++
-		}
-		return
-	}
-
-	// Elastic batching: group by padded shape; offload profitable groups.
-	groups := map[shapeKey][]int{}
-	for i := range calls {
-		m, k, n := calls[i].Shape()
-		key := shapeKey{e.pad(m), e.pad(k), e.pad(n)}
-		groups[key] = append(groups[key], i)
-	}
-	for key, idxs := range groups {
-		var padded, actual, bytes int64
-		for _, i := range idxs {
-			// The batched kernel computes the padded shape; the host
-			// alternative computes the actual shapes.
-			padded += linalg.GemmFLOPs(key.m, key.k, key.n)
-			actual += calls[i].FLOPs()
-			bytes += e.bytesOf(&calls[i])
-		}
-		if len(idxs) >= e.Opt.MinBatch && e.profitable(padded, actual, bytes) {
-			e.costDevice(1, padded, bytes)
-			e.Stats.Batches++
-			e.Stats.OffloadedGEMMs += int64(len(idxs))
-			ps := e.phaseStats()
-			ps.Batches++
-			ps.OffloadedGEMMs += int64(len(idxs))
-		} else {
-			for _, i := range idxs {
-				e.costHost(&calls[i])
-			}
-		}
-	}
-}
-
-// bytesOf estimates the host↔device traffic of one call: the caller's
-// explicit figure when provided, otherwise A and B in plus C out.
-func (e *BatchingExecutor) bytesOf(c *linalg.GemmCall) int64 {
-	if c.TransferBytes > 0 {
-		return c.TransferBytes
-	}
-	return 8 * int64(len(c.A.Data)+len(c.B.Data)+len(c.C.Data))
-}
-
-// profitable reports whether offloading (computing paddedFLOPs on the
-// device, plus launch and transfer) beats computing the actual FLOPs on the
-// host.
-func (e *BatchingExecutor) profitable(paddedFLOPs, actualFLOPs, bytes int64) bool {
-	dev := e.deviceCost(1, paddedFLOPs, bytes)
-	host := time.Duration(float64(actualFLOPs) / e.Device.HostFLOPsPerSec * 1e9)
-	return dev < host
-}
-
-func (e *BatchingExecutor) deviceCost(launches int, flops, bytes int64) time.Duration {
-	d := time.Duration(launches) * e.Device.LaunchOverhead
-	d += time.Duration(float64(flops) / e.Device.FLOPsPerSec * 1e9)
-	if e.Device.TransferBytesPerSec > 0 {
-		d += time.Duration(float64(bytes) / e.Device.TransferBytesPerSec * 1e9)
-	}
-	return d
-}
-
-func (e *BatchingExecutor) costDevice(launches int, flops, bytes int64) {
-	d := e.deviceCost(launches, flops, bytes)
-	e.Stats.DeviceTime += d
-	e.Stats.OffloadedFLOPs += flops
-	ps := e.phaseStats()
-	ps.DeviceTime += d
-	ps.OffloadedFLOPs += flops
-}
-
-func (e *BatchingExecutor) costHost(c *linalg.GemmCall) {
-	f := c.FLOPs()
-	d := time.Duration(float64(f) / e.Device.HostFLOPsPerSec * 1e9)
-	e.Stats.HostTime += d
-	e.Stats.HostGEMMs++
-	e.Stats.HostFLOPs += f
-	ps := e.phaseStats()
-	ps.HostTime += d
-	ps.HostGEMMs++
-	ps.HostFLOPs += f
+	return t
 }

@@ -28,56 +28,29 @@ func smallCalls(rng *rand.Rand, n, dim int) []linalg.GemmCall {
 	return calls
 }
 
-func cloneCalls(calls []linalg.GemmCall) []linalg.GemmCall {
-	out := make([]linalg.GemmCall, len(calls))
-	for i, c := range calls {
-		out[i] = c
-		out[i].C = linalg.NewMatrix(c.C.Rows, c.C.Cols)
-	}
-	return out
-}
-
-func TestNumericsIdenticalToHost(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	calls := smallCalls(rng, 20, 12)
-	ref := cloneCalls(calls)
-	(&linalg.HostExecutor{}).Execute(ref)
-
-	e := NewBatchingExecutor(ORISEDevice(), DefaultOptions())
-	e.Execute(calls)
-	for i := range calls {
-		if d := calls[i].C.MaxAbsDiff(ref[i].C); d != 0 {
-			t.Fatalf("call %d: offloaded result differs from host by %g", i, d)
-		}
-	}
-}
-
 func TestBatchingReducesModeledTime(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	calls := smallCalls(rng, 256, 16)
 
 	// Baseline: no offload at all (pure host cost).
-	hostOnly := NewBatchingExecutor(ORISEDevice(), Options{Stride: 32, MinBatch: 64, Offload: false})
-	hostOnly.Execute(cloneCalls(calls))
+	hostOnly := Cost(ORISEDevice(), Options{Stride: 32, MinBatch: 64, Offload: false}, calls, nil)
 
 	// Strawman: offload each tiny GEMM individually.
-	naive := NewBatchingExecutor(ORISEDevice(), Options{Stride: 32, MinBatch: 64, Offload: true, BatchingDisabled: true})
-	naive.Execute(cloneCalls(calls))
+	naive := Cost(ORISEDevice(), Options{Stride: 32, MinBatch: 64, Offload: true, BatchingDisabled: true}, calls, nil)
 
 	// Elastic batching.
-	batched := NewBatchingExecutor(ORISEDevice(), DefaultOptions())
-	batched.Execute(cloneCalls(calls))
+	batched := Cost(ORISEDevice(), DefaultOptions(), calls, nil)
 
-	if batched.Stats.Batches == 0 {
-		t.Fatal("elastic executor never batched")
+	if batched.Batches == 0 {
+		t.Fatal("elastic model never batched")
 	}
-	if batched.Stats.ModeledTime() >= naive.Stats.ModeledTime() {
+	if batched.ModeledTime() >= naive.ModeledTime() {
 		t.Fatalf("batched %v not faster than per-call offload %v",
-			batched.Stats.ModeledTime(), naive.Stats.ModeledTime())
+			batched.ModeledTime(), naive.ModeledTime())
 	}
-	if batched.Stats.ModeledTime() >= hostOnly.Stats.ModeledTime() {
+	if batched.ModeledTime() >= hostOnly.ModeledTime() {
 		t.Fatalf("batched %v not faster than host-only %v",
-			batched.Stats.ModeledTime(), hostOnly.Stats.ModeledTime())
+			batched.ModeledTime(), hostOnly.ModeledTime())
 	}
 }
 
@@ -85,23 +58,21 @@ func TestSmallGroupsStayOnHost(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	// Fewer calls than MinBatch: everything must stay on the host.
 	calls := smallCalls(rng, 10, 8)
-	e := NewBatchingExecutor(ORISEDevice(), DefaultOptions())
-	e.Execute(calls)
-	if e.Stats.OffloadedGEMMs != 0 {
-		t.Fatalf("offloaded %d GEMMs from an unprofitable group", e.Stats.OffloadedGEMMs)
+	st := Cost(ORISEDevice(), DefaultOptions(), calls, nil)
+	if st.OffloadedGEMMs != 0 {
+		t.Fatalf("offloaded %d GEMMs from an unprofitable group", st.OffloadedGEMMs)
 	}
-	if e.Stats.HostGEMMs != 10 {
-		t.Fatalf("host GEMMs = %d, want 10", e.Stats.HostGEMMs)
+	if st.HostGEMMs != 10 {
+		t.Fatalf("host GEMMs = %d, want 10", st.HostGEMMs)
 	}
 }
 
 func TestPadding(t *testing.T) {
-	e := NewBatchingExecutor(SunwayDevice(), DefaultOptions())
-	if e.pad(1) != 32 || e.pad(32) != 32 || e.pad(33) != 64 {
-		t.Fatalf("pad: %d %d %d", e.pad(1), e.pad(32), e.pad(33))
+	stride := DefaultOptions().Stride
+	if pad(1, stride) != 32 || pad(32, stride) != 32 || pad(33, stride) != 64 {
+		t.Fatalf("pad: %d %d %d", pad(1, stride), pad(32, stride), pad(33, stride))
 	}
-	e.Opt.Stride = 1
-	if e.pad(17) != 17 {
+	if pad(17, 1) != 17 {
 		t.Fatal("stride 1 must not pad")
 	}
 }
@@ -114,25 +85,23 @@ func TestGroupingBySimilarStrength(t *testing.T) {
 	big := smallCalls(rng, 70, 100)   // k pads to 128
 	opt := DefaultOptions()
 	opt.MinBatch = 16
-	e := NewBatchingExecutor(SunwayDevice(), opt)
-	e.Execute(append(small, big...))
-	if e.Stats.Batches < 2 {
-		t.Fatalf("expected at least 2 batches, got %d", e.Stats.Batches)
+	st := Cost(SunwayDevice(), opt, append(small, big...), nil)
+	if st.Batches < 2 {
+		t.Fatalf("expected at least 2 batches, got %d", st.Batches)
 	}
 }
 
 func TestStatsAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	calls := smallCalls(rng, 100, 12)
-	e := NewBatchingExecutor(ORISEDevice(), DefaultOptions())
-	e.Execute(calls)
-	if e.Stats.GEMMs != 100 {
-		t.Fatalf("GEMMs = %d", e.Stats.GEMMs)
+	st := Cost(ORISEDevice(), DefaultOptions(), calls, nil)
+	if st.GEMMs != 100 {
+		t.Fatalf("GEMMs = %d", st.GEMMs)
 	}
-	if e.Stats.OffloadedGEMMs+e.Stats.HostGEMMs != 100 {
-		t.Fatalf("offloaded %d + host %d != 100", e.Stats.OffloadedGEMMs, e.Stats.HostGEMMs)
+	if st.OffloadedGEMMs+st.HostGEMMs != 100 {
+		t.Fatalf("offloaded %d + host %d != 100", st.OffloadedGEMMs, st.HostGEMMs)
 	}
-	if e.Stats.ModeledTime() <= 0 {
+	if st.ModeledTime() <= 0 {
 		t.Fatal("no modeled time accumulated")
 	}
 }

@@ -179,7 +179,7 @@ type Bye struct {
 // wire — exactly the fields of the store's content fingerprint
 // (appendJobFingerprint), so a worker reconstructing JobOptions from it computes
 // the same content key and bit-identical results. Execution-only fields
-// (Obs, executors, warm starts) never travel.
+// (Obs, warm starts) never travel.
 type JobWire struct {
 	Step      float64
 	SkipAlpha bool
@@ -221,8 +221,8 @@ func JobWireFrom(opt hessian.JobOptions) JobWire {
 	}
 }
 
-// Options reconstructs the JobOptions a worker executes with. Executors
-// and observability are the worker's own; warm starts are set by the
+// Options reconstructs the JobOptions a worker executes with.
+// Observability is the worker's own; warm starts are set by the
 // engine internally, so the physics — and the bits — match the client's
 // run exactly.
 func (w JobWire) Options() hessian.JobOptions {

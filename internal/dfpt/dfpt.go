@@ -57,9 +57,6 @@ type Options struct {
 	// (Fig. 6): identical results with fewer GEMM invocations.
 	StrengthReduction bool
 
-	// Executor runs the batched grid GEMMs; nil means a host executor.
-	Executor linalg.Executor
-
 	// InitP1 warm-starts the response density matrices per field direction
 	// (e.g. with the converged response of the undisplaced reference
 	// geometry in the displacement loop). The matrices are copied, never
@@ -134,7 +131,7 @@ func (r *Response) MeanPolarizability() float64 {
 // ground state by running one DFPT response per field direction.
 func Polarizability(m *scf.Model, ground *scf.Result, opt Options) (*Response, error) {
 	if opt.MaxIter <= 0 || opt.Tol <= 0 || opt.Mixing <= 0 || opt.Mixing > 1 {
-		return nil, fmt.Errorf("dfpt: invalid options %+v", opt)
+		return nil, fmt.Errorf("dfpt: invalid options (MaxIter %d, Tol %g, Mixing %g)", opt.MaxIter, opt.Tol, opt.Mixing)
 	}
 	return polarizability(m, ground, opt, nil)
 }

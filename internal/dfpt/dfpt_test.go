@@ -2,11 +2,13 @@ package dfpt
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"qframan/internal/constants"
 	"qframan/internal/geom"
 	"qframan/internal/linalg"
+	"qframan/internal/obs"
 	"qframan/internal/scf"
 )
 
@@ -282,14 +284,25 @@ func TestInvalidDFPTOptions(t *testing.T) {
 		{MaxIter: 10, Tol: 0, Mixing: 0.5},
 		{MaxIter: 10, Tol: 1e-7, Mixing: 0},
 	} {
-		if _, err := Polarizability(m, res, opt); err == nil {
+		// A warm start and an observability scope put pointers into Options;
+		// the error must name the offending fields, not print the struct.
+		opt.InitP1[0] = linalg.NewMatrix(1, 1)
+		opt.Obs = obs.NewScope(obs.NewTracer(), obs.NewRegistry())
+		_, err := Polarizability(m, res, opt)
+		if err == nil {
 			t.Errorf("accepted options %+v", opt)
+		} else if strings.Contains(err.Error(), "0x") {
+			t.Errorf("error prints addresses: %v", err)
 		}
 	}
 	bad := gridOptions()
 	bad.GridSpacing = -1
-	if _, err := Polarizability(m, res, bad); err == nil {
+	bad.InitP1[0] = linalg.NewMatrix(1, 1)
+	_, err := Polarizability(m, res, bad)
+	if err == nil {
 		t.Error("accepted negative grid spacing")
+	} else if strings.Contains(err.Error(), "0x") || !strings.Contains(err.Error(), "GridSpacing -1") {
+		t.Errorf("grid options error %q: want the field named and no addresses", err)
 	}
 }
 

@@ -23,11 +23,6 @@ type gridEnv struct {
 	// reduced selects the symmetry-aware kernels of §V-D (Fig. 6).
 	reduced bool
 
-	exec linalg.Executor
-	// phased is exec when it wants to be told which pipeline phase the
-	// upcoming GEMMs belong to (the elastic-offloading accel.BatchingExecutor).
-	phased interface{ BeginPhase(string) }
-
 	// solveV1 is phase 3: the Poisson plan's Solve. A field so the package's
 	// tests can run the same cycle against the CG reference.
 	solveV1 func(rho, v []float64) error
@@ -37,10 +32,14 @@ type gridEnv struct {
 	// and stay zero elsewhere; v1 is the Poisson output.
 	n1, gradN1, v1 []float64
 
-	// The phase-2 and phase-4 call lists over the batch workspaces, built
-	// once: only the naive phase-2 calls change between field directions
-	// (their A operand is ∇X along dir).
-	n1Calls, h1Calls []linalg.GemmCall
+	// The phase-2 and phase-4 GEMM lists over the batch workspaces, planned
+	// once. Only the naive phase-2 list depends on the field direction (its
+	// second contraction reads ∇X along dir), so it is planned per direction;
+	// the reduced kernels share one plan. ops receives the plans' counts.
+	n1Plan           [3]*linalg.BatchPlan
+	h1Plan           *linalg.BatchPlan
+	ops              *linalg.Ops
+	gemmsN1, gemmsH1 int64
 	flopsN1, flopsH1 int64
 }
 
@@ -64,7 +63,8 @@ type batchData struct {
 
 func newGridEnv(m *scf.Model, opt Options) (*gridEnv, error) {
 	if opt.GridSpacing <= 0 || opt.GridMargin <= 0 || opt.BatchSide <= 0 {
-		return nil, fmt.Errorf("dfpt: invalid grid options %+v", opt)
+		return nil, fmt.Errorf("dfpt: invalid grid options (GridSpacing %g, GridMargin %g, BatchSide %d)",
+			opt.GridSpacing, opt.GridMargin, opt.BatchSide)
 	}
 	g := grid.Cover(m.Pos, opt.GridMargin, opt.GridSpacing)
 	plan, err := poisson.NewPlan(g)
@@ -76,16 +76,12 @@ func newGridEnv(m *scf.Model, opt Options) (*gridEnv, error) {
 		g:       g,
 		batches: make([]batchData, len(raw)),
 		reduced: opt.StrengthReduction,
-		exec:    opt.Executor,
+		ops:     m.Ops,
 		solveV1: plan.Solve,
 		n1:      make([]float64, g.NumPoints()),
 		gradN1:  make([]float64, g.NumPoints()),
 		v1:      make([]float64, g.NumPoints()),
 	}
-	if env.exec == nil {
-		env.exec = &linalg.HostExecutor{Ops: m.Ops}
-	}
-	env.phased, _ = env.exec.(interface{ BeginPhase(string) })
 	// Tabulation is the expensive part of every displaced geometry's setup;
 	// batches are independent (each writes only env.batches[bi]), so it
 	// shards across the kernel pool.
@@ -125,56 +121,77 @@ func newGridEnv(m *scf.Model, opt Options) (*gridEnv, error) {
 			env.batches[bi] = bd
 		}
 	})
-	env.buildCalls(m.Basis.Size())
+	n1, h1 := env.n1Calls(0), env.h1Calls()
+	env.n1Plan[0], env.h1Plan = linalg.PlanBatch(n1), linalg.PlanBatch(h1)
+	for dir := 1; dir < 3; dir++ {
+		env.n1Plan[dir] = env.n1Plan[0]
+		if !env.reduced {
+			env.n1Plan[dir] = linalg.PlanBatch(env.n1Calls(dir))
+		}
+	}
+	env.gemmsN1, env.flopsN1 = countCalls(n1)
+	env.gemmsH1, env.flopsH1 = countCalls(h1)
 	return env, nil
 }
 
-// buildCalls lays out the two GEMM call lists over the batch workspaces.
-//
-// Transfer model (paper §V-F, aggregated data transfer). Phase 2: P⁽¹⁾ is
-// uploaded once per cycle and scattered on the device, X is resident, so
-// each call carries its share of that upload plus its own reduced n⁽¹⁾
-// values. Phase 4: each call uploads its batch's v⁽¹⁾ values; the H⁽¹⁾
-// blocks accumulate on the device and come back as one aggregated matrix per
-// cycle, whose share is charged per call.
-func (e *gridEnv) buildCalls(nb int) {
-	n := len(e.batches)
-	share := 8 * int64(nb) * int64(nb) / int64(n)
-	if e.reduced {
-		e.n1Calls = make([]linalg.GemmCall, n)
-		e.h1Calls = make([]linalg.GemmCall, n)
-	} else {
-		e.n1Calls = make([]linalg.GemmCall, 2*n)
-		e.h1Calls = make([]linalg.GemmCall, 3*n)
+// GridCalls returns the phase-2 (n⁽¹⁾) and phase-4 (H⁽¹⁾) GEMM lists one
+// grid DFPT cycle runs for the model's geometry. Their shapes are a function
+// of geometry, basis and grid options alone — the same for every cycle and
+// field direction — which is all a cost model needs; nothing is executed.
+func GridCalls(m *scf.Model, opt Options) (n1, h1 []linalg.GemmCall, err error) {
+	env, err := newGridEnv(m, opt)
+	if err != nil {
+		return nil, nil, err
 	}
+	return env.n1Calls(0), env.h1Calls(), nil
+}
+
+// countCalls returns the length and FLOP sum of a call list — what a phase
+// adds to PhaseMetrics per cycle (skipped transpose pairs included: the
+// metrics count the kernels' formulation, linalg.Ops what was executed).
+func countCalls(calls []linalg.GemmCall) (gemms, flops int64) {
+	for i := range calls {
+		flops += calls[i].FLOPs()
+	}
+	return int64(len(calls)), flops
+}
+
+// n1Calls lays out phase 2 over the batch workspaces: X·P⁽¹⁾ per batch. The
+// naive kernels ignore the symmetry of P⁽¹⁾ and compute the second
+// contraction ∇X_dir·P⁽¹⁾ with its own GEMM per batch (Fig. 6(b)).
+func (e *gridEnv) n1Calls(dir int) []linalg.GemmCall {
+	calls := make([]linalg.GemmCall, 0, 2*len(e.batches))
 	for bi := range e.batches {
 		b := &e.batches[bi]
-		tb := share + 8*int64(b.x.Rows)
-		e.n1Calls[bi] = linalg.GemmCall{Alpha: 1, A: b.x, B: b.p1loc, C: b.g1, TransferBytes: tb}
-		if e.reduced {
-			// Fig. 6(a): B = Xᵀ·V·(X/2 + ∇X_dir); H⁽¹⁾ block = B + Bᵀ.
-			e.h1Calls[bi] = linalg.GemmCall{TransA: true, Alpha: 1, A: b.x, B: b.y, C: b.bm, TransferBytes: tb}
-			continue
+		calls = append(calls, linalg.GemmCall{Alpha: 1, A: b.x, B: b.p1loc, C: b.g1})
+	}
+	if !e.reduced {
+		for bi := range e.batches {
+			b := &e.batches[bi]
+			calls = append(calls, linalg.GemmCall{Alpha: 1, A: b.gx[dir], B: b.p1loc, C: b.ng})
 		}
-		// Naive ∇n⁽¹⁾ ignores the symmetry of P⁽¹⁾ and computes the second
-		// contraction ∇X·P⁽¹⁾ with its own GEMM per batch (Fig. 6(b)); A is
-		// set per field direction.
-		e.n1Calls[n+bi] = linalg.GemmCall{Alpha: 1, A: b.gx[0], B: b.p1loc, C: b.ng, TransferBytes: tb}
-		// Naive H⁽¹⁾: Xᵀ(VX) + Xᵀ(V∇X) + (V∇X)ᵀX — three GEMMs. The third
-		// term is ∇Xᵀ·V·X written with V absorbed into ∇X, which makes it the
-		// literal operand-swapped transpose pair of the second call — the
-		// pattern the batch planner's §V-D strength reduction detects and
-		// replaces with a bit-exact copy.
-		e.h1Calls[3*bi] = linalg.GemmCall{TransA: true, Alpha: 1, A: b.x, B: b.y, C: b.bm, TransferBytes: tb}
-		e.h1Calls[3*bi+1] = linalg.GemmCall{TransA: true, Alpha: 1, A: b.x, B: b.vgx, C: b.m2, TransferBytes: tb}
-		e.h1Calls[3*bi+2] = linalg.GemmCall{TransA: true, Alpha: 1, A: b.vgx, B: b.x, C: b.m3, TransferBytes: tb}
 	}
-	for i := range e.n1Calls {
-		e.flopsN1 += e.n1Calls[i].FLOPs()
+	return calls
+}
+
+// h1Calls lays out phase 4. Reduced (Fig. 6(a)): B = Xᵀ·V·(X/2 + ∇X_dir) per
+// batch; the H⁽¹⁾ block is B + Bᵀ. Naive: Xᵀ(VX) + Xᵀ(V∇X) + (V∇X)ᵀX — three
+// GEMMs. The third term is ∇Xᵀ·V·X written with V absorbed into ∇X, which
+// makes it the literal operand-swapped transpose pair of the second call —
+// the pattern the batch plan's §V-D strength reduction detects and replaces
+// with a bit-exact copy.
+func (e *gridEnv) h1Calls() []linalg.GemmCall {
+	calls := make([]linalg.GemmCall, 0, 3*len(e.batches))
+	for bi := range e.batches {
+		b := &e.batches[bi]
+		calls = append(calls, linalg.GemmCall{TransA: true, Alpha: 1, A: b.x, B: b.y, C: b.bm})
+		if !e.reduced {
+			calls = append(calls,
+				linalg.GemmCall{TransA: true, Alpha: 1, A: b.x, B: b.vgx, C: b.m2},
+				linalg.GemmCall{TransA: true, Alpha: 1, A: b.vgx, B: b.x, C: b.m3})
+		}
 	}
-	for i := range e.h1Calls {
-		e.flopsH1 += e.h1Calls[i].FLOPs()
-	}
+	return calls
 }
 
 // gather copies the block p1[funcs×funcs] into the batch's p1loc.
@@ -202,17 +219,9 @@ func (e *gridEnv) addGridResponse(p1, h1 *linalg.Matrix, dir int, met *PhaseMetr
 			e.batches[bi].gather(p1)
 		}
 	})
-	if !e.reduced {
-		for bi := range e.batches {
-			e.n1Calls[nb+bi].A = e.batches[bi].gx[dir]
-		}
-	}
-	met.GEMMsN1 += int64(len(e.n1Calls))
+	met.GEMMsN1 += e.gemmsN1
 	met.FLOPsN1 += e.flopsN1
-	if e.phased != nil {
-		e.phased.BeginPhase("n1")
-	}
-	e.exec.Execute(e.n1Calls)
+	e.n1Plan[dir].Run(e.ops)
 	// Batches partition the grid, so their point scatters into n1/gradN1
 	// touch disjoint indices — safe to shard over batches.
 	par.For("grid_scatter", nb, 1, func(lo, hi int) {
@@ -270,12 +279,9 @@ func (e *gridEnv) addGridResponse(p1, h1 *linalg.Matrix, dir int, met *PhaseMetr
 			}
 		}
 	})
-	met.GEMMsH1 += int64(len(e.h1Calls))
+	met.GEMMsH1 += e.gemmsH1
 	met.FLOPsH1 += e.flopsH1
-	if e.phased != nil {
-		e.phased.BeginPhase("h1")
-	}
-	e.exec.Execute(e.h1Calls)
+	e.h1Plan.Run(e.ops)
 	for bi := range e.batches {
 		b := &e.batches[bi]
 		for i, gi := range b.funcs {

@@ -1,22 +1,56 @@
 package linalg
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"qframan/internal/par"
 )
 
 // This file is the host side of the elastic batched-GEMM offload (paper
-// §V-C): independent GemmCalls are grouped into same-shape-class batches —
-// dimensions padded up to multiples of BatchStride, exactly the grouping the
-// simulated accelerator (internal/accel) offloads — and each group runs as
-// one "gemm_batch" kernel that fans across batch members.
+// §V-C, Fig. 5) and of the symmetry-aware strength reduction (§V-D, Fig. 6),
+// which are one idea: collect a cycle's small independent GEMMs, drop the
+// ones that are transposes of others, run the rest as same-shape-class
+// batches — dimensions padded up to multiples of BatchStride — each as one
+// "gemm_batch" kernel that fans across batch members. Everything that does
+// not depend on the operands' values (validation, pair detection, grouping,
+// the counter totals) is resolved once, in PlanBatch; a cycle is BatchPlan.Run.
 //
 // Padding exists only in the grouping key. The host kernel computes every
 // call at its true shape — the blocked micro-kernel masks its register-tile
 // tails at write-back (block.go), so padded lanes are never even computed,
 // let alone leaked — which is why a batched call is bit-identical to a
 // plain Gemm (gemmref is the test reference).
+
+// GemmCall is one deferred GEMM invocation: C = alpha·op(A)·op(B) + beta·C.
+// The DFPT grid phases produce thousands of small, mutually independent
+// GemmCalls per cycle (one or a few per grid batch); collecting them into a
+// list is the strip-mining/privatization transformation of the paper's
+// elastic workload offloading: the CPU-friendly preparation and reduction
+// loops run separately, while the GEMMs arrive as a single packable workload.
+type GemmCall struct {
+	TransA, TransB bool
+	Alpha          float64
+	A, B           *Matrix
+	Beta           float64
+	C              *Matrix
+}
+
+// Shape returns the (m, k, n) GEMM dimensions, reading k from A.
+func (c *GemmCall) Shape() (m, k, n int) {
+	m, k = c.A.Rows, c.A.Cols
+	if c.TransA {
+		m, k = k, m
+	}
+	n = c.B.Cols
+	if c.TransB {
+		n = c.B.Rows
+	}
+	return
+}
+
+// FLOPs returns the floating-point cost of the call.
+func (c *GemmCall) FLOPs() int64 { return GemmFLOPs(c.Shape()) }
 
 // BatchStride is the shape-class padding stride (the paper batches with a
 // stride of 32); a call of shape (m,k,n) lands in class (⌈m/32⌉·32, …).
@@ -30,22 +64,6 @@ func padStride(v int) int { return (v + BatchStride - 1) / BatchStride * BatchSt
 func classOf(c *GemmCall) batchClass {
 	m, k, n := c.Shape()
 	return batchClass{padStride(m), padStride(k), padStride(n)}
-}
-
-// runBatch executes one shape-class group. Each call runs at its true shape
-// with the inline blocked kernel — parallelism comes from fanning across
-// batch members, so profiling sees one flat "gemm_batch" region with no
-// nested kernels.
-func runBatch(calls []GemmCall) {
-	batchSubmits.Add(1)
-	batchItems.Add(int64(len(calls)))
-	par.For("gemm_batch", len(calls), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c := &calls[i]
-			m, k, n := c.Shape()
-			gemmBlocked(c.TransA, c.TransB, c.Alpha, c.A, c.B, c.Beta, c.C, m, k, n, "", true)
-		}
-	})
 }
 
 var batchSubmits, batchItems atomic.Int64
@@ -85,30 +103,60 @@ func transposePairOf(i, j *GemmCall) bool {
 		i.C != j.C
 }
 
-// ExecuteBatched runs a set of independent GemmCalls through the batch
-// path: transpose-pair duplicates are strength-reduced to a copy, the rest
-// are split by padded shape class (mixed-shape submissions are legal — they
-// simply split), and each class group runs as one gemm_batch kernel.
-// Counting: executed calls add to GEMMCalls and FLOPs; skipped calls add
-// only to TransposeSkips (§V-D — fewer invocations, identical results).
-// Blocks until every call's C is final.
-func ExecuteBatched(calls []GemmCall, ops *Ops) {
-	if ops == nil {
-		ops = &DefaultOps
+// BatchPlan is a list of independent GemmCalls with everything that is
+// invariant across runs resolved: every call's shapes validated, the
+// transpose-pair duplicates found (§V-D), the remaining calls split by padded
+// shape class in first-appearance order (mixed-shape lists are legal — they
+// simply split), and the counter totals summed. The plan keeps its own copy
+// of the list, so its operands are never re-pointed: between runs callers
+// change what the matrices hold, not which matrices a call names. One Run at
+// a time.
+type BatchPlan struct {
+	calls  []GemmCall
+	groups []batchGroup
+	skips  []transposeSkip
+	flops  int64 // of the executed (non-skipped) calls
+}
+
+// batchGroup is one shape class: the indices of its calls in list order and
+// the gemm_batch kernel body over them, bound once so Run allocates nothing.
+type batchGroup struct {
+	idx  []int
+	body func(chunk, lo, hi int)
+}
+
+// transposeSkip records that calls[dst] is never executed: its C is the
+// exact transpose of calls[src]'s.
+type transposeSkip struct{ dst, src int }
+
+// PlanBatch validates and plans a call list. A call whose inner dimensions
+// disagree or whose C has the wrong shape panics here, on the caller's
+// goroutine, like Gemm — not later inside a kernel worker.
+func PlanBatch(calls []GemmCall) *BatchPlan {
+	p := &BatchPlan{calls: append([]GemmCall(nil), calls...)}
+	calls = p.calls
+	for i := range calls {
+		c := &calls[i]
+		m, k, n := c.Shape()
+		bk := c.B.Rows
+		if c.TransB {
+			bk = c.B.Cols
+		}
+		if k != bk || c.C.Rows != m || c.C.Cols != n {
+			panic(fmt.Sprintf("linalg: Gemm shape mismatch in batch call %d", i))
+		}
 	}
 
 	// Strength reduction: find calls whose result is the exact transpose of
-	// an earlier call in this submission. Pointer-keyed lookup: a pair match
+	// an earlier call in the list. Pointer-keyed lookup: a pair match
 	// requires j's (A, B) to be i's (B, A).
 	type opsKey struct{ a, b *Matrix }
 	byOps := make(map[opsKey]int, len(calls))
-	skipOf := make([]int, len(calls)) // index of the source call, or -1
+	classIdx := map[batchClass]int{}
 	for i := range calls {
 		c := &calls[i]
-		skipOf[i] = -1
 		if src, ok := byOps[opsKey{c.B, c.A}]; ok && transposePairOf(&calls[src], c) {
-			skipOf[i] = src
-			ops.TransposeSkips.Add(1)
+			p.skips = append(p.skips, transposeSkip{dst: i, src: src})
 			continue
 		}
 		// First executed call with these operands wins the slot; later
@@ -116,33 +164,57 @@ func ExecuteBatched(calls []GemmCall, ops *Ops) {
 		if _, dup := byOps[opsKey{c.A, c.B}]; !dup {
 			byOps[opsKey{c.A, c.B}] = i
 		}
-	}
-
-	// Split executed calls by padded shape class and run each group.
-	groups := map[batchClass][]GemmCall{}
-	var order []batchClass // deterministic execution order
-	for i := range calls {
-		if skipOf[i] >= 0 {
-			continue
-		}
-		c := &calls[i]
-		ops.GEMMCalls.Add(1)
-		ops.FLOPs.Add(c.FLOPs())
+		p.flops += c.FLOPs()
 		key := classOf(c)
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
+		gi, ok := classIdx[key]
+		if !ok {
+			gi = len(p.groups)
+			classIdx[key] = gi
+			p.groups = append(p.groups, batchGroup{})
 		}
-		groups[key] = append(groups[key], *c)
+		p.groups[gi].idx = append(p.groups[gi].idx, i)
 	}
-	ops.BatchCalls.Add(int64(len(order)))
-	for _, key := range order {
-		runBatch(groups[key])
+	for gi := range p.groups {
+		// Each call runs at its true shape with the inline blocked kernel —
+		// parallelism comes from fanning across batch members, so profiling
+		// sees one flat "gemm_batch" region per class with no nested kernels.
+		idx := p.groups[gi].idx
+		p.groups[gi].body = func(_, lo, hi int) {
+			for _, i := range idx[lo:hi] {
+				c := &calls[i]
+				m, k, n := c.Shape()
+				gemmBlocked(c.TransA, c.TransB, c.Alpha, c.A, c.B, c.Beta, c.C, m, k, n, "", true)
+			}
+		}
 	}
+	return p
+}
 
-	// All sources are final; materialize the skipped results.
-	for i := range calls {
-		if src := skipOf[i]; src >= 0 {
-			transposeInto(calls[i].C, calls[src].C)
-		}
+// Run executes the planned list on the operands' current contents: each
+// shape class as one gemm_batch kernel, then the skipped results
+// materialized as transposes of their (now final) sources. Counting:
+// executed calls add to GEMMCalls and FLOPs, classes to BatchCalls, skipped
+// calls only to TransposeSkips (§V-D — fewer invocations, identical
+// results). Blocks until every call's C is final.
+func (p *BatchPlan) Run(ops *Ops) {
+	if ops == nil {
+		ops = &DefaultOps
+	}
+	ops.TransposeSkips.Add(int64(len(p.skips)))
+	ops.GEMMCalls.Add(int64(len(p.calls) - len(p.skips)))
+	ops.FLOPs.Add(p.flops)
+	ops.BatchCalls.Add(int64(len(p.groups)))
+	for gi := range p.groups {
+		g := &p.groups[gi]
+		batchSubmits.Add(1)
+		batchItems.Add(int64(len(g.idx)))
+		par.ForChunks("gemm_batch", len(g.idx), 1, g.body)
+	}
+	for _, s := range p.skips {
+		transposeInto(p.calls[s.dst].C, p.calls[s.src].C)
 	}
 }
+
+// ExecuteBatched plans and runs a call list once; callers that run the same
+// list repeatedly keep the plan.
+func ExecuteBatched(calls []GemmCall, ops *Ops) { PlanBatch(calls).Run(ops) }

@@ -8,7 +8,7 @@ import (
 	"qframan/internal/linalg"
 )
 
-// FuzzGemmBatch drives the batch executor with arbitrary batch compositions
+// FuzzGemmBatch drives the batch path with arbitrary batch compositions
 // — mixed shapes (including ones straddling the 32-padding boundary), mixed
 // trans flags, interleaved transpose pairs — and checks three invariants
 // against a per-call direct Gemm oracle:
@@ -20,12 +20,19 @@ import (
 //     wrote a padded tail would trip them.
 //  3. Mixed-shape submissions split rather than reject: the batch path
 //     completes every call no matter how shapes are interleaved.
+//
+// A non-zero mismatch%4 instead corrupts one call (inner dimension, C rows
+// or C columns) and checks the fourth invariant: the list is refused at plan
+// time, by a panic on this goroutine, before any C byte changes.
 func FuzzGemmBatch(f *testing.F) {
-	f.Add(int64(1), uint8(3))
-	f.Add(int64(7), uint8(8))
-	f.Add(int64(42), uint8(1))
-	f.Add(int64(-99), uint8(12))
-	f.Fuzz(func(t *testing.T, seed int64, nCalls uint8) {
+	f.Add(int64(1), uint8(3), uint8(0))
+	f.Add(int64(7), uint8(8), uint8(0))
+	f.Add(int64(42), uint8(1), uint8(0))
+	f.Add(int64(-99), uint8(12), uint8(0))
+	f.Add(int64(5), uint8(6), uint8(1))
+	f.Add(int64(5), uint8(6), uint8(2))
+	f.Add(int64(5), uint8(6), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, nCalls uint8, mismatch uint8) {
 		if nCalls == 0 || nCalls > 24 {
 			t.Skip()
 		}
@@ -96,6 +103,45 @@ func FuzzGemmBatch(f *testing.F) {
 				TransA: transA, TransB: transB, Alpha: 1, A: a, B: b, C: g.mat,
 			})
 			guards = append(guards, g)
+		}
+
+		if kind := mismatch % 4; kind != 0 {
+			// Corrupt one call by a dimension of one, pre-fill every C, and
+			// demand a plan-time panic that leaves them untouched.
+			c := &calls[rng.Intn(len(calls))]
+			switch kind {
+			case 1:
+				if c.TransB {
+					c.B = linalg.NewMatrix(c.B.Rows, c.B.Cols+1)
+				} else {
+					c.B = linalg.NewMatrix(c.B.Rows+1, c.B.Cols)
+				}
+			case 2:
+				c.C = linalg.NewMatrix(c.C.Rows+1, c.C.Cols)
+			case 3:
+				c.C = linalg.NewMatrix(c.C.Rows, c.C.Cols+1)
+			}
+			before := make([][]float64, len(calls))
+			for i := range calls {
+				fill(calls[i].C)
+				before[i] = append([]float64(nil), calls[i].C.Data...)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("mismatch kind %d: no panic at plan time", kind)
+					}
+				}()
+				linalg.PlanBatch(calls)
+			}()
+			for i := range calls {
+				for j, v := range calls[i].C.Data {
+					if math.Float64bits(v) != math.Float64bits(before[i][j]) {
+						t.Fatalf("mismatch kind %d: call %d C[%d] changed before the panic", kind, i, j)
+					}
+				}
+			}
+			return
 		}
 
 		// Oracle: every call — including injected pairs — via a direct Gemm

@@ -9,15 +9,15 @@ import (
 // Ops tracks BLAS-level operation counts and floating-point operation counts.
 // The DFPT engine uses these counters to demonstrate the symmetry-aware
 // strength reduction (paper §V-D, Fig. 6) — fewer GEMM/GEMV invocations for
-// identical results — and the elastic offloading batcher uses the per-call
-// FLOP estimate to group calls of similar computational strength (§V-C).
+// identical results — and the batch plan's shape classes group calls of
+// similar computational strength (§V-C).
 //
 // Counters are updated atomically so concurrent workers can share them.
 type Ops struct {
 	GEMMCalls  atomic.Int64
 	GEMVCalls  atomic.Int64
 	FLOPs      atomic.Int64
-	BatchCalls atomic.Int64 // batched-GEMM workloads issued to an accelerator
+	BatchCalls atomic.Int64 // shape-class groups run as one gemm_batch kernel (BatchPlan.Run)
 	// TransposeSkips counts GEMMs the batch planner never executed because
 	// their result is the exact transpose of another call in the same batch
 	// (§V-D strength reduction); the skipped FLOPs are excluded from FLOPs.

@@ -7,7 +7,7 @@ import (
 )
 
 // This file implements the SIMD-friendly blocked GEMM kernel behind both the
-// direct Gemm entry point and the elastic batch executor (paper §V-C): op(A)
+// direct Gemm entry point and the batch plan (paper §V-C, batch.go): op(A)
 // and op(B) are packed into register-tile panels (zero-padded to the 4×4
 // micro-tile), the micro-kernel accumulates a 4×4 block of C in sixteen
 // independent scalar chains (the ILP a superscalar core — or a compiler's
@@ -317,7 +317,7 @@ func syrkCandidate(transA, transB bool, a, b *Matrix) bool {
 }
 
 // gemmBlocked is the shared blocked implementation: C = alpha·op(A)·op(B) +
-// beta·C. parName labels the par region; inline — used by the batch executor,
+// beta·C. parName labels the par region; inline — used by the batch plan,
 // which parallelizes across batch members instead — runs everything on the
 // caller. Shapes must have been validated by the caller.
 func gemmBlocked(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix, m, k, n int, parName string, inline bool) {

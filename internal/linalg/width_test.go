@@ -85,50 +85,18 @@ func TestGemvWidthInvariance(t *testing.T) {
 	}
 }
 
-// TestExecuteWidthInvariance checks the batch fan-out path: a HostExecutor
-// run of many independent GemmCalls matches the serial loop exactly.
-func TestExecuteWidthInvariance(t *testing.T) {
-	defer par.SetBudget(0)
-	rng := rand.New(rand.NewSource(13))
-	const nc = 24
-	mk := func() ([]GemmCall, []*Matrix) {
-		calls := make([]GemmCall, nc)
-		outs := make([]*Matrix, nc)
-		for i := range calls {
-			a := randomMatrix(rng, 30, 20)
-			b := randomMatrix(rng, 20, 25)
-			c := NewMatrix(30, 25)
-			calls[i] = GemmCall{Alpha: 1, A: a, B: b, C: c}
-			outs[i] = c
-		}
-		return calls, outs
-	}
-	rng = rand.New(rand.NewSource(13))
-	calls1, outs1 := mk()
-	rng = rand.New(rand.NewSource(13))
-	calls4, outs4 := mk()
-
-	par.SetBudget(1)
-	(&HostExecutor{}).Execute(calls1)
-	par.SetBudget(4)
-	(&HostExecutor{}).Execute(calls4)
-	for i := range outs1 {
-		for j, v := range outs1[i].Data {
-			if math.Float64bits(v) != math.Float64bits(outs4[i].Data[j]) {
-				t.Fatalf("batch call %d element %d drifts across widths", i, j)
-			}
-		}
-	}
-}
-
 // TestExecuteBatchedWidthInvariance runs a mixed-shape batch — several
-// padded shape classes plus a literal transpose pair — through
-// ExecuteBatched at kernel widths {1, 3, NumCPU}. Every width must produce
-// bit-identical outputs: grouping, class padding, pair skips, and pool width
-// all invisible.
+// padded shape classes, a literal transpose pair, and one class of 24
+// same-shape calls (enough members that the gemm_batch fan-out really splits
+// across workers) — through ExecuteBatched at kernel widths {1, 3, NumCPU}.
+// Every width must produce bit-identical outputs: grouping, class padding,
+// pair skips, and pool width all invisible.
 func TestExecuteBatchedWidthInvariance(t *testing.T) {
 	defer par.SetBudget(0)
 	shapes := [][3]int{{30, 20, 25}, {33, 40, 31}, {7, 5, 3}, {64, 32, 32}, {1, 9, 1}}
+	for i := 0; i < 24; i++ {
+		shapes = append(shapes, [3]int{30, 20, 25})
+	}
 
 	mk := func() ([]GemmCall, []*Matrix) {
 		rng := rand.New(rand.NewSource(17))

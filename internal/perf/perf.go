@@ -1,10 +1,11 @@
-// Package perf runs the paper's per-fragment performance experiments on the
-// real quantum engine: the step-by-step speedups of symmetry-aware strength
-// reduction and elastic workload offloading (Fig. 9) and the double-precision
-// rates of the n⁽¹⁾ and H⁽¹⁾ phases (Table I). Numerics always execute on
-// the host; accelerator time comes from the calibrated device cost models in
-// internal/accel. The measured unit is one DFPT cycle — the paper's own
-// metric ("DFPT time per cycle").
+// Package perf models the paper's per-fragment performance experiments on
+// the real engine's GEMM workload: the step-by-step speedups of
+// symmetry-aware strength reduction and elastic workload offloading (Fig. 9)
+// and the double-precision rates of the n⁽¹⁾ and H⁽¹⁾ phases (Table I). The
+// call lists are the ones the grid DFPT cycle runs for a real fragment
+// (dfpt.GridCalls); their time comes from the calibrated device cost models
+// in internal/accel, so nothing is executed. The unit is one DFPT cycle —
+// the paper's own metric ("DFPT time per cycle").
 package perf
 
 import (
@@ -15,6 +16,7 @@ import (
 	"qframan/internal/accel"
 	"qframan/internal/dfpt"
 	"qframan/internal/fragment"
+	"qframan/internal/linalg"
 	"qframan/internal/scf"
 	"qframan/internal/structure"
 )
@@ -61,59 +63,79 @@ func SampleFragments(sizes []int, seed int64) ([]*fragment.Fragment, error) {
 	return out, nil
 }
 
-// gridOptions returns the per-cycle measurement configuration: a single
-// DFPT cycle on the real-space pipeline.
-func gridOptions(reduced bool, exec *accel.BatchingExecutor) dfpt.Options {
+// gridOptions returns the real-space pipeline configuration the experiments
+// cost.
+func gridOptions(reduced bool) dfpt.Options {
 	opt := dfpt.DefaultOptions()
 	opt.Coulomb = dfpt.GridCoulomb
 	opt.GridSpacing = 0.85
 	opt.GridMargin = 4.0
 	opt.BatchSide = 6
 	opt.StrengthReduction = reduced
-	// One cycle per field direction: a huge tolerance accepts the first
-	// iterate, making the run a pure per-cycle cost measurement.
-	opt.Tol = 1e12
-	opt.MaxIter = 2
-	if exec != nil {
-		opt.Executor = exec
-	}
 	return opt
 }
 
-// CycleCost is the modeled cost of one DFPT cycle under a device model.
+// CycleCost is the modeled cost of one DFPT cycle — phases 2 and 4 for each
+// of the three field directions — under a device model.
 type CycleCost struct {
-	GEMMs     int64
-	GEMMTime  time.Duration // modeled host+device time of the GEMM work
-	TotalTime time.Duration // including the non-GEMM overhead share
-	Phase     map[string]accel.Stats
-	Metrics   dfpt.PhaseMetrics
+	GEMMs    int64
+	GEMMTime time.Duration // modeled host+device time of the GEMM work
+	// Per grid phase (Table I reports n⁽¹⁾ and H⁽¹⁾ separately): modeled
+	// time and the FLOPs of the phase's calls at their true shapes.
+	TimeN1, TimeH1   time.Duration
+	FLOPsN1, FLOPsH1 int64
 }
 
-// MeasureCycle runs one DFPT cycle (all three field directions) of the
+// transferBytes is the aggregated-transfer model of paper §V-F for one grid
+// phase's calls over `batches` grid batches and nb basis functions. Phase 2:
+// P⁽¹⁾ is uploaded once per cycle and scattered on the device, X is
+// resident, so each call carries its share of that upload plus its own
+// reduced n⁽¹⁾ values. Phase 4: each call uploads its batch's v⁽¹⁾ values;
+// the H⁽¹⁾ blocks accumulate on the device and come back as one aggregated
+// matrix per cycle, whose share is charged per call. Either way: 8·nb²/batches
+// plus 8 bytes per batch point, and every grid call's A has one row per point.
+func transferBytes(calls []linalg.GemmCall, nb, batches int) []int64 {
+	share := 8 * int64(nb) * int64(nb) / int64(batches)
+	out := make([]int64, len(calls))
+	for i := range calls {
+		out[i] = share + 8*int64(calls[i].A.Rows)
+	}
+	return out
+}
+
+// MeasureCycle costs one DFPT cycle (all three field directions) of the
 // fragment on the grid pipeline with the given kernel variant and offload
-// options, returning the modeled cost.
+// options. The lists' shapes are the same for every direction, so each phase
+// is costed once and counted three times.
 func MeasureCycle(f *fragment.Fragment, dev accel.Device, reduced bool, offload accel.Options) (*CycleCost, error) {
 	m, err := scf.NewModel(f.Els, f.Pos)
 	if err != nil {
 		return nil, err
 	}
-	ground, err := m.SolveSCFRobust(scf.DefaultOptions())
+	n1Calls, h1Calls, err := dfpt.GridCalls(m, gridOptions(reduced))
 	if err != nil {
 		return nil, err
 	}
-	exec := accel.NewBatchingExecutor(dev, offload)
-	resp, err := dfpt.Polarizability(m, ground, gridOptions(reduced, exec))
-	if err != nil {
-		return nil, err
+	// The reduced kernels issue one phase-4 GEMM per batch, the naive three.
+	batches := len(h1Calls)
+	if !reduced {
+		batches /= 3
 	}
+	nb := m.Basis.Size()
+	n1 := accel.Cost(dev, offload, n1Calls, transferBytes(n1Calls, nb, batches))
+	h1 := accel.Cost(dev, offload, h1Calls, transferBytes(h1Calls, nb, batches))
+	const dirs = 3
 	cost := &CycleCost{
-		GEMMs:    exec.Stats.GEMMs,
-		GEMMTime: exec.Stats.ModeledTime(),
-		Metrics:  resp.Metrics,
-		Phase:    map[string]accel.Stats{},
+		GEMMs:  dirs * (n1.GEMMs + h1.GEMMs),
+		TimeN1: dirs * n1.ModeledTime(),
+		TimeH1: dirs * h1.ModeledTime(),
 	}
-	for name, s := range exec.PhaseStats {
-		cost.Phase[name] = *s
+	cost.GEMMTime = cost.TimeN1 + cost.TimeH1
+	for i := range n1Calls {
+		cost.FLOPsN1 += dirs * n1Calls[i].FLOPs()
+	}
+	for i := range h1Calls {
+		cost.FLOPsH1 += dirs * h1Calls[i].FLOPs()
 	}
 	return cost, nil
 }
@@ -182,7 +204,7 @@ type Table1Row struct {
 // Table1 measures per-accelerator sustained rates of the n⁽¹⁾ and H⁽¹⁾
 // phases across fragment sizes and extrapolates to the full system, exactly
 // as the paper does ("the performance … could thus be estimated").
-// unitsPerAccel aggregates executor units into the reported accelerator:
+// unitsPerAccel aggregates modeled devices into the reported accelerator:
 // 1 for an ORISE GPU, 6 for a SW26010-pro node (six core groups).
 func Table1(platform string, dev accel.Device, nAccel, unitsPerAccel int, peakPFLOPS float64, sizes []int, seed int64) ([]Table1Row, error) {
 	frags, err := SampleFragments(sizes, seed)
@@ -190,36 +212,27 @@ func Table1(platform string, dev accel.Device, nAccel, unitsPerAccel int, peakPF
 		return nil, err
 	}
 	type rate struct{ min, max, sum float64 }
-	rates := map[string]*rate{"n1": {min: math.Inf(1)}, "h1": {min: math.Inf(1)}}
+	rates := [2]rate{{min: math.Inf(1)}, {min: math.Inf(1)}} // n1, h1
+	observe := func(r *rate, t time.Duration, flops int64) {
+		if t <= 0 {
+			return
+		}
+		tf := float64(flops) / t.Seconds() / 1e12 * float64(unitsPerAccel)
+		r.min = math.Min(r.min, tf)
+		r.max = math.Max(r.max, tf)
+		r.sum += tf
+	}
 	for _, f := range frags {
 		cost, err := MeasureCycle(f, dev, true, accel.DefaultOptions())
 		if err != nil {
 			return nil, err
 		}
-		for part, r := range rates {
-			ps, ok := cost.Phase[part]
-			if !ok {
-				return nil, fmt.Errorf("perf: phase %q not recorded", part)
-			}
-			t := ps.ModeledTime().Seconds()
-			if t <= 0 {
-				continue
-			}
-			var flops int64
-			if part == "n1" {
-				flops = cost.Metrics.FLOPsN1
-			} else {
-				flops = cost.Metrics.FLOPsH1
-			}
-			tf := float64(flops) / t / 1e12 * float64(unitsPerAccel)
-			r.min = math.Min(r.min, tf)
-			r.max = math.Max(r.max, tf)
-			r.sum += tf
-		}
+		observe(&rates[0], cost.TimeN1, cost.FLOPsN1)
+		observe(&rates[1], cost.TimeH1, cost.FLOPsH1)
 	}
 	var rows []Table1Row
-	for _, part := range []string{"n1", "h1"} {
-		r := rates[part]
+	for i, part := range []string{"n1", "h1"} {
+		r := rates[i]
 		mean := r.sum / float64(len(frags))
 		pf := mean * float64(nAccel) / 1e3 // TFLOPS → PFLOPS
 		rows = append(rows, Table1Row{

@@ -97,3 +97,52 @@ func TestFig9SpeedupsMonotone(t *testing.T) {
 		}
 	}
 }
+
+// TestCostModelPinned pins the modeled rows to the values recorded before
+// Fig. 9 and Table I moved from running the engine under an instrumented
+// executor to costing the engine's call lists (dfpt.GridCalls + accel.Cost):
+// the cost model is integer arithmetic over shapes, so the rows must be
+// exactly equal, not merely of the same trend. A deliberate change to the
+// model, the sampling or the grid options re-records them.
+func TestCostModelPinned(t *testing.T) {
+	fig9, err := Fig9(accel.ORISEDevice(), []int{6, 14}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFig9 := []Fig9Row{
+		{Atoms: 9, GEMMsNaive: 540, GEMMsReduced: 216, SpeedupSR: 2.041667053975613, SpeedupSROffload: 4.52717955710442},
+		{Atoms: 14, GEMMsNaive: 720, GEMMsReduced: 288, SpeedupSR: 2.0416666749373693, SpeedupSROffload: 5.217234524642235},
+	}
+	if len(fig9) != len(wantFig9) {
+		t.Fatalf("Fig9: %d rows, want %d", len(fig9), len(wantFig9))
+	}
+	for i := range wantFig9 {
+		if fig9[i] != wantFig9[i] {
+			t.Errorf("Fig9 row %d = %#v, pinned %#v", i, fig9[i], wantFig9[i])
+		}
+	}
+
+	orise, err := Table1("ORISE", accel.ORISEDevice(), ORISEAccelerators, 1, ORISEPeakPFLOPS, []int{9, 20}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sunway, err := Table1("Sunway", accel.SunwayDevice(), SunwayNodes, 6, SunwayPeakPFLOPS, []int{9, 20}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table1 := append(orise, sunway...)
+	wantTable1 := []Table1Row{
+		{Platform: "ORISE", Part: "n1", MinTFLOPS: 0.09169183113549872, MaxTFLOPS: 0.2954534331550802, PFLOPS: 4.645743171486947, PctOfPeak: 0.029310682469949192},
+		{Platform: "ORISE", Part: "h1", MinTFLOPS: 0.09169183113549872, MaxTFLOPS: 0.2954534331550802, PFLOPS: 4.645743171486947, PctOfPeak: 0.029310682469949192},
+		{Platform: "Sunway", Part: "n1", MinTFLOPS: 1.1177456245504676, MaxTFLOPS: 2.6845772038180797, PFLOPS: 182.51149576169027, PctOfPeak: 0.13463521375161572},
+		{Platform: "Sunway", Part: "h1", MinTFLOPS: 1.1177456245504676, MaxTFLOPS: 2.6845772038180797, PFLOPS: 182.51149576169027, PctOfPeak: 0.13463521375161572},
+	}
+	if len(table1) != len(wantTable1) {
+		t.Fatalf("Table1: %d rows, want %d", len(table1), len(wantTable1))
+	}
+	for i := range wantTable1 {
+		if table1[i] != wantTable1[i] {
+			t.Errorf("Table1 row %d = %#v, pinned %#v", i, table1[i], wantTable1[i])
+		}
+	}
+}
