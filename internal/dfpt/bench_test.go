@@ -1,6 +1,10 @@
 package dfpt
 
-import "testing"
+import (
+	"testing"
+
+	"qframan/internal/par"
+)
 
 func BenchmarkPolarizabilityGamma(b *testing.B) {
 	m, res := benchModel(b)
@@ -25,5 +29,27 @@ func BenchmarkPolarizabilityGridCycle(b *testing.B) {
 		if _, err := Polarizability(m, res, opt); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkGammaCycle times one steady-state γ-mode cycle — response
+// Hamiltonian from the current P⁽¹⁾, P⁽¹⁾ build, mixing — on the environment
+// of a converged ground state, at width 1, for the fragment sizes of the
+// γ-mode workloads (6, 12 and 25 basis functions).
+func BenchmarkGammaCycle(b *testing.B) {
+	defer par.SetBudget(0)
+	par.SetBudget(1)
+	for _, fx := range gammaCycleFixtures(b) {
+		b.Run(fx.name, func(b *testing.B) {
+			env := newCycleEnv(fx.m, fx.ground, nil)
+			for i := 0; i < 20; i++ { // settle p1 near its fixed point
+				env.gammaCycle(fx.m.Dip[0], 0.3)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				env.gammaCycle(fx.m.Dip[0], 0.3)
+			}
+		})
 	}
 }

@@ -21,6 +21,7 @@
 package dfpt
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -28,6 +29,15 @@ import (
 	"qframan/internal/linalg"
 	"qframan/internal/obs"
 	"qframan/internal/scf"
+)
+
+// ErrNotConverged reports that a response cycle used up its iterations, and
+// ErrDiverged that the response grew without bound or turned NaN. Both are
+// deterministic outcomes of the fragment and its options: the mixing ladder
+// retries them with more damping, the runtime (faults.Classify) never does.
+var (
+	ErrNotConverged = errors.New("dfpt: cycle not converged")
+	ErrDiverged     = errors.New("dfpt: response diverged")
 )
 
 // CoulombMode selects how the response Coulomb potential is computed.
@@ -68,12 +78,6 @@ type Options struct {
 	// per-phase histograms. Execution-only: excluded from the store's
 	// content fingerprint; the zero Scope disables instrumentation.
 	Obs obs.Scope
-
-	// cycBuf, when set, is a scratch buffer respond reuses for its cycle
-	// samples instead of allocating one per solve. Polarizability points it
-	// at a stack variable shared by its (sequential) direction and retry
-	// solves; it must never be shared across goroutines.
-	cycBuf *[]obs.CycleSample
 }
 
 // DefaultOptions returns settings adequate for fragment polarizabilities.
@@ -142,10 +146,6 @@ func polarizability(m *scf.Model, ground *scf.Result, opt Options, gridEnv *grid
 	resp := &Response{}
 	sc, dfptSpan := opt.Obs.Begin("dfpt", "dfpt")
 	defer dfptSpan.End()
-	if opt.Obs.Enabled() {
-		var cycScratch []obs.CycleSample
-		opt.cycBuf = &cycScratch
-	}
 	if opt.Coulomb == GridCoulomb && gridEnv == nil {
 		var err error
 		gridEnv, err = newGridEnv(m, opt)
@@ -153,6 +153,7 @@ func polarizability(m *scf.Model, ground *scf.Result, opt Options, gridEnv *grid
 			return nil, err
 		}
 	}
+	env := newCycleEnv(m, ground, gridEnv)
 	for dir := 0; dir < 3; dir++ {
 		dirSc, dirSpan := sc.Begin("dfpt.dir", "dfpt", obs.A("dir", int64(dir)))
 		// Robustness ladder: small-gap fragments can oscillate in the
@@ -160,7 +161,7 @@ func polarizability(m *scf.Model, ground *scf.Result, opt Options, gridEnv *grid
 		var p1 *linalg.Matrix
 		var cycles int
 		var err error
-		for _, scale := range []float64{1, 0.5, 0.25, 0.1} {
+		for rung, scale := range []float64{1, 0.5, 0.25, 0.1} {
 			o := opt
 			o.Mixing = opt.Mixing * scale
 			o.MaxIter = int(float64(opt.MaxIter) / scale)
@@ -168,7 +169,10 @@ func polarizability(m *scf.Model, ground *scf.Result, opt Options, gridEnv *grid
 				o.MaxIter = 3 * opt.MaxIter
 			}
 			o.Obs = dirSc
-			p1, cycles, err = respond(m, ground, dir, o, gridEnv, &resp.Metrics)
+			if rung > 0 && opt.Obs.Hot != nil {
+				opt.Obs.Hot.DFPTMixingFallbacks.Inc()
+			}
+			p1, cycles, err = env.respond(dir, o, &resp.Metrics)
 			if err == nil {
 				resp.MixingUsed = o.Mixing
 				break
@@ -188,24 +192,163 @@ func polarizability(m *scf.Model, ground *scf.Result, opt Options, gridEnv *grid
 	return resp, nil
 }
 
+// cycleEnv holds what every DFPT cycle of one (model, ground state) shares —
+// built once in polarizability and used by its three field directions and
+// their mixing ladder, the sibling of gridEnv (which keeps phases 2–4 of grid
+// mode). Everything that is a function of the ground state alone is resolved
+// here: the gapped/fractional decision, the orbital blocks and pair weights
+// of phase 1, ½S and the atom-of-function table of the γ kernel, the four
+// bound GEMMs and every workspace; a steady-state γ cycle allocates nothing.
+// Environment buffers are never shared across goroutines and never alias a
+// Result or a Response: respond hands out a copy of p1.
+type cycleEnv struct {
+	m    *scf.Model
+	grid *gridEnv // nil in γ mode
+
+	// Phase 1 builds P⁽¹⁾ = sym(L·(W∘(Lᵀ·H⁽¹⁾·R))·Rᵀ). Gapped ground states
+	// (every occupation within occTol of 0 or 2): L = C_virt, R = C_occ, W_ai
+	// = (f_i−f_a)/(ε_i−ε_a) and sym(Z) = Z + Zᵀ — only occupied×virtual pairs
+	// carry weight, which halves the GEMM work of the hot loop of the whole
+	// displacement pipeline, and the exact per-pair occupation differences
+	// keep the smearing tails exact. Fractional: L = R = C, W_qp is the full
+	// pair-weight matrix with its analytic degenerate limit and sym(Z) =
+	// (Z + Zᵀ)/2.
+	gapped      bool
+	left, right *linalg.Matrix
+	w           *linalg.Matrix // rows(Lᵀ)×cols(R) pair weights
+	tmp, u, lu  *linalg.Matrix // Lᵀ·H⁽¹⁾, its product with R (then ∘W), L·u
+	newP1       *linalg.Matrix
+	p1Gemms     [4]*linalg.GemmOp // gemm_tn, gemm_nn, gemm_nn, gemm_nt
+	p1FLOPs     int64             // of the four, per cycle
+
+	// γ kernel: ½S, the atom of each basis function, Δq⁽¹⁾ and V⁽¹⁾.
+	halfS   *linalg.Matrix
+	atomOf  []int
+	dq1, v1 []float64
+
+	h1, p1  *linalg.Matrix
+	samples []obs.CycleSample // respond's span batch, reused across solves
+}
+
+func newCycleEnv(m *scf.Model, ground *scf.Result, grid *gridEnv) *cycleEnv {
+	n := m.Basis.Size()
+	e := &cycleEnv{
+		m: m, grid: grid, gapped: true,
+		newP1: linalg.NewMatrix(n, n),
+		h1:    linalg.NewMatrix(n, n),
+		p1:    linalg.NewMatrix(n, n),
+	}
+	const occTol = 1e-3
+	for _, f := range ground.Occ {
+		if f > occTol && f < 2-occTol {
+			e.gapped = false
+			break
+		}
+	}
+	occ, eps := ground.Occ, ground.Eps
+	if e.gapped {
+		var occIdx, virtIdx []int
+		for k, f := range occ {
+			if f > occTol {
+				occIdx = append(occIdx, k)
+			} else {
+				virtIdx = append(virtIdx, k)
+			}
+		}
+		e.left, e.right = gatherColumns(ground.C, virtIdx), gatherColumns(ground.C, occIdx)
+		e.w = linalg.NewMatrix(len(virtIdx), len(occIdx))
+		for a, va := range virtIdx {
+			row := e.w.Row(a)
+			for i, oi := range occIdx {
+				// Near-degenerate pairs keep weight zero.
+				if de := eps[oi] - eps[va]; !(de > -1e-9 && de < 1e-9) {
+					row[i] = (occ[oi] - occ[va]) / de
+				}
+			}
+		}
+	} else {
+		e.left, e.right = ground.C, ground.C
+		e.w = linalg.NewMatrix(n, n)
+		for q := 0; q < n; q++ {
+			row := e.w.Row(q)
+			for p := 0; p < n; p++ {
+				if p == q {
+					continue
+				}
+				df := occ[p] - occ[q]
+				de := eps[p] - eps[q]
+				switch {
+				case math.Abs(de) > 1e-8:
+					row[p] = df / de
+				case ground.Sigma > 0:
+					// Degenerate pair: the analytic limit f'(ε̄).
+					g := 0.25 * (occ[p] + occ[q]) // per-spin mean
+					row[p] = -2 / ground.Sigma * g * (1 - g)
+				}
+			}
+		}
+	}
+	nl, nr := e.left.Cols, e.right.Cols
+	e.tmp, e.u, e.lu = linalg.NewMatrix(nl, n), linalg.NewMatrix(nl, nr), linalg.NewMatrix(n, nr)
+	e.p1Gemms = [4]*linalg.GemmOp{
+		linalg.BindGemm(true, false, 1, e.left, e.h1, 0, e.tmp),
+		linalg.BindGemm(false, false, 1, e.tmp, e.right, 0, e.u),
+		linalg.BindGemm(false, false, 1, e.left, e.u, 0, e.lu),
+		linalg.BindGemm(false, true, 1, e.lu, e.right, 0, e.newP1),
+	}
+	e.p1FLOPs = linalg.GemmFLOPs(nl, n, n) + linalg.GemmFLOPs(nl, n, nr) +
+		linalg.GemmFLOPs(n, nl, nr) + linalg.GemmFLOPs(n, nr, n)
+	if grid == nil {
+		e.halfS = m.S.Clone()
+		e.halfS.Scale(0.5)
+		e.atomOf = make([]int, n)
+		for i := range e.atomOf {
+			e.atomOf[i] = m.Basis.Funcs[i].Atom
+		}
+		e.dq1, e.v1 = make([]float64, m.NumAtoms()), make([]float64, m.NumAtoms())
+	}
+	return e
+}
+
+// gatherColumns returns the n×len(cols) matrix of the given columns of c.
+func gatherColumns(c *linalg.Matrix, cols []int) *linalg.Matrix {
+	out := linalg.NewMatrix(c.Rows, len(cols))
+	for i := 0; i < c.Rows; i++ {
+		src, dst := c.Row(i), out.Row(i)
+		for k, col := range cols {
+			dst[k] = src[col]
+		}
+	}
+	return out
+}
+
 // respond runs the self-consistent DFPT cycle for one field direction and
-// returns the converged response density matrix.
-func respond(m *scf.Model, ground *scf.Result, dir int, opt Options, env *gridEnv, met *PhaseMetrics) (*linalg.Matrix, int, error) {
+// returns the converged response density matrix (the caller's own copy).
+func (e *cycleEnv) respond(dir int, opt Options, met *PhaseMetrics) (*linalg.Matrix, int, error) {
+	m := e.m
 	n := m.Basis.Size()
 	nocc := m.NumOcc()
-	nvirt := n - nocc
-	if nvirt == 0 {
+	if n == nocc {
 		return nil, 0, fmt.Errorf("dfpt: no virtual orbitals (basis %d, occupied %d)", n, nocc)
 	}
 	hExt := m.Dip[dir] // +D^dir per unit field (electron charge −1)
 
-	p1 := linalg.NewMatrix(n, n)
-	if init := opt.InitP1[dir]; init != nil && init.Rows == n {
-		p1.CopyFrom(init)
+	e.p1.Zero()
+	if init := opt.InitP1[dir]; init != nil && init.Rows == n && init.Cols == n {
+		e.p1.CopyFrom(init)
 	}
-	h1 := linalg.NewMatrix(n, n)
+	// The cycle's GEMMs are bound ops that count nothing; their totals reach
+	// the model's counters once per solve.
+	builds := 0
+	defer func() {
+		ops := m.Ops
+		if ops == nil {
+			ops = &linalg.DefaultOps
+		}
+		ops.GEMMCalls.Add(int64(len(e.p1Gemms) * builds))
+		ops.FLOPs.Add(e.p1FLOPs * int64(builds))
+	}()
 	obsOn := opt.Obs.Enabled()
-	var samples []obs.CycleSample
 	var base time.Time
 	if obsOn {
 		// Cycles are accumulated locally and flushed as one batch per
@@ -214,43 +357,32 @@ func respond(m *scf.Model, ground *scf.Result, dir int, opt Options, env *gridEn
 		// boundaries are marked as time.Since(base) offsets — a single
 		// monotonic clock read, roughly half the cost of time.Now.
 		base = time.Now()
-		if opt.cycBuf != nil {
-			samples = (*opt.cycBuf)[:0]
-		} else {
-			samples = make([]obs.CycleSample, 0, min(opt.MaxIter, 16))
-		}
-		defer func() {
-			opt.Obs.RecordDFPTCycles(base, samples)
-			if opt.cycBuf != nil {
-				// Hand the (possibly grown) buffer back for the next solve;
-				// RecordDFPTCycles copied the samples out synchronously.
-				*opt.cycBuf = samples
-			}
-		}()
+		e.samples = e.samples[:0]
+		// RecordDFPTCycles copies the samples out synchronously.
+		defer func() { opt.Obs.RecordDFPTCycles(base, e.samples) }()
 	}
 	for iter := 1; iter <= opt.MaxIter; iter++ {
 		var cycOff, hEndOff time.Duration
 		var durs [obs.NumPhases]time.Duration
 		// Response Hamiltonian: external + Coulomb response of current P1.
-		switch opt.Coulomb {
-		case GammaCoulomb:
+		if e.grid == nil {
 			if obsOn {
 				cycOff = time.Since(base)
 				durs[obs.PhaseN1], durs[obs.PhaseV1], durs[obs.PhaseH1], hEndOff =
-					gammaResponseTimed(m, p1, hExt, h1, met, base, cycOff)
+					e.gammaResponseTimed(hExt, met, base, cycOff)
 			} else {
-				h1.CopyFrom(hExt)
-				addGammaResponse(m, p1, h1)
+				e.h1.CopyFrom(hExt)
+				e.addGammaResponse()
 			}
-		case GridCoulomb:
+		} else {
 			if obsOn {
 				cycOff = time.Since(base)
 			}
-			h1.CopyFrom(hExt)
+			e.h1.CopyFrom(hExt)
 			// The grid pipeline already times its three phases into met;
 			// per-cycle durations are the deltas across the call.
 			preN1, preV1, preH1 := met.TimeN1, met.TimeV1, met.TimeH1
-			if err := env.addGridResponse(p1, h1, dir, met); err != nil {
+			if err := e.grid.addGridResponse(e.p1, e.h1, dir, met); err != nil {
 				return nil, iter, err
 			}
 			durs[obs.PhaseN1] = met.TimeN1 - preN1
@@ -267,7 +399,8 @@ func respond(m *scf.Model, ground *scf.Result, dir int, opt Options, env *gridEn
 		if !obsOn {
 			t0 = time.Now()
 		}
-		newP1 := responseDensity(m, ground, h1, ground.Sigma)
+		e.responseDensity()
+		builds++
 		var dP1, cycTotal time.Duration
 		if obsOn {
 			endOff := time.Since(base)
@@ -281,38 +414,49 @@ func respond(m *scf.Model, ground *scf.Result, dir int, opt Options, env *gridEn
 		}
 		met.TimeP1 += dP1
 
-		var maxDelta float64
-		for i, v := range newP1.Data {
-			d := math.Abs(v - p1.Data[i])
-			if d > maxDelta {
-				maxDelta = d
-			}
-			if math.IsNaN(d) {
-				// NaN compares false against everything — without this
-				// check a diverged response would slip past the
-				// convergence test wherever its healthy entries settle.
-				return nil, iter, fmt.Errorf("dfpt: response diverged (NaN) at cycle %d", iter)
-			}
-			p1.Data[i] = (1-opt.Mixing)*p1.Data[i] + opt.Mixing*v
+		maxDelta, ok := e.mix(opt.Mixing)
+		if !ok {
+			return nil, iter, fmt.Errorf("%w (NaN) at cycle %d", ErrDiverged, iter)
 		}
 		if maxDelta > 1e12 {
-			return nil, iter, fmt.Errorf("dfpt: response diverging (|ΔP1| = %g) at cycle %d", maxDelta, iter)
+			return nil, iter, fmt.Errorf("%w (|ΔP1| = %g) at cycle %d", ErrDiverged, maxDelta, iter)
 		}
 		if obsOn {
-			samples = append(samples, obs.CycleSample{
+			e.samples = append(e.samples, obs.CycleSample{
 				Iter: int32(iter), Start: cycOff, Durs: durs, Total: cycTotal,
 			})
 		}
 		if maxDelta < opt.Tol {
-			return p1, iter, nil
+			return e.p1.Clone(), iter, nil
 		}
 	}
-	return nil, opt.MaxIter, fmt.Errorf("dfpt: cycle not converged after %d iterations", opt.MaxIter)
+	return nil, opt.MaxIter, fmt.Errorf("%w after %d iterations", ErrNotConverged, opt.MaxIter)
+}
+
+// mix moves p1 toward the cycle's new P⁽¹⁾ by the mixing factor and returns
+// the largest element change; ok is false as soon as a change is NaN (p1 is
+// then left half-mixed — the solve is over). NaN compares false against
+// everything, so without the explicit check a diverged response would slip
+// past the convergence test wherever its healthy entries settle.
+func (e *cycleEnv) mix(mixing float64) (maxDelta float64, ok bool) {
+	p1 := e.p1.Data
+	for i, v := range e.newP1.Data {
+		d := math.Abs(v - p1[i])
+		if d > maxDelta {
+			maxDelta = d
+		}
+		if math.IsNaN(d) {
+			return maxDelta, false
+		}
+		p1[i] = (1-mixing)*p1[i] + mixing*v
+	}
+	return maxDelta, true
 }
 
 // responseDensity computes the uncoupled first-order density matrix for the
-// perturbation h1 (the field leaves S unchanged, so no overlap-response
-// terms appear). With occupations f_p the standard perturbation sum is
+// perturbation h1 into newP1 (the field leaves S unchanged, so no
+// overlap-response terms appear). With occupations f_p the standard
+// perturbation sum is
 //
 //	P⁽¹⁾ = Σ_{p≠q} w_pq (c_qᵀ h1 c_p) c_q c_pᵀ,
 //	w_pq = (f_p − f_q)/(ε_p − ε_q),
@@ -320,120 +464,43 @@ func respond(m *scf.Model, ground *scf.Result, dir int, opt Options, env *gridEn
 // which reduces to the closed-shell occupied→virtual sum for integral
 // occupations, and which Fermi smearing regularizes: for near-degenerate
 // pairs w_pq tends to the finite derivative f'(ε), so small-gap fragments
-// stay well-conditioned.
-func responseDensity(m *scf.Model, ground *scf.Result, h1 *linalg.Matrix, smearing float64) *linalg.Matrix {
-	n := m.Basis.Size()
-	// Fast path: when every orbital is within occTol of full or empty,
-	// only occupied×virtual pairs carry non-negligible weight (intra-group
-	// pairs have |f_p−f_q| ≤ occTol), and the block formulation halves the
-	// GEMM work — this is the hot loop of the whole displacement pipeline.
-	// The block still uses the exact per-pair occupation differences, so
-	// the smearing tails are treated exactly.
-	const occTol = 1e-3
-	fractional := false
-	for _, f := range ground.Occ {
-		if f > occTol && f < 2-occTol {
-			fractional = true
-			break
-		}
+// stay well-conditioned. The weights are the environment's (see cycleEnv);
+// what is left per cycle is four GEMMs, one Hadamard product and the
+// symmetrization.
+func (e *cycleEnv) responseDensity() {
+	e.p1Gemms[0].Run() // tmp = Lᵀ·h1
+	e.p1Gemms[1].Run() // u = tmp·R
+	for i, w := range e.w.Data {
+		e.u.Data[i] *= w
 	}
-	if !fractional {
-		return responseDensityGapped(m, ground, h1, occTol)
+	e.p1Gemms[2].Run() // lu = L·u
+	e.p1Gemms[3].Run() // newP1 = lu·Rᵀ
+	if !e.gapped {
+		// The symmetric partner (q,p) carries the same weight, so P⁽¹⁾ is
+		// symmetric up to rounding.
+		e.newP1.Symmetrize()
+		return
 	}
-	// hmo = Cᵀ h1 C.
-	tmp := linalg.MatMul(true, false, ground.C, h1, m.Ops)
-	hmo := linalg.MatMul(false, false, tmp, ground.C, m.Ops)
-	// Scale by the occupation-difference ratio: M_qp = w_pq · hmo_qp.
-	for q := 0; q < n; q++ {
-		row := hmo.Row(q)
-		for p := 0; p < n; p++ {
-			if p == q {
-				row[p] = 0
-				continue
-			}
-			df := ground.Occ[p] - ground.Occ[q]
-			de := ground.Eps[p] - ground.Eps[q]
-			switch {
-			case math.Abs(de) > 1e-8:
-				row[p] *= df / de
-			case smearing > 0:
-				// Degenerate pair: use the analytic limit f'(ε̄).
-				g := 0.25 * (ground.Occ[p] + ground.Occ[q]) // per-spin mean
-				row[p] *= -2 / smearing * g * (1 - g)
-			default:
-				row[p] = 0
-			}
-		}
-	}
-	// P1 = C·M·Cᵀ (M_qp includes the pair weight; the symmetric partner
-	// (q,p) carries the same weight, so P1 is symmetric).
-	cm := linalg.MatMul(false, false, ground.C, hmo, m.Ops)
-	p1 := linalg.NewMatrix(n, n)
-	linalg.Gemm(false, true, 1, cm, ground.C, 0, p1, m.Ops)
-	p1.Symmetrize()
-	return p1
-}
-
-// responseDensityGapped is the (near-)integral-occupation specialization:
-// P⁽¹⁾ = Z + Zᵀ with Z = C_v·U·C_oᵀ, U_ai = (f_i−f_a)·(c_aᵀ h1 c_i)/(ε_i−ε_a).
-func responseDensityGapped(m *scf.Model, ground *scf.Result, h1 *linalg.Matrix, occTol float64) *linalg.Matrix {
-	n := m.Basis.Size()
-	var occIdx, virtIdx []int
-	for k, f := range ground.Occ {
-		if f > occTol {
-			occIdx = append(occIdx, k)
-		} else {
-			virtIdx = append(virtIdx, k)
-		}
-	}
-	no, nv := len(occIdx), len(virtIdx)
-	cOcc := linalg.NewMatrix(n, no)
-	cVirt := linalg.NewMatrix(n, nv)
-	for i := 0; i < n; i++ {
-		for k, o := range occIdx {
-			cOcc.Set(i, k, ground.C.At(i, o))
-		}
-		for k, v := range virtIdx {
-			cVirt.Set(i, k, ground.C.At(i, v))
-		}
-	}
-	tmp := linalg.MatMul(true, false, cVirt, h1, m.Ops)
-	u := linalg.MatMul(false, false, tmp, cOcc, m.Ops)
-	for a := 0; a < nv; a++ {
-		ea := ground.Eps[virtIdx[a]]
-		fa := ground.Occ[virtIdx[a]]
-		row := u.Row(a)
-		for i := 0; i < no; i++ {
-			de := ground.Eps[occIdx[i]] - ea
-			if de > -1e-9 && de < 1e-9 {
-				row[i] = 0
-			} else {
-				row[i] *= (ground.Occ[occIdx[i]] - fa) / de
-			}
-		}
-	}
-	vu := linalg.MatMul(false, false, cVirt, u, m.Ops)
-	p1 := linalg.NewMatrix(n, n)
-	linalg.Gemm(false, true, 1, vu, cOcc, 0, p1, m.Ops)
+	// P⁽¹⁾ = Z + Zᵀ.
+	n, d := e.newP1.Rows, e.newP1.Data
 	for i := 0; i < n; i++ {
 		for j := 0; j < i; j++ {
-			s := p1.At(i, j) + p1.At(j, i)
-			p1.Set(i, j, s)
-			p1.Set(j, i, s)
+			s := d[i*n+j] + d[j*n+i]
+			d[i*n+j] = s
+			d[j*n+i] = s
 		}
-		p1.Set(i, i, 2*p1.At(i, i))
+		d[i*n+i] = 2 * d[i*n+i]
 	}
-	return p1
 }
 
 // addGammaResponse adds the charge-fluctuation response Hamiltonian
-// ½S_μν(V⁽¹⁾_A + V⁽¹⁾_B) with V⁽¹⁾ = γ·Δq⁽¹⁾ to h1. The three steps are
-// the γ-mode realizations of the paper's n⁽¹⁾, v⁽¹⁾ and H⁽¹⁾ phases (the
-// response charges stand in for the real-space response density).
-func addGammaResponse(m *scf.Model, p1, h1 *linalg.Matrix) {
-	dq1 := gammaResponseCharges(m, p1)
-	v1 := gammaResponsePotential(m, dq1)
-	addGammaResponseH1(m, v1, h1)
+// ½S_μν(V⁽¹⁾_A + V⁽¹⁾_B) with V⁽¹⁾ = γ·Δq⁽¹⁾ of the current p1 to h1. The
+// three steps are the γ-mode realizations of the paper's n⁽¹⁾, v⁽¹⁾ and H⁽¹⁾
+// phases (the response charges stand in for the real-space response density).
+func (e *cycleEnv) addGammaResponse() {
+	e.gammaResponseCharges()
+	e.gammaResponsePotential()
+	e.addGammaResponseH1()
 }
 
 // gammaResponseTimed runs the same three steps as addGammaResponse with a
@@ -443,13 +510,13 @@ func addGammaResponse(m *scf.Model, p1, h1 *linalg.Matrix) {
 // doubles as the P⁽¹⁾ start — two clock reads inside instead of four. It
 // both accumulates the package metrics and returns the per-cycle durations
 // for the span recorder.
-func gammaResponseTimed(m *scf.Model, p1, hExt, h1 *linalg.Matrix, met *PhaseMetrics, base time.Time, start time.Duration) (dn1, dv1, dh1, end time.Duration) {
-	dq1 := gammaResponseCharges(m, p1)
+func (e *cycleEnv) gammaResponseTimed(hExt *linalg.Matrix, met *PhaseMetrics, base time.Time, start time.Duration) (dn1, dv1, dh1, end time.Duration) {
+	e.gammaResponseCharges()
 	t1 := time.Since(base)
-	v1 := gammaResponsePotential(m, dq1)
+	e.gammaResponsePotential()
 	t2 := time.Since(base)
-	h1.CopyFrom(hExt)
-	addGammaResponseH1(m, v1, h1)
+	e.h1.CopyFrom(hExt)
+	e.addGammaResponseH1()
 	end = time.Since(base)
 	dn1, dv1, dh1 = t1-start, t2-t1, end-t2
 	met.TimeN1 += dn1
@@ -460,39 +527,32 @@ func gammaResponseTimed(m *scf.Model, p1, hExt, h1 *linalg.Matrix, met *PhaseMet
 
 // gammaResponseCharges computes the response Mulliken charges
 // Δq⁽¹⁾_A = Σ_{μ∈A} (P⁽¹⁾·S)_μμ — the n⁽¹⁾ phase of γ mode.
-func gammaResponseCharges(m *scf.Model, p1 *linalg.Matrix) []float64 {
-	na := m.NumAtoms()
-	dq1 := make([]float64, na)
-	n := m.Basis.Size()
-	for i := 0; i < n; i++ {
-		a := m.Basis.Funcs[i].Atom
-		dq1[a] += linalg.Dot(p1.Row(i), m.S.Row(i))
+func (e *cycleEnv) gammaResponseCharges() {
+	for a := range e.dq1 {
+		e.dq1[a] = 0
 	}
-	return dq1
+	for i, a := range e.atomOf {
+		e.dq1[a] += linalg.Dot(e.p1.Row(i), e.m.S.Row(i))
+	}
 }
 
 // gammaResponsePotential computes V⁽¹⁾ = γ·Δq⁽¹⁾ — the v⁽¹⁾ phase.
-func gammaResponsePotential(m *scf.Model, dq1 []float64) []float64 {
-	na := m.NumAtoms()
-	v1 := make([]float64, na)
-	for a := 0; a < na; a++ {
+func (e *cycleEnv) gammaResponsePotential() {
+	for a := range e.v1 {
 		var s float64
-		for b := 0; b < na; b++ {
-			s += m.Gamma.At(a, b) * dq1[b]
+		for b, g := range e.m.Gamma.Row(a) {
+			s += g * e.dq1[b]
 		}
-		v1[a] = s
+		e.v1[a] = s
 	}
-	return v1
 }
 
 // addGammaResponseH1 adds ½S_μν(V⁽¹⁾_A + V⁽¹⁾_B) to h1 — the H⁽¹⁾ phase.
-func addGammaResponseH1(m *scf.Model, v1 []float64, h1 *linalg.Matrix) {
-	n := m.Basis.Size()
-	for i := 0; i < n; i++ {
-		ai := m.Basis.Funcs[i].Atom
-		for j := 0; j < n; j++ {
-			aj := m.Basis.Funcs[j].Atom
-			h1.Add(i, j, 0.5*m.S.At(i, j)*(v1[ai]+v1[aj]))
+func (e *cycleEnv) addGammaResponseH1() {
+	for i, ai := range e.atomOf {
+		hrow, srow := e.h1.Row(i), e.halfS.Row(i)
+		for j, aj := range e.atomOf {
+			hrow[j] += srow[j] * (e.v1[ai] + e.v1[aj])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package dfpt
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -343,4 +344,28 @@ func benchModel(tb testing.TB) (*scf.Model, *scf.Result) {
 		tb.Fatal(err)
 	}
 	return m, res
+}
+
+// TestMixingFallbacksAreCounted: a response that only converges — or fails —
+// below the requested mixing factor leaves one count per extra rung; a
+// first-rung solve leaves none.
+func TestMixingFallbacksAreCounted(t *testing.T) {
+	m, res := waterModel(t)
+	reg := obs.NewRegistry()
+	opt := DefaultOptions()
+	opt.Obs = obs.NewScope(nil, reg)
+	if _, err := Polarizability(m, res, opt); err != nil {
+		t.Fatal(err)
+	}
+	fallbacks := reg.Counter(obs.MetricDFPTMixingFallbacks)
+	if got := fallbacks.Value(); got != 0 {
+		t.Fatalf("%s = %d after a first-rung solve", obs.MetricDFPTMixingFallbacks, got)
+	}
+	opt.MaxIter, opt.Tol = 1, 1e-300 // every rung of direction 0 runs out of iterations
+	if _, err := Polarizability(m, res, opt); !errors.Is(err, ErrNotConverged) {
+		t.Fatalf("got %v, want ErrNotConverged", err)
+	}
+	if got := fallbacks.Value(); got != 3 {
+		t.Fatalf("%s = %d after one direction went down the whole ladder, want 3", obs.MetricDFPTMixingFallbacks, got)
+	}
 }

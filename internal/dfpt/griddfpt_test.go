@@ -69,7 +69,7 @@ func TestGridCycleAllocationCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := m.Basis.Size()
-	p1 := responseDensity(m, res, m.Dip[0], res.Sigma)
+	p1 := refResponseDensity(m, res, m.Dip[0], res.Sigma)
 	h1 := linalg.NewMatrix(n, n)
 	var met PhaseMetrics
 	allocs := testing.AllocsPerRun(5, func() {

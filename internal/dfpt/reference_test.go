@@ -1,0 +1,388 @@
+package dfpt
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"qframan/internal/constants"
+	"qframan/internal/geom"
+	"qframan/internal/linalg"
+	"qframan/internal/par"
+	"qframan/internal/scf"
+	"qframan/internal/structure"
+)
+
+// This file keeps the straight-line γ-mode response code the cycle
+// environment replaced — every cycle re-partitions the occupations,
+// re-gathers the orbital blocks, recomputes the pair weights and allocates
+// its matrices through MatMul — as a test-only reference (the cgref/gemmref
+// pattern), and demands that the environment path reproduce it bit for bit.
+
+// refResponseDensity is the per-cycle P⁽¹⁾ build without an environment.
+func refResponseDensity(m *scf.Model, ground *scf.Result, h1 *linalg.Matrix, smearing float64) *linalg.Matrix {
+	n := m.Basis.Size()
+	const occTol = 1e-3
+	fractional := false
+	for _, f := range ground.Occ {
+		if f > occTol && f < 2-occTol {
+			fractional = true
+			break
+		}
+	}
+	if !fractional {
+		return refResponseDensityGapped(m, ground, h1, occTol)
+	}
+	// hmo = Cᵀ h1 C.
+	tmp := linalg.MatMul(true, false, ground.C, h1, m.Ops)
+	hmo := linalg.MatMul(false, false, tmp, ground.C, m.Ops)
+	// Scale by the occupation-difference ratio: M_qp = w_pq · hmo_qp.
+	for q := 0; q < n; q++ {
+		row := hmo.Row(q)
+		for p := 0; p < n; p++ {
+			if p == q {
+				row[p] = 0
+				continue
+			}
+			df := ground.Occ[p] - ground.Occ[q]
+			de := ground.Eps[p] - ground.Eps[q]
+			switch {
+			case math.Abs(de) > 1e-8:
+				row[p] *= df / de
+			case smearing > 0:
+				g := 0.25 * (ground.Occ[p] + ground.Occ[q])
+				row[p] *= -2 / smearing * g * (1 - g)
+			default:
+				row[p] = 0
+			}
+		}
+	}
+	cm := linalg.MatMul(false, false, ground.C, hmo, m.Ops)
+	p1 := linalg.NewMatrix(n, n)
+	linalg.Gemm(false, true, 1, cm, ground.C, 0, p1, m.Ops)
+	p1.Symmetrize()
+	return p1
+}
+
+// refResponseDensityGapped is the (near-)integral-occupation specialization:
+// P⁽¹⁾ = Z + Zᵀ with Z = C_v·U·C_oᵀ, U_ai = (f_i−f_a)·(c_aᵀ h1 c_i)/(ε_i−ε_a).
+func refResponseDensityGapped(m *scf.Model, ground *scf.Result, h1 *linalg.Matrix, occTol float64) *linalg.Matrix {
+	n := m.Basis.Size()
+	var occIdx, virtIdx []int
+	for k, f := range ground.Occ {
+		if f > occTol {
+			occIdx = append(occIdx, k)
+		} else {
+			virtIdx = append(virtIdx, k)
+		}
+	}
+	no, nv := len(occIdx), len(virtIdx)
+	cOcc := linalg.NewMatrix(n, no)
+	cVirt := linalg.NewMatrix(n, nv)
+	for i := 0; i < n; i++ {
+		for k, o := range occIdx {
+			cOcc.Set(i, k, ground.C.At(i, o))
+		}
+		for k, v := range virtIdx {
+			cVirt.Set(i, k, ground.C.At(i, v))
+		}
+	}
+	tmp := linalg.MatMul(true, false, cVirt, h1, m.Ops)
+	u := linalg.MatMul(false, false, tmp, cOcc, m.Ops)
+	for a := 0; a < nv; a++ {
+		ea := ground.Eps[virtIdx[a]]
+		fa := ground.Occ[virtIdx[a]]
+		row := u.Row(a)
+		for i := 0; i < no; i++ {
+			de := ground.Eps[occIdx[i]] - ea
+			if de > -1e-9 && de < 1e-9 {
+				row[i] = 0
+			} else {
+				row[i] *= (ground.Occ[occIdx[i]] - fa) / de
+			}
+		}
+	}
+	vu := linalg.MatMul(false, false, cVirt, u, m.Ops)
+	p1 := linalg.NewMatrix(n, n)
+	linalg.Gemm(false, true, 1, vu, cOcc, 0, p1, m.Ops)
+	for i := 0; i < n; i++ {
+		for j := 0; j < i; j++ {
+			s := p1.At(i, j) + p1.At(j, i)
+			p1.Set(i, j, s)
+			p1.Set(j, i, s)
+		}
+		p1.Set(i, i, 2*p1.At(i, i))
+	}
+	return p1
+}
+
+// refAddGammaResponse adds ½S_μν(V⁽¹⁾_A + V⁽¹⁾_B), V⁽¹⁾ = γ·Δq⁽¹⁾, to h1.
+func refAddGammaResponse(m *scf.Model, p1, h1 *linalg.Matrix) {
+	na, n := m.NumAtoms(), m.Basis.Size()
+	dq1 := make([]float64, na)
+	for i := 0; i < n; i++ {
+		dq1[m.Basis.Funcs[i].Atom] += linalg.Dot(p1.Row(i), m.S.Row(i))
+	}
+	v1 := make([]float64, na)
+	for a := 0; a < na; a++ {
+		var s float64
+		for b := 0; b < na; b++ {
+			s += m.Gamma.At(a, b) * dq1[b]
+		}
+		v1[a] = s
+	}
+	for i := 0; i < n; i++ {
+		ai := m.Basis.Funcs[i].Atom
+		for j := 0; j < n; j++ {
+			aj := m.Basis.Funcs[j].Atom
+			h1.Add(i, j, 0.5*m.S.At(i, j)*(v1[ai]+v1[aj]))
+		}
+	}
+}
+
+// refPolarizability is γ-mode Polarizability over the reference kernels: the
+// same mixing ladder, cycle, mixing and convergence test, no environment.
+func refPolarizability(m *scf.Model, ground *scf.Result, opt Options) (*Response, error) {
+	n := m.Basis.Size()
+	resp := &Response{}
+	for dir := 0; dir < 3; dir++ {
+		var p1 *linalg.Matrix
+		var cycles int
+		converged := false
+		for _, scale := range []float64{1, 0.5, 0.25, 0.1} {
+			mixing := opt.Mixing * scale
+			maxIter := min(int(float64(opt.MaxIter)/scale), 3*opt.MaxIter)
+			p1 = linalg.NewMatrix(n, n)
+			if init := opt.InitP1[dir]; init != nil && init.Rows == n {
+				p1.CopyFrom(init)
+			}
+			h1 := linalg.NewMatrix(n, n)
+		cycle:
+			for cycles = 1; cycles <= maxIter; cycles++ {
+				h1.CopyFrom(m.Dip[dir])
+				refAddGammaResponse(m, p1, h1)
+				newP1 := refResponseDensity(m, ground, h1, ground.Sigma)
+				var maxDelta float64
+				for i, v := range newP1.Data {
+					d := math.Abs(v - p1.Data[i])
+					if d > maxDelta {
+						maxDelta = d
+					}
+					if math.IsNaN(d) {
+						break cycle
+					}
+					p1.Data[i] = (1-mixing)*p1.Data[i] + mixing*v
+				}
+				if maxDelta > 1e12 {
+					break
+				}
+				if maxDelta < opt.Tol {
+					converged = true
+					break
+				}
+			}
+			if converged {
+				resp.MixingUsed = mixing
+				break
+			}
+		}
+		if !converged {
+			return nil, fmt.Errorf("reference response: direction %d did not converge", dir)
+		}
+		resp.P1[dir] = p1
+		resp.Cycles += cycles
+		for i := 0; i < 3; i++ {
+			resp.Alpha[i][dir] = -traceProduct(p1, m.Dip[i])
+		}
+	}
+	return resp, nil
+}
+
+// systemModel builds the SCF model of a whole generated system and solves its
+// ground state at the given smearing.
+func systemModel(t testing.TB, sys *structure.System, smearing float64) (*scf.Model, *scf.Result) {
+	t.Helper()
+	els := make([]constants.Element, len(sys.Atoms))
+	pos := make([]geom.Vec3, len(sys.Atoms))
+	for i, a := range sys.Atoms {
+		els[i], pos[i] = a.El, a.Pos
+	}
+	m, err := scf.NewModel(els, pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := scf.DefaultOptions()
+	opt.Smearing = smearing
+	res, err := m.SolveSCF(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, res
+}
+
+// glycineModel is a free glycine (10 atoms, 25 basis functions, 15 occupied)
+// — the size of pep-solv's capped-residue fragments.
+func glycineModel(t testing.TB) (*scf.Model, *scf.Result) {
+	t.Helper()
+	sys, err := structure.BuildProtein("G")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return systemModel(t, sys, scf.DefaultOptions().Smearing)
+}
+
+func bitEqualMatrix(a, b *linalg.Matrix) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Float64bits(v) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestGammaResponseMatchesReference: the environment path — invariants
+// hoisted, weights precomputed, buffers reused, GEMMs bound, the direct kernel
+// on fragment-sized products — returns the same bits as the straight-line
+// reference: every P⁽¹⁾, α, the cycle count and the mixing rung, on gapped and
+// fractional ground states, cold and warm-started, at kernel widths 1 and 4.
+func TestGammaResponseMatchesReference(t *testing.T) {
+	defer par.SetBudget(0)
+	type fixture struct {
+		name   string
+		m      *scf.Model
+		ground *scf.Result
+		gapped bool
+	}
+	var fixtures []fixture
+	add := func(name string, m *scf.Model, ground *scf.Result, gapped bool) {
+		fixtures = append(fixtures, fixture{name, m, ground, gapped})
+	}
+	m, res := waterModel(t)
+	add("water", m, res, true)
+	m, res = systemModel(t, structure.BuildWaterDimerSystem(1), scf.DefaultOptions().Smearing)
+	add("water dimer", m, res, true)
+	m, res = methaneModel(t)
+	add("methane", m, res, true)
+	m, res = glycineModel(t)
+	add("glycine", m, res, true)
+	// Raised smearing puts frontier occupations strictly between 0 and 2.
+	m, res = systemModel(t, structure.BuildWaterDimerSystem(1), 0.05)
+	add("water dimer σ=0.05", m, res, false)
+
+	for _, fx := range fixtures {
+		if got := newCycleEnv(fx.m, fx.ground, nil).gapped; got != fx.gapped {
+			t.Fatalf("%s: environment chose gapped=%v, fixture is meant to be gapped=%v (occupations %v)",
+				fx.name, got, fx.gapped, fx.ground.Occ)
+		}
+		opt := DefaultOptions()
+		var warm [3]*linalg.Matrix
+		for _, start := range []string{"cold", "warm"} {
+			opt.InitP1 = warm
+			want, err := refPolarizability(fx.m, fx.ground, opt)
+			if err != nil {
+				t.Fatalf("%s %s: %v", fx.name, start, err)
+			}
+			for _, width := range []int{1, 4} {
+				par.SetBudget(width)
+				got, err := Polarizability(fx.m, fx.ground, opt)
+				if err != nil {
+					t.Fatalf("%s %s width %d: %v", fx.name, start, width, err)
+				}
+				for d := 0; d < 3; d++ {
+					if !bitEqualMatrix(got.P1[d], want.P1[d]) {
+						t.Errorf("%s %s width %d: P1[%d] differs from the reference (max |Δ| %g)",
+							fx.name, start, width, d, got.P1[d].MaxAbsDiff(want.P1[d]))
+					}
+					for i := 0; i < 3; i++ {
+						if math.Float64bits(got.Alpha[i][d]) != math.Float64bits(want.Alpha[i][d]) {
+							t.Errorf("%s %s width %d: α[%d][%d] = %x, reference %x", fx.name, start, width, i, d,
+								math.Float64bits(got.Alpha[i][d]), math.Float64bits(want.Alpha[i][d]))
+						}
+					}
+				}
+				if got.Cycles != want.Cycles || got.MixingUsed != want.MixingUsed {
+					t.Errorf("%s %s width %d: %d cycles at mixing %g, reference %d at %g",
+						fx.name, start, width, got.Cycles, got.MixingUsed, want.Cycles, want.MixingUsed)
+				}
+			}
+			// The warm pass starts every direction from a perturbed converged
+			// response, like a displaced geometry starts from its reference's.
+			for d := range warm {
+				warm[d] = want.P1[d].Clone()
+				warm[d].Scale(1 + 1e-3)
+			}
+		}
+	}
+}
+
+// TestWrongShapedInitP1Ignored: a warm start is taken only when both
+// dimensions fit; anything else starts cold, never half-copied.
+func TestWrongShapedInitP1Ignored(t *testing.T) {
+	m, res := waterModel(t)
+	cold, err := Polarizability(m, res, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := m.Basis.Size()
+	for _, shape := range [][2]int{{n, n + 1}, {n, n - 1}, {n + 1, n}, {1, 1}} {
+		opt := DefaultOptions()
+		bad := linalg.NewMatrix(shape[0], shape[1])
+		for i := range bad.Data {
+			bad.Data[i] = 1
+		}
+		opt.InitP1 = [3]*linalg.Matrix{bad, bad, bad}
+		got, err := Polarizability(m, res, opt)
+		if err != nil {
+			t.Fatalf("InitP1 %dx%d: %v", shape[0], shape[1], err)
+		}
+		if got.Alpha != cold.Alpha || got.Cycles != cold.Cycles {
+			t.Errorf("InitP1 %dx%d changed the solve: %d cycles, cold start %d", shape[0], shape[1], got.Cycles, cold.Cycles)
+		}
+	}
+}
+
+// TestGammaCycleAllocationCeiling: the environment owns every buffer and
+// bound GEMM of the γ cycle, so a steady-state cycle — response Hamiltonian,
+// P⁽¹⁾ build, mixing — allocates nothing, on either kernel side of the GEMM
+// crossover and for either phase-1 variant.
+func TestGammaCycleAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	defer par.SetBudget(0)
+	par.SetBudget(1)
+	for _, fx := range gammaCycleFixtures(t) {
+		env := newCycleEnv(fx.m, fx.ground, nil)
+		if allocs := testing.AllocsPerRun(20, func() { env.gammaCycle(fx.m.Dip[0], 0.3) }); allocs != 0 {
+			t.Errorf("%s: one γ cycle allocates %v objects, want 0", fx.name, allocs)
+		}
+	}
+}
+
+type cycleFixture struct {
+	name   string
+	m      *scf.Model
+	ground *scf.Result
+}
+
+// gammaCycleFixtures are the three fragment sizes of the γ-mode workloads
+// (6, 12 and 25 basis functions) plus a fractional ground state.
+func gammaCycleFixtures(t testing.TB) []cycleFixture {
+	wm, wres := benchModel(t)
+	dm, dres := systemModel(t, structure.BuildWaterDimerSystem(1), scf.DefaultOptions().Smearing)
+	gm, gres := glycineModel(t)
+	fm, fres := systemModel(t, structure.BuildWaterDimerSystem(1), 0.05)
+	return []cycleFixture{{"water", wm, wres}, {"dimer", dm, dres}, {"glycine", gm, gres}, {"dimer-fractional", fm, fres}}
+}
+
+// gammaCycle is one untimed γ-mode cycle of respond on the environment's
+// current p1.
+func (e *cycleEnv) gammaCycle(hExt *linalg.Matrix, mixing float64) {
+	e.h1.CopyFrom(hExt)
+	e.addGammaResponse()
+	e.responseDensity()
+	e.mix(mixing)
+}

@@ -1,13 +1,18 @@
 package hessian
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"qframan/internal/constants"
+	"qframan/internal/dfpt"
+	"qframan/internal/faults"
 	"qframan/internal/fragment"
 	"qframan/internal/geom"
 	"qframan/internal/linalg"
+	"qframan/internal/scf"
 	"qframan/internal/structure"
 )
 
@@ -258,5 +263,56 @@ func TestAssembleValidation(t *testing.T) {
 	}
 	if _, err := Assemble(dec, waterMassesAMU(), []*FragmentData{nil}, false); err == nil {
 		t.Fatal("accepted nil fragment data")
+	}
+}
+
+// TestNonConvergenceIsTypedThroughWrapping: every way the SCF and DFPT loops
+// give up reaches the caller of the displacement loop as a sentinel errors.Is
+// finds through this package's wrapping, and classifies Deterministic — the
+// runtime escalates the smearing rung or drops the fragment, it never retries.
+func TestNonConvergenceIsTypedThroughWrapping(t *testing.T) {
+	m, err := ModelForFragmentNoCal(waterFragment())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := m.Basis.Size()
+	filled := func(v float64) [3]*linalg.Matrix {
+		p := linalg.NewMatrix(n, n)
+		for i := range p.Data {
+			p.Data[i] = v
+		}
+		return [3]*linalg.Matrix{p, p, p}
+	}
+	for _, tc := range []struct {
+		name string
+		set  func(*JobOptions)
+		want error
+		text string
+	}{
+		{"scf iterations", func(o *JobOptions) { o.SCF.MaxIter = 2 }, scf.ErrNotConverged,
+			"scf: not converged after 2 iterations"},
+		{"dfpt iterations", func(o *JobOptions) { o.DFPT.MaxIter, o.DFPT.Tol = 1, 1e-300 }, dfpt.ErrNotConverged,
+			"dfpt: cycle not converged after 3 iterations"},
+		{"dfpt NaN", func(o *JobOptions) { o.DFPT.InitP1 = filled(math.NaN()) }, dfpt.ErrDiverged,
+			"dfpt: response diverged (NaN) at cycle 1"},
+		{"dfpt growth", func(o *JobOptions) { o.DFPT.InitP1 = filled(1e200) }, dfpt.ErrDiverged,
+			"dfpt: response diverged (|ΔP1| = "},
+	} {
+		opt := DefaultJobOptions()
+		tc.set(&opt)
+		_, runErr := RunDisplacement(m, 0, 0, 1, opt)
+		_, _, _, refErr := SolveReference(m, opt)
+		for _, err := range []error{runErr, refErr} {
+			if !errors.Is(err, tc.want) {
+				t.Errorf("%s: got %v, want it to wrap %v", tc.name, err, tc.want)
+				continue
+			}
+			if !strings.HasPrefix(err.Error(), "hessian: ") || !strings.Contains(err.Error(), tc.text) {
+				t.Errorf("%s: message %q lost the wrapping or the engine's text %q", tc.name, err, tc.text)
+			}
+			if faults.Classify(err) != faults.Deterministic {
+				t.Errorf("%s: %v classified as retryable", tc.name, err)
+			}
+		}
 	}
 }

@@ -113,6 +113,7 @@ func transposePairOf(i, j *GemmCall) bool {
 // a time.
 type BatchPlan struct {
 	calls  []GemmCall
+	ops    []GemmOp // calls[i] resolved (shapes, kernel); skipped calls never run theirs
 	groups []batchGroup
 	skips  []transposeSkip
 	flops  int64 // of the executed (non-skipped) calls
@@ -133,16 +134,11 @@ type transposeSkip struct{ dst, src int }
 // disagree or whose C has the wrong shape panics here, on the caller's
 // goroutine, like Gemm — not later inside a kernel worker.
 func PlanBatch(calls []GemmCall) *BatchPlan {
-	p := &BatchPlan{calls: append([]GemmCall(nil), calls...)}
+	p := &BatchPlan{calls: append([]GemmCall(nil), calls...), ops: make([]GemmOp, len(calls))}
 	calls = p.calls
 	for i := range calls {
 		c := &calls[i]
-		m, k, n := c.Shape()
-		bk := c.B.Rows
-		if c.TransB {
-			bk = c.B.Cols
-		}
-		if k != bk || c.C.Rows != m || c.C.Cols != n {
+		if !p.ops[i].set(c.TransA, c.TransB, c.Alpha, c.A, c.B, c.Beta, c.C) {
 			panic(fmt.Sprintf("linalg: Gemm shape mismatch in batch call %d", i))
 		}
 	}
@@ -175,15 +171,14 @@ func PlanBatch(calls []GemmCall) *BatchPlan {
 		p.groups[gi].idx = append(p.groups[gi].idx, i)
 	}
 	for gi := range p.groups {
-		// Each call runs at its true shape with the inline blocked kernel —
-		// parallelism comes from fanning across batch members, so profiling
-		// sees one flat "gemm_batch" region per class with no nested kernels.
+		// Each call runs at its true shape on one worker, with the kernel its
+		// shape selects — parallelism comes from fanning across batch members,
+		// so profiling sees one flat "gemm_batch" region per class with no
+		// nested kernels.
 		idx := p.groups[gi].idx
 		p.groups[gi].body = func(_, lo, hi int) {
 			for _, i := range idx[lo:hi] {
-				c := &calls[i]
-				m, k, n := c.Shape()
-				gemmBlocked(c.TransA, c.TransB, c.Alpha, c.A, c.B, c.Beta, c.C, m, k, n, "", true)
+				p.ops[i].inline()
 			}
 		}
 	}

@@ -23,7 +23,9 @@ import (
 //
 // A non-zero mismatch%4 instead corrupts one call (inner dimension, C rows
 // or C columns) and checks the fourth invariant: the list is refused at plan
-// time, by a panic on this goroutine, before any C byte changes.
+// time, by a panic on this goroutine, before any C byte changes. Bit 2 of
+// mismatch keeps every dimension at most 12, so the whole batch sits below the
+// direct/blocked kernel crossover.
 func FuzzGemmBatch(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(0))
 	f.Add(int64(7), uint8(8), uint8(0))
@@ -32,12 +34,17 @@ func FuzzGemmBatch(f *testing.F) {
 	f.Add(int64(5), uint8(6), uint8(1))
 	f.Add(int64(5), uint8(6), uint8(2))
 	f.Add(int64(5), uint8(6), uint8(3))
+	f.Add(int64(11), uint8(10), uint8(4))
+	f.Add(int64(-3), uint8(20), uint8(4))
 	f.Fuzz(func(t *testing.T, seed int64, nCalls uint8, mismatch uint8) {
 		if nCalls == 0 || nCalls > 24 {
 			t.Skip()
 		}
 		rng := rand.New(rand.NewSource(seed))
 		dim := func() int {
+			if mismatch&4 != 0 {
+				return 1 + rng.Intn(12)
+			}
 			// Bias toward micro-tile and padding boundaries.
 			edges := []int{1, 2, 3, 4, 5, 7, 8, 31, 32, 33, 40, 64, 65}
 			if rng.Intn(2) == 0 {

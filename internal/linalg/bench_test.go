@@ -1,8 +1,11 @@
 package linalg
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"qframan/internal/par"
 )
 
 // Benchmark shapes mirror the engine's hot spots: grid-batch GEMMs
@@ -24,6 +27,63 @@ func benchmarkGemm(b *testing.B, m, k, n int) {
 func BenchmarkGemm_GridBatch(b *testing.B)  { benchmarkGemm(b, 216, 40, 40) }
 func BenchmarkGemm_Square128(b *testing.B)  { benchmarkGemm(b, 128, 128, 128) }
 func BenchmarkGemm_TallSkinny(b *testing.B) { benchmarkGemm(b, 1000, 32, 32) }
+
+// BenchmarkGemm_Fragment is the crossover ladder behind gemmDirectShape: every
+// shape runs through one bound op with each kernel forced in turn, at width
+// 1. Squares bracket the threshold; the named groups are the four products of
+// one P⁽¹⁾ build (nv×n·n×n, nv×n·n×no, n×nv·nv×no, n×no·no×n) on water, the
+// water dimer and capped glycine, and grid-2w's per-batch pair.
+func BenchmarkGemm_Fragment(b *testing.B) {
+	defer par.SetBudget(0)
+	par.SetBudget(1)
+	type shape struct {
+		name           string
+		transA, transB bool
+		m, k, n        int
+	}
+	var shapes []shape
+	for _, n := range []int{6, 12, 24, 36, 48} {
+		shapes = append(shapes, shape{fmt.Sprintf("sq%d", n), false, false, n, n, n})
+	}
+	for _, f := range []struct {
+		name      string
+		n, no, nv int
+	}{{"water", 6, 4, 2}, {"dimer", 12, 8, 4}, {"glycine", 25, 15, 10}} {
+		shapes = append(shapes,
+			shape{f.name + "_tn", true, false, f.nv, f.n, f.n},
+			shape{f.name + "_nn1", false, false, f.nv, f.n, f.no},
+			shape{f.name + "_nn2", false, false, f.n, f.nv, f.no},
+			shape{f.name + "_nt", false, true, f.n, f.no, f.n})
+	}
+	shapes = append(shapes,
+		shape{"grid_nn", false, false, 216, 6, 6},
+		shape{"grid_tn", true, false, 6, 216, 6})
+	rng := rand.New(rand.NewSource(1))
+	for _, sh := range shapes {
+		ar, ac := sh.m, sh.k
+		if sh.transA {
+			ar, ac = ac, ar
+		}
+		br, bc := sh.k, sh.n
+		if sh.transB {
+			br, bc = bc, br
+		}
+		op := BindGemm(sh.transA, sh.transB, 1, randomMatrix(rng, ar, ac), randomMatrix(rng, br, bc), 0, NewMatrix(sh.m, sh.n))
+		for _, direct := range []bool{true, false} {
+			kernel := "blocked"
+			if direct {
+				kernel = "direct"
+			}
+			b.Run(fmt.Sprintf("%s_%dx%dx%d/%s", sh.name, sh.m, sh.k, sh.n, kernel), func(b *testing.B) {
+				op.direct = direct
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					op.Run()
+				}
+			})
+		}
+	}
+}
 
 func BenchmarkEigSym(b *testing.B) {
 	for _, n := range []int{32, 64, 128} {

@@ -74,34 +74,158 @@ func gemmParName(transA, transB bool) string {
 	}
 }
 
-// Gemm computes C = alpha·op(A)·op(B) + beta·C where op is identity or
-// transpose according to transA/transB. Shapes are validated against C.
-// All four trans cases run the packed blocked kernel (block.go): op(A) and
-// op(B) are packed into 4×4 micro-tile panels and each output element
-// accumulates its k terms in ascending order in a single chain, so results
-// are bit-identical at any kernel width, through the batch path, and to the
-// naive triple-loop reference. Row-panel chunks shard across the par pool
-// and double as cache tiles.
-func Gemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix, ops *Ops) {
-	am, ak := a.Rows, a.Cols
-	if transA {
-		am, ak = a.Cols, a.Rows
-	}
-	bk, bn := b.Rows, b.Cols
-	if transB {
-		bk, bn = b.Cols, b.Rows
-	}
-	if ak != bk || c.Rows != am || c.Cols != bn {
+// gemmDirectShape reports whether a GEMM of shape (m×k)·(k×n) runs the direct
+// kernel (block.go: gemmDirect) instead of the packed blocked one. Pure
+// function of the shape — never of width, budget or caller — and since both
+// kernels produce the same bits, a performance decision only. The threshold is
+// the crossover of BenchmarkGemm_Fragment at width 1 (EXPERIMENTS.md, "GEMM
+// crossover ladder"): below 20³ multiply-adds the direct kernel is 5–30 %
+// faster on squares and 1.2–4× on the nv×n·n×no products of water, dimer and
+// glycine fragments; from 22³ up packing pays for itself (24³: blocked 10–25 %
+// faster, 31³: 1.4×).
+func gemmDirectShape(m, k, n int) bool { return m*k*n <= 20*20*20 }
+
+// GemmOp is one GEMM, C = alpha·op(A)·op(B) + beta·C, with everything that
+// does not depend on the operands' values resolved once: the shapes validated
+// against C, the kernel chosen from (m, k, n), the par region's name and chunk
+// layout fixed and its bodies bound — so Run allocates nothing. Between runs
+// callers change what A, B and C hold, never which matrices the op names.
+// Gemm is the one-shot form; the batch plan runs its members through the same
+// type. One Run at a time.
+//
+// Both kernels (block.go) accumulate each output element's k terms in
+// ascending order in a single chain, so results are bit-identical at any
+// kernel width, through the batch path, between the kernels, and to the naive
+// triple-loop reference. Row-panel chunks shard across the par pool and
+// double as cache tiles.
+type GemmOp struct {
+	transA, transB bool
+	alpha, beta    float64
+	a, b, c        *Matrix
+	m, k, n        int
+
+	direct bool // gemmDirectShape(m, k, n)
+	// syrk: op(A)·op(A)ᵀ with beta == 0 has an exactly symmetric result, so
+	// only the lower triangle is computed and then mirrored. (With beta ≠ 0
+	// the old C may be asymmetric, so the full product is computed.)
+	syrk bool
+	name string // par region, per trans case
+	// A chunk owns whole mr-row panels, so tile boundaries — and with them
+	// every accumulator chain — are identical at any width.
+	panels, minPanels int
+	bp                []float64 // blocked kernel: op(B) packed for the Run in progress
+	body, mirror      func(chunk, lo, hi int)
+}
+
+// BindGemm validates the shapes of C = alpha·op(A)·op(B) + beta·C, where op
+// is identity or transpose according to transA/transB, and returns the bound
+// op. A mismatch panics.
+func BindGemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix) *GemmOp {
+	g := new(GemmOp)
+	if !g.set(transA, transB, alpha, a, b, beta, c) {
 		panic("linalg: Gemm shape mismatch")
 	}
+	g.body = g.runPanels
+	if g.syrk {
+		g.mirror = g.mirrorPanels
+	}
+	return g
+}
+
+// set resolves everything but the region bodies (the batch plan runs its
+// members inline and needs none); false means the shapes disagree.
+func (g *GemmOp) set(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix) bool {
+	m, k := a.Rows, a.Cols
+	if transA {
+		m, k = k, m
+	}
+	bk, n := b.Rows, b.Cols
+	if transB {
+		bk, n = n, bk
+	}
+	if k != bk || c.Rows != m || c.Cols != n {
+		return false
+	}
+	*g = GemmOp{
+		transA: transA, transB: transB, alpha: alpha, beta: beta,
+		a: a, b: b, c: c, m: m, k: k, n: n,
+		direct:    gemmDirectShape(m, k, n),
+		syrk:      syrkCandidate(transA, transB, a, b) && beta == 0 && m == n,
+		name:      gemmParName(transA, transB),
+		panels:    (m + mr - 1) / mr,
+		minPanels: 1 + gemmMinRows(k, n)/mr,
+	}
+	return true
+}
+
+// Run computes C from the operands' current contents; it counts nothing.
+func (g *GemmOp) Run() {
+	if g.m == 0 || g.n == 0 {
+		return
+	}
+	buf := g.packB()
+	par.ForChunks(g.name, g.panels, g.minPanels, g.body)
+	if g.syrk {
+		par.ForChunks(g.name, g.panels, g.minPanels, g.mirror)
+	}
+	g.unpackB(buf)
+}
+
+// inline is Run on the caller alone, with no par region — for the batch
+// plan, which parallelizes across its members instead.
+func (g *GemmOp) inline() {
+	if g.m == 0 || g.n == 0 {
+		return
+	}
+	buf := g.packB()
+	g.runPanels(0, 0, g.panels)
+	if g.syrk {
+		mirrorLower(g.c, 0, g.m)
+	}
+	g.unpackB(buf)
+}
+
+// packB packs op(B) once for all panels of a blocked run; the direct kernel
+// reads B in place and touches no pool.
+func (g *GemmOp) packB() *[]float64 {
+	if g.direct {
+		return nil
+	}
+	buf := getPack(g.k * nr * ((g.n + nr - 1) / nr))
+	packOpB(g.transB, g.b, g.k, g.n, *buf)
+	g.bp = *buf
+	return buf
+}
+
+func (g *GemmOp) unpackB(buf *[]float64) {
+	if buf != nil {
+		g.bp = nil
+		putPack(buf)
+	}
+}
+
+func (g *GemmOp) runPanels(_, lo, hi int) {
+	if g.direct {
+		gemmDirect(g.transA, g.transB, g.alpha, g.a, g.b, g.beta, g.c, g.m, g.k, g.n, lo, hi, g.syrk)
+	} else {
+		gemmPanels(g.transA, g.alpha, g.a, g.bp, g.beta, g.c, g.m, g.k, g.n, lo, hi, g.syrk)
+	}
+}
+
+func (g *GemmOp) mirrorPanels(_, lo, hi int) {
+	mirrorLower(g.c, lo*mr, min(hi*mr, g.m))
+}
+
+// Gemm computes C = alpha·op(A)·op(B) + beta·C once: BindGemm, the Ops
+// accounting, Run.
+func Gemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix, ops *Ops) {
+	g := BindGemm(transA, transB, alpha, a, b, beta, c)
 	if ops == nil {
 		ops = &DefaultOps
 	}
 	ops.GEMMCalls.Add(1)
-	ops.FLOPs.Add(GemmFLOPs(am, ak, bn))
-
-	gemmBlocked(transA, transB, alpha, a, b, beta, c, am, ak, bn,
-		gemmParName(transA, transB), false)
+	ops.FLOPs.Add(GemmFLOPs(g.m, g.k, g.n))
+	g.Run()
 }
 
 // MatMul returns op(A)·op(B) as a new matrix (alpha=1, beta=0).

@@ -1,31 +1,32 @@
 package linalg
 
-import (
-	"sync"
+import "sync"
 
-	"qframan/internal/par"
-)
-
-// This file implements the SIMD-friendly blocked GEMM kernel behind both the
-// direct Gemm entry point and the batch plan (paper §V-C, batch.go): op(A)
-// and op(B) are packed into register-tile panels (zero-padded to the 4×4
-// micro-tile), the micro-kernel accumulates a 4×4 block of C in sixteen
+// This file implements the two GEMM kernels behind GemmOp (blas.go) — and
+// with it behind Gemm and the batch plan (paper §V-C, batch.go). The blocked
+// kernel packs op(A) and op(B) into register-tile panels (zero-padded to the
+// 4×2 micro-tile); its micro-kernel accumulates a 4×2 block of C in eight
 // independent scalar chains (the ILP a superscalar core — or a compiler's
 // vectorizer — needs), and the write-back masks the padded tails so they can
-// never leak into C.
+// never leak into C. The direct kernel (gemmDirect) runs 2×2 tiles of the same
+// chains straight from A and B through strides — no pack buffers, no pool —
+// for operands so small that packing costs more than the product; a pure
+// function of the shape (gemmDirectShape) chooses between the two.
 //
-// # Bit-determinism of the blocked kernel
+// # Bit-determinism of both kernels
 //
 // Every output element C[i,j] is produced by exactly one accumulator whose k
 // terms are added in ascending order, then combined as alpha·s + beta·C[i,j]
 // (beta == 0 omits the C term entirely, per BLAS convention). Because each
 // element's chain is independent, *any* loop blocking over i and j — tiles,
-// panels, row chunks, batch grouping — yields bit-identical results; and
-// because zero-padded tail rows/columns are discarded by the masked
-// write-back while k is never padded, padding cannot perturb bits either.
-// This is what makes blocked == unblocked == batched == the naive
-// triple-loop reference (gemmref), exactly, and keeps the PR 4 width/batch
-// invariance contract intact.
+// panels, row chunks, batch grouping — yields bit-identical results; because
+// zero-padded tail rows/columns are discarded by the masked write-back while
+// k is never padded, padding cannot perturb bits either; and because a chain
+// does not care whether its operands were read from a pack buffer or from the
+// matrices themselves, packed == direct. This is what makes blocked ==
+// direct == unblocked == batched == the naive triple-loop reference
+// (gemmref), exactly, and keeps the PR 4 width/batch invariance contract
+// intact.
 
 const (
 	// mr×nr is the register micro-tile: 8 independent accumulator chains.
@@ -275,10 +276,69 @@ func microTile(ap, bp []float64, k int, c *Matrix, i0, j0, m, n int, alpha, beta
 	}
 }
 
+// gemmDirect runs row panels [p0, p1) of C = alpha·op(A)·op(B) + beta·C
+// straight from A and B: op(A)[i,kk] and op(B)[kk,j] are read through strides
+// (which is all a trans flag is), a 2×2 tile of C accumulates in four
+// k-ascending chains, and nothing is packed or pooled. The small tile is the
+// point: it fits the two-row operands of a water fragment without padding and
+// keeps operands, indices and bounds in registers. A tile hanging over the edge
+// of C aliases its missing row or column to its real one; that chain is
+// computed and never stored. onlyLower as in gemmPanels.
+func gemmDirect(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix, m, k, n, p0, p1 int, onlyLower bool) {
+	ad, ai, ak := a.Data, a.Cols, 1 // op(A)[i,kk] = ad[i*ai+kk*ak]
+	if transA {
+		ai, ak = 1, a.Cols
+	}
+	bd, bk, bj := b.Data, b.Cols, 1 // op(B)[kk,j] = bd[kk*bk+j*bj]
+	if transB {
+		bk, bj = 1, b.Cols
+	}
+	cd, ld := c.Data, c.Cols
+	for i := p0 * mr; i < min(p1*mr, m); i += 2 {
+		i1 := min(i+1, m-1)
+		for j := 0; j < n; j += 2 {
+			if onlyLower && j > i1 {
+				break // strictly above the diagonal: produced by mirroring
+			}
+			j1 := min(j+1, n-1)
+			a0, a1, b0, b1 := i*ai, i1*ai, j*bj, j1*bj
+			var c00, c01, c10, c11 float64
+			for kk := 0; kk < k; kk++ {
+				x0, x1, y0, y1 := ad[a0], ad[a1], bd[b0], bd[b1]
+				c00 += x0 * y0
+				c01 += x0 * y1
+				c10 += x1 * y0
+				c11 += x1 * y1
+				a0, a1, b0, b1 = a0+ak, a1+ak, b0+bk, b1+bk
+			}
+			axpby(alpha, c00, beta, &cd[i*ld+j])
+			if j1 > j {
+				axpby(alpha, c01, beta, &cd[i*ld+j1])
+			}
+			if i1 > i {
+				axpby(alpha, c10, beta, &cd[i1*ld+j])
+				if j1 > j {
+					axpby(alpha, c11, beta, &cd[i1*ld+j1])
+				}
+			}
+		}
+	}
+}
+
+// axpby is the write-back of one element: C = alpha·s + beta·C, where
+// beta == 0 never reads C.
+func axpby(alpha, s, beta float64, c *float64) {
+	if beta == 0 {
+		*c = alpha * s
+	} else {
+		*c = alpha*s + beta**c
+	}
+}
+
 // gemmPanels runs the blocked kernel over row panels [p0, p1) against the
 // packed op(B) buffer bp. onlyLower, when true, computes only the tiles on or
 // below the diagonal and mirrors them — the symmetry-aware strength reduction
-// for C = op(A)·op(A)ᵀ products (see gemmBlocked).
+// for C = op(A)·op(A)ᵀ products (see GemmOp).
 func gemmPanels(transA bool, alpha float64, a *Matrix, bp []float64, beta float64, c *Matrix, m, k, n, p0, p1 int, onlyLower bool) {
 	apBuf := getPack(k * mr)
 	defer putPack(apBuf)
@@ -314,47 +374,4 @@ func mirrorLower(c *Matrix, r0, r1 int) {
 // C — the pattern whose output is exactly symmetric, enabling half-compute.
 func syrkCandidate(transA, transB bool, a, b *Matrix) bool {
 	return a == b && transA != transB
-}
-
-// gemmBlocked is the shared blocked implementation: C = alpha·op(A)·op(B) +
-// beta·C. parName labels the par region; inline — used by the batch plan,
-// which parallelizes across batch members instead — runs everything on the
-// caller. Shapes must have been validated by the caller.
-func gemmBlocked(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix, m, k, n int, parName string, inline bool) {
-	if m == 0 || n == 0 {
-		return
-	}
-	bpBuf := getPack(k * nr * ((n + nr - 1) / nr))
-	defer putPack(bpBuf)
-	bp := *bpBuf
-	packOpB(transB, b, k, n, bp)
-
-	// op(A)·op(A)ᵀ with beta == 0 has an exactly symmetric result: compute
-	// the lower triangle and mirror. (With beta ≠ 0 the old C may be
-	// asymmetric, so the full product is computed.)
-	syrk := syrkCandidate(transA, transB, a, b) && beta == 0 && m == n
-
-	panels := (m + mr - 1) / mr
-	if inline {
-		gemmPanels(transA, alpha, a, bp, beta, c, m, k, n, 0, panels, syrk)
-		if syrk {
-			mirrorLower(c, 0, m)
-		}
-		return
-	}
-	// A chunk owns whole panels, so tile boundaries — and with them every
-	// accumulator chain — are identical at any width.
-	minPanels := 1 + gemmMinRows(k, n)/mr
-	par.For(parName, panels, minPanels, func(lo, hi int) {
-		gemmPanels(transA, alpha, a, bp, beta, c, m, k, n, lo, hi, syrk)
-	})
-	if syrk {
-		par.For(parName, panels, minPanels, func(lo, hi int) {
-			r1 := hi * mr
-			if r1 > m {
-				r1 = m
-			}
-			mirrorLower(c, lo*mr, r1)
-		})
-	}
 }

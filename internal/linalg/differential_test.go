@@ -9,10 +9,11 @@ import (
 	"qframan/internal/linalg/gemmref"
 )
 
-// The differential harness: the packed blocked kernel (and the batch path
-// built on it) must reproduce the naive triple-loop reference bit for bit —
-// not approximately — for every trans case, over ragged shapes from 1×1 up
-// through sizes straddling the micro-tile and 32-padding boundaries.
+// The differential harness: both GEMM kernels (and the batch path built on
+// them) must reproduce the naive triple-loop reference bit for bit — not
+// approximately — for every trans case, over ragged shapes from 1×1 up through
+// sizes straddling the micro-tiles, the direct/blocked crossover (m·k·n =
+// 20³) and the 32-padding boundaries.
 
 // fillMat populates a matrix with a mix of magnitudes, signs, and exact
 // values (0, powers of two) so bit-level discrepancies have terms to bite on.
@@ -52,11 +53,17 @@ func refGemm(transA, transB bool, alpha float64, a, b *linalg.Matrix, beta float
 		c.Data, c.Rows, c.Cols)
 }
 
-// diffShapes is the ragged-shape sweep: 1×1, degenerate edges, shapes around
-// the 4×2 register tile, and odd sizes straddling the 32-padding boundary
-// (31/32/33) plus a grid-batch-like tall-skinny case.
+// diffShapes is the ragged-shape sweep: 1×1, degenerate edges (k = 0 and 1),
+// shapes around the 2×2 and 4×2 register tiles, the fragment products (2×6×6,
+// 6×4×6, 10×25×25), pairs one step either side of the kernel crossover
+// (20·20·20 = 25·16·20 = 8000 direct; 20·20·21, 25·16·21 blocked), and odd
+// sizes straddling the 32-padding boundary (31/32/33) plus a grid-batch-like
+// tall-skinny case.
 var diffShapes = [][3]int{
-	{1, 1, 1}, {1, 5, 1}, {5, 1, 3}, {2, 3, 1},
+	{1, 1, 1}, {1, 5, 1}, {5, 1, 3}, {2, 3, 1}, {5, 0, 3}, {4, 0, 4}, {6, 1, 6},
+	{2, 6, 6}, {6, 4, 6}, {10, 25, 25},
+	{20, 20, 20}, {20, 20, 21}, {19, 21, 20}, {21, 20, 20}, {25, 16, 20}, {25, 16, 21},
+	{6, 216, 6}, {216, 6, 6}, {217, 6, 7},
 	{3, 4, 2}, {4, 4, 4}, {5, 7, 3}, {7, 5, 9},
 	{8, 8, 8}, {9, 2, 11}, {13, 17, 6},
 	{31, 31, 31}, {32, 32, 32}, {33, 33, 33},
@@ -69,7 +76,12 @@ var diffShapes = [][3]int{
 // naive reference.
 func TestGemmMatchesReferenceBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	alphaBetas := [][2]float64{{1, 0}, {-0.5, 0}, {1, 1}, {2.25, -1.5}, {0, 0.5}}
+	alphaBetas := [][2]float64{{2.25, -1.5}, {0, 0.5}}
+	for _, alpha := range []float64{0, 1, -0.5} {
+		for _, beta := range []float64{0, 1, -0.5} {
+			alphaBetas = append(alphaBetas, [2]float64{alpha, beta})
+		}
+	}
 	for _, sh := range diffShapes {
 		m, k, n := sh[0], sh[1], sh[2]
 		for ti, tc := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
@@ -109,7 +121,9 @@ func TestGemmMatchesReferenceBitwise(t *testing.T) {
 // including the mirrored upper triangle.
 func TestGemmSyrkPathMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for _, sh := range [][2]int{{1, 1}, {3, 5}, {7, 2}, {31, 9}, {33, 40}, {64, 17}} {
+	// 28·10·28 and 20·20·20 run the direct kernel, 29·10·29 and 21·19·21 the
+	// blocked one; odd m exercises both kernels' diagonal tiles.
+	for _, sh := range [][2]int{{1, 1}, {3, 5}, {7, 2}, {20, 20}, {21, 19}, {28, 10}, {29, 10}, {31, 9}, {33, 40}, {64, 17}} {
 		m, k := sh[0], sh[1]
 		for _, tc := range [][2]bool{{false, true}, {true, false}} {
 			transA, transB := tc[0], tc[1]

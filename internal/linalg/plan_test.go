@@ -123,3 +123,65 @@ func planPanic(calls []linalg.GemmCall) (msg string) {
 	linalg.PlanBatch(calls)
 	return ""
 }
+
+// TestGemmOpReuse: one bound op run repeatedly, operands refilled between
+// runs, reproduces the reference bit for bit each time — on either side of the
+// direct/blocked crossover, through the syrk path, with a beta that reads C —
+// and a steady-state Run at width 1 allocates nothing.
+func TestGemmOpReuse(t *testing.T) {
+	defer par.SetBudget(0)
+	par.SetBudget(1)
+	rng := rand.New(rand.NewSource(47))
+	for _, tc := range []struct {
+		name           string
+		transA, transB bool
+		m, k, n        int
+		beta           float64
+		syrk           bool
+	}{
+		{"direct tn", true, false, 2, 6, 6, 0, false},
+		{"direct nt beta", false, true, 6, 4, 6, -0.5, false},
+		{"blocked nn", false, false, 31, 31, 31, 0, false},
+		{"blocked tt beta", true, true, 33, 9, 40, 1, false},
+		{"direct syrk", false, true, 7, 5, 7, 0, true},
+		{"blocked syrk", true, false, 33, 12, 33, 0, true},
+	} {
+		ar, ac := tc.m, tc.k
+		if tc.transA {
+			ar, ac = ac, ar
+		}
+		br, bc := tc.k, tc.n
+		if tc.transB {
+			br, bc = bc, br
+		}
+		a, c := linalg.NewMatrix(ar, ac), linalg.NewMatrix(tc.m, tc.n)
+		b := a
+		if !tc.syrk {
+			b = linalg.NewMatrix(br, bc)
+		}
+		op := linalg.BindGemm(tc.transA, tc.transB, 1.5, a, b, tc.beta, c)
+		for run := 0; run < 3; run++ {
+			fillMat(a, rng)
+			fillMat(b, rng)
+			fillMat(c, rng)
+			want := c.Clone()
+			refGemm(tc.transA, tc.transB, 1.5, a, b, tc.beta, want)
+			op.Run()
+			if i, ok := bitEqual(c.Data, want.Data); !ok {
+				t.Fatalf("%s run %d: C[%d] differs from reference", tc.name, run, i)
+			}
+		}
+		if raceEnabled {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(10, op.Run); allocs > 0 {
+			t.Errorf("%s: GemmOp.Run allocates %v objects per run, want 0", tc.name, allocs)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("BindGemm accepted mismatched shapes")
+		}
+	}()
+	linalg.BindGemm(false, false, 1, linalg.NewMatrix(4, 3), linalg.NewMatrix(2, 5), 0, linalg.NewMatrix(4, 5))
+}

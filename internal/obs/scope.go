@@ -38,6 +38,12 @@ const (
 	MetricSCFIterations   = "scf_iterations"
 	MetricSCFSolves       = "scf_solves_total"
 	MetricDFPTCycles      = "dfpt_cycles_total"
+	// Ladder escalations — a solve that only converged on a later rung is a
+	// degraded number, so each rung taken beyond the first is counted: one
+	// per SolveSCFRobust smearing rung above the requested temperature, one
+	// per Polarizability mixing rung below the requested factor.
+	MetricSCFSmearingEscalations = "scf_smearing_escalations_total"
+	MetricDFPTMixingFallbacks    = "dfpt_mixing_fallbacks_total"
 	// Kernel-pool metrics recorded by internal/par (see DESIGN.md §7).
 	MetricParJobs        = "par_jobs_total"
 	MetricParInline      = "par_inline_total"
@@ -99,6 +105,9 @@ type Hot struct {
 	DFPTCycles *Counter
 	SCFIters   *Histogram
 	SCFSolves  *Counter
+
+	SCFSmearingEscalations *Counter
+	DFPTMixingFallbacks    *Counter
 }
 
 func newHot(r *Registry) *Hot {
@@ -109,6 +118,9 @@ func newHot(r *Registry) *Hot {
 		DFPTCycles: r.Counter(MetricDFPTCycles),
 		SCFIters:   r.Histogram(MetricSCFIterations, CountBuckets),
 		SCFSolves:  r.Counter(MetricSCFSolves),
+
+		SCFSmearingEscalations: r.Counter(MetricSCFSmearingEscalations),
+		DFPTMixingFallbacks:    r.Counter(MetricDFPTMixingFallbacks),
 	}
 	for p := Phase(0); p < NumPhases; p++ {
 		h.PhaseTime[p] = r.Histogram(PhaseMetricName(p), DurationBuckets)

@@ -1,6 +1,9 @@
 package scf
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func BenchmarkSolveSCFWater(b *testing.B) {
 	els, pos := waterGeometry()
@@ -46,5 +49,28 @@ func BenchmarkForces(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Forces(res)
+	}
+}
+
+// BenchmarkOccupations times the Fermi-level search and occupation fill for
+// the level counts of a water, a water dimer and a larger residue fragment, on
+// spectra with a gap at the Fermi level (what SCF iterations see).
+func BenchmarkOccupations(b *testing.B) {
+	for _, n := range []int{6, 12, 40} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			nocc := 2 * n / 3
+			eps := make([]float64, n)
+			for i := range eps {
+				eps[i] = -1.2 + 0.9*float64(i)/float64(n)
+				if i >= nocc {
+					eps[i] += 0.4
+				}
+			}
+			occ := make([]float64, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				occupations(eps, 2*nocc, 0.002, occ)
+			}
+		})
 	}
 }

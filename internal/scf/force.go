@@ -17,7 +17,8 @@ func (m *Model) Forces(res *Result) []geom.Vec3 {
 	na := m.NumAtoms()
 	grad := make([]geom.Vec3, na)
 
-	v := m.sccPotential(res.DeltaQ)
+	v := make([]float64, na)
+	m.sccPotential(res.DeltaQ, v)
 	n := m.Basis.Size()
 	// The O(n²) overlap-derivative pair sum dominates displacement
 	// post-processing. It shards over basis rows i with one gradient

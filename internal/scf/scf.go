@@ -1,6 +1,7 @@
 package scf
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -69,13 +70,23 @@ type Result struct {
 	Gap        float64 // nominal HOMO–LUMO gap (hartree); 0 if no virtuals
 }
 
+// ErrNotConverged reports that the charge loop used up its iterations. It is
+// a deterministic outcome of the fragment and its options: the smearing
+// ladders escalate on it, the runtime (faults.Classify) never retries it.
+var ErrNotConverged = errors.New("scf: not converged")
+
 // NumOcc returns the number of doubly occupied orbitals.
 func (m *Model) NumOcc() int { return m.numElectrons() / 2 }
 
-// SolveSCF runs the charge self-consistency loop to convergence.
+// SolveSCF runs the charge self-consistency loop to convergence. The loop
+// owns one set of workspaces for the whole solve — an iteration allocates only
+// what EigSym and the DIIS history keep for themselves — and at convergence
+// hands the buffers holding the final orbitals, density and charges to the
+// Result, which therefore shares storage with nothing.
 func (m *Model) SolveSCF(opt Options) (*Result, error) {
 	if opt.MaxIter <= 0 || opt.Tol <= 0 || opt.Mixing <= 0 || opt.Mixing > 1 {
-		return nil, fmt.Errorf("scf: invalid options %+v", opt)
+		return nil, fmt.Errorf("scf: invalid options (MaxIter %d, Tol %g, Mixing %g, Smearing %g)",
+			opt.MaxIter, opt.Tol, opt.Mixing, opt.Smearing)
 	}
 	n := m.Basis.Size()
 	na := m.NumAtoms()
@@ -112,24 +123,56 @@ func (m *Model) SolveSCF(opt Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scf: overlap orthogonalization: %w", err)
 	}
-	ht := linalg.NewMatrix(n, n)
-	tmp := linalg.NewMatrix(n, n)
+	halfS := m.S.Clone()
+	halfS.Scale(0.5)
+	var (
+		h, tmp, ht = linalg.NewMatrix(n, n), linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)
+		y, c, p    = linalg.NewMatrix(n, n), linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)
+		ga, gb     = linalg.NewMatrix(n, n), linalg.NewMatrix(n, n) // gatherOccupied's outputs
+		occ, v     = make([]float64, n), make([]float64, na)
+		newDq      = make([]float64, na)
+		// The loop's products run from ops bound to its buffers: X·H·X, C =
+		// X·Y (y receives a copy of the eigenvectors EigSym returns afresh),
+		// and P = (f∘C_occ)·C_occᵀ, which is rebound when the number of
+		// occupied columns changes (between iterations it almost never does).
+		xh    = linalg.BindGemm(false, false, 1, x, h, 0, tmp)
+		xhx   = linalg.BindGemm(false, false, 1, tmp, x, 0, ht)
+		xy    = linalg.BindGemm(false, false, 1, x, y, 0, c)
+		pGemm *linalg.GemmOp
+	)
+	// Bound ops count nothing; their totals reach the model's counters once
+	// per solve.
+	var gemms, flops int64
+	ops := m.Ops
+	if ops == nil {
+		ops = &linalg.DefaultOps
+	}
+	defer func() {
+		ops.GEMMCalls.Add(gemms)
+		ops.FLOPs.Add(flops)
+	}()
 
-	var res *Result
 	mixer := newDIIS(opt.Mixing, 6)
 	for iter := 1; iter <= opt.MaxIter; iter++ {
-		h := m.H0.Clone()
+		h.CopyFrom(m.H0)
 		h.AddMatrix(hExt, 1)
-		m.addSCCPotential(h, dq)
+		m.sccPotential(dq, v)
+		m.addSCCPotential(h, halfS, v)
 
-		linalg.Gemm(false, false, 1, x, h, 0, tmp, m.Ops)
-		linalg.Gemm(false, false, 1, tmp, x, 0, ht, m.Ops)
+		xh.Run()
+		xhx.Run()
 		ht.Symmetrize()
-		eps, y := linalg.EigSym(ht)
-		c := linalg.MatMul(false, false, x, y, m.Ops)
-		occ, _, _ := occupations(eps, 2*nocc, opt.Smearing)
-		p := densityMatrix(c, occ, m.Ops)
-		newDq := m.mullikenDeltaQ(p)
+		eps, vecs := linalg.EigSym(ht)
+		y.CopyFrom(vecs)
+		xy.Run()
+		mu, entropy := occupations(eps, 2*nocc, opt.Smearing, occ)
+		if gatherOccupied(c, occ, nil, ga, gb) || pGemm == nil {
+			pGemm = linalg.BindGemm(false, true, 1, gb, ga, 0, p)
+		}
+		pGemm.Run()
+		gemms += 4
+		flops += 3*linalg.GemmFLOPs(n, n, n) + linalg.GemmFLOPs(n, ga.Cols, n)
+		m.mullikenDeltaQ(p, newDq)
 
 		var maxDelta float64
 		for a := range dq {
@@ -141,9 +184,10 @@ func (m *Model) SolveSCF(opt Options) (*Result, error) {
 		if maxDelta < opt.Tol {
 			// Converged: assemble the result from the final orbitals using
 			// the self-consistent charges.
-			occ, mu, entropy := occupations(eps, 2*nocc, opt.Smearing)
-			w := weightedDensityMatrix(eps, c, occ, m.Ops)
-			res = &Result{
+			w := linalg.NewMatrix(n, n)
+			gatherOccupied(c, occ, eps, ga, gb)
+			linalg.Gemm(false, true, 1, gb, ga, 0, w, ops)
+			res := &Result{
 				Eps: eps, Occ: occ, Mu: mu, Sigma: opt.Smearing,
 				C: c, P: p, W: w,
 				DeltaQ:     newDq,
@@ -169,21 +213,25 @@ func (m *Model) SolveSCF(opt Options) (*Result, error) {
 	if opt.Obs.Enabled() {
 		opt.Obs.RecordSCF(obsStart, opt.MaxIter)
 	}
-	return nil, fmt.Errorf("scf: not converged after %d iterations", opt.MaxIter)
+	return nil, fmt.Errorf("%w after %d iterations", ErrNotConverged, opt.MaxIter)
 }
 
 // SolveSCFRobust is SolveSCF with the standard escalation ladder for
 // difficult fragments: if the charge loop fails to converge, the electronic
 // temperature is raised (2.5×, then 5×, then 10×) — higher smearing smooths
 // the charge-sloshing instabilities of near-degenerate frontier orbitals at
-// the cost of slightly more fractional occupations.
+// the cost of slightly more fractional occupations. Each rung above the
+// first is counted (obs.MetricSCFSmearingEscalations) when Obs is enabled.
 func (m *Model) SolveSCFRobust(opt Options) (*Result, error) {
 	var firstErr error
-	for _, scale := range []float64{1, 2.5, 5, 10} {
+	for rung, scale := range []float64{1, 2.5, 5, 10} {
 		o := opt
 		o.Smearing = opt.Smearing * scale
 		if o.Smearing == 0 && scale > 1 {
 			o.Smearing = 0.002 * scale
+		}
+		if rung > 0 && opt.Obs.Hot != nil {
+			opt.Obs.Hot.SCFSmearingEscalations.Inc()
 		}
 		res, err := m.SolveSCF(o)
 		if err == nil {
@@ -219,53 +267,51 @@ func symOrth(s *linalg.Matrix) (*linalg.Matrix, error) {
 }
 
 // addSCCPotential adds the second-order charge term
-// H_μν += ½·S_μν·(V_A(μ) + V_A(ν)) with V_A = Σ_B γ_AB Δq_B.
-func (m *Model) addSCCPotential(h *linalg.Matrix, dq []float64) {
-	na := m.NumAtoms()
-	v := make([]float64, na)
-	for a := 0; a < na; a++ {
-		var s float64
-		for b := 0; b < na; b++ {
-			s += m.Gamma.At(a, b) * dq[b]
-		}
-		v[a] = s
-	}
-	n := m.Basis.Size()
-	for i := 0; i < n; i++ {
-		ai := m.Basis.Funcs[i].Atom
-		for j := 0; j < n; j++ {
-			aj := m.Basis.Funcs[j].Atom
-			h.Add(i, j, 0.5*m.S.At(i, j)*(v[ai]+v[aj]))
+// H_μν += ½·S_μν·(V_A(μ) + V_A(ν)) for the atomic potentials v (sccPotential);
+// halfS is ½·S.
+func (m *Model) addSCCPotential(h, halfS *linalg.Matrix, v []float64) {
+	funcs := m.Basis.Funcs
+	for i := range funcs {
+		vi := v[funcs[i].Atom]
+		hrow, srow := h.Row(i), halfS.Row(i)
+		for j := range funcs {
+			hrow[j] += srow[j] * (vi + v[funcs[j].Atom])
 		}
 	}
 }
 
-// sccPotential returns V_A = Σ_B γ_AB Δq_B for the given charges.
-func (m *Model) sccPotential(dq []float64) []float64 {
-	na := m.NumAtoms()
-	v := make([]float64, na)
-	for a := 0; a < na; a++ {
+// sccPotential fills v with V_A = Σ_B γ_AB Δq_B for the given charges.
+func (m *Model) sccPotential(dq, v []float64) {
+	for a := range v {
 		var s float64
-		for b := 0; b < na; b++ {
-			s += m.Gamma.At(a, b) * dq[b]
+		for b, g := range m.Gamma.Row(a) {
+			s += g * dq[b]
 		}
 		v[a] = s
 	}
-	return v
 }
 
-// occupations fills orbitals with ne electrons. With zero smearing the
-// lowest ne/2 orbitals get occupation 2; otherwise Fermi–Dirac occupations
-// at electronic temperature sigma are used, with the chemical potential
-// found by bisection. It returns the occupations, the Fermi level, and the
-// electronic-entropy free-energy term −T·S (≤ 0).
-func occupations(eps []float64, ne int, sigma float64) (occ []float64, mu, entropy float64) {
+// occupations fills occ with the occupations of ne electrons over the levels
+// eps. With zero smearing the lowest ne/2 orbitals get occupation 2;
+// otherwise Fermi–Dirac occupations at electronic temperature sigma are used,
+// with the chemical potential found by bisection. It returns the Fermi level
+// and the electronic-entropy free-energy term −T·S (≤ 0).
+//
+// The bisection stops at its fixed point. Once the midpoint of [lo, hi]
+// rounds onto an endpoint, the step either leaves the bracket as it is or
+// collapses it onto that endpoint, and in both cases every further midpoint —
+// the loop's full 200 halvings included — is this same mu. Breaking there
+// returns that mu, and with it the same occupations and entropy, bit for
+// bit, after ≈ 55–60 evaluations of the electron count instead of 200.
+func occupations(eps []float64, ne int, sigma float64, occ []float64) (mu, entropy float64) {
 	n := len(eps)
-	occ = make([]float64, n)
 	nocc := ne / 2
 	if sigma <= 0 {
-		for i := 0; i < nocc; i++ {
-			occ[i] = 2
+		for i := range occ {
+			occ[i] = 0
+			if i < nocc {
+				occ[i] = 2
+			}
 		}
 		if nocc > 0 {
 			mu = eps[nocc-1]
@@ -273,7 +319,7 @@ func occupations(eps []float64, ne int, sigma float64) (occ []float64, mu, entro
 				mu = 0.5 * (eps[nocc-1] + eps[nocc])
 			}
 		}
-		return occ, mu, 0
+		return mu, 0
 	}
 	count := func(mu float64) float64 {
 		var s float64
@@ -285,6 +331,9 @@ func occupations(eps []float64, ne int, sigma float64) (occ []float64, mu, entro
 	lo, hi := eps[0]-30*sigma, eps[n-1]+30*sigma
 	for iter := 0; iter < 200; iter++ {
 		mu = 0.5 * (lo + hi)
+		if mu == lo || mu == hi {
+			break
+		}
 		if count(mu) < float64(ne) {
 			lo = mu
 		} else {
@@ -298,61 +347,58 @@ func occupations(eps []float64, ne int, sigma float64) (occ []float64, mu, entro
 			entropy += 2 * sigma * (g*math.Log(g) + (1-g)*math.Log(1-g))
 		}
 	}
-	return occ, mu, entropy
+	return mu, entropy
 }
 
-// densityMatrix builds P = Σ_p f_p c_p c_pᵀ.
-func densityMatrix(c *linalg.Matrix, occ []float64, ops *linalg.Ops) *linalg.Matrix {
-	return occWeighted(c, occ, nil, ops)
-}
-
-// weightedDensityMatrix builds W = Σ_p f_p ε_p c_p c_pᵀ.
-func weightedDensityMatrix(eps []float64, c *linalg.Matrix, occ []float64, ops *linalg.Ops) *linalg.Matrix {
-	return occWeighted(c, occ, eps, ops)
-}
-
-// occWeighted computes Σ_p f_p (ε_p) c_p c_pᵀ over orbitals with
-// non-negligible occupation.
-func occWeighted(c *linalg.Matrix, occ, eps []float64, ops *linalg.Ops) *linalg.Matrix {
+// gatherOccupied fills ga with the columns c_p of the orbitals with
+// non-negligible occupation and gb with f_p·c_p (f_p·ε_p·c_p when eps is
+// given), so that gb·gaᵀ = Σ_p f_p (ε_p) c_p c_pᵀ is the density matrix P
+// (the energy-weighted density matrix W). ga and gb are workspaces with room
+// for every column of c, reshaped here to the occupied ones; reshaped reports
+// that their column count changed.
+func gatherOccupied(c *linalg.Matrix, occ, eps []float64, ga, gb *linalg.Matrix) (reshaped bool) {
 	n := c.Rows
-	var cols []int
-	for k, f := range occ {
+	ncols := 0
+	for _, f := range occ {
 		if f > 1e-14 {
-			cols = append(cols, k)
+			ncols++
 		}
 	}
-	a := linalg.NewMatrix(n, len(cols))
-	b := linalg.NewMatrix(n, len(cols))
+	reshaped = ga.Cols != ncols
+	ga.Cols, ga.Data = ncols, ga.Data[:n*ncols]
+	gb.Cols, gb.Data = ncols, gb.Data[:n*ncols]
 	for i := 0; i < n; i++ {
-		for j, k := range cols {
-			v := c.At(i, k)
-			a.Set(i, j, v)
-			wv := occ[k] * v
+		crow, arow, brow := c.Row(i), ga.Row(i), gb.Row(i)
+		j := 0
+		for k, f := range occ {
+			if !(f > 1e-14) {
+				continue
+			}
+			v := crow[k]
+			arow[j] = v
+			wv := f * v
 			if eps != nil {
 				wv *= eps[k]
 			}
-			b.Set(i, j, wv)
+			brow[j] = wv
+			j++
 		}
 	}
-	out := linalg.NewMatrix(n, n)
-	linalg.Gemm(false, true, 1, b, a, 0, out, ops)
-	return out
+	return reshaped
 }
 
-// mullikenDeltaQ computes per-atom electron excess n_A − Z_A with
+// mullikenDeltaQ fills out with the per-atom electron excess n_A − Z_A,
 // n_A = Σ_{μ∈A} (P·S)_μμ.
-func (m *Model) mullikenDeltaQ(p *linalg.Matrix) []float64 {
-	na := m.NumAtoms()
-	out := make([]float64, na)
-	n := m.Basis.Size()
-	for i := 0; i < n; i++ {
-		a := m.Basis.Funcs[i].Atom
-		out[a] += linalg.Dot(p.Row(i), m.S.Row(i))
+func (m *Model) mullikenDeltaQ(p *linalg.Matrix, out []float64) {
+	for a := range out {
+		out[a] = 0
 	}
-	for a := 0; a < na; a++ {
+	for i := range m.Basis.Funcs {
+		out[m.Basis.Funcs[i].Atom] += linalg.Dot(p.Row(i), m.S.Row(i))
+	}
+	for a := range out {
 		out[a] -= m.Zval[a]
 	}
-	return out
 }
 
 func (m *Model) coulombEnergy(dq []float64) float64 {

@@ -1,11 +1,17 @@
 package scf
 
 import (
+	"errors"
 	"math"
+	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"qframan/internal/constants"
 	"qframan/internal/geom"
+	"qframan/internal/obs"
+	"qframan/internal/par"
 )
 
 // waterGeometry returns the experimental water geometry in Å.
@@ -299,7 +305,7 @@ func TestOddElectronRejected(t *testing.T) {
 	}
 }
 
-func TestInvalidOptions(t *testing.T) {
+func TestInvalidSCFOptions(t *testing.T) {
 	els, pos := waterGeometry()
 	m, _ := NewModel(els, pos)
 	for _, opt := range []Options{
@@ -308,9 +314,160 @@ func TestInvalidOptions(t *testing.T) {
 		{MaxIter: 10, Tol: 1e-8, Mixing: 0},
 		{MaxIter: 10, Tol: 1e-8, Mixing: 1.5},
 	} {
-		if _, err := m.SolveSCF(opt); err == nil {
+		// A warm start and an observability scope put a slice and pointers
+		// into Options; the error must name the validated fields, not print
+		// the struct.
+		opt.InitDeltaQ = make([]float64, len(els))
+		opt.Obs = obs.NewScope(obs.NewTracer(), obs.NewRegistry())
+		_, err := m.SolveSCF(opt)
+		if err == nil {
 			t.Fatalf("accepted options %+v", opt)
 		}
+		if msg := err.Error(); strings.Contains(msg, "0x") || !strings.Contains(msg, "MaxIter") {
+			t.Errorf("error %q: want the validated fields named and no addresses", msg)
+		}
+	}
+}
+
+// TestNotConvergedIsTyped: running out of iterations is the ErrNotConverged
+// sentinel with the message it always had, and the smearing ladder counts
+// every rung it takes above the first.
+func TestNotConvergedIsTyped(t *testing.T) {
+	els, pos := waterGeometry()
+	m, _ := NewModel(els, pos)
+	opt := DefaultOptions()
+	opt.MaxIter = 2
+	_, err := m.SolveSCF(opt)
+	if !errors.Is(err, ErrNotConverged) || err.Error() != "scf: not converged after 2 iterations" {
+		t.Fatalf("got %v, want ErrNotConverged after 2 iterations", err)
+	}
+	reg := obs.NewRegistry()
+	opt.Obs = obs.NewScope(nil, reg)
+	if _, err := m.SolveSCFRobust(opt); !errors.Is(err, ErrNotConverged) {
+		t.Fatalf("ladder returned %v, want ErrNotConverged", err)
+	}
+	if got := reg.Counter(obs.MetricSCFSmearingEscalations).Value(); got != 3 {
+		t.Errorf("%s = %d after a ladder that failed on all four rungs, want 3", obs.MetricSCFSmearingEscalations, got)
+	}
+	opt.MaxIter = DefaultOptions().MaxIter
+	if _, err := m.SolveSCFRobust(opt); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter(obs.MetricSCFSmearingEscalations).Value(); got != 3 {
+		t.Errorf("a first-rung solve moved %s to %d", obs.MetricSCFSmearingEscalations, got)
+	}
+}
+
+// refOccupations is occupations with the bisection run for its full 200
+// halvings, as it used to be — the reference the fixed-point exit must match.
+func refOccupations(eps []float64, ne int, sigma float64) (occ []float64, mu, entropy float64) {
+	n := len(eps)
+	occ = make([]float64, n)
+	count := func(mu float64) float64 {
+		var s float64
+		for _, e := range eps {
+			s += 2 / (1 + math.Exp((e-mu)/sigma))
+		}
+		return s
+	}
+	lo, hi := eps[0]-30*sigma, eps[n-1]+30*sigma
+	for iter := 0; iter < 200; iter++ {
+		mu = 0.5 * (lo + hi)
+		if count(mu) < float64(ne) {
+			lo = mu
+		} else {
+			hi = mu
+		}
+	}
+	for i, e := range eps {
+		g := 1 / (1 + math.Exp((e-mu)/sigma))
+		occ[i] = 2 * g
+		if g > 1e-14 && g < 1-1e-14 {
+			entropy += 2 * sigma * (g*math.Log(g) + (1-g)*math.Log(1-g))
+		}
+	}
+	return occ, mu, entropy
+}
+
+// TestOccupationsFixedPoint: leaving the bisection at its fixed point returns
+// the Fermi level of the full 200 halvings — and so the same occupations and
+// entropy — bit for bit, over seeded spectra with degenerate levels, a single
+// level, every filling up to all-occupied, and σ from 1e-5 to 0.05.
+func TestOccupationsFixedPoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(40)
+		if trial%25 == 0 {
+			n = 1
+		}
+		eps := make([]float64, n)
+		for i := range eps {
+			eps[i] = -1.5 + 2.5*rng.Float64()
+			if i > 0 && rng.Intn(4) == 0 {
+				eps[i] = eps[i-1] // degenerate level
+			}
+		}
+		sort.Float64s(eps)
+		sigma := 1e-5 * math.Pow(0.05/1e-5, rng.Float64())
+		nocc := 1 + rng.Intn(n)
+		if trial%10 == 0 {
+			nocc = n // all occupied
+		}
+		wantOcc, wantMu, wantS := refOccupations(eps, 2*nocc, sigma)
+		occ := make([]float64, n)
+		for i := range occ {
+			occ[i] = math.NaN() // a reused buffer holds anything
+		}
+		mu, s := occupations(eps, 2*nocc, sigma, occ)
+		if math.Float64bits(mu) != math.Float64bits(wantMu) || math.Float64bits(s) != math.Float64bits(wantS) {
+			t.Fatalf("trial %d (n=%d nocc=%d σ=%g): mu %x entropy %x, reference %x %x",
+				trial, n, nocc, sigma, math.Float64bits(mu), math.Float64bits(s), math.Float64bits(wantMu), math.Float64bits(wantS))
+		}
+		for i := range occ {
+			if math.Float64bits(occ[i]) != math.Float64bits(wantOcc[i]) {
+				t.Fatalf("trial %d (n=%d nocc=%d σ=%g): occ[%d] = %x, reference %x",
+					trial, n, nocc, sigma, i, math.Float64bits(occ[i]), math.Float64bits(wantOcc[i]))
+			}
+		}
+	}
+}
+
+// TestSolveSCFAllocationCeiling: the loop owns its workspaces and bound
+// GEMMs, so what one more iteration allocates is EigSym's own (its results,
+// its copy of the input and tql2's transpose: 6 objects) and the DIIS history
+// and extrapolation (≈ 9): 15.3 objects measured on water and methane, against
+// ≈ 42 when every iteration cloned H, called MatMul and regathered. The
+// ceiling is that plus 25 %.
+func TestSolveSCFAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	defer par.SetBudget(0)
+	par.SetBudget(1)
+	for name, geometry := range map[string]func() ([]constants.Element, []geom.Vec3){"water": waterGeometry, "methane": methane} {
+		els, pos := geometry()
+		m, err := NewModel(els, pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// An unreachable tolerance makes every solve run exactly MaxIter
+		// iterations; the difference of two lengths isolates the loop.
+		opt := DefaultOptions()
+		opt.Tol = 1e-300
+		solve := func(iters int) float64 {
+			opt.MaxIter = iters
+			return testing.AllocsPerRun(5, func() {
+				if _, err := m.SolveSCF(opt); !errors.Is(err, ErrNotConverged) {
+					t.Fatalf("%s: %v", name, err)
+				}
+			})
+		}
+		const short, long = 20, 60
+		perIter := (solve(long) - solve(short)) / (long - short)
+		if perIter > 19 {
+			t.Errorf("%s: one SCF iteration allocates %.1f objects, ceiling 19", name, perIter)
+		}
+		t.Logf("%s: %.1f objects per SCF iteration", name, perIter)
 	}
 }
 
