@@ -115,13 +115,15 @@ func SpectrumFromGlobal(g *hessian.Global, cfg Config) (*raman.Spectrum, *raman.
 	if cfg.UseDense {
 		solver = 1
 	}
-	_, sspan := sc.Begin("spectrum", "core", obs.A("dense", solver))
+	ssc, sspan := sc.Begin("spectrum", "core", obs.A("dense", solver))
 	var spec *raman.Spectrum
 	var err error
 	if cfg.UseDense {
 		spec, err = raman.DenseSpectrum(g, cfg.Raman, cfg.RigidCutoff)
 	} else {
-		spec, err = raman.LanczosSpectrum(g, cfg.Raman)
+		ropt := cfg.Raman
+		ropt.Obs = ssc // solver counts land on the spectrum span
+		spec, err = raman.LanczosSpectrum(g, ropt)
 	}
 	sspan.End()
 	if err != nil {
@@ -129,11 +131,13 @@ func SpectrumFromGlobal(g *hessian.Global, cfg Config) (*raman.Spectrum, *raman.
 	}
 	var ir *raman.Spectrum
 	if cfg.IR {
-		_, ispan := sc.Begin("spectrum.ir", "core", obs.A("dense", solver))
+		isc, ispan := sc.Begin("spectrum.ir", "core", obs.A("dense", solver))
 		if cfg.UseDense {
 			ir, err = raman.DenseIRSpectrum(g, cfg.Raman, cfg.RigidCutoff)
 		} else {
-			ir, err = raman.LanczosIRSpectrum(g, cfg.Raman)
+			ropt := cfg.Raman
+			ropt.Obs = isc
+			ir, err = raman.LanczosIRSpectrum(g, ropt)
 		}
 		ispan.End()
 		if err != nil {

@@ -155,6 +155,21 @@ func TestGoldenTraceStructure(t *testing.T) {
 		t.Fatalf("scf_solves_total=%d but trace has %d scf spans", got, counts["scf"])
 	}
 
+	// The spectral solver's counts ride on the spectrum span and agree with
+	// the registry.
+	for _, s := range spans {
+		if s.Name != "spectrum" {
+			continue
+		}
+		steps, ok := s.Arg("lanczos_steps")
+		if got := reg.Counter(obs.MetricLanczosSteps).Value(); !ok || steps <= 0 || got != steps {
+			t.Fatalf("spectrum span carries lanczos_steps=%d (present %v), lanczos_steps_total=%d", steps, ok, got)
+		}
+	}
+	if counts["spectrum"] != 1 {
+		t.Fatalf("got %d spectrum spans, want exactly 1", counts["spectrum"])
+	}
+
 	// And the trace alone must reproduce the runtime's straggler analytics:
 	// AnalyzeTrace is what qfstats -trace runs on the exported file.
 	sum, err := obs.AnalyzeTrace(spans, 10)

@@ -498,7 +498,11 @@ func AssembleDegraded(dec *fragment.Decomposition, massesAMU []float64, frags []
 	}
 	b.ScaleRowsCols(sqrtM)
 	sort.Ints(dropped)
-	g := &Global{H: b.Build(), Masses: massesAU, Dropped: dropped}
+	h, err := b.Build()
+	if err != nil {
+		return nil, err
+	}
+	g := &Global{H: h, Masses: massesAU, Dropped: dropped}
 	if withAlpha {
 		for c := 0; c < 6; c++ {
 			for i := 0; i < n3; i++ {

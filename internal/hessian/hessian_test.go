@@ -3,6 +3,7 @@ package hessian
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -211,6 +212,15 @@ func TestRunDisplacementValidation(t *testing.T) {
 	}
 }
 
+func mustBuild(t testing.TB, b *Builder) *Sparse {
+	t.Helper()
+	s, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestSparseBuilderAndMulVec(t *testing.T) {
 	b := NewBuilder(4)
 	b.Add(0, 0, 1)
@@ -220,7 +230,7 @@ func TestSparseBuilderAndMulVec(t *testing.T) {
 	b.Add(2, 1, 5)
 	b.Add(1, 2, 5)
 	b.Add(1, 1, 0) // explicit zero must be dropped
-	s := b.Build()
+	s := mustBuild(t, b)
 	if s.At(0, 0) != 3 {
 		t.Fatalf("merged entry = %v", s.At(0, 0))
 	}
@@ -249,7 +259,7 @@ func TestSparseScaleRowsCols(t *testing.T) {
 	b.Add(0, 1, 6)
 	b.Add(1, 0, 6)
 	b.ScaleRowsCols([]float64{2, 3})
-	s := b.Build()
+	s := mustBuild(t, b)
 	if s.At(0, 1) != 1 {
 		t.Fatalf("scaled entry = %v, want 1", s.At(0, 1))
 	}
@@ -314,5 +324,73 @@ func TestNonConvergenceIsTypedThroughWrapping(t *testing.T) {
 				t.Errorf("%s: %v classified as retryable", tc.name, err)
 			}
 		}
+	}
+}
+
+// TestMulVecsRowsMatchesMulVecBitwise: the multi-vector product gives every
+// column the bits of a straight-line four-chain row product (MulVec's
+// association), for odd and even column counts, split row ranges, and rows
+// of every length modulo 4 — and MulVec gives them too.
+func TestMulVecsRowsMatchesMulVecBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	n := 57
+	b := NewBuilder(n)
+	for i := 0; i < n; i++ {
+		for k := 0; k < i%9; k++ { // row lengths 0…8
+			b.Add(i, rng.Intn(n), rng.NormFloat64())
+		}
+	}
+	s := mustBuild(t, b)
+	ref := func(x []float64) []float64 {
+		y := make([]float64, n)
+		for i := 0; i < n; i++ {
+			k, end := s.RowPtr[i], s.RowPtr[i+1]
+			var s0, s1, s2, s3, st float64
+			for ; k+3 < end; k += 4 {
+				s0 += s.Val[k] * x[s.Col[k]]
+				s1 += s.Val[k+1] * x[s.Col[k+1]]
+				s2 += s.Val[k+2] * x[s.Col[k+2]]
+				s3 += s.Val[k+3] * x[s.Col[k+3]]
+			}
+			for ; k < end; k++ {
+				st += s.Val[k] * x[s.Col[k]]
+			}
+			y[i] = ((s0 + s1) + (s2 + s3)) + st
+		}
+		return y
+	}
+	for cols := 1; cols <= 9; cols++ {
+		xs, ys := make([][]float64, cols), make([][]float64, cols)
+		for c := range xs {
+			xs[c], ys[c] = make([]float64, n), make([]float64, n)
+			for i := range xs[c] {
+				xs[c][i] = rng.NormFloat64()
+			}
+		}
+		s.MulVecsRows(xs, ys, 0, 20)
+		s.MulVecsRows(xs, ys, 20, 21)
+		s.MulVecsRows(xs, ys, 21, n)
+		one := make([]float64, n)
+		for c := range xs {
+			want := ref(xs[c])
+			s.MulVec(xs[c], one)
+			for i := range want {
+				if math.Float64bits(ys[c][i]) != math.Float64bits(want[i]) || math.Float64bits(one[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%d columns: column %d row %d: MulVecsRows %v, MulVec %v, reference %v", cols, c, i, ys[c][i], one[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestBuildRejectsIndexOverflow: the int32 row pointers hold 2³¹−1 entries;
+// one more is a typed error, not a silent wrap.
+func TestBuildRejectsIndexOverflow(t *testing.T) {
+	if err := checkNNZ(math.MaxInt32); err != nil {
+		t.Fatalf("2³¹−1 non-zeros rejected: %v", err)
+	}
+	err := checkNNZ(math.MaxInt32 + 1)
+	if !errors.Is(err, ErrIndexOverflow) {
+		t.Fatalf("2³¹ non-zeros: %v", err)
 	}
 }

@@ -6,9 +6,16 @@
 // the spectral measure of H seen from d. This replaces the impossible full
 // diagonalization of the 3N×3N mass-weighted Hessian with k sparse
 // matrix–vector products.
+//
+// A spectrum needs that functional for several start vectors on one H; Plan
+// is the solve for all of them: the recurrences advance in lockstep so each
+// step reads H once, the quadrature computes only the first row of T̂'s
+// eigenvectors (Golub–Welsch), and the plan owns every vector involved. Run
+// and SpectralDensity are its one-column, one-shot forms.
 package lanczos
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -35,12 +42,27 @@ func (d DenseOperator) MulVec(x, y []float64) {
 	linalg.Gemv(false, 1, d.M, x, 0, y, nil)
 }
 
+// RowsOperator is an Operator that can take its product with several vectors
+// over a range of rows in one pass over its storage (hessian.Sparse). The
+// lockstep solve shards those rows across the kernel pool; an Operator
+// without it is applied one column at a time through MulVec.
+type RowsOperator interface {
+	Operator
+	// MulVecsRows computes ys[c][i] = (A·xs[c])[i] for lo ≤ i < hi and
+	// every c, each column with exactly the bits MulVec gives it.
+	MulVecsRows(xs, ys [][]float64, lo, hi int)
+}
+
 // Tridiagonal holds the Lanczos recurrence coefficients: Alpha has k
 // entries, Beta has k entries where Beta[k−1] is the residual coupling
 // coefficient β_k (needed by the GAGQ augmentation).
 type Tridiagonal struct {
 	Alpha []float64
 	Beta  []float64
+	// Breakdown reports that the recurrence stopped on β-breakdown — an
+	// invariant subspace, the measure fully resolved — rather than by
+	// running out its K steps.
+	Breakdown bool
 }
 
 // K returns the number of completed Lanczos steps.
@@ -51,102 +73,63 @@ type Options struct {
 	// K is the number of Lanczos steps.
 	K int
 	// Reorthogonalize enables full reorthogonalization against all stored
-	// Lanczos vectors — O(k·n) memory but immune to the loss of
-	// orthogonality that plagues the plain recurrence.
+	// Lanczos vectors — K·n floats per start vector, held by the Plan as
+	// one block, but immune to the loss of orthogonality that plagues the
+	// plain recurrence (which keeps two vectors).
 	Reorthogonalize bool
 }
 
 // DefaultOptions returns settings adequate for vibrational densities.
 func DefaultOptions() Options { return Options{K: 150, Reorthogonalize: true} }
 
+// ErrQuadrature reports that the eigen-solve of the (augmented) Lanczos
+// tridiagonal did not converge — in practice a non-finite recurrence. It is
+// deterministic for a given Hessian: the runtime must not retry it.
+var ErrQuadrature = errors.New("lanczos: quadrature eigen-solve failed")
+
 // Run executes the Lanczos recurrence from the (not necessarily normalized)
-// start vector d. It returns the tridiagonal coefficients and ‖d‖. The
-// recurrence stops early (fewer than K steps) if an invariant subspace is
-// found; Beta then ends with the (tiny) terminating coefficient.
+// start vector d: the one-column case of Plan.Solve. It returns the
+// tridiagonal coefficients and ‖d‖. The recurrence stops early (fewer than K
+// steps) if an invariant subspace is found; Beta then ends with the (tiny)
+// terminating coefficient.
 func Run(op Operator, d []float64, opt Options) (*Tridiagonal, float64, error) {
-	n := op.Dim()
-	if len(d) != n {
-		return nil, 0, fmt.Errorf("lanczos: start vector has %d entries, operator dimension %d", len(d), n)
+	p, err := NewPlan(op, 1, opt)
+	if err != nil {
+		return nil, 0, err
 	}
-	if opt.K <= 0 {
-		return nil, 0, fmt.Errorf("lanczos: K must be positive")
+	if err := p.Solve([][]float64{d}); err != nil {
+		return nil, 0, err
 	}
-	// All recurrence reductions go through the pool's deterministic chunked
-	// forms: below the chunk threshold they are exactly the serial loops;
-	// above it the fixed chunk layout keeps them width-invariant, so the
-	// recurrence (and the Ritz nodes built from it) is bit-reproducible for
-	// any kernel-thread count.
-	norm := math.Sqrt(par.SumSq(d))
-	if norm == 0 {
+	t, norm := p.Tridiagonal(0)
+	if t == nil {
 		return nil, 0, fmt.Errorf("lanczos: zero start vector")
-	}
-	q := make([]float64, n)
-	par.For("lanczos_vec", n, 4096, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			q[i] = d[i] / norm
-		}
-	})
-	var qs [][]float64 // stored vectors for reorthogonalization
-	if opt.Reorthogonalize {
-		qs = append(qs, append([]float64(nil), q...))
-	}
-	qPrev := make([]float64, n)
-	w := make([]float64, n)
-	t := &Tridiagonal{}
-	var betaPrev float64
-	for step := 0; step < opt.K; step++ {
-		op.MulVec(q, w)
-		alpha := par.Dot(q, w)
-		t.Alpha = append(t.Alpha, alpha)
-		par.For("lanczos_vec", n, 4096, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				w[i] -= alpha*q[i] + betaPrev*qPrev[i]
-			}
-		})
-		if opt.Reorthogonalize {
-			// Two passes of classical Gram–Schmidt against all stored q's.
-			for pass := 0; pass < 2; pass++ {
-				for _, qi := range qs {
-					c := par.Dot(w, qi)
-					if c != 0 {
-						linalg.Axpy(-c, qi, w)
-					}
-				}
-			}
-		}
-		beta := math.Sqrt(par.SumSq(w))
-		t.Beta = append(t.Beta, beta)
-		if beta < 1e-13*math.Max(1, math.Abs(alpha)) {
-			// Invariant subspace: the measure is fully resolved.
-			break
-		}
-		qPrev, q = q, qPrev
-		par.For("lanczos_vec", n, 4096, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				q[i] = w[i] / beta
-			}
-		})
-		if opt.Reorthogonalize {
-			qs = append(qs, append([]float64(nil), q...))
-		}
-		betaPrev = beta
 	}
 	return t, norm, nil
 }
 
-// GaussRule returns the Gauss quadrature nodes (Ritz values) and weights of
-// the plain k-step rule: nodes are eigenvalues of T_k, weights the squared
-// first components of its eigenvectors.
-func (t *Tridiagonal) GaussRule() (nodes, weights []float64) {
-	k := t.K()
-	d := append([]float64(nil), t.Alpha...)
-	e := make([]float64, k-1)
-	copy(e, t.Beta[:k-1])
-	return ruleFromTridiag(d, e)
+// rule is the quadrature of one recurrence: the diagonal, off-diagonal and
+// eigenvector-first-row work vectors of T_k or T̂ (2K−1 entries hold either),
+// and the density evaluation bound to the nodes and weights they become.
+type rule struct {
+	d, e, z        []float64
+	nodes, weights []float64 // d[:m], z[:m] after build
+
+	xs, out      []float64
+	sigma, scale float64
+	densFn       func(chunk, lo, hi int)
 }
 
-// GAGQRule returns the generalized averaged Gauss rule of Spalević built
-// from k Lanczos steps: the (2k−1)×(2k−1) matrix
+func newRule(k int) *rule {
+	m := 2*k - 1
+	r := &rule{d: make([]float64, m), e: make([]float64, m), z: make([]float64, m)}
+	r.densFn = r.densRange
+	return r
+}
+
+// build fills nodes and weights from t: the generalized averaged rule when
+// gagq is set and t supports it, the plain Gauss rule otherwise.
+//
+// The averaged rule of Spalević is built from the (2k−1)×(2k−1) matrix
 //
 //	T̂ = [ T_k        β_k e_k e_1ᵀ ]
 //	    [ β_k e_1 e_kᵀ   T'_{k−1} ]
@@ -154,81 +137,124 @@ func (t *Tridiagonal) GaussRule() (nodes, weights []float64) {
 // where T'_{k−1} is T_{k−1} with rows/columns reversed. Its eigen-pairs give
 // nodes and weights that are substantially more accurate than the plain
 // Gauss rule at negligible extra cost (the paper's §V-E choice).
-func (t *Tridiagonal) GAGQRule() (nodes, weights []float64) {
+func (r *rule) build(t *Tridiagonal, gagq bool) error {
 	k := t.K()
-	if k < 2 {
-		return t.GaussRule()
+	if k == 0 {
+		return fmt.Errorf("%w: empty recurrence", ErrQuadrature)
 	}
-	// Early termination (β_k ≈ 0) means the measure is fully resolved by
-	// the plain rule; the averaged augmentation would couple through a
-	// numerically meaningless coefficient.
-	var scale float64
-	for _, a := range t.Alpha {
-		scale = math.Max(scale, math.Abs(a))
+	if gagq && k >= 2 {
+		// Early termination (β_k ≈ 0) means the measure is fully resolved by
+		// the plain rule; the averaged augmentation would couple through a
+		// numerically meaningless coefficient.
+		var scale float64
+		for _, a := range t.Alpha {
+			scale = math.Max(scale, math.Abs(a))
+		}
+		gagq = !(t.Beta[k-1] <= 1e-12*math.Max(1, scale))
 	}
-	if t.Beta[k-1] <= 1e-12*math.Max(1, scale) {
-		return t.GaussRule()
+	m := k
+	if gagq && k >= 2 {
+		m = 2*k - 1
 	}
-	m := 2*k - 1
-	d := make([]float64, m)
-	e := make([]float64, m-1)
-	copy(d, t.Alpha) // α_1..α_k
-	for i := 0; i < k-1; i++ {
-		d[k+i] = t.Alpha[k-2-i] // α_{k−1}..α_1
-	}
+	d, e := r.d[:m], r.e[:m]
+	copy(d, t.Alpha)      // α_1..α_k
 	copy(e, t.Beta[:k-1]) // β_1..β_{k−1}
-	e[k-1] = t.Beta[k-1]  // coupling β_k
-	for i := 0; i < k-2; i++ {
-		e[k+i] = t.Beta[k-3-i] // β_{k−2}..β_1
+	if m > k {
+		for i := 0; i < k-1; i++ {
+			d[k+i] = t.Alpha[k-2-i] // α_{k−1}..α_1
+		}
+		e[k-1] = t.Beta[k-1] // coupling β_k
+		for i := 0; i < k-2; i++ {
+			e[k+i] = t.Beta[k-3-i] // β_{k−2}..β_1
+		}
 	}
-	return ruleFromTridiag(d, e)
+	// Golub–Welsch: nodes are the eigenvalues, weights the squared first
+	// components of the eigenvectors — the only part of them ever computed.
+	if err := linalg.EigSymTridiagFirstRow(d, e, r.z[:m]); err != nil {
+		return fmt.Errorf("%w: %v", ErrQuadrature, err)
+	}
+	r.nodes, r.weights = d, r.z[:m]
+	for j, w := range r.weights {
+		r.weights[j] = w * w
+	}
+	return nil
 }
 
-func ruleFromTridiag(d, e []float64) (nodes, weights []float64) {
-	vals, vecs := linalg.EigSymTridiag(d, e)
-	weights = make([]float64, len(vals))
-	for j := range vals {
-		w := vecs.At(0, j)
-		weights[j] = w * w
+// density writes s(x) = dᵀ·g_σ(x − H)·d for x in xs into out, from the built
+// rule; transform (nil = identity) maps the nodes into the x domain first.
+func (r *rule) density(dNorm float64, xs []float64, sigma float64, transform func(float64) float64, out []float64) {
+	if transform != nil {
+		for i := range r.nodes {
+			r.nodes[i] = transform(r.nodes[i])
+		}
 	}
-	return vals, weights
+	r.xs, r.out, r.sigma = xs, out, sigma
+	r.scale = dNorm * dNorm * (1 / (math.Sqrt(2*math.Pi) * sigma))
+	par.ForChunks("lanczos_density", len(xs), 64, r.densFn)
+	r.xs, r.out = nil, nil
+}
+
+func (r *rule) densRange(_, lo, hi int) {
+	sigma := r.sigma
+	for xi := lo; xi < hi; xi++ {
+		x := r.xs[xi]
+		var s float64
+		for j, node := range r.nodes {
+			dx := (x - node) / sigma
+			if dx > 8 || dx < -8 {
+				continue
+			}
+			s += r.weights[j] * math.Exp(-0.5*dx*dx)
+		}
+		r.out[xi] = r.scale * s
+	}
+}
+
+// ruleOf builds a one-shot rule for t.
+func ruleOf(t *Tridiagonal, gagq bool) (*rule, error) {
+	r := newRule(max(t.K(), 1))
+	if err := r.build(t, gagq); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// GaussRule returns the Gauss quadrature nodes (Ritz values) and weights of
+// the plain k-step rule: nodes are eigenvalues of T_k, weights the squared
+// first components of its eigenvectors. The error wraps ErrQuadrature.
+func (t *Tridiagonal) GaussRule() (nodes, weights []float64, err error) {
+	r, err := ruleOf(t, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	return r.nodes, r.weights, nil
+}
+
+// GAGQRule returns the generalized averaged Gauss rule of Spalević built
+// from k Lanczos steps, 2k−1 nodes (see rule.build); after an early
+// termination, or for k < 2, it is the plain Gauss rule.
+func (t *Tridiagonal) GAGQRule() (nodes, weights []float64, err error) {
+	r, err := ruleOf(t, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	return r.nodes, r.weights, nil
 }
 
 // SpectralDensity evaluates s(x) = dᵀ·g_σ(x − H)·d on the given x values,
 // where g_σ is a normalized Gaussian — the regularized δ of the paper's
 // Eq. (8). transform maps operator eigenvalues to the x domain (pass nil
 // for identity); for Raman it converts mass-weighted Hessian eigenvalues to
-// wavenumbers. useGAGQ selects the augmented rule (recommended).
-func SpectralDensity(t *Tridiagonal, dNorm float64, xs []float64, sigma float64, transform func(float64) float64, useGAGQ bool) []float64 {
-	var nodes, weights []float64
-	if useGAGQ {
-		nodes, weights = t.GAGQRule()
-	} else {
-		nodes, weights = t.GaussRule()
-	}
-	if transform != nil {
-		for i := range nodes {
-			nodes[i] = transform(nodes[i])
-		}
+// wavenumbers. useGAGQ selects the augmented rule (recommended). The error
+// wraps ErrQuadrature.
+func SpectralDensity(t *Tridiagonal, dNorm float64, xs []float64, sigma float64, transform func(float64) float64, useGAGQ bool) ([]float64, error) {
+	r, err := ruleOf(t, useGAGQ)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]float64, len(xs))
-	norm2 := dNorm * dNorm
-	pref := 1 / (math.Sqrt(2*math.Pi) * sigma)
-	par.For("lanczos_density", len(xs), 64, func(lo, hi int) {
-		for xi := lo; xi < hi; xi++ {
-			x := xs[xi]
-			var s float64
-			for j := range nodes {
-				dx := (x - nodes[j]) / sigma
-				if dx > 8 || dx < -8 {
-					continue
-				}
-				s += weights[j] * math.Exp(-0.5*dx*dx)
-			}
-			out[xi] = norm2 * pref * s
-		}
-	})
-	return out
+	r.density(dNorm, xs, sigma, transform, out)
+	return out, nil
 }
 
 // DenseSpectralDensity is the exact reference: it diagonalizes the operator

@@ -37,7 +37,10 @@ func TestFullLanczosRecoversSpectrum(t *testing.T) {
 	if tri.K() != n {
 		t.Fatalf("expected %d steps, got %d", n, tri.K())
 	}
-	nodes, weights := tri.GaussRule()
+	nodes, weights, err := tri.GaussRule()
+	if err != nil {
+		t.Fatal(err)
+	}
 	want, _ := linalg.EigSym(m)
 	for i := range want {
 		if math.Abs(nodes[i]-want[i]) > 1e-8 {
@@ -78,7 +81,10 @@ func TestGaussRuleMomentExactness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, weights := tri.GaussRule()
+	nodes, weights, err := tri.GaussRule()
+	if err != nil {
+		t.Fatal(err)
+	}
 	exact := momentsExact(m, d, 2*k-1)
 	for p := 0; p <= 2*k-1; p++ {
 		var quad float64
@@ -104,7 +110,10 @@ func TestGAGQMomentExactness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, weights := tri.GAGQRule()
+	nodes, weights, err := tri.GAGQRule()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(nodes) != 2*k-1 {
 		t.Fatalf("GAGQ rule has %d nodes, want %d", len(nodes), 2*k-1)
 	}
@@ -136,7 +145,10 @@ func TestSpectralDensityMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := SpectralDensity(tri, norm, xs, sigma, nil, true)
+	got, err := SpectralDensity(tri, norm, xs, sigma, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Relative L2 error.
 	var num, den float64
 	for i := range xs {
@@ -167,8 +179,14 @@ func TestGAGQBeatsPlainGauss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain := SpectralDensity(tri, norm, xs, sigma, nil, false)
-		avg := SpectralDensity(tri, norm, xs, sigma, nil, true)
+		plain, err := SpectralDensity(tri, norm, xs, sigma, nil, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		avg, err := SpectralDensity(tri, norm, xs, sigma, nil, true)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := range xs {
 			errG += (plain[i] - want[i]) * (plain[i] - want[i])
 			errA += (avg[i] - want[i]) * (avg[i] - want[i])
@@ -213,7 +231,10 @@ func TestTransformApplied(t *testing.T) {
 		t.Fatal(err)
 	}
 	sqrtT := func(x float64) float64 { return math.Sqrt(math.Abs(x)) }
-	got := SpectralDensity(tri, norm, xs, 0.2, sqrtT, true)
+	got, err := SpectralDensity(tri, norm, xs, 0.2, sqrtT, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := DenseSpectralDensity(m, d, xs, 0.2, sqrtT)
 	for i := range xs {
 		if math.Abs(got[i]-want[i]) > 1e-6*math.Max(1, want[i]) {
@@ -244,7 +265,10 @@ func TestNoReorthogonalizationStillWorksForSmallK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, weights := tri.GaussRule()
+	nodes, weights, err := tri.GaussRule()
+	if err != nil {
+		t.Fatal(err)
+	}
 	exact := momentsExact(m, d, 3)
 	for p := 0; p <= 3; p++ {
 		var quad float64
@@ -273,7 +297,10 @@ func TestGAGQAfterEarlyTermination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, weights := tri.GAGQRule()
+	nodes, weights, err := tri.GAGQRule()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sum float64
 	for _, w := range weights {
 		if math.IsNaN(w) {

@@ -98,6 +98,30 @@ func BenchmarkEigSym(b *testing.B) {
 	}
 }
 
+// BenchmarkQuadrature is the eigen-solve behind one GAGQ rule at the
+// benchmark workloads' K = 120 (T̂ of order 239): the first-row routine the
+// spectral solver calls, against the full-eigenvector reference it replaced.
+func BenchmarkQuadrature(b *testing.B) {
+	d0, e0 := gagqShape(rand.New(rand.NewSource(4)), 120)
+	b.Run("first-row", func(b *testing.B) {
+		d, e, z := make([]float64, len(d0)), make([]float64, len(d0)), make([]float64, len(d0))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			copy(d, d0)
+			copy(e, e0)
+			if err := EigSymTridiagFirstRow(d, e, z); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			EigSymTridiag(d0, e0)
+		}
+	})
+}
+
 func BenchmarkGeneralizedEigSym(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	n := 64

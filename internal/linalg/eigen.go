@@ -27,26 +27,29 @@ func EigSym(a *Matrix) ([]float64, *Matrix) {
 	return d, z
 }
 
-// EigSymTridiag computes eigenvalues and eigenvectors of the symmetric
-// tridiagonal matrix with diagonal d (length n) and off-diagonal e (length
-// n−1). It returns ascending eigenvalues and the eigenvector matrix.
-// The inputs are not modified.
-func EigSymTridiag(d, e []float64) ([]float64, *Matrix) {
+// EigSymTridiagFirstRow computes, in place and without allocating, the
+// eigenvalues of a symmetric tridiagonal matrix and the first component of
+// every normalized eigenvector — all a Gauss quadrature rule needs of the
+// eigenvectors (Golub–Welsch: the weights are those components squared).
+// On entry d holds the diagonal and e[:n−1] the off-diagonal (e has length
+// n; e[n−1] is scratch). On return d holds the ascending eigenvalues, z[j]
+// the first component of eigenvector j, and e is destroyed.
+//
+// It runs tql2's rotations and selection sort on one-element rows, so the
+// values are bit-identical to row 0 of the full eigenvector matrix at O(n²)
+// instead of O(n³): a component of the accumulated rotations never reads any
+// other component.
+func EigSymTridiagFirstRow(d, e, z []float64) error {
 	n := len(d)
-	if len(e) != n-1 && !(n == 0 && len(e) == 0) {
-		panic("linalg: EigSymTridiag off-diagonal length must be n-1")
+	if len(e) != n || len(z) != n {
+		panic("linalg: EigSymTridiagFirstRow needs len(e) == len(z) == len(d)")
 	}
-	dd := make([]float64, n)
-	copy(dd, d)
-	// tql2 uses the tred2 convention: ee[i] is the subdiagonal element
-	// coupling rows i−1 and i, so ee[0] is unused.
-	ee := make([]float64, n)
-	copy(ee[1:], e)
-	z := Identity(n)
-	if err := tql2(dd, ee, z); err != nil {
-		panic(err)
+	if n == 0 {
+		return nil
 	}
-	return dd, z
+	clear(z)
+	z[0] = 1
+	return tqlRows(d, e, z, 1)
 }
 
 // EigvalsSymTridiag computes only the eigenvalues of a symmetric tridiagonal
@@ -162,6 +165,27 @@ func tql2(d, e []float64, z *Matrix) error {
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
 	}
+	if err := tqlRows(d, e, zt.Data, n); err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		row := zt.Row(i)
+		for j := 0; j < n; j++ {
+			z.Set(j, i, row[j])
+		}
+	}
+	return nil
+}
+
+// tqlRows is the implicit-shift QL iteration and the ascending selection
+// sort on transposed eigenvector storage: zt holds n = len(d) rows of w
+// entries, row i being the carried components of eigenvector i. tql2 carries
+// all n components (w = n), EigSymTridiagFirstRow only the first (w = 1);
+// every rotation and swap treats the w entries of a row independently, so a
+// component's bits do not depend on which others ride along. On input
+// e[0..n-2] holds the subdiagonal; e is destroyed.
+func tqlRows(d, e, zt []float64, w int) error {
+	n := len(d)
 	e[n-1] = 0
 	for l := 0; l < n; l++ {
 		iter := 0
@@ -207,9 +231,9 @@ func tql2(d, e []float64, z *Matrix) error {
 				p = s * r
 				d[i+1] = g + p
 				g = c*r - b
-				zi := zt.Row(i)
-				zi1 := zt.Row(i + 1)
-				for k := 0; k < n; k++ {
+				zi := zt[i*w : (i+1)*w]
+				zi1 := zt[(i+1)*w : (i+2)*w]
+				for k := range zi {
 					f = zi1[k]
 					zi1[k] = s*zi[k] + c*f
 					zi[k] = c*zi[k] - s*f
@@ -223,8 +247,7 @@ func tql2(d, e []float64, z *Matrix) error {
 			e[m] = 0
 		}
 	}
-	// Sort eigenvalues ascending, permuting eigenvector rows (transposed
-	// storage), then write the result back as columns of z.
+	// Sort eigenvalues ascending, permuting the rows with them.
 	for i := 0; i < n-1; i++ {
 		k := i
 		p := d[i]
@@ -237,16 +260,10 @@ func tql2(d, e []float64, z *Matrix) error {
 		if k != i {
 			d[k] = d[i]
 			d[i] = p
-			ri, rk := zt.Row(i), zt.Row(k)
-			for j := 0; j < n; j++ {
+			ri, rk := zt[i*w:(i+1)*w], zt[k*w:(k+1)*w]
+			for j := range ri {
 				ri[j], rk[j] = rk[j], ri[j]
 			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		row := zt.Row(i)
-		for j := 0; j < n; j++ {
-			z.Set(j, i, row[j])
 		}
 	}
 	return nil

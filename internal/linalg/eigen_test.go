@@ -92,6 +92,124 @@ func TestEigSymMatchesJacobi(t *testing.T) {
 	checkEigenpairs(t, a, v2, vecs2, 1e-8)
 }
 
+// EigSymTridiag is the differential reference of EigSymTridiagFirstRow (the
+// gemmref/cgref pattern; no production caller is left): all eigenvalues and
+// the full eigenvector matrix of the symmetric tridiagonal matrix with
+// diagonal d (length n) and off-diagonal e (length n−1), by tql2 on the
+// identity. The inputs are not modified.
+func EigSymTridiag(d, e []float64) ([]float64, *Matrix) {
+	n := len(d)
+	if len(e) != n-1 && !(n == 0 && len(e) == 0) {
+		panic("linalg: EigSymTridiag off-diagonal length must be n-1")
+	}
+	dd := make([]float64, n)
+	copy(dd, d)
+	// tql2 uses the tred2 convention: ee[i] is the subdiagonal element
+	// coupling rows i−1 and i, so ee[0] is unused.
+	ee := make([]float64, n)
+	copy(ee[1:], e)
+	z := Identity(n)
+	if err := tql2(dd, ee, z); err != nil {
+		panic(err)
+	}
+	return dd, z
+}
+
+// gagqShape builds the (2k−1)-point generalized averaged Gauss matrix T̂ of
+// a k-step recurrence with random coefficients: α₁…α_k, α_{k−1}…α₁ on the
+// diagonal, β₁…β_{k−1}, β_k, β_{k−2}…β₁ beside it.
+func gagqShape(rng *rand.Rand, k int) (d, e []float64) {
+	alpha, beta := make([]float64, k), make([]float64, k)
+	for i := range alpha {
+		alpha[i] = rng.NormFloat64()
+		beta[i] = math.Abs(rng.NormFloat64()) + 0.1
+	}
+	d = append(d, alpha...)
+	e = append(e, beta...)
+	for i := k - 2; i >= 0; i-- {
+		d = append(d, alpha[i])
+	}
+	for i := k - 3; i >= 0; i-- {
+		e = append(e, beta[i])
+	}
+	return d, e
+}
+
+// TestFirstRowMatchesReferenceBitwise: the first-row routine returns exactly
+// the eigenvalues and exactly row 0 of the eigenvector matrix of the full
+// tql2, on every shape the quadrature meets: sizes 1, 2, 3, the early-
+// terminated 107 and the full GAGQ 239, split matrices (zero β), repeated
+// eigenvalues, and the mirrored T̂ itself.
+func TestFirstRowMatchesReferenceBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	type tri struct {
+		name string
+		d, e []float64
+	}
+	var cases []tri
+	for _, n := range []int{1, 2, 3, 107, 239} {
+		d, e := make([]float64, n), make([]float64, n-1)
+		for i := range d {
+			d[i] = rng.NormFloat64()
+		}
+		for i := range e {
+			e[i] = rng.NormFloat64()
+		}
+		cases = append(cases, tri{"random" + itoa(n), d, e})
+		ez := append([]float64(nil), e...)
+		for i := 0; i < len(ez); i += 5 {
+			ez[i] = 0
+		}
+		cases = append(cases, tri{"zero-beta" + itoa(n), d, ez})
+		dr := make([]float64, n)
+		for i := range dr {
+			dr[i] = float64(i % 3)
+		}
+		cases = append(cases, tri{"repeated" + itoa(n), dr, make([]float64, n-1)})
+		er := make([]float64, n-1)
+		for i := range er {
+			er[i] = 1e-9 * rng.NormFloat64()
+		}
+		cases = append(cases, tri{"near-repeated" + itoa(n), dr, er})
+	}
+	for _, k := range []int{2, 3, 54, 120} {
+		d, e := gagqShape(rng, k)
+		cases = append(cases, tri{"gagq" + itoa(k), d, e})
+	}
+	for _, c := range cases {
+		n := len(c.d)
+		vals, vecs := EigSymTridiag(c.d, c.e)
+		d := append([]float64(nil), c.d...)
+		e := make([]float64, n)
+		copy(e, c.e)
+		z := make([]float64, n)
+		for i := range z {
+			z[i] = math.NaN() // the routine must initialize z itself
+		}
+		if err := EigSymTridiagFirstRow(d, e, z); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for j := 0; j < n; j++ {
+			if math.Float64bits(d[j]) != math.Float64bits(vals[j]) {
+				t.Fatalf("%s: eigenvalue %d = %x, reference %x", c.name, j, math.Float64bits(d[j]), math.Float64bits(vals[j]))
+			}
+			if math.Float64bits(z[j]) != math.Float64bits(vecs.At(0, j)) {
+				t.Fatalf("%s: first component %d = %v, reference %v", c.name, j, z[j], vecs.At(0, j))
+			}
+		}
+	}
+}
+
+// TestFirstRowNonConvergenceIsAnError: a NaN-poisoned matrix exhausts the QL
+// sweeps and comes back as an error, never a panic or a silent value.
+func TestFirstRowNonConvergenceIsAnError(t *testing.T) {
+	d := []float64{1, math.NaN(), 3, 4}
+	e := []float64{0.5, 0.5, 0.5, 0}
+	if err := EigSymTridiagFirstRow(d, e, make([]float64, 4)); err == nil {
+		t.Fatal("NaN diagonal converged")
+	}
+}
+
 func TestEigSymTridiag(t *testing.T) {
 	// Tridiagonal with d=2, e=-1 (discrete Laplacian) has analytic spectrum
 	// λ_k = 2 - 2cos(kπ/(n+1)).

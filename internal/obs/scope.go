@@ -44,6 +44,12 @@ const (
 	// per Polarizability mixing rung below the requested factor.
 	MetricSCFSmearingEscalations = "scf_smearing_escalations_total"
 	MetricDFPTMixingFallbacks    = "dfpt_mixing_fallbacks_total"
+	// Spectral-solver counts, one RecordLanczos per spectrum: recurrence
+	// steps taken over all start vectors, recurrences that stopped on
+	// β-breakdown, and start vectors skipped as numerically zero.
+	MetricLanczosSteps      = "lanczos_steps_total"
+	MetricLanczosEarlyStops = "lanczos_early_stops_total"
+	MetricLanczosSkipped    = "lanczos_skipped_starts_total"
 	// Kernel-pool metrics recorded by internal/par (see DESIGN.md §7).
 	MetricParJobs        = "par_jobs_total"
 	MetricParInline      = "par_inline_total"
@@ -298,4 +304,15 @@ func (s Scope) RecordDFPTCycles(base time.Time, samples []CycleSample) {
 		s.FS.AddCycles(len(samples))
 	}
 	s.T.recordCycles(s.Span.ID(), s.Track, base, samples)
+}
+
+// RecordLanczos records what one spectral solve did — as counters, and as
+// arguments of the scope's span (the caller's "spectrum" span).
+func (s Scope) RecordLanczos(steps, earlyStops, skippedStarts int) {
+	s.R.Counter(MetricLanczosSteps).Add(int64(steps))
+	s.R.Counter(MetricLanczosEarlyStops).Add(int64(earlyStops))
+	s.R.Counter(MetricLanczosSkipped).Add(int64(skippedStarts))
+	s.Span.SetArg("lanczos_steps", int64(steps))
+	s.Span.SetArg("lanczos_early_stops", int64(earlyStops))
+	s.Span.SetArg("lanczos_skipped_starts", int64(skippedStarts))
 }

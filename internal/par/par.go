@@ -247,6 +247,24 @@ func ForChunks(name string, n, minChunk int, body func(chunk, lo, hi int)) {
 	})
 }
 
+// Fan runs body over [0, n) one item per chunk, for items that are
+// themselves built from kernels — the seven recurrences of the Lanczos
+// solver, each a sequence of dot and lanczos_vec kernels. Helpers taken here
+// leave fewer tokens for the nested kernels, which then run inline: the same
+// budget serves whichever level has the parallelism. Under profile capture
+// Fan is not timed (its seconds are its kernels' seconds) and the items run
+// serially on the caller.
+func Fan(name string, n int, body func(chunk, lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	if profile.Load() != nil {
+		body(0, 0, n)
+		return
+	}
+	ForChunks(name, n, 1, body)
+}
+
 // ReduceSum computes the sum of body(lo, hi) over the deterministic chunk
 // partition of [0, n), combining the per-chunk partial sums in ascending
 // chunk order. The result is bit-identical for any worker count or budget.
@@ -335,18 +353,21 @@ func runChunked(name string, size, count, n, helpers int, run func(chunk int)) {
 	}
 }
 
-// dotChunk is the reduction floor for Dot/SumSq: vectors below it take the
+// DotChunk is the reduction floor for Dot/SumSq: vectors below it take the
 // exact serial path, and longer vectors split into ≥2,048-element chunks —
 // ~µs of fused multiply-add work per chunk, enough to amortize dispatch
 // while giving the long Lanczos vectors of large systems real parallelism.
-const dotChunk = 2048
+// Exported with DotRange for kernels that fuse a dot product into another
+// sweep and must reproduce Dot's bits: ForChunks(…, n, DotChunk, …), one
+// DotRange-associated partial per chunk, partials added in ascending order.
+const DotChunk = 2048
 
-// dotRange is the per-chunk dot body: four independent accumulator chains
+// DotRange is the per-chunk dot body: four independent accumulator chains
 // (the SIMD-friendly unrolled form — the add-latency chain of the naive loop
 // is the bottleneck, not bandwidth, for L1/L2-resident vectors). The
 // association depends only on (lo, hi), which the chunk layout fixes, so the
 // combined value stays bit-identical at any width.
-func dotRange(a, b []float64, lo, hi int) float64 {
+func DotRange(a, b []float64, lo, hi int) float64 {
 	var s0, s1, s2, s3 float64
 	i := lo
 	for ; i+3 < hi; i += 4 {
@@ -368,15 +389,15 @@ func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("par: Dot length mismatch")
 	}
-	return ReduceSum("dot", len(a), dotChunk, func(lo, hi int) float64 {
-		return dotRange(a, b, lo, hi)
+	return ReduceSum("dot", len(a), DotChunk, func(lo, hi int) float64 {
+		return DotRange(a, b, lo, hi)
 	})
 }
 
 // SumSq returns Σ aᵢ² with the deterministic chunked reduction.
 func SumSq(a []float64) float64 {
-	return ReduceSum("dot", len(a), dotChunk, func(lo, hi int) float64 {
-		return dotRange(a, a, lo, hi)
+	return ReduceSum("dot", len(a), DotChunk, func(lo, hi int) float64 {
+		return DotRange(a, a, lo, hi)
 	})
 }
 

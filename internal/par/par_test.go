@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -205,6 +206,44 @@ func TestProfileByKernel(t *testing.T) {
 	}
 	if len(secs) != 1 || secs["prof_kernel"] <= 0 {
 		t.Fatalf("expected one kernel with positive serial seconds, got %v", secs)
+	}
+}
+
+// TestFanRunsEveryItemOnceAndIsNotProfiled: Fan hands each item to exactly
+// one chunk at any width, and under profile capture it runs the items
+// without logging a kernel of its own — only the kernels the items call
+// appear, so their seconds are not counted twice.
+func TestFanRunsEveryItemOnceAndIsNotProfiled(t *testing.T) {
+	for _, width := range []int{1, 4} {
+		withBudget(t, width, func() {
+			hits := make([]int32, 7)
+			Fan("fan_items", len(hits), func(_, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&hits[i], 1)
+				}
+			})
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("width %d: item %d ran %d times", width, i, h)
+				}
+			}
+		})
+	}
+	Fan("fan_items", 0, func(_, _, _ int) { t.Fatal("body ran on an empty range") })
+
+	p := StartProfile()
+	defer StopProfile()
+	a := make([]float64, 3*DotChunk)
+	var ran int
+	Fan("fan_items", 3, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ran++
+			Dot(a, a)
+		}
+	})
+	chunks := p.ChunksByKernel()
+	if ran != 3 || len(chunks) != 1 || chunks["dot"] != 9 {
+		t.Fatalf("%d items ran, profile saw %v; want 3 items and only their nine dot chunks", ran, chunks)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"qframan/internal/constants"
 	"qframan/internal/hessian"
-	"qframan/internal/lanczos"
 	"qframan/internal/linalg"
 )
 
@@ -75,30 +74,11 @@ func DenseIRSpectrum(g *hessian.Global, opt Options, rigidCutoff float64) (*Spec
 }
 
 // LanczosIRSpectrum is the large-system IR solver: three Lanczos+GAGQ
-// spectral densities, one per dipole component.
+// spectral densities, one per dipole component, as three columns of the
+// same lockstep solve LanczosSpectrum runs with seven.
 func LanczosIRSpectrum(g *hessian.Global, opt Options) (*Spectrum, error) {
 	if g.DDipole[0] == nil {
 		return nil, fmt.Errorf("raman: dipole derivatives missing")
 	}
-	xs := opt.axis()
-	out := &Spectrum{Freq: xs, Intensity: make([]float64, len(xs))}
-	trans := translationVectors(g.Masses)
-	lopt := lanczos.Options{K: opt.LanczosK, Reorthogonalize: opt.Reorthogonalize}
-	for k := 0; k < 3; k++ {
-		d := append([]float64(nil), g.DDipole[k]...)
-		project(d, trans)
-		if linalg.Norm2(d) < 1e-10*linalg.Norm2(g.DDipole[k])+1e-300 {
-			continue
-		}
-		t, norm, err := lanczos.Run(g.H, d, lopt)
-		if err != nil {
-			return nil, err
-		}
-		dens := lanczos.SpectralDensity(t, norm, xs, opt.Sigma,
-			constants.WavenumberFromEigenvalue, opt.UseGAGQ)
-		for i := range out.Intensity {
-			out.Intensity[i] += dens[i]
-		}
-	}
-	return out, nil
+	return lanczosSpectrum(g, opt, g.DDipole[:], []float64{1, 1, 1})
 }

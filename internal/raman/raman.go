@@ -7,7 +7,9 @@
 //   - Lanczos: the paper's large-system solver (Eq. 5): the spectrum is a
 //     combination of spectral densities dᵀδ_σ(ω−H)d evaluated with
 //     Lanczos+GAGQ, one per polarizability component plus one for the trace
-//     term — seven k-step Lanczos runs regardless of system size.
+//     term — seven k-step recurrences regardless of system size, advanced in
+//     lockstep by one lanczos.Plan so each step reads the Hessian once. The
+//     IR spectrum is the same solve with three columns.
 package raman
 
 import (
@@ -18,6 +20,7 @@ import (
 	"qframan/internal/hessian"
 	"qframan/internal/lanczos"
 	"qframan/internal/linalg"
+	"qframan/internal/obs"
 )
 
 // Options controls spectrum generation.
@@ -33,6 +36,10 @@ type Options struct {
 	UseGAGQ bool
 	// Reorthogonalize controls the Lanczos iteration.
 	Reorthogonalize bool
+	// Obs receives the Lanczos solver's step, early-stop and skipped-start
+	// counts (obs.Scope.RecordLanczos). The zero value disables it; it
+	// never affects results.
+	Obs obs.Scope
 }
 
 // DefaultOptions covers the full vibrational range with the paper's
@@ -85,6 +92,9 @@ func CosineSimilarity(a, b *Spectrum) float64 {
 
 func (o *Options) axis() []float64 {
 	var xs []float64
+	if pts := (o.FreqMax - o.FreqMin) / o.FreqStep; pts >= 0 && pts < 1<<24 {
+		xs = make([]float64, 0, int(pts)+2)
+	}
 	for x := o.FreqMin; x <= o.FreqMax+1e-9; x += o.FreqStep {
 		xs = append(xs, x)
 	}
@@ -171,49 +181,70 @@ func DenseSpectrum(g *hessian.Global, opt Options, rigidCutoff float64) (*Spectr
 
 // LanczosSpectrum produces the spectrum with the paper's Eq. 5 solver: seven
 // spectral densities (six components + trace) evaluated by Lanczos+GAGQ on
-// the sparse mass-weighted Hessian. Rigid-body translations are projected
-// out of every start vector.
+// the sparse mass-weighted Hessian — one lockstep lanczos.Plan solve, one
+// pass over the Hessian per step for all seven. Rigid-body translations are
+// projected out of every start vector.
 func LanczosSpectrum(g *hessian.Global, opt Options) (*Spectrum, error) {
 	if g.DAlpha[0] == nil {
 		return nil, fmt.Errorf("raman: polarizability derivatives missing")
 	}
 	n := g.H.Dim()
-	xs := opt.axis()
-	out := &Spectrum{Freq: xs, Intensity: make([]float64, len(xs))}
-	trans := translationVectors(g.Masses)
-
-	lopt := lanczos.Options{K: opt.LanczosK, Reorthogonalize: opt.Reorthogonalize}
-	addDensity := func(d []float64, weight float64) error {
-		dp := append([]float64(nil), d...)
-		project(dp, trans)
-		// Skip numerically vanishing start vectors (their spectral weight
-		// is zero; normalizing them would amplify noise into NaNs).
-		if linalg.Norm2(dp) < 1e-10*linalg.Norm2(d)+1e-300 {
-			return nil
-		}
-		t, norm, err := lanczos.Run(g.H, dp, lopt)
-		if err != nil {
-			return err
-		}
-		dens := lanczos.SpectralDensity(t, norm, xs, opt.Sigma,
-			constants.WavenumberFromEigenvalue, opt.UseGAGQ)
-		for i := range out.Intensity {
-			out.Intensity[i] += weight * dens[i]
-		}
-		return nil
-	}
-
-	for c := 0; c < 6; c++ {
-		if err := addDensity(g.DAlpha[c], eqFourComponentWeights[c]); err != nil {
-			return nil, err
-		}
-	}
 	dTr := make([]float64, n)
 	for i := 0; i < n; i++ {
 		dTr[i] = g.DAlpha[0][i] + g.DAlpha[1][i] + g.DAlpha[2][i]
 	}
-	if err := addDensity(dTr, eqFourTraceWeight); err != nil {
+	vecs := [7][]float64{6: dTr}
+	weights := [7]float64{6: eqFourTraceWeight}
+	copy(vecs[:], g.DAlpha[:])
+	copy(weights[:], eqFourComponentWeights[:])
+	return lanczosSpectrum(g, opt, vecs[:], weights[:])
+}
+
+// lanczosSpectrum is Σ_c weights[c]·d_cᵀ·δσ(ω−H)·d_c for the vectors d_c,
+// summed in index order: the Raman and IR large-system paths.
+func lanczosSpectrum(g *hessian.Global, opt Options, vecs [][]float64, weights []float64) (*Spectrum, error) {
+	n := g.H.Dim()
+	xs := opt.axis()
+	out := &Spectrum{Freq: xs, Intensity: make([]float64, len(xs))}
+	trans := translationVectors(g.Masses)
+
+	starts := make([][]float64, len(vecs))
+	buf := make([]float64, len(vecs)*n)
+	for c, d := range vecs {
+		dp := buf[c*n : (c+1)*n]
+		if copy(dp, d) != n {
+			continue // component absent
+		}
+		project(dp, trans)
+		// Skip numerically vanishing start vectors (their spectral weight
+		// is zero; normalizing them would amplify noise into NaNs).
+		if linalg.Norm2(dp) < 1e-10*linalg.Norm2(d)+1e-300 {
+			continue
+		}
+		starts[c] = dp
+	}
+	plan, err := lanczos.NewPlan(g.H, len(vecs), lanczos.Options{K: opt.LanczosK, Reorthogonalize: opt.Reorthogonalize})
+	if err != nil {
 		return nil, err
+	}
+	if err := plan.Solve(starts); err != nil {
+		return nil, err
+	}
+	if opt.Obs.Enabled() {
+		st := plan.Stats()
+		opt.Obs.RecordLanczos(st.Steps, st.EarlyStops, st.SkippedStarts)
+	}
+	if err := plan.Densities(xs, opt.Sigma, constants.WavenumberFromEigenvalue, opt.UseGAGQ); err != nil {
+		return nil, err
+	}
+	for c, weight := range weights {
+		dens := plan.Density(c)
+		if dens == nil {
+			continue
+		}
+		for i := range out.Intensity {
+			out.Intensity[i] += weight * dens[i]
+		}
 	}
 	return out, nil
 }

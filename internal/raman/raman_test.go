@@ -1,11 +1,16 @@
 package raman
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"qframan/internal/faults"
 	"qframan/internal/fragment"
 	"qframan/internal/hessian"
+	"qframan/internal/lanczos"
+	"qframan/internal/obs"
+	"qframan/internal/par"
 	"qframan/internal/structure"
 )
 
@@ -134,8 +139,17 @@ func TestCosineSimilarity(t *testing.T) {
 	}
 }
 
+func emptyHessian(t *testing.T, n int) *hessian.Sparse {
+	t.Helper()
+	h, err := hessian.NewBuilder(n).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 func TestLanczosSpectrumRequiresAlpha(t *testing.T) {
-	g := &hessian.Global{H: hessian.NewBuilder(3).Build(), Masses: []float64{1}}
+	g := &hessian.Global{H: emptyHessian(t, 3), Masses: []float64{1}}
 	if _, err := LanczosSpectrum(g, DefaultOptions()); err == nil {
 		t.Fatal("accepted missing polarizability derivatives")
 	}
@@ -188,7 +202,7 @@ func TestIRSpectrumWaterDimer(t *testing.T) {
 }
 
 func TestIRRequiresDipoleDerivatives(t *testing.T) {
-	g := &hessian.Global{H: hessian.NewBuilder(3).Build(), Masses: []float64{1}}
+	g := &hessian.Global{H: emptyHessian(t, 3), Masses: []float64{1}}
 	if _, err := DenseIRSpectrum(g, DefaultOptions(), 0); err == nil {
 		t.Fatal("accepted missing dipole derivatives")
 	}
@@ -219,6 +233,79 @@ func TestSpectraNonNegative(t *testing.T) {
 			if v < -1e-9 {
 				t.Fatalf("%s: negative intensity %g at %v cm⁻¹", name, v, s.Freq[i])
 			}
+		}
+	}
+}
+
+// TestNonFiniteHessianIsTypedAndPermanent: a NaN in the Hessian poisons
+// every recurrence; the quadrature's eigen-solve then cannot converge, and
+// the spectrum comes back as lanczos.ErrQuadrature — an error the runtime
+// must not retry — instead of a panic that would take a daemon down.
+func TestNonFiniteHessianIsTypedAndPermanent(t *testing.T) {
+	g := dimerGlobal(t)
+	g.H.Val[len(g.H.Val)/2] = math.NaN()
+	opt := DefaultOptions()
+	opt.LanczosK = 12
+	for name, solve := range map[string]func(*hessian.Global, Options) (*Spectrum, error){
+		"raman": LanczosSpectrum, "ir": LanczosIRSpectrum,
+	} {
+		_, err := solve(g, opt)
+		if !errors.Is(err, lanczos.ErrQuadrature) {
+			t.Fatalf("%s: NaN Hessian gave %v, want ErrQuadrature", name, err)
+		}
+		if faults.Classify(err) != faults.Deterministic {
+			t.Fatalf("%s: %v classifies as transient", name, err)
+		}
+	}
+}
+
+// TestLanczosSpectrumRecordsSolverCounts: with a scope attached the solve
+// reports its steps, β-breakdowns and skipped start vectors. The dimer's 18
+// coordinates minus three projected translations leave 15 dimensions, so at
+// K = 36 every recurrence that starts must break down.
+func TestLanczosSpectrumRecordsSolverCounts(t *testing.T) {
+	g := dimerGlobal(t)
+	opt := DefaultOptions()
+	opt.LanczosK = 36
+	reg := obs.NewRegistry()
+	opt.Obs = obs.NewScope(nil, reg)
+	if _, err := LanczosSpectrum(g, opt); err != nil {
+		t.Fatal(err)
+	}
+	steps := reg.Counter(obs.MetricLanczosSteps).Value()
+	early := reg.Counter(obs.MetricLanczosEarlyStops).Value()
+	skipped := reg.Counter(obs.MetricLanczosSkipped).Value()
+	if early+skipped != 7 || early == 0 {
+		t.Fatalf("%d early stops + %d skipped starts, want 7 recurrences accounted for", early, skipped)
+	}
+	if steps < early || steps > 18*early {
+		t.Fatalf("%d steps over %d recurrences of an 18-coordinate problem", steps, early)
+	}
+}
+
+// TestLanczosSpectrumAllocationCeiling: one spectrum allocates the axis, the
+// intensities, the start-vector block, the translation vectors and the plan
+// (per column: Lanczos vectors, w, α, β, partials, T̂ work vectors, density,
+// bound kernels) — a count independent of K, n and the number of steps.
+func TestLanczosSpectrumAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	defer par.SetBudget(0)
+	par.SetBudget(1)
+	g := dimerGlobal(t)
+	opt := DefaultOptions()
+	const ceiling = 150
+	for _, k := range []int{8, 36} {
+		opt.LanczosK = k
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := LanczosSpectrum(g, opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("K = %d: %v allocations per spectrum", k, allocs)
+		if allocs > ceiling {
+			t.Errorf("K = %d: LanczosSpectrum allocates %v objects, ceiling %d", k, allocs, ceiling)
 		}
 	}
 }
