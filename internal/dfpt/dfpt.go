@@ -53,8 +53,13 @@ const (
 // Options configures the DFPT cycle.
 type Options struct {
 	MaxIter int
-	Tol     float64 // convergence on max |ΔP⁽¹⁾| between cycles
-	Mixing  float64
+	Tol     float64 // convergence on max |ΔP⁽¹⁾|, a cycle's output minus its input
+	// Mixing in (0,1] is the damping β of the Pulay step on P⁽¹⁾: the next
+	// input is Σ cᵢ (P⁽¹⁾ᵢ + β·rᵢ) over the mixer's history (scf.Pulay). The
+	// response map is affine, so β does not set the rate of convergence as it
+	// did for linear mixing; it is what the robustness ladder lowers (×0.5,
+	// 0.25, 0.1) when a response oscillates or overshoots.
+	Mixing float64
 
 	Coulomb CoulombMode
 
@@ -116,11 +121,14 @@ type Response struct {
 	Alpha [3][3]float64
 	// P1 are the response density matrices per field direction.
 	P1 [3]*linalg.Matrix
-	// Cycles is the total number of DFPT cycles summed over directions.
+	// Cycles is the number of DFPT cycles the solve ran, summed over the
+	// directions and over every rung of the robustness ladder, failed rungs
+	// included: the cost, not the length of the last successful attempt.
 	Cycles int
-	// MixingUsed is the mixing factor that actually converged (the
-	// robustness ladder may have reduced it); callers running many related
-	// responses (the displacement loop) reuse it to skip doomed attempts.
+	// MixingUsed is the smallest Pulay damping any direction needed to
+	// converge (the robustness ladder may have reduced it below
+	// Options.Mixing); callers running many related responses (the
+	// displacement loop) start from it to skip rungs already proved doomed.
 	MixingUsed float64
 	// Metrics holds the per-phase accounting.
 	Metrics PhaseMetrics
@@ -143,7 +151,7 @@ func Polarizability(m *scf.Model, ground *scf.Result, opt Options) (*Response, e
 // polarizability is Polarizability on validated options. Grid mode builds
 // its environment unless the caller (a test) brings one.
 func polarizability(m *scf.Model, ground *scf.Result, opt Options, gridEnv *gridEnv) (*Response, error) {
-	resp := &Response{}
+	resp := &Response{MixingUsed: opt.Mixing}
 	sc, dfptSpan := opt.Obs.Begin("dfpt", "dfpt")
 	defer dfptSpan.End()
 	if opt.Coulomb == GridCoulomb && gridEnv == nil {
@@ -157,7 +165,7 @@ func polarizability(m *scf.Model, ground *scf.Result, opt Options, gridEnv *grid
 	for dir := 0; dir < 3; dir++ {
 		dirSc, dirSpan := sc.Begin("dfpt.dir", "dfpt", obs.A("dir", int64(dir)))
 		// Robustness ladder: small-gap fragments can oscillate in the
-		// response loop; halving the mixing is the standard remedy.
+		// response loop; halving the damping is the standard remedy.
 		var p1 *linalg.Matrix
 		var cycles int
 		var err error
@@ -172,9 +180,11 @@ func polarizability(m *scf.Model, ground *scf.Result, opt Options, gridEnv *grid
 			if rung > 0 && opt.Obs.Hot != nil {
 				opt.Obs.Hot.DFPTMixingFallbacks.Inc()
 			}
-			p1, cycles, err = env.respond(dir, o, &resp.Metrics)
+			var n int
+			p1, n, err = env.respond(dir, o, &resp.Metrics)
+			cycles += n
 			if err == nil {
-				resp.MixingUsed = o.Mixing
+				resp.MixingUsed = math.Min(resp.MixingUsed, o.Mixing)
 				break
 			}
 		}
@@ -198,7 +208,8 @@ func polarizability(m *scf.Model, ground *scf.Result, opt Options, gridEnv *grid
 // mode). Everything that is a function of the ground state alone is resolved
 // here: the gapped/fractional decision, the orbital blocks and pair weights
 // of phase 1, ½S and the atom-of-function table of the γ kernel, the four
-// bound GEMMs and every workspace; a steady-state γ cycle allocates nothing.
+// bound GEMMs, the Pulay mixer's history (12·n² floats) and every workspace; a
+// steady-state γ cycle allocates nothing.
 // Environment buffers are never shared across goroutines and never alias a
 // Result or a Response: respond hands out a copy of p1.
 type cycleEnv struct {
@@ -227,6 +238,7 @@ type cycleEnv struct {
 	dq1, v1 []float64
 
 	h1, p1  *linalg.Matrix
+	mixer   *scf.Pulay        // on p1; reset per solve
 	samples []obs.CycleSample // respond's span batch, reused across solves
 }
 
@@ -237,6 +249,7 @@ func newCycleEnv(m *scf.Model, ground *scf.Result, grid *gridEnv) *cycleEnv {
 		newP1: linalg.NewMatrix(n, n),
 		h1:    linalg.NewMatrix(n, n),
 		p1:    linalg.NewMatrix(n, n),
+		mixer: scf.NewPulay(n*n, 0),
 	}
 	const occTol = 1e-3
 	for _, f := range ground.Occ {
@@ -322,8 +335,10 @@ func gatherColumns(c *linalg.Matrix, cols []int) *linalg.Matrix {
 	return out
 }
 
-// respond runs the self-consistent DFPT cycle for one field direction and
-// returns the converged response density matrix (the caller's own copy).
+// respond runs the self-consistent DFPT cycle for one field direction — in
+// either Coulomb mode: response Hamiltonian of the current P⁽¹⁾, P⁽¹⁾ build,
+// Pulay step — and returns the converged response density matrix (the
+// caller's own copy) and the number of cycles run.
 func (e *cycleEnv) respond(dir int, opt Options, met *PhaseMetrics) (*linalg.Matrix, int, error) {
 	m := e.m
 	n := m.Basis.Size()
@@ -340,6 +355,7 @@ func (e *cycleEnv) respond(dir int, opt Options, met *PhaseMetrics) (*linalg.Mat
 	// The cycle's GEMMs are bound ops that count nothing; their totals reach
 	// the model's counters once per solve.
 	builds := 0
+	e.mixer.Reset(opt.Mixing)
 	defer func() {
 		ops := m.Ops
 		if ops == nil {
@@ -347,6 +363,9 @@ func (e *cycleEnv) respond(dir int, opt Options, met *PhaseMetrics) (*linalg.Mat
 		}
 		ops.GEMMCalls.Add(int64(len(e.p1Gemms) * builds))
 		ops.FLOPs.Add(e.p1FLOPs * int64(builds))
+		if opt.Obs.Hot != nil {
+			opt.Obs.Hot.DFPTPulayResets.Add(int64(e.mixer.Resets()))
+		}
 	}()
 	obsOn := opt.Obs.Enabled()
 	var base time.Time
@@ -406,7 +425,7 @@ func (e *cycleEnv) respond(dir int, opt Options, met *PhaseMetrics) (*linalg.Mat
 			endOff := time.Since(base)
 			dP1 = endOff - hEndOff
 			durs[obs.PhaseP1] = dP1
-			// The cycle span ends at the last phase boundary: mixing and
+			// The cycle span ends at the last phase boundary: the mixer and
 			// the convergence test stay outside, so phases tile the cycle.
 			cycTotal = endOff - cycOff
 		} else {
@@ -414,13 +433,14 @@ func (e *cycleEnv) respond(dir int, opt Options, met *PhaseMetrics) (*linalg.Mat
 		}
 		met.TimeP1 += dP1
 
-		maxDelta, ok := e.mix(opt.Mixing)
+		maxDelta, ok := e.residualNorm()
 		if !ok {
 			return nil, iter, fmt.Errorf("%w (NaN) at cycle %d", ErrDiverged, iter)
 		}
 		if maxDelta > 1e12 {
 			return nil, iter, fmt.Errorf("%w (|ΔP1| = %g) at cycle %d", ErrDiverged, maxDelta, iter)
 		}
+		e.mixer.Next(e.p1.Data, e.newP1.Data, e.p1.Data)
 		if obsOn {
 			e.samples = append(e.samples, obs.CycleSample{
 				Iter: int32(iter), Start: cycOff, Durs: durs, Total: cycTotal,
@@ -433,12 +453,11 @@ func (e *cycleEnv) respond(dir int, opt Options, met *PhaseMetrics) (*linalg.Mat
 	return nil, opt.MaxIter, fmt.Errorf("%w after %d iterations", ErrNotConverged, opt.MaxIter)
 }
 
-// mix moves p1 toward the cycle's new P⁽¹⁾ by the mixing factor and returns
-// the largest element change; ok is false as soon as a change is NaN (p1 is
-// then left half-mixed — the solve is over). NaN compares false against
-// everything, so without the explicit check a diverged response would slip
-// past the convergence test wherever its healthy entries settle.
-func (e *cycleEnv) mix(mixing float64) (maxDelta float64, ok bool) {
+// residualNorm returns the largest element of |newP1 − p1|, the residual of
+// the cycle's fixed-point map; ok is false as soon as one is NaN. NaN compares
+// false against everything, so without the explicit check a diverged response
+// would slip past the convergence test wherever its healthy entries settle.
+func (e *cycleEnv) residualNorm() (maxDelta float64, ok bool) {
 	p1 := e.p1.Data
 	for i, v := range e.newP1.Data {
 		d := math.Abs(v - p1[i])
@@ -448,7 +467,6 @@ func (e *cycleEnv) mix(mixing float64) (maxDelta float64, ok bool) {
 		if math.IsNaN(d) {
 			return maxDelta, false
 		}
-		p1[i] = (1-mixing)*p1[i] + mixing*v
 	}
 	return maxDelta, true
 }

@@ -369,3 +369,89 @@ func TestMixingFallbacksAreCounted(t *testing.T) {
 		t.Fatalf("%s = %d after one direction went down the whole ladder, want 3", obs.MetricDFPTMixingFallbacks, got)
 	}
 }
+
+// TestLadderReportsMinimumDampingAndSpentCycles: hydrogen cyanide along x
+// couples only the x field to its charges — the y and z responses carry no
+// charge transfer and converge in 3 cycles, the x response needs 5. With
+// MaxIter 3 exactly one direction goes down the ladder (rung 2 allows 6
+// cycles), and it is the first one: MixingUsed must be that direction's
+// damping, not the last direction's, and Cycles must include the three cycles
+// of its failed rung.
+func TestLadderReportsMinimumDampingAndSpentCycles(t *testing.T) {
+	els := []constants.Element{constants.H, constants.C, constants.N}
+	pos := []geom.Vec3{geom.V(-1.06, 0, 0), {}, geom.V(1.16, 0, 0)}
+	m, err := scf.NewModel(els, pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ground, err := m.SolveSCF(scf.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy, err := Polarizability(m, ground, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if healthy.Cycles != 5+3+3 || healthy.MixingUsed != DefaultOptions().Mixing {
+		t.Fatalf("fixture drifted: an unconstrained solve takes %d cycles at damping %g, want 11 at %g",
+			healthy.Cycles, healthy.MixingUsed, DefaultOptions().Mixing)
+	}
+	tr, reg := obs.NewTracer(), obs.NewRegistry()
+	opt := DefaultOptions()
+	opt.MaxIter = 3
+	opt.Obs = obs.NewScope(tr, reg)
+	resp, err := Polarizability(m, ground, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter(obs.MetricDFPTMixingFallbacks).Value(); got != 1 {
+		t.Fatalf("%s = %d, want exactly one rung taken below the first", obs.MetricDFPTMixingFallbacks, got)
+	}
+	if want := 0.5 * opt.Mixing; resp.MixingUsed != want {
+		t.Errorf("MixingUsed = %g, want the laddered direction's %g", resp.MixingUsed, want)
+	}
+	if want := (3 + 5) + 3 + 3; resp.Cycles != want {
+		t.Errorf("Cycles = %d, want %d: the failed rung's cycles count", resp.Cycles, want)
+	}
+	var perDir []int64
+	for _, s := range tr.Snapshot() {
+		if s.Name == "dfpt.dir" {
+			for _, a := range s.Args {
+				if a.Key == "cycles" {
+					perDir = append(perDir, a.Val)
+				}
+			}
+		}
+	}
+	if len(perDir) != 3 || perDir[0] != 8 || perDir[1] != 3 || perDir[2] != 3 {
+		t.Errorf("dfpt.dir spans report %v cycles, want [8 3 3]", perDir)
+	}
+	if d := maxAlphaDiff(resp, healthy); d > 1e-9 {
+		t.Errorf("the laddered solve moved α by %g", d)
+	}
+}
+
+// TestPulayResetsAreCounted: a healthy solve never discards its history; one
+// driven far past convergence (an unreachable tolerance) extrapolates from
+// residuals that are rounding noise, trips the mixer's conditioning guard and
+// leaves a count per reset.
+func TestPulayResetsAreCounted(t *testing.T) {
+	m, res := waterModel(t)
+	reg := obs.NewRegistry()
+	opt := DefaultOptions()
+	opt.Obs = obs.NewScope(nil, reg)
+	if _, err := Polarizability(m, res, opt); err != nil {
+		t.Fatal(err)
+	}
+	resets := reg.Counter(obs.MetricDFPTPulayResets)
+	if got := resets.Value(); got != 0 {
+		t.Fatalf("%s = %d after a healthy solve", obs.MetricDFPTPulayResets, got)
+	}
+	opt.MaxIter, opt.Tol = 40, 1e-300
+	if _, err := Polarizability(m, res, opt); !errors.Is(err, ErrNotConverged) {
+		t.Fatalf("got %v, want ErrNotConverged", err)
+	}
+	if got := resets.Value(); got == 0 {
+		t.Fatalf("%s = 0 after 40 cycles at the rounding floor", obs.MetricDFPTPulayResets)
+	}
+}

@@ -37,6 +37,20 @@ type DisplacementResult struct {
 	Alpha      [3][3]float64
 }
 
+// EngineVersion names the arithmetic of the fragment engine — scf, dfpt and
+// this package's displacement loop — as far as it can move a bit of a
+// FragmentData. internal/store hashes it into the content key of every job,
+// so a record computed by another engine version is never served to this one.
+// Bump it with any change that moves results without changing an option (a
+// mixer, a stopping rule, a reassociated sum); a change confined to
+// internal/poisson bumps poisson.SolverTag instead, which moves only
+// grid-mode keys.
+//
+// engine/2: Pulay-accelerated DFPT cycle, Fermi search that stops once the
+// electrons are counted. (engine/1, never hashed: linear response mixing,
+// Fermi level bisected to the last ulp.)
+const EngineVersion = "engine/2"
+
 // JobOptions bundles the solver settings of a displacement job.
 type JobOptions struct {
 	Step float64
@@ -333,9 +347,12 @@ func computeFragmentOnce(f *fragment.Fragment, m *scf.Model, opt JobOptions, las
 // mixing) for the displaced worker jobs, plus the reference SCF result
 // itself — the trajectory engine keeps its converged charges and iteration
 // count to seed and account the same fragment's next frame. The marginal
-// flag reports that the response only converged with heavy damping or very
-// many cycles — a strong predictor that displaced geometries will diverge,
-// so callers should prefer the next smearing rung when one is available.
+// flag reports that the response only converged with extra damping in some
+// direction, or spent more than one rung's iteration budget over its three
+// directions (a healthy Pulay response takes 15–25 cycles per direction, a
+// small-gap one up to ≈ 70; failed rungs count) — a strong predictor that
+// displaced geometries, which get the same budget, will run out of it, so
+// callers should prefer the next smearing rung when one is available.
 func SolveReference(m *scf.Model, opt JobOptions) (*JobOptions, *scf.Result, bool, error) {
 	o := opt
 	if o.SCF.Smearing <= 0 {
@@ -357,9 +374,10 @@ func SolveReference(m *scf.Model, opt JobOptions) (*JobOptions, *scf.Result, boo
 			return nil, nil, false, fmt.Errorf("hessian: reference DFPT: %w", err)
 		}
 		o.DFPT.InitP1 = refResp.P1
-		// Skip mixing rungs the reference already proved divergent.
+		// Skip damping rungs the reference already proved doomed in any
+		// direction.
 		o.DFPT.Mixing = refResp.MixingUsed
-		marginal = refResp.MixingUsed < 0.9*opt.DFPT.Mixing || refResp.Cycles > 2*opt.DFPT.MaxIter
+		marginal = refResp.MixingUsed < 0.9*opt.DFPT.Mixing || refResp.Cycles > opt.DFPT.MaxIter
 	}
 	return &o, ref, marginal, nil
 }

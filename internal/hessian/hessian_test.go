@@ -394,3 +394,41 @@ func TestBuildRejectsIndexOverflow(t *testing.T) {
 		t.Fatalf("2³¹ non-zeros: %v", err)
 	}
 }
+
+// TestSolveReferenceSeesLadderInAnyDirection: hydrogen cyanide along x
+// couples only the x field to its charges, so with a three-cycle budget the
+// x response — the first direction — goes down the damping ladder while y
+// and z converge on the first rung. The reference hand-over must carry the
+// damping the worst direction needed, and the marginal flag must see it; a
+// healthy budget on the same molecule is not marginal, and a solve that
+// spends more than one rung's budget without laddering is.
+func TestSolveReferenceSeesLadderInAnyDirection(t *testing.T) {
+	m, err := scf.NewModel(
+		[]constants.Element{constants.H, constants.C, constants.N},
+		[]geom.Vec3{geom.V(-1.06, 0, 0), {}, geom.V(1.16, 0, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		maxIter  int
+		mixing   float64
+		marginal bool
+	}{
+		{"healthy budget", 400, 0.3, false},
+		{"x ladders", 3, 0.15, true},   // x: 3 failed + 5; y, z: 3 each
+		{"over budget", 10, 0.3, true}, // 5 + 3 + 3 cycles > 10, no rung failed
+		{"within budget", 11, 0.3, false},
+	} {
+		opt := DefaultJobOptions()
+		opt.DFPT.MaxIter = tc.maxIter
+		refOpt, _, marginal, err := SolveReference(m, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if refOpt.DFPT.Mixing != tc.mixing || marginal != tc.marginal {
+			t.Errorf("%s: displaced solves start at damping %g, marginal %v; want %g, %v",
+				tc.name, refOpt.DFPT.Mixing, marginal, tc.mixing, tc.marginal)
+		}
+	}
+}

@@ -118,16 +118,26 @@ func GeneralizedEigSym(h, s *Matrix) ([]float64, *Matrix, error) {
 	return eps, c, nil
 }
 
+var errSingular = errors.New("linalg: singular matrix in SolveLinear")
+
 // SolveLinear solves the dense linear system A·x = b by Gaussian elimination
 // with partial pivoting. A and b are not modified.
 func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
-	if a.Rows != a.Cols || len(b) != a.Rows {
+	x := append([]float64(nil), b...)
+	if err := SolveLinearInPlace(a.Clone(), x); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// SolveLinearInPlace is SolveLinear on the caller's storage: it destroys m
+// and overwrites x, the right-hand side, with the solution, allocating
+// nothing. After an error both hold garbage.
+func SolveLinearInPlace(m *Matrix, x []float64) error {
+	if m.Rows != m.Cols || len(x) != m.Rows {
 		panic("linalg: SolveLinear shape mismatch")
 	}
-	n := a.Rows
-	m := a.Clone()
-	x := make([]float64, n)
-	copy(x, b)
+	n := m.Rows
 	for k := 0; k < n; k++ {
 		// pivot
 		p := k
@@ -138,7 +148,7 @@ func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
 			}
 		}
 		if best == 0 {
-			return nil, errors.New("linalg: singular matrix in SolveLinear")
+			return errSingular
 		}
 		if p != k {
 			mk, mp := m.Row(k), m.Row(p)
@@ -170,5 +180,5 @@ func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
 		}
 		x[i] = s / row[i]
 	}
-	return x, nil
+	return nil
 }

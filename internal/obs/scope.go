@@ -41,9 +41,12 @@ const (
 	// Ladder escalations — a solve that only converged on a later rung is a
 	// degraded number, so each rung taken beyond the first is counted: one
 	// per SolveSCFRobust smearing rung above the requested temperature, one
-	// per Polarizability mixing rung below the requested factor.
+	// per Polarizability mixing rung below the requested factor. A Pulay
+	// reset is the response mixer discarding an ill-conditioned history for
+	// one damped step — harmless once, a symptom when frequent.
 	MetricSCFSmearingEscalations = "scf_smearing_escalations_total"
 	MetricDFPTMixingFallbacks    = "dfpt_mixing_fallbacks_total"
+	MetricDFPTPulayResets        = "dfpt_pulay_resets_total"
 	// Spectral-solver counts, one RecordLanczos per spectrum: recurrence
 	// steps taken over all start vectors, recurrences that stopped on
 	// β-breakdown, and start vectors skipped as numerically zero.
@@ -114,6 +117,7 @@ type Hot struct {
 
 	SCFSmearingEscalations *Counter
 	DFPTMixingFallbacks    *Counter
+	DFPTPulayResets        *Counter
 }
 
 func newHot(r *Registry) *Hot {
@@ -127,6 +131,7 @@ func newHot(r *Registry) *Hot {
 
 		SCFSmearingEscalations: r.Counter(MetricSCFSmearingEscalations),
 		DFPTMixingFallbacks:    r.Counter(MetricDFPTMixingFallbacks),
+		DFPTPulayResets:        r.Counter(MetricDFPTPulayResets),
 	}
 	for p := Phase(0); p < NumPhases; p++ {
 		h.PhaseTime[p] = r.Histogram(PhaseMetricName(p), DurationBuckets)
@@ -250,12 +255,14 @@ func (s Scope) WithTrack(track int32) Scope {
 	return s
 }
 
-// RecordSCF records one SCF solve: a span carrying the iteration count,
-// the iteration histogram, and the fragment accumulator.
-func (s Scope) RecordSCF(start time.Time, iters int) {
+// RecordSCF records one SCF solve: a span carrying the iteration count and
+// the electron counts its Fermi-level searches evaluated, the iteration
+// histogram, and the fragment accumulator.
+func (s Scope) RecordSCF(start time.Time, iters, fermiEvals int) {
 	if s.T != nil {
 		s.T.Record(s.Span.ID(), s.Track, "scf", "scf",
-			s.T.Since(start), time.Since(start), A("iters", int64(iters)))
+			s.T.Since(start), time.Since(start),
+			A("iters", int64(iters)), A("fermi_evals", int64(fermiEvals)))
 	}
 	if s.Hot != nil {
 		s.Hot.SCFIters.Observe(float64(iters))

@@ -2,6 +2,7 @@ package scf
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -67,9 +68,47 @@ func BenchmarkOccupations(b *testing.B) {
 				}
 			}
 			occ := make([]float64, n)
+			evals := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				occupations(eps, 2*nocc, 0.002, occ)
+				_, _, e := occupations(eps, 2*nocc, 0.002, occ)
+				evals += e
+			}
+			b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+		})
+	}
+}
+
+// BenchmarkPulay times one mixer step with a full history — a ring insert,
+// six Dots, the bordered solve and the six-term combination — on vectors the
+// size of a water, a water-dimer and a large-residue P⁽¹⁾ (n² = 36, 144, 10⁴).
+// The step allocates nothing.
+func BenchmarkPulay(b *testing.B) {
+	for _, n := range []int{36, 144, 10000} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(3))
+			in, out := make([]float64, n), make([]float64, n)
+			for i := range in {
+				in[i], out[i] = rng.NormFloat64(), rng.NormFloat64()
+			}
+			mixer := NewPulay(n, 0.3)
+			next := make([]float64, n)
+			step := func(k int) {
+				// A moving output keeps the residuals independent, so no step
+				// takes the cheaper reset path.
+				out[k%n] += 0.5
+				mixer.Next(in, out, next)
+			}
+			for k := 0; k < PulayDepth; k++ {
+				step(k)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step(i)
+			}
+			if mixer.Resets() != 0 {
+				b.Fatalf("%d steps took the reset path", mixer.Resets())
 			}
 		})
 	}

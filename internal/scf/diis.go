@@ -6,91 +6,133 @@ import (
 	"qframan/internal/linalg"
 )
 
-// diis is Pulay mixing (direct inversion in the iterative subspace) on the
-// Mulliken charge vector: the next input charges are the residual-minimizing
+// PulayDepth is the history length of the mixer: the last six (input,
+// residual) pairs span the extrapolation.
+const PulayDepth = 6
+
+// Pulay is Pulay mixing (direct inversion in the iterative subspace) of a
+// fixed-point iteration x ← F(x): the next input is the residual-minimizing
 // linear combination of the recent history, plus a damped residual step.
-// This kills the charge-sloshing slow modes that make plain linear mixing
-// take thousands of iterations on extended peptide fragments.
-type diis struct {
-	beta float64 // damping of the extrapolated residual
-	max  int     // history length
-	ins  [][]float64
-	res  [][]float64
+// The SCF charge loop runs it on the Mulliken charge vector, where it kills
+// the charge-sloshing slow modes that make plain linear mixing take thousands
+// of iterations on extended peptide fragments; the DFPT response loop runs it
+// on P⁽¹⁾, whose fixed-point map is affine, so the extrapolation is a
+// restarted Krylov solve rather than a creep toward the answer.
+//
+// One value serves any number of solves of one vector length and allocates
+// only when it is made: inputs and residuals live in a ring of PulayDepth
+// slots, the Gram matrix of the residuals is kept per slot and gains one row
+// per step, and the bordered normal equations are solved in the mixer's own
+// scratch. A Pulay is used by one goroutine at a time.
+type Pulay struct {
+	beta     float64 // damping of the extrapolated residual
+	ins, res [PulayDepth][]float64
+	// gram[a][b] = ⟨res[a], res[b]⟩ over the live slots.
+	gram [PulayDepth][PulayDepth]float64
+	// The history is the k slots head, head+1, … (mod PulayDepth), oldest
+	// first.
+	head, k int
+	resets  int
+	// The bordered system of extrapolate, (k+1)² and k+1 entries at a time.
+	b, c []float64
 }
 
-func newDIIS(beta float64, max int) *diis {
-	return &diis{beta: beta, max: max}
+// NewPulay returns a mixer for vectors of length n with damping beta.
+func NewPulay(n int, beta float64) *Pulay {
+	p := &Pulay{beta: beta}
+	const border = PulayDepth + 1
+	buf := make([]float64, 2*PulayDepth*n+border*border+border)
+	for s := 0; s < PulayDepth; s++ {
+		p.ins[s], buf = buf[:n:n], buf[n:]
+		p.res[s], buf = buf[:n:n], buf[n:]
+	}
+	p.b, p.c = buf[:border*border], buf[border*border:]
+	return p
 }
 
-// next consumes the (input, output) pair of one SCF iteration and returns
-// the next input charge vector.
-func (d *diis) next(in, out []float64) []float64 {
-	n := len(in)
-	r := make([]float64, n)
-	for i := range r {
-		r[i] = out[i] - in[i]
+// Reset forgets the history and the reset count and sets the damping: the
+// mixer is as new, for the next solve.
+func (p *Pulay) Reset(beta float64) {
+	p.beta, p.head, p.k, p.resets = beta, 0, 0, 0
+}
+
+// Resets returns how many times since the last Reset the mixer discarded an
+// ill-conditioned history and fell back to a damped step.
+func (p *Pulay) Resets() int { return p.resets }
+
+// slot returns the ring slot of history entry i, oldest first.
+func (p *Pulay) slot(i int) int { return (p.head + i) % PulayDepth }
+
+// Next consumes the (input, output) pair of one iteration and writes the next
+// input to next, which may alias in or out.
+func (p *Pulay) Next(in, out, next []float64) {
+	if p.k == PulayDepth {
+		p.head = p.slot(1)
+		p.k--
 	}
-	d.ins = append(d.ins, append([]float64(nil), in...))
-	d.res = append(d.res, r)
-	if len(d.ins) > d.max {
-		d.ins = d.ins[1:]
-		d.res = d.res[1:]
+	s := p.slot(p.k)
+	p.k++
+	xs, rs := p.ins[s], p.res[s]
+	copy(xs, in)
+	for i := range rs {
+		rs[i] = out[i] - in[i]
 	}
-	k := len(d.ins)
-	if k >= 2 {
-		if next := d.extrapolate(k, n); next != nil {
-			return next
-		}
+	for j := 0; j < p.k; j++ {
+		t := p.slot(j)
+		g := linalg.Dot(rs, p.res[t])
+		p.gram[s][t], p.gram[t][s] = g, g
 	}
-	// Fallback / warm-up: damped linear step.
-	next := make([]float64, n)
+	if p.k >= 2 && p.extrapolate(next) {
+		return
+	}
+	// Warm-up, or fallback after a reset: damped linear step.
 	for i := range next {
-		next[i] = in[i] + d.beta*r[i]
+		next[i] = xs[i] + p.beta*rs[i]
 	}
-	return next
 }
 
 // extrapolate solves the constrained least squares min ‖Σ cᵢ rᵢ‖², Σcᵢ = 1
-// via the bordered normal equations and returns Σ cᵢ (inᵢ + β rᵢ), or nil
-// if the system is ill-conditioned.
-func (d *diis) extrapolate(k, n int) []float64 {
-	b := linalg.NewMatrix(k+1, k+1)
+// via the bordered normal equations and writes Σ cᵢ (inᵢ + β rᵢ) to next. An
+// ill-conditioned system discards the history instead and reports false.
+func (p *Pulay) extrapolate(next []float64) bool {
+	k := p.k
+	b := linalg.Matrix{Rows: k + 1, Cols: k + 1, Data: p.b[:(k+1)*(k+1)]}
+	c := p.c[:k+1]
 	for i := 0; i < k; i++ {
+		row := b.Row(i)
 		for j := 0; j < k; j++ {
-			b.Set(i, j, linalg.Dot(d.res[i], d.res[j]))
+			row[j] = p.gram[p.slot(i)][p.slot(j)]
 		}
-		b.Set(i, k, 1)
+		row[k] = 1
 		b.Set(k, i, 1)
+		c[i] = 0
 	}
-	rhs := make([]float64, k+1)
-	rhs[k] = 1
-	c, err := linalg.SolveLinear(b, rhs)
-	if err != nil {
-		d.reset()
-		return nil
-	}
-	var norm float64
-	for i := 0; i < k; i++ {
-		norm += math.Abs(c[i])
+	b.Set(k, k, 0)
+	c[k] = 1
+	norm := math.NaN()
+	if linalg.SolveLinearInPlace(&b, c) == nil {
+		norm = 0
+		for i := 0; i < k; i++ {
+			norm += math.Abs(c[i])
+		}
 	}
 	if norm > 1e4 || math.IsNaN(norm) {
-		d.reset()
-		return nil
+		p.head, p.k = 0, 0
+		p.resets++
+		return false
 	}
-	next := make([]float64, n)
+	for a := range next {
+		next[a] = 0
+	}
 	for i := 0; i < k; i++ {
 		ci := c[i]
 		if ci == 0 {
 			continue
 		}
-		for a := 0; a < n; a++ {
-			next[a] += ci * (d.ins[i][a] + d.beta*d.res[i][a])
+		xs, rs := p.ins[p.slot(i)], p.res[p.slot(i)]
+		for a := range next {
+			next[a] += ci * (xs[a] + p.beta*rs[a])
 		}
 	}
-	return next
-}
-
-func (d *diis) reset() {
-	d.ins = nil
-	d.res = nil
+	return true
 }

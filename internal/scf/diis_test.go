@@ -4,7 +4,182 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"qframan/internal/linalg"
 )
+
+// refDIIS is the mixer as it was before the ring: histories appended and
+// re-sliced, the Gram matrix rebuilt from k² Dots and solved by
+// linalg.SolveLinear, every vector allocated per step. Test-only reference
+// (the gemmref/cgref pattern) that Pulay must reproduce bit for bit.
+type refDIIS struct {
+	beta     float64
+	max      int
+	ins, res [][]float64
+}
+
+func (d *refDIIS) next(in, out []float64) []float64 {
+	n := len(in)
+	r := make([]float64, n)
+	for i := range r {
+		r[i] = out[i] - in[i]
+	}
+	d.ins = append(d.ins, append([]float64(nil), in...))
+	d.res = append(d.res, r)
+	if len(d.ins) > d.max {
+		d.ins = d.ins[1:]
+		d.res = d.res[1:]
+	}
+	k := len(d.ins)
+	if k >= 2 {
+		if next := d.extrapolate(k, n); next != nil {
+			return next
+		}
+	}
+	next := make([]float64, n)
+	for i := range next {
+		next[i] = in[i] + d.beta*r[i]
+	}
+	return next
+}
+
+func (d *refDIIS) extrapolate(k, n int) []float64 {
+	b := linalg.NewMatrix(k+1, k+1)
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
+			b.Set(i, j, linalg.Dot(d.res[i], d.res[j]))
+		}
+		b.Set(i, k, 1)
+		b.Set(k, i, 1)
+	}
+	rhs := make([]float64, k+1)
+	rhs[k] = 1
+	c, err := linalg.SolveLinear(b, rhs)
+	if err != nil {
+		d.ins, d.res = nil, nil
+		return nil
+	}
+	var norm float64
+	for i := 0; i < k; i++ {
+		norm += math.Abs(c[i])
+	}
+	if norm > 1e4 || math.IsNaN(norm) {
+		d.ins, d.res = nil, nil
+		return nil
+	}
+	next := make([]float64, n)
+	for i := 0; i < k; i++ {
+		ci := c[i]
+		if ci == 0 {
+			continue
+		}
+		for a := 0; a < n; a++ {
+			next[a] += ci * (d.ins[i][a] + d.beta*d.res[i][a])
+		}
+	}
+	return next
+}
+
+// pulayNext adapts Pulay.Next to the allocate-and-return shape of the
+// reference.
+func pulayNext(p *Pulay) func(in, out []float64) []float64 {
+	return func(in, out []float64) []float64 {
+		next := make([]float64, len(in))
+		p.Next(in, out, next)
+		return next
+	}
+}
+
+// TestPulayMatchesReferenceDIIS drives the ring mixer and the reference with
+// the same (input, output) streams and demands the same bits at every step:
+// a contracting map run well past the history depth (the ring wraps), a map
+// that stalls onto identical residuals (the singular-system reset), one whose
+// nearly dependent residuals trip the ‖c‖₁ > 1e4 reset, NaN input, and Next
+// writing over its own input.
+func TestPulayMatchesReferenceDIIS(t *testing.T) {
+	const n = 9
+	rng := rand.New(rand.NewSource(11))
+	a := make([]float64, n*n)
+	for i := range a {
+		a[i] = 0.25 * rng.NormFloat64()
+	}
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	contract := func(x []float64, _ int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = b[i] + linalg.Dot(a[i*n:(i+1)*n], x)
+		}
+		return out
+	}
+	stall := func(x []float64, step int) []float64 {
+		out := contract(x, step)
+		if step >= 4 && step < 9 { // same residual five steps running
+			for i := range out {
+				out[i] = x[i] + 0.5
+			}
+		}
+		return out
+	}
+	nearDependent := func(x []float64, step int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = x[i] + 1 + 1e-9*float64(step*(i+1))
+		}
+		return out
+	}
+	poisoned := func(x []float64, step int) []float64 {
+		out := contract(x, step)
+		if step == 3 {
+			out[2] = math.NaN()
+		}
+		return out
+	}
+	for name, f := range map[string]func([]float64, int) []float64{
+		"contract": contract, "stall": stall, "near-dependent": nearDependent, "nan": poisoned,
+	} {
+		ref := &refDIIS{beta: 0.2, max: PulayDepth}
+		mixer := NewPulay(n, 0.2)
+		x := make([]float64, n)
+		resets := 0
+		for step := 0; step < 30; step++ {
+			out := f(x, step)
+			want := ref.next(x, out)
+			if len(ref.ins) == 0 {
+				resets++
+			}
+			mixer.Next(x, out, x) // in place, as the SCF loop calls it
+			for i := range want {
+				if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s step %d: next[%d] = %x, reference %x", name, step, i,
+						math.Float64bits(x[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+		if mixer.Resets() != resets {
+			t.Errorf("%s: mixer counted %d resets, the reference reset %d times", name, mixer.Resets(), resets)
+		}
+		if (name == "stall" || name == "near-dependent" || name == "nan") && resets == 0 {
+			t.Errorf("%s: fixture never reached the reset path", name)
+		}
+		// A Reset mixer is as new: the same stream again gives the same bits.
+		mixer.Reset(0.2)
+		ref = &refDIIS{beta: 0.2, max: PulayDepth}
+		x = make([]float64, n)
+		for step := 0; step < 10; step++ {
+			out := f(x, step)
+			want := ref.next(x, out)
+			mixer.Next(x, out, x)
+			for i := range want {
+				if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s after Reset, step %d: next[%d] differs from the reference", name, step, i)
+				}
+			}
+		}
+	}
+}
 
 // linearFixedPoint iterates x ← A·x + b (spectral radius < 1) through a
 // mixer and returns the iterations to reach tol.
@@ -50,24 +225,27 @@ func TestDIISBeatsLinearMixing(t *testing.T) {
 		}
 		return next
 	}, n, 1e-10, 5000)
-	d := newDIIS(0.3, 6)
-	diisIters := linearFixedPoint(d.next, n, 1e-10, 5000)
+	diisIters := linearFixedPoint(pulayNext(NewPulay(n, 0.3)), n, 1e-10, 5000)
 	if diisIters*5 > linear {
 		t.Fatalf("DIIS took %d iterations vs linear %d — expected ≥5× speedup", diisIters, linear)
 	}
 }
 
 func TestDIISRecoversFromReset(t *testing.T) {
-	d := newDIIS(0.4, 4)
+	d := NewPulay(2, 0.4)
 	// Feed identical residuals: the DIIS matrix is singular; the mixer must
 	// fall back to a damped step rather than fail.
 	in := []float64{1, 2}
 	out := []float64{1.5, 2.5}
+	next := make([]float64, 2)
 	for k := 0; k < 6; k++ {
-		next := d.next(in, out)
+		d.Next(in, out, next)
 		if math.IsNaN(next[0]) || math.IsNaN(next[1]) {
 			t.Fatal("DIIS produced NaN on a degenerate history")
 		}
+	}
+	if d.Resets() == 0 {
+		t.Fatal("a singular history was not counted as a reset")
 	}
 }
 

@@ -79,10 +79,10 @@ var ErrNotConverged = errors.New("scf: not converged")
 func (m *Model) NumOcc() int { return m.numElectrons() / 2 }
 
 // SolveSCF runs the charge self-consistency loop to convergence. The loop
-// owns one set of workspaces for the whole solve — an iteration allocates only
-// what EigSym and the DIIS history keep for themselves — and at convergence
-// hands the buffers holding the final orbitals, density and charges to the
-// Result, which therefore shares storage with nothing.
+// owns one set of workspaces for the whole solve, the mixer's history included
+// — an iteration allocates only what EigSym keeps for itself — and at
+// convergence hands the buffers holding the final orbitals, density and
+// charges to the Result, which therefore shares storage with nothing.
 func (m *Model) SolveSCF(opt Options) (*Result, error) {
 	if opt.MaxIter <= 0 || opt.Tol <= 0 || opt.Mixing <= 0 || opt.Mixing > 1 {
 		return nil, fmt.Errorf("scf: invalid options (MaxIter %d, Tol %g, Mixing %g, Smearing %g)",
@@ -152,7 +152,8 @@ func (m *Model) SolveSCF(opt Options) (*Result, error) {
 		ops.FLOPs.Add(flops)
 	}()
 
-	mixer := newDIIS(opt.Mixing, 6)
+	mixer := NewPulay(na, opt.Mixing)
+	fermiEvals := 0
 	for iter := 1; iter <= opt.MaxIter; iter++ {
 		h.CopyFrom(m.H0)
 		h.AddMatrix(hExt, 1)
@@ -165,7 +166,8 @@ func (m *Model) SolveSCF(opt Options) (*Result, error) {
 		eps, vecs := linalg.EigSym(ht)
 		y.CopyFrom(vecs)
 		xy.Run()
-		mu, entropy := occupations(eps, 2*nocc, opt.Smearing, occ)
+		mu, entropy, evals := occupations(eps, 2*nocc, opt.Smearing, occ)
+		fermiEvals += evals
 		if gatherOccupied(c, occ, nil, ga, gb) || pGemm == nil {
 			pGemm = linalg.BindGemm(false, true, 1, gb, ga, 0, p)
 		}
@@ -180,7 +182,6 @@ func (m *Model) SolveSCF(opt Options) (*Result, error) {
 				maxDelta = d
 			}
 		}
-		dq = mixer.next(dq, newDq)
 		if maxDelta < opt.Tol {
 			// Converged: assemble the result from the final orbitals using
 			// the self-consistent charges.
@@ -202,16 +203,17 @@ func (m *Model) SolveSCF(opt Options) (*Result, error) {
 				res.Gap = eps[nocc] - eps[nocc-1]
 			}
 			if opt.Obs.Enabled() {
-				opt.Obs.RecordSCF(obsStart, iter)
+				opt.Obs.RecordSCF(obsStart, iter, fermiEvals)
 			}
 			return res, nil
 		}
+		mixer.Next(dq, newDq, dq)
 	}
 	// Failed solves are recorded too: a rung of the smearing ladder that
 	// burns MaxIter iterations is exactly the cost a straggler report must
 	// see.
 	if opt.Obs.Enabled() {
-		opt.Obs.RecordSCF(obsStart, opt.MaxIter)
+		opt.Obs.RecordSCF(obsStart, opt.MaxIter, fermiEvals)
 	}
 	return nil, fmt.Errorf("%w after %d iterations", ErrNotConverged, opt.MaxIter)
 }
@@ -291,21 +293,35 @@ func (m *Model) sccPotential(dq, v []float64) {
 	}
 }
 
-// occupations fills occ with the occupations of ne electrons over the levels
-// eps. With zero smearing the lowest ne/2 orbitals get occupation 2;
-// otherwise Fermi–Dirac occupations at electronic temperature sigma are used,
-// with the chemical potential found by bisection. It returns the Fermi level
-// and the electronic-entropy free-energy term −T·S (≤ 0).
+// fermiTol is the relative electron-count error at which the Fermi-level
+// search stops: |N(μ) − Nₑ| ≤ fermiTol·Nₑ.
+const fermiTol = 1e-13
+
+// occupations fills occ with the occupations of ne electrons over the
+// ascending levels eps. With zero smearing the lowest ne/2 orbitals get
+// occupation 2; otherwise Fermi–Dirac occupations at electronic temperature
+// sigma are used. It returns the Fermi level, the electronic-entropy
+// free-energy term −T·S (≤ 0) and the number of electron counts N(μ) the
+// search evaluated.
 //
-// The bisection stops at its fixed point. Once the midpoint of [lo, hi]
-// rounds onto an endpoint, the step either leaves the bracket as it is or
-// collapses it onto that endpoint, and in both cases every further midpoint —
-// the loop's full 200 halvings included — is this same mu. Breaking there
-// returns that mu, and with it the same occupations and entropy, bit for
-// bit, after ≈ 55–60 evaluations of the electron count instead of 200.
-func occupations(eps []float64, ne int, sigma float64, occ []float64) (mu, entropy float64) {
+// The search stops once the electrons are counted, not once μ is resolved to
+// its last ulp: inside a gap N(μ) equals Nₑ to rounding over an interval many
+// σ wide, every μ in it gives the same physics, and the search starts at the
+// gap's midpoint — a gapped fragment leaves after one count. Otherwise the
+// bracket [lo, hi] is kept around the root and narrowed by a Newton step where
+// the slope dN/dμ puts one strictly inside it and has at least halved the
+// previous step, by bisection where it does not; a bracket that has collapsed
+// to neighbouring floats ends the search wherever the count stands (an
+// all-occupied spectrum asks for μ beyond the bracket).
+func occupations(eps []float64, ne int, sigma float64, occ []float64) (mu, entropy float64, evals int) {
 	n := len(eps)
 	nocc := ne / 2
+	if nocc > 0 {
+		mu = eps[nocc-1]
+		if nocc < n {
+			mu = 0.5 * (eps[nocc-1] + eps[nocc])
+		}
+	}
 	if sigma <= 0 {
 		for i := range occ {
 			occ[i] = 0
@@ -313,41 +329,51 @@ func occupations(eps []float64, ne int, sigma float64, occ []float64) (mu, entro
 				occ[i] = 2
 			}
 		}
-		if nocc > 0 {
-			mu = eps[nocc-1]
-			if nocc < n {
-				mu = 0.5 * (eps[nocc-1] + eps[nocc])
-			}
-		}
-		return mu, 0
-	}
-	count := func(mu float64) float64 {
-		var s float64
-		for _, e := range eps {
-			s += 2 / (1 + math.Exp((e-mu)/sigma))
-		}
-		return s
+		return mu, 0, 0
 	}
 	lo, hi := eps[0]-30*sigma, eps[n-1]+30*sigma
-	for iter := 0; iter < 200; iter++ {
-		mu = 0.5 * (lo + hi)
-		if mu == lo || mu == hi {
+	if nocc == 0 {
+		mu = lo
+	}
+	target := float64(ne)
+	step := hi - lo
+	// A healthy search ends long before the cap; it bounds one fed NaN levels.
+	for evals < 200 {
+		// N(μ) and its slope, with the occupations left in occ.
+		var count, slope float64
+		for i, e := range eps {
+			g := 1 / (1 + math.Exp((e-mu)/sigma)) // per-spin occupation
+			occ[i] = 2 * g
+			count += 2 * g
+			slope += g * (1 - g)
+		}
+		slope *= 2 / sigma
+		evals++
+		diff := count - target
+		if math.Abs(diff) <= fermiTol*target {
 			break
 		}
-		if count(mu) < float64(ne) {
+		if diff < 0 {
 			lo = mu
 		} else {
 			hi = mu
 		}
+		next := mu - diff/slope
+		if !(next > lo && next < hi) || math.Abs(next-mu) > 0.5*step {
+			next = 0.5 * (lo + hi)
+			if next == lo || next == hi {
+				break
+			}
+		}
+		step = math.Abs(next - mu)
+		mu = next
 	}
-	for i, e := range eps {
-		g := 1 / (1 + math.Exp((e-mu)/sigma)) // per-spin occupation
-		occ[i] = 2 * g
-		if g > 1e-14 && g < 1-1e-14 {
+	for _, f := range occ {
+		if g := 0.5 * f; g > 1e-14 && g < 1-1e-14 {
 			entropy += 2 * sigma * (g*math.Log(g) + (1-g)*math.Log(1-g))
 		}
 	}
-	return mu, entropy
+	return mu, entropy, evals
 }
 
 // gatherOccupied fills ga with the columns c_p of the orbitals with

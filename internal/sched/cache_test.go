@@ -209,21 +209,25 @@ func TestCacheKeyIsolation(t *testing.T) {
 	}
 }
 
-// TestCacheSolverMigration: a store still holding a grid-mode record under
-// the key the previous Poisson solver (CG) gave this fragment — the constant
-// was recorded on that commit — must not serve it to a resumed run on the
-// direct solver: the run reports a miss, recomputes, and files the new
-// record beside the old one. The γ-mode key of the same fragment has not
-// moved, so γ-mode stores keep resuming.
+// TestCacheSolverMigration: a store still holding this fragment's records
+// under the keys earlier numerics gave it — grid mode under the CG Poisson
+// solver (before poisson.SolverTag), grid and γ mode under the previous
+// engine (linear response mixing, fully bisected Fermi level; before
+// hessian.EngineVersion) — the constants were recorded on those commits —
+// must serve none of them to a resumed run of this engine: each mode reports
+// a miss, recomputes, and files its new record beside the old ones. A second
+// resumed run is then served its own.
 func TestCacheSolverMigration(t *testing.T) {
 	const (
-		gridKeyBeforeTag  = "491822e02145f4fdd5cbfa1f6c0b3b3a8602bf3c7a7cc9a949d44f803500ea81"
-		gammaKeyBeforeTag = "cd98eb85c57e590b9ad4f2deb97e72188cb54f3108e6396df1ea25c3c28cdad7"
+		gridKeyBeforeTag     = "491822e02145f4fdd5cbfa1f6c0b3b3a8602bf3c7a7cc9a949d44f803500ea81"
+		gridKeyBeforeEngine  = "cb5bbfb80c561e82ad3e970381c851f1185e8a78c17f343558a80553fac11000"
+		gammaKeyBeforeEngine = "cd98eb85c57e590b9ad4f2deb97e72188cb54f3108e6396df1ea25c3c28cdad7"
 	)
+	old := []string{gridKeyBeforeTag, gridKeyBeforeEngine, gammaKeyBeforeEngine}
 	dec := cacheDecomposition(1)
 	dir := t.TempDir()
 	s := openStore(t, dir)
-	for _, hex := range []string{gridKeyBeforeTag, gammaKeyBeforeTag} {
+	for _, hex := range old {
 		k, err := store.ParseKey(hex)
 		if err != nil {
 			t.Fatal(err)
@@ -240,6 +244,8 @@ func TestCacheSolverMigration(t *testing.T) {
 		calls, hits int
 	}{
 		{dfpt.GridCoulomb, 1, 0},
+		{dfpt.GammaCoulomb, 1, 0},
+		{dfpt.GridCoulomb, 0, 1},
 		{dfpt.GammaCoulomb, 0, 1},
 	} {
 		s2 := openStore(t, dir)
@@ -257,8 +263,15 @@ func TestCacheSolverMigration(t *testing.T) {
 		s2.Close()
 	}
 	s3 := openStore(t, dir)
-	if n := s3.Len(); n != 3 {
-		t.Fatalf("store holds %d records, want the two old ones and the recomputed grid-mode one", n)
+	defer s3.Close()
+	if n := s3.Len(); n != len(old)+2 {
+		t.Fatalf("store holds %d records, want the %d old ones and the two recomputed", n, len(old))
+	}
+	for _, hex := range old {
+		k, _ := store.ParseKey(hex)
+		if !s3.Has(k) {
+			t.Errorf("old record %s was displaced by the migration", hex[:12])
+		}
 	}
 }
 

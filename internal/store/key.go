@@ -170,11 +170,13 @@ func quantize(x float64) int64 { return int64(math.Round(x / coordQuantum)) }
 // part of the format; extending JobOptions with a new physics knob must
 // append it here and bump fingerprintVersion.
 //
-// Grid-mode jobs end with the Poisson solver's tag: a change of that
-// solver's numerics changes grid-mode keys — a record computed with one
-// solver is never served to another — and only those. γ-mode jobs never
-// enter internal/poisson, so their keys carry no tag and stores populated
-// before the tag existed keep serving them.
+// Two constants fence records by the numerics that computed them. Every job
+// carries hessian.EngineVersion — pure-Hessian (SkipAlpha) runs included, the
+// SCF is theirs too — so a change anywhere in the fragment engine's arithmetic
+// bumps it and moves every key: no record of the previous engine is ever
+// served to the new one. Grid-mode jobs end with the Poisson solver's tag as
+// well: a change of that solver's numerics alone changes grid-mode keys and
+// only those (γ-mode jobs never enter internal/poisson).
 func appendJobFingerprint(b []byte, opt hessian.JobOptions) []byte {
 	b = appendU64(b, math.Float64bits(opt.Step))
 	b = appendBool(b, opt.SkipAlpha)
@@ -193,6 +195,7 @@ func appendJobFingerprint(b []byte, opt hessian.JobOptions) []byte {
 	b = appendU64(b, math.Float64bits(opt.DFPT.GridMargin))
 	b = appendU64(b, uint64(opt.DFPT.BatchSide))
 	b = appendBool(b, opt.DFPT.StrengthReduction)
+	b = append(b, hessian.EngineVersion...)
 	if opt.DFPT.Coulomb == dfpt.GridCoulomb {
 		b = append(b, poisson.SolverTag...)
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"qframan/internal/fragment"
 	"qframan/internal/geom"
 	"qframan/internal/hessian"
+	"qframan/internal/poisson"
 )
 
 // waterFragment is a bent 3-atom water in an arbitrary pose.
@@ -185,23 +187,55 @@ func TestKeyDegenerateGeometries(t *testing.T) {
 	}
 }
 
-// TestKeySolverTagTouchesOnlyGridMode pins the two sides of the Poisson
-// solver tag against keys recorded on the commit before the tag existed
-// (the CG solver): a γ-mode key is byte-identical, so every store populated
-// by γ-mode runs keeps serving; a grid-mode key has moved, so no CG-era
-// record can be served to the direct solver.
+// TestKeySolverTagTouchesOnlyGridMode pins the reach of the Poisson solver
+// tag: it is hashed for grid-mode jobs and for no other, so bumping it moves
+// grid-mode keys only; and the grid-mode key recorded on the commit before
+// the tag existed (the CG solver) is not today's, so no CG-era record can be
+// served to the direct solver.
 func TestKeySolverTagTouchesOnlyGridMode(t *testing.T) {
-	const (
-		gammaKeyBeforeTag = "f5191d75104962f781428508a5c936bf4a14e2bb68f911d7bf75554df7af00b4"
-		gridKeyBeforeTag  = "46fe0c3247a5da97912afeee8e3dd06d6f61d58aacdb8f7b0c4c8fd6aef45a27"
-	)
+	const gridKeyBeforeTag = "46fe0c3247a5da97912afeee8e3dd06d6f61d58aacdb8f7b0c4c8fd6aef45a27"
 	opt := hessian.DefaultJobOptions()
-	if k, _ := Fingerprint(waterFragment(), opt); k.String() != gammaKeyBeforeTag {
-		t.Errorf("γ-mode key moved: %s, recorded %s", k, gammaKeyBeforeTag)
+	if b := appendJobFingerprint(nil, opt); bytes.Contains(b, []byte(poisson.SolverTag)) {
+		t.Error("a γ-mode job hashes the Poisson solver tag")
 	}
+	opt.SkipAlpha = true
+	if b := appendJobFingerprint(nil, opt); bytes.Contains(b, []byte(poisson.SolverTag)) {
+		t.Error("a pure-Hessian job hashes the Poisson solver tag")
+	}
+	opt = hessian.DefaultJobOptions()
 	opt.DFPT.Coulomb = dfpt.GridCoulomb
+	if b := appendJobFingerprint(nil, opt); !bytes.HasSuffix(b, []byte(poisson.SolverTag)) {
+		t.Error("a grid-mode job does not hash the Poisson solver tag")
+	}
 	if k, _ := Fingerprint(waterFragment(), opt); k.String() == gridKeyBeforeTag {
 		t.Error("grid-mode key still equals the key of the CG solver's records")
+	}
+}
+
+// TestKeyEngineVersionTouchesEveryKey is the twin for the general fence:
+// hessian.EngineVersion is hashed for every job — γ mode, grid mode and
+// pure-Hessian runs alike — so bumping it moves every key; and the keys the
+// previous engine (linear response mixing, fully bisected Fermi level; the
+// constants were recorded on that commit) gave this fragment are not today's,
+// so none of its records can be served to this engine.
+func TestKeyEngineVersionTouchesEveryKey(t *testing.T) {
+	grid, hessOnly := hessian.DefaultJobOptions(), hessian.DefaultJobOptions()
+	grid.DFPT.Coulomb = dfpt.GridCoulomb
+	hessOnly.SkipAlpha = true
+	for _, tc := range []struct {
+		name, keyBefore string
+		opt             hessian.JobOptions
+	}{
+		{"γ mode", "f5191d75104962f781428508a5c936bf4a14e2bb68f911d7bf75554df7af00b4", hessian.DefaultJobOptions()},
+		{"grid mode", "d06d326b4c6b3d6268b8331c7d1a5621bbe3fc82420fc891201208327d3a878e", grid},
+		{"pure Hessian", "dc48bfda25047caa734ddf81879b5d15aa852bc24f6226b2db216218229883a0", hessOnly},
+	} {
+		if b := appendJobFingerprint(nil, tc.opt); bytes.Count(b, []byte(hessian.EngineVersion)) != 1 {
+			t.Errorf("%s: the job fingerprint does not hash the engine version exactly once", tc.name)
+		}
+		if k, _ := Fingerprint(waterFragment(), tc.opt); k.String() == tc.keyBefore {
+			t.Errorf("%s: key still equals the key of the previous engine's records", tc.name)
+		}
 	}
 }
 
