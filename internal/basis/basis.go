@@ -134,30 +134,34 @@ func (f *Func) GradAt(p geom.Vec3) geom.Vec3 {
 
 // os1D computes the Obara–Saika one-dimensional integrals
 // s(i,j) = ∫ (x−A)^i (x−B)^j exp(−α(x−A)² − β(x−B)²) dx
-// for all i ≤ imax, j ≤ jmax, returned as a (imax+1)×(jmax+1) table.
-func os1D(alpha, beta, a, b float64, imax, jmax int) [][]float64 {
+// for all i ≤ imax, j ≤ jmax. The table is a fixed 3×3 array on the caller's
+// stack: the basis stops at p functions and the dipole and derivative
+// integrals add one power, so no index exceeds 2.
+func os1D(alpha, beta, a, b float64, imax, jmax int) (s [3][3]float64) {
 	p := alpha + beta
 	mu := alpha * beta / p
 	pc := (alpha*a + beta*b) / p
-	s := make([][]float64, imax+1)
-	for i := range s {
-		s[i] = make([]float64, jmax+1)
-	}
 	s[0][0] = math.Sqrt(math.Pi/p) * math.Exp(-mu*(a-b)*(a-b))
-	get := func(i, j int) float64 {
-		if i < 0 || j < 0 {
-			return 0
-		}
-		return s[i][j]
-	}
-	// Fill j = 0 column by raising i, then raise j across.
+	// Fill j = 0 column by raising i, then raise j across. Entries below
+	// index 0 are zero.
 	for i := 0; i < imax; i++ {
-		s[i+1][0] = (pc-a)*get(i, 0) + float64(i)/(2*p)*get(i-1, 0)
+		var below float64
+		if i > 0 {
+			below = s[i-1][0]
+		}
+		s[i+1][0] = (pc-a)*s[i][0] + float64(i)/(2*p)*below
 	}
 	for j := 0; j < jmax; j++ {
 		for i := 0; i <= imax; i++ {
-			s[i][j+1] = (pc-b)*get(i, j) +
-				(float64(i)*get(i-1, j)+float64(j)*get(i, j-1))/(2*p)
+			var belowI, belowJ float64
+			if i > 0 {
+				belowI = s[i-1][j]
+			}
+			if j > 0 {
+				belowJ = s[i][j-1]
+			}
+			s[i][j+1] = (pc-b)*s[i][j] +
+				(float64(i)*belowI+float64(j)*belowJ)/(2*p)
 		}
 	}
 	return s
@@ -166,8 +170,7 @@ func os1D(alpha, beta, a, b float64, imax, jmax int) [][]float64 {
 // axes1D returns the per-axis OS tables for a pair of functions, with room
 // for `extra` additional powers on each index (needed by dipole and
 // derivative integrals).
-func axes1D(f, g *Func, extra int) [3][][]float64 {
-	var out [3][][]float64
+func axes1D(f, g *Func, extra int) (out [3][3][3]float64) {
 	ca := [3]float64{f.Center.X, f.Center.Y, f.Center.Z}
 	cb := [3]float64{g.Center.X, g.Center.Y, g.Center.Z}
 	for ax := 0; ax < 3; ax++ {
@@ -214,6 +217,14 @@ func OverlapDeriv(f, g *Func) geom.Vec3 {
 
 // Dipole returns <f| r |g> in absolute coordinates (bohr).
 func Dipole(f, g *Func) geom.Vec3 {
+	_, d := overlapDipole(f, g)
+	return d
+}
+
+// overlapDipole returns <f|g> and <f| r |g> from one set of tables: an entry
+// of an OS table does not depend on how far the table extends, so the overlap
+// read from the dipole's larger tables is Overlap's, bit for bit.
+func overlapDipole(f, g *Func) (float64, geom.Vec3) {
 	t := axes1D(f, g, 1)
 	base := [3]float64{
 		t[0][f.L[0]][g.L[0]],
@@ -235,7 +246,7 @@ func Dipole(f, g *Func) geom.Vec3 {
 		d[ax] = prod
 	}
 	n := f.Norm * g.Norm
-	return geom.V(n*d[0], n*d[1], n*d[2])
+	return n * base[0] * base[1] * base[2], geom.V(n*d[0], n*d[1], n*d[2])
 }
 
 // OverlapMatrix returns the full overlap matrix S.
@@ -272,4 +283,53 @@ func (s *Set) DipoleMatrices() [3]*linalg.Matrix {
 		}
 	}
 	return out
+}
+
+// atomRange returns the half-open index range of atom a's functions.
+func (s *Set) atomRange(a int) (lo, hi int) {
+	lo, hi = s.FirstOfAtom[a], len(s.Funcs)
+	if a+1 < len(s.FirstOfAtom) {
+		hi = s.FirstOfAtom[a+1]
+	}
+	return lo, hi
+}
+
+// MoveAtom re-centers atom a's functions and recomputes the rows and columns
+// of the overlap and dipole matrices they take part in — O(n) pair integrals
+// instead of the O(n²) of OverlapMatrix and DipoleMatrices, each evaluated
+// with its lower index first as those do, so the updated matrices equal a full
+// rebuild at the new geometry bit for bit.
+func (s *Set) MoveAtom(a int, center geom.Vec3, overlap *linalg.Matrix, dip [3]*linalg.Matrix) {
+	lo, hi := s.atomRange(a)
+	for i := lo; i < hi; i++ {
+		s.Funcs[i].Center = center
+	}
+	for i := lo; i < hi; i++ {
+		for j := range s.Funcs {
+			if j >= lo && j < i {
+				continue // both on the atom: done as (j, i)
+			}
+			p, q := i, j
+			if q < p {
+				p, q = q, p
+			}
+			fp, fq := &s.Funcs[p], &s.Funcs[q]
+			v, d := overlapDipole(fp, fq)
+			overlap.Set(p, q, v)
+			overlap.Set(q, p, v)
+			for k, dv := range [3]float64{d.X, d.Y, d.Z} {
+				dip[k].Set(p, q, dv)
+				dip[k].Set(q, p, dv)
+			}
+		}
+	}
+}
+
+// Clone returns a deep copy of the set.
+func (s *Set) Clone() *Set {
+	return &Set{
+		Funcs:        append([]Func(nil), s.Funcs...),
+		FirstOfAtom:  append([]int(nil), s.FirstOfAtom...),
+		NumElectrons: s.NumElectrons,
+	}
 }

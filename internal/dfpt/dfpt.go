@@ -140,18 +140,42 @@ func (r *Response) MeanPolarizability() float64 {
 }
 
 // Polarizability computes the static polarizability tensor of a converged
-// ground state by running one DFPT response per field direction.
+// ground state by running one DFPT response per field direction: the one-shot
+// form of Workspace.Polarizability. The Response owns its storage.
 func Polarizability(m *scf.Model, ground *scf.Result, opt Options) (*Response, error) {
+	resp, err := new(Workspace).Polarizability(m, ground, opt)
+	if err != nil {
+		return nil, err
+	}
+	out := *resp // detached from the workspace, which is garbage from here on
+	return &out, nil
+}
+
+// Workspace keeps a cycle environment and a Response across polarizability
+// calculations on models of one size — the displacement loop's 6N responses of
+// one fragment — so that each re-seats the environment on its ground state
+// instead of building one. The zero value is ready; one goroutine at a time.
+type Workspace struct {
+	env  cycleEnv
+	p1   [3]*linalg.Matrix
+	resp Response
+}
+
+// Polarizability is the package function of the same name on the workspace's
+// storage: the Response and its P1 matrices belong to the workspace and are
+// overwritten by its next call.
+func (w *Workspace) Polarizability(m *scf.Model, ground *scf.Result, opt Options) (*Response, error) {
 	if opt.MaxIter <= 0 || opt.Tol <= 0 || opt.Mixing <= 0 || opt.Mixing > 1 {
 		return nil, fmt.Errorf("dfpt: invalid options (MaxIter %d, Tol %g, Mixing %g)", opt.MaxIter, opt.Tol, opt.Mixing)
 	}
-	return polarizability(m, ground, opt, nil)
+	return w.polarizability(m, ground, opt, nil)
 }
 
 // polarizability is Polarizability on validated options. Grid mode builds
 // its environment unless the caller (a test) brings one.
-func polarizability(m *scf.Model, ground *scf.Result, opt Options, gridEnv *gridEnv) (*Response, error) {
-	resp := &Response{MixingUsed: opt.Mixing}
+func (w *Workspace) polarizability(m *scf.Model, ground *scf.Result, opt Options, gridEnv *gridEnv) (*Response, error) {
+	w.resp = Response{MixingUsed: opt.Mixing}
+	resp := &w.resp
 	sc, dfptSpan := opt.Obs.Begin("dfpt", "dfpt")
 	defer dfptSpan.End()
 	if opt.Coulomb == GridCoulomb && gridEnv == nil {
@@ -161,15 +185,21 @@ func polarizability(m *scf.Model, ground *scf.Result, opt Options, gridEnv *grid
 			return nil, err
 		}
 	}
-	env := newCycleEnv(m, ground, gridEnv)
+	env := &w.env
+	env.seat(m, ground, gridEnv)
+	if n := m.Basis.Size(); w.p1[0] == nil || w.p1[0].Rows != n {
+		for dir := range w.p1 {
+			w.p1[dir] = linalg.NewMatrix(n, n)
+		}
+	}
 	for dir := 0; dir < 3; dir++ {
 		dirSc, dirSpan := sc.Begin("dfpt.dir", "dfpt", obs.A("dir", int64(dir)))
 		// Robustness ladder: small-gap fragments can oscillate in the
 		// response loop; halving the damping is the standard remedy.
-		var p1 *linalg.Matrix
+		p1 := w.p1[dir]
 		var cycles int
 		var err error
-		for rung, scale := range []float64{1, 0.5, 0.25, 0.1} {
+		for rung, scale := range [...]float64{1, 0.5, 0.25, 0.1} {
 			o := opt
 			o.Mixing = opt.Mixing * scale
 			o.MaxIter = int(float64(opt.MaxIter) / scale)
@@ -181,7 +211,7 @@ func polarizability(m *scf.Model, ground *scf.Result, opt Options, gridEnv *grid
 				opt.Obs.Hot.DFPTMixingFallbacks.Inc()
 			}
 			var n int
-			p1, n, err = env.respond(dir, o, &resp.Metrics)
+			n, err = env.respond(dir, o, &resp.Metrics, p1)
 			cycles += n
 			if err == nil {
 				resp.MixingUsed = math.Min(resp.MixingUsed, o.Mixing)
@@ -203,18 +233,20 @@ func polarizability(m *scf.Model, ground *scf.Result, opt Options, gridEnv *grid
 }
 
 // cycleEnv holds what every DFPT cycle of one (model, ground state) shares —
-// built once in polarizability and used by its three field directions and
+// seated once per polarizability and used by its three field directions and
 // their mixing ladder, the sibling of gridEnv (which keeps phases 2–4 of grid
 // mode). Everything that is a function of the ground state alone is resolved
-// here: the gapped/fractional decision, the orbital blocks and pair weights
+// by seat: the gapped/fractional decision, the orbital blocks and pair weights
 // of phase 1, ½S and the atom-of-function table of the γ kernel, the four
 // bound GEMMs, the Pulay mixer's history (12·n² floats) and every workspace; a
-// steady-state γ cycle allocates nothing.
+// steady-state γ cycle allocates nothing, and neither does re-seating on
+// another ground state of the same basis size.
 // Environment buffers are never shared across goroutines and never alias a
-// Result or a Response: respond hands out a copy of p1.
+// Result or a Response: respond copies p1 out.
 type cycleEnv struct {
 	m    *scf.Model
 	grid *gridEnv // nil in γ mode
+	n    int      // basis size the buffers below are allocated for
 
 	// Phase 1 builds P⁽¹⁾ = sym(L·(W∘(Lᵀ·H⁽¹⁾·R))·Rᵀ). Gapped ground states
 	// (every occupation within occTol of 0 or 2): L = C_virt, R = C_occ, W_ai
@@ -225,10 +257,12 @@ type cycleEnv struct {
 	// pair-weight matrix with its analytic degenerate limit and sym(Z) =
 	// (Z + Zᵀ)/2.
 	gapped      bool
-	left, right *linalg.Matrix
-	w           *linalg.Matrix // rows(Lᵀ)×cols(R) pair weights
-	tmp, u, lu  *linalg.Matrix // Lᵀ·H⁽¹⁾, its product with R (then ∘W), L·u
-	newP1       *linalg.Matrix
+	left, right *linalg.Matrix    // cVirt and cOcc, or the ground state's C twice
+	cVirt, cOcc *linalg.Matrix    // gapped: the gathered orbital blocks
+	idx         []int             // gapped: virtual then occupied orbital indices
+	w           *linalg.Matrix    // rows(Lᵀ)×cols(R) pair weights
+	tmp, u, lu  *linalg.Matrix    // Lᵀ·H⁽¹⁾, its product with R (then ∘W), L·u
+	newP1       *linalg.Matrix    //
 	p1Gemms     [4]*linalg.GemmOp // gemm_tn, gemm_nn, gemm_nn, gemm_nt
 	p1FLOPs     int64             // of the four, per cycle
 
@@ -242,16 +276,27 @@ type cycleEnv struct {
 	samples []obs.CycleSample // respond's span batch, reused across solves
 }
 
-func newCycleEnv(m *scf.Model, ground *scf.Result, grid *gridEnv) *cycleEnv {
+// reshape makes m a rows×cols view of its own storage (allocated n×n).
+func reshape(m *linalg.Matrix, rows, cols int) {
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
+}
+
+// seat points the environment at a (model, ground state), allocating only when
+// the basis size differs from the one it holds buffers for.
+func (e *cycleEnv) seat(m *scf.Model, ground *scf.Result, grid *gridEnv) {
 	n := m.Basis.Size()
-	e := &cycleEnv{
-		m: m, grid: grid, gapped: true,
-		newP1: linalg.NewMatrix(n, n),
-		h1:    linalg.NewMatrix(n, n),
-		p1:    linalg.NewMatrix(n, n),
-		mixer: scf.NewPulay(n*n, 0),
+	if e.n != n || e.newP1 == nil {
+		sq := func() *linalg.Matrix { return linalg.NewMatrix(n, n) }
+		*e = cycleEnv{
+			n: n, newP1: sq(), h1: sq(), p1: sq(),
+			cVirt: sq(), cOcc: sq(), w: sq(), tmp: sq(), u: sq(), lu: sq(),
+			idx:   make([]int, n),
+			mixer: scf.NewPulay(n*n, 0), samples: e.samples,
+		}
 	}
+	e.m, e.grid = m, grid
 	const occTol = 1e-3
+	e.gapped = true
 	for _, f := range ground.Occ {
 		if f > occTol && f < 2-occTol {
 			e.gapped = false
@@ -259,32 +304,44 @@ func newCycleEnv(m *scf.Model, ground *scf.Result, grid *gridEnv) *cycleEnv {
 		}
 	}
 	occ, eps := ground.Occ, ground.Eps
+	left, right := ground.C, ground.C
+	nl, nr := n, n
 	if e.gapped {
-		var occIdx, virtIdx []int
+		nl = 0
 		for k, f := range occ {
-			if f > occTol {
-				occIdx = append(occIdx, k)
-			} else {
-				virtIdx = append(virtIdx, k)
+			if !(f > occTol) {
+				e.idx[nl] = k
+				nl++
 			}
 		}
-		e.left, e.right = gatherColumns(ground.C, virtIdx), gatherColumns(ground.C, occIdx)
-		e.w = linalg.NewMatrix(len(virtIdx), len(occIdx))
+		nr = n - nl
+		virtIdx, occIdx := e.idx[:nl], e.idx[nl:]
+		for k, i := 0, 0; k < n; k++ {
+			if occ[k] > occTol {
+				occIdx[i] = k
+				i++
+			}
+		}
+		left, right = e.cVirt, e.cOcc
+		gatherColumns(left, ground.C, virtIdx)
+		gatherColumns(right, ground.C, occIdx)
+		reshape(e.w, nl, nr)
 		for a, va := range virtIdx {
 			row := e.w.Row(a)
 			for i, oi := range occIdx {
 				// Near-degenerate pairs keep weight zero.
+				row[i] = 0
 				if de := eps[oi] - eps[va]; !(de > -1e-9 && de < 1e-9) {
 					row[i] = (occ[oi] - occ[va]) / de
 				}
 			}
 		}
 	} else {
-		e.left, e.right = ground.C, ground.C
-		e.w = linalg.NewMatrix(n, n)
+		reshape(e.w, n, n)
 		for q := 0; q < n; q++ {
 			row := e.w.Row(q)
 			for p := 0; p < n; p++ {
+				row[p] = 0
 				if p == q {
 					continue
 				}
@@ -301,50 +358,57 @@ func newCycleEnv(m *scf.Model, ground *scf.Result, grid *gridEnv) *cycleEnv {
 			}
 		}
 	}
-	nl, nr := e.left.Cols, e.right.Cols
-	e.tmp, e.u, e.lu = linalg.NewMatrix(nl, n), linalg.NewMatrix(nl, nr), linalg.NewMatrix(n, nr)
-	e.p1Gemms = [4]*linalg.GemmOp{
-		linalg.BindGemm(true, false, 1, e.left, e.h1, 0, e.tmp),
-		linalg.BindGemm(false, false, 1, e.tmp, e.right, 0, e.u),
-		linalg.BindGemm(false, false, 1, e.left, e.u, 0, e.lu),
-		linalg.BindGemm(false, true, 1, e.lu, e.right, 0, e.newP1),
+	if e.p1Gemms[0] == nil || left != e.left || right != e.right || e.tmp.Rows != nl || e.u.Cols != nr {
+		e.left, e.right = left, right
+		reshape(e.tmp, nl, n)
+		reshape(e.u, nl, nr)
+		reshape(e.lu, n, nr)
+		e.p1Gemms = [4]*linalg.GemmOp{
+			linalg.BindGemm(true, false, 1, e.left, e.h1, 0, e.tmp),
+			linalg.BindGemm(false, false, 1, e.tmp, e.right, 0, e.u),
+			linalg.BindGemm(false, false, 1, e.left, e.u, 0, e.lu),
+			linalg.BindGemm(false, true, 1, e.lu, e.right, 0, e.newP1),
+		}
+		e.p1FLOPs = linalg.GemmFLOPs(nl, n, n) + linalg.GemmFLOPs(nl, n, nr) +
+			linalg.GemmFLOPs(n, nl, nr) + linalg.GemmFLOPs(n, nr, n)
 	}
-	e.p1FLOPs = linalg.GemmFLOPs(nl, n, n) + linalg.GemmFLOPs(nl, n, nr) +
-		linalg.GemmFLOPs(n, nl, nr) + linalg.GemmFLOPs(n, nr, n)
 	if grid == nil {
-		e.halfS = m.S.Clone()
+		na := m.NumAtoms()
+		if e.halfS == nil || len(e.dq1) != na {
+			e.halfS = linalg.NewMatrix(n, n)
+			e.atomOf = make([]int, n)
+			e.dq1, e.v1 = make([]float64, na), make([]float64, na)
+		}
+		e.halfS.CopyFrom(m.S)
 		e.halfS.Scale(0.5)
-		e.atomOf = make([]int, n)
 		for i := range e.atomOf {
 			e.atomOf[i] = m.Basis.Funcs[i].Atom
 		}
-		e.dq1, e.v1 = make([]float64, m.NumAtoms()), make([]float64, m.NumAtoms())
 	}
-	return e
 }
 
-// gatherColumns returns the n×len(cols) matrix of the given columns of c.
-func gatherColumns(c *linalg.Matrix, cols []int) *linalg.Matrix {
-	out := linalg.NewMatrix(c.Rows, len(cols))
+// gatherColumns makes dst (storage for n×n) the n×len(cols) matrix of the
+// given columns of c.
+func gatherColumns(dst, c *linalg.Matrix, cols []int) {
+	reshape(dst, c.Rows, len(cols))
 	for i := 0; i < c.Rows; i++ {
-		src, dst := c.Row(i), out.Row(i)
+		src, out := c.Row(i), dst.Row(i)
 		for k, col := range cols {
-			dst[k] = src[col]
+			out[k] = src[col]
 		}
 	}
-	return out
 }
 
 // respond runs the self-consistent DFPT cycle for one field direction — in
 // either Coulomb mode: response Hamiltonian of the current P⁽¹⁾, P⁽¹⁾ build,
-// Pulay step — and returns the converged response density matrix (the
-// caller's own copy) and the number of cycles run.
-func (e *cycleEnv) respond(dir int, opt Options, met *PhaseMetrics) (*linalg.Matrix, int, error) {
+// Pulay step — copies the converged response density matrix into dst and
+// returns the number of cycles run.
+func (e *cycleEnv) respond(dir int, opt Options, met *PhaseMetrics, dst *linalg.Matrix) (int, error) {
 	m := e.m
 	n := m.Basis.Size()
 	nocc := m.NumOcc()
 	if n == nocc {
-		return nil, 0, fmt.Errorf("dfpt: no virtual orbitals (basis %d, occupied %d)", n, nocc)
+		return 0, fmt.Errorf("dfpt: no virtual orbitals (basis %d, occupied %d)", n, nocc)
 	}
 	hExt := m.Dip[dir] // +D^dir per unit field (electron charge −1)
 
@@ -402,7 +466,7 @@ func (e *cycleEnv) respond(dir int, opt Options, met *PhaseMetrics) (*linalg.Mat
 			// per-cycle durations are the deltas across the call.
 			preN1, preV1, preH1 := met.TimeN1, met.TimeV1, met.TimeH1
 			if err := e.grid.addGridResponse(e.p1, e.h1, dir, met); err != nil {
-				return nil, iter, err
+				return iter, err
 			}
 			durs[obs.PhaseN1] = met.TimeN1 - preN1
 			durs[obs.PhaseV1] = met.TimeV1 - preV1
@@ -435,10 +499,10 @@ func (e *cycleEnv) respond(dir int, opt Options, met *PhaseMetrics) (*linalg.Mat
 
 		maxDelta, ok := e.residualNorm()
 		if !ok {
-			return nil, iter, fmt.Errorf("%w (NaN) at cycle %d", ErrDiverged, iter)
+			return iter, fmt.Errorf("%w (NaN) at cycle %d", ErrDiverged, iter)
 		}
 		if maxDelta > 1e12 {
-			return nil, iter, fmt.Errorf("%w (|ΔP1| = %g) at cycle %d", ErrDiverged, maxDelta, iter)
+			return iter, fmt.Errorf("%w (|ΔP1| = %g) at cycle %d", ErrDiverged, maxDelta, iter)
 		}
 		e.mixer.Next(e.p1.Data, e.newP1.Data, e.p1.Data)
 		if obsOn {
@@ -447,10 +511,11 @@ func (e *cycleEnv) respond(dir int, opt Options, met *PhaseMetrics) (*linalg.Mat
 			})
 		}
 		if maxDelta < opt.Tol {
-			return e.p1.Clone(), iter, nil
+			dst.CopyFrom(e.p1)
+			return iter, nil
 		}
 	}
-	return nil, opt.MaxIter, fmt.Errorf("%w after %d iterations", ErrNotConverged, opt.MaxIter)
+	return opt.MaxIter, fmt.Errorf("%w after %d iterations", ErrNotConverged, opt.MaxIter)
 }
 
 // residualNorm returns the largest element of |newP1 − p1|, the residual of

@@ -201,7 +201,7 @@ func TestGridModeRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := polarizability(m, res, gridOptions(), env)
+	resp, err := new(Workspace).polarizability(m, res, gridOptions(), env)
 	if err != nil {
 		t.Fatal(err)
 	}

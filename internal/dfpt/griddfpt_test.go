@@ -31,7 +31,7 @@ func TestGridAlphaMatchesCGReference(t *testing.T) {
 		copy(v, out)
 		return err
 	}
-	ref, err := polarizability(m, res, gridOptions(), env)
+	ref, err := new(Workspace).polarizability(m, res, gridOptions(), env)
 	if err != nil {
 		t.Fatal(err)
 	}

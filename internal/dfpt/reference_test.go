@@ -438,6 +438,13 @@ func gammaCycleFixtures(t testing.TB) []cycleFixture {
 	return []cycleFixture{{"water", wm, wres}, {"dimer", dm, dres}, {"glycine", gm, gres}, {"dimer-fractional", fm, fres}}
 }
 
+// newCycleEnv is a fresh environment seated on (m, ground).
+func newCycleEnv(m *scf.Model, ground *scf.Result, grid *gridEnv) *cycleEnv {
+	e := new(cycleEnv)
+	e.seat(m, ground, grid)
+	return e
+}
+
 // gammaCycle is one untimed γ-mode cycle of respond on the environment's
 // current p1: response Hamiltonian, P⁽¹⁾ build, residual norm, Pulay step.
 func (e *cycleEnv) gammaCycle(hExt *linalg.Matrix) {
@@ -446,4 +453,38 @@ func (e *cycleEnv) gammaCycle(hExt *linalg.Matrix) {
 	e.responseDensity()
 	e.residualNorm()
 	e.mixer.Next(e.p1.Data, e.newP1.Data, e.p1.Data)
+}
+
+// TestWorkspaceReseatMatchesOneShotBitwise: one Workspace carried across
+// ground states of one basis size — gapped, then fractional (the phase-1 blocks
+// change shape and the bound GEMMs are rebound), then gapped again, then a
+// displaced geometry — returns each time the α and P⁽¹⁾ of a one-shot
+// Polarizability, bit for bit: nothing of an earlier seat survives.
+func TestWorkspaceReseatMatchesOneShotBitwise(t *testing.T) {
+	gm, gres := systemModel(t, structure.BuildWaterDimerSystem(1), scf.DefaultOptions().Smearing)
+	fm, fres := systemModel(t, structure.BuildWaterDimerSystem(1), 0.05)
+	dm := gm.Displaced(3, 1, 0.02)
+	dres, err := dm.SolveSCF(scf.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w Workspace
+	for i, fx := range []cycleFixture{{"gapped", gm, gres}, {"fractional", fm, fres}, {"gapped again", gm, gres}, {"displaced", dm, dres}} {
+		want, err := Polarizability(fx.m, fx.ground, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := w.Polarizability(fx.m, fx.ground, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Alpha != want.Alpha || got.Cycles != want.Cycles {
+			t.Errorf("seat %d (%s): α or cycle count differs from the one-shot solve", i, fx.name)
+		}
+		for dir := range got.P1 {
+			if !bitEqualMatrix(got.P1[dir], want.P1[dir]) {
+				t.Errorf("seat %d (%s): P1[%d] differs from the one-shot solve", i, fx.name, dir)
+			}
+		}
+	}
 }

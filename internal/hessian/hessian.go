@@ -46,10 +46,13 @@ type DisplacementResult struct {
 // internal/poisson bumps poisson.SolverTag instead, which moves only
 // grid-mode keys.
 //
+// engine/3: displaced charge loops start as a chord-Newton iteration on the
+// reference's charge susceptibility (scf.Options.Chord); the Pulay mixer
+// extrapolates over the numerically independent part of its history only.
 // engine/2: Pulay-accelerated DFPT cycle, Fermi search that stops once the
 // electrons are counted. (engine/1, never hashed: linear response mixing,
 // Fermi level bisected to the last ulp.)
-const EngineVersion = "engine/2"
+const EngineVersion = "engine/3"
 
 // JobOptions bundles the solver settings of a displacement job.
 type JobOptions struct {
@@ -75,11 +78,37 @@ func DefaultJobOptions() JobOptions {
 	}
 }
 
-// RunDisplacement executes one worker job on the fragment model. Set
-// opt.SCF.InitDeltaQ to the reference geometry's converged charges to
+// RunDisplacement executes one worker job on the fragment model: the one-shot
+// form of Displacer.Run.
+func RunDisplacement(m *scf.Model, atom, axis, sign int, opt JobOptions) (*DisplacementResult, error) {
+	return NewDisplacer(m).Run(atom, axis, sign, opt)
+}
+
+// Displacer is one displacement worker's workspace for one fragment. It owns a
+// displaced copy of the reference model, of which each job recomputes only the
+// moved atom's integral blocks (scf.Model.DisplaceInto), and the SCF and DFPT
+// workspaces every job of the worker solves in, so a job allocates its result
+// and little else. What a job computes does not depend on the jobs the
+// workspace ran before it. One goroutine at a time.
+type Displacer struct {
+	ref  *scf.Model
+	md   scf.Model
+	scf  *scf.Workspace
+	dfpt dfpt.Workspace
+}
+
+// NewDisplacer returns a workspace for displacements of the reference model m,
+// which it reads and never writes.
+func NewDisplacer(m *scf.Model) *Displacer {
+	return &Displacer{ref: m, scf: scf.NewWorkspace(m)}
+}
+
+// Run executes one worker job: SCF ground state, forces, dipole and (unless
+// SkipAlpha) DFPT polarizability with the atom moved by sign·Step along axis.
+// Set opt.SCF.InitDeltaQ to the reference geometry's converged charges to
 // warm-start the displaced SCF (the displacement is tiny, so the charges
 // barely move — this is the displacement loop's dominant speedup).
-func RunDisplacement(m *scf.Model, atom, axis, sign int, opt JobOptions) (*DisplacementResult, error) {
+func (d *Displacer) Run(atom, axis, sign int, opt JobOptions) (*DisplacementResult, error) {
 	if sign != 1 && sign != -1 {
 		return nil, fmt.Errorf("hessian: sign must be ±1")
 	}
@@ -88,18 +117,19 @@ func RunDisplacement(m *scf.Model, atom, axis, sign int, opt JobOptions) (*Displ
 	defer dspan.End()
 	opt.SCF.Obs = dsc
 	opt.DFPT.Obs = dsc
-	md := m.Displaced(atom, axis, float64(sign)*opt.Step)
-	ground, err := md.SolveSCF(opt.SCF)
+	md := &d.md
+	d.ref.DisplaceInto(md, atom, axis, float64(sign)*opt.Step)
+	ground, err := d.scf.Solve(md, opt.SCF)
 	if err != nil {
 		return nil, fmt.Errorf("hessian: displaced SCF (atom %d axis %d sign %+d): %w", atom, axis, sign, err)
 	}
 	out := &DisplacementResult{
 		Atom: atom, Axis: axis, Sign: sign,
-		Forces: md.Forces(ground),
+		Forces: d.scf.Forces(md, ground),
 		Dipole: md.Dipole(ground),
 	}
 	if !opt.SkipAlpha {
-		resp, err := dfpt.Polarizability(md, ground, opt.DFPT)
+		resp, err := d.dfpt.Polarizability(md, ground, opt.DFPT)
 		if err != nil {
 			return nil, fmt.Errorf("hessian: displaced DFPT (atom %d axis %d sign %+d): %w", atom, axis, sign, err)
 		}
@@ -327,10 +357,11 @@ func computeFragmentOnce(f *fragment.Fragment, m *scf.Model, opt JobOptions, las
 	opt = *refOpt
 	natoms := f.NumAtoms()
 	results := make([]*DisplacementResult, 0, 6*natoms)
+	disp := NewDisplacer(m)
 	for a := 0; a < natoms; a++ {
 		for d := 0; d < 3; d++ {
 			for _, sign := range [2]int{1, -1} {
-				r, err := RunDisplacement(m, a, d, sign, opt)
+				r, err := disp.Run(a, d, sign, opt)
 				if err != nil {
 					return nil, err
 				}
@@ -343,10 +374,11 @@ func computeFragmentOnce(f *fragment.Fragment, m *scf.Model, opt JobOptions, las
 
 // SolveReference runs the fragment's reference SCF (and DFPT unless
 // SkipAlpha) at the options' smearing and returns options carrying the
-// warm-start data (reference charges, response matrices, working response
-// mixing) for the displaced worker jobs, plus the reference SCF result
-// itself — the trajectory engine keeps its converged charges and iteration
-// count to seed and account the same fragment's next frame. The marginal
+// warm-start data (reference charges and the chord matrix of the charge loop,
+// response matrices, working response mixing) for the displaced worker jobs,
+// plus the reference SCF result itself — the trajectory engine keeps its
+// converged charges and iteration count to seed and account the same
+// fragment's next frame. The marginal
 // flag reports that the response only converged with extra damping in some
 // direction, or spent more than one rung's iteration budget over its three
 // directions (a healthy Pulay response takes 15–25 cycles per direction, a
@@ -367,6 +399,7 @@ func SolveReference(m *scf.Model, opt JobOptions) (*JobOptions, *scf.Result, boo
 		return nil, nil, false, fmt.Errorf("hessian: reference SCF: %w", err)
 	}
 	o.SCF.InitDeltaQ = ref.DeltaQ
+	o.SCF.Chord = m.ChordMatrix(ref, o.SCF)
 	marginal := false
 	if !o.SkipAlpha {
 		refResp, err := dfpt.Polarizability(m, ref, o.DFPT)

@@ -1,27 +1,62 @@
 package linalg
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
 
-// EigSym computes all eigenvalues and eigenvectors of the symmetric matrix a.
-// It returns the eigenvalues in ascending order and a matrix whose column j
-// is the eigenvector for eigenvalue j. The input is not modified.
+// ErrEigNoConvergence reports that the implicit-shift QL iteration used up its
+// sweeps on some eigenvalue — in practice a non-finite input matrix. It is a
+// deterministic outcome of the matrix: the same input fails the same way.
+var ErrEigNoConvergence = errors.New("linalg: symmetric eigensolver did not converge")
+
+// EigSymWork is the symmetric eigensolver for matrices of one order with its
+// storage kept: the transposed eigenvector store of the QL iteration and the
+// off-diagonal of the tridiagonal form. A Solve allocates nothing. One Solve
+// at a time.
 //
 // The implementation is the classic Householder tridiagonalization (tred2)
 // followed by the implicit-shift QL iteration (tql2), the same reduction used
 // by dense LAPACK drivers.
+type EigSymWork struct {
+	n     int
+	zt, e []float64
+}
+
+// NewEigSymWork returns a solver for n×n matrices.
+func NewEigSymWork(n int) *EigSymWork {
+	return &EigSymWork{n: n, zt: make([]float64, n*n), e: make([]float64, n)}
+}
+
+// Solve computes all eigenvalues and eigenvectors of the symmetric matrix a:
+// the eigenvalues ascending into vals, eigenvector j into column j of vecs.
+// a is not modified unless vecs is a itself. The error wraps
+// ErrEigNoConvergence; vals and vecs then hold no result.
+func (w *EigSymWork) Solve(a *Matrix, vals []float64, vecs *Matrix) error {
+	n := w.n
+	if a.Rows != n || a.Cols != n || vecs.Rows != n || vecs.Cols != n || len(vals) != n {
+		panic("linalg: EigSymWork.Solve shape mismatch")
+	}
+	if vecs != a {
+		vecs.CopyFrom(a)
+	}
+	tred2(vecs, vals, w.e)
+	return tql2(vals, w.e, vecs, w.zt)
+}
+
+// EigSym is the one-shot form of EigSymWork.Solve: it returns the eigenvalues
+// in ascending order and a matrix whose column j is the eigenvector for
+// eigenvalue j, both freshly allocated. The input is not modified. A matrix
+// the iteration cannot converge on (a non-finite one) panics; callers that
+// must survive one use the workspace form.
 func EigSym(a *Matrix) ([]float64, *Matrix) {
 	if a.Rows != a.Cols {
 		panic("linalg: EigSym on non-square matrix")
 	}
 	n := a.Rows
-	z := a.Clone()
-	d := make([]float64, n)
-	e := make([]float64, n)
-	tred2(z, d, e)
-	if err := tql2(d, e, z); err != nil {
+	d, z := make([]float64, n), NewMatrix(n, n)
+	if err := NewEigSymWork(n).Solve(a, d, z); err != nil {
 		panic(err)
 	}
 	return d, z
@@ -73,54 +108,58 @@ func EigvalsSymTridiag(d, e []float64) []float64 {
 // This is an adaptation of the EISPACK/Numerical Recipes tred2 routine.
 func tred2(z *Matrix, d, e []float64) {
 	n := z.Rows
+	zd := z.Data
 	for i := n - 1; i > 0; i-- {
 		l := i - 1
+		zi := zd[i*n : (i+1)*n]
 		var h, scale float64
 		if l > 0 {
 			for k := 0; k <= l; k++ {
-				scale += math.Abs(z.At(i, k))
+				scale += math.Abs(zi[k])
 			}
 			if scale == 0 {
-				e[i] = z.At(i, l)
+				e[i] = zi[l]
 			} else {
 				for k := 0; k <= l; k++ {
-					v := z.At(i, k) / scale
-					z.Set(i, k, v)
+					v := zi[k] / scale
+					zi[k] = v
 					h += v * v
 				}
-				f := z.At(i, l)
+				f := zi[l]
 				g := math.Sqrt(h)
 				if f > 0 {
 					g = -g
 				}
 				e[i] = scale * g
 				h -= f * g
-				z.Set(i, l, f-g)
+				zi[l] = f - g
 				f = 0
 				for j := 0; j <= l; j++ {
-					z.Set(j, i, z.At(i, j)/h)
+					zj := zd[j*n : (j+1)*n]
+					zj[i] = zi[j] / h
 					g = 0
 					for k := 0; k <= j; k++ {
-						g += z.At(j, k) * z.At(i, k)
+						g += zj[k] * zi[k]
 					}
 					for k := j + 1; k <= l; k++ {
-						g += z.At(k, j) * z.At(i, k)
+						g += zd[k*n+j] * zi[k]
 					}
 					e[j] = g / h
-					f += e[j] * z.At(i, j)
+					f += e[j] * zi[j]
 				}
 				hh := f / (h + h)
 				for j := 0; j <= l; j++ {
-					f = z.At(i, j)
+					zj := zd[j*n : (j+1)*n]
+					f = zi[j]
 					g = e[j] - hh*f
 					e[j] = g
 					for k := 0; k <= j; k++ {
-						z.Add(j, k, -(f*e[k] + g*z.At(i, k)))
+						zj[k] += -(f*e[k] + g*zi[k])
 					}
 				}
 			}
 		} else {
-			e[i] = z.At(i, l)
+			e[i] = zi[l]
 		}
 		d[i] = h
 	}
@@ -128,22 +167,23 @@ func tred2(z *Matrix, d, e []float64) {
 	e[0] = 0
 	for i := 0; i < n; i++ {
 		l := i - 1
+		zi := zd[i*n : (i+1)*n]
 		if d[i] != 0 {
 			for j := 0; j <= l; j++ {
 				var g float64
 				for k := 0; k <= l; k++ {
-					g += z.At(i, k) * z.At(k, j)
+					g += zi[k] * zd[k*n+j]
 				}
 				for k := 0; k <= l; k++ {
-					z.Add(k, j, -g*z.At(k, i))
+					zd[k*n+j] += -g * zd[k*n+i]
 				}
 			}
 		}
-		d[i] = z.At(i, i)
-		z.Set(i, i, 1)
+		d[i] = zi[i]
+		zi[i] = 1
 		for j := 0; j <= l; j++ {
-			z.Set(j, i, 0)
-			z.Set(i, j, 0)
+			zd[j*n+i] = 0
+			zi[j] = 0
 		}
 	}
 }
@@ -153,25 +193,29 @@ func tred2(z *Matrix, d, e []float64) {
 // of a symmetric tridiagonal matrix via the implicit QL method.
 // On input e[1..n-1] holds the subdiagonal (tred2 convention); e is destroyed.
 //
-// Internally the eigenvectors are kept transposed (one per row) so the
-// Givens-rotation updates run over contiguous memory — this loop dominates
-// the SCF engine's profile.
-func tql2(d, e []float64, z *Matrix) error {
+// Internally the eigenvectors are kept transposed (one per row, in the n²
+// floats of zt) so the Givens-rotation updates run over contiguous memory —
+// this loop dominates the SCF engine's profile.
+func tql2(d, e []float64, z *Matrix, zt []float64) error {
 	n := len(d)
 	if n == 0 {
 		return nil
 	}
-	zt := z.T()
+	for i := 0; i < n; i++ {
+		for j, v := range z.Row(i) {
+			zt[j*n+i] = v
+		}
+	}
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
 	}
-	if err := tqlRows(d, e, zt.Data, n); err != nil {
+	if err := tqlRows(d, e, zt, n); err != nil {
 		return err
 	}
 	for i := 0; i < n; i++ {
-		row := zt.Row(i)
+		row := zt[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {
-			z.Set(j, i, row[j])
+			z.Data[j*n+i] = row[j]
 		}
 	}
 	return nil
@@ -203,7 +247,7 @@ func tqlRows(d, e, zt []float64, w int) error {
 			}
 			iter++
 			if iter > 80 {
-				return fmt.Errorf("linalg: tql2 failed to converge at row %d", l)
+				return fmt.Errorf("%w (row %d)", ErrEigNoConvergence, l)
 			}
 			g := (d[l+1] - d[l]) / (2 * e[l])
 			r := math.Hypot(g, 1)

@@ -109,7 +109,7 @@ func EigSymTridiag(d, e []float64) ([]float64, *Matrix) {
 	ee := make([]float64, n)
 	copy(ee[1:], e)
 	z := Identity(n)
-	if err := tql2(dd, ee, z); err != nil {
+	if err := tql2(dd, ee, z, make([]float64, n*n)); err != nil {
 		panic(err)
 	}
 	return dd, z

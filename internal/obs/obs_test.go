@@ -33,7 +33,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	sc2, sp2 := sc.Begin("x", "y")
 	sp2.End()
-	sc2.RecordSCF(time.Now(), 3, 5)
+	sc2.RecordSCF(time.Now(), 3, 5, 0)
 	sc2.RecordDFPTCycle(1, time.Now(), [NumPhases]time.Duration{}, 0)
 	var fs *FragStats
 	fs.AddPhase(PhaseP1, time.Second)

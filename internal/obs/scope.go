@@ -45,8 +45,13 @@ const (
 	// reset is the response mixer discarding an ill-conditioned history for
 	// one damped step — harmless once, a symptom when frequent.
 	MetricSCFSmearingEscalations = "scf_smearing_escalations_total"
-	MetricDFPTMixingFallbacks    = "dfpt_mixing_fallbacks_total"
-	MetricDFPTPulayResets        = "dfpt_pulay_resets_total"
+	// A chord fallback is a charge loop that was handed a chord matrix
+	// (scf.Options.Chord) and left the chord-Newton iteration for the Pulay
+	// mixer because a step failed to halve the residual: the reference's
+	// charge susceptibility did not describe the displaced geometry.
+	MetricSCFChordFallbacks   = "scf_chord_fallbacks_total"
+	MetricDFPTMixingFallbacks = "dfpt_mixing_fallbacks_total"
+	MetricDFPTPulayResets     = "dfpt_pulay_resets_total"
 	// Spectral-solver counts, one RecordLanczos per spectrum: recurrence
 	// steps taken over all start vectors, recurrences that stopped on
 	// β-breakdown, and start vectors skipped as numerically zero.
@@ -116,6 +121,7 @@ type Hot struct {
 	SCFSolves  *Counter
 
 	SCFSmearingEscalations *Counter
+	SCFChordFallbacks      *Counter
 	DFPTMixingFallbacks    *Counter
 	DFPTPulayResets        *Counter
 }
@@ -130,6 +136,7 @@ func newHot(r *Registry) *Hot {
 		SCFSolves:  r.Counter(MetricSCFSolves),
 
 		SCFSmearingEscalations: r.Counter(MetricSCFSmearingEscalations),
+		SCFChordFallbacks:      r.Counter(MetricSCFChordFallbacks),
 		DFPTMixingFallbacks:    r.Counter(MetricDFPTMixingFallbacks),
 		DFPTPulayResets:        r.Counter(MetricDFPTPulayResets),
 	}
@@ -255,14 +262,16 @@ func (s Scope) WithTrack(track int32) Scope {
 	return s
 }
 
-// RecordSCF records one SCF solve: a span carrying the iteration count and
-// the electron counts its Fermi-level searches evaluated, the iteration
-// histogram, and the fragment accumulator.
-func (s Scope) RecordSCF(start time.Time, iters, fermiEvals int) {
+// RecordSCF records one SCF solve: a span carrying the iteration count, the
+// electron counts its Fermi-level searches evaluated and how many of the
+// iterations were chord-Newton steps, the iteration histogram, and the
+// fragment accumulator.
+func (s Scope) RecordSCF(start time.Time, iters, fermiEvals, chordSteps int) {
 	if s.T != nil {
 		s.T.Record(s.Span.ID(), s.Track, "scf", "scf",
 			s.T.Since(start), time.Since(start),
-			A("iters", int64(iters)), A("fermi_evals", int64(fermiEvals)))
+			A("iters", int64(iters)), A("fermi_evals", int64(fermiEvals)),
+			A("chord_steps", int64(chordSteps)))
 	}
 	if s.Hot != nil {
 		s.Hot.SCFIters.Observe(float64(iters))

@@ -10,6 +10,14 @@ import (
 // residual) pairs span the extrapolation.
 const PulayDepth = 6
 
+// pulayRankTol decides which of them take part: a pair joins the extrapolation
+// only if the part of its residual difference to the newest residual that is
+// orthogonal to the differences already taken (newer first) is longer than
+// 1e-6 of the residuals it is the difference of (1e-12 of their squared norm):
+// four digits above what the cancellation in a Gram matrix leaves of it, far
+// below any direction a fixed-point map actually moves in.
+const pulayRankTol = 1e-12
+
 // Pulay is Pulay mixing (direct inversion in the iterative subspace) of a
 // fixed-point iteration x ← F(x): the next input is the residual-minimizing
 // linear combination of the recent history, plus a damped residual step.
@@ -91,17 +99,62 @@ func (p *Pulay) Next(in, out, next []float64) {
 	}
 }
 
-// extrapolate solves the constrained least squares min ‖Σ cᵢ rᵢ‖², Σcᵢ = 1
-// via the bordered normal equations and writes Σ cᵢ (inᵢ + β rᵢ) to next. An
-// ill-conditioned system discards the history instead and reports false.
-func (p *Pulay) extrapolate(next []float64) bool {
+// independent lists, oldest first, the history entries whose residuals are
+// affinely independent to working precision: the newest, and going back from
+// it every entry whose difference to the newest is not (numerically) a
+// combination of the differences already listed — a Cholesky factorization of
+// the differences' Gram matrix that skips a row when its pivot vanishes.
+// Residuals confined to a d-dimensional space (the na − 1 independent charges
+// of a small fragment, fewer under symmetry) admit d + 1 such entries however
+// long the history; with more, the bordered system below is singular and its
+// solution is decided by rounding. A full-rank history lists every entry.
+func (p *Pulay) independent() (sel [PulayDepth]int, nsel int) {
 	k := p.k
+	g := &p.gram
+	nw := p.slot(k - 1)
+	var l [PulayDepth][PulayDepth]float64
+	var taken [PulayDepth]int // slots of the listed entries, newest first
+	nt := 0
+	sel[PulayDepth-1] = k - 1
+	for i := k - 2; i >= 0; i-- {
+		si := p.slot(i)
+		pivot := g[si][si] - 2*g[si][nw] + g[nw][nw]
+		for a := 0; a < nt; a++ {
+			sj := taken[a]
+			v := g[si][sj] - g[si][nw] - g[nw][sj] + g[nw][nw]
+			for b := 0; b < a; b++ {
+				v -= l[nt][b] * l[a][b]
+			}
+			v /= l[a][a]
+			l[nt][a] = v
+			pivot -= v * v
+		}
+		if !(pivot > pulayRankTol*max(g[si][si], g[nw][nw])) {
+			continue
+		}
+		l[nt][nt] = math.Sqrt(pivot)
+		taken[nt] = si
+		nt++
+		sel[PulayDepth-1-nt] = i
+	}
+	// sel was filled from its end; shift the nt+1 entries to the front.
+	nsel = nt + 1
+	copy(sel[:nsel], sel[PulayDepth-nsel:])
+	return sel, nsel
+}
+
+// extrapolate solves the constrained least squares min ‖Σ cᵢ rᵢ‖², Σcᵢ = 1
+// over the independent history entries via the bordered normal equations and
+// writes Σ cᵢ (inᵢ + β rᵢ) to next. An ill-conditioned system discards the
+// history instead and reports false.
+func (p *Pulay) extrapolate(next []float64) bool {
+	sel, k := p.independent()
 	b := linalg.Matrix{Rows: k + 1, Cols: k + 1, Data: p.b[:(k+1)*(k+1)]}
 	c := p.c[:k+1]
 	for i := 0; i < k; i++ {
 		row := b.Row(i)
 		for j := 0; j < k; j++ {
-			row[j] = p.gram[p.slot(i)][p.slot(j)]
+			row[j] = p.gram[p.slot(sel[i])][p.slot(sel[j])]
 		}
 		row[k] = 1
 		b.Set(k, i, 1)
@@ -129,7 +182,7 @@ func (p *Pulay) extrapolate(next []float64) bool {
 		if ci == 0 {
 			continue
 		}
-		xs, rs := p.ins[p.slot(i)], p.res[p.slot(i)]
+		xs, rs := p.ins[p.slot(sel[i])], p.res[p.slot(sel[i])]
 		for a := range next {
 			next[a] += ci * (xs[a] + p.beta*rs[a])
 		}

@@ -8,27 +8,54 @@ import (
 	"qframan/internal/par"
 )
 
+// pairChunk is the row-chunk length of the overlap-derivative pair sum.
+const pairChunk = 16
+
+// forceScratch is what a force evaluation needs besides its result: the
+// atomic potentials, the gradient being accumulated and one gradient
+// accumulator per chunk of the pair sum.
+type forceScratch struct {
+	v        []float64
+	grad     []geom.Vec3
+	partials []geom.Vec3 // chunk c owns [c·na, (c+1)·na)
+}
+
 // Forces returns the analytic nuclear forces −dE/dR (hartree/bohr) for a
 // converged field-free ground state. The gradient has the standard
 // SCC-tight-binding structure: Hellmann–Feynman + Pulay terms through the
 // overlap derivatives, the charge-fluctuation γ term, and the bonded
 // reference potential.
 func (m *Model) Forces(res *Result) []geom.Vec3 {
-	na := m.NumAtoms()
-	grad := make([]geom.Vec3, na)
+	return m.forces(res, new(forceScratch))
+}
 
-	v := make([]float64, na)
-	m.sccPotential(res.DeltaQ, v)
+// Forces is Model.Forces on the workspace's scratch: only the returned slice
+// is allocated.
+func (ws *Workspace) Forces(m *Model, res *Result) []geom.Vec3 {
+	return m.forces(res, &ws.force)
+}
+
+func (m *Model) forces(res *Result, fs *forceScratch) []geom.Vec3 {
+	na := m.NumAtoms()
 	n := m.Basis.Size()
+	chunks := par.Chunks(n, pairChunk)
+	if len(fs.grad) != na || len(fs.partials) != chunks*na {
+		fs.v = make([]float64, na)
+		fs.grad = make([]geom.Vec3, na)
+		fs.partials = make([]geom.Vec3, chunks*na)
+	}
+	grad, v, partials := fs.grad, fs.v, fs.partials
+	clear(grad)
+	clear(partials)
+
+	m.sccPotential(res.DeltaQ, v)
 	// The O(n²) overlap-derivative pair sum dominates displacement
 	// post-processing. It shards over basis rows i with one gradient
 	// accumulator per chunk; partials are combined in ascending chunk order,
 	// so the result is bit-identical for any kernel width (DESIGN.md §7).
 	// The pool's dynamic chunk cursor absorbs the triangular row imbalance.
-	const pairChunk = 16
-	partials := make([][]geom.Vec3, par.Chunks(n, pairChunk))
 	par.ForChunks("scf_forces", n, pairChunk, func(c, lo, hi int) {
-		g := make([]geom.Vec3, na)
+		g := partials[c*na : (c+1)*na]
 		for i := lo; i < hi; i++ {
 			fi := &m.Basis.Funcs[i]
 			pRow, wRow := res.P.Row(i), res.W.Row(i)
@@ -48,11 +75,10 @@ func (m *Model) Forces(res *Result) []geom.Vec3 {
 				g[b] = g[b].Sub(ds.Scale(coeff))
 			}
 		}
-		partials[c] = g
 	})
-	for _, g := range partials { // ordered combine: chunk 0, 1, 2, …
+	for c := 0; c < chunks; c++ { // ordered combine: chunk 0, 1, 2, …
 		for a := range grad {
-			grad[a] = grad[a].Add(g[a])
+			grad[a] = grad[a].Add(partials[c*na+a])
 		}
 	}
 

@@ -234,33 +234,85 @@ func (m *Model) buildFF(posAngstrom []geom.Vec3) {
 	}
 }
 
-// WithPositions returns a model at new positions (bohr) sharing the frozen
-// force field and counters. Electronic matrices are rebuilt.
-func (m *Model) WithPositions(posBohr []geom.Vec3) *Model {
-	if len(posBohr) != len(m.Els) {
-		panic("scf: WithPositions length mismatch")
-	}
-	n := *m
-	n.Pos = append([]geom.Vec3(nil), posBohr...)
-	n.rebuild()
-	return &n
+// Displaced returns a model with atom a moved by delta (bohr) along axis
+// (0=x, 1=y, 2=z) — one worker unit of the paper's displacement loop. It is
+// the one-shot form of DisplaceInto.
+func (m *Model) Displaced(atom, axis int, delta float64) *Model {
+	md := new(Model)
+	m.DisplaceInto(md, atom, axis, delta)
+	return md
 }
 
-// Displaced returns a model with atom a moved by delta (bohr) along axis
-// (0=x, 1=y, 2=z) — one worker unit of the paper's displacement loop.
-func (m *Model) Displaced(atom, axis int, delta float64) *Model {
-	pos := append([]geom.Vec3(nil), m.Pos...)
-	switch axis {
-	case 0:
-		pos[atom].X += delta
-	case 1:
-		pos[atom].Y += delta
-	case 2:
-		pos[atom].Z += delta
-	default:
+// DisplaceInto makes dst the model m with atom a moved by delta (bohr) along
+// axis, sharing m's frozen force field and counters. dst keeps its own
+// positions, basis and electronic matrices across calls (any Model that was
+// the dst of an earlier call on a model of this size, or the zero Model): they
+// are copied from m and then only the moved atom's row and column blocks of S,
+// the dipole matrices, H0 and Γ are recomputed — O(n) pair integrals, each the
+// expression rebuild evaluates for that pair, so dst equals a full rebuild at
+// the displaced geometry bit for bit. Copying everything first is what keeps a
+// block moved by an earlier call from surviving into this one.
+func (m *Model) DisplaceInto(dst *Model, atom, axis int, delta float64) {
+	if axis < 0 || axis > 2 {
 		panic("scf: axis out of range")
 	}
-	return m.WithPositions(pos)
+	n, na := m.Basis.Size(), m.NumAtoms()
+	if dst.S == nil || dst.S.Rows != n || len(dst.Pos) != na {
+		dst.Pos = make([]geom.Vec3, na)
+		dst.Basis = m.Basis.Clone()
+		dst.S, dst.H0, dst.Gamma = linalg.NewMatrix(n, n), linalg.NewMatrix(n, n), linalg.NewMatrix(na, na)
+		for k := range dst.Dip {
+			dst.Dip[k] = linalg.NewMatrix(n, n)
+		}
+	}
+	own := *dst
+	*dst = *m
+	dst.Pos, dst.Basis, dst.S, dst.H0, dst.Gamma, dst.Dip = own.Pos, own.Basis, own.S, own.H0, own.Gamma, own.Dip
+	copy(dst.Pos, m.Pos)
+	copy(dst.Basis.Funcs, m.Basis.Funcs)
+	dst.S.CopyFrom(m.S)
+	dst.H0.CopyFrom(m.H0)
+	dst.Gamma.CopyFrom(m.Gamma)
+	for k := range dst.Dip {
+		dst.Dip[k].CopyFrom(m.Dip[k])
+	}
+
+	switch axis {
+	case 0:
+		dst.Pos[atom].X += delta
+	case 1:
+		dst.Pos[atom].Y += delta
+	case 2:
+		dst.Pos[atom].Z += delta
+	}
+	dst.Basis.MoveAtom(atom, dst.Pos[atom], dst.S, dst.Dip)
+	funcs := dst.Basis.Funcs
+	for i := range funcs {
+		if funcs[i].Atom != atom {
+			continue
+		}
+		for j := range funcs {
+			if funcs[j].Atom != atom {
+				v := offSiteH0(&funcs[i], &funcs[j], dst.S.At(i, j))
+				dst.H0.Set(i, j, v)
+				dst.H0.Set(j, i, v)
+			}
+		}
+	}
+	ua := dst.Els[atom].HubbardU()
+	for b := range dst.Els {
+		if b != atom {
+			g := klopmanOhno(dst.Pos[atom].Dist(dst.Pos[b]), ua, dst.Els[b].HubbardU())
+			dst.Gamma.Set(atom, b, g)
+			dst.Gamma.Set(b, atom, g)
+		}
+	}
+}
+
+// offSiteH0 is the Wolfsberg–Helmholz element between functions on different
+// atoms with overlap s.
+func offSiteH0(fi, fj *basis.Func, s float64) float64 {
+	return 0.5 * wolfsbergK * (fi.OnsiteE + fj.OnsiteE) * s
 }
 
 // rebuild recomputes the geometry-dependent electronic matrices.
@@ -277,7 +329,7 @@ func (m *Model) rebuild() {
 			fj := &m.Basis.Funcs[j]
 			var v float64
 			if fi.Atom != fj.Atom {
-				v = 0.5 * wolfsbergK * (fi.OnsiteE + fj.OnsiteE) * m.S.At(i, j)
+				v = offSiteH0(fi, fj, m.S.At(i, j))
 			}
 			// On-atom off-diagonal blocks vanish by orthogonality of the
 			// s/p functions on the same center (S is the identity there).

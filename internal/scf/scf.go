@@ -35,6 +35,16 @@ type Options struct {
 	// loop's dominant speedup). Must have one entry per atom; nil starts
 	// from neutral atoms.
 	InitDeltaQ []float64
+	// Chord, when non-nil, makes the charge loop start as a chord-Newton
+	// iteration, dq ← dq + Chord·(F(dq) − dq), with Chord = (I − J)⁻¹ for the
+	// charge susceptibility J = ∂F/∂dq of a nearby geometry (ChordMatrix at the
+	// undisplaced reference, in the displacement loop). The loop hands its
+	// iterate to the Pulay mixer the first time a step fails to halve
+	// max|F(dq) − dq|. Like InitDeltaQ it is warm-start data — it changes the
+	// path to the fixed point, not the fixed point — and is excluded from the
+	// store's content fingerprint; nil runs the Pulay loop from the first
+	// step.
+	Chord *linalg.Matrix
 	// Obs carries the observability handles (span tracer, metrics
 	// registry, per-fragment accumulator). Execution-only: it never
 	// affects a converged result and is excluded from the store's content
@@ -67,6 +77,7 @@ type Result struct {
 
 	DeltaQ     []float64 // per-atom electron excess n_A − Z_A
 	Iterations int
+	ChordSteps int     // iterations that ended in a chord-Newton step (Options.Chord)
 	Gap        float64 // nominal HOMO–LUMO gap (hartree); 0 if no virtuals
 }
 
@@ -78,103 +89,102 @@ var ErrNotConverged = errors.New("scf: not converged")
 // NumOcc returns the number of doubly occupied orbitals.
 func (m *Model) NumOcc() int { return m.numElectrons() / 2 }
 
-// SolveSCF runs the charge self-consistency loop to convergence. The loop
-// owns one set of workspaces for the whole solve, the mixer's history included
-// — an iteration allocates only what EigSym keeps for itself — and at
-// convergence hands the buffers holding the final orbitals, density and
-// charges to the Result, which therefore shares storage with nothing.
+// SolveSCF runs the charge self-consistency loop to convergence: the one-shot
+// form of Workspace.Solve. The Result owns its storage.
 func (m *Model) SolveSCF(opt Options) (*Result, error) {
-	if opt.MaxIter <= 0 || opt.Tol <= 0 || opt.Mixing <= 0 || opt.Mixing > 1 {
-		return nil, fmt.Errorf("scf: invalid options (MaxIter %d, Tol %g, Mixing %g, Smearing %g)",
-			opt.MaxIter, opt.Tol, opt.Mixing, opt.Smearing)
+	res, err := NewWorkspace(m).Solve(m, opt)
+	if err != nil {
+		return nil, err
 	}
-	n := m.Basis.Size()
-	na := m.NumAtoms()
-	nocc := m.NumOcc()
-	if nocc > n {
-		return nil, fmt.Errorf("scf: %d occupied orbitals exceed basis size %d", nocc, n)
-	}
+	out := *res // detached from the workspace, which is garbage from here on
+	return &out, nil
+}
 
+// Workspace owns everything a charge loop needs for models of one size: the
+// orthogonalizer, the n×n buffers of an iteration, its bound GEMMs, the
+// eigensolver's storage, the mixer's ring, and the Result it hands out. The
+// displacement loop keeps one per worker, so the 6N solves of a fragment
+// allocate nothing; SolveSCF makes one for a single solve. A Workspace is used
+// by one goroutine at a time.
+type Workspace struct {
+	n, na int
+	eig   *linalg.EigSymWork
+
+	x, halfS, hExt    *linalg.Matrix
+	h, tmp, ht        *linalg.Matrix
+	y, c, p, w        *linalg.Matrix
+	ga, gb            *linalg.Matrix // gatherOccupied's outputs
+	eps, occ          []float64
+	v, dq, newDq      []float64
+	step              []float64      // chord-Newton: the residual F(dq) − dq
+	orth, xh, xhx, xy *linalg.GemmOp // X = (U/√λ)·Uᵀ, X·H, (X·H)·X, C = X·Y
+	pGemm, wGemm      *linalg.GemmOp // P and W = gb·gaᵀ, bound to gemmCols columns
+	gemmCols          int
+	mixer             *Pulay
+	gemms, flops      int64 // of the solve in progress
+	fermiEvals        int
+	res               Result
+	force             forceScratch
+}
+
+// NewWorkspace returns a workspace for models with m's basis size and atom
+// count.
+func NewWorkspace(m *Model) *Workspace {
+	n, na := m.Basis.Size(), m.NumAtoms()
+	sq := func() *linalg.Matrix { return linalg.NewMatrix(n, n) }
+	ws := &Workspace{
+		n: n, na: na, eig: linalg.NewEigSymWork(n),
+		x: sq(), halfS: sq(), hExt: sq(), h: sq(), tmp: sq(), ht: sq(),
+		y: sq(), c: sq(), p: sq(), w: sq(), ga: sq(), gb: sq(),
+		eps: make([]float64, n), occ: make([]float64, n),
+		v: make([]float64, na), dq: make([]float64, na), newDq: make([]float64, na),
+		gemmCols: -1,
+		mixer:    NewPulay(na, 0),
+		step:     make([]float64, na),
+	}
+	ws.orth = linalg.BindGemm(false, true, 1, ws.tmp, ws.y, 0, ws.x)
+	ws.xh = linalg.BindGemm(false, false, 1, ws.x, ws.h, 0, ws.tmp)
+	ws.xhx = linalg.BindGemm(false, false, 1, ws.tmp, ws.x, 0, ws.ht)
+	ws.xy = linalg.BindGemm(false, false, 1, ws.x, ws.y, 0, ws.c)
+	return ws
+}
+
+// Solve runs the charge self-consistency loop of m to convergence. The Result
+// and everything it points to belong to the workspace and are overwritten by
+// its next Solve.
+func (ws *Workspace) Solve(m *Model, opt Options) (*Result, error) {
 	var obsStart time.Time
 	if opt.Obs.Enabled() {
 		obsStart = time.Now()
 	}
-
-	// External field term: +Σ_k E_k D^k.
-	hExt := linalg.NewMatrix(n, n)
-	for k, e := range []float64{opt.Field.X, opt.Field.Y, opt.Field.Z} {
-		if e != 0 {
-			hExt.AddMatrix(m.Dip[k], e)
-		}
+	n, na := ws.n, ws.na
+	if opt.InitDeltaQ != nil && len(opt.InitDeltaQ) != na {
+		return nil, fmt.Errorf("scf: InitDeltaQ has %d entries for %d atoms", len(opt.InitDeltaQ), na)
 	}
-
-	dq := make([]float64, na)
-	if opt.InitDeltaQ != nil {
-		if len(opt.InitDeltaQ) != na {
-			return nil, fmt.Errorf("scf: InitDeltaQ has %d entries for %d atoms", len(opt.InitDeltaQ), na)
-		}
-		copy(dq, opt.InitDeltaQ)
+	chord := opt.Chord
+	if chord != nil && (chord.Rows != na || chord.Cols != na) {
+		return nil, fmt.Errorf("scf: Chord is %d×%d for %d atoms", chord.Rows, chord.Cols, na)
 	}
-
-	// The overlap matrix is fixed across the charge loop: orthogonalize
-	// once with X = S^{−1/2}, then each iteration is a plain symmetric
-	// eigensolve of X·H·X with C = X·Y.
-	x, err := symOrth(m.S)
-	if err != nil {
-		return nil, fmt.Errorf("scf: overlap orthogonalization: %w", err)
-	}
-	halfS := m.S.Clone()
-	halfS.Scale(0.5)
-	var (
-		h, tmp, ht = linalg.NewMatrix(n, n), linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)
-		y, c, p    = linalg.NewMatrix(n, n), linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)
-		ga, gb     = linalg.NewMatrix(n, n), linalg.NewMatrix(n, n) // gatherOccupied's outputs
-		occ, v     = make([]float64, n), make([]float64, na)
-		newDq      = make([]float64, na)
-		// The loop's products run from ops bound to its buffers: X·H·X, C =
-		// X·Y (y receives a copy of the eigenvectors EigSym returns afresh),
-		// and P = (f∘C_occ)·C_occᵀ, which is rebound when the number of
-		// occupied columns changes (between iterations it almost never does).
-		xh    = linalg.BindGemm(false, false, 1, x, h, 0, tmp)
-		xhx   = linalg.BindGemm(false, false, 1, tmp, x, 0, ht)
-		xy    = linalg.BindGemm(false, false, 1, x, y, 0, c)
-		pGemm *linalg.GemmOp
-	)
 	// Bound ops count nothing; their totals reach the model's counters once
 	// per solve.
-	var gemms, flops int64
-	ops := m.Ops
-	if ops == nil {
-		ops = &linalg.DefaultOps
+	defer ws.flushOps(m)
+	if err := ws.prepare(m, opt); err != nil {
+		return nil, err
 	}
-	defer func() {
-		ops.GEMMCalls.Add(gemms)
-		ops.FLOPs.Add(flops)
-	}()
+	nocc := m.NumOcc()
+	dq, newDq := ws.dq, ws.newDq
+	clear(dq)
+	copy(dq, opt.InitDeltaQ)
 
-	mixer := NewPulay(na, opt.Mixing)
-	fermiEvals := 0
+	ws.fermiEvals = 0
+	ws.mixer.Reset(opt.Mixing)
+	chordSteps := 0
+	prevDelta := math.Inf(1)
 	for iter := 1; iter <= opt.MaxIter; iter++ {
-		h.CopyFrom(m.H0)
-		h.AddMatrix(hExt, 1)
-		m.sccPotential(dq, v)
-		m.addSCCPotential(h, halfS, v)
-
-		xh.Run()
-		xhx.Run()
-		ht.Symmetrize()
-		eps, vecs := linalg.EigSym(ht)
-		y.CopyFrom(vecs)
-		xy.Run()
-		mu, entropy, evals := occupations(eps, 2*nocc, opt.Smearing, occ)
-		fermiEvals += evals
-		if gatherOccupied(c, occ, nil, ga, gb) || pGemm == nil {
-			pGemm = linalg.BindGemm(false, true, 1, gb, ga, 0, p)
+		mu, entropy, err := ws.chargeMap(m, opt, dq, newDq)
+		if err != nil {
+			return nil, err
 		}
-		pGemm.Run()
-		gemms += 4
-		flops += 3*linalg.GemmFLOPs(n, n, n) + linalg.GemmFLOPs(n, ga.Cols, n)
-		m.mullikenDeltaQ(p, newDq)
 
 		var maxDelta float64
 		for a := range dq {
@@ -185,16 +195,20 @@ func (m *Model) SolveSCF(opt Options) (*Result, error) {
 		if maxDelta < opt.Tol {
 			// Converged: assemble the result from the final orbitals using
 			// the self-consistent charges.
-			w := linalg.NewMatrix(n, n)
-			gatherOccupied(c, occ, eps, ga, gb)
-			linalg.Gemm(false, true, 1, gb, ga, 0, w, ops)
-			res := &Result{
+			eps, occ, c, p := ws.eps, ws.occ, ws.c, ws.p
+			gatherOccupied(c, occ, eps, ws.ga, ws.gb)
+			ws.wGemm.Run()
+			ws.gemms++
+			ws.flops += linalg.GemmFLOPs(n, ws.ga.Cols, n)
+			ws.res = Result{
 				Eps: eps, Occ: occ, Mu: mu, Sigma: opt.Smearing,
-				C: c, P: p, W: w,
+				C: c, P: p, W: ws.w,
 				DeltaQ:     newDq,
 				Iterations: iter,
+				ChordSteps: chordSteps,
 			}
-			res.EBand = traceProduct(p, m.H0) + traceProduct(p, hExt)
+			res := &ws.res
+			res.EBand = traceProduct(p, m.H0) + traceProduct(p, ws.hExt)
 			res.ECoul = m.coulombEnergy(newDq)
 			res.ERep = m.repulsiveEnergy()
 			res.EEntropy = entropy
@@ -203,19 +217,172 @@ func (m *Model) SolveSCF(opt Options) (*Result, error) {
 				res.Gap = eps[nocc] - eps[nocc-1]
 			}
 			if opt.Obs.Enabled() {
-				opt.Obs.RecordSCF(obsStart, iter, fermiEvals)
+				opt.Obs.RecordSCF(obsStart, iter, ws.fermiEvals, chordSteps)
 			}
 			return res, nil
 		}
-		mixer.Next(dq, newDq, dq)
+		if chord != nil {
+			// Chord-Newton: with J frozen at the reference, the error
+			// contracts by ‖M·(J − J_ref)‖ per step — the size of the
+			// displacement — as long as the step keeps halving the residual.
+			if maxDelta <= 0.5*prevDelta {
+				prevDelta = maxDelta
+				for a := range dq {
+					ws.step[a] = newDq[a] - dq[a]
+				}
+				for a := range dq {
+					dq[a] += linalg.Dot(chord.Row(a), ws.step)
+				}
+				chordSteps++
+				continue
+			}
+			chord = nil
+			if opt.Obs.Hot != nil {
+				opt.Obs.Hot.SCFChordFallbacks.Inc()
+			}
+		}
+		ws.mixer.Next(dq, newDq, dq)
 	}
 	// Failed solves are recorded too: a rung of the smearing ladder that
 	// burns MaxIter iterations is exactly the cost a straggler report must
 	// see.
 	if opt.Obs.Enabled() {
-		opt.Obs.RecordSCF(obsStart, opt.MaxIter, fermiEvals)
+		opt.Obs.RecordSCF(obsStart, opt.MaxIter, ws.fermiEvals, chordSteps)
 	}
 	return nil, fmt.Errorf("%w after %d iterations", ErrNotConverged, opt.MaxIter)
+}
+
+// prepare validates the options against the model and fills what is fixed
+// across the charge loop: the field term, X = S^{−1/2} and ½S.
+func (ws *Workspace) prepare(m *Model, opt Options) error {
+	if opt.MaxIter <= 0 || opt.Tol <= 0 || opt.Mixing <= 0 || opt.Mixing > 1 {
+		return fmt.Errorf("scf: invalid options (MaxIter %d, Tol %g, Mixing %g, Smearing %g)",
+			opt.MaxIter, opt.Tol, opt.Mixing, opt.Smearing)
+	}
+	n, na := ws.n, ws.na
+	if m.Basis.Size() != n || m.NumAtoms() != na {
+		return fmt.Errorf("scf: workspace for %d functions on %d atoms given a model with %d on %d",
+			n, na, m.Basis.Size(), m.NumAtoms())
+	}
+	if nocc := m.NumOcc(); nocc > n {
+		return fmt.Errorf("scf: %d occupied orbitals exceed basis size %d", nocc, n)
+	}
+	// External field term: +Σ_k E_k D^k.
+	ws.hExt.Zero()
+	for k, e := range [3]float64{opt.Field.X, opt.Field.Y, opt.Field.Z} {
+		if e != 0 {
+			ws.hExt.AddMatrix(m.Dip[k], e)
+		}
+	}
+	// The overlap matrix is fixed across the charge loop: orthogonalize
+	// once with X = S^{−1/2}, then each iteration is a plain symmetric
+	// eigensolve of X·H·X with C = X·Y.
+	if err := ws.symOrth(m.S); err != nil {
+		return fmt.Errorf("scf: overlap orthogonalization: %w", err)
+	}
+	ws.halfS.CopyFrom(m.S)
+	ws.halfS.Scale(0.5)
+	return nil
+}
+
+// flushOps adds the GEMM totals of the solve in progress to the model's
+// counters.
+func (ws *Workspace) flushOps(m *Model) {
+	ops := m.Ops
+	if ops == nil {
+		ops = &linalg.DefaultOps
+	}
+	ops.GEMMCalls.Add(ws.gemms)
+	ops.FLOPs.Add(ws.flops)
+	ws.gemms, ws.flops = 0, 0
+}
+
+// chordStep is the finite-difference step of ChordMatrix, in electrons: large
+// against the rounding of a charge evaluation (≈ 1e-15), small against the
+// charge scale on which the map bends (≈ 0.1).
+const chordStep = 1e-4
+
+// ChordMatrix returns M = (I − J)⁻¹, where J = ∂F/∂dq is the susceptibility of
+// the charge map F (input charges → Mulliken charges of the resulting density)
+// at the converged ground state res of m under opt, by forward differences
+// from res.DeltaQ (its own image under F to within opt.Tol): one evaluation of
+// F per atom. It is what Options.Chord takes for solves at nearby geometries.
+// A singular I − J — and a map that cannot be evaluated — returns nil: the
+// callers' fallback is the Pulay loop, which nil selects.
+func (m *Model) ChordMatrix(res *Result, opt Options) *linalg.Matrix {
+	ws := NewWorkspace(m)
+	defer ws.flushOps(m)
+	if ws.prepare(m, opt) != nil {
+		return nil
+	}
+	na := ws.na
+	dq, out := ws.dq, ws.newDq
+	iMinusJ := linalg.NewMatrix(na, na)
+	for b := 0; b < na; b++ {
+		copy(dq, res.DeltaQ)
+		dq[b] += chordStep
+		if _, _, err := ws.chargeMap(m, opt, dq, out); err != nil {
+			return nil
+		}
+		for a := 0; a < na; a++ {
+			iMinusJ.Set(a, b, -(out[a]-res.DeltaQ[a])/chordStep)
+		}
+		iMinusJ.Add(b, b, 1)
+	}
+	// Invert column by column.
+	inv := linalg.NewMatrix(na, na)
+	lu, col := linalg.NewMatrix(na, na), make([]float64, na)
+	for b := 0; b < na; b++ {
+		lu.CopyFrom(iMinusJ)
+		clear(col)
+		col[b] = 1
+		if linalg.SolveLinearInPlace(lu, col) != nil {
+			return nil
+		}
+		for a, v := range col {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil
+			}
+			inv.Set(a, b, v)
+		}
+	}
+	return inv
+}
+
+// chargeMap evaluates the fixed-point map of the charge loop, out = F(dq):
+// the Hamiltonian of the input charges, its orbitals and occupations, the
+// density matrix and its Mulliken charges. The orbitals, occupations and
+// density stay in the workspace (eps, occ, c, p) for the caller; the Fermi
+// level and the entropy term are returned.
+func (ws *Workspace) chargeMap(m *Model, opt Options, dq, out []float64) (mu, entropy float64, err error) {
+	n := ws.n
+	ws.h.CopyFrom(m.H0)
+	ws.h.AddMatrix(ws.hExt, 1)
+	m.sccPotential(dq, ws.v)
+	m.addSCCPotential(ws.h, ws.halfS, ws.v)
+
+	ws.xh.Run()
+	ws.xhx.Run()
+	ws.ht.Symmetrize()
+	if err := ws.eig.Solve(ws.ht, ws.eps, ws.y); err != nil {
+		return 0, 0, fmt.Errorf("scf: Hamiltonian eigensolve: %w", err)
+	}
+	ws.xy.Run()
+	mu, entropy, evals := occupations(ws.eps, 2*m.NumOcc(), opt.Smearing, ws.occ)
+	ws.fermiEvals += evals
+	// P = (f∘C_occ)·C_occᵀ, rebound when the number of occupied columns
+	// changes (between iterations it almost never does); W shares the shape.
+	gatherOccupied(ws.c, ws.occ, nil, ws.ga, ws.gb)
+	if ws.gemmCols != ws.ga.Cols {
+		ws.pGemm = linalg.BindGemm(false, true, 1, ws.gb, ws.ga, 0, ws.p)
+		ws.wGemm = linalg.BindGemm(false, true, 1, ws.gb, ws.ga, 0, ws.w)
+		ws.gemmCols = ws.ga.Cols
+	}
+	ws.pGemm.Run()
+	ws.gemms += 4
+	ws.flops += 3*linalg.GemmFLOPs(n, n, n) + linalg.GemmFLOPs(n, ws.ga.Cols, n)
+	m.mullikenDeltaQ(ws.p, out)
+	return mu, entropy, nil
 }
 
 // SolveSCFRobust is SolveSCF with the standard escalation ladder for
@@ -246,26 +413,29 @@ func (m *Model) SolveSCFRobust(opt Options) (*Result, error) {
 	return nil, firstErr
 }
 
-// symOrth returns S^{−1/2} by symmetric (Löwdin) orthogonalization.
-func symOrth(s *linalg.Matrix) (*linalg.Matrix, error) {
-	vals, vecs := linalg.EigSym(s)
-	n := s.Rows
+// symOrth fills ws.x with S^{−1/2} by symmetric (Löwdin) orthogonalization.
+func (ws *Workspace) symOrth(s *linalg.Matrix) error {
+	vals, vecs, scaled := ws.eps, ws.y, ws.tmp
+	if err := ws.eig.Solve(s, vals, vecs); err != nil {
+		return err
+	}
 	for _, v := range vals {
 		if v < 1e-10 {
-			return nil, fmt.Errorf("scf: overlap matrix near-singular (eigenvalue %g)", v)
+			return fmt.Errorf("scf: overlap matrix near-singular (eigenvalue %g)", v)
 		}
 	}
 	// X = U·diag(1/√λ)·Uᵀ.
-	scaled := linalg.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			scaled.Set(i, j, vecs.At(i, j)/math.Sqrt(vals[j]))
+	for i := 0; i < ws.n; i++ {
+		srow, vrow := scaled.Row(i), vecs.Row(i)
+		for j, v := range vrow {
+			srow[j] = v / math.Sqrt(vals[j])
 		}
 	}
-	x := linalg.NewMatrix(n, n)
-	linalg.Gemm(false, true, 1, scaled, vecs, 0, x, nil)
-	x.Symmetrize()
-	return x, nil
+	ws.orth.Run()
+	ws.gemms++
+	ws.flops += linalg.GemmFLOPs(ws.n, ws.n, ws.n)
+	ws.x.Symmetrize()
+	return nil
 }
 
 // addSCCPotential adds the second-order charge term

@@ -541,13 +541,13 @@ func btoi(b bool) int {
 	return 0
 }
 
-// TestSolveSCFAllocationCeiling: the loop owns its workspaces, its bound
-// GEMMs and the mixer's ring, so what one more iteration allocates is EigSym's
-// own (its results, its copy of the input and tql2's transpose): 6.0 objects
-// measured on water and methane, against 15.3 when the DIIS history, residual,
-// Gram matrix and extrapolation were allocated per step and ≈ 42 when every
-// iteration also cloned H, called MatMul and regathered. The ceiling is one
-// object above the measurement.
+// TestSolveSCFAllocationCeiling: the workspace owns the loop's buffers, its
+// bound GEMMs, the mixer's ring and the eigensolver's storage, so one more
+// iteration allocates nothing (6.0 objects when EigSym returned fresh results
+// and cloned and transposed its input, 15.3 when the DIIS history was
+// allocated per step, ≈ 42 when every iteration also cloned H, called MatMul
+// and regathered) — and a whole solve in a workspace that has solved before
+// allocates nothing either.
 func TestSolveSCFAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -574,10 +574,18 @@ func TestSolveSCFAllocationCeiling(t *testing.T) {
 		}
 		const short, long = 20, 60
 		perIter := (solve(long) - solve(short)) / (long - short)
-		if perIter > 7 {
-			t.Errorf("%s: one SCF iteration allocates %.1f objects, ceiling 7", name, perIter)
+		if perIter > 0 {
+			t.Errorf("%s: one SCF iteration allocates %.1f objects, want 0", name, perIter)
 		}
-		t.Logf("%s: %.1f objects per SCF iteration", name, perIter)
+		ws, conv := NewWorkspace(m), DefaultOptions()
+		perSolve := testing.AllocsPerRun(5, func() {
+			if _, err := ws.Solve(m, conv); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		})
+		if perSolve > 0 {
+			t.Errorf("%s: a solve in a used workspace allocates %.1f objects, want 0", name, perSolve)
+		}
 	}
 }
 

@@ -211,10 +211,11 @@ func TestCacheKeyIsolation(t *testing.T) {
 
 // TestCacheSolverMigration: a store still holding this fragment's records
 // under the keys earlier numerics gave it — grid mode under the CG Poisson
-// solver (before poisson.SolverTag), grid and γ mode under the previous
-// engine (linear response mixing, fully bisected Fermi level; before
-// hessian.EngineVersion) — the constants were recorded on those commits —
-// must serve none of them to a resumed run of this engine: each mode reports
+// solver (before poisson.SolverTag), grid and γ mode under the engine before
+// hessian.EngineVersion was hashed (linear response mixing, fully bisected
+// Fermi level) and under engine/2 (Pulay charge loop from the first step, full
+// mixer history) — the constants were recorded on those commits — must serve
+// none of them to a resumed run of this engine: each mode reports
 // a miss, recomputes, and files its new record beside the old ones. A second
 // resumed run is then served its own.
 func TestCacheSolverMigration(t *testing.T) {
@@ -222,8 +223,10 @@ func TestCacheSolverMigration(t *testing.T) {
 		gridKeyBeforeTag     = "491822e02145f4fdd5cbfa1f6c0b3b3a8602bf3c7a7cc9a949d44f803500ea81"
 		gridKeyBeforeEngine  = "cb5bbfb80c561e82ad3e970381c851f1185e8a78c17f343558a80553fac11000"
 		gammaKeyBeforeEngine = "cd98eb85c57e590b9ad4f2deb97e72188cb54f3108e6396df1ea25c3c28cdad7"
+		gridKeyEngine2       = "4b8f4e43711f3389e480e9bc1a8122366bf9221d1850081c766701725cc6a1c9"
+		gammaKeyEngine2      = "cb44d7814c91ddfa5e453af5c15fa722eb64275a64010763926b37d69ca51fd1"
 	)
-	old := []string{gridKeyBeforeTag, gridKeyBeforeEngine, gammaKeyBeforeEngine}
+	old := []string{gridKeyBeforeTag, gridKeyBeforeEngine, gammaKeyBeforeEngine, gridKeyEngine2, gammaKeyEngine2}
 	dec := cacheDecomposition(1)
 	dir := t.TempDir()
 	s := openStore(t, dir)

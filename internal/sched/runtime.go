@@ -892,10 +892,12 @@ func runFragmentWorkers(f *fragment.Fragment, m *scf.Model, opt Options, jobOpt 
 			if wopt.Obs.Enabled() {
 				wopt.Obs = wopt.Obs.WithTrack(wopt.Obs.Track + 1 + int32(workerID))
 			}
-			// Static partition of displacements across workers.
+			// Static partition of displacements across workers, each solving
+			// its share in one workspace.
+			disp := hessian.NewDisplacer(m)
 			for k := workerID; k < len(jobs); k += opt.WorkersPerLeader {
 				j := jobs[k]
-				r, err := hessian.RunDisplacement(m, j.atom, j.axis, j.sign, wopt)
+				r, err := disp.Run(j.atom, j.axis, j.sign, wopt)
 				if err != nil {
 					errs[workerID] = err
 					return

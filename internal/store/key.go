@@ -55,8 +55,8 @@ const fingerprintVersion = "qfkey/v1/codec1\n"
 // included), and every solver setting that can change a converged result.
 // It deliberately excludes the fragment's identity (ID, Kind, Coeff,
 // GlobalIdx — assembly bookkeeping applied outside the stored data), the
-// warm-start fields (InitDeltaQ, InitP1 — starting points, which do not
-// move a converged answer), and the Obs
+// warm-start fields (InitDeltaQ, Chord, InitP1 — starting points and the
+// charge loop's step matrix, which do not move a converged answer), and the Obs
 // observability scopes (pure instrumentation: a traced run must share keys
 // with an untraced one).
 //

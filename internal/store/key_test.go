@@ -11,6 +11,7 @@ import (
 	"qframan/internal/fragment"
 	"qframan/internal/geom"
 	"qframan/internal/hessian"
+	"qframan/internal/linalg"
 	"qframan/internal/poisson"
 )
 
@@ -137,6 +138,15 @@ func TestKeyDiscriminates(t *testing.T) {
 			t.Errorf("JobOptions knob %s kept the key", name)
 		}
 	}
+	// Warm-start data changes the path to a converged result, never the
+	// result's address.
+	warm := hessian.DefaultJobOptions()
+	warm.SCF.InitDeltaQ = []float64{-0.4, 0.2, 0.2}
+	warm.SCF.Chord = linalg.Identity(3)
+	warm.DFPT.InitP1[0] = linalg.Identity(6)
+	if k, _ := Fingerprint(f, warm); k != k0 {
+		t.Error("warm-start data (InitDeltaQ, Chord, InitP1) moved the key")
+	}
 }
 
 // TestKeyFieldDisablesRotation: an external field breaks isotropy, so
@@ -214,27 +224,36 @@ func TestKeySolverTagTouchesOnlyGridMode(t *testing.T) {
 
 // TestKeyEngineVersionTouchesEveryKey is the twin for the general fence:
 // hessian.EngineVersion is hashed for every job — γ mode, grid mode and
-// pure-Hessian runs alike — so bumping it moves every key; and the keys the
-// previous engine (linear response mixing, fully bisected Fermi level; the
-// constants were recorded on that commit) gave this fragment are not today's,
-// so none of its records can be served to this engine.
+// pure-Hessian runs alike — so bumping it moves every key; and the keys
+// earlier engines gave this fragment — the one before the version was hashed
+// (linear response mixing, fully bisected Fermi level) and engine/2 (Pulay
+// charge loop from the first step, full mixer history); the constants were
+// recorded on those commits — are not today's, so none of their records can be
+// served to this engine.
 func TestKeyEngineVersionTouchesEveryKey(t *testing.T) {
 	grid, hessOnly := hessian.DefaultJobOptions(), hessian.DefaultJobOptions()
 	grid.DFPT.Coulomb = dfpt.GridCoulomb
 	hessOnly.SkipAlpha = true
 	for _, tc := range []struct {
-		name, keyBefore string
-		opt             hessian.JobOptions
+		name       string
+		keysBefore [2]string // unversioned engine, engine/2
+		opt        hessian.JobOptions
 	}{
-		{"γ mode", "f5191d75104962f781428508a5c936bf4a14e2bb68f911d7bf75554df7af00b4", hessian.DefaultJobOptions()},
-		{"grid mode", "d06d326b4c6b3d6268b8331c7d1a5621bbe3fc82420fc891201208327d3a878e", grid},
-		{"pure Hessian", "dc48bfda25047caa734ddf81879b5d15aa852bc24f6226b2db216218229883a0", hessOnly},
+		{"γ mode", [2]string{"f5191d75104962f781428508a5c936bf4a14e2bb68f911d7bf75554df7af00b4",
+			"cdb10dbd19d277c77d60f582f78e1eae186b3852e9e22b2eece8f69b560d448d"}, hessian.DefaultJobOptions()},
+		{"grid mode", [2]string{"d06d326b4c6b3d6268b8331c7d1a5621bbe3fc82420fc891201208327d3a878e",
+			"8e7e74e50a712f8a737503fa1a839a07c19683df075c30863e1dae3f03f73e3d"}, grid},
+		{"pure Hessian", [2]string{"dc48bfda25047caa734ddf81879b5d15aa852bc24f6226b2db216218229883a0",
+			"fbe2d1037acde98f416c9a3743a790703a50be9b8ebf600a16fb672b764fada6"}, hessOnly},
 	} {
 		if b := appendJobFingerprint(nil, tc.opt); bytes.Count(b, []byte(hessian.EngineVersion)) != 1 {
 			t.Errorf("%s: the job fingerprint does not hash the engine version exactly once", tc.name)
 		}
-		if k, _ := Fingerprint(waterFragment(), tc.opt); k.String() == tc.keyBefore {
-			t.Errorf("%s: key still equals the key of the previous engine's records", tc.name)
+		k, _ := Fingerprint(waterFragment(), tc.opt)
+		for _, before := range tc.keysBefore {
+			if k.String() == before {
+				t.Errorf("%s: key still equals the key of an earlier engine's records", tc.name)
+			}
 		}
 	}
 }
