@@ -32,82 +32,137 @@ import (
 )
 
 func main() {
-	in := flag.String("in", "", "structure file (genstruct text format)")
-	seq := flag.String("seq", "", "build a protein from this one-letter sequence")
-	fold := flag.Int("fold", 0, "serpentine fold period for -seq")
-	dimers := flag.Int("dimers", 0, "build a water-dimer system of this many dimers")
-	waterBox := flag.Int("water", 0, "build an N×N×N water box")
-	solvate := flag.Bool("solvate", false, "solvate the -seq protein in water")
-
-	var ff fragFlags
-	flag.StringVar(&ff.partitioner, "partitioner", "qf", "fragmentation engine: qf (peptide/water chemistry rules) or graph (general bond-graph min-cut; required for systems with generic molecules)")
-	flag.IntVar(&ff.fragSize, "frag-size", 0, "graph partitioner: soft fragment-size target in atoms (0 = default 24)")
-	flag.IntVar(&ff.fragMax, "frag-max", 0, "graph partitioner: hard fragment-size cap for the cleanup pass (0 = 2×frag-size)")
-
-	fmin := flag.Float64("fmin", 100, "spectrum start (cm⁻¹)")
-	fmax := flag.Float64("fmax", 4000, "spectrum end (cm⁻¹)")
-	fstep := flag.Float64("fstep", 2, "spectrum step (cm⁻¹)")
-	sigma := flag.Float64("sigma", 5, "Gaussian smearing (cm⁻¹); the paper uses 5 gas-phase, 20 solvated")
-	k := flag.Int("k", 150, "Lanczos steps")
-	dense := flag.Bool("dense", false, "use exact dense diagonalization instead of Lanczos")
-	irOut := flag.String("ir", "", "also compute the IR spectrum and write it to this TSV file")
-	leaders := flag.Int("leaders", max(1, runtime.NumCPU()/2), "parallel leaders")
-	workers := flag.Int("workers", 2, "workers per leader")
-	kernelThreads := flag.Int("kernel-threads", 0, "intra-fragment kernel thread budget shared with the leader/worker fan-out (0 = GOMAXPROCS; results are bit-identical at any value)")
-	clusterAddr := flag.String("cluster", "", "dispatch fragments to a qfcoord coordinator at this address instead of computing in-process (results stay bit-identical)")
-	out := flag.String("o", "", "spectrum output TSV (default stdout)")
-
-	trajPath := flag.String("traj", "", "extended-XYZ trajectory: diff frames incrementally and emit one spectrum per frame (topology from -in/-seq/-water, or inferred from frame 0)")
-	trajWarm := flag.Bool("traj-warm", true, "warm-start moved fragments' SCF from their previous frame (=0 restores bit-identity with independent per-frame runs)")
-	trajOut := flag.String("traj-out", "", "write per-frame spectra as frame_NNN.tsv into this directory (default: stream to stdout)")
-
-	var ft faultFlags
-	flag.IntVar(&ft.retries, "retries", faults.DefaultRetryPolicy().MaxAttempts, "processing attempts per fragment before a transient failure is final")
-	flag.IntVar(&ft.maxFailed, "max-failed", 0, "fail-soft budget: complete degraded with up to K failed fragments dropped")
-	flag.Float64Var(&ft.rate, "fault-rate", 0, "chaos: inject transient worker failures at this per-attempt probability")
-	flag.Int64Var(&ft.seed, "fault-seed", 1, "chaos: injection seed")
-	flag.IntVar(&ft.failFrag, "fail-frag", -1, "chaos: force this fragment index into deterministic failure")
-	flag.DurationVar(&ft.straggler, "straggler-timeout", 0, "requeue fragments processing longer than this (0 disables the watchdog)")
-
-	var cf cacheFlags
-	flag.StringVar(&cf.dir, "cache-dir", "", "content-addressed fragment-result store directory (enables checkpointing and within-run dedup)")
-	flag.BoolVar(&cf.resume, "resume", false, "serve fragment results checkpointed by previous runs of -cache-dir")
-	flag.BoolVar(&cf.checkpoint, "checkpoint", true, "write fragment results to -cache-dir as they complete")
-
-	var of obsFlags
-	flag.StringVar(&of.traceOut, "trace-out", "", "write a Chrome trace_event JSON of the run to this file (load in chrome://tracing or Perfetto; summarize with qfstats -trace)")
-	flag.StringVar(&of.metricsOut, "metrics-out", "", "write the final metrics snapshot (flat text) to this file; '-' for stderr")
-	flag.StringVar(&of.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	var o options
+	o.register(flag.CommandLine)
 	flag.Parse()
-
-	if *kernelThreads > 0 {
-		par.SetBudget(*kernelThreads)
-	}
-	if err := run(*in, *seq, *fold, *dimers, *waterBox, *solvate,
-		*fmin, *fmax, *fstep, *sigma, *k, *dense, *leaders, *workers, *clusterAddr, *out, *irOut, ff, ft, cf, of,
-		*trajPath, *trajWarm, *trajOut); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "qframan:", err)
 		os.Exit(1)
 	}
 }
 
-// fragFlags bundles the fragmentation-engine knobs.
-type fragFlags struct {
-	partitioner string
-	fragSize    int
-	fragMax     int
+// options is the parsed command line.
+type options struct {
+	in, seq                string
+	fold, dimers, waterBox int
+	solvate                bool
+
+	partitioner       string
+	fragSize, fragMax int
+
+	fmin, fmax, fstep, sigma        float64
+	k                               int
+	dense                           bool
+	irOut                           string
+	leaders, workers, kernelThreads int
+	clusterAddr, out                string
+
+	trajPath, trajOut string
+	trajWarm          bool
+
+	retries, maxFailed, failFrag int
+	faultRate                    float64
+	faultSeed                    int64
+	straggler                    time.Duration
+
+	cacheDir           string
+	resume, checkpoint bool
+
+	traceOut, metricsOut, pprofAddr string
 }
 
-// apply resolves the partitioner and wires it into the pipeline config.
-func (ff fragFlags) apply(cfg *core.Config) error {
+// register defines qframan's flags on fs, bound to o's fields.
+func (o *options) register(fs *flag.FlagSet) {
+	fs.StringVar(&o.in, "in", "", "structure file (genstruct text format)")
+	fs.StringVar(&o.seq, "seq", "", "build a protein from this one-letter sequence")
+	fs.IntVar(&o.fold, "fold", 0, "serpentine fold period for -seq")
+	fs.IntVar(&o.dimers, "dimers", 0, "build a water-dimer system of this many dimers")
+	fs.IntVar(&o.waterBox, "water", 0, "build an N×N×N water box")
+	fs.BoolVar(&o.solvate, "solvate", false, "solvate the -seq protein in water")
+
+	fs.StringVar(&o.partitioner, "partitioner", "qf", "fragmentation engine: qf (peptide/water chemistry rules) or graph (general bond-graph min-cut; required for systems with generic molecules)")
+	fs.IntVar(&o.fragSize, "frag-size", 0, "graph partitioner: soft fragment-size target in atoms (0 = default 24)")
+	fs.IntVar(&o.fragMax, "frag-max", 0, "graph partitioner: hard fragment-size cap for the cleanup pass (0 = 2×frag-size)")
+
+	fs.Float64Var(&o.fmin, "fmin", 100, "spectrum start (cm⁻¹)")
+	fs.Float64Var(&o.fmax, "fmax", 4000, "spectrum end (cm⁻¹)")
+	fs.Float64Var(&o.fstep, "fstep", 2, "spectrum step (cm⁻¹)")
+	fs.Float64Var(&o.sigma, "sigma", 5, "Gaussian smearing (cm⁻¹); the paper uses 5 gas-phase, 20 solvated")
+	fs.IntVar(&o.k, "k", 150, "Lanczos steps")
+	fs.BoolVar(&o.dense, "dense", false, "use exact dense diagonalization instead of Lanczos")
+	fs.StringVar(&o.irOut, "ir", "", "also compute the IR spectrum and write it to this TSV file")
+	fs.IntVar(&o.leaders, "leaders", max(1, runtime.NumCPU()/2), "parallel leaders")
+	fs.IntVar(&o.workers, "workers", 2, "workers per leader")
+	fs.IntVar(&o.kernelThreads, "kernel-threads", 0, "intra-fragment kernel thread budget shared with the leader/worker fan-out (0 = GOMAXPROCS; results are bit-identical at any value)")
+	fs.StringVar(&o.clusterAddr, "cluster", "", "dispatch fragments to a qfcoord coordinator at this address instead of computing in-process (results stay bit-identical)")
+	fs.StringVar(&o.out, "o", "", "spectrum output TSV (default stdout)")
+
+	fs.StringVar(&o.trajPath, "traj", "", "extended-XYZ trajectory: diff frames incrementally and emit one spectrum per frame (topology from -in/-seq/-water, or inferred from frame 0)")
+	fs.BoolVar(&o.trajWarm, "traj-warm", true, "warm-start moved fragments' SCF from their previous frame (=0 restores bit-identity with independent per-frame runs)")
+	fs.StringVar(&o.trajOut, "traj-out", "", "write per-frame spectra as frame_NNN.tsv into this directory (default: stream to stdout)")
+
+	fs.IntVar(&o.retries, "retries", faults.DefaultRetryPolicy().MaxAttempts, "processing attempts per fragment before a transient failure is final")
+	fs.IntVar(&o.maxFailed, "max-failed", 0, "fail-soft budget: complete degraded with up to K failed fragments dropped")
+	fs.Float64Var(&o.faultRate, "fault-rate", 0, "chaos: inject transient worker failures at this per-attempt probability")
+	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "chaos: injection seed")
+	fs.IntVar(&o.failFrag, "fail-frag", -1, "chaos: force this fragment index into deterministic failure")
+	fs.DurationVar(&o.straggler, "straggler-timeout", 0, "requeue fragments processing longer than this (0 disables the watchdog)")
+
+	fs.StringVar(&o.cacheDir, "cache-dir", "", "content-addressed fragment-result store directory (enables checkpointing and within-run dedup)")
+	fs.BoolVar(&o.resume, "resume", false, "serve fragment results checkpointed by previous runs of -cache-dir")
+	fs.BoolVar(&o.checkpoint, "checkpoint", true, "write fragment results to -cache-dir as they complete")
+
+	fs.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace_event JSON of the run to this file (load in chrome://tracing or Perfetto; summarize with qfstats -trace)")
+	fs.StringVar(&o.metricsOut, "metrics-out", "", "write the final metrics snapshot (flat text) to this file; '-' for stderr")
+	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+}
+
+// config maps the flags onto the pipeline configuration. It refuses flag
+// combinations that cannot run before touching anything, then opens the
+// -cache-dir store, which the caller owns and must Close (nil without one).
+// The observability sinks are run's, not the configuration's.
+func (o options) config() (core.Config, *store.Store, error) {
+	cfg := core.DefaultConfig()
+	if o.trajPath != "" {
+		// The warm-start hooks and in-memory frame diff are in-process
+		// machinery; neither crosses the cluster wire, and per-frame IR
+		// output is not plumbed. Refuse rather than silently degrade.
+		if o.clusterAddr != "" {
+			return cfg, nil, fmt.Errorf("-traj cannot run over -cluster (frame diffing is in-process)")
+		}
+		if o.irOut != "" {
+			return cfg, nil, fmt.Errorf("-ir is not supported with -traj")
+		}
+	}
+	cfg.Raman.FreqMin, cfg.Raman.FreqMax, cfg.Raman.FreqStep = o.fmin, o.fmax, o.fstep
+	cfg.Raman.Sigma = o.sigma
+	cfg.Raman.LanczosK = o.k
+	cfg.UseDense = o.dense
+	cfg.Sched.NumLeaders = o.leaders
+	cfg.Sched.WorkersPerLeader = o.workers
+	cfg.IR = o.irOut != ""
+	if err := o.applyPartitioner(&cfg); err != nil {
+		return cfg, nil, err
+	}
+	o.applyFaults(&cfg)
+	if o.clusterAddr != "" {
+		cfg.Sched.Backend = cluster.NewClient(o.clusterAddr)
+	}
+	cstore, err := o.openCache(&cfg)
+	return cfg, cstore, err
+}
+
+// applyPartitioner resolves the fragmentation engine and wires it into the
+// pipeline config.
+func (o options) applyPartitioner(cfg *core.Config) error {
 	gOpt := fragment.DefaultGraphOptions()
-	if ff.fragSize > 0 {
-		gOpt.TargetAtoms = ff.fragSize
+	if o.fragSize > 0 {
+		gOpt.TargetAtoms = o.fragSize
 	}
-	if ff.fragMax > 0 {
-		gOpt.MaxAtoms = ff.fragMax
+	if o.fragMax > 0 {
+		gOpt.MaxAtoms = o.fragMax
 	}
-	p, err := fragment.NewPartitioner(ff.partitioner, cfg.Fragment, gOpt)
+	p, err := fragment.NewPartitioner(o.partitioner, cfg.Fragment, gOpt)
 	if err != nil {
 		return err
 	}
@@ -115,36 +170,30 @@ func (ff fragFlags) apply(cfg *core.Config) error {
 	return nil
 }
 
-// obsFlags bundles the observability knobs.
-type obsFlags struct {
-	traceOut   string
-	metricsOut string
-	pprofAddr  string
-}
-
-// obsSinks holds the live sinks behind the flags until the run finishes.
+// obsSinks holds the live sinks behind the observability flags until the run
+// finishes.
 type obsSinks struct {
-	tracer *obs.Tracer
-	reg    *obs.Registry
-	flags  obsFlags
+	tracer               *obs.Tracer
+	reg                  *obs.Registry
+	traceOut, metricsOut string
 }
 
-// apply starts the pprof server (if requested), builds the tracer/registry,
+// startObs starts the pprof server (if requested), builds the tracer/registry,
 // and wires the scope into the scheduler config. A SIGUSR1 dumps the current
 // metrics snapshot to stderr at any point of a long run (unix only).
-func (of obsFlags) apply(cfg *core.Config) (*obsSinks, error) {
-	if of.pprofAddr != "" {
+func (o options) startObs(cfg *core.Config) *obsSinks {
+	if o.pprofAddr != "" {
 		go func() {
-			if err := http.ListenAndServe(of.pprofAddr, nil); err != nil {
+			if err := http.ListenAndServe(o.pprofAddr, nil); err != nil {
 				fmt.Fprintln(os.Stderr, "qframan: pprof:", err)
 			}
 		}()
 	}
-	if of.traceOut == "" && of.metricsOut == "" {
-		return nil, nil
+	if o.traceOut == "" && o.metricsOut == "" {
+		return nil
 	}
-	s := &obsSinks{reg: obs.NewRegistry(), flags: of}
-	if of.traceOut != "" {
+	s := &obsSinks{reg: obs.NewRegistry(), traceOut: o.traceOut, metricsOut: o.metricsOut}
+	if o.traceOut != "" {
 		s.tracer = obs.NewTracer()
 	}
 	cfg.Sched.Obs = obs.NewScope(s.tracer, s.reg)
@@ -153,7 +202,7 @@ func (of obsFlags) apply(cfg *core.Config) (*obsSinks, error) {
 		fmt.Fprintln(os.Stderr, "qframan: SIGUSR1 metrics snapshot:")
 		s.reg.Snapshot().WriteText(os.Stderr)
 	})
-	return s, nil
+	return s
 }
 
 // finish writes the trace and metrics files.
@@ -161,8 +210,8 @@ func (s *obsSinks) finish() error {
 	if s == nil {
 		return nil
 	}
-	if s.flags.traceOut != "" {
-		f, err := os.Create(s.flags.traceOut)
+	if s.traceOut != "" {
+		f, err := os.Create(s.traceOut)
 		if err != nil {
 			return err
 		}
@@ -182,10 +231,10 @@ func (s *obsSinks) finish() error {
 			fmt.Fprintf(os.Stderr, "trace: %d spans dropped by the capacity backstop\n", d)
 		}
 	}
-	if s.flags.metricsOut != "" {
+	if s.metricsOut != "" {
 		w := os.Stderr
-		if s.flags.metricsOut != "-" {
-			f, err := os.Create(s.flags.metricsOut)
+		if s.metricsOut != "-" {
+			f, err := os.Create(s.metricsOut)
 			if err != nil {
 				return err
 			}
@@ -203,90 +252,74 @@ func (s *obsSinks) finish() error {
 	return nil
 }
 
-// cacheFlags bundles the checkpoint-store knobs.
-type cacheFlags struct {
-	dir        string
-	resume     bool
-	checkpoint bool
-}
-
-// apply opens the store (when configured) and wires it into the scheduler
+// openCache opens the store (when configured) and wires it into the scheduler
 // options. The caller owns the returned store and must Close it.
-func (cf cacheFlags) apply(cfg *core.Config) (*store.Store, error) {
-	if cf.dir == "" {
-		if cf.resume {
+func (o options) openCache(cfg *core.Config) (*store.Store, error) {
+	if o.cacheDir == "" {
+		if o.resume {
 			return nil, fmt.Errorf("-resume requires -cache-dir")
 		}
 		return nil, nil
 	}
-	st, err := store.Open(cf.dir)
+	st, err := store.Open(o.cacheDir)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Sched.Cache = sched.CacheOptions{Store: st, Resume: cf.resume, ReadOnly: !cf.checkpoint}
+	cfg.Sched.Cache = sched.CacheOptions{Store: st, Resume: o.resume, ReadOnly: !o.checkpoint}
 	return st, nil
 }
 
-// faultFlags bundles the fault-tolerance knobs.
-type faultFlags struct {
-	retries   int
-	maxFailed int
-	rate      float64
-	seed      int64
-	failFrag  int
-	straggler time.Duration
-}
-
-// apply wires the flags into the scheduler options.
-func (ft faultFlags) apply(cfg *core.Config) {
-	cfg.Sched.Retry.MaxAttempts = ft.retries
-	cfg.Sched.MaxFailedFragments = ft.maxFailed
-	cfg.Sched.StragglerTimeout = ft.straggler
-	if ft.rate > 0 || ft.failFrag >= 0 {
-		fc := faults.Config{Seed: ft.seed, TransientRate: ft.rate}
-		if ft.failFrag >= 0 {
-			fc.HardFailFrags = []int{ft.failFrag}
+// applyFaults wires the fault-tolerance flags into the scheduler options.
+func (o options) applyFaults(cfg *core.Config) {
+	cfg.Sched.Retry.MaxAttempts = o.retries
+	cfg.Sched.MaxFailedFragments = o.maxFailed
+	cfg.Sched.StragglerTimeout = o.straggler
+	if o.faultRate > 0 || o.failFrag >= 0 {
+		fc := faults.Config{Seed: o.faultSeed, TransientRate: o.faultRate}
+		if o.failFrag >= 0 {
+			fc.HardFailFrags = []int{o.failFrag}
 		}
 		cfg.Sched.Injector = faults.NewInjector(fc)
 	}
 }
 
-func buildSystem(in, seq string, fold, dimers, waterBox int, solvate bool) (*structure.System, error) {
+// buildSystem reads or generates the structure the source flags name.
+func (o options) buildSystem() (*structure.System, error) {
 	switch {
-	case in != "":
-		f, err := os.Open(in)
+	case o.in != "":
+		f, err := os.Open(o.in)
 		if err != nil {
 			return nil, err
 		}
 		defer f.Close()
 		return structure.ReadSystem(f)
-	case seq != "":
-		p, err := structure.BuildProteinFolded(seq, fold)
+	case o.seq != "":
+		p, err := structure.BuildProteinFolded(o.seq, o.fold)
 		if err != nil {
 			return nil, err
 		}
-		if solvate {
+		if o.solvate {
 			return structure.SolvateInWater(p, 5.0, 2.4), nil
 		}
 		return p, nil
-	case dimers > 0:
-		return structure.BuildWaterDimerSystem(dimers), nil
-	case waterBox > 0:
-		return structure.BuildWaterBox(waterBox, waterBox, waterBox, struct{ X, Y, Z float64 }{}), nil
+	case o.dimers > 0:
+		return structure.BuildWaterDimerSystem(o.dimers), nil
+	case o.waterBox > 0:
+		return structure.BuildWaterBox(o.waterBox, o.waterBox, o.waterBox, struct{ X, Y, Z float64 }{}), nil
 	}
 	return nil, fmt.Errorf("provide one of -in, -seq, -dimers, -water")
 }
 
-func run(in, seq string, fold, dimers, waterBox int, solvate bool,
-	fmin, fmax, fstep, sigma float64, k int, dense bool, leaders, workers int, clusterAddr, out, irOut string, ff fragFlags, ft faultFlags, cf cacheFlags, of obsFlags,
-	trajPath string, trajWarm bool, trajOut string) error {
-
+func run(o options) error {
+	if o.kernelThreads > 0 {
+		par.SetBudget(o.kernelThreads)
+	}
 	var sys *structure.System
 	var err error
-	if trajPath != "" && in == "" && seq == "" && dimers == 0 && waterBox == 0 {
+	if o.trajPath != "" && o.in == "" && o.seq == "" && o.dimers == 0 && o.waterBox == 0 {
 		// No topology source: runTraj infers one from the first frame.
 	} else {
-		sys, err = buildSystem(in, seq, fold, dimers, waterBox, solvate)
+		sys, err = o.buildSystem()
 		if err != nil {
 			return err
 		}
@@ -294,45 +327,17 @@ func run(in, seq string, fold, dimers, waterBox int, solvate bool,
 			sys.NumAtoms(), len(sys.Residues), len(sys.Waters), len(sys.Molecules))
 	}
 
-	cfg := core.DefaultConfig()
-	cfg.Raman.FreqMin, cfg.Raman.FreqMax, cfg.Raman.FreqStep = fmin, fmax, fstep
-	cfg.Raman.Sigma = sigma
-	cfg.Raman.LanczosK = k
-	cfg.UseDense = dense
-	cfg.Sched.NumLeaders = leaders
-	cfg.Sched.WorkersPerLeader = workers
-	cfg.IR = irOut != ""
-	if err := ff.apply(&cfg); err != nil {
-		return err
-	}
-	ft.apply(&cfg)
-	cstore, err := cf.apply(&cfg)
+	cfg, cstore, err := o.config()
 	if err != nil {
 		return err
 	}
 	if cstore != nil {
 		defer cstore.Close()
 	}
-	sinks, err := of.apply(&cfg)
-	if err != nil {
-		return err
+	sinks := o.startObs(&cfg)
+	if o.trajPath != "" {
+		return runTraj(o.trajPath, o.trajWarm, o.trajOut, sys, cfg, sinks, o.out)
 	}
-	if clusterAddr != "" {
-		cfg.Sched.Backend = cluster.NewClient(clusterAddr)
-	}
-	if trajPath != "" {
-		// The warm-start hooks and in-memory frame diff are in-process
-		// machinery; neither crosses the cluster wire, and per-frame IR
-		// output is not plumbed. Refuse rather than silently degrade.
-		if clusterAddr != "" {
-			return fmt.Errorf("-traj cannot run over -cluster (frame diffing is in-process)")
-		}
-		if irOut != "" {
-			return fmt.Errorf("-ir is not supported with -traj")
-		}
-		return runTraj(trajPath, trajWarm, trajOut, sys, cfg, sinks, out)
-	}
-
 	t0 := time.Now()
 	res, err := core.ComputeRaman(sys, cfg)
 	if err != nil {
@@ -361,10 +366,10 @@ func run(in, seq string, fold, dimers, waterBox int, solvate bool,
 		fmt.Fprintf(os.Stderr, "; store: %d objects, %d bytes, %.2fx dedup\n",
 			ss.Objects, ss.Bytes, ss.DedupRatio)
 	}
-	if clusterAddr != "" {
+	if o.clusterAddr != "" {
 		rep := res.SchedReport
 		fmt.Fprintf(os.Stderr, "cluster: %d unique fragments dispatched to %s; %d computed, %d tier hits, %d deduped in-run, %d reassigns\n",
-			rep.NumTasks, clusterAddr, rep.CacheMisses, rep.Resumed, rep.Deduped, rep.Requeues)
+			rep.NumTasks, o.clusterAddr, rep.CacheMisses, rep.Resumed, rep.Deduped, rep.Requeues)
 	}
 	if rep := res.SchedReport; rep.Retries > 0 || rep.Requeues > 0 || rep.Panics > 0 || rep.Degraded {
 		fmt.Fprintf(os.Stderr, "faults: %d retries, %d straggler requeues, %d recovered panics\n",
@@ -384,8 +389,8 @@ func run(in, seq string, fold, dimers, waterBox int, solvate bool,
 	}
 
 	w := os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
+	if o.out != "" {
+		f, err := os.Create(o.out)
 		if err != nil {
 			return err
 		}
@@ -395,8 +400,8 @@ func run(in, seq string, fold, dimers, waterBox int, solvate bool,
 	if err := writeSpectrumTSV(w, "# wavenumber_cm-1\traman_intensity", res.Spectrum); err != nil {
 		return err
 	}
-	if irOut != "" {
-		f, err := os.Create(irOut)
+	if o.irOut != "" {
+		f, err := os.Create(o.irOut)
 		if err != nil {
 			return err
 		}

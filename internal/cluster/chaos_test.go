@@ -72,13 +72,7 @@ func TestClusterSurvivesWorkerDeath(t *testing.T) {
 // asynchronously; the dispatch-spread assertions need all of them seated).
 func waitForWorkers(t *testing.T, co *Coordinator, n int) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for len(co.Snapshot().Workers) < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d workers connected", len(co.Snapshot().Workers), n)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitFor(t, fmt.Sprintf("%d workers to connect", n), func() bool { return len(co.Snapshot().Workers) >= n })
 }
 
 // ---- synthetic-engine chaos runs ----

@@ -95,7 +95,7 @@ func (c *Client) Run(dec *fragment.Decomposition, opt sched.Options) ([]*hessian
 	}()
 
 	const jobID = 1
-	if err := tr.write(MsgJob, Job{Job: jobID, NFrags: uint32(len(producers)), Opt: JobWireFrom(opt.Job)}.encode()); err != nil {
+	if err := tr.write(MsgJob, Job{Job: jobID, NFrags: uint32(len(producers)), Opt: opt.Job}.encode()); err != nil {
 		return nil, nil, fmt.Errorf("cluster: submit job: %w", err)
 	}
 	for _, i := range producers {

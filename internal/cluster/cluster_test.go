@@ -10,10 +10,14 @@ import (
 	"testing"
 	"time"
 
+	"qframan/internal/constants"
 	"qframan/internal/core"
+	"qframan/internal/fragment"
 	"qframan/internal/geom"
+	"qframan/internal/hessian"
 	"qframan/internal/obs"
 	"qframan/internal/raman"
+	"qframan/internal/sched"
 	"qframan/internal/store"
 	"qframan/internal/structure"
 )
@@ -275,14 +279,19 @@ func TestClusterWorkerLocalTier(t *testing.T) {
 func TestHandshakeVersionSkew(t *testing.T) {
 	_, addr := testCoordinator(t, CoordConfig{})
 
-	start := time.Now()
-	_, _, err := handshake(addr, Hello{Role: RoleWorker, Proto: ProtoVersion + 7, Name: "future"},
-		time.Second, 0, nil)
-	if !errors.Is(err, ErrVersionSkew) {
-		t.Fatalf("got %v, want ErrVersionSkew", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("version rejection took %v — the peer hung instead of rejecting", elapsed)
+	// A future peer, and a version-1 peer: its JOB and LEASE frames carried
+	// the options in a layout this coordinator no longer reads, so it must be
+	// turned away at the handshake, not at its first job.
+	for _, proto := range []uint32{ProtoVersion + 7, 1} {
+		start := time.Now()
+		_, _, err := handshake(addr, Hello{Role: RoleWorker, Proto: proto, Name: "skewed"},
+			time.Second, 0, nil)
+		if !errors.Is(err, ErrVersionSkew) {
+			t.Fatalf("proto %d: got %v, want ErrVersionSkew", proto, err)
+		}
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("proto %d: rejection took %v — the peer hung instead of rejecting", proto, elapsed)
+		}
 	}
 
 	// The same skew at the raw frame level: the coordinator answers with a
@@ -385,5 +394,143 @@ func TestFetchStats(t *testing.T) {
 	}
 	if s.Recomputes == 0 || s.StoreObjects == 0 {
 		t.Fatalf("cache accounting empty: %+v", s)
+	}
+}
+
+// TestCoordinatorForgetsFinishedWork pins the coordinator's memory to the
+// work in flight. A daemon's lifetime of jobs — sequential ones, two racing
+// on the same keys (waiters), one whose client vanishes mid-job with a lease
+// out, one that fails while its client is still announcing fragments — must
+// leave no task, waiter, in-flight key or job record behind, while the
+// snapshot's done-task counter keeps counting.
+func TestCoordinatorForgetsFinishedWork(t *testing.T) {
+	co, addr := testCoordinator(t, CoordConfig{})
+	failing := constants.Element(0xEE) // a species the fake engine refuses
+	startTestWorker(t, WorkerConfig{
+		Addr: addr, Name: "w0", Slots: 2, Throttle: 20 * time.Millisecond,
+		Process: func(f *fragment.Fragment, opt sched.Options) (*hessian.FragmentData, error) {
+			if f.Els[0] == failing {
+				return nil, errors.New("engine: unknown species")
+			}
+			return fakeEngine(f, opt)
+		},
+	})
+	waitForWorkers(t, co, 1)
+
+	// Sequential jobs, each with shapes the coordinator has not seen yet and
+	// shapes it has (coord-tier hits retire at admission).
+	wantDone := 0
+	for j := 0; j < 3; j++ {
+		_, rep, err := NewClient(addr).Run(fakeDecomposition(3+2*j, 2), sched.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDone += rep.NumTasks
+	}
+	// Two clients racing on the same unseen keys: one's tasks park as waiters.
+	racing := fakeDecomposition(12, 1)
+	racing.Fragments = racing.Fragments[7:]
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := NewClient(addr).Run(racing, sched.DefaultOptions()); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	wantDone += 2 * len(racing.Fragments)
+
+	jobOpt := sched.DefaultOptions().Job
+	sendFrag := func(tr *transport, idx int, f fragment.Fragment) {
+		t.Helper()
+		key, _ := store.Fingerprint(&f, jobOpt)
+		if err := tr.write(MsgFrag, Frag{Job: 1, Frag: uint32(idx), Key: key, Els: f.Els, Pos: f.Pos}.encode()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit := func(name string, nfrags uint32, frags ...fragment.Fragment) *transport {
+		t.Helper()
+		tr, _, err := handshake(addr, Hello{Role: RoleClient, Proto: ProtoVersion, Name: name}, time.Second, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.write(MsgJob, Job{Job: 1, NFrags: nfrags, Opt: jobOpt}.encode()); err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range frags {
+			sendFrag(tr, i, f)
+		}
+		return tr
+	}
+	fresh := fakeDecomposition(20, 1).Fragments
+
+	// A client that announces three fragments, submits two, and is gone while
+	// the worker still holds a lease for it.
+	gone := submit("gone", 3, fresh[15], fresh[16])
+	waitFor(t, "a lease for the vanishing client", func() bool { return co.Snapshot().TasksLeased > 0 })
+	gone.close()
+
+	// A job whose first fragment fails for good while two are still to be
+	// announced: the late FRAGs are discarded, the connection stays usable.
+	bad := fresh[17]
+	bad.Els = []constants.Element{failing, constants.H, constants.H}
+	doomed := submit("doomed", 3, bad)
+	defer doomed.close()
+	f, err := doomed.read()
+	if err != nil || f.Type != MsgJobDone {
+		t.Fatalf("failed job: got %v, %v; want JOB_DONE", f.Type, err)
+	}
+	if jd, err := decodeJobDone(f.Payload); err != nil || jd.Err == "" {
+		t.Fatalf("failed job: JOB_DONE %+v, %v; want an error", jd, err)
+	}
+	sendFrag(doomed, 1, fresh[18])
+	sendFrag(doomed, 2, fresh[19])
+	if err := doomed.write(MsgStats, nil); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := doomed.read(); err != nil || f.Type != MsgStatsOK {
+		t.Fatalf("after the late FRAGs of a failed job: got %v, %v; want STATS_OK", f.Type, err)
+	}
+
+	waitFor(t, "the coordinator to go idle", func() bool {
+		s := co.Snapshot()
+		return s.Clients == 1 && s.Workers[0].Inflight == 0
+	})
+	co.mu.Lock()
+	tasks, waiters, inflight, jobs := len(co.tasks), len(co.waiters), len(co.inflight), 0
+	for _, cl := range co.clients {
+		jobs += len(cl.jobs)
+	}
+	co.mu.Unlock()
+	if tasks != 0 || waiters != 0 || inflight != 0 || jobs != 0 {
+		t.Fatalf("idle coordinator still holds %d tasks, %d waiter lists, %d in-flight keys, %d job records",
+			tasks, waiters, inflight, jobs)
+	}
+	s := co.Snapshot()
+	if s.TasksPending+s.TasksLeased+s.TasksWaiting != 0 {
+		t.Fatalf("idle coordinator reports live tasks: %+v", s)
+	}
+	// The vanished client's two tasks may or may not have completed before it
+	// left; everything else is counted exactly.
+	if s.TasksDone < wantDone || s.TasksDone > wantDone+2 {
+		t.Fatalf("snapshot counts %d done tasks, want %d to %d", s.TasksDone, wantDone, wantDone+2)
+	}
+	if s.JobsDone != 5 || s.JobsFailed != 1 {
+		t.Fatalf("job accounting: %+v", s)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after ten seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"qframan/internal/constants"
 	"qframan/internal/geom"
+	"qframan/internal/hessian"
 	"qframan/internal/obs"
 	"qframan/internal/store"
 )
@@ -41,13 +42,14 @@ type CoordConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// task lifecycle states.
+// task lifecycle states. There is no terminal one: a task that is served, or
+// abandoned because its client left or its job failed, is retired
+// (retireLocked) — the coordinator holds tasks only while they are work in
+// flight.
 const (
 	taskPending = iota // queued, waiting for a worker slot
 	taskLeased         // owned by a worker under an epoch
 	taskWaiting        // parked: an identical key is already in flight
-	taskDone
-	taskDead // owning client left or job failed
 )
 
 // task is one unique fragment the coordinator must resolve.
@@ -59,7 +61,7 @@ type task struct {
 	key    store.Key
 	els    []constants.Element
 	pos    []geom.Vec3
-	opt    JobWire
+	opt    hessian.JobOptions
 
 	state    int
 	epoch    uint32 // bumped on every reassignment
@@ -80,14 +82,16 @@ type workerConn struct {
 	fragsCtr *obs.Counter
 }
 
-// jobState tracks one client job's progress and per-tier accounting.
+// jobState tracks one client job's progress and per-tier accounting. It is
+// dropped with its JOB_DONE — or, for a job that failed while its client was
+// still announcing fragments, with the last FRAG (handleFrag discards those).
 type jobState struct {
 	id        uint64
 	nfrags    uint32
 	announced uint32
 	done      uint32
-	finished  bool
-	opt       JobWire
+	failed    bool // error JOB_DONE sent; FRAGs still to come are discarded
+	opt       hessian.JobOptions
 
 	computed, localHits, coordHits, fetchHits, reassigns uint32
 }
@@ -106,7 +110,7 @@ type clientConn struct {
 type coordCounters struct {
 	leases, reassigns, dupResults, taskFails  uint64
 	localHits, coordHits, fetchHits, computed uint64
-	jobsDone, jobsFailed                      uint64
+	jobsDone, jobsFailed, tasksDone           uint64
 }
 
 // send is one outbound frame computed under the coordinator lock and
@@ -513,6 +517,18 @@ func (co *Coordinator) jobOf(t *task) *jobState {
 	return cl.jobs[t.job]
 }
 
+// retireLocked forgets a task that was served or abandoned, so the task table
+// — and with it the reaper's walk and the per-job scans — is bounded by the
+// work in flight rather than by the daemon's lifetime. A late RESULT or
+// TASK_FAIL for a retired task finds no entry and is counted as a duplicate
+// or ignored. Caller holds co.mu.
+func (co *Coordinator) retireLocked(t *task, served bool) {
+	if served {
+		co.stats.tasksDone++
+	}
+	delete(co.tasks, t.id)
+}
+
 // dispatch leases queued tasks onto free worker slots. Caller holds co.mu;
 // returned sends go out after unlock. Workers are scanned in session order
 // (deterministic), preferring the most free slots.
@@ -564,11 +580,11 @@ func (co *Coordinator) handleResult(w *workerConn, res Result) {
 	w.lastSeen = time.Now()
 	delete(w.inflight, res.Task)
 	t := co.tasks[res.Task]
-	if t == nil || t.state == taskDone || t.state == taskDead {
+	if t == nil {
 		// Lowest-epoch-wins in effect: the first completion recorded the
-		// result; later deliveries (reassigned epochs racing the
-		// original owner) are counted and dropped. Determinism makes
-		// either copy bit-identical, so dropping is safe.
+		// result and retired the task; later deliveries (reassigned epochs
+		// racing the original owner) are counted and dropped. Determinism
+		// makes either copy bit-identical, so dropping is safe.
 		co.stats.dupResults++
 		if co.mDup != nil {
 			co.mDup.Inc()
@@ -600,7 +616,7 @@ func (co *Coordinator) handleResult(w *workerConn, res Result) {
 	if co.mLeaseSec != nil && !t.leasedAt.IsZero() {
 		co.mLeaseSec.Observe(time.Since(t.leasedAt).Seconds())
 	}
-	t.state = taskDone
+	co.retireLocked(t, true)
 	w.frags++
 	if w.fragsCtr != nil {
 		w.fragsCtr.Inc()
@@ -635,7 +651,7 @@ func (co *Coordinator) handleResult(w *workerConn, res Result) {
 		if tw == nil || tw.state != taskWaiting {
 			continue
 		}
-		tw.state = taskDone
+		co.retireLocked(tw, true)
 		co.stats.coordHits++
 		if co.mCoord != nil {
 			co.mCoord.Inc()
@@ -658,7 +674,7 @@ func (co *Coordinator) serveTaskLocked(sends []send, t *task, tier uint8, blob [
 		return sends
 	}
 	js := cl.jobs[t.job]
-	if js == nil || js.finished {
+	if js == nil || js.failed {
 		return sends
 	}
 	switch tier {
@@ -676,7 +692,7 @@ func (co *Coordinator) serveTaskLocked(sends []send, t *task, tier uint8, blob [
 		Job: t.job, Frag: t.frag, Tier: tier, Blob: blob,
 	}.encode()})
 	if js.done == js.nfrags && js.announced == js.nfrags {
-		js.finished = true
+		delete(cl.jobs, t.job)
 		co.stats.jobsDone++
 		sends = append(sends, send{cl.tr, MsgJobDone, JobDone{
 			Job: t.job, Computed: js.computed, LocalHits: js.localHits,
@@ -725,7 +741,7 @@ func (co *Coordinator) handleTaskFail(w *workerConn, tf TaskFail) {
 		if ft == nil {
 			continue
 		}
-		ft.state = taskDead
+		co.retireLocked(ft, false)
 		sends = co.failJobLocked(sends, ft.client, ft.job, msg)
 	}
 	delete(co.waiters, t.key)
@@ -744,13 +760,16 @@ func (co *Coordinator) failJobLocked(sends []send, client, job uint64, msg strin
 		return sends
 	}
 	js := cl.jobs[job]
-	if js == nil || js.finished {
+	if js == nil || js.failed {
 		return sends
 	}
-	js.finished = true
+	js.failed = true
+	if js.announced == js.nfrags {
+		delete(cl.jobs, job)
+	}
 	co.stats.jobsFailed++
 	for _, t := range co.tasks {
-		if t.client == client && t.job == job && t.state != taskDone {
+		if t.client == client && t.job == job {
 			co.killTaskLocked(t)
 		}
 	}
@@ -762,7 +781,7 @@ func (co *Coordinator) failJobLocked(sends []send, client, job uint64, msg strin
 // jobs sharing the key still complete. Caller holds co.mu.
 func (co *Coordinator) killTaskLocked(t *task) {
 	prev := t.state
-	t.state = taskDead
+	co.retireLocked(t, false)
 	if prev == taskLeased {
 		if w := co.workers[t.owner]; w != nil {
 			delete(w.inflight, t.id)
@@ -772,7 +791,7 @@ func (co *Coordinator) killTaskLocked(t *task) {
 		ws := co.waiters[t.key]
 		for i, id := range ws {
 			if id == t.id {
-				co.waiters[t.key] = append(ws[:i:i], ws[i+1:]...)
+				co.setWaitersLocked(t.key, append(ws[:i:i], ws[i+1:]...))
 				break
 			}
 		}
@@ -789,13 +808,23 @@ func (co *Coordinator) killTaskLocked(t *task) {
 		if tw == nil || tw.state != taskWaiting {
 			continue
 		}
-		co.waiters[t.key] = ws[i+1:]
+		co.setWaitersLocked(t.key, ws[i+1:])
 		tw.state = taskPending
 		co.inflight[t.key] = tw.id
 		co.queue = append(co.queue, tw.id)
 		return
 	}
 	delete(co.waiters, t.key)
+}
+
+// setWaitersLocked replaces a key's waiter list, dropping the entry with its
+// last waiter. Caller holds co.mu.
+func (co *Coordinator) setWaitersLocked(k store.Key, ws []uint64) {
+	if len(ws) == 0 {
+		delete(co.waiters, k)
+		return
+	}
+	co.waiters[k] = ws
 }
 
 // handleFetch serves a worker's tier-3 lookup from the coordinator store.
@@ -902,6 +931,13 @@ func (co *Coordinator) handleFrag(cl *clientConn, m Frag) {
 		return
 	}
 	js.announced++
+	if js.failed {
+		if js.announced == js.nfrags {
+			delete(cl.jobs, m.Job)
+		}
+		co.mu.Unlock()
+		return
+	}
 	co.nextTask++
 	t := &task{
 		id: co.nextTask, client: cl.session, job: m.Job, frag: m.Frag,
@@ -918,7 +954,7 @@ func (co *Coordinator) handleFrag(cl *clientConn, m Frag) {
 	var sends []send
 	switch {
 	case coordBlob != nil:
-		t.state = taskDone
+		co.retireLocked(t, true)
 		co.stats.coordHits++
 		if co.mCoord != nil {
 			co.mCoord.Inc()
@@ -957,7 +993,7 @@ func (co *Coordinator) dropClient(cl *clientConn, reason string) {
 	}
 	delete(co.clients, cl.session)
 	for _, t := range co.tasks {
-		if t.client == cl.session && t.state != taskDone && t.state != taskDead {
+		if t.client == cl.session {
 			co.killTaskLocked(t)
 		}
 	}
@@ -1073,6 +1109,7 @@ func (co *Coordinator) Snapshot() Snapshot {
 		Recomputes: co.stats.computed,
 		JobsDone:   co.stats.jobsDone,
 		JobsFailed: co.stats.jobsFailed,
+		TasksDone:  int(co.stats.tasksDone),
 	}
 	for _, w := range co.workers {
 		s.Workers = append(s.Workers, WorkerStat{
@@ -1089,8 +1126,6 @@ func (co *Coordinator) Snapshot() Snapshot {
 			s.TasksLeased++
 		case taskWaiting:
 			s.TasksWaiting++
-		case taskDone:
-			s.TasksDone++
 		}
 	}
 	co.mu.Unlock()

@@ -39,7 +39,9 @@ const (
 	FrameVersion = 1
 	// ProtoVersion is the application protocol version carried in HELLO.
 	// A peer advertising a different version is rejected at handshake.
-	ProtoVersion = 1
+	// Version 2: JOB and LEASE carry their options as a length-prefixed
+	// hessian.JobOptions.AppendPhysics block (version 1 had its own layout).
+	ProtoVersion = 2
 
 	headerSize  = 11
 	trailerSize = 4

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"qframan/internal/hessian"
 )
 
 func TestFrameRoundtripAllTypes(t *testing.T) {
@@ -103,6 +105,11 @@ func FuzzDecodeClusterFrame(f *testing.F) {
 	f.Add(EncodeFrame(MsgHello, Hello{Role: RoleWorker, Proto: ProtoVersion, Slots: 4, Name: "w0"}.encode()))
 	f.Add(EncodeFrame(MsgResult, Result{Task: 7, Epoch: 2, Tier: TierCompute, Blob: []byte("blob")}.encode()))
 	f.Add(EncodeFrame(MsgJobDone, JobDone{Job: 1, Computed: 9}.encode()))
+	// The two frames that carry job options (protocol 2: a length-prefixed
+	// physics block).
+	els, pos := testGeometry()
+	f.Add(EncodeFrame(MsgJob, Job{Job: 1, NFrags: 3, Opt: hessian.DefaultJobOptions()}.encode()))
+	f.Add(EncodeFrame(MsgLease, Lease{Task: 7, Epoch: 2, Key: testKey(), Opt: hessian.DefaultJobOptions(), Els: els, Pos: pos}.encode()))
 	// Truncated frame.
 	f.Add(EncodeFrame(MsgLease, bytes.Repeat([]byte{1}, 64))[:30])
 	// Bit-flipped payload (CRC must catch it).
@@ -130,6 +137,18 @@ func FuzzDecodeClusterFrame(f *testing.F) {
 		sf, n, err := ReadFrame(bytes.NewReader(b), 0)
 		if err != nil || n != len(b) || sf.Type != fr.Type || !bytes.Equal(sf.Payload, fr.Payload) {
 			t.Fatalf("ReadFrame disagrees with DecodeFrame (n=%d err=%v)", n, err)
+		}
+		// The option-carrying payloads are canonical too: a JOB or LEASE the
+		// decoder accepts is exactly the encoding of what it decoded to.
+		switch fr.Type {
+		case MsgJob:
+			if m, err := decodeJob(fr.Payload); err == nil && !bytes.Equal(m.encode(), fr.Payload) {
+				t.Fatal("accepted JOB payload is not canonical")
+			}
+		case MsgLease:
+			if m, err := decodeLease(fr.Payload); err == nil && !bytes.Equal(m.encode(), fr.Payload) {
+				t.Fatal("accepted LEASE payload is not canonical")
+			}
 		}
 	})
 }

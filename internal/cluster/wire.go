@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"qframan/internal/constants"
-	"qframan/internal/dfpt"
 	"qframan/internal/geom"
 	"qframan/internal/hessian"
 	"qframan/internal/store"
@@ -70,11 +69,15 @@ type Reject struct {
 }
 
 // Job announces a client run: its ID, how many FRAG frames follow, and the
-// physics options every lease of this job carries.
+// physics options every lease of this job carries. On the wire Opt is the
+// length-prefixed hessian.JobOptions.AppendPhysics serialization — the bytes
+// the store's content key hashes — so only physics travels: the decoded
+// options' execution-only fields (Obs, warm starts) are zero, the executing
+// worker's own.
 type Job struct {
 	Job    uint64
 	NFrags uint32
-	Opt    JobWire
+	Opt    hessian.JobOptions
 }
 
 // Frag submits one unique fragment of a job: its index in the client's
@@ -94,7 +97,7 @@ type Lease struct {
 	Task  uint64
 	Epoch uint32
 	Key   store.Key
-	Opt   JobWire
+	Opt   hessian.JobOptions // physics only, as in Job
 	Els   []constants.Element
 	Pos   []geom.Vec3
 }
@@ -175,76 +178,6 @@ type Bye struct {
 	Reason string
 }
 
-// JobWire is the physics subset of hessian.JobOptions that crosses the
-// wire — exactly the fields of the store's content fingerprint
-// (appendJobFingerprint), so a worker reconstructing JobOptions from it computes
-// the same content key and bit-identical results. Execution-only fields
-// (Obs, warm starts) never travel.
-type JobWire struct {
-	Step      float64
-	SkipAlpha bool
-
-	SCFMaxIter  uint32
-	SCFTol      float64
-	SCFMixing   float64
-	SCFSmearing float64
-	SCFField    geom.Vec3
-
-	DFPTMaxIter     uint32
-	DFPTTol         float64
-	DFPTMixing      float64
-	DFPTCoulomb     uint8
-	DFPTGridSpacing float64
-	DFPTGridMargin  float64
-	DFPTBatchSide   uint32
-	DFPTStrengthRed bool
-}
-
-// JobWireFrom extracts the wire subset of a JobOptions.
-func JobWireFrom(opt hessian.JobOptions) JobWire {
-	return JobWire{
-		Step:            opt.Step,
-		SkipAlpha:       opt.SkipAlpha,
-		SCFMaxIter:      uint32(opt.SCF.MaxIter),
-		SCFTol:          opt.SCF.Tol,
-		SCFMixing:       opt.SCF.Mixing,
-		SCFSmearing:     opt.SCF.Smearing,
-		SCFField:        opt.SCF.Field,
-		DFPTMaxIter:     uint32(opt.DFPT.MaxIter),
-		DFPTTol:         opt.DFPT.Tol,
-		DFPTMixing:      opt.DFPT.Mixing,
-		DFPTCoulomb:     uint8(opt.DFPT.Coulomb),
-		DFPTGridSpacing: opt.DFPT.GridSpacing,
-		DFPTGridMargin:  opt.DFPT.GridMargin,
-		DFPTBatchSide:   uint32(opt.DFPT.BatchSide),
-		DFPTStrengthRed: opt.DFPT.StrengthReduction,
-	}
-}
-
-// Options reconstructs the JobOptions a worker executes with.
-// Observability is the worker's own; warm starts are set by the
-// engine internally, so the physics — and the bits — match the client's
-// run exactly.
-func (w JobWire) Options() hessian.JobOptions {
-	var opt hessian.JobOptions
-	opt.Step = w.Step
-	opt.SkipAlpha = w.SkipAlpha
-	opt.SCF.MaxIter = int(w.SCFMaxIter)
-	opt.SCF.Tol = w.SCFTol
-	opt.SCF.Mixing = w.SCFMixing
-	opt.SCF.Smearing = w.SCFSmearing
-	opt.SCF.Field = w.SCFField
-	opt.DFPT.MaxIter = int(w.DFPTMaxIter)
-	opt.DFPT.Tol = w.DFPTTol
-	opt.DFPT.Mixing = w.DFPTMixing
-	opt.DFPT.Coulomb = dfpt.CoulombMode(w.DFPTCoulomb)
-	opt.DFPT.GridSpacing = w.DFPTGridSpacing
-	opt.DFPT.GridMargin = w.DFPTGridMargin
-	opt.DFPT.BatchSide = int(w.DFPTBatchSide)
-	opt.DFPT.StrengthReduction = w.DFPTStrengthRed
-	return opt
-}
-
 // ---- payload encoding ----
 
 func appendF64(b []byte, v float64) []byte { return appendU64(b, math.Float64bits(v)) }
@@ -279,24 +212,6 @@ func appendGeom(b []byte, els []constants.Element, pos []geom.Vec3) []byte {
 	return b
 }
 
-func appendJobWire(b []byte, w JobWire) []byte {
-	b = appendF64(b, w.Step)
-	b = appendBool(b, w.SkipAlpha)
-	b = appendU32(b, w.SCFMaxIter)
-	b = appendF64(b, w.SCFTol)
-	b = appendF64(b, w.SCFMixing)
-	b = appendF64(b, w.SCFSmearing)
-	b = appendVec(b, w.SCFField)
-	b = appendU32(b, w.DFPTMaxIter)
-	b = appendF64(b, w.DFPTTol)
-	b = appendF64(b, w.DFPTMixing)
-	b = append(b, w.DFPTCoulomb)
-	b = appendF64(b, w.DFPTGridSpacing)
-	b = appendF64(b, w.DFPTGridMargin)
-	b = appendU32(b, w.DFPTBatchSide)
-	return appendBool(b, w.DFPTStrengthRed)
-}
-
 func appendBool(b []byte, v bool) []byte {
 	if v {
 		return append(b, 1)
@@ -321,7 +236,7 @@ func (m Reject) encode() []byte { return appendStr([]byte{m.Code}, m.Reason) }
 func (m Job) encode() []byte {
 	b := appendU64(nil, m.Job)
 	b = appendU32(b, m.NFrags)
-	return appendJobWire(b, m.Opt)
+	return appendBytes(b, m.Opt.AppendPhysics(nil))
 }
 
 func (m Frag) encode() []byte {
@@ -335,7 +250,7 @@ func (m Lease) encode() []byte {
 	b := appendU64(nil, m.Task)
 	b = appendU32(b, m.Epoch)
 	b = append(b, m.Key[:]...)
-	b = appendJobWire(b, m.Opt)
+	b = appendBytes(b, m.Opt.AppendPhysics(nil))
 	return appendGeom(b, m.Els, m.Pos)
 }
 
@@ -496,30 +411,20 @@ func (r *reader) geometry() ([]constants.Element, []geom.Vec3) {
 	return els, pos
 }
 
-func (r *reader) jobWire() JobWire {
-	var w JobWire
-	w.Step = r.f64()
-	w.SkipAlpha = r.boolean()
-	w.SCFMaxIter = r.u32()
-	w.SCFTol = r.f64()
-	w.SCFMixing = r.f64()
-	w.SCFSmearing = r.f64()
-	w.SCFField = r.vec()
-	w.DFPTMaxIter = r.u32()
-	w.DFPTTol = r.f64()
-	w.DFPTMixing = r.f64()
-	w.DFPTCoulomb = r.u8()
-	w.DFPTGridSpacing = r.f64()
-	w.DFPTGridMargin = r.f64()
-	w.DFPTBatchSide = r.u32()
-	w.DFPTStrengthRed = r.boolean()
-	return w
+// physics reads a length-prefixed hessian.JobOptions.AppendPhysics block.
+// Options that do not parse mark the payload bad.
+func (r *reader) physics() hessian.JobOptions {
+	opt, err := hessian.ParsePhysics(r.take(int(r.u32())))
+	if err != nil {
+		r.bad = true
+	}
+	return opt
 }
 
 // done validates that the payload was consumed exactly.
 func (r *reader) done(what string) error {
 	if r.bad {
-		return fmt.Errorf("%w: truncated %s payload", ErrProtocol, what)
+		return fmt.Errorf("%w: truncated or malformed %s payload", ErrProtocol, what)
 	}
 	if r.off != len(r.b) {
 		return fmt.Errorf("%w: %d trailing bytes in %s payload", ErrProtocol, len(r.b)-r.off, what)
@@ -547,7 +452,7 @@ func decodeReject(b []byte) (Reject, error) {
 
 func decodeJob(b []byte) (Job, error) {
 	r := reader{b: b}
-	m := Job{Job: r.u64(), NFrags: r.u32(), Opt: r.jobWire()}
+	m := Job{Job: r.u64(), NFrags: r.u32(), Opt: r.physics()}
 	return m, r.done("JOB")
 }
 
@@ -560,7 +465,7 @@ func decodeFrag(b []byte) (Frag, error) {
 
 func decodeLease(b []byte) (Lease, error) {
 	r := reader{b: b}
-	m := Lease{Task: r.u64(), Epoch: r.u32(), Key: r.key(), Opt: r.jobWire()}
+	m := Lease{Task: r.u64(), Epoch: r.u32(), Key: r.key(), Opt: r.physics()}
 	m.Els, m.Pos = r.geometry()
 	return m, r.done("LEASE")
 }

@@ -35,7 +35,7 @@ func testKey() store.Key {
 func TestWireMessageRoundtrips(t *testing.T) {
 	els, pos := testGeometry()
 	k := testKey()
-	jw := JobWireFrom(hessian.DefaultJobOptions())
+	jw := hessian.DefaultJobOptions()
 
 	check := func(name string, got, want any, err error) {
 		t.Helper()
@@ -148,7 +148,7 @@ func TestWireEmptyBlobRoundtrip(t *testing.T) {
 func TestWireRejectsTruncationAndTrailing(t *testing.T) {
 	els, pos := testGeometry()
 	k := testKey()
-	jw := JobWireFrom(hessian.DefaultJobOptions())
+	jw := hessian.DefaultJobOptions()
 
 	msgs := map[string]struct {
 		payload []byte
@@ -200,33 +200,45 @@ func TestGeometryCountOverflow(t *testing.T) {
 	}
 }
 
-// TestJobWireFingerprintAgreement is the cross-build determinism contract:
-// a worker reconstructing JobOptions from the wire must compute the same
-// content key as the client that fingerprinted the fragment.
-func TestJobWireFingerprintAgreement(t *testing.T) {
+// TestLeaseFingerprintAgreement is the cross-build determinism contract: the
+// options a worker decodes from a LEASE fingerprint the leased geometry to the
+// key the client computed — whatever execution-only state (a trace scope, a
+// warm seed) the client's options carried, none of it travels.
+func TestLeaseFingerprintAgreement(t *testing.T) {
 	opt := sched.DefaultOptions().Job
 	opt.SCF.Tol = 3.25e-7
 	opt.SCF.Field = geom.Vec3{X: 0.001}
-	opt.DFPT.StrengthReduction = true
+	opt.DFPT.StrengthReduction = false
+	opt.SCF.InitDeltaQ = []float64{0.1, -0.05, -0.05}
 
 	els, pos := testGeometry()
 	f := &fragment.Fragment{ID: 4, Coeff: 1, Els: els, Pos: pos}
-	k1, _ := store.Fingerprint(f, opt)
+	key, _ := store.Fingerprint(f, opt)
 
-	rebuilt := JobWireFrom(opt).Options()
-	k2, _ := store.Fingerprint(f, rebuilt)
-	if k1 != k2 {
-		t.Fatalf("fingerprint changed across the wire: %s vs %s", k1, k2)
-	}
-
-	// And the wire encoding itself roundtrips exactly.
-	w := JobWireFrom(opt)
-	r := reader{b: appendJobWire(nil, w)}
-	got := r.jobWire()
-	if err := r.done("JOBWIRE"); err != nil {
+	// Client → coordinator (JOB), coordinator → worker (LEASE).
+	job, err := decodeJob(Job{Job: 1, NFrags: 1, Opt: opt}.encode())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got != w {
-		t.Fatalf("JobWire roundtrip:\n got %+v\nwant %+v", got, w)
+	lease, err := decodeLease(Lease{Task: 1, Epoch: 1, Key: key, Opt: job.Opt, Els: els, Pos: pos}.encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := store.Fingerprint(&fragment.Fragment{Coeff: 1, Els: lease.Els, Pos: lease.Pos}, lease.Opt)
+	if got != key || got != lease.Key {
+		t.Fatalf("worker fingerprints the lease to %s, client keyed it %s", got, key)
+	}
+	if lease.Opt.SCF.InitDeltaQ != nil {
+		t.Fatal("a warm-start seed crossed the wire")
+	}
+}
+
+// TestWireRejectsInvalidPhysics: a JOB whose options block is well-framed but
+// not a valid physics serialization is a protocol error, not a job.
+func TestWireRejectsInvalidPhysics(t *testing.T) {
+	opt := hessian.DefaultJobOptions()
+	opt.DFPT.Coulomb = 7
+	if _, err := decodeJob(Job{Job: 1, NFrags: 1, Opt: opt}.encode()); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("unknown Coulomb mode: got %v, want ErrProtocol", err)
 	}
 }

@@ -323,7 +323,7 @@ func (s *workerSession) resolve(l Lease) (uint8, []byte, error) {
 	cfg := &s.w.cfg
 	f := &fragment.Fragment{ID: int(l.Task), Coeff: 1, Els: l.Els, Pos: l.Pos}
 	opt := sched.DefaultOptions()
-	opt.Job = l.Opt.Options()
+	opt.Job = l.Opt
 	if cfg.Threads > 0 {
 		opt.WorkersPerLeader = cfg.Threads
 	}

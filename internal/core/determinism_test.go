@@ -45,7 +45,8 @@ func waterFragment() *fragment.Fragment {
 // crash-resume dedup hash). The grid-Coulomb pipeline is used because it
 // exercises every parallel kernel family: batched GEMMs, the Poisson
 // sine transforms and boundary-moment reduction, grid gather/scatter, and
-// the Forces chunk-accumulator combine.
+// the Forces chunk-accumulator combine. The engine's displacement partition
+// runs at the same width as the kernels, so neither width is physics.
 func TestFragmentDataBitIdenticalAcrossKernelWidths(t *testing.T) {
 	opt := hessian.DefaultJobOptions()
 	opt.DFPT.Coulomb = dfpt.GridCoulomb
@@ -57,7 +58,7 @@ func TestFragmentDataBitIdenticalAcrossKernelWidths(t *testing.T) {
 	var refSum [sha256.Size]byte
 	for _, w := range kernelWidths() {
 		par.SetBudget(w)
-		data, err := hessian.ComputeFragment(waterFragment(), opt)
+		data, _, err := hessian.ComputeFragment(waterFragment(), opt, w)
 		if err != nil {
 			t.Fatalf("width %d: %v", w, err)
 		}

@@ -7,9 +7,11 @@
 package hessian
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"qframan/internal/constants"
 	"qframan/internal/dfpt"
@@ -17,6 +19,7 @@ import (
 	"qframan/internal/geom"
 	"qframan/internal/linalg"
 	"qframan/internal/obs"
+	"qframan/internal/par"
 	"qframan/internal/scf"
 )
 
@@ -313,7 +316,8 @@ func BuildFragmentData(natoms int, results []*DisplacementResult, step float64, 
 // converges can still have a divergent or glacial self-consistent response,
 // and more smearing regularizes both. All displacements of a fragment are
 // always computed at one rung, keeping every finite difference on a single
-// consistent free-energy surface.
+// consistent free-energy surface. A non-positive base selects the default
+// electronic temperature — the package's one fallback for an unset smearing.
 func SmearingRungs(base float64) []float64 {
 	if base <= 0 {
 		base = 0.002
@@ -321,55 +325,103 @@ func SmearingRungs(base float64) []float64 {
 	return []float64{base, 2.5 * base, 5 * base, 10 * base, 25 * base}
 }
 
-// ComputeFragment runs the full displacement loop of one fragment serially,
-// escalating the smearing rung when any part of the fragment fails to
-// converge. The parallel runtime (internal/sched) distributes the same jobs
-// across workers instead.
-func ComputeFragment(f *fragment.Fragment, opt JobOptions) (*FragmentData, error) {
+// ComputeFragment is the fragment engine: it builds the fragment's model and
+// walks SmearingRungs until one rung carries the whole displacement loop — a
+// reference solve (SolveReference) that warm-starts 6N displaced solves, split
+// statically over `workers` Displacers (the cost of a displacement does not
+// depend on the displaced atom, §V-A), then the finite differences of
+// BuildFragmentData. A rung whose reference response is marginal is skipped
+// while a higher one remains. When every rung fails the error wraps the first
+// rung's failure: the one at the smearing the caller asked for.
+//
+// The result does not depend on workers; width 1 runs inline on the caller's
+// goroutine. opt.SCF.InitDeltaQ, when set, seeds the reference SCF of every
+// rung. Alongside the data it returns the reference SCF of the rung that
+// succeeded, whose charges and iteration count the trajectory engine keeps.
+//
+// Trace layout under opt.Obs: a "model" span, the reference scf/dfpt spans, and
+// worker w's "disp" spans on lane opt.Obs.Track+1+w.
+func ComputeFragment(f *fragment.Fragment, opt JobOptions, workers int) (*FragmentData, *scf.Result, error) {
+	if workers < 1 {
+		return nil, nil, fmt.Errorf("hessian: fragment %d: need at least one displacement worker", f.ID)
+	}
+	_, mspan := opt.Obs.Begin("model", "engine")
 	m, err := ModelForFragment(f)
+	mspan.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var firstErr error
 	rungs := SmearingRungs(opt.SCF.Smearing)
 	for ri, sigma := range rungs {
 		o := opt
 		o.SCF.Smearing = sigma
-		data, err := computeFragmentOnce(f, m, o, ri == len(rungs)-1)
+		data, ref, err := computeRung(m, o, workers, ri == len(rungs)-1)
 		if err == nil {
-			return data, nil
+			return data, ref, nil
 		}
 		if firstErr == nil {
 			firstErr = err
 		}
 	}
-	return nil, fmt.Errorf("hessian: fragment %d failed at every smearing rung: %w", f.ID, firstErr)
+	return nil, nil, fmt.Errorf("hessian: fragment %d failed at every smearing rung: %w", f.ID, firstErr)
 }
 
-func computeFragmentOnce(f *fragment.Fragment, m *scf.Model, opt JobOptions, lastRung bool) (*FragmentData, error) {
-	refOpt, _, marginal, err := SolveReference(m, opt)
+// computeRung runs one fragment's displacement loop at the options' smearing.
+func computeRung(m *scf.Model, opt JobOptions, workers int, lastRung bool) (*FragmentData, *scf.Result, error) {
+	refOpt, ref, marginal, err := SolveReference(m, opt)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if marginal && !lastRung {
-		return nil, fmt.Errorf("hessian: marginal response at σ=%g; escalating", opt.SCF.Smearing)
+		return nil, nil, fmt.Errorf("hessian: marginal response at σ=%g; escalating", opt.SCF.Smearing)
 	}
 	opt = *refOpt
-	natoms := f.NumAtoms()
-	results := make([]*DisplacementResult, 0, 6*natoms)
-	disp := NewDisplacer(m)
-	for a := 0; a < natoms; a++ {
-		for d := 0; d < 3; d++ {
-			for _, sign := range [2]int{1, -1} {
-				r, err := disp.Run(a, d, sign, opt)
-				if err != nil {
-					return nil, err
-				}
-				results = append(results, r)
-			}
+	natoms := len(m.Els)
+	results := make([]*DisplacementResult, 6*natoms)
+	// Worker w solves displacements w, w+workers, … in one workspace;
+	// displacement k moves coordinate k/2 by +Step (k even) or −Step (k odd).
+	work := func(w int) error {
+		wopt := opt
+		if wopt.Obs.Enabled() {
+			wopt.Obs = wopt.Obs.WithTrack(wopt.Obs.Track + 1 + int32(w))
 		}
+		disp := NewDisplacer(m)
+		for k := w; k < len(results); k += workers {
+			r, err := disp.Run(k/6, k/2%3, 1-2*(k%2), wopt)
+			if err != nil {
+				return err
+			}
+			results[k] = r
+		}
+		return nil
 	}
-	return BuildFragmentData(natoms, results, opt.Step, !opt.SkipAlpha)
+	// Fragment-level and kernel-level parallelism share one token budget:
+	// each displacement worker holds a token while this fragment is in
+	// flight, so with many fragments active the inner kernels run narrow,
+	// and in the straggler tail (few fragments, idle cores) they widen.
+	release := par.Reserve(workers)
+	defer release()
+	if workers == 1 {
+		err = work(0)
+	} else {
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for w := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[w] = work(w)
+			}()
+		}
+		wg.Wait()
+		err = errors.Join(errs...)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	data, err := BuildFragmentData(natoms, results, opt.Step, !opt.SkipAlpha)
+	return data, ref, err
 }
 
 // SolveReference runs the fragment's reference SCF (and DFPT unless
@@ -387,9 +439,6 @@ func computeFragmentOnce(f *fragment.Fragment, m *scf.Model, opt JobOptions, las
 // callers should prefer the next smearing rung when one is available.
 func SolveReference(m *scf.Model, opt JobOptions) (*JobOptions, *scf.Result, bool, error) {
 	o := opt
-	if o.SCF.Smearing <= 0 {
-		o.SCF.Smearing = 0.002
-	}
 	// Reference solves appear as direct scf/dfpt children of the attempt
 	// span (displaced solves sit under a "disp" span instead).
 	o.SCF.Obs = opt.Obs
@@ -466,6 +515,15 @@ func Assemble(dec *fragment.Decomposition, massesAMU []float64, frags []*Fragmen
 // entry for a fragment *not* in failed is still an error: silent data loss
 // must never assemble.
 func AssembleDegraded(dec *fragment.Decomposition, massesAMU []float64, frags []*FragmentData, withAlpha bool, failed []int) (*Global, error) {
+	return assemble(dec, massesAMU, frags, withAlpha, failed, nil)
+}
+
+// assemble is the one assembly body. With inc nil each fragment's signed
+// contribution is scattered straight from its FragmentData; with a trajectory's
+// IncrementalAssembler it is replayed from the assembler's per-fragment record
+// (rebuilt when stale) — the same adds in the same order either way, so the
+// two paths agree to the bit.
+func assemble(dec *fragment.Decomposition, massesAMU []float64, frags []*FragmentData, withAlpha bool, failed []int, inc *IncrementalAssembler) (*Global, error) {
 	if len(frags) != len(dec.Fragments) {
 		return nil, fmt.Errorf("hessian: %d fragment data for %d fragments", len(frags), len(dec.Fragments))
 	}
@@ -495,6 +553,14 @@ func AssembleDegraded(dec *fragment.Decomposition, massesAMU []float64, frags []
 	for k := range dDip {
 		dDip[k] = make([]float64, n3)
 	}
+	// next collects the records this assembly touches; it replaces the
+	// assembler's cache once the assembly has succeeded, so entries whose
+	// data left the working set are dropped.
+	var next map[*FragmentData]*fragContrib
+	if inc != nil {
+		inc.Reused, inc.Rebuilt = 0, 0
+		next = make(map[*FragmentData]*fragContrib, len(frags))
+	}
 	for fi := range dec.Fragments {
 		f := &dec.Fragments[fi]
 		data := frags[fi]
@@ -504,6 +570,12 @@ func AssembleDegraded(dec *fragment.Decomposition, massesAMU []float64, frags []
 				continue
 			}
 			return nil, fmt.Errorf("hessian: missing data for fragment %d", fi)
+		}
+		if inc != nil {
+			c := inc.contrib(f, data, withAlpha)
+			next[data] = c
+			c.replay(b, &dAlpha, &dDip)
+			continue
 		}
 		for la, ga := range f.GlobalIdx {
 			if ga < 0 {
@@ -537,6 +609,9 @@ func AssembleDegraded(dec *fragment.Decomposition, massesAMU []float64, frags []
 				}
 			}
 		}
+	}
+	if inc != nil {
+		inc.cache = next
 	}
 
 	// Mass weighting: H_mw = M^{-1/2} H M^{-1/2}, d_mw = M^{-1/2} d.

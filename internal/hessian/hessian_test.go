@@ -57,12 +57,32 @@ func eigenFrequencies(s *Sparse) []float64 {
 	return out
 }
 
-func TestWaterFrequencies(t *testing.T) {
-	f := waterFragment()
-	data, err := ComputeFragment(f, DefaultJobOptions())
+// computeAtWidths runs the fragment engine inline (width 1) and over three
+// displacement workers and requires the two results to agree to the last bit:
+// every test that computes a fragment is also a test that the width of the
+// displacement partition is not physics.
+func computeAtWidths(t *testing.T, f *fragment.Fragment, opt JobOptions) *FragmentData {
+	t.Helper()
+	inline, ref, err := ComputeFragment(f, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(ref.DeltaQ) != f.NumAtoms() {
+		t.Fatalf("reference SCF carries %d charges for %d atoms", len(ref.DeltaQ), f.NumAtoms())
+	}
+	fanned, _, err := ComputeFragment(f, opt, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !inline.BitEqual(fanned) {
+		t.Fatalf("fragment %d: width 3 differs bitwise from width 1", f.ID)
+	}
+	return inline
+}
+
+func TestWaterFrequencies(t *testing.T) {
+	f := waterFragment()
+	data := computeAtWidths(t, f, DefaultJobOptions())
 	dec := &fragment.Decomposition{Fragments: []fragment.Fragment{*f}}
 	g, err := Assemble(dec, waterMassesAMU(), []*FragmentData{data}, true)
 	if err != nil {
@@ -99,10 +119,7 @@ func TestHessianTranslationSumRule(t *testing.T) {
 	// Acoustic sum rule: Σ_J H[3I+d][3J+d'] = 0 (unweighted Cartesian
 	// Hessian rows sum to zero by translation invariance).
 	f := waterFragment()
-	data, err := ComputeFragment(f, DefaultJobOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := computeAtWidths(t, f, DefaultJobOptions())
 	n := f.NumAtoms()
 	for rd := 0; rd < 3*n; rd++ {
 		for d := 0; d < 3; d++ {
@@ -131,10 +148,7 @@ func TestQFExactForSingleDimer(t *testing.T) {
 	opt := DefaultJobOptions()
 	datas := make([]*FragmentData, len(dec.Fragments))
 	for i := range dec.Fragments {
-		datas[i], err = ComputeFragment(&dec.Fragments[i], opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		datas[i] = computeAtWidths(t, &dec.Fragments[i], opt)
 	}
 	g, err := Assemble(dec, sys.Masses(), datas, true)
 	if err != nil {
@@ -152,10 +166,7 @@ func TestQFExactForSingleDimer(t *testing.T) {
 		whole.Els[i] = a.El
 		whole.GlobalIdx = append(whole.GlobalIdx, i)
 	}
-	wholeData, err := ComputeFragment(whole, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wholeData := computeAtWidths(t, whole, opt)
 	decW := &fragment.Decomposition{Fragments: []fragment.Fragment{*whole}}
 	gW, err := Assemble(decW, sys.Masses(), []*FragmentData{wholeData}, true)
 	if err != nil {

@@ -1,12 +1,6 @@
 package hessian
 
-import (
-	"fmt"
-	"sort"
-
-	"qframan/internal/constants"
-	"qframan/internal/fragment"
-)
+import "qframan/internal/fragment"
 
 // IncrementalAssembler is AssembleDegraded with a per-fragment contribution
 // cache for trajectory runs: a fragment whose data, coefficient, and global
@@ -116,100 +110,37 @@ func (c *fragContrib) usable(f *fragment.Fragment, withAlpha bool) bool {
 // Assemble is AssembleDegraded through the contribution cache: identical
 // arguments, identical semantics, bit-identical output.
 func (a *IncrementalAssembler) Assemble(dec *fragment.Decomposition, massesAMU []float64, frags []*FragmentData, withAlpha bool, failed []int) (*Global, error) {
-	if len(frags) != len(dec.Fragments) {
-		return nil, fmt.Errorf("hessian: %d fragment data for %d fragments", len(frags), len(dec.Fragments))
-	}
-	allowMissing := make(map[int]bool, len(failed))
-	for _, fi := range failed {
-		if fi < 0 || fi >= len(dec.Fragments) {
-			return nil, fmt.Errorf("hessian: failed fragment index %d out of range", fi)
-		}
-		allowMissing[fi] = true
-	}
-	var dropped []int
-	natoms := len(massesAMU)
-	n3 := 3 * natoms
-	massesAU := make([]float64, natoms)
-	for i, m := range massesAMU {
-		massesAU[i] = m * constants.AMUToElectronMass
-	}
+	return assemble(dec, massesAMU, frags, withAlpha, failed, a)
+}
 
-	b := NewBuilder(n3)
-	var dAlpha [6][]float64
-	if withAlpha {
-		for c := range dAlpha {
-			dAlpha[c] = make([]float64, n3)
-		}
+// contrib returns the fragment's recorded contribution, rebuilding it when
+// the cache has none that still describes the fragment's assembly role.
+func (a *IncrementalAssembler) contrib(f *fragment.Fragment, data *FragmentData, withAlpha bool) *fragContrib {
+	c := a.cache[data]
+	if c != nil && c.usable(f, withAlpha) {
+		a.Reused++
+	} else {
+		c = buildContrib(f, data, withAlpha)
+		a.Rebuilt++
 	}
-	var dDip [3][]float64
-	for k := range dDip {
-		dDip[k] = make([]float64, n3)
-	}
-	a.Reused, a.Rebuilt = 0, 0
-	next := make(map[*FragmentData]*fragContrib, len(frags))
-	for fi := range dec.Fragments {
-		f := &dec.Fragments[fi]
-		data := frags[fi]
-		if data == nil {
-			if allowMissing[fi] {
-				dropped = append(dropped, fi)
-				continue
-			}
-			return nil, fmt.Errorf("hessian: missing data for fragment %d", fi)
-		}
-		c := a.cache[data]
-		if c != nil && c.usable(f, withAlpha) {
-			a.Reused++
-		} else {
-			c = buildContrib(f, data, withAlpha)
-			a.Rebuilt++
-		}
-		next[data] = c
-		for k := range c.vals {
-			b.Add(int(c.rows[k]), int(c.cols[k]), c.vals[k])
-		}
-		for k, gi := range c.vecIdx {
-			if withAlpha {
-				for comp := 0; comp < 6; comp++ {
-					dAlpha[comp][gi] += c.alpha[comp][k]
-				}
-			}
-			if c.hasDip {
-				for dk := 0; dk < 3; dk++ {
-					dDip[dk][gi] += c.dip[dk][k]
-				}
-			}
-		}
-	}
-	a.cache = next
+	return c
+}
 
-	sqrtM := make([]float64, n3)
-	for at := 0; at < natoms; at++ {
-		s := sqrtAU(massesAU[at])
-		sqrtM[3*at] = s
-		sqrtM[3*at+1] = s
-		sqrtM[3*at+2] = s
+// replay adds the recorded contribution to an assembly in progress.
+func (c *fragContrib) replay(b *Builder, dAlpha *[6][]float64, dDip *[3][]float64) {
+	for k := range c.vals {
+		b.Add(int(c.rows[k]), int(c.cols[k]), c.vals[k])
 	}
-	b.ScaleRowsCols(sqrtM)
-	sort.Ints(dropped)
-	h, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	g := &Global{H: h, Masses: massesAU, Dropped: dropped}
-	if withAlpha {
-		for c := 0; c < 6; c++ {
-			for i := 0; i < n3; i++ {
-				dAlpha[c][i] /= sqrtM[i]
+	for k, gi := range c.vecIdx {
+		if c.withAlpha {
+			for comp := 0; comp < 6; comp++ {
+				dAlpha[comp][gi] += c.alpha[comp][k]
 			}
 		}
-		g.DAlpha = dAlpha
-	}
-	for k := 0; k < 3; k++ {
-		for i := 0; i < n3; i++ {
-			dDip[k][i] /= sqrtM[i]
+		if c.hasDip {
+			for dk := 0; dk < 3; dk++ {
+				dDip[dk][gi] += c.dip[dk][k]
+			}
 		}
 	}
-	g.DDipole = dDip
-	return g, nil
 }

@@ -12,8 +12,6 @@ import (
 	"qframan/internal/fragment"
 	"qframan/internal/hessian"
 	"qframan/internal/obs"
-	"qframan/internal/par"
-	"qframan/internal/scf"
 	"qframan/internal/store"
 )
 
@@ -116,8 +114,24 @@ var ErrCancelled = errors.New("sched: run cancelled")
 // DefaultProcess is the built-in SCF+DFPT fragment engine — what runs when
 // Options.Process is nil. Serving wrappers (admission gates, cancellation
 // probes) delegate to it after their own bookkeeping.
+//
+// It is the adapter between the runtime's options and hessian.ComputeFragment:
+// a trajectory warm seed (Options.WarmStart — the previous frame's converged
+// charges for this fragment identity) starts the reference SCF closer to its
+// fixed point, a wrong-length seed is ignored rather than failing the
+// fragment, and the converged reference is reported to Options.OnReference.
 func DefaultProcess(f *fragment.Fragment, opt Options) (*hessian.FragmentData, error) {
-	return leaderProcessFragment(f, opt)
+	job := opt.Job
+	if opt.WarmStart != nil {
+		if seed := opt.WarmStart(f); len(seed) == f.NumAtoms() {
+			job.SCF.InitDeltaQ = seed
+		}
+	}
+	data, ref, err := hessian.ComputeFragment(f, job, opt.WorkersPerLeader)
+	if err == nil && opt.OnReference != nil {
+		opt.OnReference(f, ref.DeltaQ, ref.Iterations)
+	}
+	return data, err
 }
 
 // CacheOptions configures the runtime's use of a checkpoint store.
@@ -268,7 +282,7 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 	packer := NewPacker(repSizes, opt.Packer)
 	process := opt.Process
 	if process == nil {
-		process = leaderProcessFragment
+		process = DefaultProcess
 	}
 
 	// Observability: the run span roots the trace; dispatch-side metric
@@ -666,7 +680,7 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 			defer wg.Done()
 			stats := &report.Leaders[leaderID]
 			// Trace lanes: leader l owns track 1+l*(W+1); its W workers take
-			// the following W tracks (see runFragmentWorkers). Track 0 holds
+			// the following W tracks (see hessian.ComputeFragment). Track 0 holds
 			// the run and fragment spans.
 			leaderTrack := int32(1 + leaderID*(opt.WorkersPerLeader+1))
 			var pending *Task
@@ -806,109 +820,4 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 		}
 	}
 	return results, report, nil
-}
-
-// leaderProcessFragment runs one fragment: the leader builds the model,
-// generates all atomic displacements, and fans them out to its workers
-// (static partition — the computational strength of a fragment does not
-// change with the displaced atom, §V-A).
-func leaderProcessFragment(f *fragment.Fragment, opt Options) (*hessian.FragmentData, error) {
-	_, mspan := opt.Job.Obs.Begin("model", "engine")
-	m, err := hessian.ModelForFragment(f)
-	mspan.End()
-	if err != nil {
-		return nil, err
-	}
-	// One reference SCF+DFPT solve warm-starts all of this fragment's
-	// workers; if anything fails to converge the whole fragment escalates
-	// to the next smearing rung (all displacements must share one
-	// free-energy surface). A trajectory warm seed (previous frame's
-	// converged charges for this fragment identity) starts the reference
-	// SCF closer to its fixed point; wrong-length seeds are ignored rather
-	// than failing the fragment.
-	var seed []float64
-	if opt.WarmStart != nil {
-		if s := opt.WarmStart(f); len(s) == f.NumAtoms() {
-			seed = s
-		}
-	}
-	var refErr error
-	rungs := hessian.SmearingRungs(opt.Job.SCF.Smearing)
-	for ri, sigma := range rungs {
-		o := opt.Job
-		o.SCF.Smearing = sigma
-		if seed != nil {
-			o.SCF.InitDeltaQ = seed
-		}
-		refOpt, ref, marginal, err := hessian.SolveReference(m, o)
-		if err != nil {
-			refErr = err
-			continue
-		}
-		if marginal && ri != len(rungs)-1 {
-			refErr = fmt.Errorf("sched: marginal response at σ=%g", sigma)
-			continue
-		}
-		data, err := runFragmentWorkers(f, m, opt, *refOpt)
-		if err == nil {
-			if opt.OnReference != nil {
-				opt.OnReference(f, ref.DeltaQ, ref.Iterations)
-			}
-			return data, nil
-		}
-		refErr = err
-	}
-	return nil, fmt.Errorf("sched: fragment %d failed at every smearing rung: %w", f.ID, refErr)
-}
-
-// runFragmentWorkers fans the displacement jobs out to the leader's workers.
-func runFragmentWorkers(f *fragment.Fragment, m *scf.Model, opt Options, jobOpt hessian.JobOptions) (*hessian.FragmentData, error) {
-	opt.Job = jobOpt
-	natoms := f.NumAtoms()
-	type dispJob struct{ atom, axis, sign int }
-	jobs := make([]dispJob, 0, 6*natoms)
-	for a := 0; a < natoms; a++ {
-		for d := 0; d < 3; d++ {
-			jobs = append(jobs, dispJob{a, d, +1}, dispJob{a, d, -1})
-		}
-	}
-	results := make([]*hessian.DisplacementResult, len(jobs))
-	// Fragment-level and kernel-level parallelism share one token budget:
-	// each displacement worker holds a token while this fragment is in
-	// flight, so with many fragments active the inner kernels run narrow,
-	// and in the straggler tail (few fragments, idle cores) they widen —
-	// the adaptive split of ISSUE 5 without any explicit mode switch.
-	release := par.Reserve(opt.WorkersPerLeader)
-	defer release()
-	errs := make([]error, opt.WorkersPerLeader)
-	var wg sync.WaitGroup
-	for w := 0; w < opt.WorkersPerLeader; w++ {
-		wg.Add(1)
-		go func(workerID int) {
-			defer wg.Done()
-			// Each worker records on its own trace lane, offset from the
-			// leader's track (see the lane layout in Run).
-			wopt := opt.Job
-			if wopt.Obs.Enabled() {
-				wopt.Obs = wopt.Obs.WithTrack(wopt.Obs.Track + 1 + int32(workerID))
-			}
-			// Static partition of displacements across workers, each solving
-			// its share in one workspace.
-			disp := hessian.NewDisplacer(m)
-			for k := workerID; k < len(jobs); k += opt.WorkersPerLeader {
-				j := jobs[k]
-				r, err := disp.Run(j.atom, j.axis, j.sign, wopt)
-				if err != nil {
-					errs[workerID] = err
-					return
-				}
-				results[k] = r
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return hessian.BuildFragmentData(natoms, results, opt.Job.Step, !opt.Job.SkipAlpha)
 }

@@ -10,11 +10,6 @@ import (
 	"qframan/internal/structure"
 )
 
-// serialFragment runs the displacement loop without the runtime.
-func serialFragment(f *fragment.Fragment, opt Options) (*hessian.FragmentData, error) {
-	return hessian.ComputeFragment(f, opt.Job)
-}
-
 func TestPackerCoversAllFragmentsOnce(t *testing.T) {
 	sizes := []int{9, 35, 12, 6, 6, 68, 22, 6, 14, 30, 6, 6, 9, 41}
 	for _, pol := range []Policy{SizeSensitive, FIFO, StaticBlock} {
@@ -131,8 +126,9 @@ func TestRunWaterDimers(t *testing.T) {
 }
 
 func TestRunMatchesSerial(t *testing.T) {
-	// The parallel runtime must produce the same numbers as the serial
-	// displacement loop.
+	// The runtime schedules the engine, it does not change it: fragments run
+	// by leaders with three displacement workers each carry the bits of the
+	// engine run inline at width 1.
 	sys := structure.BuildWaterDimerSystem(1)
 	dec, err := fragment.Decompose(sys, fragment.DefaultOptions())
 	if err != nil {
@@ -146,12 +142,12 @@ func TestRunMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range dec.Fragments {
-		serial, err := serialFragment(&dec.Fragments[i], opt)
+		serial, _, err := hessian.ComputeFragment(&dec.Fragments[i], opt.Job, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := parallel[i].Hess.MaxAbsDiff(serial.Hess); d > 1e-12 {
-			t.Fatalf("fragment %d: parallel Hessian differs from serial by %g", i, d)
+		if !parallel[i].BitEqual(serial) {
+			t.Fatalf("fragment %d: sched.Run at width 3 differs from the engine at width 1", i)
 		}
 	}
 }

@@ -52,13 +52,11 @@ const fingerprintVersion = "qfkey/v1/codec1\n"
 // Fingerprint computes the content-addressed key and canonical frame of a
 // fragment under the given job options. The fingerprint covers the physics
 // inputs only: species, canonicalized quantized coordinates (caps
-// included), and every solver setting that can change a converged result.
-// It deliberately excludes the fragment's identity (ID, Kind, Coeff,
-// GlobalIdx — assembly bookkeeping applied outside the stored data), the
-// warm-start fields (InitDeltaQ, Chord, InitP1 — starting points and the
-// charge loop's step matrix, which do not move a converged answer), and the Obs
-// observability scopes (pure instrumentation: a traced run must share keys
-// with an untraced one).
+// included), and every solver setting that can change a converged result —
+// the options' AppendPhysics serialization, which leaves out the warm-start
+// fields and the observability scopes. It deliberately excludes the
+// fragment's identity (ID, Kind, Coeff, GlobalIdx — assembly bookkeeping
+// applied outside the stored data).
 //
 // A non-zero external SCF field breaks rotational isotropy, so the frame
 // then canonicalizes translation only: field runs never dedupe rotated
@@ -165,46 +163,21 @@ func fingerprintAlloc(f *fragment.Fragment, opt hessian.JobOptions) (Key, Frame)
 // quantize snaps a coordinate to the fingerprint grid.
 func quantize(x float64) int64 { return int64(math.Round(x / coordQuantum)) }
 
-// appendJobFingerprint serializes every physics-relevant JobOptions field
-// with exact float bit patterns into the caller's buffer. Field order is
-// part of the format; extending JobOptions with a new physics knob must
-// append it here and bump fingerprintVersion.
-//
-// Two constants fence records by the numerics that computed them. Every job
-// carries hessian.EngineVersion — pure-Hessian (SkipAlpha) runs included, the
-// SCF is theirs too — so a change anywhere in the fragment engine's arithmetic
-// bumps it and moves every key: no record of the previous engine is ever
-// served to the new one. Grid-mode jobs end with the Poisson solver's tag as
-// well: a change of that solver's numerics alone changes grid-mode keys and
-// only those (γ-mode jobs never enter internal/poisson).
+// appendJobFingerprint closes the fingerprint with the job: the options' own
+// physics serialization (hessian.JobOptions.AppendPhysics — what counts as
+// physics is decided there, once, for the key and the cluster wire alike)
+// followed by two constants that fence records by the numerics that computed
+// them. Every job carries hessian.EngineVersion — pure-Hessian (SkipAlpha)
+// runs included, the SCF is theirs too — so a change anywhere in the fragment
+// engine's arithmetic bumps it and moves every key: no record of the previous
+// engine is ever served to the new one. Grid-mode jobs end with the Poisson
+// solver's tag as well: a change of that solver's numerics alone changes
+// grid-mode keys and only those (γ-mode jobs never enter internal/poisson).
 func appendJobFingerprint(b []byte, opt hessian.JobOptions) []byte {
-	b = appendU64(b, math.Float64bits(opt.Step))
-	b = appendBool(b, opt.SkipAlpha)
-	b = appendU64(b, uint64(opt.SCF.MaxIter))
-	b = appendU64(b, math.Float64bits(opt.SCF.Tol))
-	b = appendU64(b, math.Float64bits(opt.SCF.Mixing))
-	b = appendU64(b, math.Float64bits(opt.SCF.Smearing))
-	b = appendU64(b, math.Float64bits(opt.SCF.Field.X))
-	b = appendU64(b, math.Float64bits(opt.SCF.Field.Y))
-	b = appendU64(b, math.Float64bits(opt.SCF.Field.Z))
-	b = appendU64(b, uint64(opt.DFPT.MaxIter))
-	b = appendU64(b, math.Float64bits(opt.DFPT.Tol))
-	b = appendU64(b, math.Float64bits(opt.DFPT.Mixing))
-	b = appendU64(b, uint64(opt.DFPT.Coulomb))
-	b = appendU64(b, math.Float64bits(opt.DFPT.GridSpacing))
-	b = appendU64(b, math.Float64bits(opt.DFPT.GridMargin))
-	b = appendU64(b, uint64(opt.DFPT.BatchSide))
-	b = appendBool(b, opt.DFPT.StrengthReduction)
+	b = opt.AppendPhysics(b)
 	b = append(b, hessian.EngineVersion...)
 	if opt.DFPT.Coulomb == dfpt.GridCoulomb {
 		b = append(b, poisson.SolverTag...)
 	}
 	return b
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
 }

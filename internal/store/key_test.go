@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -253,6 +254,38 @@ func TestKeyEngineVersionTouchesEveryKey(t *testing.T) {
 		for _, before := range tc.keysBefore {
 			if k.String() == before {
 				t.Errorf("%s: key still equals the key of an earlier engine's records", tc.name)
+			}
+		}
+	}
+}
+
+// TestKeySurvivesPhysicsRoundTrip: the options a peer rebuilds from the
+// physics bytes (hessian.ParsePhysics — what a cluster worker does with a
+// LEASE) key every fragment exactly as the options they were written from,
+// whatever execution-only state those carried.
+func TestKeySurvivesPhysicsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < 50; i++ {
+		opt := hessian.DefaultJobOptions()
+		opt.Step *= 1 + rng.Float64()
+		opt.SkipAlpha = rng.Intn(2) == 1
+		opt.SCF.MaxIter = 1 + rng.Intn(1000)
+		opt.SCF.Smearing *= 1 + rng.Float64()
+		if rng.Intn(2) == 1 {
+			opt.SCF.Field = geom.Vec3{X: rng.NormFloat64() * 1e-3}
+		}
+		opt.DFPT.Coulomb = dfpt.CoulombMode(rng.Intn(2))
+		opt.DFPT.Tol *= 1 + rng.Float64()
+		opt.SCF.InitDeltaQ = []float64{rng.Float64(), 0, 0}
+		back, err := hessian.ParsePhysics(opt.AppendPhysics(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []*fragment.Fragment{waterFragment(), chiralFragment()} {
+			k1, fr1 := Fingerprint(f, opt)
+			k2, fr2 := Fingerprint(f, back)
+			if k1 != k2 || !reflect.DeepEqual(fr1, fr2) {
+				t.Fatalf("draw %d: key %s became %s across the physics round trip", i, k1, k2)
 			}
 		}
 	}

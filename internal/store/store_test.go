@@ -313,11 +313,11 @@ func TestStoreServesRotatedFragment(t *testing.T) {
 		t.Fatal("rigid copies do not share a key")
 	}
 
-	da, err := hessian.ComputeFragment(fa, opt)
+	da, _, err := hessian.ComputeFragment(fa, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := hessian.ComputeFragment(fb, opt)
+	db, _, err := hessian.ComputeFragment(fb, opt, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
