@@ -6,26 +6,36 @@ import (
 	"qframan/internal/par"
 )
 
+// BenchmarkPolarizabilityGamma times one γ-mode polarizability — the direct
+// charge-space solve, three cycles — in a reused Workspace at width 1, on the
+// fragment sizes of the γ-mode workloads (6, 12 and 25 basis functions).
 func BenchmarkPolarizabilityGamma(b *testing.B) {
-	m, res := benchModel(b)
-	cycles := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := Polarizability(m, res, DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
+	defer par.SetBudget(0)
+	par.SetBudget(1)
+	for _, fx := range gammaFixtures(b) {
+		if fx.name != "water" && fx.name != "water dimer" && fx.name != "glycine" {
+			continue
 		}
-		cycles += resp.Cycles
+		b.Run(fx.name, func(b *testing.B) {
+			var w Workspace
+			cycles := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				resp, err := w.Polarizability(fx.m, fx.ground, DefaultOptions())
+				if err != nil {
+					b.Fatal(err)
+				}
+				cycles += resp.Cycles
+			}
+			b.ReportMetric(float64(cycles)/float64(b.N), "cycles/op")
+		})
 	}
-	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/op")
 }
 
 func BenchmarkPolarizabilityGridCycle(b *testing.B) {
-	m, res := benchModel(b)
-	opt := DefaultOptions()
-	opt.Coulomb = GridCoulomb
-	opt.GridSpacing = 0.8
-	opt.GridMargin = 4.0
+	m, res := waterModel(b)
+	opt := coarseGridOptions()
 	opt.Tol = 1e12 // single cycle: the paper's "DFPT time per cycle"
 	opt.MaxIter = 2
 	cycles := 0
@@ -38,27 +48,4 @@ func BenchmarkPolarizabilityGridCycle(b *testing.B) {
 		cycles += resp.Cycles
 	}
 	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/op")
-}
-
-// BenchmarkGammaCycle times one steady-state γ-mode cycle — response
-// Hamiltonian from the current P⁽¹⁾, P⁽¹⁾ build, Pulay step — on the environment
-// of a converged ground state, at width 1, for the fragment sizes of the
-// γ-mode workloads (6, 12 and 25 basis functions).
-func BenchmarkGammaCycle(b *testing.B) {
-	defer par.SetBudget(0)
-	par.SetBudget(1)
-	for _, fx := range gammaCycleFixtures(b) {
-		b.Run(fx.name, func(b *testing.B) {
-			env := newCycleEnv(fx.m, fx.ground, nil)
-			env.mixer.Reset(0.3)
-			for i := 0; i < 20; i++ { // settle p1 near its fixed point
-				env.gammaCycle(fx.m.Dip[0])
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				env.gammaCycle(fx.m.Dip[0])
-			}
-		})
-	}
 }

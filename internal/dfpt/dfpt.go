@@ -12,7 +12,9 @@
 //   - GammaCoulomb: the charge-fluctuation response is evaluated through the
 //     same Klopman–Ohno γ kernel as the ground state. This mode is exactly
 //     the derivative of the variational SCF energy and is validated against
-//     finite-field calculations to machine-ish precision.
+//     finite-field calculations to machine-ish precision. Its self-consistency
+//     is affine in the N atomic response charges, so it is solved directly
+//     (one N×N system per field direction) and each direction runs one cycle.
 //   - GridCoulomb: the paper's real-space pipeline — batched basis
 //     evaluation, many small GEMMs, direct sine-transform Poisson solve. It
 //     exercises the exact computational pattern the paper optimizes
@@ -32,9 +34,12 @@ import (
 )
 
 // ErrNotConverged reports that a response cycle used up its iterations, and
-// ErrDiverged that the response grew without bound or turned NaN. Both are
-// deterministic outcomes of the fragment and its options: the mixing ladder
-// retries them with more damping, the runtime (faults.Classify) never does.
+// ErrDiverged that the response grew without bound or turned NaN — in γ mode,
+// that the direct solve met no virtual orbitals, a zero pivot or a non-finite
+// charge or P⁽¹⁾. Both are deterministic outcomes of the fragment and its
+// options: the grid mode's mixing ladder retries them with more damping, the
+// smearing ladder (hessian.ComputeFragment) escalates on them, and the runtime
+// (faults.Classify) never retries them.
 var (
 	ErrNotConverged = errors.New("dfpt: cycle not converged")
 	ErrDiverged     = errors.New("dfpt: response diverged")
@@ -50,14 +55,17 @@ const (
 	GridCoulomb
 )
 
-// Options configures the DFPT cycle.
+// Options configures the DFPT cycle. MaxIter, Tol, Mixing and InitP1 steer
+// the iterative response loop of GridCoulomb; GammaCoulomb solves its
+// response directly and reads none of them (they are still validated, and
+// still part of the store fingerprint).
 type Options struct {
-	MaxIter int
-	Tol     float64 // convergence on max |ΔP⁽¹⁾|, a cycle's output minus its input
-	// Mixing in (0,1] is the damping β of the Pulay step on P⁽¹⁾: the next
-	// input is Σ cᵢ (P⁽¹⁾ᵢ + β·rᵢ) over the mixer's history (scf.Pulay). The
-	// response map is affine, so β does not set the rate of convergence as it
-	// did for linear mixing; it is what the robustness ladder lowers (×0.5,
+	MaxIter int     // grid mode: cycles per rung of the mixing ladder
+	Tol     float64 // grid mode: convergence on max |ΔP⁽¹⁾|, a cycle's output minus its input
+	// Mixing in (0,1] is the damping β of grid mode's Pulay step on P⁽¹⁾: the
+	// next input is Σ cᵢ (P⁽¹⁾ᵢ + β·rᵢ) over the mixer's history (scf.Pulay).
+	// The response map is affine, so β does not set the rate of convergence as
+	// it did for linear mixing; it is what the robustness ladder lowers (×0.5,
 	// 0.25, 0.1) when a response oscillates or overshoots.
 	Mixing float64
 
@@ -72,8 +80,8 @@ type Options struct {
 	// (Fig. 6): identical results with fewer GEMM invocations.
 	StrengthReduction bool
 
-	// InitP1 warm-starts the response density matrices per field direction
-	// (e.g. with the converged response of the undisplaced reference
+	// InitP1 warm-starts grid mode's response density matrices per field
+	// direction (e.g. with the converged response of the undisplaced reference
 	// geometry in the displacement loop). The matrices are copied, never
 	// written, so one set may be shared across concurrent workers.
 	InitP1 [3]*linalg.Matrix
@@ -123,12 +131,14 @@ type Response struct {
 	P1 [3]*linalg.Matrix
 	// Cycles is the number of DFPT cycles the solve ran, summed over the
 	// directions and over every rung of the robustness ladder, failed rungs
-	// included: the cost, not the length of the last successful attempt.
+	// included: the cost, not the length of the last successful attempt. The
+	// direct γ-mode solve runs one per direction: 3.
 	Cycles int
 	// MixingUsed is the smallest Pulay damping any direction needed to
-	// converge (the robustness ladder may have reduced it below
-	// Options.Mixing); callers running many related responses (the
-	// displacement loop) start from it to skip rungs already proved doomed.
+	// converge (grid mode's robustness ladder may have reduced it below
+	// Options.Mixing; γ mode reports Options.Mixing); callers running many
+	// related grid responses (the displacement loop) start from it to skip
+	// rungs already proved doomed.
 	MixingUsed float64
 	// Metrics holds the per-phase accounting.
 	Metrics PhaseMetrics
@@ -193,32 +203,18 @@ func (w *Workspace) polarizability(m *scf.Model, ground *scf.Result, opt Options
 		}
 	}
 	for dir := 0; dir < 3; dir++ {
-		dirSc, dirSpan := sc.Begin("dfpt.dir", "dfpt", obs.A("dir", int64(dir)))
-		// Robustness ladder: small-gap fragments can oscillate in the
-		// response loop; halving the damping is the standard remedy.
+		// Both arguments go on at End, whose argument list does not escape:
+		// an untraced γ-mode solve allocates nothing.
+		dirSc, dirSpan := sc.Begin("dfpt.dir", "dfpt")
 		p1 := w.p1[dir]
 		var cycles int
 		var err error
-		for rung, scale := range [...]float64{1, 0.5, 0.25, 0.1} {
-			o := opt
-			o.Mixing = opt.Mixing * scale
-			o.MaxIter = int(float64(opt.MaxIter) / scale)
-			if o.MaxIter > 3*opt.MaxIter {
-				o.MaxIter = 3 * opt.MaxIter
-			}
-			o.Obs = dirSc
-			if rung > 0 && opt.Obs.Hot != nil {
-				opt.Obs.Hot.DFPTMixingFallbacks.Inc()
-			}
-			var n int
-			n, err = env.respond(dir, o, &resp.Metrics, p1)
-			cycles += n
-			if err == nil {
-				resp.MixingUsed = math.Min(resp.MixingUsed, o.Mixing)
-				break
-			}
+		if gridEnv == nil {
+			cycles, err = 1, env.solveGamma(dir, dirSc, &resp.Metrics, p1)
+		} else {
+			cycles, err = env.ladder(dir, opt, dirSc, resp, p1)
 		}
-		dirSpan.End(obs.A("cycles", int64(cycles)))
+		dirSpan.End(obs.A("dir", int64(dir)), obs.A("cycles", int64(cycles)))
 		if err != nil {
 			return nil, fmt.Errorf("dfpt: direction %d: %w", dir, err)
 		}
@@ -233,16 +229,16 @@ func (w *Workspace) polarizability(m *scf.Model, ground *scf.Result, opt Options
 }
 
 // cycleEnv holds what every DFPT cycle of one (model, ground state) shares —
-// seated once per polarizability and used by its three field directions and
-// their mixing ladder, the sibling of gridEnv (which keeps phases 2–4 of grid
-// mode). Everything that is a function of the ground state alone is resolved
-// by seat: the gapped/fractional decision, the orbital blocks and pair weights
-// of phase 1, ½S and the atom-of-function table of the γ kernel, the four
-// bound GEMMs, the Pulay mixer's history (12·n² floats) and every workspace; a
-// steady-state γ cycle allocates nothing, and neither does re-seating on
-// another ground state of the same basis size.
+// seated once per polarizability and used by its three field directions (and,
+// in grid mode, their mixing ladder), the sibling of gridEnv (which keeps
+// phases 2–4 of grid mode). Everything that is a function of the ground state
+// alone is resolved by seat: the gapped/fractional decision, the orbital
+// blocks and pair weights of phase 1, ½S and the atom-of-function table of the
+// γ kernel, the bound GEMMs, grid mode's Pulay mixer (12·n² floats) and every
+// workspace; a γ-mode Polarizability allocates nothing, and neither does
+// re-seating on another ground state of the same basis size.
 // Environment buffers are never shared across goroutines and never alias a
-// Result or a Response: respond copies p1 out.
+// Result or a Response: solveGamma and respond copy P⁽¹⁾ out.
 type cycleEnv struct {
 	m    *scf.Model
 	grid *gridEnv // nil in γ mode
@@ -271,9 +267,25 @@ type cycleEnv struct {
 	atomOf  []int
 	dq1, v1 []float64
 
+	// γ mode's direct solve (solveGamma). The response Hamiltonian enters
+	// phase 1 as Lᵀ·H⁽¹⁾·R = Lᵀ·D·R + Σ_B v_B·K_B with the pair-space vectors
+	// K_A[a,i] = Σ_{μ∈A} (L_μa·(½S·R)_μi + (½S·L)_μa·R_μi), so the response
+	// charges of a potential v are χ·v with χ_AB = c·Σ_ai W_ai·K_A[ai]·K_B[ai]
+	// (c = 2 gapped, 1 fractional: the two forms of sym) and the
+	// self-consistent charges solve (I − χ·Γ)·Δq⁽¹⁾ = c·K·(W∘(Lᵀ·D·R)).
+	// Built once per ground state (chargeSystem, inside the first direction's
+	// n⁽¹⁾ phase); sGemms are bound with p1Gemms.
+	sr, sl    *linalg.Matrix    // ½S·R, ½S·L
+	sGemms    [2]*linalg.GemmOp //
+	k         []float64         // N rows of nl·nr pair-space vectors K_A
+	wk        []float64         // W∘K_A, one row at a time
+	chi       *linalg.Matrix    // N×N atom-charge susceptibility χ
+	sys, fac  *linalg.Matrix    // I − χ·Γ, and the copy a direction's solve destroys
+	chargeMul float64           // c
+
 	h1, p1  *linalg.Matrix
-	mixer   *scf.Pulay        // on p1; reset per solve
-	samples []obs.CycleSample // respond's span batch, reused across solves
+	mixer   *scf.Pulay        // grid mode: on p1; reset per solve
+	samples []obs.CycleSample // the span batch of a direction, reused across solves
 }
 
 // reshape makes m a rows×cols view of its own storage (allocated n×n).
@@ -285,13 +297,14 @@ func reshape(m *linalg.Matrix, rows, cols int) {
 // the basis size differs from the one it holds buffers for.
 func (e *cycleEnv) seat(m *scf.Model, ground *scf.Result, grid *gridEnv) {
 	n := m.Basis.Size()
+	sq := func() *linalg.Matrix { return linalg.NewMatrix(n, n) }
 	if e.n != n || e.newP1 == nil {
-		sq := func() *linalg.Matrix { return linalg.NewMatrix(n, n) }
 		*e = cycleEnv{
-			n: n, newP1: sq(), h1: sq(), p1: sq(),
+			n: n, newP1: sq(), h1: sq(),
 			cVirt: sq(), cOcc: sq(), w: sq(), tmp: sq(), u: sq(), lu: sq(),
-			idx:   make([]int, n),
-			mixer: scf.NewPulay(n*n, 0), samples: e.samples,
+			halfS: sq(), sr: sq(), sl: sq(),
+			idx: make([]int, n), atomOf: make([]int, n),
+			samples: e.samples,
 		}
 	}
 	e.m, e.grid = m, grid
@@ -371,19 +384,35 @@ func (e *cycleEnv) seat(m *scf.Model, ground *scf.Result, grid *gridEnv) {
 		}
 		e.p1FLOPs = linalg.GemmFLOPs(nl, n, n) + linalg.GemmFLOPs(nl, n, nr) +
 			linalg.GemmFLOPs(n, nl, nr) + linalg.GemmFLOPs(n, nr, n)
+		reshape(e.sr, n, nr)
+		reshape(e.sl, n, nl)
+		e.sGemms = [2]*linalg.GemmOp{
+			linalg.BindGemm(false, false, 1, e.halfS, e.right, 0, e.sr),
+			linalg.BindGemm(false, false, 1, e.halfS, e.left, 0, e.sl),
+		}
 	}
-	if grid == nil {
-		na := m.NumAtoms()
-		if e.halfS == nil || len(e.dq1) != na {
-			e.halfS = linalg.NewMatrix(n, n)
-			e.atomOf = make([]int, n)
-			e.dq1, e.v1 = make([]float64, na), make([]float64, na)
+	if grid != nil {
+		if e.mixer == nil {
+			e.p1, e.mixer = sq(), scf.NewPulay(n*n, 0)
 		}
-		e.halfS.CopyFrom(m.S)
-		e.halfS.Scale(0.5)
-		for i := range e.atomOf {
-			e.atomOf[i] = m.Basis.Funcs[i].Atom
-		}
+		return
+	}
+	na := m.NumAtoms()
+	if len(e.dq1) != na {
+		e.dq1, e.v1 = make([]float64, na), make([]float64, na)
+		e.chi, e.sys, e.fac = linalg.NewMatrix(na, na), linalg.NewMatrix(na, na), linalg.NewMatrix(na, na)
+	}
+	e.halfS.CopyFrom(m.S)
+	e.halfS.Scale(0.5)
+	for i := range e.atomOf {
+		e.atomOf[i] = m.Basis.Funcs[i].Atom
+	}
+	if pairs := nl * nr; cap(e.wk) < pairs || cap(e.k) < na*pairs {
+		e.k, e.wk = make([]float64, na*pairs), make([]float64, pairs)
+	}
+	e.chargeMul = 1
+	if e.gapped {
+		e.chargeMul = 2
 	}
 }
 
@@ -399,10 +428,160 @@ func gatherColumns(dst, c *linalg.Matrix, cols []int) {
 	}
 }
 
-// respond runs the self-consistent DFPT cycle for one field direction — in
-// either Coulomb mode: response Hamiltonian of the current P⁽¹⁾, P⁽¹⁾ build,
-// Pulay step — copies the converged response density matrix into dst and
-// returns the number of cycles run.
+// solveGamma computes γ mode's self-consistent response to a unit field along
+// dir and copies P⁽¹⁾ into dst, as one DFPT cycle whose four phases are
+// n⁽¹⁾ = the charges of the bare field (Lᵀ·D·R by the first two phase-1
+// GEMMs) and the solve (I − χ·Γ)·Δq⁽¹⁾ = q₀, v⁽¹⁾ = Γ·Δq⁽¹⁾, H⁽¹⁾ = D +
+// ½S∘(V⁽¹⁾_A + V⁽¹⁾_B) and P⁽¹⁾ = one responseDensity — whose charges are the
+// Δq⁽¹⁾ it was built from to rounding, so it is the fixed point of the
+// iterative cycle, not an approximation of it within a tolerance. The first
+// direction also builds the ground state's system (chargeSystem) inside its
+// n⁽¹⁾ phase. No virtual orbitals, a zero pivot and a non-finite charge or
+// P⁽¹⁾ are ErrDiverged.
+func (e *cycleEnv) solveGamma(dir int, sc obs.Scope, met *PhaseMetrics, dst *linalg.Matrix) error {
+	nl, nr := e.left.Cols, e.right.Cols
+	if nl == 0 {
+		return fmt.Errorf("%w: no virtual orbitals (basis %d, occupied %d)", ErrDiverged, e.n, nr)
+	}
+	base := time.Now()
+	if dir == 0 {
+		e.chargeSystem()
+	}
+	e.h1.CopyFrom(e.m.Dip[dir]) // +D^dir per unit field (electron charge −1)
+	e.p1Gemms[0].Run()          // tmp = Lᵀ·D
+	e.p1Gemms[1].Run()          // u = tmp·R
+	pairs := nl * nr
+	for i, w := range e.w.Data {
+		e.u.Data[i] *= w
+	}
+	for a := range e.dq1 {
+		e.dq1[a] = e.chargeMul * linalg.Dot(e.k[a*pairs:(a+1)*pairs], e.u.Data)
+	}
+	e.fac.CopyFrom(e.sys)
+	if err := linalg.SolveLinearInPlace(e.fac, e.dq1); err != nil {
+		return fmt.Errorf("%w: zero pivot in the charge response system", ErrDiverged)
+	}
+	for a, q := range e.dq1 {
+		if math.IsNaN(q) || math.IsInf(q, 0) {
+			return fmt.Errorf("%w: non-finite response charge on atom %d", ErrDiverged, a)
+		}
+	}
+	tN1 := time.Since(base)
+	e.gammaResponsePotential()
+	tV1 := time.Since(base)
+	e.addGammaResponseH1() // h1 still holds D
+	tH1 := time.Since(base)
+	e.responseDensity()
+	tP1 := time.Since(base)
+	for _, v := range e.newP1.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: non-finite P1", ErrDiverged)
+		}
+	}
+	dst.CopyFrom(e.newP1)
+
+	// The GEMMs are bound ops that count nothing: the two of q₀ and the four
+	// of responseDensity, plus the ground state's two with the first direction.
+	ops := e.m.Ops
+	if ops == nil {
+		ops = &linalg.DefaultOps
+	}
+	n := e.n
+	gemms, flops := int64(6), e.p1FLOPs+linalg.GemmFLOPs(nl, n, n)+linalg.GemmFLOPs(nl, n, nr)
+	if dir == 0 {
+		gemms, flops = gemms+2, flops+linalg.GemmFLOPs(n, n, nr)+linalg.GemmFLOPs(n, n, nl)
+	}
+	ops.GEMMCalls.Add(gemms)
+	ops.FLOPs.Add(flops)
+
+	durs := [obs.NumPhases]time.Duration{
+		obs.PhaseN1: tN1, obs.PhaseV1: tV1 - tN1, obs.PhaseH1: tH1 - tV1, obs.PhaseP1: tP1 - tH1,
+	}
+	met.TimeN1 += durs[obs.PhaseN1]
+	met.TimeV1 += durs[obs.PhaseV1]
+	met.TimeH1 += durs[obs.PhaseH1]
+	met.TimeP1 += durs[obs.PhaseP1]
+	if sc.Enabled() {
+		e.samples = append(e.samples[:0], obs.CycleSample{Iter: 1, Durs: durs, Total: tP1})
+		sc.RecordDFPTCycles(base, e.samples)
+	}
+	return nil
+}
+
+// chargeSystem builds the ground state's pair-space vectors K_A, the
+// susceptibility χ and the system matrix I − χ·Γ (see cycleEnv).
+func (e *cycleEnv) chargeSystem() {
+	e.sGemms[0].Run() // sr = ½S·R
+	e.sGemms[1].Run() // sl = ½S·L
+	nl, nr := e.left.Cols, e.right.Cols
+	pairs, na := nl*nr, len(e.dq1)
+	k, wk := e.k[:na*pairs], e.wk[:pairs]
+	clear(k)
+	for mu, a := range e.atomOf {
+		ka := k[a*pairs : (a+1)*pairs]
+		lrow, slrow := e.left.Row(mu), e.sl.Row(mu)
+		rrow, srrow := e.right.Row(mu), e.sr.Row(mu)
+		for p := 0; p < nl; p++ {
+			lp, slp := lrow[p], slrow[p]
+			kp := ka[p*nr : (p+1)*nr]
+			for i, r := range rrow {
+				kp[i] += lp*srrow[i] + slp*r
+			}
+		}
+	}
+	for a := 0; a < na; a++ {
+		ka := k[a*pairs : (a+1)*pairs]
+		for p, w := range e.w.Data {
+			wk[p] = w * ka[p]
+		}
+		for b := 0; b <= a; b++ {
+			x := e.chargeMul * linalg.Dot(wk, k[b*pairs:(b+1)*pairs])
+			e.chi.Set(a, b, x)
+			e.chi.Set(b, a, x)
+		}
+	}
+	for a := 0; a < na; a++ {
+		row, chi := e.sys.Row(a), e.chi.Row(a)
+		for b := range row {
+			var s float64
+			for c, x := range chi {
+				s += x * e.m.Gamma.At(c, b)
+			}
+			row[b] = -s
+		}
+		row[a]++
+	}
+}
+
+// ladder runs grid mode's response for one field direction down the
+// robustness ladder — small-gap fragments can oscillate in the response loop,
+// and halving the damping is the standard remedy — copies the converged P⁽¹⁾
+// into dst and returns the cycles of every rung run, failed ones included.
+// resp.MixingUsed becomes the converged rung's damping if that is smaller.
+func (e *cycleEnv) ladder(dir int, opt Options, sc obs.Scope, resp *Response, dst *linalg.Matrix) (cycles int, err error) {
+	for rung, scale := range [...]float64{1, 0.5, 0.25, 0.1} {
+		o := opt
+		o.Mixing = opt.Mixing * scale
+		o.MaxIter = min(int(float64(opt.MaxIter)/scale), 3*opt.MaxIter)
+		o.Obs = sc
+		if rung > 0 && opt.Obs.Hot != nil {
+			opt.Obs.Hot.DFPTMixingFallbacks.Inc()
+		}
+		var n int
+		n, err = e.respond(dir, o, &resp.Metrics, dst)
+		cycles += n
+		if err == nil {
+			resp.MixingUsed = math.Min(resp.MixingUsed, o.Mixing)
+			return cycles, nil
+		}
+	}
+	return cycles, err
+}
+
+// respond runs grid mode's self-consistent DFPT cycle for one field direction
+// — response Hamiltonian of the current P⁽¹⁾ (phases 2–4 on the grid), P⁽¹⁾
+// build, Pulay step — copies the converged response density matrix into dst
+// and returns the number of cycles run.
 func (e *cycleEnv) respond(dir int, opt Options, met *PhaseMetrics, dst *linalg.Matrix) (int, error) {
 	m := e.m
 	n := m.Basis.Size()
@@ -435,9 +614,8 @@ func (e *cycleEnv) respond(dir int, opt Options, met *PhaseMetrics, dst *linalg.
 	var base time.Time
 	if obsOn {
 		// Cycles are accumulated locally and flushed as one batch per
-		// solve: on µs-scale gamma cycles, per-cycle locking and histogram
-		// updates alone would cost several percent of the solve. Phase
-		// boundaries are marked as time.Since(base) offsets — a single
+		// solve, so a cycle pays no locking or histogram update of its own.
+		// Phase boundaries are marked as time.Since(base) offsets — a single
 		// monotonic clock read, roughly half the cost of time.Now.
 		base = time.Now()
 		e.samples = e.samples[:0]
@@ -447,33 +625,22 @@ func (e *cycleEnv) respond(dir int, opt Options, met *PhaseMetrics, dst *linalg.
 	for iter := 1; iter <= opt.MaxIter; iter++ {
 		var cycOff, hEndOff time.Duration
 		var durs [obs.NumPhases]time.Duration
+		if obsOn {
+			cycOff = time.Since(base)
+		}
 		// Response Hamiltonian: external + Coulomb response of current P1.
-		if e.grid == nil {
-			if obsOn {
-				cycOff = time.Since(base)
-				durs[obs.PhaseN1], durs[obs.PhaseV1], durs[obs.PhaseH1], hEndOff =
-					e.gammaResponseTimed(hExt, met, base, cycOff)
-			} else {
-				e.h1.CopyFrom(hExt)
-				e.addGammaResponse()
-			}
-		} else {
-			if obsOn {
-				cycOff = time.Since(base)
-			}
-			e.h1.CopyFrom(hExt)
-			// The grid pipeline already times its three phases into met;
-			// per-cycle durations are the deltas across the call.
-			preN1, preV1, preH1 := met.TimeN1, met.TimeV1, met.TimeH1
-			if err := e.grid.addGridResponse(e.p1, e.h1, dir, met); err != nil {
-				return iter, err
-			}
-			durs[obs.PhaseN1] = met.TimeN1 - preN1
-			durs[obs.PhaseV1] = met.TimeV1 - preV1
-			durs[obs.PhaseH1] = met.TimeH1 - preH1
-			if obsOn {
-				hEndOff = time.Since(base)
-			}
+		e.h1.CopyFrom(hExt)
+		// The grid pipeline already times its three phases into met;
+		// per-cycle durations are the deltas across the call.
+		preN1, preV1, preH1 := met.TimeN1, met.TimeV1, met.TimeH1
+		if err := e.grid.addGridResponse(e.p1, e.h1, dir, met); err != nil {
+			return iter, err
+		}
+		durs[obs.PhaseN1] = met.TimeN1 - preN1
+		durs[obs.PhaseV1] = met.TimeV1 - preV1
+		durs[obs.PhaseH1] = met.TimeH1 - preH1
+		if obsOn {
+			hEndOff = time.Since(base)
 		}
 
 		// Phase 1: response density matrix by sum over states. When
@@ -573,49 +740,6 @@ func (e *cycleEnv) responseDensity() {
 			d[j*n+i] = s
 		}
 		d[i*n+i] = 2 * d[i*n+i]
-	}
-}
-
-// addGammaResponse adds the charge-fluctuation response Hamiltonian
-// ½S_μν(V⁽¹⁾_A + V⁽¹⁾_B) with V⁽¹⁾ = γ·Δq⁽¹⁾ of the current p1 to h1. The
-// three steps are the γ-mode realizations of the paper's n⁽¹⁾, v⁽¹⁾ and H⁽¹⁾
-// phases (the response charges stand in for the real-space response density).
-func (e *cycleEnv) addGammaResponse() {
-	e.gammaResponseCharges()
-	e.gammaResponsePotential()
-	e.addGammaResponseH1()
-}
-
-// gammaResponseTimed runs the same three steps as addGammaResponse with a
-// monotonic clock read (offset from base) at each phase boundary, resetting
-// h1 from hExt inside the H⁽¹⁾ phase. The caller supplies the n⁽¹⁾ start
-// offset (its cycle-start read) and receives the H⁽¹⁾ end offset, which
-// doubles as the P⁽¹⁾ start — two clock reads inside instead of four. It
-// both accumulates the package metrics and returns the per-cycle durations
-// for the span recorder.
-func (e *cycleEnv) gammaResponseTimed(hExt *linalg.Matrix, met *PhaseMetrics, base time.Time, start time.Duration) (dn1, dv1, dh1, end time.Duration) {
-	e.gammaResponseCharges()
-	t1 := time.Since(base)
-	e.gammaResponsePotential()
-	t2 := time.Since(base)
-	e.h1.CopyFrom(hExt)
-	e.addGammaResponseH1()
-	end = time.Since(base)
-	dn1, dv1, dh1 = t1-start, t2-t1, end-t2
-	met.TimeN1 += dn1
-	met.TimeV1 += dv1
-	met.TimeH1 += dh1
-	return dn1, dv1, dh1, end
-}
-
-// gammaResponseCharges computes the response Mulliken charges
-// Δq⁽¹⁾_A = Σ_{μ∈A} (P⁽¹⁾·S)_μμ — the n⁽¹⁾ phase of γ mode.
-func (e *cycleEnv) gammaResponseCharges() {
-	for a := range e.dq1 {
-		e.dq1[a] = 0
-	}
-	for i, a := range e.atomOf {
-		e.dq1[a] += linalg.Dot(e.p1.Row(i), e.m.S.Row(i))
 	}
 }
 

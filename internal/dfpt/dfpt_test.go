@@ -7,13 +7,16 @@ import (
 	"testing"
 
 	"qframan/internal/constants"
+	"qframan/internal/faults"
 	"qframan/internal/geom"
 	"qframan/internal/linalg"
 	"qframan/internal/obs"
 	"qframan/internal/scf"
 )
 
-func waterModel(t *testing.T) (*scf.Model, *scf.Result) {
+// waterModel is a free water at its experimental geometry (3 atoms, 6 basis
+// functions) — the fragment of the water-box workloads.
+func waterModel(t testing.TB) (*scf.Model, *scf.Result) {
 	t.Helper()
 	theta := 104.52 * math.Pi / 180
 	els := []constants.Element{constants.O, constants.H, constants.H}
@@ -33,7 +36,7 @@ func waterModel(t *testing.T) (*scf.Model, *scf.Result) {
 	return m, res
 }
 
-func methaneModel(t *testing.T) (*scf.Model, *scf.Result) {
+func methaneModel(t testing.TB) (*scf.Model, *scf.Result) {
 	t.Helper()
 	d := 1.09 / math.Sqrt(3)
 	els := []constants.Element{constants.C, constants.H, constants.H, constants.H, constants.H}
@@ -195,6 +198,18 @@ func gridOptions() Options {
 	return opt
 }
 
+// coarseGridOptions is grid mode on the benchmarks' coarse grid (0.8 bohr
+// spacing, 4 bohr margin) at the default tolerance: a few milliseconds per
+// water polarizability, for the tests that drive grid mode's iterative loop
+// rather than check its physics.
+func coarseGridOptions() Options {
+	opt := DefaultOptions()
+	opt.Coulomb = GridCoulomb
+	opt.GridSpacing = 0.8
+	opt.GridMargin = 4.0
+	return opt
+}
+
 func TestGridModeRuns(t *testing.T) {
 	m, res := waterModel(t)
 	env, err := newGridEnv(m, gridOptions())
@@ -326,41 +341,27 @@ func TestResponseP1Traceless(t *testing.T) {
 	}
 }
 
-// benchModel builds the shared benchmark fragment (water).
-func benchModel(tb testing.TB) (*scf.Model, *scf.Result) {
-	theta := 104.52 * math.Pi / 180
-	els := []constants.Element{constants.O, constants.H, constants.H}
-	pos := []geom.Vec3{
-		{},
-		geom.V(0.9572, 0, 0),
-		geom.V(0.9572*math.Cos(theta), 0.9572*math.Sin(theta), 0),
-	}
-	m, err := scf.NewModel(els, pos)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	res, err := m.SolveSCF(scf.DefaultOptions())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return m, res
-}
-
-// TestMixingFallbacksAreCounted: a response that only converges — or fails —
-// below the requested mixing factor leaves one count per extra rung; a
-// first-rung solve leaves none.
+// TestMixingFallbacksAreCounted: a grid-mode response that only converges — or
+// fails — below the requested mixing factor leaves one count per extra rung; a
+// first-rung solve leaves none, and so does a γ-mode solve, which has no ladder
+// and reads neither MaxIter nor Tol.
 func TestMixingFallbacksAreCounted(t *testing.T) {
 	m, res := waterModel(t)
 	reg := obs.NewRegistry()
-	opt := DefaultOptions()
-	opt.Obs = obs.NewScope(nil, reg)
-	if _, err := Polarizability(m, res, opt); err != nil {
-		t.Fatal(err)
-	}
 	fallbacks := reg.Counter(obs.MetricDFPTMixingFallbacks)
-	if got := fallbacks.Value(); got != 0 {
-		t.Fatalf("%s = %d after a first-rung solve", obs.MetricDFPTMixingFallbacks, got)
+	gammaStarved := DefaultOptions()
+	gammaStarved.MaxIter, gammaStarved.Tol = 1, 1e-300
+	for _, opt := range []Options{coarseGridOptions(), DefaultOptions(), gammaStarved} {
+		opt.Obs = obs.NewScope(nil, reg)
+		if _, err := Polarizability(m, res, opt); err != nil {
+			t.Fatal(err)
+		}
+		if got := fallbacks.Value(); got != 0 {
+			t.Fatalf("%s = %d after a first-rung solve (Coulomb mode %d)", obs.MetricDFPTMixingFallbacks, got, opt.Coulomb)
+		}
 	}
+	opt := coarseGridOptions()
+	opt.Obs = obs.NewScope(nil, reg)
 	opt.MaxIter, opt.Tol = 1, 1e-300 // every rung of direction 0 runs out of iterations
 	if _, err := Polarizability(m, res, opt); !errors.Is(err, ErrNotConverged) {
 		t.Fatalf("got %v, want ErrNotConverged", err)
@@ -370,17 +371,13 @@ func TestMixingFallbacksAreCounted(t *testing.T) {
 	}
 }
 
-// TestLadderReportsMinimumDampingAndSpentCycles: hydrogen cyanide along x
-// couples only the x field to its charges — the y and z responses carry no
-// charge transfer and converge in 3 cycles, the x response needs 5. With
-// MaxIter 3 exactly one direction goes down the ladder (rung 2 allows 6
-// cycles), and it is the first one: MixingUsed must be that direction's
-// damping, not the last direction's, and Cycles must include the three cycles
-// of its failed rung.
-func TestLadderReportsMinimumDampingAndSpentCycles(t *testing.T) {
-	els := []constants.Element{constants.H, constants.C, constants.N}
-	pos := []geom.Vec3{geom.V(-1.06, 0, 0), {}, geom.V(1.16, 0, 0)}
-	m, err := scf.NewModel(els, pos)
+// hcnAlongZ is hydrogen cyanide along z: on the coarse grid its
+// perpendicular responses (x, y) take 20 cycles and the axial one (z) 14.
+func hcnAlongZ(t *testing.T) (*scf.Model, *scf.Result) {
+	t.Helper()
+	m, err := scf.NewModel(
+		[]constants.Element{constants.H, constants.C, constants.N},
+		[]geom.Vec3{geom.V(0, 0, -1.06), {}, geom.V(0, 0, 1.16)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,57 +385,66 @@ func TestLadderReportsMinimumDampingAndSpentCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	healthy, err := Polarizability(m, ground, DefaultOptions())
+	return m, ground
+}
+
+// TestLadderReportsMinimumDampingAndSpentCycles: with MaxIter 14, the two
+// perpendicular directions of hydrogen cyanide go down the grid-mode damping
+// ladder once (rung 2 allows 28 cycles; they take 21) and the last, axial one
+// converges on the first rung in 14. MixingUsed must be the laddered
+// directions' damping, not the last direction's, and Cycles must include the
+// 14 cycles of each failed rung.
+func TestLadderReportsMinimumDampingAndSpentCycles(t *testing.T) {
+	m, ground := hcnAlongZ(t)
+	healthy, err := Polarizability(m, ground, coarseGridOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if healthy.Cycles != 5+3+3 || healthy.MixingUsed != DefaultOptions().Mixing {
-		t.Fatalf("fixture drifted: an unconstrained solve takes %d cycles at damping %g, want 11 at %g",
+	if healthy.Cycles != 20+20+14 || healthy.MixingUsed != DefaultOptions().Mixing {
+		t.Fatalf("fixture drifted: an unconstrained solve takes %d cycles at damping %g, want 54 at %g",
 			healthy.Cycles, healthy.MixingUsed, DefaultOptions().Mixing)
 	}
 	tr, reg := obs.NewTracer(), obs.NewRegistry()
-	opt := DefaultOptions()
-	opt.MaxIter = 3
+	opt := coarseGridOptions()
+	opt.MaxIter = 14
 	opt.Obs = obs.NewScope(tr, reg)
 	resp, err := Polarizability(m, ground, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter(obs.MetricDFPTMixingFallbacks).Value(); got != 1 {
-		t.Fatalf("%s = %d, want exactly one rung taken below the first", obs.MetricDFPTMixingFallbacks, got)
+	if got := reg.Counter(obs.MetricDFPTMixingFallbacks).Value(); got != 2 {
+		t.Fatalf("%s = %d, want one rung below the first in each of two directions", obs.MetricDFPTMixingFallbacks, got)
 	}
 	if want := 0.5 * opt.Mixing; resp.MixingUsed != want {
-		t.Errorf("MixingUsed = %g, want the laddered direction's %g", resp.MixingUsed, want)
+		t.Errorf("MixingUsed = %g, want the laddered directions' %g", resp.MixingUsed, want)
 	}
-	if want := (3 + 5) + 3 + 3; resp.Cycles != want {
-		t.Errorf("Cycles = %d, want %d: the failed rung's cycles count", resp.Cycles, want)
+	if want := 2*(14+21) + 14; resp.Cycles != want {
+		t.Errorf("Cycles = %d, want %d: the failed rungs' cycles count", resp.Cycles, want)
 	}
 	var perDir []int64
 	for _, s := range tr.Snapshot() {
 		if s.Name == "dfpt.dir" {
-			for _, a := range s.Args {
-				if a.Key == "cycles" {
-					perDir = append(perDir, a.Val)
-				}
+			if c, ok := s.Arg("cycles"); ok {
+				perDir = append(perDir, c)
 			}
 		}
 	}
-	if len(perDir) != 3 || perDir[0] != 8 || perDir[1] != 3 || perDir[2] != 3 {
-		t.Errorf("dfpt.dir spans report %v cycles, want [8 3 3]", perDir)
+	if len(perDir) != 3 || perDir[0] != 35 || perDir[1] != 35 || perDir[2] != 14 {
+		t.Errorf("dfpt.dir spans report %v cycles, want [35 35 14]", perDir)
 	}
-	if d := maxAlphaDiff(resp, healthy); d > 1e-9 {
+	if d := maxAlphaDiff(resp, healthy); d > opt.Tol {
 		t.Errorf("the laddered solve moved α by %g", d)
 	}
 }
 
-// TestPulayResetsAreCounted: a healthy solve never discards its history; one
-// driven far past convergence (an unreachable tolerance) extrapolates from
-// residuals that are rounding noise, trips the mixer's conditioning guard and
-// leaves a count per reset.
+// TestPulayResetsAreCounted: a healthy grid-mode solve never discards its
+// history; one driven far past convergence (an unreachable tolerance)
+// extrapolates from residuals that are rounding noise, trips the mixer's
+// conditioning guard and leaves a count per reset.
 func TestPulayResetsAreCounted(t *testing.T) {
 	m, res := waterModel(t)
 	reg := obs.NewRegistry()
-	opt := DefaultOptions()
+	opt := coarseGridOptions()
 	opt.Obs = obs.NewScope(nil, reg)
 	if _, err := Polarizability(m, res, opt); err != nil {
 		t.Fatal(err)
@@ -454,4 +460,73 @@ func TestPulayResetsAreCounted(t *testing.T) {
 	if got := resets.Value(); got == 0 {
 		t.Fatalf("%s = 0 after 40 cycles at the rounding floor", obs.MetricDFPTPulayResets)
 	}
+}
+
+// TestWrongShapedInitP1Ignored: grid mode takes a warm start only when both
+// dimensions fit; anything else starts cold, never half-copied.
+func TestWrongShapedInitP1Ignored(t *testing.T) {
+	m, res := waterModel(t)
+	cold, err := Polarizability(m, res, coarseGridOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := m.Basis.Size()
+	for _, shape := range [][2]int{{n, n + 1}, {n, n - 1}, {n + 1, n}, {1, 1}} {
+		opt := coarseGridOptions()
+		bad := linalg.NewMatrix(shape[0], shape[1])
+		for i := range bad.Data {
+			bad.Data[i] = 1
+		}
+		opt.InitP1 = [3]*linalg.Matrix{bad, bad, bad}
+		got, err := Polarizability(m, res, opt)
+		if err != nil {
+			t.Fatalf("InitP1 %dx%d: %v", shape[0], shape[1], err)
+		}
+		if got.Alpha != cold.Alpha || got.Cycles != cold.Cycles {
+			t.Errorf("InitP1 %dx%d changed the solve: %d cycles, cold start %d", shape[0], shape[1], got.Cycles, cold.Cycles)
+		}
+	}
+}
+
+// TestGammaFailuresAreTyped: the direct γ-mode solve fails loudly, as the
+// deterministic ErrDiverged the smearing ladder escalates on — for a ground
+// state with no virtual orbitals, for a poisoned one (a NaN orbital
+// coefficient or energy reaches K, χ and the charges) and for a singular
+// charge system (a zero pivot).
+func TestGammaFailuresAreTyped(t *testing.T) {
+	m, res := waterModel(t)
+	full, nanC, nanEps := *res, *res, *res
+	full.Occ = make([]float64, len(res.Occ))
+	for i := range full.Occ {
+		full.Occ[i] = 2
+	}
+	nanC.C = res.C.Clone()
+	nanC.C.Set(0, 0, math.NaN())
+	nanEps.Eps = append([]float64(nil), res.Eps...)
+	nanEps.Eps[0] = math.NaN()
+	check := func(name string, err error, text string) {
+		t.Helper()
+		if !errors.Is(err, ErrDiverged) || !strings.Contains(err.Error(), text) {
+			t.Errorf("%s: got %v, want ErrDiverged saying %q", name, err, text)
+		} else if faults.Classify(err) != faults.Deterministic {
+			t.Errorf("%s: %v classified as retryable", name, err)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		ground *scf.Result
+		text   string
+	}{
+		{"no virtual orbitals", &full, "no virtual orbitals (basis 6, occupied 6)"},
+		{"NaN orbital", &nanC, "non-finite response charge"},
+		{"NaN energy", &nanEps, "non-finite response charge"},
+	} {
+		_, err := Polarizability(m, tc.ground, DefaultOptions())
+		check(tc.name, err, tc.text)
+	}
+	env := newCycleEnv(m, res, nil)
+	env.chargeSystem()
+	env.sys.Zero()
+	n := m.Basis.Size()
+	check("zero pivot", env.solveGamma(1, obs.Scope{}, new(PhaseMetrics), linalg.NewMatrix(n, n)), "zero pivot")
 }

@@ -3,6 +3,7 @@ package dfpt
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"qframan/internal/faults"
@@ -91,7 +92,8 @@ func TestGridCycleAllocationCeiling(t *testing.T) {
 
 // TestGridNonFiniteResponseIsPermanent: a NaN in P⁽¹⁾ surfaces from phase 3
 // as poisson.ErrNonFinite — a deterministic failure the runtime does not
-// retry — instead of travelling on into H⁽¹⁾.
+// retry — instead of travelling on into H⁽¹⁾; a NaN in the ground state's
+// orbitals, which phase 1 meets first, is the cycle's ErrDiverged (NaN).
 func TestGridNonFiniteResponseIsPermanent(t *testing.T) {
 	m, res := waterModel(t)
 	opt := gridOptions()
@@ -101,6 +103,16 @@ func TestGridNonFiniteResponseIsPermanent(t *testing.T) {
 	_, err := Polarizability(m, res, opt)
 	if !errors.Is(err, poisson.ErrNonFinite) {
 		t.Fatalf("got %v, want poisson.ErrNonFinite", err)
+	}
+	if faults.Classify(err) != faults.Deterministic {
+		t.Fatalf("%v classified as retryable", err)
+	}
+	poisoned := *res
+	poisoned.C = res.C.Clone()
+	poisoned.C.Set(0, 0, math.NaN())
+	_, err = Polarizability(m, &poisoned, coarseGridOptions())
+	if !errors.Is(err, ErrDiverged) || !strings.Contains(err.Error(), "(NaN) at cycle 1") {
+		t.Fatalf("poisoned ground state: got %v, want ErrDiverged (NaN) at cycle 1", err)
 	}
 	if faults.Classify(err) != faults.Deterministic {
 		t.Fatalf("%v classified as retryable", err)

@@ -49,13 +49,15 @@ type DisplacementResult struct {
 // internal/poisson bumps poisson.SolverTag instead, which moves only
 // grid-mode keys.
 //
+// engine/4: γ-mode DFPT solves the response in the atom-charge space
+// (one N×N system per field direction) instead of iterating it.
 // engine/3: displaced charge loops start as a chord-Newton iteration on the
 // reference's charge susceptibility (scf.Options.Chord); the Pulay mixer
 // extrapolates over the numerically independent part of its history only.
 // engine/2: Pulay-accelerated DFPT cycle, Fermi search that stops once the
 // electrons are counted. (engine/1, never hashed: linear response mixing,
 // Fermi level bisected to the last ulp.)
-const EngineVersion = "engine/3"
+const EngineVersion = "engine/4"
 
 // JobOptions bundles the solver settings of a displacement job.
 type JobOptions struct {
@@ -331,8 +333,9 @@ func SmearingRungs(base float64) []float64 {
 // statically over `workers` Displacers (the cost of a displacement does not
 // depend on the displaced atom, §V-A), then the finite differences of
 // BuildFragmentData. A rung whose reference response is marginal is skipped
-// while a higher one remains. When every rung fails the error wraps the first
-// rung's failure: the one at the smearing the caller asked for.
+// while a higher one remains. Each rung taken above the first is counted
+// (obs.MetricSCFSmearingEscalations). When every rung fails the error wraps
+// the first rung's failure: the one at the smearing the caller asked for.
 //
 // The result does not depend on workers; width 1 runs inline on the caller's
 // goroutine. opt.SCF.InitDeltaQ, when set, seeds the reference SCF of every
@@ -354,6 +357,9 @@ func ComputeFragment(f *fragment.Fragment, opt JobOptions, workers int) (*Fragme
 	var firstErr error
 	rungs := SmearingRungs(opt.SCF.Smearing)
 	for ri, sigma := range rungs {
+		if ri > 0 && opt.Obs.Hot != nil {
+			opt.Obs.Hot.SCFSmearingEscalations.Inc()
+		}
 		o := opt
 		o.SCF.Smearing = sigma
 		data, ref, err := computeRung(m, o, workers, ri == len(rungs)-1)
@@ -426,17 +432,19 @@ func computeRung(m *scf.Model, opt JobOptions, workers int, lastRung bool) (*Fra
 
 // SolveReference runs the fragment's reference SCF (and DFPT unless
 // SkipAlpha) at the options' smearing and returns options carrying the
-// warm-start data (reference charges and the chord matrix of the charge loop,
-// response matrices, working response mixing) for the displaced worker jobs,
-// plus the reference SCF result itself — the trajectory engine keeps its
-// converged charges and iteration count to seed and account the same
-// fragment's next frame. The marginal
-// flag reports that the response only converged with extra damping in some
-// direction, or spent more than one rung's iteration budget over its three
-// directions (a healthy Pulay response takes 15–25 cycles per direction, a
-// small-gap one up to ≈ 70; failed rungs count) — a strong predictor that
-// displaced geometries, which get the same budget, will run out of it, so
-// callers should prefer the next smearing rung when one is available.
+// warm-start data (reference charges and the chord matrix of the charge loop;
+// in grid mode also the response matrices and working response mixing) for
+// the displaced worker jobs, plus the reference SCF result itself — the
+// trajectory engine keeps its converged charges and iteration count to seed
+// and account the same fragment's next frame. γ-mode responses are solved
+// directly and read neither InitP1 nor Mixing, so they are handed neither.
+// The marginal flag (grid mode) reports that the response only converged with
+// extra damping in some direction, or spent more than one rung's iteration
+// budget over its three directions (a healthy Pulay response takes 15–25
+// cycles per direction, a small-gap one up to ≈ 70; failed rungs count) — a
+// strong predictor that displaced geometries, which get the same budget, will
+// run out of it, so callers should prefer the next smearing rung when one is
+// available. A γ-mode response is never marginal: it succeeds or fails.
 func SolveReference(m *scf.Model, opt JobOptions) (*JobOptions, *scf.Result, bool, error) {
 	o := opt
 	// Reference solves appear as direct scf/dfpt children of the attempt
@@ -455,11 +463,13 @@ func SolveReference(m *scf.Model, opt JobOptions) (*JobOptions, *scf.Result, boo
 		if err != nil {
 			return nil, nil, false, fmt.Errorf("hessian: reference DFPT: %w", err)
 		}
-		o.DFPT.InitP1 = refResp.P1
-		// Skip damping rungs the reference already proved doomed in any
-		// direction.
-		o.DFPT.Mixing = refResp.MixingUsed
-		marginal = refResp.MixingUsed < 0.9*opt.DFPT.Mixing || refResp.Cycles > opt.DFPT.MaxIter
+		if o.DFPT.Coulomb == dfpt.GridCoulomb {
+			o.DFPT.InitP1 = refResp.P1
+			// Skip damping rungs the reference already proved doomed in any
+			// direction.
+			o.DFPT.Mixing = refResp.MixingUsed
+			marginal = refResp.MixingUsed < 0.9*opt.DFPT.Mixing || refResp.Cycles > opt.DFPT.MaxIter
+		}
 	}
 	return &o, ref, marginal, nil
 }

@@ -13,6 +13,8 @@ import (
 	"qframan/internal/fragment"
 	"qframan/internal/geom"
 	"qframan/internal/linalg"
+	"qframan/internal/obs"
+	"qframan/internal/poisson"
 	"qframan/internal/scf"
 	"qframan/internal/structure"
 )
@@ -287,10 +289,23 @@ func TestAssembleValidation(t *testing.T) {
 	}
 }
 
-// TestNonConvergenceIsTypedThroughWrapping: every way the SCF and DFPT loops
-// give up reaches the caller of the displacement loop as a sentinel errors.Is
-// finds through this package's wrapping, and classifies Deterministic — the
-// runtime escalates the smearing rung or drops the fragment, it never retries.
+// coarseGridJobOptions are the default job options with grid-mode DFPT on the
+// benchmarks' coarse grid (0.8 bohr spacing, 4 bohr margin): the mode whose
+// response is still an iterative loop, at a few milliseconds per response.
+func coarseGridJobOptions() JobOptions {
+	opt := DefaultJobOptions()
+	opt.DFPT.Coulomb = dfpt.GridCoulomb
+	opt.DFPT.GridSpacing, opt.DFPT.GridMargin = 0.8, 4.0
+	return opt
+}
+
+// TestNonConvergenceIsTypedThroughWrapping: every way the SCF and grid-mode
+// DFPT loops give up reaches the caller of the displacement loop as a sentinel
+// errors.Is finds through this package's wrapping, and classifies
+// Deterministic — the runtime escalates the smearing rung or drops the
+// fragment, it never retries. (γ mode's direct response has no loop to give
+// up; its failures are dfpt.TestGammaFailuresAreTyped.) A NaN warm start meets
+// grid mode's Poisson phase first, which types it.
 func TestNonConvergenceIsTypedThroughWrapping(t *testing.T) {
 	m, err := ModelForFragmentNoCal(waterFragment())
 	if err != nil {
@@ -314,12 +329,12 @@ func TestNonConvergenceIsTypedThroughWrapping(t *testing.T) {
 			"scf: not converged after 2 iterations"},
 		{"dfpt iterations", func(o *JobOptions) { o.DFPT.MaxIter, o.DFPT.Tol = 1, 1e-300 }, dfpt.ErrNotConverged,
 			"dfpt: cycle not converged after 3 iterations"},
-		{"dfpt NaN", func(o *JobOptions) { o.DFPT.InitP1 = filled(math.NaN()) }, dfpt.ErrDiverged,
-			"dfpt: response diverged (NaN) at cycle 1"},
+		{"dfpt NaN", func(o *JobOptions) { o.DFPT.InitP1 = filled(math.NaN()) }, poisson.ErrNonFinite,
+			"dfpt: response Poisson solve: poisson: non-finite"},
 		{"dfpt growth", func(o *JobOptions) { o.DFPT.InitP1 = filled(1e200) }, dfpt.ErrDiverged,
 			"dfpt: response diverged (|ΔP1| = "},
 	} {
-		opt := DefaultJobOptions()
+		opt := coarseGridJobOptions()
 		tc.set(&opt)
 		_, runErr := RunDisplacement(m, 0, 0, 1, opt)
 		_, _, _, refErr := SolveReference(m, opt)
@@ -406,17 +421,19 @@ func TestBuildRejectsIndexOverflow(t *testing.T) {
 	}
 }
 
-// TestSolveReferenceSeesLadderInAnyDirection: hydrogen cyanide along x
-// couples only the x field to its charges, so with a three-cycle budget the
-// x response — the first direction — goes down the damping ladder while y
-// and z converge on the first rung. The reference hand-over must carry the
-// damping the worst direction needed, and the marginal flag must see it; a
-// healthy budget on the same molecule is not marginal, and a solve that
-// spends more than one rung's budget without laddering is.
+// TestSolveReferenceSeesLadderInAnyDirection: on the coarse grid, hydrogen
+// cyanide along z takes 20 cycles for each perpendicular field and 14 for the
+// axial one, so with a 14-cycle budget the x and y responses go down the
+// damping ladder while z — the last direction — converges on the first rung.
+// The reference hand-over must carry the damping the worst direction needed,
+// and the marginal flag must see it; a healthy budget on the same molecule is
+// not marginal, and a solve that spends more than one rung's budget without
+// laddering is. γ mode hands over neither the response nor a damping — its
+// displaced solves read neither — and is never marginal, whatever the budget.
 func TestSolveReferenceSeesLadderInAnyDirection(t *testing.T) {
 	m, err := scf.NewModel(
 		[]constants.Element{constants.H, constants.C, constants.N},
-		[]geom.Vec3{geom.V(-1.06, 0, 0), {}, geom.V(1.16, 0, 0)})
+		[]geom.Vec3{geom.V(0, 0, -1.06), {}, geom.V(0, 0, 1.16)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,19 +444,56 @@ func TestSolveReferenceSeesLadderInAnyDirection(t *testing.T) {
 		marginal bool
 	}{
 		{"healthy budget", 400, 0.3, false},
-		{"x ladders", 3, 0.15, true},   // x: 3 failed + 5; y, z: 3 each
-		{"over budget", 10, 0.3, true}, // 5 + 3 + 3 cycles > 10, no rung failed
-		{"within budget", 11, 0.3, false},
+		{"x and y ladder", 14, 0.15, true}, // x, y: 14 failed + 21; z: 14
+		{"over budget", 20, 0.3, true},     // 20 + 20 + 14 cycles > 20, no rung failed
+		{"within budget", 54, 0.3, false},
 	} {
-		opt := DefaultJobOptions()
+		opt := coarseGridJobOptions()
 		opt.DFPT.MaxIter = tc.maxIter
 		refOpt, _, marginal, err := SolveReference(m, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if refOpt.DFPT.Mixing != tc.mixing || marginal != tc.marginal {
-			t.Errorf("%s: displaced solves start at damping %g, marginal %v; want %g, %v",
-				tc.name, refOpt.DFPT.Mixing, marginal, tc.mixing, tc.marginal)
+		if refOpt.DFPT.Mixing != tc.mixing || marginal != tc.marginal || refOpt.DFPT.InitP1[0] == nil {
+			t.Errorf("%s: displaced solves start at damping %g (response handed over: %v), marginal %v; want %g, %v",
+				tc.name, refOpt.DFPT.Mixing, refOpt.DFPT.InitP1[0] != nil, marginal, tc.mixing, tc.marginal)
 		}
+	}
+	for _, maxIter := range []int{1, 400} {
+		opt := DefaultJobOptions()
+		opt.DFPT.MaxIter = maxIter
+		refOpt, _, marginal, err := SolveReference(m, opt)
+		if err != nil {
+			t.Fatalf("γ mode, MaxIter %d: %v", maxIter, err)
+		}
+		if marginal || refOpt.DFPT.Mixing != opt.DFPT.Mixing || refOpt.DFPT.InitP1 != ([3]*linalg.Matrix{}) {
+			t.Errorf("γ mode, MaxIter %d: marginal %v, damping %g, response handed over %v; want false, %g, none",
+				maxIter, marginal, refOpt.DFPT.Mixing, refOpt.DFPT.InitP1[0] != nil, opt.DFPT.Mixing)
+		}
+	}
+}
+
+// TestSmearingEscalationsAreCounted: the fragment engine counts every smearing
+// rung it takes above the first. A water whose charge loop may take only two
+// iterations fails on all five rungs — four escalations — and reports the
+// first rung's failure; a healthy water takes none.
+func TestSmearingEscalationsAreCounted(t *testing.T) {
+	reg := obs.NewRegistry()
+	escalations := reg.Counter(obs.MetricSCFSmearingEscalations)
+	opt := DefaultJobOptions()
+	opt.Obs = obs.NewScope(nil, reg)
+	if _, _, err := ComputeFragment(waterFragment(), opt, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := escalations.Value(); got != 0 {
+		t.Fatalf("%s = %d after a first-rung fragment", obs.MetricSCFSmearingEscalations, got)
+	}
+	opt.SCF.MaxIter = 2
+	_, _, err := ComputeFragment(waterFragment(), opt, 1)
+	if !errors.Is(err, scf.ErrNotConverged) || !strings.Contains(err.Error(), "failed at every smearing rung") {
+		t.Fatalf("got %v, want the ladder to fail with scf.ErrNotConverged", err)
+	}
+	if got, want := escalations.Value(), int64(len(SmearingRungs(opt.SCF.Smearing))-1); got != want || want != 4 {
+		t.Errorf("%s = %d after a fragment failed on every rung, want %d (of 4)", obs.MetricSCFSmearingEscalations, got, want)
 	}
 }

@@ -40,10 +40,12 @@ const (
 	MetricDFPTCycles      = "dfpt_cycles_total"
 	// Ladder escalations — a solve that only converged on a later rung is a
 	// degraded number, so each rung taken beyond the first is counted: one
-	// per SolveSCFRobust smearing rung above the requested temperature, one
-	// per Polarizability mixing rung below the requested factor. A Pulay
-	// reset is the response mixer discarding an ill-conditioned history for
-	// one damped step — harmless once, a symptom when frequent.
+	// per smearing rung above the requested temperature (the fragment
+	// engine's hessian.ComputeFragment, and scf.Model.SolveSCFRobust), one
+	// per grid-mode Polarizability mixing rung below the requested factor (γ
+	// mode solves its response directly and has no mixing ladder). A Pulay
+	// reset is grid mode's response mixer discarding an ill-conditioned
+	// history for one damped step — harmless once, a symptom when frequent.
 	MetricSCFSmearingEscalations = "scf_smearing_escalations_total"
 	// A chord fallback is a charge loop that was handed a chord matrix
 	// (scf.Options.Chord) and left the chord-Newton iteration for the Pulay

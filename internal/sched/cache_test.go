@@ -213,11 +213,12 @@ func TestCacheKeyIsolation(t *testing.T) {
 // under the keys earlier numerics gave it — grid mode under the CG Poisson
 // solver (before poisson.SolverTag), grid and γ mode under the engine before
 // hessian.EngineVersion was hashed (linear response mixing, fully bisected
-// Fermi level) and under engine/2 (Pulay charge loop from the first step, full
-// mixer history) — the constants were recorded on those commits — must serve
-// none of them to a resumed run of this engine: each mode reports
-// a miss, recomputes, and files its new record beside the old ones. A second
-// resumed run is then served its own.
+// Fermi level), under engine/2 (Pulay charge loop from the first step, full
+// mixer history) and under engine/3 (Pulay loop on the γ-mode response) — the
+// constants were recorded on those commits — must serve none of them to a
+// resumed run of this engine: each mode reports a miss, recomputes, and files
+// its new record beside the old ones. A second resumed run is then served its
+// own.
 func TestCacheSolverMigration(t *testing.T) {
 	const (
 		gridKeyBeforeTag     = "491822e02145f4fdd5cbfa1f6c0b3b3a8602bf3c7a7cc9a949d44f803500ea81"
@@ -225,8 +226,10 @@ func TestCacheSolverMigration(t *testing.T) {
 		gammaKeyBeforeEngine = "cd98eb85c57e590b9ad4f2deb97e72188cb54f3108e6396df1ea25c3c28cdad7"
 		gridKeyEngine2       = "4b8f4e43711f3389e480e9bc1a8122366bf9221d1850081c766701725cc6a1c9"
 		gammaKeyEngine2      = "cb44d7814c91ddfa5e453af5c15fa722eb64275a64010763926b37d69ca51fd1"
+		gridKeyEngine3       = "fd1a0f1e8cb3189f9801d0203957b8c69a3ef7b650735140f667aeb1945cb166"
+		gammaKeyEngine3      = "dfe7993a736644cfb30cde4f8d2a9a2ed0269a1e54742a106efbec925c66981b"
 	)
-	old := []string{gridKeyBeforeTag, gridKeyBeforeEngine, gammaKeyBeforeEngine, gridKeyEngine2, gammaKeyEngine2}
+	old := []string{gridKeyBeforeTag, gridKeyBeforeEngine, gammaKeyBeforeEngine, gridKeyEngine2, gammaKeyEngine2, gridKeyEngine3, gammaKeyEngine3}
 	dec := cacheDecomposition(1)
 	dir := t.TempDir()
 	s := openStore(t, dir)
