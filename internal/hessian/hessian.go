@@ -12,6 +12,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"qframan/internal/constants"
 	"qframan/internal/dfpt"
@@ -38,6 +39,9 @@ type DisplacementResult struct {
 	Forces     []geom.Vec3
 	Dipole     geom.Vec3
 	Alpha      [3][3]float64
+	// plusDeltaQ holds a +Step job's converged charges, from which the
+	// displacement loop predicts its −Step partner's (computeRung).
+	plusDeltaQ []float64
 }
 
 // EngineVersion names the arithmetic of the fragment engine — scf, dfpt and
@@ -49,6 +53,12 @@ type DisplacementResult struct {
 // internal/poisson bumps poisson.SolverTag instead, which moves only
 // grid-mode keys.
 //
+// engine/5: the charge loop reduces H·C = S·C·ε by a Cholesky factor of S
+// (Löwdin before) with the reduced Hamiltonian affine in the atomic
+// potentials, QL rotations take a guarded √(f²+g²) instead of math.Hypot and
+// finish a sweep that ends on an exactly zero rotation value, a displacement
+// pair's −Step solve starts from 2·q₀ − q₊, and the bonded potential's
+// dihedral gradient is analytic instead of a central difference.
 // engine/4: γ-mode DFPT solves the response in the atom-charge space
 // (one N×N system per field direction) instead of iterating it.
 // engine/3: displaced charge loops start as a chord-Newton iteration on the
@@ -57,7 +67,7 @@ type DisplacementResult struct {
 // engine/2: Pulay-accelerated DFPT cycle, Fermi search that stops once the
 // electrons are counted. (engine/1, never hashed: linear response mixing,
 // Fermi level bisected to the last ulp.)
-const EngineVersion = "engine/4"
+const EngineVersion = "engine/5"
 
 // JobOptions bundles the solver settings of a displacement job.
 type JobOptions struct {
@@ -132,6 +142,9 @@ func (d *Displacer) Run(atom, axis, sign int, opt JobOptions) (*DisplacementResu
 		Atom: atom, Axis: axis, Sign: sign,
 		Forces: d.scf.Forces(md, ground),
 		Dipole: md.Dipole(ground),
+	}
+	if sign == 1 {
+		out.plusDeltaQ = append([]float64(nil), ground.DeltaQ...)
 	}
 	if !opt.SkipAlpha {
 		resp, err := d.dfpt.Polarizability(md, ground, opt.DFPT)
@@ -329,10 +342,10 @@ func SmearingRungs(base float64) []float64 {
 
 // ComputeFragment is the fragment engine: it builds the fragment's model and
 // walks SmearingRungs until one rung carries the whole displacement loop — a
-// reference solve (SolveReference) that warm-starts 6N displaced solves, split
-// statically over `workers` Displacers (the cost of a displacement does not
-// depend on the displaced atom, §V-A), then the finite differences of
-// BuildFragmentData. A rung whose reference response is marginal is skipped
+// reference solve (SolveReference) that warm-starts 6N displaced solves, taken
+// from one queue by `workers` Displacers, each coordinate's −Step solve queued
+// behind and warm-started from its +Step partner, then the finite differences
+// of BuildFragmentData. A rung whose reference response is marginal is skipped
 // while a higher one remains. Each rung taken above the first is counted
 // (obs.MetricSCFSmearingEscalations). When every rung fails the error wraps
 // the first rung's failure: the one at the smearing the caller asked for.
@@ -385,20 +398,53 @@ func computeRung(m *scf.Model, opt JobOptions, workers int, lastRung bool) (*Fra
 	opt = *refOpt
 	natoms := len(m.Els)
 	results := make([]*DisplacementResult, 6*natoms)
-	// Worker w solves displacements w, w+workers, … in one workspace;
-	// displacement k moves coordinate k/2 by +Step (k even) or −Step (k odd).
+	// Job 2c moves coordinate c by +Step and starts from the reference charges
+	// q₀; job 2c+1 moves it by −Step and starts from the second-order
+	// predictor 2·q₀ − q₊ (q(±δ) = q₀ ± q′δ + O(δ²)), so it is queued once job
+	// 2c is done. Workers take jobs from the one queue as they come free: 6N
+	// jobs balance over any number of workers where 3N fixed pairs would not.
+	// A job's result depends only on its arguments and results are stored by
+	// job, so neither the number of workers nor which of them ran a job is
+	// physics.
+	jobs := make(chan int, len(results)) // room for every job: no send blocks
+	for c := 0; c < 3*natoms; c++ {
+		jobs <- 2 * c
+	}
+	var plusLeft atomic.Int64
+	plusLeft.Store(int64(3 * natoms))
 	work := func(w int) error {
 		wopt := opt
 		if wopt.Obs.Enabled() {
 			wopt.Obs = wopt.Obs.WithTrack(wopt.Obs.Track + 1 + int32(w))
 		}
+		minus := wopt
+		minus.SCF.InitDeltaQ = make([]float64, natoms)
 		disp := NewDisplacer(m)
-		for k := w; k < len(results); k += workers {
-			r, err := disp.Run(k/6, k/2%3, 1-2*(k%2), wopt)
+		for k := range jobs {
+			c := k / 2
+			if k%2 == 1 {
+				for a, q0 := range opt.SCF.InitDeltaQ {
+					minus.SCF.InitDeltaQ[a] = 2*q0 - results[k-1].plusDeltaQ[a]
+				}
+				r, err := disp.Run(c/3, c%3, -1, minus)
+				if err != nil {
+					return err
+				}
+				results[k] = r
+				continue
+			}
+			r, err := disp.Run(c/3, c%3, 1, wopt)
+			if err == nil {
+				results[k] = r
+				jobs <- k + 1
+			}
+			// The last +Step job closes the queue: every partner is in it.
+			if plusLeft.Add(-1) == 0 {
+				close(jobs)
+			}
 			if err != nil {
 				return err
 			}
-			results[k] = r
 		}
 		return nil
 	}

@@ -86,10 +86,11 @@ func BenchmarkGemm_Fragment(b *testing.B) {
 }
 
 // BenchmarkEigSym is the symmetric eigensolve at the orders of the fragment
-// engine's Hamiltonians (water, water dimer, a residue–water pair): the
-// workspace form the SCF loop calls against the allocating one-shot.
+// engine's Hamiltonians (water, water dimer, capped glycine, a residue–water
+// pair): the workspace form the SCF loop calls against the allocating
+// one-shot.
 func BenchmarkEigSym(b *testing.B) {
-	for _, n := range []int{6, 12, 40} {
+	for _, n := range []int{6, 12, 25, 40} {
 		rng := rand.New(rand.NewSource(2))
 		a := randomSymmetric(rng, n)
 		b.Run("work/"+itoa(n), func(b *testing.B) {

@@ -88,15 +88,15 @@ func EigSymTridiagFirstRow(d, e, z []float64) error {
 }
 
 // EigvalsSymTridiag computes only the eigenvalues of a symmetric tridiagonal
-// matrix, ascending. Inputs are not modified.
+// matrix, ascending: the QL iteration carrying no eigenvector components.
+// Inputs are not modified.
 func EigvalsSymTridiag(d, e []float64) []float64 {
 	n := len(d)
 	dd := make([]float64, n)
 	copy(dd, d)
-	// tqlEigvals expects the subdiagonal directly at ee[0..n-2].
 	ee := make([]float64, n)
 	copy(ee[:n-1], e)
-	if err := tqlEigvals(dd, ee); err != nil {
+	if err := tqlRows(dd, ee, nil, 0); err != nil {
 		panic(err)
 	}
 	return dd
@@ -221,13 +221,27 @@ func tql2(d, e []float64, z *Matrix, zt []float64) error {
 	return nil
 }
 
+// givensNorm returns √(f²+g²), the norm a QL rotation divides by. While the
+// sum of squares lies in (2⁻¹⁰⁰⁰, 2¹⁰⁰⁰) — neither operand beyond 2⁵⁰⁰, where
+// a square overflows, nor both below 2⁻⁵⁰⁰, where the squares lose digits —
+// the plain square root is correct to rounding and a fraction of math.Hypot's
+// cost; outside that range, and for non-finite operands, Hypot's scaled form
+// keeps its overflow, underflow and NaN behaviour.
+func givensNorm(f, g float64) float64 {
+	if s := f*f + g*g; s > 0x1p-1000 && s < 0x1p1000 {
+		return math.Sqrt(s)
+	}
+	return math.Hypot(f, g)
+}
+
 // tqlRows is the implicit-shift QL iteration and the ascending selection
 // sort on transposed eigenvector storage: zt holds n = len(d) rows of w
 // entries, row i being the carried components of eigenvector i. tql2 carries
-// all n components (w = n), EigSymTridiagFirstRow only the first (w = 1);
-// every rotation and swap treats the w entries of a row independently, so a
-// component's bits do not depend on which others ride along. On input
-// e[0..n-2] holds the subdiagonal; e is destroyed.
+// all n components (w = n), EigSymTridiagFirstRow only the first (w = 1),
+// EigvalsSymTridiag none (w = 0); every rotation and swap treats the w
+// entries of a row independently, so a component's bits do not depend on
+// which others ride along. On input e[0..n-2] holds the subdiagonal; e is
+// destroyed.
 func tqlRows(d, e, zt []float64, w int) error {
 	n := len(d)
 	e[n-1] = 0
@@ -250,7 +264,7 @@ func tqlRows(d, e, zt []float64, w int) error {
 				return fmt.Errorf("%w (row %d)", ErrEigNoConvergence, l)
 			}
 			g := (d[l+1] - d[l]) / (2 * e[l])
-			r := math.Hypot(g, 1)
+			r := givensNorm(g, 1)
 			sg := r
 			if g < 0 {
 				sg = -r
@@ -258,14 +272,18 @@ func tqlRows(d, e, zt []float64, w int) error {
 			g = d[m] - d[l] + e[l]/(g+sg)
 			s, c := 1.0, 1.0
 			p := 0.0
+			split := false
 			for i := m - 1; i >= l; i-- {
 				f := s * e[i]
 				b := c * e[i]
-				r = math.Hypot(f, g)
+				r = givensNorm(f, g)
 				e[i+1] = r
 				if r == 0 {
+					// The rotation underflowed: e[i+1] is zero and the
+					// sweep restarts on the block l..i+1.
 					d[i+1] -= p
 					e[m] = 0
+					split = true
 					break
 				}
 				s = f / r
@@ -277,13 +295,17 @@ func tqlRows(d, e, zt []float64, w int) error {
 				g = c*r - b
 				zi := zt[i*w : (i+1)*w]
 				zi1 := zt[(i+1)*w : (i+2)*w]
-				for k := range zi {
-					f = zi1[k]
-					zi1[k] = s*zi[k] + c*f
-					zi[k] = c*zi[k] - s*f
+				zi1 = zi1[:len(zi)] // one length for both rows: no bounds checks below
+				for k, u := range zi {
+					v := zi1[k]
+					zi1[k] = s*u + c*v
+					zi[k] = c*u - s*v
 				}
 			}
-			if r == 0 && m-1 >= l {
+			// Only a split skips the end of the sweep. r is no flag for it:
+			// the sweep reuses it, and on exactly degenerate diagonals a
+			// complete sweep can leave it exactly zero.
+			if split {
 				continue
 			}
 			d[l] -= p
@@ -309,79 +331,6 @@ func tqlRows(d, e, zt []float64, w int) error {
 				ri[j], rk[j] = rk[j], ri[j]
 			}
 		}
-	}
-	return nil
-}
-
-// tqlEigvals is tql2 without eigenvector accumulation. On input e[0..n-2]
-// holds the subdiagonal directly (already shifted); e is destroyed.
-func tqlEigvals(d, e []float64) error {
-	n := len(d)
-	if n == 0 {
-		return nil
-	}
-	e[n-1] = 0
-	for l := 0; l < n; l++ {
-		iter := 0
-		for {
-			m := l
-			for ; m < n-1; m++ {
-				dd := math.Abs(d[m]) + math.Abs(d[m+1])
-				if math.Abs(e[m])+dd == dd {
-					break
-				}
-			}
-			if m == l {
-				break
-			}
-			iter++
-			if iter > 80 {
-				return fmt.Errorf("linalg: tql eigenvalue iteration failed at row %d", l)
-			}
-			g := (d[l+1] - d[l]) / (2 * e[l])
-			r := math.Hypot(g, 1)
-			sg := r
-			if g < 0 {
-				sg = -r
-			}
-			g = d[m] - d[l] + e[l]/(g+sg)
-			s, c := 1.0, 1.0
-			p := 0.0
-			for i := m - 1; i >= l; i-- {
-				f := s * e[i]
-				b := c * e[i]
-				r = math.Hypot(f, g)
-				e[i+1] = r
-				if r == 0 {
-					d[i+1] -= p
-					e[m] = 0
-					break
-				}
-				s = f / r
-				c = g / r
-				g = d[i+1] - p
-				r = (d[i]-g)*s + 2*c*b
-				p = s * r
-				d[i+1] = g + p
-				g = c*r - b
-			}
-			if r == 0 && m-1 >= l {
-				continue
-			}
-			d[l] -= p
-			e[l] = g
-			e[m] = 0
-		}
-	}
-	// insertion sort ascending
-	for i := 1; i < n; i++ {
-		v := d[i]
-		j := i - 1
-		for j >= 0 && d[j] > v {
-			d[j+1] = d[j]
-			j--
-		}
-		d[j+1] = v
 	}
 	return nil
 }

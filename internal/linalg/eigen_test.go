@@ -1,8 +1,10 @@
 package linalg
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -200,6 +202,64 @@ func TestFirstRowMatchesReferenceBitwise(t *testing.T) {
 	}
 }
 
+// TestTridiagonalOracle: the three QL entry points on a tridiagonal matrix —
+// eigenvalues only, first row, full eigenvectors — return the eigenvalues of
+// the dense matrix as the cyclic Jacobi method finds them, to 1e-12, on small
+// matrices with entries in {0, ±½, ±1} and off-diagonals of 0 or 1e-17 mixed
+// in: exactly repeated diagonals, exact splits and near-splits, where a sweep
+// of the QL iteration can end on an exactly zero rotation value. (The loop once
+// took that value for a split and left the sweep unfinished: d = (½, ½, 1),
+// e = (−½, ½) came back as −0.128, 0.674, 1.454 instead of −0.123, 0.723,
+// 1.401.)
+func TestTridiagonalOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(6)
+		d, e := make([]float64, n), make([]float64, n-1)
+		if trial == 0 {
+			n, d, e = 3, []float64{0.5, 0.5, 1}, []float64{-0.5, 0.5}
+		}
+		for i := range d {
+			if trial > 0 {
+				d[i] = float64(rng.Intn(5)-2) / 2
+			}
+		}
+		for i := range e {
+			if trial > 0 {
+				switch rng.Intn(4) {
+				case 0:
+				case 1:
+					e[i] = 1e-17 * float64(1+rng.Intn(4))
+				default:
+					e[i] = float64(rng.Intn(5)-2) / 2
+				}
+			}
+		}
+		dense := NewMatrix(n, n)
+		for i := 0; i < n; i++ {
+			dense.Set(i, i, d[i])
+			if i > 0 {
+				dense.Set(i, i-1, e[i-1])
+				dense.Set(i-1, i, e[i-1])
+			}
+		}
+		want, _ := JacobiEig(dense, 100)
+		full, _ := EigSymTridiag(d, e)
+		dr, er, z := append([]float64(nil), d...), make([]float64, n), make([]float64, n)
+		copy(er, e)
+		if err := EigSymTridiagFirstRow(dr, er, z); err != nil {
+			t.Fatal(err)
+		}
+		for name, got := range map[string][]float64{"eigenvalues only": EigvalsSymTridiag(d, e), "first row": dr, "full": full} {
+			for j := range want {
+				if math.Abs(got[j]-want[j]) > 1e-12 {
+					t.Fatalf("d=%v e=%v: %s gives %v, Jacobi %v", d, e, name, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestFirstRowNonConvergenceIsAnError: a NaN-poisoned matrix exhausts the QL
 // sweeps and comes back as an error, never a panic or a silent value.
 func TestFirstRowNonConvergenceIsAnError(t *testing.T) {
@@ -284,26 +344,189 @@ func TestCholesky(t *testing.T) {
 	if d := llt.MaxAbsDiff(a); d > 1e-10 {
 		t.Fatalf("L·Lᵀ differs from A by %g", d)
 	}
-	// Solve via forward/back substitution and check.
+	// The inverse of the factor, and A⁻¹ = L⁻ᵀ·L⁻¹ solving A·x = b.
+	linv := NewMatrix(n, n)
+	InvertLowerInto(linv, l)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if l.At(i, j) != 0 || linv.At(i, j) != 0 {
+				t.Fatalf("factor or inverse not lower triangular at (%d,%d)", i, j)
+			}
+		}
+	}
+	if d := MatMul(false, false, linv, l, nil).MaxAbsDiff(Identity(n)); d > 1e-13 {
+		t.Fatalf("L⁻¹·L differs from I by %g", d)
+	}
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	y := ForwardSolve(l, b)
-	x := BackSolveT(l, y)
-	ax := make([]float64, n)
+	y, x, ax := make([]float64, n), make([]float64, n), make([]float64, n)
+	Gemv(false, 1, linv, b, 0, y, nil)
+	Gemv(true, 1, linv, y, 0, x, nil)
 	Gemv(false, 1, a, x, 0, ax, nil)
 	for i := range b {
 		if math.Abs(ax[i]-b[i]) > 1e-9 {
 			t.Fatalf("Cholesky solve residual %g at %d", ax[i]-b[i], i)
 		}
 	}
+	// In place, on a matrix whose upper triangle holds garbage: the factor
+	// reads the lower triangle only and is the one-shot's, bit for bit.
+	inPlace := a.Clone()
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			inPlace.Set(i, j, math.NaN())
+		}
+	}
+	if err := CholeskyInto(inPlace, inPlace, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bitEqual(inPlace.Data, l.Data) {
+		t.Fatal("in-place CholeskyInto differs from Cholesky")
+	}
 }
 
+// TestCholeskyRejectsIndefinite: an indefinite, a singular, a NaN-poisoned
+// matrix, and one whose smallest pivot falls below the caller's floor, are
+// errors wrapping ErrNotPositiveDefinite that name the pivot — never a NaN
+// factor.
 func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := NewMatrixFrom(2, 2, []float64{1, 2, 2, 1}) // eigenvalues 3, -1
-	if _, err := Cholesky(a); err == nil {
-		t.Fatal("Cholesky accepted an indefinite matrix")
+	for _, tc := range []struct {
+		name     string
+		a        []float64
+		minPivot float64
+		pivot    string
+	}{
+		{"indefinite", []float64{1, 2, 2, 1}, 0, "pivot 1 is -3"}, // eigenvalues 3, −1
+		{"singular", []float64{1, 1, 1, 1}, 0, "pivot 1 is 0"},
+		{"NaN", []float64{1, math.NaN(), math.NaN(), 1}, 0, "pivot 1 is NaN"},
+		{"near-singular", []float64{1, 1 - 1e-12, 1 - 1e-12, 1}, 1e-10, "pivot 1 is"},
+	} {
+		a := NewMatrixFrom(2, 2, tc.a)
+		err := CholeskyInto(NewMatrix(2, 2), a, tc.minPivot)
+		if !errors.Is(err, ErrNotPositiveDefinite) || !strings.Contains(err.Error(), tc.pivot) {
+			t.Errorf("%s: %v, want ErrNotPositiveDefinite naming %q", tc.name, err, tc.pivot)
+		}
+		if tc.minPivot == 0 {
+			if _, err := Cholesky(a); !errors.Is(err, ErrNotPositiveDefinite) {
+				t.Errorf("%s: Cholesky returned %v", tc.name, err)
+			}
+		}
+	}
+	// The near-singular matrix itself is positive definite.
+	if _, err := Cholesky(NewMatrixFrom(2, 2, []float64{1, 1 - 1e-12, 1 - 1e-12, 1})); err != nil {
+		t.Errorf("near-singular matrix rejected without a floor: %v", err)
+	}
+}
+
+// TestEigSymOracle holds the eigensolver to what an eigendecomposition is,
+// independent of any earlier output: ‖A·V − V·Λ‖ ≤ 1e-12·‖A‖ and
+// ‖VᵀV − I‖ ≤ 1e-13 (max norms), ascending eigenvalues, on every order from
+// 1 to 64 — random spectra, tightly clustered ones (gaps of 1e-10), exactly
+// degenerate ones (each value four times), and random tridiagonal input.
+func TestEigSymOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	conjugated := func(n int, lam func(i int) float64) *Matrix {
+		_, q := EigSym(randomSymmetric(rng, n))
+		d := NewMatrix(n, n)
+		for i := 0; i < n; i++ {
+			d.Set(i, i, lam(i))
+		}
+		a := MatMul(false, true, MatMul(false, false, q, d, nil), q, nil)
+		a.Symmetrize()
+		return a
+	}
+	for n := 1; n <= 64; n++ {
+		tri := NewMatrix(n, n)
+		for i := 0; i < n; i++ {
+			tri.Set(i, i, rng.NormFloat64())
+			if i > 0 {
+				v := rng.NormFloat64()
+				tri.Set(i, i-1, v)
+				tri.Set(i-1, i, v)
+			}
+		}
+		for name, a := range map[string]*Matrix{
+			"random":      randomSymmetric(rng, n),
+			"clustered":   conjugated(n, func(i int) float64 { return 1 + float64(i%3) + 1e-10*float64(i) }),
+			"degenerate":  conjugated(n, func(i int) float64 { return float64(i / 4) }),
+			"tridiagonal": tri,
+		} {
+			vals, vecs := make([]float64, n), NewMatrix(n, n)
+			if err := NewEigSymWork(n).Solve(a, vals, vecs); err != nil {
+				t.Fatalf("n=%d %s: %v", n, name, err)
+			}
+			var norm float64
+			for _, v := range a.Data {
+				norm = math.Max(norm, math.Abs(v))
+			}
+			av := MatMul(false, false, a, vecs, nil)
+			var resid float64
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					resid = math.Max(resid, math.Abs(av.At(i, j)-vecs.At(i, j)*vals[j]))
+				}
+			}
+			if resid > 1e-12*norm {
+				t.Errorf("n=%d %s: ‖AV − VΛ‖ = %g, ‖A‖ = %g", n, name, resid, norm)
+			}
+			if d := MatMul(true, false, vecs, vecs, nil).MaxAbsDiff(Identity(n)); d > 1e-13 {
+				t.Errorf("n=%d %s: ‖VᵀV − I‖ = %g", n, name, d)
+			}
+			for j := 1; j < n; j++ {
+				if vals[j] < vals[j-1] {
+					t.Fatalf("n=%d %s: eigenvalues not ascending at %d", n, name, j)
+				}
+			}
+		}
+	}
+}
+
+// TestEigSymWorkScaledExtremes: a matrix scaled by 1e200 (where a rotation's
+// sum of squares overflows) or by 1e-200 (where it underflows to zero) takes
+// the Givens norm's Hypot fallback and returns the scaled eigenvalues and the
+// same eigenvectors: the guard keeps math.Hypot's range.
+func TestEigSymWorkScaledExtremes(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for _, n := range []int{2, 6, 25} {
+		a := randomSymmetric(rng, n)
+		w := NewEigSymWork(n)
+		vals, vecs := make([]float64, n), NewMatrix(n, n)
+		if err := w.Solve(a, vals, vecs); err != nil {
+			t.Fatal(err)
+		}
+		for _, scale := range []float64{1e200, 1e-200} {
+			as := a.Clone()
+			as.Scale(scale)
+			got, gotVecs := make([]float64, n), NewMatrix(n, n)
+			if err := w.Solve(as, got, gotVecs); err != nil {
+				t.Fatalf("n=%d scale %g: %v", n, scale, err)
+			}
+			for j := range vals {
+				if d := math.Abs(got[j]/scale - vals[j]); !(d <= 1e-12*math.Max(1, math.Abs(vals[j]))) {
+					t.Errorf("n=%d scale %g: eigenvalue %d = %g, want %g·scale", n, scale, j, got[j], vals[j])
+				}
+				var dot float64
+				for i := 0; i < n; i++ {
+					dot += gotVecs.At(i, j) * vecs.At(i, j)
+				}
+				if !(math.Abs(math.Abs(dot)-1) <= 1e-12) {
+					t.Errorf("n=%d scale %g: eigenvector %d moved (|overlap| %g)", n, scale, j, math.Abs(dot))
+				}
+			}
+		}
+	}
+	if g := givensNorm(3e300, 4e300); g != 5e300 {
+		t.Errorf("givensNorm(3e300, 4e300) = %g, want 5e300", g)
+	}
+	if g := givensNorm(3e-300, 4e-300); math.Abs(g-5e-300) > 1e-315 {
+		t.Errorf("givensNorm(3e-300, 4e-300) = %g, want 5e-300", g)
+	}
+	if g := givensNorm(math.NaN(), 1); !math.IsNaN(g) {
+		t.Errorf("givensNorm(NaN, 1) = %g", g)
+	}
+	if g := givensNorm(math.Inf(-1), math.NaN()); !math.IsInf(g, 1) {
+		t.Errorf("givensNorm(−Inf, NaN) = %g, want +Inf as math.Hypot", g)
 	}
 }
 

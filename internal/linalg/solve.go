@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 )
 
@@ -10,68 +11,82 @@ import (
 var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite")
 
 // Cholesky computes the lower-triangular factor L with A = L·Lᵀ for a
-// symmetric positive-definite matrix. The input is not modified.
+// symmetric positive-definite matrix: the one-shot form of CholeskyInto with
+// any positive pivot accepted. The input is not modified.
 func Cholesky(a *Matrix) (*Matrix, error) {
-	if a.Rows != a.Cols {
-		panic("linalg: Cholesky on non-square matrix")
-	}
-	n := a.Rows
-	l := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			s := a.At(i, j)
-			lrow := l.Row(i)
-			jrow := l.Row(j)
-			for k := 0; k < j; k++ {
-				s -= lrow[k] * jrow[k]
-			}
-			if i == j {
-				if s <= 0 {
-					return nil, ErrNotPositiveDefinite
-				}
-				l.Set(i, i, math.Sqrt(s))
-			} else {
-				l.Set(i, j, s/l.At(j, j))
-			}
-		}
+	l := NewMatrix(a.Rows, a.Cols)
+	if err := CholeskyInto(l, a, 0); err != nil {
+		return nil, err
 	}
 	return l, nil
 }
 
-// ForwardSolve solves L·x = b for lower-triangular L, overwriting nothing.
-func ForwardSolve(l *Matrix, b []float64) []float64 {
-	n := l.Rows
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		row := l.Row(i)
-		for k := 0; k < i; k++ {
-			s -= row[k] * x[k]
-		}
-		x[i] = s / row[i]
+// CholeskyInto writes into l the lower-triangular factor L of A = L·Lᵀ for the
+// symmetric matrix a, of which it reads the lower triangle; l's upper triangle
+// is zeroed. A pivot L_ii² that is not above minPivot — a matrix that is
+// indefinite, singular or near it, or not finite — is an error wrapping
+// ErrNotPositiveDefinite that names the pivot, and leaves l partly written.
+// l may be a itself. It allocates nothing.
+func CholeskyInto(l, a *Matrix, minPivot float64) error {
+	n := a.Rows
+	if a.Cols != n || l.Rows != n || l.Cols != n {
+		panic("linalg: CholeskyInto shape mismatch")
 	}
-	return x
+	for i := 0; i < n; i++ {
+		ai, li := a.Row(i), l.Row(i)
+		for j := 0; j <= i; j++ {
+			lj := l.Row(j)[:j+1]
+			s := ai[j]
+			for k, v := range lj[:j] {
+				s -= li[k] * v
+			}
+			if j < i {
+				li[j] = s / lj[j]
+				continue
+			}
+			if !(s > minPivot) {
+				return fmt.Errorf("%w (pivot %d is %g)", ErrNotPositiveDefinite, i, s)
+			}
+			li[i] = math.Sqrt(s)
+		}
+		clear(li[i+1:])
+	}
+	return nil
 }
 
-// BackSolveT solves Lᵀ·x = b for lower-triangular L.
-func BackSolveT(l *Matrix, b []float64) []float64 {
+// InvertLowerInto writes into dst the inverse of the lower-triangular matrix
+// l (non-zero diagonal), itself lower triangular, by row-wise forward
+// substitution. dst must not be l. It allocates nothing.
+func InvertLowerInto(dst, l *Matrix) {
 	n := l.Rows
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * x[k]
-		}
-		x[i] = s / l.At(i, i)
+	if l.Cols != n || dst.Rows != n || dst.Cols != n || dst == l {
+		panic("linalg: InvertLowerInto shape mismatch or aliasing")
 	}
-	return x
+	for i := 0; i < n; i++ {
+		xi, li := dst.Row(i), l.Row(i)
+		clear(xi)
+		// Row i of L·X = I: L_ii·X_i,: = e_i − Σ_{k<i} L_ik·X_k,:, where row k
+		// of X is non-zero in columns ≤ k only.
+		for k, a := range li[:i] {
+			xk := dst.Row(k)[:k+1]
+			for j, v := range xk {
+				xi[j] -= a * v
+			}
+		}
+		for j := range xi[:i] {
+			xi[j] /= li[i]
+		}
+		xi[i] = 1 / li[i]
+	}
 }
 
 // GeneralizedEigSym solves the symmetric-definite generalized eigenproblem
-// H·C = S·C·diag(ε), the central eigenproblem of the SCF engine, by the
-// standard Cholesky reduction: S = L·Lᵀ, H̃ = L⁻¹·H·L⁻ᵀ, H̃·y = ε·y,
-// C = L⁻ᵀ·y. Eigenvalues are ascending; column j of C is the S-orthonormal
-// eigenvector for ε[j] (Cᵀ·S·C = I).
+// H·C = S·C·diag(ε) by the Cholesky reduction the SCF engine runs on its own
+// storage: S = L·Lᵀ, H̃ = L⁻¹·H·L⁻ᵀ, H̃·y = ε·y, C = L⁻ᵀ·y. Eigenvalues are
+// ascending; column j of C is the S-orthonormal eigenvector for ε[j]
+// (Cᵀ·S·C = I). The error wraps ErrNotPositiveDefinite for an S that is not
+// positive definite and ErrEigNoConvergence for an H̃ the QL iteration
+// cannot diagonalize.
 func GeneralizedEigSym(h, s *Matrix) ([]float64, *Matrix, error) {
 	if h.Rows != h.Cols || s.Rows != s.Cols || h.Rows != s.Rows {
 		panic("linalg: GeneralizedEigSym shape mismatch")
@@ -81,41 +96,15 @@ func GeneralizedEigSym(h, s *Matrix) ([]float64, *Matrix, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Compute H̃ = L⁻¹ H L⁻ᵀ column by column: first W = L⁻¹ H
-	// (forward solve per column), then H̃ = W L⁻ᵀ i.e. H̃ᵀ = L⁻¹ Wᵀ.
-	w := NewMatrix(n, n)
-	col := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			col[i] = h.At(i, j)
-		}
-		x := ForwardSolve(l, col)
-		for i := 0; i < n; i++ {
-			w.Set(i, j, x[i])
-		}
-	}
-	ht := NewMatrix(n, n)
-	for j := 0; j < n; j++ {
-		copy(col, w.Row(j)) // row j of W = column j of Wᵀ
-		x := ForwardSolve(l, col)
-		for i := 0; i < n; i++ {
-			ht.Set(j, i, x[i]) // (L⁻¹Wᵀ)ᵀ row j
-		}
-	}
+	linv := NewMatrix(n, n)
+	InvertLowerInto(linv, l)
+	ht := MatMul(false, true, MatMul(false, false, linv, h, nil), linv, nil)
 	ht.Symmetrize()
-	eps, y := EigSym(ht)
-	// Back-transform eigenvectors: C = L⁻ᵀ Y, column by column.
-	c := NewMatrix(n, n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			col[i] = y.At(i, j)
-		}
-		x := BackSolveT(l, col)
-		for i := 0; i < n; i++ {
-			c.Set(i, j, x[i])
-		}
+	eps, y := make([]float64, n), NewMatrix(n, n)
+	if err := NewEigSymWork(n).Solve(ht, eps, y); err != nil {
+		return nil, nil, err
 	}
-	return eps, c, nil
+	return eps, MatMul(true, false, linv, y, nil), nil
 }
 
 var errSingular = errors.New("linalg: singular matrix in SolveLinear")

@@ -66,7 +66,7 @@ func (m *Model) CalibrateRestForces(opt Options) error {
 	}
 	off += len(m.Angles)
 	for t, dh := range m.Dihedrals {
-		g := dihedralDeltaGrad(m.Pos[dh.I], m.Pos[dh.J], m.Pos[dh.Kk], m.Pos[dh.L], dh.Phi0)
+		g := dihedralDeltaGrad(m.Pos[dh.I], m.Pos[dh.J], m.Pos[dh.Kk], m.Pos[dh.L])
 		for gi2, atom := range [4]int{dh.I, dh.J, dh.Kk, dh.L} {
 			addVec(off+t, atom, g[gi2])
 		}

@@ -1,8 +1,11 @@
 package scf
 
 import (
+	"errors"
 	"math"
+	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"qframan/internal/constants"
@@ -70,6 +73,139 @@ func fixedPointResidual(t testing.TB, m *Model, opt Options, dq []float64) float
 		r = math.Max(r, math.Abs(out[a]-dq[a]))
 	}
 	return r
+}
+
+// refChargeMap is the charge map as it stood before the Cholesky reduction,
+// kept as its reference (the cgref pattern): the Hamiltonian of the input
+// charges written out, H = H0 + E·D + ½·S_μν·(v_A(μ) + v_A(ν)), Löwdin's
+// X = S^{−1/2} from an eigensolve of S, a dense eigensolve of X·H·X, C = X·Y,
+// P = C·f·Cᵀ and its Mulliken charges. It returns the charges, the orbital
+// energies and P.
+func refChargeMap(m *Model, opt Options, dq []float64) (out, eps []float64, p *linalg.Matrix) {
+	n, na := m.Basis.Size(), m.NumAtoms()
+	h := m.H0.Clone()
+	for k, e := range [3]float64{opt.Field.X, opt.Field.Y, opt.Field.Z} {
+		h.AddMatrix(m.Dip[k], e)
+	}
+	v := make([]float64, na)
+	m.sccPotential(dq, v)
+	funcs := m.Basis.Funcs
+	for i := range funcs {
+		for j := range funcs {
+			h.Add(i, j, 0.5*m.S.At(i, j)*(v[funcs[i].Atom]+v[funcs[j].Atom]))
+		}
+	}
+	lam, u := linalg.EigSym(m.S)
+	scaled := linalg.NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			scaled.Set(i, j, u.At(i, j)/math.Sqrt(lam[j]))
+		}
+	}
+	x := linalg.MatMul(false, true, scaled, u, nil)
+	ht := linalg.MatMul(false, false, linalg.MatMul(false, false, x, h, nil), x, nil)
+	ht.Symmetrize()
+	eps, y := linalg.EigSym(ht)
+	c := linalg.MatMul(false, false, x, y, nil)
+	occ := make([]float64, n)
+	occupations(eps, 2*m.NumOcc(), opt.Smearing, occ)
+	p = linalg.NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			var s float64
+			for k, f := range occ {
+				s += f * c.At(i, k) * c.At(j, k)
+			}
+			p.Set(i, j, s)
+		}
+	}
+	out = make([]float64, na)
+	m.mullikenDeltaQ(p, out)
+	return out, eps, p
+}
+
+// TestChargeMapMatchesLowdinReference: the charge map on the Cholesky
+// reduction — H̃ affine in the atomic potentials, one eigensolve — gives the
+// charges, orbital energies and density matrix of the written-out Hamiltonian
+// under Löwdin orthogonalization to 1e-12, on water, the water dimer, methane,
+// glycine and the dimer at σ = 0.05, with and without an external field, at
+// the converged charges and at charges 0.05 e away from them.
+func TestChargeMapMatchesLowdinReference(t *testing.T) {
+	wat, watPos := waterGeometry()
+	dim, dimPos := dimerGeometry()
+	met, metPos := methane()
+	gly, glyPos := glycineGeometry(t)
+	sigma := DefaultOptions().Smearing
+	rng := rand.New(rand.NewSource(27))
+	for _, fx := range []struct {
+		name  string
+		els   []constants.Element
+		pos   []geom.Vec3
+		sigma float64
+	}{
+		{"water", wat, watPos, sigma}, {"dimer", dim, dimPos, sigma}, {"methane", met, metPos, sigma},
+		{"glycine", gly, glyPos, sigma}, {"dimer σ=0.05", dim, dimPos, 0.05},
+	} {
+		m, err := NewModel(fx.els, fx.pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, field := range []geom.Vec3{{}, geom.V(0.004, -0.003, 0.002)} {
+			opt := DefaultOptions()
+			opt.Smearing, opt.Field = fx.sigma, field
+			res, err := m.SolveSCF(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			moved := append([]float64(nil), res.DeltaQ...)
+			for a := range moved {
+				moved[a] += 0.05 * (2*rng.Float64() - 1)
+			}
+			ws := NewWorkspace(m)
+			if err := ws.prepare(m, opt); err != nil {
+				t.Fatal(err)
+			}
+			for _, dq := range [][]float64{res.DeltaQ, moved} {
+				out := make([]float64, len(dq))
+				if _, _, err := ws.chargeMap(m, opt, dq, out); err != nil {
+					t.Fatal(err)
+				}
+				wantOut, wantEps, wantP := refChargeMap(m, opt, dq)
+				dOut, dEps, dP := maxAbsDiff(out, wantOut), maxAbsDiff(ws.eps, wantEps), ws.p.MaxAbsDiff(wantP)
+				if dOut > 1e-12 || dEps > 1e-12 || dP > 1e-12 {
+					t.Errorf("%s field %v: charges, orbital energies, density differ from the Löwdin reference by %.1e, %.1e, %.1e",
+						fx.name, field, dOut, dEps, dP)
+				}
+			}
+		}
+	}
+}
+
+// TestCoincidentAtomsAreAnError: two atoms on one site make the overlap matrix
+// singular. The Cholesky reduction meets a vanishing pivot, and the solve and
+// every rung of the smearing ladder fail loudly with the typed near-singular
+// error, never a NaN result or a panic.
+func TestCoincidentAtomsAreAnError(t *testing.T) {
+	wat, watPos := waterGeometry()
+	for name, geometry := range map[string]struct {
+		els []constants.Element
+		pos []geom.Vec3
+	}{
+		"H₂ on one site":  {[]constants.Element{constants.H, constants.H}, []geom.Vec3{{}, {}}},
+		"water on itself": {append(append([]constants.Element(nil), wat...), wat...), append(append([]geom.Vec3(nil), watPos...), watPos...)},
+	} {
+		m, err := NewModel(geometry.els, geometry.pos)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		res, err := m.SolveSCF(DefaultOptions())
+		if res != nil || !errors.Is(err, linalg.ErrNotPositiveDefinite) || !strings.Contains(err.Error(), "overlap matrix near-singular") {
+			t.Errorf("%s: got %v, %v; want the near-singular overlap error", name, res, err)
+		}
+		if _, err := m.SolveSCFRobust(DefaultOptions()); !errors.Is(err, linalg.ErrNotPositiveDefinite) {
+			t.Errorf("%s: smearing ladder returned %v", name, err)
+		}
+	}
 }
 
 func maxAbsDiff(a, b []float64) float64 {

@@ -124,7 +124,7 @@ func (m *Model) forces(res *Result, fs *forceScratch) []geom.Vec3 {
 		if pref == 0 {
 			continue
 		}
-		g := dihedralDeltaGrad(m.Pos[t.I], m.Pos[t.J], m.Pos[t.Kk], m.Pos[t.L], t.Phi0)
+		g := dihedralDeltaGrad(m.Pos[t.I], m.Pos[t.J], m.Pos[t.Kk], m.Pos[t.L])
 		for gi2, atom := range [4]int{t.I, t.J, t.Kk, t.L} {
 			grad[atom] = grad[atom].Add(g[gi2].Scale(pref))
 		}

@@ -76,40 +76,27 @@ func dihedralDelta(a, b, c, d geom.Vec3, phi0 float64) float64 {
 	return math.Atan2(math.Sin(phi-phi0), math.Cos(phi-phi0))
 }
 
-// dihedralDeltaGrad returns ∂Δ/∂(a,b,c,d) by central differences — the pure
-// geometry is cheap next to an SCF solve and the FD gradient is exact to
-// ~1e-10.
-func dihedralDeltaGrad(a, b, c, d geom.Vec3, phi0 float64) [4]geom.Vec3 {
-	const h = 1e-6
-	pts := [4]geom.Vec3{a, b, c, d}
-	var out [4]geom.Vec3
-	for p := 0; p < 4; p++ {
-		for ax := 0; ax < 3; ax++ {
-			pp, pm := pts, pts
-			switch ax {
-			case 0:
-				pp[p].X += h
-				pm[p].X -= h
-			case 1:
-				pp[p].Y += h
-				pm[p].Y -= h
-			case 2:
-				pp[p].Z += h
-				pm[p].Z -= h
-			}
-			g := (dihedralDelta(pp[0], pp[1], pp[2], pp[3], phi0) -
-				dihedralDelta(pm[0], pm[1], pm[2], pm[3], phi0)) / (2 * h)
-			switch ax {
-			case 0:
-				out[p].X = g
-			case 1:
-				out[p].Y = g
-			case 2:
-				out[p].Z = g
-			}
-		}
+// dihedralDeltaGrad returns ∂Δ/∂(a,b,c,d) for Δ = wrap(φ−φ0), which is ∂φ
+// wherever Δ is smooth: the closed form of Blondel and Karplus (J. Comput.
+// Chem. 17, 1132 (1996)) with n₁ = b₁×b₂, n₂ = b₂×b₃ the two plane normals,
+//
+//	∂φ/∂a = −|b₂|/|n₁|²·n₁,  ∂φ/∂d = |b₂|/|n₂|²·n₂,
+//	∂φ/∂b = −∂φ/∂a + (b₁·b₂)/(|b₂||n₁|²)·n₁ + (b₃·b₂)/(|b₂||n₂|²)·n₂,
+//	∂φ/∂c = −∂φ/∂d − (b₁·b₂)/(|b₂||n₁|²)·n₁ − (b₃·b₂)/(|b₂||n₂|²)·n₂,
+//
+// which sum to zero. A collinear chain, where dihedralAngle returns 0 for an
+// undefined torsion, has zero gradient.
+func dihedralDeltaGrad(a, b, c, d geom.Vec3) [4]geom.Vec3 {
+	b1, b2, b3 := b.Sub(a), c.Sub(b), d.Sub(c)
+	n1, n2 := b1.Cross(b2), b2.Cross(b3)
+	if n1.Norm() < 1e-12 || n2.Norm() < 1e-12 {
+		return [4]geom.Vec3{}
 	}
-	return out
+	nn1, nn2, r2 := n1.Dot(n1), n2.Dot(n2), b2.Norm()
+	ga := n1.Scale(-r2 / nn1)
+	gd := n2.Scale(r2 / nn2)
+	t := n1.Scale(b1.Dot(b2) / (r2 * nn1)).Add(n2.Scale(b3.Dot(b2) / (r2 * nn2)))
+	return [4]geom.Vec3{ga, t.Sub(ga), gd.Add(t).Scale(-1), gd}
 }
 
 // Model is a molecular fragment ready for SCF at a given geometry. The

@@ -101,31 +101,45 @@ func (m *Model) SolveSCF(opt Options) (*Result, error) {
 }
 
 // Workspace owns everything a charge loop needs for models of one size: the
-// orthogonalizer, the n×n buffers of an iteration, its bound GEMMs, the
-// eigensolver's storage, the mixer's ring, and the Result it hands out. The
-// displacement loop keeps one per worker, so the 6N solves of a fragment
-// allocate nothing; SolveSCF makes one for a single solve. A Workspace is used
-// by one goroutine at a time.
+// Cholesky reduction of the geometry, the n×n buffers of an iteration, its
+// bound GEMMs, the eigensolver's storage, the mixer's ring, and the Result it
+// hands out. The displacement loop keeps one per worker, so the 6N solves of a
+// fragment allocate nothing; SolveSCF makes one for a single solve. A
+// Workspace is used by one goroutine at a time.
+//
+// The generalized eigenproblem H·C = S·C·ε is reduced once per solve by
+// S = L·Lᵀ and X = L⁻ᵀ (Xᵀ·S·X = I, S·X = L). The Hamiltonian is affine in the
+// atomic potentials v, H(v) = H0 + hExt + ½(D·S + S·D) with D the diagonal of
+// each function's atomic potential, so its reduced form is
+// H̃(v) = H̃₀ + M + Mᵀ with H̃₀ = Xᵀ·(H0 + hExt)·X, built in prepare, and
+// M = L⁻¹·(½D)·L, lower triangular: an iteration builds H̃ in n³/6
+// multiply-adds, diagonalizes it once, and forms C = X·Y, P and the charges.
 type Workspace struct {
 	n, na int
 	eig   *linalg.EigSymWork
 
-	x, halfS, hExt    *linalg.Matrix
-	h, tmp, ht        *linalg.Matrix
-	y, c, p, w        *linalg.Matrix
-	ga, gb            *linalg.Matrix // gatherOccupied's outputs
-	eps, occ          []float64
-	v, dq, newDq      []float64
-	step              []float64      // chord-Newton: the residual F(dq) − dq
-	orth, xh, xhx, xy *linalg.GemmOp // X = (U/√λ)·Uᵀ, X·H, (X·H)·X, C = X·Y
-	pGemm, wGemm      *linalg.GemmOp // P and W = gb·gaᵀ, bound to gemmCols columns
-	gemmCols          int
-	mixer             *Pulay
-	gemms, flops      int64 // of the solve in progress
-	fermiEvals        int
-	res               Result
-	force             forceScratch
+	l, linv, hExt *linalg.Matrix // S = L·Lᵀ, L⁻¹ = Xᵀ, the field term
+	ht0, ht, tmp  *linalg.Matrix // H̃₀, H̃(v), prepare's L⁻¹·(H0 + hExt)
+	y, c, p, w    *linalg.Matrix
+	ga, gb        *linalg.Matrix // gatherOccupied's outputs
+	eps, occ      []float64
+	v, dq, newDq  []float64
+	hv, mrow      []float64      // ½v of each function's atom; one row of M
+	step          []float64      // chord-Newton: the residual F(dq) − dq
+	lh, lhl, xy   *linalg.GemmOp // L⁻¹·(H0 + hExt), (L⁻¹·H)·L⁻ᵀ, C = L⁻ᵀ·Y
+	pGemm, wGemm  *linalg.GemmOp // P and W = gb·gaᵀ, bound to gemmCols columns
+	gemmCols      int
+	mixer         *Pulay
+	gemms, flops  int64 // of the solve in progress
+	fermiEvals    int
+	res           Result
+	force         forceScratch
 }
+
+// minOverlapPivot is the smallest Cholesky pivot L_ii² of the overlap matrix a
+// solve accepts: the basis functions are normalized (S_ii = 1), so a pivot this
+// small means one function is a combination of the others to ten digits.
+const minOverlapPivot = 1e-10
 
 // NewWorkspace returns a workspace for models with m's basis size and atom
 // count.
@@ -134,18 +148,18 @@ func NewWorkspace(m *Model) *Workspace {
 	sq := func() *linalg.Matrix { return linalg.NewMatrix(n, n) }
 	ws := &Workspace{
 		n: n, na: na, eig: linalg.NewEigSymWork(n),
-		x: sq(), halfS: sq(), hExt: sq(), h: sq(), tmp: sq(), ht: sq(),
+		l: sq(), linv: sq(), hExt: sq(), ht0: sq(), ht: sq(), tmp: sq(),
 		y: sq(), c: sq(), p: sq(), w: sq(), ga: sq(), gb: sq(),
 		eps: make([]float64, n), occ: make([]float64, n),
 		v: make([]float64, na), dq: make([]float64, na), newDq: make([]float64, na),
+		hv: make([]float64, n), mrow: make([]float64, n),
 		gemmCols: -1,
 		mixer:    NewPulay(na, 0),
 		step:     make([]float64, na),
 	}
-	ws.orth = linalg.BindGemm(false, true, 1, ws.tmp, ws.y, 0, ws.x)
-	ws.xh = linalg.BindGemm(false, false, 1, ws.x, ws.h, 0, ws.tmp)
-	ws.xhx = linalg.BindGemm(false, false, 1, ws.tmp, ws.x, 0, ws.ht)
-	ws.xy = linalg.BindGemm(false, false, 1, ws.x, ws.y, 0, ws.c)
+	ws.lh = linalg.BindGemm(false, false, 1, ws.linv, ws.ht, 0, ws.tmp)
+	ws.lhl = linalg.BindGemm(false, true, 1, ws.tmp, ws.linv, 0, ws.ht0)
+	ws.xy = linalg.BindGemm(true, false, 1, ws.linv, ws.y, 0, ws.c)
 	return ws
 }
 
@@ -253,7 +267,7 @@ func (ws *Workspace) Solve(m *Model, opt Options) (*Result, error) {
 }
 
 // prepare validates the options against the model and fills what is fixed
-// across the charge loop: the field term, X = S^{−1/2} and ½S.
+// across the charge loop: the field term, S = L·Lᵀ, L⁻¹ and H̃₀.
 func (ws *Workspace) prepare(m *Model, opt Options) error {
 	if opt.MaxIter <= 0 || opt.Tol <= 0 || opt.Mixing <= 0 || opt.Mixing > 1 {
 		return fmt.Errorf("scf: invalid options (MaxIter %d, Tol %g, Mixing %g, Smearing %g)",
@@ -274,14 +288,19 @@ func (ws *Workspace) prepare(m *Model, opt Options) error {
 			ws.hExt.AddMatrix(m.Dip[k], e)
 		}
 	}
-	// The overlap matrix is fixed across the charge loop: orthogonalize
-	// once with X = S^{−1/2}, then each iteration is a plain symmetric
-	// eigensolve of X·H·X with C = X·Y.
-	if err := ws.symOrth(m.S); err != nil {
-		return fmt.Errorf("scf: overlap orthogonalization: %w", err)
+	// The overlap matrix is fixed across the charge loop: reduce once, then
+	// each iteration is a plain symmetric eigensolve of H̃(v) with C = X·Y.
+	if err := linalg.CholeskyInto(ws.l, m.S, minOverlapPivot); err != nil {
+		return fmt.Errorf("scf: overlap matrix near-singular: %w", err)
 	}
-	ws.halfS.CopyFrom(m.S)
-	ws.halfS.Scale(0.5)
+	linalg.InvertLowerInto(ws.linv, ws.l)
+	ws.ht.CopyFrom(m.H0)
+	ws.ht.AddMatrix(ws.hExt, 1)
+	ws.lh.Run()
+	ws.lhl.Run()
+	ws.ht0.Symmetrize()
+	ws.gemms += 2
+	ws.flops += 2 * linalg.GemmFLOPs(n, n, n)
 	return nil
 }
 
@@ -356,14 +375,8 @@ func (m *Model) ChordMatrix(res *Result, opt Options) *linalg.Matrix {
 // level and the entropy term are returned.
 func (ws *Workspace) chargeMap(m *Model, opt Options, dq, out []float64) (mu, entropy float64, err error) {
 	n := ws.n
-	ws.h.CopyFrom(m.H0)
-	ws.h.AddMatrix(ws.hExt, 1)
 	m.sccPotential(dq, ws.v)
-	m.addSCCPotential(ws.h, ws.halfS, ws.v)
-
-	ws.xh.Run()
-	ws.xhx.Run()
-	ws.ht.Symmetrize()
+	ws.reducedHamiltonian(m)
 	if err := ws.eig.Solve(ws.ht, ws.eps, ws.y); err != nil {
 		return 0, 0, fmt.Errorf("scf: Hamiltonian eigensolve: %w", err)
 	}
@@ -379,10 +392,39 @@ func (ws *Workspace) chargeMap(m *Model, opt Options, dq, out []float64) (mu, en
 		ws.gemmCols = ws.ga.Cols
 	}
 	ws.pGemm.Run()
-	ws.gemms += 4
-	ws.flops += 3*linalg.GemmFLOPs(n, n, n) + linalg.GemmFLOPs(n, ws.ga.Cols, n)
+	ws.gemms += 2
+	ws.flops += linalg.GemmFLOPs(n, n, n) + linalg.GemmFLOPs(n, ws.ga.Cols, n)
 	m.mullikenDeltaQ(ws.p, out)
 	return mu, entropy, nil
+}
+
+// reducedHamiltonian sets ht = H̃(v) = H̃₀ + M + Mᵀ for the atomic potentials
+// in ws.v, where M = L⁻¹·(½D)·L is the reduced SCC term (see Workspace). Row i
+// of M is Σ_{k≤i} L⁻¹_ik·½v_k·L_k,: over columns ≤ k, so M is built a row at a
+// time and written to row and column i of ht at once.
+func (ws *Workspace) reducedHamiltonian(m *Model) {
+	n := ws.n
+	for i := range m.Basis.Funcs {
+		ws.hv[i] = 0.5 * ws.v[m.Basis.Funcs[i].Atom]
+	}
+	for i := 0; i < n; i++ {
+		mi := ws.mrow[:i+1]
+		clear(mi)
+		for k, a := range ws.linv.Row(i)[:i+1] {
+			a *= ws.hv[k]
+			mk := mi[:k+1]
+			for j, lkj := range ws.l.Row(k)[:len(mk)] {
+				mk[j] += a * lkj
+			}
+		}
+		h0i, hi := ws.ht0.Row(i), ws.ht.Row(i)
+		for j, mij := range mi[:i] {
+			v := h0i[j] + mij
+			hi[j] = v
+			ws.ht.Data[j*n+i] = v
+		}
+		hi[i] = h0i[i] + 2*mi[i]
+	}
 }
 
 // SolveSCFRobust is SolveSCF with the standard escalation ladder for
@@ -411,45 +453,6 @@ func (m *Model) SolveSCFRobust(opt Options) (*Result, error) {
 		}
 	}
 	return nil, firstErr
-}
-
-// symOrth fills ws.x with S^{−1/2} by symmetric (Löwdin) orthogonalization.
-func (ws *Workspace) symOrth(s *linalg.Matrix) error {
-	vals, vecs, scaled := ws.eps, ws.y, ws.tmp
-	if err := ws.eig.Solve(s, vals, vecs); err != nil {
-		return err
-	}
-	for _, v := range vals {
-		if v < 1e-10 {
-			return fmt.Errorf("scf: overlap matrix near-singular (eigenvalue %g)", v)
-		}
-	}
-	// X = U·diag(1/√λ)·Uᵀ.
-	for i := 0; i < ws.n; i++ {
-		srow, vrow := scaled.Row(i), vecs.Row(i)
-		for j, v := range vrow {
-			srow[j] = v / math.Sqrt(vals[j])
-		}
-	}
-	ws.orth.Run()
-	ws.gemms++
-	ws.flops += linalg.GemmFLOPs(ws.n, ws.n, ws.n)
-	ws.x.Symmetrize()
-	return nil
-}
-
-// addSCCPotential adds the second-order charge term
-// H_μν += ½·S_μν·(V_A(μ) + V_A(ν)) for the atomic potentials v (sccPotential);
-// halfS is ½·S.
-func (m *Model) addSCCPotential(h, halfS *linalg.Matrix, v []float64) {
-	funcs := m.Basis.Funcs
-	for i := range funcs {
-		vi := v[funcs[i].Atom]
-		hrow, srow := h.Row(i), halfS.Row(i)
-		for j := range funcs {
-			hrow[j] += srow[j] * (vi + v[funcs[j].Atom])
-		}
-	}
 }
 
 // sccPotential fills v with V_A = Σ_B γ_AB Δq_B for the given charges.

@@ -214,11 +214,11 @@ func TestCacheKeyIsolation(t *testing.T) {
 // solver (before poisson.SolverTag), grid and γ mode under the engine before
 // hessian.EngineVersion was hashed (linear response mixing, fully bisected
 // Fermi level), under engine/2 (Pulay charge loop from the first step, full
-// mixer history) and under engine/3 (Pulay loop on the γ-mode response) — the
-// constants were recorded on those commits — must serve none of them to a
-// resumed run of this engine: each mode reports a miss, recomputes, and files
-// its new record beside the old ones. A second resumed run is then served its
-// own.
+// mixer history), under engine/3 (Pulay loop on the γ-mode response) and under
+// engine/4 (Löwdin orthogonalization, unpaired displacements) — the constants
+// were recorded on those commits — must serve none of them to a resumed run of
+// this engine: each mode reports a miss, recomputes, and files its new record
+// beside the old ones. A second resumed run is then served its own.
 func TestCacheSolverMigration(t *testing.T) {
 	const (
 		gridKeyBeforeTag     = "491822e02145f4fdd5cbfa1f6c0b3b3a8602bf3c7a7cc9a949d44f803500ea81"
@@ -228,8 +228,11 @@ func TestCacheSolverMigration(t *testing.T) {
 		gammaKeyEngine2      = "cb44d7814c91ddfa5e453af5c15fa722eb64275a64010763926b37d69ca51fd1"
 		gridKeyEngine3       = "fd1a0f1e8cb3189f9801d0203957b8c69a3ef7b650735140f667aeb1945cb166"
 		gammaKeyEngine3      = "dfe7993a736644cfb30cde4f8d2a9a2ed0269a1e54742a106efbec925c66981b"
+		gridKeyEngine4       = "3f96a8c23b79cc77501b59c7b4ede5b9d5926ec5867030e5951fc0f1c532162d"
+		gammaKeyEngine4      = "98e1cc0e60cc837e3b867f43d6743661f0cc96e68efd9b3a204f36b8fc96295d"
 	)
-	old := []string{gridKeyBeforeTag, gridKeyBeforeEngine, gammaKeyBeforeEngine, gridKeyEngine2, gammaKeyEngine2, gridKeyEngine3, gammaKeyEngine3}
+	old := []string{gridKeyBeforeTag, gridKeyBeforeEngine, gammaKeyBeforeEngine, gridKeyEngine2, gammaKeyEngine2,
+		gridKeyEngine3, gammaKeyEngine3, gridKeyEngine4, gammaKeyEngine4}
 	dec := cacheDecomposition(1)
 	dir := t.TempDir()
 	s := openStore(t, dir)
