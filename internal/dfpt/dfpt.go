@@ -251,11 +251,15 @@ type cycleEnv struct {
 	// displacement pipeline, and the exact per-pair occupation differences
 	// keep the smearing tails exact. Fractional: L = R = C, W_qp is the full
 	// pair-weight matrix with its analytic degenerate limit and sym(Z) =
-	// (Z + Zᵀ)/2.
+	// (Z + Zᵀ)/2; its intraband pairs (p,p) carry no weight — the response to
+	// a field is the optical one, occupations frozen — and their weights
+	// f′_p = −(2/σ)·g_p(1 − g_p), g_p = f_p/2, are kept in fprime for the
+	// static susceptibility of the charge loop (chargeSystem).
 	gapped      bool
 	left, right *linalg.Matrix    // cVirt and cOcc, or the ground state's C twice
 	cVirt, cOcc *linalg.Matrix    // gapped: the gathered orbital blocks
 	idx         []int             // gapped: virtual then occupied orbital indices
+	fprime      []float64         // fractional: f′_p
 	w           *linalg.Matrix    // rows(Lᵀ)×cols(R) pair weights
 	tmp, u, lu  *linalg.Matrix    // Lᵀ·H⁽¹⁾, its product with R (then ∘W), L·u
 	newP1       *linalg.Matrix    //
@@ -303,7 +307,7 @@ func (e *cycleEnv) seat(m *scf.Model, ground *scf.Result, grid *gridEnv) {
 			n: n, newP1: sq(), h1: sq(),
 			cVirt: sq(), cOcc: sq(), w: sq(), tmp: sq(), u: sq(), lu: sq(),
 			halfS: sq(), sr: sq(), sl: sq(),
-			idx: make([]int, n), atomOf: make([]int, n),
+			idx: make([]int, n), atomOf: make([]int, n), fprime: make([]float64, n),
 			samples: e.samples,
 		}
 	}
@@ -351,6 +355,13 @@ func (e *cycleEnv) seat(m *scf.Model, ground *scf.Result, grid *gridEnv) {
 		}
 	} else {
 		reshape(e.w, n, n)
+		for p, f := range occ {
+			e.fprime[p] = 0
+			if ground.Sigma > 0 {
+				g := 0.5 * f
+				e.fprime[p] = -2 / ground.Sigma * g * (1 - g)
+			}
+		}
 		for q := 0; q < n; q++ {
 			row := e.w.Row(q)
 			for p := 0; p < n; p++ {
@@ -416,6 +427,14 @@ func (e *cycleEnv) seat(m *scf.Model, ground *scf.Result, grid *gridEnv) {
 	}
 }
 
+// ops returns the counters the model's GEMMs report to.
+func (e *cycleEnv) ops() *linalg.Ops {
+	if e.m.Ops != nil {
+		return e.m.Ops
+	}
+	return &linalg.DefaultOps
+}
+
 // gatherColumns makes dst (storage for n×n) the n×len(cols) matrix of the
 // given columns of c.
 func gatherColumns(dst, c *linalg.Matrix, cols []int) {
@@ -445,7 +464,7 @@ func (e *cycleEnv) solveGamma(dir int, sc obs.Scope, met *PhaseMetrics, dst *lin
 	}
 	base := time.Now()
 	if dir == 0 {
-		e.chargeSystem()
+		e.chargeSystem(false)
 	}
 	e.h1.CopyFrom(e.m.Dip[dir]) // +D^dir per unit field (electron charge −1)
 	e.p1Gemms[0].Run()          // tmp = Lᵀ·D
@@ -481,18 +500,10 @@ func (e *cycleEnv) solveGamma(dir int, sc obs.Scope, met *PhaseMetrics, dst *lin
 	dst.CopyFrom(e.newP1)
 
 	// The GEMMs are bound ops that count nothing: the two of q₀ and the four
-	// of responseDensity, plus the ground state's two with the first direction.
-	ops := e.m.Ops
-	if ops == nil {
-		ops = &linalg.DefaultOps
-	}
-	n := e.n
-	gemms, flops := int64(6), e.p1FLOPs+linalg.GemmFLOPs(nl, n, n)+linalg.GemmFLOPs(nl, n, nr)
-	if dir == 0 {
-		gemms, flops = gemms+2, flops+linalg.GemmFLOPs(n, n, nr)+linalg.GemmFLOPs(n, n, nl)
-	}
-	ops.GEMMCalls.Add(gemms)
-	ops.FLOPs.Add(flops)
+	// of responseDensity (chargeSystem counts its own).
+	ops := e.ops()
+	ops.GEMMCalls.Add(6)
+	ops.FLOPs.Add(e.p1FLOPs + linalg.GemmFLOPs(nl, e.n, e.n) + linalg.GemmFLOPs(nl, e.n, nr))
 
 	durs := [obs.NumPhases]time.Duration{
 		obs.PhaseN1: tN1, obs.PhaseV1: tV1 - tN1, obs.PhaseH1: tH1 - tV1, obs.PhaseP1: tP1 - tH1,
@@ -509,11 +520,21 @@ func (e *cycleEnv) solveGamma(dir int, sc obs.Scope, met *PhaseMetrics, dst *lin
 }
 
 // chargeSystem builds the ground state's pair-space vectors K_A, the
-// susceptibility χ and the system matrix I − χ·Γ (see cycleEnv).
-func (e *cycleEnv) chargeSystem() {
+// susceptibility χ and the system matrix I − χ·Γ (see cycleEnv). χ is the
+// optical response, occupations frozen, which α is made of. With static set,
+// a fractional ground state's occupations follow the potential as the SCF
+// charge map re-solves them (ChordMatrix): the intraband pairs add
+// Σ_p f′_p·K_A[pp]·K_B[pp], and the Fermi level moves to keep the electron
+// count, which projects out their response to a uniform potential,
+// v = Σ_p f′_p·K[pp]: χ ← χ − v·vᵀ/s with s = Σ_p f′_p, so that 1ᵀ·χ = 0
+// still. A gapped χ has neither term.
+func (e *cycleEnv) chargeSystem(static bool) {
 	e.sGemms[0].Run() // sr = ½S·R
 	e.sGemms[1].Run() // sl = ½S·L
 	nl, nr := e.left.Cols, e.right.Cols
+	ops := e.ops()
+	ops.GEMMCalls.Add(2)
+	ops.FLOPs.Add(linalg.GemmFLOPs(e.n, e.n, nr) + linalg.GemmFLOPs(e.n, e.n, nl))
 	pairs, na := nl*nr, len(e.dq1)
 	k, wk := e.k[:na*pairs], e.wk[:pairs]
 	clear(k)
@@ -540,6 +561,31 @@ func (e *cycleEnv) chargeSystem() {
 			e.chi.Set(b, a, x)
 		}
 	}
+	if static && !e.gapped {
+		// The pair (p,p) is at p·(n+1); v goes in v1, which the chord does not use.
+		diag := func(a, p int) float64 { return k[a*pairs+p*(nl+1)] }
+		v := e.v1
+		var s float64
+		for _, d := range e.fprime {
+			s += d
+		}
+		for a := range v {
+			v[a] = 0
+			for p, d := range e.fprime {
+				v[a] += d * diag(a, p)
+			}
+		}
+		for a := 0; a < na; a++ {
+			row := e.chi.Row(a)
+			for b := range row {
+				var x float64
+				for p, d := range e.fprime {
+					x += d * diag(a, p) * diag(b, p)
+				}
+				row[b] += x - v[a]*v[b]/s
+			}
+		}
+	}
 	for a := 0; a < na; a++ {
 		row, chi := e.sys.Row(a), e.chi.Row(a)
 		for b := range row {
@@ -551,6 +597,36 @@ func (e *cycleEnv) chargeSystem() {
 		}
 		row[a]++
 	}
+}
+
+// ChordMatrix returns M = (I − J)⁻¹ for the Jacobian J = ∂F/∂Δq of the SCF
+// charge map F (input charges → Mulliken charges of the resulting density) at
+// the converged ground state of m: J = χ·Γ, built in closed form from the
+// ground state's eigenpairs by the γ-mode response's own chargeSystem, static
+// (see there). It is what scf.Options.Chord takes for solves at nearby
+// geometries. A singular I − J returns nil: the callers' fallback is the
+// Pulay loop, which nil selects.
+func ChordMatrix(m *scf.Model, ground *scf.Result) *linalg.Matrix {
+	var e cycleEnv
+	e.seat(m, ground, nil)
+	e.chargeSystem(true)
+	na := len(e.dq1)
+	inv, col := linalg.NewMatrix(na, na), e.dq1
+	for b := 0; b < na; b++ {
+		e.fac.CopyFrom(e.sys)
+		clear(col)
+		col[b] = 1
+		if linalg.SolveLinearInPlace(e.fac, col) != nil {
+			return nil
+		}
+		for a, x := range col {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return nil
+			}
+			inv.Set(a, b, x)
+		}
+	}
+	return inv
 }
 
 // ladder runs grid mode's response for one field direction down the
@@ -600,10 +676,7 @@ func (e *cycleEnv) respond(dir int, opt Options, met *PhaseMetrics, dst *linalg.
 	builds := 0
 	e.mixer.Reset(opt.Mixing)
 	defer func() {
-		ops := m.Ops
-		if ops == nil {
-			ops = &linalg.DefaultOps
-		}
+		ops := e.ops()
 		ops.GEMMCalls.Add(int64(len(e.p1Gemms) * builds))
 		ops.FLOPs.Add(e.p1FLOPs * int64(builds))
 		if opt.Obs.Hot != nil {

@@ -21,8 +21,14 @@ import (
 // pattern). The direct solve must land on the same self-consistent response,
 // on it rather than near it, in one cycle per direction.
 
-// refResponseDensity is the per-cycle P⁽¹⁾ build without an environment.
-func refResponseDensity(m *scf.Model, ground *scf.Result, h1 *linalg.Matrix, smearing float64) *linalg.Matrix {
+// refResponseDensity is the per-cycle P⁽¹⁾ build without an environment: the
+// optical response, occupations frozen. With static set, a fractional ground
+// state's occupations follow h1 at a fixed electron count, as they do under a
+// static field in the SCF: the intraband pairs p = q enter with weight
+// f′(ε_p), and the Fermi level shifts by tr(P⁽¹⁾·S)/Σ_p f′_p, which subtracts
+// that multiple of F = Σ_p f′_p c_p c_pᵀ.
+func refResponseDensity(m *scf.Model, ground *scf.Result, h1 *linalg.Matrix, static bool) *linalg.Matrix {
+	smearing := ground.Sigma
 	n := m.Basis.Size()
 	const occTol = 1e-3
 	fractional := false
@@ -39,11 +45,17 @@ func refResponseDensity(m *scf.Model, ground *scf.Result, h1 *linalg.Matrix, sme
 	tmp := linalg.MatMul(true, false, ground.C, h1, m.Ops)
 	hmo := linalg.MatMul(false, false, tmp, ground.C, m.Ops)
 	// Scale by the occupation-difference ratio: M_qp = w_pq · hmo_qp.
+	fprime := make([]float64, n)
+	for p, f := range ground.Occ {
+		if static && smearing > 0 {
+			fprime[p] = -2 / smearing * (f / 2) * (1 - f/2)
+		}
+	}
 	for q := 0; q < n; q++ {
 		row := hmo.Row(q)
 		for p := 0; p < n; p++ {
 			if p == q {
-				row[p] = 0
+				row[p] *= fprime[p]
 				continue
 			}
 			df := ground.Occ[p] - ground.Occ[q]
@@ -63,6 +75,25 @@ func refResponseDensity(m *scf.Model, ground *scf.Result, h1 *linalg.Matrix, sme
 	p1 := linalg.NewMatrix(n, n)
 	linalg.Gemm(false, true, 1, cm, ground.C, 0, p1, m.Ops)
 	p1.Symmetrize()
+	if !static {
+		return p1
+	}
+	var count, s float64
+	for i := 0; i < n; i++ {
+		count += linalg.Dot(p1.Row(i), m.S.Row(i))
+	}
+	for _, d := range fprime {
+		s += d
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			var f float64
+			for p, d := range fprime {
+				f += d * ground.C.At(i, p) * ground.C.At(j, p)
+			}
+			p1.Add(i, j, -count/s*f)
+		}
+	}
 	return p1
 }
 
@@ -150,8 +181,9 @@ func refAddGammaResponse(m *scf.Model, p1, h1 *linalg.Matrix) {
 
 // refPolarizability is γ-mode Polarizability over the reference kernels with
 // plain linear mixing, p1 ← (1−β)·p1 + β·F(p1): the same ladder and the same
-// convergence test on max|F(p1) − p1|, no environment, no extrapolation.
-func refPolarizability(m *scf.Model, ground *scf.Result, opt Options) (*Response, error) {
+// convergence test on max|F(p1) − p1|, no environment, no extrapolation. With
+// static set it is the static response of refResponseDensity instead.
+func refPolarizability(m *scf.Model, ground *scf.Result, opt Options, static bool) (*Response, error) {
 	n := m.Basis.Size()
 	resp := &Response{}
 	for dir := 0; dir < 3; dir++ {
@@ -170,7 +202,7 @@ func refPolarizability(m *scf.Model, ground *scf.Result, opt Options) (*Response
 			for cycles = 1; cycles <= maxIter; cycles++ {
 				h1.CopyFrom(m.Dip[dir])
 				refAddGammaResponse(m, p1, h1)
-				newP1 := refResponseDensity(m, ground, h1, ground.Sigma)
+				newP1 := refResponseDensity(m, ground, h1, static)
 				var maxDelta float64
 				for i, v := range newP1.Data {
 					d := math.Abs(v - p1.Data[i])
@@ -257,7 +289,7 @@ func bitEqualMatrix(a, b *linalg.Matrix) bool {
 func refResidual(m *scf.Model, ground *scf.Result, dir int, p1 *linalg.Matrix) float64 {
 	h1 := m.Dip[dir].Clone()
 	refAddGammaResponse(m, p1, h1)
-	return refResponseDensity(m, ground, h1, ground.Sigma).MaxAbsDiff(p1)
+	return refResponseDensity(m, ground, h1, false).MaxAbsDiff(p1)
 }
 
 func maxAlphaDiff(a, b *Response) float64 {
@@ -330,7 +362,7 @@ func TestGammaResponseMatchesReference(t *testing.T) {
 				fx.name, got, fx.gapped, fx.ground.Occ)
 		}
 		opt := DefaultOptions()
-		want, err := refPolarizability(fx.m, fx.ground, opt)
+		want, err := refPolarizability(fx.m, fx.ground, opt, false)
 		if err != nil {
 			t.Fatalf("%s: %v", fx.name, err)
 		}
@@ -382,12 +414,22 @@ func TestGammaResponseMatchesReference(t *testing.T) {
 // TestSusceptibilityMatchesUnitPotentialBuilds: the pair-space χ is what it
 // claims to be — column B equals the Mulliken charges of the P⁽¹⁾ that
 // responseDensity builds for a unit potential on atom B, applied as
-// addGammaResponseH1 applies a potential — to 1e-12 of χ's largest entry.
+// addGammaResponseH1 applies a potential — to 1e-12 of χ's largest entry. The
+// static χ of the chord matrix equals, column for column, the charges of the
+// static reference build (intraband pairs, Fermi shift) for the same
+// potential, and has 1ᵀ·χ = 0; on a gapped ground state it is the optical χ
+// to the bit.
 func TestSusceptibilityMatchesUnitPotentialBuilds(t *testing.T) {
 	for _, fx := range gammaFixtures(t) {
 		env := newCycleEnv(fx.m, fx.ground, nil)
-		env.chargeSystem()
-		var scale, worst float64
+		env.chargeSystem(false)
+		optical := env.chi.Clone()
+		static := newCycleEnv(fx.m, fx.ground, nil)
+		static.chargeSystem(true)
+		if fx.gapped && !bitEqualMatrix(static.chi, optical) {
+			t.Errorf("%s: the static χ of a gapped ground state differs from the optical one", fx.name)
+		}
+		var scale, worst, worstStatic, colSum float64
 		for _, x := range env.chi.Data {
 			scale = math.Max(scale, math.Abs(x))
 		}
@@ -400,9 +442,18 @@ func TestSusceptibilityMatchesUnitPotentialBuilds(t *testing.T) {
 			for a, q := range refCharges(fx.m, env.newP1) {
 				worst = math.Max(worst, math.Abs(q-env.chi.At(a, b)))
 			}
+			var sum float64
+			for a, q := range refCharges(fx.m, refResponseDensity(fx.m, fx.ground, env.h1, true)) {
+				worstStatic = math.Max(worstStatic, math.Abs(q-static.chi.At(a, b)))
+				sum += static.chi.At(a, b)
+			}
+			colSum = math.Max(colSum, math.Abs(sum))
 		}
 		if scale == 0 || worst > 1e-12*scale {
 			t.Errorf("%s: χ differs from the unit-potential builds by %g (largest entry %g)", fx.name, worst, scale)
+		}
+		if worstStatic > 1e-12*scale || colSum > 1e-12*scale {
+			t.Errorf("%s: static χ differs from the static reference builds by %g, columns sum to %g", fx.name, worstStatic, colSum)
 		}
 	}
 }

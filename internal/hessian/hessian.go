@@ -53,6 +53,9 @@ type DisplacementResult struct {
 // internal/poisson bumps poisson.SolverTag instead, which moves only
 // grid-mode keys.
 //
+// engine/6: the displaced charge loops' chord matrix is dfpt.ChordMatrix's
+// closed-form (I − χ·Γ)⁻¹ (N forward differences of the charge map before),
+// which moves the converged charges within Tol.
 // engine/5: the charge loop reduces H·C = S·C·ε by a Cholesky factor of S
 // (Löwdin before) with the reduced Hamiltonian affine in the atomic
 // potentials, QL rotations take a guarded √(f²+g²) instead of math.Hypot and
@@ -67,7 +70,7 @@ type DisplacementResult struct {
 // engine/2: Pulay-accelerated DFPT cycle, Fermi search that stops once the
 // electrons are counted. (engine/1, never hashed: linear response mixing,
 // Fermi level bisected to the last ulp.)
-const EngineVersion = "engine/5"
+const EngineVersion = "engine/6"
 
 // JobOptions bundles the solver settings of a displacement job.
 type JobOptions struct {
@@ -478,8 +481,9 @@ func computeRung(m *scf.Model, opt JobOptions, workers int, lastRung bool) (*Fra
 
 // SolveReference runs the fragment's reference SCF (and DFPT unless
 // SkipAlpha) at the options' smearing and returns options carrying the
-// warm-start data (reference charges and the chord matrix of the charge loop;
-// in grid mode also the response matrices and working response mixing) for
+// warm-start data (reference charges and the chord matrix of the charge loop,
+// dfpt.ChordMatrix's on the γ kernel the SCF uses in every mode; in grid mode
+// also the response matrices and working response mixing) for
 // the displaced worker jobs, plus the reference SCF result itself — the
 // trajectory engine keeps its converged charges and iteration count to seed
 // and account the same fragment's next frame. γ-mode responses are solved
@@ -502,7 +506,7 @@ func SolveReference(m *scf.Model, opt JobOptions) (*JobOptions, *scf.Result, boo
 		return nil, nil, false, fmt.Errorf("hessian: reference SCF: %w", err)
 	}
 	o.SCF.InitDeltaQ = ref.DeltaQ
-	o.SCF.Chord = m.ChordMatrix(ref, o.SCF)
+	o.SCF.Chord = dfpt.ChordMatrix(m, ref)
 	marginal := false
 	if !o.SkipAlpha {
 		refResp, err := dfpt.Polarizability(m, ref, o.DFPT)

@@ -136,22 +136,6 @@ func BenchmarkQuadrature(b *testing.B) {
 	})
 }
 
-func BenchmarkGeneralizedEigSym(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	n := 64
-	h := randomSymmetric(rng, n)
-	s := Identity(n)
-	p := randomSymmetric(rng, n)
-	p.Scale(0.05)
-	s.AddMatrix(p, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := GeneralizedEigSym(h, s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func itoa(v int) string {
 	var buf [8]byte
 	i := len(buf)

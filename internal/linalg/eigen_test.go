@@ -327,6 +327,15 @@ func TestEigSymTridiagInputsPreserved(t *testing.T) {
 	}
 }
 
+// cholesky is CholeskyInto on a fresh factor with any positive pivot accepted.
+func cholesky(a *Matrix) (*Matrix, error) {
+	l := NewMatrix(a.Rows, a.Cols)
+	if err := CholeskyInto(l, a, 0); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
 func TestCholesky(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	// Build an SPD matrix A = MᵀM + n·I.
@@ -336,7 +345,7 @@ func TestCholesky(t *testing.T) {
 	for i := 0; i < n; i++ {
 		a.Add(i, i, float64(n))
 	}
-	l, err := Cholesky(a)
+	l, err := cholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,13 +417,13 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 			t.Errorf("%s: %v, want ErrNotPositiveDefinite naming %q", tc.name, err, tc.pivot)
 		}
 		if tc.minPivot == 0 {
-			if _, err := Cholesky(a); !errors.Is(err, ErrNotPositiveDefinite) {
+			if _, err := cholesky(a); !errors.Is(err, ErrNotPositiveDefinite) {
 				t.Errorf("%s: Cholesky returned %v", tc.name, err)
 			}
 		}
 	}
 	// The near-singular matrix itself is positive definite.
-	if _, err := Cholesky(NewMatrixFrom(2, 2, []float64{1, 1 - 1e-12, 1 - 1e-12, 1})); err != nil {
+	if _, err := cholesky(NewMatrixFrom(2, 2, []float64{1, 1 - 1e-12, 1 - 1e-12, 1})); err != nil {
 		t.Errorf("near-singular matrix rejected without a floor: %v", err)
 	}
 }
@@ -530,56 +539,6 @@ func TestEigSymWorkScaledExtremes(t *testing.T) {
 	}
 }
 
-func TestGeneralizedEigSym(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	n := 10
-	h := randomSymmetric(rng, n)
-	// SPD overlap: S = I + small random symmetric.
-	s := Identity(n)
-	p := randomSymmetric(rng, n)
-	p.Scale(0.05)
-	s.AddMatrix(p, 1)
-	eps, c, err := GeneralizedEigSym(h, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Check H·C = S·C·diag(eps) and Cᵀ·S·C = I.
-	hc := MatMul(false, false, h, c, nil)
-	sc := MatMul(false, false, s, c, nil)
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			if math.Abs(hc.At(i, j)-eps[j]*sc.At(i, j)) > 1e-9 {
-				t.Fatalf("generalized eigenpair %d residual %g", j, hc.At(i, j)-eps[j]*sc.At(i, j))
-			}
-		}
-	}
-	csc := MatMul(true, false, c, sc, nil)
-	if d := csc.MaxAbsDiff(Identity(n)); d > 1e-9 {
-		t.Fatalf("CᵀSC deviates from identity by %g", d)
-	}
-	for j := 1; j < n; j++ {
-		if eps[j] < eps[j-1] {
-			t.Fatal("generalized eigenvalues not ascending")
-		}
-	}
-}
-
-func TestGeneralizedEigSymReducesToStandard(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 7
-	h := randomSymmetric(rng, n)
-	eps, _, err := GeneralizedEigSym(h, Identity(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals, _ := EigSym(h)
-	for i := range vals {
-		if math.Abs(eps[i]-vals[i]) > 1e-10 {
-			t.Fatalf("S=I generalized eig %v != standard %v", eps[i], vals[i])
-		}
-	}
-}
-
 func TestSolveLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	n := 9
@@ -646,7 +605,7 @@ func TestCholeskySPDProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			a.Add(i, i, 1)
 		}
-		_, err := Cholesky(a)
+		_, err := cholesky(a)
 		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

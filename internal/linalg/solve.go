@@ -6,20 +6,9 @@ import (
 	"math"
 )
 
-// ErrNotPositiveDefinite is returned by Cholesky when the input matrix is
+// ErrNotPositiveDefinite is wrapped by CholeskyInto when the input matrix is
 // not (numerically) symmetric positive definite.
 var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite")
-
-// Cholesky computes the lower-triangular factor L with A = L·Lᵀ for a
-// symmetric positive-definite matrix: the one-shot form of CholeskyInto with
-// any positive pivot accepted. The input is not modified.
-func Cholesky(a *Matrix) (*Matrix, error) {
-	l := NewMatrix(a.Rows, a.Cols)
-	if err := CholeskyInto(l, a, 0); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
 
 // CholeskyInto writes into l the lower-triangular factor L of A = L·Lᵀ for the
 // symmetric matrix a, of which it reads the lower triangle; l's upper triangle
@@ -78,33 +67,6 @@ func InvertLowerInto(dst, l *Matrix) {
 		}
 		xi[i] = 1 / li[i]
 	}
-}
-
-// GeneralizedEigSym solves the symmetric-definite generalized eigenproblem
-// H·C = S·C·diag(ε) by the Cholesky reduction the SCF engine runs on its own
-// storage: S = L·Lᵀ, H̃ = L⁻¹·H·L⁻ᵀ, H̃·y = ε·y, C = L⁻ᵀ·y. Eigenvalues are
-// ascending; column j of C is the S-orthonormal eigenvector for ε[j]
-// (Cᵀ·S·C = I). The error wraps ErrNotPositiveDefinite for an S that is not
-// positive definite and ErrEigNoConvergence for an H̃ the QL iteration
-// cannot diagonalize.
-func GeneralizedEigSym(h, s *Matrix) ([]float64, *Matrix, error) {
-	if h.Rows != h.Cols || s.Rows != s.Cols || h.Rows != s.Rows {
-		panic("linalg: GeneralizedEigSym shape mismatch")
-	}
-	n := h.Rows
-	l, err := Cholesky(s)
-	if err != nil {
-		return nil, nil, err
-	}
-	linv := NewMatrix(n, n)
-	InvertLowerInto(linv, l)
-	ht := MatMul(false, true, MatMul(false, false, linv, h, nil), linv, nil)
-	ht.Symmetrize()
-	eps, y := make([]float64, n), NewMatrix(n, n)
-	if err := NewEigSymWork(n).Solve(ht, eps, y); err != nil {
-		return nil, nil, err
-	}
-	return eps, MatMul(true, false, linv, y, nil), nil
 }
 
 var errSingular = errors.New("linalg: singular matrix in SolveLinear")

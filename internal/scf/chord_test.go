@@ -4,76 +4,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 
 	"qframan/internal/constants"
 	"qframan/internal/geom"
 	"qframan/internal/linalg"
-	"qframan/internal/obs"
-	"qframan/internal/par"
 )
-
-// chordFixture is a model with its converged reference state and the chord
-// matrix of it, as hessian.SolveReference hands them to the displaced solves.
-type chordFixture struct {
-	name string
-	m    *Model
-	ref  *Result
-	opt  Options // InitDeltaQ and Chord set
-}
-
-func newChordFixture(t testing.TB, name string, els []constants.Element, pos []geom.Vec3, smearing float64) chordFixture {
-	t.Helper()
-	m, err := NewModel(els, pos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := DefaultOptions()
-	opt.Smearing = smearing
-	ref, err := m.SolveSCF(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.InitDeltaQ = ref.DeltaQ
-	opt.Chord = m.ChordMatrix(ref, opt)
-	if opt.Chord == nil {
-		t.Fatalf("%s: no chord matrix at the reference", name)
-	}
-	return chordFixture{name, m, ref, opt}
-}
-
-func chordFixtures(t testing.TB) []chordFixture {
-	wat, watPos := waterGeometry()
-	dim, dimPos := dimerGeometry()
-	gly, glyPos := glycineGeometry(t)
-	sigma := DefaultOptions().Smearing
-	return []chordFixture{
-		newChordFixture(t, "water", wat, watPos, sigma),
-		newChordFixture(t, "dimer", dim, dimPos, sigma),
-		newChordFixture(t, "glycine", gly, glyPos, sigma),
-	}
-}
-
-// fixedPointResidual evaluates the charge map once at dq and returns
-// max|F(dq) − dq|.
-func fixedPointResidual(t testing.TB, m *Model, opt Options, dq []float64) float64 {
-	t.Helper()
-	ws := NewWorkspace(m)
-	if err := ws.prepare(m, opt); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]float64, len(dq))
-	if _, _, err := ws.chargeMap(m, opt, dq, out); err != nil {
-		t.Fatal(err)
-	}
-	var r float64
-	for a := range dq {
-		r = math.Max(r, math.Abs(out[a]-dq[a]))
-	}
-	return r
-}
 
 // refChargeMap is the charge map as it stood before the Cholesky reduction,
 // kept as its reference (the cgref pattern): the Hamiltonian of the input
@@ -122,6 +59,49 @@ func refChargeMap(m *Model, opt Options, dq []float64) (out, eps []float64, p *l
 	out = make([]float64, na)
 	m.mullikenDeltaQ(p, out)
 	return out, eps, p
+}
+
+// refChordMatrix is the chord matrix as the charge loop built it before it
+// took dfpt.ChordMatrix's closed form, kept as its reference: M = (I − J)⁻¹
+// with J = ∂F/∂dq by forward differences of the charge map from res.DeltaQ,
+// one evaluation — one diagonalization — per atom, each column of the inverse
+// one LU solve. nil for a map that cannot be evaluated or a singular I − J.
+func refChordMatrix(m *Model, res *Result, opt Options) *linalg.Matrix {
+	const step = 1e-4 // electrons: above rounding, below where the map bends
+	ws := NewWorkspace(m)
+	if ws.prepare(m, opt) != nil {
+		return nil
+	}
+	na := ws.na
+	dq, out := ws.dq, ws.newDq
+	iMinusJ := linalg.NewMatrix(na, na)
+	for b := 0; b < na; b++ {
+		copy(dq, res.DeltaQ)
+		dq[b] += step
+		if _, _, err := ws.chargeMap(m, opt, dq, out); err != nil {
+			return nil
+		}
+		for a := 0; a < na; a++ {
+			iMinusJ.Set(a, b, -(out[a]-res.DeltaQ[a])/step)
+		}
+		iMinusJ.Add(b, b, 1)
+	}
+	inv := linalg.NewMatrix(na, na)
+	for b := 0; b < na; b++ {
+		col := make([]float64, na)
+		col[b] = 1
+		x, err := linalg.SolveLinear(iMinusJ, col)
+		if err != nil {
+			return nil
+		}
+		for a, v := range x {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil
+			}
+			inv.Set(a, b, v)
+		}
+	}
+	return inv
 }
 
 // TestChargeMapMatchesLowdinReference: the charge map on the Cholesky
@@ -214,173 +194,6 @@ func maxAbsDiff(a, b []float64) float64 {
 		d = math.Max(d, math.Abs(a[i]-b[i]))
 	}
 	return d
-}
-
-const displacementStep = 5e-3 // hessian.DefaultStep
-
-// TestChordLoopMatchesPulayFixedPoint holds the chord-Newton charge loop to
-// what a charge loop is for, on every displacement of water, dimer and
-// glycine: the returned charges are a fixed point of the charge map, evaluated
-// afresh outside the loop, to 10·Tol (the loop stops when its input moves by
-// less than Tol and returns the output, so the map's Lipschitz constant — 4 on
-// glycine — stands between the two); they and the energy agree with the
-// Pulay-converged solve of the same geometry to 10·Tol and 1e-12 Eₕ — two
-// paths to one fixed point; no step failed to halve the residual; the dimer's
-// median solve takes at most 4 diagonalizations where the Pulay loop takes 8;
-// and kernel widths 1 and 4 give the same bits.
-func TestChordLoopMatchesPulayFixedPoint(t *testing.T) {
-	defer par.SetBudget(0)
-	for _, fx := range chordFixtures(t) {
-		pulayOpt := fx.opt
-		pulayOpt.Chord = nil
-		ws, wsPulay := NewWorkspace(fx.m), NewWorkspace(fx.m)
-		var md Model
-		var chordIters, pulayIters []int
-		for atom := 0; atom < fx.m.NumAtoms(); atom++ {
-			for axis := 0; axis < 3; axis++ {
-				for _, sign := range []float64{1, -1} {
-					fx.m.DisplaceInto(&md, atom, axis, sign*displacementStep)
-					par.SetBudget(1)
-					got, err := ws.Solve(&md, fx.opt)
-					if err != nil {
-						t.Fatalf("%s atom %d axis %d: %v", fx.name, atom, axis, err)
-					}
-					dq, energy, iters := append([]float64(nil), got.DeltaQ...), got.Energy, got.Iterations
-					if got.ChordSteps != iters-1 {
-						t.Errorf("%s atom %d axis %d: %d chord steps in %d iterations: the loop fell back to Pulay",
-							fx.name, atom, axis, got.ChordSteps, iters)
-					}
-					if r := fixedPointResidual(t, &md, fx.opt, dq); !(r < 10*fx.opt.Tol) {
-						t.Errorf("%s atom %d axis %d: converged charges miss the fixed point by %g", fx.name, atom, axis, r)
-					}
-					want, err := wsPulay.Solve(&md, pulayOpt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if d := maxAbsDiff(dq, want.DeltaQ); d > 10*fx.opt.Tol {
-						t.Errorf("%s atom %d axis %d: charges differ from the Pulay solve by %g", fx.name, atom, axis, d)
-					}
-					if d := math.Abs(energy - want.Energy); d > 1e-12 {
-						t.Errorf("%s atom %d axis %d: energy differs from the Pulay solve by %g", fx.name, atom, axis, d)
-					}
-					chordIters, pulayIters = append(chordIters, iters), append(pulayIters, want.Iterations)
-
-					par.SetBudget(4)
-					wide, err := ws.Solve(&md, fx.opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bitEqualFloats(wide.DeltaQ, dq) || math.Float64bits(wide.Energy) != math.Float64bits(energy) ||
-						wide.Iterations != iters {
-						t.Errorf("%s atom %d axis %d: kernel widths 1 and 4 disagree", fx.name, atom, axis)
-					}
-				}
-			}
-		}
-		sort.Ints(chordIters)
-		sort.Ints(pulayIters)
-		mc, mp := chordIters[len(chordIters)/2], pulayIters[len(pulayIters)/2]
-		t.Logf("%s: median iterations chord %d (max %d), Pulay %d", fx.name, mc, chordIters[len(chordIters)-1], mp)
-		if fx.name == "dimer" && mc > 4 {
-			t.Errorf("dimer: median displaced solve takes %d iterations, want ≤ 4", mc)
-		}
-		if mc > mp {
-			t.Errorf("%s: chord loop (%d) slower than Pulay (%d)", fx.name, mc, mp)
-		}
-	}
-}
-
-// TestChordFallsBackToPulay: a chord matrix that does not describe the
-// geometry at hand — another molecule's, a step three times too long, a
-// singular one — costs a fallback, counted, never the
-// answer: the loop hands its iterate to the Pulay mixer the first time a step
-// fails to halve the residual and converges to the Pulay fixed point. So does
-// a small-gap, strongly smeared fragment, whichever way its loop goes.
-func TestChordFallsBackToPulay(t *testing.T) {
-	wat, watPos := waterGeometry()
-	water := newChordFixture(t, "water", wat, watPos, DefaultOptions().Smearing)
-	hcn := newChordFixture(t, "hcn", []constants.Element{constants.H, constants.C, constants.N},
-		[]geom.Vec3{geom.V(-1.064, 0, 0), {}, geom.V(1.156, 0, 0)}, DefaultOptions().Smearing)
-	md := water.m.Displaced(1, 0, displacementStep)
-	pulayOpt := water.opt
-	pulayOpt.Chord = nil
-	want, err := md.SolveSCF(pulayOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tripled := linalg.Identity(3)
-	tripled.Scale(3)
-	for name, chord := range map[string]*linalg.Matrix{
-		"another molecule's": hcn.opt.Chord,
-		"3·I":                tripled,
-		"singular":           linalg.NewMatrix(3, 3),
-	} {
-		reg := obs.NewRegistry()
-		tr := obs.NewTracer()
-		opt := water.opt
-		opt.Chord = chord
-		opt.Obs = obs.NewScope(tr, reg)
-		got, err := md.SolveSCF(opt)
-		if err != nil {
-			t.Fatalf("%s chord matrix: %v", name, err)
-		}
-		if n := reg.Counter(obs.MetricSCFChordFallbacks).Value(); n != 1 {
-			t.Errorf("%s chord matrix: %d fallbacks counted, want 1", name, n)
-		}
-		if got.ChordSteps >= got.Iterations-1 {
-			t.Errorf("%s chord matrix: %d chord steps in %d iterations, want a Pulay tail", name, got.ChordSteps, got.Iterations)
-		}
-		if d := maxAbsDiff(got.DeltaQ, want.DeltaQ); d > 10*opt.Tol {
-			t.Errorf("%s chord matrix: charges differ from the Pulay solve by %g", name, d)
-		}
-		if d := math.Abs(got.Energy - want.Energy); d > 1e-12 {
-			t.Errorf("%s chord matrix: energy differs from the Pulay solve by %g", name, d)
-		}
-		var steps int64 = -1
-		for _, s := range tr.Snapshot() {
-			if s.Name == "scf" {
-				for _, a := range s.Args {
-					if a.Key == "chord_steps" {
-						steps = a.Val
-					}
-				}
-			}
-		}
-		if steps != int64(got.ChordSteps) {
-			t.Errorf("%s chord matrix: scf span carries chord_steps = %d, result %d", name, steps, got.ChordSteps)
-		}
-	}
-
-	wrong := water.opt
-	wrong.Chord = linalg.Identity(4)
-	if _, err := md.SolveSCF(wrong); err == nil {
-		t.Error("a 4×4 chord matrix for 3 atoms was accepted")
-	}
-
-	// The dimer at 25× the default electronic temperature: fractional
-	// frontier occupations, the Fermi level moving with the charges.
-	dim, dimPos := dimerGeometry()
-	hot := newChordFixture(t, "dimer σ=0.05", dim, dimPos, 0.05)
-	hotPulay := hot.opt
-	hotPulay.Chord = nil
-	for atom := 0; atom < hot.m.NumAtoms(); atom++ {
-		mdHot := hot.m.Displaced(atom, atom%3, displacementStep)
-		got, err := mdHot.SolveSCF(hot.opt)
-		if err != nil {
-			t.Fatalf("smeared dimer atom %d: %v", atom, err)
-		}
-		ref, err := mdHot.SolveSCF(hotPulay)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := maxAbsDiff(got.DeltaQ, ref.DeltaQ); d > 10*hot.opt.Tol {
-			t.Errorf("smeared dimer atom %d: charges differ from the Pulay solve by %g", atom, d)
-		}
-		if d := math.Abs(got.Energy - ref.Energy); d > 1e-12 {
-			t.Errorf("smeared dimer atom %d: energy differs from the Pulay solve by %g", atom, d)
-		}
-	}
 }
 
 // TestChargeLoopIterationCountIsStable: the charges of symmetric water and

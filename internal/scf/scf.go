@@ -37,8 +37,9 @@ type Options struct {
 	InitDeltaQ []float64
 	// Chord, when non-nil, makes the charge loop start as a chord-Newton
 	// iteration, dq ← dq + Chord·(F(dq) − dq), with Chord = (I − J)⁻¹ for the
-	// charge susceptibility J = ∂F/∂dq of a nearby geometry (ChordMatrix at the
-	// undisplaced reference, in the displacement loop). The loop hands its
+	// Jacobian J = ∂F/∂dq of the charge map at a nearby geometry (in the
+	// displacement loop, dfpt.ChordMatrix of the undisplaced reference, which
+	// builds J = χ·Γ from its atom-charge susceptibility χ). The loop hands its
 	// iterate to the Pulay mixer the first time a step fails to halve
 	// max|F(dq) − dq|. Like InitDeltaQ it is warm-start data — it changes the
 	// path to the fixed point, not the fixed point — and is excluded from the
@@ -314,58 +315,6 @@ func (ws *Workspace) flushOps(m *Model) {
 	ops.GEMMCalls.Add(ws.gemms)
 	ops.FLOPs.Add(ws.flops)
 	ws.gemms, ws.flops = 0, 0
-}
-
-// chordStep is the finite-difference step of ChordMatrix, in electrons: large
-// against the rounding of a charge evaluation (≈ 1e-15), small against the
-// charge scale on which the map bends (≈ 0.1).
-const chordStep = 1e-4
-
-// ChordMatrix returns M = (I − J)⁻¹, where J = ∂F/∂dq is the susceptibility of
-// the charge map F (input charges → Mulliken charges of the resulting density)
-// at the converged ground state res of m under opt, by forward differences
-// from res.DeltaQ (its own image under F to within opt.Tol): one evaluation of
-// F per atom. It is what Options.Chord takes for solves at nearby geometries.
-// A singular I − J — and a map that cannot be evaluated — returns nil: the
-// callers' fallback is the Pulay loop, which nil selects.
-func (m *Model) ChordMatrix(res *Result, opt Options) *linalg.Matrix {
-	ws := NewWorkspace(m)
-	defer ws.flushOps(m)
-	if ws.prepare(m, opt) != nil {
-		return nil
-	}
-	na := ws.na
-	dq, out := ws.dq, ws.newDq
-	iMinusJ := linalg.NewMatrix(na, na)
-	for b := 0; b < na; b++ {
-		copy(dq, res.DeltaQ)
-		dq[b] += chordStep
-		if _, _, err := ws.chargeMap(m, opt, dq, out); err != nil {
-			return nil
-		}
-		for a := 0; a < na; a++ {
-			iMinusJ.Set(a, b, -(out[a]-res.DeltaQ[a])/chordStep)
-		}
-		iMinusJ.Add(b, b, 1)
-	}
-	// Invert column by column.
-	inv := linalg.NewMatrix(na, na)
-	lu, col := linalg.NewMatrix(na, na), make([]float64, na)
-	for b := 0; b < na; b++ {
-		lu.CopyFrom(iMinusJ)
-		clear(col)
-		col[b] = 1
-		if linalg.SolveLinearInPlace(lu, col) != nil {
-			return nil
-		}
-		for a, v := range col {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil
-			}
-			inv.Set(a, b, v)
-		}
-	}
-	return inv
 }
 
 // chargeMap evaluates the fixed-point map of the charge loop, out = F(dq):

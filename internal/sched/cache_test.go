@@ -214,9 +214,10 @@ func TestCacheKeyIsolation(t *testing.T) {
 // solver (before poisson.SolverTag), grid and γ mode under the engine before
 // hessian.EngineVersion was hashed (linear response mixing, fully bisected
 // Fermi level), under engine/2 (Pulay charge loop from the first step, full
-// mixer history), under engine/3 (Pulay loop on the γ-mode response) and under
-// engine/4 (Löwdin orthogonalization, unpaired displacements) — the constants
-// were recorded on those commits — must serve none of them to a resumed run of
+// mixer history), under engine/3 (Pulay loop on the γ-mode response), under
+// engine/4 (Löwdin orthogonalization, unpaired displacements) and under
+// engine/5 (finite-difference chord matrix, no intraband response) — the
+// constants were recorded on those commits — must serve none of them to a resumed run of
 // this engine: each mode reports a miss, recomputes, and files its new record
 // beside the old ones. A second resumed run is then served its own.
 func TestCacheSolverMigration(t *testing.T) {
@@ -230,9 +231,11 @@ func TestCacheSolverMigration(t *testing.T) {
 		gammaKeyEngine3      = "dfe7993a736644cfb30cde4f8d2a9a2ed0269a1e54742a106efbec925c66981b"
 		gridKeyEngine4       = "3f96a8c23b79cc77501b59c7b4ede5b9d5926ec5867030e5951fc0f1c532162d"
 		gammaKeyEngine4      = "98e1cc0e60cc837e3b867f43d6743661f0cc96e68efd9b3a204f36b8fc96295d"
+		gridKeyEngine5       = "bfb373ed5e270d7bec1ae3ba1d8377b6be49e7de8042eca88ebc8c7102bba0df"
+		gammaKeyEngine5      = "09edc6e57eecddbb285e94eaec0918cc7a75b38df970da8d82f3766ea8075013"
 	)
 	old := []string{gridKeyBeforeTag, gridKeyBeforeEngine, gammaKeyBeforeEngine, gridKeyEngine2, gammaKeyEngine2,
-		gridKeyEngine3, gammaKeyEngine3, gridKeyEngine4, gammaKeyEngine4}
+		gridKeyEngine3, gammaKeyEngine3, gridKeyEngine4, gammaKeyEngine4, gridKeyEngine5, gammaKeyEngine5}
 	dec := cacheDecomposition(1)
 	dir := t.TempDir()
 	s := openStore(t, dir)
