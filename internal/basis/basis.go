@@ -215,6 +215,54 @@ func OverlapDeriv(f, g *Func) geom.Vec3 {
 	return geom.V(n*d[0], n*d[1], n*d[2])
 }
 
+// DipoleDeriv returns d<f| r_k |g>/dA for k = x, y, z, where A is the center
+// of f: element k is the gradient of D^k. Moving both centers moves the
+// operator's origin relative to them, so by translation
+// d/dA + d/dB = δ_ak·<f|g> — on a same-atom pair the block moves with its
+// atom and its derivative is S there.
+func DipoleDeriv(f, g *Func) [3]geom.Vec3 {
+	t := axes1D(f, g, 1)
+	cb := [3]float64{g.Center.X, g.Center.Y, g.Center.Z}
+	// Per axis: the overlap factor s(i,j), its A-derivative, the moment
+	// factor with x = (x−B) + B, s(i,j+1) + B·s(i,j) — the form whose
+	// A-derivative stays inside the 3×3 table — and that moment's A-derivative.
+	var base, der, mom, dmom [3]float64
+	for ax := 0; ax < 3; ax++ {
+		i, j, s := f.L[ax], g.L[ax], &t[ax]
+		m := func(i int) float64 { return s[i][j+1] + cb[ax]*s[i][j] }
+		base[ax], mom[ax] = s[i][j], m(i)
+		der[ax] = 2 * f.Alpha * s[i+1][j]
+		dmom[ax] = 2 * f.Alpha * m(i+1)
+		if i > 0 {
+			der[ax] -= float64(i) * s[i-1][j]
+			dmom[ax] -= float64(i) * m(i-1)
+		}
+	}
+	n := f.Norm * g.Norm
+	var out [3]geom.Vec3
+	for k := 0; k < 3; k++ {
+		var d [3]float64
+		for ax := 0; ax < 3; ax++ {
+			prod := n
+			for o := 0; o < 3; o++ {
+				switch {
+				case o == ax && o == k:
+					prod *= dmom[o]
+				case o == ax:
+					prod *= der[o]
+				case o == k:
+					prod *= mom[o]
+				default:
+					prod *= base[o]
+				}
+			}
+			d[ax] = prod
+		}
+		out[k] = geom.V(d[0], d[1], d[2])
+	}
+	return out
+}
+
 // Dipole returns <f| r |g> in absolute coordinates (bohr).
 func Dipole(f, g *Func) geom.Vec3 {
 	_, d := overlapDipole(f, g)

@@ -131,6 +131,46 @@ func TestOverlapDerivMatchesFiniteDifference(t *testing.T) {
 	}
 }
 
+// TestDipoleDerivMatchesFiniteDifference checks d<f|r_k|g>/dA against
+// central differences of Dipole, and the translation rule
+// d/dA + d/dB = δ_ak·<f|g> with d/dB read from the swapped pair.
+func TestDipoleDerivMatchesFiniteDifference(t *testing.T) {
+	const h = 1e-5
+	for idx, pr := range testPairs() {
+		f, g := pr[0], pr[1]
+		got := DipoleDeriv(&f, &g)
+		gotB := DipoleDeriv(&g, &f) // d<g|r|f>/dB = d<f|r|g>/dB
+		s := Overlap(&f, &g)
+		for ax := 0; ax < 3; ax++ {
+			fp, fm := f, f
+			fp.Center = fp.Center.Add(unitVec(ax).Scale(h))
+			fm.Center = fm.Center.Sub(unitVec(ax).Scale(h))
+			want := Dipole(&fp, &g).Sub(Dipole(&fm, &g)).Scale(1 / (2 * h))
+			for k, w := range [3]float64{want.X, want.Y, want.Z} {
+				a := component(got[k], ax)
+				if math.Abs(a-w) > 1e-8 {
+					t.Errorf("pair %d: dD^%d/dA_%d analytic %v vs FD %v", idx, k, ax, a, w)
+				}
+				var delta float64
+				if k == ax {
+					delta = s
+				}
+				if sum := a + component(gotB[k], ax); math.Abs(sum-delta) > 1e-12 {
+					t.Errorf("pair %d: dD^%d/dA_%d + dD^%d/dB_%d = %v, want %v", idx, k, ax, k, ax, sum, delta)
+				}
+			}
+		}
+	}
+}
+
+func unitVec(ax int) geom.Vec3 {
+	var v [3]float64
+	v[ax] = 1
+	return geom.V(v[0], v[1], v[2])
+}
+
+func component(v geom.Vec3, ax int) float64 { return [3]float64{v.X, v.Y, v.Z}[ax] }
+
 func TestGradMatchesFiniteDifference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const h = 1e-6

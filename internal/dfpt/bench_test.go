@@ -49,3 +49,27 @@ func BenchmarkPolarizabilityGridCycle(b *testing.B) {
 	}
 	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/op")
 }
+
+// BenchmarkFieldDerivatives times what a gapped γ-mode fragment's reference
+// solve does beyond the polarizability to replace its 6N displaced
+// polarizabilities: FieldResponse (the polarizability plus the six
+// second-order responses) and scf.Model.FieldDerivatives, at width 1.
+func BenchmarkFieldDerivatives(b *testing.B) {
+	defer par.SetBudget(0)
+	par.SetBudget(1)
+	for _, fx := range gammaFixtures(b) {
+		if fx.name != "water" && fx.name != "water dimer" && fx.name != "glycine" {
+			continue
+		}
+		b.Run(fx.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fr, err := FieldResponse(fx.m, fx.ground, DefaultOptions())
+				if err != nil {
+					b.Fatal(err)
+				}
+				fx.m.FieldDerivatives(fx.ground, fr)
+			}
+		})
+	}
+}

@@ -292,6 +292,23 @@ type cycleEnv struct {
 	samples []obs.CycleSample // the span batch of a direction, reused across solves
 }
 
+// occTol is how far from 0 or 2 an occupation may lie in a gapped ground
+// state.
+const occTol = 1e-3
+
+// Gapped reports whether every occupation lies within occTol of 0 or 2: the
+// ground states whose field response is built from occupied×virtual pairs
+// alone (cycleEnv), and whose dipole and polarizability derivatives are taken
+// analytically (FieldResponse, scf.Model.FieldDerivatives).
+func Gapped(occ []float64) bool {
+	for _, f := range occ {
+		if f > occTol && f < 2-occTol {
+			return false
+		}
+	}
+	return true
+}
+
 // reshape makes m a rows×cols view of its own storage (allocated n×n).
 func reshape(m *linalg.Matrix, rows, cols int) {
 	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
@@ -312,14 +329,7 @@ func (e *cycleEnv) seat(m *scf.Model, ground *scf.Result, grid *gridEnv) {
 		}
 	}
 	e.m, e.grid = m, grid
-	const occTol = 1e-3
-	e.gapped = true
-	for _, f := range ground.Occ {
-		if f > occTol && f < 2-occTol {
-			e.gapped = false
-			break
-		}
-	}
+	e.gapped = Gapped(ground.Occ)
 	occ, eps := ground.Occ, ground.Eps
 	left, right := ground.C, ground.C
 	nl, nr := n, n

@@ -1,7 +1,9 @@
 // Package hessian computes per-fragment Hessians and polarizability
 // derivatives through the paper's displacement loop — each displacement is
-// one worker job: an SCF ground state, analytic forces, and a DFPT
-// polarizability at the displaced geometry — and assembles the signed
+// one worker job: an SCF ground state and analytic forces at the displaced
+// geometry, plus a DFPT polarizability where the derivatives are finite
+// differences (grid mode, fractional ground states; a gapped γ-mode fragment
+// takes them analytically at its reference) — and assembles the signed
 // fragment contributions (Eq. 1) into the global sparse mass-weighted
 // Hessian and the global ∂α/∂ξ vectors that feed the Raman solver.
 package hessian
@@ -53,6 +55,12 @@ type DisplacementResult struct {
 // internal/poisson bumps poisson.SolverTag instead, which moves only
 // grid-mode keys.
 //
+// engine/7: in γ mode a gapped fragment's dipole and polarizability
+// derivatives are analytic at the reference geometry (the field derivatives of
+// the force expression, from the first- and second-order field responses)
+// instead of central differences of 6N displaced DFPT solves; the Hessian
+// keeps its bits, and grid mode, fractional ground states and SkipAlpha keep
+// the finite differences.
 // engine/6: the displaced charge loops' chord matrix is dfpt.ChordMatrix's
 // closed-form (I − χ·Γ)⁻¹ (N forward differences of the charge map before),
 // which moves the converged charges within Tol.
@@ -70,7 +78,7 @@ type DisplacementResult struct {
 // engine/2: Pulay-accelerated DFPT cycle, Fermi search that stops once the
 // electrons are counted. (engine/1, never hashed: linear response mixing,
 // Fermi level bisected to the last ulp.)
-const EngineVersion = "engine/6"
+const EngineVersion = "engine/7"
 
 // JobOptions bundles the solver settings of a displacement job.
 type JobOptions struct {
@@ -167,7 +175,7 @@ type FragmentData struct {
 	// AlphaComponents.
 	DAlpha [6][]float64
 	// DDipole[k][3a+d] = ∂μ_k/∂r_{a,d} (a.u.) — the IR analogue of DAlpha,
-	// essentially free from the same displacement results.
+	// from the same route (analytic or the displacement results).
 	DDipole [3][]float64
 }
 
@@ -348,8 +356,9 @@ func SmearingRungs(base float64) []float64 {
 // reference solve (SolveReference) that warm-starts 6N displaced solves, taken
 // from one queue by `workers` Displacers, each coordinate's −Step solve queued
 // behind and warm-started from its +Step partner, then the finite differences
-// of BuildFragmentData. A rung whose reference response is marginal is skipped
-// while a higher one remains. Each rung taken above the first is counted
+// of BuildFragmentData (the Hessian alone when the reference took the dipole
+// and polarizability derivatives analytically, computeRung). A rung whose
+// reference response is marginal is skipped while a higher one remains. Each rung taken above the first is counted
 // (obs.MetricSCFSmearingEscalations). When every rung fails the error wraps
 // the first rung's failure: the one at the smearing the caller asked for.
 //
@@ -390,15 +399,23 @@ func ComputeFragment(f *fragment.Fragment, opt JobOptions, workers int) (*Fragme
 }
 
 // computeRung runs one fragment's displacement loop at the options' smearing.
+// When the reference took the dipole and polarizability derivatives
+// analytically the displaced jobs skip their DFPT and the loop yields the
+// Hessian alone; otherwise all three are finite differences, and the fragment
+// is counted (obs.MetricHessianFDDerivativeFragments).
 func computeRung(m *scf.Model, opt JobOptions, workers int, lastRung bool) (*FragmentData, *scf.Result, error) {
-	refOpt, ref, marginal, err := SolveReference(m, opt)
+	r, err := solveReference(m, opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	if marginal && !lastRung {
+	if r.marginal && !lastRung {
 		return nil, nil, fmt.Errorf("hessian: marginal response at σ=%g; escalating", opt.SCF.Smearing)
 	}
-	opt = *refOpt
+	ref := r.ref
+	opt = r.opt
+	if r.analytic != nil {
+		opt.SkipAlpha = true
+	}
 	natoms := len(m.Els)
 	results := make([]*DisplacementResult, 6*natoms)
 	// Job 2c moves coordinate c by +Step and starts from the reference charges
@@ -476,7 +493,23 @@ func computeRung(m *scf.Model, opt JobOptions, workers int, lastRung bool) (*Fra
 		return nil, nil, err
 	}
 	data, err := BuildFragmentData(natoms, results, opt.Step, !opt.SkipAlpha)
-	return data, ref, err
+	if err != nil {
+		return nil, nil, err
+	}
+	if a := r.analytic; a != nil {
+		data.DDipole, data.DAlpha = a.DDipole, a.DAlpha
+	} else if opt.Obs.Hot != nil {
+		opt.Obs.Hot.HessianFDDerivativeFragments.Inc()
+	}
+	return data, ref, nil
+}
+
+// reference is what the reference solve hands the displacement loop.
+type reference struct {
+	opt      JobOptions
+	ref      *scf.Result
+	marginal bool
+	analytic *FragmentData // DDipole and DAlpha at the reference; nil: finite differences
 }
 
 // SolveReference runs the fragment's reference SCF (and DFPT unless
@@ -496,6 +529,20 @@ func computeRung(m *scf.Model, opt JobOptions, workers int, lastRung bool) (*Fra
 // run out of it, so callers should prefer the next smearing rung when one is
 // available. A γ-mode response is never marginal: it succeeds or fails.
 func SolveReference(m *scf.Model, opt JobOptions) (*JobOptions, *scf.Result, bool, error) {
+	r, err := solveReference(m, opt)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	return &r.opt, r.ref, r.marginal, nil
+}
+
+// solveReference is SolveReference plus the routing of the dipole and
+// polarizability derivatives: for a gapped γ-mode ground state that is not
+// SkipAlpha the reference DFPT also yields the second-order field responses,
+// and the derivatives are taken analytically from them (DESIGN.md §7,
+// "Analytic field derivatives"). Grid mode, fractional ground states and
+// SkipAlpha leave analytic nil.
+func solveReference(m *scf.Model, opt JobOptions) (*reference, error) {
 	o := opt
 	// Reference solves appear as direct scf/dfpt children of the attempt
 	// span (displaced solves sit under a "disp" span instead).
@@ -503,25 +550,38 @@ func SolveReference(m *scf.Model, opt JobOptions) (*JobOptions, *scf.Result, boo
 	o.DFPT.Obs = opt.Obs
 	ref, err := m.SolveSCF(o.SCF)
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("hessian: reference SCF: %w", err)
+		return nil, fmt.Errorf("hessian: reference SCF: %w", err)
 	}
 	o.SCF.InitDeltaQ = ref.DeltaQ
 	o.SCF.Chord = dfpt.ChordMatrix(m, ref)
-	marginal := false
-	if !o.SkipAlpha {
+	r := &reference{ref: ref}
+	switch {
+	case o.SkipAlpha:
+	case o.DFPT.Coulomb == dfpt.GammaCoulomb && dfpt.Gapped(ref.Occ):
+		fr, err := dfpt.FieldResponse(m, ref, o.DFPT)
+		if err != nil {
+			return nil, fmt.Errorf("hessian: reference DFPT: %w", err)
+		}
+		dMu, dAlpha := m.FieldDerivatives(ref, fr)
+		r.analytic = &FragmentData{DDipole: dMu}
+		for c, ij := range AlphaComponents {
+			r.analytic.DAlpha[c] = dAlpha[ij[0]][ij[1]]
+		}
+	default:
 		refResp, err := dfpt.Polarizability(m, ref, o.DFPT)
 		if err != nil {
-			return nil, nil, false, fmt.Errorf("hessian: reference DFPT: %w", err)
+			return nil, fmt.Errorf("hessian: reference DFPT: %w", err)
 		}
 		if o.DFPT.Coulomb == dfpt.GridCoulomb {
 			o.DFPT.InitP1 = refResp.P1
 			// Skip damping rungs the reference already proved doomed in any
 			// direction.
 			o.DFPT.Mixing = refResp.MixingUsed
-			marginal = refResp.MixingUsed < 0.9*opt.DFPT.Mixing || refResp.Cycles > opt.DFPT.MaxIter
+			r.marginal = refResp.MixingUsed < 0.9*opt.DFPT.Mixing || refResp.Cycles > opt.DFPT.MaxIter
 		}
 	}
-	return &o, ref, marginal, nil
+	r.opt = o
+	return r, nil
 }
 
 // ModelForFragment builds the SCF model of a fragment (positions are Å in

@@ -217,15 +217,36 @@ func (g *GemmOp) mirrorPanels(_, lo, hi int) {
 }
 
 // Gemm computes C = alpha·op(A)·op(B) + beta·C once: BindGemm, the Ops
-// accounting, Run.
+// accounting, Run. A direct-kernel shape is too small to shard, so it runs on
+// the caller from an op on the stack (the same bits: see GemmOp) and
+// allocates nothing.
 func Gemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix, ops *Ops) {
-	g := BindGemm(transA, transB, alpha, a, b, beta, c)
 	if ops == nil {
 		ops = &DefaultOps
 	}
+	if gemmSmall(transA, transB, alpha, a, b, beta, c, ops) {
+		return
+	}
+	g := BindGemm(transA, transB, alpha, a, b, beta, c)
 	ops.GEMMCalls.Add(1)
 	ops.FLOPs.Add(GemmFLOPs(g.m, g.k, g.n))
 	g.Run()
+}
+
+// gemmSmall is Gemm for a direct-kernel shape, run inline; false (nothing
+// done) for any other shape.
+func gemmSmall(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix, ops *Ops) bool {
+	var g GemmOp
+	if !g.set(transA, transB, alpha, a, b, beta, c) {
+		panic("linalg: Gemm shape mismatch")
+	}
+	if !g.direct {
+		return false
+	}
+	ops.GEMMCalls.Add(1)
+	ops.FLOPs.Add(GemmFLOPs(g.m, g.k, g.n))
+	g.inline()
+	return true
 }
 
 // MatMul returns op(A)·op(B) as a new matrix (alpha=1, beta=0).

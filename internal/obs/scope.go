@@ -54,6 +54,12 @@ const (
 	MetricSCFChordFallbacks   = "scf_chord_fallbacks_total"
 	MetricDFPTMixingFallbacks = "dfpt_mixing_fallbacks_total"
 	MetricDFPTPulayResets     = "dfpt_pulay_resets_total"
+	// A finite-difference derivative fragment is one whose dipole and
+	// polarizability derivatives came from its 6N displaced solves
+	// (grid mode, a fractional ground state, SkipAlpha) instead of the
+	// reference's field responses (hessian.ComputeFragment): how much
+	// traffic the analytic path does not serve.
+	MetricHessianFDDerivativeFragments = "hessian_fd_derivative_fragments_total"
 	// Spectral-solver counts, one RecordLanczos per spectrum: recurrence
 	// steps taken over all start vectors, recurrences that stopped on
 	// β-breakdown, and start vectors skipped as numerically zero.
@@ -126,6 +132,8 @@ type Hot struct {
 	SCFChordFallbacks      *Counter
 	DFPTMixingFallbacks    *Counter
 	DFPTPulayResets        *Counter
+
+	HessianFDDerivativeFragments *Counter
 }
 
 func newHot(r *Registry) *Hot {
@@ -141,6 +149,8 @@ func newHot(r *Registry) *Hot {
 		SCFChordFallbacks:      r.Counter(MetricSCFChordFallbacks),
 		DFPTMixingFallbacks:    r.Counter(MetricDFPTMixingFallbacks),
 		DFPTPulayResets:        r.Counter(MetricDFPTPulayResets),
+
+		HessianFDDerivativeFragments: r.Counter(MetricHessianFDDerivativeFragments),
 	}
 	for p := Phase(0); p < NumPhases; p++ {
 		h.PhaseTime[p] = r.Histogram(PhaseMetricName(p), DurationBuckets)

@@ -86,9 +86,9 @@ func glycineGeometry(t testing.TB) ([]constants.Element, []geom.Vec3) {
 // TestDisplaceIntoMatchesFullRebuildBitwise: for every atom × axis × sign of
 // water, dimer, methane and glycine, visited in a seeded random order on one
 // destination model (so each update inherits whatever the previous ones left
-// behind), the moved-atom block update leaves S, D^x/y/z, H0, Γ, the positions
-// and the basis centers equal to a full rebuild at the displaced geometry to
-// the last bit. Steps vary from the production 5·10⁻³ bohr to 0.3 bohr.
+// behind), the moved-atom block update leaves S, D^x/y/z, H0, Γ, the overlap
+// derivatives, the positions and the basis centers equal to a full rebuild at
+// the displaced geometry to the last bit. Steps vary from the production 5·10⁻³ bohr to 0.3 bohr.
 func TestDisplaceIntoMatchesFullRebuildBitwise(t *testing.T) {
 	gly, glyPos := glycineGeometry(t)
 	dim, dimPos := dimerGeometry()
@@ -136,6 +136,16 @@ func TestDisplaceIntoMatchesFullRebuildBitwise(t *testing.T) {
 				bitEqualFloats(dst.Gamma.Data, gamma.Data)
 			for k := range dip {
 				ok = ok && bitEqualFloats(dst.Dip[k].Data, dip[k].Data)
+			}
+			n := set.Size()
+			for i := range set.Funcs {
+				for j := i + 1; j < n; j++ {
+					var want geom.Vec3
+					if set.Funcs[i].Atom != set.Funcs[j].Atom {
+						want = basis.OverlapDeriv(&set.Funcs[i], &set.Funcs[j])
+					}
+					ok = ok && dst.dS[i*n+j] == want
+				}
 			}
 			for a := range pos {
 				ok = ok && dst.Pos[a] == pos[a]

@@ -3,7 +3,6 @@ package scf
 import (
 	"math"
 
-	"qframan/internal/basis"
 	"qframan/internal/geom"
 	"qframan/internal/par"
 )
@@ -66,7 +65,7 @@ func (m *Model) forces(res *Result, fs *forceScratch) []geom.Vec3 {
 				if a == b {
 					continue
 				}
-				ds := basis.OverlapDeriv(fi, fj) // d S_ij / d R_a
+				ds := m.dS[i*n+j] // d S_ij / d R_a
 				// Both (i,j) and (j,i) contribute identically: factor 2.
 				coeff := 2 * (pRow[j]*0.5*wolfsbergK*(ei+fj.OnsiteE) -
 					wRow[j] +

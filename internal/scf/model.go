@@ -113,6 +113,10 @@ type Model struct {
 	H0    *linalg.Matrix
 	Gamma *linalg.Matrix // atom×atom Klopman–Ohno matrix
 	Dip   [3]*linalg.Matrix
+	// dS[i·n+j], i < j, is ∂S_ij/∂R of the atom of function i,
+	// basis.OverlapDeriv of the pair (the atom of j sees the negative); zero on
+	// a same-atom pair. Entries on and below the diagonal are unused.
+	dS []geom.Vec3
 
 	Zval      []float64 // valence charge per atom
 	Bonds     []Bond
@@ -235,9 +239,9 @@ func (m *Model) Displaced(atom, axis int, delta float64) *Model {
 // positions, basis and electronic matrices across calls (any Model that was
 // the dst of an earlier call on a model of this size, or the zero Model): they
 // are copied from m and then only the moved atom's row and column blocks of S,
-// the dipole matrices, H0 and Γ are recomputed — O(n) pair integrals, each the
-// expression rebuild evaluates for that pair, so dst equals a full rebuild at
-// the displaced geometry bit for bit. Copying everything first is what keeps a
+// the dipole matrices, H0, the overlap derivatives and Γ are recomputed — O(n)
+// pair integrals, each the expression rebuild evaluates for that pair, so dst
+// equals a full rebuild at the displaced geometry bit for bit. Copying everything first is what keeps a
 // block moved by an earlier call from surviving into this one.
 func (m *Model) DisplaceInto(dst *Model, atom, axis int, delta float64) {
 	if axis < 0 || axis > 2 {
@@ -251,14 +255,16 @@ func (m *Model) DisplaceInto(dst *Model, atom, axis int, delta float64) {
 		for k := range dst.Dip {
 			dst.Dip[k] = linalg.NewMatrix(n, n)
 		}
+		dst.dS = make([]geom.Vec3, n*n)
 	}
 	own := *dst
 	*dst = *m
-	dst.Pos, dst.Basis, dst.S, dst.H0, dst.Gamma, dst.Dip = own.Pos, own.Basis, own.S, own.H0, own.Gamma, own.Dip
+	dst.Pos, dst.Basis, dst.S, dst.H0, dst.Gamma, dst.Dip, dst.dS = own.Pos, own.Basis, own.S, own.H0, own.Gamma, own.Dip, own.dS
 	copy(dst.Pos, m.Pos)
 	copy(dst.Basis.Funcs, m.Basis.Funcs)
 	dst.S.CopyFrom(m.S)
 	dst.H0.CopyFrom(m.H0)
+	copy(dst.dS, m.dS)
 	dst.Gamma.CopyFrom(m.Gamma)
 	for k := range dst.Dip {
 		dst.Dip[k].CopyFrom(m.Dip[k])
@@ -283,6 +289,7 @@ func (m *Model) DisplaceInto(dst *Model, atom, axis int, delta float64) {
 				v := offSiteH0(&funcs[i], &funcs[j], dst.S.At(i, j))
 				dst.H0.Set(i, j, v)
 				dst.H0.Set(j, i, v)
+				dst.setOverlapDeriv(min(i, j), max(i, j))
 			}
 		}
 	}
@@ -309,6 +316,7 @@ func (m *Model) rebuild() {
 	m.Dip = m.Basis.DipoleMatrices()
 	n := m.Basis.Size()
 	m.H0 = linalg.NewMatrix(n, n)
+	m.dS = make([]geom.Vec3, n*n)
 	for i := 0; i < n; i++ {
 		fi := &m.Basis.Funcs[i]
 		m.H0.Set(i, i, fi.OnsiteE)
@@ -317,6 +325,7 @@ func (m *Model) rebuild() {
 			var v float64
 			if fi.Atom != fj.Atom {
 				v = offSiteH0(fi, fj, m.S.At(i, j))
+				m.setOverlapDeriv(i, j)
 			}
 			// On-atom off-diagonal blocks vanish by orthogonality of the
 			// s/p functions on the same center (S is the identity there).
@@ -336,6 +345,11 @@ func (m *Model) rebuild() {
 			m.Gamma.Set(b, a, g)
 		}
 	}
+}
+
+// setOverlapDeriv fills the overlap-derivative entry of the pair i < j.
+func (m *Model) setOverlapDeriv(i, j int) {
+	m.dS[i*m.Basis.Size()+j] = basis.OverlapDeriv(&m.Basis.Funcs[i], &m.Basis.Funcs[j])
 }
 
 func klopmanOhno(r, ua, ub float64) float64 {

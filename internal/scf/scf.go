@@ -538,12 +538,7 @@ func gatherOccupied(c *linalg.Matrix, occ, eps []float64, ga, gb *linalg.Matrix)
 // mullikenDeltaQ fills out with the per-atom electron excess n_A − Z_A,
 // n_A = Σ_{μ∈A} (P·S)_μμ.
 func (m *Model) mullikenDeltaQ(p *linalg.Matrix, out []float64) {
-	for a := range out {
-		out[a] = 0
-	}
-	for i := range m.Basis.Funcs {
-		out[m.Basis.Funcs[i].Atom] += linalg.Dot(p.Row(i), m.S.Row(i))
-	}
+	m.populations(p, out)
 	for a := range out {
 		out[a] -= m.Zval[a]
 	}

@@ -215,8 +215,9 @@ func TestCacheKeyIsolation(t *testing.T) {
 // hessian.EngineVersion was hashed (linear response mixing, fully bisected
 // Fermi level), under engine/2 (Pulay charge loop from the first step, full
 // mixer history), under engine/3 (Pulay loop on the γ-mode response), under
-// engine/4 (Löwdin orthogonalization, unpaired displacements) and under
-// engine/5 (finite-difference chord matrix, no intraband response) — the
+// engine/4 (Löwdin orthogonalization, unpaired displacements), under
+// engine/5 (finite-difference chord matrix, no intraband response) and under
+// engine/6 (finite-difference dipole and polarizability derivatives) — the
 // constants were recorded on those commits — must serve none of them to a resumed run of
 // this engine: each mode reports a miss, recomputes, and files its new record
 // beside the old ones. A second resumed run is then served its own.
@@ -233,9 +234,12 @@ func TestCacheSolverMigration(t *testing.T) {
 		gammaKeyEngine4      = "98e1cc0e60cc837e3b867f43d6743661f0cc96e68efd9b3a204f36b8fc96295d"
 		gridKeyEngine5       = "bfb373ed5e270d7bec1ae3ba1d8377b6be49e7de8042eca88ebc8c7102bba0df"
 		gammaKeyEngine5      = "09edc6e57eecddbb285e94eaec0918cc7a75b38df970da8d82f3766ea8075013"
+		gridKeyEngine6       = "d1b43883bc477951b65a569b214fc80b14812b40843bb3803f147473dfdc6da2"
+		gammaKeyEngine6      = "70f2a3d6c3c9d25b448ca9bb12f43abffd2ba4aaf170681109cab3616a318ddf"
 	)
 	old := []string{gridKeyBeforeTag, gridKeyBeforeEngine, gammaKeyBeforeEngine, gridKeyEngine2, gammaKeyEngine2,
-		gridKeyEngine3, gammaKeyEngine3, gridKeyEngine4, gammaKeyEngine4, gridKeyEngine5, gammaKeyEngine5}
+		gridKeyEngine3, gammaKeyEngine3, gridKeyEngine4, gammaKeyEngine4, gridKeyEngine5, gammaKeyEngine5,
+		gridKeyEngine6, gammaKeyEngine6}
 	dec := cacheDecomposition(1)
 	dir := t.TempDir()
 	s := openStore(t, dir)

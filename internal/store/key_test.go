@@ -230,9 +230,10 @@ func TestKeySolverTagTouchesOnlyGridMode(t *testing.T) {
 // (linear response mixing, fully bisected Fermi level), engine/2 (Pulay
 // charge loop from the first step, full mixer history), engine/3 (Pulay loop
 // on the γ-mode response), engine/4 (Löwdin orthogonalization, math.Hypot
-// in the QL rotations, unpaired displacements) and engine/5 (finite-difference
-// chord matrix, no intraband response); the constants were recorded on those
-// commits — are not today's, so none of their records can be served to
+// in the QL rotations, unpaired displacements), engine/5 (finite-difference
+// chord matrix, no intraband response) and engine/6 (finite-difference dipole
+// and polarizability derivatives in γ mode); the constants were recorded on
+// those commits — are not today's, so none of their records can be served to
 // this engine.
 func TestKeyEngineVersionTouchesEveryKey(t *testing.T) {
 	grid, hessOnly := hessian.DefaultJobOptions(), hessian.DefaultJobOptions()
@@ -240,24 +241,27 @@ func TestKeyEngineVersionTouchesEveryKey(t *testing.T) {
 	hessOnly.SkipAlpha = true
 	for _, tc := range []struct {
 		name       string
-		keysBefore [5]string // unversioned engine, engine/2, engine/3, engine/4, engine/5
+		keysBefore [6]string // unversioned engine, engine/2, engine/3, engine/4, engine/5, engine/6
 		opt        hessian.JobOptions
 	}{
-		{"γ mode", [5]string{"f5191d75104962f781428508a5c936bf4a14e2bb68f911d7bf75554df7af00b4",
+		{"γ mode", [6]string{"f5191d75104962f781428508a5c936bf4a14e2bb68f911d7bf75554df7af00b4",
 			"cdb10dbd19d277c77d60f582f78e1eae186b3852e9e22b2eece8f69b560d448d",
 			"92c4619cfa4945bc1cb81704a8868711cc1cd81dba45c3a85c24019fd8f32e15",
 			"63d04430a8e6bf30508d33c4bb36c68cbe0b36e9774f206ca410cfa84f3f4709",
-			"c1c701d6c146d747f54a135504a7cb3d8a5c3acddbb3ce1db2cdd5632eb20c5e"}, hessian.DefaultJobOptions()},
-		{"grid mode", [5]string{"d06d326b4c6b3d6268b8331c7d1a5621bbe3fc82420fc891201208327d3a878e",
+			"c1c701d6c146d747f54a135504a7cb3d8a5c3acddbb3ce1db2cdd5632eb20c5e",
+			"c445fb445d27d0f3a4acd598c3dbeb10e0de1e9cdf7e478d5de70b23cdad8693"}, hessian.DefaultJobOptions()},
+		{"grid mode", [6]string{"d06d326b4c6b3d6268b8331c7d1a5621bbe3fc82420fc891201208327d3a878e",
 			"8e7e74e50a712f8a737503fa1a839a07c19683df075c30863e1dae3f03f73e3d",
 			"a623e9f8b379c9cae5df7586cf10620cf532703b90c3210b178fcef420102d70",
 			"9c04eabfa80c467bd18f321fc0437a4458b303d9abb87f671f50dcb8a2eae654",
-			"2b5cfe268f901258b167f54e54e822a2fb8927212b923ecedc224e9eac534cd6"}, grid},
-		{"pure Hessian", [5]string{"dc48bfda25047caa734ddf81879b5d15aa852bc24f6226b2db216218229883a0",
+			"2b5cfe268f901258b167f54e54e822a2fb8927212b923ecedc224e9eac534cd6",
+			"d0a81331ed33a184066f29ff2f6c9ef9db9eace277fb893e6355d27252c2a6b7"}, grid},
+		{"pure Hessian", [6]string{"dc48bfda25047caa734ddf81879b5d15aa852bc24f6226b2db216218229883a0",
 			"fbe2d1037acde98f416c9a3743a790703a50be9b8ebf600a16fb672b764fada6",
 			"1634bbf88d83d794b233c26a55597349154280fdffa0fa3e2a10f33f7888489f",
 			"49b5c275f0493cd6ec0958612dfc02b8cc520428081d53d9f70350ab045ca85d",
-			"ca571944dec61fb81ad7f1ecdea19f7df3d13c9b840645b91b06ad33f64233cc"}, hessOnly},
+			"ca571944dec61fb81ad7f1ecdea19f7df3d13c9b840645b91b06ad33f64233cc",
+			"5cf966edef7ac3080bf07ed29601c0b9e7bc56929145bf1a030c6644db6a9a4d"}, hessOnly},
 	} {
 		if b := appendJobFingerprint(nil, tc.opt); bytes.Count(b, []byte(hessian.EngineVersion)) != 1 {
 			t.Errorf("%s: the job fingerprint does not hash the engine version exactly once", tc.name)
