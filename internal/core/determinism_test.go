@@ -44,7 +44,7 @@ func waterFragment() *fragment.Fragment {
 // and through the store codec (the bytes that content addressing and
 // crash-resume dedup hash). The grid-Coulomb pipeline is used because it
 // exercises every parallel kernel family: batched GEMMs, the Poisson
-// sine transforms and boundary-moment reduction, grid gather/scatter, and
+// sine transforms and boundary-moment reduction, the grid orbital and pair kernels, and
 // the Forces chunk-accumulator combine. The engine's displacement partition
 // runs at the same width as the kernels, so neither width is physics.
 func TestFragmentDataBitIdenticalAcrossKernelWidths(t *testing.T) {

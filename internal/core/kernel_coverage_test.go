@@ -18,10 +18,11 @@ import (
 var wiredKernels = []string{
 	"dot",
 	"gemm_batch",
+	"gemm_tn",
 	"gemv_n",
-	"grid_gather",
-	"grid_h1_build",
-	"grid_scatter",
+	"grid_orbitals",
+	"grid_pair_density",
+	"grid_pair_operands",
 	"grid_tabulate",
 	"lanczos_density",
 	"lanczos_vec",

@@ -16,10 +16,15 @@
 //     is affine in the N atomic response charges, so it is solved directly
 //     (one N×N system per field direction) and each direction runs one cycle.
 //   - GridCoulomb: the paper's real-space pipeline — batched basis
-//     evaluation, many small GEMMs, direct sine-transform Poisson solve. It
-//     exercises the exact computational pattern the paper optimizes
-//     (including the symmetry-reduced kernels of Fig. 6) and is the mode
-//     benchmarked for Table I and Fig. 9.
+//     evaluation, many small GEMMs, direct sine-transform Poisson solve. Its
+//     self-consistency is affine in the orbital-pair coefficients of P⁽¹⁾,
+//     so it is solved directly in pair space: the orbitals and the pair
+//     densities on the grid, one Poisson solve per pair, one pair-space
+//     Coulomb matrix per direction and one linear solve — one cycle per
+//     direction, whose four phases keep the paper's names (cycleEnv.solveGrid,
+//     DESIGN.md §7). The AO-space cycle of §V-A with its symmetry-reduced
+//     kernels (Fig. 6) lives on as the package tests' oracle and as the call
+//     lists internal/perf costs for Table I and Fig. 9 (GridCalls).
 package dfpt
 
 import (
@@ -33,13 +38,12 @@ import (
 	"qframan/internal/scf"
 )
 
-// ErrNotConverged reports that a response cycle used up its iterations, and
-// ErrDiverged that the response grew without bound or turned NaN — in γ mode,
-// that the direct solve met no virtual orbitals, a zero pivot or a non-finite
-// charge or P⁽¹⁾. Both are deterministic outcomes of the fragment and its
-// options: the grid mode's mixing ladder retries them with more damping, the
-// smearing ladder (hessian.ComputeFragment) escalates on them, and the runtime
-// (faults.Classify) never retries them.
+// ErrDiverged reports that a direct response solve met no virtual orbitals, a
+// zero pivot, or a non-finite orbital, pair weight, charge or P⁽¹⁾. It is a
+// deterministic outcome of the fragment and its options: the smearing ladder
+// (hessian.ComputeFragment) escalates on it, and the runtime
+// (faults.Classify) never retries it. No solve of this package iterates, so
+// none returns ErrNotConverged; it stays for callers that match on it.
 var (
 	ErrNotConverged = errors.New("dfpt: cycle not converged")
 	ErrDiverged     = errors.New("dfpt: response diverged")
@@ -55,19 +59,16 @@ const (
 	GridCoulomb
 )
 
-// Options configures the DFPT cycle. MaxIter, Tol, Mixing and InitP1 steer
-// the iterative response loop of GridCoulomb; GammaCoulomb solves its
-// response directly and reads none of them (they are still validated, and
-// still part of the store fingerprint).
+// Options configures the DFPT response. Both Coulomb modes solve their
+// response directly, so MaxIter, Tol and Mixing — the iteration budget,
+// convergence threshold and damping of the response loop both modes once ran
+// — are read by neither. They are still validated and still part of the store
+// fingerprint (hessian.JobOptions.AppendPhysics) until the options surface is
+// cut (ROADMAP item 5).
 type Options struct {
-	MaxIter int     // grid mode: cycles per rung of the mixing ladder
-	Tol     float64 // grid mode: convergence on max |ΔP⁽¹⁾|, a cycle's output minus its input
-	// Mixing in (0,1] is the damping β of grid mode's Pulay step on P⁽¹⁾: the
-	// next input is Σ cᵢ (P⁽¹⁾ᵢ + β·rᵢ) over the mixer's history (scf.Pulay).
-	// The response map is affine, so β does not set the rate of convergence as
-	// it did for linear mixing; it is what the robustness ladder lowers (×0.5,
-	// 0.25, 0.1) when a response oscillates or overshoots.
-	Mixing float64
+	MaxIter int     // read by neither mode; must be positive
+	Tol     float64 // read by neither mode; must be positive
+	Mixing  float64 // read by neither mode; must lie in (0,1]
 
 	Coulomb CoulombMode
 
@@ -76,14 +77,18 @@ type Options struct {
 	GridMargin  float64
 	BatchSide   int // grid points per batch edge
 
-	// StrengthReduction enables the symmetry-aware kernels of §V-D
-	// (Fig. 6): identical results with fewer GEMM invocations.
+	// StrengthReduction selects the symmetry-aware kernels of §V-D (Fig. 6)
+	// in the AO-space cycle GridCalls lays out. The pair-space solve projects
+	// onto the one response Hamiltonian both kernel variants compute, so it
+	// reads the flag nowhere else.
 	StrengthReduction bool
 
-	// InitP1 warm-starts grid mode's response density matrices per field
-	// direction (e.g. with the converged response of the undisplaced reference
-	// geometry in the displacement loop). The matrices are copied, never
-	// written, so one set may be shared across concurrent workers.
+	// InitP1 is ignored: a direct solve has no starting point.
+	//
+	// Deprecated: grid mode's response loop, which it warm-started, is gone.
+	// The field survives only because bench/microscope.go compiles against it
+	// and bench/ is frozen while a performance claim is measured; the next
+	// benchmark PR should drop it there and here.
 	InitP1 [3]*linalg.Matrix
 
 	// Obs carries the observability handles; each DFPT cycle then records a
@@ -113,14 +118,11 @@ func DefaultOptions() Options {
 type PhaseMetrics struct {
 	// Wall time per phase.
 	TimeP1, TimeN1, TimeV1, TimeH1 time.Duration
-	// GEMM invocation counts for the grid phases.
+	// GEMM invocation counts for the grid phases: the orbital tabulation
+	// (n⁽¹⁾) and the pair-space contraction (H⁽¹⁾).
 	GEMMsN1, GEMMsH1 int64
 	// FLOPs for the grid phases (Table I reports these two parts).
 	FLOPsN1, FLOPsH1 int64
-	// GradN1Integral accumulates ∫∇n⁽¹⁾ d³r over all cycles — a grid
-	// health diagnostic that must stay near zero (the response density
-	// decays inside the box).
-	GradN1Integral float64
 }
 
 // Response is the converged field response.
@@ -129,16 +131,13 @@ type Response struct {
 	Alpha [3][3]float64
 	// P1 are the response density matrices per field direction.
 	P1 [3]*linalg.Matrix
-	// Cycles is the number of DFPT cycles the solve ran, summed over the
-	// directions and over every rung of the robustness ladder, failed rungs
-	// included: the cost, not the length of the last successful attempt. The
-	// direct γ-mode solve runs one per direction: 3.
+	// Cycles is the number of DFPT cycles the solve ran: both modes solve
+	// directly, one cycle per direction, 3.
 	Cycles int
-	// MixingUsed is the smallest Pulay damping any direction needed to
-	// converge (grid mode's robustness ladder may have reduced it below
-	// Options.Mixing; γ mode reports Options.Mixing); callers running many
-	// related grid responses (the displacement loop) start from it to skip
-	// rungs already proved doomed.
+	// MixingUsed is Options.Mixing.
+	//
+	// Deprecated: no response loop damps anything. The field survives only
+	// because bench/microscope.go compiles against it; see Options.InitP1.
 	MixingUsed float64
 	// Metrics holds the per-phase accounting.
 	Metrics PhaseMetrics
@@ -207,19 +206,18 @@ func (w *Workspace) polarizability(m *scf.Model, ground *scf.Result, opt Options
 		// an untraced γ-mode solve allocates nothing.
 		dirSc, dirSpan := sc.Begin("dfpt.dir", "dfpt")
 		p1 := w.p1[dir]
-		var cycles int
 		var err error
 		if gridEnv == nil {
-			cycles, err = 1, env.solveGamma(dir, dirSc, &resp.Metrics, p1)
+			err = env.solveGamma(dir, dirSc, &resp.Metrics, p1)
 		} else {
-			cycles, err = env.ladder(dir, opt, dirSc, resp, p1)
+			err = env.solveGrid(dir, dirSc, &resp.Metrics, p1)
 		}
-		dirSpan.End(obs.A("dir", int64(dir)), obs.A("cycles", int64(cycles)))
+		dirSpan.End(obs.A("dir", int64(dir)), obs.A("cycles", 1))
 		if err != nil {
 			return nil, fmt.Errorf("dfpt: direction %d: %w", dir, err)
 		}
 		resp.P1[dir] = p1
-		resp.Cycles += cycles
+		resp.Cycles++
 		for i := 0; i < 3; i++ {
 			// α_i,dir = ∂μ_i/∂E_dir = −tr(P⁽¹⁾_dir · D^i).
 			resp.Alpha[i][dir] = -traceProduct(p1, m.Dip[i])
@@ -229,16 +227,15 @@ func (w *Workspace) polarizability(m *scf.Model, ground *scf.Result, opt Options
 }
 
 // cycleEnv holds what every DFPT cycle of one (model, ground state) shares —
-// seated once per polarizability and used by its three field directions (and,
-// in grid mode, their mixing ladder), the sibling of gridEnv (which keeps
-// phases 2–4 of grid mode). Everything that is a function of the ground state
-// alone is resolved by seat: the gapped/fractional decision, the orbital
-// blocks and pair weights of phase 1, ½S and the atom-of-function table of the
-// γ kernel, the bound GEMMs, grid mode's Pulay mixer (12·n² floats) and every
-// workspace; a γ-mode Polarizability allocates nothing, and neither does
-// re-seating on another ground state of the same basis size.
-// Environment buffers are never shared across goroutines and never alias a
-// Result or a Response: solveGamma and respond copy P⁽¹⁾ out.
+// seated once per polarizability and used by its three field directions, the
+// sibling of gridEnv (which keeps grid mode's real-space side). Everything
+// that is a function of the ground state alone is resolved by seat: the
+// gapped/fractional decision, the orbital blocks and pair weights of phase 1,
+// ½S and the atom-of-function table of the γ kernel, grid mode's pair list,
+// the bound GEMMs and every workspace; a γ-mode Polarizability allocates
+// nothing, and neither does re-seating on another ground state of the same
+// basis size. Environment buffers are never shared across goroutines and
+// never alias a Result or a Response: the solves copy P⁽¹⁾ out.
 type cycleEnv struct {
 	m    *scf.Model
 	grid *gridEnv // nil in γ mode
@@ -287,8 +284,20 @@ type cycleEnv struct {
 	sys, fac  *linalg.Matrix    // I − χ·Γ, and the copy a direction's solve destroys
 	chargeMul float64           // c
 
-	h1, p1  *linalg.Matrix
-	mixer   *scf.Pulay        // grid mode: on p1; reset per solve
+	// Grid mode's direct solve (solveGrid). The pairs q whose coefficients
+	// u_q make up U — gapped every (a, i) at u[a][i], fractional every
+	// unordered p < r at u[p][r] and its mirror — are listed as the columns
+	// of C whose orbitals' product is the pair density (pairL, pairR) and the
+	// pair's place in u and w (pairAt). pairSys is the system
+	// I − 2·diag(W)·M_d a direction's solve builds and destroys, pairX its
+	// right-hand side, then solution.
+	c            *linalg.Matrix // the ground state's C
+	pairL, pairR []int
+	pairAt       []int
+	pairSys      *linalg.Matrix
+	pairX        []float64
+
+	h1      *linalg.Matrix
 	samples []obs.CycleSample // the span batch of a direction, reused across solves
 }
 
@@ -328,7 +337,7 @@ func (e *cycleEnv) seat(m *scf.Model, ground *scf.Result, grid *gridEnv) {
 			samples: e.samples,
 		}
 	}
-	e.m, e.grid = m, grid
+	e.m, e.grid, e.c = m, grid, ground.C
 	e.gapped = Gapped(ground.Occ)
 	occ, eps := ground.Occ, ground.Eps
 	left, right := ground.C, ground.C
@@ -413,9 +422,7 @@ func (e *cycleEnv) seat(m *scf.Model, ground *scf.Result, grid *gridEnv) {
 		}
 	}
 	if grid != nil {
-		if e.mixer == nil {
-			e.p1, e.mixer = sq(), scf.NewPulay(n*n, 0)
-		}
+		e.seatPairs(nl, nr)
 		return
 	}
 	na := m.NumAtoms()
@@ -434,6 +441,37 @@ func (e *cycleEnv) seat(m *scf.Model, ground *scf.Result, grid *gridEnv) {
 	e.chargeMul = 1
 	if e.gapped {
 		e.chargeMul = 2
+	}
+}
+
+// seatPairs lays out grid mode's pair list (see cycleEnv) for nl×nr pair
+// weights, allocating only when the pair count grows.
+func (e *cycleEnv) seatPairs(nl, nr int) {
+	np := nl * nr
+	if !e.gapped {
+		np = e.n * (e.n - 1) / 2
+	}
+	if e.pairSys == nil || cap(e.pairAt) < np {
+		e.pairL, e.pairR, e.pairAt = make([]int, np), make([]int, np), make([]int, np)
+		e.pairX, e.pairSys = make([]float64, np), linalg.NewMatrix(np, np)
+	}
+	e.pairL, e.pairR, e.pairAt, e.pairX = e.pairL[:np], e.pairR[:np], e.pairAt[:np], e.pairX[:np]
+	reshape(e.pairSys, np, np)
+	q := 0
+	if e.gapped {
+		for a := 0; a < nl; a++ {
+			for i := 0; i < nr; i++ {
+				e.pairL[q], e.pairR[q], e.pairAt[q] = e.idx[a], e.idx[nl+i], a*nr+i
+				q++
+			}
+		}
+		return
+	}
+	for p := 0; p < e.n; p++ {
+		for r := p + 1; r < e.n; r++ {
+			e.pairL[q], e.pairR[q], e.pairAt[q] = p, r, p*e.n+r
+			q++
+		}
 	}
 }
 
@@ -502,19 +540,129 @@ func (e *cycleEnv) solveGamma(dir int, sc obs.Scope, met *PhaseMetrics, dst *lin
 	tH1 := time.Since(base)
 	e.responseDensity()
 	tP1 := time.Since(base)
-	for _, v := range e.newP1.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: non-finite P1", ErrDiverged)
-		}
+	if err := e.emitP1(dst); err != nil {
+		return err
 	}
-	dst.CopyFrom(e.newP1)
 
 	// The GEMMs are bound ops that count nothing: the two of q₀ and the four
 	// of responseDensity (chargeSystem counts its own).
 	ops := e.ops()
 	ops.GEMMCalls.Add(6)
 	ops.FLOPs.Add(e.p1FLOPs + linalg.GemmFLOPs(nl, e.n, e.n) + linalg.GemmFLOPs(nl, e.n, nr))
+	e.record(sc, met, base, tN1, tV1, tH1, tP1)
+	return nil
+}
 
+// solveGrid computes grid mode's self-consistent response to a unit field
+// along dir and copies P⁽¹⁾ into dst, as one DFPT cycle (DESIGN.md §7, "Grid
+// mode: the pair-space system"). With P⁽¹⁾ = sym(L·U·Rᵀ) the response density
+// is n⁽¹⁾ = 2·Σ_q u_q·ρ_q over the environment's pairs, ρ_q = φ_l·φ_r the
+// product of the pair's orbitals on the grid, so its potential is
+// 2·Σ_q u_q·v_q with v_q = G(ρ_q), and the Coulomb part of Lᵀ·H⁽¹⁾·R on pair
+// q is 2·Σ_q′ M_d[q,q′]·u_q′ (gridEnv.contract). U = W∘(Lᵀ·H⁽¹⁾·R) is then
+// the linear system (I − 2·diag(W)·M_d)·u = W∘(Lᵀ·D_d·R). Its four phases:
+// n⁽¹⁾ = the orbitals and the pair densities, v⁽¹⁾ = one Poisson solve per
+// pair — both in the first direction only, neither depends on it — H⁽¹⁾ =
+// the contraction M_d, P⁽¹⁾ = the system, its solve and the P⁽¹⁾ build. The
+// returned P⁽¹⁾ reproduces itself through the AO-space cycle to rounding: it
+// is that cycle's fixed point. No virtual orbitals, a non-finite orbital or
+// pair weight, a zero pivot and a non-finite P⁽¹⁾ are ErrDiverged; a
+// non-finite density is the Poisson solve's poisson.ErrNonFinite.
+func (e *cycleEnv) solveGrid(dir int, sc obs.Scope, met *PhaseMetrics, dst *linalg.Matrix) error {
+	nl, nr := e.left.Cols, e.right.Cols
+	if nl == 0 {
+		return fmt.Errorf("%w: no virtual orbitals (basis %d, occupied %d)", ErrDiverged, e.n, nr)
+	}
+	g := e.grid
+	base := time.Now()
+	if dir == 0 {
+		for _, m := range [...]*linalg.Matrix{e.c, e.w} {
+			for _, v := range m.Data {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return fmt.Errorf("%w: non-finite orbital coefficient or pair weight", ErrDiverged)
+				}
+			}
+		}
+		g.pairDensities(e.c, e.pairL, e.pairR)
+		met.GEMMsN1 += g.orbGemms
+		met.FLOPsN1 += g.orbFLOPs
+	}
+	tN1 := time.Since(base)
+	if dir == 0 {
+		if err := g.pairPotentials(); err != nil {
+			return err
+		}
+	}
+	tV1 := time.Since(base)
+	mc := g.contract(dir)
+	met.GEMMsH1 += int64(len(g.batches))
+	met.FLOPsH1 += g.contractFLOPs
+	tH1 := time.Since(base)
+
+	e.h1.CopyFrom(e.m.Dip[dir]) // +D^dir per unit field (electron charge −1)
+	e.p1Gemms[0].Run()          // tmp = Lᵀ·D
+	e.p1Gemms[1].Run()          // u = tmp·R
+	if err := e.solvePairs(mc); err != nil {
+		return err
+	}
+	e.densityMatrix()
+	tP1 := time.Since(base)
+	if err := e.emitP1(dst); err != nil {
+		return err
+	}
+
+	// The four phase-1 GEMMs are bound ops that count nothing; the
+	// tabulation plan and the contraction count their own.
+	ops := e.ops()
+	ops.GEMMCalls.Add(4)
+	ops.FLOPs.Add(e.p1FLOPs)
+	e.record(sc, met, base, tN1, tV1, tH1, tP1)
+	return nil
+}
+
+// solvePairs turns u = Lᵀ·D·R into the pair coefficients of the
+// self-consistent response: it solves (I − 2·diag(W)·mc)·x = W∘b over the
+// pair list, b the pairs' entries of u, and writes x back as u (both places
+// of a fractional pair, zero elsewhere). A zero pivot is ErrDiverged.
+func (e *cycleEnv) solvePairs(mc *linalg.Matrix) error {
+	x := e.pairX
+	for q, at := range e.pairAt {
+		w := e.w.Data[at]
+		x[q] = w * e.u.Data[at]
+		row, src := e.pairSys.Row(q), mc.Row(q)
+		for k, v := range src {
+			row[k] = -2 * w * v
+		}
+		row[q]++
+	}
+	if err := linalg.SolveLinearInPlace(e.pairSys, x); err != nil {
+		return fmt.Errorf("%w: zero pivot in the pair response system", ErrDiverged)
+	}
+	clear(e.u.Data)
+	for q, at := range e.pairAt {
+		e.u.Data[at] = x[q]
+		if !e.gapped {
+			e.u.Data[e.pairR[q]*e.n+e.pairL[q]] = x[q]
+		}
+	}
+	return nil
+}
+
+// emitP1 copies newP1 into dst unless it holds a non-finite entry, which is
+// ErrDiverged.
+func (e *cycleEnv) emitP1(dst *linalg.Matrix) error {
+	for _, v := range e.newP1.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: non-finite P1", ErrDiverged)
+		}
+	}
+	dst.CopyFrom(e.newP1)
+	return nil
+}
+
+// record adds one direction's cycle — its phase boundaries as offsets from
+// base — to met and, when traced, records it as a DFPT cycle span.
+func (e *cycleEnv) record(sc obs.Scope, met *PhaseMetrics, base time.Time, tN1, tV1, tH1, tP1 time.Duration) {
 	durs := [obs.NumPhases]time.Duration{
 		obs.PhaseN1: tN1, obs.PhaseV1: tV1 - tN1, obs.PhaseH1: tH1 - tV1, obs.PhaseP1: tP1 - tH1,
 	}
@@ -526,7 +674,6 @@ func (e *cycleEnv) solveGamma(dir int, sc obs.Scope, met *PhaseMetrics, dst *lin
 		e.samples = append(e.samples[:0], obs.CycleSample{Iter: 1, Durs: durs, Total: tP1})
 		sc.RecordDFPTCycles(base, e.samples)
 	}
-	return nil
 }
 
 // chargeSystem builds the ground state's pair-space vectors K_A, the
@@ -639,153 +786,6 @@ func ChordMatrix(m *scf.Model, ground *scf.Result) *linalg.Matrix {
 	return inv
 }
 
-// ladder runs grid mode's response for one field direction down the
-// robustness ladder — small-gap fragments can oscillate in the response loop,
-// and halving the damping is the standard remedy — copies the converged P⁽¹⁾
-// into dst and returns the cycles of every rung run, failed ones included.
-// resp.MixingUsed becomes the converged rung's damping if that is smaller.
-func (e *cycleEnv) ladder(dir int, opt Options, sc obs.Scope, resp *Response, dst *linalg.Matrix) (cycles int, err error) {
-	for rung, scale := range [...]float64{1, 0.5, 0.25, 0.1} {
-		o := opt
-		o.Mixing = opt.Mixing * scale
-		o.MaxIter = min(int(float64(opt.MaxIter)/scale), 3*opt.MaxIter)
-		o.Obs = sc
-		if rung > 0 && opt.Obs.Hot != nil {
-			opt.Obs.Hot.DFPTMixingFallbacks.Inc()
-		}
-		var n int
-		n, err = e.respond(dir, o, &resp.Metrics, dst)
-		cycles += n
-		if err == nil {
-			resp.MixingUsed = math.Min(resp.MixingUsed, o.Mixing)
-			return cycles, nil
-		}
-	}
-	return cycles, err
-}
-
-// respond runs grid mode's self-consistent DFPT cycle for one field direction
-// — response Hamiltonian of the current P⁽¹⁾ (phases 2–4 on the grid), P⁽¹⁾
-// build, Pulay step — copies the converged response density matrix into dst
-// and returns the number of cycles run.
-func (e *cycleEnv) respond(dir int, opt Options, met *PhaseMetrics, dst *linalg.Matrix) (int, error) {
-	m := e.m
-	n := m.Basis.Size()
-	nocc := m.NumOcc()
-	if n == nocc {
-		return 0, fmt.Errorf("dfpt: no virtual orbitals (basis %d, occupied %d)", n, nocc)
-	}
-	hExt := m.Dip[dir] // +D^dir per unit field (electron charge −1)
-
-	e.p1.Zero()
-	if init := opt.InitP1[dir]; init != nil && init.Rows == n && init.Cols == n {
-		e.p1.CopyFrom(init)
-	}
-	// The cycle's GEMMs are bound ops that count nothing; their totals reach
-	// the model's counters once per solve.
-	builds := 0
-	e.mixer.Reset(opt.Mixing)
-	defer func() {
-		ops := e.ops()
-		ops.GEMMCalls.Add(int64(len(e.p1Gemms) * builds))
-		ops.FLOPs.Add(e.p1FLOPs * int64(builds))
-		if opt.Obs.Hot != nil {
-			opt.Obs.Hot.DFPTPulayResets.Add(int64(e.mixer.Resets()))
-		}
-	}()
-	obsOn := opt.Obs.Enabled()
-	var base time.Time
-	if obsOn {
-		// Cycles are accumulated locally and flushed as one batch per
-		// solve, so a cycle pays no locking or histogram update of its own.
-		// Phase boundaries are marked as time.Since(base) offsets — a single
-		// monotonic clock read, roughly half the cost of time.Now.
-		base = time.Now()
-		e.samples = e.samples[:0]
-		// RecordDFPTCycles copies the samples out synchronously.
-		defer func() { opt.Obs.RecordDFPTCycles(base, e.samples) }()
-	}
-	for iter := 1; iter <= opt.MaxIter; iter++ {
-		var cycOff, hEndOff time.Duration
-		var durs [obs.NumPhases]time.Duration
-		if obsOn {
-			cycOff = time.Since(base)
-		}
-		// Response Hamiltonian: external + Coulomb response of current P1.
-		e.h1.CopyFrom(hExt)
-		// The grid pipeline already times its three phases into met;
-		// per-cycle durations are the deltas across the call.
-		preN1, preV1, preH1 := met.TimeN1, met.TimeV1, met.TimeH1
-		if err := e.grid.addGridResponse(e.p1, e.h1, dir, met); err != nil {
-			return iter, err
-		}
-		durs[obs.PhaseN1] = met.TimeN1 - preN1
-		durs[obs.PhaseV1] = met.TimeV1 - preV1
-		durs[obs.PhaseH1] = met.TimeH1 - preH1
-		if obsOn {
-			hEndOff = time.Since(base)
-		}
-
-		// Phase 1: response density matrix by sum over states. When
-		// instrumented, the H1 boundary read doubles as the P1 start.
-		var t0 time.Time
-		if !obsOn {
-			t0 = time.Now()
-		}
-		e.responseDensity()
-		builds++
-		var dP1, cycTotal time.Duration
-		if obsOn {
-			endOff := time.Since(base)
-			dP1 = endOff - hEndOff
-			durs[obs.PhaseP1] = dP1
-			// The cycle span ends at the last phase boundary: the mixer and
-			// the convergence test stay outside, so phases tile the cycle.
-			cycTotal = endOff - cycOff
-		} else {
-			dP1 = time.Since(t0)
-		}
-		met.TimeP1 += dP1
-
-		maxDelta, ok := e.residualNorm()
-		if !ok {
-			return iter, fmt.Errorf("%w (NaN) at cycle %d", ErrDiverged, iter)
-		}
-		if maxDelta > 1e12 {
-			return iter, fmt.Errorf("%w (|ΔP1| = %g) at cycle %d", ErrDiverged, maxDelta, iter)
-		}
-		e.mixer.Next(e.p1.Data, e.newP1.Data, e.p1.Data)
-		if obsOn {
-			e.samples = append(e.samples, obs.CycleSample{
-				Iter: int32(iter), Start: cycOff, Durs: durs, Total: cycTotal,
-			})
-		}
-		if maxDelta < opt.Tol {
-			dst.CopyFrom(e.p1)
-			return iter, nil
-		}
-	}
-	return opt.MaxIter, fmt.Errorf("%w after %d iterations", ErrNotConverged, opt.MaxIter)
-}
-
-// residualNorm returns the largest element of |newP1 − p1|, the residual of
-// the cycle's fixed-point map; ok is false as soon as one is NaN. NaN compares
-// false against everything, so without the explicit check a diverged response
-// would slip past the convergence test wherever its healthy entries settle.
-func (e *cycleEnv) residualNorm() (maxDelta float64, ok bool) {
-	p1 := e.p1.Data
-	for i, v := range e.newP1.Data {
-		d := math.Abs(v - p1[i])
-		if d > maxDelta {
-			maxDelta = d
-		}
-		if math.IsNaN(d) {
-			return maxDelta, false
-		}
-	}
-	return maxDelta, true
-}
-
 // responseDensity computes the uncoupled first-order density matrix for the
 // perturbation h1 into newP1 (the field leaves S unchanged, so no
 // overlap-response terms appear). With occupations f_p the standard
@@ -798,14 +798,18 @@ func (e *cycleEnv) residualNorm() (maxDelta float64, ok bool) {
 // occupations, and which Fermi smearing regularizes: for near-degenerate
 // pairs w_pq tends to the finite derivative f'(ε), so small-gap fragments
 // stay well-conditioned. The weights are the environment's (see cycleEnv);
-// what is left per cycle is four GEMMs, one Hadamard product and the
-// symmetrization.
+// what is left is four GEMMs, one Hadamard product and the symmetrization.
 func (e *cycleEnv) responseDensity() {
 	e.p1Gemms[0].Run() // tmp = Lᵀ·h1
 	e.p1Gemms[1].Run() // u = tmp·R
 	for i, w := range e.w.Data {
 		e.u.Data[i] *= w
 	}
+	e.densityMatrix()
+}
+
+// densityMatrix builds newP1 = sym(L·u·Rᵀ) from the pair coefficients in u.
+func (e *cycleEnv) densityMatrix() {
 	e.p1Gemms[2].Run() // lu = L·u
 	e.p1Gemms[3].Run() // newP1 = lu·Rᵀ
 	if !e.gapped {

@@ -2,7 +2,6 @@ package dfpt
 
 import (
 	"fmt"
-	"time"
 
 	"qframan/internal/grid"
 	"qframan/internal/linalg"
@@ -13,52 +12,63 @@ import (
 
 // gridEnv holds the real-space machinery for one fragment geometry: the
 // integration grid, its batches with per-batch tabulated basis values and
-// gradients, the Poisson plan, and every workspace phases 2–4 write into.
-// Building it once per geometry and reusing it across DFPT cycles and field
-// directions mirrors the paper's setup/loop split: a cycle allocates no
-// matrix, vector or call list of its own. One goroutine at a time.
+// gradients, the Poisson plan, and the workspaces of grid mode's pair-space
+// system (cycleEnv.solveGrid). Building it once per geometry and reusing it
+// across ground states and field directions mirrors the paper's setup/loop
+// split: once sized for a pair count, a solve allocates no matrix, vector or
+// call list of its own. One goroutine at a time.
 type gridEnv struct {
 	g       *grid.Grid
 	batches []batchData
-	// reduced selects the symmetry-aware kernels of §V-D (Fig. 6).
-	reduced bool
+	ops     *linalg.Ops
 
-	// solveV1 is phase 3: the Poisson plan's Solve. A field so the package's
-	// tests can run the same cycle against the CG reference.
+	// solveV1 is the Poisson plan's Solve. A field so the package's tests can
+	// run the same solve against the CG reference.
 	solveV1 func(rho, v []float64) error
 
-	// n1 and gradN1 (∇n⁽¹⁾ along the field direction, a diagnostic) are
-	// written only at points some batch owns — each exactly once per cycle —
-	// and stay zero elsewhere; v1 is the Poisson output.
-	n1, gradN1, v1 []float64
+	// orbPlan tabulates the ground state's orbitals on every batch — φ = X·C_b
+	// and ∇_dφ = ∇_dX·C_b, C_b the rows of C for the batch's functions — four
+	// GEMMs per batch, planned once; orbGemms and orbFLOPs are its totals.
+	orbPlan            *linalg.BatchPlan
+	orbGemms, orbFLOPs int64
+	maxPts             int // points of the largest batch
 
-	// The phase-2 and phase-4 GEMM lists over the batch workspaces, planned
-	// once. Only the naive phase-2 list depends on the field direction (its
-	// second contraction reads ∇X along dir), so it is planned per direction;
-	// the reduced kernels share one plan. ops receives the plans' counts.
-	n1Plan           [3]*linalg.BatchPlan
-	h1Plan           *linalg.BatchPlan
-	ops              *linalg.Ops
-	gemmsN1, gemmsH1 int64
-	flopsN1, flopsH1 int64
+	// The pair space, sized for np pairs (size): v holds np grid-length rows,
+	// the pair densities ρ_q and then, in place, their potentials v_q; rho is
+	// the row a Poisson solve reads; m is the np×np contraction M_d, which
+	// every batch's bound GEMM accumulates into in batch order from the
+	// batch's operands, views over tbuf and vbuf.
+	np            int
+	v, rho        []float64
+	tbuf, vbuf    []float64
+	m             *linalg.Matrix
+	contractFLOPs int64
+
+	// The arguments of the region in flight, read by the kernel bodies, which
+	// are bound once so that passing them to par allocates nothing.
+	c                            *linalg.Matrix
+	pairL, pairR                 []int
+	dir                          int
+	cur                          *batchData
+	orbitalsFn, densityFn, opsFn func(c, lo, hi int)
 }
 
-// batchData is one grid batch: the local basis tabulation X (points×nloc)
-// and its Cartesian gradients, the index maps back to the global grid and
-// basis, and the batch's per-cycle workspaces.
+// batchData is one grid batch: the local basis tabulation X (points×nloc) and
+// its Cartesian gradients, the index maps back to the global grid and basis,
+// the ground state's orbitals on its points and its contraction operands.
 type batchData struct {
 	indices []int // global grid point indices
 	funcs   []int // global basis function indices
 	x       *linalg.Matrix
 	gx      [3]*linalg.Matrix
 
-	p1loc *linalg.Matrix // nloc×nloc: the P⁽¹⁾ block of funcs
-	g1    *linalg.Matrix // points×nloc: X·P⁽¹⁾
-	y     *linalg.Matrix // points×nloc: V·(X/2 + ∇X); naive kernels: V·X
-	bm    *linalg.Matrix // nloc×nloc: Xᵀ·y
-	// Naive kernels only (nil when reduced): ∇X·P⁽¹⁾, V·∇X and the two
-	// cross terms Xᵀ(V∇X), (V∇X)ᵀX.
-	ng, vgx, m2, m3 *linalg.Matrix
+	c    *linalg.Matrix    // nloc×n: the rows of C for funcs
+	phi  *linalg.Matrix    // points×n: φ = X·C_b
+	dphi [3]*linalg.Matrix // points×n: ∇_dφ
+	// t and vb are points×np: τ^d_q and v_q on the batch's points;
+	// contract adds w·tᵀ·vb into the environment's m.
+	t, vb    *linalg.Matrix
+	contract *linalg.GemmOp
 }
 
 func newGridEnv(m *scf.Model, opt Options) (*gridEnv, error) {
@@ -72,15 +82,13 @@ func newGridEnv(m *scf.Model, opt Options) (*gridEnv, error) {
 		return nil, fmt.Errorf("dfpt: %w", err)
 	}
 	raw := g.Batches(opt.BatchSide, m.Basis)
+	n := m.Basis.Size()
 	env := &gridEnv{
 		g:       g,
 		batches: make([]batchData, len(raw)),
-		reduced: opt.StrengthReduction,
 		ops:     m.Ops,
 		solveV1: plan.Solve,
-		n1:      make([]float64, g.NumPoints()),
-		gradN1:  make([]float64, g.NumPoints()),
-		v1:      make([]float64, g.NumPoints()),
+		rho:     make([]float64, g.NumPoints()),
 	}
 	// Tabulation is the expensive part of every displaced geometry's setup;
 	// batches are independent (each writes only env.batches[bi]), so it
@@ -90,9 +98,10 @@ func newGridEnv(m *scf.Model, opt Options) (*gridEnv, error) {
 			b := raw[bi]
 			npts, nloc := len(b.Indices), len(b.Funcs)
 			x := linalg.NewMatrix(npts, nloc)
-			var gx [3]*linalg.Matrix
+			var gx, dphi [3]*linalg.Matrix
 			for d := range gx {
 				gx[d] = linalg.NewMatrix(npts, nloc)
+				dphi[d] = linalg.NewMatrix(npts, n)
 			}
 			for p, idx := range b.Indices {
 				pt := g.Point(idx)
@@ -105,50 +114,28 @@ func newGridEnv(m *scf.Model, opt Options) (*gridEnv, error) {
 					gx[2].Set(p, c, gr.Z)
 				}
 			}
-			bd := batchData{
+			env.batches[bi] = batchData{
 				indices: b.Indices, funcs: b.Funcs, x: x, gx: gx,
-				p1loc: linalg.NewMatrix(nloc, nloc),
-				g1:    linalg.NewMatrix(npts, nloc),
-				y:     linalg.NewMatrix(npts, nloc),
-				bm:    linalg.NewMatrix(nloc, nloc),
+				c: linalg.NewMatrix(nloc, n), phi: linalg.NewMatrix(npts, n), dphi: dphi,
 			}
-			if !env.reduced {
-				bd.ng = linalg.NewMatrix(npts, nloc)
-				bd.vgx = linalg.NewMatrix(npts, nloc)
-				bd.m2 = linalg.NewMatrix(nloc, nloc)
-				bd.m3 = linalg.NewMatrix(nloc, nloc)
-			}
-			env.batches[bi] = bd
 		}
 	})
-	n1, h1 := env.n1Calls(0), env.h1Calls()
-	env.n1Plan[0], env.h1Plan = linalg.PlanBatch(n1), linalg.PlanBatch(h1)
-	for dir := 1; dir < 3; dir++ {
-		env.n1Plan[dir] = env.n1Plan[0]
-		if !env.reduced {
-			env.n1Plan[dir] = linalg.PlanBatch(env.n1Calls(dir))
+	calls := make([]linalg.GemmCall, 0, 4*len(env.batches))
+	for bi := range env.batches {
+		b := &env.batches[bi]
+		env.maxPts = max(env.maxPts, len(b.indices))
+		calls = append(calls, linalg.GemmCall{Alpha: 1, A: b.x, B: b.c, C: b.phi})
+		for d := range b.gx {
+			calls = append(calls, linalg.GemmCall{Alpha: 1, A: b.gx[d], B: b.c, C: b.dphi[d]})
 		}
 	}
-	env.gemmsN1, env.flopsN1 = countCalls(n1)
-	env.gemmsH1, env.flopsH1 = countCalls(h1)
+	env.orbPlan = linalg.PlanBatch(calls)
+	env.orbGemms, env.orbFLOPs = countCalls(calls)
+	env.orbitalsFn, env.densityFn, env.opsFn = env.orbitals, env.densities, env.operands
 	return env, nil
 }
 
-// GridCalls returns the phase-2 (n⁽¹⁾) and phase-4 (H⁽¹⁾) GEMM lists one
-// grid DFPT cycle runs for the model's geometry. Their shapes are a function
-// of geometry, basis and grid options alone — the same for every cycle and
-// field direction — which is all a cost model needs; nothing is executed.
-func GridCalls(m *scf.Model, opt Options) (n1, h1 []linalg.GemmCall, err error) {
-	env, err := newGridEnv(m, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return env.n1Calls(0), env.h1Calls(), nil
-}
-
-// countCalls returns the length and FLOP sum of a call list — what a phase
-// adds to PhaseMetrics per cycle (skipped transpose pairs included: the
-// metrics count the kernels' formulation, linalg.Ops what was executed).
+// countCalls returns the length and FLOP sum of a call list.
 func countCalls(calls []linalg.GemmCall) (gemms, flops int64) {
 	for i := range calls {
 		flops += calls[i].FLOPs()
@@ -156,148 +143,150 @@ func countCalls(calls []linalg.GemmCall) (gemms, flops int64) {
 	return int64(len(calls)), flops
 }
 
-// n1Calls lays out phase 2 over the batch workspaces: X·P⁽¹⁾ per batch. The
-// naive kernels ignore the symmetry of P⁽¹⁾ and compute the second
-// contraction ∇X_dir·P⁽¹⁾ with its own GEMM per batch (Fig. 6(b)).
-func (e *gridEnv) n1Calls(dir int) []linalg.GemmCall {
-	calls := make([]linalg.GemmCall, 0, 2*len(e.batches))
-	for bi := range e.batches {
-		b := &e.batches[bi]
-		calls = append(calls, linalg.GemmCall{Alpha: 1, A: b.x, B: b.p1loc, C: b.g1})
+// size lays out the pair-space workspaces for np pairs, allocating only when
+// the pair count differs from the one they were laid out for.
+func (e *gridEnv) size(np int) {
+	if e.np == np && e.m != nil {
+		return
 	}
-	if !e.reduced {
-		for bi := range e.batches {
-			b := &e.batches[bi]
-			calls = append(calls, linalg.GemmCall{Alpha: 1, A: b.gx[dir], B: b.p1loc, C: b.ng})
-		}
-	}
-	return calls
-}
-
-// h1Calls lays out phase 4. Reduced (Fig. 6(a)): B = Xᵀ·V·(X/2 + ∇X_dir) per
-// batch; the H⁽¹⁾ block is B + Bᵀ. Naive: Xᵀ(VX) + Xᵀ(V∇X) + (V∇X)ᵀX — three
-// GEMMs. The third term is ∇Xᵀ·V·X written with V absorbed into ∇X, which
-// makes it the literal operand-swapped transpose pair of the second call —
-// the pattern the batch plan's §V-D strength reduction detects and replaces
-// with a bit-exact copy.
-func (e *gridEnv) h1Calls() []linalg.GemmCall {
-	calls := make([]linalg.GemmCall, 0, 3*len(e.batches))
-	for bi := range e.batches {
-		b := &e.batches[bi]
-		calls = append(calls, linalg.GemmCall{TransA: true, Alpha: 1, A: b.x, B: b.y, C: b.bm})
-		if !e.reduced {
-			calls = append(calls,
-				linalg.GemmCall{TransA: true, Alpha: 1, A: b.x, B: b.vgx, C: b.m2},
-				linalg.GemmCall{TransA: true, Alpha: 1, A: b.vgx, B: b.x, C: b.m3})
-		}
-	}
-	return calls
-}
-
-// gather copies the block p1[funcs×funcs] into the batch's p1loc.
-func (b *batchData) gather(p1 *linalg.Matrix) {
-	for i, fi := range b.funcs {
-		row := b.p1loc.Row(i)
-		src := p1.Row(fi)
-		for j, fj := range b.funcs {
-			row[j] = src[fj]
-		}
-	}
-}
-
-// addGridResponse runs phases 2–4 of the DFPT cycle for field direction dir:
-// response density on the grid, Poisson solve, and the grid response
-// Hamiltonian added into h1.
-func (e *gridEnv) addGridResponse(p1, h1 *linalg.Matrix, dir int, met *PhaseMetrics) error {
-	nb := len(e.batches)
-
-	// ---- Phase 2: n⁽¹⁾(r) (and ∇n⁽¹⁾) by batched GEMMs. ----
-	t0 := time.Now()
-	// Per-batch gathers write only their batch's p1loc — sharded over batches.
-	par.For("grid_gather", nb, 1, func(lo, hi int) {
-		for bi := lo; bi < hi; bi++ {
-			e.batches[bi].gather(p1)
-		}
-	})
-	met.GEMMsN1 += e.gemmsN1
-	met.FLOPsN1 += e.flopsN1
-	e.n1Plan[dir].Run(e.ops)
-	// Batches partition the grid, so their point scatters into n1/gradN1
-	// touch disjoint indices — safe to shard over batches.
-	par.For("grid_scatter", nb, 1, func(lo, hi int) {
-		for bi := lo; bi < hi; bi++ {
-			b := &e.batches[bi]
-			for p, idx := range b.indices {
-				g1p := b.g1.Row(p)
-				e.n1[idx] = linalg.Dot(g1p, b.x.Row(p))
-				if e.reduced {
-					// Symmetric P⁽¹⁾: ∇n⁽¹⁾ = 2·(X·P⁽¹⁾)∘∇X, no extra GEMM.
-					e.gradN1[idx] = 2 * linalg.Dot(g1p, b.gx[dir].Row(p))
-				} else {
-					e.gradN1[idx] = linalg.Dot(g1p, b.gx[dir].Row(p)) +
-						linalg.Dot(b.ng.Row(p), b.x.Row(p))
-				}
-			}
-		}
-	})
-	// ∫∇n⁽¹⁾ d³r vanishes for a density that decays inside the box; the
-	// accumulated value is exposed as a pipeline health diagnostic.
+	npts := e.g.NumPoints()
+	e.np = np
+	e.v = make([]float64, np*npts)
+	e.tbuf, e.vbuf = make([]float64, e.maxPts*np), make([]float64, e.maxPts*np)
+	e.m = linalg.NewMatrix(np, np)
 	w := e.g.Weight()
-	for _, v := range e.gradN1 {
-		met.GradN1Integral += v * w
-	}
-	met.TimeN1 += time.Since(t0)
-
-	// ---- Phase 3: Poisson solve for the response potential. ----
-	t0 = time.Now()
-	if err := e.solveV1(e.n1, e.v1); err != nil {
-		return fmt.Errorf("dfpt: response Poisson solve: %w", err)
-	}
-	met.TimeV1 += time.Since(t0)
-
-	// ---- Phase 4: response Hamiltonian H⁽¹⁾ by batched GEMMs. ----
-	t0 = time.Now()
-	// Each batch scales its own right-hand operands by V = w·v⁽¹⁾ on its
-	// points — sharded over batches like the density phase.
-	par.For("grid_h1_build", nb, 1, func(lo, hi int) {
-		for bi := lo; bi < hi; bi++ {
-			b := &e.batches[bi]
-			for p, idx := range b.indices {
-				vp := w * e.v1[idx]
-				xr, gr, yr := b.x.Row(p), b.gx[dir].Row(p), b.y.Row(p)
-				if e.reduced {
-					for c := range yr {
-						yr[c] = vp * (0.5*xr[c] + gr[c])
-					}
-				} else {
-					vgr := b.vgx.Row(p)
-					for c := range yr {
-						yr[c] = vp * xr[c]
-						vgr[c] = vp * gr[c]
-					}
-				}
-			}
-		}
-	})
-	met.GEMMsH1 += e.gemmsH1
-	met.FLOPsH1 += e.flopsH1
-	e.h1Plan.Run(e.ops)
+	e.contractFLOPs = 0
 	for bi := range e.batches {
 		b := &e.batches[bi]
-		for i, gi := range b.funcs {
-			for j, gj := range b.funcs {
-				var v float64
-				if e.reduced {
-					v = b.bm.At(i, j) + b.bm.At(j, i)
-				} else {
-					// bm symmetric + m2 + m3, where m3 = m2ᵀ bit for bit
-					// (whether the planner skipped it or computed it).
-					v = b.bm.At(i, j) + b.m2.At(i, j) + b.m3.At(i, j)
-				}
-				h1.Add(gi, gj, v)
+		pts := len(b.indices)
+		b.t = linalg.NewMatrixFrom(pts, np, e.tbuf[:pts*np])
+		b.vb = linalg.NewMatrixFrom(pts, np, e.vbuf[:pts*np])
+		b.contract = linalg.BindGemm(true, false, w, b.t, b.vb, 1, e.m)
+		e.contractFLOPs += linalg.GemmFLOPs(np, pts, np)
+	}
+}
+
+// pairDensities is the n⁽¹⁾ phase of solveGrid: the orbitals of c on every
+// batch, then ρ_q = φ_l·φ_r for every pair q = (pairL[q], pairR[q]) into row q
+// of v. Points no batch owns keep ρ = 0.
+func (e *gridEnv) pairDensities(c *linalg.Matrix, pairL, pairR []int) {
+	e.size(len(pairL))
+	e.c, e.pairL, e.pairR = c, pairL, pairR
+	par.ForChunks("grid_orbitals", len(e.batches), 1, e.orbitalsFn)
+	e.orbPlan.Run(e.ops)
+	clear(e.v)
+	par.ForChunks("grid_pair_density", len(e.batches), 1, e.densityFn)
+}
+
+// orbitals gathers the rows of C for each batch's functions.
+func (e *gridEnv) orbitals(_, lo, hi int) {
+	for bi := lo; bi < hi; bi++ {
+		b := &e.batches[bi]
+		for i, fi := range b.funcs {
+			copy(b.c.Row(i), e.c.Row(fi))
+		}
+	}
+}
+
+// densities writes the pair densities on the points of batches [lo, hi).
+// Batches partition the grid, so the writes of different chunks are disjoint.
+func (e *gridEnv) densities(_, lo, hi int) {
+	npts := e.g.NumPoints()
+	for bi := lo; bi < hi; bi++ {
+		b := &e.batches[bi]
+		for p, idx := range b.indices {
+			phi := b.phi.Row(p)
+			for q, l := range e.pairL {
+				e.v[q*npts+idx] = phi[l] * phi[e.pairR[q]]
 			}
 		}
 	}
-	met.TimeH1 += time.Since(t0)
+}
+
+// pairPotentials is the v⁽¹⁾ phase: one Poisson solve per pair, v_q = G(ρ_q)
+// in place of ρ_q.
+func (e *gridEnv) pairPotentials() error {
+	npts := e.g.NumPoints()
+	for q := 0; q < e.np; q++ {
+		row := e.v[q*npts : (q+1)*npts]
+		copy(e.rho, row)
+		if err := e.solveV1(e.rho, row); err != nil {
+			return fmt.Errorf("dfpt: response Poisson solve: %w", err)
+		}
+	}
 	return nil
+}
+
+// contract is the H⁽¹⁾ phase for field direction dir: M_d = w·T_dᵀ·V, the
+// Coulomb part of Lᵀ·H⁽¹⁾·R on pair q per unit coefficient of pair q′, with
+// τ^d_q = ρ_q + ∂_dρ_q — what the phase-4 kernel Xᵀ·V·(X/2 + ∇_dX) +
+// transpose projects onto. Batch by batch, in batch order: its operands, then
+// its GEMM adds its points' share, so no npts×np array is kept but v. It
+// returns M_d, which the next contraction overwrites.
+func (e *gridEnv) contract(dir int) *linalg.Matrix {
+	e.dir = dir
+	e.m.Zero()
+	for bi := range e.batches {
+		b := &e.batches[bi]
+		e.cur = b
+		par.ForChunks("grid_pair_operands", len(b.indices), max(1, 2048/e.np), e.opsFn)
+		b.contract.Run()
+	}
+	ops := e.ops
+	if ops == nil {
+		ops = &linalg.DefaultOps
+	}
+	ops.GEMMCalls.Add(int64(len(e.batches)))
+	ops.FLOPs.Add(e.contractFLOPs)
+	return e.m
+}
+
+// operands fills rows [lo, hi) of the current batch's τ and v operands.
+func (e *gridEnv) operands(_, lo, hi int) {
+	b, npts := e.cur, e.g.NumPoints()
+	for p := lo; p < hi; p++ {
+		phi, dphi := b.phi.Row(p), b.dphi[e.dir].Row(p)
+		t, vb := b.t.Row(p), b.vb.Row(p)
+		idx := b.indices[p]
+		for q, l := range e.pairL {
+			r := e.pairR[q]
+			pl, pr := phi[l], phi[r]
+			t[q] = pl*pr + dphi[l]*pr + pl*dphi[r]
+			vb[q] = e.v[q*npts+idx]
+		}
+	}
+}
+
+// GridCalls returns the phase-2 (n⁽¹⁾) and phase-4 (H⁽¹⁾) GEMM lists of one
+// cycle of the paper's AO-space grid DFPT loop (§V-A) for the model's
+// geometry: per batch X·P⁽¹⁾, and Xᵀ·V·(X/2 + ∇X) for the reduced kernels of
+// Fig. 6(a); the naive kernels of Fig. 6(b) add ∇X·P⁽¹⁾ to phase 2 and split
+// phase 4 into Xᵀ(VX) + Xᵀ(V∇X) + (V∇X)ᵀX, the last the operand-swapped
+// transpose pair of the second. Their shapes are a function of geometry, basis
+// and grid options alone, which is all internal/perf's cost model needs;
+// nothing is executed, and the engine no longer runs the loop — grid mode
+// solves its response in pair space (cycleEnv.solveGrid). ROADMAP item 10
+// deletes both this and its caller.
+func GridCalls(m *scf.Model, opt Options) (n1, h1 []linalg.GemmCall, err error) {
+	env, err := newGridEnv(m, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	mat := linalg.NewMatrix
+	var ng []linalg.GemmCall
+	for bi := range env.batches {
+		b := &env.batches[bi]
+		npts, nloc := b.x.Rows, b.x.Cols
+		p1loc := mat(nloc, nloc)
+		n1 = append(n1, linalg.GemmCall{Alpha: 1, A: b.x, B: p1loc, C: mat(npts, nloc)})
+		h1 = append(h1, linalg.GemmCall{TransA: true, Alpha: 1, A: b.x, B: mat(npts, nloc), C: mat(nloc, nloc)})
+		if !opt.StrengthReduction {
+			ng = append(ng, linalg.GemmCall{Alpha: 1, A: b.gx[0], B: p1loc, C: mat(npts, nloc)})
+			vgx := mat(npts, nloc)
+			h1 = append(h1,
+				linalg.GemmCall{TransA: true, Alpha: 1, A: b.x, B: vgx, C: mat(nloc, nloc)},
+				linalg.GemmCall{TransA: true, Alpha: 1, A: vgx, B: b.x, C: mat(nloc, nloc)})
+		}
+	}
+	return append(n1, ng...), h1, nil
 }

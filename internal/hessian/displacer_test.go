@@ -49,7 +49,7 @@ func warmFixture(t testing.TB, f *fragment.Fragment) (*scf.Model, JobOptions) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, _, _, err := SolveReference(m, DefaultJobOptions())
+	warm, _, err := SolveReference(m, DefaultJobOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestPairedDisplacementsSaveSCFIterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, _, _, err := SolveReference(m, countingScope(DefaultJobOptions(), &unpaired))
+	warm, _, err := SolveReference(m, countingScope(DefaultJobOptions(), &unpaired))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestEigensolverFailureIsDeterministic(t *testing.T) {
 	if c := faults.Classify(err); c != faults.Deterministic {
 		t.Fatalf("eigensolver failure classified %v, want Deterministic", c)
 	}
-	if _, _, _, err := SolveReference(&bad, DefaultJobOptions()); !errors.Is(err, linalg.ErrEigNoConvergence) {
+	if _, _, err := SolveReference(&bad, DefaultJobOptions()); !errors.Is(err, linalg.ErrEigNoConvergence) {
 		t.Fatalf("reference solve: %v", err)
 	}
 }

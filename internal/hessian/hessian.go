@@ -55,6 +55,10 @@ type DisplacementResult struct {
 // internal/poisson bumps poisson.SolverTag instead, which moves only
 // grid-mode keys.
 //
+// engine/8: grid-mode DFPT solves its response directly in orbital-pair
+// space (one Poisson solve per pair, one linear system per field direction)
+// instead of iterating it with the Pulay mixer, which moves grid-mode α
+// within the old loop's Tol; γ-mode results keep every bit.
 // engine/7: in γ mode a gapped fragment's dipole and polarizability
 // derivatives are analytic at the reference geometry (the field derivatives of
 // the force expression, from the first- and second-order field responses)
@@ -78,7 +82,7 @@ type DisplacementResult struct {
 // engine/2: Pulay-accelerated DFPT cycle, Fermi search that stops once the
 // electrons are counted. (engine/1, never hashed: linear response mixing,
 // Fermi level bisected to the last ulp.)
-const EngineVersion = "engine/7"
+const EngineVersion = "engine/8"
 
 // JobOptions bundles the solver settings of a displacement job.
 type JobOptions struct {
@@ -357,10 +361,10 @@ func SmearingRungs(base float64) []float64 {
 // from one queue by `workers` Displacers, each coordinate's −Step solve queued
 // behind and warm-started from its +Step partner, then the finite differences
 // of BuildFragmentData (the Hessian alone when the reference took the dipole
-// and polarizability derivatives analytically, computeRung). A rung whose
-// reference response is marginal is skipped while a higher one remains. Each rung taken above the first is counted
-// (obs.MetricSCFSmearingEscalations). When every rung fails the error wraps
-// the first rung's failure: the one at the smearing the caller asked for.
+// and polarizability derivatives analytically, computeRung). Each rung taken
+// above the first is counted (obs.MetricSCFSmearingEscalations). When every
+// rung fails the error wraps the first rung's failure: the one at the
+// smearing the caller asked for.
 //
 // The result does not depend on workers; width 1 runs inline on the caller's
 // goroutine. opt.SCF.InitDeltaQ, when set, seeds the reference SCF of every
@@ -387,7 +391,7 @@ func ComputeFragment(f *fragment.Fragment, opt JobOptions, workers int) (*Fragme
 		}
 		o := opt
 		o.SCF.Smearing = sigma
-		data, ref, err := computeRung(m, o, workers, ri == len(rungs)-1)
+		data, ref, err := computeRung(m, o, workers)
 		if err == nil {
 			return data, ref, nil
 		}
@@ -403,13 +407,10 @@ func ComputeFragment(f *fragment.Fragment, opt JobOptions, workers int) (*Fragme
 // analytically the displaced jobs skip their DFPT and the loop yields the
 // Hessian alone; otherwise all three are finite differences, and the fragment
 // is counted (obs.MetricHessianFDDerivativeFragments).
-func computeRung(m *scf.Model, opt JobOptions, workers int, lastRung bool) (*FragmentData, *scf.Result, error) {
+func computeRung(m *scf.Model, opt JobOptions, workers int) (*FragmentData, *scf.Result, error) {
 	r, err := solveReference(m, opt)
 	if err != nil {
 		return nil, nil, err
-	}
-	if r.marginal && !lastRung {
-		return nil, nil, fmt.Errorf("hessian: marginal response at σ=%g; escalating", opt.SCF.Smearing)
 	}
 	ref := r.ref
 	opt = r.opt
@@ -508,40 +509,32 @@ func computeRung(m *scf.Model, opt JobOptions, workers int, lastRung bool) (*Fra
 type reference struct {
 	opt      JobOptions
 	ref      *scf.Result
-	marginal bool
 	analytic *FragmentData // DDipole and DAlpha at the reference; nil: finite differences
 }
 
-// SolveReference runs the fragment's reference SCF (and DFPT unless
-// SkipAlpha) at the options' smearing and returns options carrying the
-// warm-start data (reference charges and the chord matrix of the charge loop,
-// dfpt.ChordMatrix's on the γ kernel the SCF uses in every mode; in grid mode
-// also the response matrices and working response mixing) for
-// the displaced worker jobs, plus the reference SCF result itself — the
-// trajectory engine keeps its converged charges and iteration count to seed
-// and account the same fragment's next frame. γ-mode responses are solved
-// directly and read neither InitP1 nor Mixing, so they are handed neither.
-// The marginal flag (grid mode) reports that the response only converged with
-// extra damping in some direction, or spent more than one rung's iteration
-// budget over its three directions (a healthy Pulay response takes 15–25
-// cycles per direction, a small-gap one up to ≈ 70; failed rungs count) — a
-// strong predictor that displaced geometries, which get the same budget, will
-// run out of it, so callers should prefer the next smearing rung when one is
-// available. A γ-mode response is never marginal: it succeeds or fails.
-func SolveReference(m *scf.Model, opt JobOptions) (*JobOptions, *scf.Result, bool, error) {
+// SolveReference runs the fragment's reference SCF at the options' smearing
+// and returns options carrying the warm-start data (reference charges and the
+// chord matrix of the charge loop, dfpt.ChordMatrix's on the γ kernel the SCF
+// uses in every mode) for the displaced worker jobs, plus the reference SCF
+// result itself — the trajectory engine keeps its converged charges and
+// iteration count to seed and account the same fragment's next frame. Both
+// DFPT modes solve their response directly, so the displaced jobs are handed
+// no response to start from.
+func SolveReference(m *scf.Model, opt JobOptions) (*JobOptions, *scf.Result, error) {
 	r, err := solveReference(m, opt)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
-	return &r.opt, r.ref, r.marginal, nil
+	return &r.opt, r.ref, nil
 }
 
 // solveReference is SolveReference plus the routing of the dipole and
 // polarizability derivatives: for a gapped γ-mode ground state that is not
-// SkipAlpha the reference DFPT also yields the second-order field responses,
-// and the derivatives are taken analytically from them (DESIGN.md §7,
-// "Analytic field derivatives"). Grid mode, fractional ground states and
-// SkipAlpha leave analytic nil.
+// SkipAlpha the reference DFPT yields the first- and second-order field
+// responses, and the derivatives are taken analytically from them (DESIGN.md
+// §7, "Analytic field derivatives"). Grid mode, fractional ground states and
+// SkipAlpha run no reference DFPT — central differences never read the
+// reference's α — and leave analytic nil.
 func solveReference(m *scf.Model, opt JobOptions) (*reference, error) {
 	o := opt
 	// Reference solves appear as direct scf/dfpt children of the attempt
@@ -566,18 +559,6 @@ func solveReference(m *scf.Model, opt JobOptions) (*reference, error) {
 		r.analytic = &FragmentData{DDipole: dMu}
 		for c, ij := range AlphaComponents {
 			r.analytic.DAlpha[c] = dAlpha[ij[0]][ij[1]]
-		}
-	default:
-		refResp, err := dfpt.Polarizability(m, ref, o.DFPT)
-		if err != nil {
-			return nil, fmt.Errorf("hessian: reference DFPT: %w", err)
-		}
-		if o.DFPT.Coulomb == dfpt.GridCoulomb {
-			o.DFPT.InitP1 = refResp.P1
-			// Skip damping rungs the reference already proved doomed in any
-			// direction.
-			o.DFPT.Mixing = refResp.MixingUsed
-			r.marginal = refResp.MixingUsed < 0.9*opt.DFPT.Mixing || refResp.Cycles > opt.DFPT.MaxIter
 		}
 	}
 	r.opt = o

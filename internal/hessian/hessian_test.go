@@ -14,7 +14,6 @@ import (
 	"qframan/internal/geom"
 	"qframan/internal/linalg"
 	"qframan/internal/obs"
-	"qframan/internal/poisson"
 	"qframan/internal/scf"
 	"qframan/internal/structure"
 )
@@ -290,8 +289,8 @@ func TestAssembleValidation(t *testing.T) {
 }
 
 // coarseGridJobOptions are the default job options with grid-mode DFPT on the
-// benchmarks' coarse grid (0.8 bohr spacing, 4 bohr margin): the mode whose
-// response is still an iterative loop, at a few milliseconds per response.
+// benchmarks' coarse grid (0.8 bohr spacing, 4 bohr margin): a few
+// milliseconds per response.
 func coarseGridJobOptions() JobOptions {
 	opt := DefaultJobOptions()
 	opt.DFPT.Coulomb = dfpt.GridCoulomb
@@ -299,56 +298,51 @@ func coarseGridJobOptions() JobOptions {
 	return opt
 }
 
-// TestNonConvergenceIsTypedThroughWrapping: every way the SCF and grid-mode
-// DFPT loops give up reaches the caller of the displacement loop as a sentinel
-// errors.Is finds through this package's wrapping, and classifies
-// Deterministic — the runtime escalates the smearing rung or drops the
-// fragment, it never retries. (γ mode's direct response has no loop to give
-// up; its failures are dfpt.TestGammaFailuresAreTyped.) A NaN warm start meets
-// grid mode's Poisson phase first, which types it.
+// TestNonConvergenceIsTypedThroughWrapping: every way the SCF gives up and
+// every way a direct DFPT response fails reaches the caller of the
+// displacement loop as a sentinel errors.Is finds through this package's
+// wrapping, and classifies Deterministic — the runtime escalates the smearing
+// rung or drops the fragment, it never retries. Non-finite dipole integrals
+// poison the right-hand side of both responses: grid mode's displaced
+// polarizability and γ mode's reference field response. (The responses' own
+// failures are dfpt.TestGammaFailuresAreTyped and dfpt.TestGridFailuresAreTyped.)
 func TestNonConvergenceIsTypedThroughWrapping(t *testing.T) {
 	m, err := ModelForFragmentNoCal(waterFragment())
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := m.Basis.Size()
-	filled := func(v float64) [3]*linalg.Matrix {
-		p := linalg.NewMatrix(n, n)
-		for i := range p.Data {
-			p.Data[i] = v
-		}
-		return [3]*linalg.Matrix{p, p, p}
+	poisoned := *m
+	poisoned.Dip[0] = linalg.NewMatrix(m.Basis.Size(), m.Basis.Size())
+	for i := range poisoned.Dip[0].Data {
+		poisoned.Dip[0].Data[i] = math.NaN()
 	}
+	displaced := func(m *scf.Model, o JobOptions) error { _, err := RunDisplacement(m, 0, 0, 1, o); return err }
+	reference := func(m *scf.Model, o JobOptions) error { _, _, err := SolveReference(m, o); return err }
+	starved := coarseGridJobOptions()
+	starved.SCF.MaxIter = 2
 	for _, tc := range []struct {
 		name string
-		set  func(*JobOptions)
+		m    *scf.Model
+		opt  JobOptions
+		run  func(*scf.Model, JobOptions) error
 		want error
 		text string
 	}{
-		{"scf iterations", func(o *JobOptions) { o.SCF.MaxIter = 2 }, scf.ErrNotConverged,
-			"scf: not converged after 2 iterations"},
-		{"dfpt iterations", func(o *JobOptions) { o.DFPT.MaxIter, o.DFPT.Tol = 1, 1e-300 }, dfpt.ErrNotConverged,
-			"dfpt: cycle not converged after 3 iterations"},
-		{"dfpt NaN", func(o *JobOptions) { o.DFPT.InitP1 = filled(math.NaN()) }, poisson.ErrNonFinite,
-			"dfpt: response Poisson solve: poisson: non-finite"},
-		{"dfpt growth", func(o *JobOptions) { o.DFPT.InitP1 = filled(1e200) }, dfpt.ErrDiverged,
-			"dfpt: response diverged (|ΔP1| = "},
+		{"scf iterations, displaced", m, starved, displaced, scf.ErrNotConverged, "scf: not converged after 2 iterations"},
+		{"scf iterations, reference", m, starved, reference, scf.ErrNotConverged, "scf: not converged after 2 iterations"},
+		{"grid dfpt NaN, displaced", &poisoned, coarseGridJobOptions(), displaced, dfpt.ErrDiverged, "non-finite P1"},
+		{"γ dfpt NaN, reference", &poisoned, DefaultJobOptions(), reference, dfpt.ErrDiverged, "non-finite response charge"},
 	} {
-		opt := coarseGridJobOptions()
-		tc.set(&opt)
-		_, runErr := RunDisplacement(m, 0, 0, 1, opt)
-		_, _, _, refErr := SolveReference(m, opt)
-		for _, err := range []error{runErr, refErr} {
-			if !errors.Is(err, tc.want) {
-				t.Errorf("%s: got %v, want it to wrap %v", tc.name, err, tc.want)
-				continue
-			}
-			if !strings.HasPrefix(err.Error(), "hessian: ") || !strings.Contains(err.Error(), tc.text) {
-				t.Errorf("%s: message %q lost the wrapping or the engine's text %q", tc.name, err, tc.text)
-			}
-			if faults.Classify(err) != faults.Deterministic {
-				t.Errorf("%s: %v classified as retryable", tc.name, err)
-			}
+		err := tc.run(tc.m, tc.opt)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want it to wrap %v", tc.name, err, tc.want)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), "hessian: ") || !strings.Contains(err.Error(), tc.text) {
+			t.Errorf("%s: message %q lost the wrapping or the engine's text %q", tc.name, err, tc.text)
+		}
+		if faults.Classify(err) != faults.Deterministic {
+			t.Errorf("%s: %v classified as retryable", tc.name, err)
 		}
 	}
 }
@@ -418,58 +412,6 @@ func TestBuildRejectsIndexOverflow(t *testing.T) {
 	err := checkNNZ(math.MaxInt32 + 1)
 	if !errors.Is(err, ErrIndexOverflow) {
 		t.Fatalf("2³¹ non-zeros: %v", err)
-	}
-}
-
-// TestSolveReferenceSeesLadderInAnyDirection: on the coarse grid, hydrogen
-// cyanide along z takes 20 cycles for each perpendicular field and 14 for the
-// axial one, so with a 14-cycle budget the x and y responses go down the
-// damping ladder while z — the last direction — converges on the first rung.
-// The reference hand-over must carry the damping the worst direction needed,
-// and the marginal flag must see it; a healthy budget on the same molecule is
-// not marginal, and a solve that spends more than one rung's budget without
-// laddering is. γ mode hands over neither the response nor a damping — its
-// displaced solves read neither — and is never marginal, whatever the budget.
-func TestSolveReferenceSeesLadderInAnyDirection(t *testing.T) {
-	m, err := scf.NewModel(
-		[]constants.Element{constants.H, constants.C, constants.N},
-		[]geom.Vec3{geom.V(0, 0, -1.06), {}, geom.V(0, 0, 1.16)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name     string
-		maxIter  int
-		mixing   float64
-		marginal bool
-	}{
-		{"healthy budget", 400, 0.3, false},
-		{"x and y ladder", 14, 0.15, true}, // x, y: 14 failed + 21; z: 14
-		{"over budget", 20, 0.3, true},     // 20 + 20 + 14 cycles > 20, no rung failed
-		{"within budget", 54, 0.3, false},
-	} {
-		opt := coarseGridJobOptions()
-		opt.DFPT.MaxIter = tc.maxIter
-		refOpt, _, marginal, err := SolveReference(m, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if refOpt.DFPT.Mixing != tc.mixing || marginal != tc.marginal || refOpt.DFPT.InitP1[0] == nil {
-			t.Errorf("%s: displaced solves start at damping %g (response handed over: %v), marginal %v; want %g, %v",
-				tc.name, refOpt.DFPT.Mixing, refOpt.DFPT.InitP1[0] != nil, marginal, tc.mixing, tc.marginal)
-		}
-	}
-	for _, maxIter := range []int{1, 400} {
-		opt := DefaultJobOptions()
-		opt.DFPT.MaxIter = maxIter
-		refOpt, _, marginal, err := SolveReference(m, opt)
-		if err != nil {
-			t.Fatalf("γ mode, MaxIter %d: %v", maxIter, err)
-		}
-		if marginal || refOpt.DFPT.Mixing != opt.DFPT.Mixing || refOpt.DFPT.InitP1 != ([3]*linalg.Matrix{}) {
-			t.Errorf("γ mode, MaxIter %d: marginal %v, damping %g, response handed over %v; want false, %g, none",
-				maxIter, marginal, refOpt.DFPT.Mixing, refOpt.DFPT.InitP1[0] != nil, opt.DFPT.Mixing)
-		}
 	}
 }
 

@@ -41,19 +41,13 @@ const (
 	// Ladder escalations — a solve that only converged on a later rung is a
 	// degraded number, so each rung taken beyond the first is counted: one
 	// per smearing rung above the requested temperature (the fragment
-	// engine's hessian.ComputeFragment, and scf.Model.SolveSCFRobust), one
-	// per grid-mode Polarizability mixing rung below the requested factor (γ
-	// mode solves its response directly and has no mixing ladder). A Pulay
-	// reset is grid mode's response mixer discarding an ill-conditioned
-	// history for one damped step — harmless once, a symptom when frequent.
+	// engine's hessian.ComputeFragment, and scf.Model.SolveSCFRobust).
 	MetricSCFSmearingEscalations = "scf_smearing_escalations_total"
 	// A chord fallback is a charge loop that was handed a chord matrix
 	// (scf.Options.Chord) and left the chord-Newton iteration for the Pulay
 	// mixer because a step failed to halve the residual: the reference's
 	// charge susceptibility did not describe the displaced geometry.
-	MetricSCFChordFallbacks   = "scf_chord_fallbacks_total"
-	MetricDFPTMixingFallbacks = "dfpt_mixing_fallbacks_total"
-	MetricDFPTPulayResets     = "dfpt_pulay_resets_total"
+	MetricSCFChordFallbacks = "scf_chord_fallbacks_total"
 	// A finite-difference derivative fragment is one whose dipole and
 	// polarizability derivatives came from its 6N displaced solves
 	// (grid mode, a fractional ground state, SkipAlpha) instead of the
@@ -120,7 +114,7 @@ func PhaseMetricName(p Phase) string {
 // Hot holds pre-resolved instruments for the per-cycle and per-solve hot
 // paths, so instrumented inner loops never take the registry's map lock.
 // PhaseTime histograms observe per-solve phase totals (one sample per DFPT
-// ladder direction); exact per-cycle phase distributions come from the
+// direction); exact per-cycle phase distributions come from the
 // trace spans via AnalyzeTrace.
 type Hot struct {
 	PhaseTime  [NumPhases]*Histogram
@@ -130,8 +124,6 @@ type Hot struct {
 
 	SCFSmearingEscalations *Counter
 	SCFChordFallbacks      *Counter
-	DFPTMixingFallbacks    *Counter
-	DFPTPulayResets        *Counter
 
 	HessianFDDerivativeFragments *Counter
 }
@@ -147,8 +139,6 @@ func newHot(r *Registry) *Hot {
 
 		SCFSmearingEscalations: r.Counter(MetricSCFSmearingEscalations),
 		SCFChordFallbacks:      r.Counter(MetricSCFChordFallbacks),
-		DFPTMixingFallbacks:    r.Counter(MetricDFPTMixingFallbacks),
-		DFPTPulayResets:        r.Counter(MetricDFPTPulayResets),
 
 		HessianFDDerivativeFragments: r.Counter(MetricHessianFDDerivativeFragments),
 	}

@@ -32,7 +32,7 @@ func newChordFixture(t testing.TB, name string, els []constants.Element, pos []g
 	job := hessian.DefaultJobOptions()
 	job.SCF.Smearing = smearing
 	job.SkipAlpha = true
-	o, ref, _, err := hessian.SolveReference(m, job)
+	o, ref, err := hessian.SolveReference(m, job)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,8 +216,9 @@ func TestCacheKeyIsolation(t *testing.T) {
 // Fermi level), under engine/2 (Pulay charge loop from the first step, full
 // mixer history), under engine/3 (Pulay loop on the γ-mode response), under
 // engine/4 (Löwdin orthogonalization, unpaired displacements), under
-// engine/5 (finite-difference chord matrix, no intraband response) and under
-// engine/6 (finite-difference dipole and polarizability derivatives) — the
+// engine/5 (finite-difference chord matrix, no intraband response) under
+// engine/6 (finite-difference dipole and polarizability derivatives) and under
+// engine/7 (grid mode's Pulay response loop) — the
 // constants were recorded on those commits — must serve none of them to a resumed run of
 // this engine: each mode reports a miss, recomputes, and files its new record
 // beside the old ones. A second resumed run is then served its own.
@@ -236,10 +237,12 @@ func TestCacheSolverMigration(t *testing.T) {
 		gammaKeyEngine5      = "09edc6e57eecddbb285e94eaec0918cc7a75b38df970da8d82f3766ea8075013"
 		gridKeyEngine6       = "d1b43883bc477951b65a569b214fc80b14812b40843bb3803f147473dfdc6da2"
 		gammaKeyEngine6      = "70f2a3d6c3c9d25b448ca9bb12f43abffd2ba4aaf170681109cab3616a318ddf"
+		gridKeyEngine7       = "de8c29f415feca6f14f6a87effae1b20cbf1a84ed9855e28bf00326353665c89"
+		gammaKeyEngine7      = "595a639a2765f33561ca3bcee7f706ae9d868649c9cdfbb801582534b98a6d9f"
 	)
 	old := []string{gridKeyBeforeTag, gridKeyBeforeEngine, gammaKeyBeforeEngine, gridKeyEngine2, gammaKeyEngine2,
 		gridKeyEngine3, gammaKeyEngine3, gridKeyEngine4, gammaKeyEngine4, gridKeyEngine5, gammaKeyEngine5,
-		gridKeyEngine6, gammaKeyEngine6}
+		gridKeyEngine6, gammaKeyEngine6, gridKeyEngine7, gammaKeyEngine7}
 	dec := cacheDecomposition(1)
 	dir := t.TempDir()
 	s := openStore(t, dir)
