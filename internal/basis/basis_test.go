@@ -131,6 +131,49 @@ func TestOverlapDerivMatchesFiniteDifference(t *testing.T) {
 	}
 }
 
+// TestOverlapHessianMatchesFiniteDifference checks ∂²<f|g>/∂A_a∂A_b against
+// central differences of OverlapDeriv along A_b, its symmetry, and the
+// translation rules ∂²/∂B² = ∂²/∂A² and ∂²/∂A∂B = −∂²/∂A² on the swapped pair.
+func TestOverlapHessianMatchesFiniteDifference(t *testing.T) {
+	const h = 1e-5
+	shift := func(f Func, ax int, d float64) Func {
+		c := [3]float64{f.Center.X, f.Center.Y, f.Center.Z}
+		c[ax] += d
+		f.Center = geom.V(c[0], c[1], c[2])
+		return f
+	}
+	for idx, pr := range testPairs() {
+		f, g := pr[0], pr[1]
+		got := OverlapHessian(&f, &g)
+		swapped := OverlapHessian(&g, &f) // ∂²<g|f>/∂B²
+		for b := 0; b < 3; b++ {
+			fp, fm := shift(f, b, h), shift(f, b, -h)
+			dp, dm := OverlapDeriv(&fp, &g), OverlapDeriv(&fm, &g)
+			want := dp.Sub(dm).Scale(1 / (2 * h))
+			for a, w := range [3]float64{want.X, want.Y, want.Z} {
+				if math.Abs(got[a][b]-w) > 1e-8 {
+					t.Errorf("pair %d (%d,%d): ∂²S/∂A² analytic %v vs FD %v", idx, a, b, got[a][b], w)
+				}
+				if got[a][b] != got[b][a] {
+					t.Errorf("pair %d: Hessian not symmetric at (%d,%d)", idx, a, b)
+				}
+				if math.Abs(swapped[a][b]-got[a][b]) > 1e-13 {
+					t.Errorf("pair %d (%d,%d): ∂²/∂B² %v ≠ ∂²/∂A² %v", idx, a, b, swapped[a][b], got[a][b])
+				}
+			}
+			// ∂²/∂A_a∂B_b from a B-shift of the A-derivative.
+			gp, gm := shift(g, b, h), shift(g, b, -h)
+			dp, dm = OverlapDeriv(&f, &gp), OverlapDeriv(&f, &gm)
+			mixed := dp.Sub(dm).Scale(1 / (2 * h))
+			for a, w := range [3]float64{mixed.X, mixed.Y, mixed.Z} {
+				if math.Abs(-got[a][b]-w) > 1e-8 {
+					t.Errorf("pair %d (%d,%d): ∂²S/∂A∂B %v vs FD %v", idx, a, b, -got[a][b], w)
+				}
+			}
+		}
+	}
+}
+
 // TestDipoleDerivMatchesFiniteDifference checks d<f|r_k|g>/dA against
 // central differences of Dipole, and the translation rule
 // d/dA + d/dB = δ_ak·<f|g> with d/dB read from the swapped pair.

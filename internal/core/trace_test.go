@@ -69,7 +69,7 @@ func TestGoldenTraceStructure(t *testing.T) {
 		"attempt":    {"frag": true},
 		"model":      {"attempt": true},
 		"disp":       {"attempt": true},
-		"scf":        {"attempt": true, "disp": true}, // reference solve vs displacement solve
+		"scf":        {"attempt": true, "disp": true, "model": true}, // reference, displacement, calibration solve
 		"dfpt":       {"attempt": true, "disp": true},
 		"dfpt.dir":   {"dfpt": true},
 		"dfpt.cycle": {"dfpt.dir": true},

@@ -53,7 +53,7 @@ func BenchmarkPolarizabilityGridCycle(b *testing.B) {
 
 // BenchmarkFieldDerivatives times what a gapped γ-mode fragment's reference
 // solve does beyond the polarizability to replace its 6N displaced
-// polarizabilities: FieldResponse (the polarizability plus the six
+// polarizabilities: fieldResponse (the polarizability plus the six
 // second-order responses) and scf.Model.FieldDerivatives, at width 1.
 func BenchmarkFieldDerivatives(b *testing.B) {
 	defer par.SetBudget(0)
@@ -65,11 +65,35 @@ func BenchmarkFieldDerivatives(b *testing.B) {
 		b.Run(fx.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				fr, err := FieldResponse(fx.m, fx.ground, DefaultOptions())
+				_, fr, err := fieldResponse(fx.m, fx.ground, DefaultOptions())
 				if err != nil {
 					b.Fatal(err)
 				}
 				fx.m.FieldDerivatives(fx.ground, fr)
+			}
+		})
+	}
+}
+
+// BenchmarkNuclearHessian times what a gapped fragment's reference does to
+// replace its 6N displaced SCF solves: Responses (the polarizability, the six
+// second-order field responses and the 3N nuclear ones on one I − χ·Γ) and
+// scf.Model.NuclearHessian, at width 1.
+func BenchmarkNuclearHessian(b *testing.B) {
+	defer par.SetBudget(0)
+	par.SetBudget(1)
+	for _, fx := range gammaFixtures(b) {
+		if fx.name != "water" && fx.name != "water dimer" && fx.name != "glycine" {
+			continue
+		}
+		b.Run(fx.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, nr, err := Responses(fx.m, fx.ground, DefaultOptions())
+				if err != nil {
+					b.Fatal(err)
+				}
+				fx.m.NuclearHessian(fx.ground, nr)
 			}
 		})
 	}

@@ -1,7 +1,11 @@
 // Package dfpt implements density-functional-perturbation-theory response
 // calculations on top of the scf engine: the polarizability tensor α from
-// the first-order response to a uniform electric field. This is the
-// per-displacement worker step of the paper (§V-A): each DFPT cycle runs the
+// the first-order response to a uniform electric field, the second-order
+// field responses and the first-order responses to the nuclear coordinates
+// that the analytic derivatives and Hessian are taken from (Responses). The
+// polarizability is the per-displacement worker step of the paper (§V-A),
+// kept for the displacement loop of grid mode and fractional ground states:
+// each DFPT cycle runs the
 // four phases the paper names — response density matrix P⁽¹⁾, real-space
 // response density n⁽¹⁾(r), Poisson solve for the response potential
 // v⁽¹⁾(r), and response Hamiltonian H⁽¹⁾ — with per-phase timing, GEMM, and
@@ -307,8 +311,9 @@ const occTol = 1e-3
 
 // Gapped reports whether every occupation lies within occTol of 0 or 2: the
 // ground states whose field response is built from occupied×virtual pairs
-// alone (cycleEnv), and whose dipole and polarizability derivatives are taken
-// analytically (FieldResponse, scf.Model.FieldDerivatives).
+// alone (cycleEnv), and whose Hessian, dipole and polarizability derivatives
+// are taken analytically (Responses, scf.Model.FieldDerivatives and
+// NuclearHessian).
 func Gapped(occ []float64) bool {
 	for _, f := range occ {
 		if f > occTol && f < 2-occTol {

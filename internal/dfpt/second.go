@@ -9,23 +9,30 @@ import (
 	"qframan/internal/scf"
 )
 
-// FieldResponse returns the density response of a gapped ground state in γ
-// mode to the field up to second order, which scf.Model.FieldDerivatives turns
-// into the dipole and polarizability derivatives. The first-order responses
-// are Polarizability's. Each of the six second-order ones ∂²P/∂F_b∂F_c is one
-// charge solve against the I − χ·Γ the first order built, plus one
-// P⁽¹⁾-shaped build (secondOrder). Grid mode and fractional ground states are
-// an error: neither has a second-order response here.
-func FieldResponse(m *scf.Model, ground *scf.Result, opt Options) (*scf.FieldResponse, error) {
-	if opt.Coulomb != GammaCoulomb || !Gapped(ground.Occ) {
-		return nil, fmt.Errorf("dfpt: second-order field response needs γ mode and a gapped ground state")
+// fieldResponse returns the density response of a gapped ground state to the
+// field up to second order, which scf.Model.FieldDerivatives turns into the
+// dipole and polarizability derivatives, and the workspace it was solved in,
+// whose environment keeps χ and I − χ·Γ for the nuclear responses
+// (Responses). The first-order responses are Polarizability's in γ mode —
+// the SCF's own kernel, whatever opt.Coulomb says. Each of the six
+// second-order ones ∂²P/∂F_b∂F_c is one charge solve against the I − χ·Γ the
+// first order built, plus one P⁽¹⁾-shaped build (secondOrder). A fractional
+// ground state is an error: it has no second-order response here.
+func fieldResponse(m *scf.Model, ground *scf.Result, opt Options) (*Workspace, *scf.FieldResponse, error) {
+	if !Gapped(ground.Occ) {
+		return nil, nil, fmt.Errorf("dfpt: analytic responses need a gapped ground state")
 	}
-	var w Workspace
+	opt.Coulomb = GammaCoulomb
+	w := new(Workspace)
 	resp, err := w.Polarizability(m, ground, opt)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return w.env.secondOrder(resp.P1, opt.Obs)
+	fr, err := w.env.secondOrder(resp.P1, opt.Obs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return w, fr, nil
 }
 
 // secondOrder computes the second-order field responses of the gapped ground

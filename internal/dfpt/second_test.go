@@ -19,10 +19,10 @@ import (
 func TestSecondOrderMatchesFiniteField(t *testing.T) {
 	const h = 2.5e-4
 	for _, fx := range gammaFixtures(t) {
-		fr, err := FieldResponse(fx.m, fx.ground, DefaultOptions())
+		_, fr, err := fieldResponse(fx.m, fx.ground, DefaultOptions())
 		if !fx.gapped {
 			if err == nil {
-				t.Errorf("%s: FieldResponse accepted a fractional ground state", fx.name)
+				t.Errorf("%s: fieldResponse accepted a fractional ground state", fx.name)
 			}
 			continue
 		}

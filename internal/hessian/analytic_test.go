@@ -51,7 +51,7 @@ func richardsonDerivatives(t *testing.T, f *fragment.Fragment, sigma float64) (*
 	}
 	opt := DefaultJobOptions()
 	opt.SCF.Smearing = sigma
-	r, err := solveReference(m, opt)
+	r, err := solveReference(m, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func analyticReference(t *testing.T, f *fragment.Fragment) (*reference, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := solveReference(m, DefaultJobOptions())
+	r, err := solveReference(m, DefaultJobOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,10 +264,10 @@ func alphaTensor(fd *FragmentData) (out [3][3][]float64) {
 }
 
 // TestAnalyticFragmentDataWidthIndependent: the fragment engine's output on
-// the analytic path is the same to the bit at kernel width 1 with one
-// displacement worker and at width 4 with four; and its Hessian is the
-// SkipAlpha run's to the bit — the route of the field derivatives moves no
-// bit of the displaced solves.
+// the analytic route — Hessian, dipole and polarizability derivatives — is
+// the same to the bit at kernel width 1 with one displacement worker and at
+// width 4 with four; and its Hessian is the SkipAlpha run's to the bit — the
+// field derivatives move no bit of the nuclear response.
 func TestAnalyticFragmentDataWidthIndependent(t *testing.T) {
 	defer par.SetBudget(0)
 	for _, fx := range analyticFixtures(t) {

@@ -146,39 +146,41 @@ func countingScope(opt JobOptions, fs *obs.FragStats) JobOptions {
 	return opt
 }
 
-// TestPairedDisplacementsSaveSCFIterations: the fragment engine starts each
+// TestPairedDisplacementsSaveSCFIterations: the displacement loop starts each
 // coordinate's −Step solve from the predictor 2·q₀ − q₊ its +Step partner
-// makes available. On glycine that takes the whole fragment's SCF iterations —
-// reference and 6N displaced solves, counted by obs.FragStats — at least 10 %
-// below the same loop with every displaced solve started from q₀, and moves
-// the Hessian by less than the SCF tolerance does (Tol/Step ≈ 2·10⁻⁷ in an
-// element). Glycine is gapped, so both loops run SCF + forces only.
+// makes available. On glycine that takes the loop's SCF iterations, counted by
+// obs.FragStats, at least 10 % below the same 6N jobs with every displaced
+// solve started from q₀, and moves the Hessian by less than the SCF tolerance
+// does (Tol/Step ≈ 2·10⁻⁷ in an element). Both run SCF + forces only.
 func TestPairedDisplacementsSaveSCFIterations(t *testing.T) {
-	f := glycineFragment(t)
+	m, err := ModelForFragment(glycineFragment(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, _, err := SolveReference(m, DefaultJobOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm.SkipAlpha = true
 	var paired, unpaired obs.FragStats
-	got, ref, err := ComputeFragment(f, countingScope(DefaultJobOptions(), &paired), 1)
+	res, err := displace(m, countingScope(*warm, &paired), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := ModelForFragment(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, _, err := SolveReference(m, countingScope(DefaultJobOptions(), &unpaired))
+	got, err := BuildFragmentData(m.NumAtoms(), res, warm.Step, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	disp := NewDisplacer(m)
-	warm.SkipAlpha = true
+	single := countingScope(*warm, &unpaired)
 	want, err := BuildFragmentData(m.NumAtoms(),
-		allDisplacements(t, m, func(a, d, s int) (*DisplacementResult, error) { return disp.Run(a, d, s, *warm) }), warm.Step, false)
+		allDisplacements(t, m, func(a, d, s int) (*DisplacementResult, error) { return disp.Run(a, d, s, single) }), warm.Step, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	solves := float64(6 * m.NumAtoms())
-	t.Logf("glycine: %d SCF iterations paired, %d unpaired (reference %d; %.2f vs %.2f per displaced solve)",
-		paired.SCFIters(), unpaired.SCFIters(), ref.Iterations,
-		float64(paired.SCFIters()-int64(ref.Iterations))/solves, float64(unpaired.SCFIters()-int64(ref.Iterations))/solves)
+	t.Logf("glycine: %d SCF iterations paired, %d unpaired (%.2f vs %.2f per displaced solve)",
+		paired.SCFIters(), unpaired.SCFIters(), float64(paired.SCFIters())/solves, float64(unpaired.SCFIters())/solves)
 	if 10*paired.SCFIters() > 9*unpaired.SCFIters() {
 		t.Errorf("paired displacements take %d SCF iterations, unpaired %d: want ≥ 10 %% fewer", paired.SCFIters(), unpaired.SCFIters())
 	}
@@ -192,18 +194,26 @@ func TestPairedDisplacementsSaveSCFIterations(t *testing.T) {
 // With Step equal to minus the H₂ bond length, the reference solves but the
 // +Step job of the second hydrogen along x puts it on the first: a singular
 // overlap. (The first hydrogen's −Step job meets one too, but the queue hands
-// it out only after every +Step job.) At every width the fragment fails with
-// the +Step job's error instead of hanging.
+// it out only after every +Step job.) At every width the loop fails with the
+// +Step job's error instead of hanging.
 func TestFailedPlusStepDrainsTheQueue(t *testing.T) {
 	f := &fragment.Fragment{
 		Els:       []constants.Element{constants.H, constants.H},
 		Pos:       []geom.Vec3{{}, geom.V(0.74, 0, 0)},
 		GlobalIdx: []int{0, 1}, NumReal: 2, Coeff: 1,
 	}
+	m, err := ModelForFragment(f)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opt := DefaultJobOptions()
 	opt.Step = -f.Pos[1].X * constants.BohrPerAngstrom
+	warm, _, err := SolveReference(m, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 2, 3} {
-		_, _, err := ComputeFragment(f, opt, workers)
+		_, err := displace(m, *warm, workers)
 		if !errors.Is(err, linalg.ErrNotPositiveDefinite) || !strings.Contains(err.Error(), "atom 1 axis 0 sign +1") {
 			t.Errorf("width %d: %v, want the near-singular overlap of atom 1's +Step job", workers, err)
 		}

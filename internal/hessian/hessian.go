@@ -1,11 +1,14 @@
 // Package hessian computes per-fragment Hessians and polarizability
-// derivatives through the paper's displacement loop — each displacement is
-// one worker job: an SCF ground state and analytic forces at the displaced
-// geometry, plus a DFPT polarizability where the derivatives are finite
-// differences (grid mode, fractional ground states; a gapped γ-mode fragment
-// takes them analytically at its reference) — and assembles the signed
-// fragment contributions (Eq. 1) into the global sparse mass-weighted
-// Hessian and the global ∂α/∂ξ vectors that feed the Raman solver.
+// derivatives (paper §V, Eq. 2–3) and assembles the signed fragment
+// contributions (Eq. 1) into the global sparse mass-weighted Hessian and the
+// global ∂α/∂ξ vectors that feed the Raman solver. A fragment whose ground
+// state is gapped takes all three at its reference geometry, from the
+// coupled-perturbed response to the field and to its 3N nuclear coordinates:
+// no displaced solve. The rest run the paper's displacement loop, where each
+// displacement is one worker job — an SCF ground state, analytic forces and a
+// DFPT polarizability at the displaced geometry — and take central
+// differences: fractional ground states, and grid mode, whose ∂α is the grid
+// response's.
 package hessian
 
 import (
@@ -26,7 +29,7 @@ import (
 	"qframan/internal/scf"
 )
 
-// DefaultStep is the finite-difference displacement in bohr.
+// DefaultStep is the displacement loop's finite-difference step in bohr.
 const DefaultStep = 5e-3
 
 // AlphaComponents enumerates the six independent polarizability components
@@ -55,6 +58,14 @@ type DisplacementResult struct {
 // internal/poisson bumps poisson.SolverTag instead, which moves only
 // grid-mode keys.
 //
+// engine/9: a gapped, field-free ground state in γ mode (or one that wants
+// no ∂α) takes its Hessian analytically at the reference geometry, the
+// nuclear derivative of the force expression from the coupled-perturbed
+// response to the 3N coordinates, instead of central differences of 6N
+// displaced SCF solves (the Hessian moves by O(Step²)); the reference SCF is
+// the calibration's when their options agree (bit for bit the same solve).
+// Grid mode's finite-difference ∂α and fractional ground states keep the
+// displacement loop and every bit.
 // engine/8: grid-mode DFPT solves its response directly in orbital-pair
 // space (one Poisson solve per pair, one linear system per field direction)
 // instead of iterating it with the Pulay mixer, which moves grid-mode α
@@ -82,7 +93,7 @@ type DisplacementResult struct {
 // engine/2: Pulay-accelerated DFPT cycle, Fermi search that stops once the
 // electrons are counted. (engine/1, never hashed: linear response mixing,
 // Fermi level bisected to the last ulp.)
-const EngineVersion = "engine/8"
+const EngineVersion = "engine/9"
 
 // JobOptions bundles the solver settings of a displacement job.
 type JobOptions struct {
@@ -147,6 +158,9 @@ func (d *Displacer) Run(atom, axis, sign int, opt JobOptions) (*DisplacementResu
 	defer dspan.End()
 	opt.SCF.Obs = dsc
 	opt.DFPT.Obs = dsc
+	if opt.Obs.Hot != nil {
+		opt.Obs.Hot.HessianDisplacedJobs.Inc()
+	}
 	md := &d.md
 	d.ref.DisplaceInto(md, atom, axis, float64(sign)*opt.Step)
 	ground, err := d.scf.Solve(md, opt.SCF)
@@ -171,7 +185,8 @@ func (d *Displacer) Run(atom, axis, sign int, opt JobOptions) (*DisplacementResu
 	return out, nil
 }
 
-// FragmentData is the per-fragment output of the displacement loop.
+// FragmentData is the per-fragment output of the fragment engine, from either
+// route: analytic at the reference, or the displacement loop's differences.
 type FragmentData struct {
 	// Hess is the 3N×3N Cartesian Hessian (hartree/bohr²), symmetrized.
 	Hess *linalg.Matrix
@@ -355,30 +370,37 @@ func SmearingRungs(base float64) []float64 {
 	return []float64{base, 2.5 * base, 5 * base, 10 * base, 25 * base}
 }
 
-// ComputeFragment is the fragment engine: it builds the fragment's model and
-// walks SmearingRungs until one rung carries the whole displacement loop — a
-// reference solve (SolveReference) that warm-starts 6N displaced solves, taken
-// from one queue by `workers` Displacers, each coordinate's −Step solve queued
-// behind and warm-started from its +Step partner, then the finite differences
-// of BuildFragmentData (the Hessian alone when the reference took the dipole
-// and polarizability derivatives analytically, computeRung). Each rung taken
-// above the first is counted (obs.MetricSCFSmearingEscalations). When every
-// rung fails the error wraps the first rung's failure: the one at the
-// smearing the caller asked for.
+// ComputeFragment is the fragment engine: it builds and calibrates the
+// fragment's model, then walks SmearingRungs until one rung yields the
+// fragment's data (computeRung). A gapped, field-free ground state in γ mode,
+// or one that wants no ∂α, takes everything analytically at its reference
+// geometry: one SCF, the field and nuclear responses on one I − χ·Γ, and the
+// Hessian, dipole and polarizability derivatives from them (DESIGN.md §7, "The
+// Hessian by coupled-perturbed SCC"). The rest — fractional ground states, and
+// grid mode's finite-difference ∂α — run the displacement loop, where each
+// displacement is one worker job (displace). Each rung taken above the first
+// is counted (obs.MetricSCFSmearingEscalations). When every rung fails the
+// error wraps the first rung's failure: the one at the smearing the caller
+// asked for.
 //
-// The result does not depend on workers; width 1 runs inline on the caller's
-// goroutine. opt.SCF.InitDeltaQ, when set, seeds the reference SCF of every
-// rung. Alongside the data it returns the reference SCF of the rung that
-// succeeded, whose charges and iteration count the trajectory engine keeps.
+// The result does not depend on workers, the number of displacement workers
+// the loop runs (width 1 runs inline on the caller's goroutine).
+// opt.SCF.InitDeltaQ, when set, seeds the calibration SCF and the reference
+// SCF of every rung. The calibration's ground state is the reference of a rung
+// whose SCF options are the calibration's (foldsInto): that rung solves no
+// reference SCF of its own. Alongside the data it returns the reference SCF of
+// the rung that succeeded, whose charges and iteration count the trajectory
+// engine keeps.
 //
-// Trace layout under opt.Obs: a "model" span, the reference scf/dfpt spans, and
-// worker w's "disp" spans on lane opt.Obs.Track+1+w.
+// Trace layout under opt.Obs: a "model" span with the calibration's scf span,
+// the reference scf/dfpt spans, and worker w's "disp" spans on lane
+// opt.Obs.Track+1+w.
 func ComputeFragment(f *fragment.Fragment, opt JobOptions, workers int) (*FragmentData, *scf.Result, error) {
 	if workers < 1 {
 		return nil, nil, fmt.Errorf("hessian: fragment %d: need at least one displacement worker", f.ID)
 	}
-	_, mspan := opt.Obs.Begin("model", "engine")
-	m, err := ModelForFragment(f)
+	msc, mspan := opt.Obs.Begin("model", "engine")
+	m, cal, err := modelForFragment(f, opt.SCF.InitDeltaQ, msc)
 	mspan.End()
 	if err != nil {
 		return nil, nil, err
@@ -391,7 +413,11 @@ func ComputeFragment(f *fragment.Fragment, opt JobOptions, workers int) (*Fragme
 		}
 		o := opt
 		o.SCF.Smearing = sigma
-		data, ref, err := computeRung(m, o, workers)
+		var ref *scf.Result
+		if foldsInto(cal, o.SCF) {
+			ref = cal
+		}
+		data, ref, err := computeRung(m, o, workers, ref)
 		if err == nil {
 			return data, ref, nil
 		}
@@ -402,21 +428,58 @@ func ComputeFragment(f *fragment.Fragment, opt JobOptions, workers int) (*Fragme
 	return nil, nil, fmt.Errorf("hessian: fragment %d failed at every smearing rung: %w", f.ID, firstErr)
 }
 
-// computeRung runs one fragment's displacement loop at the options' smearing.
-// When the reference took the dipole and polarizability derivatives
-// analytically the displaced jobs skip their DFPT and the loop yields the
-// Hessian alone; otherwise all three are finite differences, and the fragment
-// is counted (obs.MetricHessianFDDerivativeFragments).
-func computeRung(m *scf.Model, opt JobOptions, workers int) (*FragmentData, *scf.Result, error) {
-	r, err := solveReference(m, opt)
+// foldsInto reports whether the calibration's ground state cal is the
+// reference SCF a rung with options o would solve. The calibration solved
+// scf.DefaultOptions() from o's seed (modelForFragment), and the terms it
+// fitted are repulsive energy alone, so an SCF with those options at its
+// smearing repeats it bit for bit.
+func foldsInto(cal *scf.Result, o scf.Options) bool {
+	d := scf.DefaultOptions()
+	return o.Smearing == cal.Sigma && o.MaxIter == d.MaxIter && o.Tol == d.Tol &&
+		o.Mixing == d.Mixing && o.Field == d.Field && o.Chord == nil
+}
+
+// analyticRoute reports whether a ground state g solved at opt takes the
+// analytic route: gapped (dfpt.Gapped), field-free — the force expression the
+// Hessian differentiates has no field term — and either in γ mode or wanting
+// no ∂α. Grid mode's ∂α comes from the grid response at displaced geometries.
+func analyticRoute(opt JobOptions, g *scf.Result) bool {
+	return dfpt.Gapped(g.Occ) && opt.SCF.Field == (geom.Vec3{}) &&
+		(opt.DFPT.Coulomb == dfpt.GammaCoulomb || opt.SkipAlpha)
+}
+
+// computeRung computes one fragment's data at the options' smearing from its
+// reference SCF — ref, or solved here when ref is nil: the reference's
+// analytic data, or the displacement loop's finite differences of the Hessian
+// and both derivatives, in which case the fragment is counted
+// (obs.MetricHessianFDDerivativeFragments).
+func computeRung(m *scf.Model, opt JobOptions, workers int, ref *scf.Result) (*FragmentData, *scf.Result, error) {
+	r, err := solveReference(m, opt, ref)
 	if err != nil {
 		return nil, nil, err
 	}
-	ref := r.ref
-	opt = r.opt
 	if r.analytic != nil {
-		opt.SkipAlpha = true
+		return r.analytic, r.ref, nil
 	}
+	results, err := displace(m, r.opt, workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	data, err := BuildFragmentData(len(m.Els), results, opt.Step, !opt.SkipAlpha)
+	if err != nil {
+		return nil, nil, err
+	}
+	if opt.Obs.Hot != nil {
+		opt.Obs.Hot.HessianFDDerivativeFragments.Inc()
+	}
+	return data, r.ref, nil
+}
+
+// displace runs the displacement loop of the reference model m with the
+// options SolveReference hands over: 6N displaced jobs taken from one queue by
+// `workers` Displacers, returned in job order (job 2c moves coordinate c by
+// +Step, job 2c+1 by −Step).
+func displace(m *scf.Model, opt JobOptions, workers int) ([]*DisplacementResult, error) {
 	natoms := len(m.Els)
 	results := make([]*DisplacementResult, 6*natoms)
 	// Job 2c moves coordinate c by +Step and starts from the reference charges
@@ -475,6 +538,7 @@ func computeRung(m *scf.Model, opt JobOptions, workers int) (*FragmentData, *scf
 	// and in the straggler tail (few fragments, idle cores) they widen.
 	release := par.Reserve(workers)
 	defer release()
+	var err error
 	if workers == 1 {
 		err = work(0)
 	} else {
@@ -491,77 +555,77 @@ func computeRung(m *scf.Model, opt JobOptions, workers int) (*FragmentData, *scf
 		err = errors.Join(errs...)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	data, err := BuildFragmentData(natoms, results, opt.Step, !opt.SkipAlpha)
-	if err != nil {
-		return nil, nil, err
-	}
-	if a := r.analytic; a != nil {
-		data.DDipole, data.DAlpha = a.DDipole, a.DAlpha
-	} else if opt.Obs.Hot != nil {
-		opt.Obs.Hot.HessianFDDerivativeFragments.Inc()
-	}
-	return data, ref, nil
+	return results, nil
 }
 
-// reference is what the reference solve hands the displacement loop.
+// reference is what the reference solve hands the fragment engine.
 type reference struct {
-	opt      JobOptions
+	opt      JobOptions // the displacement loop's options (no chord on the analytic route)
 	ref      *scf.Result
-	analytic *FragmentData // DDipole and DAlpha at the reference; nil: finite differences
+	analytic *FragmentData // the analytic route's whole result; nil: the displacement loop
 }
 
 // SolveReference runs the fragment's reference SCF at the options' smearing
-// and returns options carrying the warm-start data (reference charges and the
-// chord matrix of the charge loop, dfpt.ChordMatrix's on the γ kernel the SCF
-// uses in every mode) for the displaced worker jobs, plus the reference SCF
-// result itself — the trajectory engine keeps its converged charges and
-// iteration count to seed and account the same fragment's next frame. Both
-// DFPT modes solve their response directly, so the displaced jobs are handed
-// no response to start from.
+// and returns options carrying the displacement loop's warm-start data —
+// reference charges and the chord matrix of the charge loop,
+// dfpt.ChordMatrix's on the γ kernel the SCF uses in every mode — plus the
+// reference SCF result itself, whose converged charges and iteration count the
+// trajectory engine keeps to seed and account the same fragment's next frame.
+// It hands over the chord whichever route the fragment takes, so the loop can
+// be run on any fragment. Both DFPT modes solve their response directly, so
+// the displaced jobs are handed no response to start from.
 func SolveReference(m *scf.Model, opt JobOptions) (*JobOptions, *scf.Result, error) {
-	r, err := solveReference(m, opt)
+	r, err := solveReference(m, opt, nil)
 	if err != nil {
 		return nil, nil, err
+	}
+	if r.analytic != nil {
+		r.opt.SCF.Chord = dfpt.ChordMatrix(m, r.ref)
 	}
 	return &r.opt, r.ref, nil
 }
 
-// solveReference is SolveReference plus the routing of the dipole and
-// polarizability derivatives: for a gapped γ-mode ground state that is not
-// SkipAlpha the reference DFPT yields the first- and second-order field
-// responses, and the derivatives are taken analytically from them (DESIGN.md
-// §7, "Analytic field derivatives"). Grid mode, fractional ground states and
-// SkipAlpha run no reference DFPT — central differences never read the
-// reference's α — and leave analytic nil.
-func solveReference(m *scf.Model, opt JobOptions) (*reference, error) {
+// solveReference is SolveReference plus the routing, on the reference SCF ref
+// when one is given (the calibration's, folded) and on its own solve when ref
+// is nil. A ground state on the analytic route (analyticRoute) takes its field
+// and nuclear responses (dfpt.Responses) and from them the Hessian
+// (scf.Model.NuclearHessian), the dipole derivatives and, unless SkipAlpha,
+// the polarizability derivatives (scf.Model.FieldDerivatives; DESIGN.md §7).
+// Everything else gets the chord matrix its displacement loop starts from, and
+// leaves analytic nil.
+func solveReference(m *scf.Model, opt JobOptions, ref *scf.Result) (*reference, error) {
 	o := opt
 	// Reference solves appear as direct scf/dfpt children of the attempt
 	// span (displaced solves sit under a "disp" span instead).
 	o.SCF.Obs = opt.Obs
 	o.DFPT.Obs = opt.Obs
-	ref, err := m.SolveSCF(o.SCF)
-	if err != nil {
-		return nil, fmt.Errorf("hessian: reference SCF: %w", err)
+	if ref == nil {
+		var err error
+		if ref, err = m.SolveSCF(o.SCF); err != nil {
+			return nil, fmt.Errorf("hessian: reference SCF: %w", err)
+		}
 	}
 	o.SCF.InitDeltaQ = ref.DeltaQ
-	o.SCF.Chord = dfpt.ChordMatrix(m, ref)
-	r := &reference{ref: ref}
-	switch {
-	case o.SkipAlpha:
-	case o.DFPT.Coulomb == dfpt.GammaCoulomb && dfpt.Gapped(ref.Occ):
-		fr, err := dfpt.FieldResponse(m, ref, o.DFPT)
-		if err != nil {
-			return nil, fmt.Errorf("hessian: reference DFPT: %w", err)
-		}
-		dMu, dAlpha := m.FieldDerivatives(ref, fr)
-		r.analytic = &FragmentData{DDipole: dMu}
+	r := &reference{ref: ref, opt: o}
+	if !analyticRoute(o, ref) {
+		r.opt.SCF.Chord = dfpt.ChordMatrix(m, ref)
+		return r, nil
+	}
+	fr, nr, err := dfpt.Responses(m, ref, o.DFPT)
+	if err != nil {
+		return nil, fmt.Errorf("hessian: reference DFPT: %w", err)
+	}
+	hess := m.NuclearHessian(ref, nr)
+	hess.Symmetrize()
+	dMu, dAlpha := m.FieldDerivatives(ref, fr)
+	r.analytic = &FragmentData{Hess: hess, DDipole: dMu}
+	if !o.SkipAlpha {
 		for c, ij := range AlphaComponents {
 			r.analytic.DAlpha[c] = dAlpha[ij[0]][ij[1]]
 		}
 	}
-	r.opt = o
 	return r, nil
 }
 
@@ -570,14 +634,25 @@ func solveReference(m *scf.Model, opt JobOptions) (*reference, error) {
 // reference potential so the fragment geometry is a stationary point — a
 // prerequisite for rotation-clean finite-difference Hessians.
 func ModelForFragment(f *fragment.Fragment) (*scf.Model, error) {
+	m, _, err := modelForFragment(f, nil, obs.Scope{})
+	return m, err
+}
+
+// modelForFragment is ModelForFragment with the calibration SCF started from
+// seed (nil: neutral atoms) and recorded under sc; it also returns the
+// calibration's ground state.
+func modelForFragment(f *fragment.Fragment, seed []float64, sc obs.Scope) (*scf.Model, *scf.Result, error) {
 	m, err := scf.NewModel(f.Els, f.Pos)
 	if err != nil {
-		return nil, fmt.Errorf("hessian: fragment %d (%s): %w", f.ID, f.Kind, err)
+		return nil, nil, fmt.Errorf("hessian: fragment %d (%s): %w", f.ID, f.Kind, err)
 	}
-	if err := m.CalibrateRestForces(scf.DefaultOptions()); err != nil {
-		return nil, fmt.Errorf("hessian: fragment %d (%s): %w", f.ID, f.Kind, err)
+	o := scf.DefaultOptions()
+	o.InitDeltaQ, o.Obs = seed, sc
+	cal, err := m.CalibrateRestForces(o)
+	if err != nil {
+		return nil, nil, fmt.Errorf("hessian: fragment %d (%s): %w", f.ID, f.Kind, err)
 	}
-	return m, nil
+	return m, cal, nil
 }
 
 // Global collects the assembled whole-system quantities.

@@ -570,6 +570,37 @@ func TestSolveLinearSingular(t *testing.T) {
 	}
 }
 
+// TestSolveLinearColumnsMatchesOneColumnAtATime: solving k right-hand sides
+// as the columns of one matrix gives each column SolveLinearInPlace's answer
+// bit for bit, pivoting included; a singular matrix is an error.
+func TestSolveLinearColumnsMatchesOneColumnAtATime(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	n, k := 11, 5
+	a := randomMatrix(rng, n, n) // unshifted: row exchanges happen
+	rhs := randomMatrix(rng, n, k)
+	x := rhs.Clone()
+	if err := SolveLinearColumnsInPlace(a.Clone(), x); err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < k; c++ {
+		col := make([]float64, n)
+		for i := range col {
+			col[i] = rhs.At(i, c)
+		}
+		if err := SolveLinearInPlace(a.Clone(), col); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range col {
+			if math.Float64bits(v) != math.Float64bits(x.At(i, c)) {
+				t.Fatalf("column %d row %d: %v, one at a time %v", c, i, x.At(i, c), v)
+			}
+		}
+	}
+	if err := SolveLinearColumnsInPlace(NewMatrixFrom(2, 2, []float64{1, 2, 2, 4}), NewMatrix(2, 3)); err == nil {
+		t.Fatal("SolveLinearColumnsInPlace accepted a singular matrix")
+	}
+}
+
 // Property: eigenvalues of A+cI are eigenvalues of A shifted by c.
 func TestEigShiftProperty(t *testing.T) {
 	f := func(seed int64) bool {

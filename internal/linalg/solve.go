@@ -83,14 +83,26 @@ func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
 
 // SolveLinearInPlace is SolveLinear on the caller's storage: it destroys m
 // and overwrites x, the right-hand side, with the solution, allocating
-// nothing. After an error both hold garbage.
+// nothing. After an error both hold garbage. It is the one-column case of
+// SolveLinearColumnsInPlace.
 func SolveLinearInPlace(m *Matrix, x []float64) error {
 	if m.Rows != m.Cols || len(x) != m.Rows {
 		panic("linalg: SolveLinear shape mismatch")
 	}
+	return SolveLinearColumnsInPlace(m, &Matrix{Rows: len(x), Cols: 1, Data: x})
+}
+
+// SolveLinearColumnsInPlace solves m·X = B by Gaussian elimination with
+// partial pivoting for the right-hand sides in the k columns of x (m.Rows×k),
+// all eliminated at once: m is factored once, and each column's arithmetic is
+// that of a one-column solve, bit for bit. It destroys m and overwrites x with
+// the solutions, allocating nothing. After an error both hold garbage.
+func SolveLinearColumnsInPlace(m, x *Matrix) error {
+	if m.Rows != m.Cols || x.Rows != m.Rows {
+		panic("linalg: SolveLinearColumns shape mismatch")
+	}
 	n := m.Rows
 	for k := 0; k < n; k++ {
-		// pivot
 		p := k
 		best := math.Abs(m.At(k, k))
 		for i := k + 1; i < n; i++ {
@@ -106,9 +118,12 @@ func SolveLinearInPlace(m *Matrix, x []float64) error {
 			for j := k; j < n; j++ {
 				mk[j], mp[j] = mp[j], mk[j]
 			}
-			x[k], x[p] = x[p], x[k]
+			xk, xp := x.Row(k), x.Row(p)
+			for j := range xk {
+				xk[j], xp[j] = xp[j], xk[j]
+			}
 		}
-		pivRow := m.Row(k)
+		pivRow, xk := m.Row(k), x.Row(k)
 		piv := pivRow[k]
 		for i := k + 1; i < n; i++ {
 			row := m.Row(i)
@@ -120,16 +135,20 @@ func SolveLinearInPlace(m *Matrix, x []float64) error {
 			for j := k + 1; j < n; j++ {
 				row[j] -= f * pivRow[j]
 			}
-			x[i] -= f * x[k]
+			for j, v := range xk {
+				x.Data[i*x.Cols+j] -= f * v
+			}
 		}
 	}
 	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		row := m.Row(i)
-		for j := i + 1; j < n; j++ {
-			s -= row[j] * x[j]
+		row, xi := m.Row(i), x.Row(i)
+		for c := range xi {
+			s := xi[c]
+			for j := i + 1; j < n; j++ {
+				s -= row[j] * x.Data[j*x.Cols+c]
+			}
+			xi[c] = s / row[i]
 		}
-		x[i] = s / row[i]
 	}
 	return nil
 }

@@ -16,11 +16,13 @@ import (
 // are free of rigid-rotation contamination.
 //
 // The model must be at its reference geometry (freshly built by NewModel).
-// One SCF solve is performed.
-func (m *Model) CalibrateRestForces(opt Options) error {
+// One SCF solve is performed, and its ground state returned: the linear terms
+// are part of the repulsive energy alone, so it is the calibrated model's
+// ground state as well.
+func (m *Model) CalibrateRestForces(opt Options) (*Result, error) {
 	res, err := m.SolveSCFRobust(opt)
 	if err != nil {
-		return fmt.Errorf("scf: calibration SCF: %w", err)
+		return nil, fmt.Errorf("scf: calibration SCF: %w", err)
 	}
 	// Total gradient at the reference: the harmonic FF terms vanish there
 	// (equilibria frozen at reference), so this is the electronic gradient
@@ -37,7 +39,7 @@ func (m *Model) CalibrateRestForces(opt Options) error {
 	// Internal-coordinate gradient rows: B[t] = ∂(internal_t)/∂R.
 	nt := len(m.Bonds) + len(m.Angles) + len(m.Dihedrals)
 	if nt == 0 {
-		return fmt.Errorf("scf: no internal coordinates to calibrate")
+		return nil, fmt.Errorf("scf: no internal coordinates to calibrate")
 	}
 	b := linalg.NewMatrix(nt, n3)
 	addVec := func(row int, atom int, v geom.Vec3) {
@@ -81,7 +83,7 @@ func (m *Model) CalibrateRestForces(opt Options) error {
 	linalg.Gemv(false, -1, b, g, 0, rhs, m.Ops)
 	c, err := linalg.SolveLinear(bbt, rhs)
 	if err != nil {
-		return fmt.Errorf("scf: calibration solve: %w", err)
+		return nil, fmt.Errorf("scf: calibration solve: %w", err)
 	}
 	for t := range m.Bonds {
 		m.Bonds[t].C = c[t]
@@ -92,5 +94,5 @@ func (m *Model) CalibrateRestForces(opt Options) error {
 	for t := range m.Dihedrals {
 		m.Dihedrals[t].C = c[off+t]
 	}
-	return nil
+	return res, nil
 }

@@ -11,7 +11,7 @@ import (
 // FieldResponse is the density response of a gapped ground state to a
 // uniform electric field F (Options.Field) up to second order, at F = 0:
 // P1[b] = ∂P/∂F_b and P2[b][c] = ∂²P/∂F_b∂F_c, where P2[b][c] and P2[c][b]
-// are one matrix. dfpt.FieldResponse computes it.
+// are one matrix. dfpt.Responses computes it.
 type FieldResponse struct {
 	P1 [3]*linalg.Matrix
 	P2 [3][3]*linalg.Matrix

@@ -95,7 +95,18 @@ func (m *Model) forces(res *Result, fs *forceScratch) []geom.Vec3 {
 		}
 	}
 
-	// Bonded reference potential (harmonic + fitted linear terms).
+	m.addRepulsiveGradient(grad)
+
+	out := make([]geom.Vec3, na)
+	for a := range out {
+		out[a] = grad[a].Scale(-1)
+	}
+	return out
+}
+
+// addRepulsiveGradient adds ∂E_rep/∂R of the bonded reference potential
+// (harmonic plus fitted linear terms) to grad.
+func (m *Model) addRepulsiveGradient(grad []geom.Vec3) {
 	for _, bd := range m.Bonds {
 		d := m.Pos[bd.I].Sub(m.Pos[bd.J])
 		r := d.Norm()
@@ -129,9 +140,4 @@ func (m *Model) forces(res *Result, fs *forceScratch) []geom.Vec3 {
 		}
 	}
 
-	out := make([]geom.Vec3, na)
-	for a := range out {
-		out[a] = grad[a].Scale(-1)
-	}
-	return out
 }

@@ -3,7 +3,8 @@
 // tight-binding model over the minimal Gaussian basis (see DESIGN.md §2).
 // It has the full structure of an SCF DFT code — overlap matrix, generalized
 // eigenproblem HC = SCε, density matrix, charge self-consistency, total
-// energy, and analytic nuclear gradients — plus a bonded reference force
+// energy, analytic nuclear gradients and, from a nuclear response, analytic
+// Hessians (NuclearHessian) — plus a bonded reference force
 // field (bond + angle terms parameterized to experimental vibrational
 // frequencies) playing the role of the DFTB repulsive potential.
 package scf

@@ -217,8 +217,9 @@ func TestCacheKeyIsolation(t *testing.T) {
 // mixer history), under engine/3 (Pulay loop on the γ-mode response), under
 // engine/4 (Löwdin orthogonalization, unpaired displacements), under
 // engine/5 (finite-difference chord matrix, no intraband response) under
-// engine/6 (finite-difference dipole and polarizability derivatives) and under
-// engine/7 (grid mode's Pulay response loop) — the
+// engine/6 (finite-difference dipole and polarizability derivatives), under
+// engine/7 (grid mode's Pulay response loop) and under engine/8
+// (finite-difference Hessians from 6N displaced SCF solves) — the
 // constants were recorded on those commits — must serve none of them to a resumed run of
 // this engine: each mode reports a miss, recomputes, and files its new record
 // beside the old ones. A second resumed run is then served its own.
@@ -239,10 +240,12 @@ func TestCacheSolverMigration(t *testing.T) {
 		gammaKeyEngine6      = "70f2a3d6c3c9d25b448ca9bb12f43abffd2ba4aaf170681109cab3616a318ddf"
 		gridKeyEngine7       = "de8c29f415feca6f14f6a87effae1b20cbf1a84ed9855e28bf00326353665c89"
 		gammaKeyEngine7      = "595a639a2765f33561ca3bcee7f706ae9d868649c9cdfbb801582534b98a6d9f"
+		gridKeyEngine8       = "2d205a9c49b2422b7922fb6ccea7ad1ba5ca1a128ec799409dcea0d1a0de0166"
+		gammaKeyEngine8      = "d23e0accccfd0b831b6c0a0342d3542807b3d0767de91a33245fd166a9478ecc"
 	)
 	old := []string{gridKeyBeforeTag, gridKeyBeforeEngine, gammaKeyBeforeEngine, gridKeyEngine2, gammaKeyEngine2,
 		gridKeyEngine3, gammaKeyEngine3, gridKeyEngine4, gammaKeyEngine4, gridKeyEngine5, gammaKeyEngine5,
-		gridKeyEngine6, gammaKeyEngine6, gridKeyEngine7, gammaKeyEngine7}
+		gridKeyEngine6, gammaKeyEngine6, gridKeyEngine7, gammaKeyEngine7, gridKeyEngine8, gammaKeyEngine8}
 	dec := cacheDecomposition(1)
 	dir := t.TempDir()
 	s := openStore(t, dir)
