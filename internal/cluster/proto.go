@@ -41,7 +41,8 @@ const (
 	// A peer advertising a different version is rejected at handshake.
 	// Version 2: JOB and LEASE carry their options as a length-prefixed
 	// hessian.JobOptions.AppendPhysics block (version 1 had its own layout).
-	ProtoVersion = 2
+	// Version 3: that block is one byte shorter (the DFPT strength-reduction flag gone).
+	ProtoVersion = 3
 
 	headerSize  = 11
 	trailerSize = 4

@@ -208,7 +208,7 @@ func TestLeaseFingerprintAgreement(t *testing.T) {
 	opt := sched.DefaultOptions().Job
 	opt.SCF.Tol = 3.25e-7
 	opt.SCF.Field = geom.Vec3{X: 0.001}
-	opt.DFPT.StrengthReduction = false
+	opt.DFPT.BatchSide = 4
 	opt.SCF.InitDeltaQ = []float64{0.1, -0.05, -0.05}
 
 	els, pos := testGeometry()

@@ -27,8 +27,7 @@
 //     Coulomb matrix per direction and one linear solve — one cycle per
 //     direction, whose four phases keep the paper's names (cycleEnv.solveGrid,
 //     DESIGN.md §7). The AO-space cycle of §V-A with its symmetry-reduced
-//     kernels (Fig. 6) lives on as the package tests' oracle and as the call
-//     lists internal/perf costs for Table I and Fig. 9 (GridCalls).
+//     kernels (Fig. 6) lives on as the package tests' oracle.
 package dfpt
 
 import (
@@ -81,12 +80,6 @@ type Options struct {
 	GridMargin  float64
 	BatchSide   int // grid points per batch edge
 
-	// StrengthReduction selects the symmetry-aware kernels of §V-D (Fig. 6)
-	// in the AO-space cycle GridCalls lays out. The pair-space solve projects
-	// onto the one response Hamiltonian both kernel variants compute, so it
-	// reads the flag nowhere else.
-	StrengthReduction bool
-
 	// InitP1 is ignored: a direct solve has no starting point.
 	//
 	// Deprecated: grid mode's response loop, which it warm-started, is gone.
@@ -112,8 +105,6 @@ func DefaultOptions() Options {
 		GridSpacing: 0.7,
 		GridMargin:  5.0,
 		BatchSide:   6,
-		// The reduced kernels are the production path.
-		StrengthReduction: true,
 	}
 }
 

@@ -256,37 +256,3 @@ func (e *gridEnv) operands(_, lo, hi int) {
 		}
 	}
 }
-
-// GridCalls returns the phase-2 (n⁽¹⁾) and phase-4 (H⁽¹⁾) GEMM lists of one
-// cycle of the paper's AO-space grid DFPT loop (§V-A) for the model's
-// geometry: per batch X·P⁽¹⁾, and Xᵀ·V·(X/2 + ∇X) for the reduced kernels of
-// Fig. 6(a); the naive kernels of Fig. 6(b) add ∇X·P⁽¹⁾ to phase 2 and split
-// phase 4 into Xᵀ(VX) + Xᵀ(V∇X) + (V∇X)ᵀX, the last the operand-swapped
-// transpose pair of the second. Their shapes are a function of geometry, basis
-// and grid options alone, which is all internal/perf's cost model needs;
-// nothing is executed, and the engine no longer runs the loop — grid mode
-// solves its response in pair space (cycleEnv.solveGrid). ROADMAP item 10
-// deletes both this and its caller.
-func GridCalls(m *scf.Model, opt Options) (n1, h1 []linalg.GemmCall, err error) {
-	env, err := newGridEnv(m, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	mat := linalg.NewMatrix
-	var ng []linalg.GemmCall
-	for bi := range env.batches {
-		b := &env.batches[bi]
-		npts, nloc := b.x.Rows, b.x.Cols
-		p1loc := mat(nloc, nloc)
-		n1 = append(n1, linalg.GemmCall{Alpha: 1, A: b.x, B: p1loc, C: mat(npts, nloc)})
-		h1 = append(h1, linalg.GemmCall{TransA: true, Alpha: 1, A: b.x, B: mat(npts, nloc), C: mat(nloc, nloc)})
-		if !opt.StrengthReduction {
-			ng = append(ng, linalg.GemmCall{Alpha: 1, A: b.gx[0], B: p1loc, C: mat(npts, nloc)})
-			vgx := mat(npts, nloc)
-			h1 = append(h1,
-				linalg.GemmCall{TransA: true, Alpha: 1, A: b.x, B: vgx, C: mat(nloc, nloc)},
-				linalg.GemmCall{TransA: true, Alpha: 1, A: vgx, B: b.x, C: mat(nloc, nloc)})
-		}
-	}
-	return append(n1, ng...), h1, nil
-}

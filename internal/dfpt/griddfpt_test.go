@@ -204,9 +204,7 @@ func countPoisson(env *gridEnv, n *int) {
 // cycle run to 1e-13 — and on its fixed point: every returned P⁽¹⁾ goes
 // through one AO-space cycle unchanged to 1e-12. One cycle per direction,
 // one Poisson solve per pair (nocc·nvirt gapped, n(n−1)/2 fractional), and
-// kernel widths 1 and 4 equal to the bit. Both kernel variants of the cycle
-// land on the same fixed point, so StrengthReduction moves no bit of the
-// solve.
+// kernel widths 1 and 4 equal to the bit.
 func TestGridResponseMatchesReference(t *testing.T) {
 	defer par.SetBudget(0)
 	for _, fx := range gridFixtures(t) {
@@ -246,11 +244,6 @@ func TestGridResponseMatchesReference(t *testing.T) {
 			}
 		}
 		par.SetBudget(0)
-		naive := opt
-		naive.StrengthReduction = false
-		if r, err := Polarizability(fx.m, fx.ground, naive); err != nil || !sameResponse(r, got) {
-			t.Errorf("%s: the naive kernels' options moved the solve (%v)", fx.name, err)
-		}
 		want, _, err := refGridPolarizability(fx.m, fx.ground, env, true, 1e-13)
 		if err != nil {
 			t.Fatalf("%s: %v", fx.name, err)

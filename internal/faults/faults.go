@@ -239,8 +239,7 @@ func (in *RandomInjector) WouldFault(frag, attempt int) bool {
 }
 
 // Uniform is a deterministic hash-based draw in [0,1) from the tuple
-// (seed, frag, attempt, salt) — the same splitmix-style finalizer the
-// supercomputer simulator uses for its execution-time jitter.
+// (seed, frag, attempt, salt) through a splitmix-style finalizer.
 func Uniform(seed int64, frag, attempt, salt int) float64 {
 	x := uint64(seed)*0x9E3779B97F4A7C15 ^
 		uint64(frag)*0xC2B2AE3D27D4EB4F ^

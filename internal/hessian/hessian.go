@@ -90,7 +90,7 @@ type DisplacementResult struct {
 // engine/3: displaced charge loops start as a chord-Newton iteration on the
 // reference's charge susceptibility (scf.Options.Chord); the Pulay mixer
 // extrapolates over the numerically independent part of its history only.
-// engine/2: Pulay-accelerated DFPT cycle, Fermi search that stops once the
+// engine/2: Pulay mixing in the DFPT cycle, Fermi search that stops once the
 // electrons are counted. (engine/1, never hashed: linear response mixing,
 // Fermi level bisected to the last ulp.)
 const EngineVersion = "engine/9"

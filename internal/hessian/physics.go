@@ -9,7 +9,7 @@ import (
 )
 
 // physicsSize is the length of the AppendPhysics serialization.
-const physicsSize = 122
+const physicsSize = 121
 
 // AppendPhysics appends the job's physics — every option that can move a bit
 // of a converged FragmentData — to b in a fixed little-endian layout: floats
@@ -40,8 +40,7 @@ func (o JobOptions) AppendPhysics(b []byte) []byte {
 	b = appendU64(b, uint64(o.DFPT.Coulomb))
 	b = appendF64(b, o.DFPT.GridSpacing)
 	b = appendF64(b, o.DFPT.GridMargin)
-	b = appendU64(b, uint64(o.DFPT.BatchSide))
-	return appendFlag(b, o.DFPT.StrengthReduction)
+	return appendU64(b, uint64(o.DFPT.BatchSide))
 }
 
 // ParsePhysics is the validating inverse of AppendPhysics: it accepts exactly
@@ -92,7 +91,6 @@ func ParsePhysics(b []byte) (JobOptions, error) {
 	o.DFPT.GridSpacing = f64()
 	o.DFPT.GridMargin = f64()
 	o.DFPT.BatchSide = count("DFPT.BatchSide")
-	o.DFPT.StrengthReduction = flag("DFPT.StrengthReduction")
 	if err == nil && o.DFPT.Coulomb != dfpt.GammaCoulomb && o.DFPT.Coulomb != dfpt.GridCoulomb {
 		err = fmt.Errorf("hessian: unknown Coulomb mode %d", o.DFPT.Coulomb)
 	}

@@ -27,7 +27,6 @@ func randomPhysics(rng *rand.Rand) JobOptions {
 	o.DFPT.Coulomb = dfpt.CoulombMode(rng.Intn(2))
 	o.DFPT.GridSpacing, o.DFPT.GridMargin = f(), f()
 	o.DFPT.BatchSide = int(rng.Int31())
-	o.DFPT.StrengthReduction = rng.Intn(2) == 1
 	return o
 }
 
@@ -70,7 +69,7 @@ func TestPhysicsRoundTrip(t *testing.T) {
 		t.Fatal("accepted a trailing byte")
 	}
 	badFlag := append([]byte(nil), valid...)
-	badFlag[len(badFlag)-1] = 2 // StrengthReduction is the last byte
+	badFlag[8] = 2 // SkipAlpha follows the 8-byte Step
 	if _, err := ParsePhysics(badFlag); err == nil {
 		t.Fatal("accepted a flag byte of 2")
 	}

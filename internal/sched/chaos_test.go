@@ -93,13 +93,14 @@ func checkExactlyOnce(t *testing.T, dec *fragment.Decomposition, datas []*hessia
 
 // TestChaosExactlyOnceAllPolicies is the scheduler's chaos property test:
 // random task sizes, injected transient errors, NaN divergences, panics,
-// stragglers (plus watchdog-induced duplicate completions) across every
-// packing policy — and every fragment must still complete exactly once with
-// the right payload.
+// stragglers (plus watchdog-induced duplicate completions) under three
+// packing policies — the size-sensitive packer at MaxPack 16 (the default),
+// 4 and 1 fragments per task — and every fragment must still complete exactly
+// once with the right payload.
 func TestChaosExactlyOnceAllPolicies(t *testing.T) {
-	for _, pol := range []Policy{SizeSensitive, FIFO, StaticBlock} {
+	for pol, maxPack := range []int{16, 4, 1} {
 		for seed := int64(1); seed <= 3; seed++ {
-			pol, seed := pol, seed
+			maxPack, seed := maxPack, seed
 			t.Run(fmt.Sprintf("policy%d_seed%d", pol, seed), func(t *testing.T) {
 				t.Parallel()
 				rng := rand.New(rand.NewSource(seed))
@@ -107,7 +108,7 @@ func TestChaosExactlyOnceAllPolicies(t *testing.T) {
 				opt := DefaultOptions()
 				opt.NumLeaders = 4
 				opt.WorkersPerLeader = 1
-				opt.Packer.Policy = pol
+				opt.Packer.MaxPack = maxPack
 				opt.Prefetch = true
 				opt.StragglerTimeout = 10 * time.Millisecond
 				opt.Retry = chaosRetry()
@@ -239,8 +240,7 @@ func TestDeterministicFailureAbortsWithoutBudget(t *testing.T) {
 	opt.NumLeaders = 2
 	opt.WorkersPerLeader = 1
 	opt.Prefetch = true
-	opt.Packer.Policy = FIFO
-	opt.Packer.FIFOTaskSize = 1
+	opt.Packer.MaxPack = 1
 	opt.Retry = chaosRetry()
 	opt.Injector = faults.NewInjector(faults.Config{Seed: 1, HardFailFrags: []int{0}})
 	opt.Process = fakeProcess
@@ -267,8 +267,7 @@ func TestMultiLeaderErrorsJoined(t *testing.T) {
 	opt.NumLeaders = nl
 	opt.WorkersPerLeader = 1
 	opt.Prefetch = false
-	opt.Packer.Policy = FIFO
-	opt.Packer.FIFOTaskSize = 1
+	opt.Packer.MaxPack = 1
 	opt.Process = func(f *fragment.Fragment, _ Options) (*hessian.FragmentData, error) {
 		// Barrier: every leader must be mid-fragment before any fails, so
 		// all four failures race into the abort path together.

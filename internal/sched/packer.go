@@ -3,9 +3,7 @@
 // (§V-B, Fig. 4): the master packs fragments into tasks whose granularity
 // shrinks as the un-processed pool drains, leaders split each fragment into
 // its atomic-displacement jobs and prefetch their next task, and workers run
-// the per-displacement SCF+DFPT step. The same packing policy also drives
-// the discrete-event supercomputer simulator (internal/simhpc) at the
-// paper's node counts.
+// the per-displacement SCF+DFPT step.
 package sched
 
 import (
@@ -18,25 +16,9 @@ type Task struct {
 	Fragments []int
 }
 
-// Policy selects the packing strategy; the paper's system-size-sensitive
-// policy is the default, the others exist for the ablation benchmarks.
-type Policy int
-
-const (
-	// SizeSensitive is the paper's policy: large fragments one per task,
-	// medium fragments packed together, tail granularity shrinking to one.
-	SizeSensitive Policy = iota
-	// FIFO packs fragments in input order into fixed-size tasks.
-	FIFO
-	// StaticBlock pre-partitions fragments into one contiguous block per
-	// leader (no dynamic balancing at all).
-	StaticBlock
-)
-
 // PackerOptions tunes the size-sensitive policy.
 type PackerOptions struct {
-	Policy Policy
-	// NumLeaders is used to decide when the tail begins and by StaticBlock.
+	// NumLeaders is used to decide when the tail begins.
 	NumLeaders int
 	// LargeFraction: fragments with ≥ LargeFraction·maxSize atoms are
 	// dispatched as single-fragment tasks.
@@ -46,19 +28,15 @@ type PackerOptions struct {
 	PackTargetAtoms int
 	// MaxPack bounds the number of fragments per task.
 	MaxPack int
-	// FIFOTaskSize is the fixed task size of the FIFO policy.
-	FIFOTaskSize int
 }
 
 // DefaultPackerOptions returns the paper-flavored defaults.
 func DefaultPackerOptions(numLeaders int) PackerOptions {
 	return PackerOptions{
-		Policy:          SizeSensitive,
 		NumLeaders:      numLeaders,
 		LargeFraction:   0.6,
 		PackTargetAtoms: 90,
 		MaxPack:         16,
-		FIFOTaskSize:    4,
 	}
 }
 
@@ -73,7 +51,6 @@ type Packer struct {
 	order  []int // fragment indices, sorted by size descending
 	next   int   // cursor into order
 	nextID int
-	block  int // StaticBlock: fragments per leader
 }
 
 // NewPacker builds a packer over the fragment sizes (atom counts).
@@ -83,18 +60,9 @@ func NewPacker(sizes []int, opt PackerOptions) *Packer {
 	for i := range p.order {
 		p.order[i] = i
 	}
-	if opt.Policy == SizeSensitive {
-		sort.SliceStable(p.order, func(a, b int) bool {
-			return sizes[p.order[a]] > sizes[p.order[b]]
-		})
-	}
-	if opt.Policy == StaticBlock {
-		n := opt.NumLeaders
-		if n <= 0 {
-			n = 1
-		}
-		p.block = (len(sizes) + n - 1) / n
-	}
+	sort.SliceStable(p.order, func(a, b int) bool {
+		return sizes[p.order[a]] > sizes[p.order[b]]
+	})
 	return p
 }
 
@@ -106,60 +74,47 @@ func (p *Packer) Next() *Task {
 	if p.next >= len(p.order) {
 		return nil
 	}
+	maxSize := p.sizes[p.order[0]]
+	largeCut := int(p.opt.LargeFraction * float64(maxSize))
+	first := p.order[p.next]
+	if p.sizes[first] >= largeCut {
+		// Large fragment: its own task.
+		p.next++
+		return p.task([]int{first})
+	}
+	// Tail: when few fragments remain relative to the leader count,
+	// shrink granularity down to single fragments.
+	tail := p.Remaining() <= 2*p.opt.NumLeaders
+	budget := p.opt.PackTargetAtoms
+	maxPack := p.opt.MaxPack
+	if tail {
+		// Granularity shrinks with the remaining pool — shrinks only:
+		// the configured MaxPack stays a hard ceiling.
+		maxPack = p.Remaining() / p.opt.NumLeaders
+		if maxPack < 1 {
+			maxPack = 1
+		}
+		if p.opt.MaxPack > 0 && maxPack > p.opt.MaxPack {
+			maxPack = p.opt.MaxPack
+		}
+		budget = p.sizes[first] * maxPack
+	}
 	var frags []int
-	switch p.opt.Policy {
-	case FIFO:
-		n := p.opt.FIFOTaskSize
-		if n <= 0 {
-			n = 1
-		}
-		for len(frags) < n && p.next < len(p.order) {
-			frags = append(frags, p.order[p.next])
-			p.next++
-		}
-	case StaticBlock:
-		for len(frags) < p.block && p.next < len(p.order) {
-			frags = append(frags, p.order[p.next])
-			p.next++
-		}
-	default: // SizeSensitive
-		maxSize := p.sizes[p.order[0]]
-		largeCut := int(p.opt.LargeFraction * float64(maxSize))
-		first := p.order[p.next]
-		if p.sizes[first] >= largeCut {
-			// Large fragment: its own task.
-			frags = append(frags, first)
-			p.next++
+	atoms := 0
+	for len(frags) < maxPack && p.next < len(p.order) {
+		f := p.order[p.next]
+		if atoms > 0 && atoms+p.sizes[f] > budget {
 			break
 		}
-		// Tail: when few fragments remain relative to the leader count,
-		// shrink granularity down to single fragments.
-		tail := p.Remaining() <= 2*p.opt.NumLeaders
-		budget := p.opt.PackTargetAtoms
-		maxPack := p.opt.MaxPack
-		if tail {
-			// Granularity shrinks with the remaining pool — shrinks only:
-			// the configured MaxPack stays a hard ceiling.
-			maxPack = p.Remaining() / p.opt.NumLeaders
-			if maxPack < 1 {
-				maxPack = 1
-			}
-			if p.opt.MaxPack > 0 && maxPack > p.opt.MaxPack {
-				maxPack = p.opt.MaxPack
-			}
-			budget = p.sizes[first] * maxPack
-		}
-		atoms := 0
-		for len(frags) < maxPack && p.next < len(p.order) {
-			f := p.order[p.next]
-			if atoms > 0 && atoms+p.sizes[f] > budget {
-				break
-			}
-			frags = append(frags, f)
-			atoms += p.sizes[f]
-			p.next++
-		}
+		frags = append(frags, f)
+		atoms += p.sizes[f]
+		p.next++
 	}
+	return p.task(frags)
+}
+
+// task numbers frags as the next task.
+func (p *Packer) task(frags []int) *Task {
 	t := &Task{ID: p.nextID, Fragments: frags}
 	p.nextID++
 	return t

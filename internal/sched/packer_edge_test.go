@@ -3,7 +3,7 @@ package sched
 import "testing"
 
 // drainPacker pulls every task from a fresh packer and asserts the
-// invariants that hold for every policy and every input: no empty tasks,
+// invariants that hold for every setting and every input: no empty tasks,
 // strictly increasing task IDs, in-range fragment indices, each fragment
 // delivered exactly once, and a drained packer that keeps returning nil.
 func drainPacker(t *testing.T, sizes []int, opt PackerOptions) []*Task {
@@ -135,7 +135,6 @@ func TestPackerEdgeCases(t *testing.T) {
 			name:  "maxpack-one-tail",
 			sizes: []int{100, 5, 5, 5, 5},
 			opt: PackerOptions{
-				Policy:          SizeSensitive,
 				NumLeaders:      1,
 				LargeFraction:   0.6,
 				PackTargetAtoms: 90,
@@ -149,7 +148,7 @@ func TestPackerEdgeCases(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tasks := drainPacker(t, tc.sizes, tc.opt)
 			// Size-sensitive guarantees on top of the universal ones.
-			if tc.opt.Policy == SizeSensitive && len(tc.sizes) > 0 {
+			if len(tc.sizes) > 0 {
 				maxSize := 0
 				for _, s := range tc.sizes {
 					if s > maxSize {
@@ -176,8 +175,9 @@ func TestPackerEdgeCases(t *testing.T) {
 	}
 }
 
-// TestPackerEdgeCasesAllPolicies re-drains the edge pools under FIFO and
-// StaticBlock: the delivery invariants are policy-independent.
+// TestPackerEdgeCasesAllPolicies re-drains the edge pools at the packer's
+// extreme settings — one fragment per task (MaxPack 1), and one leader packing
+// as coarsely as it may: the delivery invariants hold at every setting.
 func TestPackerEdgeCasesAllPolicies(t *testing.T) {
 	pools := map[string][]int{
 		"empty-pool":      nil,
@@ -185,10 +185,12 @@ func TestPackerEdgeCasesAllPolicies(t *testing.T) {
 		"all-equal":       repeat(10, 12),
 		"giant-plus-tiny": append([]int{1000}, repeat(3, 40)...),
 	}
-	for _, policy := range []Policy{FIFO, StaticBlock} {
+	fine := DefaultPackerOptions(4)
+	fine.MaxPack = 1
+	coarse := DefaultPackerOptions(1)
+	coarse.PackTargetAtoms, coarse.MaxPack = 1<<20, 64
+	for _, opt := range []PackerOptions{fine, coarse} {
 		for name, sizes := range pools {
-			opt := DefaultPackerOptions(4)
-			opt.Policy = policy
 			t.Run(name, func(t *testing.T) {
 				drainPacker(t, sizes, opt)
 			})

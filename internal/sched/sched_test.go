@@ -12,9 +12,9 @@ import (
 
 func TestPackerCoversAllFragmentsOnce(t *testing.T) {
 	sizes := []int{9, 35, 12, 6, 6, 68, 22, 6, 14, 30, 6, 6, 9, 41}
-	for _, pol := range []Policy{SizeSensitive, FIFO, StaticBlock} {
+	for _, maxPack := range []int{1, 4, 16} {
 		opt := DefaultPackerOptions(3)
-		opt.Policy = pol
+		opt.MaxPack = maxPack
 		p := NewPacker(sizes, opt)
 		seen := map[int]int{}
 		for {
@@ -23,18 +23,18 @@ func TestPackerCoversAllFragmentsOnce(t *testing.T) {
 				break
 			}
 			if len(task.Fragments) == 0 {
-				t.Fatalf("policy %v: empty task", pol)
+				t.Fatalf("MaxPack %d: empty task", maxPack)
 			}
 			for _, f := range task.Fragments {
 				seen[f]++
 			}
 		}
 		if len(seen) != len(sizes) {
-			t.Fatalf("policy %v: covered %d fragments, want %d", pol, len(seen), len(sizes))
+			t.Fatalf("MaxPack %d: covered %d fragments, want %d", maxPack, len(seen), len(sizes))
 		}
 		for f, c := range seen {
 			if c != 1 {
-				t.Fatalf("policy %v: fragment %d handed out %d times", pol, f, c)
+				t.Fatalf("MaxPack %d: fragment %d handed out %d times", maxPack, f, c)
 			}
 		}
 	}
@@ -177,8 +177,7 @@ func TestStragglerRequeue(t *testing.T) {
 	opt := DefaultOptions()
 	opt.NumLeaders = 2
 	opt.StragglerTimeout = 50 * time.Millisecond
-	opt.Packer.Policy = FIFO
-	opt.Packer.FIFOTaskSize = 1
+	opt.Packer.MaxPack = 1
 	opt.Prefetch = false
 	opt.Process = func(f *fragment.Fragment, o Options) (*hessian.FragmentData, error) {
 		mu.Lock()

@@ -47,7 +47,7 @@ const (
 	codecVersion = 1
 )
 
-// crcTable is the Castagnoli polynomial (hardware-accelerated on amd64).
+// crcTable is the Castagnoli polynomial (computed in hardware on amd64).
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Encode serializes fd into a self-validating record. Optional blocks

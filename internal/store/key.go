@@ -46,8 +46,9 @@ const coordQuantum = 1e-6
 
 // fingerprintVersion is bumped whenever the fingerprint byte layout, the
 // canonicalization, or the codec changes incompatibly, so stale stores can
-// never cross-hit a new binary.
-const fingerprintVersion = "qfkey/v1/codec1\n"
+// never cross-hit a new binary. v2: the job section (hessian.AppendPhysics)
+// lost the DFPT strength-reduction flag byte, which no solve read.
+const fingerprintVersion = "qfkey/v2/codec1\n"
 
 // Fingerprint computes the content-addressed key and canonical frame of a
 // fragment under the given job options. The fingerprint covers the physics

@@ -116,21 +116,20 @@ func TestKeyDiscriminates(t *testing.T) {
 	// Every physics knob of JobOptions must move the key (key-isolation:
 	// a store populated at one setting never serves another).
 	knobs := map[string]func(*hessian.JobOptions){
-		"Step":              func(o *hessian.JobOptions) { o.Step *= 2 },
-		"SkipAlpha":         func(o *hessian.JobOptions) { o.SkipAlpha = !o.SkipAlpha },
-		"SCF.Tol":           func(o *hessian.JobOptions) { o.SCF.Tol *= 10 },
-		"SCF.MaxIter":       func(o *hessian.JobOptions) { o.SCF.MaxIter++ },
-		"SCF.Mixing":        func(o *hessian.JobOptions) { o.SCF.Mixing += 0.01 },
-		"SCF.Smearing":      func(o *hessian.JobOptions) { o.SCF.Smearing += 0.001 },
-		"SCF.Field":         func(o *hessian.JobOptions) { o.SCF.Field.Z = 1e-4 },
-		"DFPT.Tol":          func(o *hessian.JobOptions) { o.DFPT.Tol *= 10 },
-		"DFPT.MaxIter":      func(o *hessian.JobOptions) { o.DFPT.MaxIter++ },
-		"DFPT.Mixing":       func(o *hessian.JobOptions) { o.DFPT.Mixing += 0.01 },
-		"DFPT.Coulomb":      func(o *hessian.JobOptions) { o.DFPT.Coulomb++ },
-		"DFPT.GridSpacing":  func(o *hessian.JobOptions) { o.DFPT.GridSpacing *= 1.5 },
-		"DFPT.GridMargin":   func(o *hessian.JobOptions) { o.DFPT.GridMargin += 0.5 },
-		"DFPT.BatchSide":    func(o *hessian.JobOptions) { o.DFPT.BatchSide++ },
-		"DFPT.StrengthRed.": func(o *hessian.JobOptions) { o.DFPT.StrengthReduction = !o.DFPT.StrengthReduction },
+		"Step":             func(o *hessian.JobOptions) { o.Step *= 2 },
+		"SkipAlpha":        func(o *hessian.JobOptions) { o.SkipAlpha = !o.SkipAlpha },
+		"SCF.Tol":          func(o *hessian.JobOptions) { o.SCF.Tol *= 10 },
+		"SCF.MaxIter":      func(o *hessian.JobOptions) { o.SCF.MaxIter++ },
+		"SCF.Mixing":       func(o *hessian.JobOptions) { o.SCF.Mixing += 0.01 },
+		"SCF.Smearing":     func(o *hessian.JobOptions) { o.SCF.Smearing += 0.001 },
+		"SCF.Field":        func(o *hessian.JobOptions) { o.SCF.Field.Z = 1e-4 },
+		"DFPT.Tol":         func(o *hessian.JobOptions) { o.DFPT.Tol *= 10 },
+		"DFPT.MaxIter":     func(o *hessian.JobOptions) { o.DFPT.MaxIter++ },
+		"DFPT.Mixing":      func(o *hessian.JobOptions) { o.DFPT.Mixing += 0.01 },
+		"DFPT.Coulomb":     func(o *hessian.JobOptions) { o.DFPT.Coulomb++ },
+		"DFPT.GridSpacing": func(o *hessian.JobOptions) { o.DFPT.GridSpacing *= 1.5 },
+		"DFPT.GridMargin":  func(o *hessian.JobOptions) { o.DFPT.GridMargin += 0.5 },
+		"DFPT.BatchSide":   func(o *hessian.JobOptions) { o.DFPT.BatchSide++ },
 	}
 	for name, mutate := range knobs {
 		o := hessian.DefaultJobOptions()
@@ -279,6 +278,28 @@ func TestKeyEngineVersionTouchesEveryKey(t *testing.T) {
 			if k.String() == before {
 				t.Errorf("%s: key still equals the key of an earlier engine's records", tc.name)
 			}
+		}
+	}
+}
+
+// TestKeyFingerprintVersionFence: the keys the qfkey/v1 layout — the one
+// whose job section still carried the DFPT strength-reduction flag byte — gave this
+// fragment under the default γ-mode and grid-mode jobs, recorded on the last
+// commit that wrote it, are not today's, so no v1 record can be served to a
+// binary whose physics bytes no longer carry that flag.
+func TestKeyFingerprintVersionFence(t *testing.T) {
+	grid := hessian.DefaultJobOptions()
+	grid.DFPT.Coulomb = dfpt.GridCoulomb
+	for _, tc := range []struct {
+		name     string
+		keyForV1 string
+		opt      hessian.JobOptions
+	}{
+		{"γ mode", "fea95d2d536237c6b4a084f06361dd3e5149f6085a27b309b8eb79c88ee7e158", hessian.DefaultJobOptions()},
+		{"grid mode", "c86e3fee741fc74c6a49324d97a5271fd02cb2b80e4e16da6dff14b2b47baa65", grid},
+	} {
+		if k, _ := Fingerprint(waterFragment(), tc.opt); k.String() == tc.keyForV1 {
+			t.Errorf("%s: key still equals the qfkey/v1 key", tc.name)
 		}
 	}
 }

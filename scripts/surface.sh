@@ -7,7 +7,7 @@
 #   flags           flag definitions under cmd/ (on the flag package or on a
 #                   FlagSet named fs)
 #
-# A report, not a gate: CI prints it next to the dependency gate.
+# A report, not a gate: CI prints it in its "surface report" step.
 set -eu
 cd "$(dirname "$0")/.."
 
