@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -253,5 +255,68 @@ func TestClusterDelayChaosStealsStragglers(t *testing.T) {
 	snap := co.Snapshot()
 	if snap.Reassigns == 0 {
 		t.Fatalf("no lease was stolen from the straggler: %+v", snap)
+	}
+}
+
+// TestWorkerEnginePanicRetried: an engine panic on a worker fails that
+// lease as transient instead of killing the worker process; the coordinator
+// re-leases the task and the job completes bit-identically, with the worker
+// still on its first session.
+func TestWorkerEnginePanicRetried(t *testing.T) {
+	dec := fakeDecomposition(4, 2)
+	want := localFakeRun(t, dec)
+
+	co, addr := testCoordinator(t, CoordConfig{Registry: obs.NewRegistry()})
+	var panicked atomic.Bool
+	startTestWorker(t, WorkerConfig{
+		Addr: addr, Name: "w0", MaxReconnects: -1,
+		Process: func(f *fragment.Fragment, o sched.Options) (*hessian.FragmentData, error) {
+			if panicked.CompareAndSwap(false, true) {
+				panic("engine bug")
+			}
+			return fakeEngine(f, o)
+		},
+	})
+	waitForWorkers(t, co, 1)
+	session := co.Snapshot().Workers[0].Session
+
+	got, _, err := NewClient(addr).Run(dec, sched.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameDatas(got, want); err != nil {
+		t.Fatalf("run after a recovered panic deviates: %v", err)
+	}
+	snap := co.Snapshot()
+	if snap.TaskFails != 1 || snap.JobsDone != 1 || snap.JobsFailed != 0 {
+		t.Fatalf("panic accounting: %+v", snap)
+	}
+	if len(snap.Workers) != 1 || snap.Workers[0].Session != session {
+		t.Fatalf("worker did not survive the panic on its session %d: %+v", session, snap.Workers)
+	}
+}
+
+// TestWorkerRejectsNonFiniteResult: a worker whose engine returns a NaN
+// Hessian fails the job with the validation error instead of encoding,
+// checkpointing and serving the NaN.
+func TestWorkerRejectsNonFiniteResult(t *testing.T) {
+	dec := fakeDecomposition(2, 1)
+	co, addr := testCoordinator(t, CoordConfig{Registry: obs.NewRegistry()})
+	startTestWorker(t, WorkerConfig{
+		Addr: addr, Name: "w0",
+		Process: func(f *fragment.Fragment, o sched.Options) (*hessian.FragmentData, error) {
+			fd, err := fakeEngine(f, o)
+			fd.Hess.Set(0, 0, math.NaN())
+			return fd, err
+		},
+	})
+	waitForWorkers(t, co, 1)
+
+	_, _, err := NewClient(addr).Run(dec, sched.DefaultOptions())
+	if err == nil || !strings.Contains(err.Error(), "non-finite") {
+		t.Fatalf("NaN result not rejected: %v", err)
+	}
+	if snap := co.Snapshot(); snap.Recomputes != 0 || snap.JobsFailed != 1 {
+		t.Fatalf("a rejected result was accepted: %+v", snap)
 	}
 }

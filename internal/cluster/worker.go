@@ -50,7 +50,9 @@ type WorkerConfig struct {
 	// MaxPayload bounds inbound frame payloads (0 = DefaultMaxPayload).
 	MaxPayload int
 	// Process overrides the fragment engine (tests); nil selects
-	// sched.DefaultProcess — the real SCF+DFPT pipeline.
+	// sched.DefaultProcess — the real SCF+DFPT pipeline. Either runs under
+	// sched.Compute's guard: a panic fails the lease as transient, a
+	// non-finite result fails it for good.
 	Process sched.ProcessFunc
 	// Logf receives operational log lines (nil discards).
 	Logf func(format string, args ...any)
@@ -356,11 +358,8 @@ func (s *workerSession) resolve(l Lease) (uint8, []byte, error) {
 	if cfg.Throttle > 0 {
 		time.Sleep(cfg.Throttle)
 	}
-	process := cfg.Process
-	if process == nil {
-		process = sched.DefaultProcess
-	}
-	data, err := process(f, opt)
+	opt.Process = cfg.Process
+	data, err := sched.Compute(f, opt)
 	if err != nil {
 		return 0, nil, err
 	}

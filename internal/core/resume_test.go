@@ -38,9 +38,9 @@ func TestResumeBitIdenticalSpectrum(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Crash: fragment 0 is a 3-atom water, scheduled after the larger pair
-	// fragments by the size-sensitive packer, so the crash leaves completed
-	// checkpoints behind.
+	// Crash: fragment 0 is a 3-atom water, dispatched after the larger pair
+	// fragments (fresh work goes largest first), so the crash leaves
+	// completed checkpoints behind.
 	dir := t.TempDir()
 	crash := cacheConfig(t, dir, false)
 	crash.Sched.Injector = faults.NewInjector(faults.Config{Seed: 1, HardFailFrags: []int{0}})

@@ -65,7 +65,6 @@ func TestGoldenTraceStructure(t *testing.T) {
 	// and each link matches the documented hierarchy.
 	wantParent := map[string]map[string]bool{
 		"frag":       {"sched.run": true},
-		"task":       {"sched.run": true},
 		"attempt":    {"frag": true},
 		"model":      {"attempt": true},
 		"disp":       {"attempt": true},

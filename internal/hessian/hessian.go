@@ -691,15 +691,6 @@ func Assemble(dec *fragment.Decomposition, massesAMU []float64, frags []*Fragmen
 // entry for a fragment *not* in failed is still an error: silent data loss
 // must never assemble.
 func AssembleDegraded(dec *fragment.Decomposition, massesAMU []float64, frags []*FragmentData, withAlpha bool, failed []int) (*Global, error) {
-	return assemble(dec, massesAMU, frags, withAlpha, failed, nil)
-}
-
-// assemble is the one assembly body. With inc nil each fragment's signed
-// contribution is scattered straight from its FragmentData; with a trajectory's
-// IncrementalAssembler it is replayed from the assembler's per-fragment record
-// (rebuilt when stale) — the same adds in the same order either way, so the
-// two paths agree to the bit.
-func assemble(dec *fragment.Decomposition, massesAMU []float64, frags []*FragmentData, withAlpha bool, failed []int, inc *IncrementalAssembler) (*Global, error) {
 	if len(frags) != len(dec.Fragments) {
 		return nil, fmt.Errorf("hessian: %d fragment data for %d fragments", len(frags), len(dec.Fragments))
 	}
@@ -729,14 +720,6 @@ func assemble(dec *fragment.Decomposition, massesAMU []float64, frags []*Fragmen
 	for k := range dDip {
 		dDip[k] = make([]float64, n3)
 	}
-	// next collects the records this assembly touches; it replaces the
-	// assembler's cache once the assembly has succeeded, so entries whose
-	// data left the working set are dropped.
-	var next map[*FragmentData]*fragContrib
-	if inc != nil {
-		inc.Reused, inc.Rebuilt = 0, 0
-		next = make(map[*FragmentData]*fragContrib, len(frags))
-	}
 	for fi := range dec.Fragments {
 		f := &dec.Fragments[fi]
 		data := frags[fi]
@@ -746,12 +729,6 @@ func assemble(dec *fragment.Decomposition, massesAMU []float64, frags []*Fragmen
 				continue
 			}
 			return nil, fmt.Errorf("hessian: missing data for fragment %d", fi)
-		}
-		if inc != nil {
-			c := inc.contrib(f, data, withAlpha)
-			next[data] = c
-			c.replay(b, &dAlpha, &dDip)
-			continue
 		}
 		for la, ga := range f.GlobalIdx {
 			if ga < 0 {
@@ -785,9 +762,6 @@ func assemble(dec *fragment.Decomposition, massesAMU []float64, frags []*Fragmen
 				}
 			}
 		}
-	}
-	if inc != nil {
-		inc.cache = next
 	}
 
 	// Mass weighting: H_mw = M^{-1/2} H M^{-1/2}, d_mw = M^{-1/2} d.

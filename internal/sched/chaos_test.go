@@ -18,7 +18,7 @@ import (
 )
 
 // fakeDecomposition builds a synthetic decomposition of nf fragments with
-// the given atom counts — enough structure for the packer and the ledger,
+// the given atom counts — enough structure for the dispatch order and the ledger,
 // no quantum content.
 func fakeDecomposition(sizes []int) *fragment.Decomposition {
 	dec := &fragment.Decomposition{Fragments: make([]fragment.Fragment, len(sizes))}
@@ -92,24 +92,21 @@ func checkExactlyOnce(t *testing.T, dec *fragment.Decomposition, datas []*hessia
 }
 
 // TestChaosExactlyOnceAllPolicies is the scheduler's chaos property test:
-// random task sizes, injected transient errors, NaN divergences, panics,
+// random fragment sizes, injected transient errors, NaN divergences, panics,
 // stragglers (plus watchdog-induced duplicate completions) under three
-// packing policies — the size-sensitive packer at MaxPack 16 (the default),
-// 4 and 1 fragments per task — and every fragment must still complete exactly
-// once with the right payload.
+// dispatch policies — 1, 2 and 4 leaders pulling from one master — and every
+// fragment must still complete exactly once with the right payload.
 func TestChaosExactlyOnceAllPolicies(t *testing.T) {
-	for pol, maxPack := range []int{16, 4, 1} {
+	for pol, leaders := range []int{1, 2, 4} {
 		for seed := int64(1); seed <= 3; seed++ {
-			maxPack, seed := maxPack, seed
+			leaders, seed := leaders, seed
 			t.Run(fmt.Sprintf("policy%d_seed%d", pol, seed), func(t *testing.T) {
 				t.Parallel()
 				rng := rand.New(rand.NewSource(seed))
 				dec := fakeDecomposition(randomSizes(rng, 30+rng.Intn(31)))
 				opt := DefaultOptions()
-				opt.NumLeaders = 4
+				opt.NumLeaders = leaders
 				opt.WorkersPerLeader = 1
-				opt.Packer.MaxPack = maxPack
-				opt.Prefetch = true
 				opt.StragglerTimeout = 10 * time.Millisecond
 				opt.Retry = chaosRetry()
 				opt.Injector = faults.NewInjector(faults.Config{
@@ -239,8 +236,6 @@ func TestDeterministicFailureAbortsWithoutBudget(t *testing.T) {
 	opt := DefaultOptions()
 	opt.NumLeaders = 2
 	opt.WorkersPerLeader = 1
-	opt.Prefetch = true
-	opt.Packer.MaxPack = 1
 	opt.Retry = chaosRetry()
 	opt.Injector = faults.NewInjector(faults.Config{Seed: 1, HardFailFrags: []int{0}})
 	opt.Process = fakeProcess
@@ -266,8 +261,6 @@ func TestMultiLeaderErrorsJoined(t *testing.T) {
 	opt := DefaultOptions()
 	opt.NumLeaders = nl
 	opt.WorkersPerLeader = 1
-	opt.Prefetch = false
-	opt.Packer.MaxPack = 1
 	opt.Process = func(f *fragment.Fragment, _ Options) (*hessian.FragmentData, error) {
 		// Barrier: every leader must be mid-fragment before any fails, so
 		// all four failures race into the abort path together.

@@ -1,3 +1,10 @@
+// Package sched implements the paper's three-level master–leader–worker
+// runtime (§V-A, Fig. 3) over content classes: the master hands out one
+// class representative per pull — retries, promotions and straggler
+// requeues first, then fresh representatives largest first (the size order
+// of the paper's load balancer, §V-B, Fig. 4) — each leader runs that
+// fragment's atomic-displacement jobs, and workers run the per-displacement
+// SCF+DFPT step.
 package sched
 
 import (
@@ -19,12 +26,7 @@ import (
 type Options struct {
 	NumLeaders       int
 	WorkersPerLeader int
-	Packer           PackerOptions
 	Job              hessian.JobOptions
-	// Prefetch lets a leader request its next task while the current one
-	// is still executing (Fig. 4(d)/(e)); workers that finish early start
-	// on the prefetched task immediately.
-	Prefetch bool
 	// StragglerTimeout re-enqueues fragments that have been processing
 	// longer than this without completing (Fig. 4(a): "fragments processed
 	// for a long time but not yet completed are marked un-processed again").
@@ -88,8 +90,8 @@ type Options struct {
 	// with a pluggable dispatch backend — Run delegates the whole fragment
 	// loop to it. internal/cluster.Client implements this to fan fragments
 	// out to remote worker daemons over the wire (qframan -cluster);
-	// in-process options that configure the goroutine runtime (Prefetch,
-	// StragglerTimeout, Injector, MaxFailedFragments) do not apply, while
+	// in-process options that configure the goroutine runtime
+	// (StragglerTimeout, Injector, MaxFailedFragments) do not apply, while
 	// Job, Cancel, and Obs are honored by every backend.
 	Backend Backend
 }
@@ -134,6 +136,30 @@ func DefaultProcess(f *fragment.Fragment, opt Options) (*hessian.FragmentData, e
 	return data, err
 }
 
+// Compute runs the fragment engine (Options.Process, or DefaultProcess when
+// nil) once under the guard every computed result passes, in-process or on
+// a cluster worker: a panic is recovered as a transient *faults.PanicError,
+// and a result with a NaN or Inf entry is rejected before anything can
+// checkpoint, ship or assemble it.
+func Compute(f *fragment.Fragment, opt Options) (data *hessian.FragmentData, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			data, err = nil, faults.Recovered(r)
+		}
+	}()
+	process := opt.Process
+	if process == nil {
+		process = DefaultProcess
+	}
+	if data, err = process(f, opt); err != nil {
+		return nil, err
+	}
+	if err := data.Validate(); err != nil {
+		return nil, fmt.Errorf("sched: fragment %d result rejected: %w", f.ID, err)
+	}
+	return data, nil
+}
+
 // CacheOptions configures the runtime's use of a checkpoint store.
 type CacheOptions struct {
 	// Store is the open store; nil disables caching entirely.
@@ -152,25 +178,23 @@ func DefaultOptions() Options {
 	return Options{
 		NumLeaders:       2,
 		WorkersPerLeader: 2,
-		Packer:           DefaultPackerOptions(2),
 		Job:              hessian.DefaultJobOptions(),
-		Prefetch:         true,
 		Retry:            faults.DefaultRetryPolicy(),
 	}
 }
 
 // LeaderStats records per-leader accounting for the load-balance analyses.
 type LeaderStats struct {
-	Tasks         int
-	Fragments     int
-	Displacements int
-	Busy          time.Duration
+	Fragments int
+	Busy      time.Duration
 }
 
 // Report summarizes a run.
 type Report struct {
-	Leaders  []LeaderStats
-	Elapsed  time.Duration
+	Leaders []LeaderStats
+	Elapsed time.Duration
+	// NumTasks counts pulls, one fragment each: on a clean run, the content
+	// classes resolved.
 	NumTasks int
 	// Requeues counts straggler re-enqueues performed by the watchdog.
 	Requeues int
@@ -254,7 +278,7 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 	// The unit of scheduling is the content class. With a store attached,
 	// store.Classify groups the fragments by content key; only each class's
 	// representative (its lowest index, so results never depend on goroutine
-	// timing) is packed and dispatched, and its canonical record — looked up
+	// timing) is dispatched, and its canonical record — looked up
 	// once, or computed and checkpointed once — fills every other member
 	// through that member's own rigid frame. Without a store every fragment
 	// is a class of one and the same loop runs.
@@ -274,16 +298,12 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 			members[i] = reps[i : i+1 : i+1]
 		}
 	}
-	repSizes := make([]int, len(reps))
-	for j, r := range reps {
-		repSizes[j] = sizes[r]
-	}
-	opt.Packer.NumLeaders = opt.NumLeaders
-	packer := NewPacker(repSizes, opt.Packer)
-	process := opt.Process
-	if process == nil {
-		process = DefaultProcess
-	}
+	// Fresh work ships largest first so the long fragments start early and
+	// the small ones fill the tail; reps is ascending, so the stable sort
+	// breaks size ties by index.
+	order := append([]int(nil), reps...)
+	sort.SliceStable(order, func(a, b int) bool { return sizes[order[a]] > sizes[order[b]] })
+	fresh := 0 // cursor into order
 
 	// Observability: the run span roots the trace; dispatch-side metric
 	// instruments are resolved once here (every handle is nil-safe, so
@@ -318,8 +338,8 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 		opt.Cache.Store.SetObs(obsSc)
 	}
 
-	// The master hands out tasks through a mutex-guarded packer: this is
-	// the "leader-available → task-assignment" signal loop of Fig. 4(a),
+	// The master hands out one fragment per pull under a mutex: this is the
+	// "leader-available → task-assignment" signal loop of Fig. 4(a),
 	// collapsed into synchronous calls because goroutines are cheap. The
 	// master also tracks per-fragment state for the straggler watchdog and
 	// the retry/fail-soft ledger.
@@ -336,20 +356,21 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 	results := make([]*hessian.FragmentData, nf)
 	report := &Report{Leaders: make([]LeaderStats, opt.NumLeaders)}
 
-	// nextTask pops dispatchable work. A nil task with wait=true means
-	// "nothing to hand out *yet*": fragments are still processing (and may
-	// fail back into the queue) or waiting out a backoff, so the leader
-	// should stay alive and poll. wait=false means the run is over for
-	// this leader (all fragments resolved, or aborting).
-	nextTask := func() (*Task, bool) {
+	// claim pops the next dispatchable fragment and marks it processing,
+	// returning it with its 1-based attempt number. fi < 0 with wait=true
+	// means "nothing to hand out *yet*": fragments are still processing (and
+	// may fail back into the queue) or waiting out a backoff, so the leader
+	// should stay alive and poll. wait=false means the run is over for this
+	// leader (all fragments resolved, or aborting).
+	claim := func() (fi, attempt int, wait bool) {
 		mu.Lock()
 		defer mu.Unlock()
 		if aborted {
-			return nil, false
+			return -1, 0, false
 		}
 		// Cancellation is observed here, the one gate every leader passes
-		// between tasks. A run whose fragments all resolved already is left
-		// to complete normally.
+		// between fragments. A run whose fragments all resolved already is
+		// left to complete normally.
 		if opt.Cancel != nil && resolved < nf {
 			select {
 			case <-opt.Cancel:
@@ -358,66 +379,46 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 					abortErrs = append(abortErrs, fmt.Errorf("%w (%d of %d fragments resolved)", ErrCancelled, resolved, nf))
 				}
 				aborted = true
-				return nil, false
+				return -1, 0, false
 			default:
 			}
 		}
 		// Compact the retry queue — entries resolved elsewhere are stale —
-		// and dispatch the first one whose backoff has elapsed.
+		// and take the first one whose backoff has elapsed; fresh
+		// representatives wait behind it.
 		now := time.Now()
+		fi = -1
 		kept := retryQ[:0]
-		var ready *Task
 		for _, e := range retryQ {
 			if state[e.fi] != statePending {
 				continue
 			}
-			if ready == nil && !e.readyAt.After(now) {
-				ready = &Task{ID: -1, Fragments: []int{e.fi}}
+			if fi < 0 && !e.readyAt.After(now) {
+				fi = e.fi
 				continue
 			}
 			kept = append(kept, e)
 		}
 		retryQ = kept
-		if ready != nil {
-			return ready, false
-		}
-		for {
-			t := packer.Next()
-			if t == nil {
-				return nil, resolved < nf
-			}
-			// The packer indexes representatives; drop those already
-			// completed via a requeue duplicate.
-			kept := t.Fragments[:0]
-			for _, j := range t.Fragments {
-				if fi := reps[j]; state[fi] == statePending {
-					kept = append(kept, fi)
-				}
-			}
-			if len(kept) > 0 {
-				t.Fragments = kept
-				return t, false
+		for ; fi < 0 && fresh < len(order); fresh++ {
+			if state[order[fresh]] == statePending {
+				fi = order[fresh]
 			}
 		}
-	}
-	// markProcessing claims a fragment for one attempt and returns its
-	// 1-based attempt number.
-	markProcessing := func(fi int) (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if state[fi] != statePending {
-			return 0, false
+		if fi < 0 {
+			return -1, 0, resolved < nf
 		}
 		state[fi] = stateProcessing
-		startedAt[fi] = time.Now()
+		startedAt[fi] = now
 		attempts[fi]++
+		report.NumTasks++
 		if tracing && fragSpans[fi] == nil {
 			// The fragment span opens at first claim and ends at
 			// resolution, covering queue waits between attempts.
 			fragSpans[fi] = obsSc.T.Begin(runSpan, "frag", "frag",
 				obs.A("frag", int64(fi)), obs.A("atoms", int64(sizes[fi])))
 		}
-		return attempts[fi], true
+		return fi, attempts[fi], false
 	}
 	// complete records a fragment's result and its cache provenance: served
 	// means the bits came from a canonical record this fragment did not
@@ -540,20 +541,6 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 		}
 		return rt, canon
 	}
-	// restore returns undispatched fragments (a prefetched task, or the
-	// unprocessed remainder of the current task) to the pool when a leader
-	// exits early, so surviving leaders can finish them instead of the run
-	// ending with fragments silently un-processed.
-	restore := func(frags []int) {
-		mu.Lock()
-		defer mu.Unlock()
-		now := time.Now()
-		for _, fi := range frags {
-			if state[fi] == statePending {
-				retryQ = append(retryQ, retryEntry{fi: fi, readyAt: now})
-			}
-		}
-	}
 	// fail records one failed attempt. Transient failures inside the retry
 	// budget go back to the queue with backoff; anything else consumes the
 	// fail-soft budget or aborts the run. Returns false when the leader
@@ -598,10 +585,10 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 		return false
 	}
 
-	// attemptFragment runs one processing attempt under the injector's
-	// chaos plan, with panics recovered and results scrubbed for NaN. The
-	// attempt's observability scope rides into the engine via Job.Obs.
-	attemptFragment := func(fi, attempt int, sc obs.Scope) (data *hessian.FragmentData, err error) {
+	// attemptFragment runs one processing attempt through Compute under the
+	// injector's chaos plan. The attempt's observability scope rides into the
+	// engine via Job.Obs.
+	attemptFragment := func(fi, attempt int, sc obs.Scope) (*hessian.FragmentData, error) {
 		var act faults.Action
 		if opt.Injector != nil {
 			act = opt.Injector.Plan(fi, attempt)
@@ -612,35 +599,38 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 		if act.Err != nil {
 			return nil, act.Err
 		}
-		defer func() {
-			if r := recover(); r != nil {
-				mu.Lock()
-				report.Panics++
-				mu.Unlock()
-				mPanics.Inc()
-				data, err = nil, faults.Recovered(r)
-			}
-		}()
-		if act.Panic {
-			panic(fmt.Sprintf("faults: injected panic (fragment %d attempt %d)", fi, attempt))
-		}
 		o := opt
 		o.Job.Obs = sc
-		data, err = process(&dec.Fragments[fi], o)
-		if err != nil {
-			return nil, err
-		}
-		if act.NaN && data != nil && data.Hess != nil {
-			data.Hess.Set(0, 0, math.NaN())
-		}
-		if verr := data.Validate(); verr != nil {
-			if act.NaN {
-				// The divergence was injected: the clean retry will succeed.
-				verr = faults.MarkTransient(verr)
+		poisoned := false
+		if act.Panic || act.NaN {
+			process := opt.Process
+			if process == nil {
+				process = DefaultProcess
 			}
-			return nil, fmt.Errorf("sched: fragment %d result rejected: %w", fi, verr)
+			o.Process = func(f *fragment.Fragment, po Options) (*hessian.FragmentData, error) {
+				if act.Panic {
+					panic(fmt.Sprintf("faults: injected panic (fragment %d attempt %d)", fi, attempt))
+				}
+				data, err := process(f, po)
+				if err == nil && data != nil && data.Hess != nil {
+					data.Hess.Set(0, 0, math.NaN())
+					poisoned = true
+				}
+				return data, err
+			}
 		}
-		return data, nil
+		data, err := Compute(&dec.Fragments[fi], o)
+		if _, ok := err.(*faults.PanicError); ok {
+			mu.Lock()
+			report.Panics++
+			mu.Unlock()
+			mPanics.Inc()
+		}
+		if poisoned && err != nil {
+			// The divergence was injected: the clean retry will succeed.
+			err = faults.MarkTransient(err)
+		}
+		return data, err
 	}
 
 	start := time.Now()
@@ -683,76 +673,49 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 			// the following W tracks (see hessian.ComputeFragment). Track 0 holds
 			// the run and fragment spans.
 			leaderTrack := int32(1 + leaderID*(opt.WorkersPerLeader+1))
-			var pending *Task
-			defer func() {
-				if pending != nil {
-					restore(pending.Fragments)
-				}
-			}()
 			for {
-				task := pending
-				pending = nil
-				if task == nil {
-					var wait bool
-					task, wait = nextTask()
-					if task == nil {
-						if !wait {
-							return
-						}
-						time.Sleep(waitTick)
-						continue
+				fi, attempt, wait := claim()
+				if fi < 0 {
+					if !wait {
+						return
 					}
-				}
-				if opt.Prefetch && pending == nil {
-					pending, _ = nextTask()
-				}
-				var taskSpan *obs.Span
-				if tracing {
-					taskSpan = obsSc.T.BeginOn(leaderTrack, runSpan, "task", "sched",
-						obs.A("task", int64(task.ID)), obs.A("nfrags", int64(len(task.Fragments))))
+					time.Sleep(waitTick)
+					continue
 				}
 				t0 := time.Now()
-				for i, fi := range task.Fragments {
-					attempt, ok := markProcessing(fi)
-					if !ok {
-						continue // completed elsewhere meanwhile
+				attSc := runSc
+				var attSpan *obs.Span
+				if obsOn {
+					attSc = attSc.WithTrack(leaderTrack).WithFrag(&fragStats[fi])
+					if tracing {
+						attSpan = obsSc.T.BeginOn(leaderTrack, fragSpans[fi], "attempt", "sched",
+							obs.A("frag", int64(fi)), obs.A("attempt", int64(attempt)))
+						attSc = attSc.WithSpan(attSpan)
 					}
-					attSc := runSc
-					var attSpan *obs.Span
-					if obsOn {
-						attSc = attSc.WithTrack(leaderTrack).WithFrag(&fragStats[fi])
-						if tracing {
-							attSpan = obsSc.T.BeginOn(leaderTrack, fragSpans[fi], "attempt", "sched",
-								obs.A("frag", int64(fi)), obs.A("attempt", int64(attempt)))
-							attSc = attSc.WithSpan(attSpan)
+				}
+				var data, canon *hessian.FragmentData
+				prior := false
+				if cacheOn {
+					data, canon, prior = lookup(fi, attSpan.ID(), leaderTrack)
+				}
+				served := data != nil
+				if !served {
+					var err error
+					data, err = attemptFragment(fi, attempt, attSc)
+					if err != nil {
+						attSpan.End(obs.A("err", 1))
+						stats.Busy += time.Since(t0)
+						if !fail(fi, attempt, err) {
+							return
 						}
-					}
-					var data, canon *hessian.FragmentData
-					prior := false
-					if cacheOn {
-						data, canon, prior = lookup(fi, attSpan.ID(), leaderTrack)
-					}
-					served := data != nil
-					if !served {
-						var err error
-						data, err = attemptFragment(fi, attempt, attSc)
-						if err != nil {
-							attSpan.End(obs.A("err", 1))
-							if !fail(fi, attempt, err) {
-								taskSpan.End()
-								restore(task.Fragments[i+1:])
-								return
-							}
-							continue
-						}
-						if cacheOn && !opt.Cache.ReadOnly {
-							data, canon = checkpoint(fi, data, attSpan.ID(), leaderTrack)
-						}
-					}
-					attSpan.End(obs.A("cachehit", b2i(served)))
-					if !complete(fi, data, served, prior) {
 						continue
 					}
+					if cacheOn && !opt.Cache.ReadOnly {
+						data, canon = checkpoint(fi, data, attSpan.ID(), leaderTrack)
+					}
+				}
+				attSpan.End(obs.A("cachehit", b2i(served)))
+				if complete(fi, data, served, prior) {
 					// Fill the rest of the class from the canonical record,
 					// outside the master mutex; whatever cannot be filled gets
 					// a new representative.
@@ -771,17 +734,9 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 					if n > 1 {
 						opt.Cache.Store.Ref(keys[fi], n-1)
 					}
-					for _, m := range class[:n] {
-						stats.Fragments++
-						stats.Displacements += 6 * sizes[m]
-					}
+					stats.Fragments += n
 				}
-				taskSpan.End()
-				stats.Tasks++
 				stats.Busy += time.Since(t0)
-				mu.Lock()
-				report.NumTasks++
-				mu.Unlock()
 			}
 		}(l)
 	}

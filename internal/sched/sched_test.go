@@ -1,92 +1,49 @@
 package sched
 
 import (
+	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"qframan/internal/faults"
 	"qframan/internal/fragment"
 	"qframan/internal/hessian"
 	"qframan/internal/structure"
 )
 
-func TestPackerCoversAllFragmentsOnce(t *testing.T) {
-	sizes := []int{9, 35, 12, 6, 6, 68, 22, 6, 14, 30, 6, 6, 9, 41}
-	for _, maxPack := range []int{1, 4, 16} {
-		opt := DefaultPackerOptions(3)
-		opt.MaxPack = maxPack
-		p := NewPacker(sizes, opt)
-		seen := map[int]int{}
-		for {
-			task := p.Next()
-			if task == nil {
-				break
-			}
-			if len(task.Fragments) == 0 {
-				t.Fatalf("MaxPack %d: empty task", maxPack)
-			}
-			for _, f := range task.Fragments {
-				seen[f]++
-			}
+// TestDispatchOrder: the master hands one leader the fresh representatives
+// largest first, size ties by index, and a retried fragment ahead of the
+// fresh work still waiting. Every claim is one pull.
+func TestDispatchOrder(t *testing.T) {
+	dec := fakeDecomposition([]int{6, 9, 3, 9, 12, 6, 3})
+	var claims []int
+	opt := DefaultOptions()
+	opt.NumLeaders = 1
+	opt.WorkersPerLeader = 1
+	opt.Retry = faults.RetryPolicy{MaxAttempts: 2} // no backoff: ready at once
+	opt.Process = func(f *fragment.Fragment, _ Options) (*hessian.FragmentData, error) {
+		claims = append(claims, f.ID)
+		if f.ID == 1 && len(claims) == 2 {
+			return nil, faults.MarkTransient(errors.New("flaky engine"))
 		}
-		if len(seen) != len(sizes) {
-			t.Fatalf("MaxPack %d: covered %d fragments, want %d", maxPack, len(seen), len(sizes))
+		return fakeData(f.ID), nil
+	}
+	datas, report, err := Run(dec, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{4, 1, 1, 3, 0, 5, 2, 6}; !slices.Equal(claims, want) {
+		t.Fatalf("claim order %v, want %v", claims, want)
+	}
+	if report.NumTasks != len(claims) || report.Retries != 1 {
+		t.Fatalf("report counts %d pulls and %d retries for %d claims", report.NumTasks, report.Retries, len(claims))
+	}
+	for i, d := range datas {
+		if d == nil || d.Hess.At(0, 0) != fakeData(i).Hess.At(0, 0) {
+			t.Fatalf("fragment %d lost or wrong", i)
 		}
-		for f, c := range seen {
-			if c != 1 {
-				t.Fatalf("MaxPack %d: fragment %d handed out %d times", maxPack, f, c)
-			}
-		}
-	}
-}
-
-func TestPackerLargeFragmentsAreSingletons(t *testing.T) {
-	sizes := []int{68, 6, 6, 6, 6, 6, 6, 6, 60, 6, 6, 6}
-	p := NewPacker(sizes, DefaultPackerOptions(2))
-	first := p.Next()
-	second := p.Next()
-	if len(first.Fragments) != 1 || sizes[first.Fragments[0]] != 68 {
-		t.Fatalf("first task %v should be the 68-atom fragment alone", first.Fragments)
-	}
-	if len(second.Fragments) != 1 || sizes[second.Fragments[0]] != 60 {
-		t.Fatalf("second task %v should be the 60-atom fragment alone", second.Fragments)
-	}
-}
-
-func TestPackerMediumPacked(t *testing.T) {
-	// Uniform mid-size fragments well below the large cut: they must be
-	// packed several to a task until the pool drains.
-	sizes := make([]int, 40)
-	for i := range sizes {
-		sizes[i] = 10
-	}
-	sizes[0] = 30 // defines maxSize so the rest are "medium"
-	opt := DefaultPackerOptions(2)
-	p := NewPacker(sizes, opt)
-	p.Next() // the 30-atom task
-	task := p.Next()
-	if len(task.Fragments) < 2 {
-		t.Fatalf("medium task has %d fragments, want packed", len(task.Fragments))
-	}
-}
-
-func TestPackerTailShrinksGranularity(t *testing.T) {
-	sizes := make([]int, 30)
-	for i := range sizes {
-		sizes[i] = 8
-	}
-	opt := DefaultPackerOptions(4)
-	p := NewPacker(sizes, opt)
-	var lastSize int
-	for {
-		task := p.Next()
-		if task == nil {
-			break
-		}
-		lastSize = len(task.Fragments)
-	}
-	if lastSize != 1 {
-		t.Fatalf("final tail task has %d fragments, want 1", lastSize)
 	}
 }
 
@@ -177,8 +134,6 @@ func TestStragglerRequeue(t *testing.T) {
 	opt := DefaultOptions()
 	opt.NumLeaders = 2
 	opt.StragglerTimeout = 50 * time.Millisecond
-	opt.Packer.MaxPack = 1
-	opt.Prefetch = false
 	opt.Process = func(f *fragment.Fragment, o Options) (*hessian.FragmentData, error) {
 		mu.Lock()
 		attempts[f.ID]++

@@ -27,9 +27,8 @@
 //     tolerance — and Options.WarmStart=false restores strict bit-identity
 //     with independent per-frame runs.
 //
-// Assembly is delta-aware too: hessian.IncrementalAssembler replays the
-// recorded Eq. 1 contributions of unchanged fragments instead of
-// re-gathering their 3N×3N blocks, bit-identically to a fresh assembly.
+// Every frame assembles from scratch (hessian.AssembleDegraded): gathering
+// the Eq. 1 blocks costs what replaying a per-fragment record of them would.
 package traj
 
 import (
@@ -75,7 +74,6 @@ type Engine struct {
 	// seeds must follow the *molecule* as it moves, while content keys
 	// follow the geometry.
 	prev  map[string]*prevState
-	asm   *hessian.IncrementalAssembler
 	frame int
 
 	mFrames, mMoved, mRotated, mReused, mRecomputed, mWarm *obs.Counter
@@ -97,7 +95,6 @@ func New(opt Options) *Engine {
 		opt:         opt,
 		sc:          sc,
 		prev:        make(map[string]*prevState),
-		asm:         hessian.NewIncrementalAssembler(),
 		mFrames:     sc.R.Counter(obs.MetricTrajFrames),
 		mMoved:      sc.R.Counter(obs.MetricTrajMoved),
 		mRotated:    sc.R.Counter(obs.MetricTrajRotated),
@@ -137,11 +134,7 @@ type FrameReport struct {
 	// RefIters sums the reference-SCF iteration counts of recomputed
 	// fragments — the number warm-starting drives down.
 	RefIters int
-	// AsmReused/AsmRebuilt count the incremental assembler's per-fragment
-	// cache behavior.
-	AsmReused  int
-	AsmRebuilt int
-	Elapsed    time.Duration
+	Elapsed  time.Duration
 	// Degraded/Failed mirror the scheduler's fail-soft ledger, in
 	// whole-decomposition fragment indices.
 	Degraded bool
@@ -375,12 +368,11 @@ func (e *Engine) Step(sys *structure.System) (*FrameResult, error) {
 	d.report.Degraded = len(failed) > 0
 
 	_, aspan := frameSc.Begin("traj.assemble", "traj", obs.A("fragments", int64(len(dec.Fragments))))
-	g, err := e.asm.Assemble(dec, sys.Masses(), datas, !e.opt.Core.Sched.Job.SkipAlpha, failed)
-	aspan.End(obs.A("reused", int64(e.asm.Reused)), obs.A("rebuilt", int64(e.asm.Rebuilt)))
+	g, err := hessian.AssembleDegraded(dec, sys.Masses(), datas, !e.opt.Core.Sched.Job.SkipAlpha, failed)
+	aspan.End()
 	if err != nil {
 		return nil, fmt.Errorf("traj: frame %d: assemble: %w", e.frame, err)
 	}
-	d.report.AsmReused, d.report.AsmRebuilt = e.asm.Reused, e.asm.Rebuilt
 
 	res := &FrameResult{Global: g, Sched: schedRep}
 	if !e.opt.Core.Sched.Job.SkipAlpha {
