@@ -132,6 +132,49 @@ func (f *Func) GradAt(p geom.Vec3) geom.Vec3 {
 	return geom.V(dx*py*pz*e, px*dy*pz*e, px*py*dz*e)
 }
 
+// HessAt evaluates ∂²χ/∂r_a∂r_b at point p (bohr), row a, column b. Per axis
+// the factor x^l·e^{−αx²} has first derivative (l·x^{l−1} − 2αx^{l+1})·e^{−αx²}
+// and second (l(l−1)·x^{l−2} − 2α(2l+1)·x^l + 4α²·x^{l+2})·e^{−αx²}.
+func (f *Func) HessAt(p geom.Vec3) (h [3][3]float64) {
+	d := p.Sub(f.Center)
+	e := f.Norm * math.Exp(-f.Alpha*d.Norm2())
+	mono := func(x float64, l int) float64 {
+		if l < 0 {
+			return 0
+		}
+		v := 1.0
+		for k := 0; k < l; k++ {
+			v *= x
+		}
+		return v
+	}
+	var f0, f1, f2 [3]float64
+	for ax, x := range [3]float64{d.X, d.Y, d.Z} {
+		l, a := f.L[ax], f.Alpha
+		fl := float64(l)
+		f0[ax] = mono(x, l)
+		f1[ax] = fl*mono(x, l-1) - 2*a*mono(x, l+1)
+		f2[ax] = fl*(fl-1)*mono(x, l-2) - 2*a*(2*fl+1)*mono(x, l) + 4*a*a*mono(x, l+2)
+	}
+	for a := 0; a < 3; a++ {
+		for b := a; b < 3; b++ {
+			v := e
+			for o := 0; o < 3; o++ {
+				switch {
+				case o == a && o == b:
+					v *= f2[o]
+				case o == a || o == b:
+					v *= f1[o]
+				default:
+					v *= f0[o]
+				}
+			}
+			h[a][b], h[b][a] = v, v
+		}
+	}
+	return h
+}
+
 // os1D computes the Obara–Saika one-dimensional integrals
 // s(i,j) = ∫ (x−A)^i (x−B)^j exp(−α(x−A)² − β(x−B)²) dx
 // for all i ≤ imax, j ≤ jmax. The table is a fixed 4×4 array on the caller's

@@ -234,6 +234,36 @@ func TestGradMatchesFiniteDifference(t *testing.T) {
 	}
 }
 
+// TestHessAtMatchesFiniteDifference: the second derivatives of s and p
+// functions agree with central differences of GradAt, row by row, and are
+// symmetric.
+func TestHessAtMatchesFiniteDifference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	const h = 1e-5
+	for _, l := range [][3]int{{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {0, 0, 1}} {
+		f := newFunc(0, l, 0.55, geom.V(0.2, -0.7, 0.4), -0.4)
+		for trial := 0; trial < 5; trial++ {
+			p := geom.V(rng.NormFloat64()*2, rng.NormFloat64()*2, rng.NormFloat64()*2)
+			hess := f.HessAt(p)
+			for b := 0; b < 3; b++ {
+				var e [3]float64
+				e[b] = h
+				step := geom.V(e[0], e[1], e[2])
+				gp, gm := f.GradAt(p.Add(step)), f.GradAt(p.Sub(step))
+				fd := [3]float64{(gp.X - gm.X) / (2 * h), (gp.Y - gm.Y) / (2 * h), (gp.Z - gm.Z) / (2 * h)}
+				for a := 0; a < 3; a++ {
+					if d := math.Abs(hess[a][b] - fd[a]); d > 1e-8 {
+						t.Fatalf("L=%v at %v: ∂²χ/∂%d∂%d = %.12g, central difference %.12g", l, p, a, b, hess[a][b], fd[a])
+					}
+					if hess[a][b] != hess[b][a] {
+						t.Fatalf("L=%v: Hessian not symmetric at (%d,%d)", l, a, b)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestForAtoms(t *testing.T) {
 	els := []constants.Element{constants.O, constants.H, constants.H}
 	pos := []geom.Vec3{{}, geom.V(1.8, 0, 0), geom.V(-0.45, 1.75, 0)}

@@ -20,6 +20,7 @@ var wiredKernels = []string{
 	"gemm_batch",
 	"gemm_tn",
 	"gemv_n",
+	"grid_alpha_deriv",
 	"grid_orbitals",
 	"grid_pair_density",
 	"grid_pair_operands",

@@ -33,10 +33,10 @@ func BenchmarkPolarizabilityGamma(b *testing.B) {
 	}
 }
 
-// BenchmarkPolarizabilityGridCycle times one grid-mode polarizability of
-// water on the coarse grid — the grid environment and the pair-space solve,
-// one cycle per direction — and reports the cycles.
-func BenchmarkPolarizabilityGridCycle(b *testing.B) {
+// BenchmarkPolarizabilityGrid times one grid-mode polarizability of water on
+// the coarse grid — the grid environment and the pair-space solve, one cycle
+// per direction — and reports the cycles.
+func BenchmarkPolarizabilityGrid(b *testing.B) {
 	m, res := waterModel(b)
 	opt := coarseGridOptions()
 	cycles := 0
@@ -49,6 +49,33 @@ func BenchmarkPolarizabilityGridCycle(b *testing.B) {
 		cycles += resp.Cycles
 	}
 	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/op")
+}
+
+// BenchmarkGridAlphaDerivatives times what a gapped grid-mode fragment's
+// reference solve does beyond the γ route to replace its 6N displaced grid
+// polarizabilities: GridAlphaDerivatives — the grid environment with second
+// derivatives, one α solve, six transposed Poisson solves, the adjoint pass
+// over the grid and the assembly — on the coarse grid, at the kernel width
+// the environment sets (QF_KERNEL_THREADS).
+func BenchmarkGridAlphaDerivatives(b *testing.B) {
+	for _, fx := range gammaFixtures(b) {
+		if fx.name != "water" && fx.name != "glycine" {
+			continue
+		}
+		b.Run(fx.name, func(b *testing.B) {
+			_, nr, err := Responses(fx.m, fx.ground, DefaultOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := GridAlphaDerivatives(fx.m, fx.ground, nr, coarseGridOptions()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkFieldDerivatives times what a gapped γ-mode fragment's reference

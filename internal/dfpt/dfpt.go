@@ -2,10 +2,12 @@
 // calculations on top of the scf engine: the polarizability tensor α from
 // the first-order response to a uniform electric field, the second-order
 // field responses and the first-order responses to the nuclear coordinates
-// that the analytic derivatives and Hessian are taken from (Responses). The
-// polarizability is the per-displacement worker step of the paper (§V-A),
-// kept for the displacement loop of grid mode and fractional ground states:
-// each DFPT cycle runs the
+// that the analytic derivatives and Hessian are taken from (Responses), and
+// grid mode's polarizability derivatives by the adjoint of its pair-space
+// system (GridAlphaDerivatives). The polarizability is the per-displacement
+// worker step of the paper (§V-A), kept for the displacement loop of
+// fractional ground states and of grid mode's degenerate levels, and as the
+// reference α solve grid ∂α differentiates: each DFPT cycle runs the
 // four phases the paper names — response density matrix P⁽¹⁾, real-space
 // response density n⁽¹⁾(r), Poisson solve for the response potential
 // v⁽¹⁾(r), and response Hamiltonian H⁽¹⁾ — with per-phase timing, GEMM, and
@@ -42,15 +44,12 @@ import (
 )
 
 // ErrDiverged reports that a direct response solve met no virtual orbitals, a
-// zero pivot, or a non-finite orbital, pair weight, charge or P⁽¹⁾. It is a
-// deterministic outcome of the fragment and its options: the smearing ladder
-// (hessian.ComputeFragment) escalates on it, and the runtime
+// zero pivot, or a non-finite orbital, pair weight, charge, adjoint or P⁽¹⁾.
+// It is a deterministic outcome of the fragment and its options: the
+// smearing ladder (hessian.ComputeFragment) escalates on it, and the runtime
 // (faults.Classify) never retries it. No solve of this package iterates, so
-// none returns ErrNotConverged; it stays for callers that match on it.
-var (
-	ErrNotConverged = errors.New("dfpt: cycle not converged")
-	ErrDiverged     = errors.New("dfpt: response diverged")
-)
+// none can fail to converge.
+var ErrDiverged = errors.New("dfpt: response diverged")
 
 // CoulombMode selects how the response Coulomb potential is computed.
 type CoulombMode int
@@ -169,10 +168,18 @@ type Workspace struct {
 // storage: the Response and its P1 matrices belong to the workspace and are
 // overwritten by its next call.
 func (w *Workspace) Polarizability(m *scf.Model, ground *scf.Result, opt Options) (*Response, error) {
-	if opt.MaxIter <= 0 || opt.Tol <= 0 || opt.Mixing <= 0 || opt.Mixing > 1 {
-		return nil, fmt.Errorf("dfpt: invalid options (MaxIter %d, Tol %g, Mixing %g)", opt.MaxIter, opt.Tol, opt.Mixing)
+	if err := opt.validate(); err != nil {
+		return nil, err
 	}
 	return w.polarizability(m, ground, opt, nil)
+}
+
+// validate rejects the options neither mode reads but the store still hashes.
+func (opt Options) validate() error {
+	if opt.MaxIter <= 0 || opt.Tol <= 0 || opt.Mixing <= 0 || opt.Mixing > 1 {
+		return fmt.Errorf("dfpt: invalid options (MaxIter %d, Tol %g, Mixing %g)", opt.MaxIter, opt.Tol, opt.Mixing)
+	}
+	return nil
 }
 
 // polarizability is Polarizability on validated options. Grid mode builds
@@ -246,12 +253,13 @@ type cycleEnv struct {
 	// (Z + Zᵀ)/2; its intraband pairs (p,p) carry no weight — the response to
 	// a field is the optical one, occupations frozen — and their weights
 	// f′_p = −(2/σ)·g_p(1 − g_p), g_p = f_p/2, are kept in fprime for the
-	// static susceptibility of the charge loop (chargeSystem).
+	// static susceptibility of the charge loop (chargeSystem) — and, gapped,
+	// for the occupations' share of grid ∂α (alphaDerivatives).
 	gapped      bool
 	left, right *linalg.Matrix    // cVirt and cOcc, or the ground state's C twice
 	cVirt, cOcc *linalg.Matrix    // gapped: the gathered orbital blocks
 	idx         []int             // gapped: virtual then occupied orbital indices
-	fprime      []float64         // fractional: f′_p
+	fprime      []float64         // f′_p
 	w           *linalg.Matrix    // rows(Lᵀ)×cols(R) pair weights
 	tmp, u, lu  *linalg.Matrix    // Lᵀ·H⁽¹⁾, its product with R (then ∘W), L·u
 	newP1       *linalg.Matrix    //
@@ -336,6 +344,13 @@ func (e *cycleEnv) seat(m *scf.Model, ground *scf.Result, grid *gridEnv) {
 	e.m, e.grid, e.c = m, grid, ground.C
 	e.gapped = Gapped(ground.Occ)
 	occ, eps := ground.Occ, ground.Eps
+	for p, f := range occ {
+		e.fprime[p] = 0
+		if ground.Sigma > 0 {
+			g := 0.5 * f
+			e.fprime[p] = -2 / ground.Sigma * g * (1 - g)
+		}
+	}
 	left, right := ground.C, ground.C
 	nl, nr := n, n
 	if e.gapped {
@@ -370,13 +385,6 @@ func (e *cycleEnv) seat(m *scf.Model, ground *scf.Result, grid *gridEnv) {
 		}
 	} else {
 		reshape(e.w, n, n)
-		for p, f := range occ {
-			e.fprime[p] = 0
-			if ground.Sigma > 0 {
-				g := 0.5 * f
-				e.fprime[p] = -2 / ground.Sigma * g * (1 - g)
-			}
-		}
 		for q := 0; q < n; q++ {
 			row := e.w.Row(q)
 			for p := 0; p < n; p++ {
@@ -591,6 +599,9 @@ func (e *cycleEnv) solveGrid(dir int, sc obs.Scope, met *PhaseMetrics, dst *lina
 	}
 	tV1 := time.Since(base)
 	mc := g.contract(dir)
+	if g.deriv != nil {
+		g.deriv.m[dir] = mc.Clone()
+	}
 	met.GEMMsH1 += int64(len(g.batches))
 	met.FLOPsH1 += g.contractFLOPs
 	tH1 := time.Since(base)
@@ -600,6 +611,9 @@ func (e *cycleEnv) solveGrid(dir int, sc obs.Scope, met *PhaseMetrics, dst *lina
 	e.p1Gemms[1].Run()          // u = tmp·R
 	if err := e.solvePairs(mc); err != nil {
 		return err
+	}
+	if g.deriv != nil {
+		g.deriv.x[dir] = append([]float64(nil), e.pairX...)
 	}
 	e.densityMatrix()
 	tP1 := time.Since(base)

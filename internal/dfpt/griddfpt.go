@@ -25,6 +25,7 @@ type gridEnv struct {
 	// solveV1 is the Poisson plan's Solve. A field so the package's tests can
 	// run the same solve against the CG reference.
 	solveV1 func(rho, v []float64) error
+	plan    *poisson.Plan
 
 	// orbPlan tabulates the ground state's orbitals on every batch — φ = X·C_b
 	// and ∇_dφ = ∇_dX·C_b, C_b the rows of C for the batch's functions — four
@@ -44,6 +45,10 @@ type gridEnv struct {
 	m             *linalg.Matrix
 	contractFLOPs int64
 
+	// deriv makes solveGrid keep each direction's contraction M_d and
+	// solution x_d here, for the grid ∂α (gridDeriv) that follows the α solve.
+	deriv *gridDeriv
+
 	// The arguments of the region in flight, read by the kernel bodies, which
 	// are bound once so that passing them to par allocates nothing.
 	c                            *linalg.Matrix
@@ -61,6 +66,7 @@ type batchData struct {
 	funcs   []int // global basis function indices
 	x       *linalg.Matrix
 	gx      [3]*linalg.Matrix
+	hx      [6]*linalg.Matrix // second derivatives (hessIndex), grid ∂α only
 
 	c    *linalg.Matrix    // nloc×n: the rows of C for funcs
 	phi  *linalg.Matrix    // points×n: φ = X·C_b
@@ -71,12 +77,18 @@ type batchData struct {
 	contract *linalg.GemmOp
 }
 
+// newGridEnv builds the environment on the grid that covers the model's atoms
+// with opt's margin and spacing.
 func newGridEnv(m *scf.Model, opt Options) (*gridEnv, error) {
 	if opt.GridSpacing <= 0 || opt.GridMargin <= 0 || opt.BatchSide <= 0 {
 		return nil, fmt.Errorf("dfpt: invalid grid options (GridSpacing %g, GridMargin %g, BatchSide %d)",
 			opt.GridSpacing, opt.GridMargin, opt.BatchSide)
 	}
-	g := grid.Cover(m.Pos, opt.GridMargin, opt.GridSpacing)
+	return newGridEnvOn(m, grid.Cover(m.Pos, opt.GridMargin, opt.GridSpacing), opt)
+}
+
+// newGridEnvOn builds the environment of the model on the grid g.
+func newGridEnvOn(m *scf.Model, g *grid.Grid, opt Options) (*gridEnv, error) {
 	plan, err := poisson.NewPlan(g)
 	if err != nil {
 		return nil, fmt.Errorf("dfpt: %w", err)
@@ -88,6 +100,7 @@ func newGridEnv(m *scf.Model, opt Options) (*gridEnv, error) {
 		batches: make([]batchData, len(raw)),
 		ops:     m.Ops,
 		solveV1: plan.Solve,
+		plan:    plan,
 		rho:     make([]float64, g.NumPoints()),
 	}
 	// Tabulation is the expensive part of every displaced geometry's setup;

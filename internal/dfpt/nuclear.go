@@ -15,7 +15,8 @@ import (
 // the 3N nuclear coordinates (nuclear), which share the ground state's
 // I − χ·Γ. Both are responses of the SCF, whose Coulomb kernel is γ in either
 // DFPT mode, so opt.Coulomb is not read: grid mode takes the dipole
-// derivatives and the Hessian from them and nothing else. A fractional ground
+// derivatives and the Hessian from them, and the orbital derivatives its ∂α
+// needs from the nuclear response (GridAlphaDerivatives). A fractional ground
 // state is an error.
 func Responses(m *scf.Model, ground *scf.Result, opt Options) (*scf.FieldResponse, *scf.NuclearResponse, error) {
 	w, fr, err := fieldResponse(m, ground, opt)

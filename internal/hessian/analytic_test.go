@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"qframan/internal/constants"
+	"qframan/internal/dfpt"
 	"qframan/internal/fragment"
 	"qframan/internal/geom"
 	"qframan/internal/par"
@@ -293,5 +294,55 @@ func TestAnalyticFragmentDataWidthIndependent(t *testing.T) {
 		if !bitEqualSlice(narrow.Hess.Data, h.Hess.Data) {
 			t.Errorf("%s: the analytic path's Hessian differs bitwise from the SkipAlpha run's", fx.name)
 		}
+	}
+}
+
+// TestGridAnalyticRouteMatchesTheLoop: a gapped grid-mode water takes the
+// analytic route — the γ route's Hessian and ∂μ, the adjoint's ∂α — and
+// agrees with the displacement loop it replaces (run directly, as the
+// degenerate levels still run it): Hessian and ∂μ to the loop's O(Step²),
+// 1e-4 of their largest entry, ∂α to 2e-3 (the planar water's point count
+// along z jumps under the loop's −z steps). Its output is the same to the bit
+// at kernel width 1 with one worker and at width 4 with four.
+func TestGridAnalyticRouteMatchesTheLoop(t *testing.T) {
+	defer par.SetBudget(0)
+	opt := DefaultJobOptions()
+	opt.DFPT.Coulomb = dfpt.GridCoulomb
+	f := waterFragment()
+	par.SetBudget(1)
+	narrow, _, err := ComputeFragment(f, opt, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par.SetBudget(4)
+	wide, _, err := ComputeFragment(f, opt, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !narrow.BitEqual(wide) {
+		t.Error("grid analytic route: width 4 differs bitwise from width 1")
+	}
+	m, err := ModelForFragment(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, _, err := SolveReference(m, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := displace(m, *o, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop, err := BuildFragmentData(len(m.Els), results, opt.Step, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hess := relDiff([][]float64{narrow.Hess.Data}, [][]float64{loop.Hess.Data})
+	dMu := relDiff(narrow.DDipole[:], loop.DDipole[:])
+	dAlpha := relDiff(narrow.DAlpha[:], loop.DAlpha[:])
+	t.Logf("analytic vs loop: Hessian %.1e, ∂μ %.1e, ∂α %.1e", hess, dMu, dAlpha)
+	if hess > 1e-4 || dMu > 1e-4 || dAlpha > 2e-3 {
+		t.Errorf("analytic grid route off the loop: Hessian %.1e, ∂μ %.1e, ∂α %.1e", hess, dMu, dAlpha)
 	}
 }

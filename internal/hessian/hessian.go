@@ -4,11 +4,12 @@
 // global ∂α/∂ξ vectors that feed the Raman solver. A fragment whose ground
 // state is gapped takes all three at its reference geometry, from the
 // coupled-perturbed response to the field and to its 3N nuclear coordinates:
-// no displaced solve. The rest run the paper's displacement loop, where each
-// displacement is one worker job — an SCF ground state, analytic forces and a
-// DFPT polarizability at the displaced geometry — and take central
-// differences: fractional ground states, and grid mode, whose ∂α is the grid
-// response's.
+// no displaced solve; in grid mode the ∂α is the adjoint of the grid response
+// at the reference (dfpt.GridAlphaDerivatives). The rest run the paper's
+// displacement loop, where each displacement is one worker job — an SCF
+// ground state, analytic forces and a DFPT polarizability at the displaced
+// geometry — and take central differences: fractional ground states, states
+// in a field, and grid mode's degenerate levels.
 package hessian
 
 import (
@@ -58,6 +59,13 @@ type DisplacementResult struct {
 // internal/poisson bumps poisson.SolverTag instead, which moves only
 // grid-mode keys.
 //
+// engine/10: a gapped, field-free ground state with split levels in grid mode
+// takes its Hessian and ∂μ from the γ-route analytic data and its ∂α from the
+// adjoint of the grid response's pair-space system at the reference geometry,
+// corrected for the grid's origin following the lowest atom, instead of
+// central differences of 6N displaced SCF + grid solves (∂α moves by the
+// loop's O(Step²), the Hessian by its O(Step²)). γ-mode results, fractional
+// ground states and grid mode's degenerate levels keep every bit.
 // engine/9: a gapped, field-free ground state in γ mode (or one that wants
 // no ∂α) takes its Hessian analytically at the reference geometry, the
 // nuclear derivative of the force expression from the coupled-perturbed
@@ -93,7 +101,7 @@ type DisplacementResult struct {
 // engine/2: Pulay mixing in the DFPT cycle, Fermi search that stops once the
 // electrons are counted. (engine/1, never hashed: linear response mixing,
 // Fermi level bisected to the last ulp.)
-const EngineVersion = "engine/9"
+const EngineVersion = "engine/10"
 
 // JobOptions bundles the solver settings of a displacement job.
 type JobOptions struct {
@@ -372,12 +380,14 @@ func SmearingRungs(base float64) []float64 {
 
 // ComputeFragment is the fragment engine: it builds and calibrates the
 // fragment's model, then walks SmearingRungs until one rung yields the
-// fragment's data (computeRung). A gapped, field-free ground state in γ mode,
-// or one that wants no ∂α, takes everything analytically at its reference
-// geometry: one SCF, the field and nuclear responses on one I − χ·Γ, and the
-// Hessian, dipole and polarizability derivatives from them (DESIGN.md §7, "The
-// Hessian by coupled-perturbed SCC"). The rest — fractional ground states, and
-// grid mode's finite-difference ∂α — run the displacement loop, where each
+// fragment's data (computeRung). A gapped, field-free ground state takes
+// everything analytically at its reference geometry: one SCF, the field and
+// nuclear responses on one I − χ·Γ, and the Hessian, dipole and
+// polarizability derivatives from them (DESIGN.md §7, "The Hessian by
+// coupled-perturbed SCC"); in grid mode the polarizability derivatives come
+// from one grid α solve and its adjoint (§7, "Grid ∂α by the adjoint"), which
+// needs split levels (dfpt.SplitLevels). The rest — fractional ground states,
+// and grid mode's degenerate levels — run the displacement loop, where each
 // displacement is one worker job (displace). Each rung taken above the first
 // is counted (obs.MetricSCFSmearingEscalations). When every rung fails the
 // error wraps the first rung's failure: the one at the smearing the caller
@@ -441,11 +451,12 @@ func foldsInto(cal *scf.Result, o scf.Options) bool {
 
 // analyticRoute reports whether a ground state g solved at opt takes the
 // analytic route: gapped (dfpt.Gapped), field-free — the force expression the
-// Hessian differentiates has no field term — and either in γ mode or wanting
-// no ∂α. Grid mode's ∂α comes from the grid response at displaced geometries.
+// Hessian differentiates has no field term — and, when it wants grid mode's
+// ∂α, with split levels (dfpt.SplitLevels): that ∂α differentiates the
+// canonical orbitals, which degenerate levels do not have.
 func analyticRoute(opt JobOptions, g *scf.Result) bool {
 	return dfpt.Gapped(g.Occ) && opt.SCF.Field == (geom.Vec3{}) &&
-		(opt.DFPT.Coulomb == dfpt.GammaCoulomb || opt.SkipAlpha)
+		(opt.DFPT.Coulomb == dfpt.GammaCoulomb || opt.SkipAlpha || dfpt.SplitLevels(g))
 }
 
 // computeRung computes one fragment's data at the options' smearing from its
@@ -592,7 +603,8 @@ func SolveReference(m *scf.Model, opt JobOptions) (*JobOptions, *scf.Result, err
 // is nil. A ground state on the analytic route (analyticRoute) takes its field
 // and nuclear responses (dfpt.Responses) and from them the Hessian
 // (scf.Model.NuclearHessian), the dipole derivatives and, unless SkipAlpha,
-// the polarizability derivatives (scf.Model.FieldDerivatives; DESIGN.md §7).
+// the polarizability derivatives (scf.Model.FieldDerivatives; in grid mode
+// dfpt.GridAlphaDerivatives, the adjoint of the grid response; DESIGN.md §7).
 // Everything else gets the chord matrix its displacement loop starts from, and
 // leaves analytic nil.
 func solveReference(m *scf.Model, opt JobOptions, ref *scf.Result) (*reference, error) {
@@ -620,6 +632,11 @@ func solveReference(m *scf.Model, opt JobOptions, ref *scf.Result) (*reference, 
 	hess := m.NuclearHessian(ref, nr)
 	hess.Symmetrize()
 	dMu, dAlpha := m.FieldDerivatives(ref, fr)
+	if o.DFPT.Coulomb == dfpt.GridCoulomb && !o.SkipAlpha {
+		if dAlpha, err = dfpt.GridAlphaDerivatives(m, ref, nr, o.DFPT); err != nil {
+			return nil, fmt.Errorf("hessian: reference grid ∂α: %w", err)
+		}
+	}
 	r.analytic = &FragmentData{Hess: hess, DDipole: dMu}
 	if !o.SkipAlpha {
 		for c, ij := range AlphaComponents {

@@ -259,26 +259,33 @@ func fragmentDataSHA256(fd *FragmentData) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestDisplacementLoopRoutesKeepTheirBits: grid mode (which wants the grid
-// response's ∂α at displaced geometries) and a fractional ground state (the
-// water dimer at σ = 0.05) still run the displacement loop — 6N displaced jobs
-// and the finite-difference counter — and reproduce the FragmentData of the
-// engine before the analytic Hessian to the bit (SHA-256 pinned from
-// engine/8). A gapped γ-mode fragment runs no displaced job.
+// TestDisplacementLoopRoutesKeepTheirBits: a fractional ground state (the
+// water dimer at σ = 0.05) and grid mode's degenerate levels (methane's t2,
+// dfpt.SplitLevels) still run the displacement loop — 6N displaced jobs and
+// the finite-difference counter — and the dimer reproduces the FragmentData
+// of the engine before the analytic Hessian to the bit (SHA-256 pinned from
+// engine/8). Gapped grid-mode and γ-mode waters run no displaced job. The
+// loop still ships, so the grid-mode water's engine/8 FragmentData stays
+// pinned too, by running the reference hand-over, the loop and the central
+// differences directly.
 func TestDisplacementLoopRoutesKeepTheirBits(t *testing.T) {
 	grid := DefaultJobOptions()
 	grid.DFPT.Coulomb = dfpt.GridCoulomb
+	coarse := grid
+	coarse.DFPT.GridSpacing, coarse.DFPT.GridMargin = 0.8, 4.0
 	smeared := DefaultJobOptions()
 	smeared.SCF.Smearing = 0.05
 	for _, c := range []struct {
 		name string
 		f    *fragment.Fragment
 		opt  JobOptions
+		loop bool
 		sha  string
 	}{
-		{"grid-mode water", waterFragment(), grid, gridWaterSHA256},
-		{"dimer σ=0.05", dimerFragment(), smeared, smearedDimerSHA256},
-		{"γ-mode water", waterFragment(), DefaultJobOptions(), ""},
+		{"grid-mode water", waterFragment(), grid, false, ""},
+		{"grid-mode methane", methaneFragment(), coarse, true, ""},
+		{"dimer σ=0.05", dimerFragment(), smeared, true, smearedDimerSHA256},
+		{"γ-mode water", waterFragment(), DefaultJobOptions(), false, ""},
 	} {
 		reg := obs.NewRegistry()
 		opt := c.opt
@@ -289,7 +296,7 @@ func TestDisplacementLoopRoutesKeepTheirBits(t *testing.T) {
 		}
 		jobs := reg.Counter(obs.MetricHessianDisplacedJobs).Value()
 		fdFrags := reg.Counter(obs.MetricHessianFDDerivativeFragments).Value()
-		if c.sha == "" {
+		if !c.loop {
 			if jobs != 0 || fdFrags != 0 {
 				t.Errorf("%s: %d displaced jobs, %d finite-difference fragments; want none", c.name, jobs, fdFrags)
 			}
@@ -298,14 +305,38 @@ func TestDisplacementLoopRoutesKeepTheirBits(t *testing.T) {
 		if want := int64(6 * c.f.NumAtoms()); jobs != want || fdFrags != 1 {
 			t.Errorf("%s: %d displaced jobs, %d finite-difference fragments; want %d and 1", c.name, jobs, fdFrags, want)
 		}
+		if c.sha == "" {
+			continue
+		}
 		if got := fragmentDataSHA256(data); got != c.sha {
 			t.Errorf("%s: FragmentData SHA-256 %s, want %s", c.name, got, c.sha)
 		}
 	}
+
+	m, err := ModelForFragment(waterFragment())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, _, err := SolveReference(m, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := displace(m, *o, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := BuildFragmentData(len(m.Els), results, grid.Step, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fragmentDataSHA256(data); got != gridWaterSHA256 {
+		t.Errorf("grid-mode water through the loop: FragmentData SHA-256 %s, want %s", got, gridWaterSHA256)
+	}
 }
 
 // The engine/8 FragmentData of TestDisplacementLoopRoutesKeepTheirBits'
-// displacement-loop cases.
+// displacement-loop runs: the grid-mode water through the loop directly, the
+// dimer through ComputeFragment.
 const (
 	gridWaterSHA256    = "db8dd3fa8a070d284081e31a2b629068fcd9101f594aaede6b738c1f7f3eb80b"
 	smearedDimerSHA256 = "c91132285464c0ef6ce7df5cbed607c04d54528a78c08c9fc6efdf9bc47fa421"

@@ -125,8 +125,10 @@ type Plan struct {
 	pPart   []geom.Vec3
 	bad     []bool // per-chunk non-finite flags of the last stage
 
-	// Arguments of the solve in flight, read by the kernels.
-	rho, v []float64
+	// Arguments of the solve in flight, read by the kernels; transposed
+	// selects SolveTranspose's interior load.
+	rho, v     []float64
+	transposed bool
 
 	// Kernel bodies, bound once so passing them to par allocates nothing.
 	momentsFn, forwardFn, zFn, inverseFn func(c, lo, hi int)
@@ -228,6 +230,94 @@ func (p *Plan) Solve(rho, v []float64) error {
 	return nil
 }
 
+// SolveTranspose writes into out (len = grid points) Gᵀ·a, G the linear map
+// Solve applies to a density: ⟨a, G·ρ⟩ = ⟨Gᵀ·a, ρ⟩ for every ρ. G is not
+// symmetric — the boundary values are a monopole+dipole expansion of the
+// whole density, a rank-4 map onto the faces — so the transpose is its own
+// solve. With K = (−∇²_h)⁻¹ on the interior (symmetric: S Λ⁻¹ S), N the
+// coupling of interior points to their face neighbours and B the expansion,
+//
+//	v_int = 4π·K·ρ_int + K·N·B·ρ/h²,  v_face = B·ρ,
+//
+// so with y = K·a_int and z = a_face + Nᵀ·y/h² the transpose is
+// 4π·y on the interior plus Bᵀ·z on every point: the four moments of z
+// against the face coefficients, spread back as charge and dipole. The
+// interior solve is Solve's, on the same kernels; the rest is O(surface)
+// plus one pass over the points, in fixed order, so the result is
+// bit-identical at any kernel width. It allocates nothing; on ErrNonFinite
+// out holds garbage.
+func (p *Plan) SolveTranspose(a, out []float64) error {
+	g := &p.g
+	n := g.NumPoints()
+	if len(a) != n || len(out) != n {
+		return fmt.Errorf("poisson: a has %d entries and out %d, grid has %d points", len(a), len(out), n)
+	}
+	p.rho, p.v, p.transposed = a, out, true
+	plane := p.ax.m * p.ay.m
+	par.ForChunks("poisson_dst", p.az.m, p.planeChunk, p.forwardFn)
+	par.ForChunks("poisson_dst", plane, p.colChunk, p.zFn)
+	par.ForChunks("poisson_dst", p.az.m, p.planeChunk, p.inverseFn)
+	p.rho, p.v, p.transposed = nil, nil, false
+	for _, bad := range p.bad {
+		if bad {
+			return fmt.Errorf("%w on the %d×%d×%d grid", ErrNonFinite, g.Nx, g.Ny, g.Nz)
+		}
+	}
+	// out holds y inside; z = a on the faces plus y/h² from each face
+	// point's one interior neighbour (edges and corners have none).
+	for _, f := range p.faceIdx {
+		out[f] = a[f]
+	}
+	mx, my, mz := p.ax.m, p.ay.m, p.az.m
+	sy, sz := g.Nx, g.Nx*g.Ny
+	invH2 := 1 / (g.H * g.H)
+	for kz := 0; kz < mz; kz++ {
+		for ky := 0; ky < my; ky++ {
+			i0 := g.Index(1, ky+1, kz+1)
+			line := out[i0 : i0+mx]
+			out[i0-1] += line[0] * invH2
+			out[i0+mx] += line[mx-1] * invH2
+			if ky == 0 {
+				addScaled(out[i0-sy:i0-sy+mx], line, invH2)
+			}
+			if ky == my-1 {
+				addScaled(out[i0+sy:i0+sy+mx], line, invH2)
+			}
+			if kz == 0 {
+				addScaled(out[i0-sz:i0-sz+mx], line, invH2)
+			}
+			if kz == mz-1 {
+				addScaled(out[i0+sz:i0+sz+mx], line, invH2)
+			}
+		}
+	}
+	// Bᵀ·z: B[f][i] = w·(k0_f + k1_f·x_i + k2_f·y_i + k3_f·z_i).
+	var m [4]float64
+	for bi, k := range p.faceCoef {
+		z := out[p.faceIdx[bi]]
+		for j := range m {
+			m[j] += z * k[j]
+		}
+	}
+	w := g.Weight()
+	for iz := 0; iz < g.Nz; iz++ {
+		for iy := 0; iy < g.Ny; iy++ {
+			inner := iz > 0 && iz < g.Nz-1 && iy > 0 && iy < g.Ny-1
+			c := m[0] + m[2]*p.ys[iy] + m[3]*p.zs[iz]
+			row := out[g.Index(0, iy, iz):][:g.Nx]
+			for ix, x := range p.xs {
+				b := w * (c + m[1]*x)
+				if inner && ix > 0 && ix < g.Nx-1 {
+					row[ix] = 4*math.Pi*row[ix] + b
+				} else {
+					row[ix] = b
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // solve runs the kernels on p.rho and p.v and reports whether the interior
 // came out finite. A non-finite density always shows there: it reaches every
 // interior line through the moments and the boundary values folded into b.
@@ -283,9 +373,10 @@ func (p *Plan) moments(c, lo, hi int) {
 }
 
 // forwardXY builds b = 4πρ + (boundary neighbours)/h² for interior planes
-// [lo, hi) and applies S_x then S_y to each plane. A line has boundary
-// neighbours only at its two x-ends, and along y (z) only in the first or
-// last interior y (z) layer. Result in p.b.
+// [lo, hi) — b = a on the interior for SolveTranspose — and applies S_x then
+// S_y to each plane. A line has boundary neighbours only at its two x-ends,
+// and along y (z) only in the first or last interior y (z) layer. Result in
+// p.b.
 func (p *Plan) forwardXY(_, lo, hi int) {
 	g, rho, v := &p.g, p.rho, p.v
 	mx, my, mz := p.ax.m, p.ay.m, p.az.m
@@ -299,6 +390,10 @@ func (p *Plan) forwardXY(_, lo, hi int) {
 		for ky := 0; ky < my; ky++ {
 			i0 := g.Index(1, ky+1, kz+1)
 			line := b[ky*mx : (ky+1)*mx]
+			if p.transposed {
+				copy(line, rho[i0:i0+mx])
+				continue
+			}
 			for j, r := range rho[i0 : i0+mx] {
 				line[j] = 4 * math.Pi * r
 			}

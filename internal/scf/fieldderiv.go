@@ -241,6 +241,25 @@ func (m *Model) dipoleDerivTable() [][3]geom.Vec3 {
 	return t
 }
 
+// DipoleDerivTraces returns, for each symmetric matrix x of xs,
+// tr(x·∂D^k/∂R_{A,a}) at [k][3A+a]: the nuclear derivatives of the dipole
+// integrals contracted with x.
+func (m *Model) DipoleDerivTraces(xs []*linalg.Matrix) [][3][]float64 {
+	dt := m.dipoleDerivTable()
+	pop := make([]float64, m.NumAtoms())
+	out := make([][3][]float64, len(xs))
+	for i, x := range xs {
+		m.populations(x, pop)
+		for k := 0; k < 3; k++ {
+			out[i][k] = make([]float64, 3*len(pop))
+			for a, g := range m.dipoleGradient(dt, x, pop, k) {
+				out[i][k][3*a], out[i][k][3*a+1], out[i][k][3*a+2] = g.X, g.Y, g.Z
+			}
+		}
+	}
+	return out
+}
+
 // dipoleGradient returns tr(x·∂D^k/∂R) per atom for a symmetric x with
 // Mulliken populations pop. With d = ∂D^k_ij/∂R_A for i on A and j on B,
 // ∂D^k_ij/∂R_B = δ_ak·S_ij − d (the operator's origin does not move with the

@@ -60,6 +60,54 @@ func (p *Perturbation) Build(c int, s1, h1 *linalg.Matrix, w []float64) {
 	m.addPotential(h1, w)
 }
 
+// OrbitalResponse returns the first-order response of a gapped ground
+// state's canonical orbitals and orbital energies to each nuclear coordinate c,
+// from its nuclear response: C⁽ᶜ⁾ = C·u[c] and eps1[c][p] = ∂ε_p/∂R_c. With
+// the full perturbation H⁽ᶜ⁾ = h1 + ½S∘(v_A + v_B), v = Γ·DQ1[c] (Build's h1
+// plus the response potential), H̃ = Cᵀ·H⁽ᶜ⁾·C and S̃ = Cᵀ·S⁽ᶜ⁾·C,
+// differentiating H·C = S·C·ε and CᵀSC = I gives
+//
+//	u_pq = (H̃ − ε_q·S̃)_pq / (ε_q − ε_p) (p ≠ q),  u_pp = −½S̃_pp,
+//	ε⁽ᶜ⁾_p = (H̃ − ε_p·S̃)_pp,
+//
+// whose occupied×virtual block is the one the nuclear response solved for.
+// The canonical choice needs distinct orbital energies within the occupied
+// and within the virtual block; the caller vouches for them and for a gapped,
+// field-free ground state.
+func (m *Model) OrbitalResponse(ground *Result, nr *NuclearResponse) (u []*linalg.Matrix, eps1 [][]float64) {
+	n, na := m.Basis.Size(), m.NumAtoms()
+	sq := func() *linalg.Matrix { return linalg.NewMatrix(n, n) }
+	pert := m.NuclearPerturbation(ground)
+	s1, h1, t, hm, sm := sq(), sq(), sq(), sq(), sq()
+	w, v := make([]float64, na), make([]float64, na)
+	c, eps := ground.C, ground.Eps
+	mo := func(a, dst *linalg.Matrix) {
+		linalg.Gemm(true, false, 1, c, a, 0, t, m.Ops)
+		linalg.Gemm(false, false, 1, t, c, 0, dst, m.Ops)
+	}
+	u, eps1 = make([]*linalg.Matrix, 3*na), make([][]float64, 3*na)
+	for y := range u {
+		pert.Build(y, s1, h1, w)
+		m.sccPotential(nr.DQ1[y], v)
+		m.addPotential(h1, v)
+		mo(h1, hm)
+		mo(s1, sm)
+		u[y], eps1[y] = sq(), make([]float64, n)
+		for p := 0; p < n; p++ {
+			row, hrow, srow := u[y].Row(p), hm.Row(p), sm.Row(p)
+			for q := 0; q < n; q++ {
+				if q == p {
+					row[q] = -0.5 * srow[q]
+					eps1[y][p] = hrow[p] - eps[p]*srow[p]
+					continue
+				}
+				row[q] = (hrow[q] - eps[q]*srow[q]) / (eps[q] - eps[p])
+			}
+		}
+	}
+	return u, eps1
+}
+
 // overlapResponse fills s1 with ∂S/∂R_c from the model's overlap-derivative
 // table: dS of the pair i < j is the derivative along the atom of i, and the
 // atom of j sees its negative.

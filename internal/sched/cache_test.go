@@ -218,8 +218,10 @@ func TestCacheKeyIsolation(t *testing.T) {
 // engine/4 (Löwdin orthogonalization, unpaired displacements), under
 // engine/5 (finite-difference chord matrix, no intraband response) under
 // engine/6 (finite-difference dipole and polarizability derivatives), under
-// engine/7 (grid mode's Pulay response loop) and under engine/8
-// (finite-difference Hessians from 6N displaced SCF solves) — the
+// engine/7 (grid mode's Pulay response loop), under engine/8
+// (finite-difference Hessians from 6N displaced SCF solves) and under
+// engine/9 (grid mode's finite differences from 6N displaced SCF + grid
+// solves) — the
 // constants were recorded on those commits — must serve none of them to a resumed run of
 // this engine: each mode reports a miss, recomputes, and files its new record
 // beside the old ones. A second resumed run is then served its own.
@@ -242,10 +244,13 @@ func TestCacheSolverMigration(t *testing.T) {
 		gammaKeyEngine7      = "595a639a2765f33561ca3bcee7f706ae9d868649c9cdfbb801582534b98a6d9f"
 		gridKeyEngine8       = "2d205a9c49b2422b7922fb6ccea7ad1ba5ca1a128ec799409dcea0d1a0de0166"
 		gammaKeyEngine8      = "d23e0accccfd0b831b6c0a0342d3542807b3d0767de91a33245fd166a9478ecc"
+		gridKeyEngine9       = "c51e87c9bc9ac031e59f40d3b767b4fe1d0d4c1a82c28857213e61e6414c8697"
+		gammaKeyEngine9      = "e10d703905dddae2c86a4c1a8141b94a8adb3c42a09694213a120322c9941b6d"
 	)
 	old := []string{gridKeyBeforeTag, gridKeyBeforeEngine, gammaKeyBeforeEngine, gridKeyEngine2, gammaKeyEngine2,
 		gridKeyEngine3, gammaKeyEngine3, gridKeyEngine4, gammaKeyEngine4, gridKeyEngine5, gammaKeyEngine5,
-		gridKeyEngine6, gammaKeyEngine6, gridKeyEngine7, gammaKeyEngine7, gridKeyEngine8, gammaKeyEngine8}
+		gridKeyEngine6, gammaKeyEngine6, gridKeyEngine7, gammaKeyEngine7, gridKeyEngine8, gammaKeyEngine8,
+		gridKeyEngine9, gammaKeyEngine9}
 	dec := cacheDecomposition(1)
 	dir := t.TempDir()
 	s := openStore(t, dir)

@@ -232,8 +232,9 @@ func TestKeySolverTagTouchesOnlyGridMode(t *testing.T) {
 // in the QL rotations, unpaired displacements), engine/5 (finite-difference
 // chord matrix, no intraband response) engine/6 (finite-difference dipole
 // and polarizability derivatives in γ mode), engine/7 (grid mode's Pulay
-// response loop) and engine/8 (finite-difference Hessians from 6N displaced
-// SCF solves); the constants were recorded on
+// response loop), engine/8 (finite-difference Hessians from 6N displaced
+// SCF solves) and engine/9 (grid mode's ∂α, Hessian and ∂μ from 6N displaced
+// SCF + grid solves); the constants were recorded on
 // those commits — are not today's, so none of their records can be served to
 // this engine.
 func TestKeyEngineVersionTouchesEveryKey(t *testing.T) {
@@ -242,33 +243,36 @@ func TestKeyEngineVersionTouchesEveryKey(t *testing.T) {
 	hessOnly.SkipAlpha = true
 	for _, tc := range []struct {
 		name       string
-		keysBefore [8]string // unversioned engine, engine/2, engine/3, engine/4, engine/5, engine/6, engine/7, engine/8
+		keysBefore [9]string // unversioned engine, engine/2, engine/3, engine/4, engine/5, engine/6, engine/7, engine/8, engine/9
 		opt        hessian.JobOptions
 	}{
-		{"γ mode", [8]string{"f5191d75104962f781428508a5c936bf4a14e2bb68f911d7bf75554df7af00b4",
+		{"γ mode", [9]string{"f5191d75104962f781428508a5c936bf4a14e2bb68f911d7bf75554df7af00b4",
 			"cdb10dbd19d277c77d60f582f78e1eae186b3852e9e22b2eece8f69b560d448d",
 			"92c4619cfa4945bc1cb81704a8868711cc1cd81dba45c3a85c24019fd8f32e15",
 			"63d04430a8e6bf30508d33c4bb36c68cbe0b36e9774f206ca410cfa84f3f4709",
 			"c1c701d6c146d747f54a135504a7cb3d8a5c3acddbb3ce1db2cdd5632eb20c5e",
 			"c445fb445d27d0f3a4acd598c3dbeb10e0de1e9cdf7e478d5de70b23cdad8693",
 			"92b98e909870c5820df76f9550f4fcd6b3e33e254787b5a18c865e728e332d60",
-			"0f050c8b37ec09e0e67fb242a1207b2c7b1006a2b856a378a688696b7aa18494"}, hessian.DefaultJobOptions()},
-		{"grid mode", [8]string{"d06d326b4c6b3d6268b8331c7d1a5621bbe3fc82420fc891201208327d3a878e",
+			"0f050c8b37ec09e0e67fb242a1207b2c7b1006a2b856a378a688696b7aa18494",
+			"4c43acaaf08cae8d14cbb4136b1c3fa0e4318ed50746c8ef6dc20bcdc83e209b"}, hessian.DefaultJobOptions()},
+		{"grid mode", [9]string{"d06d326b4c6b3d6268b8331c7d1a5621bbe3fc82420fc891201208327d3a878e",
 			"8e7e74e50a712f8a737503fa1a839a07c19683df075c30863e1dae3f03f73e3d",
 			"a623e9f8b379c9cae5df7586cf10620cf532703b90c3210b178fcef420102d70",
 			"9c04eabfa80c467bd18f321fc0437a4458b303d9abb87f671f50dcb8a2eae654",
 			"2b5cfe268f901258b167f54e54e822a2fb8927212b923ecedc224e9eac534cd6",
 			"d0a81331ed33a184066f29ff2f6c9ef9db9eace277fb893e6355d27252c2a6b7",
 			"63fd4ed8b9b6bfdc5cd301788f702d034cfd4c36d0208db6bf1f1e7650095771",
-			"3b2e260654ea09cf5de14440923e4d92697701ad662e49004a37b511cd8ccc37"}, grid},
-		{"pure Hessian", [8]string{"dc48bfda25047caa734ddf81879b5d15aa852bc24f6226b2db216218229883a0",
+			"3b2e260654ea09cf5de14440923e4d92697701ad662e49004a37b511cd8ccc37",
+			"1a606ae92c961368f8e1c2da93220ba91c415da07c8941ce37e96a4d5bd88915"}, grid},
+		{"pure Hessian", [9]string{"dc48bfda25047caa734ddf81879b5d15aa852bc24f6226b2db216218229883a0",
 			"fbe2d1037acde98f416c9a3743a790703a50be9b8ebf600a16fb672b764fada6",
 			"1634bbf88d83d794b233c26a55597349154280fdffa0fa3e2a10f33f7888489f",
 			"49b5c275f0493cd6ec0958612dfc02b8cc520428081d53d9f70350ab045ca85d",
 			"ca571944dec61fb81ad7f1ecdea19f7df3d13c9b840645b91b06ad33f64233cc",
 			"5cf966edef7ac3080bf07ed29601c0b9e7bc56929145bf1a030c6644db6a9a4d",
 			"f1e9826f524f9e37d698542a4a78e4fe86e4286424ef5a1a81ddb10acd2cec36",
-			"f00a73d33c88ec3b9040126017905ee5d91bfeec20a409594aaf48ef4e12dc52"}, hessOnly},
+			"f00a73d33c88ec3b9040126017905ee5d91bfeec20a409594aaf48ef4e12dc52",
+			"17b30f5ce4eae32d94076c16bd886e1363b47b8d4e754cba42de0fc522f8f93a"}, hessOnly},
 	} {
 		if b := appendJobFingerprint(nil, tc.opt); bytes.Count(b, []byte(hessian.EngineVersion)) != 1 {
 			t.Errorf("%s: the job fingerprint does not hash the engine version exactly once", tc.name)
