@@ -132,47 +132,35 @@ func (f *Func) GradAt(p geom.Vec3) geom.Vec3 {
 	return geom.V(dx*py*pz*e, px*dy*pz*e, px*py*dz*e)
 }
 
-// HessAt evaluates ∂²χ/∂r_a∂r_b at point p (bohr), row a, column b. Per axis
-// the factor x^l·e^{−αx²} has first derivative (l·x^{l−1} − 2αx^{l+1})·e^{−αx²}
-// and second (l(l−1)·x^{l−2} − 2α(2l+1)·x^l + 4α²·x^{l+2})·e^{−αx²}.
+// HessAt evaluates ∂²χ/∂r_a∂r_b at point p (bohr), row a, column b: per
+// axis the factor x^l·e^{−αx²} and its first two derivatives (axisDerivs),
+// multiplied across the axes.
 func (f *Func) HessAt(p geom.Vec3) (h [3][3]float64) {
 	d := p.Sub(f.Center)
 	e := f.Norm * math.Exp(-f.Alpha*d.Norm2())
-	mono := func(x float64, l int) float64 {
-		if l < 0 {
-			return 0
-		}
-		v := 1.0
-		for k := 0; k < l; k++ {
-			v *= x
-		}
-		return v
-	}
-	var f0, f1, f2 [3]float64
-	for ax, x := range [3]float64{d.X, d.Y, d.Z} {
-		l, a := f.L[ax], f.Alpha
-		fl := float64(l)
-		f0[ax] = mono(x, l)
-		f1[ax] = fl*mono(x, l-1) - 2*a*mono(x, l+1)
-		f2[ax] = fl*(fl-1)*mono(x, l-2) - 2*a*(2*fl+1)*mono(x, l) + 4*a*a*mono(x, l+2)
-	}
-	for a := 0; a < 3; a++ {
-		for b := a; b < 3; b++ {
-			v := e
-			for o := 0; o < 3; o++ {
-				switch {
-				case o == a && o == b:
-					v *= f2[o]
-				case o == a || o == b:
-					v *= f1[o]
-				default:
-					v *= f0[o]
-				}
-			}
-			h[a][b], h[b][a] = v, v
-		}
-	}
+	x0, x1, x2 := axisDerivs(d.X, f.Alpha, f.L[0])
+	y0, y1, y2 := axisDerivs(d.Y, f.Alpha, f.L[1])
+	z0, z1, z2 := axisDerivs(d.Z, f.Alpha, f.L[2])
+	h[0][0] = e * x2 * y0 * z0
+	h[1][1] = e * x0 * y2 * z0
+	h[2][2] = e * x0 * y0 * z2
+	h[0][1] = e * x1 * y1 * z0
+	h[0][2] = e * x1 * y0 * z1
+	h[1][2] = e * x0 * y1 * z1
+	h[1][0], h[2][0], h[2][1] = h[0][1], h[0][2], h[1][2]
 	return h
+}
+
+// axisDerivs returns x^l and the first two derivatives of x^l·e^{−αx²}
+// divided by e^{−αx²}, l·x^{l−1} − 2α·x^{l+1} and
+// l(l−1)·x^{l−2} − 2α(2l+1)·x^l + 4α²·x^{l+2}, for l = 0 or 1: the basis
+// stops at p functions.
+func axisDerivs(x, a float64, l int) (v, d1, d2 float64) {
+	x2 := x * x
+	if l == 0 {
+		return 1, -2 * a * x, 4*a*a*x2 - 2*a
+	}
+	return x, 1 - 2*a*x2, (4*a*a*x2 - 6*a) * x
 }
 
 // os1D computes the Obara–Saika one-dimensional integrals

@@ -163,8 +163,10 @@ func (e *gridEnv) tabulateSecond(set *basis.Set) {
 	par.For("grid_tabulate", len(e.batches), 1, func(lo, hi int) {
 		for bi := lo; bi < hi; bi++ {
 			b := &e.batches[bi]
+			size := len(b.indices) * len(b.funcs)
+			slab := make([]float64, len(b.hx)*size)
 			for s := range b.hx {
-				b.hx[s] = linalg.NewMatrix(len(b.indices), len(b.funcs))
+				b.hx[s] = linalg.NewMatrixFrom(len(b.indices), len(b.funcs), slab[s*size:(s+1)*size])
 			}
 			for p, idx := range b.indices {
 				pt := e.g.Point(idx)
