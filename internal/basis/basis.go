@@ -335,14 +335,6 @@ func DipoleDeriv(f, g *Func) [3]geom.Vec3 {
 
 // Dipole returns <f| r |g> in absolute coordinates (bohr).
 func Dipole(f, g *Func) geom.Vec3 {
-	_, d := overlapDipole(f, g)
-	return d
-}
-
-// overlapDipole returns <f|g> and <f| r |g> from one set of tables: an entry
-// of an OS table does not depend on how far the table extends, so the overlap
-// read from the dipole's larger tables is Overlap's, bit for bit.
-func overlapDipole(f, g *Func) (float64, geom.Vec3) {
 	t := axes1D(f, g, 1)
 	base := [3]float64{
 		t[0][f.L[0]][g.L[0]],
@@ -364,7 +356,7 @@ func overlapDipole(f, g *Func) (float64, geom.Vec3) {
 		d[ax] = prod
 	}
 	n := f.Norm * g.Norm
-	return n * base[0] * base[1] * base[2], geom.V(n*d[0], n*d[1], n*d[2])
+	return geom.V(n*d[0], n*d[1], n*d[2])
 }
 
 // OverlapMatrix returns the full overlap matrix S.
@@ -401,53 +393,4 @@ func (s *Set) DipoleMatrices() [3]*linalg.Matrix {
 		}
 	}
 	return out
-}
-
-// atomRange returns the half-open index range of atom a's functions.
-func (s *Set) atomRange(a int) (lo, hi int) {
-	lo, hi = s.FirstOfAtom[a], len(s.Funcs)
-	if a+1 < len(s.FirstOfAtom) {
-		hi = s.FirstOfAtom[a+1]
-	}
-	return lo, hi
-}
-
-// MoveAtom re-centers atom a's functions and recomputes the rows and columns
-// of the overlap and dipole matrices they take part in — O(n) pair integrals
-// instead of the O(n²) of OverlapMatrix and DipoleMatrices, each evaluated
-// with its lower index first as those do, so the updated matrices equal a full
-// rebuild at the new geometry bit for bit.
-func (s *Set) MoveAtom(a int, center geom.Vec3, overlap *linalg.Matrix, dip [3]*linalg.Matrix) {
-	lo, hi := s.atomRange(a)
-	for i := lo; i < hi; i++ {
-		s.Funcs[i].Center = center
-	}
-	for i := lo; i < hi; i++ {
-		for j := range s.Funcs {
-			if j >= lo && j < i {
-				continue // both on the atom: done as (j, i)
-			}
-			p, q := i, j
-			if q < p {
-				p, q = q, p
-			}
-			fp, fq := &s.Funcs[p], &s.Funcs[q]
-			v, d := overlapDipole(fp, fq)
-			overlap.Set(p, q, v)
-			overlap.Set(q, p, v)
-			for k, dv := range [3]float64{d.X, d.Y, d.Z} {
-				dip[k].Set(p, q, dv)
-				dip[k].Set(q, p, dv)
-			}
-		}
-	}
-}
-
-// Clone returns a deep copy of the set.
-func (s *Set) Clone() *Set {
-	return &Set{
-		Funcs:        append([]Func(nil), s.Funcs...),
-		FirstOfAtom:  append([]int(nil), s.FirstOfAtom...),
-		NumElectrons: s.NumElectrons,
-	}
 }

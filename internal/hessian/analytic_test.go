@@ -61,11 +61,7 @@ func richardsonDerivatives(t *testing.T, f *fragment.Fragment, sigma float64) (*
 		opt := r.opt
 		opt.Step = step
 		opt.SCF.Tol = 1e-13
-		d := NewDisplacer(m)
-		res := allDisplacements(t, m, func(atom, axis, sign int) (*DisplacementResult, error) {
-			return d.Run(atom, axis, sign, opt)
-		})
-		if fd[i], err = BuildFragmentData(m.NumAtoms(), res, step, true); err != nil {
+		if fd[i], err = BuildFragmentData(m.NumAtoms(), allDisplacements(t, m, opt), step, true); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -219,8 +219,12 @@ func TestRunDisplacementValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunDisplacement(m, 0, 0, 2, DefaultJobOptions()); err == nil {
-		t.Fatal("accepted sign 2")
+	for _, c := range []struct{ atom, axis, sign int }{
+		{0, 0, 2}, {-1, 0, 1}, {m.NumAtoms(), 0, 1}, {0, -1, 1}, {0, 3, -1},
+	} {
+		if _, err := RunDisplacement(m, c.atom, c.axis, c.sign, DefaultJobOptions()); err == nil {
+			t.Errorf("accepted atom %d axis %d sign %d", c.atom, c.axis, c.sign)
+		}
 	}
 }
 
@@ -304,7 +308,8 @@ func coarseGridJobOptions() JobOptions {
 // wrapping, and classifies Deterministic — the runtime escalates the smearing
 // rung or drops the fragment, it never retries. Non-finite dipole integrals
 // poison the right-hand side of both responses: grid mode's displaced
-// polarizability and γ mode's reference field response. (The responses' own
+// polarizability (the job run on the poisoned model as its displaced one) and
+// γ mode's reference field response. (The responses' own
 // failures are dfpt.TestGammaFailuresAreTyped and dfpt.TestGridFailuresAreTyped.)
 func TestNonConvergenceIsTypedThroughWrapping(t *testing.T) {
 	m, err := ModelForFragmentNoCal(waterFragment())
@@ -316,7 +321,7 @@ func TestNonConvergenceIsTypedThroughWrapping(t *testing.T) {
 	for i := range poisoned.Dip[0].Data {
 		poisoned.Dip[0].Data[i] = math.NaN()
 	}
-	displaced := func(m *scf.Model, o JobOptions) error { _, err := RunDisplacement(m, 0, 0, 1, o); return err }
+	displaced := func(m *scf.Model, o JobOptions) error { _, err := runJob(m, 0, 0, 1, o); return err }
 	reference := func(m *scf.Model, o JobOptions) error { _, _, err := SolveReference(m, o); return err }
 	starved := coarseGridJobOptions()
 	starved.SCF.MaxIter = 2

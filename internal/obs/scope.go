@@ -55,7 +55,7 @@ const (
 	// does not serve.
 	MetricHessianFDDerivativeFragments = "hessian_fd_derivative_fragments_total"
 	// A displaced job is one SCF (and, for finite-difference ∂α, DFPT) solve
-	// at a displaced geometry (hessian.Displacer.Run): 6N per fragment that
+	// at a displaced geometry (hessian.RunDisplacement): 6N per fragment that
 	// runs the displacement loop, none on the analytic route.
 	MetricHessianDisplacedJobs = "hessian_displaced_jobs_total"
 	// Spectral-solver counts, one RecordLanczos per spectrum: recurrence

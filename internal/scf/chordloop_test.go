@@ -107,13 +107,12 @@ func TestChordLoopOnProductionChord(t *testing.T) {
 		fdOpt := fx.opt
 		fdOpt.Chord = scf.RefChordMatrix(fx.m, fx.ref, fx.opt)
 		ws := scf.NewWorkspace(fx.m)
-		var md scf.Model
 		var iters, fdIters int
 		for atom := 0; atom < fx.m.NumAtoms(); atom++ {
 			for axis := 0; axis < 3; axis++ {
 				for _, sign := range []float64{1, -1} {
-					fx.m.DisplaceInto(&md, atom, axis, sign*displacementStep)
-					got, err := ws.Solve(&md, fx.opt)
+					md := fx.m.Displaced(atom, axis, sign*displacementStep)
+					got, err := ws.Solve(md, fx.opt)
 					if err != nil {
 						t.Fatalf("%s atom %d axis %d: %v", fx.name, atom, axis, err)
 					}
@@ -122,7 +121,7 @@ func TestChordLoopOnProductionChord(t *testing.T) {
 							fx.name, atom, axis, sign, got.ChordSteps, got.Iterations)
 					}
 					iters += got.Iterations
-					fd, err := ws.Solve(&md, fdOpt)
+					fd, err := ws.Solve(md, fdOpt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -153,14 +152,13 @@ func TestChordLoopMatchesPulayFixedPoint(t *testing.T) {
 		pulayOpt := fx.opt
 		pulayOpt.Chord = nil
 		ws, wsPulay := scf.NewWorkspace(fx.m), scf.NewWorkspace(fx.m)
-		var md scf.Model
 		var chordIters, pulayIters []int
 		for atom := 0; atom < fx.m.NumAtoms(); atom++ {
 			for axis := 0; axis < 3; axis++ {
 				for _, sign := range []float64{1, -1} {
-					fx.m.DisplaceInto(&md, atom, axis, sign*displacementStep)
+					md := fx.m.Displaced(atom, axis, sign*displacementStep)
 					par.SetBudget(1)
-					got, err := ws.Solve(&md, fx.opt)
+					got, err := ws.Solve(md, fx.opt)
 					if err != nil {
 						t.Fatalf("%s atom %d axis %d: %v", fx.name, atom, axis, err)
 					}
@@ -169,10 +167,10 @@ func TestChordLoopMatchesPulayFixedPoint(t *testing.T) {
 						t.Errorf("%s atom %d axis %d: %d chord steps in %d iterations: the loop fell back to Pulay",
 							fx.name, atom, axis, got.ChordSteps, iters)
 					}
-					if r := scf.FixedPointResidual(t, &md, fx.opt, dq); !(r < 10*fx.opt.Tol) {
+					if r := scf.FixedPointResidual(t, md, fx.opt, dq); !(r < 10*fx.opt.Tol) {
 						t.Errorf("%s atom %d axis %d: converged charges miss the fixed point by %g", fx.name, atom, axis, r)
 					}
-					want, err := wsPulay.Solve(&md, pulayOpt)
+					want, err := wsPulay.Solve(md, pulayOpt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -185,7 +183,7 @@ func TestChordLoopMatchesPulayFixedPoint(t *testing.T) {
 					chordIters, pulayIters = append(chordIters, iters), append(pulayIters, want.Iterations)
 
 					par.SetBudget(4)
-					wide, err := ws.Solve(&md, fx.opt)
+					wide, err := ws.Solve(md, fx.opt)
 					if err != nil {
 						t.Fatal(err)
 					}

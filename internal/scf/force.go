@@ -10,42 +10,18 @@ import (
 // pairChunk is the row-chunk length of the overlap-derivative pair sum.
 const pairChunk = 16
 
-// forceScratch is what a force evaluation needs besides its result: the
-// atomic potentials, the gradient being accumulated and one gradient
-// accumulator per chunk of the pair sum.
-type forceScratch struct {
-	v        []float64
-	grad     []geom.Vec3
-	partials []geom.Vec3 // chunk c owns [c·na, (c+1)·na)
-}
-
 // Forces returns the analytic nuclear forces −dE/dR (hartree/bohr) for a
 // converged field-free ground state. The gradient has the standard
 // SCC-tight-binding structure: Hellmann–Feynman + Pulay terms through the
 // overlap derivatives, the charge-fluctuation γ term, and the bonded
 // reference potential.
 func (m *Model) Forces(res *Result) []geom.Vec3 {
-	return m.forces(res, new(forceScratch))
-}
-
-// Forces is Model.Forces on the workspace's scratch: only the returned slice
-// is allocated.
-func (ws *Workspace) Forces(m *Model, res *Result) []geom.Vec3 {
-	return m.forces(res, &ws.force)
-}
-
-func (m *Model) forces(res *Result, fs *forceScratch) []geom.Vec3 {
 	na := m.NumAtoms()
 	n := m.Basis.Size()
 	chunks := par.Chunks(n, pairChunk)
-	if len(fs.grad) != na || len(fs.partials) != chunks*na {
-		fs.v = make([]float64, na)
-		fs.grad = make([]geom.Vec3, na)
-		fs.partials = make([]geom.Vec3, chunks*na)
-	}
-	grad, v, partials := fs.grad, fs.v, fs.partials
-	clear(grad)
-	clear(partials)
+	v := make([]float64, na)
+	grad := make([]geom.Vec3, na)
+	partials := make([]geom.Vec3, chunks*na) // chunk c owns [c·na, (c+1)·na)
 
 	m.sccPotential(res.DeltaQ, v)
 	// The O(n²) overlap-derivative pair sum dominates displacement
@@ -97,11 +73,10 @@ func (m *Model) forces(res *Result, fs *forceScratch) []geom.Vec3 {
 
 	m.addRepulsiveGradient(grad)
 
-	out := make([]geom.Vec3, na)
-	for a := range out {
-		out[a] = grad[a].Scale(-1)
+	for a := range grad {
+		grad[a] = grad[a].Scale(-1)
 	}
-	return out
+	return grad
 }
 
 // addRepulsiveGradient adds ∂E_rep/∂R of the bonded reference potential

@@ -227,87 +227,24 @@ func (m *Model) buildFF(posAngstrom []geom.Vec3) {
 }
 
 // Displaced returns a model with atom a moved by delta (bohr) along axis
-// (0=x, 1=y, 2=z) — one worker unit of the paper's displacement loop. It is
-// the one-shot form of DisplaceInto.
+// (0=x, 1=y, 2=z) — one worker unit of the paper's displacement loop. It
+// shares m's frozen force field and counters and rebuilds every
+// geometry-dependent matrix at the displaced geometry; m is only read.
 func (m *Model) Displaced(atom, axis int, delta float64) *Model {
-	md := new(Model)
-	m.DisplaceInto(md, atom, axis, delta)
-	return md
-}
-
-// DisplaceInto makes dst the model m with atom a moved by delta (bohr) along
-// axis, sharing m's frozen force field and counters. dst keeps its own
-// positions, basis and electronic matrices across calls (any Model that was
-// the dst of an earlier call on a model of this size, or the zero Model): they
-// are copied from m and then only the moved atom's row and column blocks of S,
-// the dipole matrices, H0, the overlap derivatives and Γ are recomputed — O(n)
-// pair integrals, each the expression rebuild evaluates for that pair, so dst
-// equals a full rebuild at the displaced geometry bit for bit. Copying everything first is what keeps a
-// block moved by an earlier call from surviving into this one.
-func (m *Model) DisplaceInto(dst *Model, atom, axis int, delta float64) {
-	if axis < 0 || axis > 2 {
-		panic("scf: axis out of range")
-	}
-	n, na := m.Basis.Size(), m.NumAtoms()
-	if dst.S == nil || dst.S.Rows != n || len(dst.Pos) != na {
-		dst.Pos = make([]geom.Vec3, na)
-		dst.Basis = m.Basis.Clone()
-		dst.S, dst.H0, dst.Gamma = linalg.NewMatrix(n, n), linalg.NewMatrix(n, n), linalg.NewMatrix(na, na)
-		for k := range dst.Dip {
-			dst.Dip[k] = linalg.NewMatrix(n, n)
-		}
-		dst.dS = make([]geom.Vec3, n*n)
-	}
-	own := *dst
-	*dst = *m
-	dst.Pos, dst.Basis, dst.S, dst.H0, dst.Gamma, dst.Dip, dst.dS = own.Pos, own.Basis, own.S, own.H0, own.Gamma, own.Dip, own.dS
-	copy(dst.Pos, m.Pos)
-	copy(dst.Basis.Funcs, m.Basis.Funcs)
-	dst.S.CopyFrom(m.S)
-	dst.H0.CopyFrom(m.H0)
-	copy(dst.dS, m.dS)
-	dst.Gamma.CopyFrom(m.Gamma)
-	for k := range dst.Dip {
-		dst.Dip[k].CopyFrom(m.Dip[k])
-	}
-
+	md := *m
+	md.Pos = append([]geom.Vec3(nil), m.Pos...)
 	switch axis {
 	case 0:
-		dst.Pos[atom].X += delta
+		md.Pos[atom].X += delta
 	case 1:
-		dst.Pos[atom].Y += delta
+		md.Pos[atom].Y += delta
 	case 2:
-		dst.Pos[atom].Z += delta
+		md.Pos[atom].Z += delta
+	default:
+		panic("scf: axis out of range")
 	}
-	dst.Basis.MoveAtom(atom, dst.Pos[atom], dst.S, dst.Dip)
-	funcs := dst.Basis.Funcs
-	for i := range funcs {
-		if funcs[i].Atom != atom {
-			continue
-		}
-		for j := range funcs {
-			if funcs[j].Atom != atom {
-				v := offSiteH0(&funcs[i], &funcs[j], dst.S.At(i, j))
-				dst.H0.Set(i, j, v)
-				dst.H0.Set(j, i, v)
-				dst.setOverlapDeriv(min(i, j), max(i, j))
-			}
-		}
-	}
-	ua := dst.Els[atom].HubbardU()
-	for b := range dst.Els {
-		if b != atom {
-			g := klopmanOhno(dst.Pos[atom].Dist(dst.Pos[b]), ua, dst.Els[b].HubbardU())
-			dst.Gamma.Set(atom, b, g)
-			dst.Gamma.Set(b, atom, g)
-		}
-	}
-}
-
-// offSiteH0 is the Wolfsberg–Helmholz element between functions on different
-// atoms with overlap s.
-func offSiteH0(fi, fj *basis.Func, s float64) float64 {
-	return 0.5 * wolfsbergK * (fi.OnsiteE + fj.OnsiteE) * s
+	md.rebuild()
+	return &md
 }
 
 // rebuild recomputes the geometry-dependent electronic matrices.
@@ -325,8 +262,8 @@ func (m *Model) rebuild() {
 			fj := &m.Basis.Funcs[j]
 			var v float64
 			if fi.Atom != fj.Atom {
-				v = offSiteH0(fi, fj, m.S.At(i, j))
-				m.setOverlapDeriv(i, j)
+				v = 0.5 * wolfsbergK * (fi.OnsiteE + fj.OnsiteE) * m.S.At(i, j)
+				m.dS[i*n+j] = basis.OverlapDeriv(fi, fj)
 			}
 			// On-atom off-diagonal blocks vanish by orthogonality of the
 			// s/p functions on the same center (S is the identity there).
@@ -346,11 +283,6 @@ func (m *Model) rebuild() {
 			m.Gamma.Set(b, a, g)
 		}
 	}
-}
-
-// setOverlapDeriv fills the overlap-derivative entry of the pair i < j.
-func (m *Model) setOverlapDeriv(i, j int) {
-	m.dS[i*m.Basis.Size()+j] = basis.OverlapDeriv(&m.Basis.Funcs[i], &m.Basis.Funcs[j])
 }
 
 func klopmanOhno(r, ua, ub float64) float64 {

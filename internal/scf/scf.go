@@ -104,9 +104,9 @@ func (m *Model) SolveSCF(opt Options) (*Result, error) {
 // Workspace owns everything a charge loop needs for models of one size: the
 // Cholesky reduction of the geometry, the n×n buffers of an iteration, its
 // bound GEMMs, the eigensolver's storage, the mixer's ring, and the Result it
-// hands out. The displacement loop keeps one per worker, so the 6N solves of a
-// fragment allocate nothing; SolveSCF makes one for a single solve. A
-// Workspace is used by one goroutine at a time.
+// hands out. SolveSCF makes one for a single solve; repeated solves of models
+// of one size in one workspace allocate nothing. A Workspace is used by one
+// goroutine at a time.
 //
 // The generalized eigenproblem H·C = S·C·ε is reduced once per solve by
 // S = L·Lᵀ and X = L⁻ᵀ (Xᵀ·S·X = I, S·X = L). The Hamiltonian is affine in the
@@ -134,7 +134,6 @@ type Workspace struct {
 	gemms, flops  int64 // of the solve in progress
 	fermiEvals    int
 	res           Result
-	force         forceScratch
 }
 
 // minOverlapPivot is the smallest Cholesky pivot L_ii² of the overlap matrix a
