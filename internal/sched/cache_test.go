@@ -219,9 +219,10 @@ func TestCacheKeyIsolation(t *testing.T) {
 // engine/5 (finite-difference chord matrix, no intraband response) under
 // engine/6 (finite-difference dipole and polarizability derivatives), under
 // engine/7 (grid mode's Pulay response loop), under engine/8
-// (finite-difference Hessians from 6N displaced SCF solves) and under
+// (finite-difference Hessians from 6N displaced SCF solves), under
 // engine/9 (grid mode's finite differences from 6N displaced SCF + grid
-// solves) — the
+// solves) and under engine/10 (−Step displaced solves started from their
+// +Step partners' predictor) — the
 // constants were recorded on those commits — must serve none of them to a resumed run of
 // this engine: each mode reports a miss, recomputes, and files its new record
 // beside the old ones. A second resumed run is then served its own.
@@ -246,11 +247,13 @@ func TestCacheSolverMigration(t *testing.T) {
 		gammaKeyEngine8      = "d23e0accccfd0b831b6c0a0342d3542807b3d0767de91a33245fd166a9478ecc"
 		gridKeyEngine9       = "c51e87c9bc9ac031e59f40d3b767b4fe1d0d4c1a82c28857213e61e6414c8697"
 		gammaKeyEngine9      = "e10d703905dddae2c86a4c1a8141b94a8adb3c42a09694213a120322c9941b6d"
+		gridKeyEngine10      = "08347ce80e8416ed7f3c823594031133c7d88e94832788bc2d215cdaf512f6fa"
+		gammaKeyEngine10     = "4547c776b8c57bf3f67b6ad0f76f5adceed3d582112436c04da508f00e576438"
 	)
 	old := []string{gridKeyBeforeTag, gridKeyBeforeEngine, gammaKeyBeforeEngine, gridKeyEngine2, gammaKeyEngine2,
 		gridKeyEngine3, gammaKeyEngine3, gridKeyEngine4, gammaKeyEngine4, gridKeyEngine5, gammaKeyEngine5,
 		gridKeyEngine6, gammaKeyEngine6, gridKeyEngine7, gammaKeyEngine7, gridKeyEngine8, gammaKeyEngine8,
-		gridKeyEngine9, gammaKeyEngine9}
+		gridKeyEngine9, gammaKeyEngine9, gridKeyEngine10, gammaKeyEngine10}
 	dec := cacheDecomposition(1)
 	dir := t.TempDir()
 	s := openStore(t, dir)
