@@ -65,14 +65,21 @@ func run(listen, storeDir string, leaseTimeout, hbTimeout time.Duration, retries
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	closed := make(chan struct{})
 	go func() {
 		<-sig
 		fmt.Fprintln(os.Stderr, "qfcoord: shutting down")
 		co.Close()
+		close(closed)
 	}()
 
 	fmt.Fprintf(os.Stderr, "qfcoord: listening on %s (protocol v%d)\n", listen, cluster.ProtoVersion)
 	err := co.ListenAndServe(listen)
+	if err == nil {
+		// Serve returns nil only once Close has begun; wait until the
+		// connection handlers have drained before the store closes.
+		<-closed
+	}
 	if metricsOut != "" {
 		w := os.Stderr
 		if metricsOut != "-" {

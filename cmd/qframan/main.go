@@ -50,12 +50,12 @@ type options struct {
 	partitioner       string
 	fragSize, fragMax int
 
-	fmin, fmax, fstep, sigma        float64
-	k                               int
-	dense                           bool
-	irOut                           string
-	leaders, workers, kernelThreads int
-	clusterAddr, out                string
+	fmin, fmax, fstep, sigma float64
+	k                        int
+	dense                    bool
+	irOut                    string
+	leaders, kernelThreads   int
+	clusterAddr, out         string
 
 	trajPath, trajOut string
 	trajWarm          bool
@@ -92,8 +92,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.BoolVar(&o.dense, "dense", false, "use exact dense diagonalization instead of Lanczos")
 	fs.StringVar(&o.irOut, "ir", "", "also compute the IR spectrum and write it to this TSV file")
 	fs.IntVar(&o.leaders, "leaders", max(1, runtime.NumCPU()/2), "parallel leaders")
-	fs.IntVar(&o.workers, "workers", 2, "workers per leader")
-	fs.IntVar(&o.kernelThreads, "kernel-threads", 0, "intra-fragment kernel thread budget shared with the leader/worker fan-out (0 = GOMAXPROCS; results are bit-identical at any value)")
+	fs.IntVar(&o.kernelThreads, "kernel-threads", 0, "intra-fragment kernel thread budget the leaders' kernels share (0 = GOMAXPROCS; results are bit-identical at any value)")
 	fs.StringVar(&o.clusterAddr, "cluster", "", "dispatch fragments to a qfcoord coordinator at this address instead of computing in-process (results stay bit-identical)")
 	fs.StringVar(&o.out, "o", "", "spectrum output TSV (default stdout)")
 
@@ -139,7 +138,6 @@ func (o options) config() (core.Config, *store.Store, error) {
 	cfg.Raman.LanczosK = o.k
 	cfg.UseDense = o.dense
 	cfg.Sched.NumLeaders = o.leaders
-	cfg.Sched.WorkersPerLeader = o.workers
 	cfg.IR = o.irOut != ""
 	if err := o.applyPartitioner(&cfg); err != nil {
 		return cfg, nil, err

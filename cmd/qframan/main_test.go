@@ -11,6 +11,7 @@ import (
 	"qframan/internal/cluster"
 	"qframan/internal/core"
 	"qframan/internal/fragment"
+	"qframan/internal/store"
 )
 
 // TestFlagsToConfig pins the command line's contract with the pipeline: what
@@ -31,7 +32,6 @@ func TestFlagsToConfig(t *testing.T) {
 				want.Raman.Sigma = 5
 				want.Raman.LanczosK = 150
 				want.Sched.NumLeaders = max(1, runtime.NumCPU()/2)
-				want.Sched.WorkersPerLeader = 2
 				want.Partitioner = fragment.QFPartitioner{Opt: want.Fragment}
 				if !reflect.DeepEqual(cfg, want) {
 					t.Fatalf("bare invocation configures\n%+v\nwant\n%+v", cfg, want)
@@ -42,6 +42,7 @@ func TestFlagsToConfig(t *testing.T) {
 		{name: "-traj refuses -cluster", args: []string{"-traj", "t.xyz", "-cluster", "127.0.0.1:1"}, wantErr: "-traj cannot run over -cluster"},
 		{name: "-traj refuses -ir", args: []string{"-traj", "t.xyz", "-ir", "ir.tsv"}, wantErr: "-ir is not supported with -traj"},
 		{name: "unknown partitioner", args: []string{"-partitioner", "voronoi"}, wantErr: "unknown partitioner"},
+		{name: "-workers is no flag", args: []string{"-workers", "1"}, wantErr: "flag provided but not defined: -workers"},
 		{
 			name: "-cache-dir checkpoints and dedupes, serves nothing old",
 			args: []string{"-cache-dir", t.TempDir()},
@@ -78,7 +79,7 @@ func TestFlagsToConfig(t *testing.T) {
 		},
 		{
 			name: "physics-free overrides reach their fields",
-			args: []string{"-dense", "-ir", "ir.tsv", "-leaders", "3", "-workers", "1", "-sigma", "20",
+			args: []string{"-dense", "-ir", "ir.tsv", "-leaders", "3", "-sigma", "20",
 				"-partitioner", "graph", "-frag-size", "30", "-cluster", "127.0.0.1:1", "-straggler-timeout", "2s"},
 			check: func(t *testing.T, cfg core.Config) {
 				gp, ok := cfg.Partitioner.(fragment.GraphPartitioner)
@@ -88,7 +89,7 @@ func TestFlagsToConfig(t *testing.T) {
 				if _, ok := cfg.Sched.Backend.(*cluster.Client); !ok {
 					t.Fatalf("backend %T, want the cluster client", cfg.Sched.Backend)
 				}
-				if !cfg.UseDense || !cfg.IR || cfg.Sched.NumLeaders != 3 || cfg.Sched.WorkersPerLeader != 1 ||
+				if !cfg.UseDense || !cfg.IR || cfg.Sched.NumLeaders != 3 ||
 					cfg.Raman.Sigma != 20 || cfg.Sched.StragglerTimeout.Seconds() != 2 {
 					t.Fatalf("config %+v", cfg)
 				}
@@ -103,10 +104,12 @@ func TestFlagsToConfig(t *testing.T) {
 			fs := flag.NewFlagSet("qframan", flag.ContinueOnError)
 			fs.SetOutput(io.Discard)
 			o.register(fs)
-			if err := fs.Parse(tc.args); err != nil {
-				t.Fatal(err)
+			err := fs.Parse(tc.args)
+			var cfg core.Config
+			var st *store.Store
+			if err == nil {
+				cfg, st, err = o.config()
 			}
-			cfg, st, err := o.config()
 			if st != nil {
 				defer st.Close()
 			}

@@ -39,7 +39,6 @@ func main() {
 	storeDir := flag.String("store", "", "shared checkpoint store directory (empty = no cache)")
 	runners := flag.Int("runners", 2, "jobs executing concurrently")
 	leaders := flag.Int("leaders", 2, "scheduler leaders per job")
-	workers := flag.Int("workers", 2, "workers per leader")
 	kernelThreads := flag.Int("kernel-threads", 0, "intra-fragment kernel thread budget (0 = default)")
 	inflight := flag.Int("max-inflight", 0, "max fragment attempts in flight across jobs (0 = default, <0 = unbounded)")
 	maxQueued := flag.Int("max-queued", serve.DefaultMaxQueuedJobs, "admission bound on queued jobs")
@@ -63,7 +62,6 @@ func main() {
 		Tenants:              weights,
 		Runners:              *runners,
 		NumLeaders:           *leaders,
-		WorkersPerLeader:     *workers,
 		MaxInflightFragments: *inflight,
 		MaxQueuedJobs:        *maxQueued,
 		MaxQueuedPerTenant:   *maxPerTenant,
@@ -101,8 +99,8 @@ func main() {
 		hs.Shutdown(ctx)
 	}()
 
-	fmt.Printf("qfserve: listening on %s (runners=%d leaders=%d workers=%d store=%q)\n",
-		*addr, *runners, *leaders, *workers, *storeDir)
+	fmt.Printf("qfserve: listening on %s (runners=%d leaders=%d store=%q)\n",
+		*addr, *runners, *leaders, *storeDir)
 	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fatal(err)
 	}

@@ -1,15 +1,15 @@
 // Command qfworker is the cluster worker daemon: it connects to a qfcoord
 // coordinator, executes fragment leases with the in-process SCF+DFPT
-// engine (the leader–worker levels of the paper's three-level hierarchy,
-// §V-B), resolves each lease through the tiered cache (worker-local
-// store → coordinator fetch → recompute), and streams canonical result
-// blobs back. It reconnects with exponential backoff when the
-// coordinator link drops.
+// engine (each slot is a leader of the paper's master–leader–worker
+// hierarchy, §V-B; the worker level is the kernel budget, -kernel-threads),
+// resolves each lease through the tiered cache (worker-local store →
+// coordinator fetch → recompute), and streams canonical result blobs back.
+// It reconnects with exponential backoff when the coordinator link drops.
 //
 // Examples:
 //
 //	qfworker -coord 127.0.0.1:7070 -name node1 -slots 4
-//	qfworker -coord coord:7070 -store /var/qf/worker-store -threads 8
+//	qfworker -coord coord:7070 -store /var/qf/worker-store -kernel-threads 8
 package main
 
 import (
@@ -32,7 +32,6 @@ func main() {
 	coord := flag.String("coord", "127.0.0.1:7070", "coordinator TCP address")
 	name := flag.String("name", hostname(), "worker name (per-worker metrics label)")
 	slots := flag.Int("slots", max(1, runtime.NumCPU()/2), "concurrent fragment leases")
-	threads := flag.Int("threads", 2, "displacement fan-out width per fragment")
 	kernelThreads := flag.Int("kernel-threads", 0, "intra-fragment kernel thread budget (0 = GOMAXPROCS)")
 	storeDir := flag.String("store", "", "worker-local content-addressed store directory (the local cache tier; empty disables)")
 	throttle := flag.Duration("throttle", 0, "sleep this long before computing each fragment (chaos/testing knob)")
@@ -43,7 +42,7 @@ func main() {
 	if *kernelThreads > 0 {
 		par.SetBudget(*kernelThreads)
 	}
-	if err := run(*coord, *name, *slots, *threads, *storeDir, *throttle, *reconnects, *quiet); err != nil {
+	if err := run(*coord, *name, *slots, *storeDir, *throttle, *reconnects, *quiet); err != nil {
 		fmt.Fprintln(os.Stderr, "qfworker:", err)
 		os.Exit(1)
 	}
@@ -57,12 +56,11 @@ func hostname() string {
 	return h
 }
 
-func run(coord, name string, slots, threads int, storeDir string, throttle time.Duration, reconnects int, quiet bool) error {
+func run(coord, name string, slots int, storeDir string, throttle time.Duration, reconnects int, quiet bool) error {
 	cfg := cluster.WorkerConfig{
 		Addr:          coord,
 		Name:          name,
 		Slots:         slots,
-		Threads:       threads,
 		Throttle:      throttle,
 		MaxReconnects: reconnects,
 	}

@@ -397,6 +397,38 @@ func TestFetchStats(t *testing.T) {
 	}
 }
 
+// TestCoordinatorClosesAtOnce: with a worker and a client connected, Close
+// returns within 200 ms at the default HeartbeatTimeout; it does not wait for
+// the reaper's next tick, a quarter of that timeout.
+func TestCoordinatorClosesAtOnce(t *testing.T) {
+	co, addr := testCoordinator(t, CoordConfig{})
+	release := make(chan struct{})
+	startTestWorker(t, WorkerConfig{
+		Addr: addr, Name: "w0",
+		Process: func(f *fragment.Fragment, opt sched.Options) (*hessian.FragmentData, error) {
+			<-release
+			return fakeEngine(f, opt)
+		},
+	})
+	t.Cleanup(func() { close(release) }) // runs before the worker's cleanup
+	waitForWorkers(t, co, 1)
+	ran := make(chan error, 1)
+	go func() {
+		_, _, err := NewClient(addr).Run(fakeDecomposition(1, 1), sched.DefaultOptions())
+		ran <- err
+	}()
+	waitFor(t, "a client to connect", func() bool { return co.Snapshot().Clients == 1 })
+
+	start := time.Now()
+	co.Close()
+	if d := time.Since(start); d > 200*time.Millisecond {
+		t.Fatalf("Close took %v", d)
+	}
+	if err := <-ran; err == nil {
+		t.Fatal("the client's run succeeded on a closed coordinator")
+	}
+}
+
 // TestCoordinatorForgetsFinishedWork pins the coordinator's memory to the
 // work in flight. A daemon's lifetime of jobs — sequential ones, two racing
 // on the same keys (waiters), one whose client vanishes mid-job with a lease

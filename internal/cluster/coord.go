@@ -138,6 +138,7 @@ type Coordinator struct {
 
 	mu       sync.Mutex
 	closed   bool
+	stop     chan struct{} // closed by Close, with closed, to end the reaper
 	ln       net.Listener
 	workers  map[uint64]*workerConn
 	clients  map[uint64]*clientConn
@@ -175,6 +176,7 @@ func NewCoordinator(cfg CoordConfig) *Coordinator {
 	}
 	co := &Coordinator{
 		cfg:      cfg,
+		stop:     make(chan struct{}),
 		workers:  make(map[uint64]*workerConn),
 		clients:  make(map[uint64]*clientConn),
 		tasks:    make(map[uint64]*task),
@@ -260,6 +262,7 @@ func (co *Coordinator) Close() error {
 		return nil
 	}
 	co.closed = true
+	close(co.stop)
 	ln := co.ln
 	var conns []*transport
 	for _, w := range co.workers {
@@ -1018,7 +1021,12 @@ func (co *Coordinator) reaper() {
 	}
 	ticker := time.NewTicker(tick)
 	defer ticker.Stop()
-	for range ticker.C {
+	for {
+		select {
+		case <-co.stop:
+			return
+		case <-ticker.C:
+		}
 		co.mu.Lock()
 		if co.closed {
 			co.mu.Unlock()

@@ -2,7 +2,7 @@
 // lifts the paper's three-level MPI hierarchy (§V-B, Fig. 4) out of a
 // single process and onto plain TCP. A coordinator owns fragment
 // assignment with epoch-based ownership leases; worker daemons execute
-// fragments with their own in-process leader/worker fan-out and stream
+// fragments with the in-process engine, one per slot, and stream
 // results back over a versioned, length-prefixed binary RPC protocol that
 // reuses internal/store's CRC-32C codec discipline (magic, version, CRC
 // per frame). The content-addressed store becomes a tiered cache —

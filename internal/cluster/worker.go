@@ -23,8 +23,8 @@ type WorkerConfig struct {
 	// Slots is the number of concurrent leases (fragment-level
 	// parallelism); zero selects 1.
 	Slots int
-	// Threads is the per-fragment displacement fan-out width
-	// (sched.Options.WorkersPerLeader); zero keeps sched's default.
+	// Threads is ignored: a fragment's parallelism is the par kernel
+	// budget. It is kept only because bench/ compiles against it.
 	Threads int
 	// Store is the worker-local cache tier; nil disables it.
 	Store *store.Store
@@ -326,9 +326,6 @@ func (s *workerSession) resolve(l Lease) (uint8, []byte, error) {
 	f := &fragment.Fragment{ID: int(l.Task), Coeff: 1, Els: l.Els, Pos: l.Pos}
 	opt := sched.DefaultOptions()
 	opt.Job = l.Opt
-	if cfg.Threads > 0 {
-		opt.WorkersPerLeader = cfg.Threads
-	}
 	key, fr := store.Fingerprint(f, opt.Job)
 	if key != l.Key {
 		// The coordinator and this build disagree on the content

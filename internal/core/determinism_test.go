@@ -45,8 +45,7 @@ func waterFragment() *fragment.Fragment {
 // crash-resume dedup hash). The grid-Coulomb pipeline is used because it
 // exercises every parallel kernel family: batched GEMMs, the Poisson
 // sine transforms and boundary-moment reduction, the grid orbital and pair kernels, and
-// the Forces chunk-accumulator combine. The engine's displacement partition
-// runs at the same width as the kernels, so neither width is physics.
+// the Forces chunk-accumulator combine.
 func TestFragmentDataBitIdenticalAcrossKernelWidths(t *testing.T) {
 	opt := hessian.DefaultJobOptions()
 	opt.DFPT.Coulomb = dfpt.GridCoulomb
@@ -58,7 +57,7 @@ func TestFragmentDataBitIdenticalAcrossKernelWidths(t *testing.T) {
 	var refSum [sha256.Size]byte
 	for _, w := range kernelWidths() {
 		par.SetBudget(w)
-		data, _, err := hessian.ComputeFragment(waterFragment(), opt, w)
+		data, _, err := hessian.ComputeFragment(waterFragment(), opt)
 		if err != nil {
 			t.Fatalf("width %d: %v", w, err)
 		}

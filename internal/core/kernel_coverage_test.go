@@ -41,7 +41,6 @@ func TestEveryWiredKernelRecordsChunks(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Raman.FreqMin, cfg.Raman.FreqMax, cfg.Raman.FreqStep = 200, 4000, 10
 	cfg.Sched.NumLeaders = 1
-	cfg.Sched.WorkersPerLeader = 1
 	cfg.Sched.Job.DFPT.Coulomb = dfpt.GridCoulomb
 	cfg.Sched.Job.DFPT.GridSpacing = 0.8
 	cfg.Sched.Job.DFPT.GridMargin = 4.0

@@ -262,19 +262,19 @@ func alphaTensor(fd *FragmentData) (out [3][3][]float64) {
 
 // TestAnalyticFragmentDataWidthIndependent: the fragment engine's output on
 // the analytic route — Hessian, dipole and polarizability derivatives — is
-// the same to the bit at kernel width 1 with one displacement worker and at
-// width 4 with four; and its Hessian is the SkipAlpha run's to the bit — the
-// field derivatives move no bit of the nuclear response.
+// the same to the bit at kernel budgets 1 and 4; and its Hessian is the
+// SkipAlpha run's to the bit — the field derivatives move no bit of the
+// nuclear response.
 func TestAnalyticFragmentDataWidthIndependent(t *testing.T) {
 	defer par.SetBudget(0)
 	for _, fx := range analyticFixtures(t) {
 		par.SetBudget(1)
-		narrow, _, err := ComputeFragment(fx.f, DefaultJobOptions(), 1)
+		narrow, _, err := ComputeFragment(fx.f, DefaultJobOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
 		par.SetBudget(4)
-		wide, _, err := ComputeFragment(fx.f, DefaultJobOptions(), 4)
+		wide, _, err := ComputeFragment(fx.f, DefaultJobOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +283,7 @@ func TestAnalyticFragmentDataWidthIndependent(t *testing.T) {
 		}
 		hessOnly := DefaultJobOptions()
 		hessOnly.SkipAlpha = true
-		h, _, err := ComputeFragment(fx.f, hessOnly, 2)
+		h, _, err := ComputeFragment(fx.f, hessOnly)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,19 +299,19 @@ func TestAnalyticFragmentDataWidthIndependent(t *testing.T) {
 // degenerate levels still run it): Hessian and ∂μ to the loop's O(Step²),
 // 1e-4 of their largest entry, ∂α to 2e-3 (the planar water's point count
 // along z jumps under the loop's −z steps). Its output is the same to the bit
-// at kernel width 1 with one worker and at width 4 with four.
+// at kernel budgets 1 and 4.
 func TestGridAnalyticRouteMatchesTheLoop(t *testing.T) {
 	defer par.SetBudget(0)
 	opt := DefaultJobOptions()
 	opt.DFPT.Coulomb = dfpt.GridCoulomb
 	f := waterFragment()
 	par.SetBudget(1)
-	narrow, _, err := ComputeFragment(f, opt, 1)
+	narrow, _, err := ComputeFragment(f, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par.SetBudget(4)
-	wide, _, err := ComputeFragment(f, opt, 4)
+	wide, _, err := ComputeFragment(f, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestGridAnalyticRouteMatchesTheLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := displace(m, *o, 2)
+	results, err := displace(m, *o)
 	if err != nil {
 		t.Fatal(err)
 	}

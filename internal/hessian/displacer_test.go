@@ -12,6 +12,7 @@ import (
 	"qframan/internal/geom"
 	"qframan/internal/linalg"
 	"qframan/internal/obs"
+	"qframan/internal/par"
 	"qframan/internal/scf"
 	"qframan/internal/structure"
 )
@@ -41,7 +42,7 @@ func glycineFragment(t testing.TB) *fragment.Fragment {
 }
 
 // warmFixture is a calibrated fragment model with the options SolveReference
-// hands its displacement workers.
+// hands its displacement loop.
 func warmFixture(t testing.TB, f *fragment.Fragment) (*scf.Model, JobOptions) {
 	t.Helper()
 	m, err := ModelForFragment(f)
@@ -108,12 +109,10 @@ func countingScope(opt JobOptions, fs *obs.FragStats) JobOptions {
 }
 
 // TestFailedPlusStepDrainsTheQueue: a failing job fails the loop with its own
-// error, and the job queue still drains so that every worker returns. With
-// Step equal to minus the H₂ bond length, the reference solves but two jobs
-// put one hydrogen on the other — a singular overlap: job 1 (atom 0's −Step
-// along x) and job 6 (atom 1's +Step along x). At widths 1 and 4 the loop
-// returns job 1's error, the first failed job in job order, instead of
-// hanging or naming whichever job failed first in time.
+// error. With Step equal to minus the H₂ bond length, the reference solves but
+// two jobs put one hydrogen on the other — a singular overlap: job 1 (atom 0's
+// −Step along x) and job 6 (atom 1's +Step along x). At kernel budgets 1 and 4
+// the loop returns job 1's error, the first failed job in job order.
 func TestFailedPlusStepDrainsTheQueue(t *testing.T) {
 	f := &fragment.Fragment{
 		Els:       []constants.Element{constants.H, constants.H},
@@ -130,10 +129,12 @@ func TestFailedPlusStepDrainsTheQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		_, err := displace(m, *warm, workers)
+	defer par.SetBudget(par.Budget())
+	for _, budget := range []int{1, 4} {
+		par.SetBudget(budget)
+		_, err := displace(m, *warm)
 		if !errors.Is(err, linalg.ErrNotPositiveDefinite) || !strings.Contains(err.Error(), "atom 0 axis 0 sign -1") {
-			t.Errorf("width %d: %v, want the near-singular overlap of atom 0's −Step job", workers, err)
+			t.Errorf("kernel budget %d: %v, want the near-singular overlap of atom 0's −Step job", budget, err)
 		}
 	}
 }
@@ -217,9 +218,9 @@ func BenchmarkRunDisplacement(b *testing.B) {
 	}
 }
 
-// BenchmarkComputeFragment is the fragment engine end to end at width 1 —
-// model and calibration, reference solve, and the analytic route these gapped
-// fragments take (BenchmarkRunDisplacement times the displacement loop's jobs).
+// BenchmarkComputeFragment is the fragment engine end to end — model and
+// calibration, reference solve, and the analytic route these gapped fragments
+// take (BenchmarkRunDisplacement times the displacement loop's jobs).
 func BenchmarkComputeFragment(b *testing.B) {
 	for _, fx := range []struct {
 		name string
@@ -228,7 +229,7 @@ func BenchmarkComputeFragment(b *testing.B) {
 		b.Run(fx.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ComputeFragment(fx.frag, DefaultJobOptions(), 1); err != nil {
+				if _, _, err := ComputeFragment(fx.frag, DefaultJobOptions()); err != nil {
 					b.Fatal(err)
 				}
 			}

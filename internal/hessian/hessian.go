@@ -6,18 +6,17 @@
 // coupled-perturbed response to the field and to its 3N nuclear coordinates:
 // no displaced solve; in grid mode the ∂α is the adjoint of the grid response
 // at the reference (dfpt.GridAlphaDerivatives). The rest run the paper's
-// displacement loop, where each displacement is one worker job — an SCF
-// ground state, analytic forces and a DFPT polarizability at the displaced
-// geometry — and take central differences: fractional ground states, states
-// in a field, and grid mode's degenerate levels.
+// displacement loop, where each displacement is one job — an SCF ground
+// state, analytic forces and a DFPT polarizability at the displaced geometry
+// — and take central differences: fractional ground states, states in a
+// field, and grid mode's degenerate levels. The loop runs its jobs in order on
+// the calling goroutine; a fragment's parallelism is the par kernel budget.
 package hessian
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"qframan/internal/constants"
 	"qframan/internal/dfpt"
@@ -25,7 +24,6 @@ import (
 	"qframan/internal/geom"
 	"qframan/internal/linalg"
 	"qframan/internal/obs"
-	"qframan/internal/par"
 	"qframan/internal/scf"
 )
 
@@ -36,7 +34,7 @@ const DefaultStep = 5e-3
 // in the order (xx, yy, zz, xy, xz, yz).
 var AlphaComponents = [6][2]int{{0, 0}, {1, 1}, {2, 2}, {0, 1}, {0, 2}, {1, 2}}
 
-// DisplacementResult is the output of one worker job: forces, dipole
+// DisplacementResult is the output of one displacement job: forces, dipole
 // moment, and polarizability at a single displaced geometry.
 type DisplacementResult struct {
 	Atom, Axis int
@@ -127,7 +125,7 @@ func DefaultJobOptions() JobOptions {
 	}
 }
 
-// RunDisplacement executes one worker job of the displacement loop on the
+// RunDisplacement executes one job of the displacement loop on the
 // fragment model m, which it only reads: SCF ground state, forces, dipole and
 // (unless SkipAlpha) DFPT polarizability with the atom moved by sign·Step
 // along axis, on a model rebuilt at that geometry (scf.Model.Displaced). Set
@@ -371,13 +369,12 @@ func SmearingRungs(base float64) []float64 {
 // from one grid α solve and its adjoint (§7, "Grid ∂α by the adjoint"), which
 // needs split levels (dfpt.SplitLevels). The rest — fractional ground states,
 // and grid mode's degenerate levels — run the displacement loop, where each
-// displacement is one worker job (displace). Each rung taken above the first
+// displacement is one job (displace). Each rung taken above the first
 // is counted (obs.MetricSCFSmearingEscalations). When every rung fails the
 // error wraps the first rung's failure: the one at the smearing the caller
 // asked for.
 //
-// The result does not depend on workers, the number of displacement workers
-// the loop runs (width 1 runs inline on the caller's goroutine).
+// The result does not depend on the par kernel budget.
 // opt.SCF.InitDeltaQ, when set, seeds the calibration SCF and the reference
 // SCF of every rung. The calibration's ground state is the reference of a rung
 // whose SCF options are the calibration's (foldsInto): that rung solves no
@@ -386,12 +383,9 @@ func SmearingRungs(base float64) []float64 {
 // engine keeps.
 //
 // Trace layout under opt.Obs: a "model" span with the calibration's scf span,
-// the reference scf/dfpt spans, and worker w's "disp" spans on lane
-// opt.Obs.Track+1+w.
-func ComputeFragment(f *fragment.Fragment, opt JobOptions, workers int) (*FragmentData, *scf.Result, error) {
-	if workers < 1 {
-		return nil, nil, fmt.Errorf("hessian: fragment %d: need at least one displacement worker", f.ID)
-	}
+// the reference scf/dfpt spans, and the loop's "disp" spans, all on lane
+// opt.Obs.Track.
+func ComputeFragment(f *fragment.Fragment, opt JobOptions) (*FragmentData, *scf.Result, error) {
 	msc, mspan := opt.Obs.Begin("model", "engine")
 	m, cal, err := modelForFragment(f, opt.SCF.InitDeltaQ, msc)
 	mspan.End()
@@ -410,7 +404,7 @@ func ComputeFragment(f *fragment.Fragment, opt JobOptions, workers int) (*Fragme
 		if foldsInto(cal, o.SCF) {
 			ref = cal
 		}
-		data, ref, err := computeRung(m, o, workers, ref)
+		data, ref, err := computeRung(m, o, ref)
 		if err == nil {
 			return data, ref, nil
 		}
@@ -447,7 +441,7 @@ func analyticRoute(opt JobOptions, g *scf.Result) bool {
 // analytic data, or the displacement loop's finite differences of the Hessian
 // and both derivatives, in which case the fragment is counted
 // (obs.MetricHessianFDDerivativeFragments).
-func computeRung(m *scf.Model, opt JobOptions, workers int, ref *scf.Result) (*FragmentData, *scf.Result, error) {
+func computeRung(m *scf.Model, opt JobOptions, ref *scf.Result) (*FragmentData, *scf.Result, error) {
 	r, err := solveReference(m, opt, ref)
 	if err != nil {
 		return nil, nil, err
@@ -455,7 +449,7 @@ func computeRung(m *scf.Model, opt JobOptions, workers int, ref *scf.Result) (*F
 	if r.analytic != nil {
 		return r.analytic, r.ref, nil
 	}
-	results, err := displace(m, r.opt, workers)
+	results, err := displace(m, r.opt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -471,61 +465,18 @@ func computeRung(m *scf.Model, opt JobOptions, workers int, ref *scf.Result) (*F
 
 // displace runs the displacement loop of the reference model m with the
 // options SolveReference hands over: 6N independent jobs, each started from
-// the reference charges, taken from one queue by `workers` goroutines and
-// returned in job order (job 2c moves coordinate c by +Step, job 2c+1 by
-// −Step). A job's result depends only on its arguments and results are stored
-// by job, so neither the number of workers nor which of them ran a job is
-// physics. Once a job fails the workers drain the queue without running what
-// is left, and the loop returns the error of the first failed job in job
-// order: every width runs that job, because the queue hands jobs out in order.
-func displace(m *scf.Model, opt JobOptions, workers int) ([]*DisplacementResult, error) {
-	n := 6 * m.NumAtoms()
-	results := make([]*DisplacementResult, n)
-	errs := make([]error, n)
-	jobs := make(chan int, n)
-	for k := range n {
-		jobs <- k
-	}
-	close(jobs)
-	var failed atomic.Bool
-	work := func(w int) {
-		wopt := opt
-		if wopt.Obs.Enabled() {
-			wopt.Obs = wopt.Obs.WithTrack(wopt.Obs.Track + 1 + int32(w))
-		}
-		for k := range jobs {
-			if failed.Load() {
-				continue
-			}
-			c := k / 2
-			if results[k], errs[k] = RunDisplacement(m, c/3, c%3, 1-2*(k%2), wopt); errs[k] != nil {
-				failed.Store(true)
-			}
-		}
-	}
-	// Fragment-level and kernel-level parallelism share one token budget:
-	// each displacement worker holds a token while this fragment is in
-	// flight, so with many fragments active the inner kernels run narrow,
-	// and in the straggler tail (few fragments, idle cores) they widen.
-	release := par.Reserve(workers)
-	defer release()
-	if workers == 1 {
-		work(0)
-	} else {
-		var wg sync.WaitGroup
-		for w := range workers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work(w)
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
+// the reference charges, run in job order on the calling goroutine (job 2c
+// moves coordinate c by +Step, job 2c+1 by −Step). It returns the error of the
+// first failed job at once.
+func displace(m *scf.Model, opt JobOptions) ([]*DisplacementResult, error) {
+	results := make([]*DisplacementResult, 6*m.NumAtoms())
+	for k := range results {
+		c := k / 2
+		r, err := RunDisplacement(m, c/3, c%3, 1-2*(k%2), opt)
 		if err != nil {
 			return nil, err
 		}
+		results[k] = r
 	}
 	return results, nil
 }

@@ -14,6 +14,7 @@ import (
 	"qframan/internal/geom"
 	"qframan/internal/linalg"
 	"qframan/internal/obs"
+	"qframan/internal/par"
 	"qframan/internal/scf"
 	"qframan/internal/structure"
 )
@@ -58,20 +59,22 @@ func eigenFrequencies(s *Sparse) []float64 {
 	return out
 }
 
-// computeAtWidths runs the fragment engine inline (width 1) and over three
-// displacement workers and requires the two results to agree to the last bit:
-// every test that computes a fragment is also a test that the width of the
-// displacement partition is not physics.
+// computeAtWidths runs the fragment engine at kernel budgets 1 (inline) and 3
+// and requires the two results to agree to the last bit: every test that
+// computes a fragment is also a test that the kernel width is not physics.
 func computeAtWidths(t *testing.T, f *fragment.Fragment, opt JobOptions) *FragmentData {
 	t.Helper()
-	inline, ref, err := ComputeFragment(f, opt, 1)
+	defer par.SetBudget(par.Budget())
+	par.SetBudget(1)
+	inline, ref, err := ComputeFragment(f, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ref.DeltaQ) != f.NumAtoms() {
 		t.Fatalf("reference SCF carries %d charges for %d atoms", len(ref.DeltaQ), f.NumAtoms())
 	}
-	fanned, _, err := ComputeFragment(f, opt, 3)
+	par.SetBudget(3)
+	fanned, _, err := ComputeFragment(f, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,14 +432,14 @@ func TestSmearingEscalationsAreCounted(t *testing.T) {
 	escalations := reg.Counter(obs.MetricSCFSmearingEscalations)
 	opt := DefaultJobOptions()
 	opt.Obs = obs.NewScope(nil, reg)
-	if _, _, err := ComputeFragment(waterFragment(), opt, 1); err != nil {
+	if _, _, err := ComputeFragment(waterFragment(), opt); err != nil {
 		t.Fatal(err)
 	}
 	if got := escalations.Value(); got != 0 {
 		t.Fatalf("%s = %d after a first-rung fragment", obs.MetricSCFSmearingEscalations, got)
 	}
 	opt.SCF.MaxIter = 2
-	_, _, err := ComputeFragment(waterFragment(), opt, 1)
+	_, _, err := ComputeFragment(waterFragment(), opt)
 	if !errors.Is(err, scf.ErrNotConverged) || !strings.Contains(err.Error(), "failed at every smearing rung") {
 		t.Fatalf("got %v, want the ladder to fail with scf.ErrNotConverged", err)
 	}

@@ -12,6 +12,7 @@ import (
 	"qframan/internal/geom"
 	"qframan/internal/linalg"
 	"qframan/internal/obs"
+	"qframan/internal/par"
 	"qframan/internal/scf"
 )
 
@@ -37,7 +38,7 @@ func richardsonHessian(t *testing.T, m *scf.Model, r *reference) *linalg.Matrix 
 		opt.Step = step
 		opt.SkipAlpha = true
 		opt.SCF.Tol = 1e-13
-		res, err := displace(m, opt, 1)
+		res, err := displace(m, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,8 +267,8 @@ func fragmentDataSHA256(fd *FragmentData) string {
 // FragmentData to the bit (SHA-256 recorded at engine/11). Gapped grid-mode
 // and γ-mode waters run no displaced job. The loop still ships, so the
 // grid-mode water's loop FragmentData stays pinned too, by running the
-// reference hand-over, the loop at widths 1 and 4 and the central differences
-// directly.
+// reference hand-over, the loop at kernel budgets 1 and 4 and the central
+// differences directly.
 func TestDisplacementLoopRoutesKeepTheirBits(t *testing.T) {
 	grid := DefaultJobOptions()
 	grid.DFPT.Coulomb = dfpt.GridCoulomb
@@ -290,7 +291,7 @@ func TestDisplacementLoopRoutesKeepTheirBits(t *testing.T) {
 		reg := obs.NewRegistry()
 		opt := c.opt
 		opt.Obs = obs.NewScope(nil, reg)
-		data, _, err := ComputeFragment(c.f, opt, 2)
+		data, _, err := ComputeFragment(c.f, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -321,8 +322,10 @@ func TestDisplacementLoopRoutesKeepTheirBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		results, err := displace(m, *o, workers)
+	defer par.SetBudget(par.Budget())
+	for _, budget := range []int{1, 4} {
+		par.SetBudget(budget)
+		results, err := displace(m, *o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +334,7 @@ func TestDisplacementLoopRoutesKeepTheirBits(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := fragmentDataSHA256(data); got != gridWaterSHA256 {
-			t.Errorf("grid-mode water through the loop at width %d: FragmentData SHA-256 %s, want %s", workers, got, gridWaterSHA256)
+			t.Errorf("grid-mode water through the loop at kernel budget %d: FragmentData SHA-256 %s, want %s", budget, got, gridWaterSHA256)
 		}
 	}
 }

@@ -32,7 +32,7 @@ func A(key string, val int64) Arg { return Arg{Key: key, Val: val} }
 type SpanRecord struct {
 	ID     uint64
 	Parent uint64 // 0 = root
-	Track  int32  // Chrome tid; groups spans by leader/worker lane
+	Track  int32  // Chrome tid; groups spans by leader lane
 	Name   string
 	Cat    string
 	Start  time.Duration // offset from the tracer epoch

@@ -1,6 +1,6 @@
 // Package par is the deterministic intra-fragment parallel kernel layer —
 // the second of the paper's two nested levels of parallelism (§V): fragments
-// fan out across leaders and workers (internal/sched), while *inside* every
+// fan out across leaders (internal/sched), while *inside* every
 // DFPT phase the data-parallel loops — grid-batch GEMMs, the Poisson sine
 // transforms, density/potential integration, the sparse Hessian–vector products
 // of the Lanczos solver — fan out across the cores of one node (the Sunway
@@ -29,13 +29,15 @@
 // # Token budget
 //
 // A process-wide budget of kernel threads (default GOMAXPROCS, overridable
-// with SetBudget / the qframan -kernel-threads flag / QF_KERNEL_THREADS)
-// coordinates the two parallelism levels: the scheduler Reserve()s one token
-// per displacement worker while a fragment is in flight, and kernels
-// TryAcquire whatever remains. Few big fragments → many free tokens → wide
-// kernels; many small fragments → no free tokens → kernels run inline on
-// their caller. Acquisition never blocks, so nested parallel calls cannot
-// deadlock and the host is never oversubscribed.
+// with SetBudget / the -kernel-threads flag / QF_KERNEL_THREADS) sizes the
+// second level. The first is the scheduler's leaders, one goroutine per
+// fragment in flight, which run their fragment's kernels themselves. A kernel
+// takes whatever helper tokens are free (tryAcquire) and returns them when it
+// ends, so the kernels of many busy leaders share the helpers and run narrow,
+// while the last fragments of the straggler tail find the tokens the finished
+// ones released and run wide. Acquisition never blocks, so nested parallel
+// calls cannot deadlock, and no more than one goroutine per leader plus
+// budget − 1 helpers compute at once.
 package par
 
 import (
@@ -79,7 +81,8 @@ var (
 	budgetMu    sync.Mutex
 	budgetTotal int
 	// tokens is the number of helper workers currently available. It can go
-	// negative under reservation pressure; TryAcquire treats ≤0 as empty.
+	// negative when SetBudget shrinks the budget while helpers hold tokens;
+	// tryAcquire treats ≤0 as empty.
 	tokens atomic.Int64
 )
 
@@ -112,21 +115,6 @@ func Budget() int {
 	budgetMu.Lock()
 	defer budgetMu.Unlock()
 	return budgetTotal
-}
-
-// Reserve withholds n tokens from the kernel pool — one per goroutine the
-// caller is about to keep busy with its own (fragment-level) parallelism —
-// and returns a release function. While reserved, kernels go narrower so
-// fragment fan-out and kernel fan-out never oversubscribe the host.
-func Reserve(n int) (release func()) {
-	if n <= 0 {
-		return func() {}
-	}
-	tokens.Add(int64(-n))
-	var once sync.Once
-	return func() {
-		once.Do(func() { tokens.Add(int64(n)) })
-	}
 }
 
 // tryAcquire takes up to k helper tokens without blocking.

@@ -108,35 +108,6 @@ func TestSmallReductionMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestReserveNarrowsKernels(t *testing.T) {
-	withBudget(t, 4, func() {
-		release := Reserve(3) // 3 helper tokens exist; reserve them all
-		var maxConc int32
-		var mu sync.Mutex
-		conc := 0
-		For("test", 1<<16, 1, func(lo, hi int) {
-			mu.Lock()
-			conc++
-			if int32(conc) > maxConc {
-				maxConc = int32(conc)
-			}
-			mu.Unlock()
-			time.Sleep(100 * time.Microsecond)
-			mu.Lock()
-			conc--
-			mu.Unlock()
-		})
-		if maxConc > 1 {
-			t.Fatalf("kernel used %d workers while all tokens reserved", maxConc)
-		}
-		release()
-		release() // double release must not over-credit
-		if got := Budget(); got != 4 {
-			t.Fatalf("budget drifted to %d", got)
-		}
-	})
-}
-
 // TestPoolStress hammers nested For/ReduceSum from many goroutines; run
 // under -race this is the pool's data-race gate.
 func TestPoolStress(t *testing.T) {

@@ -26,7 +26,7 @@ func dimerGlobal(t *testing.T) *hessian.Global {
 	opt := hessian.DefaultJobOptions()
 	datas := make([]*hessian.FragmentData, len(dec.Fragments))
 	for i := range dec.Fragments {
-		datas[i], _, err = hessian.ComputeFragment(&dec.Fragments[i], opt, 1)
+		datas[i], _, err = hessian.ComputeFragment(&dec.Fragments[i], opt)
 		if err != nil {
 			t.Fatal(err)
 		}

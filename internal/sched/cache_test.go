@@ -44,7 +44,6 @@ func cacheOptions(t *testing.T, s *store.Store, resume bool, calls *atomic.Int64
 	t.Helper()
 	opt := DefaultOptions()
 	opt.NumLeaders = 2
-	opt.WorkersPerLeader = 1
 	opt.Cache = CacheOptions{Store: s, Resume: resume}
 	opt.Process = func(f *fragment.Fragment, _ Options) (*hessian.FragmentData, error) {
 		if calls != nil {

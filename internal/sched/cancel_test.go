@@ -18,7 +18,6 @@ func TestCancelAbortsRun(t *testing.T) {
 	started := make(chan struct{}, 64)
 	opt := DefaultOptions()
 	opt.NumLeaders = 2
-	opt.WorkersPerLeader = 1
 	opt.Process = func(f *fragment.Fragment, _ Options) (*hessian.FragmentData, error) {
 		started <- struct{}{}
 		time.Sleep(time.Millisecond)

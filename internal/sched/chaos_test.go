@@ -106,7 +106,6 @@ func TestChaosExactlyOnceAllPolicies(t *testing.T) {
 				dec := fakeDecomposition(randomSizes(rng, 30+rng.Intn(31)))
 				opt := DefaultOptions()
 				opt.NumLeaders = leaders
-				opt.WorkersPerLeader = 1
 				opt.StragglerTimeout = 10 * time.Millisecond
 				opt.Retry = chaosRetry()
 				opt.Injector = faults.NewInjector(faults.Config{
@@ -144,7 +143,6 @@ func TestChaosAcceptance(t *testing.T) {
 		dec := fakeDecomposition(sizes)
 		opt := DefaultOptions()
 		opt.NumLeaders = 4
-		opt.WorkersPerLeader = 1
 		opt.Process = fakeProcess
 		datas, report, err := Run(dec, opt)
 		if err != nil {
@@ -176,7 +174,6 @@ func TestChaosAcceptance(t *testing.T) {
 	dec := fakeDecomposition(sizes)
 	opt := DefaultOptions()
 	opt.NumLeaders = 4
-	opt.WorkersPerLeader = 1
 	opt.StragglerTimeout = 15 * time.Millisecond
 	opt.Retry = chaosRetry()
 	opt.Injector = inj
@@ -206,7 +203,6 @@ func TestDeterministicFailureDegrades(t *testing.T) {
 	dec := fakeDecomposition(randomSizes(rand.New(rand.NewSource(2)), 40))
 	opt := DefaultOptions()
 	opt.NumLeaders = 3
-	opt.WorkersPerLeader = 1
 	opt.Retry = chaosRetry()
 	opt.MaxFailedFragments = 1
 	opt.Injector = faults.NewInjector(faults.Config{Seed: 4, HardFailFrags: []int{7}})
@@ -235,7 +231,6 @@ func TestDeterministicFailureAbortsWithoutBudget(t *testing.T) {
 	dec := fakeDecomposition([]int{6, 6, 6, 6, 6, 6, 6, 6})
 	opt := DefaultOptions()
 	opt.NumLeaders = 2
-	opt.WorkersPerLeader = 1
 	opt.Retry = chaosRetry()
 	opt.Injector = faults.NewInjector(faults.Config{Seed: 1, HardFailFrags: []int{0}})
 	opt.Process = fakeProcess
@@ -260,7 +255,6 @@ func TestMultiLeaderErrorsJoined(t *testing.T) {
 	ready := make(chan struct{})
 	opt := DefaultOptions()
 	opt.NumLeaders = nl
-	opt.WorkersPerLeader = 1
 	opt.Process = func(f *fragment.Fragment, _ Options) (*hessian.FragmentData, error) {
 		// Barrier: every leader must be mid-fragment before any fails, so
 		// all four failures race into the abort path together.
@@ -288,7 +282,6 @@ func TestPanicRecoveredAndRetried(t *testing.T) {
 	var calls sync.Map
 	opt := DefaultOptions()
 	opt.NumLeaders = 2
-	opt.WorkersPerLeader = 1
 	opt.Retry = chaosRetry()
 	opt.Process = func(f *fragment.Fragment, o Options) (*hessian.FragmentData, error) {
 		if _, loaded := calls.LoadOrStore(f.ID, true); !loaded && f.ID == 2 {
@@ -316,7 +309,6 @@ func TestNaNResultRejected(t *testing.T) {
 	dec := fakeDecomposition([]int{6, 6, 6})
 	opt := DefaultOptions()
 	opt.NumLeaders = 1
-	opt.WorkersPerLeader = 1
 	opt.Retry = chaosRetry()
 	opt.MaxFailedFragments = 1
 	opt.Process = func(f *fragment.Fragment, _ Options) (*hessian.FragmentData, error) {
@@ -348,7 +340,6 @@ func TestTransientExhaustionFallsBackToBudget(t *testing.T) {
 	dec := fakeDecomposition([]int{6, 6, 6, 6})
 	opt := DefaultOptions()
 	opt.NumLeaders = 2
-	opt.WorkersPerLeader = 1
 	opt.Retry = chaosRetry() // 5 attempts
 	opt.MaxFailedFragments = 1
 	opt.Process = func(f *fragment.Fragment, _ Options) (*hessian.FragmentData, error) {

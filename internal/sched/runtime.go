@@ -1,10 +1,11 @@
-// Package sched implements the paper's three-level master–leader–worker
-// runtime (§V-A, Fig. 3) over content classes: the master hands out one
-// class representative per pull — retries, promotions and straggler
-// requeues first, then fresh representatives largest first (the size order
-// of the paper's load balancer, §V-B, Fig. 4) — each leader runs that
-// fragment's atomic-displacement jobs, and workers run the per-displacement
-// SCF+DFPT step.
+// Package sched implements the paper's master–leader runtime (§V-A, Fig. 3)
+// over content classes: the master hands out one class representative per
+// pull — retries, promotions and straggler requeues first, then fresh
+// representatives largest first (the size order of the paper's load
+// balancer, §V-B, Fig. 4) — and each leader runs that fragment through the
+// fragment engine (hessian.ComputeFragment). The paper's third level, workers
+// that split one fragment's displacement jobs, is here the par kernel budget
+// the engine's kernels draw on.
 package sched
 
 import (
@@ -24,9 +25,8 @@ import (
 
 // Options configures the goroutine runtime.
 type Options struct {
-	NumLeaders       int
-	WorkersPerLeader int
-	Job              hessian.JobOptions
+	NumLeaders int
+	Job        hessian.JobOptions
 	// StragglerTimeout re-enqueues fragments that have been processing
 	// longer than this without completing (Fig. 4(a): "fragments processed
 	// for a long time but not yet completed are marked un-processed again").
@@ -48,8 +48,8 @@ type Options struct {
 	// and may stall it, fail it, poison its result with NaNs, or panic —
 	// the chaos-testing hook (see internal/faults).
 	Injector faults.Injector
-	// Process overrides the fragment engine (the leader's model build +
-	// displacement fan-out). Tests and custom engines use it; nil selects
+	// Process overrides the fragment engine (hessian.ComputeFragment's model
+	// build and solves). Tests and custom engines use it; nil selects
 	// the built-in SCF+DFPT pipeline (DefaultProcess).
 	Process ProcessFunc
 	// WarmStart, when non-nil, supplies an initial per-atom charge guess
@@ -86,7 +86,7 @@ type Options struct {
 	// scope is threaded down to the SCF/DFPT engine for per-phase spans.
 	// The zero Scope disables all of it.
 	Obs obs.Scope
-	// Backend, when non-nil, replaces the in-process leader/worker fan-out
+	// Backend, when non-nil, replaces the in-process leader fan-out
 	// with a pluggable dispatch backend — Run delegates the whole fragment
 	// loop to it. internal/cluster.Client implements this to fan fragments
 	// out to remote worker daemons over the wire (qframan -cluster);
@@ -129,7 +129,7 @@ func DefaultProcess(f *fragment.Fragment, opt Options) (*hessian.FragmentData, e
 			job.SCF.InitDeltaQ = seed
 		}
 	}
-	data, ref, err := hessian.ComputeFragment(f, job, opt.WorkersPerLeader)
+	data, ref, err := hessian.ComputeFragment(f, job)
 	if err == nil && opt.OnReference != nil {
 		opt.OnReference(f, ref.DeltaQ, ref.Iterations)
 	}
@@ -176,10 +176,9 @@ type CacheOptions struct {
 // DefaultOptions sizes the runtime for functional (single-machine) runs.
 func DefaultOptions() Options {
 	return Options{
-		NumLeaders:       2,
-		WorkersPerLeader: 2,
-		Job:              hessian.DefaultJobOptions(),
-		Retry:            faults.DefaultRetryPolicy(),
+		NumLeaders: 2,
+		Job:        hessian.DefaultJobOptions(),
+		Retry:      faults.DefaultRetryPolicy(),
 	}
 }
 
@@ -258,16 +257,16 @@ type retryEntry struct {
 // elsewhere).
 const waitTick = time.Millisecond
 
-// Run executes the displacement loops of all fragments on the three-level
-// runtime and returns per-fragment data in decomposition order. With a
-// fail-soft budget (Options.MaxFailedFragments > 0) the returned slice may
-// contain nils exactly at Report.Failed.
+// Run computes every fragment on the master–leader runtime and returns
+// per-fragment data in decomposition order. With a fail-soft budget
+// (Options.MaxFailedFragments > 0) the returned slice may contain nils exactly
+// at Report.Failed.
 func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Report, error) {
 	if opt.Backend != nil {
 		return opt.Backend.Run(dec, opt)
 	}
-	if opt.NumLeaders <= 0 || opt.WorkersPerLeader <= 0 {
-		return nil, nil, fmt.Errorf("sched: need at least one leader and one worker")
+	if opt.NumLeaders <= 0 {
+		return nil, nil, fmt.Errorf("sched: need at least one leader")
 	}
 	nf := len(dec.Fragments)
 	sizes := make([]int, nf)
@@ -669,10 +668,10 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 		go func(leaderID int) {
 			defer wg.Done()
 			stats := &report.Leaders[leaderID]
-			// Trace lanes: leader l owns track 1+l*(W+1); its W workers take
-			// the following W tracks (see hessian.ComputeFragment). Track 0 holds
-			// the run and fragment spans.
-			leaderTrack := int32(1 + leaderID*(opt.WorkersPerLeader+1))
+			// Trace lanes: leader l owns track 1+l, its fragment engine's
+			// spans included (see hessian.ComputeFragment). Track 0 holds the
+			// run and fragment spans.
+			leaderTrack := int32(1 + leaderID)
 			for {
 				fi, attempt, wait := claim()
 				if fi < 0 {

@@ -21,7 +21,6 @@ func TestDispatchOrder(t *testing.T) {
 	var claims []int
 	opt := DefaultOptions()
 	opt.NumLeaders = 1
-	opt.WorkersPerLeader = 1
 	opt.Retry = faults.RetryPolicy{MaxAttempts: 2} // no backoff: ready at once
 	opt.Process = func(f *fragment.Fragment, _ Options) (*hessian.FragmentData, error) {
 		claims = append(claims, f.ID)
@@ -84,8 +83,7 @@ func TestRunWaterDimers(t *testing.T) {
 
 func TestRunMatchesSerial(t *testing.T) {
 	// The runtime schedules the engine, it does not change it: fragments run
-	// by leaders with three displacement workers each carry the bits of the
-	// engine run inline at width 1.
+	// by two leaders carry the bits of the engine run inline.
 	sys := structure.BuildWaterDimerSystem(1)
 	dec, err := fragment.Decompose(sys, fragment.DefaultOptions())
 	if err != nil {
@@ -93,18 +91,17 @@ func TestRunMatchesSerial(t *testing.T) {
 	}
 	opt := DefaultOptions()
 	opt.NumLeaders = 2
-	opt.WorkersPerLeader = 3
 	parallel, _, err := Run(dec, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range dec.Fragments {
-		serial, _, err := hessian.ComputeFragment(&dec.Fragments[i], opt.Job, 1)
+		serial, _, err := hessian.ComputeFragment(&dec.Fragments[i], opt.Job)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !parallel[i].BitEqual(serial) {
-			t.Fatalf("fragment %d: sched.Run at width 3 differs from the engine at width 1", i)
+			t.Fatalf("fragment %d: sched.Run with two leaders differs from the engine run inline", i)
 		}
 	}
 }

@@ -32,11 +32,10 @@ func chaosEngine(f *fragment.Fragment, opt sched.Options) (*hessian.FragmentData
 // requests) over a shared store.
 func chaosConfig(t *testing.T) Config {
 	return Config{
-		Store:            openStore(t, t.TempDir()),
-		Runners:          3,
-		NumLeaders:       1,
-		WorkersPerLeader: 1,
-		Process:          chaosEngine,
+		Store:      openStore(t, t.TempDir()),
+		Runners:    3,
+		NumLeaders: 1,
+		Process:    chaosEngine,
 	}
 }
 

@@ -98,10 +98,9 @@ type Config struct {
 	// arbitrates. Zero picks the default; negative means unbounded.
 	MaxInflightFragments int
 
-	// NumLeaders/WorkersPerLeader shape each job's scheduler runtime;
-	// zero values keep sched.DefaultOptions.
-	NumLeaders       int
-	WorkersPerLeader int
+	// NumLeaders sizes each job's scheduler runtime; zero keeps
+	// sched.DefaultOptions.
+	NumLeaders int
 	// Fragment controls decomposition; the zero value selects
 	// fragment.DefaultOptions.
 	Fragment fragment.Options
@@ -481,9 +480,6 @@ func (s *Server) execute(j *Job) (*ReportSummary, *SpectrumPayload, error) {
 	opt := sched.DefaultOptions()
 	if s.cfg.NumLeaders > 0 {
 		opt.NumLeaders = s.cfg.NumLeaders
-	}
-	if s.cfg.WorkersPerLeader > 0 {
-		opt.WorkersPerLeader = s.cfg.WorkersPerLeader
 	}
 	opt.Job.SkipAlpha = j.req.HessianOnly
 	opt.Cancel = j.cancel

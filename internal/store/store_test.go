@@ -10,6 +10,7 @@ import (
 	"qframan/internal/geom"
 	"qframan/internal/hessian"
 	"qframan/internal/linalg"
+	"qframan/internal/par"
 )
 
 func mustOpen(t *testing.T, dir string) *Store {
@@ -313,11 +314,14 @@ func TestStoreServesRotatedFragment(t *testing.T) {
 		t.Fatal("rigid copies do not share a key")
 	}
 
-	da, _, err := hessian.ComputeFragment(fa, opt, 1)
+	defer par.SetBudget(par.Budget())
+	par.SetBudget(1)
+	da, _, err := hessian.ComputeFragment(fa, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, _, err := hessian.ComputeFragment(fb, opt, 3)
+	par.SetBudget(3)
+	db, _, err := hessian.ComputeFragment(fb, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

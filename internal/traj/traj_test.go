@@ -214,7 +214,6 @@ func fakeOptions(t *testing.T, calls *atomic.Int64) core.Config {
 		return fd, nil
 	}
 	cfg.Sched.NumLeaders = 1
-	cfg.Sched.WorkersPerLeader = 1
 	return cfg
 }
 
