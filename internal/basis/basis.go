@@ -252,6 +252,26 @@ func OverlapDeriv(f, g *Func) geom.Vec3 {
 // 4α²·s(i+2,j) − 2α(2i+1)·s(i,j) + i(i−1)·s(i−2,j).
 func OverlapHessian(f, g *Func) (h [3][3]float64) {
 	t := axes1D(f, g, 2)
+	return OverlapHessianFrom(&t, f, g)
+}
+
+// PairTables returns the per-axis OS tables of two s or p functions' centers
+// and exponents at the extent OverlapHessian needs for any pair of s or p
+// functions with those centers and exponents. An entry does not depend on the
+// table's extent, so one table serves every function pair of two atoms of a
+// minimal basis (ForAtoms gives an atom's functions one exponent).
+func PairTables(f, g *Func) (out [3][4][4]float64) {
+	ca := [3]float64{f.Center.X, f.Center.Y, f.Center.Z}
+	cb := [3]float64{g.Center.X, g.Center.Y, g.Center.Z}
+	for ax := 0; ax < 3; ax++ {
+		out[ax] = os1D(f.Alpha, g.Alpha, ca[ax], cb[ax], 3, 1)
+	}
+	return out
+}
+
+// OverlapHessianFrom is OverlapHessian of f and g read from tables t of their
+// centers and exponents (axes1D with two extra powers, or PairTables).
+func OverlapHessianFrom(t *[3][4][4]float64, f, g *Func) (h [3][3]float64) {
 	var base, der, der2 [3]float64
 	for ax := 0; ax < 3; ax++ {
 		i, j, s, al := f.L[ax], g.L[ax], &t[ax], f.Alpha

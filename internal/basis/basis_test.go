@@ -133,7 +133,8 @@ func TestOverlapDerivMatchesFiniteDifference(t *testing.T) {
 
 // TestOverlapHessianMatchesFiniteDifference checks ∂²<f|g>/∂A_a∂A_b against
 // central differences of OverlapDeriv along A_b, its symmetry, and the
-// translation rules ∂²/∂B² = ∂²/∂A² and ∂²/∂A∂B = −∂²/∂A² on the swapped pair.
+// translation rules ∂²/∂B² = ∂²/∂A² and ∂²/∂A∂B = −∂²/∂A² on the swapped pair,
+// and that PairTables gives every pair the same Hessian bit for bit.
 func TestOverlapHessianMatchesFiniteDifference(t *testing.T) {
 	const h = 1e-5
 	shift := func(f Func, ax int, d float64) Func {
@@ -145,6 +146,9 @@ func TestOverlapHessianMatchesFiniteDifference(t *testing.T) {
 	for idx, pr := range testPairs() {
 		f, g := pr[0], pr[1]
 		got := OverlapHessian(&f, &g)
+		if pt := PairTables(&f, &g); OverlapHessianFrom(&pt, &f, &g) != got {
+			t.Errorf("pair %d: Hessian from the pair tables differs", idx)
+		}
 		swapped := OverlapHessian(&g, &f) // ∂²<g|f>/∂B²
 		for b := 0; b < 3; b++ {
 			fp, fm := shift(f, b, h), shift(f, b, -h)

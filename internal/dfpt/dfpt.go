@@ -828,16 +828,7 @@ func (e *cycleEnv) densityMatrix() {
 		e.newP1.Symmetrize()
 		return
 	}
-	// P⁽¹⁾ = Z + Zᵀ.
-	n, d := e.newP1.Rows, e.newP1.Data
-	for i := 0; i < n; i++ {
-		for j := 0; j < i; j++ {
-			s := d[i*n+j] + d[j*n+i]
-			d[i*n+j] = s
-			d[j*n+i] = s
-		}
-		d[i*n+i] = 2 * d[i*n+i]
-	}
+	e.newP1.AddTranspose() // P⁽¹⁾ = Z + Zᵀ
 }
 
 // gammaResponsePotential computes V⁽¹⁾ = γ·Δq⁽¹⁾ — the v⁽¹⁾ phase.

@@ -40,13 +40,18 @@ func Responses(m *scf.Model, ground *scf.Result, opt Options) (*scf.FieldRespons
 //	P⁽ᶜ⁾ = sym((L·u − R·T)·Rᵀ),  T = Rᵀ·S⁽ᶜ⁾·R,  u = W∘(Lᵀ·(H⁽ᶜ⁾ − S⁽ᶜ⁾·ε)·R),
 //
 // ε the occupied column's orbital energy and W the field response's pair
-// weights (L = C_virt, R = C_occ, sym(Z) = Z + Zᵀ). With H⁽ᶜ⁾ = h1 +
-// ½S∘(v_A + v_B) (scf.Perturbation.Build) and v = Γ·Δq⁽ᶜ⁾ the only part that
-// depends on the answer, the Mulliken charges Δq⁽ᶜ⁾ of P⁽ᶜ⁾·S + P·S⁽ᶜ⁾ close
-// on themselves as the field's do: (I − χ·Γ)·Δq⁽ᶜ⁾ = q₀⁽ᶜ⁾, q₀ the charges at
-// v = 0. All 3N right-hand sides are solved in one elimination, then each
-// P⁽ᶜ⁾ is built once. No virtual orbitals, a zero pivot and a non-finite
-// charge or P⁽ᶜ⁾ are ErrDiverged.
+// weights (L = C_virt, R = C_occ, sym(Z) = Z + Zᵀ). With H⁽ᶜ⁾ = S⁽ᶜ⁾∘κ +
+// ½S∘(w_A + w_B + v_A + v_B) (scf.Perturbation), w = Γ⁽ᶜ⁾·Δq, and v =
+// Γ·Δq⁽ᶜ⁾ the only part that depends on the answer, the Mulliken charges
+// Δq⁽ᶜ⁾ of P⁽ᶜ⁾·S + P·S⁽ᶜ⁾ close on themselves as the field's do:
+// (I − χ·Γ)·Δq⁽ᶜ⁾ = q₀⁽ᶜ⁾, q₀ the charges at v = 0. S⁽ᶜ⁾ lives in the moved
+// atom's n_A rows and columns, so every product with it is two products with
+// its row block (scf.Sandwich), the three axes of an atom batched, and the
+// potentials enter u as Σ_B (w_B + v_B)·K_B — so the charges of the frozen
+// part w are χ·w. All 3N right-hand sides are solved in one elimination and
+// P⁽ᶜ⁾ is never formed: the response keeps u and the moved atom's rows of
+// S⁽ᶜ⁾·R, which T is made of (scf.NuclearResponse). No virtual orbitals, a zero pivot and a non-finite
+// charge or factor are ErrDiverged.
 func (e *cycleEnv) nuclear(ground *scf.Result, sc obs.Scope) (*scf.NuclearResponse, error) {
 	_, span := sc.Begin("dfpt.nuclear", "dfpt")
 	defer span.End()
@@ -59,44 +64,91 @@ func (e *cycleEnv) nuclear(ground *scf.Result, sc obs.Scope) (*scf.NuclearRespon
 	na := m.NumAtoms()
 	n3, pairs := 3*na, nl*nr
 	mat := linalg.NewMatrix
-	gemm := func(transA bool, a, b *linalg.Matrix, beta float64, c *linalg.Matrix) {
-		linalg.Gemm(transA, false, 1, a, b, beta, c, ops)
+	gemm := func(a, b *linalg.Matrix, c *linalg.Matrix) {
+		linalg.Gemm(false, false, 1, a, b, 0, c, ops)
 	}
-	epsOcc := make([]float64, nr)
+	// R·ε, the occupied orbitals scaled by their energies.
+	eps, reps := make([]float64, nr), r.Clone()
 	for i, k := range e.idx[nl:n] {
-		epsOcc[i] = ground.Eps[k]
+		eps[i] = ground.Eps[k]
+	}
+	for mu := 0; mu < n; mu++ {
+		row := reps.Row(mu)
+		for i, x := range eps {
+			row[i] *= x
+		}
 	}
 	pert := m.NuclearPerturbation(ground)
-	s1, h1 := mat(n, n), mat(n, n)
-	tl, us, tr, t := mat(nl, n), mat(nl, nr), mat(nr, n), mat(nr, nr)
+	out := scf.NewNuclearResponse(pert, l, r)
+	nb := 3 * pert.MaxRows()
+	s3, sk3 := mat(nb, n), mat(nb, n)
+	sr, sl, kr, kl := mat(nb, nr), mat(nb, nl), mat(nb, nr), mat(nb, nl)
+	mt, rm := mat(nr, nr), mat(n, nr)
+	wk := e.wk[:pairs]
 	w := make([]float64, na)
-	// u[c] and z[c] = R·T of each coordinate wait for the charges; q holds
-	// the right-hand sides q₀, then the solutions, in its columns.
-	u, z := make([]*linalg.Matrix, n3), make([]*linalg.Matrix, n3)
+	// q holds the right-hand sides q₀, then the solutions, in its columns.
 	q := mat(na, n3)
-	for c := 0; c < n3; c++ {
-		pert.Build(c, s1, h1, w)
-		u[c], z[c] = mat(nl, nr), mat(n, nr)
-		gemm(true, l, h1, 0, tl)
-		gemm(false, tl, r, 0, u[c])
-		gemm(true, l, s1, 0, tl)
-		gemm(false, tl, r, 0, us)
-		for a := 0; a < nl; a++ {
-			row, srow, wrow := u[c].Row(a), us.Row(a), e.w.Row(a)
-			for i := range row {
-				row[i] = wrow[i] * (row[i] - srow[i]*epsOcc[i])
+	var sA, skA, srA, slA, krA, klA, lA, rA, reA, vs, vr, vl, vkr, vkl linalg.Matrix
+	for a := 0; a < na; a++ {
+		first, size := pert.Rows(a)
+		rows := 3 * size
+		sA, skA = s3.RowBlock(0, rows), sk3.RowBlock(0, rows)
+		pert.Block(a, &sA, &skA)
+		srA, slA, krA, klA = sr.RowBlock(0, rows), sl.RowBlock(0, rows), kr.RowBlock(0, rows), kl.RowBlock(0, rows)
+		gemm(&sA, r, &srA)
+		gemm(&sA, l, &slA)
+		gemm(&skA, r, &krA)
+		for i := 0; i < rows; i++ { // s∘κ·R − s·R·ε
+			krow, srow := krA.Row(i), srA.Row(i)
+			for j, x := range eps {
+				krow[j] -= srow[j] * x
 			}
 		}
-		gemm(true, r, s1, 0, tr)
-		gemm(false, tr, r, 0, t)
-		gemm(false, r, t, 0, z[c])
-		for a := 0; a < na; a++ {
-			q.Set(a, c, e.chargeMul*linalg.Dot(e.k[a*pairs:(a+1)*pairs], u[c].Data))
+		gemm(&skA, l, &klA)
+		lA, rA, reA = l.RowBlock(first, first+size), r.RowBlock(first, first+size), reps.RowBlock(first, first+size)
+		for ax := 0; ax < 3; ax++ {
+			c, lo, hi := 3*a+ax, ax*size, (ax+1)*size
+			vs, vr, vl = s3.RowBlock(lo, hi), sr.RowBlock(lo, hi), sl.RowBlock(lo, hi)
+			vkr, vkl = kr.RowBlock(lo, hi), kl.RowBlock(lo, hi)
+			out.SR[c].CopyFrom(&vr)
+			// u = W∘(Lᵀ·(S⁽ᶜ⁾∘κ)·R − (Lᵀ·S⁽ᶜ⁾·R)·ε) so far, the ε term folded
+			// into s∘κ·R above and (s·L)ᵀ·(R·ε)_A here; then its charges and
+			// those of the frozen potential w, χ·w.
+			u := out.U[c]
+			scf.Sandwich(u, &lA, &vkr, &vkl, &rA, 1, 0, ops)
+			linalg.Gemm(true, false, -1, &vl, &reA, 1, u, ops)
+			for i, x := range e.w.Data {
+				u.Data[i] *= x
+			}
+			pert.GammaPotential(c, w)
+			for b := 0; b < na; b++ {
+				q.Set(b, c, e.chargeMul*linalg.Dot(e.k[b*pairs:(b+1)*pairs], u.Data)+linalg.Dot(e.chi.Row(b), w))
+			}
+			// P·S⁽ᶜ⁾ adds Σ_μ∈B (P·S⁽ᶜ⁾)_μμ: the products P_μν·s_μν of the
+			// block, on atom a and on the atom of ν.
+			for i := 0; i < size; i++ {
+				prow, srow := ground.P.Row(first+i), vs.Row(i)
+				for nu, b := range e.atomOf {
+					x := prow[nu] * srow[nu]
+					q.Add(a, c, x)
+					q.Add(b, c, x)
+				}
+			}
 		}
-		// −2·R·T·Rᵀ has populations −4·Σ_μ (R·T)_μ·(½S·R)_μ; P·S⁽ᶜ⁾ adds
-		// Σ_μ P_μ·S⁽ᶜ⁾_μ.
-		for mu, a := range e.atomOf {
-			q.Add(a, c, linalg.Dot(ground.P.Row(mu), s1.Row(mu))-4*linalg.Dot(z[c].Row(mu), e.sr.Row(mu)))
+	}
+	// −2·R·T·Rᵀ has the populations −4·Σ_μ∈B (R·T)_μ·(½S·R)_μ = −4⟨T, M_B⟩,
+	// M_B = R_Bᵀ·(½S·R)_B; with T = R_Aᵀ·SR + SRᵀ·R_A that is
+	// −4⟨SR, (R·(M_B + M_Bᵀ))_A⟩.
+	var rB, srB linalg.Matrix
+	for b := 0; b < na; b++ {
+		first, size := pert.Rows(b)
+		rB, srB = r.RowBlock(first, first+size), e.sr.RowBlock(first, first+size)
+		linalg.Gemm(true, false, 1, &rB, &srB, 0, mt, ops)
+		mt.AddTranspose()
+		gemm(r, mt, rm)
+		for c, srC := range out.SR {
+			fa, _ := pert.Rows(c / 3)
+			q.Add(b, c, -4*linalg.Dot(srC.Data, rm.Data[fa*nr:fa*nr+len(srC.Data)]))
 		}
 	}
 	e.fac.CopyFrom(e.sys)
@@ -108,42 +160,33 @@ func (e *cycleEnv) nuclear(ground *scf.Result, sc obs.Scope) (*scf.NuclearRespon
 			return nil, fmt.Errorf("%w: non-finite nuclear response charge", ErrDiverged)
 		}
 	}
-	out := &scf.NuclearResponse{P1: make([]*linalg.Matrix, n3), DQ1: make([][]float64, n3)}
-	lu := mat(n, nr)
-	wk := e.wk[:pairs]
 	for c := 0; c < n3; c++ {
-		dq := make([]float64, na)
+		dq := out.DQ1[c]
 		for a := range dq {
 			dq[a] = q.At(a, c)
 		}
 		copy(e.dq1, dq)
 		e.gammaResponsePotential()
-		// u += W∘(Σ_B v_B·K_B), the response potential's share.
+		// u += W∘(Σ_B (w_B + v_B)·K_B), the potentials' share.
+		pert.GammaPotential(c, w)
+		for a, v := range e.v1 {
+			w[a] += v
+		}
 		clear(wk)
-		for b, v := range e.v1 {
-			linalg.Axpy(v, e.k[b*pairs:(b+1)*pairs], wk)
+		for b, x := range w {
+			linalg.Axpy(x, e.k[b*pairs:(b+1)*pairs], wk)
 		}
+		u := out.U[c]
 		for i, x := range e.w.Data {
-			u[c].Data[i] += x * wk[i]
+			u.Data[i] += x * wk[i]
 		}
-		lu.CopyFrom(z[c])
-		linalg.Gemm(false, false, 1, l, u[c], -1, lu, ops)
-		p1 := mat(n, n)
-		linalg.Gemm(false, true, 1, lu, r, 0, p1, ops)
-		d := p1.Data
-		for i := 0; i < n; i++ {
-			for j := 0; j < i; j++ {
-				s := d[i*n+j] + d[j*n+i]
-				d[i*n+j], d[j*n+i] = s, s
-			}
-			d[i*n+i] *= 2
-		}
-		for _, v := range d {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("%w: non-finite nuclear response (coordinate %d)", ErrDiverged, c)
+		for _, f := range [2]*linalg.Matrix{u, out.SR[c]} {
+			for _, v := range f.Data {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return nil, fmt.Errorf("%w: non-finite nuclear response (coordinate %d)", ErrDiverged, c)
+				}
 			}
 		}
-		out.P1[c], out.DQ1[c] = p1, dq
 	}
 	return out, nil
 }

@@ -2,10 +2,30 @@ package dfpt
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
+	"qframan/internal/linalg"
+	"qframan/internal/obs"
+	"qframan/internal/par"
 	"qframan/internal/scf"
 )
+
+// perturbedDensity returns dP/dR_c = sym((L·U[c] − R·T)·Rᵀ), T = R_Aᵀ·SR[c]
+// + SR[c]ᵀ·R_A, from the response's factors, sym(Z) = Z + Zᵀ.
+func perturbedDensity(nr *scf.NuclearResponse, c int) *linalg.Matrix {
+	no := nr.R.Cols
+	first, size := nr.Pert.Rows(c / 3)
+	ra := nr.R.RowBlock(first, first+size)
+	t := linalg.NewMatrix(no, no)
+	scf.Sandwich(t, &ra, nr.SR[c], nr.SR[c], &ra, 1, 0, nil)
+	z := linalg.NewMatrix(nr.L.Rows, no)
+	linalg.Gemm(false, false, -1, nr.R, t, 0, z, nil)
+	linalg.Gemm(false, false, 1, nr.L, nr.U[c], 1, z, nil)
+	p1 := linalg.MatMul(false, true, z, nr.R, nil)
+	p1.AddTranspose()
+	return p1
+}
 
 // TestNuclearHessianResponseMatchesDisplacedGroundStates: the first-order
 // nuclear response of each gapped γ-mode fixture — dP/dR_c and dΔq/dR_c for
@@ -61,13 +81,13 @@ func TestNuclearHessianResponseMatchesDisplacedGroundStates(t *testing.T) {
 			return out
 		}
 		var worstP, scaleP, worstQ, scaleQ float64
-		for c := range nr.P1 {
+		for c := range nr.DQ1 {
 			pp, qp := displaced(c, h)
 			pm, qm := displaced(c, -h)
 			pp2, qp2 := displaced(c, h/2)
 			pm2, qm2 := displaced(c, -h/2)
 			wantP, wantQ := richardson(pp, pm, pp2, pm2), richardson(qp, qm, qp2, qm2)
-			for i, v := range nr.P1[c].Data {
+			for i, v := range perturbedDensity(nr, c).Data {
 				worstP = math.Max(worstP, math.Abs(v-wantP[i]))
 				scaleP = math.Max(scaleP, math.Abs(v))
 			}
@@ -86,5 +106,45 @@ func TestNuclearHessianResponseMatchesDisplacedGroundStates(t *testing.T) {
 		if worstP > tol*scaleP || worstQ > tol*scaleQ {
 			t.Errorf("%s: nuclear response off the displaced ground states: P %.1e, Δq %.1e", fx.name, worstP/scaleP, worstQ/scaleQ)
 		}
+	}
+}
+
+// TestNuclearResponseAllocationCeiling: what the nuclear route adds to the
+// field response on glycine — the 3N nuclear responses and NuclearHessian —
+// allocates fewer bytes than the 3N dense n×n dP/dR_c alone (3N·n²·8), which
+// the route kept before its responses were factored. The field response
+// itself (fieldResponse: the cycle environment, P⁽¹⁾ and P⁽²⁾) is not
+// counted: it allocates more than the bound on its own and is unchanged.
+func TestNuclearResponseAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	defer par.SetBudget(0)
+	par.SetBudget(1)
+	m, ground := glycineModel(t)
+	w, _, err := fieldResponse(m, ground, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		nr, err := w.env.nuclear(ground, obs.Scope{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.NuclearHessian(ground, nr)
+	}
+	run()
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	n, n3 := m.Basis.Size(), 3*m.NumAtoms()
+	got, bound := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(n3*n*n*8)
+	t.Logf("glycine: nuclear responses + NuclearHessian allocate %d B, bound %d B", got, bound)
+	if got >= bound {
+		t.Errorf("glycine: nuclear responses + NuclearHessian allocate %d B, want < %d (3N dense n×n)", got, bound)
 	}
 }

@@ -53,6 +53,13 @@ type DisplacementResult struct {
 // internal/poisson bumps poisson.SolverTag instead, which moves only
 // grid-mode keys.
 //
+// engine/12: the analytic route's nuclear responses and Hessian are
+// contracted atom-locally — each ∂S/∂R_c through its moved atom's row block,
+// the response kept as factors, the Hessian's response term in pair space,
+// its explicit ∂²S term summed per atom pair — instead of through dense n×n
+// matrices per coordinate and per-function-pair updates. Reordered sums move
+// the analytic Hessian by ≤ 3e-16 and grid mode's ∂α by ≤ 1e-15 of their
+// largest entries; γ-mode ∂μ and ∂α and the displacement loop keep every bit.
 // engine/11: every job of the displacement loop starts its SCF from the
 // reference charges q₀; a −Step job no longer starts from its +Step partner's
 // predictor 2·q₀ − q₊, which moves the loop's results within Tol. Analytic
@@ -99,7 +106,7 @@ type DisplacementResult struct {
 // engine/2: Pulay mixing in the DFPT cycle, Fermi search that stops once the
 // electrons are counted. (engine/1, never hashed: linear response mixing,
 // Fermi level bisected to the last ulp.)
-const EngineVersion = "engine/11"
+const EngineVersion = "engine/12"
 
 // JobOptions bundles the solver settings of a displacement job.
 type JobOptions struct {

@@ -61,6 +61,12 @@ func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
 // Row returns a view of row i (shared storage).
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
+// RowBlock returns a view of rows [lo, hi) (shared storage). It is a value,
+// so a caller that reuses one variable for its views allocates nothing.
+func (m *Matrix) RowBlock(lo, hi int) Matrix {
+	return Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
+}
+
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.Rows, m.Cols)
@@ -124,6 +130,21 @@ func (m *Matrix) Symmetrize() {
 			m.Data[i*n+j] = v
 			m.Data[j*n+i] = v
 		}
+	}
+}
+
+// AddTranspose replaces m by m + mᵀ; m must be square.
+func (m *Matrix) AddTranspose() {
+	if m.Rows != m.Cols {
+		panic("linalg: AddTranspose on non-square matrix")
+	}
+	n, d := m.Rows, m.Data
+	for i := 0; i < n; i++ {
+		for j := 0; j < i; j++ {
+			s := d[i*n+j] + d[j*n+i]
+			d[i*n+j], d[j*n+i] = s, s
+		}
+		d[i*n+i] *= 2
 	}
 }
 

@@ -16,6 +16,9 @@ var (
 	GlycineGeometry = glycineGeometry
 	BitEqualFloats  = bitEqualFloats
 	MaxAbsDiff      = maxAbsDiff
+
+	DenseNuclearHessian  = denseNuclearHessian
+	DenseOrbitalResponse = denseOrbitalResponse
 )
 
 // FixedPointResidual evaluates the charge map once at dq and returns

@@ -9,143 +9,229 @@ import (
 )
 
 // NuclearResponse is the first-order response of a gapped ground state to its
-// 3N nuclear coordinates, c = 3A+a for axis a of atom A: P1[c] = dP/dR_c and
-// DQ1[c] = dΔq/dR_c, total derivatives — the basis moves with its atoms, so
-// they include the overlap-response terms. dfpt.Responses computes it.
+// 3N nuclear coordinates, c = 3A+a for axis a of atom A, in factored form:
+// with L = C_virt and R = C_occ,
+//
+//	dP/dR_c = sym((L·U[c] − R·T)·Rᵀ),  T = Rᵀ·S⁽ᶜ⁾·R = R_Aᵀ·SR[c] + SR[c]ᵀ·R_A,
+//
+// sym(Z) = Z + Zᵀ, S⁽ᶜ⁾ = ∂S/∂R_c, U[c] the virtual×occupied rotation, SR[c]
+// the n_A×n_occ rows of S⁽ᶜ⁾·R on atom A and R_A those of R; and DQ1[c] =
+// dΔq/dR_c. Both are total derivatives — the basis moves with its atoms, so
+// they include the overlap-response terms. No n×n or n_occ×n_occ matrix is
+// kept per coordinate: the consumers contract the factors (DESIGN.md §7, "The
+// Hessian by coupled-perturbed SCC"). Pert is the perturbation the response
+// was solved for, which they reuse. dfpt.Responses computes it.
 type NuclearResponse struct {
-	P1  []*linalg.Matrix
-	DQ1 [][]float64
+	Pert  *Perturbation
+	L, R  *linalg.Matrix
+	U, SR []*linalg.Matrix
+	DQ1   [][]float64
 }
 
-// Perturbation builds the first-order perturbations of a ground state by its
-// nuclear coordinates (Build). It is fixed by the model and the ground state,
-// and read-only once made.
+// NewNuclearResponse returns a zero response to be filled for the
+// perturbation: copies of l and r (the virtual and occupied orbitals), and
+// U, SR and DQ1 laid out for every coordinate.
+func NewNuclearResponse(p *Perturbation, l, r *linalg.Matrix) *NuclearResponse {
+	n, na := p.m.Basis.Size(), p.m.NumAtoms()
+	n3, nl, no := 3*na, l.Cols, r.Cols
+	u, sr, dq := make([]float64, n3*nl*no), make([]float64, 3*n*no), make([]float64, n3*na)
+	nr := &NuclearResponse{
+		Pert: p, L: l.Clone(), R: r.Clone(),
+		U: make([]*linalg.Matrix, n3), SR: make([]*linalg.Matrix, n3), DQ1: make([][]float64, n3),
+	}
+	for c := 0; c < n3; c++ {
+		first, size := p.Rows(c / 3)
+		at := (3*first + c%3*size) * no
+		nr.U[c] = linalg.NewMatrixFrom(nl, no, u[c*nl*no:(c+1)*nl*no])
+		nr.SR[c] = linalg.NewMatrixFrom(size, no, sr[at:at+size*no])
+		nr.DQ1[c] = dq[c*na : (c+1)*na]
+	}
+	return nr
+}
+
+// Perturbation holds what the first-order perturbations of a ground state by
+// its nuclear coordinates are made of: the overlap-derivative table of the
+// model, κ_μν = ½K(ε_μ + ε_ν) + ½(V_A + V_B) of Forces and a table of ∂γ. A
+// coordinate c = 3A+a moves atom A's basis functions only, so ∂S/∂R_c is zero outside their n_A rows and columns and on
+// their same-atom block: with s its n_A×n row block and E_A the injection of
+// A's rows, ∂S/∂R_c = E_A·s + sᵀ·E_Aᵀ (Block). The charge-fixed part of
+// ∂H/∂R_c is (∂S/∂R_c)∘κ + ½S∘(w_A + w_B) with w = (∂Γ/∂R_c)·Δq
+// (GammaPotential); the full perturbation adds ½S∘(v_A + v_B) for the
+// response potential v = Γ·dΔq/dR_c. No n×n matrix is built per coordinate.
+// It is fixed by the model and the ground state, and read-only once made.
 type Perturbation struct {
-	m     *Model
-	dq    []float64      // the ground state's charges
-	kappa *linalg.Matrix // κ_ij = ½K(ε_i + ε_j) + ½(V_A + V_B) of Forces
+	m      *Model
+	dq, v0 []float64   // the ground state's charges and SCC potentials
+	half   []float64   // ½K·ε_μ + ½V_A(μ): κ_μν = half_μ + half_ν
+	dGamma []geom.Vec3 // ∂γ_AB/∂R_A at A·N+B, zero for A = B
+	maxLen int         // the most basis functions on one atom
 }
 
-// NuclearPerturbation returns the perturbation builder of the ground state.
+// NuclearPerturbation returns the perturbation of the ground state.
 func (m *Model) NuclearPerturbation(ground *Result) *Perturbation {
-	v0 := make([]float64, m.NumAtoms())
+	na := m.NumAtoms()
+	v0 := make([]float64, na)
 	m.sccPotential(ground.DeltaQ, v0)
-	funcs := m.Basis.Funcs
-	kappa := linalg.NewMatrix(len(funcs), len(funcs))
-	for i := range funcs {
-		fi, row := &funcs[i], kappa.Row(i)
-		for j := range funcs {
-			fj := &funcs[j]
-			row[j] = 0.5*wolfsbergK*(fi.OnsiteE+fj.OnsiteE) + 0.5*(v0[fi.Atom]+v0[fj.Atom])
+	half := make([]float64, m.Basis.Size())
+	for i, f := range m.Basis.Funcs {
+		half[i] = 0.5*wolfsbergK*f.OnsiteE + 0.5*v0[f.Atom]
+	}
+	dGamma := make([]geom.Vec3, na*na)
+	p := &Perturbation{m: m, dq: ground.DeltaQ, v0: v0, half: half, dGamma: dGamma}
+	for a := 0; a < na; a++ {
+		for b := 0; b < na; b++ {
+			if b != a {
+				dGamma[a*na+b] = m.gammaDeriv(a, b)
+			}
+		}
+		_, size := p.Rows(a)
+		p.maxLen = max(p.maxLen, size)
+	}
+	return p
+}
+
+// Rows returns the first basis function of atom a and how many it has.
+func (p *Perturbation) Rows(a int) (first, size int) {
+	fa := p.m.Basis.FirstOfAtom
+	first, end := fa[a], p.m.Basis.Size()
+	if a+1 < len(fa) {
+		end = fa[a+1]
+	}
+	return first, end - first
+}
+
+// MaxRows returns the most basis functions any one atom has: 3·MaxRows() rows
+// hold any atom's Block.
+func (p *Perturbation) MaxRows() int { return p.maxLen }
+
+// Block fills the first 3n_A rows of s with the row blocks of ∂S/∂R_c for
+// the three coordinates c = 3a, 3a+1, 3a+2 of atom a — rows ax·n_A + i hold
+// row first+i of axis ax — and the same rows of sk with their product with κ,
+// the row blocks of (∂S/∂R_c)∘κ. Both have n columns, zero on a's own.
+func (p *Perturbation) Block(a int, s, sk *linalg.Matrix) {
+	m := p.m
+	n := m.Basis.Size()
+	first, size := p.Rows(a)
+	for i := 0; i < size; i++ {
+		mu := first + i
+		hi := p.half[mu]
+		for nu := 0; nu < n; nu++ {
+			var d geom.Vec3
+			switch {
+			case nu < first:
+				d = m.dS[nu*n+mu].Scale(-1)
+			case nu >= first+size:
+				d = m.dS[mu*n+nu]
+			}
+			k := hi + p.half[nu]
+			for ax, v := range [3]float64{d.X, d.Y, d.Z} {
+				s.Set(ax*size+i, nu, v)
+				sk.Set(ax*size+i, nu, v*k)
+			}
 		}
 	}
-	return &Perturbation{m: m, dq: ground.DeltaQ, kappa: kappa}
 }
 
-// Build fills s1 with ∂S/∂R_c, w with w = (∂Γ/∂R_c)·Δq and h1 with the part of
-// ∂H/∂R_c that holds the charges fixed,
-//
-//	h1 = S⁽ᶜ⁾∘κ + ½S∘(w_A + w_B),
-//
-// for the coordinate c = 3A+a. S⁽ᶜ⁾ is zero outside the rows and columns of
-// atom A's functions and on their same-atom block. The full perturbation is
-// h1 + ½S∘(v_A + v_B) for the response potential v = Γ·dΔq/dR_c.
-func (p *Perturbation) Build(c int, s1, h1 *linalg.Matrix, w []float64) {
-	m := p.m
-	m.overlapResponse(c, s1)
-	m.gammaDerivPotential(c, p.dq, w)
-	for i, v := range s1.Data {
-		h1.Data[i] = v * p.kappa.Data[i]
+// GammaPotential sets w = (∂Γ/∂R_c)·Δq, w_A = Σ_B ∂γ_AB/∂R_c·Δq_B, for the
+// coordinate c = 3C+a: only the pairs that contain C move.
+func (p *Perturbation) GammaPotential(c int, w []float64) {
+	atom, ax := c/3, c%3
+	na := len(w)
+	clear(w)
+	for b := range w {
+		if b == atom {
+			continue
+		}
+		g := component(p.dGamma[atom*na+b], ax) // ∂γ_CB/∂R_C = −∂γ_CB/∂R_B
+		w[atom] += g * p.dq[b]
+		w[b] += g * p.dq[atom]
 	}
-	m.addPotential(h1, w)
+}
+
+// Sandwich sets dst = alpha·(lAᵀ·xr + xlᵀ·rA) + beta·dst: the product Lᵀ·X·R
+// for X = E_A·x + xᵀ·E_Aᵀ, the symmetric matrix of an n_A×n row block x on
+// atom A's functions (Perturbation), from lA and rA, the rows of L and R on
+// A, and xr = x·R and xl = x·L. Two GEMMs of inner dimension n_A.
+func Sandwich(dst, lA, xr, xl, rA *linalg.Matrix, alpha, beta float64, ops *linalg.Ops) {
+	linalg.Gemm(true, false, alpha, lA, xr, beta, dst, ops)
+	linalg.Gemm(true, false, alpha, xl, rA, 1, dst, ops)
 }
 
 // OrbitalResponse returns the first-order response of a gapped ground
 // state's canonical orbitals and orbital energies to each nuclear coordinate c,
 // from its nuclear response: C⁽ᶜ⁾ = C·u[c] and eps1[c][p] = ∂ε_p/∂R_c. With
-// the full perturbation H⁽ᶜ⁾ = h1 + ½S∘(v_A + v_B), v = Γ·DQ1[c] (Build's h1
-// plus the response potential), H̃ = Cᵀ·H⁽ᶜ⁾·C and S̃ = Cᵀ·S⁽ᶜ⁾·C,
-// differentiating H·C = S·C·ε and CᵀSC = I gives
+// the full perturbation H⁽ᶜ⁾ = (∂S/∂R_c)∘κ + ½S∘(V_A + V_B), V = Γ·DQ1[c] +
+// (∂Γ/∂R_c)·Δq, H̃ = Cᵀ·H⁽ᶜ⁾·C and S̃ = Cᵀ·S⁽ᶜ⁾·C, differentiating H·C = S·C·ε
+// and CᵀSC = I gives
 //
 //	u_pq = (H̃ − ε_q·S̃)_pq / (ε_q − ε_p) (p ≠ q),  u_pp = −½S̃_pp,
 //	ε⁽ᶜ⁾_p = (H̃ − ε_p·S̃)_pp,
 //
 // whose occupied×virtual block is the one the nuclear response solved for.
-// The canonical choice needs distinct orbital energies within the occupied
-// and within the virtual block; the caller vouches for them and for a gapped,
+// S̃ and the κ part of H̃ are Z + Zᵀ with Z = C_Aᵀ·(s·C) for the row block s
+// (Perturbation.Block); the potential part is Σ_B V_B·K_B, K_B = C_Bᵀ·(½S·C)_B
+// + its transpose (the orbitals' ½S∘(v_A + v_B) for a unit potential on B),
+// built once per atom. The
+// canonical choice needs distinct orbital energies within the occupied and
+// within the virtual block; the caller vouches for them and for a gapped,
 // field-free ground state.
 func (m *Model) OrbitalResponse(ground *Result, nr *NuclearResponse) (u []*linalg.Matrix, eps1 [][]float64) {
+	pert := nr.Pert
 	n, na := m.Basis.Size(), m.NumAtoms()
-	sq := func() *linalg.Matrix { return linalg.NewMatrix(n, n) }
-	pert := m.NuclearPerturbation(ground)
-	s1, h1, t, hm, sm := sq(), sq(), sq(), sq(), sq()
-	w, v := make([]float64, na), make([]float64, na)
+	mat := linalg.NewMatrix
 	c, eps := ground.C, ground.Eps
-	mo := func(a, dst *linalg.Matrix) {
-		linalg.Gemm(true, false, 1, c, a, 0, t, m.Ops)
-		linalg.Gemm(false, false, 1, t, c, 0, dst, m.Ops)
+	sc := mat(n, n)
+	linalg.Gemm(false, false, 0.5, m.S, c, 0, sc, m.Ops) // ½S·C
+	var cA, xA linalg.Matrix
+	k := make([]*linalg.Matrix, na)
+	for b := range k {
+		first, size := pert.Rows(b)
+		cA, xA = c.RowBlock(first, first+size), sc.RowBlock(first, first+size)
+		k[b] = mat(n, n)
+		linalg.Gemm(true, false, 1, &cA, &xA, 0, k[b], m.Ops)
+		k[b].AddTranspose()
 	}
+	nb := 3 * pert.MaxRows()
+	s3, sk3, s3c, sk3c := mat(nb, n), mat(nb, n), mat(nb, n), mat(nb, n)
+	hm, sm := mat(n, n), mat(n, n)
+	v, vq := make([]float64, na), make([]float64, na)
+	var sb, skb, sx, kx linalg.Matrix
 	u, eps1 = make([]*linalg.Matrix, 3*na), make([][]float64, 3*na)
-	for y := range u {
-		pert.Build(y, s1, h1, w)
-		m.sccPotential(nr.DQ1[y], v)
-		m.addPotential(h1, v)
-		mo(h1, hm)
-		mo(s1, sm)
-		u[y], eps1[y] = sq(), make([]float64, n)
-		for p := 0; p < n; p++ {
-			row, hrow, srow := u[y].Row(p), hm.Row(p), sm.Row(p)
-			for q := 0; q < n; q++ {
-				if q == p {
-					row[q] = -0.5 * srow[q]
-					eps1[y][p] = hrow[p] - eps[p]*srow[p]
-					continue
+	for a := 0; a < na; a++ {
+		first, size := pert.Rows(a)
+		pert.Block(a, s3, sk3)
+		sb, skb = s3.RowBlock(0, 3*size), sk3.RowBlock(0, 3*size)
+		sx, kx = s3c.RowBlock(0, 3*size), sk3c.RowBlock(0, 3*size)
+		linalg.Gemm(false, false, 1, &sb, c, 0, &sx, m.Ops)
+		linalg.Gemm(false, false, 1, &skb, c, 0, &kx, m.Ops)
+		cA = c.RowBlock(first, first+size)
+		for ax := 0; ax < 3; ax++ {
+			y := 3*a + ax
+			sx, kx = s3c.RowBlock(ax*size, (ax+1)*size), sk3c.RowBlock(ax*size, (ax+1)*size)
+			linalg.Gemm(true, false, 1, &cA, &sx, 0, sm, m.Ops)
+			sm.AddTranspose()
+			linalg.Gemm(true, false, 1, &cA, &kx, 0, hm, m.Ops)
+			hm.AddTranspose()
+			pert.GammaPotential(y, v)
+			m.sccPotential(nr.DQ1[y], vq)
+			for b, vb := range v {
+				hm.AddMatrix(k[b], vb+vq[b])
+			}
+			u[y], eps1[y] = mat(n, n), make([]float64, n)
+			for p := 0; p < n; p++ {
+				row, hrow, srow := u[y].Row(p), hm.Row(p), sm.Row(p)
+				for q := 0; q < n; q++ {
+					if q == p {
+						row[q] = -0.5 * srow[q]
+						eps1[y][p] = hrow[p] - eps[p]*srow[p]
+						continue
+					}
+					row[q] = (hrow[q] - eps[q]*srow[q]) / (eps[q] - eps[p])
 				}
-				row[q] = (hrow[q] - eps[q]*srow[q]) / (eps[q] - eps[p])
 			}
 		}
 	}
 	return u, eps1
-}
-
-// overlapResponse fills s1 with ∂S/∂R_c from the model's overlap-derivative
-// table: dS of the pair i < j is the derivative along the atom of i, and the
-// atom of j sees its negative.
-func (m *Model) overlapResponse(c int, s1 *linalg.Matrix) {
-	atom, ax := c/3, c%3
-	funcs := m.Basis.Funcs
-	n := len(funcs)
-	s1.Zero()
-	for mu := m.Basis.FirstOfAtom[atom]; mu < n && funcs[mu].Atom == atom; mu++ {
-		for nu := range funcs {
-			if funcs[nu].Atom == atom {
-				continue
-			}
-			var v float64
-			if mu < nu {
-				v = component(m.dS[mu*n+nu], ax)
-			} else {
-				v = -component(m.dS[nu*n+mu], ax)
-			}
-			s1.Set(mu, nu, v)
-			s1.Set(nu, mu, v)
-		}
-	}
-}
-
-// gammaDerivPotential sets w_A = Σ_B ∂γ_AB/∂R_c·dq_B for the coordinate
-// c = 3C+a: only the pairs that contain C move.
-func (m *Model) gammaDerivPotential(c int, dq, w []float64) {
-	atom, ax := c/3, c%3
-	clear(w)
-	for b := range m.Els {
-		if b == atom {
-			continue
-		}
-		g := component(m.gammaDeriv(atom, b), ax) // ∂γ_CB/∂R_C = −∂γ_CB/∂R_B
-		w[atom] += g * dq[b]
-		w[b] += g * dq[atom]
-	}
 }
 
 // gammaDeriv returns ∂γ_ab/∂R_a of the Klopman–Ohno kernel, −d/(r²+c²)^{3/2}
@@ -191,23 +277,37 @@ func (m *Model) gammaHessian(a, b int) (h [3][3]float64) {
 //
 // The energy-weighted density of a gapped state is W = ½·P·H·P at every
 // geometry, so with H⁽ʸ⁾ = S⁽ʸ⁾∘κ + ½S∘(V⁽ʸ⁾_A + V⁽ʸ⁾_B) the product rule
-// gives W⁽ʸ⁾ = sym(P⁽ʸ⁾·H·P + ½P·H⁽ʸ⁾·P) as in FieldDerivatives (DESIGN.md §7,
-// "The Hessian by coupled-perturbed SCC"). The caller vouches that the ground
-// state is gapped and field-free (dfpt.Gapped).
+// gives W⁽ʸ⁾ = sym(P⁽ʸ⁾·H·P + ½P·H⁽ʸ⁾·P) as in FieldDerivatives. The
+// response term is contracted without P⁽ʸ⁾ or any n×n matrix per coordinate
+// (DESIGN.md §7, "The Hessian by coupled-perturbed SCC"): with the symmetric
+// G⁽ˣ⁾ = κ∘S⁽ˣ⁾ − ½(S⁽ˣ⁾·P·H + H·P·S⁽ˣ⁾) that every P⁽ʸ⁾ of e⁽ʸ⁾ meets and
+// tr(P⁽ʸ⁾·G) = 2(⟨Lᵀ·G·R, U_y⟩ − ⟨Rᵀ·G·R, T_y⟩),
+//
+//	H_xy = 2(⟨Lᵀ·G⁽ˣ⁾·R, U_y⟩ − ⟨Rᵀ·G⁽ˣ⁾·R, T_y⟩) + ⟨π⁽ˣ⁾ − σ⁽ˣ⁾, V⁽ʸ⁾⟩
+//	       + ⟨Γ⁽ˣ⁾·Δq, Δq⁽ʸ⁾⟩ − ½⟨P·(κ∘S⁽ʸ⁾)·P, S⁽ˣ⁾⟩,
+//
+// π⁽ˣ⁾ the Mulliken populations of P·S⁽ˣ⁾ and σ⁽ˣ⁾_A = Σ_{μ∈A}
+// (P·S⁽ˣ⁾·P·½S)_μμ. G⁽ˣ⁾ is atom-local plus a rank-2n_A term, so both its
+// projections come from products with x's row block (Sandwich) and P·H·L,
+// P·H·R built once; the first term is then a pair-space dot product with
+// U_y and one with SR_y (NuclearResponse), the next two one (3N×2N)·(2N×3N)
+// GEMM, the last an n×n_A·n product per column. The caller vouches that the
+// ground state is gapped and field-free (dfpt.Gapped).
 func (m *Model) NuclearHessian(ground *Result, nr *NuclearResponse) *linalg.Matrix {
+	pert := nr.Pert
 	n, na := m.Basis.Size(), m.NumAtoms()
 	n3 := 3 * na
-	sq := func() *linalg.Matrix { return linalg.NewMatrix(n, n) }
-	gemm := func(alpha float64, a, b *linalg.Matrix, beta float64, c *linalg.Matrix) {
-		linalg.Gemm(false, false, alpha, a, b, beta, c, m.Ops)
+	mat := linalg.NewMatrix
+	gemm := func(transA bool, alpha float64, a, b *linalg.Matrix, beta float64, c *linalg.Matrix) {
+		linalg.Gemm(transA, false, alpha, a, b, beta, c, m.Ops)
 	}
-	p, dq := ground.P, ground.DeltaQ
-	v0 := make([]float64, na)
-	m.sccPotential(dq, v0)
-	hess := linalg.NewMatrix(n3, n3)
+	p, dq, v0 := ground.P, ground.DeltaQ, pert.v0
+	l, r := nr.L, nr.R
+	nl, no := l.Cols, r.Cols
+	hess := mat(n3, n3)
 
 	// The explicit second derivatives.
-	e := sq()
+	e := mat(n, n)
 	m.pairWeights(e, ground.W, p, v0)
 	m.addOverlapHessian(e, hess)
 	for a := 0; a < na; a++ {
@@ -217,49 +317,165 @@ func (m *Model) NuclearHessian(ground *Result, nr *NuclearResponse) *linalg.Matr
 	}
 	m.addRepulsiveHessian(hess)
 
-	// The response terms, one column per coordinate.
-	pert := m.NuclearPerturbation(ground)
-	h, hp := sq(), sq()
+	// P·H·L and P·H·R through H·L and H·R, held where R·(Rᵀ·G⁽ˣ⁾·R) goes
+	// later; then ½S·P in e.
+	h := e
 	h.CopyFrom(m.H0)
 	m.addPotential(h, v0)
-	gemm(1, h, p, 0, hp) // H·P
-	s1, h1, b1, w := sq(), sq(), sq(), sq()
-	wv, v1 := make([]float64, na), make([]float64, na)
-	grad := make([]geom.Vec3, na)
-	for y := 0; y < n3; y++ {
-		p1, dq1 := nr.P1[y], nr.DQ1[y]
-		pert.Build(y, s1, h1, wv)
-		m.sccPotential(dq1, v1)
-		m.addPotential(h1, v1)
-		for a := range v1 {
-			v1[a] += wv[a]
+	phl, phr := mat(n, nl), mat(n, no)
+	buf := make([]float64, n*max(nl, no))
+	for _, op := range [2][2]*linalg.Matrix{{l, phl}, {r, phr}} {
+		hc := linalg.NewMatrixFrom(n, op[0].Cols, buf[:n*op[0].Cols])
+		gemm(false, 1, h, op[0], 0, hc)
+		gemm(false, 1, p, hc, 0, op[1])
+	}
+	rt := linalg.NewMatrixFrom(n, no, buf[:n*no])
+	sp := e
+	gemm(false, 0.5, m.S, p, 0, sp)
+
+	nb := 3 * pert.MaxRows()
+	s3, sk, kp := mat(nb, n), mat(nb, n), mat(nb, n)
+	sl, gl, gr := mat(nb, nl), mat(nb, nl), mat(nb, no)
+	ux, tx := mat(nl, no), mat(no, no)
+	pot, resp := mat(n3, 2*na), mat(2*na, n3)
+	var sA, skA, slA, glA, grA linalg.Matrix
+	var lA, rA, phlA, phrA, vl, vgl, vgr linalg.Matrix
+	funcs := m.Basis.Funcs
+	for a := 0; a < na; a++ {
+		first, size := pert.Rows(a)
+		rows := 3 * size
+		sA, skA = s3.RowBlock(0, rows), sk.RowBlock(0, rows)
+		pert.Block(a, &sA, &skA)
+		slA, glA, grA = sl.RowBlock(0, rows), gl.RowBlock(0, rows), gr.RowBlock(0, rows)
+		gemm(false, 1, &sA, l, 0, &slA)  // s·L; s·R is the response's SR
+		gemm(false, 1, &skA, l, 0, &glA) // g = s∘κ − ½s·P·H, times L and R
+		gemm(false, -0.5, &sA, phl, 1, &glA)
+		gemm(false, 1, &skA, r, 0, &grA)
+		gemm(false, -0.5, &sA, phr, 1, &grA)
+		lA, rA = l.RowBlock(first, first+size), r.RowBlock(first, first+size)
+		phlA, phrA = phl.RowBlock(first, first+size), phr.RowBlock(first, first+size)
+		for ax := 0; ax < 3; ax++ {
+			x, lo, hi := 3*a+ax, ax*size, (ax+1)*size
+			vl, vgl, vgr = sl.RowBlock(lo, hi), gl.RowBlock(lo, hi), gr.RowBlock(lo, hi)
+			vr := nr.SR[x]
+			// Lᵀ·G⁽ˣ⁾·R and Rᵀ·G⁽ˣ⁾·R; then, with T_y = R_Bᵀ·SR_y + SR_yᵀ·R_B,
+			// ⟨Rᵀ·G⁽ˣ⁾·R, T_y⟩ = 2⟨(R·Rᵀ·G⁽ˣ⁾·R)_B, SR_y⟩.
+			Sandwich(ux, &lA, &vgr, &vgl, &rA, 1, 0, m.Ops)
+			Sandwich(ux, &phlA, vr, &vl, &phrA, -0.5, 1, m.Ops)
+			gemm(true, 1, &rA, &vgr, 0, tx) // Rᵀ·G⁽ˣ⁾·R = Z + Zᵀ
+			gemm(true, -0.5, &phrA, vr, 1, tx)
+			tx.AddTranspose()
+			gemm(false, 1, r, tx, 0, rt)
+			hrow := hess.Row(x)
+			for y, u := range nr.U {
+				fy, _ := pert.Rows(y / 3)
+				sry := nr.SR[y].Data
+				hrow[y] += 2*linalg.Dot(ux.Data, u.Data) - 4*linalg.Dot(rt.Data[fy*no:fy*no+len(sry)], sry)
+			}
+			// π⁽ˣ⁾, then Γ⁽ˣ⁾·Δq.
+			prow := pot.Row(x)
+			for i := 0; i < size; i++ {
+				pr, s := p.Row(first+i), s3.Row(lo+i)
+				for nu := range funcs {
+					t := pr[nu] * s[nu]
+					prow[a] += t
+					prow[funcs[nu].Atom] += t
+				}
+			}
+			pert.GammaPotential(x, prow[na:])
 		}
-		gemm(1, h1, p, 0, b1)
-		gemm(1, p1, hp, 0, w)
-		gemm(0.5, p, b1, 1, w)
-		m.pairWeights(e, w, p1, v0)
-		addPairPotential(e, p, v1, m.Basis.Funcs)
-		clear(grad)
-		m.addOverlapGradient(e, grad)
-		m.addGammaGradient(dq1, dq, grad)
+	}
+	// σ⁽ˣ⁾_B = ½⟨S⁽ˣ⁾, Q_B⟩ for Q_B = P·(D_B·½S + ½S·D_B)·P = F + Fᵀ, D_B the
+	// projector on B's functions and F = (½S·P)_B,:ᵀ·P_B,: — the pair sum of
+	// Forces over Q_B gives every x at once.
+	f := mat(n, n)
+	grad := make([]geom.Vec3, na)
+	var pB, vk, kpA linalg.Matrix
+	for b := 0; b < na; b++ {
+		first, size := pert.Rows(b)
+		pB, vk = p.RowBlock(first, first+size), sp.RowBlock(first, first+size)
+		gemm(true, 1, &vk, &pB, 0, f)
+		m.overlapContraction(f, grad)
 		for a, g := range grad {
-			hess.Add(3*a, y, g.X)
-			hess.Add(3*a+1, y, g.Y)
-			hess.Add(3*a+2, y, g.Z)
+			pot.Add(3*a, b, -0.5*g.X)
+			pot.Add(3*a+1, b, -0.5*g.Y)
+			pot.Add(3*a+2, b, -0.5*g.Z)
+		}
+	}
+	for y := 0; y < n3; y++ {
+		dq1, w := nr.DQ1[y], pot.Row(y)[na:]
+		for b := 0; b < na; b++ {
+			resp.Set(b, y, linalg.Dot(m.Gamma.Row(b), dq1)+w[b])
+			resp.Set(na+b, y, dq1[b])
+		}
+	}
+	gemm(false, 1, pot, resp, 1, hess)
+
+	// −½⟨P·(κ∘S⁽ʸ⁾)·P, S⁽ˣ⁾⟩: P·(κ∘S⁽ʸ⁾)·P = F + Fᵀ with F = P·E_B·k_y·P,
+	// k_y y's row block of κ∘S⁽ʸ⁾.
+	for b := 0; b < na; b++ {
+		first, size := pert.Rows(b)
+		rows := 3 * size
+		sA, skA, kpA = s3.RowBlock(0, rows), sk.RowBlock(0, rows), kp.RowBlock(0, rows)
+		pert.Block(b, &sA, &skA)
+		gemm(false, 1, &skA, p, 0, &kpA)
+		pB = p.RowBlock(first, first+size)
+		for ay := 0; ay < 3; ay++ {
+			y := 3*b + ay
+			vk = kp.RowBlock(ay*size, (ay+1)*size)
+			gemm(true, 1, &pB, &vk, 0, f) // P symmetric: P_B,:ᵀ = P_:,B
+			m.overlapContraction(f, grad)
+			for a, g := range grad {
+				hess.Add(3*a, y, -0.5*g.X)
+				hess.Add(3*a+1, y, -0.5*g.Y)
+				hess.Add(3*a+2, y, -0.5*g.Z)
+			}
 		}
 	}
 	return hess
 }
 
+// overlapContraction sets grad to Σ_ij (F + Fᵀ)_ij·∂S_ij/∂R, ⟨F + Fᵀ,
+// ∂S/∂R_x⟩ for every coordinate x: the pair sum of Forces (addOverlapGradient)
+// over the upper triangle of F + Fᵀ, which it leaves in f.
+func (m *Model) overlapContraction(f *linalg.Matrix, grad []geom.Vec3) {
+	n, d := f.Rows, f.Data
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			d[i*n+j] += d[j*n+i]
+		}
+	}
+	clear(grad)
+	m.addOverlapGradient(f, grad)
+}
+
 // addOverlapHessian adds Σ_ij e_ij·∂²S_ij/∂R∂R for a symmetric pair weight e.
+// Every function pair of two atoms reads one table (basis.PairTables), and
+// their sum enters hess once per atom pair.
 func (m *Model) addOverlapHessian(e, hess *linalg.Matrix) {
-	funcs := m.Basis.Funcs
-	for i := range funcs {
-		a, erow := funcs[i].Atom, e.Row(i)
-		for j := i + 1; j < len(funcs); j++ {
-			if b := funcs[j].Atom; a != b {
-				addPairBlocks(hess, a, b, basis.OverlapHessian(&funcs[i], &funcs[j]), 2*erow[j])
+	funcs, first := m.Basis.Funcs, m.Basis.FirstOfAtom
+	end := func(a int) int {
+		if a+1 < len(first) {
+			return first[a+1]
+		}
+		return len(funcs)
+	}
+	for a := range first {
+		for b := a + 1; b < len(first); b++ {
+			t := basis.PairTables(&funcs[first[a]], &funcs[first[b]])
+			var sum [3][3]float64
+			for i := first[a]; i < end(a); i++ {
+				erow := e.Row(i)
+				for j := first[b]; j < end(b); j++ {
+					h := basis.OverlapHessianFrom(&t, &funcs[i], &funcs[j])
+					for k := range sum {
+						for l := range sum[k] {
+							sum[k][l] += 2 * erow[j] * h[k][l]
+						}
+					}
+				}
 			}
+			addPairBlocks(hess, a, b, sum, 1)
 		}
 	}
 }
@@ -347,16 +563,16 @@ func (m *Model) addRepulsiveHessian(hess *linalg.Matrix) {
 				{transposed(hij), transposed(hkj), hjj},
 			})
 	}
-	const h = 1e-4 // bohr: the dihedral's central-difference step
+	const h = 1e-4                         // bohr: the dihedral's central-difference step
+	second := make([][]([3][3]float64), 4) // every entry rewritten per dihedral
+	for p := range second {
+		second[p] = make([]([3][3]float64), 4)
+	}
 	for _, t := range m.Dihedrals {
 		atoms := []int{t.I, t.J, t.Kk, t.L}
 		pos := [4]geom.Vec3{m.Pos[t.I], m.Pos[t.J], m.Pos[t.Kk], m.Pos[t.L]}
 		g := dihedralDeltaGrad(pos[0], pos[1], pos[2], pos[3])
 		delta := dihedralDelta(pos[0], pos[1], pos[2], pos[3], t.Phi0)
-		second := make([][]([3][3]float64), 4)
-		for p := range second {
-			second[p] = make([]([3][3]float64), 4)
-		}
 		for q := 0; q < 4; q++ {
 			for j := 0; j < 3; j++ {
 				plus, minus := pos, pos

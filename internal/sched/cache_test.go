@@ -220,8 +220,9 @@ func TestCacheKeyIsolation(t *testing.T) {
 // engine/7 (grid mode's Pulay response loop), under engine/8
 // (finite-difference Hessians from 6N displaced SCF solves), under
 // engine/9 (grid mode's finite differences from 6N displaced SCF + grid
-// solves) and under engine/10 (−Step displaced solves started from their
-// +Step partners' predictor) — the
+// solves), under engine/10 (−Step displaced solves started from their
+// +Step partners' predictor) and under engine/11 (nuclear responses and
+// Hessian contracted through dense n×n matrices per coordinate) — the
 // constants were recorded on those commits — must serve none of them to a resumed run of
 // this engine: each mode reports a miss, recomputes, and files its new record
 // beside the old ones. A second resumed run is then served its own.
@@ -248,11 +249,13 @@ func TestCacheSolverMigration(t *testing.T) {
 		gammaKeyEngine9      = "e10d703905dddae2c86a4c1a8141b94a8adb3c42a09694213a120322c9941b6d"
 		gridKeyEngine10      = "08347ce80e8416ed7f3c823594031133c7d88e94832788bc2d215cdaf512f6fa"
 		gammaKeyEngine10     = "4547c776b8c57bf3f67b6ad0f76f5adceed3d582112436c04da508f00e576438"
+		gridKeyEngine11      = "d63ba79a9698cd5bfcaf4b93b5c6f999833e3780b655b24861b8ddba6bd7bdfd"
+		gammaKeyEngine11     = "7aec904c4dea73b83662ab28e88658b8498bfdbfc6742598d3d8de468bed1feb"
 	)
 	old := []string{gridKeyBeforeTag, gridKeyBeforeEngine, gammaKeyBeforeEngine, gridKeyEngine2, gammaKeyEngine2,
 		gridKeyEngine3, gammaKeyEngine3, gridKeyEngine4, gammaKeyEngine4, gridKeyEngine5, gammaKeyEngine5,
 		gridKeyEngine6, gammaKeyEngine6, gridKeyEngine7, gammaKeyEngine7, gridKeyEngine8, gammaKeyEngine8,
-		gridKeyEngine9, gammaKeyEngine9, gridKeyEngine10, gammaKeyEngine10}
+		gridKeyEngine9, gammaKeyEngine9, gridKeyEngine10, gammaKeyEngine10, gridKeyEngine11, gammaKeyEngine11}
 	dec := cacheDecomposition(1)
 	dir := t.TempDir()
 	s := openStore(t, dir)
