@@ -279,10 +279,10 @@ func TestClusterWorkerLocalTier(t *testing.T) {
 func TestHandshakeVersionSkew(t *testing.T) {
 	_, addr := testCoordinator(t, CoordConfig{})
 
-	// A future peer, and version-1 and version-2 peers: their JOB and LEASE
+	// A future peer, and version-1, -2 and -3 peers: their JOB and LEASE
 	// frames carried the options in layouts this coordinator no longer reads,
 	// so they must be turned away at the handshake, not at their first job.
-	for _, proto := range []uint32{ProtoVersion + 7, 1, 2} {
+	for _, proto := range []uint32{ProtoVersion + 7, 1, 2, 3} {
 		start := time.Now()
 		_, _, err := handshake(addr, Hello{Role: RoleWorker, Proto: proto, Name: "skewed"},
 			time.Second, 0, nil)

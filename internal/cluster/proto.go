@@ -42,7 +42,8 @@ const (
 	// Version 2: JOB and LEASE carry their options as a length-prefixed
 	// hessian.JobOptions.AppendPhysics block (version 1 had its own layout).
 	// Version 3: that block is one byte shorter (the DFPT strength-reduction flag gone).
-	ProtoVersion = 3
+	// Version 4: it is 24 bytes shorter (DFPT.MaxIter, Tol and Mixing gone).
+	ProtoVersion = 4
 
 	headerSize  = 11
 	trailerSize = 4

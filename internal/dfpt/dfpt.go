@@ -19,8 +19,11 @@
 //     same Klopman–Ohno γ kernel as the ground state. This mode is exactly
 //     the derivative of the variational SCF energy and is validated against
 //     finite-field calculations to machine-ish precision. Its self-consistency
-//     is affine in the N atomic response charges, so it is solved directly
-//     (one N×N system per field direction) and each direction runs one cycle.
+//     is affine in the N atomic response charges, so it is solved directly —
+//     one elimination of an N×N system per set of right-hand sides, which
+//     every γ-kernel response shares (the field directions, the second-order
+//     fields, the nuclear coordinates, the chord matrix) — and each field
+//     direction runs one cycle.
 //   - GridCoulomb: the paper's real-space pipeline — batched basis
 //     evaluation, many small GEMMs, direct sine-transform Poisson solve. Its
 //     self-consistency is affine in the orbital-pair coefficients of P⁽¹⁾,
@@ -62,15 +65,12 @@ const (
 )
 
 // Options configures the DFPT response. Both Coulomb modes solve their
-// response directly, so MaxIter, Tol and Mixing — the iteration budget,
-// convergence threshold and damping of the response loop both modes once ran
-// — are read by neither. They are still validated and still part of the store
-// fingerprint (hessian.JobOptions.AppendPhysics) until the options surface is
-// cut (ROADMAP item 5).
+// response directly, so neither has an iteration budget, a tolerance or a
+// damping to set.
 type Options struct {
-	MaxIter int     // read by neither mode; must be positive
-	Tol     float64 // read by neither mode; must be positive
-	Mixing  float64 // read by neither mode; must lie in (0,1]
+	// Deprecated: Mixing is ignored and is no physics option (no store key or
+	// wire frame carries it); it survives for bench/microscope.go, as InitP1.
+	Mixing float64
 
 	Coulomb CoulombMode
 
@@ -97,9 +97,6 @@ type Options struct {
 // DefaultOptions returns settings adequate for fragment polarizabilities.
 func DefaultOptions() Options {
 	return Options{
-		MaxIter:     400,
-		Tol:         1e-7,
-		Mixing:      0.3,
 		Coulomb:     GammaCoulomb,
 		GridSpacing: 0.7,
 		GridMargin:  5.0,
@@ -155,9 +152,10 @@ func Polarizability(m *scf.Model, ground *scf.Result, opt Options) (*Response, e
 }
 
 // Workspace keeps a cycle environment and a Response across polarizability
-// calculations on models of one size — the displacement loop's 6N responses of
-// one fragment — so that each re-seats the environment on its ground state
-// instead of building one. The zero value is ready; one goroutine at a time.
+// calculations on models of one size, so that each re-seats the environment on
+// its ground state instead of building one; the analytic route's field and
+// nuclear responses are then solved on the environment the polarizability
+// left. The zero value is ready; one goroutine at a time.
 type Workspace struct {
 	env  cycleEnv
 	p1   [3]*linalg.Matrix
@@ -168,22 +166,11 @@ type Workspace struct {
 // storage: the Response and its P1 matrices belong to the workspace and are
 // overwritten by its next call.
 func (w *Workspace) Polarizability(m *scf.Model, ground *scf.Result, opt Options) (*Response, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
 	return w.polarizability(m, ground, opt, nil)
 }
 
-// validate rejects the options neither mode reads but the store still hashes.
-func (opt Options) validate() error {
-	if opt.MaxIter <= 0 || opt.Tol <= 0 || opt.Mixing <= 0 || opt.Mixing > 1 {
-		return fmt.Errorf("dfpt: invalid options (MaxIter %d, Tol %g, Mixing %g)", opt.MaxIter, opt.Tol, opt.Mixing)
-	}
-	return nil
-}
-
-// polarizability is Polarizability on validated options. Grid mode builds
-// its environment unless the caller (a test) brings one.
+// polarizability is Polarizability with grid mode's environment built unless
+// the caller (a test) brings one.
 func (w *Workspace) polarizability(m *scf.Model, ground *scf.Result, opt Options, gridEnv *gridEnv) (*Response, error) {
 	w.resp = Response{MixingUsed: opt.Mixing}
 	resp := &w.resp
@@ -261,31 +248,38 @@ type cycleEnv struct {
 	idx         []int             // gapped: virtual then occupied orbital indices
 	fprime      []float64         // f′_p
 	w           *linalg.Matrix    // rows(Lᵀ)×cols(R) pair weights
-	tmp, u, lu  *linalg.Matrix    // Lᵀ·H⁽¹⁾, its product with R (then ∘W), L·u
+	tmp, u, lu  *linalg.Matrix    // Lᵀ·D, the pair block u (∘W, then shifted), L·u
 	newP1       *linalg.Matrix    //
 	p1Gemms     [4]*linalg.GemmOp // gemm_tn, gemm_nn, gemm_nn, gemm_nt
 	p1FLOPs     int64             // of the four, per cycle
 
-	// γ kernel: ½S, the atom of each basis function, Δq⁽¹⁾ and V⁽¹⁾.
-	halfS   *linalg.Matrix
-	atomOf  []int
-	dq1, v1 []float64
+	// γ kernel: ½S and the atom of each basis function.
+	halfS  *linalg.Matrix
+	atomOf []int
 
-	// γ mode's direct solve (solveGamma). The response Hamiltonian enters
-	// phase 1 as Lᵀ·H⁽¹⁾·R = Lᵀ·D·R + Σ_B v_B·K_B with the pair-space vectors
-	// K_A[a,i] = Σ_{μ∈A} (L_μa·(½S·R)_μi + (½S·L)_μa·R_μi), so the response
-	// charges of a potential v are χ·v with χ_AB = c·Σ_ai W_ai·K_A[ai]·K_B[ai]
-	// (c = 2 gapped, 1 fractional: the two forms of sym) and the
-	// self-consistent charges solve (I − χ·Γ)·Δq⁽¹⁾ = c·K·(W∘(Lᵀ·D·R)).
-	// Built once per ground state (chargeSystem, inside the first direction's
-	// n⁽¹⁾ phase); sGemms are bound with p1Gemms.
+	// γ mode's charge closure (closeCharges). A potential v enters the pair
+	// block of every response as Lᵀ·(½S∘(v_A + v_B))·R = Σ_B v_B·K_B with the
+	// pair-space vectors K_A[a,i] = Σ_{μ∈A} (L_μa·(½S·R)_μi + (½S·L)_μa·R_μi),
+	// so the response charges of a potential v are χ·v with χ_AB =
+	// c·Σ_ai W_ai·K_A[ai]·K_B[ai] (c = 2 gapped, 1 fractional: the two forms of
+	// sym) and self-consistent charges solve (I − χ·Γ)·Δq = q₀, q₀ the
+	// charges of everything but the answer's own potential. Built once per
+	// ground state (chargeSystem, inside the first direction's n⁽¹⁾ phase);
+	// sGemms are bound with p1Gemms.
 	sr, sl    *linalg.Matrix    // ½S·R, ½S·L
 	sGemms    [2]*linalg.GemmOp //
 	k         []float64         // N rows of nl·nr pair-space vectors K_A
-	wk        []float64         // W∘K_A, one row at a time
+	wk        []float64         // W∘K_A, one row at a time, or one potential's Σ_B v_B·K_B
 	chi       *linalg.Matrix    // N×N atom-charge susceptibility χ
-	sys, fac  *linalg.Matrix    // I − χ·Γ, and the copy a direction's solve destroys
+	sys, fac  *linalg.Matrix    // I − χ·Γ, and the copy the closure destroys
 	chargeMul float64           // c
+	v         []float64         // the closure's potentials, N per column
+	lap       [2]time.Time      // when the closure's charges and potentials were done
+
+	// What solveGamma keeps of each field direction for the second-order
+	// responses (secondOrder): Δq⁽¹⁾ and the shifted pair block u.
+	dq [3][]float64
+	u1 [3]linalg.Matrix
 
 	// Grid mode's direct solve (solveGrid). The pairs q whose coefficients
 	// u_q make up U — gapped every (a, i) at u[a][i], fractional every
@@ -300,7 +294,7 @@ type cycleEnv struct {
 	pairSys      *linalg.Matrix
 	pairX        []float64
 
-	h1      *linalg.Matrix
+	h1      *linalg.Matrix    // the bare perturbation, D^dir, phase 1's first GEMM reads
 	samples []obs.CycleSample // the span batch of a direction, reused across solves
 }
 
@@ -340,6 +334,8 @@ func (e *cycleEnv) seat(m *scf.Model, ground *scf.Result, grid *gridEnv) {
 			idx: make([]int, n), atomOf: make([]int, n), fprime: make([]float64, n),
 			samples: e.samples,
 		}
+		u1 := make([]float64, 3*n*n)
+		e.u1 = [3]linalg.Matrix{{Data: u1[:n*n]}, {Data: u1[n*n : 2*n*n]}, {Data: u1[2*n*n:]}}
 	}
 	e.m, e.grid, e.c = m, grid, ground.C
 	e.gapped = Gapped(ground.Occ)
@@ -430,8 +426,9 @@ func (e *cycleEnv) seat(m *scf.Model, ground *scf.Result, grid *gridEnv) {
 		return
 	}
 	na := m.NumAtoms()
-	if len(e.dq1) != na {
-		e.dq1, e.v1 = make([]float64, na), make([]float64, na)
+	if len(e.dq[0]) != na {
+		dq := make([]float64, 3*na)
+		e.dq, e.v = [3][]float64{dq[:na], dq[na : 2*na], dq[2*na:]}, make([]float64, na)
 		e.chi, e.sys, e.fac = linalg.NewMatrix(na, na), linalg.NewMatrix(na, na), linalg.NewMatrix(na, na)
 	}
 	e.halfS.CopyFrom(m.S)
@@ -501,14 +498,16 @@ func gatherColumns(dst, c *linalg.Matrix, cols []int) {
 
 // solveGamma computes γ mode's self-consistent response to a unit field along
 // dir and copies P⁽¹⁾ into dst, as one DFPT cycle whose four phases are
-// n⁽¹⁾ = the charges of the bare field (Lᵀ·D·R by the first two phase-1
-// GEMMs) and the solve (I − χ·Γ)·Δq⁽¹⁾ = q₀, v⁽¹⁾ = Γ·Δq⁽¹⁾, H⁽¹⁾ = D +
-// ½S∘(V⁽¹⁾_A + V⁽¹⁾_B) and P⁽¹⁾ = one responseDensity — whose charges are the
-// Δq⁽¹⁾ it was built from to rounding, so it is the fixed point of the
-// iterative cycle, not an approximation of it within a tolerance. The first
-// direction also builds the ground state's system (chargeSystem) inside its
-// n⁽¹⁾ phase. No virtual orbitals, a zero pivot and a non-finite charge or
-// P⁽¹⁾ are ErrDiverged.
+// n⁽¹⁾ = the bare field's pair block u = W∘(Lᵀ·D·R) (the first two phase-1
+// GEMMs), its charges and the closure's solve for Δq⁽¹⁾, v⁽¹⁾ = Γ·Δq⁽¹⁾,
+// H⁽¹⁾ = the pair-space shift u += W∘Σ_B v_B·K_B — after which u is
+// W∘(Lᵀ·H⁽¹⁾·R), H⁽¹⁾ = D + ½S∘(V⁽¹⁾_A + V⁽¹⁾_B), without H⁽¹⁾ being
+// formed — and P⁽¹⁾ = sym(L·u·Rᵀ) (densityMatrix), whose charges are Δq⁽¹⁾
+// to rounding: it is the fixed point of the iterative cycle, not an
+// approximation of it within a tolerance. The first direction also builds
+// the ground state's system (chargeSystem) inside its n⁽¹⁾ phase; Δq⁽¹⁾ and u
+// stay in the environment (dq, u1). No virtual orbitals, a zero pivot and a
+// non-finite charge or P⁽¹⁾ are ErrDiverged.
 func (e *cycleEnv) solveGamma(dir int, sc obs.Scope, met *PhaseMetrics, dst *linalg.Matrix) error {
 	nl, nr := e.left.Cols, e.right.Cols
 	if nl == 0 {
@@ -518,42 +517,102 @@ func (e *cycleEnv) solveGamma(dir int, sc obs.Scope, met *PhaseMetrics, dst *lin
 	if dir == 0 {
 		e.chargeSystem(false)
 	}
-	e.h1.CopyFrom(e.m.Dip[dir]) // +D^dir per unit field (electron charge −1)
-	e.p1Gemms[0].Run()          // tmp = Lᵀ·D
-	e.p1Gemms[1].Run()          // u = tmp·R
-	pairs := nl * nr
+	e.fieldBlock(dir)
 	for i, w := range e.w.Data {
 		e.u.Data[i] *= w
 	}
-	for a := range e.dq1 {
-		e.dq1[a] = e.chargeMul * linalg.Dot(e.k[a*pairs:(a+1)*pairs], e.u.Data)
+	dq := e.dq[dir]
+	clear(dq)
+	q, u := linalg.Matrix{Rows: len(dq), Cols: 1, Data: dq}, [1]*linalg.Matrix{e.u}
+	if err := e.closeCharges(&q, u[:], nil); err != nil {
+		return err
 	}
-	e.fac.CopyFrom(e.sys)
-	if err := linalg.SolveLinearInPlace(e.fac, e.dq1); err != nil {
-		return fmt.Errorf("%w: zero pivot in the charge response system", ErrDiverged)
-	}
-	for a, q := range e.dq1 {
-		if math.IsNaN(q) || math.IsInf(q, 0) {
-			return fmt.Errorf("%w: non-finite response charge on atom %d", ErrDiverged, a)
-		}
-	}
-	tN1 := time.Since(base)
-	e.gammaResponsePotential()
-	tV1 := time.Since(base)
-	e.addGammaResponseH1() // h1 still holds D
-	tH1 := time.Since(base)
-	e.responseDensity()
+	tN1, tV1, tH1 := e.lap[0].Sub(base), e.lap[1].Sub(base), time.Since(base)
+	reshape(&e.u1[dir], nl, nr)
+	e.u1[dir].CopyFrom(e.u)
+	e.densityMatrix()
 	tP1 := time.Since(base)
 	if err := e.emitP1(dst); err != nil {
 		return err
 	}
 
-	// The GEMMs are bound ops that count nothing: the two of q₀ and the four
-	// of responseDensity (chargeSystem counts its own).
+	// The four phase-1 GEMMs are bound ops that count nothing (chargeSystem
+	// counts its own).
 	ops := e.ops()
-	ops.GEMMCalls.Add(6)
-	ops.FLOPs.Add(e.p1FLOPs + linalg.GemmFLOPs(nl, e.n, e.n) + linalg.GemmFLOPs(nl, e.n, nr))
+	ops.GEMMCalls.Add(4)
+	ops.FLOPs.Add(e.p1FLOPs)
 	e.record(sc, met, base, tN1, tV1, tH1, tP1)
+	return nil
+}
+
+// closeCharges is the charge closure of every γ-kernel response — the field
+// directions (solveGamma), the second-order fields (secondOrder), the nuclear
+// coordinates (nuclear) and the chord's unit charges (ChordMatrix) — for the
+// right-hand sides in the k columns of q (N×k), which hold the charges each
+// already knows. u[j], unless u is nil, is column j's pair block W∘(Lᵀ·h·R)
+// of its bare perturbation h, and row j of w (k×N), unless w is nil (it must
+// be without u), the frozen atomic potential it adds. The closure
+//
+//  1. adds c·K·u[j] and the frozen potential's charges χ·w_j to column j;
+//  2. eliminates I − χ·Γ once for all k columns;
+//  3. returns a zero pivot or a non-finite charge as ErrDiverged;
+//  4. leaves the self-consistent charges Δq in q; and
+//  5. adds W∘Σ_B (w_B + v_B)·K_B, v = Γ·Δq, to each u[j], which makes it the
+//     pair block W∘(Lᵀ·H·R) of the full perturbation H = h + ½S∘(w_A + w_B +
+//     v_A + v_B).
+//
+// It records in lap when the charges (step 4) and the potentials v are done.
+func (e *cycleEnv) closeCharges(q *linalg.Matrix, u []*linalg.Matrix, w *linalg.Matrix) error {
+	na, k := q.Rows, q.Cols
+	pairs := len(e.w.Data)
+	for j := 0; j < k && u != nil; j++ {
+		for a := 0; a < na; a++ {
+			x := e.chargeMul * linalg.Dot(e.k[a*pairs:(a+1)*pairs], u[j].Data)
+			if w != nil {
+				x += linalg.Dot(e.chi.Row(a), w.Row(j))
+			}
+			q.Data[a*k+j] += x
+		}
+	}
+	e.fac.CopyFrom(e.sys)
+	if err := linalg.SolveLinearColumnsInPlace(e.fac, q); err != nil {
+		return fmt.Errorf("%w: zero pivot in the charge response system", ErrDiverged)
+	}
+	if !finite(q.Data) {
+		return fmt.Errorf("%w: non-finite response charge", ErrDiverged)
+	}
+	e.lap[0] = time.Now()
+	if u == nil {
+		return nil
+	}
+	if cap(e.v) < na*k {
+		e.v = make([]float64, na*k)
+	}
+	v := e.v[:na*k]
+	for j := 0; j < k; j++ {
+		vj := v[j*na : (j+1)*na]
+		for a := range vj {
+			var s float64
+			for b, g := range e.m.Gamma.Row(a) {
+				s += g * q.Data[b*k+j]
+			}
+			if w != nil {
+				s += w.At(j, a)
+			}
+			vj[a] = s
+		}
+	}
+	e.lap[1] = time.Now()
+	wk := e.wk[:pairs]
+	for j, uj := range u {
+		clear(wk)
+		for b, x := range v[j*na : (j+1)*na] {
+			linalg.Axpy(x, e.k[b*pairs:(b+1)*pairs], wk)
+		}
+		for i, x := range e.w.Data {
+			uj.Data[i] += x * wk[i]
+		}
+	}
 	return nil
 }
 
@@ -580,12 +639,8 @@ func (e *cycleEnv) solveGrid(dir int, sc obs.Scope, met *PhaseMetrics, dst *lina
 	g := e.grid
 	base := time.Now()
 	if dir == 0 {
-		for _, m := range [...]*linalg.Matrix{e.c, e.w} {
-			for _, v := range m.Data {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return fmt.Errorf("%w: non-finite orbital coefficient or pair weight", ErrDiverged)
-				}
-			}
+		if !finite(e.c.Data) || !finite(e.w.Data) {
+			return fmt.Errorf("%w: non-finite orbital coefficient or pair weight", ErrDiverged)
 		}
 		g.pairDensities(e.c, e.pairL, e.pairR)
 		met.GEMMsN1 += g.orbGemms
@@ -606,9 +661,7 @@ func (e *cycleEnv) solveGrid(dir int, sc obs.Scope, met *PhaseMetrics, dst *lina
 	met.FLOPsH1 += g.contractFLOPs
 	tH1 := time.Since(base)
 
-	e.h1.CopyFrom(e.m.Dip[dir]) // +D^dir per unit field (electron charge −1)
-	e.p1Gemms[0].Run()          // tmp = Lᵀ·D
-	e.p1Gemms[1].Run()          // u = tmp·R
+	e.fieldBlock(dir)
 	if err := e.solvePairs(mc); err != nil {
 		return err
 	}
@@ -661,10 +714,8 @@ func (e *cycleEnv) solvePairs(mc *linalg.Matrix) error {
 // emitP1 copies newP1 into dst unless it holds a non-finite entry, which is
 // ErrDiverged.
 func (e *cycleEnv) emitP1(dst *linalg.Matrix) error {
-	for _, v := range e.newP1.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: non-finite P1", ErrDiverged)
-		}
+	if !finite(e.newP1.Data) {
+		return fmt.Errorf("%w: non-finite P1", ErrDiverged)
 	}
 	dst.CopyFrom(e.newP1)
 	return nil
@@ -702,7 +753,7 @@ func (e *cycleEnv) chargeSystem(static bool) {
 	ops := e.ops()
 	ops.GEMMCalls.Add(2)
 	ops.FLOPs.Add(linalg.GemmFLOPs(e.n, e.n, nr) + linalg.GemmFLOPs(e.n, e.n, nl))
-	pairs, na := nl*nr, len(e.dq1)
+	pairs, na := nl*nr, e.chi.Rows
 	k, wk := e.k[:na*pairs], e.wk[:pairs]
 	clear(k)
 	for mu, a := range e.atomOf {
@@ -729,9 +780,9 @@ func (e *cycleEnv) chargeSystem(static bool) {
 		}
 	}
 	if static && !e.gapped {
-		// The pair (p,p) is at p·(n+1); v goes in v1, which the chord does not use.
+		// The pair (p,p) is at p·(n+1); v goes in the closure's potentials.
 		diag := func(a, p int) float64 { return k[a*pairs+p*(nl+1)] }
-		v := e.v1
+		v := e.v[:na]
 		var s float64
 		for _, d := range e.fprime {
 			s += d
@@ -770,52 +821,27 @@ func (e *cycleEnv) chargeSystem(static bool) {
 // charge map F (input charges → Mulliken charges of the resulting density) at
 // the converged ground state of m: J = χ·Γ, built in closed form from the
 // ground state's eigenpairs by the γ-mode response's own chargeSystem, static
-// (see there). It is what scf.Options.Chord takes for solves at nearby
-// geometries. A singular I − J returns nil: the callers' fallback is the
-// Pulay loop, which nil selects.
+// (see there), and inverted as N unit charge columns of one closure. It is
+// what scf.Options.Chord takes for solves at nearby geometries. A singular
+// I − J returns nil: the callers' fallback is the Pulay loop, which nil
+// selects.
 func ChordMatrix(m *scf.Model, ground *scf.Result) *linalg.Matrix {
 	var e cycleEnv
 	e.seat(m, ground, nil)
 	e.chargeSystem(true)
-	na := len(e.dq1)
-	inv, col := linalg.NewMatrix(na, na), e.dq1
-	for b := 0; b < na; b++ {
-		e.fac.CopyFrom(e.sys)
-		clear(col)
-		col[b] = 1
-		if linalg.SolveLinearInPlace(e.fac, col) != nil {
-			return nil
-		}
-		for a, x := range col {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return nil
-			}
-			inv.Set(a, b, x)
-		}
+	inv := linalg.Identity(m.NumAtoms())
+	if e.closeCharges(inv, nil, nil) != nil {
+		return nil
 	}
 	return inv
 }
 
-// responseDensity computes the uncoupled first-order density matrix for the
-// perturbation h1 into newP1 (the field leaves S unchanged, so no
-// overlap-response terms appear). With occupations f_p the standard
-// perturbation sum is
-//
-//	P⁽¹⁾ = Σ_{p≠q} w_pq (c_qᵀ h1 c_p) c_q c_pᵀ,
-//	w_pq = (f_p − f_q)/(ε_p − ε_q),
-//
-// which reduces to the closed-shell occupied→virtual sum for integral
-// occupations, and which Fermi smearing regularizes: for near-degenerate
-// pairs w_pq tends to the finite derivative f'(ε), so small-gap fragments
-// stay well-conditioned. The weights are the environment's (see cycleEnv);
-// what is left is four GEMMs, one Hadamard product and the symmetrization.
-func (e *cycleEnv) responseDensity() {
-	e.p1Gemms[0].Run() // tmp = Lᵀ·h1
+// fieldBlock sets u = Lᵀ·D^dir·R, the pair block of the bare field along dir
+// (+D^dir per unit field, electron charge −1).
+func (e *cycleEnv) fieldBlock(dir int) {
+	e.h1.CopyFrom(e.m.Dip[dir])
+	e.p1Gemms[0].Run() // tmp = Lᵀ·D
 	e.p1Gemms[1].Run() // u = tmp·R
-	for i, w := range e.w.Data {
-		e.u.Data[i] *= w
-	}
-	e.densityMatrix()
 }
 
 // densityMatrix builds newP1 = sym(L·u·Rᵀ) from the pair coefficients in u.
@@ -831,25 +857,14 @@ func (e *cycleEnv) densityMatrix() {
 	e.newP1.AddTranspose() // P⁽¹⁾ = Z + Zᵀ
 }
 
-// gammaResponsePotential computes V⁽¹⁾ = γ·Δq⁽¹⁾ — the v⁽¹⁾ phase.
-func (e *cycleEnv) gammaResponsePotential() {
-	for a := range e.v1 {
-		var s float64
-		for b, g := range e.m.Gamma.Row(a) {
-			s += g * e.dq1[b]
-		}
-		e.v1[a] = s
-	}
-}
-
-// addGammaResponseH1 adds ½S_μν(V⁽¹⁾_A + V⁽¹⁾_B) to h1 — the H⁽¹⁾ phase.
-func (e *cycleEnv) addGammaResponseH1() {
-	for i, ai := range e.atomOf {
-		hrow, srow := e.h1.Row(i), e.halfS.Row(i)
-		for j, aj := range e.atomOf {
-			hrow[j] += srow[j] * (e.v1[ai] + e.v1[aj])
+// finite reports whether every entry of xs is finite.
+func finite(xs []float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
 		}
 	}
+	return true
 }
 
 func traceProduct(a, b *linalg.Matrix) float64 {

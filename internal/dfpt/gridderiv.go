@@ -13,7 +13,8 @@ import (
 
 // alphaPairs lists the (b, c) of the six polarizability components grid ∂α
 // computes, α_bc = ∂μ_b/∂F_c with b ≤ c, in the order of
-// hessian.AlphaComponents.
+// hessian.AlphaComponents — also the column order of the second-order
+// responses' charge closure (secondOrder).
 var alphaPairs = [6][2]int{{0, 0}, {1, 1}, {2, 2}, {0, 1}, {0, 2}, {1, 2}}
 
 // hessIndex maps an axis pair to its slot in batchData.hx: xx, yy, zz, xy,
@@ -69,9 +70,6 @@ type gridDeriv struct {
 // follows the atoms, as grid.Cover places it: the derivative on the frozen
 // grid is corrected by the origin's own motion (originShares).
 func GridAlphaDerivatives(m *scf.Model, ground *scf.Result, nr *scf.NuclearResponse, opt Options) ([3][3][]float64, error) {
-	if err := opt.validate(); err != nil {
-		return [3][3][]float64{}, err
-	}
 	env, err := newGridEnv(m, opt)
 	if err != nil {
 		return [3][3][]float64{}, err

@@ -2,7 +2,6 @@ package dfpt
 
 import (
 	"fmt"
-	"math"
 
 	"qframan/internal/linalg"
 	"qframan/internal/obs"
@@ -46,12 +45,13 @@ func Responses(m *scf.Model, ground *scf.Result, opt Options) (*scf.FieldRespons
 // Δq⁽ᶜ⁾ of P⁽ᶜ⁾·S + P·S⁽ᶜ⁾ close on themselves as the field's do:
 // (I − χ·Γ)·Δq⁽ᶜ⁾ = q₀⁽ᶜ⁾, q₀ the charges at v = 0. S⁽ᶜ⁾ lives in the moved
 // atom's n_A rows and columns, so every product with it is two products with
-// its row block (scf.Sandwich), the three axes of an atom batched, and the
-// potentials enter u as Σ_B (w_B + v_B)·K_B — so the charges of the frozen
-// part w are χ·w. All 3N right-hand sides are solved in one elimination and
-// P⁽ᶜ⁾ is never formed: the response keeps u and the moved atom's rows of
-// S⁽ᶜ⁾·R, which T is made of (scf.NuclearResponse). No virtual orbitals, a zero pivot and a non-finite
-// charge or factor are ErrDiverged.
+// its row block (scf.Sandwich), the three axes of an atom batched. The 3N
+// coordinates are one column set of the charge closure (closeCharges), each
+// column its u at w = v = 0, the frozen potential w and the charges of
+// P·S⁽ᶜ⁾ − 2·R·T·Rᵀ; the closure adds the potentials' share to u. P⁽ᶜ⁾ is
+// never formed: the response keeps u and the moved atom's rows of S⁽ᶜ⁾·R,
+// which T is made of (scf.NuclearResponse). No virtual orbitals, a zero pivot
+// and a non-finite charge or factor are ErrDiverged.
 func (e *cycleEnv) nuclear(ground *scf.Result, sc obs.Scope) (*scf.NuclearResponse, error) {
 	_, span := sc.Begin("dfpt.nuclear", "dfpt")
 	defer span.End()
@@ -62,7 +62,7 @@ func (e *cycleEnv) nuclear(ground *scf.Result, sc obs.Scope) (*scf.NuclearRespon
 		return nil, fmt.Errorf("%w: no virtual orbitals (basis %d, occupied %d)", ErrDiverged, n, nr)
 	}
 	na := m.NumAtoms()
-	n3, pairs := 3*na, nl*nr
+	n3 := 3 * na
 	mat := linalg.NewMatrix
 	gemm := func(a, b *linalg.Matrix, c *linalg.Matrix) {
 		linalg.Gemm(false, false, 1, a, b, 0, c, ops)
@@ -84,10 +84,9 @@ func (e *cycleEnv) nuclear(ground *scf.Result, sc obs.Scope) (*scf.NuclearRespon
 	s3, sk3 := mat(nb, n), mat(nb, n)
 	sr, sl, kr, kl := mat(nb, nr), mat(nb, nl), mat(nb, nr), mat(nb, nl)
 	mt, rm := mat(nr, nr), mat(n, nr)
-	wk := e.wk[:pairs]
-	w := make([]float64, na)
-	// q holds the right-hand sides q₀, then the solutions, in its columns.
-	q := mat(na, n3)
+	// q holds the charges of P·S⁽ᶜ⁾ − 2·R·T·Rᵀ in its columns, w the frozen
+	// potentials in its rows.
+	q, w := mat(na, n3), mat(n3, na)
 	var sA, skA, srA, slA, krA, klA, lA, rA, reA, vs, vr, vl, vkr, vkl linalg.Matrix
 	for a := 0; a < na; a++ {
 		first, size := pert.Rows(a)
@@ -111,19 +110,15 @@ func (e *cycleEnv) nuclear(ground *scf.Result, sc obs.Scope) (*scf.NuclearRespon
 			vs, vr, vl = s3.RowBlock(lo, hi), sr.RowBlock(lo, hi), sl.RowBlock(lo, hi)
 			vkr, vkl = kr.RowBlock(lo, hi), kl.RowBlock(lo, hi)
 			out.SR[c].CopyFrom(&vr)
-			// u = W∘(Lᵀ·(S⁽ᶜ⁾∘κ)·R − (Lᵀ·S⁽ᶜ⁾·R)·ε) so far, the ε term folded
-			// into s∘κ·R above and (s·L)ᵀ·(R·ε)_A here; then its charges and
-			// those of the frozen potential w, χ·w.
+			// u = W∘(Lᵀ·(S⁽ᶜ⁾∘κ)·R − (Lᵀ·S⁽ᶜ⁾·R)·ε), the ε term folded into
+			// s∘κ·R above and (s·L)ᵀ·(R·ε)_A here.
 			u := out.U[c]
 			scf.Sandwich(u, &lA, &vkr, &vkl, &rA, 1, 0, ops)
 			linalg.Gemm(true, false, -1, &vl, &reA, 1, u, ops)
 			for i, x := range e.w.Data {
 				u.Data[i] *= x
 			}
-			pert.GammaPotential(c, w)
-			for b := 0; b < na; b++ {
-				q.Set(b, c, e.chargeMul*linalg.Dot(e.k[b*pairs:(b+1)*pairs], u.Data)+linalg.Dot(e.chi.Row(b), w))
-			}
+			pert.GammaPotential(c, w.Row(c))
 			// P·S⁽ᶜ⁾ adds Σ_μ∈B (P·S⁽ᶜ⁾)_μμ: the products P_μν·s_μν of the
 			// block, on atom a and on the atom of ν.
 			for i := 0; i < size; i++ {
@@ -151,41 +146,16 @@ func (e *cycleEnv) nuclear(ground *scf.Result, sc obs.Scope) (*scf.NuclearRespon
 			q.Add(b, c, -4*linalg.Dot(srC.Data, rm.Data[fa*nr:fa*nr+len(srC.Data)]))
 		}
 	}
-	e.fac.CopyFrom(e.sys)
-	if err := linalg.SolveLinearColumnsInPlace(e.fac, q); err != nil {
-		return nil, fmt.Errorf("%w: zero pivot in the nuclear charge system", ErrDiverged)
-	}
-	for _, v := range q.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("%w: non-finite nuclear response charge", ErrDiverged)
-		}
+	if err := e.closeCharges(q, out.U, w); err != nil {
+		return nil, fmt.Errorf("nuclear response: %w", err)
 	}
 	for c := 0; c < n3; c++ {
 		dq := out.DQ1[c]
 		for a := range dq {
 			dq[a] = q.At(a, c)
 		}
-		copy(e.dq1, dq)
-		e.gammaResponsePotential()
-		// u += W∘(Σ_B (w_B + v_B)·K_B), the potentials' share.
-		pert.GammaPotential(c, w)
-		for a, v := range e.v1 {
-			w[a] += v
-		}
-		clear(wk)
-		for b, x := range w {
-			linalg.Axpy(x, e.k[b*pairs:(b+1)*pairs], wk)
-		}
-		u := out.U[c]
-		for i, x := range e.w.Data {
-			u.Data[i] += x * wk[i]
-		}
-		for _, f := range [2]*linalg.Matrix{u, out.SR[c]} {
-			for _, v := range f.Data {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return nil, fmt.Errorf("%w: non-finite nuclear response (coordinate %d)", ErrDiverged, c)
-				}
-			}
+		if !finite(out.U[c].Data) || !finite(out.SR[c].Data) {
+			return nil, fmt.Errorf("%w: non-finite nuclear response (coordinate %d)", ErrDiverged, c)
 		}
 	}
 	return out, nil

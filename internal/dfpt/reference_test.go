@@ -158,26 +158,41 @@ func refCharges(m *scf.Model, p *linalg.Matrix) []float64 {
 	return dq
 }
 
-// refAddGammaResponse adds ½S_μν(V⁽¹⁾_A + V⁽¹⁾_B), V⁽¹⁾ = γ·Δq⁽¹⁾, to h1.
-func refAddGammaResponse(m *scf.Model, p1, h1 *linalg.Matrix) {
-	na, n := m.NumAtoms(), m.Basis.Size()
-	dq1 := refCharges(m, p1)
-	v1 := make([]float64, na)
-	for a := 0; a < na; a++ {
-		var s float64
-		for b := 0; b < na; b++ {
-			s += m.Gamma.At(a, b) * dq1[b]
+// refPotential returns V = γ·Δq.
+func refPotential(m *scf.Model, dq []float64) []float64 {
+	v := make([]float64, len(dq))
+	for a := range v {
+		for b, q := range dq {
+			v[a] += m.Gamma.At(a, b) * q
 		}
-		v1[a] = s
 	}
+	return v
+}
+
+// refAddPotential adds ½S_μν(V_A + V_B) to h1.
+func refAddPotential(m *scf.Model, v []float64, h1 *linalg.Matrix) {
+	n := m.Basis.Size()
 	for i := 0; i < n; i++ {
 		ai := m.Basis.Funcs[i].Atom
 		for j := 0; j < n; j++ {
 			aj := m.Basis.Funcs[j].Atom
-			h1.Add(i, j, 0.5*m.S.At(i, j)*(v1[ai]+v1[aj]))
+			h1.Add(i, j, 0.5*m.S.At(i, j)*(v[ai]+v[aj]))
 		}
 	}
 }
+
+// refAddGammaResponse adds ½S_μν(V⁽¹⁾_A + V⁽¹⁾_B), V⁽¹⁾ = γ·Δq⁽¹⁾, to h1.
+func refAddGammaResponse(m *scf.Model, p1, h1 *linalg.Matrix) {
+	refAddPotential(m, refPotential(m, refCharges(m, p1)), h1)
+}
+
+// The reference loop's damping, iteration budget and convergence threshold:
+// the response loop's settings before the direct solves.
+const (
+	refMixing  = 0.3
+	refMaxIter = 400
+	refTol     = 1e-7
+)
 
 // refPolarizability is γ-mode Polarizability over the reference kernels with
 // plain linear mixing, p1 ← (1−β)·p1 + β·F(p1): the same ladder and the same
@@ -191,8 +206,8 @@ func refPolarizability(m *scf.Model, ground *scf.Result, opt Options, static boo
 		var cycles int
 		converged := false
 		for _, scale := range []float64{1, 0.5, 0.25, 0.1} {
-			mixing := opt.Mixing * scale
-			maxIter := min(int(float64(opt.MaxIter)/scale), 3*opt.MaxIter)
+			mixing := refMixing * scale
+			maxIter := min(int(float64(refMaxIter)/scale), 3*refMaxIter)
 			p1 = linalg.NewMatrix(n, n)
 			if init := opt.InitP1[dir]; init != nil && init.Rows == n {
 				p1.CopyFrom(init)
@@ -217,7 +232,7 @@ func refPolarizability(m *scf.Model, ground *scf.Result, opt Options, static boo
 				if maxDelta > 1e12 {
 					break
 				}
-				if maxDelta < opt.Tol {
+				if maxDelta < refTol {
 					converged = true
 					break
 				}
@@ -412,13 +427,13 @@ func TestGammaResponseMatchesReference(t *testing.T) {
 }
 
 // TestSusceptibilityMatchesUnitPotentialBuilds: the pair-space χ is what it
-// claims to be — column B equals the Mulliken charges of the P⁽¹⁾ that
-// responseDensity builds for a unit potential on atom B, applied as
-// addGammaResponseH1 applies a potential — to 1e-12 of χ's largest entry. The
-// static χ of the chord matrix equals, column for column, the charges of the
-// static reference build (intraband pairs, Fermi shift) for the same
-// potential, and has 1ᵀ·χ = 0; on a gapped ground state it is the optical χ
-// to the bit.
+// claims to be — column B equals the Mulliken charges of the P⁽¹⁾ that the
+// reference build (refResponseDensity) gives for a unit potential on atom B,
+// applied as refAddPotential applies a potential — to 1e-12 of χ's largest
+// entry. The static χ of
+// the chord matrix equals, column for column, the charges of the static
+// reference build (intraband pairs, Fermi shift) for the same potential, and
+// has 1ᵀ·χ = 0; on a gapped ground state it is the optical χ to the bit.
 func TestSusceptibilityMatchesUnitPotentialBuilds(t *testing.T) {
 	for _, fx := range gammaFixtures(t) {
 		env := newCycleEnv(fx.m, fx.ground, nil)
@@ -433,17 +448,16 @@ func TestSusceptibilityMatchesUnitPotentialBuilds(t *testing.T) {
 		for _, x := range env.chi.Data {
 			scale = math.Max(scale, math.Abs(x))
 		}
-		for b := range env.v1 {
-			clear(env.v1)
-			env.v1[b] = 1
-			env.h1.Zero()
-			env.addGammaResponseH1()
-			env.responseDensity()
-			for a, q := range refCharges(fx.m, env.newP1) {
+		for b := 0; b < fx.m.NumAtoms(); b++ {
+			v := make([]float64, fx.m.NumAtoms())
+			v[b] = 1
+			h1 := linalg.NewMatrix(fx.m.Basis.Size(), fx.m.Basis.Size())
+			refAddPotential(fx.m, v, h1)
+			for a, q := range refCharges(fx.m, refResponseDensity(fx.m, fx.ground, h1, false)) {
 				worst = math.Max(worst, math.Abs(q-env.chi.At(a, b)))
 			}
 			var sum float64
-			for a, q := range refCharges(fx.m, refResponseDensity(fx.m, fx.ground, env.h1, true)) {
+			for a, q := range refCharges(fx.m, refResponseDensity(fx.m, fx.ground, h1, true)) {
 				worstStatic = math.Max(worstStatic, math.Abs(q-static.chi.At(a, b)))
 				sum += static.chi.At(a, b)
 			}

@@ -2,7 +2,6 @@ package dfpt
 
 import (
 	"fmt"
-	"math"
 
 	"qframan/internal/linalg"
 	"qframan/internal/obs"
@@ -14,9 +13,9 @@ import (
 // dipole and polarizability derivatives, and the workspace it was solved in,
 // whose environment keeps χ and I − χ·Γ for the nuclear responses
 // (Responses). The first-order responses are Polarizability's in γ mode —
-// the SCF's own kernel, whatever opt.Coulomb says. Each of the six
-// second-order ones ∂²P/∂F_b∂F_c is one charge solve against the I − χ·Γ the
-// first order built, plus one P⁽¹⁾-shaped build (secondOrder). A fractional
+// the SCF's own kernel, whatever opt.Coulomb says. The six second-order ones
+// ∂²P/∂F_b∂F_c are one six-column charge solve against the I − χ·Γ the first
+// order built, plus one P⁽¹⁾-shaped build each (secondOrder). A fractional
 // ground state is an error: it has no second-order response here.
 func fieldResponse(m *scf.Model, ground *scf.Result, opt Options) (*Workspace, *scf.FieldResponse, error) {
 	if !Gapped(ground.Occ) {
@@ -37,106 +36,120 @@ func fieldResponse(m *scf.Model, ground *scf.Result, opt Options) (*Workspace, *
 
 // secondOrder computes the second-order field responses of the gapped ground
 // state the environment is seated on, after a γ-mode polarizability that left
-// χ and I − χ·Γ in place and returned the first-order p1. In the reference
-// orbitals (P = 2·C·R·Cᵀ, R = diag(1 occupied, 0 virtual) at zero field, the
-// field leaves S alone) the density stays a projector, R² = R, and commutes
-// with the Hamiltonian, [H̃, R] = 0. With U⁽ᵇ⁾ = R⁽ᵇ⁾_vo = ½W∘(Lᵀ·H⁽ᵇ⁾·R) the
-// first-order block and H̃⁽ᵇ⁾ = Cᵀ·H⁽ᵇ⁾·C, differentiating both twice gives
+// χ, I − χ·Γ, ½S·L and ½S·R, and each direction's Δq⁽ᵇ⁾ and pair block in
+// place and returned the first-order p1. In the reference orbitals (P =
+// 2·C·R·Cᵀ, R = diag(1 occupied, 0 virtual) at zero field, the field leaves S
+// alone) the density stays a projector, R² = R, and commutes with the
+// Hamiltonian, [H̃, R] = 0. With U⁽ᵇ⁾ = R⁽ᵇ⁾_vo = ½W∘(Lᵀ·H⁽ᵇ⁾·R) the
+// first-order block — the pair block solveGamma left, halved in place — and
+// H̃⁽ᵇ⁾ = Cᵀ·H⁽ᵇ⁾·C, differentiating both twice gives
 //
 //	R⁽ᵇᶜ⁾_oo = −(U⁽ᵇ⁾ᵀ·U⁽ᶜ⁾ + U⁽ᶜ⁾ᵀ·U⁽ᵇ⁾),  R⁽ᵇᶜ⁾_vv = U⁽ᵇ⁾·U⁽ᶜ⁾ᵀ + U⁽ᶜ⁾·U⁽ᵇ⁾ᵀ,
 //	R⁽ᵇᶜ⁾_vo = ½W∘(H̃⁽ᵇᶜ⁾_vo + X),  X = H̃⁽ᵇ⁾_vv·U⁽ᶜ⁾ − U⁽ᶜ⁾·H̃⁽ᵇ⁾_oo + (b↔c),
 //
 // where H⁽ᵇᶜ⁾ = ½S∘(V⁽ᵇᶜ⁾_A + V⁽ᵇᶜ⁾_B) is all the second-order Hamiltonian
 // there is (the field term is linear) and V⁽ᵇᶜ⁾ = Γ·Δq⁽ᵇᶜ⁾ depends on the
-// answer. As in solveGamma the charges close on themselves:
-// (I − χ·Γ)·Δq⁽ᵇᶜ⁾ = q₀, q₀ the charges of everything but the H⁽ᵇᶜ⁾ term.
+// answer. The six pairs b ≤ c are one column set of the charge closure
+// (closeCharges): each column the pair block W∘X and the charges of the
+// oo and vv blocks, and the closure adds H⁽ᵇᶜ⁾'s share to the pair block.
+// The potentials of H̃⁽ᵇ⁾_vv and H̃⁽ᵇ⁾_oo enter in pair space too (block).
 func (e *cycleEnv) secondOrder(p1 [3]*linalg.Matrix, sc obs.Scope) (*scf.FieldResponse, error) {
 	_, span := sc.Begin("dfpt.second", "dfpt")
 	defer span.End()
 	m, n, ops := e.m, e.n, e.ops()
 	l, r := e.left, e.right
-	nl, nr := l.Cols, r.Cols
-	pairs := nl * nr
+	nl, nr, na := l.Cols, r.Cols, e.chi.Rows
 	mat := linalg.NewMatrix
 	gemm := func(transA, transB bool, alpha float64, a, b *linalg.Matrix, beta float64, c *linalg.Matrix) {
 		linalg.Gemm(transA, transB, alpha, a, b, beta, c, ops)
 	}
-	var u, hvv, hoo [3]*linalg.Matrix
-	tl, tr := mat(nl, n), mat(nr, n)
-	for b, p := range p1 {
-		// H⁽ᵇ⁾ from P⁽ᵇ⁾'s own charges: the Δq⁽¹⁾ it was built from, to rounding.
-		e.populations(p)
-		e.gammaResponsePotential()
-		e.h1.CopyFrom(m.Dip[b])
-		e.addGammaResponseH1()
-		u[b], hvv[b], hoo[b] = mat(nl, nr), mat(nl, nl), mat(nr, nr)
-		gemm(true, false, 1, l, e.h1, 0, tl)
-		gemm(false, false, 1, tl, r, 0, u[b])
-		gemm(false, false, 1, tl, l, 0, hvv[b])
-		gemm(true, false, 1, r, e.h1, 0, tr)
-		gemm(false, false, 1, tr, r, 0, hoo[b])
-		for i, w := range e.w.Data {
-			u[b].Data[i] *= 0.5 * w
-		}
-	}
+	const cols = 6 // the pairs b ≤ c
 	fr := &scf.FieldResponse{P1: p1}
+	dqs := make([]float64, (3+cols)*na) // Δq⁽ᵇ⁾, then Δq⁽ᵇᶜ⁾
+	var u, hvv, hoo [3]*linalg.Matrix
+	tl, tr, vl, vr := mat(nl, n), mat(nr, n), mat(n, nl), mat(n, nr)
+	v := make([]float64, na)
+	for b := range p1 {
+		fr.DQ1[b] = dqs[b*na : (b+1)*na]
+		copy(fr.DQ1[b], e.dq[b])
+		for a := range v {
+			v[a] = linalg.Dot(m.Gamma.Row(a), e.dq[b])
+		}
+		u[b] = &e.u1[b]
+		u[b].Scale(0.5)
+		hvv[b] = e.block(l, e.sl, m.Dip[b], v, tl, vl)
+		hoo[b] = e.block(r, e.sr, m.Dip[b], v, tr, vr)
+	}
+	q := mat(na, cols)
+	xs := make([]float64, cols*nl*nr)
+	var x [cols]linalg.Matrix
+	var src [cols]*linalg.Matrix
 	roo, rvv := mat(nr, nr), mat(nl, nl)
 	xr, xl := mat(n, nr), mat(n, nl)
-	src, lu := mat(nl, nr), mat(n, nr)
-	wk := e.wk[:pairs]
-	for b := 0; b < 3; b++ {
-		for c := b; c < 3; c++ {
-			gemm(true, false, -1, u[b], u[c], 0, roo)
-			gemm(true, false, -1, u[c], u[b], 1, roo)
-			gemm(false, true, 1, u[b], u[c], 0, rvv)
-			gemm(false, true, 1, u[c], u[b], 1, rvv)
-			p2 := mat(n, n)
-			gemm(false, false, 1, r, roo, 0, xr)
-			gemm(false, true, 2, xr, r, 0, p2)
-			gemm(false, false, 1, l, rvv, 0, xl)
-			gemm(false, true, 2, xl, l, 1, p2)
-			gemm(false, false, 1, hvv[b], u[c], 0, src)
-			gemm(false, false, -1, u[c], hoo[b], 1, src)
-			gemm(false, false, 1, hvv[c], u[b], 1, src)
-			gemm(false, false, -1, u[b], hoo[c], 1, src)
-
-			e.populations(p2)
-			for i, w := range e.w.Data {
-				wk[i] = w * src.Data[i]
-			}
-			for a := range e.dq1 {
-				e.dq1[a] += e.chargeMul * linalg.Dot(e.k[a*pairs:(a+1)*pairs], wk)
-			}
-			e.fac.CopyFrom(e.sys)
-			if err := linalg.SolveLinearInPlace(e.fac, e.dq1); err != nil {
-				return nil, fmt.Errorf("%w: zero pivot in the second-order charge system", ErrDiverged)
-			}
-			e.gammaResponsePotential()
-			e.h1.Zero()
-			e.addGammaResponseH1()
-			gemm(true, false, 1, l, e.h1, 0, tl)
-			gemm(false, false, 1, tl, r, 1, src)
-			for i, w := range e.w.Data {
-				src.Data[i] *= w
-			}
-			gemm(false, false, 1, l, src, 0, lu)
-			gemm(false, true, 1, lu, r, 1, p2)
-			gemm(false, true, 1, r, lu, 1, p2)
-			for _, v := range p2.Data {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return nil, fmt.Errorf("%w: non-finite second-order response (%d,%d)", ErrDiverged, b, c)
-				}
-			}
-			fr.P2[b][c], fr.P2[c][b] = p2, p2
+	for j, bc := range alphaPairs {
+		b, c := bc[0], bc[1]
+		gemm(true, false, -1, u[b], u[c], 0, roo)
+		gemm(true, false, -1, u[c], u[b], 1, roo)
+		gemm(false, true, 1, u[b], u[c], 0, rvv)
+		gemm(false, true, 1, u[c], u[b], 1, rvv)
+		p2 := mat(n, n)
+		gemm(false, false, 1, r, roo, 0, xr)
+		gemm(false, true, 2, xr, r, 0, p2)
+		gemm(false, false, 1, l, rvv, 0, xl)
+		gemm(false, true, 2, xl, l, 1, p2)
+		x[j] = linalg.Matrix{Rows: nl, Cols: nr, Data: xs[j*nl*nr : (j+1)*nl*nr]}
+		src[j] = &x[j]
+		gemm(false, false, 1, hvv[b], u[c], 0, src[j])
+		gemm(false, false, -1, u[c], hoo[b], 1, src[j])
+		gemm(false, false, 1, hvv[c], u[b], 1, src[j])
+		gemm(false, false, -1, u[b], hoo[c], 1, src[j])
+		for i, w := range e.w.Data {
+			src[j].Data[i] *= w
 		}
+		for i, a := range e.atomOf { // the oo and vv blocks' charges
+			q.Data[a*cols+j] += 2 * linalg.Dot(p2.Row(i), e.halfS.Row(i))
+		}
+		fr.P2[b][c], fr.P2[c][b] = p2, p2
+	}
+	if err := e.closeCharges(q, src[:], nil); err != nil {
+		return nil, fmt.Errorf("second-order response: %w", err)
+	}
+	lu := mat(n, nr)
+	for j, bc := range alphaPairs {
+		b, c := bc[0], bc[1]
+		p2 := fr.P2[b][c]
+		gemm(false, false, 1, l, src[j], 0, lu)
+		gemm(false, true, 1, lu, r, 1, p2)
+		gemm(false, true, 1, r, lu, 1, p2)
+		if !finite(p2.Data) {
+			return nil, fmt.Errorf("%w: non-finite second-order response (%d,%d)", ErrDiverged, b, c)
+		}
+		dq := dqs[(3+j)*na : (4+j)*na]
+		for a := range dq {
+			dq[a] = q.At(a, j)
+		}
+		fr.DQ2[b][c], fr.DQ2[c][b] = dq, dq
 	}
 	return fr, nil
 }
 
-// populations sets dq1 to the Mulliken populations Σ_{μ∈A} (P·S)_μμ of p.
-func (e *cycleEnv) populations(p *linalg.Matrix) {
-	clear(e.dq1)
-	for i, a := range e.atomOf {
-		e.dq1[a] += 2 * linalg.Dot(p.Row(i), e.halfS.Row(i))
+// block returns xᵀ·(d + ½S∘(v_A + v_B))·x for the orbitals x, sx = ½S·x and a
+// symmetric d: half of xᵀ·d·x plus (V·x)ᵀ·sx, V the diagonal of each
+// function's atomic potential, plus its transpose — the potential in pair
+// space, the sibling of the closure's Σ_B v_B·K_B. t (cols(x)×n) and vx
+// (n×cols(x)) are scratch.
+func (e *cycleEnv) block(x, sx, d *linalg.Matrix, v []float64, t, vx *linalg.Matrix) *linalg.Matrix {
+	ops := e.ops()
+	out := linalg.NewMatrix(x.Cols, x.Cols)
+	linalg.Gemm(true, false, 1, x, d, 0, t, ops)
+	linalg.Gemm(false, false, 0.5, t, x, 0, out, ops)
+	for mu, a := range e.atomOf {
+		row := vx.Row(mu)
+		for i, c := range x.Row(mu) {
+			row[i] = v[a] * c
+		}
 	}
+	linalg.Gemm(true, false, 1, vx, sx, 1, out, ops)
+	out.AddTranspose()
+	return out
 }

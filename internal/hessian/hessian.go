@@ -53,6 +53,12 @@ type DisplacementResult struct {
 // internal/poisson bumps poisson.SolverTag instead, which moves only
 // grid-mode keys.
 //
+// engine/13: every γ-kernel response closes its charges in one place and
+// takes its response potential in pair space (no dense H⁽¹⁾ re-projected; the
+// six second-order fields one elimination), and the field derivatives take the
+// charges the responses were solved with. Reordered sums move γ-mode α, ∂α,
+// ∂μ and the analytic Hessian at rounding; the chord matrix and the SCF keep
+// every bit.
 // engine/12: the analytic route's nuclear responses and Hessian are
 // contracted atom-locally — each ∂S/∂R_c through its moved atom's row block,
 // the response kept as factors, the Hessian's response term in pair space,
@@ -106,7 +112,7 @@ type DisplacementResult struct {
 // engine/2: Pulay mixing in the DFPT cycle, Fermi search that stops once the
 // electrons are counted. (engine/1, never hashed: linear response mixing,
 // Fermi level bisected to the last ulp.)
-const EngineVersion = "engine/12"
+const EngineVersion = "engine/13"
 
 // JobOptions bundles the solver settings of a displacement job.
 type JobOptions struct {

@@ -264,7 +264,7 @@ func fragmentDataSHA256(fd *FragmentData) string {
 // water dimer at σ = 0.05) and grid mode's degenerate levels (methane's t2,
 // dfpt.SplitLevels) still run the displacement loop — 6N displaced jobs and
 // the finite-difference counter — and the dimer reproduces its pinned
-// FragmentData to the bit (SHA-256 recorded at engine/11). Gapped grid-mode
+// FragmentData to the bit (SHA-256 recorded at engine/13). Gapped grid-mode
 // and γ-mode waters run no displaced job. The loop still ships, so the
 // grid-mode water's loop FragmentData stays pinned too, by running the
 // reference hand-over, the loop at kernel budgets 1 and 4 and the central
@@ -339,10 +339,14 @@ func TestDisplacementLoopRoutesKeepTheirBits(t *testing.T) {
 	}
 }
 
-// The engine/11 FragmentData of TestDisplacementLoopRoutesKeepTheirBits'
-// displacement-loop runs: the grid-mode water through the loop directly, the
-// dimer through ComputeFragment.
+// The FragmentData of TestDisplacementLoopRoutesKeepTheirBits'
+// displacement-loop runs: the grid-mode water through the loop directly
+// (recorded at engine/11), the dimer through ComputeFragment (recorded at
+// engine/13, whose γ-mode α of each displaced job moved ∂α by ≤ 2.4e-13 of
+// each component's largest entry; its Hessian and ∂μ kept every bit). Both
+// are amd64 facts: a compiler that fuses multiply-adds (arm64) rounds
+// differently and will not reproduce them (ROADMAP item 16).
 const (
 	gridWaterSHA256    = "222663cef3864f2fe2a35cad6211f66f8f5df27a3049f95c8641ff6ef0b7c782"
-	smearedDimerSHA256 = "9170b6eca709ac317e7fe75d4d1ccd402bd70586094a42a40f6f77cd19a55526"
+	smearedDimerSHA256 = "7e76b4a31e0a59fdc25b5ab054cda455bebd88d5b5aae5c4ab7b0c3f053c6e80"
 )

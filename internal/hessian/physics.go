@@ -9,7 +9,7 @@ import (
 )
 
 // physicsSize is the length of the AppendPhysics serialization.
-const physicsSize = 121
+const physicsSize = 97
 
 // AppendPhysics appends the job's physics — every option that can move a bit
 // of a converged FragmentData — to b in a fixed little-endian layout: floats
@@ -17,8 +17,8 @@ const physicsSize = 121
 // same bytes are the job section of the store's content fingerprint and the
 // options payload of the cluster's JOB and LEASE frames, so a worker executes
 // exactly the description its key was hashed from. Execution-only fields — the
-// Obs scopes and the warm-start data SCF.InitDeltaQ, SCF.Chord, DFPT.InitP1 —
-// are not part of it.
+// Obs scopes, the warm-start data SCF.InitDeltaQ, SCF.Chord, DFPT.InitP1 and
+// the ignored DFPT.Mixing — are not part of it.
 //
 // A new physics option is added here and, at the same position, in
 // ParsePhysics; both store.fingerprintVersion and cluster.ProtoVersion then
@@ -34,9 +34,6 @@ func (o JobOptions) AppendPhysics(b []byte) []byte {
 	b = appendF64(b, o.SCF.Field.X)
 	b = appendF64(b, o.SCF.Field.Y)
 	b = appendF64(b, o.SCF.Field.Z)
-	b = appendU64(b, uint64(o.DFPT.MaxIter))
-	b = appendF64(b, o.DFPT.Tol)
-	b = appendF64(b, o.DFPT.Mixing)
 	b = appendU64(b, uint64(o.DFPT.Coulomb))
 	b = appendF64(b, o.DFPT.GridSpacing)
 	b = appendF64(b, o.DFPT.GridMargin)
@@ -84,9 +81,6 @@ func ParsePhysics(b []byte) (JobOptions, error) {
 	o.SCF.Field.X = f64()
 	o.SCF.Field.Y = f64()
 	o.SCF.Field.Z = f64()
-	o.DFPT.MaxIter = count("DFPT.MaxIter")
-	o.DFPT.Tol = f64()
-	o.DFPT.Mixing = f64()
 	o.DFPT.Coulomb = dfpt.CoulombMode(count("DFPT.Coulomb"))
 	o.DFPT.GridSpacing = f64()
 	o.DFPT.GridMargin = f64()

@@ -11,10 +11,13 @@ import (
 // FieldResponse is the density response of a gapped ground state to a
 // uniform electric field F (Options.Field) up to second order, at F = 0:
 // P1[b] = ∂P/∂F_b and P2[b][c] = ∂²P/∂F_b∂F_c, where P2[b][c] and P2[c][b]
-// are one matrix. dfpt.Responses computes it.
+// are one matrix, with the Mulliken charges each was solved with, DQ1[b] and
+// DQ2[b][c] (DQ2[c][b] the same slice). dfpt.Responses computes it.
 type FieldResponse struct {
-	P1 [3]*linalg.Matrix
-	P2 [3][3]*linalg.Matrix
+	P1  [3]*linalg.Matrix
+	P2  [3][3]*linalg.Matrix
+	DQ1 [3][]float64
+	DQ2 [3][3][]float64
 }
 
 // FieldDerivatives returns the nuclear derivatives of the dipole moment and
@@ -29,8 +32,8 @@ type FieldResponse struct {
 // κ_ij = ½K(ε_i + ε_j) + ½(V_A + V_B) on a pair of atoms A ≠ B, taken at the
 // field-dependent density: μ = Σ_A Z_A·R_A − ∂E/∂F gives ∂μ_b/∂R =
 // Z·δ − ∂g/∂F_b and α_bc = −∂²E/∂F_b∂F_c gives ∂α_bc/∂R = −∂²g/∂F_b∂F_c.
-// The charges and potentials of each order are the Mulliken charges of its
-// density and Γ times them; the energy-weighted density of a gapped state is
+// The charges of each order are the response's own (DQ1, DQ2) and its
+// potentials Γ times them; the energy-weighted density of a gapped state is
 // W = ½·P·H·P at any field, H = H0 + F·D + ½S∘(V_A + V_B), so W⁽ᵇ⁾ and W⁽ᵇᶜ⁾
 // follow by the product rule (DESIGN.md §7, "Analytic field derivatives").
 // The caller vouches that the ground state is gapped (dfpt.Gapped): with
@@ -41,15 +44,12 @@ func (m *Model) FieldDerivatives(ground *Result, fr *FieldResponse) (dMu [3][]fl
 	gemm := func(a, b *linalg.Matrix, beta float64, c *linalg.Matrix) {
 		linalg.Gemm(false, false, 1, a, b, beta, c, m.Ops)
 	}
-	potential := func(p *linalg.Matrix) (pop, v []float64) {
-		pop, v = make([]float64, na), make([]float64, na)
-		m.populations(p, pop)
-		m.sccPotential(pop, v)
-		return pop, v
+	potential := func(dq []float64) []float64 {
+		v := make([]float64, na)
+		m.sccPotential(dq, v)
+		return v
 	}
-	p := ground.P
-	v0 := make([]float64, na)
-	m.sccPotential(ground.DeltaQ, v0)
+	p, v0 := ground.P, potential(ground.DeltaQ)
 	pop0 := make([]float64, na)
 	m.populations(p, pop0)
 
@@ -63,11 +63,11 @@ func (m *Model) FieldDerivatives(ground *Result, fr *FieldResponse) (dMu [3][]fl
 	m.addPotential(h, v0)
 	gemm(h, p, 0, a)
 	gemm(m.S, p, 0, sp)
-	var q1, v1 [3][]float64
+	var v1 [3][]float64
 	var b1, a1 [3]*linalg.Matrix
 	h1 := sq()
 	for b, p1 := range fr.P1 {
-		q1[b], v1[b] = potential(p1)
+		v1[b] = potential(fr.DQ1[b])
 		b1[b], a1[b] = sq(), sq()
 		h1.CopyFrom(m.Dip[b])
 		m.addPotential(h1, v1[b])
@@ -81,7 +81,7 @@ func (m *Model) FieldDerivatives(ground *Result, fr *FieldResponse) (dMu [3][]fl
 	for k := 0; k < 3; k++ {
 		dipGrad[0][k] = m.dipoleGradient(dt, p, pop0, k)
 		for c := 0; c < 3; c++ {
-			dipGrad[1+c][k] = m.dipoleGradient(dt, fr.P1[c], q1[c], k)
+			dipGrad[1+c][k] = m.dipoleGradient(dt, fr.P1[c], fr.DQ1[c], k)
 		}
 	}
 
@@ -94,7 +94,7 @@ func (m *Model) FieldDerivatives(ground *Result, fr *FieldResponse) (dMu [3][]fl
 		addPairPotential(e, p, v1[b], m.Basis.Funcs)
 		clear(grad)
 		m.addOverlapGradient(e, grad)
-		m.addGammaGradient(q1[b], ground.DeltaQ, grad)
+		m.addGammaGradient(fr.DQ1[b], ground.DeltaQ, grad)
 		addVecs(grad, dipGrad[0][b])
 		dMu[b] = make([]float64, 3*na)
 		for at, g := range grad {
@@ -108,8 +108,8 @@ func (m *Model) FieldDerivatives(ground *Result, fr *FieldResponse) (dMu [3][]fl
 	}
 	for b := 0; b < 3; b++ {
 		for c := b; c < 3; c++ {
-			p2 := fr.P2[b][c]
-			q2, v2 := potential(p2)
+			p2, q2 := fr.P2[b][c], fr.DQ2[b][c]
+			v2 := potential(q2)
 			for i := range m.Basis.Funcs {
 				prow, pvrow := p.Row(i), pv.Row(i)
 				for j := range m.Basis.Funcs {
@@ -127,7 +127,7 @@ func (m *Model) FieldDerivatives(ground *Result, fr *FieldResponse) (dMu [3][]fl
 			clear(grad)
 			m.addOverlapGradient(e, grad)
 			m.addGammaGradient(q2, ground.DeltaQ, grad)
-			m.addGammaGradient(q1[b], q1[c], grad)
+			m.addGammaGradient(fr.DQ1[b], fr.DQ1[c], grad)
 			addVecs(grad, dipGrad[1+c][b])
 			addVecs(grad, dipGrad[1+b][c])
 			d := make([]float64, 3*na)

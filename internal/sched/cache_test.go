@@ -221,11 +221,13 @@ func TestCacheKeyIsolation(t *testing.T) {
 // (finite-difference Hessians from 6N displaced SCF solves), under
 // engine/9 (grid mode's finite differences from 6N displaced SCF + grid
 // solves), under engine/10 (−Step displaced solves started from their
-// +Step partners' predictor) and under engine/11 (nuclear responses and
-// Hessian contracted through dense n×n matrices per coordinate) — the
-// constants were recorded on those commits — must serve none of them to a resumed run of
-// this engine: each mode reports a miss, recomputes, and files its new record
-// beside the old ones. A second resumed run is then served its own.
+// +Step partners' predictor), under engine/11 (nuclear responses and
+// Hessian contracted through dense n×n matrices per coordinate) and under
+// engine/12 (each γ-kernel response closing its charges on its own; the last
+// qfkey/v2 keys) — the constants were recorded on those commits — must serve
+// none of them to a resumed run of this engine: each mode reports a miss,
+// recomputes, and files its new record beside the old ones. A second resumed
+// run is then served its own.
 func TestCacheSolverMigration(t *testing.T) {
 	const (
 		gridKeyBeforeTag     = "491822e02145f4fdd5cbfa1f6c0b3b3a8602bf3c7a7cc9a949d44f803500ea81"
@@ -251,11 +253,14 @@ func TestCacheSolverMigration(t *testing.T) {
 		gammaKeyEngine10     = "4547c776b8c57bf3f67b6ad0f76f5adceed3d582112436c04da508f00e576438"
 		gridKeyEngine11      = "d63ba79a9698cd5bfcaf4b93b5c6f999833e3780b655b24861b8ddba6bd7bdfd"
 		gammaKeyEngine11     = "7aec904c4dea73b83662ab28e88658b8498bfdbfc6742598d3d8de468bed1feb"
+		gridKeyEngine12      = "ae41b45cc2ce5037bbfffa8768266fb51a93c33d7a745e6cb018ac6fbcb5aca6"
+		gammaKeyEngine12     = "52f5c73372d0af858d8769916cd38712f1f984cc4c420caa3f404c245c606171"
 	)
 	old := []string{gridKeyBeforeTag, gridKeyBeforeEngine, gammaKeyBeforeEngine, gridKeyEngine2, gammaKeyEngine2,
 		gridKeyEngine3, gammaKeyEngine3, gridKeyEngine4, gammaKeyEngine4, gridKeyEngine5, gammaKeyEngine5,
 		gridKeyEngine6, gammaKeyEngine6, gridKeyEngine7, gammaKeyEngine7, gridKeyEngine8, gammaKeyEngine8,
-		gridKeyEngine9, gammaKeyEngine9, gridKeyEngine10, gammaKeyEngine10, gridKeyEngine11, gammaKeyEngine11}
+		gridKeyEngine9, gammaKeyEngine9, gridKeyEngine10, gammaKeyEngine10, gridKeyEngine11, gammaKeyEngine11,
+		gridKeyEngine12, gammaKeyEngine12}
 	dec := cacheDecomposition(1)
 	dir := t.TempDir()
 	s := openStore(t, dir)

@@ -47,8 +47,9 @@ const coordQuantum = 1e-6
 // fingerprintVersion is bumped whenever the fingerprint byte layout, the
 // canonicalization, or the codec changes incompatibly, so stale stores can
 // never cross-hit a new binary. v2: the job section (hessian.AppendPhysics)
-// lost the DFPT strength-reduction flag byte, which no solve read.
-const fingerprintVersion = "qfkey/v2/codec1\n"
+// lost the DFPT strength-reduction flag byte, which no solve read. v3: it
+// lost DFPT.MaxIter, Tol and Mixing, which no solve reads either.
+const fingerprintVersion = "qfkey/v3/codec1\n"
 
 // Fingerprint computes the content-addressed key and canonical frame of a
 // fragment under the given job options. The fingerprint covers the physics

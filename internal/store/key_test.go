@@ -123,9 +123,6 @@ func TestKeyDiscriminates(t *testing.T) {
 		"SCF.Mixing":       func(o *hessian.JobOptions) { o.SCF.Mixing += 0.01 },
 		"SCF.Smearing":     func(o *hessian.JobOptions) { o.SCF.Smearing += 0.001 },
 		"SCF.Field":        func(o *hessian.JobOptions) { o.SCF.Field.Z = 1e-4 },
-		"DFPT.Tol":         func(o *hessian.JobOptions) { o.DFPT.Tol *= 10 },
-		"DFPT.MaxIter":     func(o *hessian.JobOptions) { o.DFPT.MaxIter++ },
-		"DFPT.Mixing":      func(o *hessian.JobOptions) { o.DFPT.Mixing += 0.01 },
 		"DFPT.Coulomb":     func(o *hessian.JobOptions) { o.DFPT.Coulomb++ },
 		"DFPT.GridSpacing": func(o *hessian.JobOptions) { o.DFPT.GridSpacing *= 1.5 },
 		"DFPT.GridMargin":  func(o *hessian.JobOptions) { o.DFPT.GridMargin += 0.5 },
@@ -235,20 +232,21 @@ func TestKeySolverTagTouchesOnlyGridMode(t *testing.T) {
 // response loop), engine/8 (finite-difference Hessians from 6N displaced
 // SCF solves), engine/9 (grid mode's ∂α, Hessian and ∂μ from 6N displaced
 // SCF + grid solves), engine/10 (−Step displaced solves started from their
-// +Step partners' predictor) and engine/11 (nuclear responses and Hessian
-// contracted through dense n×n matrices per coordinate); the constants were
-// recorded on those commits — are not today's, so none of their records can
-// be served to this engine.
+// +Step partners' predictor), engine/11 (nuclear responses and Hessian
+// contracted through dense n×n matrices per coordinate) and engine/12 (each
+// γ-kernel response closing its charges on its own, P⁽¹⁾ rebuilt from a dense
+// H⁽¹⁾; the last qfkey/v2 keys); the constants were recorded on those commits
+// — are not today's, so none of their records can be served to this engine.
 func TestKeyEngineVersionTouchesEveryKey(t *testing.T) {
 	grid, hessOnly := hessian.DefaultJobOptions(), hessian.DefaultJobOptions()
 	grid.DFPT.Coulomb = dfpt.GridCoulomb
 	hessOnly.SkipAlpha = true
 	for _, tc := range []struct {
 		name       string
-		keysBefore [11]string // unversioned engine, engine/2, engine/3, engine/4, engine/5, engine/6, engine/7, engine/8, engine/9, engine/10, engine/11
+		keysBefore [12]string // unversioned engine, engine/2, engine/3, engine/4, engine/5, engine/6, engine/7, engine/8, engine/9, engine/10, engine/11, engine/12
 		opt        hessian.JobOptions
 	}{
-		{"γ mode", [11]string{"f5191d75104962f781428508a5c936bf4a14e2bb68f911d7bf75554df7af00b4",
+		{"γ mode", [12]string{"f5191d75104962f781428508a5c936bf4a14e2bb68f911d7bf75554df7af00b4",
 			"cdb10dbd19d277c77d60f582f78e1eae186b3852e9e22b2eece8f69b560d448d",
 			"92c4619cfa4945bc1cb81704a8868711cc1cd81dba45c3a85c24019fd8f32e15",
 			"63d04430a8e6bf30508d33c4bb36c68cbe0b36e9774f206ca410cfa84f3f4709",
@@ -258,8 +256,9 @@ func TestKeyEngineVersionTouchesEveryKey(t *testing.T) {
 			"0f050c8b37ec09e0e67fb242a1207b2c7b1006a2b856a378a688696b7aa18494",
 			"4c43acaaf08cae8d14cbb4136b1c3fa0e4318ed50746c8ef6dc20bcdc83e209b",
 			"76b9d77f33b866d7e37f50928ab8d14a36993f012ffd68741ea243642fba7f21",
-			"a5e6823b4c1c4b1183eb701c48fc77e814add329f097b46f4e0ddf6a9360db1e"}, hessian.DefaultJobOptions()},
-		{"grid mode", [11]string{"d06d326b4c6b3d6268b8331c7d1a5621bbe3fc82420fc891201208327d3a878e",
+			"a5e6823b4c1c4b1183eb701c48fc77e814add329f097b46f4e0ddf6a9360db1e",
+			"027c5cafb81cb932a8cfb2689c472eb91af6ac4535637eab6789732f8af83b4b"}, hessian.DefaultJobOptions()},
+		{"grid mode", [12]string{"d06d326b4c6b3d6268b8331c7d1a5621bbe3fc82420fc891201208327d3a878e",
 			"8e7e74e50a712f8a737503fa1a839a07c19683df075c30863e1dae3f03f73e3d",
 			"a623e9f8b379c9cae5df7586cf10620cf532703b90c3210b178fcef420102d70",
 			"9c04eabfa80c467bd18f321fc0437a4458b303d9abb87f671f50dcb8a2eae654",
@@ -269,8 +268,9 @@ func TestKeyEngineVersionTouchesEveryKey(t *testing.T) {
 			"3b2e260654ea09cf5de14440923e4d92697701ad662e49004a37b511cd8ccc37",
 			"1a606ae92c961368f8e1c2da93220ba91c415da07c8941ce37e96a4d5bd88915",
 			"1f136925010a19dd855203879e005448a7844743cc813bc6d1bec8d9ab90fb56",
-			"e7d21e8af2fb86f544ba706b0008d67d6ce5410b7d459a1fddfacb5a63bbdc45"}, grid},
-		{"pure Hessian", [11]string{"dc48bfda25047caa734ddf81879b5d15aa852bc24f6226b2db216218229883a0",
+			"e7d21e8af2fb86f544ba706b0008d67d6ce5410b7d459a1fddfacb5a63bbdc45",
+			"9a830109e83b7344acfb7cf1d7dbda1009224b54d8d850405048c49b1f86b692"}, grid},
+		{"pure Hessian", [12]string{"dc48bfda25047caa734ddf81879b5d15aa852bc24f6226b2db216218229883a0",
 			"fbe2d1037acde98f416c9a3743a790703a50be9b8ebf600a16fb672b764fada6",
 			"1634bbf88d83d794b233c26a55597349154280fdffa0fa3e2a10f33f7888489f",
 			"49b5c275f0493cd6ec0958612dfc02b8cc520428081d53d9f70350ab045ca85d",
@@ -280,7 +280,8 @@ func TestKeyEngineVersionTouchesEveryKey(t *testing.T) {
 			"f00a73d33c88ec3b9040126017905ee5d91bfeec20a409594aaf48ef4e12dc52",
 			"17b30f5ce4eae32d94076c16bd886e1363b47b8d4e754cba42de0fc522f8f93a",
 			"f3bf9807ff7ac7fdf45bf7c14e89e56cfba6c09e552222cc0da1dc47c030eb77",
-			"1e77ede827709e183b382b37d16fd247b24641569776321d50209afd377a8611"}, hessOnly},
+			"1e77ede827709e183b382b37d16fd247b24641569776321d50209afd377a8611",
+			"f46bfe6e63adc85f977b69d8e206766d2860edcca5d45e612b9f0c64ffcb1a2a"}, hessOnly},
 	} {
 		if b := appendJobFingerprint(nil, tc.opt); bytes.Count(b, []byte(hessian.EngineVersion)) != 1 {
 			t.Errorf("%s: the job fingerprint does not hash the engine version exactly once", tc.name)
@@ -332,7 +333,7 @@ func TestKeySurvivesPhysicsRoundTrip(t *testing.T) {
 			opt.SCF.Field = geom.Vec3{X: rng.NormFloat64() * 1e-3}
 		}
 		opt.DFPT.Coulomb = dfpt.CoulombMode(rng.Intn(2))
-		opt.DFPT.Tol *= 1 + rng.Float64()
+		opt.DFPT.GridSpacing *= 1 + rng.Float64()
 		opt.SCF.InitDeltaQ = []float64{rng.Float64(), 0, 0}
 		back, err := hessian.ParsePhysics(opt.AppendPhysics(nil))
 		if err != nil {
