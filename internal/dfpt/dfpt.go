@@ -550,8 +550,8 @@ func (e *cycleEnv) solveGamma(dir int, sc obs.Scope, met *PhaseMetrics, dst *lin
 // coordinates (nuclear) and the chord's unit charges (ChordMatrix) — for the
 // right-hand sides in the k columns of q (N×k), which hold the charges each
 // already knows. u[j], unless u is nil, is column j's pair block W∘(Lᵀ·h·R)
-// of its bare perturbation h, and row j of w (k×N), unless w is nil (it must
-// be without u), the frozen atomic potential it adds. The closure
+// of its bare perturbation h, and row j of w (k×N), unless w is nil (it is
+// read only with u), the frozen atomic potential it adds. The closure
 //
 //  1. adds c·K·u[j] and the frozen potential's charges χ·w_j to column j;
 //  2. eliminates I − χ·Γ once for all k columns;
@@ -561,7 +561,7 @@ func (e *cycleEnv) solveGamma(dir int, sc obs.Scope, met *PhaseMetrics, dst *lin
 //     pair block W∘(Lᵀ·H·R) of the full perturbation H = h + ½S∘(w_A + w_B +
 //     v_A + v_B).
 //
-// It records in lap when the charges (step 4) and the potentials v are done.
+// It stamps e.lap after step 4 and after v: solveGamma's phase clocks.
 func (e *cycleEnv) closeCharges(q *linalg.Matrix, u []*linalg.Matrix, w *linalg.Matrix) error {
 	na, k := q.Rows, q.Cols
 	pairs := len(e.w.Data)
