@@ -164,6 +164,10 @@ func TestGoldenTraceStructure(t *testing.T) {
 		if got := reg.Counter(obs.MetricLanczosSteps).Value(); !ok || steps <= 0 || got != steps {
 			t.Fatalf("spectrum span carries lanczos_steps=%d (present %v), lanczos_steps_total=%d", steps, ok, got)
 		}
+		reorths, ok := s.Arg("lanczos_reorths")
+		if got := reg.Counter(obs.MetricLanczosReorths).Value(); !ok || reorths > steps || got != reorths {
+			t.Fatalf("spectrum span carries lanczos_reorths=%d (present %v), lanczos_reorth_steps_total=%d", reorths, ok, got)
+		}
 	}
 	if counts["spectrum"] != 1 {
 		t.Fatalf("got %d spectrum spans, want exactly 1", counts["spectrum"])

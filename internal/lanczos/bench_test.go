@@ -11,7 +11,7 @@ func BenchmarkRun(b *testing.B) {
 	n := 600
 	m := randomSymmetric(rng, n)
 	d := randomVector(rng, n)
-	opt := Options{K: 100, Reorthogonalize: true}
+	opt := Options{K: 100}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Run(DenseOperator{m}, d, opt); err != nil {
@@ -24,7 +24,7 @@ func BenchmarkGAGQRule(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	m := randomSymmetric(rng, 400)
 	d := randomVector(rng, 400)
-	t, _, err := Run(DenseOperator{m}, d, Options{K: 150, Reorthogonalize: true})
+	t, _, err := Run(DenseOperator{m}, d, Options{K: 150})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func BenchmarkSolve(b *testing.B) {
 		for c := range starts {
 			starts[c] = randomVector(rng, op.Dim())
 		}
-		opt := Options{K: size.k, Reorthogonalize: true}
+		opt := Options{K: size.k}
 		name := "n=" + strconv.Itoa(op.Dim())
 		b.Run(name+"/lockstep", func(b *testing.B) {
 			p, err := NewPlan(op, len(starts), opt)

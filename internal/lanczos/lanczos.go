@@ -10,8 +10,11 @@
 // A spectrum needs that functional for several start vectors on one H; Plan
 // is the solve for all of them: the recurrences advance in lockstep so each
 // step reads H once, the quadrature computes only the first row of T̂'s
-// eigenvectors (Golub–Welsch), and the plan owns every vector involved. Run
-// and SpectralDensity are its one-column, one-shot forms.
+// eigenvectors (Golub–Welsch), and the plan owns every vector involved. A
+// recurrence reorthogonalizes only on the steps where Simon's ω-recurrence
+// says its vectors are losing orthogonality (partial reorthogonalization,
+// Simon 1984), not on every step. Run and SpectralDensity are its
+// one-column, one-shot forms.
 package lanczos
 
 import (
@@ -72,15 +75,10 @@ func (t *Tridiagonal) K() int { return len(t.Alpha) }
 type Options struct {
 	// K is the number of Lanczos steps.
 	K int
-	// Reorthogonalize enables full reorthogonalization against all stored
-	// Lanczos vectors — K·n floats per start vector, held by the Plan as
-	// one block, but immune to the loss of orthogonality that plagues the
-	// plain recurrence (which keeps two vectors).
-	Reorthogonalize bool
 }
 
 // DefaultOptions returns settings adequate for vibrational densities.
-func DefaultOptions() Options { return Options{K: 150, Reorthogonalize: true} }
+func DefaultOptions() Options { return Options{K: 150} }
 
 // ErrQuadrature reports that the eigen-solve of the (augmented) Lanczos
 // tridiagonal did not converge — in practice a non-finite recurrence. It is

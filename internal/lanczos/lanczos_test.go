@@ -30,7 +30,7 @@ func TestFullLanczosRecoversSpectrum(t *testing.T) {
 	n := 20
 	m := randomSymmetric(rng, n)
 	d := randomVector(rng, n)
-	tri, _, err := Run(DenseOperator{m}, d, Options{K: n, Reorthogonalize: true})
+	tri, _, err := Run(DenseOperator{m}, d, Options{K: n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestGaussRuleMomentExactness(t *testing.T) {
 	k := 6
 	m := randomSymmetric(rng, n)
 	d := randomVector(rng, n)
-	tri, norm, err := Run(DenseOperator{m}, d, Options{K: k, Reorthogonalize: true})
+	tri, norm, err := Run(DenseOperator{m}, d, Options{K: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestGAGQMomentExactness(t *testing.T) {
 	k := 6
 	m := randomSymmetric(rng, n)
 	d := randomVector(rng, n)
-	tri, norm, err := Run(DenseOperator{m}, d, Options{K: k, Reorthogonalize: true})
+	tri, norm, err := Run(DenseOperator{m}, d, Options{K: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestSpectralDensityMatchesDense(t *testing.T) {
 	}
 	sigma := 0.6
 	want := DenseSpectralDensity(m, d, xs, sigma, nil)
-	tri, norm, err := Run(DenseOperator{m}, d, Options{K: 50, Reorthogonalize: true})
+	tri, norm, err := Run(DenseOperator{m}, d, Options{K: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestGAGQBeatsPlainGauss(t *testing.T) {
 		m := randomSymmetric(rng, n)
 		d := randomVector(rng, n)
 		want := DenseSpectralDensity(m, d, xs, sigma, nil)
-		tri, norm, err := Run(DenseOperator{m}, d, Options{K: 12, Reorthogonalize: true})
+		tri, norm, err := Run(DenseOperator{m}, d, Options{K: 12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestEarlyTermination(t *testing.T) {
 	}
 	d := make([]float64, n)
 	d[0], d[1], d[2] = 1, 2, 3
-	tri, _, err := Run(DenseOperator{m}, d, Options{K: 10, Reorthogonalize: true})
+	tri, _, err := Run(DenseOperator{m}, d, Options{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestTransformApplied(t *testing.T) {
 	}
 	d := randomVector(rng, n)
 	xs := []float64{2.5, 3.0, 3.5, 4.0}
-	tri, norm, err := Run(DenseOperator{m}, d, Options{K: n, Reorthogonalize: true})
+	tri, norm, err := Run(DenseOperator{m}, d, Options{K: n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,15 +256,24 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestNoReorthogonalizationStillWorksForSmallK: at K = 8 the ω-recurrence
+// never asks for a sweep, and the plain recurrence's Gauss rule is exact.
 func TestNoReorthogonalizationStillWorksForSmallK(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	n := 40
 	m := randomSymmetric(rng, n)
 	d := randomVector(rng, n)
-	tri, norm, err := Run(DenseOperator{m}, d, Options{K: 8, Reorthogonalize: false})
+	p, err := NewPlan(DenseOperator{m}, 1, Options{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := p.Solve([][]float64{d}); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Reorthogonalized != 0 {
+		t.Fatalf("%d of %d steps swept", st.Reorthogonalized, st.Steps)
+	}
+	tri, norm := p.Tridiagonal(0)
 	nodes, weights, err := tri.GaussRule()
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +302,7 @@ func TestGAGQAfterEarlyTermination(t *testing.T) {
 	}
 	d := make([]float64, n)
 	d[0], d[1], d[2] = 1, 2, 3
-	tri, norm, err := Run(DenseOperator{m}, d, Options{K: 10, Reorthogonalize: true})
+	tri, norm, err := Run(DenseOperator{m}, d, Options{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,13 @@ import (
 // nothing. One goroutine drives a plan; the plan fans out over the kernel
 // pool itself.
 //
+// Orthogonality is kept by need (Simon's partial reorthogonalization): each
+// column runs the ω-recurrence, an O(s) scalar estimate of how far its next
+// vector has drifted from the stored ones, and sweeps w against all of them
+// only on a step where the estimate passes √ε, and on the step after. The
+// vectors stay semi-orthogonal, which is all the α and β of the recurrence —
+// and so the Gauss and GAGQ rules — need to carry full precision.
+//
 // Every column carries exactly the bits of a one-column solve: the product
 // keeps MulVec's association per column, and everything after it touches
 // only the column's own state. All reductions go through the pool's
@@ -43,14 +50,19 @@ type Plan struct {
 // column is one recurrence: its Lanczos vectors, coefficients and quadrature.
 type column struct {
 	n, k int
-	// hist holds the Lanczos vectors row by row: all K of them when
-	// reorthogonalizing, otherwise two, used in rotation.
-	hist     []float64
-	histRows int
-	w        []float64
-	alpha    []float64
-	beta     []float64
-	reorth   bool
+	// hist holds the K Lanczos vectors row by row.
+	hist  []float64
+	w     []float64
+	alpha []float64
+	beta  []float64
+
+	// omega and omegaPrev are rows s and s−1 of the ω-recurrence, the
+	// estimate of ⟨q_s, q_k⟩ for k ≤ s (see estimate); K+1 floats each.
+	omega, omegaPrev []float64
+	eps1             float64 // ε·√n, the orthogonality level a sweep leaves
+	anorm            float64 // running bound on ‖T‖
+	pair             bool    // the last step swept on the ω trigger, so this one sweeps too
+	reorths          int     // steps of the last Solve that swept
 
 	solved   bool // the last Solve ran this column (it had a non-zero start)
 	step     int
@@ -100,19 +112,18 @@ func NewPlan(op Operator, cols int, opt Options) (*Plan, error) {
 		zero:   make([]float64, n),
 	}
 	p.rows, _ = op.(RowsOperator)
-	histRows := 2
-	if opt.Reorthogonalize {
-		histRows = opt.K
-	}
 	for i := range p.cols {
 		c := &p.cols[i]
-		*c = column{n: n, k: opt.K, reorth: opt.Reorthogonalize,
-			hist: make([]float64, histRows*n), histRows: histRows,
-			w:     make([]float64, n),
-			alpha: make([]float64, opt.K),
-			beta:  make([]float64, opt.K),
-			part:  make([]float64, par.Chunks(n, par.DotChunk)),
-			rule:  newRule(opt.K),
+		*c = column{n: n, k: opt.K,
+			hist:      make([]float64, opt.K*n),
+			w:         make([]float64, n),
+			alpha:     make([]float64, opt.K),
+			beta:      make([]float64, opt.K),
+			omega:     make([]float64, opt.K+1),
+			omegaPrev: make([]float64, opt.K+1),
+			eps1:      eps * math.Sqrt(float64(n)),
+			part:      make([]float64, par.Chunks(n, par.DotChunk)),
+			rule:      newRule(opt.K),
 		}
 		c.dotFn, c.axpyDotFn, c.updateFn, c.scaleFn = c.dotChunk, c.axpyDotChunk, c.update, c.scale
 	}
@@ -190,9 +201,10 @@ func (p *Plan) Tridiagonal(c int) (*Tridiagonal, float64) {
 
 // Stats summarizes what the last Solve did.
 type Stats struct {
-	Steps         int // Lanczos steps taken, summed over columns
-	EarlyStops    int // columns that stopped on β-breakdown before K steps
-	SkippedStarts int // columns skipped for a nil or zero start vector
+	Steps            int // Lanczos steps taken, summed over columns
+	EarlyStops       int // columns that stopped on β-breakdown before K steps
+	SkippedStarts    int // columns skipped for a nil or zero start vector
+	Reorthogonalized int // steps that ran a Gram–Schmidt sweep, summed over columns
 }
 
 // Stats returns the counts of the last Solve.
@@ -205,6 +217,7 @@ func (p *Plan) Stats() Stats {
 			continue
 		}
 		s.Steps += c.step
+		s.Reorthogonalized += c.reorths
 		if c.tri.Breakdown {
 			s.EarlyStops++
 		}
@@ -255,10 +268,7 @@ func (p *Plan) Density(c int) []float64 {
 }
 
 // row returns the storage of Lanczos vector s.
-func (c *column) row(s int) []float64 {
-	r := s % c.histRows
-	return c.hist[r*c.n : (r+1)*c.n]
-}
+func (c *column) row(s int) []float64 { return c.hist[s*c.n : (s+1)*c.n] }
 
 // begin normalizes the start vector into the first Lanczos vector and
 // reports whether there is anything to iterate on.
@@ -268,6 +278,7 @@ func (c *column) begin(d []float64) bool {
 	if c.solved {
 		c.step, c.betaPrev = 0, 0
 		c.tri = Tridiagonal{}
+		c.omega[0], c.anorm, c.pair, c.reorths = 1, 0, false, 0
 		c.ka, c.kx, c.kz = c.norm, d, c.row(0)
 		par.ForChunks("lanczos_vec", c.n, vecChunk, c.scaleFn)
 	}
@@ -278,7 +289,9 @@ func (c *column) begin(d []float64) bool {
 func (c *column) done() bool { return c.tri.Breakdown || c.step == c.k }
 
 // advance completes one step of the recurrence from w = A·q_s: α_s, the
-// three-term update, the reorthogonalization, β_s and the next vector.
+// three-term update, β_s and the next vector — with a Gram–Schmidt sweep of
+// w on the steps where the ω-recurrence says q_{s+1} would lose
+// orthogonality to the stored vectors, and on the step after each such one.
 func (c *column) advance(zero []float64) {
 	s := c.step
 	q, qPrev := c.row(s), zero
@@ -289,31 +302,22 @@ func (c *column) advance(zero []float64) {
 	c.alpha[s] = alpha
 	c.ka, c.kb, c.kx, c.ky = alpha, c.betaPrev, q, qPrev
 	par.ForChunks("lanczos_vec", c.n, vecChunk, c.updateFn)
-	var ww float64
-	if c.reorth {
-		// Two passes of Gram–Schmidt against all stored q's, each projection
-		// taken from the w the previous one left: c = ⟨w, qᵢ⟩, w −= c·qᵢ. The
-		// sweep that subtracts along qᵢ also accumulates the next product —
-		// with qᵢ₊₁, with q₀ at the pass boundary, with w itself at the end,
-		// which is ‖w‖² — so w and every qᵢ are streamed once per projection.
-		m := s + 1
-		ci := c.dot(c.w, c.row(0))
-		for t := 0; t < 2*m; t++ {
-			next := c.w
-			if t+1 < 2*m {
-				next = c.row((t + 1) % m)
-			}
-			if ci != 0 {
-				ci = c.axpyDot(-ci, c.row(t%m), next)
-			} else {
-				ci = c.dot(c.w, next)
-			}
+	beta := math.Sqrt(c.dot(c.w, c.w))
+	c.anorm = math.Max(c.anorm, math.Abs(alpha)+beta+c.betaPrev)
+	next := c.omegaPrev // becomes row s+1
+	if c.pair || c.estimate(next, s, alpha, beta) > sqrtEps {
+		// Simon's pair rule: the three-term recurrence carries the
+		// components of q_s into q_{s+2}, so the step after a sweep sweeps
+		// as well. A swept vector is orthogonal to working precision.
+		c.pair = !c.pair
+		c.reorths++
+		beta = math.Sqrt(c.sweep(s))
+		for k := range next[:s+1] {
+			next[k] = c.eps1
 		}
-		ww = ci
-	} else {
-		ww = c.dot(c.w, c.w)
+		next[s+1] = 1
 	}
-	beta := math.Sqrt(ww)
+	c.omega, c.omegaPrev = next, c.omega
 	c.beta[s] = beta
 	c.step = s + 1
 	c.tri.Alpha, c.tri.Beta = c.alpha[:c.step], c.beta[:c.step]
@@ -327,6 +331,66 @@ func (c *column) advance(zero []float64) {
 		c.betaPrev = beta
 	}
 	c.kx, c.ky, c.kz = nil, nil, nil
+}
+
+// eps is the float64 machine epsilon; a recurrence is semi-orthogonal while
+// every |⟨q_i, q_k⟩| stays below √ε, which keeps the computed α and β those
+// of an exactly orthogonal recurrence to working precision (Simon 1984).
+const eps = 0x1p-52
+
+var sqrtEps = math.Sqrt(eps)
+
+// estimate advances the ω-recurrence of Simon's partial reorthogonalization
+// to row s+1 and returns max_{k≤s} |ω_{s+1,k}|, the estimate of
+// |⟨q_{s+1}, q_k⟩| for the vector w/β the step is about to produce. Taking
+// ⟨q_k, ·⟩ of the three-term recurrence on both sides of A's symmetry gives
+//
+//	β_s·ω_{s+1,k} = β_k·ω_{s,k+1} + (α_k − α_s)·ω_{s,k} + β_{k−1}·ω_{s,k−1} − β_{s−1}·ω_{s−1,k} + ϑ,
+//
+// where the rounding term ϑ is taken as ε₁·‖T‖ with the sign of the rest, so
+// the estimate grows rather than cancels, and the local level ω_{s+1,s} as
+// ε₁·‖T‖/β_s. It reads only α and β — O(s) scalars per step — so whether a
+// step sweeps never depends on the kernel width. next holds row s−1 on entry
+// (each entry is read once, at its own index, before it is overwritten) and
+// row s+1 on return; c.omega holds row s.
+func (c *column) estimate(next []float64, s int, alpha, beta float64) float64 {
+	cur, betaPrev := c.omega, c.betaPrev
+	theta := c.eps1 * c.anorm
+	var worst float64
+	for k := 0; k < s; k++ {
+		t := c.beta[k]*cur[k+1] + (c.alpha[k]-alpha)*cur[k] - betaPrev*next[k]
+		if k > 0 {
+			t += c.beta[k-1] * cur[k-1]
+		}
+		t = (t + math.Copysign(theta, t)) / beta
+		next[k] = t
+		worst = math.Max(worst, math.Abs(t))
+	}
+	next[s], next[s+1] = theta/beta, 1
+	return math.Max(worst, next[s])
+}
+
+// sweep orthogonalizes w against every stored q and returns ‖w‖²: two passes
+// of Gram–Schmidt against q_0..q_s, each projection taken from the w the
+// previous one left: c = ⟨w, qᵢ⟩, w −= c·qᵢ. The sweep that subtracts along
+// qᵢ also accumulates the next product — with qᵢ₊₁, with q₀ at the pass
+// boundary, with w itself at the end, which is ‖w‖² — so w and every qᵢ are
+// streamed once per projection.
+func (c *column) sweep(s int) float64 {
+	m := s + 1
+	ci := c.dot(c.w, c.row(0))
+	for t := 0; t < 2*m; t++ {
+		next := c.w
+		if t+1 < 2*m {
+			next = c.row((t + 1) % m)
+		}
+		if ci != 0 {
+			ci = c.axpyDot(-ci, c.row(t%m), next)
+		} else {
+			ci = c.dot(c.w, next)
+		}
+	}
+	return ci
 }
 
 // dot is par.Dot(x, y) — its chunk layout, per-chunk association and

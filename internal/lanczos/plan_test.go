@@ -53,42 +53,85 @@ func blockSparse(t testing.TB, atoms int, seed int64) *hessian.Sparse {
 	return s
 }
 
+// refResult is what refRun computed: the coefficients, ‖d‖, the number of
+// steps that swept, and the Lanczos vectors.
+type refResult struct {
+	alphas, betas []float64
+	norm          float64
+	sweeps        int
+	qs            [][]float64
+}
+
 // refRun is the recurrence as it stood before the plan — par.Dot, a cloned
 // q per step, an appended history, linalg.Axpy sweeps — kept as the
 // differential reference of the lockstep solve (the gemmref/cgref pattern).
-func refRun(op Operator, d []float64, opt Options) (alphas, betas []float64, norm float64) {
+// With full set it runs two Gram–Schmidt passes on every step: the
+// full-reorthogonalization oracle. Otherwise it sweeps where its own
+// ω-recurrence — Simon's, written out over the whole (K+1)×(K+1) triangle
+// instead of the plan's two rolling rows — crosses √ε, and on the step
+// after.
+func refRun(op Operator, d []float64, k int, full bool) refResult {
 	n := op.Dim()
-	norm = math.Sqrt(par.SumSq(d))
+	var r refResult
+	r.norm = math.Sqrt(par.SumSq(d))
 	q := make([]float64, n)
 	for i := range q {
-		q[i] = d[i] / norm
+		q[i] = d[i] / r.norm
 	}
-	var qs [][]float64
-	if opt.Reorthogonalize {
-		qs = append(qs, append([]float64(nil), q...))
+	r.qs = append(r.qs, append([]float64(nil), q...))
+	omega := make([][]float64, k+1)
+	for i := range omega {
+		omega[i] = make([]float64, k+1)
 	}
+	omega[0][0] = 1
+	eps1 := eps * math.Sqrt(float64(n))
 	qPrev := make([]float64, n)
 	w := make([]float64, n)
-	var betaPrev float64
-	for step := 0; step < opt.K; step++ {
+	var betaPrev, anorm float64
+	pair := false
+	for step := 0; step < k; step++ {
 		op.MulVec(q, w)
 		alpha := par.Dot(q, w)
-		alphas = append(alphas, alpha)
+		r.alphas = append(r.alphas, alpha)
 		for i := range w {
 			w[i] -= alpha*q[i] + betaPrev*qPrev[i]
 		}
-		if opt.Reorthogonalize {
+		beta := math.Sqrt(par.SumSq(w))
+		anorm = math.Max(anorm, math.Abs(alpha)+beta+betaPrev)
+		sweep := full || pair
+		if !sweep {
+			theta := eps1 * anorm
+			cur, next := omega[step], omega[step+1]
+			worst := theta / beta
+			next[step], next[step+1] = worst, 1
+			for j := 0; j < step; j++ {
+				t := r.betas[j]*cur[j+1] + (r.alphas[j]-alpha)*cur[j] - betaPrev*omega[step-1][j]
+				if j > 0 {
+					t += r.betas[j-1] * cur[j-1]
+				}
+				next[j] = (t + math.Copysign(theta, t)) / beta
+				worst = math.Max(worst, math.Abs(next[j]))
+			}
+			sweep = worst > sqrtEps
+		}
+		if sweep {
+			pair = !pair
+			r.sweeps++
 			for pass := 0; pass < 2; pass++ {
-				for _, qi := range qs {
+				for _, qi := range r.qs {
 					c := par.Dot(w, qi)
 					if c != 0 {
 						linalg.Axpy(-c, qi, w)
 					}
 				}
 			}
+			beta = math.Sqrt(par.SumSq(w))
+			for j := 0; j <= step; j++ {
+				omega[step+1][j] = eps1
+			}
+			omega[step+1][step+1] = 1
 		}
-		beta := math.Sqrt(par.SumSq(w))
-		betas = append(betas, beta)
+		r.betas = append(r.betas, beta)
 		if beta < 1e-13*math.Max(1, math.Abs(alpha)) {
 			break
 		}
@@ -96,12 +139,12 @@ func refRun(op Operator, d []float64, opt Options) (alphas, betas []float64, nor
 		for i := range q {
 			q[i] = w[i] / beta
 		}
-		if opt.Reorthogonalize {
-			qs = append(qs, append([]float64(nil), q...))
+		if step+1 < k {
+			r.qs = append(r.qs, append([]float64(nil), q...))
 		}
 		betaPrev = beta
 	}
-	return alphas, betas, norm
+	return r
 }
 
 func sameBits(a, b []float64) bool {
@@ -117,10 +160,11 @@ func sameBits(a, b []float64) bool {
 }
 
 // TestRunMatchesReferenceBitwise: Run — the one-column case of the lockstep
-// solve, with its fused Gram–Schmidt sweep and plan-owned history — returns
-// the reference recurrence's α, β and ‖d‖ bit for bit: dense and sparse
-// operators, with and without reorthogonalization, single- and multi-chunk
-// vectors, and a start vector in an invariant subspace.
+// solve, with its fused Gram–Schmidt sweep, plan-owned history and rolling
+// ω rows — returns the reference recurrence's α, β and ‖d‖ bit for bit, and
+// sweeps on the same steps: dense and sparse operators, runs long enough for
+// the ω-recurrence to fire and runs too short for it to, single- and
+// multi-chunk vectors, and a start vector in an invariant subspace.
 func TestRunMatchesReferenceBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	small := blockSparse(t, 81, 1)
@@ -128,29 +172,41 @@ func TestRunMatchesReferenceBitwise(t *testing.T) {
 	trapped := make([]float64, small.Dim())
 	trapped[0], trapped[1], trapped[2] = 1, -2, 0.5
 	cases := []struct {
-		name string
-		op   Operator
-		d    []float64
-		opt  Options
+		name     string
+		op       Operator
+		d        []float64
+		k        int
+		triggers bool // the ω-recurrence fires within k steps
 	}{
-		{"dense", DenseOperator{randomSymmetric(rng, 40)}, randomVector(rng, 40), Options{K: 12, Reorthogonalize: true}},
-		{"dense-plain", DenseOperator{randomSymmetric(rng, 40)}, randomVector(rng, 40), Options{K: 12}},
-		{"sparse", small, randomVector(rng, small.Dim()), Options{K: 120, Reorthogonalize: true}},
-		{"sparse-plain", small, randomVector(rng, small.Dim()), Options{K: 30}},
-		{"sparse-large", large, randomVector(rng, large.Dim()), Options{K: 10, Reorthogonalize: true}},
-		{"invariant-subspace", small, trapped, Options{K: 20, Reorthogonalize: true}},
+		{"dense", DenseOperator{randomSymmetric(rng, 40)}, randomVector(rng, 40), 36, true},
+		{"dense-untriggered", DenseOperator{randomSymmetric(rng, 40)}, randomVector(rng, 40), 12, false},
+		{"sparse", small, randomVector(rng, small.Dim()), 120, true},
+		{"sparse-untriggered", small, randomVector(rng, small.Dim()), 30, false},
+		{"sparse-large", large, randomVector(rng, large.Dim()), 10, false},
+		{"invariant-subspace", small, trapped, 20, true},
 	}
 	for _, c := range cases {
-		wantA, wantB, wantNorm := refRun(c.op, c.d, c.opt)
-		tri, norm, err := Run(c.op, c.d, c.opt)
+		want := refRun(c.op, c.d, c.k, false)
+		p, err := NewPlan(c.op, 1, Options{K: c.k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Solve([][]float64{c.d}); err != nil {
+			t.Fatal(err)
+		}
+		tri, norm, err := Run(c.op, c.d, Options{K: c.k})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if !sameBits(tri.Alpha, wantA) || !sameBits(tri.Beta, wantB) || norm != wantNorm {
-			t.Errorf("%s: recurrence differs from the reference (%d steps, reference %d)", c.name, tri.K(), len(wantA))
+		if !sameBits(tri.Alpha, want.alphas) || !sameBits(tri.Beta, want.betas) || norm != want.norm {
+			t.Errorf("%s: recurrence differs from the reference (%d steps, reference %d)", c.name, tri.K(), len(want.alphas))
 		}
-		if early := len(wantA) < c.opt.K; tri.Breakdown != early {
-			t.Errorf("%s: Breakdown = %v after %d of %d steps", c.name, tri.Breakdown, tri.K(), c.opt.K)
+		if early := len(want.alphas) < c.k; tri.Breakdown != early {
+			t.Errorf("%s: Breakdown = %v after %d of %d steps", c.name, tri.Breakdown, tri.K(), c.k)
+		}
+		t.Logf("%s: %d steps, %d swept", c.name, tri.K(), want.sweeps)
+		if got := p.Stats().Reorthogonalized; got != want.sweeps || (got > 0) != c.triggers {
+			t.Errorf("%s: %d steps swept, reference %d (expected to fire: %v)", c.name, got, want.sweeps, c.triggers)
 		}
 	}
 }
@@ -171,13 +227,13 @@ func sevenStarts(rng *rand.Rand, n int) [][]float64 {
 }
 
 // TestLockstepMatchesSingleColumns: seven recurrences advanced together —
-// one multi-vector product per step — carry the bits of seven Run calls,
-// including a column that leaves the active set early and two that never
-// enter it; densities likewise.
+// one multi-vector product per step — carry the bits of seven Run calls and
+// sweep on their steps, including a column that leaves the active set early
+// and two that never enter it; densities likewise.
 func TestLockstepMatchesSingleColumns(t *testing.T) {
 	op := blockSparse(t, 81, 3)
 	starts := sevenStarts(rand.New(rand.NewSource(4)), op.Dim())
-	opt := Options{K: 60, Reorthogonalize: true}
+	opt := Options{K: 60}
 	p, err := NewPlan(op, 7, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -192,6 +248,7 @@ func TestLockstepMatchesSingleColumns(t *testing.T) {
 	if err := p.Densities(xs, 0.3, nil, true); err != nil {
 		t.Fatal(err)
 	}
+	var sweeps int
 	for c, d := range starts {
 		tri, norm := p.Tridiagonal(c)
 		if c == 4 || c == 5 {
@@ -204,6 +261,14 @@ func TestLockstepMatchesSingleColumns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		single, err := NewPlan(op, 1, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := single.Solve([][]float64{d}); err != nil {
+			t.Fatal(err)
+		}
+		sweeps += single.Stats().Reorthogonalized
 		if !sameBits(tri.Alpha, want.Alpha) || !sameBits(tri.Beta, want.Beta) || norm != wantNorm || tri.Breakdown != want.Breakdown {
 			t.Errorf("column %d: lockstep recurrence differs from Run (%d steps vs %d)", c, tri.K(), want.K())
 		}
@@ -218,7 +283,7 @@ func TestLockstepMatchesSingleColumns(t *testing.T) {
 	if tri, _ := p.Tridiagonal(2); tri.K() > 3 || !tri.Breakdown {
 		t.Errorf("trapped column took %d steps, Breakdown = %v", tri.K(), tri.Breakdown)
 	}
-	want := Stats{Steps: 4*opt.K + p.cols[2].step, EarlyStops: 1, SkippedStarts: 2}
+	want := Stats{Steps: 4*opt.K + p.cols[2].step, EarlyStops: 1, SkippedStarts: 2, Reorthogonalized: sweeps}
 	if got := p.Stats(); got != want {
 		t.Errorf("Stats = %+v, want %+v", got, want)
 	}
@@ -238,7 +303,7 @@ func TestSolveWidthInvariance(t *testing.T) {
 	type result struct{ alpha, beta, dens [][]float64 }
 	solve := func(width int) result {
 		par.SetBudget(width)
-		p, err := NewPlan(op, len(starts), Options{K: 8, Reorthogonalize: true})
+		p, err := NewPlan(op, len(starts), Options{K: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +350,7 @@ func TestPlanAllocationCeiling(t *testing.T) {
 	for _, atoms := range []int{81, 3334} {
 		op := blockSparse(t, atoms, 7)
 		starts := sevenStarts(rand.New(rand.NewSource(8)), op.Dim())
-		p, err := NewPlan(op, 7, Options{K: 12, Reorthogonalize: true})
+		p, err := NewPlan(op, 7, Options{K: 12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +389,7 @@ func TestQuadratureFailureIsTyped(t *testing.T) {
 
 	m := linalg.Identity(6)
 	m.Set(2, 2, math.NaN())
-	p, err := NewPlan(DenseOperator{m}, 2, Options{K: 5, Reorthogonalize: true})
+	p, err := NewPlan(DenseOperator{m}, 2, Options{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,5 +412,118 @@ func TestPlanValidation(t *testing.T) {
 	}
 	if err := p.Solve(make([][]float64, 2)); err == nil {
 		t.Error("accepted more start vectors than columns")
+	}
+}
+
+// orthogonalityLoss is max |QᵀQ − I| over the Lanczos vectors qs.
+func orthogonalityLoss(qs [][]float64) float64 {
+	var worst float64
+	for i := range qs {
+		for k := 0; k <= i; k++ {
+			g := linalg.Dot(qs[i], qs[k])
+			if i == k {
+				g--
+			}
+			worst = math.Max(worst, math.Abs(g))
+		}
+	}
+	return worst
+}
+
+// TestSemiOrthogonalMatchesFullReorthogonalization: the plan sweeps only
+// where the ω-recurrence asks, yet keeps its vectors semi-orthogonal, stops
+// on β-breakdown where full reorthogonalization does, and yields the
+// spectral density of the full-reorthogonalization oracle (refRun with
+// full set): with n < K, where the Krylov space runs out, and with n ≫ K,
+// where converged Ritz values make the plain recurrence lose orthogonality.
+// Kernel widths 1 and 4 sweep on the same steps and agree to the bit.
+func TestSemiOrthogonalMatchesFullReorthogonalization(t *testing.T) {
+	defer par.SetBudget(0)
+	rng := rand.New(rand.NewSource(21))
+	cases := []struct {
+		name  string
+		atoms int
+		k     int
+	}{
+		{"breakdown", 24, 120},
+		{"n=3000", 1000, 150},
+	}
+	for _, c := range cases {
+		op := blockSparse(t, c.atoms, 22)
+		n := op.Dim()
+		d := randomVector(rng, n)
+		full := refRun(op, d, c.k, true)
+		var p *Plan
+		for _, width := range []int{1, 4} {
+			par.SetBudget(width)
+			q, err := NewPlan(op, 1, Options{K: c.k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := q.Solve([][]float64{d}); err != nil {
+				t.Fatal(err)
+			}
+			if p == nil {
+				p = q
+				continue
+			}
+			a, _ := p.Tridiagonal(0)
+			b, _ := q.Tridiagonal(0)
+			if !sameBits(a.Alpha, b.Alpha) || !sameBits(a.Beta, b.Beta) || p.Stats() != q.Stats() {
+				t.Errorf("%s: width %d differs from width 1", c.name, width)
+			}
+		}
+		tri, norm := p.Tridiagonal(0)
+		col := &p.cols[0]
+		qs := make([][]float64, tri.K())
+		for s := range qs {
+			qs[s] = col.row(s)
+		}
+		loss := orthogonalityLoss(qs)
+		st := p.Stats()
+
+		fullTri := &Tridiagonal{Alpha: full.alphas, Beta: full.betas, Breakdown: len(full.alphas) < c.k}
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, a := range full.alphas {
+			lo, hi = math.Min(lo, a), math.Max(hi, a)
+		}
+		xs := make([]float64, 400)
+		for i := range xs {
+			xs[i] = lo - 1 + (hi-lo+2)*float64(i)/float64(len(xs)-1)
+		}
+		sigma := (hi - lo) / 100
+		got, err := SpectralDensity(tri, norm, xs, sigma, nil, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := SpectralDensity(fullTri, full.norm, xs, sigma, nil, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var diff, peak float64
+		for i := range xs {
+			diff = math.Max(diff, math.Abs(got[i]-want[i]))
+			peak = math.Max(peak, math.Abs(want[i]))
+		}
+		t.Logf("%s: n = %d, %d steps (full %d), %d swept, max|QᵀQ − I| = %.3g, density error %.3g",
+			c.name, n, tri.K(), len(full.alphas), st.Reorthogonalized, loss, diff/peak)
+		// Semi-orthogonality is what the trigger keeps (measured ≤ 1.2e-10).
+		if loss > sqrtEps {
+			t.Errorf("%s: max|QᵀQ − I| = %.3g exceeds √ε", c.name, loss)
+		}
+		if tri.K() != len(full.alphas) || tri.Breakdown != fullTri.Breakdown {
+			t.Errorf("%s: stopped after %d steps (Breakdown %v), full reorthogonalization after %d (%v)",
+				c.name, tri.K(), tri.Breakdown, len(full.alphas), fullTri.Breakdown)
+		}
+		if n < c.k && !tri.Breakdown {
+			t.Errorf("%s: n = %d < K, yet no β-breakdown", c.name, n)
+		}
+		if n > c.k && st.Reorthogonalized == 0 {
+			t.Errorf("%s: no step swept", c.name)
+		}
+		// Measured 1.3e-14 (breakdown) and 5.2e-13 (n = 3000) of the peak.
+		if diff > 1e-11*peak {
+			t.Errorf("%s: density differs from full reorthogonalization by %.3g of its peak", c.name, diff/peak)
+		}
 	}
 }

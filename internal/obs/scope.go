@@ -60,10 +60,13 @@ const (
 	MetricHessianDisplacedJobs = "hessian_displaced_jobs_total"
 	// Spectral-solver counts, one RecordLanczos per spectrum: recurrence
 	// steps taken over all start vectors, recurrences that stopped on
-	// β-breakdown, and start vectors skipped as numerically zero.
+	// β-breakdown, start vectors skipped as numerically zero, and steps that
+	// ran a Gram–Schmidt sweep because the ω-recurrence said orthogonality
+	// was lost.
 	MetricLanczosSteps      = "lanczos_steps_total"
 	MetricLanczosEarlyStops = "lanczos_early_stops_total"
 	MetricLanczosSkipped    = "lanczos_skipped_starts_total"
+	MetricLanczosReorths    = "lanczos_reorth_steps_total"
 	// Kernel-pool metrics recorded by internal/par (see DESIGN.md §7).
 	MetricParJobs        = "par_jobs_total"
 	MetricParInline      = "par_inline_total"
@@ -332,11 +335,13 @@ func (s Scope) RecordDFPTCycles(base time.Time, samples []CycleSample) {
 
 // RecordLanczos records what one spectral solve did — as counters, and as
 // arguments of the scope's span (the caller's "spectrum" span).
-func (s Scope) RecordLanczos(steps, earlyStops, skippedStarts int) {
+func (s Scope) RecordLanczos(steps, earlyStops, skippedStarts, reorths int) {
 	s.R.Counter(MetricLanczosSteps).Add(int64(steps))
 	s.R.Counter(MetricLanczosEarlyStops).Add(int64(earlyStops))
 	s.R.Counter(MetricLanczosSkipped).Add(int64(skippedStarts))
+	s.R.Counter(MetricLanczosReorths).Add(int64(reorths))
 	s.Span.SetArg("lanczos_steps", int64(steps))
 	s.Span.SetArg("lanczos_early_stops", int64(earlyStops))
 	s.Span.SetArg("lanczos_skipped_starts", int64(skippedStarts))
+	s.Span.SetArg("lanczos_reorths", int64(reorths))
 }

@@ -34,11 +34,9 @@ type Options struct {
 	LanczosK int
 	// UseGAGQ selects the generalized averaged Gauss rule (recommended).
 	UseGAGQ bool
-	// Reorthogonalize controls the Lanczos iteration.
-	Reorthogonalize bool
-	// Obs receives the Lanczos solver's step, early-stop and skipped-start
-	// counts (obs.Scope.RecordLanczos). The zero value disables it; it
-	// never affects results.
+	// Obs receives the Lanczos solver's step, early-stop, skipped-start and
+	// reorthogonalization counts (obs.Scope.RecordLanczos). The zero value
+	// disables it; it never affects results.
 	Obs obs.Scope
 }
 
@@ -47,10 +45,9 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		FreqMin: 0, FreqMax: 4000, FreqStep: 2,
-		Sigma:           5,
-		LanczosK:        200,
-		UseGAGQ:         true,
-		Reorthogonalize: true,
+		Sigma:    5,
+		LanczosK: 200,
+		UseGAGQ:  true,
 	}
 }
 
@@ -90,13 +87,19 @@ func CosineSimilarity(a, b *Spectrum) float64 {
 	return linalg.Dot(a.Intensity, b.Intensity) / (na * nb)
 }
 
+// axis returns the wavenumber grid: point i is FreqMin + i·FreqStep, for
+// every i that stays within FreqMax up to a 1e-9 step tolerance. Each point
+// is computed from i, not accumulated, so a fractional step neither drifts
+// nor loses the last point. A reversed range, a step that is not positive,
+// or more than 2³¹ points give no axis.
 func (o *Options) axis() []float64 {
-	var xs []float64
-	if pts := (o.FreqMax - o.FreqMin) / o.FreqStep; pts >= 0 && pts < 1<<24 {
-		xs = make([]float64, 0, int(pts)+2)
+	pts := (o.FreqMax - o.FreqMin) / o.FreqStep
+	if !(o.FreqStep > 0 && pts >= 0 && pts < 1<<31) {
+		return nil
 	}
-	for x := o.FreqMin; x <= o.FreqMax+1e-9; x += o.FreqStep {
-		xs = append(xs, x)
+	xs := make([]float64, int(math.Floor(pts+1e-9))+1)
+	for i := range xs {
+		xs[i] = o.FreqMin + float64(i)*o.FreqStep
 	}
 	return xs
 }
@@ -223,7 +226,7 @@ func lanczosSpectrum(g *hessian.Global, opt Options, vecs [][]float64, weights [
 		}
 		starts[c] = dp
 	}
-	plan, err := lanczos.NewPlan(g.H, len(vecs), lanczos.Options{K: opt.LanczosK, Reorthogonalize: opt.Reorthogonalize})
+	plan, err := lanczos.NewPlan(g.H, len(vecs), lanczos.Options{K: opt.LanczosK})
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +235,7 @@ func lanczosSpectrum(g *hessian.Global, opt Options, vecs [][]float64, weights [
 	}
 	if opt.Obs.Enabled() {
 		st := plan.Stats()
-		opt.Obs.RecordLanczos(st.Steps, st.EarlyStops, st.SkippedStarts)
+		opt.Obs.RecordLanczos(st.Steps, st.EarlyStops, st.SkippedStarts, st.Reorthogonalized)
 	}
 	if err := plan.Densities(xs, opt.Sigma, constants.WavenumberFromEigenvalue, opt.UseGAGQ); err != nil {
 		return nil, err

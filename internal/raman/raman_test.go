@@ -155,16 +155,43 @@ func TestLanczosSpectrumRequiresAlpha(t *testing.T) {
 	}
 }
 
+// TestSpectrumAxis: point i is FreqMin + i·FreqStep and FreqMax is on the
+// axis whenever the step divides the range — for fractional steps too, which
+// an accumulated x += FreqStep lets drift (0.05 dropped 3500 cm⁻¹, 0.1 ended
+// at 3999.9999999974575).
 func TestSpectrumAxis(t *testing.T) {
-	opt := Options{FreqMin: 100, FreqMax: 200, FreqStep: 50, Sigma: 5, LanczosK: 4}
-	xs := opt.axis()
-	want := []float64{100, 150, 200}
-	if len(xs) != len(want) {
-		t.Fatalf("axis %v", xs)
+	for _, c := range []struct {
+		min, max, step float64
+		points         int
+	}{
+		{100, 200, 50, 3},
+		{100, 3500, 0.05, 68001},
+		{0, 4000, 0.1, 40001},
+		{50, 4000, 5, 791},
+		{0, 10, 3, 4}, // 0, 3, 6, 9: the step does not divide the range
+	} {
+		opt := Options{FreqMin: c.min, FreqMax: c.max, FreqStep: c.step, Sigma: 5, LanczosK: 4}
+		xs := opt.axis()
+		if len(xs) != c.points {
+			t.Fatalf("(%v, %v, %v): %d points, want %d", c.min, c.max, c.step, len(xs), c.points)
+		}
+		for i, x := range xs {
+			if want := c.min + float64(i)*c.step; x != want {
+				t.Fatalf("(%v, %v, %v): point %d is %v, want %v", c.min, c.max, c.step, i, x, want)
+			}
+		}
+		if last := xs[len(xs)-1]; math.Abs(math.Remainder(c.max-c.min, c.step)) < 1e-9 && last != c.max {
+			t.Fatalf("(%v, %v, %v): axis ends at %v", c.min, c.max, c.step, last)
+		}
 	}
-	for i := range want {
-		if math.Abs(xs[i]-want[i]) > 1e-12 {
-			t.Fatalf("axis %v", xs)
+	for _, opt := range []Options{
+		{FreqMin: 200, FreqMax: 100, FreqStep: 5},
+		{FreqMin: 0, FreqMax: 100, FreqStep: 0},
+		{FreqMin: 0, FreqMax: 100, FreqStep: -1},
+		{FreqMin: 200, FreqMax: 100, FreqStep: -5},
+	} {
+		if xs := opt.axis(); xs != nil {
+			t.Fatalf("%+v: axis of %d points, want none", opt, len(xs))
 		}
 	}
 }
@@ -260,9 +287,10 @@ func TestNonFiniteHessianIsTypedAndPermanent(t *testing.T) {
 }
 
 // TestLanczosSpectrumRecordsSolverCounts: with a scope attached the solve
-// reports its steps, β-breakdowns and skipped start vectors. The dimer's 18
-// coordinates minus three projected translations leave 15 dimensions, so at
-// K = 36 every recurrence that starts must break down.
+// reports its steps, β-breakdowns, skipped start vectors and swept steps.
+// The dimer's 18 coordinates minus three projected translations leave 15
+// dimensions, so at K = 36 every recurrence that starts must break down —
+// and a recurrence that exhausts its Krylov space sweeps on the way.
 func TestLanczosSpectrumRecordsSolverCounts(t *testing.T) {
 	g := dimerGlobal(t)
 	opt := DefaultOptions()
@@ -280,6 +308,9 @@ func TestLanczosSpectrumRecordsSolverCounts(t *testing.T) {
 	}
 	if steps < early || steps > 18*early {
 		t.Fatalf("%d steps over %d recurrences of an 18-coordinate problem", steps, early)
+	}
+	if reorths := reg.Counter(obs.MetricLanczosReorths).Value(); reorths < early || reorths > steps {
+		t.Fatalf("%d swept steps over %d steps of %d recurrences", reorths, steps, early)
 	}
 }
 
