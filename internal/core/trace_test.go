@@ -153,6 +153,18 @@ func TestGoldenTraceStructure(t *testing.T) {
 	if got := reg.Counter(obs.MetricSCFSolves).Value(); got != int64(counts["scf"]) {
 		t.Fatalf("scf_solves_total=%d but trace has %d scf spans", got, counts["scf"])
 	}
+	// Every charge loop reports its Newton steps, and ends on an evaluation
+	// that takes none.
+	for _, s := range spans {
+		if s.Name != "scf" {
+			continue
+		}
+		iters, _ := s.Arg("iters")
+		steps, ok := s.Arg("newton_steps")
+		if !ok || steps < 0 || steps >= iters {
+			t.Fatalf("scf span carries newton_steps=%d (present %v) for %d iterations", steps, ok, iters)
+		}
+	}
 
 	// The spectral solver's counts ride on the spectrum span and agree with
 	// the registry.

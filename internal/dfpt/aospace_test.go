@@ -22,7 +22,7 @@ import (
 func (e *cycleEnv) responseDensity() {
 	e.p1Gemms[0].Run() // tmp = Lᵀ·h1
 	e.p1Gemms[1].Run() // u = tmp·R
-	for i, w := range e.w.Data {
+	for i, w := range e.W.Data {
 		e.u.Data[i] *= w
 	}
 	e.densityMatrix()
@@ -35,16 +35,16 @@ func (e *cycleEnv) responseDensity() {
 func aoSpaceResponse(t *testing.T, m *scf.Model, ground *scf.Result) (p1 [3]*linalg.Matrix, p2 [3][3]*linalg.Matrix) {
 	t.Helper()
 	e := newCycleEnv(m, ground, nil)
-	e.chargeSystem(false)
-	pairs := len(e.w.Data)
+	e.Build(false)
+	pairs := len(e.W.Data)
 	for dir := range p1 {
 		e.h1.CopyFrom(m.Dip[dir])
 		e.responseDensity() // leaves W∘(Lᵀ·D·R) in u
 		q := make([]float64, len(e.dq[0]))
 		for a := range q {
-			q[a] = e.chargeMul * linalg.Dot(e.k[a*pairs:(a+1)*pairs], e.u.Data)
+			q[a] = e.ChargeMul * linalg.Dot(e.K[a*pairs:(a+1)*pairs], e.u.Data)
 		}
-		dq, err := linalg.SolveLinear(e.sys, q)
+		dq, err := linalg.SolveLinear(e.Sys, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func aoSpaceResponse(t *testing.T, m *scf.Model, ground *scf.Result) (p1 [3]*lin
 		e.responseDensity()
 		p1[dir] = e.newP1.Clone()
 	}
-	if e.gapped {
+	if e.Gapped {
 		p2 = aoSpaceSecondOrder(t, e, p1)
 	}
 	return p1, p2
@@ -66,7 +66,7 @@ func aoSpaceResponse(t *testing.T, m *scf.Model, ground *scf.Result) (p1 [3]*lin
 func aoSpaceSecondOrder(t *testing.T, e *cycleEnv, p1 [3]*linalg.Matrix) (p2 [3][3]*linalg.Matrix) {
 	t.Helper()
 	m, n := e.m, e.n
-	l, r := e.left, e.right
+	l, r := e.Left, e.Right
 	nl, nr := l.Cols, r.Cols
 	pairs := nl * nr
 	mat := linalg.NewMatrix
@@ -84,7 +84,7 @@ func aoSpaceSecondOrder(t *testing.T, e *cycleEnv, p1 [3]*linalg.Matrix) (p2 [3]
 		gemm(false, false, 1, tl, l, 0, hvv[b])
 		gemm(true, false, 1, r, e.h1, 0, tr)
 		gemm(false, false, 1, tr, r, 0, hoo[b])
-		for i, w := range e.w.Data {
+		for i, w := range e.W.Data {
 			u[b].Data[i] *= 0.5 * w
 		}
 	}
@@ -109,13 +109,13 @@ func aoSpaceSecondOrder(t *testing.T, e *cycleEnv, p1 [3]*linalg.Matrix) (p2 [3]
 			gemm(false, false, -1, u[b], hoo[c], 1, src)
 
 			q := refCharges(m, p)
-			for i, w := range e.w.Data {
+			for i, w := range e.W.Data {
 				wk[i] = w * src.Data[i]
 			}
 			for a := range q {
-				q[a] += e.chargeMul * linalg.Dot(e.k[a*pairs:(a+1)*pairs], wk)
+				q[a] += e.ChargeMul * linalg.Dot(e.K[a*pairs:(a+1)*pairs], wk)
 			}
-			dq, err := linalg.SolveLinear(e.sys, q)
+			dq, err := linalg.SolveLinear(e.Sys, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +123,7 @@ func aoSpaceSecondOrder(t *testing.T, e *cycleEnv, p1 [3]*linalg.Matrix) (p2 [3]
 			refAddPotential(m, refPotential(m, dq), e.h1)
 			gemm(true, false, 1, l, e.h1, 0, tl)
 			gemm(false, false, 1, tl, r, 1, src)
-			for i, w := range e.w.Data {
+			for i, w := range e.W.Data {
 				src.Data[i] *= w
 			}
 			gemm(false, false, 1, l, src, 0, lu)

@@ -22,8 +22,8 @@
 //     is affine in the N atomic response charges, so it is solved directly —
 //     one elimination of an N×N system per set of right-hand sides, which
 //     every γ-kernel response shares (the field directions, the second-order
-//     fields, the nuclear coordinates, the chord matrix) — and each field
-//     direction runs one cycle.
+//     fields, the nuclear coordinates) — and each field direction runs one
+//     cycle.
 //   - GridCoulomb: the paper's real-space pipeline — batched basis
 //     evaluation, many small GEMMs, direct sine-transform Poisson solve. Its
 //     self-consistency is affine in the orbital-pair coefficients of P⁽¹⁾,
@@ -219,62 +219,36 @@ func (w *Workspace) polarizability(m *scf.Model, ground *scf.Result, opt Options
 // seated once per polarizability and used by its three field directions, the
 // sibling of gridEnv (which keeps grid mode's real-space side). Everything
 // that is a function of the ground state alone is resolved by seat: the
-// gapped/fractional decision, the orbital blocks and pair weights of phase 1,
-// ½S and the atom-of-function table of the γ kernel, grid mode's pair list,
-// the bound GEMMs and every workspace; a γ-mode Polarizability allocates
-// nothing, and neither does re-seating on another ground state of the same
-// basis size. Environment buffers are never shared across goroutines and
-// never alias a Result or a Response: the solves copy P⁽¹⁾ out.
+// ground state's pair space (scf.Susceptibility: the gapped/fractional
+// decision, the orbital blocks and pair weights of phase 1, ½S and the
+// atom-of-function table of the γ kernel), grid mode's pair list, the bound
+// GEMMs and every workspace; a γ-mode Polarizability allocates nothing, and
+// neither does re-seating on another ground state of the same basis size.
+// Environment buffers are never shared across goroutines and never alias a
+// Result or a Response: the solves copy P⁽¹⁾ out.
 type cycleEnv struct {
+	// Phase 1 builds P⁽¹⁾ = sym(L·(W∘(Lᵀ·H⁽¹⁾·R))·Rᵀ) with the pair space's L,
+	// R and W; γ mode's charge closure (closeCharges) reads its K_A, χ and
+	// I − χ·Γ, built once per ground state (Build, inside the first
+	// direction's n⁽¹⁾ phase).
+	scf.Susceptibility
+
 	m    *scf.Model
 	grid *gridEnv // nil in γ mode
 	n    int      // basis size the buffers below are allocated for
 
-	// Phase 1 builds P⁽¹⁾ = sym(L·(W∘(Lᵀ·H⁽¹⁾·R))·Rᵀ). Gapped ground states
-	// (every occupation within occTol of 0 or 2): L = C_virt, R = C_occ, W_ai
-	// = (f_i−f_a)/(ε_i−ε_a) and sym(Z) = Z + Zᵀ — only occupied×virtual pairs
-	// carry weight, which halves the GEMM work of the hot loop of the whole
-	// displacement pipeline, and the exact per-pair occupation differences
-	// keep the smearing tails exact. Fractional: L = R = C, W_qp is the full
-	// pair-weight matrix with its analytic degenerate limit and sym(Z) =
-	// (Z + Zᵀ)/2; its intraband pairs (p,p) carry no weight — the response to
-	// a field is the optical one, occupations frozen — and their weights
-	// f′_p = −(2/σ)·g_p(1 − g_p), g_p = f_p/2, are kept in fprime for the
-	// static susceptibility of the charge loop (chargeSystem) — and, gapped,
-	// for the occupations' share of grid ∂α (alphaDerivatives).
-	gapped      bool
-	left, right *linalg.Matrix    // cVirt and cOcc, or the ground state's C twice
-	cVirt, cOcc *linalg.Matrix    // gapped: the gathered orbital blocks
-	idx         []int             // gapped: virtual then occupied orbital indices
-	fprime      []float64         // f′_p
-	w           *linalg.Matrix    // rows(Lᵀ)×cols(R) pair weights
-	tmp, u, lu  *linalg.Matrix    // Lᵀ·D, the pair block u (∘W, then shifted), L·u
-	newP1       *linalg.Matrix    //
-	p1Gemms     [4]*linalg.GemmOp // gemm_tn, gemm_nn, gemm_nn, gemm_nt
-	p1FLOPs     int64             // of the four, per cycle
+	tmp, u, lu *linalg.Matrix    // Lᵀ·D, the pair block u (∘W, then shifted), L·u
+	newP1      *linalg.Matrix    //
+	p1Gemms    [4]*linalg.GemmOp // gemm_tn, gemm_nn, gemm_nn, gemm_nt
+	p1FLOPs    int64             // of the four, per cycle
 
-	// γ kernel: ½S and the atom of each basis function.
-	halfS  *linalg.Matrix
-	atomOf []int
-
-	// γ mode's charge closure (closeCharges). A potential v enters the pair
-	// block of every response as Lᵀ·(½S∘(v_A + v_B))·R = Σ_B v_B·K_B with the
-	// pair-space vectors K_A[a,i] = Σ_{μ∈A} (L_μa·(½S·R)_μi + (½S·L)_μa·R_μi),
-	// so the response charges of a potential v are χ·v with χ_AB =
-	// c·Σ_ai W_ai·K_A[ai]·K_B[ai] (c = 2 gapped, 1 fractional: the two forms of
-	// sym) and self-consistent charges solve (I − χ·Γ)·Δq = q₀, q₀ the
-	// charges of everything but the answer's own potential. Built once per
-	// ground state (chargeSystem, inside the first direction's n⁽¹⁾ phase);
-	// sGemms are bound with p1Gemms.
-	sr, sl    *linalg.Matrix    // ½S·R, ½S·L
-	sGemms    [2]*linalg.GemmOp //
-	k         []float64         // N rows of nl·nr pair-space vectors K_A
-	wk        []float64         // W∘K_A, one row at a time, or one potential's Σ_B v_B·K_B
-	chi       *linalg.Matrix    // N×N atom-charge susceptibility χ
-	sys, fac  *linalg.Matrix    // I − χ·Γ, and the copy the closure destroys
-	chargeMul float64           // c
-	v         []float64         // the closure's potentials, N per column
-	lap       [2]time.Time      // when the closure's charges and potentials were done
+	// The charge closure's workspaces: the copy of I − χ·Γ it destroys, one
+	// potential's Σ_B v_B·K_B, the potentials, N per column, and when its
+	// charges and potentials were done.
+	fac *linalg.Matrix
+	wk  []float64
+	v   []float64
+	lap [2]time.Time
 
 	// What solveGamma keeps of each field direction for the second-order
 	// responses (secondOrder): Δq⁽¹⁾ and the shifted pair block u.
@@ -298,24 +272,6 @@ type cycleEnv struct {
 	samples []obs.CycleSample // the span batch of a direction, reused across solves
 }
 
-// occTol is how far from 0 or 2 an occupation may lie in a gapped ground
-// state.
-const occTol = 1e-3
-
-// Gapped reports whether every occupation lies within occTol of 0 or 2: the
-// ground states whose field response is built from occupied×virtual pairs
-// alone (cycleEnv), and whose Hessian, dipole and polarizability derivatives
-// are taken analytically (Responses, scf.Model.FieldDerivatives and
-// NuclearHessian).
-func Gapped(occ []float64) bool {
-	for _, f := range occ {
-		if f > occTol && f < 2-occTol {
-			return false
-		}
-	}
-	return true
-}
-
 // reshape makes m a rows×cols view of its own storage (allocated n×n).
 func reshape(m *linalg.Matrix, rows, cols int) {
 	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
@@ -328,98 +284,27 @@ func (e *cycleEnv) seat(m *scf.Model, ground *scf.Result, grid *gridEnv) {
 	sq := func() *linalg.Matrix { return linalg.NewMatrix(n, n) }
 	if e.n != n || e.newP1 == nil {
 		*e = cycleEnv{
-			n: n, newP1: sq(), h1: sq(),
-			cVirt: sq(), cOcc: sq(), w: sq(), tmp: sq(), u: sq(), lu: sq(),
-			halfS: sq(), sr: sq(), sl: sq(),
-			idx: make([]int, n), atomOf: make([]int, n), fprime: make([]float64, n),
+			n: n, newP1: sq(), h1: sq(), tmp: sq(), u: sq(), lu: sq(),
 			samples: e.samples,
 		}
 		u1 := make([]float64, 3*n*n)
 		e.u1 = [3]linalg.Matrix{{Data: u1[:n*n]}, {Data: u1[n*n : 2*n*n]}, {Data: u1[2*n*n:]}}
 	}
 	e.m, e.grid, e.c = m, grid, ground.C
-	e.gapped = Gapped(ground.Occ)
-	occ, eps := ground.Occ, ground.Eps
-	for p, f := range occ {
-		e.fprime[p] = 0
-		if ground.Sigma > 0 {
-			g := 0.5 * f
-			e.fprime[p] = -2 / ground.Sigma * g * (1 - g)
-		}
-	}
-	left, right := ground.C, ground.C
-	nl, nr := n, n
-	if e.gapped {
-		nl = 0
-		for k, f := range occ {
-			if !(f > occTol) {
-				e.idx[nl] = k
-				nl++
-			}
-		}
-		nr = n - nl
-		virtIdx, occIdx := e.idx[:nl], e.idx[nl:]
-		for k, i := 0, 0; k < n; k++ {
-			if occ[k] > occTol {
-				occIdx[i] = k
-				i++
-			}
-		}
-		left, right = e.cVirt, e.cOcc
-		gatherColumns(left, ground.C, virtIdx)
-		gatherColumns(right, ground.C, occIdx)
-		reshape(e.w, nl, nr)
-		for a, va := range virtIdx {
-			row := e.w.Row(a)
-			for i, oi := range occIdx {
-				// Near-degenerate pairs keep weight zero.
-				row[i] = 0
-				if de := eps[oi] - eps[va]; !(de > -1e-9 && de < 1e-9) {
-					row[i] = (occ[oi] - occ[va]) / de
-				}
-			}
-		}
-	} else {
-		reshape(e.w, n, n)
-		for q := 0; q < n; q++ {
-			row := e.w.Row(q)
-			for p := 0; p < n; p++ {
-				row[p] = 0
-				if p == q {
-					continue
-				}
-				df := occ[p] - occ[q]
-				de := eps[p] - eps[q]
-				switch {
-				case math.Abs(de) > 1e-8:
-					row[p] = df / de
-				case ground.Sigma > 0:
-					// Degenerate pair: the analytic limit f'(ε̄).
-					g := 0.25 * (occ[p] + occ[q]) // per-spin mean
-					row[p] = -2 / ground.Sigma * g * (1 - g)
-				}
-			}
-		}
-	}
-	if e.p1Gemms[0] == nil || left != e.left || right != e.right || e.tmp.Rows != nl || e.u.Cols != nr {
-		e.left, e.right = left, right
+	rebound := e.Seat(m, ground.C, ground.Eps, ground.Occ, ground.Sigma)
+	nl, nr := e.Left.Cols, e.Right.Cols
+	if e.p1Gemms[0] == nil || rebound {
 		reshape(e.tmp, nl, n)
 		reshape(e.u, nl, nr)
 		reshape(e.lu, n, nr)
 		e.p1Gemms = [4]*linalg.GemmOp{
-			linalg.BindGemm(true, false, 1, e.left, e.h1, 0, e.tmp),
-			linalg.BindGemm(false, false, 1, e.tmp, e.right, 0, e.u),
-			linalg.BindGemm(false, false, 1, e.left, e.u, 0, e.lu),
-			linalg.BindGemm(false, true, 1, e.lu, e.right, 0, e.newP1),
+			linalg.BindGemm(true, false, 1, e.Left, e.h1, 0, e.tmp),
+			linalg.BindGemm(false, false, 1, e.tmp, e.Right, 0, e.u),
+			linalg.BindGemm(false, false, 1, e.Left, e.u, 0, e.lu),
+			linalg.BindGemm(false, true, 1, e.lu, e.Right, 0, e.newP1),
 		}
 		e.p1FLOPs = linalg.GemmFLOPs(nl, n, n) + linalg.GemmFLOPs(nl, n, nr) +
 			linalg.GemmFLOPs(n, nl, nr) + linalg.GemmFLOPs(n, nr, n)
-		reshape(e.sr, n, nr)
-		reshape(e.sl, n, nl)
-		e.sGemms = [2]*linalg.GemmOp{
-			linalg.BindGemm(false, false, 1, e.halfS, e.right, 0, e.sr),
-			linalg.BindGemm(false, false, 1, e.halfS, e.left, 0, e.sl),
-		}
 	}
 	if grid != nil {
 		e.seatPairs(nl, nr)
@@ -429,19 +314,10 @@ func (e *cycleEnv) seat(m *scf.Model, ground *scf.Result, grid *gridEnv) {
 	if len(e.dq[0]) != na {
 		dq := make([]float64, 3*na)
 		e.dq, e.v = [3][]float64{dq[:na], dq[na : 2*na], dq[2*na:]}, make([]float64, na)
-		e.chi, e.sys, e.fac = linalg.NewMatrix(na, na), linalg.NewMatrix(na, na), linalg.NewMatrix(na, na)
+		e.fac = linalg.NewMatrix(na, na)
 	}
-	e.halfS.CopyFrom(m.S)
-	e.halfS.Scale(0.5)
-	for i := range e.atomOf {
-		e.atomOf[i] = m.Basis.Funcs[i].Atom
-	}
-	if pairs := nl * nr; cap(e.wk) < pairs || cap(e.k) < na*pairs {
-		e.k, e.wk = make([]float64, na*pairs), make([]float64, pairs)
-	}
-	e.chargeMul = 1
-	if e.gapped {
-		e.chargeMul = 2
+	if pairs := nl * nr; cap(e.wk) < pairs {
+		e.wk = make([]float64, pairs)
 	}
 }
 
@@ -449,7 +325,7 @@ func (e *cycleEnv) seat(m *scf.Model, ground *scf.Result, grid *gridEnv) {
 // weights, allocating only when the pair count grows.
 func (e *cycleEnv) seatPairs(nl, nr int) {
 	np := nl * nr
-	if !e.gapped {
+	if !e.Gapped {
 		np = e.n * (e.n - 1) / 2
 	}
 	if e.pairSys == nil || cap(e.pairAt) < np {
@@ -459,10 +335,10 @@ func (e *cycleEnv) seatPairs(nl, nr int) {
 	e.pairL, e.pairR, e.pairAt, e.pairX = e.pairL[:np], e.pairR[:np], e.pairAt[:np], e.pairX[:np]
 	reshape(e.pairSys, np, np)
 	q := 0
-	if e.gapped {
+	if e.Gapped {
 		for a := 0; a < nl; a++ {
 			for i := 0; i < nr; i++ {
-				e.pairL[q], e.pairR[q], e.pairAt[q] = e.idx[a], e.idx[nl+i], a*nr+i
+				e.pairL[q], e.pairR[q], e.pairAt[q] = e.Idx[a], e.Idx[nl+i], a*nr+i
 				q++
 			}
 		}
@@ -484,18 +360,6 @@ func (e *cycleEnv) ops() *linalg.Ops {
 	return &linalg.DefaultOps
 }
 
-// gatherColumns makes dst (storage for n×n) the n×len(cols) matrix of the
-// given columns of c.
-func gatherColumns(dst, c *linalg.Matrix, cols []int) {
-	reshape(dst, c.Rows, len(cols))
-	for i := 0; i < c.Rows; i++ {
-		src, out := c.Row(i), dst.Row(i)
-		for k, col := range cols {
-			out[k] = src[col]
-		}
-	}
-}
-
 // solveGamma computes γ mode's self-consistent response to a unit field along
 // dir and copies P⁽¹⁾ into dst, as one DFPT cycle whose four phases are
 // n⁽¹⁾ = the bare field's pair block u = W∘(Lᵀ·D·R) (the first two phase-1
@@ -505,20 +369,20 @@ func gatherColumns(dst, c *linalg.Matrix, cols []int) {
 // formed — and P⁽¹⁾ = sym(L·u·Rᵀ) (densityMatrix), whose charges are Δq⁽¹⁾
 // to rounding: it is the fixed point of the iterative cycle, not an
 // approximation of it within a tolerance. The first direction also builds
-// the ground state's system (chargeSystem) inside its n⁽¹⁾ phase; Δq⁽¹⁾ and u
-// stay in the environment (dq, u1). No virtual orbitals, a zero pivot and a
-// non-finite charge or P⁽¹⁾ are ErrDiverged.
+// the ground state's system (scf.Susceptibility.Build) inside its n⁽¹⁾ phase;
+// Δq⁽¹⁾ and u stay in the environment (dq, u1). No virtual orbitals, a zero
+// pivot and a non-finite charge or P⁽¹⁾ are ErrDiverged.
 func (e *cycleEnv) solveGamma(dir int, sc obs.Scope, met *PhaseMetrics, dst *linalg.Matrix) error {
-	nl, nr := e.left.Cols, e.right.Cols
+	nl, nr := e.Left.Cols, e.Right.Cols
 	if nl == 0 {
 		return fmt.Errorf("%w: no virtual orbitals (basis %d, occupied %d)", ErrDiverged, e.n, nr)
 	}
 	base := time.Now()
 	if dir == 0 {
-		e.chargeSystem(false)
+		e.Build(false)
 	}
 	e.fieldBlock(dir)
-	for i, w := range e.w.Data {
+	for i, w := range e.W.Data {
 		e.u.Data[i] *= w
 	}
 	dq := e.dq[dir]
@@ -536,7 +400,7 @@ func (e *cycleEnv) solveGamma(dir int, sc obs.Scope, met *PhaseMetrics, dst *lin
 		return err
 	}
 
-	// The four phase-1 GEMMs are bound ops that count nothing (chargeSystem
+	// The four phase-1 GEMMs are bound ops that count nothing (Build
 	// counts its own).
 	ops := e.ops()
 	ops.GEMMCalls.Add(4)
@@ -546,12 +410,11 @@ func (e *cycleEnv) solveGamma(dir int, sc obs.Scope, met *PhaseMetrics, dst *lin
 }
 
 // closeCharges is the charge closure of every γ-kernel response — the field
-// directions (solveGamma), the second-order fields (secondOrder), the nuclear
-// coordinates (nuclear) and the chord's unit charges (ChordMatrix) — for the
-// right-hand sides in the k columns of q (N×k), which hold the charges each
-// already knows. u[j], unless u is nil, is column j's pair block W∘(Lᵀ·h·R)
-// of its bare perturbation h, and row j of w (k×N), unless w is nil (it is
-// read only with u), the frozen atomic potential it adds. The closure
+// directions (solveGamma), the second-order fields (secondOrder) and the
+// nuclear coordinates (nuclear) — for the right-hand sides in the k columns of
+// q (N×k), which hold the charges each already knows. u[j] is column j's pair
+// block W∘(Lᵀ·h·R) of its bare perturbation h, and row j of w (k×N), unless w
+// is nil, the frozen atomic potential it adds. The closure
 //
 //  1. adds c·K·u[j] and the frozen potential's charges χ·w_j to column j;
 //  2. eliminates I − χ·Γ once for all k columns;
@@ -564,17 +427,17 @@ func (e *cycleEnv) solveGamma(dir int, sc obs.Scope, met *PhaseMetrics, dst *lin
 // It stamps e.lap after step 4 and after v: solveGamma's phase clocks.
 func (e *cycleEnv) closeCharges(q *linalg.Matrix, u []*linalg.Matrix, w *linalg.Matrix) error {
 	na, k := q.Rows, q.Cols
-	pairs := len(e.w.Data)
-	for j := 0; j < k && u != nil; j++ {
+	pairs := len(e.W.Data)
+	for j := 0; j < k; j++ {
 		for a := 0; a < na; a++ {
-			x := e.chargeMul * linalg.Dot(e.k[a*pairs:(a+1)*pairs], u[j].Data)
+			x := e.ChargeMul * linalg.Dot(e.K[a*pairs:(a+1)*pairs], u[j].Data)
 			if w != nil {
-				x += linalg.Dot(e.chi.Row(a), w.Row(j))
+				x += linalg.Dot(e.Chi.Row(a), w.Row(j))
 			}
 			q.Data[a*k+j] += x
 		}
 	}
-	e.fac.CopyFrom(e.sys)
+	e.fac.CopyFrom(e.Sys)
 	if err := linalg.SolveLinearColumnsInPlace(e.fac, q); err != nil {
 		return fmt.Errorf("%w: zero pivot in the charge response system", ErrDiverged)
 	}
@@ -582,9 +445,6 @@ func (e *cycleEnv) closeCharges(q *linalg.Matrix, u []*linalg.Matrix, w *linalg.
 		return fmt.Errorf("%w: non-finite response charge", ErrDiverged)
 	}
 	e.lap[0] = time.Now()
-	if u == nil {
-		return nil
-	}
 	if cap(e.v) < na*k {
 		e.v = make([]float64, na*k)
 	}
@@ -607,9 +467,9 @@ func (e *cycleEnv) closeCharges(q *linalg.Matrix, u []*linalg.Matrix, w *linalg.
 	for j, uj := range u {
 		clear(wk)
 		for b, x := range v[j*na : (j+1)*na] {
-			linalg.Axpy(x, e.k[b*pairs:(b+1)*pairs], wk)
+			linalg.Axpy(x, e.K[b*pairs:(b+1)*pairs], wk)
 		}
-		for i, x := range e.w.Data {
+		for i, x := range e.W.Data {
 			uj.Data[i] += x * wk[i]
 		}
 	}
@@ -632,14 +492,14 @@ func (e *cycleEnv) closeCharges(q *linalg.Matrix, u []*linalg.Matrix, w *linalg.
 // pair weight, a zero pivot and a non-finite P⁽¹⁾ are ErrDiverged; a
 // non-finite density is the Poisson solve's poisson.ErrNonFinite.
 func (e *cycleEnv) solveGrid(dir int, sc obs.Scope, met *PhaseMetrics, dst *linalg.Matrix) error {
-	nl, nr := e.left.Cols, e.right.Cols
+	nl, nr := e.Left.Cols, e.Right.Cols
 	if nl == 0 {
 		return fmt.Errorf("%w: no virtual orbitals (basis %d, occupied %d)", ErrDiverged, e.n, nr)
 	}
 	g := e.grid
 	base := time.Now()
 	if dir == 0 {
-		if !finite(e.c.Data) || !finite(e.w.Data) {
+		if !finite(e.c.Data) || !finite(e.W.Data) {
 			return fmt.Errorf("%w: non-finite orbital coefficient or pair weight", ErrDiverged)
 		}
 		g.pairDensities(e.c, e.pairL, e.pairR)
@@ -690,7 +550,7 @@ func (e *cycleEnv) solveGrid(dir int, sc obs.Scope, met *PhaseMetrics, dst *lina
 func (e *cycleEnv) solvePairs(mc *linalg.Matrix) error {
 	x := e.pairX
 	for q, at := range e.pairAt {
-		w := e.w.Data[at]
+		w := e.W.Data[at]
 		x[q] = w * e.u.Data[at]
 		row, src := e.pairSys.Row(q), mc.Row(q)
 		for k, v := range src {
@@ -704,7 +564,7 @@ func (e *cycleEnv) solvePairs(mc *linalg.Matrix) error {
 	clear(e.u.Data)
 	for q, at := range e.pairAt {
 		e.u.Data[at] = x[q]
-		if !e.gapped {
+		if !e.Gapped {
 			e.u.Data[e.pairR[q]*e.n+e.pairL[q]] = x[q]
 		}
 	}
@@ -737,105 +597,6 @@ func (e *cycleEnv) record(sc obs.Scope, met *PhaseMetrics, base time.Time, tN1, 
 	}
 }
 
-// chargeSystem builds the ground state's pair-space vectors K_A, the
-// susceptibility χ and the system matrix I − χ·Γ (see cycleEnv). χ is the
-// optical response, occupations frozen, which α is made of. With static set,
-// a fractional ground state's occupations follow the potential as the SCF
-// charge map re-solves them (ChordMatrix): the intraband pairs add
-// Σ_p f′_p·K_A[pp]·K_B[pp], and the Fermi level moves to keep the electron
-// count, which projects out their response to a uniform potential,
-// v = Σ_p f′_p·K[pp]: χ ← χ − v·vᵀ/s with s = Σ_p f′_p, so that 1ᵀ·χ = 0
-// still. A gapped χ has neither term.
-func (e *cycleEnv) chargeSystem(static bool) {
-	e.sGemms[0].Run() // sr = ½S·R
-	e.sGemms[1].Run() // sl = ½S·L
-	nl, nr := e.left.Cols, e.right.Cols
-	ops := e.ops()
-	ops.GEMMCalls.Add(2)
-	ops.FLOPs.Add(linalg.GemmFLOPs(e.n, e.n, nr) + linalg.GemmFLOPs(e.n, e.n, nl))
-	pairs, na := nl*nr, e.chi.Rows
-	k, wk := e.k[:na*pairs], e.wk[:pairs]
-	clear(k)
-	for mu, a := range e.atomOf {
-		ka := k[a*pairs : (a+1)*pairs]
-		lrow, slrow := e.left.Row(mu), e.sl.Row(mu)
-		rrow, srrow := e.right.Row(mu), e.sr.Row(mu)
-		for p := 0; p < nl; p++ {
-			lp, slp := lrow[p], slrow[p]
-			kp := ka[p*nr : (p+1)*nr]
-			for i, r := range rrow {
-				kp[i] += lp*srrow[i] + slp*r
-			}
-		}
-	}
-	for a := 0; a < na; a++ {
-		ka := k[a*pairs : (a+1)*pairs]
-		for p, w := range e.w.Data {
-			wk[p] = w * ka[p]
-		}
-		for b := 0; b <= a; b++ {
-			x := e.chargeMul * linalg.Dot(wk, k[b*pairs:(b+1)*pairs])
-			e.chi.Set(a, b, x)
-			e.chi.Set(b, a, x)
-		}
-	}
-	if static && !e.gapped {
-		// The pair (p,p) is at p·(n+1); v goes in the closure's potentials.
-		diag := func(a, p int) float64 { return k[a*pairs+p*(nl+1)] }
-		v := e.v[:na]
-		var s float64
-		for _, d := range e.fprime {
-			s += d
-		}
-		for a := range v {
-			v[a] = 0
-			for p, d := range e.fprime {
-				v[a] += d * diag(a, p)
-			}
-		}
-		for a := 0; a < na; a++ {
-			row := e.chi.Row(a)
-			for b := range row {
-				var x float64
-				for p, d := range e.fprime {
-					x += d * diag(a, p) * diag(b, p)
-				}
-				row[b] += x - v[a]*v[b]/s
-			}
-		}
-	}
-	for a := 0; a < na; a++ {
-		row, chi := e.sys.Row(a), e.chi.Row(a)
-		for b := range row {
-			var s float64
-			for c, x := range chi {
-				s += x * e.m.Gamma.At(c, b)
-			}
-			row[b] = -s
-		}
-		row[a]++
-	}
-}
-
-// ChordMatrix returns M = (I − J)⁻¹ for the Jacobian J = ∂F/∂Δq of the SCF
-// charge map F (input charges → Mulliken charges of the resulting density) at
-// the converged ground state of m: J = χ·Γ, built in closed form from the
-// ground state's eigenpairs by the γ-mode response's own chargeSystem, static
-// (see there), and inverted as N unit charge columns of one closure. It is
-// what scf.Options.Chord takes for solves at nearby geometries. A singular
-// I − J returns nil: the callers' fallback is the Pulay loop, which nil
-// selects.
-func ChordMatrix(m *scf.Model, ground *scf.Result) *linalg.Matrix {
-	var e cycleEnv
-	e.seat(m, ground, nil)
-	e.chargeSystem(true)
-	inv := linalg.Identity(m.NumAtoms())
-	if e.closeCharges(inv, nil, nil) != nil {
-		return nil
-	}
-	return inv
-}
-
 // fieldBlock sets u = Lᵀ·D^dir·R, the pair block of the bare field along dir
 // (+D^dir per unit field, electron charge −1).
 func (e *cycleEnv) fieldBlock(dir int) {
@@ -848,7 +609,7 @@ func (e *cycleEnv) fieldBlock(dir int) {
 func (e *cycleEnv) densityMatrix() {
 	e.p1Gemms[2].Run() // lu = L·u
 	e.p1Gemms[3].Run() // newP1 = lu·Rᵀ
-	if !e.gapped {
+	if !e.Gapped {
 		// The symmetric partner (q,p) carries the same weight, so P⁽¹⁾ is
 		// symmetric up to rounding.
 		e.newP1.Symmetrize()

@@ -96,9 +96,10 @@ func finiteFieldAlpha(t *testing.T, m *scf.Model, smearing float64) [3][3]float6
 // dipole, to 5e-5 a.u. on a gapped water. On the water dimer at σ = 0.05,
 // whose frontier occupations are fractional, the static field derivative also
 // moves the occupations — the intraband response and the Fermi-level shift
-// that the chord matrix's static χ carries (TestSusceptibilityMatchesUnitPotentialBuilds
-// ties the two) — and the static reference response matches it to 1e-3 a.u.;
-// Polarizability stays the optical response, occupations frozen.
+// that the static χ of the charge loop's Newton step carries
+// (TestSusceptibilityMatchesUnitPotentialBuilds ties the two) — and the
+// static reference response matches it to 1e-3 a.u.; Polarizability stays
+// the optical response, occupations frozen.
 func TestGammaDFPTMatchesFiniteField(t *testing.T) {
 	check := func(name string, got, want [3][3]float64, tol float64) {
 		var worst float64
@@ -341,9 +342,7 @@ func TestResponseP1Traceless(t *testing.T) {
 // deterministic ErrDiverged the smearing ladder escalates on — for a ground
 // state with no virtual orbitals, for a poisoned one (a NaN orbital
 // coefficient or energy reaches K, χ and the charges) and for a singular
-// charge system (a zero pivot). ChordMatrix hands the charge loop no matrix
-// for a poisoned ground state, never a NaN one, and the identity when no
-// virtual orbital can respond.
+// charge system (a zero pivot).
 func TestGammaFailuresAreTyped(t *testing.T) {
 	m, res := waterModel(t)
 	full, nanC, nanEps := *res, *res, *res
@@ -375,46 +374,9 @@ func TestGammaFailuresAreTyped(t *testing.T) {
 		_, err := Polarizability(m, tc.ground, DefaultOptions())
 		check(tc.name, err, tc.text)
 	}
-	for name, ground := range map[string]*scf.Result{"NaN orbital": &nanC, "NaN energy": &nanEps} {
-		if c := ChordMatrix(m, ground); c != nil {
-			t.Errorf("%s: ChordMatrix returned %v, want nil", name, c.Data)
-		}
-	}
-	if c := ChordMatrix(m, &full); c == nil || c.MaxAbsDiff(linalg.Identity(m.NumAtoms())) != 0 {
-		t.Errorf("no virtual orbitals: ChordMatrix returned %v, want the identity", c)
-	}
 	env := newCycleEnv(m, res, nil)
-	env.chargeSystem(false)
-	env.sys.Zero()
+	env.Build(false)
+	env.Sys.Zero()
 	n := m.Basis.Size()
 	check("zero pivot", env.solveGamma(1, obs.Scope{}, new(PhaseMetrics), linalg.NewMatrix(n, n)), "zero pivot")
-}
-
-// TestChordMatrixMatchesColumnByColumnInverse: the chord matrix, N unit
-// charge columns solved in one elimination of I − χ·Γ, is bit for bit the
-// inverse built one column and one elimination at a time, on the fractional
-// σ = 0.05 water dimer (whose static χ carries the intraband response).
-func TestChordMatrixMatchesColumnByColumnInverse(t *testing.T) {
-	m, res := systemModel(t, structure.BuildWaterDimerSystem(1), 0.05)
-	env := newCycleEnv(m, res, nil)
-	if env.gapped {
-		t.Fatal("the σ = 0.05 dimer is meant to be fractional")
-	}
-	env.chargeSystem(true)
-	na := m.NumAtoms()
-	want := linalg.NewMatrix(na, na)
-	for b := 0; b < na; b++ {
-		col := make([]float64, na)
-		col[b] = 1
-		if err := linalg.SolveLinearInPlace(env.sys.Clone(), col); err != nil {
-			t.Fatal(err)
-		}
-		for a, x := range col {
-			want.Set(a, b, x)
-		}
-	}
-	got := ChordMatrix(m, res)
-	if got == nil || !bitEqualMatrix(got, want) {
-		t.Fatalf("ChordMatrix differs from the column-by-column inverse")
-	}
 }

@@ -32,7 +32,7 @@ const splitTol = 1e-5
 // (GridAlphaDerivatives). Degenerate levels — methane's t2 — do not.
 func SplitLevels(g *scf.Result) bool {
 	for p := 1; p < len(g.Eps); p++ {
-		if (g.Occ[p] > occTol) == (g.Occ[p-1] > occTol) && math.Abs(g.Eps[p]-g.Eps[p-1]) < splitTol {
+		if (g.Occ[p] > scf.OccTol) == (g.Occ[p-1] > scf.OccTol) && math.Abs(g.Eps[p]-g.Eps[p-1]) < splitTol {
 			return false
 		}
 	}
@@ -140,7 +140,7 @@ func coord(p geom.Vec3, d int) float64 {
 // frozenGridAlphaDerivatives is GridAlphaDerivatives on the grid of env, held
 // fixed while the atoms move.
 func frozenGridAlphaDerivatives(m *scf.Model, ground *scf.Result, nr *scf.NuclearResponse, opt Options, env *gridEnv) ([3][3][]float64, error) {
-	if !Gapped(ground.Occ) || !SplitLevels(ground) {
+	if !scf.Gapped(ground.Occ) || !SplitLevels(ground) {
 		return [3][3][]float64{}, fmt.Errorf("dfpt: grid ∂α needs a gapped ground state with split levels")
 	}
 	sc, span := opt.Obs.Begin("dfpt.alpha_deriv", "dfpt")
@@ -206,7 +206,7 @@ func (e *cycleEnv) alphaDerivatives(ground *scf.Result, nr *scf.NuclearResponse)
 	mat := linalg.NewMatrix
 	wq := make([]float64, np)
 	for q, at := range e.pairAt {
-		wq[q] = e.w.Data[at]
+		wq[q] = e.W.Data[at]
 	}
 	// Dm_b = Cᵀ·D_b·C and its pair entries g_b.
 	var dm [3]*linalg.Matrix
@@ -313,7 +313,7 @@ func (e *cycleEnv) alphaDerivatives(ground *scf.Result, nr *scf.NuclearResponse)
 	tr := m.DipoleDerivTraces(zs)
 	eps := ground.Eps
 	var sumFp float64
-	for _, f := range e.fprime {
+	for _, f := range e.FPrime {
 		sumFp += f
 	}
 	n3 := len(u)
@@ -337,7 +337,7 @@ func (e *cycleEnv) alphaDerivatives(ground *scf.Result, nr *scf.NuclearResponse)
 			phi[r] += cq
 			phi[l] -= cq
 		}
-		occupationShare(beta, phi, e.fprime, sumFp)
+		occupationShare(beta, phi, e.FPrime, sumFp)
 		da := make([]float64, n3)
 		for y := range da {
 			atom, ax := y/3, y%3

@@ -413,8 +413,8 @@ func TestGridFailuresAreTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := newCycleEnv(m, res, grid)
-	for i := range env.w.Data {
-		env.w.Data[i] = 1
+	for i := range env.W.Data {
+		env.W.Data[i] = 1
 	}
 	half := linalg.Identity(len(env.pairAt))
 	half.Scale(0.5)
@@ -472,8 +472,8 @@ func TestGridResponseOfFractionalDimer(t *testing.T) {
 	}
 	env := newCycleEnv(m, res, grid)
 	n := m.Basis.Size()
-	if env.gapped || len(env.pairAt) != n*(n-1)/2 {
-		t.Fatalf("gapped=%v with %d pairs, want fractional with %d", env.gapped, len(env.pairAt), n*(n-1)/2)
+	if env.Gapped || len(env.pairAt) != n*(n-1)/2 {
+		t.Fatalf("gapped=%v with %d pairs, want fractional with %d", env.Gapped, len(env.pairAt), n*(n-1)/2)
 	}
 	for q, at := range env.pairAt {
 		if l, r := env.pairL[q], env.pairR[q]; l >= r || at != l*n+r {

@@ -56,7 +56,7 @@ func (e *cycleEnv) nuclear(ground *scf.Result, sc obs.Scope) (*scf.NuclearRespon
 	_, span := sc.Begin("dfpt.nuclear", "dfpt")
 	defer span.End()
 	m, n, ops := e.m, e.n, e.ops()
-	l, r := e.left, e.right
+	l, r := e.Left, e.Right
 	nl, nr := l.Cols, r.Cols
 	if nl == 0 {
 		return nil, fmt.Errorf("%w: no virtual orbitals (basis %d, occupied %d)", ErrDiverged, n, nr)
@@ -69,7 +69,7 @@ func (e *cycleEnv) nuclear(ground *scf.Result, sc obs.Scope) (*scf.NuclearRespon
 	}
 	// R·ε, the occupied orbitals scaled by their energies.
 	eps, reps := make([]float64, nr), r.Clone()
-	for i, k := range e.idx[nl:n] {
+	for i, k := range e.Idx[nl:n] {
 		eps[i] = ground.Eps[k]
 	}
 	for mu := 0; mu < n; mu++ {
@@ -115,7 +115,7 @@ func (e *cycleEnv) nuclear(ground *scf.Result, sc obs.Scope) (*scf.NuclearRespon
 			u := out.U[c]
 			scf.Sandwich(u, &lA, &vkr, &vkl, &rA, 1, 0, ops)
 			linalg.Gemm(true, false, -1, &vl, &reA, 1, u, ops)
-			for i, x := range e.w.Data {
+			for i, x := range e.W.Data {
 				u.Data[i] *= x
 			}
 			pert.GammaPotential(c, w.Row(c))
@@ -123,7 +123,7 @@ func (e *cycleEnv) nuclear(ground *scf.Result, sc obs.Scope) (*scf.NuclearRespon
 			// block, on atom a and on the atom of ν.
 			for i := 0; i < size; i++ {
 				prow, srow := ground.P.Row(first+i), vs.Row(i)
-				for nu, b := range e.atomOf {
+				for nu, b := range e.AtomOf {
 					x := prow[nu] * srow[nu]
 					q.Add(a, c, x)
 					q.Add(b, c, x)
@@ -137,7 +137,7 @@ func (e *cycleEnv) nuclear(ground *scf.Result, sc obs.Scope) (*scf.NuclearRespon
 	var rB, srB linalg.Matrix
 	for b := 0; b < na; b++ {
 		first, size := pert.Rows(b)
-		rB, srB = r.RowBlock(first, first+size), e.sr.RowBlock(first, first+size)
+		rB, srB = r.RowBlock(first, first+size), e.SR.RowBlock(first, first+size)
 		linalg.Gemm(true, false, 1, &rB, &srB, 0, mt, ops)
 		mt.AddTranspose()
 		gemm(r, mt, rm)

@@ -372,7 +372,7 @@ func gammaFixtures(t testing.TB) []cycleFixture {
 func TestGammaResponseMatchesReference(t *testing.T) {
 	defer par.SetBudget(0)
 	for _, fx := range gammaFixtures(t) {
-		if got := newCycleEnv(fx.m, fx.ground, nil).gapped; got != fx.gapped {
+		if got := newCycleEnv(fx.m, fx.ground, nil).Gapped; got != fx.gapped {
 			t.Fatalf("%s: environment chose gapped=%v, fixture is meant to be gapped=%v (occupations %v)",
 				fx.name, got, fx.gapped, fx.ground.Occ)
 		}
@@ -430,22 +430,22 @@ func TestGammaResponseMatchesReference(t *testing.T) {
 // claims to be — column B equals the Mulliken charges of the P⁽¹⁾ that the
 // reference build (refResponseDensity) gives for a unit potential on atom B,
 // applied as refAddPotential applies a potential — to 1e-12 of χ's largest
-// entry. The static χ of
-// the chord matrix equals, column for column, the charges of the static
-// reference build (intraband pairs, Fermi shift) for the same potential, and
-// has 1ᵀ·χ = 0; on a gapped ground state it is the optical χ to the bit.
+// entry. The static χ of the charge loop's Newton step equals, column for
+// column, the charges of the static reference build (intraband pairs, Fermi
+// shift) for the same potential, and has 1ᵀ·χ = 0; on a gapped ground state
+// it is the optical χ to the bit.
 func TestSusceptibilityMatchesUnitPotentialBuilds(t *testing.T) {
 	for _, fx := range gammaFixtures(t) {
 		env := newCycleEnv(fx.m, fx.ground, nil)
-		env.chargeSystem(false)
-		optical := env.chi.Clone()
+		env.Build(false)
+		optical := env.Chi.Clone()
 		static := newCycleEnv(fx.m, fx.ground, nil)
-		static.chargeSystem(true)
-		if fx.gapped && !bitEqualMatrix(static.chi, optical) {
+		static.Build(true)
+		if fx.gapped && !bitEqualMatrix(static.Chi, optical) {
 			t.Errorf("%s: the static χ of a gapped ground state differs from the optical one", fx.name)
 		}
 		var scale, worst, worstStatic, colSum float64
-		for _, x := range env.chi.Data {
+		for _, x := range env.Chi.Data {
 			scale = math.Max(scale, math.Abs(x))
 		}
 		for b := 0; b < fx.m.NumAtoms(); b++ {
@@ -454,12 +454,12 @@ func TestSusceptibilityMatchesUnitPotentialBuilds(t *testing.T) {
 			h1 := linalg.NewMatrix(fx.m.Basis.Size(), fx.m.Basis.Size())
 			refAddPotential(fx.m, v, h1)
 			for a, q := range refCharges(fx.m, refResponseDensity(fx.m, fx.ground, h1, false)) {
-				worst = math.Max(worst, math.Abs(q-env.chi.At(a, b)))
+				worst = math.Max(worst, math.Abs(q-env.Chi.At(a, b)))
 			}
 			var sum float64
 			for a, q := range refCharges(fx.m, refResponseDensity(fx.m, fx.ground, h1, true)) {
-				worstStatic = math.Max(worstStatic, math.Abs(q-static.chi.At(a, b)))
-				sum += static.chi.At(a, b)
+				worstStatic = math.Max(worstStatic, math.Abs(q-static.Chi.At(a, b)))
+				sum += static.Chi.At(a, b)
 			}
 			colSum = math.Max(colSum, math.Abs(sum))
 		}

@@ -18,7 +18,7 @@ import (
 // order built, plus one P⁽¹⁾-shaped build each (secondOrder). A fractional
 // ground state is an error: it has no second-order response here.
 func fieldResponse(m *scf.Model, ground *scf.Result, opt Options) (*Workspace, *scf.FieldResponse, error) {
-	if !Gapped(ground.Occ) {
+	if !scf.Gapped(ground.Occ) {
 		return nil, nil, fmt.Errorf("dfpt: analytic responses need a gapped ground state")
 	}
 	opt.Coulomb = GammaCoulomb
@@ -57,8 +57,8 @@ func (e *cycleEnv) secondOrder(p1 [3]*linalg.Matrix, sc obs.Scope) (*scf.FieldRe
 	_, span := sc.Begin("dfpt.second", "dfpt")
 	defer span.End()
 	m, n, ops := e.m, e.n, e.ops()
-	l, r := e.left, e.right
-	nl, nr, na := l.Cols, r.Cols, e.chi.Rows
+	l, r := e.Left, e.Right
+	nl, nr, na := l.Cols, r.Cols, e.Chi.Rows
 	mat := linalg.NewMatrix
 	gemm := func(transA, transB bool, alpha float64, a, b *linalg.Matrix, beta float64, c *linalg.Matrix) {
 		linalg.Gemm(transA, transB, alpha, a, b, beta, c, ops)
@@ -77,8 +77,8 @@ func (e *cycleEnv) secondOrder(p1 [3]*linalg.Matrix, sc obs.Scope) (*scf.FieldRe
 		}
 		u[b] = &e.u1[b]
 		u[b].Scale(0.5)
-		hvv[b] = e.block(l, e.sl, m.Dip[b], v, tl, vl)
-		hoo[b] = e.block(r, e.sr, m.Dip[b], v, tr, vr)
+		hvv[b] = e.block(l, e.SL, m.Dip[b], v, tl, vl)
+		hoo[b] = e.block(r, e.SR, m.Dip[b], v, tr, vr)
 	}
 	q := mat(na, cols)
 	xs := make([]float64, cols*nl*nr)
@@ -103,11 +103,11 @@ func (e *cycleEnv) secondOrder(p1 [3]*linalg.Matrix, sc obs.Scope) (*scf.FieldRe
 		gemm(false, false, -1, u[c], hoo[b], 1, src[j])
 		gemm(false, false, 1, hvv[c], u[b], 1, src[j])
 		gemm(false, false, -1, u[b], hoo[c], 1, src[j])
-		for i, w := range e.w.Data {
+		for i, w := range e.W.Data {
 			src[j].Data[i] *= w
 		}
-		for i, a := range e.atomOf { // the oo and vv blocks' charges
-			q.Data[a*cols+j] += 2 * linalg.Dot(p2.Row(i), e.halfS.Row(i))
+		for i, a := range e.AtomOf { // the oo and vv blocks' charges
+			q.Data[a*cols+j] += 2 * linalg.Dot(p2.Row(i), e.HalfS.Row(i))
 		}
 		fr.P2[b][c], fr.P2[c][b] = p2, p2
 	}
@@ -143,7 +143,7 @@ func (e *cycleEnv) block(x, sx, d *linalg.Matrix, v []float64, t, vx *linalg.Mat
 	out := linalg.NewMatrix(x.Cols, x.Cols)
 	linalg.Gemm(true, false, 1, x, d, 0, t, ops)
 	linalg.Gemm(false, false, 0.5, t, x, 0, out, ops)
-	for mu, a := range e.atomOf {
+	for mu, a := range e.AtomOf {
 		row := vx.Row(mu)
 		for i, c := range x.Row(mu) {
 			row[i] = v[a] * c

@@ -75,12 +75,13 @@ func allDisplacements(t testing.TB, m *scf.Model, opt JobOptions) []*Displacemen
 	return out
 }
 
-// TestChordAndPulayLoopsGiveTheSameFragmentData: the chord matrix is warm-start
-// data — it shortens the displaced charge loops and moves their fixed points
-// by less than the SCF tolerance, which a central difference over 2·Step turns
-// into at most Tol/Step ≈ 2·10⁻⁷ in a Hessian element and less in the
-// polarizability and dipole derivatives.
-func TestChordAndPulayLoopsGiveTheSameFragmentData(t *testing.T) {
+// TestWarmAndColdLoopsGiveTheSameFragmentData: the reference charges are
+// warm-start data — they shorten the displaced charge loops and move their
+// fixed points by less than the SCF tolerance, which a central difference
+// over 2·Step turns into at most Tol/Step ≈ 2·10⁻⁷ in a Hessian element and
+// less in the polarizability and dipole derivatives. So the loop started from
+// neutral atoms gives the same fragment data.
+func TestWarmAndColdLoopsGiveTheSameFragmentData(t *testing.T) {
 	for name, f := range map[string]*fragment.Fragment{"water": waterFragment(), "dimer": dimerFragment()} {
 		m, opt := warmFixture(t, f)
 		data := func(o JobOptions) *FragmentData {
@@ -90,12 +91,12 @@ func TestChordAndPulayLoopsGiveTheSameFragmentData(t *testing.T) {
 			}
 			return fd
 		}
-		chord := data(opt)
-		opt.SCF.Chord = nil
-		pulay := data(opt)
-		worst := maxDataDiff(chord, pulay)
+		warm := data(opt)
+		opt.SCF.InitDeltaQ = nil
+		cold := data(opt)
+		worst := maxDataDiff(warm, cold)
 		if worst > 2e-6 {
-			t.Errorf("%s: chord and Pulay displacement loops differ by %g", name, worst)
+			t.Errorf("%s: warm and cold displacement loops differ by %g", name, worst)
 		}
 		t.Logf("%s: largest difference %.2g", name, worst)
 	}

@@ -53,6 +53,13 @@ type DisplacementResult struct {
 // internal/poisson bumps poisson.SolverTag instead, which moves only
 // grid-mode keys.
 //
+// engine/14: every charge loop takes Newton steps with the exact Jacobian χ·Γ
+// of its own latest eigenpairs (scf.Workspace) until the residual stops
+// decreasing, then hands over to the Pulay mixer; the displaced solves' chord
+// matrix of the reference is gone. Ground states move within Tol, which moves
+// the analytic Hessian, ∂α and ∂μ by ≤ 7e-8 of their largest entries (glycine)
+// and the displacement loop's by ≤ 1.2e-7 (the σ = 0.05 dimer); for a given
+// ground state, DFPT keeps every bit.
 // engine/13: every γ-kernel response closes its charges in one place and
 // takes its response potential in pair space (no dense H⁽¹⁾ re-projected; the
 // six second-order fields one elimination), and the field derivatives take the
@@ -112,7 +119,7 @@ type DisplacementResult struct {
 // engine/2: Pulay mixing in the DFPT cycle, Fermi search that stops once the
 // electrons are counted. (engine/1, never hashed: linear response mixing,
 // Fermi level bisected to the last ulp.)
-const EngineVersion = "engine/13"
+const EngineVersion = "engine/14"
 
 // JobOptions bundles the solver settings of a displacement job.
 type JobOptions struct {
@@ -436,16 +443,16 @@ func ComputeFragment(f *fragment.Fragment, opt JobOptions) (*FragmentData, *scf.
 func foldsInto(cal *scf.Result, o scf.Options) bool {
 	d := scf.DefaultOptions()
 	return o.Smearing == cal.Sigma && o.MaxIter == d.MaxIter && o.Tol == d.Tol &&
-		o.Mixing == d.Mixing && o.Field == d.Field && o.Chord == nil
+		o.Mixing == d.Mixing && o.Field == d.Field
 }
 
 // analyticRoute reports whether a ground state g solved at opt takes the
-// analytic route: gapped (dfpt.Gapped), field-free — the force expression the
+// analytic route: gapped (scf.Gapped), field-free — the force expression the
 // Hessian differentiates has no field term — and, when it wants grid mode's
 // ∂α, with split levels (dfpt.SplitLevels): that ∂α differentiates the
 // canonical orbitals, which degenerate levels do not have.
 func analyticRoute(opt JobOptions, g *scf.Result) bool {
-	return dfpt.Gapped(g.Occ) && opt.SCF.Field == (geom.Vec3{}) &&
+	return scf.Gapped(g.Occ) && opt.SCF.Field == (geom.Vec3{}) &&
 		(opt.DFPT.Coulomb == dfpt.GammaCoulomb || opt.SkipAlpha || dfpt.SplitLevels(g))
 }
 
@@ -496,27 +503,21 @@ func displace(m *scf.Model, opt JobOptions) ([]*DisplacementResult, error) {
 
 // reference is what the reference solve hands the fragment engine.
 type reference struct {
-	opt      JobOptions // the displacement loop's options (no chord on the analytic route)
+	opt      JobOptions // the displacement loop's options
 	ref      *scf.Result
 	analytic *FragmentData // the analytic route's whole result; nil: the displacement loop
 }
 
 // SolveReference runs the fragment's reference SCF at the options' smearing
-// and returns options carrying the displacement loop's warm-start data —
-// reference charges and the chord matrix of the charge loop,
-// dfpt.ChordMatrix's on the γ kernel the SCF uses in every mode — plus the
-// reference SCF result itself, whose converged charges and iteration count the
-// trajectory engine keeps to seed and account the same fragment's next frame.
-// It hands over the chord whichever route the fragment takes, so the loop can
-// be run on any fragment. Both DFPT modes solve their response directly, so
-// the displaced jobs are handed no response to start from.
+// and returns options carrying the displacement loop's warm-start data — the
+// reference charges — plus the reference SCF result itself, whose converged
+// charges and iteration count the trajectory engine keeps to seed and account
+// the same fragment's next frame. Both DFPT modes solve their response
+// directly, so the displaced jobs are handed no response to start from.
 func SolveReference(m *scf.Model, opt JobOptions) (*JobOptions, *scf.Result, error) {
 	r, err := solveReference(m, opt, nil)
 	if err != nil {
 		return nil, nil, err
-	}
-	if r.analytic != nil {
-		r.opt.SCF.Chord = dfpt.ChordMatrix(m, r.ref)
 	}
 	return &r.opt, r.ref, nil
 }
@@ -528,8 +529,7 @@ func SolveReference(m *scf.Model, opt JobOptions) (*JobOptions, *scf.Result, err
 // (scf.Model.NuclearHessian), the dipole derivatives and, unless SkipAlpha,
 // the polarizability derivatives (scf.Model.FieldDerivatives; in grid mode
 // dfpt.GridAlphaDerivatives, the adjoint of the grid response; DESIGN.md §7).
-// Everything else gets the chord matrix its displacement loop starts from, and
-// leaves analytic nil.
+// Everything else leaves analytic nil for the displacement loop.
 func solveReference(m *scf.Model, opt JobOptions, ref *scf.Result) (*reference, error) {
 	o := opt
 	// Reference solves appear as direct scf/dfpt children of the attempt
@@ -545,7 +545,6 @@ func solveReference(m *scf.Model, opt JobOptions, ref *scf.Result) (*reference, 
 	o.SCF.InitDeltaQ = ref.DeltaQ
 	r := &reference{ref: ref, opt: o}
 	if !analyticRoute(o, ref) {
-		r.opt.SCF.Chord = dfpt.ChordMatrix(m, ref)
 		return r, nil
 	}
 	fr, nr, err := dfpt.Responses(m, ref, o.DFPT)

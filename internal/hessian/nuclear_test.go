@@ -264,7 +264,7 @@ func fragmentDataSHA256(fd *FragmentData) string {
 // water dimer at σ = 0.05) and grid mode's degenerate levels (methane's t2,
 // dfpt.SplitLevels) still run the displacement loop — 6N displaced jobs and
 // the finite-difference counter — and the dimer reproduces its pinned
-// FragmentData to the bit (SHA-256 recorded at engine/13). Gapped grid-mode
+// FragmentData to the bit (SHA-256 recorded at engine/14). Gapped grid-mode
 // and γ-mode waters run no displaced job. The loop still ships, so the
 // grid-mode water's loop FragmentData stays pinned too, by running the
 // reference hand-over, the loop at kernel budgets 1 and 4 and the central
@@ -340,13 +340,14 @@ func TestDisplacementLoopRoutesKeepTheirBits(t *testing.T) {
 }
 
 // The FragmentData of TestDisplacementLoopRoutesKeepTheirBits'
-// displacement-loop runs: the grid-mode water through the loop directly
-// (recorded at engine/11), the dimer through ComputeFragment (recorded at
-// engine/13, whose γ-mode α of each displaced job moved ∂α by ≤ 2.4e-13 of
-// each component's largest entry; its Hessian and ∂μ kept every bit). Both
+// displacement-loop runs: the grid-mode water through the loop directly and
+// the dimer through ComputeFragment, both recorded at engine/14, whose Newton
+// charge loop moved every ground state within Tol: against engine/13 the
+// dimer's Hessian, ∂α and ∂μ moved by ≤ 2.4e-8, 2.3e-8 and 1.2e-7 of their
+// largest entries, the grid water's by ≤ 1.7e-9, 1.0e-8 and 3.4e-8. Both
 // are amd64 facts: a compiler that fuses multiply-adds (arm64) rounds
 // differently and will not reproduce them (ROADMAP item 16).
 const (
-	gridWaterSHA256    = "222663cef3864f2fe2a35cad6211f66f8f5df27a3049f95c8641ff6ef0b7c782"
-	smearedDimerSHA256 = "7e76b4a31e0a59fdc25b5ab054cda455bebd88d5b5aae5c4ab7b0c3f053c6e80"
+	gridWaterSHA256    = "71d704d6f9b14169ba806165b9c8f7fbf14a54b908ed03e97787ad154a71df76"
+	smearedDimerSHA256 = "18e2bd2a9cb60be1f84f81fc4d95cd2ea7ad32c1ce8ec077a2b7c5e6a3493c1a"
 )

@@ -17,8 +17,8 @@ const physicsSize = 97
 // same bytes are the job section of the store's content fingerprint and the
 // options payload of the cluster's JOB and LEASE frames, so a worker executes
 // exactly the description its key was hashed from. Execution-only fields — the
-// Obs scopes, the warm-start data SCF.InitDeltaQ, SCF.Chord, DFPT.InitP1 and
-// the ignored DFPT.Mixing — are not part of it.
+// Obs scopes, the warm-start data SCF.InitDeltaQ and DFPT.InitP1, and the
+// ignored DFPT.Mixing — are not part of it.
 //
 // A new physics option is added here and, at the same position, in
 // ParsePhysics; both store.fingerprintVersion and cluster.ProtoVersion then

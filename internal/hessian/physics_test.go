@@ -91,7 +91,6 @@ func TestPhysicsRoundTrip(t *testing.T) {
 var executionOnly = []string{
 	"Obs", "SCF.Obs", "DFPT.Obs", // instrumentation: a traced run shares keys with an untraced one
 	"SCF.InitDeltaQ", // warm-start charges
-	"SCF.Chord",      // the charge loop's step matrix
 	"DFPT.InitP1",    // warm-start response
 	"DFPT.Mixing",    // read by neither Coulomb mode; kept for bench/ only
 }

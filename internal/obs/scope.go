@@ -43,11 +43,11 @@ const (
 	// per smearing rung above the requested temperature (the fragment
 	// engine's hessian.ComputeFragment, and scf.Model.SolveSCFRobust).
 	MetricSCFSmearingEscalations = "scf_smearing_escalations_total"
-	// A chord fallback is a charge loop that was handed a chord matrix
-	// (scf.Options.Chord) and left the chord-Newton iteration for the Pulay
-	// mixer because a step failed to halve the residual: the reference's
-	// charge susceptibility did not describe the displaced geometry.
-	MetricSCFChordFallbacks = "scf_chord_fallbacks_total"
+	// A Newton fallback is a charge loop that left its Newton steps for the
+	// Pulay mixer (scf.Workspace) because the residual failed to decrease,
+	// a pivot vanished or a step was not finite: the closed-form Jacobian did
+	// not describe the charge map where the iterate stood.
+	MetricSCFNewtonFallbacks = "scf_newton_fallbacks_total"
 	// A finite-difference derivative fragment is one whose dipole and
 	// polarizability derivatives came from its 6N displaced solves
 	// (grid mode, a fractional ground state) instead of the reference's field
@@ -130,7 +130,7 @@ type Hot struct {
 	SCFSolves  *Counter
 
 	SCFSmearingEscalations *Counter
-	SCFChordFallbacks      *Counter
+	SCFNewtonFallbacks     *Counter
 
 	HessianFDDerivativeFragments *Counter
 	HessianDisplacedJobs         *Counter
@@ -146,7 +146,7 @@ func newHot(r *Registry) *Hot {
 		SCFSolves:  r.Counter(MetricSCFSolves),
 
 		SCFSmearingEscalations: r.Counter(MetricSCFSmearingEscalations),
-		SCFChordFallbacks:      r.Counter(MetricSCFChordFallbacks),
+		SCFNewtonFallbacks:     r.Counter(MetricSCFNewtonFallbacks),
 
 		HessianFDDerivativeFragments: r.Counter(MetricHessianFDDerivativeFragments),
 		HessianDisplacedJobs:         r.Counter(MetricHessianDisplacedJobs),
@@ -275,14 +275,14 @@ func (s Scope) WithTrack(track int32) Scope {
 
 // RecordSCF records one SCF solve: a span carrying the iteration count, the
 // electron counts its Fermi-level searches evaluated and how many of the
-// iterations were chord-Newton steps, the iteration histogram, and the
+// iterations ended in a Newton step, the iteration histogram, and the
 // fragment accumulator.
-func (s Scope) RecordSCF(start time.Time, iters, fermiEvals, chordSteps int) {
+func (s Scope) RecordSCF(start time.Time, iters, fermiEvals, newtonSteps int) {
 	if s.T != nil {
 		s.T.Record(s.Span.ID(), s.Track, "scf", "scf",
 			s.T.Since(start), time.Since(start),
 			A("iters", int64(iters)), A("fermi_evals", int64(fermiEvals)),
-			A("chord_steps", int64(chordSteps)))
+			A("newton_steps", int64(newtonSteps)))
 	}
 	if s.Hot != nil {
 		s.Hot.SCFIters.Observe(float64(iters))

@@ -20,6 +20,29 @@ func BenchmarkSolveSCFWater(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveSCFGlycine times a cold solve of a 10-atom residue, large
+// enough that the charge loop's evaluation count, not per-solve overhead,
+// sets the time.
+func BenchmarkSolveSCFGlycine(b *testing.B) {
+	els, pos := glycineGeometry(b)
+	m, err := NewModel(els, pos)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ws := NewWorkspace(m)
+	var evals int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := ws.Solve(m, DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		evals += res.Iterations
+	}
+	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+}
+
 func BenchmarkSolveSCFMethaneWarm(b *testing.B) {
 	els, pos := methane()
 	m, err := NewModel(els, pos)

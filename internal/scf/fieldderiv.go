@@ -36,7 +36,7 @@ type FieldResponse struct {
 // potentials Γ times them; the energy-weighted density of a gapped state is
 // W = ½·P·H·P at any field, H = H0 + F·D + ½S∘(V_A + V_B), so W⁽ᵇ⁾ and W⁽ᵇᶜ⁾
 // follow by the product rule (DESIGN.md §7, "Analytic field derivatives").
-// The caller vouches that the ground state is gapped (dfpt.Gapped): with
+// The caller vouches that the ground state is gapped (Gapped): with
 // fractional occupations W is not ½·P·H·P and P⁽ᵇᶜ⁾ is not what dfpt builds.
 func (m *Model) FieldDerivatives(ground *Result, fr *FieldResponse) (dMu [3][]float64, dAlpha [3][3][]float64) {
 	n, na := m.Basis.Size(), m.NumAtoms()

@@ -292,7 +292,7 @@ func (m *Model) gammaHessian(a, b int) (h [3][3]float64) {
 // P·H·R built once; the first term is then a pair-space dot product with
 // U_y and one with SR_y (NuclearResponse), the next two one (3N×2N)·(2N×3N)
 // GEMM, the last an n×n_A·n product per column. The caller vouches that the
-// ground state is gapped and field-free (dfpt.Gapped).
+// ground state is gapped and field-free (Gapped).
 func (m *Model) NuclearHessian(ground *Result, nr *NuclearResponse) *linalg.Matrix {
 	pert := nr.Pert
 	n, na := m.Basis.Size(), m.NumAtoms()

@@ -35,17 +35,6 @@ type Options struct {
 	// loop's dominant speedup). Must have one entry per atom; nil starts
 	// from neutral atoms.
 	InitDeltaQ []float64
-	// Chord, when non-nil, makes the charge loop start as a chord-Newton
-	// iteration, dq ← dq + Chord·(F(dq) − dq), with Chord = (I − J)⁻¹ for the
-	// Jacobian J = ∂F/∂dq of the charge map at a nearby geometry (in the
-	// displacement loop, dfpt.ChordMatrix of the undisplaced reference, which
-	// builds J = χ·Γ from its atom-charge susceptibility χ). The loop hands its
-	// iterate to the Pulay mixer the first time a step fails to halve
-	// max|F(dq) − dq|. Like InitDeltaQ it is warm-start data — it changes the
-	// path to the fixed point, not the fixed point — and is excluded from the
-	// store's content fingerprint; nil runs the Pulay loop from the first
-	// step.
-	Chord *linalg.Matrix
 	// Obs carries the observability handles (span tracer, metrics
 	// registry, per-fragment accumulator). Execution-only: it never
 	// affects a converged result and is excluded from the store's content
@@ -77,9 +66,8 @@ type Result struct {
 	W     *linalg.Matrix // energy-weighted density matrix
 
 	DeltaQ     []float64 // per-atom electron excess n_A − Z_A
-	Iterations int
-	ChordSteps int     // iterations that ended in a chord-Newton step (Options.Chord)
-	Gap        float64 // nominal HOMO–LUMO gap (hartree); 0 if no virtuals
+	Iterations int       // charge-map evaluations, one eigensolve each
+	Gap        float64   // nominal HOMO–LUMO gap (hartree); 0 if no virtuals
 }
 
 // ErrNotConverged reports that the charge loop used up its iterations. It is
@@ -103,10 +91,10 @@ func (m *Model) SolveSCF(opt Options) (*Result, error) {
 
 // Workspace owns everything a charge loop needs for models of one size: the
 // Cholesky reduction of the geometry, the n×n buffers of an iteration, its
-// bound GEMMs, the eigensolver's storage, the mixer's ring, and the Result it
-// hands out. SolveSCF makes one for a single solve; repeated solves of models
-// of one size in one workspace allocate nothing. A Workspace is used by one
-// goroutine at a time.
+// bound GEMMs, the eigensolver's storage, the Newton step's susceptibility,
+// the mixer's ring, and the Result it hands out. SolveSCF makes one for a
+// single solve; repeated solves of models of one size in one workspace
+// allocate nothing. A Workspace is used by one goroutine at a time.
 //
 // The generalized eigenproblem H·C = S·C·ε is reduced once per solve by
 // S = L·Lᵀ and X = L⁻ᵀ (Xᵀ·S·X = I, S·X = L). The Hamiltonian is affine in the
@@ -115,6 +103,13 @@ func (m *Model) SolveSCF(opt Options) (*Result, error) {
 // H̃(v) = H̃₀ + M + Mᵀ with H̃₀ = Xᵀ·(H0 + hExt)·X, built in prepare, and
 // M = L⁻¹·(½D)·L, lower triangular: an iteration builds H̃ in n³/6
 // multiply-adds, diagonalizes it once, and forms C = X·Y, P and the charges.
+//
+// Each iteration then takes a Newton step on the charge map F (newtonStep):
+// the Jacobian ∂F/∂Δq = χ·Γ is built in closed form from the eigenpairs the
+// same evaluation has just produced, so the step costs no eigensolve. The
+// loop keeps taking them while max|F(Δq) − Δq| decreases; the first that
+// does not, a zero pivot or a non-finite step hands the iterate to the Pulay
+// mixer for the rest of the solve (obs.MetricSCFNewtonFallbacks).
 type Workspace struct {
 	n, na int
 	eig   *linalg.EigSymWork
@@ -126,7 +121,8 @@ type Workspace struct {
 	eps, occ      []float64
 	v, dq, newDq  []float64
 	hv, mrow      []float64      // ½v of each function's atom; one row of M
-	step          []float64      // chord-Newton: the residual F(dq) − dq
+	step          []float64      // the Newton step, first F(dq) − dq
+	chi           Susceptibility // the Newton step's Jacobian
 	lh, lhl, xy   *linalg.GemmOp // L⁻¹·(H0 + hExt), (L⁻¹·H)·L⁻ᵀ, C = L⁻ᵀ·Y
 	pGemm, wGemm  *linalg.GemmOp // P and W = gb·gaᵀ, bound to gemmCols columns
 	gemmCols      int
@@ -167,6 +163,12 @@ func NewWorkspace(m *Model) *Workspace {
 // and everything it points to belong to the workspace and are overwritten by
 // its next Solve.
 func (ws *Workspace) Solve(m *Model, opt Options) (*Result, error) {
+	return ws.solve(m, opt, true)
+}
+
+// solve is Solve; with newton false it runs the Pulay mixer from the first
+// iteration (the tests' reference loop).
+func (ws *Workspace) solve(m *Model, opt Options, newton bool) (*Result, error) {
 	var obsStart time.Time
 	if opt.Obs.Enabled() {
 		obsStart = time.Now()
@@ -174,10 +176,6 @@ func (ws *Workspace) Solve(m *Model, opt Options) (*Result, error) {
 	n, na := ws.n, ws.na
 	if opt.InitDeltaQ != nil && len(opt.InitDeltaQ) != na {
 		return nil, fmt.Errorf("scf: InitDeltaQ has %d entries for %d atoms", len(opt.InitDeltaQ), na)
-	}
-	chord := opt.Chord
-	if chord != nil && (chord.Rows != na || chord.Cols != na) {
-		return nil, fmt.Errorf("scf: Chord is %d×%d for %d atoms", chord.Rows, chord.Cols, na)
 	}
 	// Bound ops count nothing; their totals reach the model's counters once
 	// per solve.
@@ -192,7 +190,7 @@ func (ws *Workspace) Solve(m *Model, opt Options) (*Result, error) {
 
 	ws.fermiEvals = 0
 	ws.mixer.Reset(opt.Mixing)
-	chordSteps := 0
+	newtonSteps := 0
 	prevDelta := math.Inf(1)
 	for iter := 1; iter <= opt.MaxIter; iter++ {
 		mu, entropy, err := ws.chargeMap(m, opt, dq, newDq)
@@ -219,7 +217,6 @@ func (ws *Workspace) Solve(m *Model, opt Options) (*Result, error) {
 				C: c, P: p, W: ws.w,
 				DeltaQ:     newDq,
 				Iterations: iter,
-				ChordSteps: chordSteps,
 			}
 			res := &ws.res
 			res.EBand = traceProduct(p, m.H0) + traceProduct(p, ws.hExt)
@@ -231,28 +228,21 @@ func (ws *Workspace) Solve(m *Model, opt Options) (*Result, error) {
 				res.Gap = eps[nocc] - eps[nocc-1]
 			}
 			if opt.Obs.Enabled() {
-				opt.Obs.RecordSCF(obsStart, iter, ws.fermiEvals, chordSteps)
+				opt.Obs.RecordSCF(obsStart, iter, ws.fermiEvals, newtonSteps)
 			}
 			return res, nil
 		}
-		if chord != nil {
-			// Chord-Newton: with J frozen at the reference, the error
-			// contracts by ‖M·(J − J_ref)‖ per step — the size of the
-			// displacement — as long as the step keeps halving the residual.
-			if maxDelta <= 0.5*prevDelta {
+		if newton {
+			// The residual need not halve: far from the fixed point a Newton
+			// step may shrink it by only 20 % before the quadratic phase.
+			if maxDelta < prevDelta && ws.newtonStep(m, opt, dq, newDq) {
 				prevDelta = maxDelta
-				for a := range dq {
-					ws.step[a] = newDq[a] - dq[a]
-				}
-				for a := range dq {
-					dq[a] += linalg.Dot(chord.Row(a), ws.step)
-				}
-				chordSteps++
+				newtonSteps++
 				continue
 			}
-			chord = nil
+			newton = false
 			if opt.Obs.Hot != nil {
-				opt.Obs.Hot.SCFChordFallbacks.Inc()
+				opt.Obs.Hot.SCFNewtonFallbacks.Inc()
 			}
 		}
 		ws.mixer.Next(dq, newDq, dq)
@@ -261,9 +251,39 @@ func (ws *Workspace) Solve(m *Model, opt Options) (*Result, error) {
 	// burns MaxIter iterations is exactly the cost a straggler report must
 	// see.
 	if opt.Obs.Enabled() {
-		opt.Obs.RecordSCF(obsStart, opt.MaxIter, ws.fermiEvals, chordSteps)
+		opt.Obs.RecordSCF(obsStart, opt.MaxIter, ws.fermiEvals, newtonSteps)
 	}
 	return nil, fmt.Errorf("%w after %d iterations", ErrNotConverged, opt.MaxIter)
+}
+
+// newtonStep takes the Newton step of the charge loop at dq, whose image
+// newDq = F(dq) the workspace's eigenpairs were just evaluated for: it solves
+// (I − χ·Γ)·s = F(dq) − dq, χ the static susceptibility of those eigenpairs
+// (Susceptibility.Build(true), whose χ·Γ is the Jacobian ∂F/∂dq), in one
+// single-column elimination, and sets dq += s. A zero pivot or a non-finite
+// step leaves dq alone and returns false.
+func (ws *Workspace) newtonStep(m *Model, opt Options, dq, newDq []float64) bool {
+	ws.chi.Seat(m, ws.c, ws.eps, ws.occ, opt.Smearing)
+	ws.chi.Build(true)
+	s := ws.step
+	for a := range s {
+		s[a] = newDq[a] - dq[a]
+	}
+	// Build rebuilds the system at every step, so the elimination may
+	// destroy it.
+	col := linalg.Matrix{Rows: len(s), Cols: 1, Data: s}
+	if linalg.SolveLinearColumnsInPlace(ws.chi.Sys, &col) != nil {
+		return false
+	}
+	for _, x := range s {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	for a := range dq {
+		dq[a] += s[a]
+	}
+	return true
 }
 
 // prepare validates the options against the model and fills what is fixed

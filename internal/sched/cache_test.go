@@ -222,12 +222,13 @@ func TestCacheKeyIsolation(t *testing.T) {
 // engine/9 (grid mode's finite differences from 6N displaced SCF + grid
 // solves), under engine/10 (−Step displaced solves started from their
 // +Step partners' predictor), under engine/11 (nuclear responses and
-// Hessian contracted through dense n×n matrices per coordinate) and under
+// Hessian contracted through dense n×n matrices per coordinate), under
 // engine/12 (each γ-kernel response closing its charges on its own; the last
-// qfkey/v2 keys) — the constants were recorded on those commits — must serve
-// none of them to a resumed run of this engine: each mode reports a miss,
-// recomputes, and files its new record beside the old ones. A second resumed
-// run is then served its own.
+// qfkey/v2 keys) and under engine/13 (the Pulay charge loop, a chord step only
+// in displaced solves) — the constants were recorded on those commits — must
+// serve none of them to a resumed run of this engine: each mode reports a
+// miss, recomputes, and files its new record beside the old ones. A second
+// resumed run is then served its own.
 func TestCacheSolverMigration(t *testing.T) {
 	const (
 		gridKeyBeforeTag     = "491822e02145f4fdd5cbfa1f6c0b3b3a8602bf3c7a7cc9a949d44f803500ea81"
@@ -255,12 +256,14 @@ func TestCacheSolverMigration(t *testing.T) {
 		gammaKeyEngine11     = "7aec904c4dea73b83662ab28e88658b8498bfdbfc6742598d3d8de468bed1feb"
 		gridKeyEngine12      = "ae41b45cc2ce5037bbfffa8768266fb51a93c33d7a745e6cb018ac6fbcb5aca6"
 		gammaKeyEngine12     = "52f5c73372d0af858d8769916cd38712f1f984cc4c420caa3f404c245c606171"
+		gridKeyEngine13      = "198435afe3b1149ddcf05afaed79da69cd4ca83ea3c2f834d1a7ce4e7788e322"
+		gammaKeyEngine13     = "d06580c119a6bf75a4279c4a0b64d937dd5ed20895627b3beb7fce71d7f7b313"
 	)
 	old := []string{gridKeyBeforeTag, gridKeyBeforeEngine, gammaKeyBeforeEngine, gridKeyEngine2, gammaKeyEngine2,
 		gridKeyEngine3, gammaKeyEngine3, gridKeyEngine4, gammaKeyEngine4, gridKeyEngine5, gammaKeyEngine5,
 		gridKeyEngine6, gammaKeyEngine6, gridKeyEngine7, gammaKeyEngine7, gridKeyEngine8, gammaKeyEngine8,
 		gridKeyEngine9, gammaKeyEngine9, gridKeyEngine10, gammaKeyEngine10, gridKeyEngine11, gammaKeyEngine11,
-		gridKeyEngine12, gammaKeyEngine12}
+		gridKeyEngine12, gammaKeyEngine12, gridKeyEngine13, gammaKeyEngine13}
 	dec := cacheDecomposition(1)
 	dir := t.TempDir()
 	s := openStore(t, dir)

@@ -139,10 +139,9 @@ func TestKeyDiscriminates(t *testing.T) {
 	// result's address.
 	warm := hessian.DefaultJobOptions()
 	warm.SCF.InitDeltaQ = []float64{-0.4, 0.2, 0.2}
-	warm.SCF.Chord = linalg.Identity(3)
 	warm.DFPT.InitP1[0] = linalg.Identity(6)
 	if k, _ := Fingerprint(f, warm); k != k0 {
-		t.Error("warm-start data (InitDeltaQ, Chord, InitP1) moved the key")
+		t.Error("warm-start data (InitDeltaQ, InitP1) moved the key")
 	}
 }
 
@@ -233,9 +232,10 @@ func TestKeySolverTagTouchesOnlyGridMode(t *testing.T) {
 // SCF solves), engine/9 (grid mode's ∂α, Hessian and ∂μ from 6N displaced
 // SCF + grid solves), engine/10 (−Step displaced solves started from their
 // +Step partners' predictor), engine/11 (nuclear responses and Hessian
-// contracted through dense n×n matrices per coordinate) and engine/12 (each
+// contracted through dense n×n matrices per coordinate), engine/12 (each
 // γ-kernel response closing its charges on its own, P⁽¹⁾ rebuilt from a dense
-// H⁽¹⁾; the last qfkey/v2 keys); the constants were recorded on those commits
+// H⁽¹⁾; the last qfkey/v2 keys) and engine/13 (the Pulay charge loop, a chord
+// step only in displaced solves); the constants were recorded on those commits
 // — are not today's, so none of their records can be served to this engine.
 func TestKeyEngineVersionTouchesEveryKey(t *testing.T) {
 	grid, hessOnly := hessian.DefaultJobOptions(), hessian.DefaultJobOptions()
@@ -243,10 +243,10 @@ func TestKeyEngineVersionTouchesEveryKey(t *testing.T) {
 	hessOnly.SkipAlpha = true
 	for _, tc := range []struct {
 		name       string
-		keysBefore [12]string // unversioned engine, engine/2, engine/3, engine/4, engine/5, engine/6, engine/7, engine/8, engine/9, engine/10, engine/11, engine/12
+		keysBefore [13]string // unversioned engine, engine/2, …, engine/13
 		opt        hessian.JobOptions
 	}{
-		{"γ mode", [12]string{"f5191d75104962f781428508a5c936bf4a14e2bb68f911d7bf75554df7af00b4",
+		{"γ mode", [13]string{"f5191d75104962f781428508a5c936bf4a14e2bb68f911d7bf75554df7af00b4",
 			"cdb10dbd19d277c77d60f582f78e1eae186b3852e9e22b2eece8f69b560d448d",
 			"92c4619cfa4945bc1cb81704a8868711cc1cd81dba45c3a85c24019fd8f32e15",
 			"63d04430a8e6bf30508d33c4bb36c68cbe0b36e9774f206ca410cfa84f3f4709",
@@ -257,8 +257,9 @@ func TestKeyEngineVersionTouchesEveryKey(t *testing.T) {
 			"4c43acaaf08cae8d14cbb4136b1c3fa0e4318ed50746c8ef6dc20bcdc83e209b",
 			"76b9d77f33b866d7e37f50928ab8d14a36993f012ffd68741ea243642fba7f21",
 			"a5e6823b4c1c4b1183eb701c48fc77e814add329f097b46f4e0ddf6a9360db1e",
-			"027c5cafb81cb932a8cfb2689c472eb91af6ac4535637eab6789732f8af83b4b"}, hessian.DefaultJobOptions()},
-		{"grid mode", [12]string{"d06d326b4c6b3d6268b8331c7d1a5621bbe3fc82420fc891201208327d3a878e",
+			"027c5cafb81cb932a8cfb2689c472eb91af6ac4535637eab6789732f8af83b4b",
+			"1c3ffd8149675913e1729cc8d546b6af776151d1a4e929ec5797a5abf03d5cf7"}, hessian.DefaultJobOptions()},
+		{"grid mode", [13]string{"d06d326b4c6b3d6268b8331c7d1a5621bbe3fc82420fc891201208327d3a878e",
 			"8e7e74e50a712f8a737503fa1a839a07c19683df075c30863e1dae3f03f73e3d",
 			"a623e9f8b379c9cae5df7586cf10620cf532703b90c3210b178fcef420102d70",
 			"9c04eabfa80c467bd18f321fc0437a4458b303d9abb87f671f50dcb8a2eae654",
@@ -269,8 +270,9 @@ func TestKeyEngineVersionTouchesEveryKey(t *testing.T) {
 			"1a606ae92c961368f8e1c2da93220ba91c415da07c8941ce37e96a4d5bd88915",
 			"1f136925010a19dd855203879e005448a7844743cc813bc6d1bec8d9ab90fb56",
 			"e7d21e8af2fb86f544ba706b0008d67d6ce5410b7d459a1fddfacb5a63bbdc45",
-			"9a830109e83b7344acfb7cf1d7dbda1009224b54d8d850405048c49b1f86b692"}, grid},
-		{"pure Hessian", [12]string{"dc48bfda25047caa734ddf81879b5d15aa852bc24f6226b2db216218229883a0",
+			"9a830109e83b7344acfb7cf1d7dbda1009224b54d8d850405048c49b1f86b692",
+			"869b997cb6e2d8a9c9304361602324a86519b1d7ebe43f715110d3d098cead3d"}, grid},
+		{"pure Hessian", [13]string{"dc48bfda25047caa734ddf81879b5d15aa852bc24f6226b2db216218229883a0",
 			"fbe2d1037acde98f416c9a3743a790703a50be9b8ebf600a16fb672b764fada6",
 			"1634bbf88d83d794b233c26a55597349154280fdffa0fa3e2a10f33f7888489f",
 			"49b5c275f0493cd6ec0958612dfc02b8cc520428081d53d9f70350ab045ca85d",
@@ -281,7 +283,8 @@ func TestKeyEngineVersionTouchesEveryKey(t *testing.T) {
 			"17b30f5ce4eae32d94076c16bd886e1363b47b8d4e754cba42de0fc522f8f93a",
 			"f3bf9807ff7ac7fdf45bf7c14e89e56cfba6c09e552222cc0da1dc47c030eb77",
 			"1e77ede827709e183b382b37d16fd247b24641569776321d50209afd377a8611",
-			"f46bfe6e63adc85f977b69d8e206766d2860edcca5d45e612b9f0c64ffcb1a2a"}, hessOnly},
+			"f46bfe6e63adc85f977b69d8e206766d2860edcca5d45e612b9f0c64ffcb1a2a",
+			"9b839523a8f857b524db367312ee0c296f86d38fad68766554b795f53b59512c"}, hessOnly},
 	} {
 		if b := appendJobFingerprint(nil, tc.opt); bytes.Count(b, []byte(hessian.EngineVersion)) != 1 {
 			t.Errorf("%s: the job fingerprint does not hash the engine version exactly once", tc.name)
