@@ -35,11 +35,13 @@ var wiredKernels = []string{
 
 // TestEveryWiredKernelRecordsChunks runs the full grid-Coulomb pipeline
 // under profile capture and asserts every wired kernel executed at least
-// one chunk.
+// one chunk. K = 12 is below the dimer's 18 coordinates, so the spectrum
+// takes the Lanczos route and its kernels run.
 func TestEveryWiredKernelRecordsChunks(t *testing.T) {
 	sys := structure.BuildWaterDimerSystem(1)
 	cfg := DefaultConfig()
 	cfg.Raman.FreqMin, cfg.Raman.FreqMax, cfg.Raman.FreqStep = 200, 4000, 10
+	cfg.Raman.LanczosK = 12
 	cfg.Sched.NumLeaders = 1
 	cfg.Sched.Job.DFPT.Coulomb = dfpt.GridCoulomb
 	cfg.Sched.Job.DFPT.GridSpacing = 0.8

@@ -166,24 +166,30 @@ func TestGoldenTraceStructure(t *testing.T) {
 		}
 	}
 
-	// The spectral solver's counts ride on the spectrum span and agree with
-	// the registry.
+	// The spectrum span records its route. The run's two dimers have 36
+	// coordinates, no more than fastConfig's K = 40, so the exact route ran:
+	// one exact solve counted, no Lanczos counter moved.
+	if counts["spectrum"] != 1 {
+		t.Fatalf("got %d spectrum spans, want exactly 1", counts["spectrum"])
+	}
 	for _, s := range spans {
 		if s.Name != "spectrum" {
 			continue
 		}
-		steps, ok := s.Arg("lanczos_steps")
-		if got := reg.Counter(obs.MetricLanczosSteps).Value(); !ok || steps <= 0 || got != steps {
-			t.Fatalf("spectrum span carries lanczos_steps=%d (present %v), lanczos_steps_total=%d", steps, ok, got)
+		if route, ok := s.Arg("route"); !ok || route != obs.SpectrumRouteExact {
+			t.Fatalf("spectrum span carries route=%d (present %v), want the exact route", route, ok)
 		}
-		reorths, ok := s.Arg("lanczos_reorths")
-		if got := reg.Counter(obs.MetricLanczosReorths).Value(); !ok || reorths > steps || got != reorths {
-			t.Fatalf("spectrum span carries lanczos_reorths=%d (present %v), lanczos_reorth_steps_total=%d", reorths, ok, got)
+		if steps, ok := s.Arg("lanczos_steps"); ok {
+			t.Fatalf("exact-route spectrum span carries lanczos_steps=%d", steps)
 		}
 	}
-	if counts["spectrum"] != 1 {
-		t.Fatalf("got %d spectrum spans, want exactly 1", counts["spectrum"])
+	if got := reg.Counter(obs.MetricSpectrumExact).Value(); got != 1 {
+		t.Fatalf("spectrum_exact_total=%d, want 1", got)
 	}
+	if got := reg.Counter(obs.MetricLanczosSteps).Value(); got != 0 {
+		t.Fatalf("exact route moved lanczos_steps_total to %d", got)
+	}
+	checkLanczosSpectrumSpan(t, res, cfg)
 
 	// And the trace alone must reproduce the runtime's straggler analytics:
 	// AnalyzeTrace is what qfstats -trace runs on the exported file.
@@ -217,5 +223,45 @@ func TestGoldenTraceStructure(t *testing.T) {
 		if want, ok := cyclesByFrag[row.Frag]; ok && row.Cycles != want {
 			t.Fatalf("fragment %d: trace says %d cycles, runtime says %d", row.Frag, row.Cycles, want)
 		}
+	}
+}
+
+// checkLanczosSpectrumSpan solves the run's spectrum again at K = 20 < 36
+// coordinates, on the Lanczos route: its span carries the route and the
+// solver's counts, and they agree with the registry.
+func checkLanczosSpectrumSpan(t *testing.T, res *Result, cfg Config) {
+	t.Helper()
+	tr := obs.NewTracer()
+	reg := obs.NewRegistry()
+	cfg.Sched.Obs = obs.NewScope(tr, reg)
+	cfg.Raman.LanczosK = 20
+	if _, _, err := SpectrumFromGlobal(res.Global, cfg); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.ExportChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	spans, err := obs.ReadChromeTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spans) != 1 || spans[0].Name != "spectrum" {
+		t.Fatalf("spectrum solve traced %d spans, want one spectrum span", len(spans))
+	}
+	s := spans[0]
+	if route, ok := s.Arg("route"); !ok || route != obs.SpectrumRouteLanczos {
+		t.Fatalf("spectrum span carries route=%d (present %v), want the Lanczos route", route, ok)
+	}
+	steps, ok := s.Arg("lanczos_steps")
+	if got := reg.Counter(obs.MetricLanczosSteps).Value(); !ok || steps <= 0 || got != steps {
+		t.Fatalf("spectrum span carries lanczos_steps=%d (present %v), lanczos_steps_total=%d", steps, ok, got)
+	}
+	reorths, ok := s.Arg("lanczos_reorths")
+	if got := reg.Counter(obs.MetricLanczosReorths).Value(); !ok || reorths > steps || got != reorths {
+		t.Fatalf("spectrum span carries lanczos_reorths=%d (present %v), lanczos_reorth_steps_total=%d", reorths, ok, got)
+	}
+	if got := reg.Counter(obs.MetricSpectrumExact).Value(); got != 0 {
+		t.Fatalf("Lanczos route counted %d exact spectra", got)
 	}
 }

@@ -112,6 +112,41 @@ func BenchmarkEigSym(b *testing.B) {
 	}
 }
 
+// BenchmarkEigSymProjected is the exact spectral route's solve on the
+// workloads' Hessian orders (n ≤ K = 120), seven start vectors: the
+// eigenvectors formed and projected on, against the projections carried
+// through the solve.
+func BenchmarkEigSymProjected(b *testing.B) {
+	const cols = 7
+	for _, n := range []int{18, 57, 108} {
+		rng := rand.New(rand.NewSource(2))
+		a := randomSymmetric(rng, n)
+		d := NewMatrix(n, cols)
+		for i := range d.Data {
+			d.Data[i] = rng.NormFloat64()
+		}
+		work, vals, p := NewMatrix(n, n), make([]float64, n), NewMatrix(n, cols)
+		b.Run("eigenvectors/"+itoa(n), func(b *testing.B) {
+			w, vecs := NewEigSymWork(n), NewMatrix(n, n)
+			for i := 0; i < b.N; i++ {
+				if err := w.Solve(a, vals, vecs); err != nil {
+					b.Fatal(err)
+				}
+				Gemm(true, false, 1, vecs, d, 0, p, nil)
+			}
+		})
+		b.Run("carried/"+itoa(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				work.CopyFrom(a)
+				p.CopyFrom(d)
+				if err := EigSymProjected(work, vals, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkQuadrature is the eigen-solve behind one GAGQ rule at the
 // benchmark workloads' K = 120 (T̂ of order 239): the first-row routine the
 // spectral solver calls, against the full-eigenvector reference it replaced.

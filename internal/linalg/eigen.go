@@ -38,11 +38,44 @@ func (w *EigSymWork) Solve(a *Matrix, vals []float64, vecs *Matrix) error {
 	if a.Rows != n || a.Cols != n || vecs.Rows != n || vecs.Cols != n || len(vals) != n {
 		panic("linalg: EigSymWork.Solve shape mismatch")
 	}
+	if n == 0 {
+		return nil
+	}
 	if vecs != a {
 		vecs.CopyFrom(a)
 	}
 	tred2(vecs, vals, w.e)
 	return tql2(vals, w.e, vecs, w.zt)
+}
+
+// EigSymProjected computes the eigenvalues of the symmetric matrix a,
+// ascending into vals, and the projection of p's columns on every
+// eigenvector, in place: on entry row i of p holds entry i of each of its
+// p.Cols vectors; on return row k holds v_kᵀ·(each vector) for the
+// eigenvector v_k of vals[k]. The eigenvectors are never formed: the
+// tridiagonal reduction applies each reflector to p as it forms it, and the
+// QL iteration carries p's rows through its rotations the way
+// EigSymTridiagFirstRow carries one component. That skips the reduction's
+// accumulation and all but p.Cols entries of every rotated row. The
+// eigenvalues are bit-identical to EigSymWork.Solve's. a is destroyed. The
+// error wraps ErrEigNoConvergence; vals and p then hold no result.
+func EigSymProjected(a *Matrix, vals []float64, p *Matrix) error {
+	n := a.Rows
+	if a.Cols != n || p.Rows != n || len(vals) != n {
+		panic("linalg: EigSymProjected shape mismatch")
+	}
+	if n == 0 {
+		return nil
+	}
+	e := make([]float64, n)
+	householder(a, vals, e, p, make([]float64, p.Cols))
+	for i := range vals {
+		vals[i] = a.Data[i*n+i]
+	}
+	for i := 1; i < n; i++ {
+		e[i-1] = e[i]
+	}
+	return tqlRows(vals, e, p.Data, p.Cols)
 }
 
 // EigSym is the one-shot form of EigSymWork.Solve: it returns the eigenvalues
@@ -107,6 +140,42 @@ func EigvalsSymTridiag(d, e []float64) []float64 {
 // accumulating the orthogonal transformation in z.
 // This is an adaptation of the EISPACK/Numerical Recipes tred2 routine.
 func tred2(z *Matrix, d, e []float64) {
+	householder(z, d, e, nil, nil)
+	n := z.Rows
+	zd := z.Data
+	d[0] = 0
+	e[0] = 0
+	for i := 0; i < n; i++ {
+		l := i - 1
+		zi := zd[i*n : (i+1)*n]
+		if d[i] != 0 {
+			for j := 0; j <= l; j++ {
+				var g float64
+				for k := 0; k <= l; k++ {
+					g += zi[k] * zd[k*n+j]
+				}
+				for k := 0; k <= l; k++ {
+					zd[k*n+j] += -g * zd[k*n+i]
+				}
+			}
+		}
+		d[i] = zi[i]
+		zi[i] = 1
+		for j := 0; j <= l; j++ {
+			zd[j*n+i] = 0
+			zi[j] = 0
+		}
+	}
+}
+
+// householder is tred2's reduction: rows n−1 … 1 of the symmetric matrix in
+// z are annihilated below the subdiagonal by reflectors P_i = I − u·uᵀ/h,
+// u kept in row i and u/h in column i, h in d[i]; e[1:] receives the
+// subdiagonal and the diagonal stays on z's. When p is non-nil each
+// reflector is also applied to the rows of p (n rows of p.Cols entries, s
+// their scratch) as it is formed, so p ends as Qᵀ·p for the Q whose columns
+// tred2 accumulates.
+func householder(z *Matrix, d, e []float64, p *Matrix, s []float64) {
 	n := z.Rows
 	zd := z.Data
 	for i := n - 1; i > 0; i-- {
@@ -161,29 +230,29 @@ func tred2(z *Matrix, d, e []float64) {
 		} else {
 			e[i] = zi[l]
 		}
+		if p != nil && h != 0 {
+			reflect(p, s, zi[:i], zd[i:], n)
+		}
 		d[i] = h
 	}
-	d[0] = 0
-	e[0] = 0
-	for i := 0; i < n; i++ {
-		l := i - 1
-		zi := zd[i*n : (i+1)*n]
-		if d[i] != 0 {
-			for j := 0; j <= l; j++ {
-				var g float64
-				for k := 0; k <= l; k++ {
-					g += zi[k] * zd[k*n+j]
-				}
-				for k := 0; k <= l; k++ {
-					zd[k*n+j] += -g * zd[k*n+i]
-				}
-			}
+}
+
+// reflect applies P = I − u·uᵀ/h to the first len(u) rows of p, reading u/h
+// at stride n from uh.
+func reflect(p *Matrix, s, u, uh []float64, n int) {
+	w := p.Cols
+	s = s[:w]
+	clear(s)
+	for k, uk := range u {
+		for c, v := range p.Data[k*w : (k+1)*w] {
+			s[c] += uk * v
 		}
-		d[i] = zi[i]
-		zi[i] = 1
-		for j := 0; j <= l; j++ {
-			zd[j*n+i] = 0
-			zi[j] = 0
+	}
+	for k := range u {
+		f := uh[k*n]
+		pk := p.Data[k*w : (k+1)*w]
+		for c := range pk {
+			pk[c] -= s[c] * f
 		}
 	}
 }

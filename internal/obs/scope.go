@@ -67,6 +67,11 @@ const (
 	MetricLanczosEarlyStops = "lanczos_early_stops_total"
 	MetricLanczosSkipped    = "lanczos_skipped_starts_total"
 	MetricLanczosReorths    = "lanczos_reorth_steps_total"
+	// A spectrum solved on the exact route — a Hessian with no more
+	// coordinates than Lanczos steps, diagonalized once instead of running
+	// recurrences (raman.LanczosSpectrum) — counts here and moves none of
+	// the lanczos_* counters.
+	MetricSpectrumExact = "spectrum_exact_total"
 	// Kernel-pool metrics recorded by internal/par (see DESIGN.md §7).
 	MetricParJobs        = "par_jobs_total"
 	MetricParInline      = "par_inline_total"
@@ -333,9 +338,18 @@ func (s Scope) RecordDFPTCycles(base time.Time, samples []CycleSample) {
 	s.T.recordCycles(s.Span.ID(), s.Track, base, samples)
 }
 
-// RecordLanczos records what one spectral solve did — as counters, and as
-// arguments of the scope's span (the caller's "spectrum" span).
+// Values of the "route" argument of a spectrum span: which solver produced
+// the spectrum.
+const (
+	SpectrumRouteLanczos = 0 // K-step Lanczos recurrences and their quadrature
+	SpectrumRouteExact   = 1 // one dense eigendecomposition of a Hessian of ≤ K coordinates
+)
+
+// RecordLanczos records what one spectral solve on the Lanczos route did —
+// as counters, and as arguments of the scope's span (the caller's
+// "spectrum" span).
 func (s Scope) RecordLanczos(steps, earlyStops, skippedStarts, reorths int) {
+	s.Span.SetArg("route", SpectrumRouteLanczos)
 	s.R.Counter(MetricLanczosSteps).Add(int64(steps))
 	s.R.Counter(MetricLanczosEarlyStops).Add(int64(earlyStops))
 	s.R.Counter(MetricLanczosSkipped).Add(int64(skippedStarts))
@@ -344,4 +358,11 @@ func (s Scope) RecordLanczos(steps, earlyStops, skippedStarts, reorths int) {
 	s.Span.SetArg("lanczos_early_stops", int64(earlyStops))
 	s.Span.SetArg("lanczos_skipped_starts", int64(skippedStarts))
 	s.Span.SetArg("lanczos_reorths", int64(reorths))
+}
+
+// RecordExactSpectrum records one spectrum solved on the exact route: the
+// spectrum_exact_total counter, and the route argument of the scope's span.
+func (s Scope) RecordExactSpectrum() {
+	s.R.Counter(MetricSpectrumExact).Inc()
+	s.Span.SetArg("route", SpectrumRouteExact)
 }

@@ -5,11 +5,15 @@
 //     intensity formula (paper Eq. 4) mode by mode. Exact, O(N³): the
 //     validation reference for small systems.
 //   - Lanczos: the paper's large-system solver (Eq. 5): the spectrum is a
-//     combination of spectral densities dᵀδ_σ(ω−H)d evaluated with
-//     Lanczos+GAGQ, one per polarizability component plus one for the trace
-//     term — seven k-step recurrences regardless of system size, advanced in
-//     lockstep by one lanczos.Plan so each step reads the Hessian once. The
-//     IR spectrum is the same solve with three columns.
+//     combination of spectral densities dᵀδ_σ(ω−H)d, one per polarizability
+//     component plus one for the trace term. When the Hessian has more
+//     coordinates than the K Lanczos steps, they are evaluated with
+//     Lanczos+GAGQ — seven K-step recurrences advanced in lockstep by one
+//     lanczos.Plan so each step reads the Hessian once. When it has no more
+//     than K, K steps would exhaust the Krylov space, and one dense
+//     eigendecomposition gives the exact measure the quadrature converges to
+//     at O(n³) ≤ O(K³): the same start vectors projected on every
+//     eigenvector. The IR spectrum is the same solve with three columns.
 package raman
 
 import (
@@ -30,13 +34,18 @@ type Options struct {
 	// Sigma is the Gaussian smearing in cm⁻¹ (the paper uses 5 for the
 	// gas-phase protein and 20 for solvated systems).
 	Sigma float64
-	// LanczosK is the number of Lanczos steps for the large-system path.
+	// LanczosK is the number of Lanczos steps for the large-system path. A
+	// Hessian with no more coordinates than LanczosK is solved exactly by one
+	// dense eigendecomposition instead: K steps would exhaust its Krylov space.
 	LanczosK int
-	// UseGAGQ selects the generalized averaged Gauss rule (recommended).
+	// UseGAGQ selects the generalized averaged Gauss rule (recommended). It
+	// has no effect on a Hessian of at most LanczosK coordinates, whose
+	// measure is exact.
 	UseGAGQ bool
-	// Obs receives the Lanczos solver's step, early-stop, skipped-start and
-	// reorthogonalization counts (obs.Scope.RecordLanczos). The zero value
-	// disables it; it never affects results.
+	// Obs receives which route solved the spectrum and, on the Lanczos
+	// route, its step, early-stop, skipped-start and reorthogonalization
+	// counts (obs.Scope.RecordLanczos, obs.Scope.RecordExactSpectrum). The
+	// zero value disables it; it never affects results.
 	Obs obs.Scope
 }
 
@@ -121,40 +130,97 @@ type Modes struct {
 }
 
 // DenseModes diagonalizes the mass-weighted Hessian (must be small enough
-// to densify) and computes per-mode Raman activities.
+// to densify) and computes per-mode Raman activities. A Hessian the
+// eigensolver cannot converge on is an error wrapping lanczos.ErrQuadrature.
 func DenseModes(g *hessian.Global) (*Modes, error) {
-	n := g.H.Dim()
-	dense := linalg.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for k := g.H.RowPtr[i]; k < g.H.RowPtr[i+1]; k++ {
-			dense.Set(i, int(g.H.Col[k]), g.H.Val[k])
-		}
-	}
-	dense.Symmetrize()
-	vals, vecs := linalg.EigSym(dense)
-	m := &Modes{
-		Wavenumbers: make([]float64, n),
-		Activity:    make([]float64, n),
-	}
-	for p := 0; p < n; p++ {
-		m.Wavenumbers[p] = constants.WavenumberFromEigenvalue(vals[p])
-		var a [6]float64
-		for c := 0; c < 6; c++ {
-			if g.DAlpha[c] == nil {
-				continue
-			}
-			for i := 0; i < n; i++ {
-				a[c] += vecs.At(i, p) * g.DAlpha[c][i]
-			}
-		}
+	return normalModes(g.H, g.DAlpha[:], true, func(a []float64) float64 {
 		tr := a[0] + a[1] + a[2]
 		act := eqFourTraceWeight * tr * tr
-		for c := 0; c < 6; c++ {
-			act += eqFourComponentWeights[c] * a[c] * a[c]
+		for c, w := range eqFourComponentWeights {
+			act += w * a[c] * a[c]
 		}
-		m.Activity[p] = act
+		return act
+	})
+}
+
+// normalModes is the dense mode analysis behind every exact path: it
+// densifies h, diagonalizes it once, and gives mode p its wavenumber and the
+// activity activity(a), where a[c] = v_pᵀ·vecs[c] is the projection of
+// vector c on the mode's eigenvector (0 for a nil vector). With
+// eigenvectors set the projections are dot products with the formed
+// eigenvectors (linalg.EigSymWork), the arithmetic the dense spectra's bits
+// are pinned to; without, the solve carries the vectors through the
+// reduction and the QL rotations instead (linalg.EigSymProjected), at the
+// same eigenvalue bits and about a third of the cost. A Hessian the
+// eigensolver cannot converge on — a non-finite one — is an error wrapping
+// lanczos.ErrQuadrature: deterministic, never retried.
+func normalModes(h *hessian.Sparse, vecs [][]float64, eigenvectors bool, activity func(a []float64) float64) (*Modes, error) {
+	n, w := h.Dim(), len(vecs)
+	v := linalg.NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for k := h.RowPtr[i]; k < h.RowPtr[i+1]; k++ {
+			v.Set(i, int(h.Col[k]), h.Val[k])
+		}
+	}
+	v.Symmetrize()
+	vals := make([]float64, n)
+	proj := linalg.NewMatrix(n, w) // row p: the projections on mode p
+	var err error
+	if eigenvectors {
+		if err = linalg.NewEigSymWork(n).Solve(v, vals, v); err == nil {
+			// Each projection is summed in ascending i, one eigenvector row
+			// at a time.
+			for i := 0; i < n; i++ {
+				for c, d := range vecs {
+					if d == nil {
+						continue
+					}
+					di := d[i]
+					for p, x := range v.Row(i) {
+						proj.Data[p*w+c] += x * di
+					}
+				}
+			}
+		}
+	} else {
+		for c, d := range vecs {
+			for i, x := range d {
+				proj.Data[i*w+c] = x
+			}
+		}
+		err = linalg.EigSymProjected(v, vals, proj)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("raman: mode analysis: %w: %w", lanczos.ErrQuadrature, err)
+	}
+	m := &Modes{Wavenumbers: make([]float64, n), Activity: make([]float64, n)}
+	for p, val := range vals {
+		m.Wavenumbers[p] = constants.WavenumberFromEigenvalue(val)
+		m.Activity[p] = activity(proj.Row(p))
 	}
 	return m, nil
+}
+
+// spectrum broadens the modes on opt's axis, each by a normalized Gaussian
+// of width opt.Sigma cut at ±8σ (the window of the Lanczos rule), dropping
+// modes below rigidCutoff cm⁻¹ in absolute value.
+func (m *Modes) spectrum(opt Options, rigidCutoff float64) *Spectrum {
+	xs := opt.axis()
+	out := &Spectrum{Freq: xs, Intensity: make([]float64, len(xs))}
+	pref := 1 / (math.Sqrt(2*math.Pi) * opt.Sigma)
+	for p, w := range m.Wavenumbers {
+		if math.Abs(w) < rigidCutoff {
+			continue
+		}
+		for xi, x := range xs {
+			dx := (x - w) / opt.Sigma
+			if dx > 8 || dx < -8 {
+				continue
+			}
+			out.Intensity[xi] += m.Activity[p] * pref * math.Exp(-0.5*dx*dx)
+		}
+	}
+	return out
 }
 
 // DenseSpectrum produces the exact spectrum from a dense mode analysis,
@@ -164,33 +230,26 @@ func DenseSpectrum(g *hessian.Global, opt Options, rigidCutoff float64) (*Spectr
 	if err != nil {
 		return nil, err
 	}
-	xs := opt.axis()
-	out := &Spectrum{Freq: xs, Intensity: make([]float64, len(xs))}
-	pref := 1 / (math.Sqrt(2*math.Pi) * opt.Sigma)
-	for p, w := range modes.Wavenumbers {
-		if math.Abs(w) < rigidCutoff {
-			continue
-		}
-		for xi, x := range xs {
-			dx := (x - w) / opt.Sigma
-			if dx > 8 || dx < -8 {
-				continue
-			}
-			out.Intensity[xi] += modes.Activity[p] * pref * math.Exp(-0.5*dx*dx)
-		}
-	}
-	return out, nil
+	return modes.spectrum(opt, rigidCutoff), nil
 }
 
 // LanczosSpectrum produces the spectrum with the paper's Eq. 5 solver: seven
 // spectral densities (six components + trace) evaluated by Lanczos+GAGQ on
 // the sparse mass-weighted Hessian — one lockstep lanczos.Plan solve, one
-// pass over the Hessian per step for all seven. Rigid-body translations are
-// projected out of every start vector.
+// pass over the Hessian per step for all seven — or, for a Hessian of at most
+// opt.LanczosK coordinates, exactly by one eigendecomposition. Rigid-body
+// translations are projected out of every start vector.
 func LanczosSpectrum(g *hessian.Global, opt Options) (*Spectrum, error) {
 	if g.DAlpha[0] == nil {
 		return nil, fmt.Errorf("raman: polarizability derivatives missing")
 	}
+	vecs, weights := ramanColumns(g)
+	return lanczosSpectrum(g, opt, vecs, weights)
+}
+
+// ramanColumns returns Eq. 4's seven vectors and weights: the six
+// polarizability-derivative components and their trace.
+func ramanColumns(g *hessian.Global) ([][]float64, []float64) {
 	n := g.H.Dim()
 	dTr := make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -200,17 +259,28 @@ func LanczosSpectrum(g *hessian.Global, opt Options) (*Spectrum, error) {
 	weights := [7]float64{6: eqFourTraceWeight}
 	copy(vecs[:], g.DAlpha[:])
 	copy(weights[:], eqFourComponentWeights[:])
-	return lanczosSpectrum(g, opt, vecs[:], weights[:])
+	return vecs[:], weights[:]
 }
 
 // lanczosSpectrum is Σ_c weights[c]·d_cᵀ·δσ(ω−H)·d_c for the vectors d_c,
-// summed in index order: the Raman and IR large-system paths.
+// summed in index order: the Raman and IR large-system paths. The route is
+// chosen by the input: a Hessian with more coordinates than opt.LanczosK
+// takes the K-step quadrature, one with no more takes the exact measure.
 func lanczosSpectrum(g *hessian.Global, opt Options, vecs [][]float64, weights []float64) (*Spectrum, error) {
-	n := g.H.Dim()
-	xs := opt.axis()
-	out := &Spectrum{Freq: xs, Intensity: make([]float64, len(xs))}
-	trans := translationVectors(g.Masses)
+	starts := startVectors(g, vecs)
+	if g.H.Dim() <= opt.LanczosK {
+		return exactSpectrum(g.H, opt, starts, weights)
+	}
+	return quadratureSpectrum(g.H, opt, starts, weights)
+}
 
+// startVectors returns the vectors with the rigid translations projected
+// out, nil for an absent component and for one that vanishes under the
+// projection (its spectral weight is zero; normalizing it would amplify
+// noise into NaNs).
+func startVectors(g *hessian.Global, vecs [][]float64) [][]float64 {
+	n := g.H.Dim()
+	trans := translationVectors(g.Masses)
 	starts := make([][]float64, len(vecs))
 	buf := make([]float64, len(vecs)*n)
 	for c, d := range vecs {
@@ -219,14 +289,41 @@ func lanczosSpectrum(g *hessian.Global, opt Options, vecs [][]float64, weights [
 			continue // component absent
 		}
 		project(dp, trans)
-		// Skip numerically vanishing start vectors (their spectral weight
-		// is zero; normalizing them would amplify noise into NaNs).
 		if linalg.Norm2(dp) < 1e-10*linalg.Norm2(d)+1e-300 {
 			continue
 		}
 		starts[c] = dp
 	}
-	plan, err := lanczos.NewPlan(g.H, len(vecs), lanczos.Options{K: opt.LanczosK})
+	return starts
+}
+
+// exactSpectrum is the measure the K-step quadrature converges to, for a
+// Hessian whose Krylov space K steps would exhaust: mode p at its
+// wavenumber with weight Σ_c weights[c]·(v_pᵀd_c)², broadened as the rule's
+// nodes are. One O(n³) eigendecomposition replaces the recurrences and
+// their (2K−1)-node rules; no mode is dropped, as the quadrature drops none.
+func exactSpectrum(h *hessian.Sparse, opt Options, starts [][]float64, weights []float64) (*Spectrum, error) {
+	modes, err := normalModes(h, starts, false, func(a []float64) float64 {
+		var act float64
+		for c, w := range weights {
+			act += w * a[c] * a[c]
+		}
+		return act
+	})
+	if err != nil {
+		return nil, err
+	}
+	if opt.Obs.Enabled() {
+		opt.Obs.RecordExactSpectrum()
+	}
+	return modes.spectrum(opt, 0), nil
+}
+
+// quadratureSpectrum is the paper's route: one lockstep lanczos.Plan solve
+// of K steps from every start vector, then each column's Gauss or GAGQ
+// density on the axis.
+func quadratureSpectrum(h *hessian.Sparse, opt Options, starts [][]float64, weights []float64) (*Spectrum, error) {
+	plan, err := lanczos.NewPlan(h, len(starts), lanczos.Options{K: opt.LanczosK})
 	if err != nil {
 		return nil, err
 	}
@@ -237,9 +334,11 @@ func lanczosSpectrum(g *hessian.Global, opt Options, vecs [][]float64, weights [
 		st := plan.Stats()
 		opt.Obs.RecordLanczos(st.Steps, st.EarlyStops, st.SkippedStarts, st.Reorthogonalized)
 	}
+	xs := opt.axis()
 	if err := plan.Densities(xs, opt.Sigma, constants.WavenumberFromEigenvalue, opt.UseGAGQ); err != nil {
 		return nil, err
 	}
+	out := &Spectrum{Freq: xs, Intensity: make([]float64, len(xs))}
 	for c, weight := range weights {
 		dens := plan.Density(c)
 		if dens == nil {

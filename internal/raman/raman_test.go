@@ -1,12 +1,16 @@
 package raman
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
 	"testing"
 
 	"qframan/internal/faults"
 	"qframan/internal/fragment"
+	"qframan/internal/geom"
 	"qframan/internal/hessian"
 	"qframan/internal/lanczos"
 	"qframan/internal/obs"
@@ -18,7 +22,13 @@ import (
 // the assembled global quantities.
 func dimerGlobal(t *testing.T) *hessian.Global {
 	t.Helper()
-	sys := structure.BuildWaterDimerSystem(1)
+	return pipelineGlobal(t, structure.BuildWaterDimerSystem(1))
+}
+
+// pipelineGlobal runs the full QF pipeline on sys and returns the assembled
+// global quantities.
+func pipelineGlobal(t *testing.T, sys *structure.System) *hessian.Global {
+	t.Helper()
 	dec, err := fragment.Decompose(sys, fragment.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -65,26 +75,32 @@ func TestDenseModesWaterDimer(t *testing.T) {
 	}
 }
 
+// TestLanczosSpectrumMatchesDense: on both routes — K = 17 runs the
+// recurrences through the dimer's whole 15-dimensional Krylov space, K = 36
+// ≥ 18 coordinates takes the exact route — the spectrum matches the dense
+// one.
 func TestLanczosSpectrumMatchesDense(t *testing.T) {
 	g := dimerGlobal(t)
 	opt := DefaultOptions()
 	opt.FreqMin, opt.FreqMax, opt.FreqStep = 200, 4000, 5
 	opt.Sigma = 20
-	opt.LanczosK = 18 * 2 // ≥ dim: exact subspace
 
 	dense, err := DenseSpectrum(g, opt, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lan, err := LanczosSpectrum(g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dense.Freq) != len(lan.Freq) {
-		t.Fatal("axis mismatch")
-	}
-	if sim := CosineSimilarity(dense, lan); sim < 0.995 {
-		t.Fatalf("dense vs Lanczos cosine similarity %v", sim)
+	for _, k := range []int{17, 36} {
+		opt.LanczosK = k
+		lan, err := LanczosSpectrum(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dense.Freq) != len(lan.Freq) {
+			t.Fatal("axis mismatch")
+		}
+		if sim := CosineSimilarity(dense, lan); sim < 0.995 {
+			t.Fatalf("K = %d: dense vs Lanczos cosine similarity %v", k, sim)
+		}
 	}
 }
 
@@ -201,18 +217,20 @@ func TestIRSpectrumWaterDimer(t *testing.T) {
 	opt := DefaultOptions()
 	opt.FreqMin, opt.FreqMax, opt.FreqStep = 200, 4000, 5
 	opt.Sigma = 20
-	opt.LanczosK = 36
 
 	dense, err := DenseIRSpectrum(g, opt, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lan, err := LanczosIRSpectrum(g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sim := CosineSimilarity(dense, lan); sim < 0.99 {
-		t.Fatalf("dense vs Lanczos IR cosine similarity %v", sim)
+	for _, k := range []int{17, 36} { // the Lanczos route, then the exact one
+		opt.LanczosK = k
+		lan, err := LanczosIRSpectrum(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sim := CosineSimilarity(dense, lan); sim < 0.99 {
+			t.Fatalf("K = %d: dense vs Lanczos IR cosine similarity %v", k, sim)
+		}
 	}
 	// Water's bend (~1650) is strongly IR active: require real intensity
 	// there relative to the maximum.
@@ -243,11 +261,14 @@ func TestSpectraNonNegative(t *testing.T) {
 	opt := DefaultOptions()
 	opt.FreqMin, opt.FreqMax, opt.FreqStep = 0, 4000, 7
 	opt.Sigma = 15
-	opt.LanczosK = 30
+	exact := opt
+	opt.LanczosK, exact.LanczosK = 12, 30 // below and above the 18 coordinates
 	for name, spec := range map[string]func() (*Spectrum, error){
 		"raman-lanczos": func() (*Spectrum, error) { return LanczosSpectrum(g, opt) },
+		"raman-exact":   func() (*Spectrum, error) { return LanczosSpectrum(g, exact) },
 		"raman-dense":   func() (*Spectrum, error) { return DenseSpectrum(g, opt, 0) },
 		"ir-lanczos":    func() (*Spectrum, error) { return LanczosIRSpectrum(g, opt) },
+		"ir-exact":      func() (*Spectrum, error) { return LanczosIRSpectrum(g, exact) },
 		"ir-dense":      func() (*Spectrum, error) { return DenseIRSpectrum(g, opt, 0) },
 	} {
 		s, err := spec()
@@ -265,18 +286,31 @@ func TestSpectraNonNegative(t *testing.T) {
 }
 
 // TestNonFiniteHessianIsTypedAndPermanent: a NaN in the Hessian poisons
-// every recurrence; the quadrature's eigen-solve then cannot converge, and
-// the spectrum comes back as lanczos.ErrQuadrature — an error the runtime
-// must not retry — instead of a panic that would take a daemon down.
+// every route. The quadrature's eigen-solve cannot converge on the Lanczos
+// route (K = 12 < 18 coordinates), nor the dense eigendecomposition on the
+// exact route (K = 36) and the dense paths; each spectrum comes back as
+// lanczos.ErrQuadrature — an error the runtime must not retry — instead of
+// a panic that would take a daemon down.
 func TestNonFiniteHessianIsTypedAndPermanent(t *testing.T) {
 	g := dimerGlobal(t)
 	g.H.Val[len(g.H.Val)/2] = math.NaN()
 	opt := DefaultOptions()
-	opt.LanczosK = 12
-	for name, solve := range map[string]func(*hessian.Global, Options) (*Spectrum, error){
-		"raman": LanczosSpectrum, "ir": LanczosIRSpectrum,
+	withK := func(k int, solve func(*hessian.Global, Options) (*Spectrum, error)) func() (*Spectrum, error) {
+		return func() (*Spectrum, error) {
+			o := opt
+			o.LanczosK = k
+			return solve(g, o)
+		}
+	}
+	for name, solve := range map[string]func() (*Spectrum, error){
+		"lanczos raman": withK(12, LanczosSpectrum),
+		"lanczos ir":    withK(12, LanczosIRSpectrum),
+		"exact raman":   withK(36, LanczosSpectrum),
+		"exact ir":      withK(36, LanczosIRSpectrum),
+		"dense raman":   func() (*Spectrum, error) { return DenseSpectrum(g, opt, 50) },
+		"dense ir":      func() (*Spectrum, error) { return DenseIRSpectrum(g, opt, 50) },
 	} {
-		_, err := solve(g, opt)
+		_, err := solve()
 		if !errors.Is(err, lanczos.ErrQuadrature) {
 			t.Fatalf("%s: NaN Hessian gave %v, want ErrQuadrature", name, err)
 		}
@@ -286,15 +320,50 @@ func TestNonFiniteHessianIsTypedAndPermanent(t *testing.T) {
 	}
 }
 
+// TestEmptyHessianGivesZeroSpectrum: a Hessian of no coordinates is within
+// any K, so it takes the exact route; it and the dense paths return an
+// all-zero spectrum on the axis instead of indexing an empty matrix.
+func TestEmptyHessianGivesZeroSpectrum(t *testing.T) {
+	g := &hessian.Global{H: emptyHessian(t, 0)}
+	for c := range g.DAlpha {
+		g.DAlpha[c] = []float64{}
+	}
+	for c := range g.DDipole {
+		g.DDipole[c] = []float64{}
+	}
+	opt := DefaultOptions()
+	for name, solve := range map[string]func() (*Spectrum, error){
+		"lanczos raman": func() (*Spectrum, error) { return LanczosSpectrum(g, opt) },
+		"lanczos ir":    func() (*Spectrum, error) { return LanczosIRSpectrum(g, opt) },
+		"dense raman":   func() (*Spectrum, error) { return DenseSpectrum(g, opt, 0) },
+		"dense ir":      func() (*Spectrum, error) { return DenseIRSpectrum(g, opt, 0) },
+	} {
+		s, err := solve()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(s.Intensity) != len(opt.axis()) {
+			t.Fatalf("%s: %d points", name, len(s.Intensity))
+		}
+		for _, v := range s.Intensity {
+			if v != 0 {
+				t.Fatalf("%s: intensity %g from no modes", name, v)
+			}
+		}
+	}
+}
+
 // TestLanczosSpectrumRecordsSolverCounts: with a scope attached the solve
 // reports its steps, β-breakdowns, skipped start vectors and swept steps.
-// The dimer's 18 coordinates minus three projected translations leave 15
-// dimensions, so at K = 36 every recurrence that starts must break down —
-// and a recurrence that exhausts its Krylov space sweeps on the way.
+// At K = 17 the dimer's 18 coordinates stay on the Lanczos route, and minus
+// three projected translations they leave 15 dimensions, so every
+// recurrence that starts must break down — and a recurrence that exhausts
+// its Krylov space sweeps on the way. At K = 18 the exact route runs: it
+// counts one exact spectrum and moves no Lanczos counter.
 func TestLanczosSpectrumRecordsSolverCounts(t *testing.T) {
 	g := dimerGlobal(t)
 	opt := DefaultOptions()
-	opt.LanczosK = 36
+	opt.LanczosK = 17
 	reg := obs.NewRegistry()
 	opt.Obs = obs.NewScope(nil, reg)
 	if _, err := LanczosSpectrum(g, opt); err != nil {
@@ -312,12 +381,33 @@ func TestLanczosSpectrumRecordsSolverCounts(t *testing.T) {
 	if reorths := reg.Counter(obs.MetricLanczosReorths).Value(); reorths < early || reorths > steps {
 		t.Fatalf("%d swept steps over %d steps of %d recurrences", reorths, steps, early)
 	}
+	if exact := reg.Counter(obs.MetricSpectrumExact).Value(); exact != 0 {
+		t.Fatalf("Lanczos route counted %d exact spectra", exact)
+	}
+
+	opt.LanczosK = 18
+	reg = obs.NewRegistry()
+	opt.Obs = obs.NewScope(nil, reg)
+	if _, err := LanczosSpectrum(g, opt); err != nil {
+		t.Fatal(err)
+	}
+	if exact := reg.Counter(obs.MetricSpectrumExact).Value(); exact != 1 {
+		t.Fatalf("exact route counted %d exact spectra, want 1", exact)
+	}
+	for _, name := range []string{obs.MetricLanczosSteps, obs.MetricLanczosEarlyStops, obs.MetricLanczosSkipped, obs.MetricLanczosReorths} {
+		if v := reg.Counter(name).Value(); v != 0 {
+			t.Fatalf("exact route moved %s to %d", name, v)
+		}
+	}
 }
 
 // TestLanczosSpectrumAllocationCeiling: one spectrum allocates the axis, the
-// intensities, the start-vector block, the translation vectors and the plan
-// (per column: Lanczos vectors, w, α, β, partials, T̂ work vectors, density,
-// bound kernels) — a count independent of K, n and the number of steps.
+// intensities, the start-vector block, the translation vectors and either
+// the plan (per column: Lanczos vectors, w, α, β, partials, T̂ work vectors,
+// density, bound kernels) or the exact route's dense Hessian, eigensolver
+// workspace, projections and modes — a count independent of K, n and the
+// number of steps. K = 8 and 17 take the plan on the dimer's 18
+// coordinates, K = 18 the exact route.
 func TestLanczosSpectrumAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -327,7 +417,7 @@ func TestLanczosSpectrumAllocationCeiling(t *testing.T) {
 	g := dimerGlobal(t)
 	opt := DefaultOptions()
 	const ceiling = 150
-	for _, k := range []int{8, 36} {
+	for _, k := range []int{8, 17, 18} {
 		opt.LanczosK = k
 		allocs := testing.AllocsPerRun(5, func() {
 			if _, err := LanczosSpectrum(g, opt); err != nil {
@@ -339,4 +429,181 @@ func TestLanczosSpectrumAllocationCeiling(t *testing.T) {
 			t.Errorf("K = %d: LanczosSpectrum allocates %v objects, ceiling %d", k, allocs, ceiling)
 		}
 	}
+}
+
+// spectrumSHA256 hashes a spectrum's intensities, little-endian float64 bits.
+func spectrumSHA256(s *Spectrum) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, v := range s.Intensity {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// goldenOptions is the axis the SHA-256 goldens were recorded on.
+func goldenOptions() Options {
+	opt := DefaultOptions()
+	opt.FreqMin, opt.FreqMax, opt.FreqStep, opt.Sigma = 0, 4000, 2, 10
+	return opt
+}
+
+// TestDenseSpectraKeepTheirBits pins the dimer's dense Raman and IR spectra
+// to SHA-256 goldens: the mode analysis they share with the exact route
+// must not move their arithmetic.
+func TestDenseSpectraKeepTheirBits(t *testing.T) {
+	g := dimerGlobal(t)
+	for name, c := range map[string]struct {
+		solve func(*hessian.Global, Options, float64) (*Spectrum, error)
+		sha   string
+	}{
+		"raman": {DenseSpectrum, "d5008d66835ab5a1d76514dd26264a79cf8317f4b591449923e6318905289523"},
+		"ir":    {DenseIRSpectrum, "5175d8383dbae41d7470e90d559286eab0191225ef04c10e346c37d431fbd89f"},
+	} {
+		s, err := c.solve(g, goldenOptions(), 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := spectrumSHA256(s); got != c.sha {
+			t.Errorf("%s: dense spectrum SHA-256 %s, want %s", name, got, c.sha)
+		}
+	}
+}
+
+// ramanStarts returns the Raman start vectors and weights the solve uses,
+// translations projected out.
+func ramanStarts(g *hessian.Global) ([][]float64, []float64) {
+	vecs, weights := ramanColumns(g)
+	return startVectors(g, vecs), weights
+}
+
+// TestExactQuadratureMatchesPlan: on a Hessian of at most K coordinates, K
+// Lanczos steps exhaust the Krylov space, and the exact route gives the
+// measure that K-step lanczos.Plan quadrature reaches — from the same start
+// vectors, to 1e-12 of the peak, for the Raman and the IR columns, on the
+// dimer (18 coordinates) and a 2×2×2 water box (72).
+func TestExactQuadratureMatchesPlan(t *testing.T) {
+	for _, sys := range []*structure.System{
+		structure.BuildWaterDimerSystem(1),
+		structure.BuildWaterBox(2, 2, 2, geom.Vec3{}),
+	} {
+		g := pipelineGlobal(t, sys)
+		n := g.H.Dim()
+		opt := DefaultOptions()
+		opt.FreqMin, opt.FreqMax, opt.FreqStep, opt.Sigma = 50, 4000, 5, 20
+		opt.LanczosK = n
+		rs, rw := ramanStarts(g)
+		for kind, c := range map[string]struct {
+			starts  [][]float64
+			weights []float64
+		}{
+			"raman": {rs, rw},
+			"ir":    {startVectors(g, g.DDipole[:]), []float64{1, 1, 1}},
+		} {
+			exact, err := exactSpectrum(g.H, opt, c.starts, c.weights)
+			if err != nil {
+				t.Fatal(err)
+			}
+			quad, err := quadratureSpectrum(g.H, opt, c.starts, c.weights)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var peak, diff float64
+			for i, v := range quad.Intensity {
+				peak = math.Max(peak, math.Abs(v))
+				diff = math.Max(diff, math.Abs(exact.Intensity[i]-v))
+			}
+			t.Logf("n = %d %s: max|Δ| = %.2g of the peak", n, kind, diff/peak)
+			if peak == 0 || diff > 1e-12*peak {
+				t.Errorf("n = %d %s: exact route differs from the K-step quadrature by %g of the peak %g", n, kind, diff/peak, peak)
+			}
+		}
+	}
+}
+
+// TestExactQuadratureRouteBoundary: the route turns on n ≤ K. On the
+// dimer's 18 coordinates, K = 18 gives the exact route's spectrum bit for
+// bit and counts one exact solve; K = 17 gives the K-step quadrature's,
+// with the bits that route has always had (the SHA-256 goldens).
+func TestExactQuadratureRouteBoundary(t *testing.T) {
+	g := dimerGlobal(t)
+	rs, rw := ramanStarts(g)
+	type route func(*hessian.Sparse, Options, [][]float64, []float64) (*Spectrum, error)
+	for _, c := range []struct {
+		name    string
+		solve   func(*hessian.Global, Options) (*Spectrum, error)
+		starts  [][]float64
+		weights []float64
+		sha     string // of the K = 17 spectrum
+	}{
+		{"raman", LanczosSpectrum, rs, rw, "715940034dbdb5446b7a2e51a3a2e2b3c9929cb017611751c02e5087b0a7113b"},
+		{"ir", LanczosIRSpectrum, startVectors(g, g.DDipole[:]), []float64{1, 1, 1}, "d16027788f1869d43137385f65fbc2ba24cd65c12658f0a1ae3ece9013debe2c"},
+	} {
+		for _, r := range []struct {
+			k     int
+			route route
+			exact int64
+		}{{17, quadratureSpectrum, 0}, {18, exactSpectrum, 1}} {
+			opt := goldenOptions()
+			opt.LanczosK = r.k
+			want, err := r.route(g.H, opt, c.starts, c.weights)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			opt.Obs = obs.NewScope(nil, reg)
+			got, err := c.solve(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bitEqual(got, want) {
+				t.Errorf("%s K = %d: spectrum differs from its route's", c.name, r.k)
+			}
+			if n := reg.Counter(obs.MetricSpectrumExact).Value(); n != r.exact {
+				t.Errorf("%s K = %d: %d exact solves counted, want %d", c.name, r.k, n, r.exact)
+			}
+			if r.exact == 0 {
+				if sha := spectrumSHA256(got); sha != c.sha {
+					t.Errorf("%s K = %d: SHA-256 %s, want %s", c.name, r.k, sha, c.sha)
+				}
+			}
+		}
+	}
+}
+
+// TestExactQuadratureWidthInvariance: the exact route's spectrum is the
+// same bits at kernel widths 1 and 4.
+func TestExactQuadratureWidthInvariance(t *testing.T) {
+	defer par.SetBudget(0)
+	g := pipelineGlobal(t, structure.BuildWaterBox(2, 2, 2, geom.Vec3{}))
+	opt := goldenOptions()
+	opt.LanczosK = g.H.Dim()
+	var ref [2]*Spectrum
+	for _, width := range []int{1, 4} {
+		par.SetBudget(width)
+		for i, solve := range []func(*hessian.Global, Options) (*Spectrum, error){LanczosSpectrum, LanczosIRSpectrum} {
+			s, err := solve(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref[i] == nil {
+				ref[i] = s
+			} else if !bitEqual(s, ref[i]) {
+				t.Errorf("spectrum %d differs between kernel widths 1 and %d", i, width)
+			}
+		}
+	}
+}
+
+func bitEqual(a, b *Spectrum) bool {
+	if len(a.Intensity) != len(b.Intensity) {
+		return false
+	}
+	for i, v := range a.Intensity {
+		if math.Float64bits(v) != math.Float64bits(b.Intensity[i]) {
+			return false
+		}
+	}
+	return true
 }
