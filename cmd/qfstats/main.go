@@ -228,6 +228,8 @@ func storeStats(dir string) error {
 	fmt.Printf("checkpoint store %s:\n", dir)
 	fmt.Printf("  records:           %8d\n", st.Objects)
 	fmt.Printf("  bytes:             %8d\n", st.Bytes)
+	fmt.Printf("  segments:          %8d   (%d live bytes, %d dead bytes: tombstoned or superseded records)\n",
+		st.Segments, st.Bytes, st.DeadBytes)
 	fmt.Printf("  logical results:   %8d   (fragment completions backed by the store)\n", st.Logical)
 	fmt.Printf("  dedup ratio:       %8.2f   (logical results per stored record)\n", st.DedupRatio)
 	fmt.Println("  fragment-size histogram (atoms → records):")

@@ -121,14 +121,6 @@ type send struct {
 	payload []byte
 }
 
-// persist is a deferred store write (blob checkpoints happen outside the
-// coordinator lock; the store has its own).
-type persist struct {
-	key    store.Key
-	natoms int
-	blob   []byte
-}
-
 // Coordinator owns fragment assignment: it accepts worker and client
 // connections, leases tasks under ownership epochs, reassigns on lease
 // expiry and worker death, suppresses duplicate results, and layers its
@@ -194,6 +186,9 @@ func NewCoordinator(cfg CoordConfig) *Coordinator {
 		co.mRecomp = r.Counter(obs.MetricClusterRecomputes)
 		co.mFails = r.Counter(obs.MetricClusterTaskFails)
 		co.mLeaseSec = r.Histogram(obs.MetricClusterLeaseSeconds, obs.DurationBuckets)
+		if cfg.Store != nil {
+			cfg.Store.SetObs(obs.Scope{R: r})
+		}
 	}
 	return co
 }
@@ -292,14 +287,14 @@ func (co *Coordinator) flush(sends []send) {
 	}
 }
 
-func (co *Coordinator) persistAll(ps []persist) {
-	if co.cfg.Store == nil {
+// persistAll checkpoints a batch of results under one group commit, outside
+// the coordinator lock (the store has its own).
+func (co *Coordinator) persistAll(ps []store.RawRecord) {
+	if co.cfg.Store == nil || len(ps) == 0 {
 		return
 	}
-	for _, p := range ps {
-		if err := co.cfg.Store.PutRaw(p.key, p.natoms, p.blob); err != nil {
-			co.logf("cluster: coord: checkpoint %s: %v", p.key, err)
-		}
+	if err := co.cfg.Store.PutRaws(ps); err != nil {
+		co.logf("cluster: coord: checkpoint of %d records: %v", len(ps), err)
 	}
 }
 
@@ -641,9 +636,9 @@ func (co *Coordinator) handleResult(w *workerConn, res Result) {
 			co.mRecomp.Inc()
 		}
 	}
-	var ps []persist
+	var ps []store.RawRecord
 	if co.cfg.Store != nil && res.Tier != TierFetch {
-		ps = append(ps, persist{key: t.key, natoms: len(t.els), blob: blob})
+		ps = append(ps, store.RawRecord{Key: t.key, NAtoms: len(t.els), Blob: blob})
 	}
 	var sends []send
 	sends = co.serveTaskLocked(sends, t, res.Tier, blob)

@@ -38,6 +38,11 @@ const (
 	MetricSCFIterations   = "scf_iterations"
 	MetricSCFSolves       = "scf_solves_total"
 	MetricDFPTCycles      = "dfpt_cycles_total"
+
+	// Group commit (store.Store): fsyncs of segment files, and the records
+	// they made durable; their ratio is the records committed per fsync.
+	MetricStoreFsyncs           = "store_fsyncs_total"
+	MetricStoreRecordsCommitted = "store_records_committed_total"
 	// Ladder escalations — a solve that only converged on a later rung is a
 	// degraded number, so each rung taken beyond the first is counted: one
 	// per smearing rung above the requested temperature (the fragment

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -348,25 +350,40 @@ func TestCacheCorruptRecordRequeued(t *testing.T) {
 	}
 	s.Close()
 
-	// Flip one bit in one object record.
-	var objects []string
-	filepath.Walk(filepath.Join(dir, "objects"), func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() {
-			objects = append(objects, path)
-		}
-		return nil
-	})
-	if len(objects) != 4 {
-		t.Fatalf("found %d objects, want 4", len(objects))
-	}
-	blob, err := os.ReadFile(objects[2])
+	// Flip one bit in one record, found through its manifest line:
+	// put <key> <natoms> <seg> <off> <len>.
+	manifest, err := os.ReadFile(filepath.Join(dir, "manifest.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob[len(blob)/2] ^= 0x04
-	if err := os.WriteFile(objects[2], blob, 0o644); err != nil {
+	var puts [][]string
+	for _, line := range strings.Split(string(manifest), "\n") {
+		if f := strings.Fields(line); len(f) == 6 && f[0] == "put" {
+			puts = append(puts, f)
+		}
+	}
+	if len(puts) != 4 {
+		t.Fatalf("found %d put lines, want 4", len(puts))
+	}
+	seg, err1 := strconv.Atoi(puts[2][3])
+	off, err2 := strconv.ParseInt(puts[2][4], 10, 64)
+	n, err3 := strconv.ParseInt(puts[2][5], 10, 64)
+	if err1 != nil || err2 != nil || err3 != nil {
+		t.Fatalf("malformed put line %q", puts[2])
+	}
+	f, err := os.OpenFile(store.SegmentPath(dir, seg), os.O_RDWR, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, off+n/2); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x04
+	if _, err := f.WriteAt(b, off+n/2); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
 
 	s2 := openStore(t, dir)
 	datas, rep, err := Run(dec, cacheOptions(t, s2, true, nil))

@@ -2,8 +2,8 @@
 // versioned, CRC-guarded binary codec for per-fragment results, content-
 // addressed keys derived from a canonical fragment fingerprint (species,
 // rigid-motion-canonicalized quantized geometry, and the full job options),
-// and an append-only write-ahead manifest over atomically renamed record
-// files. Together these give the production property the paper's 33.8M-
+// and an append-only manifest over append-only segment files, committed in
+// groups under one fsync. Together these give the production property the paper's 33.8M-
 // fragment runs (§VI-A) need: a run killed at any instant resumes by replaying the
 // manifest and recomputing only missing or corrupt fragments, and the
 // near-identical water fragments that dominate a solvated system collapse

@@ -2,9 +2,11 @@ package store
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"qframan/internal/hessian"
 	"qframan/internal/obs"
@@ -122,55 +124,136 @@ func TestStoreConcurrentMixedGetPut(t *testing.T) {
 	}
 }
 
-// TestStoreGetMissRacingCommit pins the eviction race the benchmark found
-// (bench/README "A finding"): a Get looks a key up while its Put is between
-// the WAL line and the rename, misses the object file, and the Put's commit
-// lands before the Get decides about eviction. The committed record must
-// stay indexed and be served as this process's own, for Get and GetRaw alike.
+// TestStoreGetMissRacingCommit: a read racing a Put sees either a clean
+// miss or the whole record, never ErrCorrupt — for Get and GetRaw alike. The
+// record's bytes are in the segment while its group commit fsyncs, but
+// nothing is published until the fsync returns: a read inside that window
+// is a clean miss, and every read after the Put returns is served as this
+// process's own record.
 func TestStoreGetMissRacingCommit(t *testing.T) {
-	for name, read := range map[string]func(*Store, Key, Frame) bool{
-		"Get":    func(s *Store, k Key, fr Frame) bool { fd, _, err := s.Get(k, fr); return fd != nil || err != nil },
-		"GetRaw": func(s *Store, k Key, _ Frame) bool { b, _, err := s.GetRaw(k); return b != nil || err != nil },
+	for name, read := range map[string]func(*Store, Key, Frame) (bool, error){
+		"Get":    func(s *Store, k Key, fr Frame) (bool, error) { fd, _, err := s.Get(k, fr); return fd != nil, err },
+		"GetRaw": func(s *Store, k Key, _ Frame) (bool, error) { b, _, err := s.GetRaw(k); return b != nil, err },
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := mustOpen(t, t.TempDir())
 			defer s.Close()
 			k, fr := flatKey(1, 2)
 			want := randomData(2, 7)
-			blob, err := Encode(want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Put, split at its commit point: WAL line and in-flight entry
-			// now, object rename from inside the racing read.
-			if err := s.registerPut(k, fr.NAtoms, int64(len(blob))); err != nil {
-				t.Fatal(err)
-			}
-			readMissHook = func() {
-				if err := s.commitObject(k, blob); err != nil {
-					t.Error(err)
-				}
-			}
-			defer func() { readMissHook = nil }()
-			if read(s, k, fr) {
-				t.Fatal("read served a record (or failed) before its object existed")
-			}
-			readMissHook = nil
 
-			if !s.Has(k) {
-				t.Fatal("a committed record was evicted by the read that raced its commit")
+			// Inside the fsync: bytes written, nothing published.
+			syncs := 0
+			defer func(orig func(*os.File) error) { syncFile = orig }(syncFile)
+			syncFile = func(f *os.File) error {
+				syncs++
+				if hit, err := read(s, k, fr); hit || err != nil {
+					t.Errorf("read inside the commit's fsync = (%v, %v), want clean miss", hit, err)
+				}
+				return f.Sync()
+			}
+			// Around it: readers hammering the key while the Put runs.
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for r := 0; r < 4; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if _, err := read(s, k, fr); err != nil {
+							t.Errorf("read racing the commit: %v", err)
+							return
+						}
+					}
+				}()
+			}
+			rt, err := s.Put(k, fr, want)
+			close(stop)
+			wg.Wait()
+			if err != nil || !rt.BitEqual(want) {
+				t.Fatalf("Put = %v", err)
+			}
+			if syncs != 1 {
+				t.Fatalf("%d fsyncs for one Put, want 1", syncs)
+			}
+			if hit, err := read(s, k, fr); !hit || err != nil {
+				t.Fatalf("committed record not served after the Put returned: (%v, %v)", hit, err)
 			}
 			fd, prior, err := s.Get(k, fr)
 			if err != nil || fd == nil || !fd.BitEqual(want) {
-				t.Fatalf("committed record not served after the race: fd=%v err=%v", fd != nil, err)
+				t.Fatalf("committed record not served whole: fd=%v err=%v", fd != nil, err)
 			}
 			if prior {
 				t.Fatal("record committed by this process reported as prior")
 			}
-			if got, want := s.Stats().Logical, 2; got != want {
-				t.Fatalf("logical records %d, want %d (one put, one serve): the racing put was double-counted", got, want)
-			}
 		})
+	}
+}
+
+// TestStoreGroupCommit: concurrent puts share fsyncs, and none returns
+// before an fsync whose range covers its record. A sync-counting hook holds
+// the first fsync long enough for the other puts to append behind it, so
+// they land in the next group; the obs counters report the same numbers.
+func TestStoreGroupCommit(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	defer s.Close()
+	reg := obs.NewRegistry()
+	s.SetObs(obs.Scope{R: reg})
+
+	const n = 8
+	var syncs atomic.Int64
+	var durable atomic.Int64 // segment length covered by the last finished fsync
+	defer func(orig func(*os.File) error) { syncFile = orig }(syncFile)
+	syncFile = func(f *os.File) error {
+		if syncs.Add(1) == 1 {
+			time.Sleep(50 * time.Millisecond)
+		}
+		st, err := f.Stat()
+		if err != nil {
+			return err
+		}
+		if err := f.Sync(); err != nil {
+			return err
+		}
+		for {
+			cur := durable.Load()
+			if st.Size() <= cur || durable.CompareAndSwap(cur, st.Size()) {
+				return nil
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			k, fr := flatKey(byte(i+1), 2)
+			if _, err := s.Put(k, fr, randomData(2, int64(i))); err != nil {
+				t.Error(err)
+				return
+			}
+			covered := durable.Load()
+			_, off, size := locate(t, s, k)
+			if off+size > covered {
+				t.Errorf("put %d returned with bytes [%d, %d) beyond the fsynced %d", i, off, off+size, covered)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if got := syncs.Load(); got >= n {
+		t.Fatalf("%d concurrent puts took %d fsyncs, want fewer", n, got)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters[obs.MetricStoreFsyncs]; got != syncs.Load() {
+		t.Fatalf("%s = %d, want %d", obs.MetricStoreFsyncs, got, syncs.Load())
+	}
+	if got := snap.Counters[obs.MetricStoreRecordsCommitted]; got != n {
+		t.Fatalf("%s = %d, want %d", obs.MetricStoreRecordsCommitted, got, n)
 	}
 }
 
@@ -230,7 +313,10 @@ func TestStoreHas(t *testing.T) {
 	if !s.Has(k) {
 		t.Fatal("Has misses a freshly put key")
 	}
-	s.evict(k)
+	s.mu.Lock()
+	e := s.idx[k]
+	s.mu.Unlock()
+	s.evict(k, e)
 	if s.Has(k) {
 		t.Fatal("Has reports an evicted key")
 	}

@@ -2,6 +2,9 @@ package store
 
 import (
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"qframan/internal/hessian"
@@ -84,6 +87,73 @@ func FuzzDecodeFragmentRecord(f *testing.F) {
 		}
 		if !again.BitEqual(fd) {
 			t.Fatalf("Encode∘Decode changed the record (%d-byte input)", len(b))
+		}
+	})
+}
+
+// FuzzOpenStore throws arbitrary manifest bytes and arbitrary segment bytes
+// at Open. Replay's contract is total: Open never panics, refuses anything
+// but a v2 manifest with ErrFormat, and never indexes a range outside its
+// segment; every Get on what it indexed serves a valid record, a clean miss
+// or ErrCorrupt.
+func FuzzOpenStore(f *testing.F) {
+	blob, err := Encode(randomData(2, 21))
+	if err != nil {
+		f.Fatal(err)
+	}
+	k := Key{0xab}
+	put := fmt.Sprintf("put %s 2 0 0 %d\n", k, len(blob))
+	for _, seed := range []struct {
+		manifest string
+		segment  []byte
+	}{
+		{manifestHeader + "\n" + put, blob},
+		{manifestHeader + "\n" + put + "ref " + k.String() + "\n", blob},
+		{manifestHeader + "\n" + put + "del " + k.String() + "\n", blob},
+		{manifestHeader + "\n" + put, blob[:len(blob)/2]},                              // segment lost its tail
+		{manifestHeader + "\n" + put + "put " + k.String()[:9], append(blob, blob...)}, // torn line
+		{manifestHeader + "\n" + fmt.Sprintf("put %s 2 0 9 %d\n", k, len(blob)), append(blob, blob...)},
+		{manifestHeader + "\n" + fmt.Sprintf("put %s 2 0 -1 9223372036854775807\n", k), blob},
+		{"qfstore v1\nput " + k.String() + " 2 1200\n", nil},
+		{"qfst", nil},
+		{"", blob},
+	} {
+		f.Add([]byte(seed.manifest), seed.segment)
+	}
+
+	f.Fuzz(func(t *testing.T, manifest, segment []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, manifestName), manifest, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(SegmentPath(dir, 0), segment, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			if !errors.Is(err, ErrFormat) {
+				t.Fatalf("Open failed with %v, want ErrFormat or success", err)
+			}
+			return
+		}
+		defer s.Close()
+		s.mu.Lock()
+		keys := make([]Key, 0, len(s.idx))
+		for k, e := range s.idx {
+			if e.seg != 0 || e.off < 0 || e.n <= 0 || e.off+e.n > int64(len(segment)) {
+				t.Errorf("indexed [%d, +%d) in segment %d, which holds %d bytes", e.off, e.n, e.seg, len(segment))
+			}
+			keys = append(keys, k)
+		}
+		s.mu.Unlock()
+		for _, k := range append(keys, Key{0xcd}) {
+			fd, _, err := s.Get(k, Frame{})
+			if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
+				t.Fatalf("Get(%s) = %v, want a record, a clean miss or ErrCorrupt", k, err)
+			}
+			if fd != nil && err != nil {
+				t.Fatalf("Get(%s) returned data alongside %v", k, err)
+			}
 		}
 	})
 }

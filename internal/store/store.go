@@ -2,7 +2,9 @@ package store
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,115 +20,294 @@ import (
 
 // Store is the on-disk checkpoint/cache. Layout:
 //
-//	<dir>/manifest.log        append-only write-ahead manifest
-//	<dir>/objects/<xx>/<key>  CRC-guarded records, content-addressed by Key
+//	<dir>/manifest.log   append-only manifest: header, then put/ref/del lines
+//	<dir>/seg-<n>        append-only segment files of CRC-guarded records
 //
-// Crash-consistency argument: a `put` manifest line is appended *before*
-// the record is written, and the record itself lands via temp-file + fsync
-// + atomic rename. A crash therefore leaves one of three states, all safe:
-// (a) no line, no object — the fragment is simply recomputed; (b) a line
-// but a missing/short object — Open's replay validates each line against
-// the object and drops it, requeueing the fragment; (c) line and object —
-// the record is served after its CRC verifies on read. No state decodes
-// into wrong data, and the manifest is pure bookkeeping: a torn tail or a
-// lost line degrades to a recomputation, never to corruption.
+// A record is appended to the current segment; segments rotate at
+// segmentBytes. Its `put <key> <natoms> <seg> <off> <len>` manifest line and
+// its index entry are published only after the fsync that covers its bytes
+// has returned, and only then does the Put return. Concurrent puts share
+// that fsync (group commit): the first to find no commit in flight leads —
+// it syncs every record appended so far and publishes them all — while the
+// others wait for it on the calling goroutines. A crash therefore leaves one
+// of three states, all safe: (a) bytes without a line — orphaned dead bytes,
+// the fragment recomputes; (b) a line pointing past the end of its segment
+// (the segment lost its tail) — dropped at replay, the fragment recomputes;
+// (c) line and bytes — served after the record's CRC verifies on read. No
+// state decodes into wrong data, and the manifest is bookkeeping: a torn
+// tail or a lost line degrades to a recomputation, never to corruption. A
+// record that fails its CRC on read is evicted by a `del` tombstone line.
 //
-// Concurrency: one Store may be shared by any number of goroutines — and by
-// concurrent scheduler runs of a serving daemon. The index and manifest are
-// guarded by s.mu; object files commit via atomic rename, so a reader racing
-// a writer sees either no file or a complete record, never a torn one (the
-// CRC on every Get backstops the filesystem anyway). SetObs may be called
-// concurrently by every run sharing the store: the instruments are atomic
-// pointers, re-set idempotently.
+// One process opens a store at a time. Within it, a Store may be shared by
+// any number of goroutines — and by concurrent scheduler runs of a serving
+// daemon. The index, the manifest and the segment tails are guarded by s.mu;
+// published byte ranges are never rewritten, so a reader needs the lock
+// only to look its range up. SetObs may be called concurrently by every run
+// sharing the store: the instruments are atomic pointers, set once.
 type Store struct {
 	dir string
 
 	mu       sync.Mutex
-	manifest *os.File
+	manifest *os.File // nil once closed
 	idx      map[Key]*entry
+	segs     map[int]*segment
+	cur      int // segment receiving appends
 	logical  int // put+ref manifest records across all runs
 	replayed int // manifest records replayed at Open
 
-	// Latency instruments; nil until SetObs, atomic because concurrent
-	// sched runs sharing the store each attach their scope. Nil-safe to
-	// observe. obsOnce makes the first attachment win exactly once.
-	obsGet  atomic.Pointer[obs.Histogram]
-	obsPut  atomic.Pointer[obs.Histogram]
-	obsOnce sync.Once
+	// Group commit, guarded by mu: filling collects the records appended
+	// since the last leader took its batch; syncing is set while a leader
+	// fsyncs outside the lock; committed is broadcast when it finishes.
+	filling   *group
+	syncing   bool
+	committed sync.Cond
+
+	// Instruments; nil until SetObs, atomic because concurrent sched runs
+	// sharing the store each attach their scope. Nil-safe to observe.
+	// obsOnce makes the first attachment win exactly once.
+	obsGet     atomic.Pointer[obs.Histogram]
+	obsPut     atomic.Pointer[obs.Histogram]
+	obsFsyncs  atomic.Pointer[obs.Counter]
+	obsRecords atomic.Pointer[obs.Counter]
+	obsOnce    sync.Once
 }
 
-// entry is the in-memory index of one object.
+// entry is the in-memory index of one published record. Entries are
+// immutable: a re-put publishes a new one.
 type entry struct {
 	natoms int
-	bytes  int64
-	// prior marks objects that existed when the store was opened — the
-	// currency of -resume accounting.
+	seg    int
+	off, n int64
+	// prior marks records that existed when the store was opened and that
+	// this process has not re-put — the currency of -resume accounting.
 	prior bool
-	// fresh marks objects written (or overwritten) by this process, whose
-	// bytes this run has vouched for.
-	fresh bool
-	// writing marks an entry whose object commit is still in flight (WAL
-	// line appended, rename pending). A Get that misses the file must not
-	// evict such an entry — the rename is about to land — or the
-	// manifest-repair path could double-count the racing put.
-	writing bool
-	refs    int
+}
+
+// segment is one segment file: its handle, opened on first use, and its
+// length, which is where the next append lands.
+type segment struct {
+	f    *os.File
+	size int64
+}
+
+// group is one group commit: records appended to segments, awaiting the
+// fsync that publishes them.
+type group struct {
+	recs  []staged
+	files []*os.File // distinct segments the records were appended to
+	done  bool
+	err   error
+}
+
+// staged is a record whose bytes are in a segment but not yet durable.
+type staged struct {
+	key    Key
+	natoms int
+	seg    int
+	off, n int64
+}
+
+// RawRecord is one canonical record blob and its key, for PutRaws.
+type RawRecord struct {
+	Key    Key
+	NAtoms int
+	Blob   []byte
 }
 
 const (
 	manifestName   = "manifest.log"
-	manifestHeader = "qfstore v1"
-	objectsDir     = "objects"
+	manifestHeader = "qfstore v2"
+	segmentPrefix  = "seg-"
+	// segmentBytes is the size at which appends move on to a new segment.
+	segmentBytes = 64 << 20
 )
 
+// ErrFormat reports a store directory whose manifest is not a qfstore v2
+// manifest — a v1 store of per-record object files among them. Such a store
+// is refused, not migrated.
+var ErrFormat = errors.New("store: unsupported store format")
+
+// ErrClosed reports an operation on a closed Store.
+var ErrClosed = errors.New("store: closed")
+
+// syncFile makes a segment's appended bytes durable; tests wrap it to count
+// and order the fsyncs.
+var syncFile = (*os.File).Sync
+
+// SegmentPath returns the path of segment n of the store rooted at dir — the
+// file a manifest line's <seg> field names.
+func SegmentPath(dir string, n int) string {
+	return filepath.Join(dir, fmt.Sprintf("%s%06d", segmentPrefix, n))
+}
+
 // Open opens (creating if needed) a store rooted at dir and replays its
-// manifest: every `put` line is validated against the object file (present
-// and size-exact — full CRC validation happens on each Get, before any
-// byte is trusted); lines that fail validation are dropped so their
-// fragments requeue. A torn final line — the signature of a mid-append
-// crash — ends the replay without error.
+// manifest: every `put` line is checked against its segment's length (full
+// CRC validation happens on each Get, before any byte is trusted); lines
+// that point past the end are dropped so their fragments requeue. Malformed
+// lines are skipped, and a torn final line — the signature of a mid-append
+// crash — is cut off so later appends start on a line of their own. A
+// manifest of another format version returns ErrFormat.
 func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(filepath.Join(dir, objectsDir), 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, idx: make(map[Key]*entry)}
-	if err := s.replay(); err != nil {
+	s := &Store{dir: dir, idx: make(map[Key]*entry), segs: make(map[int]*segment), filling: &group{}}
+	s.committed.L = &s.mu
+	if err := s.scanSegments(); err != nil {
+		return nil, err
+	}
+	path := filepath.Join(dir, manifestName)
+	intact, err := s.replay(path)
+	if err != nil {
 		return nil, err
 	}
 	s.replayed = s.logical
-	f, err := os.OpenFile(filepath.Join(dir, manifestName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
+	if err == nil {
+		err = f.Truncate(intact)
+		if err == nil {
+			_, err = f.Seek(intact, io.SeekStart)
+		}
+		if err == nil && intact == 0 {
+			_, err = fmt.Fprintln(f, manifestHeader)
+		}
+		if err != nil {
+			f.Close()
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s.manifest = f
-	if st, err := f.Stat(); err == nil && st.Size() == 0 {
-		fmt.Fprintln(f, manifestHeader)
-	}
 	return s, nil
 }
 
-// Close releases the manifest handle. Records already written stay valid.
+// scanSegments records every segment file's length; appends continue the
+// highest-numbered one.
+func (s *Store) scanSegments() error {
+	des, err := os.ReadDir(s.dir)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	for _, de := range des {
+		n, err := strconv.Atoi(strings.TrimPrefix(de.Name(), segmentPrefix))
+		if err != nil || n < 0 || filepath.Base(SegmentPath(s.dir, n)) != de.Name() {
+			continue
+		}
+		info, err := de.Info()
+		if err != nil || !info.Mode().IsRegular() {
+			continue
+		}
+		s.segs[n] = &segment{size: info.Size()}
+		if n > s.cur {
+			s.cur = n
+		}
+	}
+	return nil
+}
+
+// replay indexes the manifest at path and returns the length of its intact
+// prefix: every byte up to the last complete line.
+func (s *Store) replay(path string) (int64, error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, fmt.Errorf("store: %w", err)
+	}
+	defer f.Close()
+	r := bufio.NewReader(f)
+	var intact int64
+	for {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			if intact == 0 && !strings.HasPrefix(manifestHeader, line) {
+				return 0, fmt.Errorf("%w: %s", ErrFormat, path)
+			}
+			if err == io.EOF {
+				return intact, nil
+			}
+			return 0, fmt.Errorf("store: %w", err)
+		}
+		if intact == 0 && line != manifestHeader+"\n" {
+			return 0, fmt.Errorf("%w: %s begins %q", ErrFormat, path, strings.TrimSpace(line))
+		}
+		if intact > 0 {
+			s.replayLine(strings.Fields(line))
+		}
+		intact += int64(len(line))
+	}
+}
+
+// replayLine applies one manifest record; malformed records are skipped.
+func (s *Store) replayLine(fields []string) {
+	if len(fields) < 2 {
+		return
+	}
+	k, err := ParseKey(fields[1])
+	if err != nil {
+		return
+	}
+	switch {
+	case fields[0] == "put" && len(fields) == 6:
+		natoms, err1 := strconv.Atoi(fields[2])
+		seg, err2 := strconv.Atoi(fields[3])
+		off, err3 := strconv.ParseInt(fields[4], 10, 64)
+		n, err4 := strconv.ParseInt(fields[5], 10, 64)
+		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
+			return
+		}
+		s.logical++
+		if sg := s.segs[seg]; sg == nil || natoms < 0 || off < 0 || n <= 0 || off > sg.size-n {
+			// The line outran its segment's bytes: drop it (and whatever
+			// it superseded) so the fragment requeues.
+			delete(s.idx, k)
+			return
+		}
+		s.idx[k] = &entry{natoms: natoms, seg: seg, off: off, n: n, prior: true}
+	case fields[0] == "ref" && len(fields) == 2:
+		s.logical++
+	case fields[0] == "del" && len(fields) == 2:
+		delete(s.idx, k)
+	}
+}
+
+// Close waits for any group commit in flight, then releases the manifest and
+// segment handles. Records already committed stay valid; later operations
+// return ErrClosed.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for s.syncing || len(s.filling.recs) > 0 {
+		s.committed.Wait()
+	}
 	if s.manifest == nil {
 		return nil
 	}
 	err := s.manifest.Close()
 	s.manifest = nil
+	for _, sg := range s.segs {
+		if sg.f != nil {
+			if cerr := sg.f.Close(); err == nil {
+				err = cerr
+			}
+		}
+	}
 	return err
 }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// SetObs attaches metric instruments: Get/Put latency histograms and a
-// counter publishing the manifest records replayed at Open. The first scope
-// with a registry wins; later calls — every scheduler run sharing the store
+// SetObs attaches metric instruments: Get/Put latency histograms, the
+// group-commit counters (fsyncs, and records they committed) and a counter
+// publishing the manifest records replayed at Open. The first scope with a
+// registry wins; later calls — every scheduler run sharing the store
 // re-attaches its own scope — are no-ops, so a daemon that attaches its
-// process-wide registry at startup keeps store latencies on one stable
-// series while per-job labeled scopes come and go. Safe to call
-// concurrently; a scope without a registry is a no-op.
+// process-wide registry at startup keeps store metrics on one stable series
+// while per-job labeled scopes come and go. Safe to call concurrently; a
+// scope without a registry is a no-op.
 func (s *Store) SetObs(sc obs.Scope) {
 	if sc.R == nil {
 		return
@@ -134,89 +315,155 @@ func (s *Store) SetObs(sc obs.Scope) {
 	s.obsOnce.Do(func() {
 		s.obsGet.Store(sc.R.Histogram(obs.MetricStoreGetSeconds, obs.DurationBuckets))
 		s.obsPut.Store(sc.R.Histogram(obs.MetricStorePutSeconds, obs.DurationBuckets))
+		s.obsFsyncs.Store(sc.R.Counter(obs.MetricStoreFsyncs))
+		s.obsRecords.Store(sc.R.Counter(obs.MetricStoreRecordsCommitted))
 		sc.R.Counter(obs.MetricStoreReplayRecs).Add(int64(s.replayed))
 	})
 }
 
-func (s *Store) replay() error {
-	f, err := os.Open(filepath.Join(s.dir, manifestName))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == manifestHeader || line == "" {
-			continue
-		}
-		fields := strings.Fields(line)
-		switch {
-		case fields[0] == "put" && len(fields) == 4:
-			k, err := ParseKey(fields[1])
-			if err != nil {
-				return nil // torn tail: stop replay, later lines are unreachable anyway
-			}
-			natoms, err1 := strconv.Atoi(fields[2])
-			size, err2 := strconv.ParseInt(fields[3], 10, 64)
-			if err1 != nil || err2 != nil {
-				return nil
-			}
-			s.logical++
-			st, err := os.Stat(s.objectPath(k))
-			if err != nil || st.Size() != size {
-				// WAL intent whose object write never completed (or was
-				// truncated): drop it — the fragment will requeue.
-				delete(s.idx, k)
-				continue
-			}
-			if e := s.idx[k]; e != nil {
-				e.natoms, e.bytes = natoms, size
-			} else {
-				s.idx[k] = &entry{natoms: natoms, bytes: size, prior: true}
-			}
-		case fields[0] == "ref" && len(fields) == 2:
-			k, err := ParseKey(fields[1])
-			if err != nil {
-				return nil
-			}
-			s.logical++
-			if e := s.idx[k]; e != nil {
-				e.refs++
-			}
-		default:
-			return nil // unknown or torn record: stop replay
-		}
-	}
-	return nil
-}
-
-func (s *Store) objectPath(k Key) string {
-	hexk := k.String()
-	return filepath.Join(s.dir, objectsDir, hexk[:2], hexk)
-}
-
-// appendLine writes one manifest record; callers hold s.mu.
-func (s *Store) appendLine(line string) error {
+// appendLine writes manifest text; callers hold s.mu.
+func (s *Store) appendLine(text string) error {
 	if s.manifest == nil {
-		return fmt.Errorf("store: closed")
+		return ErrClosed
 	}
-	_, err := fmt.Fprintln(s.manifest, line)
+	_, err := s.manifest.WriteString(text)
 	return err
 }
 
+// segFile returns segment n's handle, opening it on first use: read-only for
+// a sealed segment, read-write (created if missing) for the current one.
+// Callers hold s.mu.
+func (s *Store) segFile(n int) (*os.File, error) {
+	sg := s.segs[n]
+	if sg != nil && sg.f != nil {
+		return sg.f, nil
+	}
+	flag := os.O_RDONLY
+	if n == s.cur {
+		flag = os.O_RDWR | os.O_CREATE
+	}
+	f, err := os.OpenFile(SegmentPath(s.dir, n), flag, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	if sg == nil {
+		sg = &segment{}
+		s.segs[n] = sg
+	}
+	sg.f = f
+	return f, nil
+}
+
+// stage appends one record's bytes to the current segment, rotating first
+// if it would outgrow segmentBytes, and adds it to the filling group.
+// Callers hold s.mu.
+func (s *Store) stage(k Key, natoms int, blob []byte) error {
+	n := int64(len(blob))
+	if sg := s.segs[s.cur]; sg != nil && sg.size > 0 && sg.size+n > segmentBytes {
+		s.cur++
+	}
+	f, err := s.segFile(s.cur)
+	if err != nil {
+		return err
+	}
+	sg := s.segs[s.cur]
+	if _, err := f.WriteAt(blob, sg.size); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	g := s.filling
+	g.recs = append(g.recs, staged{key: k, natoms: natoms, seg: s.cur, off: sg.size, n: n})
+	if len(g.files) == 0 || g.files[len(g.files)-1] != f {
+		g.files = append(g.files, f)
+	}
+	sg.size += n
+	return nil
+}
+
+// commit is the one write path — Put, PutRaw and PutRaws all end here. It
+// appends every record to the current segment and returns once the group
+// commit that covers them has published them. A key this process already
+// put is not rewritten: it gets a `ref` line, the logical serve. The first
+// error is returned; records that failed are not published.
+func (s *Store) commit(recs []RawRecord) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.manifest == nil {
+		return ErrClosed
+	}
+	var firstErr error
+	g, appended := s.filling, 0
+	for _, r := range recs {
+		if e := s.idx[r.Key]; e != nil && !e.prior {
+			s.logical++
+			if err := s.appendLine("ref " + r.Key.String() + "\n"); err != nil && firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		if err := s.stage(r.Key, r.NAtoms, r.Blob); err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		appended++
+	}
+	if appended > 0 {
+		for !g.done {
+			if s.syncing {
+				s.committed.Wait()
+			} else {
+				s.lead()
+			}
+		}
+		if g.err != nil && firstErr == nil {
+			firstErr = g.err
+		}
+	}
+	return firstErr
+}
+
+// lead runs one group commit over the filling group: fsync its segments with
+// the lock released — later puts keep appending into the next group — then
+// publish its manifest lines and index entries and wake the followers.
+// Callers hold s.mu, with no commit in flight.
+func (s *Store) lead() {
+	g := s.filling
+	s.filling = &group{}
+	s.syncing = true
+	s.mu.Unlock()
+	var err error
+	for _, f := range g.files {
+		if err = syncFile(f); err != nil {
+			err = fmt.Errorf("store: %w", err)
+			break
+		}
+		s.obsFsyncs.Load().Inc()
+	}
+	s.mu.Lock()
+	if err == nil {
+		var b strings.Builder
+		for _, r := range g.recs {
+			fmt.Fprintf(&b, "put %s %d %d %d %d\n", r.key.String(), r.natoms, r.seg, r.off, r.n)
+		}
+		if err = s.appendLine(b.String()); err == nil {
+			for _, r := range g.recs {
+				s.idx[r.key] = &entry{natoms: r.natoms, seg: r.seg, off: r.off, n: r.n}
+			}
+			s.logical += len(g.recs)
+			s.obsRecords.Load().Add(int64(len(g.recs)))
+		}
+	}
+	g.done, g.err = true, err
+	s.syncing = false
+	s.committed.Broadcast()
+}
+
 // Put checkpoints a fragment result under its key: the data is rotated into
-// the canonical frame, encoded, logged to the manifest, and written with
-// temp-file + fsync + atomic rename. If this process already wrote the key
-// (a straggler duplicate of the same attempt, or another job sharing the
-// store), only a `ref` line is appended. The returned data is the result as
-// a subsequent Get would serve it — the canonical roundtrip of the input —
-// and callers should use it in place of the input so computed and
-// cache-served fragments are bit-identical.
+// the canonical frame, encoded and committed (see commit). The returned data
+// is the result as a subsequent Get would serve it — the canonical
+// roundtrip of the input — and callers should use it in place of the input
+// so computed and cache-served fragments are bit-identical.
 func (s *Store) Put(k Key, fr Frame, fd *hessian.FragmentData) (*hessian.FragmentData, error) {
 	if h := s.obsPut.Load(); h != nil {
 		defer func(t0 time.Time) { h.ObserveDuration(time.Since(t0)) }(time.Now())
@@ -225,148 +472,107 @@ func (s *Store) Put(k Key, fr Frame, fd *hessian.FragmentData) (*hessian.Fragmen
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	if e := s.idx[k]; e != nil && e.fresh {
-		e.refs++
-		s.logical++
-		err := s.appendLine("ref " + k.String())
-		s.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		return fr.FromCanonical(canon)
-	}
-	s.mu.Unlock()
-
 	blob, err := Encode(canon)
 	if err != nil {
 		return nil, err
 	}
-	// The index entry is registered in the same critical section as the
-	// manifest append, *before* the object write: once the renamed object is
-	// visible to a concurrent Get, the index already knows the key, so the
-	// manifest-repair ("adoption") path in Get can never double-count a
-	// result that a racing Put is in the middle of committing. A Get landing
-	// inside the write window sees entry-without-object and degrades to a
-	// clean miss, exactly like a crash between the WAL line and the rename.
-	if err := s.registerPut(k, fr.NAtoms, int64(len(blob))); err != nil {
-		return nil, err
-	}
-	if err := s.commitObject(k, blob); err != nil {
+	if err := s.commit([]RawRecord{{Key: k, NAtoms: fr.NAtoms, Blob: blob}}); err != nil {
 		return nil, err
 	}
 	return fr.FromCanonical(canon)
 }
 
-// registerPut appends the WAL line of one put and registers its index entry
-// atomically with respect to every other index reader, with the write-in-
-// flight marker set; commitObject clears it once the rename lands.
-func (s *Store) registerPut(k Key, natoms int, size int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.logical++
-	if err := s.appendLine(fmt.Sprintf("put %s %d %d", k.String(), natoms, size)); err != nil {
+// PutRaw lands a canonical record blob received from a peer under its key:
+// the blob is validated (magic, CRC, structure) before anything is written,
+// then committed like Put. natoms feeds the manifest's size histogram.
+// Unlike Put no frame rotation happens — the blob is already in the
+// canonical frame.
+func (s *Store) PutRaw(k Key, natoms int, blob []byte) error {
+	return s.PutRaws([]RawRecord{{Key: k, NAtoms: natoms, Blob: blob}})
+}
+
+// PutRaws lands a batch of peer records under one group commit — one fsync
+// for the whole batch. Every record is validated as in PutRaw; the valid
+// ones are committed and the first error is returned.
+func (s *Store) PutRaws(recs []RawRecord) error {
+	var firstErr error
+	valid := make([]RawRecord, 0, len(recs))
+	for _, r := range recs {
+		if err := validateRaw(r); err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		valid = append(valid, r)
+	}
+	if err := s.commit(valid); err != nil && firstErr == nil {
+		firstErr = err
+	}
+	return firstErr
+}
+
+func validateRaw(r RawRecord) error {
+	fd, err := Decode(r.Blob)
+	if err != nil {
 		return err
 	}
-	prior := false
-	if e := s.idx[k]; e != nil {
-		prior = e.prior
+	if fd.NumAtoms() != r.NAtoms {
+		return fmt.Errorf("%w: blob holds %d atoms, manifest claim is %d", ErrCorrupt, fd.NumAtoms(), r.NAtoms)
 	}
-	s.idx[k] = &entry{natoms: natoms, bytes: size, prior: prior, fresh: true, writing: true}
 	return nil
 }
 
-// commitObject writes the object and clears the entry's in-flight marker
-// whether or not the write succeeded (a failed write leaves an entry whose
-// next Get degrades to an evicting miss — the crash-consistency state (b)).
-func (s *Store) commitObject(k Key, blob []byte) error {
-	err := s.writeObject(k, blob)
+// load reads k's record with one pread and validates it. A clean miss
+// returns (nil, nil, nil, nil); a record that fails validation is evicted
+// by a tombstone and reported as ErrCorrupt.
+func (s *Store) load(k Key) (*hessian.FragmentData, []byte, *entry, error) {
 	s.mu.Lock()
-	if e := s.idx[k]; e != nil {
-		e.writing = false
+	if s.manifest == nil {
+		s.mu.Unlock()
+		return nil, nil, nil, ErrClosed
 	}
+	e := s.idx[k]
+	if e == nil {
+		s.mu.Unlock()
+		return nil, nil, nil, nil
+	}
+	f, err := s.segFile(e.seg)
 	s.mu.Unlock()
-	return err
-}
-
-// writeObject lands a record atomically: temp file in the objects tree,
-// fsync, rename. The rename is the commit point.
-func (s *Store) writeObject(k Key, blob []byte) error {
-	path := s.objectPath(k)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "tmp-*")
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return nil, nil, nil, err
 	}
-	if _, err := tmp.Write(blob); err == nil {
-		err = tmp.Sync()
+	blob := make([]byte, e.n)
+	if n, err := f.ReadAt(blob, e.off); err != nil {
+		if errors.Is(err, os.ErrClosed) {
+			return nil, nil, nil, ErrClosed
+		}
+		if err != io.EOF {
+			return nil, nil, nil, fmt.Errorf("store: %w", err)
+		}
+		blob = blob[:n] // the segment ends inside the record: Decode rejects it
 	}
+	canon, err := Decode(blob)
 	if err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
+		s.evict(k, e)
+		return nil, nil, nil, err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
+	return canon, blob, e, nil
 }
 
 // Get serves a fragment result from the store, rotated into the caller's
 // frame. A clean miss returns (nil, false, nil). A record that fails CRC or
 // structural validation is evicted and reported as ErrCorrupt so the caller
 // requeues the fragment — corruption is never served. The prior flag
-// reports that the record was produced by an earlier run (and not
-// re-vouched by this one): resume accounting.
+// reports that the record was produced by an earlier run (and not re-put by
+// this one): resume accounting.
 func (s *Store) Get(k Key, fr Frame) (*hessian.FragmentData, bool, error) {
 	if h := s.obsGet.Load(); h != nil {
 		defer func(t0 time.Time) { h.ObserveDuration(time.Since(t0)) }(time.Now())
 	}
-	s.mu.Lock()
-	e := s.idx[k]
-	var prior, writing bool
-	if e != nil {
-		prior, writing = e.prior && !e.fresh, e.writing
-	}
-	s.mu.Unlock()
-
-	blob, err := os.ReadFile(s.objectPath(k))
-	if os.IsNotExist(err) {
-		s.evictMissing(k, e, writing)
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("store: %w", err)
-	}
-	canon, err := Decode(blob)
-	if err != nil {
-		s.evict(k)
-		os.Remove(s.objectPath(k))
+	canon, _, e, err := s.load(k)
+	if canon == nil {
 		return nil, false, err
-	}
-	if e == nil {
-		// The object exists but the index did not know it at lookup. Either
-		// a racing Put committed it meanwhile — the entry it registered
-		// carries the provenance — or the manifest lost it (crash before the
-		// line was durable, or an external copy): adopt it as prior and
-		// repair the manifest.
-		s.mu.Lock()
-		if cur := s.idx[k]; cur != nil {
-			prior = cur.prior && !cur.fresh
-		} else {
-			prior = true
-			s.idx[k] = &entry{natoms: fr.NAtoms, bytes: int64(len(blob)), prior: true}
-			s.logical++
-			s.appendLine(fmt.Sprintf("put %s %d %d", k.String(), fr.NAtoms, len(blob)))
-		}
-		s.mu.Unlock()
 	}
 	fd, err := fr.FromCanonical(canon)
 	if err != nil {
@@ -375,16 +581,8 @@ func (s *Store) Get(k Key, fr Frame) (*hessian.FragmentData, bool, error) {
 	// Record the serve as a ref so the manifest tallies every logical
 	// result the store backed — the numerator of the dedup ratio.
 	// Best-effort bookkeeping: a failed append changes no data.
-	s.mu.Lock()
-	if s.manifest != nil {
-		s.logical++
-		if e := s.idx[k]; e != nil {
-			e.refs++
-		}
-		s.appendLine("ref " + k.String())
-	}
-	s.mu.Unlock()
-	return fd, prior, nil
+	s.Ref(k, 1)
+	return fd, e.prior, nil
 }
 
 // Ref records n further results backed by k's record — class members the
@@ -399,108 +597,41 @@ func (s *Store) Ref(k Key, n int) {
 		return
 	}
 	s.logical += n
-	if e := s.idx[k]; e != nil {
-		e.refs += n
-	}
-	s.manifest.WriteString(strings.Repeat("ref "+k.String()+"\n", n))
+	s.appendLine(strings.Repeat("ref "+k.String()+"\n", n))
 }
 
 // GetRaw serves the validated canonical record bytes for k — the peer-fetch
 // path of the cluster's tiered cache (DESIGN.md §9): record blobs travel
 // CRC-guarded end to end between worker-local stores and the coordinator
 // store without a decode/re-encode at each hop. The blob is fully validated
-// (magic, CRC, structure) before it is returned; a corrupt object is evicted
+// (magic, CRC, structure) before it is returned; a corrupt record is evicted
 // and reported as ErrCorrupt exactly like Get. A clean miss returns
 // (nil, false, nil). No ref line is appended: a raw read is peer transport,
 // not a logical fragment completion.
 func (s *Store) GetRaw(k Key) ([]byte, bool, error) {
-	s.mu.Lock()
-	e := s.idx[k]
-	writing := e != nil && e.writing
-	s.mu.Unlock()
-	blob, err := os.ReadFile(s.objectPath(k))
-	if os.IsNotExist(err) {
-		s.evictMissing(k, e, writing)
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("store: %w", err)
-	}
-	if _, err := Decode(blob); err != nil {
-		s.evict(k)
-		os.Remove(s.objectPath(k))
-		return nil, false, err
-	}
-	return blob, true, nil
+	_, blob, _, err := s.load(k)
+	return blob, blob != nil, err
 }
 
-// PutRaw lands a canonical record blob received from a peer under its key:
-// the blob is validated (magic, CRC, structure) before anything is written,
-// then committed with the same manifest-line + temp-file + fsync + rename
-// discipline as Put. natoms feeds the manifest's size histogram. Unlike Put
-// no frame rotation happens — the blob is already in the canonical frame.
-func (s *Store) PutRaw(k Key, natoms int, blob []byte) error {
-	fd, err := Decode(blob)
-	if err != nil {
-		return err
-	}
-	if fd.NumAtoms() != natoms {
-		return fmt.Errorf("%w: blob holds %d atoms, manifest claim is %d", ErrCorrupt, fd.NumAtoms(), natoms)
-	}
+// evict tombstones the entry a read found corrupt, unless a newer put has
+// replaced it since.
+func (s *Store) evict(k Key, seen *entry) {
 	s.mu.Lock()
-	if e := s.idx[k]; e != nil && e.fresh {
-		// Already vouched for by this process: record the logical serve only.
-		e.refs++
-		s.logical++
-		err := s.appendLine("ref " + k.String())
-		s.mu.Unlock()
-		return err
-	}
-	s.mu.Unlock()
-	if err := s.registerPut(k, natoms, int64(len(blob))); err != nil {
-		return err
-	}
-	return s.commitObject(k, blob)
-}
-
-func (s *Store) evict(k Key) {
-	s.mu.Lock()
-	delete(s.idx, k)
-	s.mu.Unlock()
-}
-
-// readMissHook, when non-nil, runs between a Get/GetRaw object-read miss and
-// the eviction decision; tests land a racing Put's commit exactly there.
-var readMissHook func()
-
-// evictMissing drops the index entry a lookup observed (seen, with its
-// in-flight marker as of that lookup) after the object read missed. The
-// decision rests on that observation alone: an entry that was mid-commit is
-// kept (the rename is landing, the miss is transient), and so is one a later
-// Put has replaced — re-reading the marker now would evict a record whose
-// commit finished between the read and this call.
-func (s *Store) evictMissing(k Key, seen *entry, writing bool) {
-	if readMissHook != nil {
-		readMissHook()
-	}
-	if seen == nil || writing {
-		return
-	}
-	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.idx[k] == seen {
 		delete(s.idx, k)
+		s.appendLine("del " + k.String() + "\n")
 	}
-	s.mu.Unlock()
 }
 
-// Len returns the number of valid objects currently indexed.
+// Len returns the number of valid records currently indexed.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.idx)
 }
 
-// Has reports whether an object for k is currently indexed — a cheap
+// Has reports whether a record for k is currently indexed — a cheap
 // existence probe (no I/O, no CRC) that a serving frontend uses for
 // cross-job dedup accounting before dispatch. The authoritative check stays
 // with Get, which validates the record's bytes.
@@ -512,9 +643,14 @@ func (s *Store) Has(k Key) bool {
 
 // Stats summarizes store contents for tooling (qfstats -store).
 type Stats struct {
-	// Objects and Bytes count the physical content-addressed records.
+	// Objects and Bytes count the live content-addressed records.
 	Objects int
 	Bytes   int64
+	// Segments counts segment files; DeadBytes is their length not covered
+	// by a live record — tombstoned, superseded or orphaned records, what a
+	// compaction would reclaim.
+	Segments  int
+	DeadBytes int64
 	// Logical counts the results recorded across all runs (manifest put +
 	// ref lines): every fragment completion that was backed by the store,
 	// whether it read the record itself or was filled from its class's read.
@@ -522,7 +658,7 @@ type Stats struct {
 	// DedupRatio is Logical/Objects — how many fragment results each
 	// stored record serves on average.
 	DedupRatio float64
-	// SizeHistogram counts objects by fragment atom count (caps included).
+	// SizeHistogram counts records by fragment atom count (caps included).
 	SizeHistogram map[int]int
 }
 
@@ -530,12 +666,16 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Stats{Logical: s.logical, SizeHistogram: make(map[int]int)}
+	st := Stats{Logical: s.logical, Segments: len(s.segs), SizeHistogram: make(map[int]int)}
 	for _, e := range s.idx {
 		st.Objects++
-		st.Bytes += e.bytes
+		st.Bytes += e.n
 		st.SizeHistogram[e.natoms]++
 	}
+	for _, sg := range s.segs {
+		st.DeadBytes += sg.size
+	}
+	st.DeadBytes -= st.Bytes
 	if st.Objects > 0 {
 		st.DedupRatio = float64(st.Logical) / float64(st.Objects)
 	}

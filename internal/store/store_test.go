@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -123,9 +124,23 @@ func TestStoreTornManifestTail(t *testing.T) {
 	}
 }
 
-// TestStoreWALIntentWithoutObject simulates a crash between the manifest
-// append and the object rename: the intent line must be dropped on replay so
-// the fragment requeues.
+// locate returns the segment file, offset and length of k's published
+// record.
+func locate(t *testing.T, s *Store, k Key) (string, int64, int64) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.idx[k]
+	if e == nil {
+		t.Fatalf("key %s not indexed", k)
+	}
+	return SegmentPath(s.dir, e.seg), e.off, e.n
+}
+
+// TestStoreWALIntentWithoutObject: a manifest line pointing past the end of
+// its segment — the segment lost the tail the line vouches for — must be
+// dropped on replay so the fragment requeues, and must not take the
+// records before it along.
 func TestStoreWALIntentWithoutObject(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
@@ -134,10 +149,11 @@ func TestStoreWALIntentWithoutObject(t *testing.T) {
 	if _, err := s.Put(k, fr, fd); err != nil {
 		t.Fatal(err)
 	}
+	_, off, n := locate(t, s, k)
 	var ghost Key
 	ghost[0] = 0xee
 	s.mu.Lock()
-	s.appendLine("put " + ghost.String() + " 3 999") // intent whose object never landed
+	s.appendLine(fmt.Sprintf("put %s 3 0 %d 999\n", ghost, off+n)) // bytes that never landed
 	s.mu.Unlock()
 	s.Close()
 
@@ -149,29 +165,36 @@ func TestStoreWALIntentWithoutObject(t *testing.T) {
 	if got, _, err := s2.Get(ghost, fr); got != nil || err != nil {
 		t.Fatalf("ghost key served (%v, %v), want clean miss", got, err)
 	}
+	if got, _, err := s2.Get(k, fr); err != nil || !got.BitEqual(fd) {
+		t.Fatalf("record before the ghost line unreadable: %v", err)
+	}
 }
 
-// TestStoreCorruptObjectEvicted: a flipped bit on disk must surface as
-// ErrCorrupt exactly once, evict the record, and leave a clean miss — the
-// requeue path.
+// TestStoreCorruptObjectEvicted: a flipped bit inside a record's range must
+// surface as ErrCorrupt exactly once, evict the record, and leave a clean
+// miss — the requeue path — that a tombstone keeps across a reopen.
 func TestStoreCorruptObjectEvicted(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	defer s.Close()
 	fd := randomData(2, 5)
 	k, fr := flatKey(5, 2)
 	if _, err := s.Put(k, fr, fd); err != nil {
 		t.Fatal(err)
 	}
-	path := s.objectPath(k)
-	blob, err := os.ReadFile(path)
+	path, off, n := locate(t, s, k)
+	seg, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob[len(blob)/2] ^= 0x10
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
+	b := make([]byte, 1)
+	if _, err := seg.ReadAt(b, off+n/2); err != nil {
 		t.Fatal(err)
 	}
+	b[0] ^= 0x10
+	if _, err := seg.WriteAt(b, off+n/2); err != nil {
+		t.Fatal(err)
+	}
+	seg.Close()
 
 	if _, _, err := s.Get(k, fr); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt record returned %v, want ErrCorrupt", err)
@@ -179,13 +202,21 @@ func TestStoreCorruptObjectEvicted(t *testing.T) {
 	if got, _, err := s.Get(k, fr); got != nil || err != nil {
 		t.Fatalf("after eviction got (%v, %v), want clean miss", got, err)
 	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("corrupt object left on disk")
+	s.Close()
+
+	s2 := mustOpen(t, dir)
+	defer s2.Close()
+	if s2.Has(k) {
+		t.Fatal("evicted record indexed again after reopen: no tombstone")
+	}
+	if got, _, err := s2.Get(k, fr); got != nil || err != nil {
+		t.Fatalf("after reopen got (%v, %v), want clean miss", got, err)
 	}
 }
 
-// TestStoreTruncatedObject: replay validates sizes, so a record truncated on
-// disk is dropped at open.
+// TestStoreTruncatedObject: replay checks every line against its segment's
+// length, so a record cut off mid-way by a truncated segment is dropped at
+// open.
 func TestStoreTruncatedObject(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
@@ -194,16 +225,111 @@ func TestStoreTruncatedObject(t *testing.T) {
 	if _, err := s.Put(k, fr, fd); err != nil {
 		t.Fatal(err)
 	}
-	path := s.objectPath(k)
+	path, off, n := locate(t, s, k)
 	s.Close()
-	blob, _ := os.ReadFile(path)
-	os.WriteFile(path, blob[:len(blob)/3], 0o644)
+	if err := os.Truncate(path, off+n/3); err != nil {
+		t.Fatal(err)
+	}
 
 	s2 := mustOpen(t, dir)
 	defer s2.Close()
 	if s2.Len() != 0 {
-		t.Fatalf("truncated object survived replay validation: %d records", s2.Len())
+		t.Fatalf("truncated record survived replay validation: %d records", s2.Len())
 	}
+
+	// Cut while open, the short read is caught at Get instead.
+	if _, err := s2.Put(k, fr, fd); err != nil {
+		t.Fatal(err)
+	}
+	path, off, n = locate(t, s2, k)
+	if err := os.Truncate(path, off+n/3); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s2.Get(k, fr); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("record cut short under an open store returned %v, want ErrCorrupt", err)
+	}
+	if got, _, err := s2.Get(k, fr); got != nil || err != nil {
+		t.Fatalf("after eviction got (%v, %v), want clean miss", got, err)
+	}
+}
+
+// TestStoreRefusesV1: a store of the per-record-file layout is refused with
+// ErrFormat, and left as it was.
+func TestStoreRefusesV1(t *testing.T) {
+	dir := t.TempDir()
+	v1 := "qfstore v1\nput " + Key{1}.String() + " 3 1200\n"
+	path := filepath.Join(dir, manifestName)
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Open(dir); !errors.Is(err, ErrFormat) {
+		if s != nil {
+			s.Close()
+		}
+		t.Fatalf("Open on a v1 store returned %v, want ErrFormat", err)
+	}
+	if b, _ := os.ReadFile(path); string(b) != v1 {
+		t.Fatalf("refused manifest was rewritten: %q", b)
+	}
+}
+
+// TestStoreFilesPerRecords: a thousand records live in one segment beside
+// the manifest — two files, not one per record.
+func TestStoreFilesPerRecords(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	defer s.Close()
+	blob, err := Encode(randomData(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total, batch = 1000, 100
+	for i := 0; i < total; i += batch {
+		recs := make([]RawRecord, batch)
+		for j := range recs {
+			recs[j] = RawRecord{NAtoms: 1, Blob: blob}
+			recs[j].Key[0], recs[j].Key[1] = byte((i+j)>>8), byte(i+j)
+		}
+		if err := s.PutRaws(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Len() != total {
+		t.Fatalf("indexed %d records, want %d", s.Len(), total)
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) > 2 {
+		t.Fatalf("%d records take %d files, want at most 2", total, len(files))
+	}
+}
+
+// TestStoreClosed: operations after Close are typed errors, never panics or
+// served records.
+func TestStoreClosed(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	k, fr := flatKey(8, 2)
+	if _, err := s.Put(k, fr, randomData(2, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if fd, _, err := s.Get(k, fr); fd != nil || !errors.Is(err, ErrClosed) {
+		t.Fatalf("Get after Close = (%v, %v), want ErrClosed", fd != nil, err)
+	}
+	if b, ok, err := s.GetRaw(k); b != nil || ok || !errors.Is(err, ErrClosed) {
+		t.Fatalf("GetRaw after Close = (%v, %v), want ErrClosed", ok, err)
+	}
+	if _, err := s.Put(k, fr, randomData(2, 8)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Put after Close = %v, want ErrClosed", err)
+	}
+	s.Ref(k, 2) // a no-op, not a panic
 }
 
 func TestStoreStats(t *testing.T) {
@@ -236,6 +362,28 @@ func TestStoreStats(t *testing.T) {
 	}
 	if n := len(st.SortedSizes()); n != 1 {
 		t.Fatalf("SortedSizes has %d entries, want 1", n)
+	}
+	if st.Segments != 1 || st.DeadBytes != 0 {
+		t.Fatalf("Segments = %d, DeadBytes = %d; want 1 segment, no dead bytes", st.Segments, st.DeadBytes)
+	}
+
+	// A record superseded by a later put of its key, and one tombstoned as
+	// corrupt, both leave their bytes behind as dead.
+	_, _, n0 := locate(t, s, k0)
+	s.mu.Lock()
+	delete(s.idx, k0) // unindexed, like a prior run's record: a put writes it anew
+	s.mu.Unlock()
+	if _, err := s.Put(k0, fr0, randomData(3, 0)); err != nil {
+		t.Fatal(err)
+	}
+	k1, _ := flatKey(11, 3)
+	s.mu.Lock()
+	e1 := s.idx[k1]
+	s.mu.Unlock()
+	s.evict(k1, e1)
+	st = s.Stats()
+	if st.Objects != 2 || st.DeadBytes != n0+e1.n {
+		t.Fatalf("Objects = %d, DeadBytes = %d; want 2 live, %d dead", st.Objects, st.DeadBytes, n0+e1.n)
 	}
 }
 
