@@ -218,20 +218,19 @@ func BenchmarkObsOverhead(b *testing.B) {
 		cfg.Raman.LanczosK = 120
 		for i := 0; i < b.N; i++ {
 			if instrument {
-				// Raise the span cap past the run's demand: a truncated
-				// trace would understate the recording cost.
-				tr := obs.NewTracer()
-				tr.SetMaxSpans(16 << 20)
-				cfg.Sched.Obs = obs.NewScope(tr, obs.NewRegistry())
+				cfg.Sched.Obs = obs.NewScope(obs.NewTracer(), obs.NewRegistry())
 			}
 			res, err := core.ComputeRaman(sys, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
 			if instrument {
-				b.ReportMetric(float64(cfg.Sched.Obs.T.Len()), "spans")
+				b.StopTimer()
+				b.ReportMetric(float64(len(cfg.Sched.Obs.T.Snapshot())), "spans")
+				b.StartTimer()
+				// A truncated trace would understate the recording cost.
 				if d := cfg.Sched.Obs.T.Dropped(); d > 0 {
-					b.Fatalf("tracer dropped %d spans; raise the cap", d)
+					b.Fatalf("tracer dropped %d spans under DefaultMaxSpans", d)
 				}
 				if res.SchedReport.Stragglers == nil {
 					b.Fatal("instrumented run produced no straggler summary")
@@ -261,7 +260,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 			offNS += int64(time.Since(t0))
 
 			tr := obs.NewTracer()
-			tr.SetMaxSpans(16 << 20)
 			cfg.Sched.Obs = obs.NewScope(tr, obs.NewRegistry())
 			t1 := time.Now()
 			if _, err := core.ComputeRaman(sys, cfg); err != nil {
@@ -269,7 +267,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 			}
 			onNS += int64(time.Since(t1))
 			if d := tr.Dropped(); d > 0 {
-				b.Fatalf("tracer dropped %d spans; raise the cap", d)
+				b.Fatalf("tracer dropped %d spans under DefaultMaxSpans", d)
 			}
 		}
 		b.ReportMetric(100*(float64(onNS)/float64(offNS)-1), "overhead-pct")

@@ -246,17 +246,8 @@ func OverlapDeriv(f, g *Func) geom.Vec3 {
 	return geom.V(n*d[0], n*d[1], n*d[2])
 }
 
-// OverlapHessian returns ∂²<f|g>/∂A_a∂A_b (row a, column b) where A is the
-// center of f. The pair depends on A − B alone, so ∂²/∂A∂B = −∂²/∂A² and
-// ∂²/∂B² = ∂²/∂A². Per axis the 1D factor's second A-derivative is
-// 4α²·s(i+2,j) − 2α(2i+1)·s(i,j) + i(i−1)·s(i−2,j).
-func OverlapHessian(f, g *Func) (h [3][3]float64) {
-	t := axes1D(f, g, 2)
-	return OverlapHessianFrom(&t, f, g)
-}
-
 // PairTables returns the per-axis OS tables of two s or p functions' centers
-// and exponents at the extent OverlapHessian needs for any pair of s or p
+// and exponents at the extent OverlapHessianFrom needs for any pair of s or p
 // functions with those centers and exponents. An entry does not depend on the
 // table's extent, so one table serves every function pair of two atoms of a
 // minimal basis (ForAtoms gives an atom's functions one exponent).
@@ -269,8 +260,12 @@ func PairTables(f, g *Func) (out [3][4][4]float64) {
 	return out
 }
 
-// OverlapHessianFrom is OverlapHessian of f and g read from tables t of their
-// centers and exponents (axes1D with two extra powers, or PairTables).
+// OverlapHessianFrom returns ∂²<f|g>/∂A_a∂A_b (row a, column b) where A is
+// the center of f, read from tables t of the two functions' centers and
+// exponents (axes1D with two extra powers, or PairTables). The pair depends
+// on A − B alone, so ∂²/∂A∂B = −∂²/∂A² and ∂²/∂B² = ∂²/∂A². Per axis the 1D
+// factor's second A-derivative is
+// 4α²·s(i+2,j) − 2α(2i+1)·s(i,j) + i(i−1)·s(i−2,j).
 func OverlapHessianFrom(t *[3][4][4]float64, f, g *Func) (h [3][3]float64) {
 	var base, der, der2 [3]float64
 	for ax := 0; ax < 3; ax++ {

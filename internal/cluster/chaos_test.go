@@ -10,6 +10,7 @@ import (
 
 	"qframan/internal/constants"
 	"qframan/internal/core"
+	"qframan/internal/faults"
 	"qframan/internal/fragment"
 	"qframan/internal/geom"
 	"qframan/internal/hessian"
@@ -18,6 +19,56 @@ import (
 	"qframan/internal/sched"
 	"qframan/internal/store"
 )
+
+// ChaosConfig is the deterministic frame-level injector: each rate is a
+// probability evaluated against an independent faults.Uniform draw keyed
+// by (Seed, seq, message type), so the schedule is a pure function of the
+// seed — the same discipline as the scheduler's attempt-level injector.
+type ChaosConfig struct {
+	Seed int64
+	// DropRate is the probability of swallowing a frame.
+	DropRate float64
+	// CorruptRate is the probability of flipping a payload bit.
+	CorruptRate float64
+	// SeverRate is the probability of closing the connection instead of
+	// writing.
+	SeverRate float64
+	// DelayRate and Delay stall a frame's write.
+	DelayRate float64
+	Delay     time.Duration
+	// Protect exempts message types from destructive faults (e.g. keep
+	// the handshake clean so a test exercises steady-state recovery, not
+	// connect storms). Delay still applies.
+	Protect map[MsgType]bool
+}
+
+// Draw salts, one per fault class (arbitrary distinct constants).
+const (
+	saltDrop = iota + 0x6200
+	saltCorrupt
+	saltSever
+	saltDelay
+)
+
+// PlanFrame implements FrameInjector.
+func (c ChaosConfig) PlanFrame(seq int, t MsgType) FramePlan {
+	var plan FramePlan
+	if c.DelayRate > 0 && faults.Uniform(c.Seed, seq, int(t), saltDelay) < c.DelayRate {
+		plan.Delay = c.Delay
+	}
+	if c.Protect[t] {
+		return plan
+	}
+	switch {
+	case c.SeverRate > 0 && faults.Uniform(c.Seed, seq, int(t), saltSever) < c.SeverRate:
+		plan.Sever = true
+	case c.DropRate > 0 && faults.Uniform(c.Seed, seq, int(t), saltDrop) < c.DropRate:
+		plan.Drop = true
+	case c.CorruptRate > 0 && faults.Uniform(c.Seed, seq, int(t), saltCorrupt) < c.CorruptRate:
+		plan.Corrupt = true
+	}
+	return plan
+}
 
 // severResults is a worker-side injector that models kill -9 from the
 // coordinator's point of view: the instant the worker tries to report its

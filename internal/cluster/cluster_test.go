@@ -301,7 +301,7 @@ func TestHandshakeVersionSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := WriteFrame(c, MsgHello, Hello{Role: RoleClient, Proto: 0}.encode()); err != nil {
+	if _, err := c.Write(EncodeFrame(MsgHello, Hello{Role: RoleClient, Proto: 0}.encode())); err != nil {
 		t.Fatal(err)
 	}
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -346,7 +346,7 @@ func TestWorkerVersionSkewPermanent(t *testing.T) {
 				return
 			}
 			ReadFrame(c, 0)
-			WriteFrame(c, MsgReject, Reject{Code: RejectVersion, Reason: "nope"}.encode())
+			c.Write(EncodeFrame(MsgReject, Reject{Code: RejectVersion, Reason: "nope"}.encode()))
 			c.Close()
 		}
 	}()

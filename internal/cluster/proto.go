@@ -156,44 +156,6 @@ func EncodeFrame(t MsgType, payload []byte) []byte {
 	return appendU32(b, crc32.Checksum(b, castagnoli))
 }
 
-// DecodeFrame parses one complete frame from b, which must contain exactly
-// one frame (the fuzz target's entry point). Stream consumers use
-// ReadFrame instead.
-func DecodeFrame(b []byte) (Frame, error) {
-	if len(b) < headerSize+trailerSize {
-		return Frame{}, fmt.Errorf("%w: %d bytes, need at least %d", ErrBadFrame, len(b), headerSize+trailerSize)
-	}
-	if string(b[:4]) != frameMagic {
-		return Frame{}, fmt.Errorf("%w: bad magic", ErrBadFrame)
-	}
-	if v := readU16(b[4:]); v != FrameVersion {
-		return Frame{}, fmt.Errorf("%w: frame version %d, want %d", ErrFrameVersion, v, FrameVersion)
-	}
-	n := int(readU32(b[7:]))
-	if n > DefaultMaxPayload {
-		return Frame{}, fmt.Errorf("%w: payload %d > %d", ErrFrameTooLarge, n, DefaultMaxPayload)
-	}
-	if len(b) != headerSize+n+trailerSize {
-		return Frame{}, fmt.Errorf("%w: length %d, header declares payload %d", ErrBadFrame, len(b), n)
-	}
-	body := b[:headerSize+n]
-	if got, want := readU32(b[headerSize+n:]), crc32.Checksum(body, castagnoli); got != want {
-		return Frame{}, fmt.Errorf("%w: CRC mismatch", ErrBadFrame)
-	}
-	t := MsgType(b[6])
-	if t == 0 || t > msgMax {
-		return Frame{}, fmt.Errorf("%w: unknown message type %d", ErrBadFrame, uint8(t))
-	}
-	payload := make([]byte, n)
-	copy(payload, b[headerSize:headerSize+n])
-	return Frame{Type: t, Payload: payload}, nil
-}
-
-// WriteFrame encodes and writes one frame, returning the bytes written.
-func WriteFrame(w io.Writer, t MsgType, payload []byte) (int, error) {
-	return w.Write(EncodeFrame(t, payload))
-}
-
 // ReadFrame reads exactly one frame from the stream. maxPayload bounds the
 // declared payload length (≤ 0 selects DefaultMaxPayload). It returns the
 // decoded frame and the total bytes consumed. Any framing error poisons

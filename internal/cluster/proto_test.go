@@ -14,39 +14,38 @@ func TestFrameRoundtripAllTypes(t *testing.T) {
 	for mt := MsgType(1); mt <= msgMax; mt++ {
 		for _, p := range payloads {
 			b := EncodeFrame(mt, p)
-			f, err := DecodeFrame(b)
+			f, n, err := ReadFrame(bytes.NewReader(b), 0)
 			if err != nil {
 				t.Fatalf("%s payload %d: %v", mt, len(p), err)
 			}
-			if f.Type != mt || !bytes.Equal(f.Payload, p) {
-				t.Fatalf("%s payload %d: roundtrip mismatch", mt, len(p))
-			}
-			// The stream reader must agree with the whole-buffer decoder.
-			rf, n, err := ReadFrame(bytes.NewReader(b), 0)
-			if err != nil || n != len(b) || rf.Type != mt || !bytes.Equal(rf.Payload, p) {
-				t.Fatalf("%s payload %d: ReadFrame disagrees (n=%d err=%v)", mt, len(p), n, err)
+			if n != len(b) || f.Type != mt || !bytes.Equal(f.Payload, p) {
+				t.Fatalf("%s payload %d: roundtrip mismatch (%d of %d bytes read)", mt, len(p), n, len(b))
 			}
 		}
 	}
 }
 
+// TestDecodeFrameRejectsDamage: the stream reader refuses every damaged
+// frame, and a buffer holding one frame plus trailing bytes is not consumed
+// whole.
 func TestDecodeFrameRejectsDamage(t *testing.T) {
 	valid := EncodeFrame(MsgHeartbeat, Heartbeat{Inflight: 3}.encode())
 
+	// want nil: the frame parses but leaves bytes unread.
 	cases := []struct {
 		name string
 		mut  func([]byte) []byte
 		want error
 	}{
-		{"empty", func(b []byte) []byte { return nil }, ErrBadFrame},
-		{"truncated header", func(b []byte) []byte { return b[:7] }, ErrBadFrame},
+		{"empty", func(b []byte) []byte { return nil }, io.EOF},
+		{"truncated header", func(b []byte) []byte { return b[:7] }, io.ErrUnexpectedEOF},
 		{"truncated body", func(b []byte) []byte { return b[:len(b)-5] }, ErrBadFrame},
 		{"bad magic", func(b []byte) []byte { b[0] = 'X'; return b }, ErrBadFrame},
 		{"frame version skew", func(b []byte) []byte { b[4] = 2; return b }, ErrFrameVersion},
 		{"payload bit flip", func(b []byte) []byte { b[headerSize] ^= 0x80; return b }, ErrBadFrame},
 		{"header bit flip", func(b []byte) []byte { b[6] ^= 0x01; return b }, ErrBadFrame},
 		{"CRC bit flip", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }, ErrBadFrame},
-		{"trailing garbage", func(b []byte) []byte { return append(b, 0) }, ErrBadFrame},
+		{"trailing garbage", func(b []byte) []byte { return append(b, 0) }, nil},
 		{"giant declared length", func(b []byte) []byte {
 			b[7], b[8], b[9], b[10] = 0xFF, 0xFF, 0xFF, 0x7F
 			return b
@@ -54,7 +53,14 @@ func TestDecodeFrameRejectsDamage(t *testing.T) {
 	}
 	for _, tc := range cases {
 		b := tc.mut(append([]byte(nil), valid...))
-		if _, err := DecodeFrame(b); !errors.Is(err, tc.want) {
+		_, n, err := ReadFrame(bytes.NewReader(b), 0)
+		if tc.want == nil {
+			if err != nil || n == len(b) {
+				t.Errorf("%s: read %d of %d bytes (err %v), want one frame and bytes left", tc.name, n, len(b), err)
+			}
+			continue
+		}
+		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
 	}
@@ -62,7 +68,7 @@ func TestDecodeFrameRejectsDamage(t *testing.T) {
 	// A structurally perfect frame with an out-of-range message type is
 	// corrupt, not a future protocol extension: type is covered by the CRC.
 	bad := EncodeFrame(msgMax+1, nil)
-	if _, err := DecodeFrame(bad); !errors.Is(err, ErrBadFrame) {
+	if _, _, err := ReadFrame(bytes.NewReader(bad), 0); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("unknown type: got %v, want ErrBadFrame", err)
 	}
 }
@@ -96,10 +102,10 @@ func TestReadFrameTruncatedStream(t *testing.T) {
 	}
 }
 
-// FuzzDecodeClusterFrame is the protocol's structural fuzz target: no input
-// may panic or over-allocate, and anything DecodeFrame accepts must
-// re-encode to exactly the input bytes (the frame layout is canonical) and
-// be accepted identically by the stream reader.
+// FuzzDecodeClusterFrame is the protocol's structural fuzz target on the
+// stream reader every connection runs: no input may panic or over-allocate,
+// and any frame ReadFrame accepts must re-encode to exactly the bytes it
+// consumed (the frame layout is canonical).
 func FuzzDecodeClusterFrame(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add(EncodeFrame(MsgHello, Hello{Role: RoleWorker, Proto: ProtoVersion, Slots: 4, Name: "w0"}.encode()))
@@ -124,19 +130,15 @@ func FuzzDecodeClusterFrame(f *testing.F) {
 	f.Add(append([]byte("QFXX"), EncodeFrame(MsgBye, nil)[4:]...))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		fr, err := DecodeFrame(b)
+		fr, n, err := ReadFrame(bytes.NewReader(b), 0)
 		if err != nil {
 			return
 		}
 		if fr.Type == 0 || fr.Type > msgMax {
 			t.Fatalf("accepted out-of-range message type %d", fr.Type)
 		}
-		if got := EncodeFrame(fr.Type, fr.Payload); !bytes.Equal(got, b) {
-			t.Fatalf("accepted frame is not canonical: re-encodes to %d bytes from %d", len(got), len(b))
-		}
-		sf, n, err := ReadFrame(bytes.NewReader(b), 0)
-		if err != nil || n != len(b) || sf.Type != fr.Type || !bytes.Equal(sf.Payload, fr.Payload) {
-			t.Fatalf("ReadFrame disagrees with DecodeFrame (n=%d err=%v)", n, err)
+		if got := EncodeFrame(fr.Type, fr.Payload); !bytes.Equal(got, b[:n]) {
+			t.Fatalf("accepted frame is not canonical: re-encodes to %d bytes from %d", len(got), n)
 		}
 		// The option-carrying payloads are canonical too: a JOB or LEASE the
 		// decoder accepts is exactly the encoding of what it decoded to.

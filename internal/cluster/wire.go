@@ -26,20 +26,6 @@ const (
 	TierFetch   uint8 = 3 // worker fetched the blob from the coordinator
 )
 
-// TierName returns the metrics/report name of a cache tier.
-func TierName(t uint8) string {
-	switch t {
-	case TierLocal:
-		return "local"
-	case TierCoord:
-		return "coord"
-	case TierFetch:
-		return "fetch"
-	default:
-		return "compute"
-	}
-}
-
 // Hello opens every connection: the peer's role, application protocol
 // version, lease capacity (workers), and display name.
 type Hello struct {

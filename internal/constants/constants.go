@@ -130,9 +130,6 @@ var elements = [numElements]elemData{
 // MassAMU returns the atomic mass in amu.
 func (e Element) MassAMU() float64 { return elements[e].massA }
 
-// MassAU returns the atomic mass in electron masses (atomic units).
-func (e Element) MassAU() float64 { return elements[e].massA * AMUToElectronMass }
-
 // CovalentRadius returns the covalent radius in Å.
 func (e Element) CovalentRadius() float64 { return elements[e].covalentR }
 

@@ -40,9 +40,6 @@ func TestElementData(t *testing.T) {
 		if el.MassAMU() <= 0 || el.CovalentRadius() <= 0 || el.HubbardU() <= 0 || el.GaussianAlpha() <= 0 {
 			t.Fatalf("%v has non-positive parameters", el)
 		}
-		if el.MassAU() <= el.MassAMU() {
-			t.Fatalf("%v: a.u. mass must exceed amu mass", el)
-		}
 		if el.OnsiteS() >= 0 {
 			t.Fatalf("%v: valence s level should be bound (negative)", el)
 		}

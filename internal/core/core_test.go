@@ -148,7 +148,7 @@ func TestHessianOnlyRun(t *testing.T) {
 	if res.Spectrum != nil {
 		t.Fatal("Hessian-only run produced a spectrum")
 	}
-	if res.Global.H.NNZ() == 0 {
+	if len(res.Global.H.Val) == 0 {
 		t.Fatal("empty Hessian")
 	}
 }

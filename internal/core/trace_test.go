@@ -42,8 +42,8 @@ func TestGoldenTraceStructure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exported trace does not parse back: %v", err)
 	}
-	if len(spans) != tr.Len() {
-		t.Fatalf("roundtrip lost spans: exported %d, read %d", tr.Len(), len(spans))
+	if n := len(tr.Snapshot()); len(spans) != n {
+		t.Fatalf("roundtrip lost spans: exported %d, read %d", n, len(spans))
 	}
 
 	byID := make(map[uint64]obs.SpanRecord, len(spans))

@@ -134,11 +134,6 @@ type Response struct {
 	Metrics PhaseMetrics
 }
 
-// MeanPolarizability returns ᾱ = tr(α)/3.
-func (r *Response) MeanPolarizability() float64 {
-	return (r.Alpha[0][0] + r.Alpha[1][1] + r.Alpha[2][2]) / 3
-}
-
 // Polarizability computes the static polarizability tensor of a converged
 // ground state by running one DFPT response per field direction: the one-shot
 // form of Workspace.Polarizability. The Response owns its storage.

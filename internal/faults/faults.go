@@ -230,14 +230,6 @@ func (in *RandomInjector) Plan(frag, attempt int) Action {
 	return act
 }
 
-// WouldFault reports whether Plan(frag, attempt) would inject a fault
-// (error, NaN, or panic — not a mere delay). Tests use it to precompute the
-// exact fault population for a seed.
-func (in *RandomInjector) WouldFault(frag, attempt int) bool {
-	a := in.Plan(frag, attempt)
-	return a.Err != nil || a.NaN || a.Panic
-}
-
 // Uniform is a deterministic hash-based draw in [0,1) from the tuple
 // (seed, frag, attempt, salt) through a splitmix-style finalizer.
 func Uniform(seed int64, frag, attempt, salt int) float64 {

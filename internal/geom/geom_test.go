@@ -47,22 +47,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestAngle(t *testing.T) {
-	// Right angle at origin.
-	a := Vec3{1, 0, 0}
-	b := Vec3{0, 0, 0}
-	c := Vec3{0, 1, 0}
-	if got := Angle(a, b, c); math.Abs(got-math.Pi/2) > 1e-14 {
-		t.Fatalf("Angle = %v want π/2", got)
-	}
-	// Water-like angle: 104.5°.
-	theta := 104.5 * math.Pi / 180
-	c2 := Vec3{math.Cos(theta), math.Sin(theta), 0}
-	if got := Angle(a, b, c2); math.Abs(got-theta) > 1e-12 {
-		t.Fatalf("Angle = %v want %v", got, theta)
-	}
-}
-
 func TestRotateAbout(t *testing.T) {
 	p := Vec3{1, 0, 0}
 	got := RotateAbout(p, Vec3{}, Vec3{0, 0, 1}, math.Pi/2)

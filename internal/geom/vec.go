@@ -57,19 +57,6 @@ func (v Vec3) Normalize() Vec3 {
 	return v.Scale(1 / n)
 }
 
-// Angle returns the angle in radians at vertex b of the triangle a-b-c.
-func Angle(a, b, c Vec3) float64 {
-	u := a.Sub(b).Normalize()
-	w := c.Sub(b).Normalize()
-	d := u.Dot(w)
-	if d > 1 {
-		d = 1
-	} else if d < -1 {
-		d = -1
-	}
-	return math.Acos(d)
-}
-
 // RotateAbout rotates point p about the axis through origin o with unit
 // direction axis by angle theta (radians, right-hand rule).
 func RotateAbout(p, o, axis Vec3, theta float64) Vec3 {

@@ -45,7 +45,7 @@ func TestAssembleDegradedDropsExactlyTheFailedTerms(t *testing.T) {
 	dec := twoAtomDecomposition()
 	masses := []float64{constants.O.MassAMU(), constants.O.MassAMU()}
 
-	full, err := Assemble(dec, masses, []*FragmentData{unitFragmentData(2), unitFragmentData(3)}, true)
+	full, err := AssembleDegraded(dec, masses, []*FragmentData{unitFragmentData(2), unitFragmentData(3)}, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestAssembleStillRejectsSilentLoss(t *testing.T) {
 	dec := twoAtomDecomposition()
 	masses := []float64{constants.O.MassAMU(), constants.O.MassAMU()}
 	// nil data without a matching failed entry must stay an error.
-	if _, err := Assemble(dec, masses, []*FragmentData{unitFragmentData(1), nil}, false); err == nil {
+	if _, err := AssembleDegraded(dec, masses, []*FragmentData{unitFragmentData(1), nil}, false, nil); err == nil {
 		t.Fatal("silent data loss assembled")
 	}
 	if _, err := AssembleDegraded(dec, masses, []*FragmentData{unitFragmentData(1), nil}, false, []int{0}); err == nil {

@@ -613,18 +613,15 @@ type Global struct {
 	Dropped []int
 }
 
-// Assemble combines per-fragment data with the Eq. 1 coefficients into the
-// global mass-weighted Hessian and ∂α/∂ξ vectors. massesAMU are per-atom
-// masses in amu (as returned by structure.System.Masses); frags[i] must
-// correspond to dec.Fragments[i]. Cap-hydrogen rows (GlobalIdx −1) are
+// AssembleDegraded combines per-fragment data with the Eq. 1 coefficients
+// into the global mass-weighted Hessian and ∂α/∂ξ vectors. massesAMU are
+// per-atom masses in amu (as returned by structure.System.Masses); frags[i]
+// must correspond to dec.Fragments[i]. Cap-hydrogen rows (GlobalIdx −1) are
 // dropped — their contributions cancel between the positively and negatively
 // signed terms of the combination.
-func Assemble(dec *fragment.Decomposition, massesAMU []float64, frags []*FragmentData, withAlpha bool) (*Global, error) {
-	return AssembleDegraded(dec, massesAMU, frags, withAlpha, nil)
-}
-
-// AssembleDegraded is Assemble with a fail-soft allowance: fragments listed
-// in failed may have nil data — their signed Eq. 1 terms are dropped from
+//
+// failed is the fail-soft allowance (nil for a complete assembly): fragments
+// listed in it may have nil data — their signed Eq. 1 terms are dropped from
 // the sums and recorded in Global.Dropped — so a run that lost K fragments
 // still yields a spectrum with exactly-known missing contributions. A nil
 // entry for a fragment *not* in failed is still an error: silent data loss
@@ -740,15 +737,4 @@ func sqrtAU(m float64) float64 {
 		panic("hessian: non-positive mass")
 	}
 	return math.Sqrt(m)
-}
-
-// ModelForFragmentNoCal builds the fragment model without force-balance
-// calibration (diagnostics and benchmarks that only need the electronic
-// problem).
-func ModelForFragmentNoCal(f *fragment.Fragment) (*scf.Model, error) {
-	m, err := scf.NewModel(f.Els, f.Pos)
-	if err != nil {
-		return nil, fmt.Errorf("hessian: fragment %d (%s): %w", f.ID, f.Kind, err)
-	}
-	return m, nil
 }

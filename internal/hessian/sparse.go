@@ -24,9 +24,6 @@ type Sparse struct {
 // Dim returns the matrix dimension.
 func (s *Sparse) Dim() int { return s.N }
 
-// NNZ returns the number of stored nonzeros.
-func (s *Sparse) NNZ() int { return len(s.Val) }
-
 // MulVec computes y = S·x, row-sharded across the kernel pool. Each row
 // accumulates in four independent chains over its column range — the fixed
 // association depends only on the row's nonzero count, so results are
@@ -126,25 +123,6 @@ func (s *Sparse) At(i, j int) float64 {
 		return s.Val[k]
 	}
 	return 0
-}
-
-// MaxAbsAsymmetry returns max |S_ij − S_ji| — a health check; the assembled
-// mass-weighted Hessian must be symmetric.
-func (s *Sparse) MaxAbsAsymmetry() float64 {
-	var worst float64
-	for i := 0; i < s.N; i++ {
-		for k := s.RowPtr[i]; k < s.RowPtr[i+1]; k++ {
-			j := int(s.Col[k])
-			d := s.Val[k] - s.At(j, i)
-			if d < 0 {
-				d = -d
-			}
-			if d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst
 }
 
 // Builder accumulates COO triplets and compresses them to CSR.

@@ -6,31 +6,15 @@ import (
 	"testing"
 )
 
-func BenchmarkRun(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	n := 600
-	m := randomSymmetric(rng, n)
-	d := randomVector(rng, n)
-	opt := Options{K: 100}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Run(DenseOperator{m}, d, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkGAGQRule(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	m := randomSymmetric(rng, 400)
 	d := randomVector(rng, 400)
-	t, _, err := Run(DenseOperator{m}, d, Options{K: 150})
-	if err != nil {
-		b.Fatal(err)
-	}
+	t, _ := run(b, denseOperator{m}, d, 150)
+	r := newRule(t.K())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := t.GAGQRule(); err != nil {
+		if err := r.build(t, true); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -40,7 +24,7 @@ func BenchmarkGAGQRule(b *testing.B) {
 // block-sparse operator — the benchmark workloads' 81-atom Hessian (n = 243,
 // K = 120) and a 10⁴-atom one (n = 30 000, K = 16, so the Lanczos vectors
 // stay at 27 MB): the lockstep plan, reused across iterations, against seven
-// Run calls.
+// one-column plans built per solve.
 func BenchmarkSolve(b *testing.B) {
 	for _, size := range []struct{ atoms, k int }{{81, 120}, {10000, 16}} {
 		op := blockSparse(b, size.atoms, 1)
@@ -68,9 +52,7 @@ func BenchmarkSolve(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, d := range starts {
-					if _, _, err := Run(op, d, opt); err != nil {
-						b.Fatal(err)
-					}
+					run(b, op, d, size.k)
 				}
 			}
 		})

@@ -13,8 +13,7 @@
 // eigenvectors (Golub–Welsch), and the plan owns every vector involved. A
 // recurrence reorthogonalizes only on the steps where Simon's ω-recurrence
 // says its vectors are losing orthogonality (partial reorthogonalization,
-// Simon 1984), not on every step. Run and SpectralDensity are its
-// one-column, one-shot forms.
+// Simon 1984), not on every step. Plan is the package's only solver.
 package lanczos
 
 import (
@@ -32,17 +31,6 @@ type Operator interface {
 	Dim() int
 	// MulVec computes y = A·x; x and y have length Dim().
 	MulVec(x, y []float64)
-}
-
-// DenseOperator adapts a symmetric dense matrix to the Operator interface.
-type DenseOperator struct{ M *linalg.Matrix }
-
-// Dim returns the dimension.
-func (d DenseOperator) Dim() int { return d.M.Rows }
-
-// MulVec computes y = M·x.
-func (d DenseOperator) MulVec(x, y []float64) {
-	linalg.Gemv(false, 1, d.M, x, 0, y, nil)
 }
 
 // RowsOperator is an Operator that can take its product with several vectors
@@ -77,33 +65,10 @@ type Options struct {
 	K int
 }
 
-// DefaultOptions returns settings adequate for vibrational densities.
-func DefaultOptions() Options { return Options{K: 150} }
-
 // ErrQuadrature reports that the eigen-solve of the (augmented) Lanczos
 // tridiagonal did not converge — in practice a non-finite recurrence. It is
 // deterministic for a given Hessian: the runtime must not retry it.
 var ErrQuadrature = errors.New("lanczos: quadrature eigen-solve failed")
-
-// Run executes the Lanczos recurrence from the (not necessarily normalized)
-// start vector d: the one-column case of Plan.Solve. It returns the
-// tridiagonal coefficients and ‖d‖. The recurrence stops early (fewer than K
-// steps) if an invariant subspace is found; Beta then ends with the (tiny)
-// terminating coefficient.
-func Run(op Operator, d []float64, opt Options) (*Tridiagonal, float64, error) {
-	p, err := NewPlan(op, 1, opt)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := p.Solve([][]float64{d}); err != nil {
-		return nil, 0, err
-	}
-	t, norm := p.Tridiagonal(0)
-	if t == nil {
-		return nil, 0, fmt.Errorf("lanczos: zero start vector")
-	}
-	return t, norm, nil
-}
 
 // rule is the quadrature of one recurrence: the diagonal, off-diagonal and
 // eigenvector-first-row work vectors of T_k or T̂ (2K−1 entries hold either),
@@ -206,80 +171,4 @@ func (r *rule) densRange(_, lo, hi int) {
 		}
 		r.out[xi] = r.scale * s
 	}
-}
-
-// ruleOf builds a one-shot rule for t.
-func ruleOf(t *Tridiagonal, gagq bool) (*rule, error) {
-	r := newRule(max(t.K(), 1))
-	if err := r.build(t, gagq); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// GaussRule returns the Gauss quadrature nodes (Ritz values) and weights of
-// the plain k-step rule: nodes are eigenvalues of T_k, weights the squared
-// first components of its eigenvectors. The error wraps ErrQuadrature.
-func (t *Tridiagonal) GaussRule() (nodes, weights []float64, err error) {
-	r, err := ruleOf(t, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r.nodes, r.weights, nil
-}
-
-// GAGQRule returns the generalized averaged Gauss rule of Spalević built
-// from k Lanczos steps, 2k−1 nodes (see rule.build); after an early
-// termination, or for k < 2, it is the plain Gauss rule.
-func (t *Tridiagonal) GAGQRule() (nodes, weights []float64, err error) {
-	r, err := ruleOf(t, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r.nodes, r.weights, nil
-}
-
-// SpectralDensity evaluates s(x) = dᵀ·g_σ(x − H)·d on the given x values,
-// where g_σ is a normalized Gaussian — the regularized δ of the paper's
-// Eq. (8). transform maps operator eigenvalues to the x domain (pass nil
-// for identity); for Raman it converts mass-weighted Hessian eigenvalues to
-// wavenumbers. useGAGQ selects the augmented rule (recommended). The error
-// wraps ErrQuadrature.
-func SpectralDensity(t *Tridiagonal, dNorm float64, xs []float64, sigma float64, transform func(float64) float64, useGAGQ bool) ([]float64, error) {
-	r, err := ruleOf(t, useGAGQ)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(xs))
-	r.density(dNorm, xs, sigma, transform, out)
-	return out, nil
-}
-
-// DenseSpectralDensity is the exact reference: it diagonalizes the operator
-// as a dense matrix and evaluates dᵀ·g_σ(x−H)·d directly. Only feasible for
-// small systems; the validation ladder compares the Lanczos solver to it.
-func DenseSpectralDensity(m *linalg.Matrix, d []float64, xs []float64, sigma float64, transform func(float64) float64) []float64 {
-	vals, vecs := linalg.EigSym(m)
-	n := m.Rows
-	out := make([]float64, len(xs))
-	pref := 1 / (math.Sqrt(2*math.Pi) * sigma)
-	for j := 0; j < n; j++ {
-		var proj float64
-		for i := 0; i < n; i++ {
-			proj += vecs.At(i, j) * d[i]
-		}
-		w := proj * proj
-		x0 := vals[j]
-		if transform != nil {
-			x0 = transform(x0)
-		}
-		for xi, x := range xs {
-			dx := (x - x0) / sigma
-			if dx > 8 || dx < -8 {
-				continue
-			}
-			out[xi] += w * pref * math.Exp(-0.5*dx*dx)
-		}
-	}
-	return out
 }

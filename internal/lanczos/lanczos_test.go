@@ -25,22 +25,122 @@ func randomVector(rng *rand.Rand, n int) []float64 {
 	return d
 }
 
+// denseOperator adapts a symmetric dense matrix to the Operator interface.
+type denseOperator struct{ m *linalg.Matrix }
+
+func (d denseOperator) Dim() int { return d.m.Rows }
+
+func (d denseOperator) MulVec(x, y []float64) { linalg.Gemv(false, 1, d.m, x, 0, y, nil) }
+
+// denseSpectralDensity is the exact reference: it diagonalizes the operator
+// as a dense matrix and evaluates dᵀ·g_σ(x−H)·d directly.
+func denseSpectralDensity(m *linalg.Matrix, d []float64, xs []float64, sigma float64, transform func(float64) float64) []float64 {
+	vals, vecs := linalg.EigSym(m)
+	n := m.Rows
+	out := make([]float64, len(xs))
+	pref := 1 / (math.Sqrt(2*math.Pi) * sigma)
+	for j := 0; j < n; j++ {
+		var proj float64
+		for i := 0; i < n; i++ {
+			proj += vecs.At(i, j) * d[i]
+		}
+		w := proj * proj
+		x0 := vals[j]
+		if transform != nil {
+			x0 = transform(x0)
+		}
+		for xi, x := range xs {
+			dx := (x - x0) / sigma
+			if dx > 8 || dx < -8 {
+				continue
+			}
+			out[xi] += w * pref * math.Exp(-0.5*dx*dx)
+		}
+	}
+	return out
+}
+
+// tridiagonal returns column c's recurrence coefficients and ‖d‖ from the
+// last Solve, or nil for a skipped column: views into the plan, valid until
+// its next Solve.
+func (p *Plan) tridiagonal(c int) (*Tridiagonal, float64) {
+	col := &p.cols[c]
+	if !col.solved {
+		return nil, 0
+	}
+	return &col.tri, col.norm
+}
+
+// run is a one-column solve on a fresh plan: the recurrence from d and ‖d‖.
+func run(t testing.TB, op Operator, d []float64, k int) (*Tridiagonal, float64) {
+	t.Helper()
+	p, err := NewPlan(op, 1, Options{K: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Solve([][]float64{d}); err != nil {
+		t.Fatal(err)
+	}
+	tri, norm := p.tridiagonal(0)
+	if tri == nil {
+		t.Fatal("zero start vector")
+	}
+	return tri, norm
+}
+
+// ruleFor builds tri's quadrature rule: the averaged one when gagq is set,
+// the plain Gauss rule otherwise.
+func ruleFor(tri *Tridiagonal, gagq bool) (*rule, error) {
+	r := newRule(max(tri.K(), 1))
+	if err := r.build(tri, gagq); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// planDensity is one column's density through Plan.Densities, copied out of
+// the plan.
+func planDensity(t testing.TB, op Operator, d []float64, k int, xs []float64, sigma float64, transform func(float64) float64, gagq bool) []float64 {
+	t.Helper()
+	p, err := NewPlan(op, 1, Options{K: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Solve([][]float64{d}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Densities(xs, sigma, transform, gagq); err != nil {
+		t.Fatal(err)
+	}
+	return append([]float64(nil), p.Density(0)...)
+}
+
+// density evaluates tri's rule as a spectral density on xs, the way
+// Plan.Densities does for one column (refRun's coefficients have no plan).
+func density(tri *Tridiagonal, norm float64, xs []float64, sigma float64, transform func(float64) float64, gagq bool) ([]float64, error) {
+	r, err := ruleFor(tri, gagq)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(xs))
+	r.density(norm, xs, sigma, transform, out)
+	return out, nil
+}
+
 func TestFullLanczosRecoversSpectrum(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n := 20
 	m := randomSymmetric(rng, n)
 	d := randomVector(rng, n)
-	tri, _, err := Run(DenseOperator{m}, d, Options{K: n})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tri, _ := run(t, denseOperator{m}, d, n)
 	if tri.K() != n {
 		t.Fatalf("expected %d steps, got %d", n, tri.K())
 	}
-	nodes, weights, err := tri.GaussRule()
+	r, err := ruleFor(tri, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	nodes, weights := r.nodes, r.weights
 	want, _ := linalg.EigSym(m)
 	for i := range want {
 		if math.Abs(nodes[i]-want[i]) > 1e-8 {
@@ -77,14 +177,12 @@ func TestGaussRuleMomentExactness(t *testing.T) {
 	k := 6
 	m := randomSymmetric(rng, n)
 	d := randomVector(rng, n)
-	tri, norm, err := Run(DenseOperator{m}, d, Options{K: k})
+	tri, norm := run(t, denseOperator{m}, d, k)
+	r, err := ruleFor(tri, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, weights, err := tri.GaussRule()
-	if err != nil {
-		t.Fatal(err)
-	}
+	nodes, weights := r.nodes, r.weights
 	exact := momentsExact(m, d, 2*k-1)
 	for p := 0; p <= 2*k-1; p++ {
 		var quad float64
@@ -106,14 +204,12 @@ func TestGAGQMomentExactness(t *testing.T) {
 	k := 6
 	m := randomSymmetric(rng, n)
 	d := randomVector(rng, n)
-	tri, norm, err := Run(DenseOperator{m}, d, Options{K: k})
+	tri, norm := run(t, denseOperator{m}, d, k)
+	r, err := ruleFor(tri, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, weights, err := tri.GAGQRule()
-	if err != nil {
-		t.Fatal(err)
-	}
+	nodes, weights := r.nodes, r.weights
 	if len(nodes) != 2*k-1 {
 		t.Fatalf("GAGQ rule has %d nodes, want %d", len(nodes), 2*k-1)
 	}
@@ -140,15 +236,8 @@ func TestSpectralDensityMatchesDense(t *testing.T) {
 		xs[i] = -12 + 24*float64(i)/100
 	}
 	sigma := 0.6
-	want := DenseSpectralDensity(m, d, xs, sigma, nil)
-	tri, norm, err := Run(DenseOperator{m}, d, Options{K: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := SpectralDensity(tri, norm, xs, sigma, nil, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := denseSpectralDensity(m, d, xs, sigma, nil)
+	got := planDensity(t, denseOperator{m}, d, 50, xs, sigma, nil, true)
 	// Relative L2 error.
 	var num, den float64
 	for i := range xs {
@@ -174,19 +263,9 @@ func TestGAGQBeatsPlainGauss(t *testing.T) {
 		n := 60
 		m := randomSymmetric(rng, n)
 		d := randomVector(rng, n)
-		want := DenseSpectralDensity(m, d, xs, sigma, nil)
-		tri, norm, err := Run(DenseOperator{m}, d, Options{K: 12})
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain, err := SpectralDensity(tri, norm, xs, sigma, nil, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		avg, err := SpectralDensity(tri, norm, xs, sigma, nil, true)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := denseSpectralDensity(m, d, xs, sigma, nil)
+		plain := planDensity(t, denseOperator{m}, d, 12, xs, sigma, nil, false)
+		avg := planDensity(t, denseOperator{m}, d, 12, xs, sigma, nil, true)
 		for i := range xs {
 			errG += (plain[i] - want[i]) * (plain[i] - want[i])
 			errA += (avg[i] - want[i]) * (avg[i] - want[i])
@@ -207,10 +286,7 @@ func TestEarlyTermination(t *testing.T) {
 	}
 	d := make([]float64, n)
 	d[0], d[1], d[2] = 1, 2, 3
-	tri, _, err := Run(DenseOperator{m}, d, Options{K: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tri, _ := run(t, denseOperator{m}, d, 10)
 	if tri.K() > 3 {
 		t.Fatalf("expected ≤3 steps for a 3-dim invariant subspace, got %d", tri.K())
 	}
@@ -226,16 +302,9 @@ func TestTransformApplied(t *testing.T) {
 	}
 	d := randomVector(rng, n)
 	xs := []float64{2.5, 3.0, 3.5, 4.0}
-	tri, norm, err := Run(DenseOperator{m}, d, Options{K: n})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sqrtT := func(x float64) float64 { return math.Sqrt(math.Abs(x)) }
-	got, err := SpectralDensity(tri, norm, xs, 0.2, sqrtT, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := DenseSpectralDensity(m, d, xs, 0.2, sqrtT)
+	got := planDensity(t, denseOperator{m}, d, n, xs, 0.2, sqrtT, true)
+	want := denseSpectralDensity(m, d, xs, 0.2, sqrtT)
 	for i := range xs {
 		if math.Abs(got[i]-want[i]) > 1e-6*math.Max(1, want[i]) {
 			t.Fatalf("transformed density at %v: %v vs %v", xs[i], got[i], want[i])
@@ -243,16 +312,26 @@ func TestTransformApplied(t *testing.T) {
 	}
 }
 
+// TestRunValidation: a one-column run rejects K = 0 and a start vector of
+// the wrong length, and a zero start vector leaves its column without a
+// recurrence.
 func TestRunValidation(t *testing.T) {
-	m := linalg.Identity(4)
-	if _, _, err := Run(DenseOperator{m}, []float64{1, 2}, DefaultOptions()); err == nil {
+	op := denseOperator{linalg.Identity(4)}
+	if _, err := NewPlan(op, 1, Options{K: 0}); err == nil {
+		t.Fatal("accepted K=0")
+	}
+	p, err := NewPlan(op, 1, Options{K: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Solve([][]float64{{1, 2}}); err == nil {
 		t.Fatal("accepted wrong-length start vector")
 	}
-	if _, _, err := Run(DenseOperator{m}, make([]float64, 4), DefaultOptions()); err == nil {
-		t.Fatal("accepted zero start vector")
+	if err := p.Solve([][]float64{make([]float64, 4)}); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := Run(DenseOperator{m}, []float64{1, 0, 0, 0}, Options{K: 0}); err == nil {
-		t.Fatal("accepted K=0")
+	if tri, _ := p.tridiagonal(0); tri != nil {
+		t.Fatal("accepted zero start vector")
 	}
 }
 
@@ -263,7 +342,7 @@ func TestNoReorthogonalizationStillWorksForSmallK(t *testing.T) {
 	n := 40
 	m := randomSymmetric(rng, n)
 	d := randomVector(rng, n)
-	p, err := NewPlan(DenseOperator{m}, 1, Options{K: 8})
+	p, err := NewPlan(denseOperator{m}, 1, Options{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,11 +352,12 @@ func TestNoReorthogonalizationStillWorksForSmallK(t *testing.T) {
 	if st := p.Stats(); st.Reorthogonalized != 0 {
 		t.Fatalf("%d of %d steps swept", st.Reorthogonalized, st.Steps)
 	}
-	tri, norm := p.Tridiagonal(0)
-	nodes, weights, err := tri.GaussRule()
+	tri, norm := p.tridiagonal(0)
+	r, err := ruleFor(tri, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	nodes, weights := r.nodes, r.weights
 	exact := momentsExact(m, d, 3)
 	for p := 0; p <= 3; p++ {
 		var quad float64
@@ -302,14 +382,12 @@ func TestGAGQAfterEarlyTermination(t *testing.T) {
 	}
 	d := make([]float64, n)
 	d[0], d[1], d[2] = 1, 2, 3
-	tri, norm, err := Run(DenseOperator{m}, d, Options{K: 10})
+	tri, norm := run(t, denseOperator{m}, d, 10)
+	r, err := ruleFor(tri, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, weights, err := tri.GAGQRule()
-	if err != nil {
-		t.Fatal(err)
-	}
+	nodes, weights := r.nodes, r.weights
 	var sum float64
 	for _, w := range weights {
 		if math.IsNaN(w) {

@@ -133,7 +133,7 @@ func NewPlan(op Operator, cols int, opt Options) (*Plan, error) {
 
 // Solve runs the recurrences from the (not necessarily normalized) start
 // vectors, column c from starts[c]. A nil or exactly zero start vector skips
-// its column: Tridiagonal and Density return nil for it. The vectors are
+// its column: Density returns nil for it. The vectors are
 // only read, and not kept.
 func (p *Plan) Solve(starts [][]float64) error {
 	if len(starts) > len(p.cols) {
@@ -188,17 +188,6 @@ func (p *Plan) stepCols(_, lo, hi int) {
 	}
 }
 
-// Tridiagonal returns column c's recurrence coefficients and ‖d‖ from the
-// last Solve, or nil for a skipped column. The coefficients are views into
-// the plan, valid until its next Solve.
-func (p *Plan) Tridiagonal(c int) (*Tridiagonal, float64) {
-	col := &p.cols[c]
-	if !col.solved {
-		return nil, 0
-	}
-	return &col.tri, col.norm
-}
-
 // Stats summarizes what the last Solve did.
 type Stats struct {
 	Steps            int // Lanczos steps taken, summed over columns
@@ -226,8 +215,12 @@ func (p *Plan) Stats() Stats {
 }
 
 // Densities evaluates, for every column the last Solve ran, the spectral
-// density s(x) = dᵀ·g_σ(x − H)·d on xs (see SpectralDensity), one column per
-// pool chunk; Density returns the results. The error wraps ErrQuadrature.
+// density s(x) = dᵀ·g_σ(x − H)·d on xs, one column per pool chunk; Density
+// returns the results. g_σ is a normalized Gaussian, the regularized δ of
+// the paper's Eq. (8); transform (nil = identity) maps operator eigenvalues
+// to the x domain, for Raman mass-weighted Hessian eigenvalues to
+// wavenumbers; useGAGQ selects the averaged rule over the plain Gauss rule.
+// The error wraps ErrQuadrature.
 func (p *Plan) Densities(xs []float64, sigma float64, transform func(float64) float64, useGAGQ bool) error {
 	p.dxs, p.sigma, p.transform, p.gagq = xs, sigma, transform, useGAGQ
 	for i := range p.cols {
@@ -393,8 +386,8 @@ func (c *column) sweep(s int) float64 {
 	return ci
 }
 
-// dot is par.Dot(x, y) — its chunk layout, per-chunk association and
-// ascending combine — on the column's own partials.
+// dot is the chunked dot product of par.DotChunk — its chunk layout,
+// per-chunk association and ascending combine — on the column's own partials.
 func (c *column) dot(x, y []float64) float64 {
 	c.kx, c.ky = x, y
 	par.ForChunks("dot", c.n, par.DotChunk, c.dotFn)
@@ -405,7 +398,7 @@ func (c *column) dotChunk(chunk, lo, hi int) {
 	c.part[chunk] = par.DotRange(c.kx, c.ky, lo, hi)
 }
 
-// axpyDot is w += a·x followed by par.Dot(w, y), fused into one sweep with
+// axpyDot is w += a·x followed by dot(w, y), fused into one sweep with
 // the bits of the two: every chunk updates its own range of w before
 // multiplying it, in DotRange's four chains. y may be w.
 func (c *column) axpyDot(a float64, x, y []float64) float64 {

@@ -62,7 +62,14 @@ type refResult struct {
 	qs            [][]float64
 }
 
-// refRun is the recurrence as it stood before the plan — par.Dot, a cloned
+// refDot is the dot product refRun takes: par.ReduceSum over DotRange chunks.
+func refDot(x, y []float64) float64 {
+	return par.ReduceSum("dot", len(x), par.DotChunk, func(lo, hi int) float64 {
+		return par.DotRange(x, y, lo, hi)
+	})
+}
+
+// refRun is the recurrence as it stood before the plan — a chunked dot, a cloned
 // q per step, an appended history, linalg.Axpy sweeps — kept as the
 // differential reference of the lockstep solve (the gemmref/cgref pattern).
 // With full set it runs two Gram–Schmidt passes on every step: the
@@ -73,7 +80,7 @@ type refResult struct {
 func refRun(op Operator, d []float64, k int, full bool) refResult {
 	n := op.Dim()
 	var r refResult
-	r.norm = math.Sqrt(par.SumSq(d))
+	r.norm = math.Sqrt(refDot(d, d))
 	q := make([]float64, n)
 	for i := range q {
 		q[i] = d[i] / r.norm
@@ -91,12 +98,12 @@ func refRun(op Operator, d []float64, k int, full bool) refResult {
 	pair := false
 	for step := 0; step < k; step++ {
 		op.MulVec(q, w)
-		alpha := par.Dot(q, w)
+		alpha := refDot(q, w)
 		r.alphas = append(r.alphas, alpha)
 		for i := range w {
 			w[i] -= alpha*q[i] + betaPrev*qPrev[i]
 		}
-		beta := math.Sqrt(par.SumSq(w))
+		beta := math.Sqrt(refDot(w, w))
 		anorm = math.Max(anorm, math.Abs(alpha)+beta+betaPrev)
 		sweep := full || pair
 		if !sweep {
@@ -119,13 +126,13 @@ func refRun(op Operator, d []float64, k int, full bool) refResult {
 			r.sweeps++
 			for pass := 0; pass < 2; pass++ {
 				for _, qi := range r.qs {
-					c := par.Dot(w, qi)
+					c := refDot(w, qi)
 					if c != 0 {
 						linalg.Axpy(-c, qi, w)
 					}
 				}
 			}
-			beta = math.Sqrt(par.SumSq(w))
+			beta = math.Sqrt(refDot(w, w))
 			for j := 0; j <= step; j++ {
 				omega[step+1][j] = eps1
 			}
@@ -159,9 +166,9 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// TestRunMatchesReferenceBitwise: Run — the one-column case of the lockstep
-// solve, with its fused Gram–Schmidt sweep, plan-owned history and rolling
-// ω rows — returns the reference recurrence's α, β and ‖d‖ bit for bit, and
+// TestRunMatchesReferenceBitwise: a one-column run of the plan — with its
+// fused Gram–Schmidt sweep, plan-owned history and rolling ω rows — returns the
+// reference recurrence's α, β and ‖d‖ bit for bit, and
 // sweeps on the same steps: dense and sparse operators, runs long enough for
 // the ω-recurrence to fire and runs too short for it to, single- and
 // multi-chunk vectors, and a start vector in an invariant subspace.
@@ -178,8 +185,8 @@ func TestRunMatchesReferenceBitwise(t *testing.T) {
 		k        int
 		triggers bool // the ω-recurrence fires within k steps
 	}{
-		{"dense", DenseOperator{randomSymmetric(rng, 40)}, randomVector(rng, 40), 36, true},
-		{"dense-untriggered", DenseOperator{randomSymmetric(rng, 40)}, randomVector(rng, 40), 12, false},
+		{"dense", denseOperator{randomSymmetric(rng, 40)}, randomVector(rng, 40), 36, true},
+		{"dense-untriggered", denseOperator{randomSymmetric(rng, 40)}, randomVector(rng, 40), 12, false},
 		{"sparse", small, randomVector(rng, small.Dim()), 120, true},
 		{"sparse-untriggered", small, randomVector(rng, small.Dim()), 30, false},
 		{"sparse-large", large, randomVector(rng, large.Dim()), 10, false},
@@ -194,10 +201,7 @@ func TestRunMatchesReferenceBitwise(t *testing.T) {
 		if err := p.Solve([][]float64{c.d}); err != nil {
 			t.Fatal(err)
 		}
-		tri, norm, err := Run(c.op, c.d, Options{K: c.k})
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
+		tri, norm := p.tridiagonal(0)
 		if !sameBits(tri.Alpha, want.alphas) || !sameBits(tri.Beta, want.betas) || norm != want.norm {
 			t.Errorf("%s: recurrence differs from the reference (%d steps, reference %d)", c.name, tri.K(), len(want.alphas))
 		}
@@ -227,8 +231,8 @@ func sevenStarts(rng *rand.Rand, n int) [][]float64 {
 }
 
 // TestLockstepMatchesSingleColumns: seven recurrences advanced together —
-// one multi-vector product per step — carry the bits of seven Run calls and
-// sweep on their steps, including a column that leaves the active set early
+// one multi-vector product per step — carry the bits of seven one-column
+// plans and sweep on their steps, including a column that leaves the active set early
 // and two that never enter it; densities likewise.
 func TestLockstepMatchesSingleColumns(t *testing.T) {
 	op := blockSparse(t, 81, 3)
@@ -250,16 +254,12 @@ func TestLockstepMatchesSingleColumns(t *testing.T) {
 	}
 	var sweeps int
 	for c, d := range starts {
-		tri, norm := p.Tridiagonal(c)
+		tri, norm := p.tridiagonal(c)
 		if c == 4 || c == 5 {
 			if tri != nil || p.Density(c) != nil {
 				t.Errorf("column %d: a skipped start produced a recurrence", c)
 			}
 			continue
-		}
-		want, wantNorm, err := Run(op, d, opt)
-		if err != nil {
-			t.Fatal(err)
 		}
 		single, err := NewPlan(op, 1, opt)
 		if err != nil {
@@ -268,27 +268,24 @@ func TestLockstepMatchesSingleColumns(t *testing.T) {
 		if err := single.Solve([][]float64{d}); err != nil {
 			t.Fatal(err)
 		}
-		sweeps += single.Stats().Reorthogonalized
-		if !sameBits(tri.Alpha, want.Alpha) || !sameBits(tri.Beta, want.Beta) || norm != wantNorm || tri.Breakdown != want.Breakdown {
-			t.Errorf("column %d: lockstep recurrence differs from Run (%d steps vs %d)", c, tri.K(), want.K())
-		}
-		wantDens, err := SpectralDensity(want, wantNorm, xs, 0.3, nil, true)
-		if err != nil {
+		if err := single.Densities(xs, 0.3, nil, true); err != nil {
 			t.Fatal(err)
 		}
-		if !sameBits(p.Density(c), wantDens) {
-			t.Errorf("column %d: lockstep density differs from SpectralDensity", c)
+		sweeps += single.Stats().Reorthogonalized
+		want, wantNorm := single.tridiagonal(0)
+		if !sameBits(tri.Alpha, want.Alpha) || !sameBits(tri.Beta, want.Beta) || norm != wantNorm || tri.Breakdown != want.Breakdown {
+			t.Errorf("column %d: lockstep recurrence differs from one column (%d steps vs %d)", c, tri.K(), want.K())
+		}
+		if !sameBits(p.Density(c), single.Density(0)) {
+			t.Errorf("column %d: lockstep density differs from one column's", c)
 		}
 	}
-	if tri, _ := p.Tridiagonal(2); tri.K() > 3 || !tri.Breakdown {
+	if tri, _ := p.tridiagonal(2); tri.K() > 3 || !tri.Breakdown {
 		t.Errorf("trapped column took %d steps, Breakdown = %v", tri.K(), tri.Breakdown)
 	}
 	want := Stats{Steps: 4*opt.K + p.cols[2].step, EarlyStops: 1, SkippedStarts: 2, Reorthogonalized: sweeps}
 	if got := p.Stats(); got != want {
 		t.Errorf("Stats = %+v, want %+v", got, want)
-	}
-	if _, _, err := Run(op, starts[5], opt); err == nil {
-		t.Error("Run accepted a zero start vector")
 	}
 }
 
@@ -315,7 +312,7 @@ func TestSolveWidthInvariance(t *testing.T) {
 		}
 		var r result
 		for c := range starts {
-			tri, _ := p.Tridiagonal(c)
+			tri, _ := p.tridiagonal(c)
 			r.alpha = append(r.alpha, tri.Alpha)
 			r.beta = append(r.beta, tri.Beta)
 			r.dens = append(r.dens, p.Density(c))
@@ -370,26 +367,22 @@ func TestPlanAllocationCeiling(t *testing.T) {
 }
 
 // TestQuadratureFailureIsTyped: a non-finite recurrence exhausts the QL
-// sweeps; every way to a rule reports it as ErrQuadrature instead of
+// sweeps; both rules and a plan's densities report it as ErrQuadrature instead of
 // panicking.
 func TestQuadratureFailureIsTyped(t *testing.T) {
 	bad := &Tridiagonal{Alpha: []float64{1, math.NaN(), 2, 3}, Beta: []float64{0.5, 0.5, 0.5, 0.5}}
-	if _, _, err := bad.GaussRule(); !errors.Is(err, ErrQuadrature) {
-		t.Errorf("GaussRule: %v", err)
+	for _, gagq := range []bool{false, true} {
+		if _, err := ruleFor(bad, gagq); !errors.Is(err, ErrQuadrature) {
+			t.Errorf("rule (GAGQ %v): %v", gagq, err)
+		}
 	}
-	if _, _, err := bad.GAGQRule(); !errors.Is(err, ErrQuadrature) {
-		t.Errorf("GAGQRule: %v", err)
-	}
-	if _, err := SpectralDensity(bad, 1, []float64{0, 1}, 0.1, nil, true); !errors.Is(err, ErrQuadrature) {
-		t.Errorf("SpectralDensity: %v", err)
-	}
-	if _, _, err := (&Tridiagonal{}).GaussRule(); !errors.Is(err, ErrQuadrature) {
+	if _, err := ruleFor(&Tridiagonal{}, false); !errors.Is(err, ErrQuadrature) {
 		t.Errorf("empty recurrence: %v", err)
 	}
 
 	m := linalg.Identity(6)
 	m.Set(2, 2, math.NaN())
-	p, err := NewPlan(DenseOperator{m}, 2, Options{K: 5})
+	p, err := NewPlan(denseOperator{m}, 2, Options{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,11 +395,11 @@ func TestQuadratureFailureIsTyped(t *testing.T) {
 }
 
 func TestPlanValidation(t *testing.T) {
-	op := DenseOperator{linalg.Identity(4)}
-	if _, err := NewPlan(op, 0, DefaultOptions()); err == nil {
+	op := denseOperator{linalg.Identity(4)}
+	if _, err := NewPlan(op, 0, Options{K: 150}); err == nil {
 		t.Error("accepted a plan without columns")
 	}
-	p, err := NewPlan(op, 1, DefaultOptions())
+	p, err := NewPlan(op, 1, Options{K: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,13 +460,13 @@ func TestSemiOrthogonalMatchesFullReorthogonalization(t *testing.T) {
 				p = q
 				continue
 			}
-			a, _ := p.Tridiagonal(0)
-			b, _ := q.Tridiagonal(0)
+			a, _ := p.tridiagonal(0)
+			b, _ := q.tridiagonal(0)
 			if !sameBits(a.Alpha, b.Alpha) || !sameBits(a.Beta, b.Beta) || p.Stats() != q.Stats() {
 				t.Errorf("%s: width %d differs from width 1", c.name, width)
 			}
 		}
-		tri, norm := p.Tridiagonal(0)
+		tri, norm := p.tridiagonal(0)
 		col := &p.cols[0]
 		qs := make([][]float64, tri.K())
 		for s := range qs {
@@ -492,11 +485,11 @@ func TestSemiOrthogonalMatchesFullReorthogonalization(t *testing.T) {
 			xs[i] = lo - 1 + (hi-lo+2)*float64(i)/float64(len(xs)-1)
 		}
 		sigma := (hi - lo) / 100
-		got, err := SpectralDensity(tri, norm, xs, sigma, nil, true)
+		got, err := density(tri, norm, xs, sigma, nil, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := SpectralDensity(fullTri, full.norm, xs, sigma, nil, true)
+		want, err := density(fullTri, full.norm, xs, sigma, nil, true)
 		if err != nil {
 			t.Fatal(err)
 		}

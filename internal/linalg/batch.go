@@ -209,7 +209,3 @@ func (p *BatchPlan) Run(ops *Ops) {
 		transposeInto(p.calls[s.dst].C, p.calls[s.src].C)
 	}
 }
-
-// ExecuteBatched plans and runs a call list once; callers that run the same
-// list repeatedly keep the plan.
-func ExecuteBatched(calls []GemmCall, ops *Ops) { PlanBatch(calls).Run(ops) }

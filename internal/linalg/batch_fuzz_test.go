@@ -160,7 +160,7 @@ func FuzzGemmBatch(f *testing.F) {
 			oracle = append(oracle, w)
 		}
 
-		linalg.ExecuteBatched(calls, nil)
+		linalg.PlanBatch(calls).Run(nil)
 
 		for i := range calls {
 			got, want := calls[i].C.Data, oracle[i].Data

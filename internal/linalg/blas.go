@@ -24,20 +24,6 @@ type Ops struct {
 	TransposeSkips atomic.Int64
 }
 
-// Reset zeroes all counters.
-func (o *Ops) Reset() {
-	o.GEMMCalls.Store(0)
-	o.GEMVCalls.Store(0)
-	o.FLOPs.Store(0)
-	o.BatchCalls.Store(0)
-	o.TransposeSkips.Store(0)
-}
-
-// Snapshot returns the current counter values.
-func (o *Ops) Snapshot() (gemm, gemv, flops, batches int64) {
-	return o.GEMMCalls.Load(), o.GEMVCalls.Load(), o.FLOPs.Load(), o.BatchCalls.Load()
-}
-
 // DefaultOps is the process-wide counter set used when no explicit Ops is
 // supplied.
 var DefaultOps Ops

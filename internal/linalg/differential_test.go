@@ -174,7 +174,7 @@ func TestExecuteBatchedMatchesReference(t *testing.T) {
 		refGemm(transA, transB, 1.5, a, b, 0, w)
 		want = append(want, w)
 	}
-	linalg.ExecuteBatched(calls, nil)
+	linalg.PlanBatch(calls).Run(nil)
 	for i := range calls {
 		if j, ok := bitEqual(calls[i].C.Data, want[i].Data); !ok {
 			t.Fatalf("call %d: C[%d] differs from reference", i, j)
@@ -195,10 +195,10 @@ func TestTransposePairSkipBitExact(t *testing.T) {
 	m2 := linalg.NewMatrix(13, 13)
 	m3 := linalg.NewMatrix(13, 13)
 	var ops linalg.Ops
-	linalg.ExecuteBatched([]linalg.GemmCall{
+	linalg.PlanBatch([]linalg.GemmCall{
 		{TransA: true, Alpha: 1, A: x, B: v, C: m2},
 		{TransA: true, Alpha: 1, A: v, B: x, C: m3},
-	}, &ops)
+	}).Run(&ops)
 	if skips := ops.TransposeSkips.Load(); skips != 1 {
 		t.Fatalf("TransposeSkips = %d, want 1", skips)
 	}

@@ -120,21 +120,6 @@ func EigSymTridiagFirstRow(d, e, z []float64) error {
 	return tqlRows(d, e, z, 1)
 }
 
-// EigvalsSymTridiag computes only the eigenvalues of a symmetric tridiagonal
-// matrix, ascending: the QL iteration carrying no eigenvector components.
-// Inputs are not modified.
-func EigvalsSymTridiag(d, e []float64) []float64 {
-	n := len(d)
-	dd := make([]float64, n)
-	copy(dd, d)
-	ee := make([]float64, n)
-	copy(ee[:n-1], e)
-	if err := tqlRows(dd, ee, nil, 0); err != nil {
-		panic(err)
-	}
-	return dd
-}
-
 // tred2 reduces the symmetric matrix stored in z to tridiagonal form with
 // diagonal d and off-diagonal e (e[0] unused space at index n-1 after shift),
 // accumulating the orthogonal transformation in z.
@@ -307,9 +292,9 @@ func givensNorm(f, g float64) float64 {
 // sort on transposed eigenvector storage: zt holds n = len(d) rows of w
 // entries, row i being the carried components of eigenvector i. tql2 carries
 // all n components (w = n), EigSymTridiagFirstRow only the first (w = 1),
-// EigvalsSymTridiag none (w = 0); every rotation and swap treats the w
-// entries of a row independently, so a component's bits do not depend on
-// which others ride along. On input e[0..n-2] holds the subdiagonal; e is
+// EigSymProjected one per projected vector; every rotation and swap treats
+// the w entries of a row independently, so a component's bits do not depend
+// on which others ride along. On input e[0..n-2] holds the subdiagonal; e is
 // destroyed.
 func tqlRows(d, e, zt []float64, w int) error {
 	n := len(d)
@@ -402,87 +387,4 @@ func tqlRows(d, e, zt []float64, w int) error {
 		}
 	}
 	return nil
-}
-
-// JacobiEig computes eigenvalues and eigenvectors of a symmetric matrix by
-// the cyclic Jacobi method. It is slower than EigSym and exists as an
-// independent cross-check for the validation ladder. Eigenvalues are
-// returned ascending with matching eigenvector columns.
-func JacobiEig(a *Matrix, maxSweeps int) ([]float64, *Matrix) {
-	if a.Rows != a.Cols {
-		panic("linalg: JacobiEig on non-square matrix")
-	}
-	n := a.Rows
-	m := a.Clone()
-	v := Identity(n)
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		var off float64
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += m.At(i, j) * m.At(i, j)
-			}
-		}
-		if off < 1e-30 {
-			break
-		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := m.At(p, q)
-				if math.Abs(apq) < 1e-300 {
-					continue
-				}
-				app, aqq := m.At(p, p), m.At(q, q)
-				theta := (aqq - app) / (2 * apq)
-				t := 1 / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				if theta < 0 {
-					t = -t
-				}
-				c := 1 / math.Sqrt(t*t+1)
-				s := t * c
-				for k := 0; k < n; k++ {
-					akp, akq := m.At(k, p), m.At(k, q)
-					m.Set(k, p, c*akp-s*akq)
-					m.Set(k, q, s*akp+c*akq)
-				}
-				for k := 0; k < n; k++ {
-					apk, aqk := m.At(p, k), m.At(q, k)
-					m.Set(p, k, c*apk-s*aqk)
-					m.Set(q, k, s*apk+c*aqk)
-				}
-				for k := 0; k < n; k++ {
-					vkp, vkq := v.At(k, p), v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
-				}
-			}
-		}
-	}
-	d := make([]float64, n)
-	for i := range d {
-		d[i] = m.At(i, i)
-	}
-	// sort ascending with vectors
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := 1; i < n; i++ {
-		k := idx[i]
-		key := d[k]
-		j := i - 1
-		for j >= 0 && d[idx[j]] > key {
-			idx[j+1] = idx[j]
-			j--
-		}
-		idx[j+1] = k
-	}
-	ds := make([]float64, n)
-	vs := NewMatrix(n, n)
-	for c2, src := range idx {
-		ds[c2] = d[src]
-		for r := 0; r < n; r++ {
-			vs.Set(r, c2, v.At(r, src))
-		}
-	}
-	return ds, vs
 }

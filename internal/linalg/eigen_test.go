@@ -75,8 +75,12 @@ func TestEigSymRandom(t *testing.T) {
 		for _, v := range vals {
 			sum += v
 		}
-		if math.Abs(sum-a.Trace()) > 1e-9 {
-			t.Fatalf("n=%d: eigenvalue sum %v != trace %v", n, sum, a.Trace())
+		var trace float64
+		for i := 0; i < n; i++ {
+			trace += a.At(i, i)
+		}
+		if math.Abs(sum-trace) > 1e-9 {
+			t.Fatalf("n=%d: eigenvalue sum %v != trace %v", n, sum, trace)
 		}
 	}
 }
@@ -85,7 +89,7 @@ func TestEigSymMatchesJacobi(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := randomSymmetric(rng, 12)
 	v1, _ := EigSym(a)
-	v2, vecs2 := JacobiEig(a, 60)
+	v2, vecs2 := jacobiEig(a, 60)
 	for i := range v1 {
 		if math.Abs(v1[i]-v2[i]) > 1e-9 {
 			t.Fatalf("eigenvalue %d: QL %v vs Jacobi %v", i, v1[i], v2[i])
@@ -243,14 +247,14 @@ func TestTridiagonalOracle(t *testing.T) {
 				dense.Set(i-1, i, e[i-1])
 			}
 		}
-		want, _ := JacobiEig(dense, 100)
+		want, _ := jacobiEig(dense, 100)
 		full, _ := EigSymTridiag(d, e)
 		dr, er, z := append([]float64(nil), d...), make([]float64, n), make([]float64, n)
 		copy(er, e)
 		if err := EigSymTridiagFirstRow(dr, er, z); err != nil {
 			t.Fatal(err)
 		}
-		for name, got := range map[string][]float64{"eigenvalues only": EigvalsSymTridiag(d, e), "first row": dr, "full": full} {
+		for name, got := range map[string][]float64{"first row": dr, "full": full} {
 			for j := range want {
 				if math.Abs(got[j]-want[j]) > 1e-12 {
 					t.Fatalf("d=%v e=%v: %s gives %v, Jacobi %v", d, e, name, got, want)
@@ -299,11 +303,15 @@ func TestEigSymTridiag(t *testing.T) {
 		}
 	}
 	checkEigenpairs(t, a, vals, vecs, 1e-10)
-	// Eigenvalue-only path must agree.
-	onlyVals := EigvalsSymTridiag(d, e)
+	// The first-row path's eigenvalues must agree.
+	dr, er := append([]float64(nil), d...), make([]float64, n)
+	copy(er, e)
+	if err := EigSymTridiagFirstRow(dr, er, make([]float64, n)); err != nil {
+		t.Fatal(err)
+	}
 	for i := range vals {
-		if math.Abs(onlyVals[i]-vals[i]) > 1e-11 {
-			t.Fatalf("EigvalsSymTridiag mismatch at %d", i)
+		if math.Abs(dr[i]-vals[i]) > 1e-11 {
+			t.Fatalf("EigSymTridiagFirstRow eigenvalue mismatch at %d", i)
 		}
 	}
 }
@@ -314,7 +322,6 @@ func TestEigSymTridiagInputsPreserved(t *testing.T) {
 	d0 := append([]float64(nil), d...)
 	e0 := append([]float64(nil), e...)
 	EigSymTridiag(d, e)
-	EigvalsSymTridiag(d, e)
 	for i := range d {
 		if d[i] != d0[i] {
 			t.Fatal("EigSymTridiag modified d")
@@ -642,4 +649,86 @@ func TestCholeskySPDProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// jacobiEig computes eigenvalues and eigenvectors of a symmetric matrix by
+// the cyclic Jacobi method: the eigensolver's independent oracle. Eigenvalues are
+// returned ascending with matching eigenvector columns.
+func jacobiEig(a *Matrix, maxSweeps int) ([]float64, *Matrix) {
+	if a.Rows != a.Cols {
+		panic("jacobiEig on non-square matrix")
+	}
+	n := a.Rows
+	m := a.Clone()
+	v := Identity(n)
+	for sweep := 0; sweep < maxSweeps; sweep++ {
+		var off float64
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				off += m.At(i, j) * m.At(i, j)
+			}
+		}
+		if off < 1e-30 {
+			break
+		}
+		for p := 0; p < n-1; p++ {
+			for q := p + 1; q < n; q++ {
+				apq := m.At(p, q)
+				if math.Abs(apq) < 1e-300 {
+					continue
+				}
+				app, aqq := m.At(p, p), m.At(q, q)
+				theta := (aqq - app) / (2 * apq)
+				t := 1 / (math.Abs(theta) + math.Sqrt(theta*theta+1))
+				if theta < 0 {
+					t = -t
+				}
+				c := 1 / math.Sqrt(t*t+1)
+				s := t * c
+				for k := 0; k < n; k++ {
+					akp, akq := m.At(k, p), m.At(k, q)
+					m.Set(k, p, c*akp-s*akq)
+					m.Set(k, q, s*akp+c*akq)
+				}
+				for k := 0; k < n; k++ {
+					apk, aqk := m.At(p, k), m.At(q, k)
+					m.Set(p, k, c*apk-s*aqk)
+					m.Set(q, k, s*apk+c*aqk)
+				}
+				for k := 0; k < n; k++ {
+					vkp, vkq := v.At(k, p), v.At(k, q)
+					v.Set(k, p, c*vkp-s*vkq)
+					v.Set(k, q, s*vkp+c*vkq)
+				}
+			}
+		}
+	}
+	d := make([]float64, n)
+	for i := range d {
+		d[i] = m.At(i, i)
+	}
+	// sort ascending with vectors
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	for i := 1; i < n; i++ {
+		k := idx[i]
+		key := d[k]
+		j := i - 1
+		for j >= 0 && d[idx[j]] > key {
+			idx[j+1] = idx[j]
+			j--
+		}
+		idx[j+1] = k
+	}
+	ds := make([]float64, n)
+	vs := NewMatrix(n, n)
+	for c2, src := range idx {
+		ds[c2] = d[src]
+		for r := 0; r < n; r++ {
+			vs.Set(r, c2, v.At(r, src))
+		}
+	}
+	return ds, vs
 }

@@ -160,43 +160,6 @@ func (m *Matrix) MaxAbsDiff(b *Matrix) float64 {
 	return d
 }
 
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// IsSymmetric reports whether m is square and symmetric to within tol.
-func (m *Matrix) IsSymmetric(tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	n := m.Rows
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if math.Abs(m.Data[i*n+j]-m.Data[j*n+i]) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Trace returns the trace of a square matrix.
-func (m *Matrix) Trace() float64 {
-	if m.Rows != m.Cols {
-		panic("linalg: Trace on non-square matrix")
-	}
-	var t float64
-	for i := 0; i < m.Rows; i++ {
-		t += m.Data[i*m.Cols+i]
-	}
-	return t
-}
-
 // Dot returns the Euclidean inner product of two equal-length vectors.
 // Four independent accumulator chains break the add-latency dependency of
 // the naive loop; the association is a fixed function of the length alone,

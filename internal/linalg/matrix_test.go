@@ -64,7 +64,7 @@ func TestSymmetrize(t *testing.T) {
 	m := randomMatrix(rng, 6, 6)
 	s := m.Clone()
 	s.Symmetrize()
-	if !s.IsSymmetric(0) {
+	if s.MaxAbsDiff(s.T()) != 0 {
 		t.Fatal("Symmetrize did not produce a symmetric matrix")
 	}
 	// (i,j) element should be the average.
@@ -76,11 +76,16 @@ func TestSymmetrize(t *testing.T) {
 
 func TestIdentityTrace(t *testing.T) {
 	id := Identity(5)
-	if id.Trace() != 5 {
-		t.Fatalf("identity trace = %v", id.Trace())
-	}
-	if !id.IsSymmetric(0) {
-		t.Fatal("identity not symmetric")
+	for i := 0; i < 5; i++ {
+		for j := 0; j < 5; j++ {
+			want := 0.0
+			if i == j {
+				want = 1
+			}
+			if id.At(i, j) != want {
+				t.Fatalf("identity (%d,%d) = %v, want %v", i, j, id.At(i, j), want)
+			}
+		}
 	}
 }
 
@@ -160,16 +165,12 @@ func TestGemmCounters(t *testing.T) {
 	c := NewMatrix(8, 8)
 	Gemm(false, false, 1, a, b, 0, c, &ops)
 	Gemm(false, false, 1, a, b, 0, c, &ops)
-	gemm, _, flops, _ := ops.Snapshot()
+	gemm, flops := ops.GEMMCalls.Load(), ops.FLOPs.Load()
 	if gemm != 2 {
 		t.Fatalf("GEMM calls = %d, want 2", gemm)
 	}
 	if want := 2 * GemmFLOPs(8, 8, 8); flops != want {
 		t.Fatalf("FLOPs = %d, want %d", flops, want)
-	}
-	ops.Reset()
-	if g, _, f, _ := ops.Snapshot(); g != 0 || f != 0 {
-		t.Fatal("Reset did not clear counters")
 	}
 }
 
@@ -236,18 +237,6 @@ func TestGemmTransposeProperty(t *testing.T) {
 		ab := MatMul(false, false, a, b, nil)
 		btat := MatMul(true, true, b, a, nil)
 		return ab.T().MaxAbsDiff(btat) < 1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Frobenius norm is invariant under transpose.
-func TestFrobeniusTransposeProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		m := randomMatrix(r, 1+r.Intn(10), 1+r.Intn(10))
-		return math.Abs(m.FrobeniusNorm()-m.T().FrobeniusNorm()) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -88,7 +88,7 @@ func TestGemvWidthInvariance(t *testing.T) {
 // TestExecuteBatchedWidthInvariance runs a mixed-shape batch — several
 // padded shape classes, a literal transpose pair, and one class of 24
 // same-shape calls (enough members that the gemm_batch fan-out really splits
-// across workers) — through ExecuteBatched at kernel widths {1, 3, NumCPU}.
+// across workers) — through a batch plan at kernel widths {1, 3, NumCPU}.
 // Every width must produce bit-identical outputs: grouping, class padding,
 // pair skips, and pool width all invisible.
 func TestExecuteBatchedWidthInvariance(t *testing.T) {
@@ -124,7 +124,7 @@ func TestExecuteBatchedWidthInvariance(t *testing.T) {
 	for _, w := range []int{1, 3, runtime.NumCPU()} {
 		par.SetBudget(w)
 		calls, outs := mk()
-		ExecuteBatched(calls, nil)
+		PlanBatch(calls).Run(nil)
 		if ref == nil {
 			ref = outs
 			continue

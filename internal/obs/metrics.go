@@ -249,14 +249,6 @@ func (h HistSnapshot) Quantile(q float64) float64 {
 	return h.Bounds[len(h.Bounds)-1]
 }
 
-// Mean returns the exact mean of all observations.
-func (h HistSnapshot) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
-}
-
 // Snapshot is a point-in-time copy of a whole registry.
 type Snapshot struct {
 	At       time.Time

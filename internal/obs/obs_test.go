@@ -16,8 +16,7 @@ func TestNilSafety(t *testing.T) {
 	sp.End()
 	sp.SetArg("k", 1)
 	tr.Record(0, 0, "a", "b", 0, time.Millisecond)
-	tr.RecordBatch([]SpanRecord{{ID: 1}})
-	if tr.Snapshot() != nil || tr.Len() != 0 || tr.Dropped() != 0 {
+	if tr.Snapshot() != nil || tr.Dropped() != 0 {
 		t.Fatal("nil tracer should report nothing")
 	}
 	var reg *Registry
@@ -34,10 +33,10 @@ func TestNilSafety(t *testing.T) {
 	sc2, sp2 := sc.Begin("x", "y")
 	sp2.End()
 	sc2.RecordSCF(time.Now(), 3, 5, 0)
-	sc2.RecordDFPTCycle(1, time.Now(), [NumPhases]time.Duration{}, 0)
+	sc2.RecordDFPTCycles(time.Now(), []CycleSample{{Iter: 1}})
 	var fs *FragStats
 	fs.AddPhase(PhaseP1, time.Second)
-	fs.AddCycle()
+	fs.AddCycles(1)
 	fs.AddSCFIters(2)
 	if fs.PhaseTotals() != ([NumPhases]time.Duration{}) || fs.Cycles() != 0 {
 		t.Fatal("nil FragStats should stay zero")
@@ -79,12 +78,12 @@ func TestSpanHierarchyAndSnapshot(t *testing.T) {
 
 func TestTracerMaxSpans(t *testing.T) {
 	tr := NewTracer()
-	tr.SetMaxSpans(10)
+	tr.maxSpans = 10
 	for i := 0; i < 25; i++ {
 		tr.Begin(nil, "s", "c").End()
 	}
-	if tr.Len() != 10 {
-		t.Fatalf("recorded %d spans, want capacity 10", tr.Len())
+	if n := len(tr.Snapshot()); n != 10 {
+		t.Fatalf("recorded %d spans, want capacity 10", n)
 	}
 	if tr.Dropped() != 15 {
 		t.Fatalf("dropped %d spans, want 15", tr.Dropped())
@@ -108,7 +107,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	if p50 < 32 || p50 > 64 {
 		t.Fatalf("p50 = %g, want within (32,64]", p50)
 	}
-	if m := snap.Mean(); math.Abs(m-49.5) > 1e-9 {
+	if m := snap.Sum / float64(snap.Count); math.Abs(m-49.5) > 1e-9 {
 		t.Fatalf("mean = %g, want 49.5", m)
 	}
 }
@@ -147,10 +146,10 @@ func TestChromeTraceRoundtrip(t *testing.T) {
 	att := tr.Begin(frag, "attempt", "sched", A("attempt", 1))
 	dsc := sc.WithSpan(att)
 	start := time.Now()
-	dsc.RecordDFPTCycle(1, start, [NumPhases]time.Duration{
+	dsc.RecordDFPTCycles(start, []CycleSample{{Iter: 1, Durs: [NumPhases]time.Duration{
 		PhaseP1: 40 * time.Microsecond, PhaseN1: 10 * time.Microsecond,
 		PhaseV1: 20 * time.Microsecond, PhaseH1: 30 * time.Microsecond,
-	}, 110*time.Microsecond)
+	}, Total: 110 * time.Microsecond}})
 	att.End()
 	frag.End()
 	run.End()

@@ -16,8 +16,7 @@ func TestConcurrentHammer(t *testing.T) {
 		goroutines = 64
 		events     = 500
 	)
-	tr := NewTracer()
-	tr.SetMaxSpans(int64(goroutines*events*6) + 10)
+	tr := NewTracer() // DefaultMaxSpans holds every span of the run
 	reg := NewRegistry()
 	sc := NewScope(tr, reg)
 	ctr := reg.Counter("hammer_total")
@@ -37,7 +36,7 @@ func TestConcurrentHammer(t *testing.T) {
 					return
 				}
 				_ = tr.Snapshot()
-				_ = tr.Len()
+				_ = tr.Dropped()
 			}
 		}()
 	}
@@ -54,10 +53,10 @@ func TestConcurrentHammer(t *testing.T) {
 				gauge.Set(int64(i))
 				hist.Observe(float64(i) * 1e-6)
 				child, sp := wsc.Begin("work", "test", A("g", int64(g)))
-				child.RecordDFPTCycle(i, time.Now(), [NumPhases]time.Duration{
+				child.RecordDFPTCycles(time.Now(), []CycleSample{{Iter: int32(i), Durs: [NumPhases]time.Duration{
 					PhaseP1: time.Nanosecond, PhaseN1: time.Nanosecond,
 					PhaseV1: time.Nanosecond, PhaseH1: time.Nanosecond,
-				}, 4*time.Nanosecond)
+				}, Total: 4 * time.Nanosecond}})
 				sp.End()
 			}
 			if fs.Cycles() != events {

@@ -183,13 +183,6 @@ func (fs *FragStats) AddPhase(p Phase, d time.Duration) {
 	}
 }
 
-// AddCycle counts one completed DFPT cycle. Nil-safe.
-func (fs *FragStats) AddCycle() {
-	if fs != nil {
-		fs.cycles.Add(1)
-	}
-}
-
 // AddCycles counts a batch of completed DFPT cycles. Nil-safe.
 func (fs *FragStats) AddCycles(n int) {
 	if fs != nil {
@@ -301,19 +294,11 @@ func (s Scope) RecordSCF(start time.Time, iters, fermiEvals, newtonSteps int) {
 	s.FS.AddSCFIters(iters)
 }
 
-// RecordDFPTCycle records one DFPT cycle — a cycle span with exactly four
-// phase children in execution order (n1, v1, h1, p1) — plus the phase
-// histograms and fragment accumulator. It is the single-sample form of
-// RecordDFPTCycles; solvers on the hot path should accumulate locally and
-// flush one batch per solve instead.
-func (s Scope) RecordDFPTCycle(iter int, start time.Time, durs [NumPhases]time.Duration, total time.Duration) {
-	s.RecordDFPTCycles(start, []CycleSample{{Iter: int32(iter), Durs: durs, Total: total}})
-}
-
 // RecordDFPTCycles records one solve's worth of DFPT cycles in a single
-// batch: the phase histograms observe the solve's per-phase totals, the
-// fragment accumulator gains the same totals plus the cycle count, and the
-// tracer stores one compact 64-byte record per cycle under one shard lock
+// batch, each a cycle span with exactly four phase children in execution
+// order (n1, v1, h1, p1): the phase histograms observe the solve's per-phase
+// totals, the fragment accumulator gains the same totals plus the cycle
+// count, and the tracer stores one compact 64-byte record per cycle under one shard lock
 // (expanded to the cycle span and its four phase children at Snapshot).
 // base is the solve's wall-clock anchor; sample offsets are relative to it.
 // Keeping the per-cycle cost to a local append is what holds tracing

@@ -118,17 +118,6 @@ func NewTracer() *Tracer {
 	return &Tracer{epoch: time.Now(), maxSpans: DefaultMaxSpans}
 }
 
-// SetMaxSpans adjusts the span-capacity backstop (0 restores the default).
-func (t *Tracer) SetMaxSpans(n int64) {
-	if t == nil {
-		return
-	}
-	if n <= 0 {
-		n = DefaultMaxSpans
-	}
-	t.maxSpans = n
-}
-
 // Since returns the tracer-epoch offset of an absolute time.
 func (t *Tracer) Since(at time.Time) time.Duration { return at.Sub(t.epoch) }
 
@@ -227,27 +216,6 @@ func (t *Tracer) Record(parent uint64, track int32, name, cat string, start, dur
 	return id
 }
 
-// RecordBatch appends a group of finished spans under a single shard lock —
-// the per-DFPT-cycle fast path (one cycle span plus its four phase
-// children costs one lock acquisition). IDs must already be assigned via
-// NextID.
-func (t *Tracer) RecordBatch(recs []SpanRecord) {
-	if t == nil || len(recs) == 0 {
-		return
-	}
-	if t.recorded.Add(int64(len(recs))) > t.maxSpans {
-		t.recorded.Add(int64(-len(recs)))
-		t.dropped.Add(int64(len(recs)))
-		return
-	}
-	sh := &t.shards[recs[0].ID%spanShards]
-	sh.mu.Lock()
-	for i := range recs {
-		sh.put(recs[i])
-	}
-	sh.mu.Unlock()
-}
-
 // CycleSample is one DFPT cycle as measured by the solver: the start offset
 // from the solve's base clock read, the four phase durations in execution
 // order, and the cycle total. Offsets let the solver mark phase boundaries
@@ -330,14 +298,6 @@ func (t *Tracer) expandCycle(out []SpanRecord, c cycleRec) []SpanRecord {
 	return out
 }
 
-// NextID reserves a span id for hand-built records (RecordBatch).
-func (t *Tracer) NextID() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.nextID.Add(1)
-}
-
 func (t *Tracer) append(rec SpanRecord) {
 	if t.recorded.Add(1) > t.maxSpans {
 		t.recorded.Add(-1)
@@ -356,14 +316,6 @@ func (t *Tracer) Dropped() int64 {
 		return 0
 	}
 	return t.dropped.Load()
-}
-
-// Len reports the number of completed spans currently recorded.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	return int(t.recorded.Load())
 }
 
 // Snapshot returns all completed spans sorted by start time. It is safe

@@ -13,8 +13,9 @@
 //   - Chunk boundaries are a pure function of the problem size n (and the
 //     call site's minChunk), never of the worker count, GOMAXPROCS, or the
 //     token budget. The same n always produces the same chunks.
-//   - Reductions (ReduceSum, Dot, Norm2) compute one partial value per chunk
-//     — each chunk accumulated serially, left to right — and combine the
+//   - Reductions (ReduceSum, and the Lanczos solver's dot products over
+//     DotRange) compute one partial value per chunk — each chunk
+//     accumulated serially, left to right — and combine the
 //     partials in ascending chunk order on the calling goroutine. Which
 //     worker computed a partial, and when, cannot affect the result.
 //   - For bodies must write only to locations owned by their [lo,hi) range;
@@ -341,13 +342,14 @@ func runChunked(name string, size, count, n, helpers int, run func(chunk int)) {
 	}
 }
 
-// DotChunk is the reduction floor for Dot/SumSq: vectors below it take the
-// exact serial path, and longer vectors split into ≥2,048-element chunks —
-// ~µs of fused multiply-add work per chunk, enough to amortize dispatch
-// while giving the long Lanczos vectors of large systems real parallelism.
-// Exported with DotRange for kernels that fuse a dot product into another
-// sweep and must reproduce Dot's bits: ForChunks(…, n, DotChunk, …), one
-// DotRange-associated partial per chunk, partials added in ascending order.
+// DotChunk is the reduction floor of a chunked dot product: vectors below it
+// take the exact serial path, and longer vectors split into ≥2,048-element
+// chunks — ~µs of fused multiply-add work per chunk, enough to amortize
+// dispatch while giving the long Lanczos vectors of large systems real
+// parallelism. A dot product is ForChunks(…, n, DotChunk, …) with one
+// DotRange-associated partial per chunk, partials added in ascending order
+// (ReduceSum's combine), so kernels that fuse one into another sweep keep
+// its bits.
 const DotChunk = 2048
 
 // DotRange is the per-chunk dot body: four independent accumulator chains
@@ -369,24 +371,6 @@ func DotRange(a, b []float64, lo, hi int) float64 {
 		st += a[i] * b[i]
 	}
 	return ((s0 + s1) + (s2 + s3)) + st
-}
-
-// Dot returns the inner product of two equal-length vectors with the
-// deterministic chunked reduction (bit-identical at any width).
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("par: Dot length mismatch")
-	}
-	return ReduceSum("dot", len(a), DotChunk, func(lo, hi int) float64 {
-		return DotRange(a, b, lo, hi)
-	})
-}
-
-// SumSq returns Σ aᵢ² with the deterministic chunked reduction.
-func SumSq(a []float64) float64 {
-	return ReduceSum("dot", len(a), DotChunk, func(lo, hi int) float64 {
-		return DotRange(a, a, lo, hi)
-	})
 }
 
 func minInt(a, b int) int {

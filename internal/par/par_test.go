@@ -63,6 +63,16 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
+// dot is the chunked inner product of DotChunk's doc: DotRange partials
+// combined by ReduceSum.
+func dot(a, b []float64) float64 {
+	return ReduceSum("dot", len(a), DotChunk, func(lo, hi int) float64 {
+		return DotRange(a, b, lo, hi)
+	})
+}
+
+func sumSq(a []float64) float64 { return dot(a, a) }
+
 // TestReduceSumBitIdenticalAcrossWidths is the core determinism property:
 // the same reduction at widths 1, 3, and NumCPU produces bit-identical
 // float64 results.
@@ -79,17 +89,17 @@ func TestReduceSumBitIdenticalAcrossWidths(t *testing.T) {
 	var want, wantSq float64
 	for wi, w := range widths {
 		withBudget(t, w, func() {
-			got := Dot(a, b)
-			gotSq := SumSq(a)
+			got := dot(a, b)
+			gotSq := sumSq(a)
 			if wi == 0 {
 				want, wantSq = got, gotSq
 				return
 			}
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("Dot at width %d: %x != %x (width 1)", w, math.Float64bits(got), math.Float64bits(want))
+				t.Fatalf("dot at width %d: %x != %x (width 1)", w, math.Float64bits(got), math.Float64bits(want))
 			}
 			if math.Float64bits(gotSq) != math.Float64bits(wantSq) {
-				t.Fatalf("SumSq at width %d: %x != %x (width 1)", w, math.Float64bits(gotSq), math.Float64bits(wantSq))
+				t.Fatalf("sumSq at width %d: %x != %x (width 1)", w, math.Float64bits(gotSq), math.Float64bits(wantSq))
 			}
 		})
 	}
@@ -103,8 +113,8 @@ func TestSmallReductionMatchesSerial(t *testing.T) {
 	for _, v := range a {
 		serial += v * v
 	}
-	if got := SumSq(a); math.Float64bits(got) != math.Float64bits(serial) {
-		t.Fatalf("small SumSq diverges from serial: %v != %v", got, serial)
+	if got := sumSq(a); math.Float64bits(got) != math.Float64bits(serial) {
+		t.Fatalf("small sumSq diverges from serial: %v != %v", got, serial)
 	}
 }
 
@@ -134,7 +144,7 @@ func TestPoolStress(t *testing.T) {
 							return float64(h - l)
 						})
 					})
-					s := SumSq(out)
+					s := sumSq(out)
 					if s <= 0 {
 						panic("impossible")
 					}
@@ -151,7 +161,7 @@ func TestObsCounters(t *testing.T) {
 	defer SetObs(nil)
 	withBudget(t, 4, func() {
 		For("obs_kernel", 1<<16, 1, func(lo, hi int) {})
-		_ = Dot(make([]float64, 3), make([]float64, 3)) // inline path
+		_ = dot(make([]float64, 3), make([]float64, 3)) // inline path
 	})
 	s := r.Snapshot()
 	if s.Counters[obs.MetricParJobs] == 0 && s.Counters[obs.MetricParInline] == 0 {
@@ -209,7 +219,7 @@ func TestFanRunsEveryItemOnceAndIsNotProfiled(t *testing.T) {
 	Fan("fan_items", 3, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ran++
-			Dot(a, a)
+			dot(a, a)
 		}
 	})
 	chunks := p.ChunksByKernel()

@@ -41,7 +41,7 @@ func pipelineGlobal(t *testing.T, sys *structure.System) *hessian.Global {
 			t.Fatal(err)
 		}
 	}
-	g, err := hessian.Assemble(dec, sys.Masses(), datas, true)
+	g, err := hessian.AssembleDegraded(dec, sys.Masses(), datas, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

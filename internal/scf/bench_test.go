@@ -130,8 +130,8 @@ func BenchmarkPulay(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				step(i)
 			}
-			if mixer.Resets() != 0 {
-				b.Fatalf("%d steps took the reset path", mixer.Resets())
+			if mixer.resets != 0 {
+				b.Fatalf("%d steps took the reset path", mixer.resets)
 			}
 		})
 	}

@@ -234,8 +234,8 @@ func TestChargeLoopIterationCountIsStable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ws.mixer.Resets() != 0 {
-				t.Errorf("%s trial %d: %d mixer resets, want 0", fx.name, trial, ws.mixer.Resets())
+			if ws.mixer.resets != 0 {
+				t.Errorf("%s trial %d: %d mixer resets, want 0", fx.name, trial, ws.mixer.resets)
 			}
 			if trial == 0 {
 				want = res.Iterations

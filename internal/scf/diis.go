@@ -64,10 +64,6 @@ func (p *Pulay) Reset(beta float64) {
 	p.beta, p.head, p.k, p.resets = beta, 0, 0, 0
 }
 
-// Resets returns how many times since the last Reset the mixer discarded an
-// ill-conditioned history and fell back to a damped step.
-func (p *Pulay) Resets() int { return p.resets }
-
 // slot returns the ring slot of history entry i, oldest first.
 func (p *Pulay) slot(i int) int { return (p.head + i) % PulayDepth }
 

@@ -195,8 +195,8 @@ func TestPulayMatchesReferenceDIIS(t *testing.T) {
 				}
 			}
 		}
-		if mixer.Resets() != resets {
-			t.Errorf("%s: mixer counted %d resets, the reference reset %d times", name, mixer.Resets(), resets)
+		if mixer.resets != resets {
+			t.Errorf("%s: mixer counted %d resets, the reference reset %d times", name, mixer.resets, resets)
 		}
 		if (name == "near-dependent" || name == "nan") && resets == 0 {
 			t.Errorf("%s: fixture never reached the reset path", name)
@@ -283,8 +283,8 @@ func TestDIISSurvivesDegenerateHistory(t *testing.T) {
 			t.Fatalf("step %d on a history of duplicates: next = %v, want the damped step", k, next)
 		}
 	}
-	if d.Resets() != 0 {
-		t.Fatalf("%d resets on a history of duplicates", d.Resets())
+	if d.resets != 0 {
+		t.Fatalf("%d resets on a history of duplicates", d.resets)
 	}
 
 	// An affine map of a 5-vector that only ever moves its first two
@@ -305,8 +305,8 @@ func TestDIISSurvivesDegenerateHistory(t *testing.T) {
 	if fx := f(x); math.Abs(fx[0]-x[0])+math.Abs(fx[1]-x[1]) > 1e-12 {
 		t.Fatalf("planar affine map not solved by three entries: x = %v, f(x) = %v", x, fx)
 	}
-	if p.Resets() != 0 {
-		t.Fatalf("%d resets on planar residuals", p.Resets())
+	if p.resets != 0 {
+		t.Fatalf("%d resets on planar residuals", p.resets)
 	}
 }
 

@@ -306,7 +306,7 @@ func TestCacheSolverMigration(t *testing.T) {
 	}
 	s3 := openStore(t, dir)
 	defer s3.Close()
-	if n := s3.Len(); n != len(old)+2 {
+	if n := s3.Stats().Objects; n != len(old)+2 {
 		t.Fatalf("store holds %d records, want the %d old ones and the two recomputed", n, len(old))
 	}
 	for _, hex := range old {
@@ -421,8 +421,8 @@ func TestCacheReadOnlyStore(t *testing.T) {
 	if calls.Load() != 8 {
 		t.Fatalf("read-only run made %d engine calls, want 8 (no serving possible)", calls.Load())
 	}
-	if s.Len() != 0 {
-		t.Fatalf("read-only run wrote %d objects", s.Len())
+	if s.Stats().Objects != 0 {
+		t.Fatalf("read-only run wrote %d objects", s.Stats().Objects)
 	}
 	if rep.CacheHits != 0 {
 		t.Fatalf("read-only run reported %d hits", rep.CacheHits)

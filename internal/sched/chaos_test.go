@@ -163,7 +163,7 @@ func TestChaosAcceptance(t *testing.T) {
 	// population up front so the ≥10% claim is checked, not assumed.
 	faulted := 0
 	for fi := 0; fi < nf; fi++ {
-		if inj.WouldFault(fi, 1) {
+		if a := inj.Plan(fi, 1); a.Err != nil || a.NaN || a.Panic {
 			faulted++
 		}
 	}

@@ -88,8 +88,8 @@ func TestStoreConcurrentMixedGetPut(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if s.Len() != nKeys {
-		t.Fatalf("store holds %d objects for %d distinct keys", s.Len(), nKeys)
+	if s.Stats().Objects != nKeys {
+		t.Fatalf("store holds %d objects for %d distinct keys", s.Stats().Objects, nKeys)
 	}
 	st := s.Stats()
 	if st.Objects != nKeys {
@@ -105,10 +105,10 @@ func TestStoreConcurrentMixedGetPut(t *testing.T) {
 
 	// Reopen: the manifest replay must reconstruct the same index.
 	s.Close()
-	s2 := mustOpen(t, s.Dir())
+	s2 := mustOpen(t, s.dir)
 	defer s2.Close()
-	if s2.Len() != nKeys {
-		t.Fatalf("replay reconstructed %d objects, want %d", s2.Len(), nKeys)
+	if s2.Stats().Objects != nKeys {
+		t.Fatalf("replay reconstructed %d objects, want %d", s2.Stats().Objects, nKeys)
 	}
 	for i := range keys {
 		fd, prior, err := s2.Get(keys[i], frames[i])

@@ -154,14 +154,6 @@ func fingerprintInto(s *fpScratch, f *fragment.Fragment, opt hessian.JobOptions)
 	return Key(s.sum), fr
 }
 
-// fingerprintAlloc is the pre-pool implementation — fresh buffers and a
-// fresh digest per call — kept as the paired baseline of
-// BenchmarkFingerprint so the allocation win stays measured, not asserted.
-func fingerprintAlloc(f *fragment.Fragment, opt hessian.JobOptions) (Key, Frame) {
-	s := &fpScratch{buf: make([]byte, 0, 64+len(f.Els)+24*len(f.Pos)), h: sha256.New()}
-	return fingerprintInto(s, f, opt)
-}
-
 // quantize snaps a coordinate to the fingerprint grid.
 func quantize(x float64) int64 { return int64(math.Round(x / coordQuantum)) }
 

@@ -1,10 +1,20 @@
 package store
 
 import (
+	"crypto/sha256"
 	"testing"
 
+	"qframan/internal/fragment"
 	"qframan/internal/hessian"
 )
+
+// fingerprintAlloc is the pre-pool implementation — fresh buffers and a
+// fresh digest per call — kept as the paired baseline of
+// BenchmarkFingerprint so the allocation win stays measured, not asserted.
+func fingerprintAlloc(f *fragment.Fragment, opt hessian.JobOptions) (Key, Frame) {
+	s := &fpScratch{buf: make([]byte, 0, 64+len(f.Els)+24*len(f.Pos)), h: sha256.New()}
+	return fingerprintInto(s, f, opt)
+}
 
 // BenchmarkFingerprint pairs the pooled fingerprint path against the
 // pre-pool per-call-allocation implementation on the same fragment. The

@@ -297,9 +297,6 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // SetObs attaches metric instruments: Get/Put latency histograms, the
 // group-commit counters (fsyncs, and records they committed) and a counter
 // publishing the manifest records replayed at Open. The first scope with a
@@ -622,13 +619,6 @@ func (s *Store) evict(k Key, seen *entry) {
 		delete(s.idx, k)
 		s.appendLine("del " + k.String() + "\n")
 	}
-}
-
-// Len returns the number of valid records currently indexed.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.idx)
 }
 
 // Has reports whether a record for k is currently indexed — a cheap

@@ -73,8 +73,8 @@ func TestStoreReplayAcrossReopen(t *testing.T) {
 
 	s2 := mustOpen(t, dir)
 	defer s2.Close()
-	if s2.Len() != 1 {
-		t.Fatalf("reopen indexed %d records, want 1", s2.Len())
+	if s2.Stats().Objects != 1 {
+		t.Fatalf("reopen indexed %d records, want 1", s2.Stats().Objects)
 	}
 	got, prior, err := s2.Get(k, fr)
 	if err != nil {
@@ -116,8 +116,8 @@ func TestStoreTornManifestTail(t *testing.T) {
 
 	s2 := mustOpen(t, dir)
 	defer s2.Close()
-	if s2.Len() != 1 {
-		t.Fatalf("torn tail dropped valid records: indexed %d, want 1", s2.Len())
+	if s2.Stats().Objects != 1 {
+		t.Fatalf("torn tail dropped valid records: indexed %d, want 1", s2.Stats().Objects)
 	}
 	if got, _, err := s2.Get(k, fr); err != nil || !got.BitEqual(fd) {
 		t.Fatalf("record unreadable after torn tail: %v", err)
@@ -159,8 +159,8 @@ func TestStoreWALIntentWithoutObject(t *testing.T) {
 
 	s2 := mustOpen(t, dir)
 	defer s2.Close()
-	if s2.Len() != 1 {
-		t.Fatalf("ghost intent survived replay: indexed %d, want 1", s2.Len())
+	if s2.Stats().Objects != 1 {
+		t.Fatalf("ghost intent survived replay: indexed %d, want 1", s2.Stats().Objects)
 	}
 	if got, _, err := s2.Get(ghost, fr); got != nil || err != nil {
 		t.Fatalf("ghost key served (%v, %v), want clean miss", got, err)
@@ -233,8 +233,8 @@ func TestStoreTruncatedObject(t *testing.T) {
 
 	s2 := mustOpen(t, dir)
 	defer s2.Close()
-	if s2.Len() != 0 {
-		t.Fatalf("truncated record survived replay validation: %d records", s2.Len())
+	if s2.Stats().Objects != 0 {
+		t.Fatalf("truncated record survived replay validation: %d records", s2.Stats().Objects)
 	}
 
 	// Cut while open, the short read is caught at Get instead.
@@ -294,8 +294,8 @@ func TestStoreFilesPerRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Len() != total {
-		t.Fatalf("indexed %d records, want %d", s.Len(), total)
+	if s.Stats().Objects != total {
+		t.Fatalf("indexed %d records, want %d", s.Stats().Objects, total)
 	}
 	files, err := os.ReadDir(dir)
 	if err != nil {

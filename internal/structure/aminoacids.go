@@ -80,33 +80,6 @@ var aaByName = func() map[string]bool {
 // a generic molecule (graph-partitioner territory).
 func IsAminoAcidName(name string) bool { return aaByName[name] }
 
-// AminoAcidCodes returns the 20 one-letter codes in template order.
-func AminoAcidCodes() []byte {
-	out := make([]byte, len(aminoAcids))
-	for i, a := range aminoAcids {
-		out[i] = a.Code
-	}
-	return out
-}
-
-// ResidueAtomCount returns the number of atoms the builder produces for a
-// mid-chain residue with the given one-letter code (termini add extras).
-// The boolean reports whether the code is known.
-func ResidueAtomCount(code byte) (int, bool) {
-	t, ok := aaByCode[code]
-	if !ok {
-		return 0, false
-	}
-	n := 6 // N, H, CA, HA, C, O
-	if t.ExtraHA {
-		n++
-	}
-	for _, a := range t.SC {
-		n += 1 + a.NH
-	}
-	return n, true
-}
-
 // Bond lengths in Å by element pair (order-independent).
 func bondLength(a, b constants.Element) float64 {
 	if a > b {

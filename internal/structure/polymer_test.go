@@ -33,7 +33,7 @@ func TestPolymerMeltGolden(t *testing.T) {
 
 	// The perceived covalent topology must be exactly chains disjoint
 	// trees: 7n+2 bonds per chain, none between chains.
-	bonds := sys.Bonds()
+	bonds := bonds(sys)
 	if got, want := len(bonds), chains*(7*monomers+2); got != want {
 		t.Fatalf("perceived %d bonds, want %d — chain geometry produced spurious or missing bonds", got, want)
 	}

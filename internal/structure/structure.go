@@ -56,10 +56,6 @@ type System struct {
 // NumAtoms returns the total atom count.
 func (s *System) NumAtoms() int { return len(s.Atoms) }
 
-// AtomRange returns the atom index range [first, first+count) of a residue.
-func (s *System) AtomRange(r Residue) (int, int) { return r.First, r.First + r.Count }
-
-// Positions returns a copy of all atom positions.
 func (s *System) Positions() []geom.Vec3 {
 	out := make([]geom.Vec3, len(s.Atoms))
 	for i, a := range s.Atoms {
@@ -83,23 +79,6 @@ const bondScale = 1.30
 
 // maxBondLength bounds the neighbor search; generous for S–S.
 const maxBondLength = 2.8
-
-// Bonds returns the covalent bond list as unordered index pairs (i<j),
-// detected from covalent radii with a cell-list search.
-func (s *System) Bonds() [][2]int {
-	positions := s.Positions()
-	cl := geom.NewCellList(positions, maxBondLength)
-	var bonds [][2]int
-	cl.ForEachPair(func(i, j int, d2 float64) {
-		ri := s.Atoms[i].El.CovalentRadius()
-		rj := s.Atoms[j].El.CovalentRadius()
-		limit := bondScale * (ri + rj)
-		if d2 <= limit*limit {
-			bonds = append(bonds, [2]int{i, j})
-		}
-	})
-	return bonds
-}
 
 // SubsetBonds detects covalent bonds among an explicit atom set (positions in
 // Å, elements parallel). The fragment engine uses this on extracted

@@ -13,6 +13,42 @@ import (
 // allCodes is a sequence containing every amino acid once.
 const allCodes = "GASCTVPLINDQEKRHFYWM"
 
+// aminoAcidCodes returns the 20 one-letter codes in template order.
+func aminoAcidCodes() []byte {
+	out := make([]byte, len(aminoAcids))
+	for i, a := range aminoAcids {
+		out[i] = a.Code
+	}
+	return out
+}
+
+// residueAtomCount returns the number of atoms the builder produces for a
+// mid-chain residue with the given one-letter code (termini add extras).
+// The boolean reports whether the code is known.
+func residueAtomCount(code byte) (int, bool) {
+	t, ok := aaByCode[code]
+	if !ok {
+		return 0, false
+	}
+	n := 6 // N, H, CA, HA, C, O
+	if t.ExtraHA {
+		n++
+	}
+	for _, a := range t.SC {
+		n += 1 + a.NH
+	}
+	return n, true
+}
+
+// bonds is the system's covalent bond list, as SubsetBonds detects it.
+func bonds(s *System) [][2]int {
+	els := make([]constants.Element, len(s.Atoms))
+	for i, a := range s.Atoms {
+		els[i] = a.El
+	}
+	return SubsetBonds(els, s.Positions())
+}
+
 func TestResidueAtomCounts(t *testing.T) {
 	// Spot-check canonical counts (backbone 6 + side chain; GLY has HA2).
 	// Template truth: acyclic-tree approximations of the aromatic rings
@@ -24,19 +60,19 @@ func TestResidueAtomCounts(t *testing.T) {
 		'K': 21, 'R': 23, 'F': 22, 'Y': 23, 'M': 17, 'W': 28, 'H': 19,
 	}
 	for code, n := range want {
-		got, ok := ResidueAtomCount(code)
+		got, ok := residueAtomCount(code)
 		if !ok {
 			t.Fatalf("unknown code %c", code)
 		}
 		if got != n {
-			t.Errorf("ResidueAtomCount(%c) = %d, want %d", code, got, n)
+			t.Errorf("residueAtomCount(%c) = %d, want %d", code, got, n)
 		}
 	}
-	if _, ok := ResidueAtomCount('Z'); ok {
+	if _, ok := residueAtomCount('Z'); ok {
 		t.Error("ResidueAtomCount accepted unknown code Z")
 	}
-	if len(AminoAcidCodes()) != 20 {
-		t.Errorf("expected 20 amino acids, got %d", len(AminoAcidCodes()))
+	if len(aminoAcidCodes()) != 20 {
+		t.Errorf("expected 20 amino acids, got %d", len(aminoAcidCodes()))
 	}
 }
 
@@ -56,17 +92,17 @@ func TestBuildProteinBasics(t *testing.T) {
 		if i == 0 || i == len(sys.Residues)-1 {
 			continue
 		}
-		want, _ := ResidueAtomCount(allCodes[i])
+		want, _ := residueAtomCount(allCodes[i])
 		if r.Count != want {
 			t.Errorf("residue %d (%s): %d atoms, want %d", i, r.Name, r.Count, want)
 		}
 	}
 	// Termini have extras: +1 H at N-term, +2 (OXT, HXT) at C-term.
-	w0, _ := ResidueAtomCount(allCodes[0])
+	w0, _ := residueAtomCount(allCodes[0])
 	if sys.Residues[0].Count != w0+1 {
 		t.Errorf("N-terminal residue has %d atoms, want %d", sys.Residues[0].Count, w0+1)
 	}
-	wl, _ := ResidueAtomCount(allCodes[len(allCodes)-1])
+	wl, _ := residueAtomCount(allCodes[len(allCodes)-1])
 	last := sys.Residues[len(sys.Residues)-1]
 	if last.Count != wl+2 {
 		t.Errorf("C-terminal residue has %d atoms, want %d", last.Count, wl+2)
@@ -110,7 +146,7 @@ func TestProteinTopologyConnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bonds := sys.Bonds()
+	bonds := bonds(sys)
 	// Union-find over atoms: the peptide chain must be a single component.
 	parent := make([]int, len(sys.Atoms))
 	for i := range parent {
@@ -140,7 +176,7 @@ func TestPeptideBondsPresent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bonds := sys.Bonds()
+	bonds := bonds(sys)
 	has := func(i, j int) bool {
 		for _, b := range bonds {
 			if (b[0] == i && b[1] == j) || (b[0] == j && b[1] == i) {
@@ -163,13 +199,13 @@ func TestPeptideBondsPresent(t *testing.T) {
 func TestEveryResidueGeometry(t *testing.T) {
 	// Each amino acid alone in a tripeptide context: check hydrogen counts
 	// via bonds — every H must have exactly one bond.
-	for _, code := range AminoAcidCodes() {
+	for _, code := range aminoAcidCodes() {
 		seq := "G" + string(code) + "G"
 		sys, err := BuildProtein(seq)
 		if err != nil {
 			t.Fatalf("%c: %v", code, err)
 		}
-		bonds := sys.Bonds()
+		bonds := bonds(sys)
 		deg := make([]int, len(sys.Atoms))
 		for _, b := range bonds {
 			deg[b[0]]++
@@ -233,7 +269,7 @@ func TestWaterBox(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Each water internally bonded, no inter-molecular covalent bonds.
-	bonds := sys.Bonds()
+	bonds := bonds(sys)
 	for _, b := range bonds {
 		w1 := -1
 		w2 := -2
@@ -277,22 +313,6 @@ func TestWaterBoxDeterministic(t *testing.T) {
 		if a.Atoms[i].Pos != b.Atoms[i].Pos {
 			t.Fatal("water box generation is not deterministic")
 		}
-	}
-}
-
-func TestStreamWaterBoxMatchesBuild(t *testing.T) {
-	built := BuildWaterBox(2, 2, 2, geom.Vec3{})
-	i := 0
-	StreamWaterBox(2, 2, 2, func(idx int, o, h1, h2 geom.Vec3) {
-		_ = idx
-		w := built.Waters[i]
-		if built.Atoms[w.First].Pos != o {
-			t.Fatalf("stream water %d oxygen mismatch", i)
-		}
-		i++
-	})
-	if i != 8 {
-		t.Fatalf("streamed %d waters, want 8", i)
 	}
 }
 
@@ -348,7 +368,7 @@ func TestRandomSequence(t *testing.T) {
 	}
 	// All codes valid.
 	for i := 0; i < len(s1); i++ {
-		if _, ok := ResidueAtomCount(s1[i]); !ok {
+		if _, ok := residueAtomCount(s1[i]); !ok {
 			t.Fatalf("invalid code %c in random sequence", s1[i])
 		}
 	}

@@ -135,12 +135,6 @@ func minInt(a, b int) int {
 	return b
 }
 
-// DecodeTrajectoryFrame decodes a single frame from raw bytes — the fuzzing
-// entry point of the reader.
-func DecodeTrajectoryFrame(data []byte) (*TrajFrame, error) {
-	return NewTrajectoryReader(strings.NewReader(string(data))).Next()
-}
-
 // WriteTrajectoryFrame appends one frame holding the system's current
 // coordinates. Coordinates are written with full precision so that applying
 // the frame back onto the same topology reproduces the system bit-exactly.

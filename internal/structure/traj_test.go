@@ -75,12 +75,12 @@ func TestTrajectoryReaderErrors(t *testing.T) {
 		"neg inf":           "1\nc\nO 0 0 -inf\n",
 	}
 	for name, in := range cases {
-		if f, err := DecodeTrajectoryFrame([]byte(in)); err == nil {
+		if f, err := decodeFrame([]byte(in)); err == nil {
 			t.Errorf("%s: decoded %d atoms, want error", name, len(f.Els))
 		}
 	}
 	// Extra per-atom columns (velocities, forces) are fine.
-	f, err := DecodeTrajectoryFrame([]byte("1\nLattice=...\nO 1.5 2.5 3.5 0.1 0.2 0.3\n"))
+	f, err := decodeFrame([]byte("1\nLattice=...\nO 1.5 2.5 3.5 0.1 0.2 0.3\n"))
 	if err != nil {
 		t.Fatalf("extended columns: %v", err)
 	}
@@ -186,6 +186,11 @@ func TestPerturbedTrajectory(t *testing.T) {
 	}
 }
 
+// decodeFrame reads the first frame of data with the trajectory reader.
+func decodeFrame(data []byte) (*TrajFrame, error) {
+	return NewTrajectoryReader(bytes.NewReader(data)).Next()
+}
+
 // FuzzDecodeTrajectoryFrame: the reader must never panic, and any frame it
 // does accept must be self-consistent with finite coordinates.
 func FuzzDecodeTrajectoryFrame(f *testing.F) {
@@ -198,7 +203,7 @@ func FuzzDecodeTrajectoryFrame(f *testing.F) {
 	f.Add([]byte("1\nc\nXq 0 0 0\n"))        // unknown element
 	f.Add([]byte("\n\n1\nc\nH 1 2 3 v v v")) // blank leaders + extra columns
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := DecodeTrajectoryFrame(data)
+		fr, err := decodeFrame(data)
 		if err != nil {
 			return
 		}

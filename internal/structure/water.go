@@ -184,20 +184,3 @@ func boundingBox(s *System) (lo, hi geom.Vec3) {
 	}
 	return
 }
-
-// StreamWaterBox invokes fn once per water molecule of an nx×ny×nz box
-// without materializing the system, enabling fragment statistics for boxes
-// with hundreds of millions of atoms. fn receives the molecule's lattice
-// index and its three atom positions.
-func StreamWaterBox(nx, ny, nz int, fn func(i int, o, h1, h2 geom.Vec3)) {
-	i := 0
-	for iz := 0; iz < nz; iz++ {
-		for iy := 0; iy < ny; iy++ {
-			for ix := 0; ix < nx; ix++ {
-				o, h1, h2 := waterSite(ix, iy, iz)
-				fn(i, o, h1, h2)
-				i++
-			}
-		}
-	}
-}
