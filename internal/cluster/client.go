@@ -83,11 +83,11 @@ func (c *Client) Run(dec *fragment.Decomposition, opt sched.Options) ([]*hessian
 				return
 			case <-optCancel(opt.Cancel):
 				cancelled <- struct{}{}
-				tr.write(MsgBye, Bye{Reason: "cancelled"}.encode())
+				tr.write(MsgBye, nil)
 				tr.close()
 				return
 			case <-ticker.C:
-				if err := tr.write(MsgHeartbeat, Heartbeat{}.encode()); err != nil {
+				if err := tr.write(MsgHeartbeat, nil); err != nil {
 					return
 				}
 			}
@@ -201,7 +201,7 @@ func FetchStats(addr string, timeout time.Duration) (Snapshot, error) {
 	if err := json.Unmarshal(f.Payload, &s); err != nil {
 		return Snapshot{}, fmt.Errorf("cluster: stats payload: %w", err)
 	}
-	tr.write(MsgBye, Bye{Reason: "stats done"}.encode())
+	tr.write(MsgBye, nil)
 	return s, nil
 }
 

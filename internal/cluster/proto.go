@@ -43,7 +43,8 @@ const (
 	// hessian.JobOptions.AppendPhysics block (version 1 had its own layout).
 	// Version 3: that block is one byte shorter (the DFPT strength-reduction flag gone).
 	// Version 4: it is 24 bytes shorter (DFPT.MaxIter, Tol and Mixing gone).
-	ProtoVersion = 4
+	// Version 5: HEARTBEAT and BYE carry an empty payload (no in-flight count, no reason).
+	ProtoVersion = 5
 
 	headerSize  = 11
 	trailerSize = 4

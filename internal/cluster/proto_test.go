@@ -29,7 +29,7 @@ func TestFrameRoundtripAllTypes(t *testing.T) {
 // frame, and a buffer holding one frame plus trailing bytes is not consumed
 // whole.
 func TestDecodeFrameRejectsDamage(t *testing.T) {
-	valid := EncodeFrame(MsgHeartbeat, Heartbeat{Inflight: 3}.encode())
+	valid := EncodeFrame(MsgSteal, Steal{Task: 3, Epoch: 1}.encode())
 
 	// want nil: the frame parses but leaves bytes unread.
 	cases := []struct {
@@ -123,7 +123,7 @@ func FuzzDecodeClusterFrame(f *testing.F) {
 	flipped[headerSize+2] ^= 0x10
 	f.Add(flipped)
 	// Version-skewed frame.
-	skewed := EncodeFrame(MsgHeartbeat, Heartbeat{}.encode())
+	skewed := EncodeFrame(MsgHeartbeat, nil)
 	skewed[4] = 0xFF
 	f.Add(skewed)
 	// Wrong magic.

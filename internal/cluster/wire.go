@@ -125,11 +125,6 @@ type FetchMiss struct {
 	Key store.Key
 }
 
-// Heartbeat is the worker's liveness beacon with its in-flight lease count.
-type Heartbeat struct {
-	Inflight uint32
-}
-
 // Steal revokes a lease (straggler re-dispatch): the worker should abandon
 // the task if it has not finished. Best-effort — the epoch check on RESULT
 // is what guarantees correctness.
@@ -157,11 +152,6 @@ type JobDone struct {
 	CoordHits uint32
 	FetchHits uint32
 	Reassigns uint32
-}
-
-// Bye announces an orderly departure.
-type Bye struct {
-	Reason string
 }
 
 // ---- payload encoding ----
@@ -263,8 +253,6 @@ func (m FetchOK) encode() []byte {
 
 func (m FetchMiss) encode() []byte { return append([]byte(nil), m.Key[:]...) }
 
-func (m Heartbeat) encode() []byte { return appendU32(nil, m.Inflight) }
-
 func (m Steal) encode() []byte {
 	b := appendU64(nil, m.Task)
 	return appendU32(b, m.Epoch)
@@ -286,8 +274,6 @@ func (m JobDone) encode() []byte {
 	b = appendU32(b, m.FetchHits)
 	return appendU32(b, m.Reassigns)
 }
-
-func (m Bye) encode() []byte { return appendStr(nil, m.Reason) }
 
 // ---- payload decoding ----
 
@@ -486,12 +472,6 @@ func decodeFetchMiss(b []byte) (FetchMiss, error) {
 	return m, r.done("FETCH_MISS")
 }
 
-func decodeHeartbeat(b []byte) (Heartbeat, error) {
-	r := reader{b: b}
-	m := Heartbeat{Inflight: r.u32()}
-	return m, r.done("HEARTBEAT")
-}
-
 func decodeSteal(b []byte) (Steal, error) {
 	r := reader{b: b}
 	m := Steal{Task: r.u64(), Epoch: r.u32()}
@@ -509,10 +489,4 @@ func decodeJobDone(b []byte) (JobDone, error) {
 	m := JobDone{Job: r.u64(), Err: r.str(), Computed: r.u32(),
 		LocalHits: r.u32(), CoordHits: r.u32(), FetchHits: r.u32(), Reassigns: r.u32()}
 	return m, r.done("JOB_DONE")
-}
-
-func decodeBye(b []byte) (Bye, error) {
-	r := reader{b: b}
-	m := Bye{Reason: r.str()}
-	return m, r.done("BYE")
 }

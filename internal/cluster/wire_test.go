@@ -103,11 +103,6 @@ func TestWireMessageRoundtrips(t *testing.T) {
 		check("FETCH_MISS", got, m, err)
 	}
 	{
-		m := Heartbeat{Inflight: 5}
-		got, err := decodeHeartbeat(m.encode())
-		check("HEARTBEAT", got, m, err)
-	}
-	{
 		m := Steal{Task: 9, Epoch: 4}
 		got, err := decodeSteal(m.encode())
 		check("STEAL", got, m, err)
@@ -121,11 +116,6 @@ func TestWireMessageRoundtrips(t *testing.T) {
 		m := JobDone{Job: 3, Computed: 5, LocalHits: 1, CoordHits: 2, FetchHits: 3, Reassigns: 4}
 		got, err := decodeJobDone(m.encode())
 		check("JOB_DONE", got, m, err)
-	}
-	{
-		m := Bye{Reason: "drain"}
-		got, err := decodeBye(m.encode())
-		check("BYE", got, m, err)
 	}
 }
 
@@ -165,11 +155,9 @@ func TestWireRejectsTruncationAndTrailing(t *testing.T) {
 		"FETCH":      {Fetch{Key: k}.encode(), func(b []byte) error { _, err := decodeFetch(b); return err }},
 		"FETCH_OK":   {FetchOK{Key: k, Blob: []byte{1}}.encode(), func(b []byte) error { _, err := decodeFetchOK(b); return err }},
 		"FETCH_MISS": {FetchMiss{Key: k}.encode(), func(b []byte) error { _, err := decodeFetchMiss(b); return err }},
-		"HEARTBEAT":  {Heartbeat{Inflight: 1}.encode(), func(b []byte) error { _, err := decodeHeartbeat(b); return err }},
 		"STEAL":      {Steal{Task: 1, Epoch: 1}.encode(), func(b []byte) error { _, err := decodeSteal(b); return err }},
 		"TASK_FAIL":  {TaskFail{Task: 1, Epoch: 1, Msg: "m"}.encode(), func(b []byte) error { _, err := decodeTaskFail(b); return err }},
 		"JOB_DONE":   {JobDone{Job: 1}.encode(), func(b []byte) error { _, err := decodeJobDone(b); return err }},
-		"BYE":        {Bye{Reason: "r"}.encode(), func(b []byte) error { _, err := decodeBye(b); return err }},
 	}
 	for name, m := range msgs {
 		for cut := 0; cut < len(m.payload); cut++ {

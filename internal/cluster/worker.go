@@ -118,11 +118,10 @@ type workerSession struct {
 	tr   *transport
 	done chan struct{} // closed when the session tears down
 
-	mu       sync.Mutex
-	stolen   map[uint64]struct{}         // tasks revoked by STEAL
-	fetches  map[store.Key][]chan []byte // pending FETCH correlations
-	slots    chan struct{}               // lease-concurrency semaphore
-	inflight int
+	mu      sync.Mutex
+	stolen  map[uint64]struct{}         // tasks revoked by STEAL
+	fetches map[store.Key][]chan []byte // pending FETCH correlations
+	slots   chan struct{}               // lease-concurrency semaphore
 }
 
 func (w *Worker) session(ctx context.Context) error {
@@ -165,16 +164,13 @@ func (w *Worker) session(ctx context.Context) error {
 		for {
 			select {
 			case <-ctx.Done():
-				tr.write(MsgBye, Bye{Reason: "shutdown"}.encode())
+				tr.write(MsgBye, nil)
 				teardown()
 				return
 			case <-s.done:
 				return
 			case <-ticker.C:
-				s.mu.Lock()
-				n := s.inflight
-				s.mu.Unlock()
-				if err := tr.write(MsgHeartbeat, Heartbeat{Inflight: uint32(n)}.encode()); err != nil {
+				if err := tr.write(MsgHeartbeat, nil); err != nil {
 					teardown()
 					return
 				}
@@ -195,9 +191,6 @@ func (w *Worker) session(ctx context.Context) error {
 				s.failFetches()
 				return err
 			}
-			s.mu.Lock()
-			s.inflight++
-			s.mu.Unlock()
 			select {
 			case s.slots <- struct{}{}:
 			case <-s.done:
@@ -288,12 +281,7 @@ func (s *workerSession) fetch(k store.Key) []byte {
 // processLease resolves one lease through the cache tiers and reports the
 // result (or failure) back.
 func (s *workerSession) processLease(l Lease) {
-	defer func() {
-		<-s.slots
-		s.mu.Lock()
-		s.inflight--
-		s.mu.Unlock()
-	}()
+	defer func() { <-s.slots }()
 	tier, blob, err := s.resolve(l)
 	s.mu.Lock()
 	_, wasStolen := s.stolen[l.Task]

@@ -71,7 +71,7 @@ func aoSpaceSecondOrder(t *testing.T, e *cycleEnv, p1 [3]*linalg.Matrix) (p2 [3]
 	pairs := nl * nr
 	mat := linalg.NewMatrix
 	gemm := func(transA, transB bool, alpha float64, a, b *linalg.Matrix, beta float64, c *linalg.Matrix) {
-		linalg.Gemm(transA, transB, alpha, a, b, beta, c, nil)
+		linalg.Gemm(transA, transB, alpha, a, b, beta, c)
 	}
 	var u, hvv, hoo [3]*linalg.Matrix
 	tl, tr := mat(nl, n), mat(nr, n)

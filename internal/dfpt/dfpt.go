@@ -10,8 +10,9 @@
 // reference α solve grid ∂α differentiates: each DFPT cycle runs the
 // four phases the paper names — response density matrix P⁽¹⁾, real-space
 // response density n⁽¹⁾(r), Poisson solve for the response potential
-// v⁽¹⁾(r), and response Hamiltonian H⁽¹⁾ — with per-phase timing, GEMM, and
-// FLOP accounting (Table I's two reported parts are n⁽¹⁾ and H⁽¹⁾).
+// v⁽¹⁾(r), and response Hamiltonian H⁽¹⁾ — with per-phase timing and, for
+// grid mode's n⁽¹⁾ and H⁽¹⁾ (Table I's two reported parts), GEMM and FLOP
+// counts taken from the phases' call lists (PhaseMetrics).
 //
 // Two Coulomb-response modes exist:
 //
@@ -87,9 +88,10 @@ type Options struct {
 	// benchmark PR should drop it there and here.
 	InitP1 [3]*linalg.Matrix
 
-	// Obs carries the observability handles; each DFPT cycle then records a
-	// span with its four phase children (P⁽¹⁾, n⁽¹⁾, v⁽¹⁾, H⁽¹⁾) plus the
-	// per-phase histograms. Execution-only: excluded from the store's
+	// Obs carries the observability handles; each field direction's one DFPT
+	// cycle then records a span with its four phase children in execution
+	// order (n⁽¹⁾, v⁽¹⁾, H⁽¹⁾, P⁽¹⁾) plus the per-phase histograms
+	// (obs.Scope.RecordDFPTCycle). Execution-only: excluded from the store's
 	// content fingerprint; the zero Scope disables instrumentation.
 	Obs obs.Scope
 }
@@ -235,7 +237,6 @@ type cycleEnv struct {
 	tmp, u, lu *linalg.Matrix    // Lᵀ·D, the pair block u (∘W, then shifted), L·u
 	newP1      *linalg.Matrix    //
 	p1Gemms    [4]*linalg.GemmOp // gemm_tn, gemm_nn, gemm_nn, gemm_nt
-	p1FLOPs    int64             // of the four, per cycle
 
 	// The charge closure's workspaces: the copy of I − χ·Γ it destroys, one
 	// potential's Σ_B v_B·K_B, the potentials, N per column, and when its
@@ -263,8 +264,7 @@ type cycleEnv struct {
 	pairSys      *linalg.Matrix
 	pairX        []float64
 
-	h1      *linalg.Matrix    // the bare perturbation, D^dir, phase 1's first GEMM reads
-	samples []obs.CycleSample // the span batch of a direction, reused across solves
+	h1 *linalg.Matrix // the bare perturbation, D^dir, phase 1's first GEMM reads
 }
 
 // reshape makes m a rows×cols view of its own storage (allocated n×n).
@@ -280,7 +280,6 @@ func (e *cycleEnv) seat(m *scf.Model, ground *scf.Result, grid *gridEnv) {
 	if e.n != n || e.newP1 == nil {
 		*e = cycleEnv{
 			n: n, newP1: sq(), h1: sq(), tmp: sq(), u: sq(), lu: sq(),
-			samples: e.samples,
 		}
 		u1 := make([]float64, 3*n*n)
 		e.u1 = [3]linalg.Matrix{{Data: u1[:n*n]}, {Data: u1[n*n : 2*n*n]}, {Data: u1[2*n*n:]}}
@@ -298,8 +297,6 @@ func (e *cycleEnv) seat(m *scf.Model, ground *scf.Result, grid *gridEnv) {
 			linalg.BindGemm(false, false, 1, e.Left, e.u, 0, e.lu),
 			linalg.BindGemm(false, true, 1, e.lu, e.Right, 0, e.newP1),
 		}
-		e.p1FLOPs = linalg.GemmFLOPs(nl, n, n) + linalg.GemmFLOPs(nl, n, nr) +
-			linalg.GemmFLOPs(n, nl, nr) + linalg.GemmFLOPs(n, nr, n)
 	}
 	if grid != nil {
 		e.seatPairs(nl, nr)
@@ -347,14 +344,6 @@ func (e *cycleEnv) seatPairs(nl, nr int) {
 	}
 }
 
-// ops returns the counters the model's GEMMs report to.
-func (e *cycleEnv) ops() *linalg.Ops {
-	if e.m.Ops != nil {
-		return e.m.Ops
-	}
-	return &linalg.DefaultOps
-}
-
 // solveGamma computes γ mode's self-consistent response to a unit field along
 // dir and copies P⁽¹⁾ into dst, as one DFPT cycle whose four phases are
 // n⁽¹⁾ = the bare field's pair block u = W∘(Lᵀ·D·R) (the first two phase-1
@@ -394,13 +383,7 @@ func (e *cycleEnv) solveGamma(dir int, sc obs.Scope, met *PhaseMetrics, dst *lin
 	if err := e.emitP1(dst); err != nil {
 		return err
 	}
-
-	// The four phase-1 GEMMs are bound ops that count nothing (Build
-	// counts its own).
-	ops := e.ops()
-	ops.GEMMCalls.Add(4)
-	ops.FLOPs.Add(e.p1FLOPs)
-	e.record(sc, met, base, tN1, tV1, tH1, tP1)
+	recordCycle(sc, met, base, tN1, tV1, tH1, tP1)
 	return nil
 }
 
@@ -528,13 +511,7 @@ func (e *cycleEnv) solveGrid(dir int, sc obs.Scope, met *PhaseMetrics, dst *lina
 	if err := e.emitP1(dst); err != nil {
 		return err
 	}
-
-	// The four phase-1 GEMMs are bound ops that count nothing; the
-	// tabulation plan and the contraction count their own.
-	ops := e.ops()
-	ops.GEMMCalls.Add(4)
-	ops.FLOPs.Add(e.p1FLOPs)
-	e.record(sc, met, base, tN1, tV1, tH1, tP1)
+	recordCycle(sc, met, base, tN1, tV1, tH1, tP1)
 	return nil
 }
 
@@ -576,9 +553,9 @@ func (e *cycleEnv) emitP1(dst *linalg.Matrix) error {
 	return nil
 }
 
-// record adds one direction's cycle — its phase boundaries as offsets from
-// base — to met and, when traced, records it as a DFPT cycle span.
-func (e *cycleEnv) record(sc obs.Scope, met *PhaseMetrics, base time.Time, tN1, tV1, tH1, tP1 time.Duration) {
+// recordCycle adds one direction's cycle — its phase boundaries as offsets
+// from base — to met and records it on sc.
+func recordCycle(sc obs.Scope, met *PhaseMetrics, base time.Time, tN1, tV1, tH1, tP1 time.Duration) {
 	durs := [obs.NumPhases]time.Duration{
 		obs.PhaseN1: tN1, obs.PhaseV1: tV1 - tN1, obs.PhaseH1: tH1 - tV1, obs.PhaseP1: tP1 - tH1,
 	}
@@ -586,10 +563,7 @@ func (e *cycleEnv) record(sc obs.Scope, met *PhaseMetrics, base time.Time, tN1, 
 	met.TimeV1 += durs[obs.PhaseV1]
 	met.TimeH1 += durs[obs.PhaseH1]
 	met.TimeP1 += durs[obs.PhaseP1]
-	if sc.Enabled() {
-		e.samples = append(e.samples[:0], obs.CycleSample{Iter: 1, Durs: durs, Total: tP1})
-		sc.RecordDFPTCycles(base, e.samples)
-	}
+	sc.RecordDFPTCycle(base, durs, tP1)
 }
 
 // fieldBlock sets u = Lᵀ·D^dir·R, the pair block of the bare field along dir

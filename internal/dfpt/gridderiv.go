@@ -201,7 +201,7 @@ func (e *gridEnv) tabulateSecond(set *basis.Set) {
 func (e *cycleEnv) alphaDerivatives(ground *scf.Result, nr *scf.NuclearResponse) ([3][3][]float64, error) {
 	var out [3][3][]float64
 	g, d := e.grid, e.grid.deriv
-	m, n, ops := e.m, e.n, e.ops()
+	m, n := e.m, e.n
 	np, npts := len(e.pairL), e.grid.g.NumPoints()
 	mat := linalg.NewMatrix
 	wq := make([]float64, np)
@@ -214,8 +214,8 @@ func (e *cycleEnv) alphaDerivatives(ground *scf.Result, nr *scf.NuclearResponse)
 	t := mat(n, n)
 	for b := range dm {
 		dm[b] = mat(n, n)
-		linalg.Gemm(true, false, 1, e.c, m.Dip[b], 0, t, ops)
-		linalg.Gemm(false, false, 1, t, e.c, 0, dm[b], ops)
+		linalg.Gemm(true, false, 1, e.c, m.Dip[b], 0, t)
+		linalg.Gemm(false, false, 1, t, e.c, 0, dm[b])
 		gv[b] = make([]float64, np)
 		for q, l := range e.pairL {
 			gv[b][q] = dm[b].At(l, e.pairR[q])
@@ -288,8 +288,8 @@ func (e *cycleEnv) alphaDerivatives(ground *scf.Result, nr *scf.NuclearResponse)
 	// sym(C·F·Cᵀ) for the ∂D contractions.
 	ao := func(f *linalg.Matrix) *linalg.Matrix {
 		z := mat(n, n)
-		linalg.Gemm(false, false, 1, e.c, f, 0, t, ops)
-		linalg.Gemm(false, true, 1, t, e.c, 0, z, ops)
+		linalg.Gemm(false, false, 1, e.c, f, 0, t)
+		linalg.Gemm(false, true, 1, t, e.c, 0, z)
 		z.Symmetrize()
 		return z
 	}
@@ -297,7 +297,7 @@ func (e *cycleEnv) alphaDerivatives(ground *scf.Result, nr *scf.NuclearResponse)
 	addSym := func(dst, dmb, f *linalg.Matrix) {
 		s := f.Clone()
 		s.AddMatrix(f.T(), 1)
-		linalg.Gemm(false, false, 1, dmb, s, 1, dst, ops)
+		linalg.Gemm(false, false, 1, dmb, s, 1, dst)
 	}
 	var xf [3]*linalg.Matrix
 	zs := make([]*linalg.Matrix, 0, 9)
@@ -407,10 +407,6 @@ func (e *gridEnv) adjointDensities(_, lo, hi int) {
 func (e *gridEnv) alphaGridTerms(n int) {
 	d := e.deriv
 	w := e.g.Weight()
-	ops := e.ops
-	if ops == nil {
-		ops = &linalg.DefaultOps
-	}
 	for k := range d.phi {
 		d.phi[k] = linalg.NewMatrix(n, n)
 		d.e[k] = make([]float64, 3*n)
@@ -434,10 +430,10 @@ func (e *gridEnv) alphaGridTerms(n int) {
 		par.ForChunks("grid_alpha_deriv", pts, max(1, 512/e.np), e.alphaOperands)
 		for k, bc := range alphaPairs {
 			c := bc[1]
-			linalg.Gemm(true, false, w, b.phi, d.a[k], 1, d.phi[k], ops)
-			linalg.Gemm(true, false, w, b.dphi[c], d.b[k], 1, d.phi[k], ops)
-			linalg.Gemm(false, true, 1, d.a[k], b.c, 0, d.abar, ops)
-			linalg.Gemm(false, true, 1, d.b[k], b.c, 0, d.bbar, ops)
+			linalg.Gemm(true, false, w, b.phi, d.a[k], 1, d.phi[k])
+			linalg.Gemm(true, false, w, b.dphi[c], d.b[k], 1, d.phi[k])
+			linalg.Gemm(false, true, 1, d.a[k], b.c, 0, d.abar)
+			linalg.Gemm(false, true, 1, d.b[k], b.c, 0, d.bbar)
 			ek := d.e[k]
 			for p := 0; p < pts; p++ {
 				ar, br := d.abar.Row(p), d.bbar.Row(p)

@@ -20,7 +20,6 @@ import (
 type gridEnv struct {
 	g       *grid.Grid
 	batches []batchData
-	ops     *linalg.Ops
 
 	// solveV1 is the Poisson plan's Solve. A field so the package's tests can
 	// run the same solve against the CG reference.
@@ -98,7 +97,6 @@ func newGridEnvOn(m *scf.Model, g *grid.Grid, opt Options) (*gridEnv, error) {
 	env := &gridEnv{
 		g:       g,
 		batches: make([]batchData, len(raw)),
-		ops:     m.Ops,
 		solveV1: plan.Solve,
 		plan:    plan,
 		rho:     make([]float64, g.NumPoints()),
@@ -186,7 +184,7 @@ func (e *gridEnv) pairDensities(c *linalg.Matrix, pairL, pairR []int) {
 	e.size(len(pairL))
 	e.c, e.pairL, e.pairR = c, pairL, pairR
 	par.ForChunks("grid_orbitals", len(e.batches), 1, e.orbitalsFn)
-	e.orbPlan.Run(e.ops)
+	e.orbPlan.Run()
 	clear(e.v)
 	par.ForChunks("grid_pair_density", len(e.batches), 1, e.densityFn)
 }
@@ -245,12 +243,6 @@ func (e *gridEnv) contract(dir int) *linalg.Matrix {
 		par.ForChunks("grid_pair_operands", len(b.indices), max(1, 2048/e.np), e.opsFn)
 		b.contract.Run()
 	}
-	ops := e.ops
-	if ops == nil {
-		ops = &linalg.DefaultOps
-	}
-	ops.GEMMCalls.Add(int64(len(e.batches)))
-	ops.FLOPs.Add(e.contractFLOPs)
 	return e.m
 }
 

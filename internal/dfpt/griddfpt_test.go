@@ -60,7 +60,7 @@ func refGridH1(env *gridEnv, p1, h1 *linalg.Matrix, dir int, reduced bool, cnt *
 	gemms, flops := countCalls(calls)
 	cnt.gemmsN1 += gemms
 	cnt.flopsN1 += flops
-	linalg.PlanBatch(calls).Run(nil)
+	linalg.PlanBatch(calls).Run()
 	for bi := range env.batches {
 		b := &env.batches[bi]
 		for p, idx := range b.indices {
@@ -108,7 +108,7 @@ func refGridH1(env *gridEnv, p1, h1 *linalg.Matrix, dir int, reduced bool, cnt *
 	gemms, flops = countCalls(calls)
 	cnt.gemmsH1 += gemms
 	cnt.flopsH1 += flops
-	linalg.PlanBatch(calls).Run(nil)
+	linalg.PlanBatch(calls).Run()
 	for bi := range env.batches {
 		b, blk := &env.batches[bi], blocks[bi]
 		for i, gi := range b.funcs {

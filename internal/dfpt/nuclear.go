@@ -55,7 +55,7 @@ func Responses(m *scf.Model, ground *scf.Result, opt Options) (*scf.FieldRespons
 func (e *cycleEnv) nuclear(ground *scf.Result, sc obs.Scope) (*scf.NuclearResponse, error) {
 	_, span := sc.Begin("dfpt.nuclear", "dfpt")
 	defer span.End()
-	m, n, ops := e.m, e.n, e.ops()
+	m, n := e.m, e.n
 	l, r := e.Left, e.Right
 	nl, nr := l.Cols, r.Cols
 	if nl == 0 {
@@ -65,7 +65,7 @@ func (e *cycleEnv) nuclear(ground *scf.Result, sc obs.Scope) (*scf.NuclearRespon
 	n3 := 3 * na
 	mat := linalg.NewMatrix
 	gemm := func(a, b *linalg.Matrix, c *linalg.Matrix) {
-		linalg.Gemm(false, false, 1, a, b, 0, c, ops)
+		linalg.Gemm(false, false, 1, a, b, 0, c)
 	}
 	// R·ε, the occupied orbitals scaled by their energies.
 	eps, reps := make([]float64, nr), r.Clone()
@@ -113,8 +113,8 @@ func (e *cycleEnv) nuclear(ground *scf.Result, sc obs.Scope) (*scf.NuclearRespon
 			// u = W∘(Lᵀ·(S⁽ᶜ⁾∘κ)·R − (Lᵀ·S⁽ᶜ⁾·R)·ε), the ε term folded into
 			// s∘κ·R above and (s·L)ᵀ·(R·ε)_A here.
 			u := out.U[c]
-			scf.Sandwich(u, &lA, &vkr, &vkl, &rA, 1, 0, ops)
-			linalg.Gemm(true, false, -1, &vl, &reA, 1, u, ops)
+			scf.Sandwich(u, &lA, &vkr, &vkl, &rA, 1, 0)
+			linalg.Gemm(true, false, -1, &vl, &reA, 1, u)
 			for i, x := range e.W.Data {
 				u.Data[i] *= x
 			}
@@ -138,7 +138,7 @@ func (e *cycleEnv) nuclear(ground *scf.Result, sc obs.Scope) (*scf.NuclearRespon
 	for b := 0; b < na; b++ {
 		first, size := pert.Rows(b)
 		rB, srB = r.RowBlock(first, first+size), e.SR.RowBlock(first, first+size)
-		linalg.Gemm(true, false, 1, &rB, &srB, 0, mt, ops)
+		linalg.Gemm(true, false, 1, &rB, &srB, 0, mt)
 		mt.AddTranspose()
 		gemm(r, mt, rm)
 		for c, srC := range out.SR {

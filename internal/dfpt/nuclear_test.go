@@ -18,11 +18,11 @@ func perturbedDensity(nr *scf.NuclearResponse, c int) *linalg.Matrix {
 	first, size := nr.Pert.Rows(c / 3)
 	ra := nr.R.RowBlock(first, first+size)
 	t := linalg.NewMatrix(no, no)
-	scf.Sandwich(t, &ra, nr.SR[c], nr.SR[c], &ra, 1, 0, nil)
+	scf.Sandwich(t, &ra, nr.SR[c], nr.SR[c], &ra, 1, 0)
 	z := linalg.NewMatrix(nr.L.Rows, no)
-	linalg.Gemm(false, false, -1, nr.R, t, 0, z, nil)
-	linalg.Gemm(false, false, 1, nr.L, nr.U[c], 1, z, nil)
-	p1 := linalg.MatMul(false, true, z, nr.R, nil)
+	linalg.Gemm(false, false, -1, nr.R, t, 0, z)
+	linalg.Gemm(false, false, 1, nr.L, nr.U[c], 1, z)
+	p1 := linalg.MatMul(false, true, z, nr.R)
 	p1.AddTranspose()
 	return p1
 }

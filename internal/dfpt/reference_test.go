@@ -42,8 +42,8 @@ func refResponseDensity(m *scf.Model, ground *scf.Result, h1 *linalg.Matrix, sta
 		return refResponseDensityGapped(m, ground, h1, occTol)
 	}
 	// hmo = Cᵀ h1 C.
-	tmp := linalg.MatMul(true, false, ground.C, h1, m.Ops)
-	hmo := linalg.MatMul(false, false, tmp, ground.C, m.Ops)
+	tmp := linalg.MatMul(true, false, ground.C, h1)
+	hmo := linalg.MatMul(false, false, tmp, ground.C)
 	// Scale by the occupation-difference ratio: M_qp = w_pq · hmo_qp.
 	fprime := make([]float64, n)
 	for p, f := range ground.Occ {
@@ -71,9 +71,9 @@ func refResponseDensity(m *scf.Model, ground *scf.Result, h1 *linalg.Matrix, sta
 			}
 		}
 	}
-	cm := linalg.MatMul(false, false, ground.C, hmo, m.Ops)
+	cm := linalg.MatMul(false, false, ground.C, hmo)
 	p1 := linalg.NewMatrix(n, n)
-	linalg.Gemm(false, true, 1, cm, ground.C, 0, p1, m.Ops)
+	linalg.Gemm(false, true, 1, cm, ground.C, 0, p1)
 	p1.Symmetrize()
 	if !static {
 		return p1
@@ -120,8 +120,8 @@ func refResponseDensityGapped(m *scf.Model, ground *scf.Result, h1 *linalg.Matri
 			cVirt.Set(i, k, ground.C.At(i, v))
 		}
 	}
-	tmp := linalg.MatMul(true, false, cVirt, h1, m.Ops)
-	u := linalg.MatMul(false, false, tmp, cOcc, m.Ops)
+	tmp := linalg.MatMul(true, false, cVirt, h1)
+	u := linalg.MatMul(false, false, tmp, cOcc)
 	for a := 0; a < nv; a++ {
 		ea := ground.Eps[virtIdx[a]]
 		fa := ground.Occ[virtIdx[a]]
@@ -135,9 +135,9 @@ func refResponseDensityGapped(m *scf.Model, ground *scf.Result, h1 *linalg.Matri
 			}
 		}
 	}
-	vu := linalg.MatMul(false, false, cVirt, u, m.Ops)
+	vu := linalg.MatMul(false, false, cVirt, u)
 	p1 := linalg.NewMatrix(n, n)
-	linalg.Gemm(false, true, 1, vu, cOcc, 0, p1, m.Ops)
+	linalg.Gemm(false, true, 1, vu, cOcc, 0, p1)
 	for i := 0; i < n; i++ {
 		for j := 0; j < i; j++ {
 			s := p1.At(i, j) + p1.At(j, i)

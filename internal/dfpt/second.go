@@ -56,12 +56,12 @@ func fieldResponse(m *scf.Model, ground *scf.Result, opt Options) (*Workspace, *
 func (e *cycleEnv) secondOrder(p1 [3]*linalg.Matrix, sc obs.Scope) (*scf.FieldResponse, error) {
 	_, span := sc.Begin("dfpt.second", "dfpt")
 	defer span.End()
-	m, n, ops := e.m, e.n, e.ops()
+	m, n := e.m, e.n
 	l, r := e.Left, e.Right
 	nl, nr, na := l.Cols, r.Cols, e.Chi.Rows
 	mat := linalg.NewMatrix
 	gemm := func(transA, transB bool, alpha float64, a, b *linalg.Matrix, beta float64, c *linalg.Matrix) {
-		linalg.Gemm(transA, transB, alpha, a, b, beta, c, ops)
+		linalg.Gemm(transA, transB, alpha, a, b, beta, c)
 	}
 	const cols = 6 // the pairs b ≤ c
 	fr := &scf.FieldResponse{P1: p1}
@@ -139,17 +139,16 @@ func (e *cycleEnv) secondOrder(p1 [3]*linalg.Matrix, sc obs.Scope) (*scf.FieldRe
 // space, the sibling of the closure's Σ_B v_B·K_B. t (cols(x)×n) and vx
 // (n×cols(x)) are scratch.
 func (e *cycleEnv) block(x, sx, d *linalg.Matrix, v []float64, t, vx *linalg.Matrix) *linalg.Matrix {
-	ops := e.ops()
 	out := linalg.NewMatrix(x.Cols, x.Cols)
-	linalg.Gemm(true, false, 1, x, d, 0, t, ops)
-	linalg.Gemm(false, false, 0.5, t, x, 0, out, ops)
+	linalg.Gemm(true, false, 1, x, d, 0, t)
+	linalg.Gemm(false, false, 0.5, t, x, 0, out)
 	for mu, a := range e.AtomOf {
 		row := vx.Row(mu)
 		for i, c := range x.Row(mu) {
 			row[i] = v[a] * c
 		}
 	}
-	linalg.Gemm(true, false, 1, vx, sx, 1, out, ops)
+	linalg.Gemm(true, false, 1, vx, sx, 1, out)
 	out.AddTranspose()
 	return out
 }

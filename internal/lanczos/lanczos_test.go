@@ -30,7 +30,7 @@ type denseOperator struct{ m *linalg.Matrix }
 
 func (d denseOperator) Dim() int { return d.m.Rows }
 
-func (d denseOperator) MulVec(x, y []float64) { linalg.Gemv(false, 1, d.m, x, 0, y, nil) }
+func (d denseOperator) MulVec(x, y []float64) { linalg.Gemv(false, 1, d.m, x, 0, y) }
 
 // denseSpectralDensity is the exact reference: it diagonalizes the operator
 // as a dense matrix and evaluates dᵀ·g_σ(x−H)·d directly.
@@ -164,7 +164,7 @@ func momentsExact(m *linalg.Matrix, d []float64, maxM int) []float64 {
 	w := make([]float64, n)
 	for p := 0; p <= maxM; p++ {
 		out[p] = linalg.Dot(d, v)
-		linalg.Gemv(false, 1, m, v, 0, w, nil)
+		linalg.Gemv(false, 1, m, v, 0, w)
 		v, w = w, v
 	}
 	return out

@@ -9,16 +9,17 @@ import (
 )
 
 // FuzzGemmBatch drives the batch path with arbitrary batch compositions
-// — mixed shapes (including ones straddling the 32-padding boundary), mixed
-// trans flags, interleaved transpose pairs — and checks three invariants
-// against a per-call direct Gemm oracle:
+// — mixed shapes (including ones straddling the micro-tile and 32-element
+// boundaries), mixed trans flags, interleaved calls whose operands are an
+// earlier call's swapped — and checks three invariants against a per-call
+// direct Gemm oracle:
 //
 //  1. Bit-exactness: every C matches the unbatched result exactly, so
-//     grouping, padding classes, and pair-skips never change numerics.
-//  2. Padding never leaks: each C lives in the middle of a guarded backing
+//     running calls as batch members never changes numerics.
+//  2. Tile tails never leak: each C lives in the middle of a guarded backing
 //     array whose sentinel lanes must survive untouched — a kernel that
-//     wrote a padded tail would trip them.
-//  3. Mixed-shape submissions split rather than reject: the batch path
+//     wrote past a masked register-tile tail would trip them.
+//  3. Mixed-shape submissions run rather than reject: the batch path
 //     completes every call no matter how shapes are interleaved.
 //
 // A non-zero mismatch%4 instead corrupts one call (inner dimension, C rows
@@ -45,7 +46,7 @@ func FuzzGemmBatch(f *testing.F) {
 			if mismatch&4 != 0 {
 				return 1 + rng.Intn(12)
 			}
-			// Bias toward micro-tile and padding boundaries.
+			// Bias toward micro-tile and 32-element boundaries.
 			edges := []int{1, 2, 3, 4, 5, 7, 8, 31, 32, 33, 40, 64, 65}
 			if rng.Intn(2) == 0 {
 				return edges[rng.Intn(len(edges))]
@@ -79,8 +80,8 @@ func FuzzGemmBatch(f *testing.F) {
 		var oracle []*linalg.Matrix
 		for ci := 0; ci < int(nCalls); ci++ {
 			if len(calls) > 0 && rng.Intn(4) == 0 {
-				// Inject a transpose pair of a random earlier call that has
-				// beta == 0, exercising the §V-D skip under fuzz.
+				// Inject the transpose of a random earlier call (its operands
+				// swapped, C_new = C_srcᵀ), computed like any other call.
 				src := calls[rng.Intn(len(calls))]
 				g := newGuarded(src.C.Cols, src.C.Rows)
 				calls = append(calls, linalg.GemmCall{
@@ -156,11 +157,11 @@ func FuzzGemmBatch(f *testing.F) {
 		for i := range calls {
 			c := &calls[i]
 			w := linalg.NewMatrix(c.C.Rows, c.C.Cols)
-			linalg.Gemm(c.TransA, c.TransB, c.Alpha, c.A, c.B, 0, w, nil)
+			linalg.Gemm(c.TransA, c.TransB, c.Alpha, c.A, c.B, 0, w)
 			oracle = append(oracle, w)
 		}
 
-		linalg.PlanBatch(calls).Run(nil)
+		linalg.PlanBatch(calls).Run()
 
 		for i := range calls {
 			got, want := calls[i].C.Data, oracle[i].Data
@@ -173,7 +174,7 @@ func FuzzGemmBatch(f *testing.F) {
 		for gi, g := range guards {
 			for i := 0; i < guard; i++ {
 				if g.backing[i] != sentinel || g.backing[len(g.backing)-1-i] != sentinel {
-					t.Fatalf("call %d: guard lane clobbered — padded tail leaked out of C", gi)
+					t.Fatalf("call %d: guard lane clobbered — a tile tail leaked out of C", gi)
 				}
 			}
 		}

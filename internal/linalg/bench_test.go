@@ -19,7 +19,7 @@ func benchmarkGemm(b *testing.B, m, k, n int) {
 	b.SetBytes(int64(8 * (m*k + k*n + m*n)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Gemm(false, false, 1, a, bb, 0, c, nil)
+		Gemm(false, false, 1, a, bb, 0, c)
 	}
 	b.ReportMetric(float64(GemmFLOPs(m, k, n)*int64(b.N))/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
@@ -132,7 +132,7 @@ func BenchmarkEigSymProjected(b *testing.B) {
 				if err := w.Solve(a, vals, vecs); err != nil {
 					b.Fatal(err)
 				}
-				Gemm(true, false, 1, vecs, d, 0, p, nil)
+				Gemm(true, false, 1, vecs, d, 0, p)
 			}
 		})
 		b.Run("carried/"+itoa(n), func(b *testing.B) {

@@ -1,32 +1,6 @@
 package linalg
 
-import (
-	"sync/atomic"
-
-	"qframan/internal/par"
-)
-
-// Ops tracks BLAS-level operation counts and floating-point operation counts.
-// The DFPT engine uses these counters to demonstrate the symmetry-aware
-// strength reduction (paper §V-D, Fig. 6) — fewer GEMM/GEMV invocations for
-// identical results — and the batch plan's shape classes group calls of
-// similar computational strength (§V-C).
-//
-// Counters are updated atomically so concurrent workers can share them.
-type Ops struct {
-	GEMMCalls  atomic.Int64
-	GEMVCalls  atomic.Int64
-	FLOPs      atomic.Int64
-	BatchCalls atomic.Int64 // shape-class groups run as one gemm_batch kernel (BatchPlan.Run)
-	// TransposeSkips counts GEMMs the batch planner never executed because
-	// their result is the exact transpose of another call in the same batch
-	// (§V-D strength reduction); the skipped FLOPs are excluded from FLOPs.
-	TransposeSkips atomic.Int64
-}
-
-// DefaultOps is the process-wide counter set used when no explicit Ops is
-// supplied.
-var DefaultOps Ops
+import "qframan/internal/par"
 
 // GemmFLOPs returns the canonical FLOP count of a GEMM of shape (m×k)·(k×n).
 func GemmFLOPs(m, k, n int) int64 { return 2 * int64(m) * int64(k) * int64(n) }
@@ -144,7 +118,7 @@ func (g *GemmOp) set(transA, transB bool, alpha float64, a, b *Matrix, beta floa
 	return true
 }
 
-// Run computes C from the operands' current contents; it counts nothing.
+// Run computes C from the operands' current contents.
 func (g *GemmOp) Run() {
 	if g.m == 0 || g.n == 0 {
 		return
@@ -202,41 +176,23 @@ func (g *GemmOp) mirrorPanels(_, lo, hi int) {
 	mirrorLower(g.c, lo*mr, min(hi*mr, g.m))
 }
 
-// Gemm computes C = alpha·op(A)·op(B) + beta·C once: BindGemm, the Ops
-// accounting, Run. A direct-kernel shape is too small to shard, so it runs on
-// the caller from an op on the stack (the same bits: see GemmOp) and
-// allocates nothing.
-func Gemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix, ops *Ops) {
-	if ops == nil {
-		ops = &DefaultOps
-	}
-	if gemmSmall(transA, transB, alpha, a, b, beta, c, ops) {
-		return
-	}
-	g := BindGemm(transA, transB, alpha, a, b, beta, c)
-	ops.GEMMCalls.Add(1)
-	ops.FLOPs.Add(GemmFLOPs(g.m, g.k, g.n))
-	g.Run()
-}
-
-// gemmSmall is Gemm for a direct-kernel shape, run inline; false (nothing
-// done) for any other shape.
-func gemmSmall(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix, ops *Ops) bool {
+// Gemm computes C = alpha·op(A)·op(B) + beta·C once: BindGemm, then Run. A
+// direct-kernel shape is too small to shard, so it runs on the caller from an
+// op on the stack (the same bits: see GemmOp) and allocates nothing.
+func Gemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix) {
 	var g GemmOp
 	if !g.set(transA, transB, alpha, a, b, beta, c) {
 		panic("linalg: Gemm shape mismatch")
 	}
-	if !g.direct {
-		return false
+	if g.direct {
+		g.inline()
+		return
 	}
-	ops.GEMMCalls.Add(1)
-	ops.FLOPs.Add(GemmFLOPs(g.m, g.k, g.n))
-	g.inline()
-	return true
+	BindGemm(transA, transB, alpha, a, b, beta, c).Run()
 }
 
 // MatMul returns op(A)·op(B) as a new matrix (alpha=1, beta=0).
-func MatMul(transA, transB bool, a, b *Matrix, ops *Ops) *Matrix {
+func MatMul(transA, transB bool, a, b *Matrix) *Matrix {
 	am := a.Rows
 	if transA {
 		am = a.Cols
@@ -246,12 +202,12 @@ func MatMul(transA, transB bool, a, b *Matrix, ops *Ops) *Matrix {
 		bn = b.Rows
 	}
 	c := NewMatrix(am, bn)
-	Gemm(transA, transB, 1, a, b, 0, c, ops)
+	Gemm(transA, transB, 1, a, b, 0, c)
 	return c
 }
 
 // Gemv computes y = alpha·op(A)·x + beta·y.
-func Gemv(trans bool, alpha float64, a *Matrix, x []float64, beta float64, y []float64, ops *Ops) {
+func Gemv(trans bool, alpha float64, a *Matrix, x []float64, beta float64, y []float64) {
 	m, n := a.Rows, a.Cols
 	if trans {
 		m, n = n, m
@@ -259,12 +215,6 @@ func Gemv(trans bool, alpha float64, a *Matrix, x []float64, beta float64, y []f
 	if len(x) != n || len(y) != m {
 		panic("linalg: Gemv shape mismatch")
 	}
-	if ops == nil {
-		ops = &DefaultOps
-	}
-	ops.GEMVCalls.Add(1)
-	ops.FLOPs.Add(2 * int64(m) * int64(n))
-
 	if beta == 0 {
 		for i := range y {
 			y[i] = 0

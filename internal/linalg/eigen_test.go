@@ -20,7 +20,7 @@ func checkEigenpairs(t *testing.T, a *Matrix, vals []float64, vecs *Matrix, tol 
 			v[i] = vecs.At(i, j)
 		}
 		av := make([]float64, n)
-		Gemv(false, 1, a, v, 0, av, nil)
+		Gemv(false, 1, a, v, 0, av)
 		for i := 0; i < n; i++ {
 			if math.Abs(av[i]-vals[j]*v[i]) > tol {
 				t.Fatalf("eigenpair %d: residual %g at row %d", j, av[i]-vals[j]*v[i], i)
@@ -28,7 +28,7 @@ func checkEigenpairs(t *testing.T, a *Matrix, vals []float64, vecs *Matrix, tol 
 		}
 	}
 	// Orthonormality VᵀV = I.
-	vtv := MatMul(true, false, vecs, vecs, nil)
+	vtv := MatMul(true, false, vecs, vecs)
 	if d := vtv.MaxAbsDiff(Identity(n)); d > tol {
 		t.Fatalf("eigenvectors not orthonormal: max deviation %g", d)
 	}
@@ -348,7 +348,7 @@ func TestCholesky(t *testing.T) {
 	// Build an SPD matrix A = MᵀM + n·I.
 	n := 8
 	m := randomMatrix(rng, n, n)
-	a := MatMul(true, false, m, m, nil)
+	a := MatMul(true, false, m, m)
 	for i := 0; i < n; i++ {
 		a.Add(i, i, float64(n))
 	}
@@ -356,7 +356,7 @@ func TestCholesky(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	llt := MatMul(false, true, l, l, nil)
+	llt := MatMul(false, true, l, l)
 	if d := llt.MaxAbsDiff(a); d > 1e-10 {
 		t.Fatalf("L·Lᵀ differs from A by %g", d)
 	}
@@ -370,7 +370,7 @@ func TestCholesky(t *testing.T) {
 			}
 		}
 	}
-	if d := MatMul(false, false, linv, l, nil).MaxAbsDiff(Identity(n)); d > 1e-13 {
+	if d := MatMul(false, false, linv, l).MaxAbsDiff(Identity(n)); d > 1e-13 {
 		t.Fatalf("L⁻¹·L differs from I by %g", d)
 	}
 	b := make([]float64, n)
@@ -378,9 +378,9 @@ func TestCholesky(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	y, x, ax := make([]float64, n), make([]float64, n), make([]float64, n)
-	Gemv(false, 1, linv, b, 0, y, nil)
-	Gemv(true, 1, linv, y, 0, x, nil)
-	Gemv(false, 1, a, x, 0, ax, nil)
+	Gemv(false, 1, linv, b, 0, y)
+	Gemv(true, 1, linv, y, 0, x)
+	Gemv(false, 1, a, x, 0, ax)
 	for i := range b {
 		if math.Abs(ax[i]-b[i]) > 1e-9 {
 			t.Fatalf("Cholesky solve residual %g at %d", ax[i]-b[i], i)
@@ -448,7 +448,7 @@ func TestEigSymOracle(t *testing.T) {
 		for i := 0; i < n; i++ {
 			d.Set(i, i, lam(i))
 		}
-		a := MatMul(false, true, MatMul(false, false, q, d, nil), q, nil)
+		a := MatMul(false, true, MatMul(false, false, q, d), q)
 		a.Symmetrize()
 		return a
 	}
@@ -476,7 +476,7 @@ func TestEigSymOracle(t *testing.T) {
 			for _, v := range a.Data {
 				norm = math.Max(norm, math.Abs(v))
 			}
-			av := MatMul(false, false, a, vecs, nil)
+			av := MatMul(false, false, a, vecs)
 			var resid float64
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
@@ -486,7 +486,7 @@ func TestEigSymOracle(t *testing.T) {
 			if resid > 1e-12*norm {
 				t.Errorf("n=%d %s: ‖AV − VΛ‖ = %g, ‖A‖ = %g", n, name, resid, norm)
 			}
-			if d := MatMul(true, false, vecs, vecs, nil).MaxAbsDiff(Identity(n)); d > 1e-13 {
+			if d := MatMul(true, false, vecs, vecs).MaxAbsDiff(Identity(n)); d > 1e-13 {
 				t.Errorf("n=%d %s: ‖VᵀV − I‖ = %g", n, name, d)
 			}
 			for j := 1; j < n; j++ {
@@ -558,7 +558,7 @@ func TestSolveLinear(t *testing.T) {
 		xTrue[i] = rng.NormFloat64()
 	}
 	b := make([]float64, n)
-	Gemv(false, 1, a, xTrue, 0, b, nil)
+	Gemv(false, 1, a, xTrue, 0, b)
 	x, err := SolveLinear(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -639,7 +639,7 @@ func TestCholeskySPDProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(10)
 		m := randomMatrix(r, n, n)
-		a := MatMul(true, false, m, m, nil)
+		a := MatMul(true, false, m, m)
 		for i := 0; i < n; i++ {
 			a.Add(i, i, 1)
 		}

@@ -136,7 +136,7 @@ func TestEigSymWorkMatchesEigSymBitwise(t *testing.T) {
 		for i := 0; i < n; i++ {
 			lam.Set(i, i, float64(1+i/2))
 		}
-		deg := MatMul(false, true, MatMul(false, false, q, lam, nil), q, nil)
+		deg := MatMul(false, true, MatMul(false, false, q, lam), q)
 		deg.Symmetrize()
 		inputs["degenerate"] = deg
 		for name, a := range inputs {

@@ -1,15 +1,15 @@
 // Package linalg implements the dense linear algebra substrate for the
-// QF-RAMAN reproduction: a row-major matrix type, BLAS-style kernels with
-// global operation accounting (used by the elastic-offloading and
-// strength-reduction experiments), symmetric eigensolvers, and a Cholesky
-// factorization for the generalized eigenproblem HC = SCε.
+// QF-RAMAN reproduction: a row-major matrix type, BLAS-style kernels, the
+// batched-GEMM plan of the elastic offloading (§V-C), symmetric eigensolvers,
+// and a Cholesky factorization for the generalized eigenproblem HC = SCε.
 //
 // Everything is pure Go over float64. The kernels deliberately mirror the
 // BLAS call structure of the paper's DFPT engine — the batched grid GEMMs
-// of §V-C and the strength-reduced contractions of §V-D (Fig. 6) — so that
+// of §V-C and the symmetric half-computed products of §V-D (Fig. 6) — so that
 // "number of GEMM invocations" and "FLOPs per phase" are meaningful
-// measured quantities. The hot kernels shard across internal/par's
-// deterministic pool; see Gemm for the bit-identity argument.
+// quantities; dfpt counts them from its call lists (PhaseMetrics), the
+// kernels count nothing. The hot kernels shard across internal/par's
+// deterministic pool; see GemmOp for the bit-identity argument.
 package linalg
 
 import (

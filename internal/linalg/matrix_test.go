@@ -134,7 +134,7 @@ func TestGemmAllTransposeCombos(t *testing.T) {
 			c := randomMatrix(rng, m, n)
 			want := naiveGemm(ta, tb, 1.3, a, b, 0.7, c)
 			got := c.Clone()
-			Gemm(ta, tb, 1.3, a, b, 0.7, got, nil)
+			Gemm(ta, tb, 1.3, a, b, 0.7, got)
 			if d := got.MaxAbsDiff(want); d > 1e-12 {
 				t.Errorf("Gemm(transA=%v, transB=%v) differs from naive by %g", ta, tb, d)
 			}
@@ -150,27 +150,11 @@ func TestGemmBetaZeroIgnoresGarbage(t *testing.T) {
 	for i := range c.Data {
 		c.Data[i] = math.NaN() // beta=0 must overwrite, never read
 	}
-	Gemm(false, false, 1, a, b, 0, c, nil)
+	Gemm(false, false, 1, a, b, 0, c)
 	for _, v := range c.Data {
 		if math.IsNaN(v) {
 			t.Fatal("Gemm with beta=0 read the destination")
 		}
-	}
-}
-
-func TestGemmCounters(t *testing.T) {
-	var ops Ops
-	a := Identity(8)
-	b := Identity(8)
-	c := NewMatrix(8, 8)
-	Gemm(false, false, 1, a, b, 0, c, &ops)
-	Gemm(false, false, 1, a, b, 0, c, &ops)
-	gemm, flops := ops.GEMMCalls.Load(), ops.FLOPs.Load()
-	if gemm != 2 {
-		t.Fatalf("GEMM calls = %d, want 2", gemm)
-	}
-	if want := 2 * GemmFLOPs(8, 8, 8); flops != want {
-		t.Fatalf("FLOPs = %d, want %d", flops, want)
 	}
 }
 
@@ -182,7 +166,7 @@ func TestGemv(t *testing.T) {
 		x[i] = rng.NormFloat64()
 	}
 	y := make([]float64, 4)
-	Gemv(false, 2.0, a, x, 0, y, nil)
+	Gemv(false, 2.0, a, x, 0, y)
 	for i := 0; i < 4; i++ {
 		want := 2.0 * Dot(a.Row(i), x)
 		if math.Abs(y[i]-want) > 1e-12 {
@@ -195,7 +179,7 @@ func TestGemv(t *testing.T) {
 		xt[i] = rng.NormFloat64()
 	}
 	yt := make([]float64, 6)
-	Gemv(true, 1.0, a, xt, 0, yt, nil)
+	Gemv(true, 1.0, a, xt, 0, yt)
 	at := a.T()
 	for i := 0; i < 6; i++ {
 		want := Dot(at.Row(i), xt)
@@ -234,8 +218,8 @@ func TestGemmTransposeProperty(t *testing.T) {
 		n := 1 + r.Intn(8)
 		a := randomMatrix(rng, m, k)
 		b := randomMatrix(rng, k, n)
-		ab := MatMul(false, false, a, b, nil)
-		btat := MatMul(true, true, b, a, nil)
+		ab := MatMul(false, false, a, b)
+		btat := MatMul(true, true, b, a)
 		return ab.T().MaxAbsDiff(btat) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

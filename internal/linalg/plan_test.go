@@ -9,9 +9,9 @@ import (
 	"qframan/internal/par"
 )
 
-// planFixture builds a mixed list — three shape classes, mixed trans flags,
-// and a literal transpose pair (the dfpt naive-h1 pattern) — over operands
-// the tests refill between runs.
+// planFixture builds a mixed list — five shapes, mixed trans flags, and two
+// calls whose operands are each other's swapped (the dfpt naive-h1 pattern) —
+// over operands the tests refill between runs.
 func planFixture() (calls []linalg.GemmCall, inputs []*linalg.Matrix) {
 	for _, sh := range [][3]int{{57, 13, 13}, {40, 13, 9}, {7, 33, 40}, {57, 11, 13}, {64, 32, 32}} {
 		m, k, n := sh[0], sh[1], sh[2]
@@ -28,31 +28,22 @@ func planFixture() (calls []linalg.GemmCall, inputs []*linalg.Matrix) {
 }
 
 // TestBatchPlanReuse: one plan run three times, operands refilled between
-// runs, reproduces the reference bit for bit each time and advances every
-// counter by the same amount each time — a plan holds no per-run state.
+// runs, reproduces the reference bit for bit each time and advances
+// GemmBatchStats by one submit of every call each time — a plan holds no
+// per-run state.
 func TestBatchPlanReuse(t *testing.T) {
 	calls, inputs := planFixture()
 	plan := linalg.PlanBatch(calls)
 	rng := rand.New(rand.NewSource(45))
-	var ops linalg.Ops
-	var first [4]int64
 	for run := 0; run < 3; run++ {
 		for _, m := range inputs {
 			fillMat(m, rng)
 		}
-		before := [4]int64{ops.GEMMCalls.Load(), ops.FLOPs.Load(), ops.TransposeSkips.Load(), ops.BatchCalls.Load()}
-		plan.Run(&ops)
-		var delta [4]int64
-		for i, v := range [4]int64{ops.GEMMCalls.Load(), ops.FLOPs.Load(), ops.TransposeSkips.Load(), ops.BatchCalls.Load()} {
-			delta[i] = v - before[i]
-		}
-		if run == 0 {
-			first = delta
-			if delta[0] != int64(len(calls))-1 || delta[2] != 1 || delta[3] != 3 {
-				t.Fatalf("first run counted GEMMs/FLOPs/skips/batches %v, want %d executed, 1 skip, 3 classes", delta, len(calls)-1)
-			}
-		} else if delta != first {
-			t.Fatalf("run %d advanced GEMMs/FLOPs/skips/batches by %v, run 0 by %v", run, delta, first)
+		before := linalg.GemmBatchStats()
+		plan.Run()
+		after := linalg.GemmBatchStats()
+		if subs, items := after.Submits-before.Submits, after.Items-before.Items; subs != 1 || items != int64(len(calls)) {
+			t.Fatalf("run %d advanced Submits by %d and Items by %d, want 1 and %d", run, subs, items, len(calls))
 		}
 		for i := range calls {
 			c := &calls[i]
@@ -65,8 +56,8 @@ func TestBatchPlanReuse(t *testing.T) {
 	}
 }
 
-// TestBatchPlanRunAllocationCeiling: grouping, pair detection and the kernel
-// bodies are the plan's, so a steady-state Run at width 1 builds nothing.
+// TestBatchPlanRunAllocationCeiling: validation and the kernel body are the
+// plan's, so a steady-state Run at width 1 builds nothing.
 func TestBatchPlanRunAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -79,9 +70,8 @@ func TestBatchPlanRunAllocationCeiling(t *testing.T) {
 		fillMat(m, rng)
 	}
 	plan := linalg.PlanBatch(calls)
-	var ops linalg.Ops
-	plan.Run(&ops) // warm the pack-buffer pool
-	if allocs := testing.AllocsPerRun(10, func() { plan.Run(&ops) }); allocs > 0 {
+	plan.Run() // warm the pack-buffer pool
+	if allocs := testing.AllocsPerRun(10, plan.Run); allocs > 0 {
 		t.Fatalf("BatchPlan.Run allocates %v objects per run, want 0", allocs)
 	}
 }

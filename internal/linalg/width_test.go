@@ -37,7 +37,7 @@ func TestGemmWidthInvariance(t *testing.T) {
 				par.SetBudget(w)
 				c := NewMatrix(m, n)
 				copy(c.Data, c0.Data)
-				Gemm(transA, transB, 1.25, a, b, 0.5, c, nil)
+				Gemm(transA, transB, 1.25, a, b, 0.5, c)
 				if ref == nil {
 					ref = c
 					continue
@@ -71,7 +71,7 @@ func TestGemvWidthInvariance(t *testing.T) {
 		for _, w := range []int{1, 4} {
 			par.SetBudget(w)
 			y := make([]float64, ny)
-			Gemv(trans, 1.5, a, x, 0, y, nil)
+			Gemv(trans, 1.5, a, x, 0, y)
 			if ref == nil {
 				ref = y
 				continue
@@ -124,7 +124,7 @@ func TestExecuteBatchedWidthInvariance(t *testing.T) {
 	for _, w := range []int{1, 3, runtime.NumCPU()} {
 		par.SetBudget(w)
 		calls, outs := mk()
-		PlanBatch(calls).Run(nil)
+		PlanBatch(calls).Run()
 		if ref == nil {
 			ref = outs
 			continue

@@ -33,7 +33,7 @@ func TestNilSafety(t *testing.T) {
 	sc2, sp2 := sc.Begin("x", "y")
 	sp2.End()
 	sc2.RecordSCF(time.Now(), 3, 5, 0)
-	sc2.RecordDFPTCycles(time.Now(), []CycleSample{{Iter: 1}})
+	sc2.RecordDFPTCycle(time.Now(), [NumPhases]time.Duration{}, 0)
 	var fs *FragStats
 	fs.AddPhase(PhaseP1, time.Second)
 	fs.AddCycles(1)
@@ -146,10 +146,10 @@ func TestChromeTraceRoundtrip(t *testing.T) {
 	att := tr.Begin(frag, "attempt", "sched", A("attempt", 1))
 	dsc := sc.WithSpan(att)
 	start := time.Now()
-	dsc.RecordDFPTCycles(start, []CycleSample{{Iter: 1, Durs: [NumPhases]time.Duration{
+	dsc.RecordDFPTCycle(start, [NumPhases]time.Duration{
 		PhaseP1: 40 * time.Microsecond, PhaseN1: 10 * time.Microsecond,
 		PhaseV1: 20 * time.Microsecond, PhaseH1: 30 * time.Microsecond,
-	}, Total: 110 * time.Microsecond}})
+	}, 110*time.Microsecond)
 	att.End()
 	frag.End()
 	run.End()
@@ -221,6 +221,102 @@ func TestChromeTraceRoundtrip(t *testing.T) {
 	if !strings.Contains(flame.String(), "run/frag/attempt/dfpt.cycle/p1") {
 		t.Fatalf("flame summary missing path:\n%s", flame.String())
 	}
+}
+
+// TestRecordDFPTCycleSpans: one recorded cycle is a "dfpt.cycle" span under
+// the scope's span with the iter argument AnalyzeTrace reads, and four phase
+// children that tile it in execution order (n1, v1, h1, p1); each of the five
+// spans counts against DefaultMaxSpans.
+func TestRecordDFPTCycleSpans(t *testing.T) {
+	tr := NewTracer()
+	sc := NewScope(tr, nil)
+	sc, frag := sc.Begin("frag", "frag", A("frag", 4))
+	durs := [NumPhases]time.Duration{
+		PhaseN1: 3 * time.Microsecond, PhaseV1: 5 * time.Microsecond,
+		PhaseH1: 7 * time.Microsecond, PhaseP1: 11 * time.Microsecond,
+	}
+	base := time.Now()
+	sc.RecordDFPTCycle(base, durs, 26*time.Microsecond)
+	frag.End()
+
+	spans := tr.Snapshot()
+	if len(spans) != 6 {
+		t.Fatalf("got %d spans, want frag + cycle + 4 phases", len(spans))
+	}
+	var cyc SpanRecord
+	var phases []SpanRecord
+	for _, s := range spans {
+		switch s.Name {
+		case "dfpt.cycle":
+			cyc = s
+		case "frag":
+		default:
+			phases = append(phases, s)
+		}
+	}
+	if cyc.Parent != frag.ID() || cyc.Cat != "dfpt" || cyc.Start != tr.Since(base) || cyc.Dur != 26*time.Microsecond {
+		t.Fatalf("cycle span = %+v, want parent %d at %v lasting 26µs", cyc, frag.ID(), tr.Since(base))
+	}
+	if iter, ok := cyc.Arg("iter"); !ok || iter != 1 {
+		t.Fatalf("cycle iter arg = %d (present %v), want 1", iter, ok)
+	}
+	if len(phases) != int(NumPhases) {
+		t.Fatalf("got %d phase spans, want %d", len(phases), NumPhases)
+	}
+	at := cyc.Start
+	for i, p := range [NumPhases]Phase{PhaseN1, PhaseV1, PhaseH1, PhaseP1} {
+		s := phases[i]
+		if s.Name != PhaseNames[p] || s.Cat != "phase" || s.Parent != cyc.ID || s.Start != at || s.Dur != durs[p] {
+			t.Fatalf("phase span %d = %+v, want %s under %d at %v lasting %v", i, s, PhaseNames[p], cyc.ID, at, durs[p])
+		}
+		at += durs[p]
+	}
+	if at != cyc.Start+cyc.Dur {
+		t.Fatalf("phases end at %v, cycle at %v", at, cyc.Start+cyc.Dur)
+	}
+	sum, err := AnalyzeTrace(spans, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row := sum.TopK[0]; row.Cycles != 1 || row.Phase != durs {
+		t.Fatalf("AnalyzeTrace row = %+v, want 1 cycle with phases %v", row, durs)
+	}
+
+	// Five spans of room take one cycle whole; the next cycle's five spans
+	// are all dropped.
+	capped := NewTracer()
+	capped.recorded.Store(DefaultMaxSpans - 5)
+	csc := NewScope(capped, nil)
+	csc.RecordDFPTCycle(base, durs, 26*time.Microsecond)
+	if d := capped.Dropped(); d != 0 {
+		t.Fatalf("dropped %d spans with room for one cycle", d)
+	}
+	csc.RecordDFPTCycle(base, durs, 26*time.Microsecond)
+	if d := capped.Dropped(); d != 5 {
+		t.Fatalf("dropped %d spans of a cycle past the cap, want 5", d)
+	}
+}
+
+// TestWriteTextTotalMicroseconds: the phase table's total column keeps
+// microseconds like the percentile columns, so a phase of µs-scale cycles
+// does not print a zero total.
+func TestWriteTextTotalMicroseconds(t *testing.T) {
+	s := &StragglerSummary{PerCycle: true}
+	s.Phases[PhaseN1] = PhaseQuantiles{Count: 44, P50: 2 * time.Microsecond, P95: 4 * time.Microsecond,
+		P99: 4 * time.Microsecond, Total: 93*time.Microsecond + 400*time.Nanosecond}
+	var buf bytes.Buffer
+	if err := s.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 6 && f[0] == "n1" {
+			if f[5] != "93µs" {
+				t.Fatalf("n1 total printed %q, want 93µs:\n%s", f[5], buf.String())
+			}
+			return
+		}
+	}
+	t.Fatalf("no n1 row in:\n%s", buf.String())
 }
 
 func TestStragglersFromFragStats(t *testing.T) {

@@ -53,10 +53,10 @@ func TestConcurrentHammer(t *testing.T) {
 				gauge.Set(int64(i))
 				hist.Observe(float64(i) * 1e-6)
 				child, sp := wsc.Begin("work", "test", A("g", int64(g)))
-				child.RecordDFPTCycles(time.Now(), []CycleSample{{Iter: int32(i), Durs: [NumPhases]time.Duration{
+				child.RecordDFPTCycle(time.Now(), [NumPhases]time.Duration{
 					PhaseP1: time.Nanosecond, PhaseN1: time.Nanosecond,
 					PhaseV1: time.Nanosecond, PhaseH1: time.Nanosecond,
-				}, Total: 4 * time.Nanosecond}})
+				}, 4*time.Nanosecond)
 				sp.End()
 			}
 			if fs.Cycles() != events {

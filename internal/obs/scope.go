@@ -294,38 +294,36 @@ func (s Scope) RecordSCF(start time.Time, iters, fermiEvals, newtonSteps int) {
 	s.FS.AddSCFIters(iters)
 }
 
-// RecordDFPTCycles records one solve's worth of DFPT cycles in a single
-// batch, each a cycle span with exactly four phase children in execution
-// order (n1, v1, h1, p1): the phase histograms observe the solve's per-phase
-// totals, the fragment accumulator gains the same totals plus the cycle
-// count, and the tracer stores one compact 64-byte record per cycle under one shard lock
-// (expanded to the cycle span and its four phase children at Snapshot).
-// base is the solve's wall-clock anchor; sample offsets are relative to it.
-// Keeping the per-cycle cost to a local append is what holds tracing
-// overhead under the 3% budget on µs-scale gamma-mode cycles.
-func (s Scope) RecordDFPTCycles(base time.Time, samples []CycleSample) {
-	if len(samples) == 0 {
-		return
-	}
-	var tot [NumPhases]time.Duration
-	for i := range samples {
-		for p := Phase(0); p < NumPhases; p++ {
-			tot[p] += samples[i].Durs[p]
-		}
-	}
+// cycleArgs are the arguments of every cycle span, shared read-only so that
+// recording one allocates no argument list.
+var cycleArgs = []Arg{{Key: "iter", Val: 1}}
+
+// RecordDFPTCycle records one DFPT cycle: a "dfpt.cycle" span (iter 1) of
+// length total starting at base, with exactly four phase children that tile
+// it in execution order (n1, v1, h1, p1) and last durs; the phase histograms
+// observe durs, and the fragment accumulator gains them plus the cycle.
+func (s Scope) RecordDFPTCycle(base time.Time, durs [NumPhases]time.Duration, total time.Duration) {
 	if s.Hot != nil {
 		for p := Phase(0); p < NumPhases; p++ {
-			s.Hot.PhaseTime[p].Observe(tot[p].Seconds())
+			s.Hot.PhaseTime[p].Observe(durs[p].Seconds())
 		}
-		s.Hot.DFPTCycles.Add(int64(len(samples)))
+		s.Hot.DFPTCycles.Inc()
 	}
 	if s.FS != nil {
 		for p := Phase(0); p < NumPhases; p++ {
-			s.FS.AddPhase(p, tot[p])
+			s.FS.AddPhase(p, durs[p])
 		}
-		s.FS.AddCycles(len(samples))
+		s.FS.AddCycles(1)
 	}
-	s.T.recordCycles(s.Span.ID(), s.Track, base, samples)
+	if s.T == nil {
+		return
+	}
+	at := s.T.Since(base)
+	cyc := s.T.Record(s.Span.ID(), s.Track, "dfpt.cycle", "dfpt", at, total, cycleArgs...)
+	for _, p := range [NumPhases]Phase{PhaseN1, PhaseV1, PhaseH1, PhaseP1} {
+		s.T.Record(cyc, s.Track, PhaseNames[p], "phase", at, durs[p])
+		at += durs[p]
+	}
 }
 
 // Values of the "route" argument of a spectrum span: which solver produced

@@ -66,27 +66,10 @@ const DefaultMaxSpans = 2 << 20
 // a multi-hundred-MB contiguous span array.
 const chunkSpans = 512
 
-// cycleRec is the compact in-memory form of one DFPT cycle and its four
-// phase children: 64 pointer-free bytes instead of five ~100-byte
-// SpanRecords. Snapshot expands each into the cycle span plus its phase
-// spans, so exported traces are identical to eager recording while the
-// per-cycle hot path stores an eighth of the bytes and nothing the GC must
-// scan.
-type cycleRec struct {
-	parent uint64
-	start  time.Duration
-	durs   [NumPhases]time.Duration
-	total  time.Duration
-	track  int32
-	iter   int32
-}
-
 type spanShard struct {
-	mu     sync.Mutex
-	done   [][]SpanRecord // filled span chunks
-	cur    []SpanRecord   // active span chunk (cap chunkSpans)
-	cycles [][]cycleRec   // filled cycle chunks
-	cycCur []cycleRec     // active cycle chunk (cap chunkSpans)
+	mu   sync.Mutex
+	done [][]SpanRecord // filled span chunks
+	cur  []SpanRecord   // active span chunk (cap chunkSpans)
 }
 
 // put appends one span record to the shard's chunked storage. Caller holds mu.
@@ -216,88 +199,6 @@ func (t *Tracer) Record(parent uint64, track int32, name, cat string, start, dur
 	return id
 }
 
-// CycleSample is one DFPT cycle as measured by the solver: the start offset
-// from the solve's base clock read, the four phase durations in execution
-// order, and the cycle total. Offsets let the solver mark phase boundaries
-// with time.Since(base) — a single monotonic clock read, roughly half the
-// cost of time.Now — and stay pointer-free for the accumulating slice.
-// Solvers accumulate samples locally and flush one batch per solve via
-// Scope.RecordDFPTCycles, so the per-cycle cost is a local append.
-type CycleSample struct {
-	Iter  int32
-	Start time.Duration
-	Durs  [NumPhases]time.Duration
-	Total time.Duration
-}
-
-// recordCycles stores one solve's cycle samples compactly under a single
-// shard lock; base anchors the samples' offsets to the wall clock. Each
-// sample counts as five spans (cycle + four phases) against the capacity
-// backstop, matching what Snapshot will expand it to.
-func (t *Tracer) recordCycles(parent uint64, track int32, base time.Time, samples []CycleSample) {
-	if t == nil || len(samples) == 0 {
-		return
-	}
-	n := int64(len(samples)) * int64(1+NumPhases)
-	if t.recorded.Add(n) > t.maxSpans {
-		t.recorded.Add(-n)
-		t.dropped.Add(n)
-		return
-	}
-	baseOff := base.Sub(t.epoch)
-	sh := &t.shards[parent%spanShards]
-	sh.mu.Lock()
-	for len(samples) > 0 {
-		if len(sh.cycCur) == cap(sh.cycCur) {
-			if sh.cycCur != nil {
-				sh.cycles = append(sh.cycles, sh.cycCur)
-			}
-			sh.cycCur = make([]cycleRec, 0, chunkSpans)
-		}
-		// Bulk-fill the current chunk: one capacity check per chunk
-		// rather than one per cycle.
-		k := min(cap(sh.cycCur)-len(sh.cycCur), len(samples))
-		at := len(sh.cycCur)
-		sh.cycCur = sh.cycCur[:at+k]
-		for i := 0; i < k; i++ {
-			s := &samples[i]
-			sh.cycCur[at+i] = cycleRec{
-				parent: parent,
-				start:  baseOff + s.Start,
-				durs:   s.Durs,
-				total:  s.Total,
-				track:  track,
-				iter:   s.Iter,
-			}
-		}
-		samples = samples[k:]
-	}
-	sh.mu.Unlock()
-}
-
-// expandCycle appends the five span records of one compact cycle. Span ids
-// are allocated at expansion time; parent links and the phase tiling are
-// identical to eager recording.
-func (t *Tracer) expandCycle(out []SpanRecord, c cycleRec) []SpanRecord {
-	cycID := t.nextID.Add(uint64(1+NumPhases)) - uint64(NumPhases)
-	out = append(out, SpanRecord{
-		ID: cycID, Parent: c.parent, Track: c.track,
-		Name: "dfpt.cycle", Cat: "dfpt",
-		Start: c.start, Dur: c.total,
-		Args: []Arg{{Key: "iter", Val: int64(c.iter)}},
-	})
-	at := c.start
-	for i, p := range [NumPhases]Phase{PhaseN1, PhaseV1, PhaseH1, PhaseP1} {
-		out = append(out, SpanRecord{
-			ID: cycID + 1 + uint64(i), Parent: cycID, Track: c.track,
-			Name: PhaseNames[p], Cat: "phase",
-			Start: at, Dur: c.durs[p],
-		})
-		at += c.durs[p]
-	}
-	return out
-}
-
 func (t *Tracer) append(rec SpanRecord) {
 	if t.recorded.Add(1) > t.maxSpans {
 		t.recorded.Add(-1)
@@ -333,14 +234,6 @@ func (t *Tracer) Snapshot() []SpanRecord {
 			out = append(out, chunk...)
 		}
 		out = append(out, sh.cur...)
-		for _, chunk := range sh.cycles {
-			for _, c := range chunk {
-				out = t.expandCycle(out, c)
-			}
-		}
-		for _, c := range sh.cycCur {
-			out = t.expandCycle(out, c)
-		}
 		sh.mu.Unlock()
 	}
 	sort.Slice(out, func(a, b int) bool {

@@ -202,7 +202,7 @@ func (s *StragglerSummary) WriteText(w io.Writer) error {
 		q := s.Phases[p]
 		if _, err := fmt.Fprintf(w, "  %-6s %10d %12v %12v %12v %14v\n",
 			PhaseNames[p], q.Count, q.P50.Round(time.Microsecond), q.P95.Round(time.Microsecond),
-			q.P99.Round(time.Microsecond), q.Total.Round(time.Millisecond)); err != nil {
+			q.P99.Round(time.Microsecond), q.Total.Round(time.Microsecond)); err != nil {
 			return err
 		}
 	}

@@ -75,12 +75,12 @@ func (m *Model) CalibrateRestForces(opt Options) (*Result, error) {
 	}
 
 	// Least squares: minimize ‖g + Bᵀc‖² ⇒ (B·Bᵀ + λI)·c = −B·g.
-	bbt := linalg.MatMul(false, true, b, b, m.Ops)
+	bbt := linalg.MatMul(false, true, b, b)
 	for i := 0; i < nt; i++ {
 		bbt.Add(i, i, 1e-10)
 	}
 	rhs := make([]float64, nt)
-	linalg.Gemv(false, -1, b, g, 0, rhs, m.Ops)
+	linalg.Gemv(false, -1, b, g, 0, rhs)
 	c, err := linalg.SolveLinear(bbt, rhs)
 	if err != nil {
 		return nil, fmt.Errorf("scf: calibration solve: %w", err)

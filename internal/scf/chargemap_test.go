@@ -39,11 +39,11 @@ func refChargeMap(m *Model, opt Options, dq []float64) (out, eps []float64, p *l
 			scaled.Set(i, j, u.At(i, j)/math.Sqrt(lam[j]))
 		}
 	}
-	x := linalg.MatMul(false, true, scaled, u, nil)
-	ht := linalg.MatMul(false, false, linalg.MatMul(false, false, x, h, nil), x, nil)
+	x := linalg.MatMul(false, true, scaled, u)
+	ht := linalg.MatMul(false, false, linalg.MatMul(false, false, x, h), x)
 	ht.Symmetrize()
 	eps, y := linalg.EigSym(ht)
-	c := linalg.MatMul(false, false, x, y, nil)
+	c := linalg.MatMul(false, false, x, y)
 	occ := make([]float64, n)
 	occupations(eps, 2*m.NumOcc(), opt.Smearing, occ)
 	p = linalg.NewMatrix(n, n)

@@ -42,7 +42,7 @@ func (m *Model) FieldDerivatives(ground *Result, fr *FieldResponse) (dMu [3][]fl
 	n, na := m.Basis.Size(), m.NumAtoms()
 	sq := func() *linalg.Matrix { return linalg.NewMatrix(n, n) }
 	gemm := func(a, b *linalg.Matrix, beta float64, c *linalg.Matrix) {
-		linalg.Gemm(false, false, 1, a, b, beta, c, m.Ops)
+		linalg.Gemm(false, false, 1, a, b, beta, c)
 	}
 	potential := func(dq []float64) []float64 {
 		v := make([]float64, na)
@@ -89,7 +89,7 @@ func (m *Model) FieldDerivatives(ground *Result, fr *FieldResponse) (dMu [3][]fl
 	grad := make([]geom.Vec3, na)
 	for b := 0; b < 3; b++ {
 		gemm(fr.P1[b], a, 0, w)
-		linalg.Gemm(false, false, 0.5, p, b1[b], 1, w, m.Ops)
+		linalg.Gemm(false, false, 0.5, p, b1[b], 1, w)
 		m.pairWeights(e, w, fr.P1[b], v0)
 		addPairPotential(e, p, v1[b], m.Basis.Funcs)
 		clear(grad)

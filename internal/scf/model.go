@@ -123,9 +123,6 @@ type Model struct {
 	Bonds     []Bond
 	Angles    []Angle
 	Dihedrals []Dihedral
-
-	// Ops receives the BLAS accounting for this model's computations.
-	Ops *linalg.Ops
 }
 
 // NewModel builds a model from elements and positions in ångströms. Bond
@@ -144,7 +141,7 @@ func NewModel(els []constants.Element, posAngstrom []geom.Vec3) (*Model, error) 
 	for i, p := range posAngstrom {
 		pos[i] = p.Scale(constants.BohrPerAngstrom)
 	}
-	m := &Model{Els: els, Pos: pos, Ops: &linalg.DefaultOps}
+	m := &Model{Els: els, Pos: pos}
 	m.Zval = make([]float64, len(els))
 	for i, el := range els {
 		m.Zval[i] = float64(el.NumValence())

@@ -152,9 +152,9 @@ func (p *Perturbation) GammaPotential(c int, w []float64) {
 // for X = E_A·x + xᵀ·E_Aᵀ, the symmetric matrix of an n_A×n row block x on
 // atom A's functions (Perturbation), from lA and rA, the rows of L and R on
 // A, and xr = x·R and xl = x·L. Two GEMMs of inner dimension n_A.
-func Sandwich(dst, lA, xr, xl, rA *linalg.Matrix, alpha, beta float64, ops *linalg.Ops) {
-	linalg.Gemm(true, false, alpha, lA, xr, beta, dst, ops)
-	linalg.Gemm(true, false, alpha, xl, rA, 1, dst, ops)
+func Sandwich(dst, lA, xr, xl, rA *linalg.Matrix, alpha, beta float64) {
+	linalg.Gemm(true, false, alpha, lA, xr, beta, dst)
+	linalg.Gemm(true, false, alpha, xl, rA, 1, dst)
 }
 
 // OrbitalResponse returns the first-order response of a gapped ground
@@ -181,14 +181,14 @@ func (m *Model) OrbitalResponse(ground *Result, nr *NuclearResponse) (u []*linal
 	mat := linalg.NewMatrix
 	c, eps := ground.C, ground.Eps
 	sc := mat(n, n)
-	linalg.Gemm(false, false, 0.5, m.S, c, 0, sc, m.Ops) // ½S·C
+	linalg.Gemm(false, false, 0.5, m.S, c, 0, sc) // ½S·C
 	var cA, xA linalg.Matrix
 	k := make([]*linalg.Matrix, na)
 	for b := range k {
 		first, size := pert.Rows(b)
 		cA, xA = c.RowBlock(first, first+size), sc.RowBlock(first, first+size)
 		k[b] = mat(n, n)
-		linalg.Gemm(true, false, 1, &cA, &xA, 0, k[b], m.Ops)
+		linalg.Gemm(true, false, 1, &cA, &xA, 0, k[b])
 		k[b].AddTranspose()
 	}
 	nb := 3 * pert.MaxRows()
@@ -202,15 +202,15 @@ func (m *Model) OrbitalResponse(ground *Result, nr *NuclearResponse) (u []*linal
 		pert.Block(a, s3, sk3)
 		sb, skb = s3.RowBlock(0, 3*size), sk3.RowBlock(0, 3*size)
 		sx, kx = s3c.RowBlock(0, 3*size), sk3c.RowBlock(0, 3*size)
-		linalg.Gemm(false, false, 1, &sb, c, 0, &sx, m.Ops)
-		linalg.Gemm(false, false, 1, &skb, c, 0, &kx, m.Ops)
+		linalg.Gemm(false, false, 1, &sb, c, 0, &sx)
+		linalg.Gemm(false, false, 1, &skb, c, 0, &kx)
 		cA = c.RowBlock(first, first+size)
 		for ax := 0; ax < 3; ax++ {
 			y := 3*a + ax
 			sx, kx = s3c.RowBlock(ax*size, (ax+1)*size), sk3c.RowBlock(ax*size, (ax+1)*size)
-			linalg.Gemm(true, false, 1, &cA, &sx, 0, sm, m.Ops)
+			linalg.Gemm(true, false, 1, &cA, &sx, 0, sm)
 			sm.AddTranspose()
-			linalg.Gemm(true, false, 1, &cA, &kx, 0, hm, m.Ops)
+			linalg.Gemm(true, false, 1, &cA, &kx, 0, hm)
 			hm.AddTranspose()
 			pert.GammaPotential(y, v)
 			m.sccPotential(nr.DQ1[y], vq)
@@ -299,7 +299,7 @@ func (m *Model) NuclearHessian(ground *Result, nr *NuclearResponse) *linalg.Matr
 	n3 := 3 * na
 	mat := linalg.NewMatrix
 	gemm := func(transA bool, alpha float64, a, b *linalg.Matrix, beta float64, c *linalg.Matrix) {
-		linalg.Gemm(transA, false, alpha, a, b, beta, c, m.Ops)
+		linalg.Gemm(transA, false, alpha, a, b, beta, c)
 	}
 	p, dq, v0 := ground.P, ground.DeltaQ, pert.v0
 	l, r := nr.L, nr.R
@@ -360,8 +360,8 @@ func (m *Model) NuclearHessian(ground *Result, nr *NuclearResponse) *linalg.Matr
 			vr := nr.SR[x]
 			// Lᵀ·G⁽ˣ⁾·R and Rᵀ·G⁽ˣ⁾·R; then, with T_y = R_Bᵀ·SR_y + SR_yᵀ·R_B,
 			// ⟨Rᵀ·G⁽ˣ⁾·R, T_y⟩ = 2⟨(R·Rᵀ·G⁽ˣ⁾·R)_B, SR_y⟩.
-			Sandwich(ux, &lA, &vgr, &vgl, &rA, 1, 0, m.Ops)
-			Sandwich(ux, &phlA, vr, &vl, &phrA, -0.5, 1, m.Ops)
+			Sandwich(ux, &lA, &vgr, &vgl, &rA, 1, 0)
+			Sandwich(ux, &phlA, vr, &vl, &phrA, -0.5, 1)
 			gemm(true, 1, &rA, &vgr, 0, tx) // Rᵀ·G⁽ˣ⁾·R = Z + Zᵀ
 			gemm(true, -0.5, &phrA, vr, 1, tx)
 			tx.AddTranspose()

@@ -19,12 +19,12 @@ func denseP1(nr *NuclearResponse, c int) *linalg.Matrix {
 	first, size := nr.Pert.Rows(c / 3)
 	ra := nr.R.RowBlock(first, first+size)
 	t := linalg.NewMatrix(no, no)
-	Sandwich(t, &ra, nr.SR[c], nr.SR[c], &ra, 1, 0, nil)
+	Sandwich(t, &ra, nr.SR[c], nr.SR[c], &ra, 1, 0)
 	lu := linalg.NewMatrix(n, no)
-	linalg.Gemm(false, false, -1, nr.R, t, 0, lu, nil)
-	linalg.Gemm(false, false, 1, nr.L, nr.U[c], 1, lu, nil)
+	linalg.Gemm(false, false, -1, nr.R, t, 0, lu)
+	linalg.Gemm(false, false, 1, nr.L, nr.U[c], 1, lu)
 	p1 := linalg.NewMatrix(n, n)
-	linalg.Gemm(false, true, 1, lu, nr.R, 0, p1, nil)
+	linalg.Gemm(false, true, 1, lu, nr.R, 0, p1)
 	p1.AddTranspose()
 	return p1
 }
@@ -75,7 +75,7 @@ func denseNuclearHessian(m *Model, ground *Result, nr *NuclearResponse) *linalg.
 	n3 := 3 * na
 	sq := func() *linalg.Matrix { return linalg.NewMatrix(n, n) }
 	gemm := func(alpha float64, a, b *linalg.Matrix, beta float64, c *linalg.Matrix) {
-		linalg.Gemm(false, false, alpha, a, b, beta, c, nil)
+		linalg.Gemm(false, false, alpha, a, b, beta, c)
 	}
 	p, dq := ground.P, ground.DeltaQ
 	v0 := make([]float64, na)
@@ -135,8 +135,8 @@ func denseOrbitalResponse(m *Model, ground *Result, nr *NuclearResponse) (u []*l
 	w, v := make([]float64, na), make([]float64, na)
 	c, eps := ground.C, ground.Eps
 	mo := func(a, dst *linalg.Matrix) {
-		linalg.Gemm(true, false, 1, c, a, 0, t, nil)
-		linalg.Gemm(false, false, 1, t, c, 0, dst, nil)
+		linalg.Gemm(true, false, 1, c, a, 0, t)
+		linalg.Gemm(false, false, 1, t, c, 0, dst)
 	}
 	u, eps1 = make([]*linalg.Matrix, 3*na), make([][]float64, 3*na)
 	for y := range u {

@@ -127,7 +127,6 @@ type Workspace struct {
 	pGemm, wGemm  *linalg.GemmOp // P and W = gb·gaᵀ, bound to gemmCols columns
 	gemmCols      int
 	mixer         *Pulay
-	gemms, flops  int64 // of the solve in progress
 	fermiEvals    int
 	res           Result
 }
@@ -177,9 +176,6 @@ func (ws *Workspace) solve(m *Model, opt Options, newton bool) (*Result, error) 
 	if opt.InitDeltaQ != nil && len(opt.InitDeltaQ) != na {
 		return nil, fmt.Errorf("scf: InitDeltaQ has %d entries for %d atoms", len(opt.InitDeltaQ), na)
 	}
-	// Bound ops count nothing; their totals reach the model's counters once
-	// per solve.
-	defer ws.flushOps(m)
 	if err := ws.prepare(m, opt); err != nil {
 		return nil, err
 	}
@@ -210,8 +206,6 @@ func (ws *Workspace) solve(m *Model, opt Options, newton bool) (*Result, error) 
 			eps, occ, c, p := ws.eps, ws.occ, ws.c, ws.p
 			gatherOccupied(c, occ, eps, ws.ga, ws.gb)
 			ws.wGemm.Run()
-			ws.gemms++
-			ws.flops += linalg.GemmFLOPs(n, ws.ga.Cols, n)
 			ws.res = Result{
 				Eps: eps, Occ: occ, Mu: mu, Sigma: opt.Smearing,
 				C: c, P: p, W: ws.w,
@@ -319,21 +313,7 @@ func (ws *Workspace) prepare(m *Model, opt Options) error {
 	ws.lh.Run()
 	ws.lhl.Run()
 	ws.ht0.Symmetrize()
-	ws.gemms += 2
-	ws.flops += 2 * linalg.GemmFLOPs(n, n, n)
 	return nil
-}
-
-// flushOps adds the GEMM totals of the solve in progress to the model's
-// counters.
-func (ws *Workspace) flushOps(m *Model) {
-	ops := m.Ops
-	if ops == nil {
-		ops = &linalg.DefaultOps
-	}
-	ops.GEMMCalls.Add(ws.gemms)
-	ops.FLOPs.Add(ws.flops)
-	ws.gemms, ws.flops = 0, 0
 }
 
 // chargeMap evaluates the fixed-point map of the charge loop, out = F(dq):
@@ -342,7 +322,6 @@ func (ws *Workspace) flushOps(m *Model) {
 // density stay in the workspace (eps, occ, c, p) for the caller; the Fermi
 // level and the entropy term are returned.
 func (ws *Workspace) chargeMap(m *Model, opt Options, dq, out []float64) (mu, entropy float64, err error) {
-	n := ws.n
 	m.sccPotential(dq, ws.v)
 	ws.reducedHamiltonian(m)
 	if err := ws.eig.Solve(ws.ht, ws.eps, ws.y); err != nil {
@@ -360,8 +339,6 @@ func (ws *Workspace) chargeMap(m *Model, opt Options, dq, out []float64) (mu, en
 		ws.gemmCols = ws.ga.Cols
 	}
 	ws.pGemm.Run()
-	ws.gemms += 2
-	ws.flops += linalg.GemmFLOPs(n, n, n) + linalg.GemmFLOPs(n, ws.ga.Cols, n)
 	m.mullikenDeltaQ(ws.p, out)
 	return mu, entropy, nil
 }

@@ -196,12 +196,6 @@ func (s *Susceptibility) Build(static bool) {
 	}
 	s.sGemms[0].Run() // SR = ½S·R
 	s.sGemms[1].Run() // SL = ½S·L
-	ops := m.Ops
-	if ops == nil {
-		ops = &linalg.DefaultOps
-	}
-	ops.GEMMCalls.Add(2)
-	ops.FLOPs.Add(linalg.GemmFLOPs(s.n, s.n, nr) + linalg.GemmFLOPs(s.n, s.n, nl))
 	k, wk := s.K[:na*pairs], s.wk[:pairs]
 	clear(k)
 	for mu, a := range s.AtomOf {
