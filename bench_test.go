@@ -13,6 +13,8 @@
 package qframan_test
 
 import (
+	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -108,8 +110,12 @@ func BenchmarkFig12_Spectra_SolvatedProtein(b *testing.B) {
 // ------------------------------------------------------------- Ablations --
 
 func BenchmarkAblation_LanczosGAGQ(b *testing.B) {
-	// GAGQ vs plain Gauss at equal k on a real assembled system.
-	sys := structure.BuildWaterDimerSystem(2)
+	// GAGQ vs plain Gauss at equal k on a real assembled system: the 3×3×3
+	// water box (243 coordinates), whose spectrum takes the Lanczos route at
+	// k = 10. A smaller system would be cheaper to diagonalize than to run
+	// the recurrence on, and LanczosSpectrum would solve it exactly, GAGQ
+	// or not.
+	sys := structure.BuildWaterBox(3, 3, 3, geom.Vec3{})
 	cfg := fig12Config(20)
 	cfg.UseDense = true
 	dense, err := core.ComputeRaman(sys, cfg)
@@ -126,9 +132,14 @@ func BenchmarkAblation_LanczosGAGQ(b *testing.B) {
 				opt := cfg.Raman
 				opt.LanczosK = 10
 				opt.UseGAGQ = gagq.on
+				reg := obs.NewRegistry()
+				opt.Obs = obs.NewScope(nil, reg)
 				spec, err := raman.LanczosSpectrum(dense.Global, opt)
 				if err != nil {
 					b.Fatal(err)
+				}
+				if reg.Counter(obs.MetricLanczosSteps).Value() == 0 {
+					b.Fatal("the spectrum took the exact route: no quadrature to compare")
 				}
 				spec.Normalize()
 				b.ReportMetric(raman.CosineSimilarity(spec, dense.Spectrum), "cos-vs-dense")
@@ -208,7 +219,10 @@ func BenchmarkFragmentStats_WaterBox(b *testing.B) {
 //
 //	go test -run '^$' -bench ObsOverhead -benchtime 3x -count 3 .
 //
-// The acceptance bar is "on" within 3% of "off".
+// The acceptance bar is "on" within 3% of "off"; the paired sub-benchmark
+// is the one that can resolve it:
+//
+//	go test -run '^$' -bench ObsOverhead/paired -benchtime 30x .
 func BenchmarkObsOverhead(b *testing.B) {
 	run := func(b *testing.B, instrument bool) {
 		sys := structure.BuildWaterBox(3, 3, 3, geom.Vec3{})
@@ -241,35 +255,60 @@ func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("off", func(b *testing.B) { run(b, false) })
 	b.Run("on", func(b *testing.B) { run(b, true) })
 	// The paired variant interleaves uninstrumented and instrumented runs
-	// back-to-back within each iteration, so slow machine drift (thermal,
-	// noisy neighbors) cancels out of the reported overhead-pct metric.
-	// ns/op is the cost of one off+on pair.
+	// back-to-back within each iteration and times every pair on its own, so
+	// slow machine drift (thermal, noisy neighbors) cancels out of each
+	// pair's overhead. The pairs alternate which run goes first, and each run
+	// starts after a collection, so neither pays for the other's garbage.
+	// overhead-pct is the median pair's overhead and overhead-q1-pct and
+	// overhead-q3-pct bound the middle half of the pairs: the 3% bar is
+	// resolved when the quartiles clear it, which takes tens of pairs on a
+	// 2-vCPU host (-benchtime 30x). ns/op is the cost of one off+on pair.
 	b.Run("paired", func(b *testing.B) {
 		sys := structure.BuildWaterBox(3, 3, 3, geom.Vec3{})
 		cfg := core.DefaultConfig()
 		cfg.Raman.FreqMin, cfg.Raman.FreqMax, cfg.Raman.FreqStep = 50, 4000, 5
 		cfg.Raman.Sigma = 20
 		cfg.Raman.LanczosK = 120
-		var offNS, onNS int64
+		pct := make([]float64, 0, b.N)
 		for i := 0; i < b.N; i++ {
-			cfg.Sched.Obs = obs.Scope{}
-			t0 := time.Now()
-			if _, err := core.ComputeRaman(sys, cfg); err != nil {
-				b.Fatal(err)
+			var ns [2]time.Duration // uninstrumented, instrumented
+			for j := 0; j < 2; j++ {
+				on := (i + j) % 2
+				var tr *obs.Tracer
+				cfg.Sched.Obs = obs.Scope{}
+				if on == 1 {
+					tr = obs.NewTracer()
+					cfg.Sched.Obs = obs.NewScope(tr, obs.NewRegistry())
+				}
+				runtime.GC()
+				t0 := time.Now()
+				if _, err := core.ComputeRaman(sys, cfg); err != nil {
+					b.Fatal(err)
+				}
+				ns[on] = time.Since(t0)
+				if d := tr.Dropped(); d > 0 {
+					b.Fatalf("tracer dropped %d spans under DefaultMaxSpans", d)
+				}
 			}
-			offNS += int64(time.Since(t0))
-
-			tr := obs.NewTracer()
-			cfg.Sched.Obs = obs.NewScope(tr, obs.NewRegistry())
-			t1 := time.Now()
-			if _, err := core.ComputeRaman(sys, cfg); err != nil {
-				b.Fatal(err)
-			}
-			onNS += int64(time.Since(t1))
-			if d := tr.Dropped(); d > 0 {
-				b.Fatalf("tracer dropped %d spans under DefaultMaxSpans", d)
-			}
+			pct = append(pct, 100*(float64(ns[1])/float64(ns[0])-1))
 		}
-		b.ReportMetric(100*(float64(onNS)/float64(offNS)-1), "overhead-pct")
+		sort.Float64s(pct)
+		b.ReportMetric(quantile(pct, 0.5), "overhead-pct")
+		b.ReportMetric(quantile(pct, 0.25), "overhead-q1-pct")
+		b.ReportMetric(quantile(pct, 0.75), "overhead-q3-pct")
 	})
+}
+
+// quantile is the q-quantile of the sorted xs, interpolated linearly between
+// the order statistics.
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	pos := q * float64(len(xs)-1)
+	i := int(pos)
+	if i+1 >= len(xs) {
+		return xs[len(xs)-1]
+	}
+	return xs[i] + (pos-float64(i))*(xs[i+1]-xs[i])
 }

@@ -35,21 +35,26 @@ var wiredKernels = []string{
 
 // TestEveryWiredKernelRecordsChunks runs the full grid-Coulomb pipeline
 // under profile capture and asserts every wired kernel executed at least
-// one chunk. K = 12 is below the dimer's 18 coordinates, so the spectrum
-// takes the Lanczos route and its kernels run.
+// one chunk. The dimer's spectrum takes the exact route, so the capture also
+// holds a spectrum on the Lanczos route — the 3×3×3 water box's at K = 20 —
+// and the recurrence's kernels run there.
 func TestEveryWiredKernelRecordsChunks(t *testing.T) {
 	sys := structure.BuildWaterDimerSystem(1)
 	cfg := DefaultConfig()
 	cfg.Raman.FreqMin, cfg.Raman.FreqMax, cfg.Raman.FreqStep = 200, 4000, 10
-	cfg.Raman.LanczosK = 12
+	cfg.Raman.LanczosK = 20
 	cfg.Sched.NumLeaders = 1
 	cfg.Sched.Job.DFPT.Coulomb = dfpt.GridCoulomb
 	cfg.Sched.Job.DFPT.GridSpacing = 0.8
 	cfg.Sched.Job.DFPT.GridMargin = 4.0
+	box := quadratureBoxGlobal(t)
 
 	prof := par.StartProfile()
 	defer par.StopProfile()
 	if _, err := ComputeRaman(sys, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := SpectrumFromGlobal(box, cfg); err != nil {
 		t.Fatal(err)
 	}
 	par.StopProfile()

@@ -189,7 +189,7 @@ func TestGoldenTraceStructure(t *testing.T) {
 	if got := reg.Counter(obs.MetricLanczosSteps).Value(); got != 0 {
 		t.Fatalf("exact route moved lanczos_steps_total to %d", got)
 	}
-	checkLanczosSpectrumSpan(t, res, cfg)
+	checkLanczosSpectrumSpan(t, cfg)
 
 	// And the trace alone must reproduce the runtime's straggler analytics:
 	// AnalyzeTrace is what qfstats -trace runs on the exported file.
@@ -226,16 +226,17 @@ func TestGoldenTraceStructure(t *testing.T) {
 	}
 }
 
-// checkLanczosSpectrumSpan solves the run's spectrum again at K = 20 < 36
-// coordinates, on the Lanczos route: its span carries the route and the
-// solver's counts, and they agree with the registry.
-func checkLanczosSpectrumSpan(t *testing.T, res *Result, cfg Config) {
+// checkLanczosSpectrumSpan solves a spectrum on the Lanczos route — the
+// 3×3×3 water box's at K = 20 — with the run's configuration: its span
+// carries the route and the solver's counts, and they agree with the
+// registry.
+func checkLanczosSpectrumSpan(t *testing.T, cfg Config) {
 	t.Helper()
 	tr := obs.NewTracer()
 	reg := obs.NewRegistry()
 	cfg.Sched.Obs = obs.NewScope(tr, reg)
 	cfg.Raman.LanczosK = 20
-	if _, _, err := SpectrumFromGlobal(res.Global, cfg); err != nil {
+	if _, _, err := SpectrumFromGlobal(quadratureBoxGlobal(t), cfg); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

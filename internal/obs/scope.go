@@ -72,10 +72,10 @@ const (
 	MetricLanczosEarlyStops = "lanczos_early_stops_total"
 	MetricLanczosSkipped    = "lanczos_skipped_starts_total"
 	MetricLanczosReorths    = "lanczos_reorth_steps_total"
-	// A spectrum solved on the exact route — a Hessian with no more
-	// coordinates than Lanczos steps, diagonalized once instead of running
-	// recurrences (raman.LanczosSpectrum) — counts here and moves none of
-	// the lanczos_* counters.
+	// A spectrum solved on the exact route — a Hessian diagonalized once
+	// because that is estimated to cost less than the Lanczos steps, as it
+	// always does with no more coordinates than steps (raman.LanczosSpectrum)
+	// — counts here and moves none of the lanczos_* counters.
 	MetricSpectrumExact = "spectrum_exact_total"
 	// Kernel-pool metrics recorded by internal/par (see DESIGN.md §7).
 	MetricParJobs        = "par_jobs_total"
@@ -330,7 +330,7 @@ func (s Scope) RecordDFPTCycle(base time.Time, durs [NumPhases]time.Duration, to
 // the spectrum.
 const (
 	SpectrumRouteLanczos = 0 // K-step Lanczos recurrences and their quadrature
-	SpectrumRouteExact   = 1 // one dense eigendecomposition of a Hessian of ≤ K coordinates
+	SpectrumRouteExact   = 1 // one dense eigendecomposition, where it costs less than K steps
 )
 
 // RecordLanczos records what one spectral solve on the Lanczos route did —

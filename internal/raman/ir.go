@@ -10,8 +10,10 @@ import (
 // loop delivers ∂μ/∂ξ alongside ∂α/∂ξ, and IR intensity per mode is
 // Σ_k (∂μ_k/∂Q_p)². The large-system path evaluates three spectral
 // densities d_kᵀ·δσ(ω−H)·d_k with the same solver that Eq. 5 uses for Raman
-// (Lanczos+GAGQ, or the exact measure when H has at most K coordinates) — a
-// natural extension the paper's framework supports.
+// (Lanczos+GAGQ, or the exact measure where one eigendecomposition costs
+// less; with three columns instead of seven the recurrence is the cheaper
+// route from smaller n on) — a natural extension the paper's framework
+// supports.
 
 // DenseIRModes returns per-mode IR intensities from a dense mode analysis.
 // A Hessian the eigensolver cannot converge on is an error wrapping

@@ -6,14 +6,15 @@
 //     validation reference for small systems.
 //   - Lanczos: the paper's large-system solver (Eq. 5): the spectrum is a
 //     combination of spectral densities dᵀδ_σ(ω−H)d, one per polarizability
-//     component plus one for the trace term. When the Hessian has more
-//     coordinates than the K Lanczos steps, they are evaluated with
+//     component plus one for the trace term. They are evaluated with
 //     Lanczos+GAGQ — seven K-step recurrences advanced in lockstep by one
-//     lanczos.Plan so each step reads the Hessian once. When it has no more
-//     than K, K steps would exhaust the Krylov space, and one dense
-//     eigendecomposition gives the exact measure the quadrature converges to
-//     at O(n³) ≤ O(K³): the same start vectors projected on every
-//     eigenvector. The IR spectrum is the same solve with three columns.
+//     lanczos.Plan so each step reads the Hessian once — or, where one dense
+//     eigendecomposition costs less than those K steps (always when the
+//     Hessian has no more than K coordinates, whose Krylov space K steps
+//     would exhaust), by the exact measure the quadrature converges to: the
+//     same start vectors projected on every eigenvector. The route is chosen
+//     from the problem's sizes alone (exactCheaper). The IR spectrum is the
+//     same solve with three columns.
 package raman
 
 import (
@@ -34,13 +35,15 @@ type Options struct {
 	// Sigma is the Gaussian smearing in cm⁻¹ (the paper uses 5 for the
 	// gas-phase protein and 20 for solvated systems).
 	Sigma float64
-	// LanczosK is the number of Lanczos steps for the large-system path. A
-	// Hessian with no more coordinates than LanczosK is solved exactly by one
-	// dense eigendecomposition instead: K steps would exhaust its Krylov space.
+	// LanczosK is the number of Lanczos steps when the large-system path
+	// runs the recurrence. A Hessian whose one dense eigendecomposition is
+	// estimated to cost less than K steps — always one with no more than K
+	// coordinates, whose Krylov space K steps would exhaust — is solved
+	// exactly instead (exactCheaper).
 	LanczosK int
 	// UseGAGQ selects the generalized averaged Gauss rule (recommended). It
-	// has no effect on a Hessian of at most LanczosK coordinates, whose
-	// measure is exact.
+	// has no effect on a spectrum the exact route solves, whose measure is
+	// exact.
 	UseGAGQ bool
 	// Obs receives which route solved the spectrum and, on the Lanczos
 	// route, its step, early-stop, skipped-start and reorthogonalization
@@ -102,15 +105,42 @@ func CosineSimilarity(a, b *Spectrum) float64 {
 // nor loses the last point. A reversed range, a step that is not positive,
 // or more than 2³¹ points give no axis.
 func (o *Options) axis() []float64 {
-	pts := (o.FreqMax - o.FreqMin) / o.FreqStep
-	if !(o.FreqStep > 0 && pts >= 0 && pts < 1<<31) {
+	xs := make([]float64, o.axisPoints())
+	if len(xs) == 0 {
 		return nil
 	}
-	xs := make([]float64, int(math.Floor(pts+1e-9))+1)
 	for i := range xs {
 		xs[i] = o.FreqMin + float64(i)*o.FreqStep
 	}
 	return xs
+}
+
+// axisPoints is len(o.axis()), without building the axis.
+func (o *Options) axisPoints() int {
+	pts := (o.FreqMax - o.FreqMin) / o.FreqStep
+	if !(o.FreqStep > 0 && pts >= 0 && pts < 1<<31) {
+		return 0
+	}
+	return int(math.Floor(pts+1e-9)) + 1
+}
+
+// window returns the indices [lo, hi) of the points of an axis of the given
+// length that can lie within ±8σ of w, with a point of margin on each side
+// for rounding: the caller's own ±8σ test decides, so looping over the window
+// instead of the whole axis changes no bit. Bounds it cannot compute (a NaN)
+// give the whole axis.
+func (o *Options) window(w float64, points int) (lo, hi int) {
+	r := math.Abs(8 * o.Sigma)
+	a := math.Floor((w-r-o.FreqMin)/o.FreqStep) - 1
+	b := math.Ceil((w+r-o.FreqMin)/o.FreqStep) + 2
+	lo, hi = 0, points
+	if a > 0 {
+		lo = int(math.Min(a, float64(points)))
+	}
+	if b < float64(points) {
+		hi = int(math.Max(b, float64(lo)))
+	}
+	return lo, hi
 }
 
 // eqFourWeights returns the per-component weights of the paper's Eq. 4 when
@@ -212,7 +242,9 @@ func (m *Modes) spectrum(opt Options, rigidCutoff float64) *Spectrum {
 		if math.Abs(w) < rigidCutoff {
 			continue
 		}
-		for xi, x := range xs {
+		lo, hi := opt.window(w, len(xs))
+		for xi, x := range xs[lo:hi] {
+			xi += lo
 			dx := (x - w) / opt.Sigma
 			if dx > 8 || dx < -8 {
 				continue
@@ -236,8 +268,9 @@ func DenseSpectrum(g *hessian.Global, opt Options, rigidCutoff float64) (*Spectr
 // LanczosSpectrum produces the spectrum with the paper's Eq. 5 solver: seven
 // spectral densities (six components + trace) evaluated by Lanczos+GAGQ on
 // the sparse mass-weighted Hessian — one lockstep lanczos.Plan solve, one
-// pass over the Hessian per step for all seven — or, for a Hessian of at most
-// opt.LanczosK coordinates, exactly by one eigendecomposition. Rigid-body
+// pass over the Hessian per step for all seven — or exactly by one
+// eigendecomposition where that is estimated to cost less (exactCheaper;
+// always for a Hessian of at most opt.LanczosK coordinates). Rigid-body
 // translations are projected out of every start vector.
 func LanczosSpectrum(g *hessian.Global, opt Options) (*Spectrum, error) {
 	if g.DAlpha[0] == nil {
@@ -264,14 +297,68 @@ func ramanColumns(g *hessian.Global) ([][]float64, []float64) {
 
 // lanczosSpectrum is Σ_c weights[c]·d_cᵀ·δσ(ω−H)·d_c for the vectors d_c,
 // summed in index order: the Raman and IR large-system paths. The route is
-// chosen by the input: a Hessian with more coordinates than opt.LanczosK
-// takes the K-step quadrature, one with no more takes the exact measure.
+// chosen from the sizes of the problem (exactCheaper): the exact measure
+// where one eigendecomposition is estimated to cost less than the K-step
+// quadrature, the quadrature otherwise.
 func lanczosSpectrum(g *hessian.Global, opt Options, vecs [][]float64, weights []float64) (*Spectrum, error) {
 	starts := startVectors(g, vecs)
-	if g.H.Dim() <= opt.LanczosK {
+	if exactCheaper(g.H.Dim(), len(g.H.Val), len(vecs), &opt) {
 		return exactSpectrum(g.H, opt, starts, weights)
 	}
 	return quadratureSpectrum(g.H, opt, starts, weights)
+}
+
+// Unit costs of the two spectral routes, in nanoseconds. They were
+// calibrated once, at kernel budget 1 on a 2-vCPU x86-64 host, from best-of-4
+// timings of both routes (and of their parts: the product, the recurrence,
+// the rule, the densities, the eigensolve) on jittered water boxes of
+// n = 243–1125 coordinates at K = 20–200 (EXPERIMENTS.md, "The spectral
+// route by cost"). Only their ratios matter.
+const (
+	costEig    = 0.85 // per n³: the Householder reduction and QL iteration of the densified Hessian
+	costRotate = 1.8  // per n² and column: the start vectors carried through the reflectors and rotations
+	costBroad  = 20   // per mode and axis point in its ±8σ window
+	costMul    = 1.0  // per stored Hessian entry, column and step: the multi-vector product
+	costVec    = 5    // per coordinate, column and step: the three-term update, two dots, the scaling
+	costSweep  = 1.5  // per coordinate and Lanczos vector a Gram–Schmidt sweep passes over
+	sweepShare = 0.1  // expected share of steps that sweep (wb-resume: 60 of 840 at n = 243)
+	costRule   = 28   // per (2K−1)² and column: the QL iteration of T̂ carrying its first row
+	costDens   = 2.5  // per rule node, axis point and column: the density sum over the whole axis
+)
+
+// exactCheaper reports whether the exact route is estimated to cost less
+// than the K-step quadrature for cols start vectors on a Hessian of n
+// coordinates and stored entries — always when n ≤ K, where K steps would
+// exhaust the Krylov space. It reads sizes only (n, stored, cols, K, the axis
+// length, σ and the step), never timing or the kernel budget, because the
+// route decides the result's bits.
+//
+// The exact estimate counts the eigensolve, the columns it carries and the
+// broadening of n modes over their ±8σ windows. The quadrature's counts, per
+// column, K steps of the product and the vector updates, the Gram–Schmidt
+// sweeps of an expected share of steps (a sweep at step s passes over about
+// 2s vectors, so they sum to sweepShare·K² vectors), the (2K−1)-node rule
+// and its density on every axis point. With the other sizes fixed the exact
+// estimate grows as n³ and the quadrature's as n (or as the stored entries),
+// so once the route turns to the quadrature it stays there as n grows.
+func exactCheaper(n, stored, cols int, opt *Options) bool {
+	if n <= opt.LanczosK {
+		return true
+	}
+	exact, quad := routeCosts(n, stored, cols, opt)
+	return exact <= quad
+}
+
+// routeCosts returns exactCheaper's two estimates, in nanoseconds.
+func routeCosts(n, stored, cols int, opt *Options) (exact, quad float64) {
+	fn, fc, fk := float64(n), float64(cols), float64(opt.LanczosK)
+	points := float64(opt.axisPoints())
+	window := math.Min(points, math.Floor(16*math.Abs(opt.Sigma)/opt.FreqStep)+1)
+	m := 2*fk - 1
+	exact = costEig*fn*fn*fn + costRotate*fn*fn*fc + costBroad*fn*window
+	quad = fc * (fk*(costMul*float64(stored)+costVec*fn) +
+		costSweep*sweepShare*fk*fk*fn + costRule*m*m + costDens*m*points)
+	return exact, quad
 }
 
 // startVectors returns the vectors with the rigid translations projected
@@ -297,11 +384,12 @@ func startVectors(g *hessian.Global, vecs [][]float64) [][]float64 {
 	return starts
 }
 
-// exactSpectrum is the measure the K-step quadrature converges to, for a
-// Hessian whose Krylov space K steps would exhaust: mode p at its
-// wavenumber with weight Σ_c weights[c]·(v_pᵀd_c)², broadened as the rule's
-// nodes are. One O(n³) eigendecomposition replaces the recurrences and
-// their (2K−1)-node rules; no mode is dropped, as the quadrature drops none.
+// exactSpectrum is the measure the K-step quadrature converges to, reached
+// once K steps exhaust the Krylov space: mode p at its wavenumber with weight
+// Σ_c weights[c]·(v_pᵀd_c)², broadened as the rule's nodes are. One O(n³)
+// eigendecomposition replaces the recurrences and their (2K−1)-node rules
+// where exactCheaper says it costs less; no mode is dropped, as the
+// quadrature drops none.
 func exactSpectrum(h *hessian.Sparse, opt Options, starts [][]float64, weights []float64) (*Spectrum, error) {
 	modes, err := normalModes(h, starts, false, func(a []float64) float64 {
 		var act float64

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"qframan/internal/faults"
@@ -27,7 +29,7 @@ func dimerGlobal(t *testing.T) *hessian.Global {
 
 // pipelineGlobal runs the full QF pipeline on sys and returns the assembled
 // global quantities.
-func pipelineGlobal(t *testing.T, sys *structure.System) *hessian.Global {
+func pipelineGlobal(t testing.TB, sys *structure.System) *hessian.Global {
 	t.Helper()
 	dec, err := fragment.Decompose(sys, fragment.DefaultOptions())
 	if err != nil {
@@ -75,10 +77,29 @@ func TestDenseModesWaterDimer(t *testing.T) {
 	}
 }
 
-// TestLanczosSpectrumMatchesDense: on both routes — K = 17 runs the
-// recurrences through the dimer's whole 15-dimensional Krylov space, K = 36
-// ≥ 18 coordinates takes the exact route — the spectrum matches the dense
-// one.
+// quadrature is LanczosSpectrum (ir: LanczosIRSpectrum) with the route
+// forced to the K-step quadrature: the dimer's 18 coordinates are cheaper to
+// diagonalize than any K steps, so LanczosSpectrum itself takes the exact
+// route there.
+func quadrature(g *hessian.Global, opt Options, ir bool) (*Spectrum, error) {
+	starts, weights := solveStarts(g, ir)
+	return quadratureSpectrum(g.H, opt, starts, weights)
+}
+
+// solveStarts returns the start vectors and weights LanczosSpectrum (ir:
+// LanczosIRSpectrum) solves from, translations projected out.
+func solveStarts(g *hessian.Global, ir bool) ([][]float64, []float64) {
+	if ir {
+		return startVectors(g, g.DDipole[:]), []float64{1, 1, 1}
+	}
+	vecs, weights := ramanColumns(g)
+	return startVectors(g, vecs), weights
+}
+
+// TestLanczosSpectrumMatchesDense: on both routes — the K = 17 quadrature
+// runs the recurrences through the dimer's whole 15-dimensional Krylov
+// space, LanczosSpectrum takes the exact route — the spectrum matches the
+// dense one.
 func TestLanczosSpectrumMatchesDense(t *testing.T) {
 	g := dimerGlobal(t)
 	opt := DefaultOptions()
@@ -89,9 +110,13 @@ func TestLanczosSpectrumMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []int{17, 36} {
-		opt.LanczosK = k
-		lan, err := LanczosSpectrum(g, opt)
+	quadOpt := opt
+	quadOpt.LanczosK = 17
+	for name, solve := range map[string]func() (*Spectrum, error){
+		"quadrature":      func() (*Spectrum, error) { return quadrature(g, quadOpt, false) },
+		"LanczosSpectrum": func() (*Spectrum, error) { return LanczosSpectrum(g, opt) },
+	} {
+		lan, err := solve()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +124,7 @@ func TestLanczosSpectrumMatchesDense(t *testing.T) {
 			t.Fatal("axis mismatch")
 		}
 		if sim := CosineSimilarity(dense, lan); sim < 0.995 {
-			t.Fatalf("K = %d: dense vs Lanczos cosine similarity %v", k, sim)
+			t.Fatalf("%s: dense vs Lanczos cosine similarity %v", name, sim)
 		}
 	}
 }
@@ -117,7 +142,7 @@ func TestLanczosSpectrumSmallK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lan, err := LanczosSpectrum(g, opt)
+	lan, err := quadrature(g, opt, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,14 +247,18 @@ func TestIRSpectrumWaterDimer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []int{17, 36} { // the Lanczos route, then the exact one
-		opt.LanczosK = k
-		lan, err := LanczosIRSpectrum(g, opt)
+	quadOpt := opt
+	quadOpt.LanczosK = 17
+	for name, solve := range map[string]func() (*Spectrum, error){
+		"quadrature":        func() (*Spectrum, error) { return quadrature(g, quadOpt, true) },
+		"LanczosIRSpectrum": func() (*Spectrum, error) { return LanczosIRSpectrum(g, opt) }, // the exact route
+	} {
+		lan, err := solve()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sim := CosineSimilarity(dense, lan); sim < 0.99 {
-			t.Fatalf("K = %d: dense vs Lanczos IR cosine similarity %v", k, sim)
+			t.Fatalf("%s: dense vs Lanczos IR cosine similarity %v", name, sim)
 		}
 	}
 	// Water's bend (~1650) is strongly IR active: require real intensity
@@ -262,12 +291,12 @@ func TestSpectraNonNegative(t *testing.T) {
 	opt.FreqMin, opt.FreqMax, opt.FreqStep = 0, 4000, 7
 	opt.Sigma = 15
 	exact := opt
-	opt.LanczosK, exact.LanczosK = 12, 30 // below and above the 18 coordinates
+	opt.LanczosK = 12
 	for name, spec := range map[string]func() (*Spectrum, error){
-		"raman-lanczos": func() (*Spectrum, error) { return LanczosSpectrum(g, opt) },
+		"raman-lanczos": func() (*Spectrum, error) { return quadrature(g, opt, false) },
 		"raman-exact":   func() (*Spectrum, error) { return LanczosSpectrum(g, exact) },
 		"raman-dense":   func() (*Spectrum, error) { return DenseSpectrum(g, opt, 0) },
-		"ir-lanczos":    func() (*Spectrum, error) { return LanczosIRSpectrum(g, opt) },
+		"ir-lanczos":    func() (*Spectrum, error) { return quadrature(g, opt, true) },
 		"ir-exact":      func() (*Spectrum, error) { return LanczosIRSpectrum(g, exact) },
 		"ir-dense":      func() (*Spectrum, error) { return DenseIRSpectrum(g, opt, 0) },
 	} {
@@ -287,26 +316,21 @@ func TestSpectraNonNegative(t *testing.T) {
 
 // TestNonFiniteHessianIsTypedAndPermanent: a NaN in the Hessian poisons
 // every route. The quadrature's eigen-solve cannot converge on the Lanczos
-// route (K = 12 < 18 coordinates), nor the dense eigendecomposition on the
-// exact route (K = 36) and the dense paths; each spectrum comes back as
-// lanczos.ErrQuadrature — an error the runtime must not retry — instead of
-// a panic that would take a daemon down.
+// route (K = 12), nor the dense eigendecomposition on the exact route (which
+// LanczosSpectrum takes on the dimer) and the dense paths; each spectrum
+// comes back as lanczos.ErrQuadrature — an error the runtime must not retry
+// — instead of a panic that would take a daemon down.
 func TestNonFiniteHessianIsTypedAndPermanent(t *testing.T) {
 	g := dimerGlobal(t)
 	g.H.Val[len(g.H.Val)/2] = math.NaN()
 	opt := DefaultOptions()
-	withK := func(k int, solve func(*hessian.Global, Options) (*Spectrum, error)) func() (*Spectrum, error) {
-		return func() (*Spectrum, error) {
-			o := opt
-			o.LanczosK = k
-			return solve(g, o)
-		}
-	}
+	quadOpt := opt
+	quadOpt.LanczosK = 12
 	for name, solve := range map[string]func() (*Spectrum, error){
-		"lanczos raman": withK(12, LanczosSpectrum),
-		"lanczos ir":    withK(12, LanczosIRSpectrum),
-		"exact raman":   withK(36, LanczosSpectrum),
-		"exact ir":      withK(36, LanczosIRSpectrum),
+		"lanczos raman": func() (*Spectrum, error) { return quadrature(g, quadOpt, false) },
+		"lanczos ir":    func() (*Spectrum, error) { return quadrature(g, quadOpt, true) },
+		"exact raman":   func() (*Spectrum, error) { return LanczosSpectrum(g, opt) },
+		"exact ir":      func() (*Spectrum, error) { return LanczosIRSpectrum(g, opt) },
 		"dense raman":   func() (*Spectrum, error) { return DenseSpectrum(g, opt, 50) },
 		"dense ir":      func() (*Spectrum, error) { return DenseIRSpectrum(g, opt, 50) },
 	} {
@@ -355,18 +379,18 @@ func TestEmptyHessianGivesZeroSpectrum(t *testing.T) {
 
 // TestLanczosSpectrumRecordsSolverCounts: with a scope attached the solve
 // reports its steps, β-breakdowns, skipped start vectors and swept steps.
-// At K = 17 the dimer's 18 coordinates stay on the Lanczos route, and minus
-// three projected translations they leave 15 dimensions, so every
-// recurrence that starts must break down — and a recurrence that exhausts
-// its Krylov space sweeps on the way. At K = 18 the exact route runs: it
-// counts one exact spectrum and moves no Lanczos counter.
+// The K = 17 quadrature runs on the dimer's 18 coordinates, and minus three
+// projected translations they leave 15 dimensions, so every recurrence that
+// starts must break down — and a recurrence that exhausts its Krylov space
+// sweeps on the way. LanczosSpectrum takes the exact route there: it counts
+// one exact spectrum and moves no Lanczos counter.
 func TestLanczosSpectrumRecordsSolverCounts(t *testing.T) {
 	g := dimerGlobal(t)
 	opt := DefaultOptions()
 	opt.LanczosK = 17
 	reg := obs.NewRegistry()
 	opt.Obs = obs.NewScope(nil, reg)
-	if _, err := LanczosSpectrum(g, opt); err != nil {
+	if _, err := quadrature(g, opt, false); err != nil {
 		t.Fatal(err)
 	}
 	steps := reg.Counter(obs.MetricLanczosSteps).Value()
@@ -406,8 +430,8 @@ func TestLanczosSpectrumRecordsSolverCounts(t *testing.T) {
 // the plan (per column: Lanczos vectors, w, α, β, partials, T̂ work vectors,
 // density, bound kernels) or the exact route's dense Hessian, eigensolver
 // workspace, projections and modes — a count independent of K, n and the
-// number of steps. K = 8 and 17 take the plan on the dimer's 18
-// coordinates, K = 18 the exact route.
+// number of steps. The K = 8 and 17 quadratures run the plan on the dimer's
+// 18 coordinates, LanczosSpectrum at K = 18 the exact route.
 func TestLanczosSpectrumAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -419,14 +443,18 @@ func TestLanczosSpectrumAllocationCeiling(t *testing.T) {
 	const ceiling = 150
 	for _, k := range []int{8, 17, 18} {
 		opt.LanczosK = k
+		solve := LanczosSpectrum
+		if k < g.H.Dim() {
+			solve = func(g *hessian.Global, opt Options) (*Spectrum, error) { return quadrature(g, opt, false) }
+		}
 		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := LanczosSpectrum(g, opt); err != nil {
+			if _, err := solve(g, opt); err != nil {
 				t.Fatal(err)
 			}
 		})
 		t.Logf("K = %d: %v allocations per spectrum", k, allocs)
 		if allocs > ceiling {
-			t.Errorf("K = %d: LanczosSpectrum allocates %v objects, ceiling %d", k, allocs, ceiling)
+			t.Errorf("K = %d: the spectrum allocates %v objects, ceiling %d", k, allocs, ceiling)
 		}
 	}
 }
@@ -471,13 +499,6 @@ func TestDenseSpectraKeepTheirBits(t *testing.T) {
 	}
 }
 
-// ramanStarts returns the Raman start vectors and weights the solve uses,
-// translations projected out.
-func ramanStarts(g *hessian.Global) ([][]float64, []float64) {
-	vecs, weights := ramanColumns(g)
-	return startVectors(g, vecs), weights
-}
-
 // TestExactQuadratureMatchesPlan: on a Hessian of at most K coordinates, K
 // Lanczos steps exhaust the Krylov space, and the exact route gives the
 // measure that K-step lanczos.Plan quadrature reaches — from the same start
@@ -493,19 +514,13 @@ func TestExactQuadratureMatchesPlan(t *testing.T) {
 		opt := DefaultOptions()
 		opt.FreqMin, opt.FreqMax, opt.FreqStep, opt.Sigma = 50, 4000, 5, 20
 		opt.LanczosK = n
-		rs, rw := ramanStarts(g)
-		for kind, c := range map[string]struct {
-			starts  [][]float64
-			weights []float64
-		}{
-			"raman": {rs, rw},
-			"ir":    {startVectors(g, g.DDipole[:]), []float64{1, 1, 1}},
-		} {
-			exact, err := exactSpectrum(g.H, opt, c.starts, c.weights)
+		for kind, ir := range map[string]bool{"raman": false, "ir": true} {
+			starts, weights := solveStarts(g, ir)
+			exact, err := exactSpectrum(g.H, opt, starts, weights)
 			if err != nil {
 				t.Fatal(err)
 			}
-			quad, err := quadratureSpectrum(g.H, opt, c.starts, c.weights)
+			quad, err := quadratureSpectrum(g.H, opt, starts, weights)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -522,52 +537,197 @@ func TestExactQuadratureMatchesPlan(t *testing.T) {
 	}
 }
 
-// TestExactQuadratureRouteBoundary: the route turns on n ≤ K. On the
-// dimer's 18 coordinates, K = 18 gives the exact route's spectrum bit for
-// bit and counts one exact solve; K = 17 gives the K-step quadrature's,
-// with the bits that route has always had (the SHA-256 goldens).
+// TestExactQuadratureRouteBoundary: LanczosSpectrum and LanczosIRSpectrum
+// give the spectrum of the route exactCheaper picks, bit for bit, and count
+// it — the exact route on the dimer at K = 18 (n ≤ K) and at K = 17 (cheaper
+// than 17 steps), the quadrature on the smallest water box it sends there at
+// wb-resume's settings. The dimer's K = 17 quadrature keeps the bits that
+// route has always had (the SHA-256 goldens).
 func TestExactQuadratureRouteBoundary(t *testing.T) {
-	g := dimerGlobal(t)
-	rs, rw := ramanStarts(g)
 	type route func(*hessian.Sparse, Options, [][]float64, []float64) (*Spectrum, error)
+	dimer, box := dimerGlobal(t), waterBoxGlobal(t, 3, 4, 4)
 	for _, c := range []struct {
-		name    string
-		solve   func(*hessian.Global, Options) (*Spectrum, error)
-		starts  [][]float64
-		weights []float64
-		sha     string // of the K = 17 spectrum
+		name  string
+		ir    bool
+		sha   string // of the dimer's K = 17 quadrature
+		solve func(*hessian.Global, Options) (*Spectrum, error)
 	}{
-		{"raman", LanczosSpectrum, rs, rw, "715940034dbdb5446b7a2e51a3a2e2b3c9929cb017611751c02e5087b0a7113b"},
-		{"ir", LanczosIRSpectrum, startVectors(g, g.DDipole[:]), []float64{1, 1, 1}, "d16027788f1869d43137385f65fbc2ba24cd65c12658f0a1ae3ece9013debe2c"},
+		{"raman", false, "715940034dbdb5446b7a2e51a3a2e2b3c9929cb017611751c02e5087b0a7113b", LanczosSpectrum},
+		{"ir", true, "d16027788f1869d43137385f65fbc2ba24cd65c12658f0a1ae3ece9013debe2c", LanczosIRSpectrum},
 	} {
+		opt := goldenOptions()
+		opt.LanczosK = 17
+		quad, err := quadrature(dimer, opt, c.ir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sha := spectrumSHA256(quad); sha != c.sha {
+			t.Errorf("%s: K = 17 quadrature SHA-256 %s, want %s", c.name, sha, c.sha)
+		}
 		for _, r := range []struct {
-			k     int
+			g     *hessian.Global
+			opt   Options
 			route route
 			exact int64
-		}{{17, quadratureSpectrum, 0}, {18, exactSpectrum, 1}} {
-			opt := goldenOptions()
-			opt.LanczosK = r.k
-			want, err := r.route(g.H, opt, c.starts, c.weights)
+		}{
+			{dimer, withK(goldenOptions(), 17), exactSpectrum, 1},
+			{dimer, withK(goldenOptions(), 18), exactSpectrum, 1},
+			{box, resumeOptions(), quadratureSpectrum, 0},
+		} {
+			starts, weights := solveStarts(r.g, c.ir)
+			what := fmt.Sprintf("%s n = %d K = %d", c.name, r.g.H.Dim(), r.opt.LanczosK)
+			want, err := r.route(r.g.H, r.opt, starts, weights)
 			if err != nil {
 				t.Fatal(err)
 			}
 			reg := obs.NewRegistry()
+			opt := r.opt
 			opt.Obs = obs.NewScope(nil, reg)
-			got, err := c.solve(g, opt)
+			got, err := c.solve(r.g, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bitEqual(got, want) {
-				t.Errorf("%s K = %d: spectrum differs from its route's", c.name, r.k)
+				t.Errorf("%s: spectrum differs from its route's", what)
 			}
 			if n := reg.Counter(obs.MetricSpectrumExact).Value(); n != r.exact {
-				t.Errorf("%s K = %d: %d exact solves counted, want %d", c.name, r.k, n, r.exact)
+				t.Errorf("%s: %d exact solves counted, want %d", what, n, r.exact)
 			}
-			if r.exact == 0 {
-				if sha := spectrumSHA256(got); sha != c.sha {
-					t.Errorf("%s K = %d: SHA-256 %s, want %s", c.name, r.k, sha, c.sha)
+		}
+	}
+}
+
+func withK(opt Options, k int) Options {
+	opt.LanczosK = k
+	return opt
+}
+
+// resumeOptions are the spectral settings of the wb-resume workload.
+func resumeOptions() Options {
+	opt := DefaultOptions()
+	opt.FreqMin, opt.FreqMax, opt.FreqStep, opt.Sigma, opt.LanczosK = 50, 4000, 5, 20, 120
+	return opt
+}
+
+var waterBoxes struct {
+	sync.Mutex
+	g map[[3]int]*hessian.Global
+}
+
+// waterBoxGlobal returns the assembled global quantities of the nx×ny×nz
+// water box with every atom displaced by a seeded 0.001 Å jitter (as the
+// bench workloads' boxes are: a perfect lattice's identical copies give the
+// recurrences a degenerate measure), computed once per test binary.
+func waterBoxGlobal(t testing.TB, nx, ny, nz int) *hessian.Global {
+	t.Helper()
+	waterBoxes.Lock()
+	defer waterBoxes.Unlock()
+	key := [3]int{nx, ny, nz}
+	if g := waterBoxes.g[key]; g != nil {
+		return g
+	}
+	base := structure.BuildWaterBox(nx, ny, nz, geom.Vec3{})
+	frames := structure.PerturbedTrajectory(base, structure.PerturbOptions{Frames: 2, MoveFrac: 1, Jitter: 0.001, Seed: 1})
+	sys, err := structure.ApplyFrame(base, frames[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := pipelineGlobal(t, sys)
+	if waterBoxes.g == nil {
+		waterBoxes.g = make(map[[3]int]*hessian.Global)
+	}
+	waterBoxes.g[key] = g
+	return g
+}
+
+// TestExactCheaperRule: the route is a function of sizes alone. n ≤ K is
+// always exact; along the water-box ladder (the n and stored entries of the
+// jittered 3×3×3, 3×3×4, 3×4×4, 4×4×4, 4×4×5 and 6×6×6 boxes) it turns
+// between n = 324 and 432 at wb-resume's settings and between 432 and 576
+// at the defaults, as the calibration measured, so n = 720 and 1 944 take
+// the quadrature; three IR columns turn it earlier than seven Raman ones;
+// and once it turns to the quadrature it stays there as n grows.
+func TestExactCheaperRule(t *testing.T) {
+	resume, defaults := resumeOptions(), DefaultOptions()
+	for _, opt := range []Options{resume, defaults, withK(resume, 8)} {
+		for _, n := range []int{0, 1, 18, opt.LanczosK} {
+			for _, cols := range []int{3, 7} {
+				for _, stored := range []int{0, n * n, 1 << 40} {
+					if !exactCheaper(n, stored, cols, &opt) {
+						t.Errorf("K = %d: n = %d ≤ K with %d stored entries and %d columns takes the quadrature", opt.LanczosK, n, stored, cols)
+					}
 				}
 			}
+		}
+	}
+	ladder := []struct{ n, stored int }{{243, 11259}, {324, 15390}, {432, 21222}, {576, 29160}, {720, 37098}, {1944, 108864}}
+	for _, c := range []struct {
+		name  string
+		opt   Options
+		exact int // boxes of the ladder the Raman route solves exactly
+	}{{"wb-resume", resume, 2}, {"defaults", defaults, 3}} {
+		for i, b := range ladder {
+			if got, want := exactCheaper(b.n, b.stored, 7, &c.opt), i < c.exact; got != want {
+				t.Errorf("%s: n = %d routes exact = %v, want %v", c.name, b.n, got, want)
+			}
+		}
+	}
+	if !exactCheaper(324, 15390, 7, &resume) || exactCheaper(324, 15390, 3, &resume) {
+		t.Error("n = 324 at wb-resume's settings: want the exact route for 7 columns and the quadrature for 3")
+	}
+	for _, opt := range []Options{resume, defaults, withK(defaults, 20), withK(resume, 1000)} {
+		for _, cols := range []int{3, 7} {
+			for _, perRow := range []int{0, 46, 300} {
+				turned := 0
+				for n := opt.LanczosK + 1; n <= 200000; n += 1 + n/64 {
+					stored := perRow * n
+					if perRow == 0 {
+						stored = 11259
+					}
+					switch exact := exactCheaper(n, stored, cols, &opt); {
+					case !exact && turned == 0:
+						turned = n
+					case exact && turned != 0:
+						t.Fatalf("K = %d, %d columns, %d entries per row: the quadrature at n = %d, the exact route again at n = %d", opt.LanczosK, cols, perRow, turned, n)
+					}
+				}
+				if turned == 0 {
+					t.Errorf("K = %d, %d columns, %d entries per row: the exact route up to n = 200 000", opt.LanczosK, cols, perRow)
+				}
+			}
+		}
+	}
+}
+
+// TestExactAndQuadratureAcrossTheRoute: at wb-resume's settings the exact
+// route and the K = 120 quadrature agree, from the same start vectors, to
+// TestWaterBoxLanczosMatchesDense's cosine bound on both sides of the
+// route's turn — the largest box of the ladder it solves exactly (3×3×4,
+// n = 324) and the smallest it sends to the quadrature (3×4×4, n = 432).
+func TestExactAndQuadratureAcrossTheRoute(t *testing.T) {
+	opt := resumeOptions()
+	for _, c := range []struct {
+		dims  [3]int
+		exact bool
+	}{{[3]int{3, 3, 4}, true}, {[3]int{3, 4, 4}, false}} {
+		g := waterBoxGlobal(t, c.dims[0], c.dims[1], c.dims[2])
+		n := g.H.Dim()
+		if got := exactCheaper(n, len(g.H.Val), 7, &opt); got != c.exact {
+			t.Fatalf("n = %d: routes exact = %v, want %v", n, got, c.exact)
+		}
+		starts, weights := solveStarts(g, false)
+		exact, err := exactSpectrum(g.H, opt, starts, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		quad, err := quadratureSpectrum(g.H, opt, starts, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim := CosineSimilarity(exact, quad)
+		t.Logf("n = %d: exact vs K = %d quadrature cosine %.10f", n, opt.LanczosK, sim)
+		if sim < 0.99999 {
+			t.Errorf("n = %d: exact vs quadrature cosine %.10f, want ≥ 0.99999", n, sim)
 		}
 	}
 }
