@@ -1,8 +1,9 @@
 // Command qfcoord is the cluster coordinator daemon: it owns fragment
 // assignment for the distributed master–leader–worker runtime (the
 // top level of the paper's three-level MPI hierarchy, §V-B), leasing
-// fragments to qfworker daemons under epoch-based ownership leases,
-// reassigning them on lease expiry or worker death, and layering its
+// fragments to qfworker daemons under timed leases, reassigning them on
+// lease expiry or worker death (the first result from any worker wins),
+// and layering its
 // content-addressed store over the workers' local stores as the
 // cluster-wide cache tier.
 //
@@ -30,7 +31,7 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:7070", "TCP listen address")
 	storeDir := flag.String("store", "", "coordinator content-addressed store directory (the cluster-wide cache tier; empty disables)")
-	leaseTimeout := flag.Duration("lease-timeout", 2*time.Minute, "steal and reassign leases older than this")
+	leaseTimeout := flag.Duration("lease-timeout", 2*time.Minute, "reassign leases older than this")
 	hbTimeout := flag.Duration("heartbeat-timeout", 15*time.Second, "declare silent workers dead after this")
 	retries := flag.Int("task-retries", 3, "transient failures per task before the owning job fails")
 	metricsOut := flag.String("metrics-out", "", "write a final metrics snapshot to this file on shutdown; '-' for stderr")

@@ -25,7 +25,7 @@ func clusterStats(addr string) error {
 		s.TasksPending, s.TasksLeased, s.TasksWaiting, s.TasksDone)
 	fmt.Printf("  leases: %d granted, %d reassigned, %d duplicate results, %d task failures\n",
 		s.Leases, s.Reassigns, s.DupResults, s.TaskFails)
-	served := s.TierLocal + s.TierCoord + s.TierFetch + s.Recomputes
+	served := s.TierLocal + s.TierCoord + s.Recomputes
 	fmt.Printf("  cache tiers (of %d fragments served):\n", served)
 	tier := func(name string, n uint64) {
 		pct := 0.0
@@ -36,7 +36,6 @@ func clusterStats(addr string) error {
 	}
 	tier("coord", s.TierCoord)
 	tier("local", s.TierLocal)
-	tier("fetch", s.TierFetch)
 	tier("recompute", s.Recomputes)
 	fmt.Printf("  jobs: %d done, %d failed\n", s.JobsDone, s.JobsFailed)
 	if s.StoreObjects > 0 || s.StoreLogical > 0 {

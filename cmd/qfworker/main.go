@@ -2,8 +2,9 @@
 // coordinator, executes fragment leases with the in-process SCF+DFPT
 // engine (each slot is a leader of the paper's master–leader–worker
 // hierarchy, §V-B; the worker level is the kernel budget, -kernel-threads),
-// resolves each lease through the tiered cache (worker-local store →
-// coordinator fetch → recompute), and streams canonical result blobs back.
+// resolves each lease from its local store or else by recomputing (the
+// coordinator already served what its own store held), and streams
+// canonical result blobs back.
 // It reconnects with exponential backoff when the coordinator link drops.
 //
 // Examples:

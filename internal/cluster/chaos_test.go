@@ -78,7 +78,7 @@ var severResults = ChaosConfig{
 	Seed:      1,
 	SeverRate: 1,
 	Protect: map[MsgType]bool{
-		MsgHeartbeat: true, MsgFetch: true, MsgTaskFail: true, MsgBye: true,
+		MsgHeartbeat: true, MsgTaskFail: true, MsgBye: true,
 	},
 }
 
@@ -246,8 +246,7 @@ func TestClusterSurvivesFrameChaos(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		startTestWorker(t, WorkerConfig{
 			Addr: addr, Name: fmt.Sprintf("w%d", i), Slots: 2,
-			Process:      fakeEngine,
-			FetchTimeout: 500 * time.Millisecond,
+			Process: fakeEngine,
 		})
 	}
 	waitForWorkers(t, co, 3)
@@ -267,15 +266,15 @@ func TestClusterSurvivesFrameChaos(t *testing.T) {
 	if snap.JobsDone != 1 || snap.JobsFailed != 0 {
 		t.Fatalf("job accounting under chaos: %+v", snap)
 	}
-	t.Logf("chaos run: %d leases, %d reassigns, %d dup results, tiers compute=%d local=%d coord=%d fetch=%d",
+	t.Logf("chaos run: %d leases, %d reassigns, %d dup results, tiers compute=%d local=%d coord=%d",
 		snap.Leases, snap.Reassigns, snap.DupResults,
-		snap.Recomputes, snap.TierLocal, snap.TierCoord, snap.TierFetch)
+		snap.Recomputes, snap.TierLocal, snap.TierCoord)
 }
 
 // TestClusterDelayChaosStealsStragglers pins the straggler path under a
-// clean network: a worker whose compute stalls past the lease timeout gets
-// its lease stolen and reassigned, the late duplicate is suppressed, and
-// the results stay bit-identical.
+// clean network: a worker whose compute stalls past the lease timeout has
+// its task reassigned, the first result wins, the late duplicate is dropped,
+// and the results stay bit-identical.
 func TestClusterDelayChaosStealsStragglers(t *testing.T) {
 	dec := fakeDecomposition(6, 2)
 	want := localFakeRun(t, dec)
@@ -306,6 +305,105 @@ func TestClusterDelayChaosStealsStragglers(t *testing.T) {
 	snap := co.Snapshot()
 	if snap.Reassigns == 0 {
 		t.Fatalf("no lease was stolen from the straggler: %+v", snap)
+	}
+}
+
+// TestStaleTaskFailIgnored: a TASK_FAIL from a worker that no longer owns
+// the task — its lease expired and the task went to another worker — is
+// counted but neither requeues the task nor fails the job; the run finishes
+// bit-identical to the local one.
+func TestStaleTaskFailIgnored(t *testing.T) {
+	dec := fakeDecomposition(1, 2)
+	want := localFakeRun(t, dec)
+
+	co, addr := testCoordinator(t, CoordConfig{
+		LeaseTimeout:     250 * time.Millisecond,
+		HeartbeatTimeout: 5 * time.Second,
+	})
+	// A hand-driven worker that takes the lease and sits on it.
+	stale, _, err := handshake(addr, Hello{Role: RoleWorker, Proto: ProtoVersion, Slots: 1, Name: "stale"},
+		time.Second, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stale.close()
+	waitForWorkers(t, co, 1)
+
+	type run struct {
+		datas []*hessian.FragmentData
+		err   error
+	}
+	ran := make(chan run, 1)
+	go func() {
+		datas, _, err := NewClient(addr).Run(dec, sched.DefaultOptions())
+		ran <- run{datas, err}
+	}()
+	stale.setReadDeadline(time.Now().Add(10 * time.Second))
+	f, err := stale.read()
+	if err != nil || f.Type != MsgLease {
+		t.Fatalf("stale worker: got %v, %v; want LEASE", f.Type, err)
+	}
+	lease, err := decodeLease(f.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The owner-to-be has more free slots than the stale worker, so every
+	// requeue of the task lands on it; its engine holds until released.
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	startTestWorker(t, WorkerConfig{
+		Addr: addr, Name: "owner", Slots: 2,
+		Process: func(f *fragment.Fragment, o sched.Options) (*hessian.FragmentData, error) {
+			select {
+			case started <- struct{}{}:
+			default:
+			}
+			<-release
+			return fakeEngine(f, o)
+		},
+	})
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the expired lease was never reassigned to the owner")
+	}
+
+	for _, transient := range []bool{true, false} {
+		if err := stale.write(MsgTaskFail, TaskFail{Task: lease.Task, Transient: transient, Msg: "stale"}.encode()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "both stale failures to be counted", func() bool { return co.Snapshot().TaskFails == 2 })
+	var owner uint64
+	for _, w := range co.Snapshot().Workers {
+		if w.Name == "owner" {
+			owner = w.Session
+		}
+	}
+	co.mu.Lock()
+	task := co.tasks[lease.Task]
+	var state, fails int
+	var holder uint64
+	if task != nil {
+		state, fails, holder = task.state, task.fails, task.owner
+	}
+	co.mu.Unlock()
+	if task == nil || state != taskLeased || holder != owner || fails != 0 {
+		t.Fatalf("after stale failures the task is %v (state %d, owner %d, fails %d); want leased to %d with no failure",
+			task != nil, state, holder, fails, owner)
+	}
+
+	close(release)
+	r := <-ran
+	if r.err != nil {
+		t.Fatalf("a stale TASK_FAIL failed the job: %v", r.err)
+	}
+	if err := sameDatas(r.datas, want); err != nil {
+		t.Fatalf("run deviates from the local one: %v", err)
+	}
+	if snap := co.Snapshot(); snap.TaskFails != 2 || snap.JobsDone != 1 || snap.JobsFailed != 0 || snap.Reassigns == 0 {
+		t.Fatalf("accounting: %+v", snap)
 	}
 }
 

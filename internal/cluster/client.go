@@ -164,7 +164,7 @@ func (c *Client) Run(dec *fragment.Decomposition, opt sched.Options) ([]*hessian
 	// report: recomputed fragments are cache misses; tier hits are
 	// resume-equivalent (work inherited from the cluster's stores);
 	// within-run rigid copies are dedup.
-	tierHits := int(jd.LocalHits + jd.CoordHits + jd.FetchHits)
+	tierHits := int(jd.LocalHits + jd.CoordHits)
 	rep.CacheMisses = int(jd.Computed)
 	rep.Resumed = tierHits
 	rep.Deduped = nf - len(producers)

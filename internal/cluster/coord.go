@@ -20,8 +20,9 @@ type CoordConfig struct {
 	// Store is the coordinator's content-addressed cache tier; nil
 	// disables it (every fragment is computed or served worker-locally).
 	Store *store.Store
-	// LeaseTimeout re-dispatches tasks leased longer than this without a
-	// result (straggler STEAL + epoch bump). Zero selects 2 minutes.
+	// LeaseTimeout requeues tasks leased longer than this without a
+	// result, so another worker can take them; the straggler's late result
+	// still counts if it arrives first. Zero selects 2 minutes.
 	LeaseTimeout time.Duration
 	// HeartbeatTimeout declares a silent worker dead and requeues its
 	// leases. Zero selects 15 seconds.
@@ -48,7 +49,7 @@ type CoordConfig struct {
 // flight.
 const (
 	taskPending = iota // queued, waiting for a worker slot
-	taskLeased         // owned by a worker under an epoch
+	taskLeased         // owned by a worker until its lease expires
 	taskWaiting        // parked: an identical key is already in flight
 )
 
@@ -64,7 +65,6 @@ type task struct {
 	opt    hessian.JobOptions
 
 	state    int
-	epoch    uint32 // bumped on every reassignment
 	owner    uint64 // worker session while leased
 	leasedAt time.Time
 	fails    int
@@ -93,7 +93,7 @@ type jobState struct {
 	failed    bool // error JOB_DONE sent; FRAGs still to come are discarded
 	opt       hessian.JobOptions
 
-	computed, localHits, coordHits, fetchHits, reassigns uint32
+	computed, localHits, coordHits, reassigns uint32
 }
 
 // clientConn is the coordinator's view of one connected client.
@@ -108,9 +108,9 @@ type clientConn struct {
 // coordCounters mirrors the cluster metrics for the STATS snapshot (the
 // registry may be absent).
 type coordCounters struct {
-	leases, reassigns, dupResults, taskFails  uint64
-	localHits, coordHits, fetchHits, computed uint64
-	jobsDone, jobsFailed, tasksDone           uint64
+	leases, reassigns, dupResults, taskFails uint64
+	localHits, coordHits, computed           uint64
+	jobsDone, jobsFailed, tasksDone          uint64
 }
 
 // send is one outbound frame computed under the coordinator lock and
@@ -122,8 +122,8 @@ type send struct {
 }
 
 // Coordinator owns fragment assignment: it accepts worker and client
-// connections, leases tasks under ownership epochs, reassigns on lease
-// expiry and worker death, suppresses duplicate results, and layers its
+// connections, leases tasks, reassigns on lease expiry and worker death,
+// keeps the first result for a live task and drops the rest, and layers its
 // content-addressed store over the workers' as the cluster-wide cache.
 type Coordinator struct {
 	cfg CoordConfig
@@ -149,7 +149,6 @@ type Coordinator struct {
 	mDup       *obs.Counter
 	mLocal     *obs.Counter
 	mCoord     *obs.Counter
-	mFetch     *obs.Counter
 	mRecomp    *obs.Counter
 	mFails     *obs.Counter
 	mLeaseSec  *obs.Histogram
@@ -182,7 +181,6 @@ func NewCoordinator(cfg CoordConfig) *Coordinator {
 		co.mDup = r.Counter(obs.MetricClusterDupResults)
 		co.mLocal = r.Counter(obs.MetricClusterLocalHits)
 		co.mCoord = r.Counter(obs.MetricClusterCoordHits)
-		co.mFetch = r.Counter(obs.MetricClusterFetchHits)
 		co.mRecomp = r.Counter(obs.MetricClusterRecomputes)
 		co.mFails = r.Counter(obs.MetricClusterTaskFails)
 		co.mLeaseSec = r.Histogram(obs.MetricClusterLeaseSeconds, obs.DurationBuckets)
@@ -444,13 +442,6 @@ func (co *Coordinator) runWorker(tr *transport, hello Hello) {
 				return
 			}
 			co.handleTaskFail(w, tf)
-		case MsgFetch:
-			fe, err := decodeFetch(f.Payload)
-			if err != nil {
-				co.dropWorker(w, err.Error())
-				return
-			}
-			co.handleFetch(w, fe)
 		case MsgHeartbeat:
 			co.mu.Lock()
 			w.lastSeen = time.Now()
@@ -465,8 +456,8 @@ func (co *Coordinator) runWorker(tr *transport, hello Hello) {
 	}
 }
 
-// dropWorker removes a worker and requeues its leases under a bumped
-// epoch — the core of surviving worker death and network partitions.
+// dropWorker removes a worker and requeues its leases — the core of
+// surviving worker death and network partitions.
 func (co *Coordinator) dropWorker(w *workerConn, reason string) {
 	co.mu.Lock()
 	if _, ok := co.workers[w.session]; !ok {
@@ -491,10 +482,8 @@ func (co *Coordinator) dropWorker(w *workerConn, reason string) {
 	co.flush(sends)
 }
 
-// requeueLocked puts a leased/waiting task back on the queue under a new
-// epoch. Caller holds co.mu.
+// requeueLocked puts a leased task back on the queue. Caller holds co.mu.
 func (co *Coordinator) requeueLocked(t *task) {
-	t.epoch++
 	t.state = taskPending
 	t.owner = 0
 	co.stats.reassigns++
@@ -563,7 +552,7 @@ func (co *Coordinator) dispatch() []send {
 			co.mLeases.Inc()
 		}
 		sends = append(sends, send{best.tr, MsgLease, Lease{
-			Task: t.id, Epoch: t.epoch, Key: t.key, Opt: t.opt,
+			Task: t.id, Key: t.key, Opt: t.opt,
 			Els: t.els, Pos: t.pos,
 		}.encode()})
 	}
@@ -579,10 +568,10 @@ func (co *Coordinator) handleResult(w *workerConn, res Result) {
 	delete(w.inflight, res.Task)
 	t := co.tasks[res.Task]
 	if t == nil {
-		// Lowest-epoch-wins in effect: the first completion recorded the
-		// result and retired the task; later deliveries (reassigned epochs
-		// racing the original owner) are counted and dropped. Determinism
-		// makes either copy bit-identical, so dropping is safe.
+		// The first result for a live task wins, whichever worker sent it:
+		// it retired the task, so a later one — a straggler whose lease
+		// expired racing its replacement — finds no entry and is counted
+		// and dropped. Determinism makes every copy bit-identical.
 		co.stats.dupResults++
 		if co.mDup != nil {
 			co.mDup.Inc()
@@ -591,25 +580,6 @@ func (co *Coordinator) handleResult(w *workerConn, res Result) {
 		co.mu.Unlock()
 		co.flush(sends)
 		return
-	}
-	blob := res.Blob
-	if len(blob) == 0 {
-		// TierFetch result: the worker got the blob from us, so it did
-		// not echo it back. Serve clients from our own store.
-		if co.cfg.Store != nil {
-			if b, ok, err := co.cfg.Store.GetRaw(t.key); err == nil && ok {
-				blob = b
-			}
-		}
-		if len(blob) == 0 {
-			// The store lost the object between fetch and result (or a
-			// protocol violation). Recompute: requeue under a new epoch.
-			co.requeueLocked(t)
-			sends := co.dispatch()
-			co.mu.Unlock()
-			co.flush(sends)
-			return
-		}
 	}
 	if co.mLeaseSec != nil && !t.leasedAt.IsZero() {
 		co.mLeaseSec.Observe(time.Since(t.leasedAt).Seconds())
@@ -625,11 +595,6 @@ func (co *Coordinator) handleResult(w *workerConn, res Result) {
 		if co.mLocal != nil {
 			co.mLocal.Inc()
 		}
-	case TierFetch:
-		co.stats.fetchHits++
-		if co.mFetch != nil {
-			co.mFetch.Inc()
-		}
 	default:
 		co.stats.computed++
 		if co.mRecomp != nil {
@@ -637,11 +602,11 @@ func (co *Coordinator) handleResult(w *workerConn, res Result) {
 		}
 	}
 	var ps []store.RawRecord
-	if co.cfg.Store != nil && res.Tier != TierFetch {
-		ps = append(ps, store.RawRecord{Key: t.key, NAtoms: len(t.els), Blob: blob})
+	if co.cfg.Store != nil {
+		ps = append(ps, store.RawRecord{Key: t.key, NAtoms: len(t.els), Blob: res.Blob})
 	}
 	var sends []send
-	sends = co.serveTaskLocked(sends, t, res.Tier, blob)
+	sends = co.serveTaskLocked(sends, t, res.Tier, res.Blob)
 	// Waiters parked on this key: served from the same blob as coord-tier
 	// hits (cluster-wide dedup across jobs and clients).
 	for _, id := range co.waiters[t.key] {
@@ -654,7 +619,7 @@ func (co *Coordinator) handleResult(w *workerConn, res Result) {
 		if co.mCoord != nil {
 			co.mCoord.Inc()
 		}
-		sends = co.serveTaskLocked(sends, tw, TierCoord, blob)
+		sends = co.serveTaskLocked(sends, tw, TierCoord, res.Blob)
 	}
 	delete(co.waiters, t.key)
 	delete(co.inflight, t.key)
@@ -680,8 +645,6 @@ func (co *Coordinator) serveTaskLocked(sends []send, t *task, tier uint8, blob [
 		js.localHits++
 	case TierCoord:
 		js.coordHits++
-	case TierFetch:
-		js.fetchHits++
 	default:
 		js.computed++
 	}
@@ -694,8 +657,7 @@ func (co *Coordinator) serveTaskLocked(sends []send, t *task, tier uint8, blob [
 		co.stats.jobsDone++
 		sends = append(sends, send{cl.tr, MsgJobDone, JobDone{
 			Job: t.job, Computed: js.computed, LocalHits: js.localHits,
-			CoordHits: js.coordHits, FetchHits: js.fetchHits,
-			Reassigns: js.reassigns,
+			CoordHits: js.coordHits, Reassigns: js.reassigns,
 		}.encode()})
 	}
 	return sends
@@ -703,7 +665,9 @@ func (co *Coordinator) serveTaskLocked(sends []send, t *task, tier uint8, blob [
 
 // handleTaskFail retries transient failures under the bounded budget and
 // fails the owning job (and any waiter jobs — the failure is
-// deterministic for the key) otherwise.
+// deterministic for the key) otherwise. Only the task's current owner is
+// heard: a failure from a worker whose lease expired and was reassigned is
+// counted and ignored, since the new owner's attempt is still running.
 func (co *Coordinator) handleTaskFail(w *workerConn, tf TaskFail) {
 	co.mu.Lock()
 	w.lastSeen = time.Now()
@@ -713,7 +677,7 @@ func (co *Coordinator) handleTaskFail(w *workerConn, tf TaskFail) {
 		co.mFails.Inc()
 	}
 	t := co.tasks[tf.Task]
-	if t == nil || t.state != taskLeased {
+	if t == nil || t.state != taskLeased || t.owner != w.session {
 		co.mu.Unlock()
 		return
 	}
@@ -823,24 +787,6 @@ func (co *Coordinator) setWaitersLocked(k store.Key, ws []uint64) {
 		return
 	}
 	co.waiters[k] = ws
-}
-
-// handleFetch serves a worker's tier-3 lookup from the coordinator store.
-func (co *Coordinator) handleFetch(w *workerConn, fe Fetch) {
-	co.mu.Lock()
-	w.lastSeen = time.Now()
-	co.mu.Unlock()
-	if co.cfg.Store != nil {
-		if blob, ok, err := co.cfg.Store.GetRaw(fe.Key); err == nil && ok {
-			if err := w.tr.write(MsgFetchOK, FetchOK{Key: fe.Key, Blob: blob}.encode()); err != nil {
-				co.logf("cluster: coord: fetch reply failed: %v", err)
-			}
-			return
-		}
-	}
-	if err := w.tr.write(MsgFetchMiss, FetchMiss{Key: fe.Key}.encode()); err != nil {
-		co.logf("cluster: coord: fetch reply failed: %v", err)
-	}
 }
 
 func (co *Coordinator) runClient(tr *transport, hello Hello) {
@@ -1004,7 +950,8 @@ func (co *Coordinator) dropClient(cl *clientConn, reason string) {
 
 // reaper enforces heartbeat and lease timeouts: silent workers are
 // disconnected (their reader goroutine then requeues the leases) and
-// stragglers are stolen back under a bumped epoch.
+// expired leases are requeued. The straggler is not told: it finishes, and
+// its result counts if it is the first.
 func (co *Coordinator) reaper() {
 	defer co.wg.Done()
 	tick := co.cfg.HeartbeatTimeout / 4
@@ -1035,21 +982,17 @@ func (co *Coordinator) reaper() {
 				dead = append(dead, w.tr)
 			}
 		}
-		var sends []send
 		for _, t := range co.tasks {
 			if t.state != taskLeased || now.Sub(t.leasedAt) <= co.cfg.LeaseTimeout {
 				continue
 			}
-			w := co.workers[t.owner]
-			oldEpoch := t.epoch
-			if w != nil {
+			if w := co.workers[t.owner]; w != nil {
 				delete(w.inflight, t.id)
-				sends = append(sends, send{w.tr, MsgSteal, Steal{Task: t.id, Epoch: oldEpoch}.encode()})
 			}
 			co.requeueLocked(t)
-			co.logf("cluster: coord: task %d lease expired, stolen (epoch %d→%d)", t.id, oldEpoch, t.epoch)
+			co.logf("cluster: coord: task %d lease expired, requeued", t.id)
 		}
-		sends = append(sends, co.dispatch()...)
+		sends := co.dispatch()
 		co.mu.Unlock()
 		// Closing a dead worker's conn unblocks its reader, which
 		// requeues the leases through the regular drop path.
@@ -1086,7 +1029,7 @@ type Snapshot struct {
 	TaskFails    uint64       `json:"task_failures"`
 	TierLocal    uint64       `json:"cache_local_hits"`
 	TierCoord    uint64       `json:"cache_coord_hits"`
-	TierFetch    uint64       `json:"cache_fetch_hits"`
+	TierFetch    uint64       `json:"cache_fetch_hits"` // always 0 since protocol 6, kept for bench/ until ROADMAP item 1
 	Recomputes   uint64       `json:"cache_recomputes"`
 	JobsDone     uint64       `json:"jobs_done"`
 	JobsFailed   uint64       `json:"jobs_failed"`
@@ -1108,7 +1051,6 @@ func (co *Coordinator) Snapshot() Snapshot {
 		TaskFails:  co.stats.taskFails,
 		TierLocal:  co.stats.localHits,
 		TierCoord:  co.stats.coordHits,
-		TierFetch:  co.stats.fetchHits,
 		Recomputes: co.stats.computed,
 		JobsDone:   co.stats.jobsDone,
 		JobsFailed: co.stats.jobsFailed,

@@ -1,17 +1,19 @@
 // Package cluster is the distributed master–leader–worker runtime: it
 // lifts the paper's three-level MPI hierarchy (§V-B, Fig. 4) out of a
 // single process and onto plain TCP. A coordinator owns fragment
-// assignment with epoch-based ownership leases; worker daemons execute
-// fragments with the in-process engine, one per slot, and stream
-// results back over a versioned, length-prefixed binary RPC protocol that
-// reuses internal/store's CRC-32C codec discipline (magic, version, CRC
-// per frame). The content-addressed store becomes a tiered cache —
-// worker-local disk, coordinator fetch, recompute — so rigid-copy dedup
-// works cluster-wide, and internal/faults-driven chaos (dropped frames,
-// corrupted frames, severed connections, worker death) is injectable at
-// the transport and survivable: bounded retry, lease expiry plus
-// reassignment, and duplicate-result suppression keep results
-// bit-identical to a single-process run.
+// assignment with timed leases: a lease that expires, or whose worker dies,
+// puts its task back on the queue, and the first result for a live task
+// wins, from whichever worker sends it. Worker daemons execute fragments
+// with the in-process engine, one per slot, and stream results back over a
+// versioned, length-prefixed binary RPC protocol that reuses
+// internal/store's CRC-32C codec discipline (magic, version, CRC per
+// frame). The content-addressed store becomes a tiered cache — coordinator
+// store, worker-local disk, recompute — so rigid-copy dedup works
+// cluster-wide, and internal/faults-driven chaos (dropped frames, corrupted
+// frames, severed connections, worker death) is injectable at the
+// transport and survivable: bounded retry, lease expiry plus reassignment,
+// and dropping every result after the first keep results bit-identical to
+// a single-process run.
 package cluster
 
 import (
@@ -44,7 +46,11 @@ const (
 	// Version 3: that block is one byte shorter (the DFPT strength-reduction flag gone).
 	// Version 4: it is 24 bytes shorter (DFPT.MaxIter, Tol and Mixing gone).
 	// Version 5: HEARTBEAT and BYE carry an empty payload (no in-flight count, no reason).
-	ProtoVersion = 5
+	// Version 6: LEASE, RESULT and TASK_FAIL lose their epoch; STEAL, FETCH,
+	// FETCH_OK and FETCH_MISS are gone and the later types renumbered
+	// (HELLO, WELCOME and REJECT keep their codes, so an older peer is still
+	// rejected cleanly); JOB_DONE loses its fetch-hit count.
+	ProtoVersion = 6
 
 	headerSize  = 11
 	trailerSize = 4
@@ -94,11 +100,7 @@ const (
 	MsgLease
 	MsgResult
 	MsgServe
-	MsgFetch
-	MsgFetchOK
-	MsgFetchMiss
 	MsgHeartbeat
-	MsgSteal
 	MsgTaskFail
 	MsgJobDone
 	MsgStats
@@ -117,11 +119,7 @@ var msgNames = [...]string{
 	MsgLease:     "LEASE",
 	MsgResult:    "RESULT",
 	MsgServe:     "SERVE",
-	MsgFetch:     "FETCH",
-	MsgFetchOK:   "FETCH_OK",
-	MsgFetchMiss: "FETCH_MISS",
 	MsgHeartbeat: "HEARTBEAT",
-	MsgSteal:     "STEAL",
 	MsgTaskFail:  "TASK_FAIL",
 	MsgJobDone:   "JOB_DONE",
 	MsgStats:     "STATS",

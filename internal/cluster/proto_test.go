@@ -29,7 +29,7 @@ func TestFrameRoundtripAllTypes(t *testing.T) {
 // frame, and a buffer holding one frame plus trailing bytes is not consumed
 // whole.
 func TestDecodeFrameRejectsDamage(t *testing.T) {
-	valid := EncodeFrame(MsgSteal, Steal{Task: 3, Epoch: 1}.encode())
+	valid := EncodeFrame(MsgTaskFail, TaskFail{Task: 3, Msg: "m"}.encode())
 
 	// want nil: the frame parses but leaves bytes unread.
 	cases := []struct {
@@ -109,13 +109,13 @@ func TestReadFrameTruncatedStream(t *testing.T) {
 func FuzzDecodeClusterFrame(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add(EncodeFrame(MsgHello, Hello{Role: RoleWorker, Proto: ProtoVersion, Slots: 4, Name: "w0"}.encode()))
-	f.Add(EncodeFrame(MsgResult, Result{Task: 7, Epoch: 2, Tier: TierCompute, Blob: []byte("blob")}.encode()))
+	f.Add(EncodeFrame(MsgResult, Result{Task: 7, Tier: TierCompute, Blob: []byte("blob")}.encode()))
 	f.Add(EncodeFrame(MsgJobDone, JobDone{Job: 1, Computed: 9}.encode()))
 	// The two frames that carry job options (protocol 2: a length-prefixed
 	// physics block).
 	els, pos := testGeometry()
 	f.Add(EncodeFrame(MsgJob, Job{Job: 1, NFrags: 3, Opt: hessian.DefaultJobOptions()}.encode()))
-	f.Add(EncodeFrame(MsgLease, Lease{Task: 7, Epoch: 2, Key: testKey(), Opt: hessian.DefaultJobOptions(), Els: els, Pos: pos}.encode()))
+	f.Add(EncodeFrame(MsgLease, Lease{Task: 7, Key: testKey(), Opt: hessian.DefaultJobOptions(), Els: els, Pos: pos}.encode()))
 	// Truncated frame.
 	f.Add(EncodeFrame(MsgLease, bytes.Repeat([]byte{1}, 64))[:30])
 	// Bit-flipped payload (CRC must catch it).

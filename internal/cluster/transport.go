@@ -11,7 +11,7 @@ import (
 
 // transport wraps one TCP connection with frame I/O, per-RPC metrics, and
 // the chaos injector. Writes are serialized by wmu so concurrent
-// goroutines (dispatcher, fetch responder, heartbeat ticker) can share the
+// goroutines (dispatcher, lease goroutines, heartbeat ticker) can share the
 // connection; reads belong to a single reader goroutine.
 type transport struct {
 	c          net.Conn

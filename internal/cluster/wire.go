@@ -18,12 +18,11 @@ const (
 
 // Result/serve cache tiers: where a fragment's canonical blob came from.
 // The lookup order is the tiered cache of DESIGN.md §9 — coordinator
-// store, worker-local store, coordinator fetch, recompute.
+// store, worker-local store, recompute.
 const (
 	TierCompute uint8 = 0 // worker ran the engine (recompute)
 	TierLocal   uint8 = 1 // worker-local disk store
-	TierCoord   uint8 = 2 // coordinator's store, served at lease time
-	TierFetch   uint8 = 3 // worker fetched the blob from the coordinator
+	TierCoord   uint8 = 2 // coordinator's store, served at admission
 )
 
 // Hello opens every connection: the peer's role, application protocol
@@ -76,27 +75,22 @@ type Frag struct {
 	Pos  []geom.Vec3
 }
 
-// Lease grants a task to a worker under an ownership epoch. The epoch
-// increments every time the coordinator reassigns the task (lease expiry,
-// worker death); stale results are identified by their (task, epoch) pair.
+// Lease grants a task to a worker until the coordinator's lease timeout;
+// after that the task may be leased again, and the first RESULT wins.
 type Lease struct {
-	Task  uint64
-	Epoch uint32
-	Key   store.Key
-	Opt   hessian.JobOptions // physics only, as in Job
-	Els   []constants.Element
-	Pos   []geom.Vec3
+	Task uint64
+	Key  store.Key
+	Opt  hessian.JobOptions // physics only, as in Job
+	Els  []constants.Element
+	Pos  []geom.Vec3
 }
 
 // Result returns a completed task: the tier that produced the canonical
-// blob, and the blob itself. An empty blob means "the coordinator already
-// has this key" (TierFetch: the worker pulled it *from* the coordinator,
-// so echoing the bytes back would be pure waste).
+// blob, and the blob itself.
 type Result struct {
-	Task  uint64
-	Epoch uint32
-	Tier  uint8
-	Blob  []byte
+	Task uint64
+	Tier uint8
+	Blob []byte
 }
 
 // Serve delivers one fragment result to a client: the producing tier and
@@ -108,36 +102,11 @@ type Serve struct {
 	Blob []byte
 }
 
-// Fetch asks the coordinator for a canonical blob by content key
-// (worker-side tier-3 lookup).
-type Fetch struct {
-	Key store.Key
-}
-
-// FetchOK answers a FETCH with the blob.
-type FetchOK struct {
-	Key  store.Key
-	Blob []byte
-}
-
-// FetchMiss answers a FETCH the coordinator cannot serve.
-type FetchMiss struct {
-	Key store.Key
-}
-
-// Steal revokes a lease (straggler re-dispatch): the worker should abandon
-// the task if it has not finished. Best-effort — the epoch check on RESULT
-// is what guarantees correctness.
-type Steal struct {
-	Task  uint64
-	Epoch uint32
-}
-
-// TaskFail reports a failed attempt. Transient failures are retried under
-// a bounded budget; deterministic ones fail the job.
+// TaskFail reports a failed attempt. The coordinator acts on it only when
+// the sender still owns the task: transient failures are retried under a
+// bounded budget, deterministic ones fail the job.
 type TaskFail struct {
 	Task      uint64
-	Epoch     uint32
 	Transient bool
 	Msg       string
 }
@@ -150,7 +119,6 @@ type JobDone struct {
 	Computed  uint32
 	LocalHits uint32
 	CoordHits uint32
-	FetchHits uint32
 	Reassigns uint32
 }
 
@@ -224,7 +192,6 @@ func (m Frag) encode() []byte {
 
 func (m Lease) encode() []byte {
 	b := appendU64(nil, m.Task)
-	b = appendU32(b, m.Epoch)
 	b = append(b, m.Key[:]...)
 	b = appendBytes(b, m.Opt.AppendPhysics(nil))
 	return appendGeom(b, m.Els, m.Pos)
@@ -232,7 +199,6 @@ func (m Lease) encode() []byte {
 
 func (m Result) encode() []byte {
 	b := appendU64(nil, m.Task)
-	b = appendU32(b, m.Epoch)
 	b = append(b, m.Tier)
 	return appendBytes(b, m.Blob)
 }
@@ -244,23 +210,8 @@ func (m Serve) encode() []byte {
 	return appendBytes(b, m.Blob)
 }
 
-func (m Fetch) encode() []byte { return append([]byte(nil), m.Key[:]...) }
-
-func (m FetchOK) encode() []byte {
-	b := append([]byte(nil), m.Key[:]...)
-	return appendBytes(b, m.Blob)
-}
-
-func (m FetchMiss) encode() []byte { return append([]byte(nil), m.Key[:]...) }
-
-func (m Steal) encode() []byte {
-	b := appendU64(nil, m.Task)
-	return appendU32(b, m.Epoch)
-}
-
 func (m TaskFail) encode() []byte {
 	b := appendU64(nil, m.Task)
-	b = appendU32(b, m.Epoch)
 	b = appendBool(b, m.Transient)
 	return appendStr(b, m.Msg)
 }
@@ -271,7 +222,6 @@ func (m JobDone) encode() []byte {
 	b = appendU32(b, m.Computed)
 	b = appendU32(b, m.LocalHits)
 	b = appendU32(b, m.CoordHits)
-	b = appendU32(b, m.FetchHits)
 	return appendU32(b, m.Reassigns)
 }
 
@@ -437,14 +387,14 @@ func decodeFrag(b []byte) (Frag, error) {
 
 func decodeLease(b []byte) (Lease, error) {
 	r := reader{b: b}
-	m := Lease{Task: r.u64(), Epoch: r.u32(), Key: r.key(), Opt: r.physics()}
+	m := Lease{Task: r.u64(), Key: r.key(), Opt: r.physics()}
 	m.Els, m.Pos = r.geometry()
 	return m, r.done("LEASE")
 }
 
 func decodeResult(b []byte) (Result, error) {
 	r := reader{b: b}
-	m := Result{Task: r.u64(), Epoch: r.u32(), Tier: r.u8(), Blob: r.bytes()}
+	m := Result{Task: r.u64(), Tier: r.u8(), Blob: r.bytes()}
 	return m, r.done("RESULT")
 }
 
@@ -454,39 +404,15 @@ func decodeServe(b []byte) (Serve, error) {
 	return m, r.done("SERVE")
 }
 
-func decodeFetch(b []byte) (Fetch, error) {
-	r := reader{b: b}
-	m := Fetch{Key: r.key()}
-	return m, r.done("FETCH")
-}
-
-func decodeFetchOK(b []byte) (FetchOK, error) {
-	r := reader{b: b}
-	m := FetchOK{Key: r.key(), Blob: r.bytes()}
-	return m, r.done("FETCH_OK")
-}
-
-func decodeFetchMiss(b []byte) (FetchMiss, error) {
-	r := reader{b: b}
-	m := FetchMiss{Key: r.key()}
-	return m, r.done("FETCH_MISS")
-}
-
-func decodeSteal(b []byte) (Steal, error) {
-	r := reader{b: b}
-	m := Steal{Task: r.u64(), Epoch: r.u32()}
-	return m, r.done("STEAL")
-}
-
 func decodeTaskFail(b []byte) (TaskFail, error) {
 	r := reader{b: b}
-	m := TaskFail{Task: r.u64(), Epoch: r.u32(), Transient: r.boolean(), Msg: r.str()}
+	m := TaskFail{Task: r.u64(), Transient: r.boolean(), Msg: r.str()}
 	return m, r.done("TASK_FAIL")
 }
 
 func decodeJobDone(b []byte) (JobDone, error) {
 	r := reader{b: b}
 	m := JobDone{Job: r.u64(), Err: r.str(), Computed: r.u32(),
-		LocalHits: r.u32(), CoordHits: r.u32(), FetchHits: r.u32(), Reassigns: r.u32()}
+		LocalHits: r.u32(), CoordHits: r.u32(), Reassigns: r.u32()}
 	return m, r.done("JOB_DONE")
 }

@@ -73,12 +73,12 @@ func TestWireMessageRoundtrips(t *testing.T) {
 		check("FRAG", got, m, err)
 	}
 	{
-		m := Lease{Task: 9, Epoch: 2, Key: k, Opt: jw, Els: els, Pos: pos}
+		m := Lease{Task: 9, Key: k, Opt: jw, Els: els, Pos: pos}
 		got, err := decodeLease(m.encode())
 		check("LEASE", got, m, err)
 	}
 	{
-		m := Result{Task: 9, Epoch: 2, Tier: TierLocal, Blob: []byte{1, 2, 3}}
+		m := Result{Task: 9, Tier: TierLocal, Blob: []byte{1, 2, 3}}
 		got, err := decodeResult(m.encode())
 		check("RESULT", got, m, err)
 	}
@@ -88,47 +88,14 @@ func TestWireMessageRoundtrips(t *testing.T) {
 		check("SERVE", got, m, err)
 	}
 	{
-		m := Fetch{Key: k}
-		got, err := decodeFetch(m.encode())
-		check("FETCH", got, m, err)
-	}
-	{
-		m := FetchOK{Key: k, Blob: []byte{0xFE}}
-		got, err := decodeFetchOK(m.encode())
-		check("FETCH_OK", got, m, err)
-	}
-	{
-		m := FetchMiss{Key: k}
-		got, err := decodeFetchMiss(m.encode())
-		check("FETCH_MISS", got, m, err)
-	}
-	{
-		m := Steal{Task: 9, Epoch: 4}
-		got, err := decodeSteal(m.encode())
-		check("STEAL", got, m, err)
-	}
-	{
-		m := TaskFail{Task: 9, Epoch: 4, Transient: true, Msg: "scf diverged"}
+		m := TaskFail{Task: 9, Transient: true, Msg: "scf diverged"}
 		got, err := decodeTaskFail(m.encode())
 		check("TASK_FAIL", got, m, err)
 	}
 	{
-		m := JobDone{Job: 3, Computed: 5, LocalHits: 1, CoordHits: 2, FetchHits: 3, Reassigns: 4}
+		m := JobDone{Job: 3, Computed: 5, LocalHits: 1, CoordHits: 2, Reassigns: 4}
 		got, err := decodeJobDone(m.encode())
 		check("JOB_DONE", got, m, err)
-	}
-}
-
-// TestWireEmptyBlobRoundtrip pins the TierFetch convention: a RESULT with
-// no blob survives the wire (empty, not lost).
-func TestWireEmptyBlobRoundtrip(t *testing.T) {
-	m := Result{Task: 1, Epoch: 1, Tier: TierFetch}
-	got, err := decodeResult(m.encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Task != m.Task || got.Epoch != m.Epoch || got.Tier != m.Tier || len(got.Blob) != 0 {
-		t.Fatalf("empty-blob RESULT roundtrip: %+v", got)
 	}
 }
 
@@ -144,20 +111,16 @@ func TestWireRejectsTruncationAndTrailing(t *testing.T) {
 		payload []byte
 		dec     func([]byte) error
 	}{
-		"HELLO":      {Hello{Role: RoleClient, Proto: 1, Name: "n"}.encode(), func(b []byte) error { _, err := decodeHello(b); return err }},
-		"WELCOME":    {Welcome{Proto: 1, Session: 2}.encode(), func(b []byte) error { _, err := decodeWelcome(b); return err }},
-		"REJECT":     {Reject{Code: 1, Reason: "r"}.encode(), func(b []byte) error { _, err := decodeReject(b); return err }},
-		"JOB":        {Job{Job: 1, NFrags: 2, Opt: jw}.encode(), func(b []byte) error { _, err := decodeJob(b); return err }},
-		"FRAG":       {Frag{Job: 1, Frag: 2, Key: k, Els: els, Pos: pos}.encode(), func(b []byte) error { _, err := decodeFrag(b); return err }},
-		"LEASE":      {Lease{Task: 1, Epoch: 1, Key: k, Opt: jw, Els: els, Pos: pos}.encode(), func(b []byte) error { _, err := decodeLease(b); return err }},
-		"RESULT":     {Result{Task: 1, Epoch: 1, Tier: 0, Blob: []byte{1}}.encode(), func(b []byte) error { _, err := decodeResult(b); return err }},
-		"SERVE":      {Serve{Job: 1, Frag: 1, Tier: 2, Blob: []byte{1}}.encode(), func(b []byte) error { _, err := decodeServe(b); return err }},
-		"FETCH":      {Fetch{Key: k}.encode(), func(b []byte) error { _, err := decodeFetch(b); return err }},
-		"FETCH_OK":   {FetchOK{Key: k, Blob: []byte{1}}.encode(), func(b []byte) error { _, err := decodeFetchOK(b); return err }},
-		"FETCH_MISS": {FetchMiss{Key: k}.encode(), func(b []byte) error { _, err := decodeFetchMiss(b); return err }},
-		"STEAL":      {Steal{Task: 1, Epoch: 1}.encode(), func(b []byte) error { _, err := decodeSteal(b); return err }},
-		"TASK_FAIL":  {TaskFail{Task: 1, Epoch: 1, Msg: "m"}.encode(), func(b []byte) error { _, err := decodeTaskFail(b); return err }},
-		"JOB_DONE":   {JobDone{Job: 1}.encode(), func(b []byte) error { _, err := decodeJobDone(b); return err }},
+		"HELLO":     {Hello{Role: RoleClient, Proto: 1, Name: "n"}.encode(), func(b []byte) error { _, err := decodeHello(b); return err }},
+		"WELCOME":   {Welcome{Proto: 1, Session: 2}.encode(), func(b []byte) error { _, err := decodeWelcome(b); return err }},
+		"REJECT":    {Reject{Code: 1, Reason: "r"}.encode(), func(b []byte) error { _, err := decodeReject(b); return err }},
+		"JOB":       {Job{Job: 1, NFrags: 2, Opt: jw}.encode(), func(b []byte) error { _, err := decodeJob(b); return err }},
+		"FRAG":      {Frag{Job: 1, Frag: 2, Key: k, Els: els, Pos: pos}.encode(), func(b []byte) error { _, err := decodeFrag(b); return err }},
+		"LEASE":     {Lease{Task: 1, Key: k, Opt: jw, Els: els, Pos: pos}.encode(), func(b []byte) error { _, err := decodeLease(b); return err }},
+		"RESULT":    {Result{Task: 1, Tier: 0, Blob: []byte{1}}.encode(), func(b []byte) error { _, err := decodeResult(b); return err }},
+		"SERVE":     {Serve{Job: 1, Frag: 1, Tier: 2, Blob: []byte{1}}.encode(), func(b []byte) error { _, err := decodeServe(b); return err }},
+		"TASK_FAIL": {TaskFail{Task: 1, Msg: "m"}.encode(), func(b []byte) error { _, err := decodeTaskFail(b); return err }},
+		"JOB_DONE":  {JobDone{Job: 1}.encode(), func(b []byte) error { _, err := decodeJobDone(b); return err }},
 	}
 	for name, m := range msgs {
 		for cut := 0; cut < len(m.payload); cut++ {
@@ -208,7 +171,7 @@ func TestLeaseFingerprintAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease, err := decodeLease(Lease{Task: 1, Epoch: 1, Key: key, Opt: job.Opt, Els: els, Pos: pos}.encode())
+	lease, err := decodeLease(Lease{Task: 1, Key: key, Opt: job.Opt, Els: els, Pos: pos}.encode())
 	if err != nil {
 		t.Fatal(err)
 	}

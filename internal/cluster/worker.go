@@ -38,9 +38,6 @@ type WorkerConfig struct {
 	// HeartbeatInterval paces liveness beacons (default 3 s; must stay
 	// under the coordinator's HeartbeatTimeout).
 	HeartbeatInterval time.Duration
-	// FetchTimeout bounds a coordinator blob fetch before the worker
-	// falls back to recomputing (default 30 s).
-	FetchTimeout time.Duration
 	// DialTimeout bounds connection attempts (default 5 s).
 	DialTimeout time.Duration
 	// MaxReconnects bounds reconnection attempts after a connection
@@ -59,8 +56,8 @@ type WorkerConfig struct {
 }
 
 // Worker executes fragment leases for a coordinator: tiered cache lookup
-// (local store → coordinator fetch → compute), canonical-blob results,
-// heartbeats, and bounded reconnection with exponential backoff.
+// (local store, else compute), canonical-blob results, heartbeats, and
+// bounded reconnection with exponential backoff.
 type Worker struct {
 	cfg WorkerConfig
 }
@@ -72,9 +69,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	}
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = 3 * time.Second
-	}
-	if cfg.FetchTimeout <= 0 {
-		cfg.FetchTimeout = 30 * time.Second
 	}
 	return &Worker{cfg: cfg}
 }
@@ -114,14 +108,10 @@ func (w *Worker) Run(ctx context.Context) error {
 
 // workerSession is the state of one live connection.
 type workerSession struct {
-	w    *Worker
-	tr   *transport
-	done chan struct{} // closed when the session tears down
-
-	mu      sync.Mutex
-	stolen  map[uint64]struct{}         // tasks revoked by STEAL
-	fetches map[store.Key][]chan []byte // pending FETCH correlations
-	slots   chan struct{}               // lease-concurrency semaphore
+	w     *Worker
+	tr    *transport
+	done  chan struct{} // closed when the session tears down
+	slots chan struct{} // lease-concurrency semaphore
 }
 
 func (w *Worker) session(ctx context.Context) error {
@@ -140,12 +130,10 @@ func (w *Worker) session(ctx context.Context) error {
 	w.logf("cluster: worker %q: connected as session %d", w.cfg.Name, wel.Session)
 
 	s := &workerSession{
-		w:       w,
-		tr:      tr,
-		done:    make(chan struct{}),
-		stolen:  make(map[uint64]struct{}),
-		fetches: make(map[store.Key][]chan []byte),
-		slots:   make(chan struct{}, w.cfg.Slots),
+		w:     w,
+		tr:    tr,
+		done:  make(chan struct{}),
+		slots: make(chan struct{}, w.cfg.Slots),
 	}
 	var once sync.Once
 	teardown := func() {
@@ -181,14 +169,12 @@ func (w *Worker) session(ctx context.Context) error {
 	for {
 		f, err := tr.read()
 		if err != nil {
-			s.failFetches()
 			return err
 		}
 		switch f.Type {
 		case MsgLease:
 			l, err := decodeLease(f.Payload)
 			if err != nil {
-				s.failFetches()
 				return err
 			}
 			select {
@@ -197,84 +183,11 @@ func (w *Worker) session(ctx context.Context) error {
 				return errors.New("cluster: worker: session closed")
 			}
 			go s.processLease(l)
-		case MsgSteal:
-			st, err := decodeSteal(f.Payload)
-			if err != nil {
-				s.failFetches()
-				return err
-			}
-			s.mu.Lock()
-			s.stolen[st.Task] = struct{}{}
-			s.mu.Unlock()
-		case MsgFetchOK:
-			m, err := decodeFetchOK(f.Payload)
-			if err != nil {
-				s.failFetches()
-				return err
-			}
-			s.deliverFetch(m.Key, m.Blob)
-		case MsgFetchMiss:
-			m, err := decodeFetchMiss(f.Payload)
-			if err != nil {
-				s.failFetches()
-				return err
-			}
-			s.deliverFetch(m.Key, nil)
 		case MsgBye:
-			s.failFetches()
 			return errors.New("cluster: worker: coordinator said bye")
 		default:
-			s.failFetches()
 			return fmt.Errorf("%w: unexpected %s at worker", ErrProtocol, f.Type)
 		}
-	}
-}
-
-// deliverFetch resolves every waiter parked on a key (nil blob = miss).
-func (s *workerSession) deliverFetch(k store.Key, blob []byte) {
-	s.mu.Lock()
-	chans := s.fetches[k]
-	delete(s.fetches, k)
-	s.mu.Unlock()
-	for _, ch := range chans {
-		ch <- blob
-	}
-}
-
-// failFetches resolves all pending fetches as misses (session teardown).
-func (s *workerSession) failFetches() {
-	s.mu.Lock()
-	all := s.fetches
-	s.fetches = make(map[store.Key][]chan []byte)
-	s.mu.Unlock()
-	for _, chans := range all {
-		for _, ch := range chans {
-			ch <- nil
-		}
-	}
-}
-
-// fetch asks the coordinator for a blob, with a timeout falling back to a
-// miss. The reply channel is buffered so a late delivery never blocks the
-// reader.
-func (s *workerSession) fetch(k store.Key) []byte {
-	ch := make(chan []byte, 1)
-	s.mu.Lock()
-	first := len(s.fetches[k]) == 0
-	s.fetches[k] = append(s.fetches[k], ch)
-	s.mu.Unlock()
-	if first {
-		if err := s.tr.write(MsgFetch, Fetch{Key: k}.encode()); err != nil {
-			return nil
-		}
-	}
-	select {
-	case blob := <-ch:
-		return blob
-	case <-time.After(s.w.cfg.FetchTimeout):
-		return nil
-	case <-s.done:
-		return nil
 	}
 }
 
@@ -283,32 +196,20 @@ func (s *workerSession) fetch(k store.Key) []byte {
 func (s *workerSession) processLease(l Lease) {
 	defer func() { <-s.slots }()
 	tier, blob, err := s.resolve(l)
-	s.mu.Lock()
-	_, wasStolen := s.stolen[l.Task]
-	delete(s.stolen, l.Task)
-	s.mu.Unlock()
-	if wasStolen {
-		// Revoked: the coordinator reassigned the task. Suppress the
-		// result (its replacement is bit-identical by determinism).
-		return
-	}
 	if err != nil {
 		s.tr.write(MsgTaskFail, TaskFail{
-			Task: l.Task, Epoch: l.Epoch,
-			Transient: faults.IsTransient(err), Msg: err.Error(),
+			Task: l.Task, Transient: faults.IsTransient(err), Msg: err.Error(),
 		}.encode())
 		return
 	}
-	if tier == TierFetch {
-		// The blob came from the coordinator; no need to echo it back.
-		blob = nil
-	}
-	s.tr.write(MsgResult, Result{Task: l.Task, Epoch: l.Epoch, Tier: tier, Blob: blob}.encode())
+	s.tr.write(MsgResult, Result{Task: l.Task, Tier: tier, Blob: blob}.encode())
 }
 
-// resolve walks the cache tiers for one lease: worker-local store,
-// coordinator fetch, recompute. It returns the canonical blob and the
-// tier that produced it.
+// resolve walks the cache tiers for one lease: worker-local store, else
+// recompute. It returns the canonical blob and the tier that produced it.
+// (The coordinator checked its own store when it admitted the fragment; a
+// record that lands there while this lease is out is recomputed, with the
+// same bits.)
 func (s *workerSession) resolve(l Lease) (uint8, []byte, error) {
 	cfg := &s.w.cfg
 	f := &fragment.Fragment{ID: int(l.Task), Coeff: 1, Els: l.Els, Pos: l.Pos}
@@ -328,16 +229,6 @@ func (s *workerSession) resolve(l Lease) (uint8, []byte, error) {
 		if blob, ok, err := cfg.Store.GetRaw(key); err == nil && ok {
 			return TierLocal, blob, nil
 		}
-	}
-	// Tier: coordinator fetch (covers straggler races where another
-	// worker checkpointed the key after this lease was cut).
-	if blob := s.fetch(key); blob != nil {
-		if cfg.Store != nil {
-			if err := cfg.Store.PutRaw(key, len(l.Els), blob); err != nil {
-				s.w.logf("cluster: worker %q: local checkpoint: %v", cfg.Name, err)
-			}
-		}
-		return TierFetch, blob, nil
 	}
 	// Tier: recompute.
 	if cfg.Throttle > 0 {

@@ -90,7 +90,9 @@ func newRule(k int) *rule {
 }
 
 // build fills nodes and weights from t: the generalized averaged rule when
-// gagq is set and t supports it, the plain Gauss rule otherwise.
+// gagq is set and t supports it, the plain Gauss rule otherwise. Plans
+// always set gagq; the plain rule on demand is for the tests that compare
+// the two.
 //
 // The averaged rule of Spalević is built from the (2k−1)×(2k−1) matrix
 //

@@ -100,7 +100,7 @@ func ruleFor(tri *Tridiagonal, gagq bool) (*rule, error) {
 
 // planDensity is one column's density through Plan.Densities, copied out of
 // the plan.
-func planDensity(t testing.TB, op Operator, d []float64, k int, xs []float64, sigma float64, transform func(float64) float64, gagq bool) []float64 {
+func planDensity(t testing.TB, op Operator, d []float64, k int, xs []float64, sigma float64, transform func(float64) float64) []float64 {
 	t.Helper()
 	p, err := NewPlan(op, 1, Options{K: k})
 	if err != nil {
@@ -109,7 +109,7 @@ func planDensity(t testing.TB, op Operator, d []float64, k int, xs []float64, si
 	if err := p.Solve([][]float64{d}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Densities(xs, sigma, transform, gagq); err != nil {
+	if err := p.Densities(xs, sigma, transform); err != nil {
 		t.Fatal(err)
 	}
 	return append([]float64(nil), p.Density(0)...)
@@ -237,7 +237,7 @@ func TestSpectralDensityMatchesDense(t *testing.T) {
 	}
 	sigma := 0.6
 	want := denseSpectralDensity(m, d, xs, sigma, nil)
-	got := planDensity(t, denseOperator{m}, d, 50, xs, sigma, nil, true)
+	got := planDensity(t, denseOperator{m}, d, 50, xs, sigma, nil)
 	// Relative L2 error.
 	var num, den float64
 	for i := range xs {
@@ -264,8 +264,14 @@ func TestGAGQBeatsPlainGauss(t *testing.T) {
 		m := randomSymmetric(rng, n)
 		d := randomVector(rng, n)
 		want := denseSpectralDensity(m, d, xs, sigma, nil)
-		plain := planDensity(t, denseOperator{m}, d, 12, xs, sigma, nil, false)
-		avg := planDensity(t, denseOperator{m}, d, 12, xs, sigma, nil, true)
+		// The plain rule from the rule itself, the averaged one through the
+		// plan, which always builds it.
+		tri, norm := run(t, denseOperator{m}, d, 12)
+		plain, err := density(tri, norm, xs, sigma, nil, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		avg := planDensity(t, denseOperator{m}, d, 12, xs, sigma, nil)
 		for i := range xs {
 			errG += (plain[i] - want[i]) * (plain[i] - want[i])
 			errA += (avg[i] - want[i]) * (avg[i] - want[i])
@@ -303,7 +309,7 @@ func TestTransformApplied(t *testing.T) {
 	d := randomVector(rng, n)
 	xs := []float64{2.5, 3.0, 3.5, 4.0}
 	sqrtT := func(x float64) float64 { return math.Sqrt(math.Abs(x)) }
-	got := planDensity(t, denseOperator{m}, d, n, xs, 0.2, sqrtT, true)
+	got := planDensity(t, denseOperator{m}, d, n, xs, 0.2, sqrtT)
 	want := denseSpectralDensity(m, d, xs, 0.2, sqrtT)
 	for i := range xs {
 		if math.Abs(got[i]-want[i]) > 1e-6*math.Max(1, want[i]) {

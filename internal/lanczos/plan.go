@@ -39,7 +39,6 @@ type Plan struct {
 	xs, ys [][]float64
 	zero   []float64 // q₀ of every recurrence: the vector before the first
 
-	gagq      bool
 	dxs       []float64
 	sigma     float64
 	transform func(float64) float64
@@ -219,10 +218,11 @@ func (p *Plan) Stats() Stats {
 // returns the results. g_σ is a normalized Gaussian, the regularized δ of
 // the paper's Eq. (8); transform (nil = identity) maps operator eigenvalues
 // to the x domain, for Raman mass-weighted Hessian eigenvalues to
-// wavenumbers; useGAGQ selects the averaged rule over the plain Gauss rule.
-// The error wraps ErrQuadrature.
-func (p *Plan) Densities(xs []float64, sigma float64, transform func(float64) float64, useGAGQ bool) error {
-	p.dxs, p.sigma, p.transform, p.gagq = xs, sigma, transform, useGAGQ
+// wavenumbers. The quadrature is the generalized averaged Gauss rule (the
+// plain Gauss rule where the recurrence stopped early). The error wraps
+// ErrQuadrature.
+func (p *Plan) Densities(xs []float64, sigma float64, transform func(float64) float64) error {
+	p.dxs, p.sigma, p.transform = xs, sigma, transform
 	for i := range p.cols {
 		if c := &p.cols[i]; c.solved && len(c.dens) != len(xs) {
 			c.dens = make([]float64, len(xs))
@@ -244,7 +244,7 @@ func (p *Plan) densCols(_, lo, hi int) {
 		if !c.solved {
 			continue
 		}
-		if c.err = c.rule.build(&c.tri, p.gagq); c.err == nil {
+		if c.err = c.rule.build(&c.tri, true); c.err == nil {
 			c.rule.density(c.norm, p.dxs, p.sigma, p.transform, c.dens)
 		}
 	}

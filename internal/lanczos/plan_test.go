@@ -249,7 +249,7 @@ func TestLockstepMatchesSingleColumns(t *testing.T) {
 	for i := range xs {
 		xs[i] = -2 + 0.06*float64(i)
 	}
-	if err := p.Densities(xs, 0.3, nil, true); err != nil {
+	if err := p.Densities(xs, 0.3, nil); err != nil {
 		t.Fatal(err)
 	}
 	var sweeps int
@@ -268,7 +268,7 @@ func TestLockstepMatchesSingleColumns(t *testing.T) {
 		if err := single.Solve([][]float64{d}); err != nil {
 			t.Fatal(err)
 		}
-		if err := single.Densities(xs, 0.3, nil, true); err != nil {
+		if err := single.Densities(xs, 0.3, nil); err != nil {
 			t.Fatal(err)
 		}
 		sweeps += single.Stats().Reorthogonalized
@@ -307,7 +307,7 @@ func TestSolveWidthInvariance(t *testing.T) {
 		if err := p.Solve(starts); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Densities(xs, 0.5, nil, true); err != nil {
+		if err := p.Densities(xs, 0.5, nil); err != nil {
 			t.Fatal(err)
 		}
 		var r result
@@ -355,7 +355,7 @@ func TestPlanAllocationCeiling(t *testing.T) {
 			if err := p.Solve(starts); err != nil {
 				t.Fatal(err)
 			}
-			if err := p.Densities(xs, 0.4, math.Sqrt, true); err != nil {
+			if err := p.Densities(xs, 0.4, math.Sqrt); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -389,7 +389,7 @@ func TestQuadratureFailureIsTyped(t *testing.T) {
 	if err := p.Solve([][]float64{{1, 1, 1, 1, 1, 1}, {1, 0, 0, 0, 0, 0}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Densities([]float64{0, 1}, 0.1, nil, true); !errors.Is(err, ErrQuadrature) {
+	if err := p.Densities([]float64{0, 1}, 0.1, nil); !errors.Is(err, ErrQuadrature) {
 		t.Errorf("Plan.Densities: %v", err)
 	}
 }

@@ -95,7 +95,6 @@ const (
 	MetricClusterFrames       = "cluster_rpc_frames_total"
 	MetricClusterLocalHits    = "cluster_cache_local_hits_total"
 	MetricClusterCoordHits    = "cluster_cache_coord_hits_total"
-	MetricClusterFetchHits    = "cluster_cache_fetch_hits_total"
 	MetricClusterRecomputes   = "cluster_cache_recomputes_total"
 	MetricClusterTaskFails    = "cluster_task_failures_total"
 	MetricClusterWorkerFrags  = "cluster_worker_fragments_total"

@@ -41,10 +41,6 @@ type Options struct {
 	// coordinates, whose Krylov space K steps would exhaust — is solved
 	// exactly instead (exactCheaper).
 	LanczosK int
-	// UseGAGQ selects the generalized averaged Gauss rule (recommended). It
-	// has no effect on a spectrum the exact route solves, whose measure is
-	// exact.
-	UseGAGQ bool
 	// Obs receives which route solved the spectrum and, on the Lanczos
 	// route, its step, early-stop, skipped-start and reorthogonalization
 	// counts (obs.Scope.RecordLanczos, obs.Scope.RecordExactSpectrum). The
@@ -59,7 +55,6 @@ func DefaultOptions() Options {
 		FreqMin: 0, FreqMax: 4000, FreqStep: 2,
 		Sigma:    5,
 		LanczosK: 200,
-		UseGAGQ:  true,
 	}
 }
 
@@ -423,7 +418,7 @@ func quadratureSpectrum(h *hessian.Sparse, opt Options, starts [][]float64, weig
 		opt.Obs.RecordLanczos(st.Steps, st.EarlyStops, st.SkippedStarts, st.Reorthogonalized)
 	}
 	xs := opt.axis()
-	if err := plan.Densities(xs, opt.Sigma, constants.WavenumberFromEigenvalue, opt.UseGAGQ); err != nil {
+	if err := plan.Densities(xs, opt.Sigma, constants.WavenumberFromEigenvalue); err != nil {
 		return nil, err
 	}
 	out := &Spectrum{Freq: xs, Intensity: make([]float64, len(xs))}

@@ -732,6 +732,37 @@ func TestExactAndQuadratureAcrossTheRoute(t *testing.T) {
 	}
 }
 
+// TestIRQuadratureAtTheRouteTurn holds the IR quadrature where the route
+// first gives it to the recurrence: at wb-resume's settings the jittered
+// 3×3×3 box (n = 243) sends its three IR columns to the K = 120 quadrature
+// and its seven Raman columns to the exact route. From the same start
+// vectors the IR quadrature's cosine to the exact IR spectrum measured
+// 0.9999722 (the Raman quadrature's, on the same box, 0.9999994;
+// EXPERIMENTS.md, "The IR quadrature at the route's turn"); the bound sits
+// just under it, so a change that makes the IR quadrature worse is seen.
+func TestIRQuadratureAtTheRouteTurn(t *testing.T) {
+	opt := resumeOptions()
+	g := waterBoxGlobal(t, 3, 3, 3)
+	n := g.H.Dim()
+	if n != 243 || exactCheaper(n, len(g.H.Val), 3, &opt) || !exactCheaper(n, len(g.H.Val), 7, &opt) {
+		t.Fatalf("n = %d: want n = 243 with IR on the quadrature and Raman on the exact route", n)
+	}
+	starts, weights := solveStarts(g, true)
+	exact, err := exactSpectrum(g.H, opt, starts, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quad, err := quadratureSpectrum(g.H, opt, starts, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := CosineSimilarity(exact, quad)
+	t.Logf("IR, n = %d: exact vs K = %d quadrature cosine %.10f", n, opt.LanczosK, sim)
+	if sim < 0.99997 {
+		t.Errorf("IR, n = %d: exact vs quadrature cosine %.10f, want ≥ 0.99997", n, sim)
+	}
+}
+
 // TestExactQuadratureWidthInvariance: the exact route's spectrum is the
 // same bits at kernel widths 1 and 4.
 func TestExactQuadratureWidthInvariance(t *testing.T) {
