@@ -63,7 +63,6 @@ type options struct {
 	retries, maxFailed, failFrag int
 	faultRate                    float64
 	faultSeed                    int64
-	straggler                    time.Duration
 
 	cacheDir           string
 	resume, checkpoint bool
@@ -105,7 +104,6 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.Float64Var(&o.faultRate, "fault-rate", 0, "chaos: inject transient worker failures at this per-attempt probability")
 	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "chaos: injection seed")
 	fs.IntVar(&o.failFrag, "fail-frag", -1, "chaos: force this fragment index into deterministic failure")
-	fs.DurationVar(&o.straggler, "straggler-timeout", 0, "requeue fragments processing longer than this (0 disables the watchdog)")
 
 	fs.StringVar(&o.cacheDir, "cache-dir", "", "content-addressed fragment-result store directory (enables checkpointing and within-run dedup)")
 	fs.BoolVar(&o.resume, "resume", false, "serve fragment results checkpointed by previous runs of -cache-dir")
@@ -203,6 +201,20 @@ func (o options) startObs(cfg *core.Config) *obsSinks {
 	return s
 }
 
+// writeStragglers prints the run's straggler table to stderr: the same
+// obs.AnalyzeTrace over the same spans that qfstats -trace reads from the
+// -trace-out file. Without a tracer there are no spans and no table.
+func (s *obsSinks) writeStragglers() error {
+	if s == nil || s.tracer == nil {
+		return nil
+	}
+	sum, err := obs.AnalyzeTrace(s.tracer.Snapshot(), 10)
+	if err != nil {
+		return err
+	}
+	return sum.WriteText(os.Stderr)
+}
+
 // finish writes the trace and metrics files.
 func (s *obsSinks) finish() error {
 	if s == nil {
@@ -271,7 +283,6 @@ func (o options) openCache(cfg *core.Config) (*store.Store, error) {
 func (o options) applyFaults(cfg *core.Config) {
 	cfg.Sched.Retry.MaxAttempts = o.retries
 	cfg.Sched.MaxFailedFragments = o.maxFailed
-	cfg.Sched.StragglerTimeout = o.straggler
 	if o.faultRate > 0 || o.failFrag >= 0 {
 		fc := faults.Config{Seed: o.faultSeed, TransientRate: o.faultRate}
 		if o.failFrag >= 0 {
@@ -377,10 +388,8 @@ func run(o options) error {
 				rep.Failed)
 		}
 	}
-	if sg := res.SchedReport.Stragglers; sg != nil {
-		if err := sg.WriteText(os.Stderr); err != nil {
-			return err
-		}
+	if err := sinks.writeStragglers(); err != nil {
+		return err
 	}
 	if err := sinks.finish(); err != nil {
 		return err

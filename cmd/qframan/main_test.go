@@ -80,7 +80,7 @@ func TestFlagsToConfig(t *testing.T) {
 		{
 			name: "physics-free overrides reach their fields",
 			args: []string{"-dense", "-ir", "ir.tsv", "-leaders", "3", "-sigma", "20",
-				"-partitioner", "graph", "-frag-size", "30", "-cluster", "127.0.0.1:1", "-straggler-timeout", "2s"},
+				"-partitioner", "graph", "-frag-size", "30", "-cluster", "127.0.0.1:1"},
 			check: func(t *testing.T, cfg core.Config) {
 				gp, ok := cfg.Partitioner.(fragment.GraphPartitioner)
 				if !ok || gp.Opt.TargetAtoms != 30 {
@@ -90,7 +90,7 @@ func TestFlagsToConfig(t *testing.T) {
 					t.Fatalf("backend %T, want the cluster client", cfg.Sched.Backend)
 				}
 				if !cfg.UseDense || !cfg.IR || cfg.Sched.NumLeaders != 3 ||
-					cfg.Raman.Sigma != 20 || cfg.Sched.StragglerTimeout.Seconds() != 2 {
+					cfg.Raman.Sigma != 20 {
 					t.Fatalf("config %+v", cfg)
 				}
 				if !reflect.DeepEqual(cfg.Sched.Job, core.DefaultConfig().Sched.Job) {

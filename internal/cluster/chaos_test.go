@@ -407,6 +407,99 @@ func TestStaleTaskFailIgnored(t *testing.T) {
 	}
 }
 
+// TestExpiredLeaseGoesToAnotherWorker: a lease that expires on a worker
+// still computing it is reassigned to a worker with a free slot, not handed
+// back to the straggler that let it expire. Both workers have one slot and
+// the straggler the lower session, so it would win the tie-break were its
+// slot counted free. Its later disconnect leaves the reassigned lease with
+// the new owner, and the job completes bit-identical to the local run.
+func TestExpiredLeaseGoesToAnotherWorker(t *testing.T) {
+	dec := fakeDecomposition(1, 2)
+	want := localFakeRun(t, dec)
+
+	co, addr := testCoordinator(t, CoordConfig{
+		LeaseTimeout:     250 * time.Millisecond,
+		HeartbeatTimeout: 30 * time.Second, // the hand-driven straggler sends none
+	})
+	// A hand-driven straggler that connects first, takes the lease on the
+	// tie-break and sits on it.
+	straggler, _, err := handshake(addr, Hello{Role: RoleWorker, Proto: ProtoVersion, Slots: 1, Name: "straggler"},
+		time.Second, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer straggler.close()
+	waitForWorkers(t, co, 1)
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	startTestWorker(t, WorkerConfig{
+		Addr: addr, Name: "w1", Slots: 1,
+		Process: func(f *fragment.Fragment, o sched.Options) (*hessian.FragmentData, error) {
+			select {
+			case started <- struct{}{}:
+			default:
+			}
+			<-release
+			return fakeEngine(f, o)
+		},
+	})
+	waitForWorkers(t, co, 2)
+
+	type run struct {
+		datas []*hessian.FragmentData
+		err   error
+	}
+	ran := make(chan run, 1)
+	go func() {
+		datas, _, err := NewClient(addr).Run(dec, sched.DefaultOptions())
+		ran <- run{datas, err}
+	}()
+	straggler.setReadDeadline(time.Now().Add(10 * time.Second))
+	f, err := straggler.read()
+	if err != nil || f.Type != MsgLease {
+		t.Fatalf("straggler: got %v, %v; want LEASE", f.Type, err)
+	}
+	lease, err := decodeLease(f.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the expired lease never reached the worker with a free slot")
+	}
+
+	// The straggler goes away while the new owner computes: the task must
+	// stay leased to the owner, not be requeued a second time.
+	straggler.close()
+	waitFor(t, "the straggler to be dropped", func() bool { return len(co.Snapshot().Workers) == 1 })
+	owner := co.Snapshot().Workers[0].Session
+	co.mu.Lock()
+	task := co.tasks[lease.Task]
+	var state int
+	var holder uint64
+	if task != nil {
+		state, holder = task.state, task.owner
+	}
+	co.mu.Unlock()
+	if task == nil || state != taskLeased || holder != owner {
+		t.Fatalf("after the straggler left the task is %v (state %d, owner %d); want leased to %d",
+			task != nil, state, holder, owner)
+	}
+
+	close(release)
+	r := <-ran
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if err := sameDatas(r.datas, want); err != nil {
+		t.Fatalf("run deviates from the local one: %v", err)
+	}
+	if snap := co.Snapshot(); snap.JobsDone != 1 || snap.Reassigns != 1 || snap.Workers[0].Fragments != 1 {
+		t.Fatalf("accounting: %+v", snap)
+	}
+}
+
 // TestWorkerEnginePanicRetried: an engine panic on a worker fails that
 // lease as transient instead of killing the worker process; the coordinator
 // re-leases the task and the job completes bit-identically, with the worker

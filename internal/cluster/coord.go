@@ -456,8 +456,10 @@ func (co *Coordinator) runWorker(tr *transport, hello Hello) {
 	}
 }
 
-// dropWorker removes a worker and requeues its leases — the core of
-// surviving worker death and network partitions.
+// dropWorker removes a worker and requeues the leases it still owns — the
+// core of surviving worker death and network partitions. Its inflight set
+// may also hold tasks whose lease expired and went to another worker; those
+// stay with their new owner.
 func (co *Coordinator) dropWorker(w *workerConn, reason string) {
 	co.mu.Lock()
 	if _, ok := co.workers[w.session]; !ok {
@@ -470,7 +472,7 @@ func (co *Coordinator) dropWorker(w *workerConn, reason string) {
 	}
 	requeued := 0
 	for id := range w.inflight {
-		if t := co.tasks[id]; t != nil && t.state == taskLeased {
+		if t := co.tasks[id]; t != nil && t.state == taskLeased && t.owner == w.session {
 			co.requeueLocked(t)
 			requeued++
 		}
@@ -951,7 +953,10 @@ func (co *Coordinator) dropClient(cl *clientConn, reason string) {
 // reaper enforces heartbeat and lease timeouts: silent workers are
 // disconnected (their reader goroutine then requeues the leases) and
 // expired leases are requeued. The straggler is not told: it finishes, and
-// its result counts if it is the first.
+// its result counts if it is the first. Until then the task stays in its
+// inflight set, since it is still computing: its slot is not free, so
+// dispatch hands the requeued lease to another worker rather than back to
+// the straggler that let it expire.
 func (co *Coordinator) reaper() {
 	defer co.wg.Done()
 	tick := co.cfg.HeartbeatTimeout / 4
@@ -985,9 +990,6 @@ func (co *Coordinator) reaper() {
 		for _, t := range co.tasks {
 			if t.state != taskLeased || now.Sub(t.leasedAt) <= co.cfg.LeaseTimeout {
 				continue
-			}
-			if w := co.workers[t.owner]; w != nil {
-				delete(w.inflight, t.id)
 			}
 			co.requeueLocked(t)
 			co.logf("cluster: coord: task %d lease expired, requeued", t.id)

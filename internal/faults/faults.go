@@ -4,8 +4,9 @@
 // and a deterministic, seedable fault injector for chaos testing the
 // master–leader–worker runtime (internal/sched). The paper's runtime
 // survives 96,000-node runs because misbehaving workers are recovered, not
-// fatal — straggler requeue (Fig. 4(a)) plus the per-fragment retry and
-// fail-soft degradation built on this package.
+// fatal — straggler requeue (Fig. 4(a), internal/cluster's lease timeout)
+// plus the per-fragment retry and fail-soft degradation built on this
+// package.
 //
 // Every injector decision is a pure function of (seed, fragment, attempt):
 // two runs with the same seed inject exactly the same faults regardless of
@@ -15,7 +16,6 @@ package faults
 import (
 	"fmt"
 	"runtime/debug"
-	"time"
 )
 
 // Class partitions errors by the recovery they deserve.
@@ -121,11 +121,10 @@ func Recovered(v any) *PanicError {
 }
 
 // Action is the injector's verdict for one processing attempt, applied by
-// the scheduler around the fragment engine.
+// the scheduler around the fragment engine: fail it, panic in it, or poison
+// its result. (Slow workers are exercised where the straggler rule runs, on
+// the cluster: a throttled qfworker against the coordinator's lease timeout.)
 type Action struct {
-	// Delay stalls the attempt first — an artificial straggler that the
-	// watchdog (sched.Options.StragglerTimeout) should requeue.
-	Delay time.Duration
 	// Err, if non-nil, replaces the attempt's result (the worker "failed"
 	// before producing anything).
 	Err error
@@ -155,11 +154,6 @@ type Config struct {
 	NaNRate float64
 	// PanicRate makes attempts panic.
 	PanicRate float64
-	// StragglerRate delays attempts by StragglerDelay.
-	StragglerRate  float64
-	StragglerDelay time.Duration
-	// StragglerFrags always stall on their first attempt.
-	StragglerFrags []int
 	// HardFailFrags fail deterministically on every attempt — the fragment
 	// can only complete via fail-soft degradation.
 	HardFailFrags []int
@@ -176,10 +170,6 @@ func NewInjector(cfg Config) *RandomInjector {
 		cfg.MaxPerFragment = 2
 	}
 	inj := &RandomInjector{cfg: cfg}
-	inj.straggle = make(map[int]bool, len(cfg.StragglerFrags))
-	for _, f := range cfg.StragglerFrags {
-		inj.straggle[f] = true
-	}
 	inj.hard = make(map[int]bool, len(cfg.HardFailFrags))
 	for _, f := range cfg.HardFailFrags {
 		inj.hard[f] = true
@@ -190,9 +180,8 @@ func NewInjector(cfg Config) *RandomInjector {
 // RandomInjector draws every decision from a hash of (seed, frag, attempt),
 // so it needs no state and no locks.
 type RandomInjector struct {
-	cfg      Config
-	straggle map[int]bool
-	hard     map[int]bool
+	cfg  Config
+	hard map[int]bool
 }
 
 // salts decorrelate the per-fault-kind draws.
@@ -200,7 +189,6 @@ const (
 	saltTransient = 0x51
 	saltNaN       = 0x52
 	saltPanic     = 0x53
-	saltStraggler = 0x54
 )
 
 // Plan implements Injector.
@@ -209,12 +197,6 @@ func (in *RandomInjector) Plan(frag, attempt int) Action {
 	if in.hard[frag] {
 		act.Err = &InjectedError{Frag: frag, Attempt: attempt, Hard: true, Msg: "forced divergence"}
 		return act
-	}
-	if in.straggle[frag] && attempt == 1 {
-		act.Delay = in.cfg.StragglerDelay
-	} else if in.cfg.StragglerRate > 0 && attempt == 1 &&
-		Uniform(in.cfg.Seed, frag, attempt, saltStraggler) < in.cfg.StragglerRate {
-		act.Delay = in.cfg.StragglerDelay
 	}
 	if attempt > in.cfg.MaxPerFragment {
 		return act

@@ -45,13 +45,12 @@ func TestMarkTransientNil(t *testing.T) {
 }
 
 func TestInjectorDeterministic(t *testing.T) {
-	cfg := Config{Seed: 42, TransientRate: 0.3, NaNRate: 0.1, PanicRate: 0.05,
-		StragglerRate: 0.1, StragglerDelay: time.Millisecond}
+	cfg := Config{Seed: 42, TransientRate: 0.3, NaNRate: 0.1, PanicRate: 0.05}
 	a, b := NewInjector(cfg), NewInjector(cfg)
 	for frag := 0; frag < 200; frag++ {
 		for attempt := 1; attempt <= 4; attempt++ {
 			pa, pb := a.Plan(frag, attempt), b.Plan(frag, attempt)
-			if pa.NaN != pb.NaN || pa.Panic != pb.Panic || pa.Delay != pb.Delay ||
+			if pa.NaN != pb.NaN || pa.Panic != pb.Panic ||
 				(pa.Err == nil) != (pb.Err == nil) {
 				t.Fatalf("same seed diverged at frag %d attempt %d", frag, attempt)
 			}
@@ -90,8 +89,6 @@ func TestInjectorCapAndForcedFragments(t *testing.T) {
 		TransientRate:  1.0, // every capped attempt faults
 		MaxPerFragment: 2,
 		HardFailFrags:  []int{9},
-		StragglerFrags: []int{4},
-		StragglerDelay: 3 * time.Millisecond,
 	})
 	if inj.Plan(0, 1).Err == nil || inj.Plan(0, 2).Err == nil {
 		t.Fatal("attempts within the cap must fault at rate 1")
@@ -104,12 +101,6 @@ func TestInjectorCapAndForcedFragments(t *testing.T) {
 		if err == nil || IsTransient(err) {
 			t.Fatalf("hard-fail fragment must fail deterministically on attempt %d", attempt)
 		}
-	}
-	if inj.Plan(4, 1).Delay != 3*time.Millisecond {
-		t.Fatal("forced straggler must stall on first attempt")
-	}
-	if inj.Plan(4, 2).Delay != 0 {
-		t.Fatal("forced straggler must not stall retries")
 	}
 }
 

@@ -102,13 +102,6 @@ func TestWarmAndColdLoopsGiveTheSameFragmentData(t *testing.T) {
 	}
 }
 
-// countingScope returns job options whose SCF solves add their iterations to
-// fs.
-func countingScope(opt JobOptions, fs *obs.FragStats) JobOptions {
-	opt.Obs = obs.NewScope(nil, obs.NewRegistry()).WithFrag(fs)
-	return opt
-}
-
 // TestFailedPlusStepDrainsTheQueue: a failing job fails the loop with its own
 // error. With Step equal to minus the H₂ bond length, the reference solves but
 // two jobs put one hydrogen on the other — a singular overlap: job 1 (atom 0's
@@ -202,10 +195,14 @@ func BenchmarkRunDisplacement(b *testing.B) {
 	}{{"water", waterFragment()}, {"dimer", dimerFragment()}, {"glycine", glycineFragment(b)}} {
 		b.Run(fx.name, func(b *testing.B) {
 			m, opt := warmFixture(b, fx.frag)
-			// SCF iterations per job, counted once over the 6N jobs with the
-			// fragment accumulator on; the timed loop runs uninstrumented.
-			var fs obs.FragStats
-			jobs := allDisplacements(b, m, countingScope(opt, &fs))
+			// SCF iterations per job, counted once over the 6N jobs from the
+			// registry's scf_iterations histogram; the timed loop runs
+			// uninstrumented.
+			reg := obs.NewRegistry()
+			counted := opt
+			counted.Obs = obs.NewScope(nil, reg)
+			jobs := allDisplacements(b, m, counted)
+			iters := reg.Snapshot().Hists[obs.MetricSCFIterations].Sum
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -214,7 +211,7 @@ func BenchmarkRunDisplacement(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(fs.SCFIters())/float64(len(jobs)), "scf_iters/op")
+			b.ReportMetric(iters/float64(len(jobs)), "scf_iters/op")
 		})
 	}
 }

@@ -34,13 +34,6 @@ func TestNilSafety(t *testing.T) {
 	sp2.End()
 	sc2.RecordSCF(time.Now(), 3, 5, 0)
 	sc2.RecordDFPTCycle(time.Now(), [NumPhases]time.Duration{}, 0)
-	var fs *FragStats
-	fs.AddPhase(PhaseP1, time.Second)
-	fs.AddCycles(1)
-	fs.AddSCFIters(2)
-	if fs.PhaseTotals() != ([NumPhases]time.Duration{}) || fs.Cycles() != 0 {
-		t.Fatal("nil FragStats should stay zero")
-	}
 }
 
 func TestSpanHierarchyAndSnapshot(t *testing.T) {
@@ -301,7 +294,7 @@ func TestRecordDFPTCycleSpans(t *testing.T) {
 // microseconds like the percentile columns, so a phase of µs-scale cycles
 // does not print a zero total.
 func TestWriteTextTotalMicroseconds(t *testing.T) {
-	s := &StragglerSummary{PerCycle: true}
+	s := &StragglerSummary{}
 	s.Phases[PhaseN1] = PhaseQuantiles{Count: 44, P50: 2 * time.Microsecond, P95: 4 * time.Microsecond,
 		P99: 4 * time.Microsecond, Total: 93*time.Microsecond + 400*time.Nanosecond}
 	var buf bytes.Buffer
@@ -317,22 +310,4 @@ func TestWriteTextTotalMicroseconds(t *testing.T) {
 		}
 	}
 	t.Fatalf("no n1 row in:\n%s", buf.String())
-}
-
-func TestStragglersFromFragStats(t *testing.T) {
-	stats := []FragStat{
-		{Frag: 0, Atoms: 3, Wall: 10 * time.Millisecond, Cycles: 4, Phase: [NumPhases]time.Duration{PhaseP1: time.Millisecond}},
-		{Frag: 1, Atoms: 68, Wall: 90 * time.Millisecond, Cycles: 9, Phase: [NumPhases]time.Duration{PhaseP1: 9 * time.Millisecond}},
-		{Frag: 2, Atoms: 6, Wall: 20 * time.Millisecond, Cycles: 2, Phase: [NumPhases]time.Duration{PhaseP1: 2 * time.Millisecond}},
-	}
-	s := Stragglers(stats, 2)
-	if len(s.TopK) != 2 || s.TopK[0].Frag != 1 || s.TopK[1].Frag != 2 {
-		t.Fatalf("topK = %+v", s.TopK)
-	}
-	if s.Fragments != 3 || s.PerCycle {
-		t.Fatalf("summary meta = %+v", s)
-	}
-	if s.Phases[PhaseP1].Count != 3 || s.Phases[PhaseP1].P50 != 2*time.Millisecond {
-		t.Fatalf("phase quantiles = %+v", s.Phases[PhaseP1])
-	}
 }

@@ -8,9 +8,10 @@ import (
 )
 
 // TestConcurrentHammer drives the registry and the span recorder from 64
-// goroutines while other goroutines snapshot both concurrently, then
-// checks the final totals equal the sum of recorded events exactly. Run
-// under -race in CI, this is the data-race proof for the whole layer.
+// goroutines — each one fragment span with its events under it — while
+// other goroutines snapshot both concurrently, then checks the final totals
+// and AnalyzeTrace's per-fragment table equal the recorded events exactly.
+// Run under -race in CI, this is the data-race proof for the whole layer.
 func TestConcurrentHammer(t *testing.T) {
 	const (
 		goroutines = 64
@@ -46,8 +47,7 @@ func TestConcurrentHammer(t *testing.T) {
 		workers.Add(1)
 		go func(g int) {
 			defer workers.Done()
-			fs := &FragStats{}
-			wsc := sc.WithTrack(int32(g)).WithFrag(fs)
+			wsc, frag := sc.WithTrack(int32(g)).Begin("frag", "frag", A("frag", int64(g)), A("atoms", 1))
 			for i := 0; i < events; i++ {
 				ctr.Inc()
 				gauge.Set(int64(i))
@@ -59,9 +59,7 @@ func TestConcurrentHammer(t *testing.T) {
 				}, 4*time.Nanosecond)
 				sp.End()
 			}
-			if fs.Cycles() != events {
-				t.Errorf("goroutine %d: fragment cycles = %d, want %d", g, fs.Cycles(), events)
-			}
+			frag.End()
 		}(g)
 	}
 	workers.Wait()
@@ -91,9 +89,10 @@ func TestConcurrentHammer(t *testing.T) {
 		t.Fatalf("phase histogram count = %d, want %d", phaseCount, goroutines*events)
 	}
 
-	// Spans: one "work" + one cycle + four phases per event, none dropped.
+	// Spans: one "work" + one cycle + four phases per event and one
+	// fragment span per goroutine, none dropped.
 	spans := tr.Snapshot()
-	want := goroutines * events * 6
+	want := goroutines*events*6 + goroutines
 	if len(spans) != want {
 		t.Fatalf("recorded %d spans, want %d (dropped %d)", len(spans), want, tr.Dropped())
 	}
@@ -113,5 +112,20 @@ func TestConcurrentHammer(t *testing.T) {
 			t.Fatalf("duplicate span id %d", spans[i].ID)
 		}
 		seen[spans[i].ID] = true
+	}
+
+	// The straggler table reads every fragment's cycles off its spans.
+	sum, err := AnalyzeTrace(spans, goroutines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Fragments != goroutines || len(sum.TopK) != goroutines ||
+		sum.Phases[PhaseP1].Count != goroutines*events {
+		t.Fatalf("AnalyzeTrace: %d fragments, %d rows, %d p1 samples", sum.Fragments, len(sum.TopK), sum.Phases[PhaseP1].Count)
+	}
+	for _, row := range sum.TopK {
+		if row.Cycles != events {
+			t.Errorf("fragment %d: %d cycles, want %d", row.Frag, row.Cycles, events)
+		}
 	}
 }

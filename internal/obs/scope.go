@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Phase enumerates the four DFPT phases of the paper (§V-A): the response
 // density matrix P⁽¹⁾, the real-space response density n⁽¹⁾(r), the
@@ -28,7 +25,6 @@ const (
 	MetricFragmentSeconds = "sched_fragment_seconds"
 	MetricQueueDepth      = "sched_queue_depth"
 	MetricRetries         = "sched_retries_total"
-	MetricRequeues        = "sched_requeues_total"
 	MetricPanics          = "sched_panics_total"
 	MetricCacheHits       = "sched_cache_hits_total"
 	MetricCacheMisses     = "sched_cache_misses_total"
@@ -166,73 +162,14 @@ func newHot(r *Registry) *Hot {
 	return h
 }
 
-// FragStats accumulates one fragment's engine-side cost. The scheduler
-// allocates one per fragment and threads a pointer down through the Scope;
-// concurrent workers of one leader add to it, so all fields are atomic.
-type FragStats struct {
-	phaseNS [NumPhases]atomic.Int64
-	cycles  atomic.Int64
-	scfIter atomic.Int64
-}
-
-// AddPhase accumulates one phase duration. Nil-safe.
-func (fs *FragStats) AddPhase(p Phase, d time.Duration) {
-	if fs != nil {
-		fs.phaseNS[p].Add(int64(d))
-	}
-}
-
-// AddCycles counts a batch of completed DFPT cycles. Nil-safe.
-func (fs *FragStats) AddCycles(n int) {
-	if fs != nil {
-		fs.cycles.Add(int64(n))
-	}
-}
-
-// AddSCFIters accumulates SCF iterations. Nil-safe.
-func (fs *FragStats) AddSCFIters(n int) {
-	if fs != nil {
-		fs.scfIter.Add(int64(n))
-	}
-}
-
-// PhaseTotals returns the per-phase duration sums.
-func (fs *FragStats) PhaseTotals() [NumPhases]time.Duration {
-	var out [NumPhases]time.Duration
-	if fs != nil {
-		for p := range out {
-			out[p] = time.Duration(fs.phaseNS[p].Load())
-		}
-	}
-	return out
-}
-
-// Cycles returns the DFPT cycle count.
-func (fs *FragStats) Cycles() int64 {
-	if fs == nil {
-		return 0
-	}
-	return fs.cycles.Load()
-}
-
-// SCFIters returns the accumulated SCF iteration count.
-func (fs *FragStats) SCFIters() int64 {
-	if fs == nil {
-		return 0
-	}
-	return fs.scfIter.Load()
-}
-
 // Scope carries the observability handles through the engine layers: the
-// tracer and registry to record into, the parent span for new spans, the
-// track (trace lane) of the executing worker, and the per-fragment stats
-// accumulator. Scopes are small values copied freely down the call tree;
-// the zero Scope disables every site it reaches.
+// tracer and registry to record into, the parent span for new spans, and the
+// track (trace lane) of the executing worker. Scopes are small values copied
+// freely down the call tree; the zero Scope disables every site it reaches.
 type Scope struct {
 	T     *Tracer
 	R     *Registry
 	Hot   *Hot
-	FS    *FragStats
 	Span  *Span
 	Track int32
 }
@@ -263,12 +200,6 @@ func (s Scope) WithSpan(sp *Span) Scope {
 	return s
 }
 
-// WithFrag attaches a fragment-stats accumulator.
-func (s Scope) WithFrag(fs *FragStats) Scope {
-	s.FS = fs
-	return s
-}
-
 // WithTrack moves the scope (and spans begun from it) to a trace lane.
 func (s Scope) WithTrack(track int32) Scope {
 	s.Track = track
@@ -277,8 +208,7 @@ func (s Scope) WithTrack(track int32) Scope {
 
 // RecordSCF records one SCF solve: a span carrying the iteration count, the
 // electron counts its Fermi-level searches evaluated and how many of the
-// iterations ended in a Newton step, the iteration histogram, and the
-// fragment accumulator.
+// iterations ended in a Newton step, and the iteration histogram.
 func (s Scope) RecordSCF(start time.Time, iters, fermiEvals, newtonSteps int) {
 	if s.T != nil {
 		s.T.Record(s.Span.ID(), s.Track, "scf", "scf",
@@ -290,7 +220,6 @@ func (s Scope) RecordSCF(start time.Time, iters, fermiEvals, newtonSteps int) {
 		s.Hot.SCFIters.Observe(float64(iters))
 		s.Hot.SCFSolves.Inc()
 	}
-	s.FS.AddSCFIters(iters)
 }
 
 // cycleArgs are the arguments of every cycle span, shared read-only so that
@@ -300,19 +229,13 @@ var cycleArgs = []Arg{{Key: "iter", Val: 1}}
 // RecordDFPTCycle records one DFPT cycle: a "dfpt.cycle" span (iter 1) of
 // length total starting at base, with exactly four phase children that tile
 // it in execution order (n1, v1, h1, p1) and last durs; the phase histograms
-// observe durs, and the fragment accumulator gains them plus the cycle.
+// observe durs.
 func (s Scope) RecordDFPTCycle(base time.Time, durs [NumPhases]time.Duration, total time.Duration) {
 	if s.Hot != nil {
 		for p := Phase(0); p < NumPhases; p++ {
 			s.Hot.PhaseTime[p].Observe(durs[p].Seconds())
 		}
 		s.Hot.DFPTCycles.Inc()
-	}
-	if s.FS != nil {
-		for p := Phase(0); p < NumPhases; p++ {
-			s.FS.AddPhase(p, durs[p])
-		}
-		s.FS.AddCycles(1)
 	}
 	if s.T == nil {
 		return

@@ -2,9 +2,9 @@
 // hierarchical span tracer (run → fragment → attempt → DFPT phase) with a
 // lock-cheap sharded recorder and Chrome trace_event export, a metrics
 // registry (counters, gauges, fixed-bucket histograms) snapshotable at any
-// instant, and the straggler analytics that turn both into the per-phase
-// percentiles and top-K slowest-fragment tables the paper's load-balancing
-// story is built on (Table I, Fig. 9). Everything is nil-safe: a zero
+// instant, and the straggler analytics that turn the spans into the
+// per-phase percentiles and top-K slowest-fragment tables the paper's
+// load-balancing story is built on (Table I, Fig. 9). Everything is nil-safe: a zero
 // Scope, nil Tracer, or nil Registry disables an instrumentation site at
 // the cost of one branch, so the hot paths carry no conditional plumbing.
 package obs

@@ -8,8 +8,7 @@ import (
 )
 
 // FragStat is one fragment's observed cost, the row type of the straggler
-// table. The scheduler builds these from its own ledger; AnalyzeTrace
-// rebuilds them from an exported trace.
+// table, as AnalyzeTrace reads it from the fragment's spans.
 type FragStat struct {
 	Frag     int
 	Atoms    int
@@ -28,15 +27,12 @@ type PhaseQuantiles struct {
 	Total         time.Duration
 }
 
-// StragglerSummary is the Report.Stragglers section: per-phase percentile
-// latencies and the top-K slowest fragments.
+// StragglerSummary is the straggler table AnalyzeTrace builds from a run's
+// spans: per-phase percentile latencies and the top-K slowest fragments.
 type StragglerSummary struct {
-	// Phases holds per-DFPT-phase quantiles. When built by the scheduler
-	// the underlying samples are per-fragment phase totals; when built by
-	// AnalyzeTrace they are the exact per-cycle phase spans.
+	// Phases holds per-DFPT-phase quantiles over the exact per-cycle phase
+	// spans.
 	Phases [NumPhases]PhaseQuantiles
-	// PerCycle reports which sample population Phases was computed over.
-	PerCycle bool
 	// TopK lists the slowest fragments by wall time, descending.
 	TopK []FragStat
 	// Fragments is the population size the table was drawn from.
@@ -61,24 +57,6 @@ func exactQuantiles(durs []time.Duration) PhaseQuantiles {
 	return q
 }
 
-// Stragglers builds the summary from the scheduler's per-fragment stats:
-// phase quantiles over per-fragment phase totals, and the top-K slowest
-// fragments by wall time.
-func Stragglers(stats []FragStat, k int) *StragglerSummary {
-	s := &StragglerSummary{Fragments: len(stats)}
-	for p := Phase(0); p < NumPhases; p++ {
-		durs := make([]time.Duration, 0, len(stats))
-		for i := range stats {
-			if stats[i].Cycles > 0 {
-				durs = append(durs, stats[i].Phase[p])
-			}
-		}
-		s.Phases[p] = exactQuantiles(durs)
-	}
-	s.TopK = topK(stats, k)
-	return s
-}
-
 func topK(stats []FragStat, k int) []FragStat {
 	sorted := append([]FragStat(nil), stats...)
 	sort.Slice(sorted, func(a, b int) bool {
@@ -93,10 +71,11 @@ func topK(stats []FragStat, k int) []FragStat {
 	return sorted
 }
 
-// AnalyzeTrace rebuilds the straggler summary from an exported trace:
-// exact per-cycle phase quantiles from the phase spans, and per-fragment
-// rows from the fragment spans (wall time, attempts, phase sums resolved
-// through the parent chain).
+// AnalyzeTrace builds the straggler summary from a run's spans — a live
+// tracer's Snapshot or a trace read back with ReadChromeTrace: exact
+// per-cycle phase quantiles from the phase spans, and per-fragment rows from
+// the fragment spans (wall time, attempts, phase sums resolved through the
+// parent chain).
 func AnalyzeTrace(spans []SpanRecord, k int) (*StragglerSummary, error) {
 	byID := make(map[uint64]*SpanRecord, len(spans))
 	for i := range spans {
@@ -166,7 +145,7 @@ func AnalyzeTrace(spans []SpanRecord, k int) (*StragglerSummary, error) {
 			}
 		}
 	}
-	s := &StragglerSummary{Fragments: len(frags), PerCycle: true}
+	s := &StragglerSummary{Fragments: len(frags)}
 	for p := Phase(0); p < NumPhases; p++ {
 		s.Phases[p] = exactQuantiles(phaseDurs[p])
 	}
@@ -190,12 +169,8 @@ func phaseByName(name string) (Phase, bool) {
 // WriteText prints the summary: the per-phase percentile table followed by
 // the top-K straggler table.
 func (s *StragglerSummary) WriteText(w io.Writer) error {
-	population := "per-fragment totals"
-	if s.PerCycle {
-		population = "per-cycle"
-	}
-	if _, err := fmt.Fprintf(w, "DFPT phase latency (%s):\n  %-6s %10s %12s %12s %12s %14s\n",
-		population, "phase", "count", "p50", "p95", "p99", "total"); err != nil {
+	if _, err := fmt.Fprintf(w, "DFPT phase latency (per-cycle):\n  %-6s %10s %12s %12s %12s %14s\n",
+		"phase", "count", "p50", "p95", "p99", "total"); err != nil {
 		return err
 	}
 	for _, p := range [NumPhases]Phase{PhaseN1, PhaseV1, PhaseH1, PhaseP1} {

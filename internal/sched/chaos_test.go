@@ -92,10 +92,10 @@ func checkExactlyOnce(t *testing.T, dec *fragment.Decomposition, datas []*hessia
 }
 
 // TestChaosExactlyOnceAllPolicies is the scheduler's chaos property test:
-// random fragment sizes, injected transient errors, NaN divergences, panics,
-// stragglers (plus watchdog-induced duplicate completions) under three
-// dispatch policies — 1, 2 and 4 leaders pulling from one master — and every
-// fragment must still complete exactly once with the right payload.
+// random fragment sizes, injected transient errors, NaN divergences and
+// panics under three dispatch policies — 1, 2 and 4 leaders pulling from one
+// master — and every fragment must still complete exactly once with the
+// right payload.
 func TestChaosExactlyOnceAllPolicies(t *testing.T) {
 	for pol, leaders := range []int{1, 2, 4} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -106,15 +106,12 @@ func TestChaosExactlyOnceAllPolicies(t *testing.T) {
 				dec := fakeDecomposition(randomSizes(rng, 30+rng.Intn(31)))
 				opt := DefaultOptions()
 				opt.NumLeaders = leaders
-				opt.StragglerTimeout = 10 * time.Millisecond
 				opt.Retry = chaosRetry()
 				opt.Injector = faults.NewInjector(faults.Config{
 					Seed:           seed,
 					TransientRate:  0.15,
 					NaNRate:        0.10,
 					PanicRate:      0.05,
-					StragglerRate:  0.05,
-					StragglerDelay: 25 * time.Millisecond,
 					MaxPerFragment: 2,
 				})
 				opt.Process = fakeProcess
@@ -128,10 +125,10 @@ func TestChaosExactlyOnceAllPolicies(t *testing.T) {
 	}
 }
 
-// TestChaosAcceptance is the PR's acceptance scenario: a ≥40-fragment run
-// with ≥10% of fragments hit by transient worker failures plus two
-// artificial stragglers completes with zero lost fragments, a positive
-// retry count, and results identical to a fault-free run.
+// TestChaosAcceptance is the runtime's acceptance scenario: a ≥40-fragment
+// run with ≥10% of fragments hit by transient worker failures completes with
+// zero lost fragments, a positive retry count, and results identical to a
+// fault-free run.
 func TestChaosAcceptance(t *testing.T) {
 	const nf = 48
 	sizes := make([]int, nf)
@@ -155,8 +152,6 @@ func TestChaosAcceptance(t *testing.T) {
 	inj := faults.NewInjector(faults.Config{
 		Seed:           9,
 		TransientRate:  0.30,
-		StragglerFrags: []int{5, 17},
-		StragglerDelay: 60 * time.Millisecond,
 		MaxPerFragment: 2,
 	})
 	// The injector is a pure function of the seed: count the fault
@@ -174,7 +169,6 @@ func TestChaosAcceptance(t *testing.T) {
 	dec := fakeDecomposition(sizes)
 	opt := DefaultOptions()
 	opt.NumLeaders = 4
-	opt.StragglerTimeout = 15 * time.Millisecond
 	opt.Retry = chaosRetry()
 	opt.Injector = inj
 	opt.Process = fakeProcess
@@ -185,9 +179,6 @@ func TestChaosAcceptance(t *testing.T) {
 	checkExactlyOnce(t, dec, datas, report)
 	if report.Retries == 0 {
 		t.Fatal("chaos run reported zero retries despite injected transient failures")
-	}
-	if report.Requeues == 0 {
-		t.Fatal("stragglers were never requeued by the watchdog")
 	}
 	for i := range datas {
 		if datas[i].Hess.MaxAbsDiff(cleanDatas[i].Hess) != 0 {

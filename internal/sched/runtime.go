@@ -1,11 +1,14 @@
 // Package sched implements the paper's master–leader runtime (§V-A, Fig. 3)
 // over content classes: the master hands out one class representative per
-// pull — retries, promotions and straggler requeues first, then fresh
-// representatives largest first (the size order of the paper's load
-// balancer, §V-B, Fig. 4) — and each leader runs that fragment through the
-// fragment engine (hessian.ComputeFragment). The paper's third level, workers
-// that split one fragment's displacement jobs, is here the par kernel budget
-// the engine's kernels draw on.
+// pull — retries and promotions first, then fresh representatives largest
+// first (the size order of the paper's load balancer, §V-B, Fig. 4) — and
+// each leader runs that fragment through the fragment engine
+// (hessian.ComputeFragment). The paper's third level, workers that split one
+// fragment's displacement jobs, is here the par kernel budget the engine's
+// kernels draw on. The straggler rule of Fig. 4(a) — mark a fragment
+// un-processed again, keep the first result — lives where a worker can be
+// lost: internal/cluster's lease timeout. In-process, a leader's slow
+// attempt holds up Run's return however the fragment is re-dispatched.
 package sched
 
 import (
@@ -27,12 +30,6 @@ import (
 type Options struct {
 	NumLeaders int
 	Job        hessian.JobOptions
-	// StragglerTimeout re-enqueues fragments that have been processing
-	// longer than this without completing (Fig. 4(a): "fragments processed
-	// for a long time but not yet completed are marked un-processed again").
-	// The first completion wins; late duplicates are discarded. Zero
-	// disables the watchdog.
-	StragglerTimeout time.Duration
 	// Retry bounds per-fragment retries of transient failures (injected
 	// chaos, recovered panics, NaN-poisoned results) with exponential
 	// backoff. Deterministic failures — the engine's own convergence
@@ -45,8 +42,8 @@ type Options struct {
 	// aborts the run.
 	MaxFailedFragments int
 	// Injector, when non-nil, is consulted before every processing attempt
-	// and may stall it, fail it, poison its result with NaNs, or panic —
-	// the chaos-testing hook (see internal/faults).
+	// and may fail it, poison its result with NaNs, or panic — the
+	// chaos-testing hook (see internal/faults).
 	Injector faults.Injector
 	// Process overrides the fragment engine (hessian.ComputeFragment's model
 	// build and solves). Tests and custom engines use it; nil selects
@@ -81,18 +78,19 @@ type Options struct {
 	// filled from that canonical record.
 	Cache CacheOptions
 	// Obs carries the observability sinks (span tracer, metrics registry).
-	// The runtime records run/task/frag/attempt spans, dispatch and cache
-	// metrics, and the per-fragment ledger behind Report.Stragglers; the
-	// scope is threaded down to the SCF/DFPT engine for per-phase spans.
-	// The zero Scope disables all of it.
+	// The runtime records run/frag/attempt spans and dispatch and cache
+	// metrics; the scope is threaded down to the SCF/DFPT engine for
+	// per-phase spans. The straggler table is obs.AnalyzeTrace over those
+	// spans. The zero Scope disables all of it.
 	Obs obs.Scope
 	// Backend, when non-nil, replaces the in-process leader fan-out
 	// with a pluggable dispatch backend — Run delegates the whole fragment
 	// loop to it. internal/cluster.Client implements this to fan fragments
-	// out to remote worker daemons over the wire (qframan -cluster);
-	// in-process options that configure the goroutine runtime
-	// (StragglerTimeout, Injector, MaxFailedFragments) do not apply, while
-	// Job, Cancel, and Obs are honored by every backend.
+	// out to remote worker daemons over the wire (qframan -cluster), whose
+	// coordinator runs the straggler rule through its lease timeout.
+	// In-process options that configure the goroutine runtime (NumLeaders,
+	// Retry, Injector, MaxFailedFragments) do not apply, while Job, Cancel,
+	// and Obs are honored by every backend.
 	Backend Backend
 }
 
@@ -195,7 +193,10 @@ type Report struct {
 	// NumTasks counts pulls, one fragment each: on a clean run, the content
 	// classes resolved.
 	NumTasks int
-	// Requeues counts straggler re-enqueues performed by the watchdog.
+	// Requeues counts straggler re-enqueues: on a cluster backend, the
+	// coordinator's reassignments of this job's expired or orphaned leases
+	// (cluster.Client fills it). The in-process runtime has no straggler
+	// rule and leaves it zero.
 	Requeues int
 	// Retries counts failed attempts that were re-enqueued by the retry
 	// policy (transient failures only).
@@ -222,14 +223,7 @@ type Report struct {
 	// failed — including CRC-corrupt records, which are evicted and
 	// recomputed. Store failures degrade to recomputation, never abort.
 	StoreErrors int
-	// Stragglers is the per-phase latency and top-K slowest-fragment
-	// summary assembled from the observability ledger; nil when the run had
-	// no Options.Obs sinks attached.
-	Stragglers *obs.StragglerSummary
 }
-
-// StragglerTopK is how many slowest fragments Report.Stragglers keeps.
-const StragglerTopK = 10
 
 func b2i(v bool) int64 {
 	if v {
@@ -237,14 +231,6 @@ func b2i(v bool) int64 {
 	}
 	return 0
 }
-
-// fragment lifecycle states tracked by the master.
-const (
-	statePending = iota
-	stateProcessing
-	stateDone
-	stateFailed
-)
 
 // retryEntry is a fragment waiting out its backoff before re-dispatch.
 type retryEntry struct {
@@ -314,23 +300,18 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 		obs.A("fragments", int64(nf)), obs.A("leaders", int64(opt.NumLeaders)))
 	mQueue := obsSc.R.Gauge(obs.MetricQueueDepth)
 	mRetries := obsSc.R.Counter(obs.MetricRetries)
-	mRequeues := obsSc.R.Counter(obs.MetricRequeues)
 	mPanics := obsSc.R.Counter(obs.MetricPanics)
 	mHits := obsSc.R.Counter(obs.MetricCacheHits)
 	mMisses := obsSc.R.Counter(obs.MetricCacheMisses)
 	mFragWall := obsSc.R.Histogram(obs.MetricFragmentSeconds, obs.DurationBuckets)
 	mQueue.Set(int64(nf))
-	// Per-fragment ledger feeding Report.Stragglers: wall time across
-	// attempts, engine-side phase accumulators, and cache provenance.
-	var fragStats []obs.FragStats
+	// A fragment's wall time across its attempts (the sched_fragment_seconds
+	// sample) and its span, open from first claim to resolution.
 	var fragWall []time.Duration
 	var fragSpans []*obs.Span
-	var cacheServed []bool
 	if obsOn {
-		fragStats = make([]obs.FragStats, nf)
 		fragWall = make([]time.Duration, nf)
 		fragSpans = make([]*obs.Span, nf)
-		cacheServed = make([]bool, nf)
 	}
 
 	if cacheOn && obsOn {
@@ -340,12 +321,11 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 	// The master hands out one fragment per pull under a mutex: this is the
 	// "leader-available → task-assignment" signal loop of Fig. 4(a),
 	// collapsed into synchronous calls because goroutines are cheap. The
-	// master also tracks per-fragment state for the straggler watchdog and
-	// the retry/fail-soft ledger.
+	// master also keeps the retry/fail-soft ledger. A fragment is pending in
+	// order or in retryQ, processing at exactly one leader, or resolved;
+	// nothing else re-dispatches it, so no attempt is ever a duplicate.
 	var mu sync.Mutex
-	state := make([]int, nf)
 	attempts := make([]int, nf)
-	startedAt := make([]time.Time, nf)
 	var retryQ []retryEntry
 	var failed []int
 	resolved := 0 // fragments done or failed
@@ -382,33 +362,24 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 			default:
 			}
 		}
-		// Compact the retry queue — entries resolved elsewhere are stale —
-		// and take the first one whose backoff has elapsed; fresh
+		// Take the first retry entry whose backoff has elapsed; fresh
 		// representatives wait behind it.
 		now := time.Now()
 		fi = -1
-		kept := retryQ[:0]
-		for _, e := range retryQ {
-			if state[e.fi] != statePending {
-				continue
-			}
-			if fi < 0 && !e.readyAt.After(now) {
+		for i, e := range retryQ {
+			if !e.readyAt.After(now) {
 				fi = e.fi
-				continue
+				retryQ = append(retryQ[:i], retryQ[i+1:]...)
+				break
 			}
-			kept = append(kept, e)
 		}
-		retryQ = kept
-		for ; fi < 0 && fresh < len(order); fresh++ {
-			if state[order[fresh]] == statePending {
-				fi = order[fresh]
-			}
+		if fi < 0 && fresh < len(order) {
+			fi = order[fresh]
+			fresh++
 		}
 		if fi < 0 {
 			return -1, 0, resolved < nf
 		}
-		state[fi] = stateProcessing
-		startedAt[fi] = now
 		attempts[fi]++
 		report.NumTasks++
 		if tracing && fragSpans[fi] == nil {
@@ -421,16 +392,12 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 	}
 	// complete records a fragment's result and its cache provenance: served
 	// means the bits came from a canonical record this fragment did not
-	// compute, prior that the record predates this run. A class member
-	// filled from its representative's record was never claimed, so its
-	// start time is zero and it adds no wall.
-	complete := func(fi int, data *hessian.FragmentData, served, prior bool) bool {
+	// compute, prior that the record predates this run. wall is the
+	// resolving attempt's duration; a class member filled from its
+	// representative's record was never claimed and adds none.
+	complete := func(fi int, data *hessian.FragmentData, served, prior bool, wall time.Duration) {
 		mu.Lock()
 		defer mu.Unlock()
-		if state[fi] == stateDone || state[fi] == stateFailed {
-			return false // a duplicate (straggler) attempt lost the race
-		}
-		state[fi] = stateDone
 		results[fi] = data
 		resolved++
 		switch {
@@ -448,17 +415,13 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 			}
 		}
 		if obsOn {
-			if !startedAt[fi].IsZero() {
-				fragWall[fi] += time.Since(startedAt[fi])
-			}
-			cacheServed[fi] = served
+			fragWall[fi] += wall
 			mFragWall.ObserveDuration(fragWall[fi])
 			mQueue.Set(int64(nf - resolved))
 			if sp := fragSpans[fi]; sp != nil {
 				sp.End(obs.A("attempts", int64(attempts[fi])), obs.A("cachehit", b2i(served)))
 			}
 		}
-		return true
 	}
 	// promote makes the first of a class's unresolved members its new
 	// representative and enqueues it — when the old one failed permanently,
@@ -540,23 +503,17 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 		}
 		return rt, canon
 	}
-	// fail records one failed attempt. Transient failures inside the retry
-	// budget go back to the queue with backoff; anything else consumes the
-	// fail-soft budget or aborts the run. Returns false when the leader
-	// should stop (run aborting). Only the attempt that currently owns the
-	// fragment may drive its state: a stale attempt — one the watchdog
-	// already requeued and another leader restarted — reports nothing.
-	fail := func(fi, attempt int, err error) bool {
+	// fail records one failed attempt of wall duration. Transient failures
+	// inside the retry budget go back to the queue with backoff; anything
+	// else consumes the fail-soft budget or aborts the run. Returns false
+	// when the leader should stop (run aborting).
+	fail := func(fi int, err error, wall time.Duration) bool {
 		mu.Lock()
 		defer mu.Unlock()
-		if state[fi] != stateProcessing || attempts[fi] != attempt {
-			return !aborted
-		}
 		if obsOn {
-			fragWall[fi] += time.Since(startedAt[fi])
+			fragWall[fi] += wall
 		}
 		if faults.IsTransient(err) && attempts[fi] < opt.Retry.Attempts() {
-			state[fi] = statePending
 			report.Retries++
 			mRetries.Inc()
 			retryQ = append(retryQ, retryEntry{
@@ -566,7 +523,6 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 			return true
 		}
 		if len(failed) < opt.MaxFailedFragments {
-			state[fi] = stateFailed
 			failed = append(failed, fi)
 			resolved++
 			promote(members[fi][1:])
@@ -591,9 +547,6 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 		var act faults.Action
 		if opt.Injector != nil {
 			act = opt.Injector.Plan(fi, attempt)
-		}
-		if act.Delay > 0 {
-			time.Sleep(act.Delay)
 		}
 		if act.Err != nil {
 			return nil, act.Err
@@ -633,35 +586,6 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 	}
 
 	start := time.Now()
-	stopWatchdog := make(chan struct{})
-	if opt.StragglerTimeout > 0 {
-		go func() {
-			ticker := time.NewTicker(opt.StragglerTimeout / 4)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stopWatchdog:
-					return
-				case <-ticker.C:
-					mu.Lock()
-					now := time.Now()
-					for fi := range state {
-						if state[fi] == stateProcessing && now.Sub(startedAt[fi]) > opt.StragglerTimeout {
-							state[fi] = statePending
-							report.Requeues++
-							mRequeues.Inc()
-							if obsOn {
-								fragWall[fi] += now.Sub(startedAt[fi])
-							}
-							retryQ = append(retryQ, retryEntry{fi: fi, readyAt: now})
-						}
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-
 	var wg sync.WaitGroup
 	for l := 0; l < opt.NumLeaders; l++ {
 		wg.Add(1)
@@ -685,7 +609,7 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 				attSc := runSc
 				var attSpan *obs.Span
 				if obsOn {
-					attSc = attSc.WithTrack(leaderTrack).WithFrag(&fragStats[fi])
+					attSc = attSc.WithTrack(leaderTrack)
 					if tracing {
 						attSpan = obsSc.T.BeginOn(leaderTrack, fragSpans[fi], "attempt", "sched",
 							obs.A("frag", int64(fi)), obs.A("attempt", int64(attempt)))
@@ -703,8 +627,9 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 					data, err = attemptFragment(fi, attempt, attSc)
 					if err != nil {
 						attSpan.End(obs.A("err", 1))
-						stats.Busy += time.Since(t0)
-						if !fail(fi, attempt, err) {
+						wall := time.Since(t0)
+						stats.Busy += wall
+						if !fail(fi, err, wall) {
 							return
 						}
 						continue
@@ -714,47 +639,33 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 					}
 				}
 				attSpan.End(obs.A("cachehit", b2i(served)))
-				if complete(fi, data, served, prior) {
-					// Fill the rest of the class from the canonical record,
-					// outside the master mutex; whatever cannot be filled gets
-					// a new representative.
-					class := members[fi]
-					n := 1 // resolved members, the representative first
-					for ; canon != nil && n < len(class); n++ {
-						fd := expand(class[n], canon)
-						if fd == nil {
-							break
-						}
-						complete(class[n], fd, true, prior)
+				complete(fi, data, served, prior, time.Since(t0))
+				// Fill the rest of the class from the canonical record,
+				// outside the master mutex; whatever cannot be filled gets a
+				// new representative.
+				class := members[fi]
+				n := 1 // resolved members, the representative first
+				for ; canon != nil && n < len(class); n++ {
+					fd := expand(class[n], canon)
+					if fd == nil {
+						break
 					}
-					mu.Lock()
-					promote(class[n:])
-					mu.Unlock()
-					if n > 1 {
-						opt.Cache.Store.Ref(keys[fi], n-1)
-					}
-					stats.Fragments += n
+					complete(class[n], fd, true, prior, 0)
 				}
+				mu.Lock()
+				promote(class[n:])
+				mu.Unlock()
+				if n > 1 {
+					opt.Cache.Store.Ref(keys[fi], n-1)
+				}
+				stats.Fragments += n
 				stats.Busy += time.Since(t0)
 			}
 		}(l)
 	}
 	wg.Wait()
-	close(stopWatchdog)
 	report.Elapsed = time.Since(start)
 	runSpan.End()
-	if obsOn {
-		rows := make([]obs.FragStat, nf)
-		for i := range rows {
-			rows[i] = obs.FragStat{
-				Frag: i, Atoms: sizes[i], Attempts: attempts[i],
-				Wall: fragWall[i], Phase: fragStats[i].PhaseTotals(),
-				Cycles: fragStats[i].Cycles(), SCFIters: fragStats[i].SCFIters(),
-				CacheHit: cacheServed[i],
-			}
-		}
-		report.Stragglers = obs.Stragglers(rows, StragglerTopK)
-	}
 
 	sort.Ints(failed)
 	report.Failed = failed

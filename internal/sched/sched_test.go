@@ -3,9 +3,7 @@ package sched
 import (
 	"errors"
 	"slices"
-	"sync"
 	"testing"
-	"time"
 
 	"qframan/internal/faults"
 	"qframan/internal/fragment"
@@ -113,57 +111,5 @@ func TestRunValidation(t *testing.T) {
 	opt.NumLeaders = 0
 	if _, _, err := Run(dec, opt); err == nil {
 		t.Fatal("accepted zero leaders")
-	}
-}
-
-func TestStragglerRequeue(t *testing.T) {
-	// A fake engine: the first attempt at fragment 0 stalls far beyond the
-	// straggler timeout; the watchdog must hand it to another leader, whose
-	// fast attempt completes the run. First completion wins.
-	sys := structure.BuildWaterDimerSystem(4)
-	dec, err := fragment.Decompose(sys, fragment.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	attempts := map[int]int{}
-	release := make(chan struct{})
-	opt := DefaultOptions()
-	opt.NumLeaders = 2
-	opt.StragglerTimeout = 50 * time.Millisecond
-	opt.Process = func(f *fragment.Fragment, o Options) (*hessian.FragmentData, error) {
-		mu.Lock()
-		attempts[f.ID]++
-		first := f.ID == dec.Fragments[0].ID && attempts[f.ID] == 1
-		mu.Unlock()
-		if first {
-			<-release // stall until the whole run would otherwise be done
-		} else {
-			time.Sleep(5 * time.Millisecond)
-		}
-		return &hessian.FragmentData{Hess: nil}, nil
-	}
-	done := make(chan struct{})
-	var report *Report
-	var runErr error
-	go func() {
-		_, report, runErr = Run(dec, opt)
-		close(done)
-	}()
-	// Give the run ample time to finish everything except the straggler,
-	// requeue it, and complete it elsewhere; then release the stalled call.
-	time.Sleep(400 * time.Millisecond)
-	close(release)
-	<-done
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	if report.Requeues == 0 {
-		t.Fatal("straggler was never requeued")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if attempts[dec.Fragments[0].ID] < 2 {
-		t.Fatalf("fragment 0 attempted %d times, want ≥2", attempts[dec.Fragments[0].ID])
 	}
 }
