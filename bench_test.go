@@ -236,7 +236,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 				b.StopTimer()
 				spans := cfg.Sched.Obs.T.Snapshot()
 				b.ReportMetric(float64(len(spans)), "spans")
-				if sum, err := obs.AnalyzeTrace(spans, 10); err != nil || sum.Fragments == 0 {
+				if sum, err := obs.AnalyzeTrace(spans, 10); err != nil || sum.Classes == 0 {
 					b.Fatalf("instrumented run's spans give no straggler table: %v", err)
 				}
 				b.StartTimer()

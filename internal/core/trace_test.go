@@ -202,8 +202,8 @@ func TestGoldenTraceStructure(t *testing.T) {
 	if got := sum.Phases[obs.PhaseN1].Count; got != counts["dfpt.cycle"] {
 		t.Fatalf("AnalyzeTrace saw %d n1 samples, trace has %d cycles", got, counts["dfpt.cycle"])
 	}
-	if sum.Fragments != nf {
-		t.Fatalf("AnalyzeTrace saw %d fragments, run had %d", sum.Fragments, nf)
+	if sum.Fragments != nf || sum.Classes != nf {
+		t.Fatalf("AnalyzeTrace saw %d fragments in %d classes, run had %d fragments and no store", sum.Fragments, sum.Classes, nf)
 	}
 	if len(sum.TopK) == 0 || live.Fragments != sum.Fragments || len(live.TopK) != len(sum.TopK) {
 		t.Fatalf("straggler top-K: %d of %d fragments from the file, %d of %d live",

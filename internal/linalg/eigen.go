@@ -12,13 +12,16 @@ import (
 var ErrEigNoConvergence = errors.New("linalg: symmetric eigensolver did not converge")
 
 // EigSymWork is the symmetric eigensolver for matrices of one order with its
-// storage kept: the transposed eigenvector store of the QL iteration and the
+// storage kept: the transposed eigenvector store of the QL iteration, which
+// is also the reduction's scratch row before the iteration starts, and the
 // off-diagonal of the tridiagonal form. A Solve allocates nothing. One Solve
 // at a time.
 //
 // The implementation is the classic Householder tridiagonalization (tred2)
 // followed by the implicit-shift QL iteration (tql2), the same reduction used
-// by dense LAPACK drivers.
+// by dense LAPACK drivers. The reduction's O(n³) loops read rows, but every
+// sum adds the terms of Numerical Recipes' column form in that form's order,
+// so the results are its bits (householder, tred2).
 type EigSymWork struct {
 	n     int
 	zt, e []float64
@@ -44,7 +47,7 @@ func (w *EigSymWork) Solve(a *Matrix, vals []float64, vecs *Matrix) error {
 	if vecs != a {
 		vecs.CopyFrom(a)
 	}
-	tred2(vecs, vals, w.e)
+	tred2(vecs, vals, w.e, w.zt[:n])
 	return tql2(vals, w.e, vecs, w.zt)
 }
 
@@ -122,31 +125,42 @@ func EigSymTridiagFirstRow(d, e, z []float64) error {
 
 // tred2 reduces the symmetric matrix stored in z to tridiagonal form with
 // diagonal d and off-diagonal e (e[0] unused space at index n-1 after shift),
-// accumulating the orthogonal transformation in z.
-// This is an adaptation of the EISPACK/Numerical Recipes tred2 routine.
-func tred2(z *Matrix, d, e []float64) {
+// accumulating the orthogonal transformation in z; g is scratch of length n.
+// This is an adaptation of the EISPACK/Numerical Recipes tred2 routine, with
+// its accumulation reordered to read rows: for reflector i, Numerical Recipes
+// forms each g_j = Σ_k z[i][k]·z[k][j] down column j and then updates that
+// column. No g_j reads a column another one updates, so all of them are formed
+// first, one row k at a time, and the update then runs along rows. Every g_j
+// still adds its terms in ascending k, one product per statement, and every
+// entry receives the same one update, so the bits are those of the column form
+// (refTred2 in the tests is that form).
+func tred2(z *Matrix, d, e, g []float64) {
 	householder(z, d, e, nil, nil)
 	n := z.Rows
 	zd := z.Data
 	d[0] = 0
 	e[0] = 0
 	for i := 0; i < n; i++ {
-		l := i - 1
 		zi := zd[i*n : (i+1)*n]
 		if d[i] != 0 {
-			for j := 0; j <= l; j++ {
-				var g float64
-				for k := 0; k <= l; k++ {
-					g += zi[k] * zd[k*n+j]
+			gi := g[:i]
+			clear(gi)
+			for k, c := range zi[:i] {
+				zk := zd[k*n:][:len(gi)]
+				for j := range gi {
+					gi[j] += c * zk[j]
 				}
-				for k := 0; k <= l; k++ {
-					zd[k*n+j] += -g * zd[k*n+i]
+			}
+			for k := 0; k < i; k++ {
+				zk, c := zd[k*n:][:len(gi)], zd[k*n+i]
+				for j, gj := range gi {
+					zk[j] += -gj * c
 				}
 			}
 		}
 		d[i] = zi[i]
 		zi[i] = 1
-		for j := 0; j <= l; j++ {
+		for j := 0; j < i; j++ {
 			zd[j*n+i] = 0
 			zi[j] = 0
 		}
@@ -160,6 +174,12 @@ func tred2(z *Matrix, d, e []float64) {
 // reflector is also applied to the rows of p (n rows of p.Cols entries, s
 // their scratch) as it is formed, so p ends as Qᵀ·p for the Q whose columns
 // tred2 accumulates.
+//
+// The two O(n³) loops read rows: the product y = A·u (symvLower) and the
+// rank-2 update of the lower triangle. Each sum adds its terms in the order
+// of Numerical Recipes' column form, one product per statement, so the bits
+// are that form's (refHouseholder in the tests), also where arm64 fuses a
+// multiply-add: both forms offer the compiler the same expressions.
 func householder(z *Matrix, d, e []float64, p *Matrix, s []float64) {
 	n := z.Rows
 	zd := z.Data
@@ -187,28 +207,22 @@ func householder(z *Matrix, d, e []float64, p *Matrix, s []float64) {
 				e[i] = scale * g
 				h -= f * g
 				zi[l] = f - g
+				u := zi[:i]
+				symvLower(zd, n, u, e[:i])
 				f = 0
-				for j := 0; j <= l; j++ {
-					zj := zd[j*n : (j+1)*n]
-					zj[i] = zi[j] / h
-					g = 0
-					for k := 0; k <= j; k++ {
-						g += zj[k] * zi[k]
-					}
-					for k := j + 1; k <= l; k++ {
-						g += zd[k*n+j] * zi[k]
-					}
-					e[j] = g / h
-					f += e[j] * zi[j]
+				for j, uj := range u {
+					zd[j*n+i] = uj / h
+					e[j] /= h
+					f += e[j] * uj
 				}
 				hh := f / (h + h)
-				for j := 0; j <= l; j++ {
-					zj := zd[j*n : (j+1)*n]
-					f = zi[j]
+				for j, f := range u {
 					g = e[j] - hh*f
 					e[j] = g
-					for k := 0; k <= j; k++ {
-						zj[k] += -(f*e[k] + g*zi[k])
+					zj := zd[j*n : j*n+j+1]
+					ej, uk := e[:len(zj)], u[:len(zj)]
+					for k := range zj {
+						zj[k] += -(f*ej[k] + g*uk[k])
 					}
 				}
 			}
@@ -219,6 +233,69 @@ func householder(z *Matrix, d, e []float64, p *Matrix, s []float64) {
 			reflect(p, s, zi[:i], zd[i:], n)
 		}
 		d[i] = h
+	}
+}
+
+// symvLower sets y = A·u for the symmetric A of order m = len(u) whose lower
+// triangle is in the first m rows of a (row stride n); a's upper triangle is
+// not read. y[j] is the sum Σ_{k≤j} a[j][k]·u[k] + Σ_{k>j} a[k][j]·u[k] in
+// ascending k, the column form's order, formed while reading rows: the pass
+// over row j finishes y[j]'s first part and adds a[j][k]·u[j] into each y[k],
+// k < j, whose sum row k began. Four rows share one pass over k, four
+// independent chains, and their 4×4 diagonal block is finished term by term
+// in the same order. The rows left over by the grouping go first, singly.
+func symvLower(a []float64, n int, u, y []float64) {
+	m := len(u)
+	j := 0
+	for ; j < m%4; j++ {
+		yk := y[:j]
+		r, uk := a[j*n:][:len(yk)], u[:len(yk)]
+		uj := u[j]
+		var g float64
+		for k := range yk {
+			g += r[k] * uk[k]
+			yk[k] += r[k] * uj
+		}
+		g += a[j*n+j] * uj
+		y[j] = g
+	}
+	for ; j < m; j += 4 {
+		yk, uk := y[:j], u[:j]
+		r0, r1, r2, r3 := a[j*n:][:j], a[(j+1)*n:][:j], a[(j+2)*n:][:j], a[(j+3)*n:][:j]
+		u0, u1, u2, u3 := u[j], u[j+1], u[j+2], u[j+3]
+		var g0, g1, g2, g3 float64
+		for k := range yk {
+			a0, a1, a2, a3, v := r0[k], r1[k], r2[k], r3[k], uk[k]
+			g0 += a0 * v
+			g1 += a1 * v
+			g2 += a2 * v
+			g3 += a3 * v
+			t := yk[k]
+			t += a0 * u0
+			t += a1 * u1
+			t += a2 * u2
+			t += a3 * u3
+			yk[k] = t
+		}
+		// The diagonal block: b_r[c] is a[j+r][j+c], read only for c ≤ r.
+		b0, b1, b2, b3 := a[j*n+j:], a[(j+1)*n+j:], a[(j+2)*n+j:], a[(j+3)*n+j:]
+		g0 += b0[0] * u0
+		g0 += b1[0] * u1
+		g0 += b2[0] * u2
+		g0 += b3[0] * u3
+		g1 += b1[0] * u0
+		g1 += b1[1] * u1
+		g1 += b2[1] * u2
+		g1 += b3[1] * u3
+		g2 += b2[0] * u0
+		g2 += b2[1] * u1
+		g2 += b2[2] * u2
+		g2 += b3[2] * u3
+		g3 += b3[0] * u0
+		g3 += b3[1] * u1
+		g3 += b3[2] * u2
+		g3 += b3[3] * u3
+		y[j], y[j+1], y[j+2], y[j+3] = g0, g1, g2, g3
 	}
 }
 

@@ -187,8 +187,8 @@ func TestChromeTraceRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Fragments != 1 || len(sum.TopK) != 1 {
-		t.Fatalf("analyze: fragments=%d topk=%d", sum.Fragments, len(sum.TopK))
+	if sum.Classes != 1 || len(sum.TopK) != 1 {
+		t.Fatalf("analyze: classes=%d topk=%d", sum.Classes, len(sum.TopK))
 	}
 	row := sum.TopK[0]
 	if row.Frag != 2 || row.Atoms != 3 || row.Cycles != 1 || row.Attempts != 1 {

@@ -119,9 +119,9 @@ func TestConcurrentHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Fragments != goroutines || len(sum.TopK) != goroutines ||
+	if sum.Classes != goroutines || len(sum.TopK) != goroutines ||
 		sum.Phases[PhaseP1].Count != goroutines*events {
-		t.Fatalf("AnalyzeTrace: %d fragments, %d rows, %d p1 samples", sum.Fragments, len(sum.TopK), sum.Phases[PhaseP1].Count)
+		t.Fatalf("AnalyzeTrace: %d classes, %d rows, %d p1 samples", sum.Classes, len(sum.TopK), sum.Phases[PhaseP1].Count)
 	}
 	for _, row := range sum.TopK {
 		if row.Cycles != events {

@@ -35,7 +35,12 @@ type StragglerSummary struct {
 	Phases [NumPhases]PhaseQuantiles
 	// TopK lists the slowest fragments by wall time, descending.
 	TopK []FragStat
-	// Fragments is the population size the table was drawn from.
+	// Classes is the population the table was drawn from: one fragment span
+	// per content class, which sched opens for the class's representative
+	// only. Without a store every fragment is a class of one.
+	Classes int
+	// Fragments is the runs' fragment total, the sum of the "fragments"
+	// args of the sched.run spans.
 	Fragments int
 }
 
@@ -73,9 +78,9 @@ func topK(stats []FragStat, k int) []FragStat {
 
 // AnalyzeTrace builds the straggler summary from a run's spans — a live
 // tracer's Snapshot or a trace read back with ReadChromeTrace: exact
-// per-cycle phase quantiles from the phase spans, and per-fragment rows from
-// the fragment spans (wall time, attempts, phase sums resolved through the
-// parent chain).
+// per-cycle phase quantiles from the phase spans, per-class rows from the
+// fragment spans (wall time, attempts, phase sums resolved through the
+// parent chain), and the fragment total from the sched.run spans.
 func AnalyzeTrace(spans []SpanRecord, k int) (*StragglerSummary, error) {
 	byID := make(map[uint64]*SpanRecord, len(spans))
 	for i := range spans {
@@ -115,6 +120,7 @@ func AnalyzeTrace(spans []SpanRecord, k int) (*StragglerSummary, error) {
 		memo[r.ID] = id
 		return id
 	}
+	s := &StragglerSummary{Classes: len(frags)}
 	var phaseDurs [NumPhases][]time.Duration
 	for i := range spans {
 		r := &spans[i]
@@ -140,12 +146,15 @@ func AnalyzeTrace(spans []SpanRecord, k int) (*StragglerSummary, error) {
 				}
 			}
 		case "sched":
-			if fs != nil && r.Name == "attempt" {
+			switch {
+			case r.Name == "sched.run":
+				n, _ := r.Arg("fragments")
+				s.Fragments += int(n)
+			case fs != nil && r.Name == "attempt":
 				fs.Attempts++
 			}
 		}
 	}
-	s := &StragglerSummary{Fragments: len(frags)}
 	for p := Phase(0); p < NumPhases; p++ {
 		s.Phases[p] = exactQuantiles(phaseDurs[p])
 	}
@@ -167,7 +176,8 @@ func phaseByName(name string) (Phase, bool) {
 }
 
 // WriteText prints the summary: the per-phase percentile table followed by
-// the top-K straggler table.
+// the top-K straggler table, whose header counts the content classes its
+// rows are drawn from and the fragments they resolve.
 func (s *StragglerSummary) WriteText(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "DFPT phase latency (per-cycle):\n  %-6s %10s %12s %12s %12s %14s\n",
 		"phase", "count", "p50", "p95", "p99", "total"); err != nil {
@@ -181,8 +191,8 @@ func (s *StragglerSummary) WriteText(w io.Writer) error {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "top %d stragglers of %d fragments:\n  %-6s %6s %9s %12s %8s %9s %6s\n",
-		len(s.TopK), s.Fragments, "frag", "atoms", "attempts", "wall", "cycles", "scfiters", "cache"); err != nil {
+	if _, err := fmt.Fprintf(w, "top %d stragglers of %d classes (%d fragments):\n  %-6s %6s %9s %12s %8s %9s %6s\n",
+		len(s.TopK), s.Classes, s.Fragments, "frag", "atoms", "attempts", "wall", "cycles", "scfiters", "cache"); err != nil {
 		return err
 	}
 	for i := range s.TopK {

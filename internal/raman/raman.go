@@ -176,9 +176,9 @@ func DenseModes(g *hessian.Global) (*Modes, error) {
 // eigenvectors (linalg.EigSymWork), the arithmetic the dense spectra's bits
 // are pinned to; without, the solve carries the vectors through the
 // reduction and the QL rotations instead (linalg.EigSymProjected), at the
-// same eigenvalue bits and about a third of the cost. A Hessian the
-// eigensolver cannot converge on — a non-finite one — is an error wrapping
-// lanczos.ErrQuadrature: deterministic, never retried.
+// same eigenvalue bits and about a quarter of the cost at n = 243–432. A
+// Hessian the eigensolver cannot converge on — a non-finite one — is an
+// error wrapping lanczos.ErrQuadrature: deterministic, never retried.
 func normalModes(h *hessian.Sparse, vecs [][]float64, eigenvectors bool, activity func(a []float64) float64) (*Modes, error) {
 	n, w := h.Dim(), len(vecs)
 	v := linalg.NewMatrix(n, n)
@@ -304,13 +304,16 @@ func lanczosSpectrum(g *hessian.Global, opt Options, vecs [][]float64, weights [
 }
 
 // Unit costs of the two spectral routes, in nanoseconds. They were
-// calibrated once, at kernel budget 1 on a 2-vCPU x86-64 host, from best-of-4
+// calibrated at kernel budget 1 on a 2-vCPU x86-64 host, from best-of-4
 // timings of both routes (and of their parts: the product, the recurrence,
 // the rule, the densities, the eigensolve) on jittered water boxes of
 // n = 243–1125 coordinates at K = 20–200 (EXPERIMENTS.md, "The spectral
-// route by cost"). Only their ratios matter.
+// route by cost"); costEig and costRotate again from the median timings of
+// the exact route and of the solve carrying 1 and 42 columns on the boxes of
+// n = 243–720 once the reduction read rows (EXPERIMENTS.md, "The
+// Householder reduction reads rows"). Only their ratios matter.
 const (
-	costEig    = 0.85 // per n³: the Householder reduction and QL iteration of the densified Hessian
+	costEig    = 0.48 // per n³: the Householder reduction and QL iteration of the densified Hessian
 	costRotate = 1.8  // per n² and column: the start vectors carried through the reflectors and rotations
 	costBroad  = 20   // per mode and axis point in its ±8σ window
 	costMul    = 1.0  // per stored Hessian entry, column and step: the multi-vector product

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -580,4 +581,49 @@ func TestCacheOneStoreOperationPerClass(t *testing.T) {
 		}
 	}
 	perFragment(s2, warm)
+}
+
+// TestStragglerTableCountsClasses: with a store, sched opens a fragment span
+// for each content class's representative only, so the straggler table's
+// rows are classes. Its header says so and takes the fragment total from the
+// sched.run span — live and after the Chrome-trace round trip qfstats -trace
+// reads, the same line.
+func TestStragglerTableCountsClasses(t *testing.T) {
+	const nf, distinct = 9, 3
+	dec := cacheDecomposition(nf)
+	for i := distinct; i < nf; i++ {
+		dec.Fragments[i].Pos = dec.Fragments[i%distinct].Pos
+	}
+	tr := obs.NewTracer()
+	opt := cacheOptions(t, openStore(t, t.TempDir()), false, nil)
+	opt.Obs = obs.NewScope(tr, nil)
+	if _, _, err := Run(dec, opt); err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if err := tr.ExportChromeTrace(&file); err != nil {
+		t.Fatal(err)
+	}
+	read, err := obs.ReadChromeTrace(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "top 3 stragglers of 3 classes (9 fragments):"
+	for name, spans := range map[string][]obs.SpanRecord{"live": tr.Snapshot(), "file": read} {
+		sum, err := obs.AnalyzeTrace(spans, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Classes != distinct || sum.Fragments != nf || len(sum.TopK) != distinct {
+			t.Fatalf("%s: %d classes, %d fragments, %d rows; want %d/%d/%d",
+				name, sum.Classes, sum.Fragments, len(sum.TopK), distinct, nf, distinct)
+		}
+		var txt bytes.Buffer
+		if err := sum.WriteText(&txt); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(txt.String(), "\n"+want+"\n") {
+			t.Errorf("%s: straggler table lacks %q:\n%s", name, want, txt.String())
+		}
+	}
 }
