@@ -1,12 +1,13 @@
 // Command qframan runs the full QF-RAMAN pipeline: quantum fragmentation,
-// parallel per-fragment DFT+DFPT displacement loops, Eq. 1 assembly, and the
-// Lanczos+GAGQ Raman-spectrum solver.
+// the parallel per-fragment DFT+DFPT engine, Eq. 1 assembly, and the
+// Lanczos+GAGQ Raman-spectrum solver (exact where that costs less, and
+// always with -k at least 3N).
 //
 // Examples:
 //
 //	qframan -seq GAVKAG -o spectrum.tsv
 //	qframan -in solvated.txt -sigma 20 -fmin 200 -fmax 4000
-//	qframan -dimers 4 -dense
+//	qframan -water 4 -k 576
 //	qframan -in top.txt -traj traj.xyz -traj-out frames -cache-dir cache
 package main
 
@@ -52,7 +53,6 @@ type options struct {
 
 	fmin, fmax, fstep, sigma float64
 	k                        int
-	dense                    bool
 	irOut                    string
 	leaders, kernelThreads   int
 	clusterAddr, out         string
@@ -87,8 +87,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.Float64Var(&o.fmax, "fmax", 4000, "spectrum end (cm⁻¹)")
 	fs.Float64Var(&o.fstep, "fstep", 2, "spectrum step (cm⁻¹)")
 	fs.Float64Var(&o.sigma, "sigma", 5, "Gaussian smearing (cm⁻¹); the paper uses 5 gas-phase, 20 solvated")
-	fs.IntVar(&o.k, "k", 150, "Lanczos steps")
-	fs.BoolVar(&o.dense, "dense", false, "use exact dense diagonalization instead of Lanczos")
+	fs.IntVar(&o.k, "k", 150, "Lanczos steps; k ≥ 3N (the system's coordinate count) solves the spectrum exactly, as does any system whose one eigendecomposition costs less than k steps")
 	fs.StringVar(&o.irOut, "ir", "", "also compute the IR spectrum and write it to this TSV file")
 	fs.IntVar(&o.leaders, "leaders", max(1, runtime.NumCPU()/2), "parallel leaders")
 	fs.IntVar(&o.kernelThreads, "kernel-threads", 0, "intra-fragment kernel thread budget the leaders' kernels share (0 = GOMAXPROCS; results are bit-identical at any value)")
@@ -134,7 +133,6 @@ func (o options) config() (core.Config, *store.Store, error) {
 	cfg.Raman.FreqMin, cfg.Raman.FreqMax, cfg.Raman.FreqStep = o.fmin, o.fmax, o.fstep
 	cfg.Raman.Sigma = o.sigma
 	cfg.Raman.LanczosK = o.k
-	cfg.UseDense = o.dense
 	cfg.Sched.NumLeaders = o.leaders
 	cfg.IR = o.irOut != ""
 	if err := o.applyPartitioner(&cfg); err != nil {

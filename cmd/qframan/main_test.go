@@ -43,6 +43,7 @@ func TestFlagsToConfig(t *testing.T) {
 		{name: "-traj refuses -ir", args: []string{"-traj", "t.xyz", "-ir", "ir.tsv"}, wantErr: "-ir is not supported with -traj"},
 		{name: "unknown partitioner", args: []string{"-partitioner", "voronoi"}, wantErr: "unknown partitioner"},
 		{name: "-workers is no flag", args: []string{"-workers", "1"}, wantErr: "flag provided but not defined: -workers"},
+		{name: "-dense is no flag", args: []string{"-dense"}, wantErr: "flag provided but not defined: -dense"},
 		{
 			name: "-cache-dir checkpoints and dedupes, serves nothing old",
 			args: []string{"-cache-dir", t.TempDir()},
@@ -79,7 +80,7 @@ func TestFlagsToConfig(t *testing.T) {
 		},
 		{
 			name: "physics-free overrides reach their fields",
-			args: []string{"-dense", "-ir", "ir.tsv", "-leaders", "3", "-sigma", "20",
+			args: []string{"-ir", "ir.tsv", "-leaders", "3", "-sigma", "20",
 				"-partitioner", "graph", "-frag-size", "30", "-cluster", "127.0.0.1:1"},
 			check: func(t *testing.T, cfg core.Config) {
 				gp, ok := cfg.Partitioner.(fragment.GraphPartitioner)
@@ -89,7 +90,7 @@ func TestFlagsToConfig(t *testing.T) {
 				if _, ok := cfg.Sched.Backend.(*cluster.Client); !ok {
 					t.Fatalf("backend %T, want the cluster client", cfg.Sched.Backend)
 				}
-				if !cfg.UseDense || !cfg.IR || cfg.Sched.NumLeaders != 3 ||
+				if !cfg.IR || cfg.Sched.NumLeaders != 3 ||
 					cfg.Raman.Sigma != 20 {
 					t.Fatalf("config %+v", cfg)
 				}

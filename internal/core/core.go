@@ -1,9 +1,10 @@
 // Package core is the QF-RAMAN orchestrator — the paper's primary
 // contribution assembled end to end: quantum fragmentation of the input
-// system (Eq. 1), parallel per-fragment displacement loops (DFT ground
-// state + DFPT polarizability per displacement) on the master–leader–worker
-// runtime, signed assembly of the sparse mass-weighted Hessian and ∂α/∂ξ
-// vectors, and the Lanczos+GAGQ Raman-spectrum solver (Eq. 5).
+// system (Eq. 1), the per-fragment engine (DFT ground state, then the
+// analytic Hessian, ∂α/∂ξ and ∂μ/∂ξ from DFPT responses) on the
+// master–leader–worker runtime, signed assembly of the sparse mass-weighted
+// Hessian and derivative vectors, and the Raman-spectrum solver (Eq. 5:
+// Lanczos+GAGQ, or the exact measure where it costs less).
 package core
 
 import (
@@ -26,24 +27,17 @@ type Config struct {
 	Partitioner fragment.Partitioner
 	Sched       sched.Options
 	Raman       raman.Options
-	// UseDense replaces the Lanczos solver with exact dense
-	// diagonalization — only feasible for small systems; used by the
-	// validation ladder.
-	UseDense bool
-	// RigidCutoff (cm⁻¹) drops rigid-body modes in the dense path.
-	RigidCutoff float64
 	// IR additionally computes the infrared spectrum from the dipole
-	// derivatives the displacement loop already produces.
+	// derivatives the fragment engine already produces.
 	IR bool
 }
 
 // DefaultConfig returns production settings.
 func DefaultConfig() Config {
 	return Config{
-		Fragment:    fragment.DefaultOptions(),
-		Sched:       sched.DefaultOptions(),
-		Raman:       raman.DefaultOptions(),
-		RigidCutoff: 50,
+		Fragment: fragment.DefaultOptions(),
+		Sched:    sched.DefaultOptions(),
+		Raman:    raman.DefaultOptions(),
 	}
 }
 
@@ -111,35 +105,20 @@ func ComputeRamanDecomposed(sys *structure.System, dec *fragment.Decomposition, 
 // the same assembly.
 func SpectrumFromGlobal(g *hessian.Global, cfg Config) (*raman.Spectrum, *raman.Spectrum, error) {
 	sc := cfg.Sched.Obs
-	solver := int64(0) // 0 = Lanczos/GAGQ, 1 = dense diagonalization
-	if cfg.UseDense {
-		solver = 1
-	}
-	ssc, sspan := sc.Begin("spectrum", "core", obs.A("dense", solver))
-	var spec *raman.Spectrum
-	var err error
-	if cfg.UseDense {
-		spec, err = raman.DenseSpectrum(g, cfg.Raman, cfg.RigidCutoff)
-	} else {
-		ropt := cfg.Raman
-		ropt.Obs = ssc // solver counts land on the spectrum span
-		spec, err = raman.LanczosSpectrum(g, ropt)
-	}
-	sspan.End()
+	ropt := cfg.Raman
+	var span *obs.Span
+	// The solver's route and counts land on each spectrum's span.
+	ropt.Obs, span = sc.Begin("spectrum", "core")
+	spec, err := raman.LanczosSpectrum(g, ropt)
+	span.End()
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: spectrum: %w", err)
 	}
 	var ir *raman.Spectrum
 	if cfg.IR {
-		isc, ispan := sc.Begin("spectrum.ir", "core", obs.A("dense", solver))
-		if cfg.UseDense {
-			ir, err = raman.DenseIRSpectrum(g, cfg.Raman, cfg.RigidCutoff)
-		} else {
-			ropt := cfg.Raman
-			ropt.Obs = isc
-			ir, err = raman.LanczosIRSpectrum(g, ropt)
-		}
-		ispan.End()
+		ropt.Obs, span = sc.Begin("spectrum.ir", "core")
+		ir, err = raman.LanczosIRSpectrum(g, ropt)
+		span.End()
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: IR spectrum: %w", err)
 		}

@@ -66,7 +66,6 @@ func TestQFMatchesDirectSmallPeptide(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := fastConfig()
-	cfg.UseDense = true
 
 	// QF path: with 3 residues the decomposition is a single whole-chain
 	// fragment, so force a finer fragmentation via 4 residues.
@@ -158,7 +157,7 @@ func TestHessianOnlyRun(t *testing.T) {
 
 // TestWaterBoxLanczosMatchesDense: a water box at the wb-resume workload's
 // spectral settings — σ = 20 cm⁻¹, K = 120 — gives the spectrum of the dense
-// mode analysis. The box is the 3×4×4 one (n = 432), the smallest of the
+// eigendecomposition, the exact route that K ≥ n selects. The box is the 3×4×4 one (n = 432), the smallest of the
 // ladder whose spectrum the route sends to the recurrence at these settings
 // (wb-resume's own 3×3×3 box is cheaper to diagonalize), so the ω-recurrence
 // decides which steps sweep.
@@ -177,14 +176,16 @@ func TestWaterBoxLanczosMatchesDense(t *testing.T) {
 	if steps := reg.Counter(obs.MetricLanczosSteps).Value(); steps == 0 {
 		t.Fatalf("n = %d at K = %d took the exact route", res.Global.H.Dim(), cfg.Raman.LanczosK)
 	}
-	dense, err := raman.DenseSpectrum(res.Global, cfg.Raman, cfg.RigidCutoff)
+	exactOpt := cfg.Raman
+	exactOpt.LanczosK = res.Global.H.Dim()
+	exact, err := raman.LanczosSpectrum(res.Global, exactOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := raman.CosineSimilarity(dense, res.Spectrum)
-	t.Logf("Lanczos vs dense cosine %.10f", sim)
+	sim := raman.CosineSimilarity(exact, res.Spectrum)
+	t.Logf("Lanczos vs exact cosine %.10f", sim)
 	if sim < 0.99999 {
-		t.Fatalf("Lanczos vs dense cosine %.10f, want ≥ 0.99999", sim)
+		t.Fatalf("Lanczos vs exact cosine %.10f, want ≥ 0.99999", sim)
 	}
 }
 

@@ -17,14 +17,13 @@ import (
 // only with the evidence to back it.
 func TestGraphMatchesQFFoldedProtein(t *testing.T) {
 	if testing.Short() {
-		t.Skip("cross-validation runs two full dense pipelines")
+		t.Skip("cross-validation runs two full pipelines")
 	}
 	sys, err := structure.BuildProteinFolded("GGGG", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := fastConfig()
-	cfg.UseDense = true
 
 	resQF, err := ComputeRaman(sys, cfg)
 	if err != nil {
@@ -36,8 +35,8 @@ func TestGraphMatchesQFFoldedProtein(t *testing.T) {
 
 	// The default 24-atom target would let the cleanup/parity passes merge
 	// this 31-atom protein into a single part; 12 forces a real partition
-	// (3 parts, 2 cut bonds) while keeping the runtime of two dense
-	// pipelines tolerable.
+	// (3 parts, 2 cut bonds) while keeping the runtime of two pipelines
+	// tolerable.
 	gOpt := fragment.DefaultGraphOptions()
 	gOpt.TargetAtoms = 12
 	cfg.Partitioner = fragment.GraphPartitioner{Opt: gOpt}
@@ -62,11 +61,10 @@ func TestGraphMatchesQFFoldedProtein(t *testing.T) {
 // spectrum with C–H/O–H stretch bands.
 func TestPolymerMeltEndToEnd(t *testing.T) {
 	if testing.Short() {
-		t.Skip("dense pipeline")
+		t.Skip("full pipeline")
 	}
 	sys := structure.BuildPolymerMelt(1, 3, 5)
 	cfg := fastConfig()
-	cfg.UseDense = true
 
 	if _, err := ComputeRaman(sys, cfg); err == nil {
 		t.Fatal("QF engine accepted a generic-molecule system")

@@ -64,7 +64,6 @@ func maxRelDiff(a, b [][]float64) float64 {
 func TestAnalyticPipelineMatchesTheDisplacementLoop(t *testing.T) {
 	sys := structure.BuildWaterDimerSystem(2)
 	cfg := fastConfig()
-	cfg.UseDense = true
 	cfg.IR = true
 	reg := obs.NewRegistry()
 	cfg.Sched.Obs = obs.NewScope(nil, reg)

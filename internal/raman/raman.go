@@ -1,20 +1,21 @@
 // Package raman turns the assembled mass-weighted Hessian and
-// polarizability-derivative vectors into Raman spectra. Two paths exist:
+// polarizability-derivative vectors into Raman spectra. There is one
+// spectrum, the paper's Eq. 4 orientation-averaged activity broadened over
+// the modes, written as Eq. 5's combination of spectral densities
+// dᵀδ_σ(ω−H)d, one per polarizability component plus one for the trace
+// term. It is reached by one of two routes, chosen from the problem's sizes
+// alone (exactCheaper):
 //
-//   - Dense: diagonalize the Hessian, apply the orientation-averaged
-//     intensity formula (paper Eq. 4) mode by mode. Exact, O(N³): the
-//     validation reference for small systems.
-//   - Lanczos: the paper's large-system solver (Eq. 5): the spectrum is a
-//     combination of spectral densities dᵀδ_σ(ω−H)d, one per polarizability
-//     component plus one for the trace term. They are evaluated with
-//     Lanczos+GAGQ — seven K-step recurrences advanced in lockstep by one
-//     lanczos.Plan so each step reads the Hessian once — or, where one dense
+//   - Lanczos+GAGQ, the paper's large-system solver: seven K-step
+//     recurrences advanced in lockstep by one lanczos.Plan, so each step
+//     reads the Hessian once.
+//   - The exact measure the quadrature converges to, where one dense
 //     eigendecomposition costs less than those K steps (always when the
 //     Hessian has no more than K coordinates, whose Krylov space K steps
-//     would exhaust), by the exact measure the quadrature converges to: the
-//     same start vectors projected on every eigenvector. The route is chosen
-//     from the problem's sizes alone (exactCheaper). The IR spectrum is the
-//     same solve with three columns.
+//     would exhaust): the same start vectors projected on every
+//     eigenvector.
+//
+// The IR spectrum is the same solve with three columns.
 package raman
 
 import (
@@ -138,49 +139,33 @@ func (o *Options) window(w float64, points int) (lo, hi int) {
 	return lo, hi
 }
 
-// eqFourWeights returns the per-component weights of the paper's Eq. 4 when
-// expanded over the six independent tensor components:
+// eqFourComponentWeights are the per-component weights of the paper's
+// Eq. 4 when expanded over the six independent tensor components:
 // R ∝ 3/2·(Σ_i a_ii)² + 21/2·Σ_ij a_ij², the off-diagonal components
 // appearing twice in the double sum.
 var eqFourComponentWeights = [6]float64{10.5, 10.5, 10.5, 21, 21, 21}
 
 const eqFourTraceWeight = 1.5
 
-// Modes holds a dense normal-mode analysis.
-type Modes struct {
-	// Wavenumbers in cm⁻¹ (signed: imaginary modes negative), ascending.
-	Wavenumbers []float64
-	// Activity is the Eq. 4 Raman activity per mode.
-	Activity []float64
+// modes is a normal-mode analysis: mode p at its wavenumber with the
+// weight of the exact measure.
+type modes struct {
+	// wavenumbers in cm⁻¹ (signed: imaginary modes negative), ascending.
+	wavenumbers []float64
+	// activity is Σ_c weights[c]·(v_pᵀd_c)² for the start vectors d_c.
+	activity []float64
 }
 
-// DenseModes diagonalizes the mass-weighted Hessian (must be small enough
-// to densify) and computes per-mode Raman activities. A Hessian the
-// eigensolver cannot converge on is an error wrapping lanczos.ErrQuadrature.
-func DenseModes(g *hessian.Global) (*Modes, error) {
-	return normalModes(g.H, g.DAlpha[:], true, func(a []float64) float64 {
-		tr := a[0] + a[1] + a[2]
-		act := eqFourTraceWeight * tr * tr
-		for c, w := range eqFourComponentWeights {
-			act += w * a[c] * a[c]
-		}
-		return act
-	})
-}
-
-// normalModes is the dense mode analysis behind every exact path: it
-// densifies h, diagonalizes it once, and gives mode p its wavenumber and the
-// activity activity(a), where a[c] = v_pᵀ·vecs[c] is the projection of
-// vector c on the mode's eigenvector (0 for a nil vector). With
-// eigenvectors set the projections are dot products with the formed
-// eigenvectors (linalg.EigSymWork), the arithmetic the dense spectra's bits
-// are pinned to; without, the solve carries the vectors through the
-// reduction and the QL rotations instead (linalg.EigSymProjected), at the
-// same eigenvalue bits and about a quarter of the cost at n = 243–432. A
-// Hessian the eigensolver cannot converge on — a non-finite one — is an
-// error wrapping lanczos.ErrQuadrature: deterministic, never retried.
-func normalModes(h *hessian.Sparse, vecs [][]float64, eigenvectors bool, activity func(a []float64) float64) (*Modes, error) {
-	n, w := h.Dim(), len(vecs)
+// normalModes is the exact route's mode analysis: it densifies h,
+// diagonalizes it once, and gives mode p its wavenumber and the activity
+// Σ_c weights[c]·a_c², where a_c = v_pᵀ·starts[c] is the projection of start
+// vector c on the mode's eigenvector (0 for a nil vector). The solve carries
+// the vectors through the reduction and the QL rotations
+// (linalg.EigSymProjected) instead of forming the eigenvectors. A Hessian
+// the eigensolver cannot converge on — a non-finite one — is an error
+// wrapping lanczos.ErrQuadrature: deterministic, never retried.
+func normalModes(h *hessian.Sparse, starts [][]float64, weights []float64) (*modes, error) {
+	n, w := h.Dim(), len(starts)
 	v := linalg.NewMatrix(n, n)
 	for i := 0; i < n; i++ {
 		for k := h.RowPtr[i]; k < h.RowPtr[i+1]; k++ {
@@ -190,53 +175,34 @@ func normalModes(h *hessian.Sparse, vecs [][]float64, eigenvectors bool, activit
 	v.Symmetrize()
 	vals := make([]float64, n)
 	proj := linalg.NewMatrix(n, w) // row p: the projections on mode p
-	var err error
-	if eigenvectors {
-		if err = linalg.NewEigSymWork(n).Solve(v, vals, v); err == nil {
-			// Each projection is summed in ascending i, one eigenvector row
-			// at a time.
-			for i := 0; i < n; i++ {
-				for c, d := range vecs {
-					if d == nil {
-						continue
-					}
-					di := d[i]
-					for p, x := range v.Row(i) {
-						proj.Data[p*w+c] += x * di
-					}
-				}
-			}
+	for c, d := range starts {
+		for i, x := range d {
+			proj.Data[i*w+c] = x
 		}
-	} else {
-		for c, d := range vecs {
-			for i, x := range d {
-				proj.Data[i*w+c] = x
-			}
-		}
-		err = linalg.EigSymProjected(v, vals, proj)
 	}
-	if err != nil {
+	if err := linalg.EigSymProjected(v, vals, proj); err != nil {
 		return nil, fmt.Errorf("raman: mode analysis: %w: %w", lanczos.ErrQuadrature, err)
 	}
-	m := &Modes{Wavenumbers: make([]float64, n), Activity: make([]float64, n)}
+	m := &modes{wavenumbers: make([]float64, n), activity: make([]float64, n)}
 	for p, val := range vals {
-		m.Wavenumbers[p] = constants.WavenumberFromEigenvalue(val)
-		m.Activity[p] = activity(proj.Row(p))
+		m.wavenumbers[p] = constants.WavenumberFromEigenvalue(val)
+		a := proj.Row(p)
+		var act float64
+		for c, wc := range weights {
+			act += wc * a[c] * a[c]
+		}
+		m.activity[p] = act
 	}
 	return m, nil
 }
 
 // spectrum broadens the modes on opt's axis, each by a normalized Gaussian
-// of width opt.Sigma cut at ±8σ (the window of the Lanczos rule), dropping
-// modes below rigidCutoff cm⁻¹ in absolute value.
-func (m *Modes) spectrum(opt Options, rigidCutoff float64) *Spectrum {
+// of width opt.Sigma cut at ±8σ (the window of the Lanczos rule).
+func (m *modes) spectrum(opt Options) *Spectrum {
 	xs := opt.axis()
 	out := &Spectrum{Freq: xs, Intensity: make([]float64, len(xs))}
 	pref := 1 / (math.Sqrt(2*math.Pi) * opt.Sigma)
-	for p, w := range m.Wavenumbers {
-		if math.Abs(w) < rigidCutoff {
-			continue
-		}
+	for p, w := range m.wavenumbers {
 		lo, hi := opt.window(w, len(xs))
 		for xi, x := range xs[lo:hi] {
 			xi += lo
@@ -244,20 +210,10 @@ func (m *Modes) spectrum(opt Options, rigidCutoff float64) *Spectrum {
 			if dx > 8 || dx < -8 {
 				continue
 			}
-			out.Intensity[xi] += m.Activity[p] * pref * math.Exp(-0.5*dx*dx)
+			out.Intensity[xi] += m.activity[p] * pref * math.Exp(-0.5*dx*dx)
 		}
 	}
 	return out
-}
-
-// DenseSpectrum produces the exact spectrum from a dense mode analysis,
-// dropping rigid-body modes below rigidCutoff cm⁻¹ (in absolute value).
-func DenseSpectrum(g *hessian.Global, opt Options, rigidCutoff float64) (*Spectrum, error) {
-	modes, err := DenseModes(g)
-	if err != nil {
-		return nil, err
-	}
-	return modes.spectrum(opt, rigidCutoff), nil
 }
 
 // LanczosSpectrum produces the spectrum with the paper's Eq. 5 solver: seven
@@ -389,20 +345,14 @@ func startVectors(g *hessian.Global, vecs [][]float64) [][]float64 {
 // where exactCheaper says it costs less; no mode is dropped, as the
 // quadrature drops none.
 func exactSpectrum(h *hessian.Sparse, opt Options, starts [][]float64, weights []float64) (*Spectrum, error) {
-	modes, err := normalModes(h, starts, false, func(a []float64) float64 {
-		var act float64
-		for c, w := range weights {
-			act += w * a[c] * a[c]
-		}
-		return act
-	})
+	m, err := normalModes(h, starts, weights)
 	if err != nil {
 		return nil, err
 	}
 	if opt.Obs.Enabled() {
 		opt.Obs.RecordExactSpectrum()
 	}
-	return modes.spectrum(opt, 0), nil
+	return m.spectrum(opt), nil
 }
 
 // quadratureSpectrum is the paper's route: one lockstep lanczos.Plan solve

@@ -50,29 +50,34 @@ func pipelineGlobal(t testing.TB, sys *structure.System) *hessian.Global {
 	return g
 }
 
-func TestDenseModesWaterDimer(t *testing.T) {
+// TestExactModesWaterDimer: the exact route's mode analysis of the dimer
+// has its 18 modes, an O–H stretch band and no negative activity, for the
+// Raman and the IR columns.
+func TestExactModesWaterDimer(t *testing.T) {
 	g := dimerGlobal(t)
-	modes, err := DenseModes(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(modes.Wavenumbers) != 18 {
-		t.Fatalf("modes = %d, want 18", len(modes.Wavenumbers))
-	}
-	// O–H stretch band present near 3600–3800.
-	found := false
-	for _, w := range modes.Wavenumbers {
-		if w > 3400 && w < 3900 {
-			found = true
+	for kind, ir := range map[string]bool{"raman": false, "ir": true} {
+		starts, weights := solveStarts(g, ir)
+		m, err := normalModes(g.H, starts, weights)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !found {
-		t.Error("no O–H stretch modes found")
-	}
-	// Activities non-negative.
-	for p, a := range modes.Activity {
-		if a < 0 {
-			t.Fatalf("negative activity %g at mode %d", a, p)
+		if len(m.wavenumbers) != 18 {
+			t.Fatalf("%s: modes = %d, want 18", kind, len(m.wavenumbers))
+		}
+		// O–H stretch band present near 3600–3800.
+		found := false
+		for _, w := range m.wavenumbers {
+			if w > 3400 && w < 3900 {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("%s: no O–H stretch modes found", kind)
+		}
+		for p, a := range m.activity {
+			if a < 0 {
+				t.Fatalf("%s: negative activity %g at mode %d", kind, a, p)
+			}
 		}
 	}
 }
@@ -84,6 +89,13 @@ func TestDenseModesWaterDimer(t *testing.T) {
 func quadrature(g *hessian.Global, opt Options, ir bool) (*Spectrum, error) {
 	starts, weights := solveStarts(g, ir)
 	return quadratureSpectrum(g.H, opt, starts, weights)
+}
+
+// exact is LanczosSpectrum (ir: LanczosIRSpectrum) on the exact route,
+// whatever K: the reference the quadrature is held against.
+func exact(g *hessian.Global, opt Options, ir bool) (*Spectrum, error) {
+	starts, weights := solveStarts(g, ir)
+	return exactSpectrum(g.H, opt, starts, weights)
 }
 
 // solveStarts returns the start vectors and weights LanczosSpectrum (ir:
@@ -99,14 +111,14 @@ func solveStarts(g *hessian.Global, ir bool) ([][]float64, []float64) {
 // TestLanczosSpectrumMatchesDense: on both routes — the K = 17 quadrature
 // runs the recurrences through the dimer's whole 15-dimensional Krylov
 // space, LanczosSpectrum takes the exact route — the spectrum matches the
-// dense one.
+// one of the dense eigendecomposition (the exact route).
 func TestLanczosSpectrumMatchesDense(t *testing.T) {
 	g := dimerGlobal(t)
 	opt := DefaultOptions()
 	opt.FreqMin, opt.FreqMax, opt.FreqStep = 200, 4000, 5
 	opt.Sigma = 20
 
-	dense, err := DenseSpectrum(g, opt, 50)
+	ref, err := exact(g, opt, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,25 +132,25 @@ func TestLanczosSpectrumMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(dense.Freq) != len(lan.Freq) {
+		if len(ref.Freq) != len(lan.Freq) {
 			t.Fatal("axis mismatch")
 		}
-		if sim := CosineSimilarity(dense, lan); sim < 0.995 {
-			t.Fatalf("%s: dense vs Lanczos cosine similarity %v", name, sim)
+		if sim := CosineSimilarity(ref, lan); sim < 0.995 {
+			t.Fatalf("%s: exact vs Lanczos cosine similarity %v", name, sim)
 		}
 	}
 }
 
 func TestLanczosSpectrumSmallK(t *testing.T) {
 	// Even with k far below the dimension the GAGQ spectrum should track
-	// the dense result closely.
+	// the exact result closely.
 	g := dimerGlobal(t)
 	opt := DefaultOptions()
 	opt.FreqMin, opt.FreqMax, opt.FreqStep = 200, 4000, 5
 	opt.Sigma = 40
 	opt.LanczosK = 8
 
-	dense, err := DenseSpectrum(g, opt, 50)
+	ref, err := exact(g, opt, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +158,7 @@ func TestLanczosSpectrumSmallK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim := CosineSimilarity(dense, lan); sim < 0.9 {
+	if sim := CosineSimilarity(ref, lan); sim < 0.9 {
 		t.Fatalf("small-k cosine similarity %v", sim)
 	}
 }
@@ -243,7 +255,7 @@ func TestIRSpectrumWaterDimer(t *testing.T) {
 	opt.FreqMin, opt.FreqMax, opt.FreqStep = 200, 4000, 5
 	opt.Sigma = 20
 
-	dense, err := DenseIRSpectrum(g, opt, 50)
+	ref, err := exact(g, opt, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,17 +269,17 @@ func TestIRSpectrumWaterDimer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sim := CosineSimilarity(dense, lan); sim < 0.99 {
-			t.Fatalf("%s: dense vs Lanczos IR cosine similarity %v", name, sim)
+		if sim := CosineSimilarity(ref, lan); sim < 0.99 {
+			t.Fatalf("%s: exact vs Lanczos IR cosine similarity %v", name, sim)
 		}
 	}
 	// Water's bend (~1650) is strongly IR active: require real intensity
 	// there relative to the maximum.
-	dense.Normalize()
+	ref.Normalize()
 	var bend float64
-	for i, f := range dense.Freq {
-		if f > 1500 && f < 1800 && dense.Intensity[i] > bend {
-			bend = dense.Intensity[i]
+	for i, f := range ref.Freq {
+		if f > 1500 && f < 1800 && ref.Intensity[i] > bend {
+			bend = ref.Intensity[i]
 		}
 	}
 	if bend < 0.05 {
@@ -277,9 +289,6 @@ func TestIRSpectrumWaterDimer(t *testing.T) {
 
 func TestIRRequiresDipoleDerivatives(t *testing.T) {
 	g := &hessian.Global{H: emptyHessian(t, 3), Masses: []float64{1}}
-	if _, err := DenseIRSpectrum(g, DefaultOptions(), 0); err == nil {
-		t.Fatal("accepted missing dipole derivatives")
-	}
 	if _, err := LanczosIRSpectrum(g, DefaultOptions()); err == nil {
 		t.Fatal("accepted missing dipole derivatives")
 	}
@@ -295,10 +304,8 @@ func TestSpectraNonNegative(t *testing.T) {
 	for name, spec := range map[string]func() (*Spectrum, error){
 		"raman-lanczos": func() (*Spectrum, error) { return quadrature(g, opt, false) },
 		"raman-exact":   func() (*Spectrum, error) { return LanczosSpectrum(g, exact) },
-		"raman-dense":   func() (*Spectrum, error) { return DenseSpectrum(g, opt, 0) },
 		"ir-lanczos":    func() (*Spectrum, error) { return quadrature(g, opt, true) },
 		"ir-exact":      func() (*Spectrum, error) { return LanczosIRSpectrum(g, exact) },
-		"ir-dense":      func() (*Spectrum, error) { return DenseIRSpectrum(g, opt, 0) },
 	} {
 		s, err := spec()
 		if err != nil {
@@ -315,11 +322,11 @@ func TestSpectraNonNegative(t *testing.T) {
 }
 
 // TestNonFiniteHessianIsTypedAndPermanent: a NaN in the Hessian poisons
-// every route. The quadrature's eigen-solve cannot converge on the Lanczos
+// both routes. The quadrature's eigen-solve cannot converge on the Lanczos
 // route (K = 12), nor the dense eigendecomposition on the exact route (which
-// LanczosSpectrum takes on the dimer) and the dense paths; each spectrum
-// comes back as lanczos.ErrQuadrature — an error the runtime must not retry
-// — instead of a panic that would take a daemon down.
+// LanczosSpectrum takes on the dimer); each spectrum comes back as
+// lanczos.ErrQuadrature — an error the runtime must not retry — instead of
+// a panic that would take a daemon down.
 func TestNonFiniteHessianIsTypedAndPermanent(t *testing.T) {
 	g := dimerGlobal(t)
 	g.H.Val[len(g.H.Val)/2] = math.NaN()
@@ -331,8 +338,6 @@ func TestNonFiniteHessianIsTypedAndPermanent(t *testing.T) {
 		"lanczos ir":    func() (*Spectrum, error) { return quadrature(g, quadOpt, true) },
 		"exact raman":   func() (*Spectrum, error) { return LanczosSpectrum(g, opt) },
 		"exact ir":      func() (*Spectrum, error) { return LanczosIRSpectrum(g, opt) },
-		"dense raman":   func() (*Spectrum, error) { return DenseSpectrum(g, opt, 50) },
-		"dense ir":      func() (*Spectrum, error) { return DenseIRSpectrum(g, opt, 50) },
 	} {
 		_, err := solve()
 		if !errors.Is(err, lanczos.ErrQuadrature) {
@@ -345,8 +350,8 @@ func TestNonFiniteHessianIsTypedAndPermanent(t *testing.T) {
 }
 
 // TestEmptyHessianGivesZeroSpectrum: a Hessian of no coordinates is within
-// any K, so it takes the exact route; it and the dense paths return an
-// all-zero spectrum on the axis instead of indexing an empty matrix.
+// any K, so it takes the exact route, which returns an all-zero spectrum on
+// the axis instead of indexing an empty matrix.
 func TestEmptyHessianGivesZeroSpectrum(t *testing.T) {
 	g := &hessian.Global{H: emptyHessian(t, 0)}
 	for c := range g.DAlpha {
@@ -359,8 +364,6 @@ func TestEmptyHessianGivesZeroSpectrum(t *testing.T) {
 	for name, solve := range map[string]func() (*Spectrum, error){
 		"lanczos raman": func() (*Spectrum, error) { return LanczosSpectrum(g, opt) },
 		"lanczos ir":    func() (*Spectrum, error) { return LanczosIRSpectrum(g, opt) },
-		"dense raman":   func() (*Spectrum, error) { return DenseSpectrum(g, opt, 0) },
-		"dense ir":      func() (*Spectrum, error) { return DenseIRSpectrum(g, opt, 0) },
 	} {
 		s, err := solve()
 		if err != nil {
@@ -477,24 +480,24 @@ func goldenOptions() Options {
 	return opt
 }
 
-// TestDenseSpectraKeepTheirBits pins the dimer's dense Raman and IR spectra
-// to SHA-256 goldens: the mode analysis they share with the exact route
-// must not move their arithmetic.
-func TestDenseSpectraKeepTheirBits(t *testing.T) {
+// TestExactSpectraKeepTheirBits pins the dimer's Raman and IR spectra on
+// the exact route (n = 18 ≤ K = 200) to SHA-256 goldens: the mode analysis
+// must not move its arithmetic.
+func TestExactSpectraKeepTheirBits(t *testing.T) {
 	g := dimerGlobal(t)
 	for name, c := range map[string]struct {
-		solve func(*hessian.Global, Options, float64) (*Spectrum, error)
+		solve func(*hessian.Global, Options) (*Spectrum, error)
 		sha   string
 	}{
-		"raman": {DenseSpectrum, "d5008d66835ab5a1d76514dd26264a79cf8317f4b591449923e6318905289523"},
-		"ir":    {DenseIRSpectrum, "5175d8383dbae41d7470e90d559286eab0191225ef04c10e346c37d431fbd89f"},
+		"raman": {LanczosSpectrum, "77e95917be5c40c9b12f91f3665f3123905ca489c71e35196aced57a118d01ba"},
+		"ir":    {LanczosIRSpectrum, "e9a6425b151ba609156d27dec4ab17208746ad2cea8b8b2aae2889b1d8e03af9"},
 	} {
-		s, err := c.solve(g, goldenOptions(), 50)
+		s, err := c.solve(g, goldenOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := spectrumSHA256(s); got != c.sha {
-			t.Errorf("%s: dense spectrum SHA-256 %s, want %s", name, got, c.sha)
+			t.Errorf("%s: exact spectrum SHA-256 %s, want %s", name, got, c.sha)
 		}
 	}
 }
@@ -733,36 +736,47 @@ func TestExactAndQuadratureAcrossTheRoute(t *testing.T) {
 	}
 }
 
-// TestIRQuadratureAtTheRouteTurn holds the IR quadrature next to where the
-// route first gives it to the recurrence: at wb-resume's settings the three
-// IR columns of the jittered 3×3×3 box (n = 243) take the exact route, and
-// those of the next box of the ladder (3×3×4, n = 324) the K = 120
-// quadrature. On the 3×3×3 box, from the same start vectors, the IR
-// quadrature's cosine to the exact IR spectrum measured 0.9999722 (the Raman
-// quadrature's 0.9999994; EXPERIMENTS.md, "The IR quadrature at the route's
-// turn"); the bound sits just under it, so a change that makes the IR
-// quadrature worse is seen. The bound stays on this box: the IR quadrature's
-// error grows with n (0.9993 at n = 432).
+// TestIRQuadratureAtTheRouteTurn holds the IR quadrature on both sides of
+// where the route first gives it to the recurrence: at wb-resume's settings
+// the three IR columns of the jittered 3×3×3 box (n = 243) take the exact
+// route, and those of the next box of the ladder (3×3×4, n = 324) the
+// K = 120 quadrature. From the same start vectors, the IR quadrature's
+// cosine to the exact IR spectrum measured 0.9999722 at n = 243 (the Raman
+// quadrature's 0.9999994) and 0.9998685 at n = 324, the first box the
+// route actually sends to it (EXPERIMENTS.md, "The IR quadrature at the
+// route's turn"); each bound sits just under its measurement, so a change
+// that makes the IR quadrature worse is seen. The error grows with n
+// (0.9993 at n = 432).
 func TestIRQuadratureAtTheRouteTurn(t *testing.T) {
 	opt := resumeOptions()
-	g := waterBoxGlobal(t, 3, 3, 3)
-	n := g.H.Dim()
-	if n != 243 || !exactCheaper(n, len(g.H.Val), 3, &opt) || exactCheaper(324, 15390, 3, &opt) {
-		t.Fatalf("n = %d: want n = 243 with IR on the exact route and the 3×3×4 box's IR on the quadrature", n)
-	}
-	starts, weights := solveStarts(g, true)
-	exact, err := exactSpectrum(g.H, opt, starts, weights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	quad, err := quadratureSpectrum(g.H, opt, starts, weights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := CosineSimilarity(exact, quad)
-	t.Logf("IR, n = %d: exact vs K = %d quadrature cosine %.10f", n, opt.LanczosK, sim)
-	if sim < 0.99997 {
-		t.Errorf("IR, n = %d: exact vs quadrature cosine %.10f, want ≥ 0.99997", n, sim)
+	for _, c := range []struct {
+		dims  [3]int
+		n     int
+		exact bool // the IR route at these settings
+		bound float64
+	}{
+		{[3]int{3, 3, 3}, 243, true, 0.99997},
+		{[3]int{3, 3, 4}, 324, false, 0.99986},
+	} {
+		g := waterBoxGlobal(t, c.dims[0], c.dims[1], c.dims[2])
+		n := g.H.Dim()
+		if n != c.n || exactCheaper(n, len(g.H.Val), 3, &opt) != c.exact {
+			t.Fatalf("n = %d: want n = %d with the IR route exact = %v", n, c.n, c.exact)
+		}
+		starts, weights := solveStarts(g, true)
+		exact, err := exactSpectrum(g.H, opt, starts, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		quad, err := quadratureSpectrum(g.H, opt, starts, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim := CosineSimilarity(exact, quad)
+		t.Logf("IR, n = %d: exact vs K = %d quadrature cosine %.10f", n, opt.LanczosK, sim)
+		if sim < c.bound {
+			t.Errorf("IR, n = %d: exact vs quadrature cosine %.10f, want ≥ %g", n, sim, c.bound)
+		}
 	}
 }
 

@@ -28,8 +28,7 @@ func chaosEngine(f *fragment.Fragment, opt sched.Options) (*hessian.FragmentData
 	return sched.DefaultProcess(f, opt)
 }
 
-// chaosConfig runs the real engine (spectra on, dense solver via the
-// requests) over a shared store.
+// chaosConfig runs the real engine (spectra on) over a shared store.
 func chaosConfig(t *testing.T) Config {
 	return Config{
 		Store:      openStore(t, t.TempDir()),
@@ -42,9 +41,8 @@ func chaosConfig(t *testing.T) Config {
 // waterJob submits a single-water text system with O–H bond length d.
 func waterJob(tenant string, d, x0 float64) SubmitRequest {
 	return SubmitRequest{
-		Tenant:   tenant,
-		System:   SystemSpec{Kind: "text", Text: waterText(d, x0)},
-		Spectrum: SpectrumSpec{Dense: true},
+		Tenant: tenant,
+		System: SystemSpec{Kind: "text", Text: waterText(d, x0)},
 	}
 }
 

@@ -62,10 +62,18 @@ type SpectrumSpec struct {
 	FreqMax  float64 `json:"fmax,omitempty"`
 	FreqStep float64 `json:"fstep,omitempty"`
 	Sigma    float64 `json:"sigma,omitempty"`
-	LanczosK int     `json:"k,omitempty"`
-	// Dense selects exact dense diagonalization (small systems only).
-	Dense bool `json:"dense,omitempty"`
+	// LanczosK is at most 1 000 (maxLanczosK). A system of at most K
+	// coordinates, or one whose eigendecomposition costs less than K steps,
+	// is solved exactly.
+	LanczosK int `json:"k,omitempty"`
 }
+
+// maxLanczosK bounds SpectrumSpec.LanczosK at five times the default K.
+// K decides how large a Hessian the exact route densifies (at K = 1 000 it
+// stops near n = 1 950, a 30 MB matrix) and the size of the quadrature's
+// history (3.4 GB at the default atom cap); a K of 100 000 would let one
+// request densify a 60 000² Hessian (28.8 GB) or keep a 336 GB history.
+const maxLanczosK = 1000
 
 // SubmitRequest is the POST /jobs payload.
 type SubmitRequest struct {
@@ -141,8 +149,8 @@ func (sp *SpectrumSpec) validate() error {
 	if sp.FreqMax > 0 && sp.FreqMax <= sp.FreqMin {
 		return fmt.Errorf("serve: fmax must exceed fmin")
 	}
-	if sp.LanczosK < 0 || sp.LanczosK > 100000 {
-		return fmt.Errorf("serve: lanczos k out of range")
+	if sp.LanczosK < 0 || sp.LanczosK > maxLanczosK {
+		return fmt.Errorf("serve: lanczos k out of range [0, %d]", maxLanczosK)
 	}
 	return nil
 }

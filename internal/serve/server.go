@@ -529,11 +529,9 @@ func (s *Server) execute(j *Job) (*ReportSummary, *SpectrumPayload, error) {
 		ropt := s.cfg.Raman
 		j.req.Spectrum.apply(&ropt)
 		cfg := core.Config{
-			Fragment:    s.cfg.Fragment,
-			Sched:       opt,
-			Raman:       ropt,
-			UseDense:    j.req.Spectrum.Dense,
-			RigidCutoff: 50,
+			Fragment: s.cfg.Fragment,
+			Sched:    opt,
+			Raman:    ropt,
 		}
 		var res *core.Result
 		res, err = core.ComputeRamanDecomposed(j.sys, dec, cfg)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -54,15 +55,45 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 		{"nan in text", `{"tenant":"a","system":{"kind":"text","text":"ATOM 0 OW O HOH 1 0 NaN 0 0\n"}}`},
 		{"trailing data", `{"tenant":"a","system":{"kind":"dimers","n":1}} {"x":1}`},
 	} {
-		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
+		if code, _ := postRaw(t, ts, tc.body); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.name, code)
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
-		}
+	}
+}
+
+// postRaw posts a raw submit body and returns the status and the error
+// message of a rejection.
+func postRaw(t *testing.T, ts *httptest.Server, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e errorResponse
+	json.NewDecoder(resp.Body).Decode(&e)
+	return resp.StatusCode, e.Error
+}
+
+// TestSubmitBoundsLanczosK: k decides how large a Hessian the exact route
+// densifies and how long the quadrature's history grows, so a request's k
+// is bounded at 1 000: k = 1 001 is a 400 and k = 1 000 is admitted.
+func TestSubmitBoundsLanczosK(t *testing.T) {
+	_, ts := newTestServer(t, Config{Runners: 1})
+	if code, msg := postRaw(t, ts, `{"tenant":"a","system":{"kind":"dimers","n":1},"spectrum":{"k":1001}}`); code != http.StatusBadRequest {
+		t.Fatalf("k = 1001: status %d (%s), want 400", code, msg)
+	}
+	submitOK(t, ts, SubmitRequest{Tenant: "a", System: SystemSpec{Kind: "dimers", N: 1}, Spectrum: SpectrumSpec{LanczosK: 1000}})
+}
+
+// TestSubmitRejectsDenseField: there is one exact path, selected by k, and
+// no request field for a second one; the strict decoder names the field it
+// refuses.
+func TestSubmitRejectsDenseField(t *testing.T) {
+	_, ts := newTestServer(t, Config{Runners: 1})
+	code, msg := postRaw(t, ts, `{"tenant":"a","system":{"kind":"dimers","n":1},"spectrum":{"dense":true}}`)
+	if code != http.StatusBadRequest || !strings.Contains(msg, `"dense"`) {
+		t.Fatalf("spectrum.dense: status %d (%s), want 400 naming the field", code, msg)
 	}
 }
 
