@@ -16,7 +16,7 @@ package hessian
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"qframan/internal/constants"
 	"qframan/internal/dfpt"
@@ -620,6 +620,14 @@ type Global struct {
 // dropped — their contributions cancel between the positively and negatively
 // signed terms of the combination.
 //
+// The Hessian is assembled in two passes with no intermediate. The symbolic
+// pass (coupledAtoms) fixes the CSR pattern: atom a's rows hold a 3×3 block
+// for every atom some fragment couples it to. The numeric pass walks the
+// fragments in decomposition order and adds each contribution
+// Coeff·H_f[3la+da][3lb+db] / (√m_a·√m_b) into its slot, so every entry sums
+// its contributions in decomposition order. An entry whose sum is exactly 0
+// is not stored.
+//
 // failed is the fail-soft allowance (nil for a complete assembly): fragments
 // listed in it may have nil data — their signed Eq. 1 terms are dropped from
 // the sums and recorded in Global.Dropped — so a run that lost K fragments
@@ -641,11 +649,19 @@ func AssembleDegraded(dec *fragment.Decomposition, massesAMU []float64, frags []
 	natoms := len(massesAMU)
 	n3 := 3 * natoms
 	massesAU := make([]float64, natoms)
+	sqrtM := make([]float64, natoms)
 	for i, m := range massesAMU {
 		massesAU[i] = m * constants.AMUToElectronMass
+		sqrtM[i] = sqrtAU(massesAU[i])
 	}
 
-	b := NewBuilder(n3)
+	ptr, nbr := coupledAtoms(dec, natoms)
+	if err := checkNNZ(9 * len(nbr)); err != nil {
+		return nil, err
+	}
+	// Atom a's three rows are consecutive runs of 3·deg(a) slots from
+	// 9·ptr[a]: slot 3p+db of row 3a+da is column 3·nbr[ptr[a]+p]+db.
+	val := make([]float64, 9*len(nbr))
 	var dAlpha [6][]float64
 	if withAlpha {
 		for c := range dAlpha {
@@ -670,16 +686,17 @@ func AssembleDegraded(dec *fragment.Decomposition, massesAMU []float64, frags []
 			if ga < 0 {
 				continue
 			}
+			nb := nbr[ptr[ga]:ptr[ga+1]]
 			for lb, gb := range f.GlobalIdx {
 				if gb < 0 {
 					continue
 				}
+				p, _ := slices.BinarySearch(nb, int32(gb))
+				m := sqrtM[ga] * sqrtM[gb]
 				for da := 0; da < 3; da++ {
+					slot := val[9*ptr[ga]+3*len(nb)*da+3*p:]
 					for db := 0; db < 3; db++ {
-						v := f.Coeff * data.Hess.At(3*la+da, 3*lb+db)
-						if v != 0 {
-							b.Add(3*ga+da, 3*gb+db, v)
-						}
+						slot[db] += f.Coeff * data.Hess.At(3*la+da, 3*lb+db) / m
 					}
 				}
 			}
@@ -700,36 +717,66 @@ func AssembleDegraded(dec *fragment.Decomposition, massesAMU []float64, frags []
 		}
 	}
 
-	// Mass weighting: H_mw = M^{-1/2} H M^{-1/2}, d_mw = M^{-1/2} d.
-	sqrtM := make([]float64, n3)
+	// Compact in place, dropping the exact zeros.
+	h := &Sparse{N: n3, RowPtr: make([]int32, n3+1), Col: make([]int32, len(val))}
+	nnz := 0
 	for a := 0; a < natoms; a++ {
-		s := sqrtAU(massesAU[a])
-		sqrtM[3*a] = s
-		sqrtM[3*a+1] = s
-		sqrtM[3*a+2] = s
+		nb := nbr[ptr[a]:ptr[a+1]]
+		for da := 0; da < 3; da++ {
+			for k, v := range val[9*ptr[a]+3*len(nb)*da:][:3*len(nb)] {
+				if v != 0 {
+					val[nnz], h.Col[nnz] = v, 3*nb[k/3]+int32(k%3)
+					nnz++
+				}
+			}
+			h.RowPtr[3*a+da+1] = int32(nnz)
+		}
 	}
-	b.ScaleRowsCols(sqrtM)
-	sort.Ints(dropped)
-	h, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
+	h.Col, h.Val = h.Col[:nnz], val[:nnz]
+
+	// Mass weighting of the derivative vectors: d_mw = M^{-1/2} d.
 	g := &Global{H: h, Masses: massesAU, Dropped: dropped}
 	if withAlpha {
 		for c := 0; c < 6; c++ {
 			for i := 0; i < n3; i++ {
-				dAlpha[c][i] /= sqrtM[i]
+				dAlpha[c][i] /= sqrtM[i/3]
 			}
 		}
 		g.DAlpha = dAlpha
 	}
 	for k := 0; k < 3; k++ {
 		for i := 0; i < n3; i++ {
-			dDip[k][i] /= sqrtM[i]
+			dDip[k][i] /= sqrtM[i/3]
 		}
 	}
 	g.DDipole = dDip
 	return g, nil
+}
+
+// coupledAtoms is assembly's symbolic pass: nbr[ptr[a]:ptr[a+1]] lists,
+// ascending and without repeats, the atoms some fragment of dec couples atom
+// a to (cap atoms, GlobalIdx −1, skipped) — the 3×3 block pattern of H's
+// rows 3a…3a+2. A failed fragment keeps its couplings: their slots sum to
+// exactly 0 and are not stored.
+func coupledAtoms(dec *fragment.Decomposition, natoms int) (ptr []int, nbr []int32) {
+	lists := make([][]int32, natoms)
+	for fi := range dec.Fragments {
+		idx := dec.Fragments[fi].GlobalIdx
+		for _, a := range idx {
+			for _, b := range idx {
+				if a >= 0 && b >= 0 {
+					lists[a] = append(lists[a], int32(b))
+				}
+			}
+		}
+	}
+	ptr = make([]int, natoms+1)
+	for a, l := range lists {
+		slices.Sort(l)
+		nbr = append(nbr, slices.Compact(l)...)
+		ptr[a+1] = len(nbr)
+	}
+	return ptr, nbr
 }
 
 func sqrtAU(m float64) float64 {

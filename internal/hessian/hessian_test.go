@@ -231,7 +231,7 @@ func TestRunDisplacementValidation(t *testing.T) {
 	}
 }
 
-func mustBuild(t testing.TB, b *Builder) *Sparse {
+func mustBuild(t testing.TB, b *cooBuilder) *Sparse {
 	t.Helper()
 	s, err := b.Build()
 	if err != nil {
@@ -241,7 +241,7 @@ func mustBuild(t testing.TB, b *Builder) *Sparse {
 }
 
 func TestSparseBuilderAndMulVec(t *testing.T) {
-	b := NewBuilder(4)
+	b := newCOOBuilder(4)
 	b.Add(0, 0, 1)
 	b.Add(0, 0, 2) // duplicate: must merge to 3
 	b.Add(0, 3, -1)
@@ -278,7 +278,7 @@ func TestSparseBuilderAndMulVec(t *testing.T) {
 }
 
 func TestSparseScaleRowsCols(t *testing.T) {
-	b := NewBuilder(2)
+	b := newCOOBuilder(2)
 	b.Add(0, 1, 6)
 	b.Add(1, 0, 6)
 	b.ScaleRowsCols([]float64{2, 3})
@@ -367,7 +367,7 @@ func TestNonConvergenceIsTypedThroughWrapping(t *testing.T) {
 func TestMulVecsRowsMatchesMulVecBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	n := 57
-	b := NewBuilder(n)
+	b := newCOOBuilder(n)
 	for i := 0; i < n; i++ {
 		for k := 0; k < i%9; k++ { // row lengths 0…8
 			b.Add(i, rng.Intn(n), rng.NormFloat64())

@@ -125,73 +125,17 @@ func (s *Sparse) At(i, j int) float64 {
 	return 0
 }
 
-// Builder accumulates COO triplets and compresses them to CSR.
-type Builder struct {
-	n    int
-	rows [][]entry
-}
-
-type entry struct {
-	col int32
-	val float64
-}
-
-// NewBuilder creates a builder for an n×n matrix.
-func NewBuilder(n int) *Builder {
-	return &Builder{n: n, rows: make([][]entry, n)}
-}
-
-// Add accumulates v into (i,j).
-func (b *Builder) Add(i, j int, v float64) {
-	b.rows[i] = append(b.rows[i], entry{col: int32(j), val: v})
-}
-
-// ScaleRowsCols applies S ← D⁻¹·S·D⁻¹ with D = diag(d): every accumulated
-// entry (i,j) is divided by d[i]·d[j]. Used for mass weighting.
-func (b *Builder) ScaleRowsCols(d []float64) {
-	for i := range b.rows {
-		for k := range b.rows[i] {
-			e := &b.rows[i][k]
-			e.val /= d[i] * d[e.col]
-		}
-	}
-}
-
 // ErrIndexOverflow reports a matrix with more stored non-zeros than the
 // int32 CSR row pointers can address.
 var ErrIndexOverflow = errors.New("hessian: CSR index overflow")
 
-// checkNNZ guards the int32 row pointers: past 2³¹−1 stored entries they
-// would wrap silently, and the paper-scale Hessian (3·10⁸ rows) is beyond
-// that.
+// checkNNZ guards the int32 row pointers: past 2³¹−1 entries they would wrap
+// silently, and the paper-scale Hessian (3·10⁸ rows) is beyond that.
+// AssembleDegraded checks its symbolic pattern, whose slot count bounds the
+// stored entries.
 func checkNNZ(nnz int) error {
 	if nnz > math.MaxInt32 {
 		return fmt.Errorf("%w: %d non-zeros, int32 row pointers hold at most %d", ErrIndexOverflow, nnz, math.MaxInt32)
 	}
 	return nil
-}
-
-// Build merges duplicate entries and returns the CSR matrix, or
-// ErrIndexOverflow when the non-zeros outgrow the int32 row pointers.
-func (b *Builder) Build() (*Sparse, error) {
-	s := &Sparse{N: b.n, RowPtr: make([]int32, b.n+1)}
-	for i, row := range b.rows {
-		sort.Slice(row, func(a, c int) bool { return row[a].col < row[c].col })
-		for k := 0; k < len(row); {
-			j := row[k].col
-			var acc float64
-			for ; k < len(row) && row[k].col == j; k++ {
-				acc += row[k].val
-			}
-			if acc != 0 {
-				s.Col = append(s.Col, j)
-				s.Val = append(s.Val, acc)
-			}
-		}
-		if err := checkNNZ(len(s.Col)); err != nil {
-			return nil, fmt.Errorf("%w (row %d of %d)", err, i, b.n)
-		}
-		s.RowPtr[i+1] = int32(len(s.Col))
-	}
-	return s, nil
 }

@@ -18,8 +18,10 @@ import (
 func blockSparse(t testing.TB, atoms int, seed int64) *hessian.Sparse {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	b := hessian.NewBuilder(3 * atoms)
+	// blocks[{a, c}] is block (a, c) for a ≤ c; block (c, a) is its transpose.
+	blocks := make(map[[2]int]*[3][3]float64)
 	block := func(a, c int) {
+		var blk [3][3]float64
 		for i := 0; i < 3; i++ {
 			for j := 0; j < 3; j++ {
 				v := rng.NormFloat64()
@@ -30,13 +32,12 @@ func blockSparse(t testing.TB, atoms int, seed int64) *hessian.Sparse {
 					if i == j {
 						v += 4
 					}
+					blk[j][i] = v
 				}
-				b.Add(3*a+i, 3*c+j, v)
-				if 3*a+i != 3*c+j {
-					b.Add(3*c+j, 3*a+i, v)
-				}
+				blk[i][j] = v
 			}
 		}
+		blocks[[2]int{a, c}] = &blk
 	}
 	for a := 0; a < atoms; a++ {
 		block(a, a)
@@ -46,9 +47,21 @@ func blockSparse(t testing.TB, atoms int, seed int64) *hessian.Sparse {
 			}
 		}
 	}
-	s, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
+	s := &hessian.Sparse{N: 3 * atoms, RowPtr: make([]int32, 3*atoms+1)}
+	for a := 0; a < atoms; a++ {
+		for i := 0; i < 3; i++ {
+			for _, off := range []int{-7, -2, -1, 0, 1, 2, 7} { // ascending columns
+				c := a + off
+				for j := 0; j < 3; j++ {
+					if blk := blocks[[2]int{a, c}]; blk != nil {
+						s.Col, s.Val = append(s.Col, int32(3*c+j)), append(s.Val, blk[i][j])
+					} else if blk := blocks[[2]int{c, a}]; blk != nil {
+						s.Col, s.Val = append(s.Col, int32(3*c+j)), append(s.Val, blk[j][i])
+					}
+				}
+			}
+			s.RowPtr[3*a+i+1] = int32(len(s.Col))
+		}
 	}
 	return s
 }

@@ -192,17 +192,13 @@ func TestCosineSimilarity(t *testing.T) {
 	}
 }
 
-func emptyHessian(t *testing.T, n int) *hessian.Sparse {
-	t.Helper()
-	h, err := hessian.NewBuilder(n).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h
+// emptyHessian is the n×n CSR matrix with no stored entry.
+func emptyHessian(n int) *hessian.Sparse {
+	return &hessian.Sparse{N: n, RowPtr: make([]int32, n+1)}
 }
 
 func TestLanczosSpectrumRequiresAlpha(t *testing.T) {
-	g := &hessian.Global{H: emptyHessian(t, 3), Masses: []float64{1}}
+	g := &hessian.Global{H: emptyHessian(3), Masses: []float64{1}}
 	if _, err := LanczosSpectrum(g, DefaultOptions()); err == nil {
 		t.Fatal("accepted missing polarizability derivatives")
 	}
@@ -288,7 +284,7 @@ func TestIRSpectrumWaterDimer(t *testing.T) {
 }
 
 func TestIRRequiresDipoleDerivatives(t *testing.T) {
-	g := &hessian.Global{H: emptyHessian(t, 3), Masses: []float64{1}}
+	g := &hessian.Global{H: emptyHessian(3), Masses: []float64{1}}
 	if _, err := LanczosIRSpectrum(g, DefaultOptions()); err == nil {
 		t.Fatal("accepted missing dipole derivatives")
 	}
@@ -353,7 +349,7 @@ func TestNonFiniteHessianIsTypedAndPermanent(t *testing.T) {
 // any K, so it takes the exact route, which returns an all-zero spectrum on
 // the axis instead of indexing an empty matrix.
 func TestEmptyHessianGivesZeroSpectrum(t *testing.T) {
-	g := &hessian.Global{H: emptyHessian(t, 0)}
+	g := &hessian.Global{H: emptyHessian(0)}
 	for c := range g.DAlpha {
 		g.DAlpha[c] = []float64{}
 	}
@@ -489,8 +485,10 @@ func TestExactSpectraKeepTheirBits(t *testing.T) {
 		solve func(*hessian.Global, Options) (*Spectrum, error)
 		sha   string
 	}{
-		"raman": {LanczosSpectrum, "77e95917be5c40c9b12f91f3665f3123905ca489c71e35196aced57a118d01ba"},
-		"ir":    {LanczosIRSpectrum, "e9a6425b151ba609156d27dec4ab17208746ad2cea8b8b2aae2889b1d8e03af9"},
+		// re-recorded: each Hessian entry is now summed in decomposition order, not in sort.Slice's order
+		"raman": {LanczosSpectrum, "5eeb9a65d2e2188b30a870bb9a73e196c004beb6666997dda2b607656a38ca09"},
+		// re-recorded: each Hessian entry is now summed in decomposition order, not in sort.Slice's order
+		"ir": {LanczosIRSpectrum, "c356f9d5d35477a9717d2d3b090ecaafcaf6d9fcec8212c710dcd22df9b9308e"},
 	} {
 		s, err := c.solve(g, goldenOptions())
 		if err != nil {
@@ -555,8 +553,10 @@ func TestExactQuadratureRouteBoundary(t *testing.T) {
 		sha   string // of the dimer's K = 17 quadrature
 		solve func(*hessian.Global, Options) (*Spectrum, error)
 	}{
-		{"raman", false, "715940034dbdb5446b7a2e51a3a2e2b3c9929cb017611751c02e5087b0a7113b", LanczosSpectrum},
-		{"ir", true, "d16027788f1869d43137385f65fbc2ba24cd65c12658f0a1ae3ece9013debe2c", LanczosIRSpectrum},
+		// re-recorded: each Hessian entry is now summed in decomposition order, not in sort.Slice's order
+		{"raman", false, "b34104980c543f7659e96910e19e14931be6c7c180e9448aaae285ef51e47046", LanczosSpectrum},
+		// re-recorded: each Hessian entry is now summed in decomposition order, not in sort.Slice's order
+		{"ir", true, "be7168740cb39c78926f5023a50079282ce3370094b96b569f22804d81fdb2b3", LanczosIRSpectrum},
 	} {
 		opt := goldenOptions()
 		opt.LanczosK = 17
