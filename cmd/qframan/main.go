@@ -104,7 +104,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "chaos: injection seed")
 	fs.IntVar(&o.failFrag, "fail-frag", -1, "chaos: force this fragment index into deterministic failure")
 
-	fs.StringVar(&o.cacheDir, "cache-dir", "", "content-addressed fragment-result store directory (enables checkpointing and within-run dedup)")
+	fs.StringVar(&o.cacheDir, "cache-dir", "", "content-addressed fragment-result store directory (persists fragment results, for -resume and later runs)")
 	fs.BoolVar(&o.resume, "resume", false, "serve fragment results checkpointed by previous runs of -cache-dir")
 	fs.BoolVar(&o.checkpoint, "checkpoint", true, "write fragment results to -cache-dir as they complete")
 

@@ -16,8 +16,8 @@ import (
 // coordinator: it submits the representative of each content class
 // (store.Classify — the same table the in-process runtime schedules from)
 // and expands each canonical result to all class members via their own
-// rigid frames — so the assembled spectrum is bit-identical to the
-// single-process store-backed run.
+// rigid frames — so the assembled spectrum is bit-identical to a
+// single-process run, with or without a store.
 type Client struct {
 	// Addr is the coordinator's TCP address.
 	Addr string

@@ -9,6 +9,7 @@ import (
 	"qframan/internal/obs"
 	"qframan/internal/raman"
 	"qframan/internal/sched"
+	"qframan/internal/store"
 	"qframan/internal/structure"
 )
 
@@ -84,12 +85,14 @@ func TestAnalyticPipelineMatchesTheDisplacementLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The engine runs once per content class, on its representative.
 	want := 0
-	for _, f := range loop.Decomposition.Fragments {
-		want += 6 * f.NumAtoms()
+	frags := loop.Decomposition.Fragments
+	for _, r := range store.Classify(frags, cfg.Sched.Job).Reps {
+		want += 6 * frags[r].NumAtoms()
 	}
 	if jobs := reg.Counter(obs.MetricHessianDisplacedJobs).Value(); jobs != int64(want) {
-		t.Errorf("loop run: %d displaced jobs, want 6N summed over the fragments, %d", jobs, want)
+		t.Errorf("loop run: %d displaced jobs, want 6N summed over the class representatives, %d", jobs, want)
 	}
 
 	n := analytic.Global.H.Dim()

@@ -37,7 +37,7 @@ type StragglerSummary struct {
 	TopK []FragStat
 	// Classes is the population the table was drawn from: one fragment span
 	// per content class, which sched opens for the class's representative
-	// only. Without a store every fragment is a class of one.
+	// only, with a store or without one.
 	Classes int
 	// Fragments is the runs' fragment total, the sum of the "fragments"
 	// args of the sched.run spans.

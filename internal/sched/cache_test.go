@@ -401,12 +401,11 @@ func TestCacheCorruptRecordRequeued(t *testing.T) {
 }
 
 // TestCacheReadOnlyStore: with checkpointing disabled nothing is written,
-// every fragment computes itself (a representative that finishes without a
-// record to share hands the class on — the promote path), and the run still
-// terminates exactly-once.
+// yet a class still shares one computation: its representative's in-memory
+// record fills every member, exactly once each.
 func TestCacheReadOnlyStore(t *testing.T) {
 	dec := cacheDecomposition(8)
-	for i := 1; i < 4; i++ { // a dedup class that can never be served
+	for i := 1; i < 4; i++ { // one class of four, never persisted
 		dec.Fragments[i].Pos = dec.Fragments[0].Pos
 	}
 	var calls atomic.Int64
@@ -418,15 +417,30 @@ func TestCacheReadOnlyStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkExactlyOnce(t, dec, datas, rep)
-	if calls.Load() != 8 {
-		t.Fatalf("read-only run made %d engine calls, want 8 (no serving possible)", calls.Load())
+	if calls.Load() != 5 {
+		t.Fatalf("read-only run made %d engine calls, want 5 (one per class)", calls.Load())
 	}
 	if s.Stats().Objects != 0 {
 		t.Fatalf("read-only run wrote %d objects", s.Stats().Objects)
 	}
-	if rep.CacheHits != 0 {
-		t.Fatalf("read-only run reported %d hits", rep.CacheHits)
+	if rep.CacheMisses != 5 || rep.Deduped != 3 || rep.Resumed != 0 {
+		t.Fatalf("misses=%d deduped=%d resumed=%d; want 5/3/0", rep.CacheMisses, rep.Deduped, rep.Resumed)
+	}
+	accepted := 0
+	for _, ls := range rep.Leaders {
+		accepted += ls.Fragments
+	}
+	if accepted != len(dec.Fragments) {
+		t.Fatalf("leaders accepted %d completions for %d fragments", accepted, len(dec.Fragments))
+	}
+	for i, d := range datas {
+		producer := i
+		if i < 4 {
+			producer = 0
+		}
+		if d == nil || !d.BitEqual(fakeData(producer)) {
+			t.Fatalf("fragment %d does not carry fragment %d's record", i, producer)
+		}
 	}
 }
 
@@ -448,6 +462,18 @@ func TestCacheProducerFailureTakeover(t *testing.T) {
 	}
 	if datas[3] == nil || !datas[3].BitEqual(fakeData(3)) {
 		t.Fatal("fragment 3 did not take over production after its producer failed")
+	}
+}
+
+// TestUncanonicalResultFailsTheAttempt: a result that cannot be rotated
+// into its class's canonical pose (here 1×1 data on a bent water, whose
+// frame rotates) has no record to hand the class, so the attempt fails —
+// with or without a store — and, with no fail-soft budget, the run with it.
+func TestUncanonicalResultFailsTheAttempt(t *testing.T) {
+	dec := rotatedDuplicates(1, 2)
+	opt := cacheOptions(t, nil, false, nil)
+	if _, _, err := Run(dec, opt); err == nil || !strings.Contains(err.Error(), "not 3N") {
+		t.Fatalf("run over a result with no canonical form: err %v", err)
 	}
 }
 

@@ -13,19 +13,28 @@ import (
 	"qframan/internal/constants"
 	"qframan/internal/faults"
 	"qframan/internal/fragment"
+	"qframan/internal/geom"
 	"qframan/internal/hessian"
 	"qframan/internal/linalg"
 )
 
 // fakeDecomposition builds a synthetic decomposition of nf fragments with
 // the given atom counts — enough structure for the dispatch order and the ledger,
-// no quantum content.
+// no quantum content. Each fragment's atoms sit on a line at an
+// index-scaled spacing: every fragment is a content class of its own, and
+// the collinear poses keep the canonical frames translation-only, so the
+// 1×1 fake payloads pass the canonical round trip unchanged.
 func fakeDecomposition(sizes []int) *fragment.Decomposition {
 	dec := &fragment.Decomposition{Fragments: make([]fragment.Fragment, len(sizes))}
 	for i, n := range sizes {
+		pos := make([]geom.Vec3, n)
+		for j := range pos {
+			pos[j] = geom.Vec3{X: float64(j) * float64(i+1)}
+		}
 		dec.Fragments[i] = fragment.Fragment{
 			ID:  i,
 			Els: make([]constants.Element, n),
+			Pos: pos,
 		}
 	}
 	return dec

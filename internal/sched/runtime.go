@@ -3,12 +3,14 @@
 // pull — retries and promotions first, then fresh representatives largest
 // first (the size order of the paper's load balancer, §V-B, Fig. 4) — and
 // each leader runs that fragment through the fragment engine
-// (hessian.ComputeFragment). The paper's third level, workers that split one
-// fragment's displacement jobs, is here the par kernel budget the engine's
-// kernels draw on. The straggler rule of Fig. 4(a) — mark a fragment
-// un-processed again, keep the first result — lives where a worker can be
-// lost: internal/cluster's lease timeout. In-process, a leader's slow
-// attempt holds up Run's return however the fragment is re-dispatched.
+// (hessian.ComputeFragment) or finds its record in a store; every class
+// member gets that one canonical record in its own frame. The paper's third
+// level, workers that split one fragment's displacement jobs, is here the par
+// kernel budget the engine's kernels draw on. The straggler rule of Fig. 4(a)
+// — mark a fragment un-processed again, keep the first result — lives where
+// a worker can be lost: internal/cluster's lease timeout. In-process, a
+// leader's slow attempt holds up Run's return however the fragment is
+// re-dispatched.
 package sched
 
 import (
@@ -72,10 +74,8 @@ type Options struct {
 	// returns an error wrapping ErrCancelled. A run whose fragments all
 	// resolved before the close is a normal completion.
 	Cancel <-chan struct{}
-	// Cache wires the persistent fragment-result store into the runtime:
-	// the run is scheduled by content class (store.Classify) — one lookup or
-	// one computation plus checkpoint per distinct key, every other member
-	// filled from that canonical record.
+	// Cache attaches the persistent fragment-result store: one lookup per
+	// content class and one checkpoint per computed record.
 	Cache CacheOptions
 	// Obs carries the observability sinks (span tracer, metrics registry).
 	// The runtime records run/frag/attempt spans and dispatch and cache
@@ -98,7 +98,7 @@ type Options struct {
 // the full decomposition and must return per-fragment data in decomposition
 // order, exactly as the in-process runtime would. Implementations must
 // preserve the determinism contract — results bit-identical to the
-// in-process store-backed run — and honor Options.Cancel.
+// in-process run, with or without a store — and honor Options.Cancel.
 type Backend interface {
 	Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Report, error)
 }
@@ -158,16 +158,19 @@ func Compute(f *fragment.Fragment, opt Options) (data *hessian.FragmentData, err
 	return data, nil
 }
 
-// CacheOptions configures the runtime's use of a checkpoint store.
+// CacheOptions configures the runtime's use of a checkpoint store: it gives
+// persistence and resume. Classes share one computation within a run with
+// or without it, and the bits do not depend on it.
 type CacheOptions struct {
-	// Store is the open store; nil disables caching entirely.
+	// Store is the open store; nil keeps records in memory only.
 	Store *store.Store
 	// Resume serves results recorded by *previous* runs. Without it the
-	// store still checkpoints completions and identical fragments still
-	// share one computation, but pre-existing records are ignored (and
-	// re-verified by overwriting them when their classes recompute).
+	// store still checkpoints completions, but pre-existing records are
+	// ignored (and re-verified by overwriting them when their classes
+	// recompute).
 	Resume bool
-	// ReadOnly disables checkpoint writes (lookup-only cache).
+	// ReadOnly disables checkpoint writes (lookup-only cache); a computed
+	// record still fills its class in memory.
 	ReadOnly bool
 }
 
@@ -210,10 +213,11 @@ type Report struct {
 	// Degraded is true when Failed is non-empty: the run completed but the
 	// spectrum omits the failed fragments' contributions.
 	Degraded bool
-	// CacheHits counts fragments served from the store without computing:
-	// Resumed of them from records a previous run wrote, Deduped of them
-	// from records another fragment of this run wrote (identical geometry
-	// under the content-addressed key). CacheHits == Resumed + Deduped.
+	// CacheHits counts fragments filled from a canonical record they did not
+	// compute: Resumed of them from store records a previous run wrote,
+	// Deduped of them from the record another fragment of this run made
+	// (identical geometry under the content-addressed key), with or without
+	// a store. CacheHits == Resumed + Deduped.
 	CacheHits int
 	// CacheMisses counts fragments that went through the engine.
 	CacheMisses int
@@ -221,7 +225,8 @@ type Report struct {
 	Deduped     int
 	// StoreErrors counts store operations (lookups, checkpoints) that
 	// failed — including CRC-corrupt records, which are evicted and
-	// recomputed. Store failures degrade to recomputation, never abort.
+	// recomputed. Store failures degrade to recomputation or to a lost
+	// checkpoint, never abort.
 	StoreErrors int
 }
 
@@ -244,9 +249,10 @@ type retryEntry struct {
 const waitTick = time.Millisecond
 
 // Run computes every fragment on the master–leader runtime and returns
-// per-fragment data in decomposition order. With a fail-soft budget
-// (Options.MaxFailedFragments > 0) the returned slice may contain nils exactly
-// at Report.Failed.
+// per-fragment data in decomposition order, each its content class's
+// canonical record in its own frame: the same bits with or without a store.
+// With a fail-soft budget (Options.MaxFailedFragments > 0) the returned slice
+// may contain nils exactly at Report.Failed.
 func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Report, error) {
 	if opt.Backend != nil {
 		return opt.Backend.Run(dec, opt)
@@ -260,29 +266,13 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 		sizes[i] = dec.Fragments[i].NumAtoms()
 	}
 
-	// The unit of scheduling is the content class. With a store attached,
-	// store.Classify groups the fragments by content key; only each class's
-	// representative (its lowest index, so results never depend on goroutine
-	// timing) is dispatched, and its canonical record — looked up
-	// once, or computed and checkpointed once — fills every other member
-	// through that member's own rigid frame. Without a store every fragment
-	// is a class of one and the same loop runs.
-	cacheOn := opt.Cache.Store != nil
-	var keys []store.Key
-	var frames []store.Frame
-	var reps []int
-	// members[r] lists the fragments representative r resolves, r first.
-	members := make([][]int, nf)
-	if cacheOn {
-		cls := store.Classify(dec.Fragments, opt.Job)
-		keys, frames, reps, members = cls.Keys, cls.Frames, cls.Reps, cls.Members
-	} else {
-		reps = make([]int, nf)
-		for i := range reps {
-			reps[i] = i
-			members[i] = reps[i : i+1 : i+1]
-		}
-	}
+	// The unit of scheduling is the content class: store.Classify groups the
+	// fragments by content key, only each class's representative (its lowest
+	// index, so results never depend on goroutine timing) is dispatched, and
+	// its canonical record — looked up in the store, or computed — fills
+	// every member through that member's own rigid frame.
+	cls := store.Classify(dec.Fragments, opt.Job)
+	keys, frames, reps, members := cls.Keys, cls.Frames, cls.Reps, cls.Members
 	// Fresh work ships largest first so the long fragments start early and
 	// the small ones fill the tail; reps is ascending, so the stable sort
 	// breaks size ties by index.
@@ -314,7 +304,7 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 		fragSpans = make([]*obs.Span, nf)
 	}
 
-	if cacheOn && obsOn {
+	if opt.Cache.Store != nil && obsOn {
 		opt.Cache.Store.SetObs(obsSc)
 	}
 
@@ -400,12 +390,10 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 		defer mu.Unlock()
 		results[fi] = data
 		resolved++
-		switch {
-		case !cacheOn:
-		case !served:
+		if !served {
 			report.CacheMisses++
 			mMisses.Inc()
-		default:
+		} else {
 			report.CacheHits++
 			mHits.Inc()
 			if prior {
@@ -425,9 +413,8 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 	}
 	// promote makes the first of a class's unresolved members its new
 	// representative and enqueues it — when the old one failed permanently,
-	// or finished without a canonical record to share (checkpointing off or
-	// failed), the rest of the class still has to be produced. Callers hold
-	// mu.
+	// or a member's frame cannot take the record, the rest of the class
+	// still has to be produced. Callers hold mu.
 	promote := func(rest []int) {
 		if len(rest) > 0 {
 			members[rest[0]] = rest
@@ -476,32 +463,31 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 		}
 		return data, canon, prior
 	}
-	// checkpoint writes a computed result and returns its canonical
-	// roundtrip — in fi's frame and canonical — so computed and cache-served
-	// completions are bit-identical. A failed checkpoint degrades to keeping
-	// the in-memory result, with no record for the class to share.
-	checkpoint := func(fi int, data *hessian.FragmentData, parent uint64, track int32) (rt, canon *hessian.FragmentData) {
+	// record turns a computed result into its class's canonical record and
+	// back into fi's frame, the bits every member gets, and persists it in
+	// a writable store (stored: the store holds it). A failed Put is counted
+	// and loses only the persistence; a result with no canonical form fails
+	// the attempt.
+	record := func(fi int, data *hessian.FragmentData, parent uint64, track int32) (rt, canon *hessian.FragmentData, stored bool, err error) {
+		if canon, err = frames[fi].ToCanonical(data); err == nil {
+			rt, err = frames[fi].FromCanonical(canon)
+		}
+		if err != nil || opt.Cache.Store == nil || opt.Cache.ReadOnly {
+			return rt, canon, false, err
+		}
 		var t0 time.Time
 		if tracing {
 			t0 = time.Now()
 		}
-		canon, err := frames[fi].ToCanonical(data)
-		if err == nil {
-			canon, err = opt.Cache.Store.Put(keys[fi], canonFrame(fi), canon)
-		}
-		if err != nil {
+		_, perr := opt.Cache.Store.Put(keys[fi], canonFrame(fi), canon)
+		if perr != nil {
 			storeError()
-		} else {
-			rt = expand(fi, canon)
 		}
 		if tracing {
 			obsSc.T.Record(parent, track, "store.put", "store",
-				obsSc.T.Since(t0), time.Since(t0), obs.A("err", b2i(rt == nil)))
+				obsSc.T.Since(t0), time.Since(t0), obs.A("err", b2i(perr != nil)))
 		}
-		if rt == nil {
-			return data, nil
-		}
-		return rt, canon
+		return rt, canon, perr == nil, nil
 	}
 	// fail records one failed attempt of wall duration. Transient failures
 	// inside the retry budget go back to the queue with backoff; anything
@@ -618,13 +604,17 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 				}
 				var data, canon *hessian.FragmentData
 				prior := false
-				if cacheOn {
+				if opt.Cache.Store != nil {
 					data, canon, prior = lookup(fi, attSpan.ID(), leaderTrack)
 				}
 				served := data != nil
+				stored := served
 				if !served {
 					var err error
 					data, err = attemptFragment(fi, attempt, attSc)
+					if err == nil {
+						data, canon, stored, err = record(fi, data, attSpan.ID(), leaderTrack)
+					}
 					if err != nil {
 						attSpan.End(obs.A("err", 1))
 						wall := time.Since(t0)
@@ -634,9 +624,6 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 						}
 						continue
 					}
-					if cacheOn && !opt.Cache.ReadOnly {
-						data, canon = checkpoint(fi, data, attSpan.ID(), leaderTrack)
-					}
 				}
 				attSpan.End(obs.A("cachehit", b2i(served)))
 				complete(fi, data, served, prior, time.Since(t0))
@@ -645,7 +632,7 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 				// new representative.
 				class := members[fi]
 				n := 1 // resolved members, the representative first
-				for ; canon != nil && n < len(class); n++ {
+				for ; n < len(class); n++ {
 					fd := expand(class[n], canon)
 					if fd == nil {
 						break
@@ -655,7 +642,7 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 				mu.Lock()
 				promote(class[n:])
 				mu.Unlock()
-				if n > 1 {
+				if stored && n > 1 {
 					opt.Cache.Store.Ref(keys[fi], n-1)
 				}
 				stats.Fragments += n

@@ -8,6 +8,7 @@ import (
 	"qframan/internal/faults"
 	"qframan/internal/fragment"
 	"qframan/internal/hessian"
+	"qframan/internal/store"
 	"qframan/internal/structure"
 )
 
@@ -81,7 +82,8 @@ func TestRunWaterDimers(t *testing.T) {
 
 func TestRunMatchesSerial(t *testing.T) {
 	// The runtime schedules the engine, it does not change it: fragments run
-	// by two leaders carry the bits of the engine run inline.
+	// by two leaders carry the bits of the engine run inline on their class's
+	// representative, through the canonical round trip into their own frame.
 	sys := structure.BuildWaterDimerSystem(1)
 	dec, err := fragment.Decompose(sys, fragment.DefaultOptions())
 	if err != nil {
@@ -93,13 +95,24 @@ func TestRunMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range dec.Fragments {
-		serial, _, err := hessian.ComputeFragment(&dec.Fragments[i], opt.Job)
+	cls := store.Classify(dec.Fragments, opt.Job)
+	for _, r := range cls.Reps {
+		serial, _, err := hessian.ComputeFragment(&dec.Fragments[r], opt.Job)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !parallel[i].BitEqual(serial) {
-			t.Fatalf("fragment %d: sched.Run with two leaders differs from the engine run inline", i)
+		canon, err := cls.Frames[r].ToCanonical(serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range cls.Members[r] {
+			want, err := cls.Frames[m].FromCanonical(canon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !parallel[m].BitEqual(want) {
+				t.Fatalf("fragment %d: sched.Run with two leaders differs from the engine run inline on fragment %d", m, r)
+			}
 		}
 	}
 }

@@ -53,8 +53,9 @@ const (
 type Config struct {
 	// Store is the shared content-addressed fragment store. All jobs run
 	// against it, so overlapping systems — same waterbox submitted by two
-	// tenants, re-submissions after a crash — share fragment results. Nil
-	// disables caching (every job computes everything).
+	// tenants, re-submissions after a crash — share fragment results. With
+	// nil nothing is shared across jobs; a job still computes each of its
+	// content classes once.
 	Store *store.Store
 	// Registry receives daemon metrics and the per-job labeled scheduler
 	// series; nil allocates a private one.

@@ -126,7 +126,9 @@ type FrameReport struct {
 	// Recomputed counts engine invocations (scheduler cache misses): moved
 	// fragments minus those deduped against the store or each other.
 	Recomputed int
-	// CacheHits counts scheduled fragments served from the store.
+	// CacheHits counts scheduled fragments filled from a canonical record
+	// they did not compute: a store's, or their content class's in this
+	// frame.
 	CacheHits int
 	// WarmStarted counts recomputed fragments whose reference SCF was
 	// seeded from their identity's previous frame.

@@ -322,6 +322,35 @@ func TestRigidMotionNeverRecomputes(t *testing.T) {
 	}
 }
 
+// TestStorelessRecomputedCountsEngineCalls: without a store the scheduler
+// still runs each content class once and fills its members from that
+// record, and the frame report counts it: on every frame Recomputed is the
+// number of engine calls, and every other scheduled fragment is a hit.
+func TestStorelessRecomputedCountsEngineCalls(t *testing.T) {
+	systems := trajSystems(t, 2, 2, 1, 4, structure.PerturbOptions{MoveFrac: 0.5, Jitter: 0.05, Seed: 5})
+	var calls atomic.Int64
+	cfg := fakeOptions(t, &calls)
+	cfg.Sched.Cache = sched.CacheOptions{}
+	eng := New(Options{Core: cfg})
+	for i, sys := range systems {
+		calls.Store(0)
+		res, err := eng.Step(sys)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		r := res.Report
+		if r.Recomputed != int(calls.Load()) {
+			t.Fatalf("frame %d: recomputed=%d for %d engine calls (%+v)", i, r.Recomputed, calls.Load(), r)
+		}
+		if r.Recomputed+r.CacheHits != r.Scheduled {
+			t.Fatalf("frame %d: recomputed=%d + hits=%d != scheduled=%d", i, r.Recomputed, r.CacheHits, r.Scheduled)
+		}
+		if i == 0 && (r.Recomputed == 0 || r.CacheHits == 0) {
+			t.Fatalf("frame 0: recomputed=%d hits=%d; want both > 0 (the box's waters share classes)", r.Recomputed, r.CacheHits)
+		}
+	}
+}
+
 // TestDiffOnly: the computation-free Differ must report the same
 // classification a computing run would schedule.
 func TestDiffOnly(t *testing.T) {
