@@ -370,8 +370,7 @@ func run(o options) error {
 			fmt.Fprintf(os.Stderr, ", %d store errors", rep.StoreErrors)
 		}
 		ss := cstore.Stats()
-		fmt.Fprintf(os.Stderr, "; store: %d objects, %d bytes, %.2fx dedup\n",
-			ss.Objects, ss.Bytes, ss.DedupRatio)
+		fmt.Fprintf(os.Stderr, "; store: %d objects, %d bytes\n", ss.Objects, ss.Bytes)
 	}
 	if o.clusterAddr != "" {
 		rep := res.SchedReport

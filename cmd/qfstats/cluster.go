@@ -38,9 +38,8 @@ func clusterStats(addr string) error {
 	tier("local", s.TierLocal)
 	tier("recompute", s.Recomputes)
 	fmt.Printf("  jobs: %d done, %d failed\n", s.JobsDone, s.JobsFailed)
-	if s.StoreObjects > 0 || s.StoreLogical > 0 {
-		fmt.Printf("  store: %d objects, %d bytes, %d logical results\n",
-			s.StoreObjects, s.StoreBytes, s.StoreLogical)
+	if s.StoreObjects > 0 {
+		fmt.Printf("  store: %d objects, %d bytes\n", s.StoreObjects, s.StoreBytes)
 	}
 	return nil
 }

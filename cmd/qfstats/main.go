@@ -10,8 +10,9 @@
 // -waterbox 324 for the full 101,250,000-atom box (≈10–20 minutes).
 //
 // With -store <dir> the command instead inspects a qframan checkpoint store:
-// record count, bytes on disk, per-fragment-size histogram, and the dedup
-// ratio (logical fragment results served per stored record).
+// record count, bytes on disk (live and dead, per segment) and the
+// per-fragment-size histogram. How much a run deduped is that run's own
+// count, on qframan's cache: line.
 //
 // With -trace <file.json> the command summarizes a Chrome trace written by
 // qframan -trace-out: per-DFPT-phase latency percentiles (p50/p95/p99), the
@@ -230,8 +231,6 @@ func storeStats(dir string) error {
 	fmt.Printf("  bytes:             %8d\n", st.Bytes)
 	fmt.Printf("  segments:          %8d   (%d live bytes, %d dead bytes: tombstoned or superseded records)\n",
 		st.Segments, st.Bytes, st.DeadBytes)
-	fmt.Printf("  logical results:   %8d   (fragment completions backed by the store)\n", st.Logical)
-	fmt.Printf("  dedup ratio:       %8.2f   (logical results per stored record)\n", st.DedupRatio)
 	fmt.Println("  fragment-size histogram (atoms → records):")
 	for _, n := range st.SortedSizes() {
 		fmt.Printf("    %4d atoms: %6d\n", n, st.SizeHistogram[n])

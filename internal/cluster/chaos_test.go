@@ -252,7 +252,7 @@ func TestClusterSurvivesFrameChaos(t *testing.T) {
 	waitForWorkers(t, co, 3)
 
 	opt := sched.DefaultOptions()
-	got, rep, err := NewClient(addr).Run(dec, opt)
+	got, rep, err := runCluster(addr, dec, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestClusterDelayChaosStealsStragglers(t *testing.T) {
 	})
 	waitForWorkers(t, co, 2)
 
-	got, _, err := NewClient(addr).Run(dec, sched.DefaultOptions())
+	got, _, err := runCluster(addr, dec, sched.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestStaleTaskFailIgnored(t *testing.T) {
 	}
 	ran := make(chan run, 1)
 	go func() {
-		datas, _, err := NewClient(addr).Run(dec, sched.DefaultOptions())
+		datas, _, err := runCluster(addr, dec, sched.DefaultOptions())
 		ran <- run{datas, err}
 	}()
 	stale.setReadDeadline(time.Now().Add(10 * time.Second))
@@ -451,7 +451,7 @@ func TestExpiredLeaseGoesToAnotherWorker(t *testing.T) {
 	}
 	ran := make(chan run, 1)
 	go func() {
-		datas, _, err := NewClient(addr).Run(dec, sched.DefaultOptions())
+		datas, _, err := runCluster(addr, dec, sched.DefaultOptions())
 		ran <- run{datas, err}
 	}()
 	straggler.setReadDeadline(time.Now().Add(10 * time.Second))
@@ -522,7 +522,7 @@ func TestWorkerEnginePanicRetried(t *testing.T) {
 	waitForWorkers(t, co, 1)
 	session := co.Snapshot().Workers[0].Session
 
-	got, _, err := NewClient(addr).Run(dec, sched.DefaultOptions())
+	got, _, err := runCluster(addr, dec, sched.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +554,7 @@ func TestWorkerRejectsNonFiniteResult(t *testing.T) {
 	})
 	waitForWorkers(t, co, 1)
 
-	_, _, err := NewClient(addr).Run(dec, sched.DefaultOptions())
+	_, _, err := runCluster(addr, dec, sched.DefaultOptions())
 	if err == nil || !strings.Contains(err.Error(), "non-finite") {
 		t.Fatalf("NaN result not rejected: %v", err)
 	}

@@ -6,18 +6,17 @@ import (
 	"time"
 
 	"qframan/internal/fragment"
-	"qframan/internal/hessian"
 	"qframan/internal/obs"
 	"qframan/internal/sched"
 	"qframan/internal/store"
 )
 
-// Client is the sched.Backend that fans a run's fragments out to a
-// coordinator: it submits the representative of each content class
-// (store.Classify — the same table the in-process runtime schedules from)
-// and expands each canonical result to all class members via their own
-// rigid frames — so the assembled spectrum is bit-identical to a
-// single-process run, with or without a store.
+// Client is the sched.Backend that resolves a run's content classes on a
+// coordinator: it submits each class's representative and hands back the
+// canonical records the coordinator serves, with the tier each came from.
+// sched.Run classifies before it and expands each record to every member as
+// it arrives, as for its own leaders, so the assembled spectrum is
+// bit-identical to a single-process run.
 type Client struct {
 	// Addr is the coordinator's TCP address.
 	Addr string
@@ -37,33 +36,30 @@ type Client struct {
 // NewClient returns a cluster dispatch backend for a coordinator address.
 func NewClient(addr string) *Client { return &Client{Addr: addr} }
 
-// Run implements sched.Backend.
-func (c *Client) Run(dec *fragment.Decomposition, opt sched.Options) ([]*hessian.FragmentData, *sched.Report, error) {
-	start := time.Now()
-	nf := len(dec.Fragments)
-	if nf == 0 {
-		return nil, &sched.Report{}, nil
+// Run implements sched.Backend: one submission per content class, one
+// SERVE back per class. A record served by a cache tier is sched.Stored, one
+// a worker computed is sched.Computed; the coordinator's reassignments of
+// this job's leases are the requeues.
+func (c *Client) Run(dec *fragment.Decomposition, cls *store.Classes, opt sched.Options, resolve sched.Resolve) (int, error) {
+	reps := cls.Reps
+	if len(reps) == 0 {
+		return 0, nil
 	}
-	_, runSpan := opt.Obs.Begin("cluster.run", "sched", obs.A("frags", int64(nf)))
+	_, runSpan := opt.Obs.Begin("cluster.run", "sched", obs.A("frags", int64(len(dec.Fragments))))
 	defer runSpan.End()
-
-	// One submission per content class: the representative travels, and its
-	// canonical result fills every member (DESIGN.md, "Content classes").
-	cls := store.Classify(dec.Fragments, opt.Job)
-	keys, frames, producers := cls.Keys, cls.Frames, cls.Reps
+	class := make(map[int]int, len(reps)) // representative → class index
+	for ci, r := range reps {
+		class[r] = ci
+	}
 
 	hb := c.HeartbeatInterval
 	if hb <= 0 {
 		hb = 3 * time.Second
 	}
-	var reg *obs.Registry
-	if opt.Obs.R != nil {
-		reg = opt.Obs.R
-	}
 	tr, _, err := handshake(c.Addr, Hello{Role: RoleClient, Proto: ProtoVersion, Name: c.Name},
-		c.DialTimeout, c.MaxPayload, reg)
+		c.DialTimeout, c.MaxPayload, opt.Obs.R)
 	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: connect %s: %w", c.Addr, err)
+		return 0, fmt.Errorf("cluster: connect %s: %w", c.Addr, err)
 	}
 	done := make(chan struct{})
 	defer func() {
@@ -95,83 +91,68 @@ func (c *Client) Run(dec *fragment.Decomposition, opt sched.Options) ([]*hessian
 	}()
 
 	const jobID = 1
-	if err := tr.write(MsgJob, Job{Job: jobID, NFrags: uint32(len(producers)), Opt: opt.Job}.encode()); err != nil {
-		return nil, nil, fmt.Errorf("cluster: submit job: %w", err)
+	if err := tr.write(MsgJob, Job{Job: jobID, NFrags: uint32(len(reps)), Opt: opt.Job}.encode()); err != nil {
+		return 0, fmt.Errorf("cluster: submit job: %w", err)
 	}
-	for _, i := range producers {
+	for _, i := range reps {
 		f := &dec.Fragments[i]
 		if err := tr.write(MsgFrag, Frag{
-			Job: jobID, Frag: uint32(i), Key: keys[i], Els: f.Els, Pos: f.Pos,
+			Job: jobID, Frag: uint32(i), Key: cls.Keys[i], Els: f.Els, Pos: f.Pos,
 		}.encode()); err != nil {
-			return nil, nil, fmt.Errorf("cluster: submit fragment %d: %w", i, err)
+			return 0, fmt.Errorf("cluster: submit fragment %d: %w", i, err)
 		}
 	}
 
-	results := make([]*hessian.FragmentData, nf)
-	rep := &sched.Report{NumTasks: len(producers)}
 	received := 0
 	gotDone := false
 	var jd JobDone
-	for received < len(producers) || !gotDone {
+	for received < len(reps) || !gotDone {
 		f, err := tr.read()
 		if err != nil {
 			select {
 			case <-cancelled:
-				return nil, nil, fmt.Errorf("cluster: %w", sched.ErrCancelled)
+				return 0, fmt.Errorf("cluster: %w", sched.ErrCancelled)
 			default:
 			}
-			return nil, nil, fmt.Errorf("cluster: coordinator connection: %w", err)
+			return 0, fmt.Errorf("cluster: coordinator connection: %w", err)
 		}
 		switch f.Type {
 		case MsgServe:
 			sv, err := decodeServe(f.Payload)
 			if err != nil {
-				return nil, nil, err
+				return 0, err
 			}
-			i := int(sv.Frag)
-			if i < 0 || i >= nf || cls.Members[i] == nil || results[i] != nil {
-				return nil, nil, fmt.Errorf("%w: SERVE for unknown fragment %d", ErrProtocol, i)
+			ci, ok := class[int(sv.Frag)]
+			if !ok {
+				return 0, fmt.Errorf("%w: SERVE for unknown fragment %d", ErrProtocol, sv.Frag)
+			}
+			delete(class, int(sv.Frag)) // a second SERVE for it is unknown
+			src := sched.Stored
+			if sv.Tier == TierCompute {
+				src = sched.Computed
 			}
 			canon, err := store.Decode(sv.Blob)
-			if err != nil {
-				return nil, nil, fmt.Errorf("cluster: fragment %d result: %w", i, err)
+			if err == nil {
+				err = resolve(ci, canon, src)
 			}
-			// Expand the canonical result to every member of the class
-			// through its own rigid frame — exactly the store's Get
-			// path, so bits match the single-process run.
-			for _, m := range cls.Members[i] {
-				results[m], err = frames[m].FromCanonical(canon)
-				if err != nil {
-					return nil, nil, fmt.Errorf("cluster: fragment %d result: %w", m, err)
-				}
+			if err != nil {
+				return 0, fmt.Errorf("cluster: fragment %d result: %w", sv.Frag, err)
 			}
 			received++
 		case MsgJobDone:
 			m, err := decodeJobDone(f.Payload)
 			if err != nil {
-				return nil, nil, err
+				return 0, err
 			}
 			if m.Err != "" {
-				return nil, nil, fmt.Errorf("cluster: job failed: %s", m.Err)
+				return 0, fmt.Errorf("cluster: job failed: %s", m.Err)
 			}
 			jd, gotDone = m, true
 		default:
-			return nil, nil, fmt.Errorf("%w: unexpected %s at client", ErrProtocol, f.Type)
+			return 0, fmt.Errorf("%w: unexpected %s at client", ErrProtocol, f.Type)
 		}
 	}
-
-	// Map the coordinator's per-tier accounting onto the scheduler
-	// report: recomputed fragments are cache misses; tier hits are
-	// resume-equivalent (work inherited from the cluster's stores);
-	// within-run rigid copies are dedup.
-	tierHits := int(jd.LocalHits + jd.CoordHits)
-	rep.CacheMisses = int(jd.Computed)
-	rep.Resumed = tierHits
-	rep.Deduped = nf - len(producers)
-	rep.CacheHits = rep.Resumed + rep.Deduped
-	rep.Requeues = int(jd.Reassigns)
-	rep.Elapsed = time.Since(start)
-	return results, rep, nil
+	return int(jd.Reassigns), nil
 }
 
 // FetchStats connects to a coordinator as a client, requests its STATS

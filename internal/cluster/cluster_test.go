@@ -22,6 +22,13 @@ import (
 	"qframan/internal/structure"
 )
 
+// runCluster runs dec through sched.Run with a cluster client for addr as
+// its backend.
+func runCluster(addr string, dec *fragment.Decomposition, opt sched.Options) ([]*hessian.FragmentData, *sched.Report, error) {
+	opt.Backend = NewClient(addr)
+	return sched.Run(dec, opt)
+}
+
 // testCoordinator starts a coordinator on a loopback listener with its own
 // store, registering cleanup. The store may be nil to disable the
 // coordinator cache tier.
@@ -223,7 +230,7 @@ func TestClusterDedupAcrossJobs(t *testing.T) {
 		t.Fatalf("warm run served %d coord-tier hits, want ≥ %d", snap.TierCoord, computed)
 	}
 	rep := res2.SchedReport
-	if rep.CacheMisses != 0 || rep.Resumed != rep.NumTasks {
+	if rep.CacheMisses != 0 || rep.Resumed != len(res2.Decomposition.Fragments) {
 		t.Fatalf("warm report: %+v", rep)
 	}
 }
@@ -414,7 +421,7 @@ func TestCoordinatorClosesAtOnce(t *testing.T) {
 	waitForWorkers(t, co, 1)
 	ran := make(chan error, 1)
 	go func() {
-		_, _, err := NewClient(addr).Run(fakeDecomposition(1, 1), sched.DefaultOptions())
+		_, _, err := runCluster(addr, fakeDecomposition(1, 1), sched.DefaultOptions())
 		ran <- err
 	}()
 	waitFor(t, "a client to connect", func() bool { return co.Snapshot().Clients == 1 })
@@ -453,7 +460,7 @@ func TestCoordinatorForgetsFinishedWork(t *testing.T) {
 	// shapes it has (coord-tier hits retire at admission).
 	wantDone := 0
 	for j := 0; j < 3; j++ {
-		_, rep, err := NewClient(addr).Run(fakeDecomposition(3+2*j, 2), sched.DefaultOptions())
+		_, rep, err := runCluster(addr, fakeDecomposition(3+2*j, 2), sched.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -467,7 +474,7 @@ func TestCoordinatorForgetsFinishedWork(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := NewClient(addr).Run(racing, sched.DefaultOptions()); err != nil {
+			if _, _, err := runCluster(addr, racing, sched.DefaultOptions()); err != nil {
 				t.Error(err)
 			}
 		}()

@@ -1037,7 +1037,6 @@ type Snapshot struct {
 	JobsFailed   uint64       `json:"jobs_failed"`
 	StoreObjects int          `json:"store_objects"`
 	StoreBytes   int64        `json:"store_bytes"`
-	StoreLogical int          `json:"store_logical"`
 }
 
 // Snapshot captures the coordinator's current state and counters.
@@ -1081,7 +1080,6 @@ func (co *Coordinator) Snapshot() Snapshot {
 		st := co.cfg.Store.Stats()
 		s.StoreObjects = st.Objects
 		s.StoreBytes = st.Bytes
-		s.StoreLogical = st.Logical
 	}
 	return s
 }

@@ -312,7 +312,7 @@ func TestCacheSolverMigration(t *testing.T) {
 	}
 	for _, hex := range old {
 		k, _ := store.ParseKey(hex)
-		if !s3.Has(k) {
+		if !s3.Has(k, true) {
 			t.Errorf("old record %s was displaced by the migration", hex[:12])
 		}
 	}
@@ -337,6 +337,46 @@ func TestCacheIgnoresPriorWithoutResume(t *testing.T) {
 	}
 	if rep.Resumed != 0 || calls.Load() != 5 {
 		t.Fatalf("without Resume: resumed=%d, engine calls=%d; want 0/5", rep.Resumed, calls.Load())
+	}
+}
+
+// TestCacheNoReadWithoutResume: without Resume a run reads no record that
+// predates the store's opening — not one store read, nothing resumed, one
+// miss per class — while a record this process wrote is served.
+func TestCacheNoReadWithoutResume(t *testing.T) {
+	const distinct, copies = 3, 4
+	dec := rotatedDuplicates(distinct, copies)
+	nf := len(dec.Fragments)
+	engine := func(f *fragment.Fragment, _ Options) (*hessian.FragmentData, error) {
+		return fullData(f.ID), nil
+	}
+	run := func(s *store.Store) (*Report, int) {
+		t.Helper()
+		reg := obs.NewRegistry()
+		opt := cacheOptions(t, s, false, nil)
+		opt.Process = engine
+		opt.Obs = obs.NewScope(nil, reg)
+		_, rep, err := Run(dec, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, int(reg.Snapshot().Hists[obs.MetricStoreGetSeconds].Count)
+	}
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	run(s)
+	s.Close()
+
+	s2 := openStore(t, dir)
+	rep, reads := run(s2)
+	if reads != 0 || rep.Resumed != 0 || rep.CacheMisses != distinct || rep.Deduped != nf-distinct {
+		t.Fatalf("second run without Resume: %d store reads, resumed=%d misses=%d deduped=%d; want 0/0/%d/%d",
+			reads, rep.Resumed, rep.CacheMisses, rep.Deduped, distinct, nf-distinct)
+	}
+	// Its records are this process's now: the next run is served them.
+	rep, _ = run(s2)
+	if rep.Resumed != nf || rep.CacheMisses != 0 {
+		t.Fatalf("third run: resumed=%d misses=%d; want %d/0", rep.Resumed, rep.CacheMisses, nf)
 	}
 }
 
@@ -572,14 +612,18 @@ func TestCacheOneStoreOperationPerClass(t *testing.T) {
 		t.Fatalf("cold: %d engine calls, misses=%d deduped=%d resumed=%d; want %d/%d/%d/0",
 			calls.Load(), rep.CacheMisses, rep.Deduped, rep.Resumed, distinct, distinct, nf-distinct)
 	}
-	if st := s.Stats(); st.Objects != distinct || st.Logical != nf {
-		t.Fatalf("cold run left %d objects backing %d results, want %d/%d", st.Objects, st.Logical, distinct, nf)
+	if n := s.Stats().Objects; n != distinct {
+		t.Fatalf("cold run left %d objects, want %d", n, distinct)
 	}
 	perFragment(s, cold)
 	s.Close()
 
+	manifest := filepath.Join(dir, "manifest.log")
+	before, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s2 := openStore(t, dir)
-	before := s2.Stats().Logical
 	reg := obs.NewRegistry()
 	opt = cacheOptions(t, s2, true, nil)
 	opt.Process = engine(&calls)
@@ -591,8 +635,8 @@ func TestCacheOneStoreOperationPerClass(t *testing.T) {
 	if reads := reg.Snapshot().Hists[obs.MetricStoreGetSeconds].Count; reads != distinct {
 		t.Fatalf("warm run read the store %d times for %d fragments, want %d (one per distinct key)", reads, nf, distinct)
 	}
-	if backed := s2.Stats().Logical - before; backed != nf {
-		t.Fatalf("manifest tallies %d results backed by the store for %d fragments", backed, nf)
+	if after, err := os.ReadFile(manifest); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("a warm run wrote to the manifest (err %v):\n%s", err, after[len(before):])
 	}
 	if calls.Load() != distinct || rep2.CacheMisses != 0 || rep2.Resumed != nf || rep2.Deduped != 0 {
 		t.Fatalf("warm: %d engine calls in total, misses=%d resumed=%d deduped=%d; want %d/0/%d/0",

@@ -84,24 +84,46 @@ type Options struct {
 	// spans. The zero Scope disables all of it.
 	Obs obs.Scope
 	// Backend, when non-nil, replaces the in-process leader fan-out
-	// with a pluggable dispatch backend — Run delegates the whole fragment
-	// loop to it. internal/cluster.Client implements this to fan fragments
-	// out to remote worker daemons over the wire (qframan -cluster), whose
-	// coordinator runs the straggler rule through its lease timeout.
-	// In-process options that configure the goroutine runtime (NumLeaders,
-	// Retry, Injector, MaxFailedFragments) do not apply, while Job, Cancel,
-	// and Obs are honored by every backend.
+	// with a pluggable dispatch backend that resolves Run's content
+	// classes. internal/cluster.Client implements this to fan
+	// representatives out to remote worker daemons over the wire (qframan
+	// -cluster), whose coordinator runs the straggler rule through its
+	// lease timeout. In-process options that configure the goroutine
+	// runtime (NumLeaders, Retry, Injector, MaxFailedFragments, Cache) do
+	// not apply, while Job, Cancel, and Obs are honored by every backend.
 	Backend Backend
 }
 
-// Backend is a pluggable dispatch backend for the fragment loop: it receives
-// the full decomposition and must return per-fragment data in decomposition
-// order, exactly as the in-process runtime would. Implementations must
-// preserve the determinism contract — results bit-identical to the
-// in-process run, with or without a store — and honor Options.Cancel.
+// Backend is a pluggable dispatch backend at class level. Run classifies the
+// decomposition and hands it the classes; the backend hands back, for each
+// class c, the canonical record of representative cls.Reps[c] and where it
+// came from, through one resolve call per class on the goroutine that called
+// Run, as the records arrive, and returns its straggler requeues. resolve
+// expands the record to the members and counts them exactly as for Run's
+// own leaders while the backend waits for the next record; its error ends
+// the run. Implementations must preserve the determinism contract — the
+// engine's canonical record, bit for bit — and honor Options.Cancel.
 type Backend interface {
-	Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Report, error)
+	Run(dec *fragment.Decomposition, cls *store.Classes, opt Options, resolve Resolve) (requeues int, err error)
 }
+
+// Resolve is the hand-back of a Backend: class c's canonical record and
+// where it came from.
+type Resolve func(c int, canon *hessian.FragmentData, src Source) error
+
+// Source says where a content class's canonical record came from.
+type Source uint8
+
+const (
+	// Unresolved: no record; the class's fragments failed under the
+	// fail-soft budget.
+	Unresolved Source = iota
+	// Computed: this run ran the engine for it.
+	Computed
+	// Stored: a store record this run did not compute (an earlier run's,
+	// another job's, or a cluster cache tier's).
+	Stored
+)
 
 // ProcessFunc is the fragment-engine signature of Options.Process.
 type ProcessFunc func(f *fragment.Fragment, opt Options) (*hessian.FragmentData, error)
@@ -164,10 +186,10 @@ func Compute(f *fragment.Fragment, opt Options) (data *hessian.FragmentData, err
 type CacheOptions struct {
 	// Store is the open store; nil keeps records in memory only.
 	Store *store.Store
-	// Resume serves results recorded by *previous* runs. Without it the
-	// store still checkpoints completions, but pre-existing records are
-	// ignored (and re-verified by overwriting them when their classes
-	// recompute).
+	// Resume serves records that predate the store's opening. Without it
+	// the store serves only records this process wrote (an earlier job or
+	// frame of a serving daemon or trajectory); an older record is neither
+	// read nor served, its class recomputes and is checkpointed anew.
 	Resume bool
 	// ReadOnly disables checkpoint writes (lookup-only cache); a computed
 	// record still fills its class in memory.
@@ -214,12 +236,14 @@ type Report struct {
 	// spectrum omits the failed fragments' contributions.
 	Degraded bool
 	// CacheHits counts fragments filled from a canonical record they did not
-	// compute: Resumed of them from store records a previous run wrote,
-	// Deduped of them from the record another fragment of this run made
-	// (identical geometry under the content-addressed key), with or without
-	// a store. CacheHits == Resumed + Deduped.
+	// compute: Resumed of them from a store record this run did not compute
+	// (on a cluster backend, a cache tier's), Deduped of them from the
+	// record another member of their class computed in this run (identical
+	// geometry under the content-addressed key), with or without a store.
+	// CacheHits == Resumed + Deduped.
 	CacheHits int
-	// CacheMisses counts fragments that went through the engine.
+	// CacheMisses counts fragments that went through the engine: one per
+	// computed class.
 	CacheMisses int
 	Resumed     int
 	Deduped     int
@@ -228,6 +252,12 @@ type Report struct {
 	// recomputed. Store failures degrade to recomputation or to a lost
 	// checkpoint, never abort.
 	StoreErrors int
+	// Classes is the run's content-class table (store.Classify of the
+	// decomposition) and Sources[c] where the record of class c,
+	// representative Classes.Reps[c], came from: a caller attributes the
+	// run's results by key from these, without fingerprinting again.
+	Classes *store.Classes
+	Sources []Source
 }
 
 func b2i(v bool) int64 {
@@ -248,23 +278,21 @@ type retryEntry struct {
 // elsewhere).
 const waitTick = time.Millisecond
 
-// Run computes every fragment on the master–leader runtime and returns
-// per-fragment data in decomposition order, each its content class's
-// canonical record in its own frame: the same bits with or without a store.
-// With a fail-soft budget (Options.MaxFailedFragments > 0) the returned slice
-// may contain nils exactly at Report.Failed.
+// Run computes every fragment and returns per-fragment data in
+// decomposition order, each its content class's canonical record in its own
+// frame: the same bits with or without a store, in-process or on a Backend.
+// Run is the one place a run is classified, its store read and its results
+// counted: it classifies the decomposition, resolves one record per class —
+// on its own master–leader runtime or through Options.Backend — and fills
+// and counts every member through fill. With a fail-soft budget
+// (Options.MaxFailedFragments > 0) the returned slice may contain nils
+// exactly at Report.Failed.
 func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Report, error) {
-	if opt.Backend != nil {
-		return opt.Backend.Run(dec, opt)
-	}
-	if opt.NumLeaders <= 0 {
+	if opt.Backend == nil && opt.NumLeaders <= 0 {
 		return nil, nil, fmt.Errorf("sched: need at least one leader")
 	}
 	nf := len(dec.Fragments)
-	sizes := make([]int, nf)
-	for i := range dec.Fragments {
-		sizes[i] = dec.Fragments[i].NumAtoms()
-	}
+	start := time.Now()
 
 	// The unit of scheduling is the content class: store.Classify groups the
 	// fragments by content key, only each class's representative (its lowest
@@ -272,33 +300,128 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 	// its canonical record — looked up in the store, or computed — fills
 	// every member through that member's own rigid frame.
 	cls := store.Classify(dec.Fragments, opt.Job)
-	keys, frames, reps, members := cls.Keys, cls.Frames, cls.Reps, cls.Members
+	keys, frames := cls.Keys, cls.Frames
+	classOf := make([]int, nf)
+	for c, r := range cls.Reps {
+		for _, m := range cls.Members[r] {
+			classOf[m] = c
+		}
+	}
+
+	obsSc := opt.Obs
+	mHits := obsSc.R.Counter(obs.MetricCacheHits)
+	mMisses := obsSc.R.Counter(obs.MetricCacheMisses)
+	mQueue := obsSc.R.Gauge(obs.MetricQueueDepth)
+	mFragWall := obsSc.R.Histogram(obs.MetricFragmentSeconds, obs.DurationBuckets)
+	// A fragment's wall time across its attempts (the sched_fragment_seconds
+	// sample) and its span, open from first claim to resolution; the
+	// in-process runtime allocates them when observability is on.
+	var fragWall []time.Duration
+	var fragSpans []*obs.Span
+	var attempts []int
+
+	// The master's ledger, guarded by mu: results, the report, and the
+	// resolved count (fragments done or failed) its leaders poll.
+	var mu sync.Mutex
+	results := make([]*hessian.FragmentData, nf)
+	report := &Report{Classes: cls, Sources: make([]Source, len(cls.Reps))}
+	resolved := 0
+
+	// expand rotates a class's canonical record into the own frame of each of
+	// the fragments ms; fill hands them the result — ms are the class's
+	// unresolved members, ms[0] the one that resolved it, taking wall — and
+	// counts them by the record's source. Both dispatch paths end here.
+	expand := func(ms []int, canon *hessian.FragmentData) ([]*hessian.FragmentData, error) {
+		out := make([]*hessian.FragmentData, len(ms))
+		for i, m := range ms {
+			fd, err := frames[m].FromCanonical(canon)
+			if err != nil {
+				return nil, fmt.Errorf("sched: fragment %d: %w", m, err)
+			}
+			out[i] = fd
+		}
+		return out, nil
+	}
+	fill := func(ms []int, out []*hessian.FragmentData, src Source, wall time.Duration) {
+		mu.Lock()
+		defer mu.Unlock()
+		for i, m := range ms {
+			results[m] = out[i]
+		}
+		resolved += len(ms)
+		report.Sources[classOf[ms[0]]] = src
+		if src == Computed {
+			report.CacheMisses++
+			report.Deduped += len(ms) - 1
+			mMisses.Inc()
+			mHits.Add(int64(len(ms) - 1))
+		} else {
+			report.Resumed += len(ms)
+			mHits.Add(int64(len(ms)))
+		}
+		report.CacheHits = report.Resumed + report.Deduped
+		if fragWall == nil {
+			return
+		}
+		fragWall[ms[0]] += wall
+		for _, m := range ms {
+			mFragWall.ObserveDuration(fragWall[m])
+		}
+		mQueue.Set(int64(nf - resolved))
+		if sp := fragSpans[ms[0]]; sp != nil {
+			sp.End(obs.A("attempts", int64(attempts[ms[0]])), obs.A("cachehit", b2i(src == Stored)))
+		}
+	}
+
+	if opt.Backend != nil {
+		requeues, err := opt.Backend.Run(dec, cls, opt, func(c int, canon *hessian.FragmentData, src Source) error {
+			if c < 0 || c >= len(cls.Reps) || report.Sources[c] != Unresolved || src == Unresolved {
+				return fmt.Errorf("sched: backend resolved class %d twice, out of range or to nothing", c)
+			}
+			ms := cls.Members[cls.Reps[c]]
+			out, err := expand(ms, canon)
+			if err == nil {
+				fill(ms, out, src, 0)
+			}
+			return err
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		if resolved < nf {
+			return nil, nil, fmt.Errorf("sched: backend resolved %d of %d fragments", resolved, nf)
+		}
+		report.NumTasks = len(cls.Reps)
+		report.Requeues = requeues
+		report.Elapsed = time.Since(start)
+		return results, report, nil
+	}
+
+	sizes := make([]int, nf)
+	for i := range dec.Fragments {
+		sizes[i] = dec.Fragments[i].NumAtoms()
+	}
+	// members is the dispatch copy of cls.Members: a promotion re-roots the
+	// rest of a class here, and the report's table stays as classified.
+	members := append([][]int(nil), cls.Members...)
 	// Fresh work ships largest first so the long fragments start early and
 	// the small ones fill the tail; reps is ascending, so the stable sort
 	// breaks size ties by index.
-	order := append([]int(nil), reps...)
+	order := append([]int(nil), cls.Reps...)
 	sort.SliceStable(order, func(a, b int) bool { return sizes[order[a]] > sizes[order[b]] })
 	fresh := 0 // cursor into order
 
 	// Observability: the run span roots the trace; dispatch-side metric
 	// instruments are resolved once here (every handle is nil-safe, so
 	// with no registry attached each site costs one branch).
-	obsSc := opt.Obs
 	obsOn := obsSc.Enabled()
 	tracing := obsSc.Tracing()
 	runSc, runSpan := obsSc.Begin("sched.run", "sched",
 		obs.A("fragments", int64(nf)), obs.A("leaders", int64(opt.NumLeaders)))
-	mQueue := obsSc.R.Gauge(obs.MetricQueueDepth)
 	mRetries := obsSc.R.Counter(obs.MetricRetries)
 	mPanics := obsSc.R.Counter(obs.MetricPanics)
-	mHits := obsSc.R.Counter(obs.MetricCacheHits)
-	mMisses := obsSc.R.Counter(obs.MetricCacheMisses)
-	mFragWall := obsSc.R.Histogram(obs.MetricFragmentSeconds, obs.DurationBuckets)
 	mQueue.Set(int64(nf))
-	// A fragment's wall time across its attempts (the sched_fragment_seconds
-	// sample) and its span, open from first claim to resolution.
-	var fragWall []time.Duration
-	var fragSpans []*obs.Span
+	attempts = make([]int, nf)
 	if obsOn {
 		fragWall = make([]time.Duration, nf)
 		fragSpans = make([]*obs.Span, nf)
@@ -308,22 +431,18 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 		opt.Cache.Store.SetObs(obsSc)
 	}
 
-	// The master hands out one fragment per pull under a mutex: this is the
+	// The master hands out one fragment per pull under mu: this is the
 	// "leader-available → task-assignment" signal loop of Fig. 4(a),
 	// collapsed into synchronous calls because goroutines are cheap. The
 	// master also keeps the retry/fail-soft ledger. A fragment is pending in
 	// order or in retryQ, processing at exactly one leader, or resolved;
 	// nothing else re-dispatches it, so no attempt is ever a duplicate.
-	var mu sync.Mutex
-	attempts := make([]int, nf)
 	var retryQ []retryEntry
 	var failed []int
-	resolved := 0 // fragments done or failed
 	aborted := false
 	cancelled := false
 	var abortErrs []error
-	results := make([]*hessian.FragmentData, nf)
-	report := &Report{Leaders: make([]LeaderStats, opt.NumLeaders)}
+	report.Leaders = make([]LeaderStats, opt.NumLeaders)
 
 	// claim pops the next dispatchable fragment and marks it processing,
 	// returning it with its 1-based attempt number. fi < 0 with wait=true
@@ -380,41 +499,9 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 		}
 		return fi, attempts[fi], false
 	}
-	// complete records a fragment's result and its cache provenance: served
-	// means the bits came from a canonical record this fragment did not
-	// compute, prior that the record predates this run. wall is the
-	// resolving attempt's duration; a class member filled from its
-	// representative's record was never claimed and adds none.
-	complete := func(fi int, data *hessian.FragmentData, served, prior bool, wall time.Duration) {
-		mu.Lock()
-		defer mu.Unlock()
-		results[fi] = data
-		resolved++
-		if !served {
-			report.CacheMisses++
-			mMisses.Inc()
-		} else {
-			report.CacheHits++
-			mHits.Inc()
-			if prior {
-				report.Resumed++
-			} else {
-				report.Deduped++
-			}
-		}
-		if obsOn {
-			fragWall[fi] += wall
-			mFragWall.ObserveDuration(fragWall[fi])
-			mQueue.Set(int64(nf - resolved))
-			if sp := fragSpans[fi]; sp != nil {
-				sp.End(obs.A("attempts", int64(attempts[fi])), obs.A("cachehit", b2i(served)))
-			}
-		}
-	}
 	// promote makes the first of a class's unresolved members its new
-	// representative and enqueues it — when the old one failed permanently,
-	// or a member's frame cannot take the record, the rest of the class
-	// still has to be produced. Callers hold mu.
+	// representative and enqueues it when the old one failed permanently:
+	// the rest of the class still has to be produced. Callers hold mu.
 	promote := func(rest []int) {
 		if len(rest) > 0 {
 			members[rest[0]] = rest
@@ -427,53 +514,40 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 		mu.Unlock()
 	}
 	// Records travel to and from the store in the canonical pose, addressed
-	// by the identity frame; expand rotates one into member m's own frame.
+	// by the identity frame.
 	canonFrame := func(fi int) store.Frame { return store.Frame{NAtoms: frames[fi].NAtoms} }
-	expand := func(m int, canon *hessian.FragmentData) *hessian.FragmentData {
-		fd, err := frames[m].FromCanonical(canon)
-		if err != nil {
-			storeError()
+	// lookup returns fi's canonical record from the store when the store
+	// holds one this run may be served (Store.Has: any record under Resume,
+	// else only one this process wrote), reading nothing otherwise. Store
+	// errors (corrupt or unreadable records) degrade to a miss and are
+	// counted. A read is recorded as a store.get child of the attempt span.
+	lookup := func(fi int, parent uint64, track int32) *hessian.FragmentData {
+		st := opt.Cache.Store
+		if !st.Has(keys[fi], opt.Cache.Resume) {
 			return nil
 		}
-		return fd
-	}
-	// lookup resolves a representative from the store if an eligible record
-	// exists, returning it both in fi's frame and canonical; prior-run
-	// records require Resume. Store errors (corrupt or unreadable records)
-	// degrade to a miss and are counted. The lookup is recorded as a
-	// store.get child of the attempt span.
-	lookup := func(fi int, parent uint64, track int32) (data, canon *hessian.FragmentData, prior bool) {
 		var t0 time.Time
 		if tracing {
 			t0 = time.Now()
 		}
-		canon, prior, err := opt.Cache.Store.Get(keys[fi], canonFrame(fi))
-		switch {
-		case err != nil:
+		canon, _, err := st.Get(keys[fi], canonFrame(fi))
+		if err != nil {
 			storeError()
-		case canon != nil && (!prior || opt.Cache.Resume):
-			data = expand(fi, canon)
 		}
 		if tracing {
 			obsSc.T.Record(parent, track, "store.get", "store",
-				obsSc.T.Since(t0), time.Since(t0), obs.A("hit", b2i(data != nil)))
+				obsSc.T.Since(t0), time.Since(t0), obs.A("hit", b2i(canon != nil)))
 		}
-		if data == nil {
-			return nil, nil, false
-		}
-		return data, canon, prior
+		return canon
 	}
 	// record turns a computed result into its class's canonical record and
-	// back into fi's frame, the bits every member gets, and persists it in
-	// a writable store (stored: the store holds it). A failed Put is counted
-	// and loses only the persistence; a result with no canonical form fails
-	// the attempt.
-	record := func(fi int, data *hessian.FragmentData, parent uint64, track int32) (rt, canon *hessian.FragmentData, stored bool, err error) {
-		if canon, err = frames[fi].ToCanonical(data); err == nil {
-			rt, err = frames[fi].FromCanonical(canon)
-		}
+	// persists it in a writable store. A failed Put is counted and loses
+	// only the persistence; a result with no canonical form fails the
+	// attempt.
+	record := func(fi int, data *hessian.FragmentData, parent uint64, track int32) (*hessian.FragmentData, error) {
+		canon, err := frames[fi].ToCanonical(data)
 		if err != nil || opt.Cache.Store == nil || opt.Cache.ReadOnly {
-			return rt, canon, false, err
+			return canon, err
 		}
 		var t0 time.Time
 		if tracing {
@@ -487,7 +561,7 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 			obsSc.T.Record(parent, track, "store.put", "store",
 				obsSc.T.Since(t0), time.Since(t0), obs.A("err", b2i(perr != nil)))
 		}
-		return rt, canon, perr == nil, nil
+		return canon, nil
 	}
 	// fail records one failed attempt of wall duration. Transient failures
 	// inside the retry budget go back to the queue with backoff; anything
@@ -571,7 +645,6 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 		return data, err
 	}
 
-	start := time.Now()
 	var wg sync.WaitGroup
 	for l := 0; l < opt.NumLeaders; l++ {
 		wg.Add(1)
@@ -602,18 +675,28 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 						attSc = attSc.WithSpan(attSpan)
 					}
 				}
-				var data, canon *hessian.FragmentData
-				prior := false
+				// The class's record: the store's, or failing that (a miss,
+				// or a record no member's frame takes) the engine's.
+				class := members[fi]
+				var out []*hessian.FragmentData
+				src := Stored
 				if opt.Cache.Store != nil {
-					data, canon, prior = lookup(fi, attSpan.ID(), leaderTrack)
+					if canon := lookup(fi, attSpan.ID(), leaderTrack); canon != nil {
+						var err error
+						if out, err = expand(class, canon); err != nil {
+							storeError()
+						}
+					}
 				}
-				served := data != nil
-				stored := served
-				if !served {
-					var err error
-					data, err = attemptFragment(fi, attempt, attSc)
+				if out == nil {
+					src = Computed
+					data, err := attemptFragment(fi, attempt, attSc)
+					var canon *hessian.FragmentData
 					if err == nil {
-						data, canon, stored, err = record(fi, data, attSpan.ID(), leaderTrack)
+						canon, err = record(fi, data, attSpan.ID(), leaderTrack)
+					}
+					if err == nil {
+						out, err = expand(class, canon)
 					}
 					if err != nil {
 						attSpan.End(obs.A("err", 1))
@@ -625,28 +708,11 @@ func Run(dec *fragment.Decomposition, opt Options) ([]*hessian.FragmentData, *Re
 						continue
 					}
 				}
-				attSpan.End(obs.A("cachehit", b2i(served)))
-				complete(fi, data, served, prior, time.Since(t0))
-				// Fill the rest of the class from the canonical record,
-				// outside the master mutex; whatever cannot be filled gets a
-				// new representative.
-				class := members[fi]
-				n := 1 // resolved members, the representative first
-				for ; n < len(class); n++ {
-					fd := expand(class[n], canon)
-					if fd == nil {
-						break
-					}
-					complete(class[n], fd, true, prior, 0)
-				}
-				mu.Lock()
-				promote(class[n:])
-				mu.Unlock()
-				if stored && n > 1 {
-					opt.Cache.Store.Ref(keys[fi], n-1)
-				}
-				stats.Fragments += n
-				stats.Busy += time.Since(t0)
+				attSpan.End(obs.A("cachehit", b2i(src == Stored)))
+				wall := time.Since(t0)
+				fill(class, out, src, wall)
+				stats.Fragments += len(class)
+				stats.Busy += wall
 			}
 		}(l)
 	}

@@ -292,9 +292,9 @@ type ReportSummary struct {
 	CacheMisses int `json:"cache_misses"`
 	Resumed     int `json:"resumed"`
 	Deduped     int `json:"deduped"`
-	// CrossJobHits counts this job's fragments whose results already
-	// existed in the shared store when the job started — work inherited
-	// from other jobs (any tenant) or previous daemon runs.
+	// CrossJobHits counts this job's fragments served from shared-store
+	// records it did not compute — work inherited from other jobs (any
+	// tenant) or previous daemon runs; the scheduler's Resumed.
 	CrossJobHits int `json:"cross_job_hits"`
 	// CrossTenantHits is the subset of CrossJobHits produced by a
 	// *different* tenant within this daemon's lifetime.

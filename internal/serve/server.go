@@ -490,33 +490,6 @@ func (s *Server) execute(j *Job) (*ReportSummary, *SpectrumPayload, error) {
 	jobReg := s.reg.WithLabel("job", j.ID).WithLabel("tenant", j.Tenant)
 	opt.Obs = obs.NewScope(nil, jobReg)
 
-	// Cross-job accounting: fingerprint every fragment up front and count
-	// the ones whose results already sit in the shared store — work this
-	// job inherits from other jobs (or earlier daemon runs). The ledger
-	// attributes in-lifetime producers, so hits on a different tenant's
-	// work are visible as such. Fingerprinting hashes every fragment's
-	// canonical geometry, so it runs off the server mutex (the store has
-	// its own lock); s.mu is held only for the ledger lookups.
-	var keys []store.Key
-	crossJob, crossTenant := 0, 0
-	if s.cfg.Store != nil {
-		keys = store.Classify(dec.Fragments, opt.Job).Keys
-		hit := make([]bool, len(keys))
-		for i, k := range keys {
-			hit[i] = s.cfg.Store.Has(k)
-		}
-		s.mu.Lock()
-		for i, k := range keys {
-			if hit[i] {
-				crossJob++
-				if owner, ok := s.ledger[k]; ok && owner != j.Tenant {
-					crossTenant++
-				}
-			}
-		}
-		s.mu.Unlock()
-	}
-
 	j.mu.Lock()
 	j.fragsTotal = len(dec.Fragments)
 	j.queueDepth = jobReg.Gauge(obs.MetricQueueDepth)
@@ -544,43 +517,51 @@ func (s *Server) execute(j *Job) (*ReportSummary, *SpectrumPayload, error) {
 		}
 	}
 
-	// Record what this job contributed to the shared store: any of its
-	// keys now present and unowned were first produced under this tenant.
-	// Store probes again run off s.mu; the lock covers only the ledger.
-	if s.cfg.Store != nil {
-		present := make([]bool, len(keys))
-		for i, k := range keys {
-			present[i] = s.cfg.Store.Has(k)
-		}
-		s.mu.Lock()
-		for i, k := range keys {
-			if _, ok := s.ledger[k]; !ok && present[i] {
-				s.ledger[k] = j.Tenant
-			}
-		}
-		s.enforceLedgerCapLocked()
-		s.mu.Unlock()
-	}
-
 	if rep == nil {
 		return nil, nil, err
 	}
+	crossTenant := s.attribute(rep, j.Tenant)
 	sum := &ReportSummary{
 		Fragments:       len(dec.Fragments),
 		CacheHits:       rep.CacheHits,
 		CacheMisses:     rep.CacheMisses,
 		Resumed:         rep.Resumed,
 		Deduped:         rep.Deduped,
-		CrossJobHits:    crossJob,
+		CrossJobHits:    rep.Resumed,
 		CrossTenantHits: crossTenant,
 		Retries:         rep.Retries,
 		Requeues:        rep.Requeues,
 		Panics:          rep.Panics,
 		Degraded:        rep.Degraded,
 	}
-	s.reg.Counter(MetricCrossJobHits).Add(int64(crossJob))
+	s.reg.Counter(MetricCrossJobHits).Add(int64(rep.Resumed))
 	s.reg.Counter(MetricCrossTenantHit).Add(int64(crossTenant))
 	return sum, spec, err
+}
+
+// attribute settles a finished run's share of the tenant ledger from its
+// report: it returns how many fragments the run was served from records
+// another tenant produced in this daemon's lifetime, and files the classes
+// the run computed under tenant unless an earlier job already owns them.
+func (s *Server) attribute(rep *sched.Report, tenant string) (crossTenant int) {
+	if s.cfg.Store == nil {
+		return 0
+	}
+	cls := rep.Classes
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for c, r := range cls.Reps {
+		k := cls.Keys[r]
+		owner, owned := s.ledger[k]
+		switch {
+		case rep.Sources[c] == sched.Stored && owned && owner != tenant:
+			crossTenant += len(cls.Members[r])
+		case rep.Sources[c] == sched.Computed && !owned:
+			s.ledger[k] = tenant
+		}
+	}
+	s.enforceLedgerCapLocked()
+	return crossTenant
 }
 
 func (s *Server) countFinish(st JobState) {
@@ -684,10 +665,8 @@ type DaemonStatus struct {
 
 // StoreStatus summarizes the shared store for /status.
 type StoreStatus struct {
-	Objects    int     `json:"objects"`
-	Logical    int     `json:"logical"`
-	DedupRatio float64 `json:"dedup_ratio"`
-	Bytes      int64   `json:"bytes"`
+	Objects int   `json:"objects"`
+	Bytes   int64 `json:"bytes"`
 }
 
 func (s *Server) statusSnapshot() DaemonStatus {
@@ -708,7 +687,7 @@ func (s *Server) statusSnapshot() DaemonStatus {
 	s.mu.Unlock()
 	if s.cfg.Store != nil {
 		st := s.cfg.Store.Stats()
-		ds.Store = &StoreStatus{Objects: st.Objects, Logical: st.Logical, DedupRatio: st.DedupRatio, Bytes: st.Bytes}
+		ds.Store = &StoreStatus{Objects: st.Objects, Bytes: st.Bytes}
 	}
 	return ds
 }

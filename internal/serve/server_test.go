@@ -254,3 +254,26 @@ func TestPriorityOrderWithinTenant(t *testing.T) {
 			started(high.ID), started(mid.ID), started(low.ID))
 	}
 }
+
+// TestSecondJobIsResumed: a job over a system an earlier job already ran on
+// the shared store is served every fragment from that job's records. They
+// count as Resumed (and as cross-job hits), not Deduped: Deduped is for
+// members of classes a run computes itself.
+func TestSecondJobIsResumed(t *testing.T) {
+	_, ts := newTestServer(t, Config{Runners: 1, Store: openStore(t, t.TempDir())})
+	second := strings.Replace(waterText(0.96, 3), " HOH 1 ", " HOH 2 ", 3)
+	req := SubmitRequest{Tenant: "a", System: SystemSpec{Kind: "text", Text: waterText(0.96, 0) + second}}
+
+	first := waitState(t, ts, submitOK(t, ts, req).ID, 10*time.Second)
+	if first.State != JobDone || first.Report.Deduped == 0 || first.Report.Resumed != 0 {
+		t.Fatalf("first job: %q %+v; want done with in-run dedup and nothing resumed", first.State, first.Report)
+	}
+	st := waitState(t, ts, submitOK(t, ts, req).ID, 10*time.Second)
+	rep := st.Report
+	if st.State != JobDone || rep.Resumed != rep.Fragments || rep.Deduped != 0 || rep.CacheMisses != 0 {
+		t.Fatalf("second job: %q %+v; want every fragment resumed, none deduped or computed", st.State, rep)
+	}
+	if rep.CrossJobHits != rep.Fragments {
+		t.Fatalf("second job: %d cross-job hits for %d fragments", rep.CrossJobHits, rep.Fragments)
+	}
+}

@@ -73,8 +73,10 @@ func Fingerprint(f *fragment.Fragment, opt hessian.JobOptions) (Key, Frame) {
 // Classes is the content-class inventory of a fragment list. The Eq. 1
 // decomposition emits the same geometry many times (a water monomer is
 // subtracted once per pair it joins), so everything that dedupes by content
-// — the scheduler, the cluster client, the trajectory differ, the serving
-// ledger — consumes this one table instead of fingerprinting for itself.
+// consumes this one table instead of fingerprinting for itself: sched.Run
+// classifies each run once, hands the table to its dispatch backend (the
+// cluster client) and returns it in its report (to the trajectory differ
+// and the serving ledger).
 type Classes struct {
 	// Keys and Frames hold Fingerprint's outputs for every fragment.
 	Keys   []Key
@@ -112,11 +114,9 @@ func Classify(frags []fragment.Fragment, job hessian.JobOptions) *Classes {
 }
 
 // fpScratch is the reusable canonicalization/hashing state of one
-// Fingerprint call: the serialization buffer and the SHA-256 digest. The
-// trajectory engine fingerprints every fragment of every frame on its diff
-// hot path, so the steady state must be allocation-free; the pool also
-// serves the scheduler's up-front fingerprint pass and the cluster/serving
-// frontends for free.
+// Fingerprint call: the serialization buffer and the SHA-256 digest. Every
+// scheduler run fingerprints each of its fragments — every trajectory frame
+// included — so the steady state must be allocation-free.
 type fpScratch struct {
 	buf []byte
 	h   hash.Hash

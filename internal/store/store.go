@@ -20,7 +20,7 @@ import (
 
 // Store is the on-disk checkpoint/cache. Layout:
 //
-//	<dir>/manifest.log   append-only manifest: header, then put/ref/del lines
+//	<dir>/manifest.log   append-only manifest: header, then put/del lines
 //	<dir>/seg-<n>        append-only segment files of CRC-guarded records
 //
 // A record is appended to the current segment; segments rotate at
@@ -37,6 +37,8 @@ import (
 // state decodes into wrong data, and the manifest is bookkeeping: a torn
 // tail or a lost line degrades to a recomputation, never to corruption. A
 // record that fails its CRC on read is evicted by a `del` tombstone line.
+// Stores written before the ledger went may also hold `ref` lines; replay
+// skips them.
 //
 // One process opens a store at a time. Within it, a Store may be shared by
 // any number of goroutines — and by concurrent scheduler runs of a serving
@@ -52,8 +54,7 @@ type Store struct {
 	idx      map[Key]*entry
 	segs     map[int]*segment
 	cur      int // segment receiving appends
-	logical  int // put+ref manifest records across all runs
-	replayed int // manifest records replayed at Open
+	replayed int // put lines replayed at Open
 
 	// Group commit, guarded by mu: filling collects the records appended
 	// since the last leader took its batch; syncing is set while a leader
@@ -79,7 +80,7 @@ type entry struct {
 	seg    int
 	off, n int64
 	// prior marks records that existed when the store was opened and that
-	// this process has not re-put — the currency of -resume accounting.
+	// this process has not re-put: only a resuming run may serve them.
 	prior bool
 }
 
@@ -161,7 +162,6 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.replayed = s.logical
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err == nil {
 		err = f.Truncate(intact)
@@ -258,7 +258,7 @@ func (s *Store) replayLine(fields []string) {
 		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
 			return
 		}
-		s.logical++
+		s.replayed++
 		if sg := s.segs[seg]; sg == nil || natoms < 0 || off < 0 || n <= 0 || off > sg.size-n {
 			// The line outran its segment's bytes: drop it (and whatever
 			// it superseded) so the fragment requeues.
@@ -266,8 +266,6 @@ func (s *Store) replayLine(fields []string) {
 			return
 		}
 		s.idx[k] = &entry{natoms: natoms, seg: seg, off: off, n: n, prior: true}
-	case fields[0] == "ref" && len(fields) == 2:
-		s.logical++
 	case fields[0] == "del" && len(fields) == 2:
 		delete(s.idx, k)
 	}
@@ -379,8 +377,8 @@ func (s *Store) stage(k Key, natoms int, blob []byte) error {
 // commit is the one write path — Put, PutRaw and PutRaws all end here. It
 // appends every record to the current segment and returns once the group
 // commit that covers them has published them. A key this process already
-// put is not rewritten: it gets a `ref` line, the logical serve. The first
-// error is returned; records that failed are not published.
+// put is not rewritten and writes no line. The first error is returned;
+// records that failed are not published.
 func (s *Store) commit(recs []RawRecord) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -391,10 +389,6 @@ func (s *Store) commit(recs []RawRecord) error {
 	g, appended := s.filling, 0
 	for _, r := range recs {
 		if e := s.idx[r.Key]; e != nil && !e.prior {
-			s.logical++
-			if err := s.appendLine("ref " + r.Key.String() + "\n"); err != nil && firstErr == nil {
-				firstErr = err
-			}
 			continue
 		}
 		if err := s.stage(r.Key, r.NAtoms, r.Blob); err != nil {
@@ -447,7 +441,6 @@ func (s *Store) lead() {
 			for _, r := range g.recs {
 				s.idx[r.key] = &entry{natoms: r.natoms, seg: r.seg, off: r.off, n: r.n}
 			}
-			s.logical += len(g.recs)
 			s.obsRecords.Load().Add(int64(len(g.recs)))
 		}
 	}
@@ -561,8 +554,8 @@ func (s *Store) load(k Key) (*hessian.FragmentData, []byte, *entry, error) {
 // frame. A clean miss returns (nil, false, nil). A record that fails CRC or
 // structural validation is evicted and reported as ErrCorrupt so the caller
 // requeues the fragment — corruption is never served. The prior flag
-// reports that the record was produced by an earlier run (and not re-put by
-// this one): resume accounting.
+// reports that the record was produced before this process opened the store
+// (and not re-put since). Get writes nothing: a read is no manifest event.
 func (s *Store) Get(k Key, fr Frame) (*hessian.FragmentData, bool, error) {
 	if h := s.obsGet.Load(); h != nil {
 		defer func(t0 time.Time) { h.ObserveDuration(time.Since(t0)) }(time.Now())
@@ -575,36 +568,16 @@ func (s *Store) Get(k Key, fr Frame) (*hessian.FragmentData, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	// Record the serve as a ref so the manifest tallies every logical
-	// result the store backed — the numerator of the dedup ratio.
-	// Best-effort bookkeeping: a failed append changes no data.
-	s.Ref(k, 1)
 	return fd, e.prior, nil
 }
 
-// Ref records n further results backed by k's record — class members the
-// scheduler filled in memory from one Get or Put — so the manifest keeps
-// tallying every fragment result the store backed (the numerator of the
-// dedup ratio) while the store is touched once per class. Best-effort
-// bookkeeping, like Get's own ref line.
-func (s *Store) Ref(k Key, n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.manifest == nil || n <= 0 {
-		return
-	}
-	s.logical += n
-	s.appendLine(strings.Repeat("ref "+k.String()+"\n", n))
-}
-
-// GetRaw serves the validated canonical record bytes for k — the peer-fetch
-// path of the cluster's tiered cache (DESIGN.md §9): record blobs travel
-// CRC-guarded end to end between worker-local stores and the coordinator
-// store without a decode/re-encode at each hop. The blob is fully validated
+// GetRaw serves the validated canonical record bytes for k, the form the
+// cluster ships them in (DESIGN.md §9): a worker's local-tier hit and the
+// coordinator's admission-time serve send a record's CRC-guarded bytes as
+// stored, with no decode/re-encode at each hop. The blob is fully validated
 // (magic, CRC, structure) before it is returned; a corrupt record is evicted
 // and reported as ErrCorrupt exactly like Get. A clean miss returns
-// (nil, false, nil). No ref line is appended: a raw read is peer transport,
-// not a logical fragment completion.
+// (nil, false, nil).
 func (s *Store) GetRaw(k Key) ([]byte, bool, error) {
 	_, blob, _, err := s.load(k)
 	return blob, blob != nil, err
@@ -621,14 +594,16 @@ func (s *Store) evict(k Key, seen *entry) {
 	}
 }
 
-// Has reports whether a record for k is currently indexed — a cheap
-// existence probe (no I/O, no CRC) that a serving frontend uses for
-// cross-job dedup accounting before dispatch. The authoritative check stays
-// with Get, which validates the record's bytes.
-func (s *Store) Has(k Key) bool {
+// Has reports, from the in-memory index alone (no I/O, no CRC), whether k
+// has a record a run may be served: any record when resume is set, else
+// only one this process wrote. The scheduler asks it before a Get, so a run
+// without resume never reads a record it would discard. The authoritative
+// check stays with Get, which validates the record's bytes.
+func (s *Store) Has(k Key, resume bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.idx[k] != nil
+	e := s.idx[k]
+	return e != nil && (resume || !e.prior)
 }
 
 // Stats summarizes store contents for tooling (qfstats -store).
@@ -641,13 +616,6 @@ type Stats struct {
 	// compaction would reclaim.
 	Segments  int
 	DeadBytes int64
-	// Logical counts the results recorded across all runs (manifest put +
-	// ref lines): every fragment completion that was backed by the store,
-	// whether it read the record itself or was filled from its class's read.
-	Logical int
-	// DedupRatio is Logical/Objects — how many fragment results each
-	// stored record serves on average.
-	DedupRatio float64
 	// SizeHistogram counts records by fragment atom count (caps included).
 	SizeHistogram map[int]int
 }
@@ -656,7 +624,7 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Stats{Logical: s.logical, Segments: len(s.segs), SizeHistogram: make(map[int]int)}
+	st := Stats{Segments: len(s.segs), SizeHistogram: make(map[int]int)}
 	for _, e := range s.idx {
 		st.Objects++
 		st.Bytes += e.n
@@ -666,9 +634,6 @@ func (s *Store) Stats() Stats {
 		st.DeadBytes += sg.size
 	}
 	st.DeadBytes -= st.Bytes
-	if st.Objects > 0 {
-		st.DedupRatio = float64(st.Logical) / float64(st.Objects)
-	}
 	return st
 }
 

@@ -9,23 +9,26 @@
 // frame-to-frame diff of fingerprints identifies exactly the fragments
 // whose physics changed.
 //
-// Three reuse tiers, cheapest first:
+// A frame's fragments take one of two paths:
 //
 //  1. In-memory reuse — a fragment whose coordinates are bit-identical to
-//     the previous frame keeps last frame's FragmentData pointer outright;
-//     no store round trip, no rotation. (Bit-equality of positions implies
-//     bit-equality of the canonical frame, so the held data is exactly what
-//     a store lookup would return.)
-//  2. Store-served — a fragment that moved rigidly (or matches any record
-//     by content) keeps its fingerprint and is served by the store, rotated
-//     into its new frame; no engine recompute.
-//  3. Recompute — a fragment whose fingerprint changed runs the engine,
-//     optionally warm-started: its reference SCF seeds from the converged
-//     charges of the *same fragment identity* in the previous frame
-//     (per-atom scalars are rotation-invariant). Warm-starting changes the
-//     iteration path, not the physics — spectra agree within the SCF
-//     tolerance — and Options.WarmStart=false restores strict bit-identity
-//     with independent per-frame runs.
+//     its identity's in the previous frame keeps last frame's FragmentData
+//     pointer outright: no fingerprint, no store round trip, no rotation.
+//     (Bit-equal positions give a bit-equal canonical frame, so the held
+//     data is exactly what a store lookup would return.) This is the tier
+//     that pays off when only a few molecules move per frame.
+//  2. Scheduled — every other fragment goes through sched.Run, which
+//     classifies them by content key and resolves each class once: a
+//     fragment that moved rigidly (or matches any record by content) keeps
+//     its key and is served by the store, rotated into its new frame; a
+//     class whose key is new runs the engine, optionally warm-started — its
+//     reference SCF seeds from the converged charges of the *same fragment
+//     identity* in the previous frame (per-atom scalars are
+//     rotation-invariant). Warm-starting changes the iteration path, not
+//     the physics — spectra agree within the SCF tolerance — and
+//     Options.WarmStart=false restores strict bit-identity with
+//     independent per-frame runs. The run's classes give the frame its
+//     Moved/Rotated split and the next frame's keys.
 //
 // Every frame assembles from scratch (hessian.AssembleDegraded): gathering
 // the Eq. 1 blocks costs what replaying a per-fragment record of them would.
@@ -53,8 +56,8 @@ import (
 type Options struct {
 	// Core is the one-shot pipeline configuration the engine wraps. The
 	// scheduler options (including the cache store, observability scope,
-	// and fault policy) are honored per frame; attach a store to enable
-	// tier-2 reuse of rigidly-moved fragments.
+	// and fault policy) are honored per frame; attach a store to serve
+	// rigidly-moved fragments without recomputing them.
 	Core core.Config
 	// WarmStart seeds each recomputed fragment's reference SCF from its own
 	// identity's previous-frame converged charges. Off, every frame is
@@ -114,8 +117,8 @@ type FrameReport struct {
 	// first time (frame 0 counts everything as moved).
 	Moved int
 	// Rotated counts fragments whose fingerprint is unchanged but whose
-	// coordinates moved rigidly: scheduled, served by the store's rotation
-	// path, never recomputed.
+	// coordinates moved rigidly: scheduled and, with a store, served by its
+	// rotation path, never recomputed.
 	Rotated int
 	// Reused counts fragments with bit-identical coordinates: previous
 	// frame's data reused in memory with no store round trip.
@@ -204,43 +207,60 @@ func samePos(a, b []geom.Vec3) bool {
 	return true
 }
 
-// diff classifies each fragment of the frame against the previous frame's
-// identity index. It returns the per-fragment identities, keys, and the
-// classification (reused data filled in, scheduled indices listed).
+// diffResult is one frame held against the previous frame's identity
+// index: the fragments whose positions are bit-equal are reused, the rest
+// (sub, in frame order) are scheduled.
 type diffResult struct {
 	ids       []string
-	keys      []store.Key
-	reused    []*hessian.FragmentData // non-nil exactly at tier-1 fragments
-	scheduled []int                   // decomposition indices needing sched
-	moved     map[int]bool            // scheduled subset whose key changed
+	reused    []*hessian.FragmentData // previous data at reused fragments
+	scheduled []int                   // decomposition indices of sub's fragments
+	sub       *fragment.Decomposition
+	next      map[string]*prevState // the next frame's identity index
 	report    FrameReport
 }
 
+// diff sorts a frame's fragments into reused and scheduled. It fingerprints
+// nothing: the scheduled fragments' keys come to settle afterwards.
 func (e *Engine) diff(dec *fragment.Decomposition) *diffResult {
+	nf := len(dec.Fragments)
 	d := &diffResult{
 		ids:    identities(dec),
-		keys:   store.Classify(dec.Fragments, e.opt.Core.Sched.Job).Keys,
-		reused: make([]*hessian.FragmentData, len(dec.Fragments)),
-		moved:  make(map[int]bool),
+		reused: make([]*hessian.FragmentData, nf),
+		sub:    &fragment.Decomposition{},
+		next:   make(map[string]*prevState, nf),
 	}
 	for i := range dec.Fragments {
 		f := &dec.Fragments[i]
-		p := e.prev[d.ids[i]]
-		switch {
-		case p != nil && p.key == d.keys[i] && samePos(p.pos, f.Pos):
+		if p := e.prev[d.ids[i]]; p != nil && samePos(p.pos, f.Pos) {
 			d.reused[i] = p.data
+			d.next[d.ids[i]] = p
 			d.report.Reused++
-		case p != nil && p.key == d.keys[i]:
-			d.scheduled = append(d.scheduled, i)
-			d.report.Rotated++
-		default:
-			d.scheduled = append(d.scheduled, i)
-			d.moved[i] = true
-			d.report.Moved++
+			continue
 		}
+		d.scheduled = append(d.scheduled, i)
+		d.sub.Fragments = append(d.sub.Fragments, *f)
 	}
 	d.report.Scheduled = len(d.scheduled)
 	return d
+}
+
+// settle takes the scheduled fragments' content keys — keys[j] is
+// scheduled[j]'s, from the frame's scheduler run or from Diff's own
+// classification — counts each fragment Rotated when its identity kept its
+// key and Moved otherwise (a new identity included), and enters it in the
+// next frame's index, returning the new entries in sub order.
+func (e *Engine) settle(dec *fragment.Decomposition, d *diffResult, keys []store.Key) []*prevState {
+	states := make([]*prevState, len(d.scheduled))
+	for j, i := range d.scheduled {
+		if p := e.prev[d.ids[i]]; p != nil && p.key == keys[j] {
+			d.report.Rotated++
+		} else {
+			d.report.Moved++
+		}
+		states[j] = &prevState{key: keys[j], pos: append([]geom.Vec3(nil), dec.Fragments[i].Pos...)}
+		d.next[d.ids[i]] = states[j]
+	}
+	return states
 }
 
 // partition fragments a frame with the engine configured in the pipeline
@@ -273,27 +293,17 @@ func (e *Engine) Step(sys *structure.System) (*FrameResult, error) {
 
 	_, fspan := frameSc.Begin("traj.diff", "traj", obs.A("fragments", int64(len(dec.Fragments))))
 	d := e.diff(dec)
-	fspan.End(obs.A("moved", int64(d.report.Moved)), obs.A("rotated", int64(d.report.Rotated)),
-		obs.A("reused", int64(d.report.Reused)))
+	fspan.End(obs.A("reused", int64(d.report.Reused)), obs.A("scheduled", int64(d.report.Scheduled)))
 
 	datas := make([]*hessian.FragmentData, len(dec.Fragments))
 	copy(datas, d.reused)
-	next := make(map[string]*prevState, len(dec.Fragments))
-	for i, fd := range d.reused {
-		if fd != nil {
-			next[d.ids[i]] = e.prev[d.ids[i]]
-		}
-	}
 
 	var schedRep *sched.Report
 	var failed []int
 	warmed := 0
 	refIters := 0
 	if len(d.scheduled) > 0 {
-		sub := &fragment.Decomposition{Fragments: make([]fragment.Fragment, len(d.scheduled))}
-		for j, i := range d.scheduled {
-			sub.Fragments[j] = dec.Fragments[i]
-		}
+		sub := d.sub
 		// Warm seeds and reference captures are keyed by the sub-fragment's
 		// address — the one pointer sched hands the hooks.
 		var mu sync.Mutex
@@ -303,9 +313,11 @@ func (e *Engine) Step(sys *structure.System) (*FrameResult, error) {
 			iters int
 		}
 		caps := make(map[*fragment.Fragment]refCap)
+		// Every scheduled fragment is offered its identity's seed; only one
+		// the engine runs for asks (a store-served one never does).
 		if e.opt.WarmStart {
 			for j, i := range d.scheduled {
-				if p := e.prev[d.ids[i]]; p != nil && d.moved[i] && p.warmDQ != nil {
+				if p := e.prev[d.ids[i]]; p != nil && p.warmDQ != nil {
 					seeds[&sub.Fragments[j]] = p.warmDQ
 				}
 			}
@@ -336,6 +348,7 @@ func (e *Engine) Step(sys *structure.System) (*FrameResult, error) {
 		schedRep = rep
 		d.report.Recomputed = rep.CacheMisses
 		d.report.CacheHits = rep.CacheHits
+		states := e.settle(dec, d, rep.Classes.Keys)
 		failedSub := make(map[int]bool, len(rep.Failed))
 		for _, j := range rep.Failed {
 			failedSub[j] = true
@@ -343,14 +356,12 @@ func (e *Engine) Step(sys *structure.System) (*FrameResult, error) {
 		for j, i := range d.scheduled {
 			if failedSub[j] {
 				failed = append(failed, i)
+				delete(d.next, d.ids[i])
 				continue
 			}
 			datas[i] = subDatas[j]
-			ps := &prevState{
-				key:  d.keys[i],
-				pos:  append([]geom.Vec3(nil), dec.Fragments[i].Pos...),
-				data: subDatas[j],
-			}
+			ps := states[j]
+			ps.data = subDatas[j]
 			if c, ok := caps[&sub.Fragments[j]]; ok {
 				ps.warmDQ = c.dq
 			} else if p := e.prev[d.ids[i]]; p != nil {
@@ -358,10 +369,9 @@ func (e *Engine) Step(sys *structure.System) (*FrameResult, error) {
 				// (per-atom scalars survive rigid motion).
 				ps.warmDQ = p.warmDQ
 			}
-			next[d.ids[i]] = ps
 		}
 	}
-	e.prev = next
+	e.prev = d.next
 	d.report.Frame = e.frame
 	d.report.Fragments = len(dec.Fragments)
 	d.report.WarmStarted = warmed
@@ -405,7 +415,8 @@ func (e *Engine) Step(sys *structure.System) (*FrameResult, error) {
 // anything: the accounting mode of qfstats -traj. It advances the same
 // identity index as Step (minus warm-start charges and data, which only
 // computation can produce), so successive Diff calls report exactly what a
-// computing run would schedule.
+// computing run would schedule. With no scheduler run to take keys from, it
+// classifies the scheduled fragments itself.
 func (e *Engine) Diff(sys *structure.System) (FrameReport, error) {
 	t0 := time.Now()
 	dec, err := e.partition(sys)
@@ -416,14 +427,8 @@ func (e *Engine) Diff(sys *structure.System) (FrameReport, error) {
 		return FrameReport{}, fmt.Errorf("traj: frame %d produced no fragments", e.frame)
 	}
 	d := e.diff(dec)
-	next := make(map[string]*prevState, len(dec.Fragments))
-	for i := range dec.Fragments {
-		next[d.ids[i]] = &prevState{
-			key: d.keys[i],
-			pos: append([]geom.Vec3(nil), dec.Fragments[i].Pos...),
-		}
-	}
-	e.prev = next
+	e.settle(dec, d, store.Classify(d.sub.Fragments, e.opt.Core.Sched.Job).Keys)
+	e.prev = d.next
 	d.report.Frame = e.frame
 	d.report.Fragments = len(dec.Fragments)
 	d.report.Elapsed = time.Since(t0)
