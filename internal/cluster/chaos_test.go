@@ -136,16 +136,20 @@ func waitForWorkers(t *testing.T, co *Coordinator, n int) {
 // geometry — any worker, after any number of reassignments, produces the
 // same bits.
 
-// fakeEngine derives a 3N×3N "Hessian" from interatomic offsets. It is
-// translation-invariant, so rigid translated copies share canonical
-// records exactly like real rigid waters do.
+// fakeEngine derives a symmetric 3N×3N "Hessian" from interatomic offsets
+// (the upper triangle, mirrored: a Hessian is symmetric bit for bit, and
+// sched.Compute rejects one that is not). It is translation-invariant, so
+// rigid translated copies share canonical records exactly like real rigid
+// waters do.
 func fakeEngine(f *fragment.Fragment, _ sched.Options) (*hessian.FragmentData, error) {
 	n := len(f.Els)
 	h := linalg.NewMatrix(3*n, 3*n)
 	for i := 0; i < 3*n; i++ {
-		for j := 0; j < 3*n; j++ {
+		for j := i; j < 3*n; j++ {
 			a, b := f.Pos[i/3], f.Pos[j/3]
-			h.Set(i, j, (a.X-b.X)+0.5*(a.Y-b.Y)+0.25*(a.Z-b.Z)+0.125*float64(i%3)-0.0625*float64(j%3))
+			v := (a.X - b.X) + 0.5*(a.Y-b.Y) + 0.25*(a.Z-b.Z) + 0.125*float64(i%3) - 0.0625*float64(j%3)
+			h.Set(i, j, v)
+			h.Set(j, i, v)
 		}
 	}
 	return &hessian.FragmentData{Hess: h}, nil

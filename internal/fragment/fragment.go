@@ -287,14 +287,6 @@ func chainRanges(sys *structure.System) []piece {
 // piece is a contiguous run of residues [lo, hi].
 type piece struct{ lo, hi int }
 
-func (p piece) slice() []int {
-	out := make([]int, 0, p.hi-p.lo+1)
-	for r := p.lo; r <= p.hi; r++ {
-		out = append(out, r)
-	}
-	return out
-}
-
 // chainPieces cuts an n-residue chain at every peptide bond except the first
 // and the last, following the paper: n−3 cuts yield n−2 pieces, the first
 // and last of which hold two residues. Chains with n ≤ 3 stay whole.

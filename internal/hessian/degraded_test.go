@@ -117,3 +117,23 @@ func TestValidateCatchesNonFinite(t *testing.T) {
 		t.Fatal("NaN ∂μ not caught")
 	}
 }
+
+// TestValidateCatchesAsymmetricHessian: Hess is symmetric bit for bit — the
+// store rotates upper-triangle blocks only and assembly relies on mirrored
+// entries agreeing — so a one-ulp asymmetry or a non-square Hessian is
+// rejected like a NaN.
+func TestValidateCatchesAsymmetricHessian(t *testing.T) {
+	fd := unitFragmentData(1)
+	fd.Hess.Set(0, 2, 0.25)
+	fd.Hess.Set(2, 0, 0.25)
+	if err := fd.Validate(); err != nil {
+		t.Fatalf("symmetric Hessian rejected: %v", err)
+	}
+	fd.Hess.Set(2, 0, math.Nextafter(0.25, 1))
+	if err := fd.Validate(); err == nil || !strings.Contains(err.Error(), "asymmetric") {
+		t.Fatalf("one-ulp asymmetry not caught: %v", err)
+	}
+	if err := (&FragmentData{Hess: linalg.NewMatrix(3, 6)}).Validate(); err == nil {
+		t.Fatal("non-square Hessian not caught")
+	}
+}

@@ -197,7 +197,8 @@ func runJob(md *scf.Model, atom, axis, sign int, opt JobOptions) (*DisplacementR
 // FragmentData is the per-fragment output of the fragment engine, from either
 // route: analytic at the reference, or the displacement loop's differences.
 type FragmentData struct {
-	// Hess is the 3N×3N Cartesian Hessian (hartree/bohr²), symmetrized.
+	// Hess is the 3N×3N Cartesian Hessian (hartree/bohr²), symmetric bit
+	// for bit; Validate checks it.
 	Hess *linalg.Matrix
 	// DAlpha[c][3a+d] = ∂α_c/∂r_{a,d} (a.u.) for component c of
 	// AlphaComponents.
@@ -236,15 +237,8 @@ func (fd *FragmentData) BitEqual(o *FragmentData) bool {
 	if (fd.Hess == nil) != (o.Hess == nil) {
 		return false
 	}
-	if fd.Hess != nil {
-		if fd.Hess.Rows != o.Hess.Rows || fd.Hess.Cols != o.Hess.Cols {
-			return false
-		}
-		for i, v := range fd.Hess.Data {
-			if math.Float64bits(v) != math.Float64bits(o.Hess.Data[i]) {
-				return false
-			}
-		}
+	if fd.Hess != nil && (fd.Hess.Rows != o.Hess.Rows || !bitEqualSlice(fd.Hess.Data, o.Hess.Data)) {
+		return false
 	}
 	for c := range fd.DAlpha {
 		if !bitEqualSlice(fd.DAlpha[c], o.DAlpha[c]) {
@@ -273,18 +267,17 @@ func bitEqualSlice(a, b []float64) bool {
 
 // Validate scans the fragment data for NaN or Inf entries — a diverged
 // SCF/DFPT response that slipped through the solvers' own checks, or an
-// injected divergence from the chaos harness. A nil receiver and nil
-// sub-fields are accepted (test fakes and Hessian-only runs omit pieces).
+// injected divergence from the chaos harness — and checks the Hessian is
+// symmetric bit for bit (CheckSymmetric). A nil receiver and nil sub-fields
+// are accepted (test fakes and Hessian-only runs omit pieces).
 func (fd *FragmentData) Validate() error {
 	if fd == nil {
 		return nil
 	}
 	if fd.Hess != nil {
-		for r := 0; r < fd.Hess.Rows; r++ {
-			for c := 0; c < fd.Hess.Cols; c++ {
-				if v := fd.Hess.At(r, c); math.IsNaN(v) || math.IsInf(v, 0) {
-					return fmt.Errorf("hessian: non-finite Hessian entry (%d,%d) = %v", r, c, v)
-				}
+		for i, v := range fd.Hess.Data {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("hessian: non-finite Hessian entry (%d,%d) = %v", i/fd.Hess.Cols, i%fd.Hess.Cols, v)
 			}
 		}
 	}
@@ -299,6 +292,24 @@ func (fd *FragmentData) Validate() error {
 		for i, v := range d {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return fmt.Errorf("hessian: non-finite ∂μ component %d entry %d = %v", k, i, v)
+			}
+		}
+	}
+	return fd.CheckSymmetric()
+}
+
+// CheckSymmetric reports an error unless the Hessian, when present, is
+// square and equal to its transpose in every bit — the form both engine
+// routes return, the store's rotation keeps and assembly relies on.
+func (fd *FragmentData) CheckSymmetric() error {
+	h := fd.Hess
+	if h != nil && h.Rows != h.Cols {
+		return fmt.Errorf("hessian: non-square %dx%d Hessian", h.Rows, h.Cols)
+	}
+	for i := 0; h != nil && i < h.Rows; i++ {
+		for j := i + 1; j < h.Rows; j++ {
+			if a, b := h.Data[i*h.Rows+j], h.Data[j*h.Rows+i]; math.Float64bits(a) != math.Float64bits(b) {
+				return fmt.Errorf("hessian: asymmetric Hessian: (%d,%d) = %v, (%d,%d) = %v", i, j, a, j, i, b)
 			}
 		}
 	}
@@ -597,7 +608,7 @@ func modelForFragment(f *fragment.Fragment, seed []float64, sc obs.Scope) (*scf.
 // Global collects the assembled whole-system quantities.
 type Global struct {
 	// H is the sparse mass-weighted Hessian (atomic units: eigenvalues are
-	// squared angular frequencies).
+	// squared angular frequencies), symmetric bit for bit.
 	H *Sparse
 	// DAlpha[c] is the mass-weighted polarizability derivative vector
 	// ∂α_c/∂ξ for component c.
@@ -625,8 +636,9 @@ type Global struct {
 // for every atom some fragment couples it to. The numeric pass walks the
 // fragments in decomposition order and adds each contribution
 // Coeff·H_f[3la+da][3lb+db] / (√m_a·√m_b) into its slot, so every entry sums
-// its contributions in decomposition order. An entry whose sum is exactly 0
-// is not stored.
+// its contributions in decomposition order — as does its mirror, from the
+// same values (FragmentData.Hess is bit-symmetric), so H is bit-symmetric
+// too. An entry whose sum is exactly 0 is not stored.
 //
 // failed is the fail-soft allowance (nil for a complete assembly): fragments
 // listed in it may have nil data — their signed Eq. 1 terms are dropped from

@@ -9,11 +9,11 @@ import (
 	"qframan/internal/par"
 )
 
-// Sparse is a CSR (compressed sparse row) symmetric matrix — the global
-// mass-weighted Hessian. For a 100M-atom system the dense matrix would be
-// 300M×300M (the paper's motivating impossibility, §IV-B); fragment locality
-// makes the assembled matrix sparse with O(1) nonzeros per row, so the
-// Lanczos solver's matrix–vector products are linear in system size.
+// Sparse is a CSR (compressed sparse row) matrix, bit-symmetric as assembled
+// — the global mass-weighted Hessian. For a 100M-atom system the dense
+// matrix would be 300M×300M (the paper's motivating impossibility, §IV-B);
+// fragment locality makes the assembled matrix sparse with O(1) nonzeros
+// per row, so the Lanczos products are linear in system size.
 type Sparse struct {
 	N      int
 	RowPtr []int32

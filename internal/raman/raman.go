@@ -156,11 +156,12 @@ type modes struct {
 	activity []float64
 }
 
-// normalModes is the exact route's mode analysis: it densifies h,
-// diagonalizes it once, and gives mode p its wavenumber and the activity
-// Σ_c weights[c]·a_c², where a_c = v_pᵀ·starts[c] is the projection of start
-// vector c on the mode's eigenvector (0 for a nil vector). The solve carries
-// the vectors through the reduction and the QL rotations
+// normalModes is the exact route's mode analysis: it densifies h as
+// assembled (symmetric bit for bit: the operator the quadrature multiplies
+// by), diagonalizes it once, and gives mode p its wavenumber and the
+// activity Σ_c weights[c]·a_c², where a_c = v_pᵀ·starts[c] is the projection
+// of start vector c on the mode's eigenvector (0 for a nil vector). The
+// solve carries the vectors through the reduction and the QL rotations
 // (linalg.EigSymProjected) instead of forming the eigenvectors. A Hessian
 // the eigensolver cannot converge on — a non-finite one — is an error
 // wrapping lanczos.ErrQuadrature: deterministic, never retried.
@@ -172,7 +173,6 @@ func normalModes(h *hessian.Sparse, starts [][]float64, weights []float64) (*mod
 			v.Set(i, int(h.Col[k]), h.Val[k])
 		}
 	}
-	v.Symmetrize()
 	vals := make([]float64, n)
 	proj := linalg.NewMatrix(n, w) // row p: the projections on mode p
 	for c, d := range starts {

@@ -227,8 +227,10 @@ func TestCacheKeyIsolation(t *testing.T) {
 // +Step partners' predictor), under engine/11 (nuclear responses and
 // Hessian contracted through dense n×n matrices per coordinate), under
 // engine/12 (each γ-kernel response closing its charges on its own; the last
-// qfkey/v2 keys) and under engine/13 (the Pulay charge loop, a chord step only
-// in displaced solves) — the constants were recorded on those commits — must
+// qfkey/v2 keys), under engine/13 (the Pulay charge loop, a chord step only
+// in displaced solves) and under engine/14 with qfkey/v3 (canonical records
+// rotated by three separate contractions, not bit-symmetric) — the constants
+// were recorded on those commits — must
 // serve none of them to a resumed run of this engine: each mode reports a
 // miss, recomputes, and files its new record beside the old ones. A second
 // resumed run is then served its own.
@@ -261,12 +263,14 @@ func TestCacheSolverMigration(t *testing.T) {
 		gammaKeyEngine12     = "52f5c73372d0af858d8769916cd38712f1f984cc4c420caa3f404c245c606171"
 		gridKeyEngine13      = "198435afe3b1149ddcf05afaed79da69cd4ca83ea3c2f834d1a7ce4e7788e322"
 		gammaKeyEngine13     = "d06580c119a6bf75a4279c4a0b64d937dd5ed20895627b3beb7fce71d7f7b313"
+		gridKeyV3            = "3bb92256201ce9d4d4d849a1404a3ceb4309f4dda582fae69f48abdd138e2203"
+		gammaKeyV3           = "14291ce301e3bdb770930cd51bae8dd87c4b92fb63eb5985f9222f0e24fffd6e"
 	)
 	old := []string{gridKeyBeforeTag, gridKeyBeforeEngine, gammaKeyBeforeEngine, gridKeyEngine2, gammaKeyEngine2,
 		gridKeyEngine3, gammaKeyEngine3, gridKeyEngine4, gammaKeyEngine4, gridKeyEngine5, gammaKeyEngine5,
 		gridKeyEngine6, gammaKeyEngine6, gridKeyEngine7, gammaKeyEngine7, gridKeyEngine8, gammaKeyEngine8,
 		gridKeyEngine9, gammaKeyEngine9, gridKeyEngine10, gammaKeyEngine10, gridKeyEngine11, gammaKeyEngine11,
-		gridKeyEngine12, gammaKeyEngine12, gridKeyEngine13, gammaKeyEngine13}
+		gridKeyEngine12, gammaKeyEngine12, gridKeyEngine13, gammaKeyEngine13, gridKeyV3, gammaKeyV3}
 	dec := cacheDecomposition(1)
 	dir := t.TempDir()
 	s := openStore(t, dir)
@@ -541,12 +545,17 @@ func rotatedDuplicates(distinct, copies int) *fragment.Decomposition {
 }
 
 // fullData is a deterministic 3-atom payload with every tensor block
-// present, so frame rotations act on it.
+// present, so frame rotations act on it. Its Hessian is symmetric bit for
+// bit, as every engine's is (sched.Compute rejects one that is not).
 func fullData(fragID int) *hessian.FragmentData {
 	rng := rand.New(rand.NewSource(int64(fragID) + 1))
 	fd := &hessian.FragmentData{Hess: linalg.NewMatrix(9, 9)}
-	for i := range fd.Hess.Data {
-		fd.Hess.Data[i] = rng.NormFloat64()
+	for i := 0; i < 9; i++ {
+		for j := i; j < 9; j++ {
+			v := rng.NormFloat64()
+			fd.Hess.Set(i, j, v)
+			fd.Hess.Set(j, i, v)
+		}
 	}
 	for c := range fd.DAlpha {
 		fd.DAlpha[c] = make([]float64, 9)

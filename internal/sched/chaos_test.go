@@ -333,6 +333,37 @@ func TestNaNResultRejected(t *testing.T) {
 	}
 }
 
+// TestAsymmetricResultRejected: a Hessian that differs from its transpose in
+// one bit breaks the contract the store's rotation and the assembly rely on
+// (FragmentData.Hess is symmetric bit for bit), so Compute fails the attempt
+// — in-process and on a cluster worker alike — and the run files the
+// fragment in the fail-soft ledger, never retrying a deterministic result.
+func TestAsymmetricResultRejected(t *testing.T) {
+	dec := fakeDecomposition([]int{6, 6, 6})
+	opt := DefaultOptions()
+	opt.NumLeaders = 1
+	opt.MaxFailedFragments = 1
+	opt.Process = func(f *fragment.Fragment, _ Options) (*hessian.FragmentData, error) {
+		if f.ID != 1 {
+			return fakeData(f.ID), nil
+		}
+		h := linalg.NewMatrix(2, 2)
+		h.Set(0, 1, 0.5)
+		h.Set(1, 0, math.Nextafter(0.5, 1))
+		return &hessian.FragmentData{Hess: h}, nil
+	}
+	if _, err := Compute(&dec.Fragments[1], opt); err == nil || !strings.Contains(err.Error(), "asymmetric") {
+		t.Fatalf("Compute on an asymmetric Hessian: %v, want the asymmetry rejected", err)
+	}
+	_, report, err := Run(dec, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Failed) != 1 || report.Failed[0] != 1 || report.Retries != 0 {
+		t.Fatalf("asymmetric fragment: failed %v after %d retries, want [1] after 0", report.Failed, report.Retries)
+	}
+}
+
 // TestTransientExhaustionFallsBackToBudget: a fragment whose transient
 // failures outlast the retry budget degrades (budget permitting) instead of
 // aborting.

@@ -12,14 +12,17 @@ import (
 // randomData builds a FragmentData for natoms atoms with every block
 // populated from the seeded generator — including negative, tiny, and
 // denormal-ish values so roundtrips are checked bit-for-bit, not to a
-// tolerance.
+// tolerance. The Hessian is symmetric bit for bit, as every engine's is
+// (rotation refuses one that is not).
 func randomData(natoms int, seed int64) *hessian.FragmentData {
 	rng := rand.New(rand.NewSource(seed))
 	n3 := 3 * natoms
 	fd := &hessian.FragmentData{Hess: linalg.NewMatrix(n3, n3)}
 	for i := 0; i < n3; i++ {
-		for j := 0; j < n3; j++ {
-			fd.Hess.Set(i, j, (rng.Float64()-0.5)*rng.ExpFloat64())
+		for j := i; j < n3; j++ {
+			v := (rng.Float64() - 0.5) * rng.ExpFloat64()
+			fd.Hess.Set(i, j, v)
+			fd.Hess.Set(j, i, v)
 		}
 	}
 	for c := range fd.DAlpha {

@@ -10,11 +10,11 @@ import (
 
 // Frame is the rigid motion that carries a fragment's geometry into its
 // canonical pose: x' = R·(x − C). Records are stored in the canonical
-// frame, which is what lets every rigid copy of a water molecule — the
-// paper's solvent boxes are built from randomly *oriented* rigid waters —
-// share one record: the key is computed from canonical coordinates, and the
-// stored tensors are rotated back into each fragment's own frame on
-// retrieval.
+// frame, which lets every rigid copy of a water molecule — the paper's
+// solvent boxes are built from randomly *oriented* rigid waters — share one
+// record: the key is computed from canonical coordinates, and each member
+// gets the stored tensors rotated into its own frame by one conjugation per
+// 3×3 block, which keeps a Hessian symmetric bit for bit.
 type Frame struct {
 	// R rotates fragment coordinates into the canonical frame (row-major,
 	// orthonormal, det +1 — mirror images get distinct canonical poses and
@@ -132,36 +132,32 @@ func transpose(r [3][3]float64) [3][3]float64 {
 }
 
 // rotateData returns fd expressed in a frame rotated by R (coordinates
-// transform as x' = R x). The Hessian conjugates blockwise (B' = R B Rᵀ),
-// the dipole derivatives contract R on both the dipole and coordinate
-// indices, and the polarizability derivatives — a symmetric rank-2 tensor
-// differentiated by a coordinate — contract R on all three indices.
+// transform as x' = R x). Every tensor rotates by one conjugation B' = R·B·Rᵀ
+// of a 3×3 block: the Hessian's blocks a ≤ b, with (b, a) written as the
+// transpose, so a bit-symmetric Hessian (the only kind it accepts) stays
+// bit-symmetric; each atom's dipole derivatives g[k][d] = ∂μ_k/∂x_{a,d}; and
+// each coordinate d's symmetric polarizability slice, mixed over d by R
+// afterwards.
 func rotateData(fd *hessian.FragmentData, R [3][3]float64) (*hessian.FragmentData, error) {
 	natoms, err := rotatableAtoms(fd)
 	if err != nil {
 		return nil, err
 	}
+	n3 := 3 * natoms
 	out := &hessian.FragmentData{}
 	if fd.Hess != nil {
-		out.Hess = linalg.NewMatrix(fd.Hess.Rows, fd.Hess.Cols)
-		var blk, tmp [3][3]float64
+		out.Hess = linalg.NewMatrix(n3, n3)
 		for a := 0; a < natoms; a++ {
-			for b := 0; b < natoms; b++ {
-				for i := 0; i < 3; i++ {
-					for j := 0; j < 3; j++ {
-						blk[i][j] = fd.Hess.At(3*a+i, 3*b+j)
-					}
+			for b := a; b < natoms; b++ {
+				var B [3][3]float64
+				for i := range B {
+					copy(B[i][:], fd.Hess.Data[(3*a+i)*n3+3*b:])
 				}
-				// tmp = R·blk, blk' = tmp·Rᵀ.
-				for i := 0; i < 3; i++ {
-					for j := 0; j < 3; j++ {
-						tmp[i][j] = R[i][0]*blk[0][j] + R[i][1]*blk[1][j] + R[i][2]*blk[2][j]
-					}
-				}
-				for i := 0; i < 3; i++ {
-					for j := 0; j < 3; j++ {
-						out.Hess.Set(3*a+i, 3*b+j,
-							tmp[i][0]*R[j][0]+tmp[i][1]*R[j][1]+tmp[i][2]*R[j][2])
+				B = conj(&R, &B, a == b)
+				for i := range B {
+					for j, v := range B[i] {
+						out.Hess.Data[(3*a+i)*n3+3*b+j] = v
+						out.Hess.Data[(3*b+j)*n3+3*a+i] = v
 					}
 				}
 			}
@@ -169,65 +165,38 @@ func rotateData(fd *hessian.FragmentData, R [3][3]float64) (*hessian.FragmentDat
 	}
 	if fd.DDipole[0] != nil {
 		for k := range out.DDipole {
-			out.DDipole[k] = make([]float64, len(fd.DDipole[k]))
+			out.DDipole[k] = make([]float64, n3)
 		}
 		for a := 0; a < natoms; a++ {
-			var g, g2 [3][3]float64 // g[k][d] = ∂μ_k/∂x_{a,d}
-			for k := 0; k < 3; k++ {
-				for d := 0; d < 3; d++ {
-					g[k][d] = fd.DDipole[k][3*a+d]
-				}
+			var g [3][3]float64
+			for k := range g {
+				copy(g[k][:], fd.DDipole[k][3*a:])
 			}
-			for k := 0; k < 3; k++ {
-				for d := 0; d < 3; d++ {
-					var s float64
-					for kk := 0; kk < 3; kk++ {
-						for dd := 0; dd < 3; dd++ {
-							s += R[k][kk] * R[d][dd] * g[kk][dd]
-						}
-					}
-					g2[k][d] = s
-				}
-			}
-			for k := 0; k < 3; k++ {
-				for d := 0; d < 3; d++ {
-					out.DDipole[k][3*a+d] = g2[k][d]
-				}
+			g = conj(&R, &g, false)
+			for k := range g {
+				copy(out.DDipole[k][3*a:], g[k][:])
 			}
 		}
 	}
 	if fd.DAlpha[0] != nil {
 		for c := range out.DAlpha {
-			out.DAlpha[c] = make([]float64, len(fd.DAlpha[c]))
+			out.DAlpha[c] = make([]float64, n3)
 		}
 		for a := 0; a < natoms; a++ {
-			// G[i][j][d] = ∂α_ij/∂x_{a,d}, symmetric in (i,j).
-			var G, G2 [3][3][3]float64
+			var A [3][3][3]float64 // A[d][i][j] = ∂α_ij/∂x_{a,d}
 			for c, ij := range hessian.AlphaComponents {
-				for d := 0; d < 3; d++ {
+				for d := range A {
 					v := fd.DAlpha[c][3*a+d]
-					G[ij[0]][ij[1]][d] = v
-					G[ij[1]][ij[0]][d] = v
+					A[d][ij[0]][ij[1]], A[d][ij[1]][ij[0]] = v, v
 				}
 			}
-			for i := 0; i < 3; i++ {
-				for j := 0; j < 3; j++ {
-					for d := 0; d < 3; d++ {
-						var s float64
-						for ii := 0; ii < 3; ii++ {
-							for jj := 0; jj < 3; jj++ {
-								for dd := 0; dd < 3; dd++ {
-									s += R[i][ii] * R[j][jj] * R[d][dd] * G[ii][jj][dd]
-								}
-							}
-						}
-						G2[i][j][d] = s
-					}
-				}
+			for d := range A {
+				A[d] = conj(&R, &A[d], true)
 			}
 			for c, ij := range hessian.AlphaComponents {
-				for d := 0; d < 3; d++ {
-					out.DAlpha[c][3*a+d] = G2[ij[0]][ij[1]][d]
+				i, j := ij[0], ij[1]
+				for d := range A {
+					out.DAlpha[c][3*a+d] = R[d][0]*A[0][i][j] + R[d][1]*A[1][i][j] + R[d][2]*A[2][i][j]
 				}
 			}
 		}
@@ -235,31 +204,40 @@ func rotateData(fd *hessian.FragmentData, R [3][3]float64) (*hessian.FragmentDat
 	return out, nil
 }
 
+// conj returns R·B·Rᵀ. With sym set, B must be symmetric: only the upper
+// triangle is computed and the lower is its mirror, bit for bit.
+func conj(R, B *[3][3]float64, sym bool) (C [3][3]float64) {
+	var t [3][3]float64 // R·B
+	for i := range t {
+		for j := range t[i] {
+			t[i][j] = R[i][0]*B[0][j] + R[i][1]*B[1][j] + R[i][2]*B[2][j]
+		}
+	}
+	for i := range C {
+		for j := range C[i] {
+			if sym && j < i {
+				C[i][j] = C[j][i]
+				continue
+			}
+			C[i][j] = t[i][0]*R[j][0] + t[i][1]*R[j][1] + t[i][2]*R[j][2]
+		}
+	}
+	return C
+}
+
 // rotatableAtoms infers the atom count from the data's dimensions and
-// verifies every present block agrees — rotating mis-shaped data would
-// corrupt it silently.
+// verifies every present block agrees and the Hessian is bit-symmetric —
+// rotating mis-shaped data, or only the upper triangle of an asymmetric
+// Hessian, would corrupt it silently.
 func rotatableAtoms(fd *hessian.FragmentData) (int, error) {
-	n3 := -1
-	if fd.Hess != nil {
-		if fd.Hess.Rows != fd.Hess.Cols {
-			return 0, fmt.Errorf("store: cannot rotate non-square %dx%d Hessian", fd.Hess.Rows, fd.Hess.Cols)
-		}
-		n3 = fd.Hess.Rows
+	if err := fd.CheckSymmetric(); err != nil {
+		return 0, fmt.Errorf("store: cannot rotate: %w", err)
 	}
-	if fd.DAlpha[0] != nil {
-		if n3 >= 0 && len(fd.DAlpha[0]) != n3 {
-			return 0, fmt.Errorf("store: DAlpha length %d disagrees with Hessian %d", len(fd.DAlpha[0]), n3)
-		}
-		n3 = len(fd.DAlpha[0])
-	}
-	if fd.DDipole[0] != nil {
-		if n3 >= 0 && len(fd.DDipole[0]) != n3 {
-			return 0, fmt.Errorf("store: DDipole length %d disagrees with other blocks %d", len(fd.DDipole[0]), n3)
-		}
-		n3 = len(fd.DDipole[0])
-	}
-	if n3 < 0 || n3%3 != 0 {
-		return 0, fmt.Errorf("store: data dimensions %d are not 3N", n3)
+	n3 := 3 * fd.NumAtoms()
+	if n3 == 0 || (fd.Hess != nil && fd.Hess.Rows != n3) ||
+		(fd.DAlpha[0] != nil && len(fd.DAlpha[0]) != n3) || (fd.DDipole[0] != nil && len(fd.DDipole[0]) != n3) {
+		return 0, fmt.Errorf("store: data dimensions are not 3N (N = %d from the first present block; ∂α %d, ∂μ %d)",
+			n3/3, len(fd.DAlpha[0]), len(fd.DDipole[0]))
 	}
 	return n3 / 3, nil
 }

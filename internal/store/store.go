@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -377,8 +378,9 @@ func (s *Store) stage(k Key, natoms int, blob []byte) error {
 // commit is the one write path — Put, PutRaw and PutRaws all end here. It
 // appends every record to the current segment and returns once the group
 // commit that covers them has published them. A key this process already
-// put is not rewritten and writes no line. The first error is returned;
-// records that failed are not published.
+// put, or a prior record whose stored bytes equal the blob (one pread; it
+// becomes this process's), is not rewritten and writes no line. The first
+// error is returned; records that failed are not published.
 func (s *Store) commit(recs []RawRecord) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -388,7 +390,10 @@ func (s *Store) commit(recs []RawRecord) error {
 	var firstErr error
 	g, appended := s.filling, 0
 	for _, r := range recs {
-		if e := s.idx[r.Key]; e != nil && !e.prior {
+		if e := s.idx[r.Key]; e != nil && (!e.prior || s.holds(e, r.Blob)) {
+			if e.prior {
+				s.idx[r.Key] = &entry{natoms: e.natoms, seg: e.seg, off: e.off, n: e.n}
+			}
 			continue
 		}
 		if err := s.stage(r.Key, r.NAtoms, r.Blob); err != nil {
@@ -412,6 +417,18 @@ func (s *Store) commit(recs []RawRecord) error {
 		}
 	}
 	return firstErr
+}
+
+// holds reports whether e's stored bytes are blob; a read error is a no.
+// Callers hold s.mu.
+func (s *Store) holds(e *entry, blob []byte) bool {
+	f, err := s.segFile(e.seg)
+	if err != nil || e.n != int64(len(blob)) {
+		return false
+	}
+	stored := make([]byte, e.n)
+	_, err = f.ReadAt(stored, e.off)
+	return err == nil && bytes.Equal(stored, blob)
 }
 
 // lead runs one group commit over the filling group: fsync its segments with

@@ -11,7 +11,6 @@ import (
 
 	"qframan/internal/geom"
 	"qframan/internal/hessian"
-	"qframan/internal/linalg"
 	"qframan/internal/par"
 )
 
@@ -418,59 +417,52 @@ func TestStoreWritesOneLinePerRecord(t *testing.T) {
 	}
 }
 
-// TestFrameRotationRoundtrip: ToCanonical∘FromCanonical must reproduce the
-// input to rounding error for a genuinely rotating frame.
-func TestFrameRotationRoundtrip(t *testing.T) {
-	f := waterFragment()
-	_, fr := Fingerprint(f, hessian.DefaultJobOptions())
-	if !fr.Rotate {
-		t.Fatal("expected rotating frame")
-	}
-	fd := randomData(3, 11)
-	canon, err := fr.ToCanonical(fd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := fr.FromCanonical(canon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkClose := func(name string, a, b float64) {
-		t.Helper()
-		if math.Abs(a-b) > 1e-12*(1+math.Abs(b)) {
-			t.Fatalf("%s: %v != %v after rotation roundtrip", name, a, b)
+// TestStoreReputOfPriorRecordWritesNothing: a run without resume that
+// recomputes a record an earlier process stored, to the same bytes, appends
+// nothing — no dead bytes, no second put line — and from then on the record
+// is this process's, served without resume. A re-put with other bytes is
+// appended as before and supersedes the old record.
+func TestStoreReputOfPriorRecordWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	same, fr := flatKey(1, 2)
+	other, _ := flatKey(2, 2)
+	for _, k := range []Key{same, other} {
+		if _, err := s.Put(k, fr, randomData(2, 7)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 9; i++ {
-		for j := 0; j < 9; j++ {
-			checkClose("Hess", back.Hess.At(i, j), fd.Hess.At(i, j))
-		}
-	}
-	for c := range fd.DAlpha {
-		for i := range fd.DAlpha[c] {
-			checkClose("DAlpha", back.DAlpha[c][i], fd.DAlpha[c][i])
-		}
-	}
-	for k := range fd.DDipole {
-		for i := range fd.DDipole[k] {
-			checkClose("DDipole", back.DDipole[k][i], fd.DDipole[k][i])
-		}
-	}
-}
+	s.Close()
 
-// TestFrameRejectsMisshapenData: rotating data whose blocks disagree on the
-// atom count would corrupt it silently; it must error instead.
-func TestFrameRejectsMisshapenData(t *testing.T) {
-	f := waterFragment()
-	_, fr := Fingerprint(f, hessian.DefaultJobOptions())
-	bad := randomData(3, 12)
-	bad.DAlpha[0] = bad.DAlpha[0][:6] // 2 atoms' worth against a 3-atom Hessian
-	if _, err := fr.ToCanonical(bad); err == nil {
-		t.Fatal("mismatched block dimensions accepted for rotation")
+	s = mustOpen(t, dir)
+	defer s.Close()
+	if s.Has(same, false) {
+		t.Fatal("a prior record is served without resume")
 	}
-	notSquare := &hessian.FragmentData{Hess: linalg.NewMatrix(5, 6)}
-	if _, err := fr.ToCanonical(notSquare); err == nil {
-		t.Fatal("non-square Hessian accepted for rotation")
+	if _, err := s.Put(same, fr, randomData(2, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.DeadBytes != 0 {
+		t.Fatalf("re-put of identical bytes left %d dead bytes, want 0", st.DeadBytes)
+	}
+	if !s.Has(same, false) {
+		t.Fatal("re-put record is not this process's")
+	}
+	if fd, prior, err := s.Get(same, fr); fd == nil || prior || err != nil {
+		t.Fatalf("Get after re-put: (%v, prior %v, %v)", fd != nil, prior, err)
+	}
+	if _, err := s.Put(other, fr, randomData(2, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Objects != 2 || st.DeadBytes == 0 {
+		t.Fatalf("re-put of other bytes: %d records, %d dead bytes; want 2 and the old record dead", st.Objects, st.DeadBytes)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(b), "put "+same.String()); n != 1 {
+		t.Fatalf("%d put lines for the identically re-put record, want 1:\n%s", n, b)
 	}
 }
 
