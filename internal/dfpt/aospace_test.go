@@ -171,7 +171,7 @@ func TestPairSpaceResponseMatchesAOSpaceOracle(t *testing.T) {
 			worst["P1"] = math.Max(worst["P1"], relDiff(resp.P1[d].Data, wantP1[d].Data))
 		}
 		if fx.gapped {
-			_, fr, err := fieldResponse(fx.m, fx.ground, DefaultOptions())
+			fr, err := new(Workspace).fieldResponse(fx.m, fx.ground, DefaultOptions())
 			if err != nil {
 				t.Fatalf("%s: %v", fx.name, err)
 			}

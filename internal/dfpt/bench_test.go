@@ -92,7 +92,7 @@ func BenchmarkFieldDerivatives(b *testing.B) {
 		b.Run(fx.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, fr, err := fieldResponse(fx.m, fx.ground, DefaultOptions())
+				fr, err := new(Workspace).fieldResponse(fx.m, fx.ground, DefaultOptions())
 				if err != nil {
 					b.Fatal(err)
 				}

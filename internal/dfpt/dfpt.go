@@ -144,19 +144,25 @@ func Polarizability(m *scf.Model, ground *scf.Result, opt Options) (*Response, e
 	if err != nil {
 		return nil, err
 	}
-	out := *resp // detached from the workspace, which is garbage from here on
+	// The Response points into a workspace made for this call and dropped
+	// here, which nothing else reads: it owns its storage.
+	out := *resp
 	return &out, nil
 }
 
-// Workspace keeps a cycle environment and a Response across polarizability
-// calculations on models of one size, so that each re-seats the environment on
-// its ground state instead of building one; the analytic route's field and
-// nuclear responses are then solved on the environment the polarizability
-// left. The zero value is ready; one goroutine at a time.
+// Workspace keeps a cycle environment, a Response and the analytic route's
+// responses with their scratch across calls on models of one size, so that
+// each re-seats the environment on its ground state instead of building one;
+// the analytic route's field and nuclear responses (Responses) are then
+// solved on the environment the polarizability left. Everything a call
+// returns points into the workspace until its next call. The zero value is
+// ready; one goroutine at a time.
 type Workspace struct {
-	env  cycleEnv
-	p1   [3]*linalg.Matrix
-	resp Response
+	env     cycleEnv
+	p1      [3]*linalg.Matrix
+	resp    Response
+	second  secondWork
+	nuclear nuclearWork
 }
 
 // Polarizability is the package function of the same name on the workspace's

@@ -18,15 +18,34 @@ import (
 // needs from the nuclear response (GridAlphaDerivatives). A fractional ground
 // state is an error.
 func Responses(m *scf.Model, ground *scf.Result, opt Options) (*scf.FieldResponse, *scf.NuclearResponse, error) {
-	w, fr, err := fieldResponse(m, ground, opt)
+	// Both responses point into a workspace made for them and dropped here,
+	// which nothing else reads: they own their storage.
+	return new(Workspace).Responses(m, ground, opt)
+}
+
+// Responses is the package function of the same name in the workspace: both
+// responses belong to it and are overwritten by its next call.
+func (w *Workspace) Responses(m *scf.Model, ground *scf.Result, opt Options) (*scf.FieldResponse, *scf.NuclearResponse, error) {
+	fr, err := w.fieldResponse(m, ground, opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	nr, err := w.env.nuclear(ground, opt.Obs)
+	nr, err := w.env.nuclear(&w.nuclear, ground, opt.Obs)
 	if err != nil {
 		return nil, nil, err
 	}
 	return fr, nr, nil
+}
+
+// nuclearWork is the nuclear responses' storage, kept by a Workspace: the
+// perturbation and the response nuclear returns, and its scratch.
+type nuclearWork struct {
+	pert           scf.Perturbation
+	nr             scf.NuclearResponse
+	eps            []float64
+	reps, s3, sk3  *linalg.Matrix
+	sr, sl, kr, kl *linalg.Matrix
+	mt, rm, q, w   *linalg.Matrix
 }
 
 // nuclear computes the first-order response of the gapped ground state the
@@ -52,7 +71,7 @@ func Responses(m *scf.Model, ground *scf.Result, opt Options) (*scf.FieldRespons
 // never formed: the response keeps u and the moved atom's rows of S⁽ᶜ⁾·R,
 // which T is made of (scf.NuclearResponse). No virtual orbitals, a zero pivot
 // and a non-finite charge or factor are ErrDiverged.
-func (e *cycleEnv) nuclear(ground *scf.Result, sc obs.Scope) (*scf.NuclearResponse, error) {
+func (e *cycleEnv) nuclear(nw *nuclearWork, ground *scf.Result, sc obs.Scope) (*scf.NuclearResponse, error) {
 	_, span := sc.Begin("dfpt.nuclear", "dfpt")
 	defer span.End()
 	m, n := e.m, e.n
@@ -63,12 +82,13 @@ func (e *cycleEnv) nuclear(ground *scf.Result, sc obs.Scope) (*scf.NuclearRespon
 	}
 	na := m.NumAtoms()
 	n3 := 3 * na
-	mat := linalg.NewMatrix
+	mat := linalg.Resize
 	gemm := func(a, b *linalg.Matrix, c *linalg.Matrix) {
 		linalg.Gemm(false, false, 1, a, b, 0, c)
 	}
 	// R·ε, the occupied orbitals scaled by their energies.
-	eps, reps := make([]float64, nr), r.Clone()
+	eps, reps := linalg.ResizeSlice(&nw.eps, nr), mat(&nw.reps, r.Rows, nr)
+	reps.CopyFrom(r)
 	for i, k := range e.Idx[nl:n] {
 		eps[i] = ground.Eps[k]
 	}
@@ -78,15 +98,18 @@ func (e *cycleEnv) nuclear(ground *scf.Result, sc obs.Scope) (*scf.NuclearRespon
 			row[i] *= x
 		}
 	}
-	pert := m.NuclearPerturbation(ground)
-	out := scf.NewNuclearResponse(pert, l, r)
+	pert := &nw.pert
+	pert.Seat(m, ground)
+	out := &nw.nr
+	out.Seat(pert, l, r)
 	nb := 3 * pert.MaxRows()
-	s3, sk3 := mat(nb, n), mat(nb, n)
-	sr, sl, kr, kl := mat(nb, nr), mat(nb, nl), mat(nb, nr), mat(nb, nl)
-	mt, rm := mat(nr, nr), mat(n, nr)
+	s3, sk3 := mat(&nw.s3, nb, n), mat(&nw.sk3, nb, n)
+	sr, sl, kr, kl := mat(&nw.sr, nb, nr), mat(&nw.sl, nb, nl), mat(&nw.kr, nb, nr), mat(&nw.kl, nb, nl)
+	mt, rm := mat(&nw.mt, nr, nr), mat(&nw.rm, n, nr)
 	// q holds the charges of P·S⁽ᶜ⁾ − 2·R·T·Rᵀ in its columns, w the frozen
 	// potentials in its rows.
-	q, w := mat(na, n3), mat(n3, na)
+	q, w := mat(&nw.q, na, n3), mat(&nw.w, n3, na)
+	q.Zero()
 	var sA, skA, srA, slA, krA, klA, lA, rA, reA, vs, vr, vl, vkr, vkl linalg.Matrix
 	for a := 0; a < na; a++ {
 		first, size := pert.Rows(a)

@@ -122,12 +122,13 @@ func TestNuclearResponseAllocationCeiling(t *testing.T) {
 	defer par.SetBudget(0)
 	par.SetBudget(1)
 	m, ground := glycineModel(t)
-	w, _, err := fieldResponse(m, ground, DefaultOptions())
+	w := new(Workspace)
+	_, err := w.fieldResponse(m, ground, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func() {
-		nr, err := w.env.nuclear(ground, obs.Scope{})
+		nr, err := w.env.nuclear(new(nuclearWork), ground, obs.Scope{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,28 +10,35 @@ import (
 
 // fieldResponse returns the density response of a gapped ground state to the
 // field up to second order, which scf.Model.FieldDerivatives turns into the
-// dipole and polarizability derivatives, and the workspace it was solved in,
-// whose environment keeps χ and I − χ·Γ for the nuclear responses
-// (Responses). The first-order responses are Polarizability's in γ mode —
-// the SCF's own kernel, whatever opt.Coulomb says. The six second-order ones
-// ∂²P/∂F_b∂F_c are one six-column charge solve against the I − χ·Γ the first
-// order built, plus one P⁽¹⁾-shaped build each (secondOrder). A fractional
-// ground state is an error: it has no second-order response here.
-func fieldResponse(m *scf.Model, ground *scf.Result, opt Options) (*Workspace, *scf.FieldResponse, error) {
+// dipole and polarizability derivatives, solved in w, whose environment keeps
+// χ and I − χ·Γ for the nuclear responses (Responses). The first-order
+// responses are Polarizability's in γ mode — the SCF's own kernel, whatever
+// opt.Coulomb says. The six second-order ones ∂²P/∂F_b∂F_c are one six-column
+// charge solve against the I − χ·Γ the first order built, plus one
+// P⁽¹⁾-shaped build each (secondOrder). The response belongs to w. A
+// fractional ground state is an error: it has no second-order response here.
+func (w *Workspace) fieldResponse(m *scf.Model, ground *scf.Result, opt Options) (*scf.FieldResponse, error) {
 	if !scf.Gapped(ground.Occ) {
-		return nil, nil, fmt.Errorf("dfpt: analytic responses need a gapped ground state")
+		return nil, fmt.Errorf("dfpt: analytic responses need a gapped ground state")
 	}
 	opt.Coulomb = GammaCoulomb
-	w := new(Workspace)
 	resp, err := w.Polarizability(m, ground, opt)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	fr, err := w.env.secondOrder(resp.P1, opt.Obs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return w, fr, nil
+	return w.env.secondOrder(&w.second, resp.P1, opt.Obs)
+}
+
+// secondWork is secondOrder's storage, kept by a Workspace: the response it
+// returns and the scratch it is built with.
+type secondWork struct {
+	fr                  scf.FieldResponse
+	dqs, v, xs          []float64
+	hvv, hoo            [3]*linalg.Matrix
+	tl, tr, vl, vr      *linalg.Matrix
+	q, roo, rvv, xr, xl *linalg.Matrix
+	p2                  [6]*linalg.Matrix
+	lu                  *linalg.Matrix
 }
 
 // secondOrder computes the second-order field responses of the gapped ground
@@ -53,22 +60,23 @@ func fieldResponse(m *scf.Model, ground *scf.Result, opt Options) (*Workspace, *
 // (closeCharges): each column the pair block W∘X and the charges of the
 // oo and vv blocks, and the closure adds H⁽ᵇᶜ⁾'s share to the pair block.
 // The potentials of H̃⁽ᵇ⁾_vv and H̃⁽ᵇ⁾_oo enter in pair space too (block).
-func (e *cycleEnv) secondOrder(p1 [3]*linalg.Matrix, sc obs.Scope) (*scf.FieldResponse, error) {
+func (e *cycleEnv) secondOrder(sw *secondWork, p1 [3]*linalg.Matrix, sc obs.Scope) (*scf.FieldResponse, error) {
 	_, span := sc.Begin("dfpt.second", "dfpt")
 	defer span.End()
 	m, n := e.m, e.n
 	l, r := e.Left, e.Right
 	nl, nr, na := l.Cols, r.Cols, e.Chi.Rows
-	mat := linalg.NewMatrix
+	mat := linalg.Resize
 	gemm := func(transA, transB bool, alpha float64, a, b *linalg.Matrix, beta float64, c *linalg.Matrix) {
 		linalg.Gemm(transA, transB, alpha, a, b, beta, c)
 	}
 	const cols = 6 // the pairs b ≤ c
-	fr := &scf.FieldResponse{P1: p1}
-	dqs := make([]float64, (3+cols)*na) // Δq⁽ᵇ⁾, then Δq⁽ᵇᶜ⁾
+	sw.fr = scf.FieldResponse{P1: p1}
+	fr := &sw.fr
+	dqs := linalg.ResizeSlice(&sw.dqs, (3+cols)*na) // Δq⁽ᵇ⁾, then Δq⁽ᵇᶜ⁾
 	var u, hvv, hoo [3]*linalg.Matrix
-	tl, tr, vl, vr := mat(nl, n), mat(nr, n), mat(n, nl), mat(n, nr)
-	v := make([]float64, na)
+	tl, tr, vl, vr := mat(&sw.tl, nl, n), mat(&sw.tr, nr, n), mat(&sw.vl, n, nl), mat(&sw.vr, n, nr)
+	v := linalg.ResizeSlice(&sw.v, na)
 	for b := range p1 {
 		fr.DQ1[b] = dqs[b*na : (b+1)*na]
 		copy(fr.DQ1[b], e.dq[b])
@@ -77,22 +85,23 @@ func (e *cycleEnv) secondOrder(p1 [3]*linalg.Matrix, sc obs.Scope) (*scf.FieldRe
 		}
 		u[b] = &e.u1[b]
 		u[b].Scale(0.5)
-		hvv[b] = e.block(l, e.SL, m.Dip[b], v, tl, vl)
-		hoo[b] = e.block(r, e.SR, m.Dip[b], v, tr, vr)
+		hvv[b] = e.block(mat(&sw.hvv[b], nl, nl), l, e.SL, m.Dip[b], v, tl, vl)
+		hoo[b] = e.block(mat(&sw.hoo[b], nr, nr), r, e.SR, m.Dip[b], v, tr, vr)
 	}
-	q := mat(na, cols)
-	xs := make([]float64, cols*nl*nr)
+	q := mat(&sw.q, na, cols)
+	q.Zero()
+	xs := linalg.ResizeSlice(&sw.xs, cols*nl*nr)
 	var x [cols]linalg.Matrix
 	var src [cols]*linalg.Matrix
-	roo, rvv := mat(nr, nr), mat(nl, nl)
-	xr, xl := mat(n, nr), mat(n, nl)
+	roo, rvv := mat(&sw.roo, nr, nr), mat(&sw.rvv, nl, nl)
+	xr, xl := mat(&sw.xr, n, nr), mat(&sw.xl, n, nl)
 	for j, bc := range alphaPairs {
 		b, c := bc[0], bc[1]
 		gemm(true, false, -1, u[b], u[c], 0, roo)
 		gemm(true, false, -1, u[c], u[b], 1, roo)
 		gemm(false, true, 1, u[b], u[c], 0, rvv)
 		gemm(false, true, 1, u[c], u[b], 1, rvv)
-		p2 := mat(n, n)
+		p2 := mat(&sw.p2[j], n, n)
 		gemm(false, false, 1, r, roo, 0, xr)
 		gemm(false, true, 2, xr, r, 0, p2)
 		gemm(false, false, 1, l, rvv, 0, xl)
@@ -114,7 +123,7 @@ func (e *cycleEnv) secondOrder(p1 [3]*linalg.Matrix, sc obs.Scope) (*scf.FieldRe
 	if err := e.closeCharges(q, src[:], nil); err != nil {
 		return nil, fmt.Errorf("second-order response: %w", err)
 	}
-	lu := mat(n, nr)
+	lu := mat(&sw.lu, n, nr)
 	for j, bc := range alphaPairs {
 		b, c := bc[0], bc[1]
 		p2 := fr.P2[b][c]
@@ -133,13 +142,12 @@ func (e *cycleEnv) secondOrder(p1 [3]*linalg.Matrix, sc obs.Scope) (*scf.FieldRe
 	return fr, nil
 }
 
-// block returns xᵀ·(d + ½S∘(v_A + v_B))·x for the orbitals x, sx = ½S·x and a
-// symmetric d: half of xᵀ·d·x plus (V·x)ᵀ·sx, V the diagonal of each
-// function's atomic potential, plus its transpose — the potential in pair
-// space, the sibling of the closure's Σ_B v_B·K_B. t (cols(x)×n) and vx
-// (n×cols(x)) are scratch.
-func (e *cycleEnv) block(x, sx, d *linalg.Matrix, v []float64, t, vx *linalg.Matrix) *linalg.Matrix {
-	out := linalg.NewMatrix(x.Cols, x.Cols)
+// block sets out (cols(x)×cols(x)) to xᵀ·(d + ½S∘(v_A + v_B))·x for the
+// orbitals x, sx = ½S·x and a symmetric d, and returns it: half of xᵀ·d·x
+// plus (V·x)ᵀ·sx, V the diagonal of each function's atomic potential, plus
+// its transpose — the potential in pair space, the sibling of the closure's
+// Σ_B v_B·K_B. t (cols(x)×n) and vx (n×cols(x)) are scratch.
+func (e *cycleEnv) block(out, x, sx, d *linalg.Matrix, v []float64, t, vx *linalg.Matrix) *linalg.Matrix {
 	linalg.Gemm(true, false, 1, x, d, 0, t)
 	linalg.Gemm(false, false, 0.5, t, x, 0, out)
 	for mu, a := range e.AtomOf {

@@ -19,7 +19,7 @@ import (
 func TestSecondOrderMatchesFiniteField(t *testing.T) {
 	const h = 2.5e-4
 	for _, fx := range gammaFixtures(t) {
-		_, fr, err := fieldResponse(fx.m, fx.ground, DefaultOptions())
+		fr, err := new(Workspace).fieldResponse(fx.m, fx.ground, DefaultOptions())
 		if !fx.gapped {
 			if err == nil {
 				t.Errorf("%s: fieldResponse accepted a fractional ground state", fx.name)

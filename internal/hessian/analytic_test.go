@@ -52,7 +52,7 @@ func richardsonDerivatives(t *testing.T, f *fragment.Fragment, sigma float64) (*
 	}
 	opt := DefaultJobOptions()
 	opt.SCF.Smearing = sigma
-	r, err := solveReference(m, opt, nil)
+	r, err := solveReference(newEngine(m), m, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func richardsonDerivatives(t *testing.T, f *fragment.Fragment, sigma float64) (*
 	for c := range out.DAlpha {
 		out.DAlpha[c] = extrapolate(fd[0].DAlpha[c], fd[1].DAlpha[c])
 	}
-	return out, r
+	return out, &r
 }
 
 // relDiff returns max|a − b| over max|b| of two sets of derivative vectors.
@@ -146,14 +146,14 @@ func analyticReference(t *testing.T, f *fragment.Fragment) (*reference, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := solveReference(m, DefaultJobOptions(), nil)
+	r, err := solveReference(newEngine(m), m, DefaultJobOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.analytic == nil {
 		t.Fatal("a gapped γ-mode reference did not take the analytic path")
 	}
-	return r, m.NumAtoms()
+	return &r, m.NumAtoms()
 }
 
 // TestAnalyticDerivativeSumRules: moving every atom by the same vector moves

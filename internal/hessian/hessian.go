@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"qframan/internal/constants"
 	"qframan/internal/dfpt"
@@ -413,16 +414,42 @@ func SmearingRungs(base float64) []float64 {
 // the rung that succeeded, whose charges and iteration count the trajectory
 // engine keeps.
 //
+// The calibration, the reference solves and the analytic route run in an
+// engine taken from the pool of the fragment's shape (takeEngine) and put back
+// on return, so a call allocates its model, its results and little else. Both
+// results are the caller's: the data is built fresh and the reference cloned
+// out of the engine. An engine whose call panicked is dropped, not put back.
+//
 // Trace layout under opt.Obs: a "model" span with the calibration's scf span,
 // the reference scf/dfpt spans, and the loop's "disp" spans, all on lane
 // opt.Obs.Track.
 func ComputeFragment(f *fragment.Fragment, opt JobOptions) (*FragmentData, *scf.Result, error) {
+	e, pool := takeEngine(shapeOf(f))
+	data, ref, err := e.compute(f, opt)
+	if err == nil {
+		ref = ref.Clone()
+	}
+	pool.Put(e)
+	return data, ref, err
+}
+
+// compute is ComputeFragment in the engine e: the returned reference is e's
+// until its next call, the data fresh.
+func (e *engine) compute(f *fragment.Fragment, opt JobOptions) (*FragmentData, *scf.Result, error) {
 	msc, mspan := opt.Obs.Begin("model", "engine")
-	m, cal, err := modelForFragment(f, opt.SCF.InitDeltaQ, msc)
+	m, err := newModel(f)
+	var cal *scf.Result
+	if err == nil {
+		if e.scf == nil {
+			e.scf = scf.NewWorkspace(m)
+		}
+		cal, err = calibrate(e.scf, f, m, opt.SCF.InitDeltaQ, msc)
+	}
 	mspan.End()
 	if err != nil {
 		return nil, nil, err
 	}
+	calDetached := false
 	var firstErr error
 	rungs := SmearingRungs(opt.SCF.Smearing)
 	for ri, sigma := range rungs {
@@ -432,10 +459,15 @@ func ComputeFragment(f *fragment.Fragment, opt JobOptions) (*FragmentData, *scf.
 		o := opt
 		o.SCF.Smearing = sigma
 		var ref *scf.Result
-		if foldsInto(cal, o.SCF) {
+		switch {
+		case foldsInto(cal, o.SCF):
 			ref = cal
+		case !calDetached:
+			// This rung's reference solve overwrites the calibration's
+			// ground state in the engine; a later rung may fold into it.
+			cal, calDetached = cal.Clone(), true
 		}
-		data, ref, err := computeRung(m, o, ref)
+		data, ref, err := computeRung(e, m, o, ref)
 		if err == nil {
 			return data, ref, nil
 		}
@@ -446,9 +478,69 @@ func ComputeFragment(f *fragment.Fragment, opt JobOptions) (*FragmentData, *scf.
 	return nil, nil, fmt.Errorf("hessian: fragment %d failed at every smearing rung: %w", f.ID, firstErr)
 }
 
+// engine is the fragment engine's storage for fragments of one shape: the
+// SCF workspace the calibration and the reference solves run in, which also
+// holds the analytic derivatives' and the calibration's scratch, and the DFPT
+// workspace the field and nuclear responses are solved and kept in. What
+// either hands out points into it until its next call; the displacement loop
+// keeps its own one-shot storage. The zero value is ready (compute makes the
+// SCF workspace on first use).
+type engine struct {
+	scf  *scf.Workspace
+	dfpt dfpt.Workspace
+}
+
+// newEngine returns an engine for models of m's shape.
+func newEngine(m *scf.Model) *engine { return &engine{scf: scf.NewWorkspace(m)} }
+
+// shape keys the engine pools: a model's basis size and atom count.
+type shape struct{ n, na int }
+
+// shapeOf returns the shape of f's model: basis.ForAtoms gives each atom
+// NumOrbitals functions. Invalid elements count none; NewModel rejects them.
+func shapeOf(f *fragment.Fragment) shape {
+	s := shape{na: len(f.Els)}
+	for _, el := range f.Els {
+		if el.Valid() {
+			s.n += el.NumOrbitals()
+		}
+	}
+	return s
+}
+
+// engines holds one pool of idle engines per shape. A pool keeps no engine
+// across garbage collections that find it idle (sync.Pool).
+var engines struct {
+	sync.RWMutex
+	pools map[shape]*sync.Pool
+}
+
+// takeEngine returns an idle engine of shape k, new when its pool has none,
+// and the pool to put it back in.
+func takeEngine(k shape) (*engine, *sync.Pool) {
+	engines.RLock()
+	pool := engines.pools[k]
+	engines.RUnlock()
+	if pool == nil {
+		engines.Lock()
+		if pool = engines.pools[k]; pool == nil {
+			if engines.pools == nil {
+				engines.pools = make(map[shape]*sync.Pool)
+			}
+			pool = new(sync.Pool)
+			engines.pools[k] = pool
+		}
+		engines.Unlock()
+	}
+	if e, ok := pool.Get().(*engine); ok {
+		return e, pool
+	}
+	return new(engine), pool
+}
+
 // foldsInto reports whether the calibration's ground state cal is the
 // reference SCF a rung with options o would solve. The calibration solved
-// scf.DefaultOptions() from o's seed (modelForFragment), and the terms it
+// scf.DefaultOptions() from o's seed (calibrate), and the terms it
 // fitted are repulsive energy alone, so an SCF with those options at its
 // smearing repeats it bit for bit.
 func foldsInto(cal *scf.Result, o scf.Options) bool {
@@ -468,12 +560,13 @@ func analyticRoute(opt JobOptions, g *scf.Result) bool {
 }
 
 // computeRung computes one fragment's data at the options' smearing from its
-// reference SCF — ref, or solved here when ref is nil: the reference's
-// analytic data, or the displacement loop's finite differences of the Hessian
-// and both derivatives, in which case the fragment is counted
-// (obs.MetricHessianFDDerivativeFragments).
-func computeRung(m *scf.Model, opt JobOptions, ref *scf.Result) (*FragmentData, *scf.Result, error) {
-	r, err := solveReference(m, opt, ref)
+// reference SCF — ref, or solved in the engine when ref is nil: the
+// reference's analytic data, or the displacement loop's finite differences of
+// the Hessian and both derivatives, in which case the fragment is counted
+// (obs.MetricHessianFDDerivativeFragments). The returned reference is ref or
+// the engine's.
+func computeRung(e *engine, m *scf.Model, opt JobOptions, ref *scf.Result) (*FragmentData, *scf.Result, error) {
+	r, err := solveReference(e, m, opt, ref)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -524,24 +617,27 @@ type reference struct {
 // reference charges — plus the reference SCF result itself, whose converged
 // charges and iteration count the trajectory engine keeps to seed and account
 // the same fragment's next frame. Both DFPT modes solve their response
-// directly, so the displaced jobs are handed no response to start from.
+// directly, so the displaced jobs are handed no response to start from. The
+// result owns its storage: it points into an engine made for this call.
 func SolveReference(m *scf.Model, opt JobOptions) (*JobOptions, *scf.Result, error) {
-	r, err := solveReference(m, opt, nil)
+	r, err := solveReference(newEngine(m), m, opt, nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	return &r.opt, r.ref, nil
 }
 
-// solveReference is SolveReference plus the routing, on the reference SCF ref
-// when one is given (the calibration's, folded) and on its own solve when ref
-// is nil. A ground state on the analytic route (analyticRoute) takes its field
-// and nuclear responses (dfpt.Responses) and from them the Hessian
-// (scf.Model.NuclearHessian), the dipole derivatives and, unless SkipAlpha,
-// the polarizability derivatives (scf.Model.FieldDerivatives; in grid mode
-// dfpt.GridAlphaDerivatives, the adjoint of the grid response; DESIGN.md §7).
-// Everything else leaves analytic nil for the displacement loop.
-func solveReference(m *scf.Model, opt JobOptions, ref *scf.Result) (*reference, error) {
+// solveReference is SolveReference in the engine e, plus the routing, on the
+// reference SCF ref when one is given (the calibration's, folded) and on its
+// own solve in e when ref is nil. A ground state on the analytic route
+// (analyticRoute) takes its field and nuclear responses (dfpt.Responses) and
+// from them the Hessian (scf.Model.NuclearHessian), the dipole derivatives
+// and, unless SkipAlpha, the polarizability derivatives
+// (scf.Model.FieldDerivatives; in grid mode dfpt.GridAlphaDerivatives, the
+// adjoint of the grid response; DESIGN.md §7), all solved in e and handed out
+// in fresh storage. Everything else leaves analytic nil for the displacement
+// loop.
+func solveReference(e *engine, m *scf.Model, opt JobOptions, ref *scf.Result) (reference, error) {
 	o := opt
 	// Reference solves appear as direct scf/dfpt children of the attempt
 	// span (displaced solves sit under a "disp" span instead).
@@ -549,25 +645,25 @@ func solveReference(m *scf.Model, opt JobOptions, ref *scf.Result) (*reference, 
 	o.DFPT.Obs = opt.Obs
 	if ref == nil {
 		var err error
-		if ref, err = m.SolveSCF(o.SCF); err != nil {
-			return nil, fmt.Errorf("hessian: reference SCF: %w", err)
+		if ref, err = e.scf.Solve(m, o.SCF); err != nil {
+			return reference{}, fmt.Errorf("hessian: reference SCF: %w", err)
 		}
 	}
 	o.SCF.InitDeltaQ = ref.DeltaQ
-	r := &reference{ref: ref, opt: o}
+	r := reference{ref: ref, opt: o}
 	if !analyticRoute(o, ref) {
 		return r, nil
 	}
-	fr, nr, err := dfpt.Responses(m, ref, o.DFPT)
+	fr, nr, err := e.dfpt.Responses(m, ref, o.DFPT)
 	if err != nil {
-		return nil, fmt.Errorf("hessian: reference DFPT: %w", err)
+		return reference{}, fmt.Errorf("hessian: reference DFPT: %w", err)
 	}
-	hess := m.NuclearHessian(ref, nr)
+	hess := e.scf.NuclearHessian(m, ref, nr)
 	hess.Symmetrize()
-	dMu, dAlpha := m.FieldDerivatives(ref, fr)
+	dMu, dAlpha := e.scf.FieldDerivatives(m, ref, fr)
 	if o.DFPT.Coulomb == dfpt.GridCoulomb && !o.SkipAlpha {
 		if dAlpha, err = dfpt.GridAlphaDerivatives(m, ref, nr, o.DFPT); err != nil {
-			return nil, fmt.Errorf("hessian: reference grid ∂α: %w", err)
+			return reference{}, fmt.Errorf("hessian: reference grid ∂α: %w", err)
 		}
 	}
 	r.analytic = &FragmentData{Hess: hess, DDipole: dMu}
@@ -584,25 +680,37 @@ func solveReference(m *scf.Model, opt JobOptions, ref *scf.Result) (*reference, 
 // reference potential so the fragment geometry is a stationary point — a
 // prerequisite for rotation-clean finite-difference Hessians.
 func ModelForFragment(f *fragment.Fragment) (*scf.Model, error) {
-	m, _, err := modelForFragment(f, nil, obs.Scope{})
-	return m, err
+	m, err := newModel(f)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := calibrate(scf.NewWorkspace(m), f, m, nil, obs.Scope{}); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
-// modelForFragment is ModelForFragment with the calibration SCF started from
-// seed (nil: neutral atoms) and recorded under sc; it also returns the
-// calibration's ground state.
-func modelForFragment(f *fragment.Fragment, seed []float64, sc obs.Scope) (*scf.Model, *scf.Result, error) {
+// newModel builds the SCF model of a fragment, errors named after it.
+func newModel(f *fragment.Fragment) (*scf.Model, error) {
 	m, err := scf.NewModel(f.Els, f.Pos)
 	if err != nil {
-		return nil, nil, fmt.Errorf("hessian: fragment %d (%s): %w", f.ID, f.Kind, err)
+		return nil, fmt.Errorf("hessian: fragment %d (%s): %w", f.ID, f.Kind, err)
 	}
+	return m, nil
+}
+
+// calibrate fits f's model m in the workspace ws (scf.Workspace.Calibrate),
+// with the calibration SCF started from seed (nil: neutral atoms) and
+// recorded under sc, and returns the calibration's ground state, which is
+// ws's.
+func calibrate(ws *scf.Workspace, f *fragment.Fragment, m *scf.Model, seed []float64, sc obs.Scope) (*scf.Result, error) {
 	o := scf.DefaultOptions()
 	o.InitDeltaQ, o.Obs = seed, sc
-	cal, err := m.CalibrateRestForces(o)
+	cal, err := ws.Calibrate(m, o)
 	if err != nil {
-		return nil, nil, fmt.Errorf("hessian: fragment %d (%s): %w", f.ID, f.Kind, err)
+		return nil, fmt.Errorf("hessian: fragment %d (%s): %w", f.ID, f.Kind, err)
 	}
-	return m, cal, nil
+	return cal, nil
 }
 
 // Global collects the assembled whole-system quantities.

@@ -78,14 +78,14 @@ func TestNuclearHessianMatchesRichardson(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := solveReference(m, DefaultJobOptions(), nil)
+		r, err := solveReference(newEngine(m), m, DefaultJobOptions(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.analytic == nil || r.analytic.Hess == nil {
 			t.Fatalf("%s: a gapped γ-mode reference did not take the analytic route", fx.name)
 		}
-		want := richardsonHessian(t, m, r)
+		want := richardsonHessian(t, m, &r)
 		dev := occupationDeviation(r.ref)
 		tol := math.Max(1e-6, 10*dev)
 		rel := r.analytic.Hess.MaxAbsDiff(want) / maxAbs(want)

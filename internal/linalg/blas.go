@@ -1,6 +1,10 @@
 package linalg
 
-import "qframan/internal/par"
+import (
+	"sync"
+
+	"qframan/internal/par"
+)
 
 // GemmFLOPs returns the canonical FLOP count of a GEMM of shape (m×k)·(k×n).
 func GemmFLOPs(m, k, n int) int64 { return 2 * int64(m) * int64(k) * int64(n) }
@@ -95,15 +99,8 @@ func BindGemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c 
 // set resolves everything but the region bodies (the batch plan runs its
 // members inline and needs none); false means the shapes disagree.
 func (g *GemmOp) set(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix) bool {
-	m, k := a.Rows, a.Cols
-	if transA {
-		m, k = k, m
-	}
-	bk, n := b.Rows, b.Cols
-	if transB {
-		bk, n = n, bk
-	}
-	if k != bk || c.Rows != m || c.Cols != n {
+	m, k, n, ok := gemmShape(transA, transB, a, b, c)
+	if !ok {
 		return false
 	}
 	*g = GemmOp{
@@ -116,6 +113,20 @@ func (g *GemmOp) set(transA, transB bool, alpha float64, a, b *Matrix, beta floa
 		minPanels: 1 + gemmMinRows(k, n)/mr,
 	}
 	return true
+}
+
+// gemmShape returns the shape (m×k)·(k×n) of op(A)·op(B), and false when
+// the inner dimensions or C's shape disagree with it.
+func gemmShape(transA, transB bool, a, b, c *Matrix) (m, k, n int, ok bool) {
+	m, k = a.Rows, a.Cols
+	if transA {
+		m, k = k, m
+	}
+	bk, n := b.Rows, b.Cols
+	if transB {
+		bk, n = n, bk
+	}
+	return m, k, n, k == bk && c.Rows == m && c.Cols == n
 }
 
 // Run computes C from the operands' current contents.
@@ -176,20 +187,53 @@ func (g *GemmOp) mirrorPanels(_, lo, hi int) {
 	mirrorLower(g.c, lo*mr, min(hi*mr, g.m))
 }
 
-// Gemm computes C = alpha·op(A)·op(B) + beta·C once: BindGemm, then Run. A
-// direct-kernel shape is too small to shard, so it runs on the caller from an
-// op on the stack (the same bits: see GemmOp) and allocates nothing.
+// Gemm computes C = alpha·op(A)·op(B) + beta·C once, with the bits of
+// BindGemm then Run, allocating nothing. A direct-kernel shape is too small to
+// shard, so it runs on the caller; a blocked one runs a recycled op
+// (oneShot). Neither keeps a pointer to a, b or c, so matrix headers the
+// caller passes by address stay on its stack.
 func Gemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix) {
-	var g GemmOp
-	if !g.set(transA, transB, alpha, a, b, beta, c) {
+	m, k, n, ok := gemmShape(transA, transB, a, b, c)
+	if !ok {
 		panic("linalg: Gemm shape mismatch")
 	}
-	if g.direct {
-		g.inline()
+	syrk := syrkCandidate(transA, transB, a, b) && beta == 0 && m == n
+	if gemmDirectShape(m, k, n) {
+		if m > 0 && n > 0 {
+			gemmDirect(transA, transB, alpha, a, b, beta, c, m, k, n, 0, (m+mr-1)/mr, syrk)
+			if syrk {
+				mirrorLower(c, 0, m)
+			}
+		}
 		return
 	}
-	BindGemm(transA, transB, alpha, a, b, beta, c).Run()
+	s := oneShots.Get().(*oneShot)
+	s.a, s.b, s.c = *a, *b, *c
+	pb := &s.b
+	if syrk {
+		pb = &s.a // the op recognizes op(A)·op(A)ᵀ by operand identity
+	}
+	body, mirror := s.op.body, s.op.mirror
+	s.op.set(transA, transB, alpha, &s.a, pb, beta, &s.c)
+	s.op.body, s.op.mirror = body, mirror
+	s.op.Run()
+	s.a, s.b, s.c = Matrix{}, Matrix{}, Matrix{} // hold no caller storage while idle
+	oneShots.Put(s)
 }
+
+// oneShot is a blocked Gemm's op over its own copies of the operand headers
+// (which share the caller's storage), with its region bodies bound once.
+type oneShot struct {
+	op      GemmOp
+	a, b, c Matrix
+}
+
+// oneShots recycles Gemm's blocked ops.
+var oneShots = sync.Pool{New: func() any {
+	s := new(oneShot)
+	s.op.body, s.op.mirror = s.op.runPanels, s.op.mirrorPanels
+	return s
+}}
 
 // MatMul returns op(A)·op(B) as a new matrix (alpha=1, beta=0).
 func MatMul(transA, transB bool, a, b *Matrix) *Matrix {

@@ -40,6 +40,30 @@ func NewMatrixFrom(rows, cols int, data []float64) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
+// Resize makes *m a rows×cols matrix over its own storage when that has room,
+// and a new zero matrix when *m is nil or too small, and returns it: the
+// scratch of a workspace kept across calls. A reused matrix keeps whatever
+// its storage held, so a caller that accumulates into it clears it first.
+func Resize(m **Matrix, rows, cols int) *Matrix {
+	if *m == nil || cap((*m).Data) < rows*cols {
+		*m = NewMatrix(rows, cols)
+	} else {
+		**m = Matrix{Rows: rows, Cols: cols, Data: (*m).Data[:rows*cols]}
+	}
+	return *m
+}
+
+// ResizeSlice is Resize for a slice: *s with length n over its own storage
+// when that has room, a new zero slice otherwise; reused entries are stale.
+func ResizeSlice[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	} else {
+		*s = (*s)[:n]
+	}
+	return *s
+}
+
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Matrix {
 	m := NewMatrix(n, n)

@@ -5,6 +5,7 @@ import (
 
 	"qframan/internal/geom"
 	"qframan/internal/linalg"
+	"qframan/internal/par"
 )
 
 // CalibrateRestForces fits the linear internal-coordinate terms of the
@@ -20,16 +21,31 @@ import (
 // are part of the repulsive energy alone, so it is the calibrated model's
 // ground state as well.
 func (m *Model) CalibrateRestForces(opt Options) (*Result, error) {
-	res, err := m.SolveSCFRobust(opt)
+	res, err := NewWorkspace(m).Calibrate(m, opt)
+	if err != nil {
+		return nil, err
+	}
+	out := *res
+	return &out, nil
+}
+
+// Calibrate is CalibrateRestForces in the workspace: the SCF solves in it
+// (SolveRobust), the fit takes its scratch, and the ground state is the
+// workspace's Result.
+func (ws *Workspace) Calibrate(m *Model, opt Options) (*Result, error) {
+	res, err := ws.SolveRobust(m, opt)
 	if err != nil {
 		return nil, fmt.Errorf("scf: calibration SCF: %w", err)
 	}
 	// Total gradient at the reference: the harmonic FF terms vanish there
 	// (equilibria frozen at reference), so this is the electronic gradient
 	// plus any existing linear terms (zero on a fresh model).
-	forces := m.Forces(res)
-	n3 := 3 * m.NumAtoms()
-	g := make([]float64, n3)
+	d := &ws.der
+	na := m.NumAtoms()
+	forces := m.forcesInto(res, linalg.ResizeSlice(&d.v0, na), linalg.ResizeSlice(&d.grad, na),
+		linalg.ResizeSlice(&d.partials, par.Chunks(m.Basis.Size(), pairChunk)*na))
+	n3 := 3 * na
+	g := linalg.ResizeSlice(&d.g, n3)
 	for a, f := range forces {
 		g[3*a] = -f.X
 		g[3*a+1] = -f.Y
@@ -41,7 +57,8 @@ func (m *Model) CalibrateRestForces(opt Options) (*Result, error) {
 	if nt == 0 {
 		return nil, fmt.Errorf("scf: no internal coordinates to calibrate")
 	}
-	b := linalg.NewMatrix(nt, n3)
+	b := linalg.Resize(&d.b, nt, n3)
+	b.Zero()
 	addVec := func(row int, atom int, v geom.Vec3) {
 		b.Add(row, 3*atom, v.X)
 		b.Add(row, 3*atom+1, v.Y)
@@ -75,14 +92,14 @@ func (m *Model) CalibrateRestForces(opt Options) (*Result, error) {
 	}
 
 	// Least squares: minimize ‖g + Bᵀc‖² ⇒ (B·Bᵀ + λI)·c = −B·g.
-	bbt := linalg.MatMul(false, true, b, b)
+	bbt := linalg.Resize(&d.bbt, nt, nt)
+	linalg.Gemm(false, true, 1, b, b, 0, bbt)
 	for i := 0; i < nt; i++ {
 		bbt.Add(i, i, 1e-10)
 	}
-	rhs := make([]float64, nt)
-	linalg.Gemv(false, -1, b, g, 0, rhs)
-	c, err := linalg.SolveLinear(bbt, rhs)
-	if err != nil {
+	c := linalg.ResizeSlice(&d.c, nt)
+	linalg.Gemv(false, -1, b, g, 0, c)
+	if err := linalg.SolveLinearInPlace(bbt, c); err != nil {
 		return nil, fmt.Errorf("scf: calibration solve: %w", err)
 	}
 	for t := range m.Bonds {

@@ -39,18 +39,51 @@ type FieldResponse struct {
 // The caller vouches that the ground state is gapped (Gapped): with
 // fractional occupations W is not ½·P·H·P and P⁽ᵇᶜ⁾ is not what dfpt builds.
 func (m *Model) FieldDerivatives(ground *Result, fr *FieldResponse) (dMu [3][]float64, dAlpha [3][3][]float64) {
+	return new(derivWork).fieldDerivatives(m, ground, fr)
+}
+
+// FieldDerivatives is Model.FieldDerivatives on the workspace's scratch. The
+// derivatives are the caller's: they share no storage with the workspace.
+func (ws *Workspace) FieldDerivatives(m *Model, ground *Result, fr *FieldResponse) (dMu [3][]float64, dAlpha [3][3][]float64) {
+	return ws.der.fieldDerivatives(m, ground, fr)
+}
+
+// derivWork is the scratch of the analytic derivatives and of the
+// calibration, kept by a Workspace across calls and resized to each model
+// (linalg.Resize, linalg.ResizeSlice); nothing it holds is handed out.
+type derivWork struct {
+	// Both: the ground state's potentials and one gradient.
+	v0   []float64
+	grad []geom.Vec3
+	// Calibrate: the forces' per-chunk partials, then the fit's gradient,
+	// B, B·Bᵀ and coefficients.
+	partials []geom.Vec3
+	g, c     []float64
+	b, bbt   *linalg.Matrix
+	// FieldDerivatives.
+	pop0, v2 []float64
+	v1       [3][]float64
+	h, a, sp *linalg.Matrix
+	h1, w, e *linalg.Matrix
+	pv       *linalg.Matrix
+	b1, a1   [3]*linalg.Matrix
+	dt       [][3]geom.Vec3
+	dipGrad  [4][3][]geom.Vec3
+	nuclear  nuclearWork
+}
+
+func (d *derivWork) fieldDerivatives(m *Model, ground *Result, fr *FieldResponse) (dMu [3][]float64, dAlpha [3][3][]float64) {
 	n, na := m.Basis.Size(), m.NumAtoms()
-	sq := func() *linalg.Matrix { return linalg.NewMatrix(n, n) }
+	sq := func(x **linalg.Matrix) *linalg.Matrix { return linalg.Resize(x, n, n) }
 	gemm := func(a, b *linalg.Matrix, beta float64, c *linalg.Matrix) {
 		linalg.Gemm(false, false, 1, a, b, beta, c)
 	}
-	potential := func(dq []float64) []float64 {
-		v := make([]float64, na)
-		m.sccPotential(dq, v)
-		return v
+	potential := func(x *[]float64, dq []float64) []float64 {
+		m.sccPotential(dq, linalg.ResizeSlice(x, na))
+		return *x
 	}
-	p, v0 := ground.P, potential(ground.DeltaQ)
-	pop0 := make([]float64, na)
+	p, v0 := ground.P, potential(&d.v0, ground.DeltaQ)
+	pop0 := linalg.ResizeSlice(&d.pop0, na)
 	m.populations(p, pop0)
 
 	// Only the symmetric part of W enters (pairWeights symmetrizes), so with
@@ -58,17 +91,17 @@ func (m *Model) FieldDerivatives(ground *Result, fr *FieldResponse) (dMu [3][]fl
 	// W⁽ᵇ⁾ = sym(P⁽ᵇ⁾·A + ½P·B⁽ᵇ⁾) and
 	// W⁽ᵇᶜ⁾ = sym(P⁽ᵇᶜ⁾·A + P⁽ᵇ⁾·A⁽ᶜ⁾ + P⁽ᶜ⁾·B⁽ᵇ⁾ + ½P·V⁽ᵇᶜ⁾·S·P), V⁽ᵇᶜ⁾ the
 	// diagonal of each function's potential: ½P·H⁽ᵇᶜ⁾·P = sym(½P·V⁽ᵇᶜ⁾·S·P).
-	h, a, sp := sq(), sq(), sq()
+	h, a, sp := sq(&d.h), sq(&d.a), sq(&d.sp)
 	h.CopyFrom(m.H0)
 	m.addPotential(h, v0)
 	gemm(h, p, 0, a)
 	gemm(m.S, p, 0, sp)
 	var v1 [3][]float64
 	var b1, a1 [3]*linalg.Matrix
-	h1 := sq()
+	h1 := sq(&d.h1)
 	for b, p1 := range fr.P1 {
-		v1[b] = potential(fr.DQ1[b])
-		b1[b], a1[b] = sq(), sq()
+		v1[b] = potential(&d.v1[b], fr.DQ1[b])
+		b1[b], a1[b] = sq(&d.b1[b]), sq(&d.a1[b])
 		h1.CopyFrom(m.Dip[b])
 		m.addPotential(h1, v1[b])
 		gemm(h1, p, 0, b1[b])
@@ -76,17 +109,22 @@ func (m *Model) FieldDerivatives(ground *Result, fr *FieldResponse) (dMu [3][]fl
 		gemm(h, p1, 1, a1[b])
 	}
 
-	dt := m.dipoleDerivTable()
-	var dipGrad [4][3][]geom.Vec3 // tr(X·∂D^k/∂R) for X = P, P⁽⁰⁾, P⁽¹⁾, P⁽²⁾
+	d.dt = m.dipoleDerivTable(d.dt)
+	dt := d.dt
+	// tr(X·∂D^k/∂R) for X = P, P⁽⁰⁾, P⁽¹⁾, P⁽²⁾
+	dipGrad := &d.dipGrad
 	for k := 0; k < 3; k++ {
-		dipGrad[0][k] = m.dipoleGradient(dt, p, pop0, k)
+		m.dipoleGradient(dt, p, pop0, k, linalg.ResizeSlice(&dipGrad[0][k], na))
 		for c := 0; c < 3; c++ {
-			dipGrad[1+c][k] = m.dipoleGradient(dt, fr.P1[c], fr.DQ1[c], k)
+			m.dipoleGradient(dt, fr.P1[c], fr.DQ1[c], k, linalg.ResizeSlice(&dipGrad[1+c][k], na))
 		}
 	}
 
-	w, e, pv := sq(), sq(), sq()
-	grad := make([]geom.Vec3, na)
+	// The derivatives are the result: one slice, nine 3N-long pieces.
+	out := make([]float64, 9*3*na)
+	piece := func(i int) []float64 { return out[i*3*na : (i+1)*3*na : (i+1)*3*na] }
+	w, e, pv := sq(&d.w), sq(&d.e), sq(&d.pv)
+	grad := linalg.ResizeSlice(&d.grad, na)
 	for b := 0; b < 3; b++ {
 		gemm(fr.P1[b], a, 0, w)
 		linalg.Gemm(false, false, 0.5, p, b1[b], 1, w)
@@ -96,7 +134,7 @@ func (m *Model) FieldDerivatives(ground *Result, fr *FieldResponse) (dMu [3][]fl
 		m.addOverlapGradient(e, grad)
 		m.addGammaGradient(fr.DQ1[b], ground.DeltaQ, grad)
 		addVecs(grad, dipGrad[0][b])
-		dMu[b] = make([]float64, 3*na)
+		dMu[b] = piece(b)
 		for at, g := range grad {
 			for ax, x := range [3]float64{g.X, g.Y, g.Z} {
 				if ax == b {
@@ -106,10 +144,11 @@ func (m *Model) FieldDerivatives(ground *Result, fr *FieldResponse) (dMu [3][]fl
 			}
 		}
 	}
+	slot := 3
 	for b := 0; b < 3; b++ {
 		for c := b; c < 3; c++ {
 			p2, q2 := fr.P2[b][c], fr.DQ2[b][c]
-			v2 := potential(q2)
+			v2 := potential(&d.v2, q2)
 			for i := range m.Basis.Funcs {
 				prow, pvrow := p.Row(i), pv.Row(i)
 				for j := range m.Basis.Funcs {
@@ -130,11 +169,12 @@ func (m *Model) FieldDerivatives(ground *Result, fr *FieldResponse) (dMu [3][]fl
 			m.addGammaGradient(fr.DQ1[b], fr.DQ1[c], grad)
 			addVecs(grad, dipGrad[1+c][b])
 			addVecs(grad, dipGrad[1+b][c])
-			d := make([]float64, 3*na)
+			da := piece(slot)
+			slot++
 			for at, g := range grad {
-				d[3*at], d[3*at+1], d[3*at+2] = -g.X, -g.Y, -g.Z
+				da[3*at], da[3*at+1], da[3*at+2] = -g.X, -g.Y, -g.Z
 			}
-			dAlpha[b][c], dAlpha[c][b] = d, d
+			dAlpha[b][c], dAlpha[c][b] = da, da
 		}
 	}
 	return dMu, dAlpha
@@ -226,13 +266,15 @@ func (m *Model) addGammaGradient(x, y []float64, grad []geom.Vec3) {
 }
 
 // dipoleDerivTable returns basis.DipoleDeriv of every pair i < j on two
-// atoms at entry i·n+j.
-func (m *Model) dipoleDerivTable() [][3]geom.Vec3 {
+// atoms at entry i·n+j, zero on a same-atom pair, in t's storage when it has
+// room. Entries on and below the diagonal are unused.
+func (m *Model) dipoleDerivTable(t [][3]geom.Vec3) [][3]geom.Vec3 {
 	funcs := m.Basis.Funcs
 	n := len(funcs)
-	t := make([][3]geom.Vec3, n*n)
+	linalg.ResizeSlice(&t, n*n)
 	for i := range funcs {
 		for j := i + 1; j < n; j++ {
+			t[i*n+j] = [3]geom.Vec3{}
 			if funcs[i].Atom != funcs[j].Atom {
 				t[i*n+j] = basis.DipoleDeriv(&funcs[i], &funcs[j])
 			}
@@ -245,14 +287,15 @@ func (m *Model) dipoleDerivTable() [][3]geom.Vec3 {
 // tr(x·∂D^k/∂R_{A,a}) at [k][3A+a]: the nuclear derivatives of the dipole
 // integrals contracted with x.
 func (m *Model) DipoleDerivTraces(xs []*linalg.Matrix) [][3][]float64 {
-	dt := m.dipoleDerivTable()
+	dt := m.dipoleDerivTable(nil)
 	pop := make([]float64, m.NumAtoms())
+	grad := make([]geom.Vec3, m.NumAtoms())
 	out := make([][3][]float64, len(xs))
 	for i, x := range xs {
 		m.populations(x, pop)
 		for k := 0; k < 3; k++ {
 			out[i][k] = make([]float64, 3*len(pop))
-			for a, g := range m.dipoleGradient(dt, x, pop, k) {
+			for a, g := range m.dipoleGradient(dt, x, pop, k, grad) {
 				out[i][k][3*a], out[i][k][3*a+1], out[i][k][3*a+2] = g.X, g.Y, g.Z
 			}
 		}
@@ -260,15 +303,14 @@ func (m *Model) DipoleDerivTraces(xs []*linalg.Matrix) [][3][]float64 {
 	return out
 }
 
-// dipoleGradient returns tr(x·∂D^k/∂R) per atom for a symmetric x with
-// Mulliken populations pop. With d = ∂D^k_ij/∂R_A for i on A and j on B,
+// dipoleGradient returns tr(x·∂D^k/∂R) per atom, in grad (N), for a
+// symmetric x with Mulliken populations pop. With d = ∂D^k_ij/∂R_A for i on A and j on B,
 // ∂D^k_ij/∂R_B = δ_ak·S_ij − d (the operator's origin does not move with the
 // atoms), and a same-atom block moves with its atom, δ_ak·S_ij: together
 // δ_ak·pop_A plus, per pair i < j, ±x_ij·(2d − δ_ak·S_ij) on A and B.
-func (m *Model) dipoleGradient(dt [][3]geom.Vec3, x *linalg.Matrix, pop []float64, k int) []geom.Vec3 {
+func (m *Model) dipoleGradient(dt [][3]geom.Vec3, x *linalg.Matrix, pop []float64, k int, grad []geom.Vec3) []geom.Vec3 {
 	funcs := m.Basis.Funcs
 	n := len(funcs)
-	grad := make([]geom.Vec3, m.NumAtoms())
 	var ek [3]float64
 	ek[k] = 1
 	unit := geom.V(ek[0], ek[1], ek[2])

@@ -17,11 +17,20 @@ const pairChunk = 16
 // reference potential.
 func (m *Model) Forces(res *Result) []geom.Vec3 {
 	na := m.NumAtoms()
+	chunks := par.Chunks(m.Basis.Size(), pairChunk)
+	return m.forcesInto(res, make([]float64, na), make([]geom.Vec3, na), make([]geom.Vec3, chunks*na))
+}
+
+// forcesInto is Forces on the caller's storage: v (N) for the potentials,
+// grad (N), which it returns as the forces, and partials, one gradient per
+// chunk of the pair sum (chunk c owns [c·N, (c+1)·N)). It clears what it
+// accumulates into.
+func (m *Model) forcesInto(res *Result, v []float64, grad, partials []geom.Vec3) []geom.Vec3 {
+	na := m.NumAtoms()
 	n := m.Basis.Size()
 	chunks := par.Chunks(n, pairChunk)
-	v := make([]float64, na)
-	grad := make([]geom.Vec3, na)
-	partials := make([]geom.Vec3, chunks*na) // chunk c owns [c·na, (c+1)·na)
+	clear(grad)
+	clear(partials)
 
 	m.sccPotential(res.DeltaQ, v)
 	// The O(n²) overlap-derivative pair sum dominates displacement

@@ -26,27 +26,41 @@ type NuclearResponse struct {
 	L, R  *linalg.Matrix
 	U, SR []*linalg.Matrix
 	DQ1   [][]float64
+
+	u, sr, dq []float64       // the storage U, SR and DQ1 view
+	hdr       []linalg.Matrix // U's headers, then SR's
 }
 
 // NewNuclearResponse returns a zero response to be filled for the
 // perturbation: copies of l and r (the virtual and occupied orbitals), and
 // U, SR and DQ1 laid out for every coordinate.
 func NewNuclearResponse(p *Perturbation, l, r *linalg.Matrix) *NuclearResponse {
+	nr := new(NuclearResponse)
+	nr.Seat(p, l, r)
+	return nr
+}
+
+// Seat is NewNuclearResponse on nr's storage, which it reuses when it has
+// room: the entries of U, SR and DQ1 are then stale, every one of them the
+// caller's to write.
+func (nr *NuclearResponse) Seat(p *Perturbation, l, r *linalg.Matrix) {
 	n, na := p.m.Basis.Size(), p.m.NumAtoms()
 	n3, nl, no := 3*na, l.Cols, r.Cols
-	u, sr, dq := make([]float64, n3*nl*no), make([]float64, 3*n*no), make([]float64, n3*na)
-	nr := &NuclearResponse{
-		Pert: p, L: l.Clone(), R: r.Clone(),
-		U: make([]*linalg.Matrix, n3), SR: make([]*linalg.Matrix, n3), DQ1: make([][]float64, n3),
-	}
+	nr.Pert = p
+	linalg.Resize(&nr.L, l.Rows, nl).CopyFrom(l)
+	linalg.Resize(&nr.R, r.Rows, no).CopyFrom(r)
+	u, sr, dq := linalg.ResizeSlice(&nr.u, n3*nl*no), linalg.ResizeSlice(&nr.sr, 3*n*no), linalg.ResizeSlice(&nr.dq, n3*na)
+	hdr := linalg.ResizeSlice(&nr.hdr, 2*n3)
+	linalg.ResizeSlice(&nr.U, n3)
+	linalg.ResizeSlice(&nr.SR, n3)
+	linalg.ResizeSlice(&nr.DQ1, n3)
 	for c := 0; c < n3; c++ {
 		first, size := p.Rows(c / 3)
 		at := (3*first + c%3*size) * no
-		nr.U[c] = linalg.NewMatrixFrom(nl, no, u[c*nl*no:(c+1)*nl*no])
-		nr.SR[c] = linalg.NewMatrixFrom(size, no, sr[at:at+size*no])
-		nr.DQ1[c] = dq[c*na : (c+1)*na]
+		hdr[c] = linalg.Matrix{Rows: nl, Cols: no, Data: u[c*nl*no : (c+1)*nl*no]}
+		hdr[n3+c] = linalg.Matrix{Rows: size, Cols: no, Data: sr[at : at+size*no]}
+		nr.U[c], nr.SR[c], nr.DQ1[c] = &hdr[c], &hdr[n3+c], dq[c*na:(c+1)*na]
 	}
-	return nr
 }
 
 // Perturbation holds what the first-order perturbations of a ground state by
@@ -69,25 +83,33 @@ type Perturbation struct {
 
 // NuclearPerturbation returns the perturbation of the ground state.
 func (m *Model) NuclearPerturbation(ground *Result) *Perturbation {
+	p := new(Perturbation)
+	p.Seat(m, ground)
+	return p
+}
+
+// Seat makes p the perturbation of the ground state, reusing p's storage when
+// it has room. p reads the ground state's charges until its next Seat.
+func (p *Perturbation) Seat(m *Model, ground *Result) {
 	na := m.NumAtoms()
-	v0 := make([]float64, na)
-	m.sccPotential(ground.DeltaQ, v0)
-	half := make([]float64, m.Basis.Size())
+	p.m, p.dq, p.maxLen = m, ground.DeltaQ, 0
+	linalg.ResizeSlice(&p.v0, na)
+	linalg.ResizeSlice(&p.half, m.Basis.Size())
+	linalg.ResizeSlice(&p.dGamma, na*na)
+	m.sccPotential(ground.DeltaQ, p.v0)
 	for i, f := range m.Basis.Funcs {
-		half[i] = 0.5*wolfsbergK*f.OnsiteE + 0.5*v0[f.Atom]
+		p.half[i] = 0.5*wolfsbergK*f.OnsiteE + 0.5*p.v0[f.Atom]
 	}
-	dGamma := make([]geom.Vec3, na*na)
-	p := &Perturbation{m: m, dq: ground.DeltaQ, v0: v0, half: half, dGamma: dGamma}
 	for a := 0; a < na; a++ {
 		for b := 0; b < na; b++ {
+			p.dGamma[a*na+b] = geom.Vec3{}
 			if b != a {
-				dGamma[a*na+b] = m.gammaDeriv(a, b)
+				p.dGamma[a*na+b] = m.gammaDeriv(a, b)
 			}
 		}
 		_, size := p.Rows(a)
 		p.maxLen = max(p.maxLen, size)
 	}
-	return p
 }
 
 // Rows returns the first basis function of atom a and how many it has.
@@ -294,20 +316,39 @@ func (m *Model) gammaHessian(a, b int) (h [3][3]float64) {
 // GEMM, the last an n×n_A·n product per column. The caller vouches that the
 // ground state is gapped and field-free (Gapped).
 func (m *Model) NuclearHessian(ground *Result, nr *NuclearResponse) *linalg.Matrix {
+	return new(nuclearWork).hessian(m, ground, nr)
+}
+
+// NuclearHessian is Model.NuclearHessian on the workspace's scratch. The
+// Hessian is the caller's: it shares no storage with the workspace.
+func (ws *Workspace) NuclearHessian(m *Model, ground *Result, nr *NuclearResponse) *linalg.Matrix {
+	return ws.der.nuclear.hessian(m, ground, nr)
+}
+
+// nuclearWork is NuclearHessian's scratch (derivWork).
+type nuclearWork struct {
+	e, phl, phr            *linalg.Matrix
+	buf                    []float64
+	s3, sk, kp, sl, gl, gr *linalg.Matrix
+	ux, tx, pot, resp, f   *linalg.Matrix
+	grad                   []geom.Vec3
+}
+
+func (wk *nuclearWork) hessian(m *Model, ground *Result, nr *NuclearResponse) *linalg.Matrix {
 	pert := nr.Pert
 	n, na := m.Basis.Size(), m.NumAtoms()
 	n3 := 3 * na
-	mat := linalg.NewMatrix
+	mat := linalg.Resize
 	gemm := func(transA bool, alpha float64, a, b *linalg.Matrix, beta float64, c *linalg.Matrix) {
 		linalg.Gemm(transA, false, alpha, a, b, beta, c)
 	}
 	p, dq, v0 := ground.P, ground.DeltaQ, pert.v0
 	l, r := nr.L, nr.R
 	nl, no := l.Cols, r.Cols
-	hess := mat(n3, n3)
+	hess := linalg.NewMatrix(n3, n3)
 
 	// The explicit second derivatives.
-	e := mat(n, n)
+	e := mat(&wk.e, n, n)
 	m.pairWeights(e, ground.W, p, v0)
 	m.addOverlapHessian(e, hess)
 	for a := 0; a < na; a++ {
@@ -322,8 +363,8 @@ func (m *Model) NuclearHessian(ground *Result, nr *NuclearResponse) *linalg.Matr
 	h := e
 	h.CopyFrom(m.H0)
 	m.addPotential(h, v0)
-	phl, phr := mat(n, nl), mat(n, no)
-	buf := make([]float64, n*max(nl, no))
+	phl, phr := mat(&wk.phl, n, nl), mat(&wk.phr, n, no)
+	buf := linalg.ResizeSlice(&wk.buf, n*max(nl, no))
 	for _, op := range [2][2]*linalg.Matrix{{l, phl}, {r, phr}} {
 		hc := linalg.NewMatrixFrom(n, op[0].Cols, buf[:n*op[0].Cols])
 		gemm(false, 1, h, op[0], 0, hc)
@@ -334,10 +375,11 @@ func (m *Model) NuclearHessian(ground *Result, nr *NuclearResponse) *linalg.Matr
 	gemm(false, 0.5, m.S, p, 0, sp)
 
 	nb := 3 * pert.MaxRows()
-	s3, sk, kp := mat(nb, n), mat(nb, n), mat(nb, n)
-	sl, gl, gr := mat(nb, nl), mat(nb, nl), mat(nb, no)
-	ux, tx := mat(nl, no), mat(no, no)
-	pot, resp := mat(n3, 2*na), mat(2*na, n3)
+	s3, sk, kp := mat(&wk.s3, nb, n), mat(&wk.sk, nb, n), mat(&wk.kp, nb, n)
+	sl, gl, gr := mat(&wk.sl, nb, nl), mat(&wk.gl, nb, nl), mat(&wk.gr, nb, no)
+	ux, tx := mat(&wk.ux, nl, no), mat(&wk.tx, no, no)
+	pot, resp := mat(&wk.pot, n3, 2*na), mat(&wk.resp, 2*na, n3)
+	pot.Zero()
 	var sA, skA, slA, glA, grA linalg.Matrix
 	var lA, rA, phlA, phrA, vl, vgl, vgr linalg.Matrix
 	funcs := m.Basis.Funcs
@@ -388,8 +430,8 @@ func (m *Model) NuclearHessian(ground *Result, nr *NuclearResponse) *linalg.Matr
 	// σ⁽ˣ⁾_B = ½⟨S⁽ˣ⁾, Q_B⟩ for Q_B = P·(D_B·½S + ½S·D_B)·P = F + Fᵀ, D_B the
 	// projector on B's functions and F = (½S·P)_B,:ᵀ·P_B,: — the pair sum of
 	// Forces over Q_B gives every x at once.
-	f := mat(n, n)
-	grad := make([]geom.Vec3, na)
+	f := mat(&wk.f, n, n)
+	grad := linalg.ResizeSlice(&wk.grad, na)
 	var pB, vk, kpA linalg.Matrix
 	for b := 0; b < na; b++ {
 		first, size := pert.Rows(b)
@@ -501,7 +543,7 @@ func addPairBlocks(hess *linalg.Matrix, a, b int, t [3][3]float64, s float64) {
 // dihedral's is the central difference of the closed-form gradient
 // dihedralDeltaGrad, symmetrized.
 func (m *Model) addRepulsiveHessian(hess *linalg.Matrix) {
-	add := func(atoms []int, grad []geom.Vec3, k, fp float64, second [][]([3][3]float64)) {
+	add := func(atoms []int, grad []geom.Vec3, k, fp float64, second *[4][4][3][3]float64) {
 		for p, a := range atoms {
 			gp := components(grad[p])
 			for q, b := range atoms {
@@ -529,7 +571,7 @@ func (m *Model) addRepulsiveHessian(hess *linalg.Matrix) {
 		neg := scaled(t, -1)
 		g := d.Scale(1 / r)
 		add([]int{bd.I, bd.J}, []geom.Vec3{g, g.Scale(-1)}, bd.K, bd.K*(r-bd.R0)+bd.C,
-			[][]([3][3]float64){{t, neg}, {neg, t}})
+			&[4][4][3][3]float64{{t, neg}, {neg, t}})
 	}
 	for _, an := range m.Angles {
 		u := m.Pos[an.I].Sub(m.Pos[an.J])
@@ -557,17 +599,14 @@ func (m *Model) addRepulsiveHessian(hess *linalg.Matrix) {
 		hjj := added(added(huu, huw), added(hwu, hww))
 		add([]int{an.I, an.Kk, an.J}, []geom.Vec3{gu, gw, gu.Add(gw).Scale(-1)},
 			an.K, an.K*(cosT-an.Cos0)+an.C,
-			[][]([3][3]float64){
+			&[4][4][3][3]float64{
 				{huu, huw, hij},
 				{hwu, hww, hkj},
 				{transposed(hij), transposed(hkj), hjj},
 			})
 	}
-	const h = 1e-4                         // bohr: the dihedral's central-difference step
-	second := make([][]([3][3]float64), 4) // every entry rewritten per dihedral
-	for p := range second {
-		second[p] = make([]([3][3]float64), 4)
-	}
+	const h = 1e-4                 // bohr: the dihedral's central-difference step
+	var second [4][4][3][3]float64 // every entry rewritten per dihedral
 	for _, t := range m.Dihedrals {
 		atoms := []int{t.I, t.J, t.Kk, t.L}
 		pos := [4]geom.Vec3{m.Pos[t.I], m.Pos[t.J], m.Pos[t.Kk], m.Pos[t.L]}
@@ -598,7 +637,7 @@ func (m *Model) addRepulsiveHessian(hess *linalg.Matrix) {
 				}
 			}
 		}
-		add(atoms, g[:], t.K, t.K*delta+t.C, second)
+		add(atoms, g[:], t.K, t.K*delta+t.C, &second)
 	}
 }
 

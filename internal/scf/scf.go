@@ -79,22 +79,53 @@ var ErrNotConverged = errors.New("scf: not converged")
 func (m *Model) NumOcc() int { return m.numElectrons() / 2 }
 
 // SolveSCF runs the charge self-consistency loop to convergence: the one-shot
-// form of Workspace.Solve. The Result owns its storage.
+// form of Workspace.Solve. The Result owns its storage: it points into a
+// workspace made for this solve and dropped by it, which nothing else reads.
 func (m *Model) SolveSCF(opt Options) (*Result, error) {
 	res, err := NewWorkspace(m).Solve(m, opt)
 	if err != nil {
 		return nil, err
 	}
-	out := *res // detached from the workspace, which is garbage from here on
+	out := *res
 	return &out, nil
+}
+
+// Clone returns a deep copy of r that shares no storage with it: a Result a
+// workspace handed out, detached before the workspace solves again. It makes
+// two allocations, the Result with its matrix headers and one slice for
+// every float.
+func (r *Result) Clone() *Result {
+	n, na := len(r.Eps), len(r.DeltaQ)
+	out := new(struct {
+		res     Result
+		c, p, w linalg.Matrix
+	})
+	out.res = *r
+	buf := make([]float64, 2*n+na+len(r.C.Data)+len(r.P.Data)+len(r.W.Data))
+	take := func(src []float64) []float64 {
+		dst := buf[:len(src):len(src)]
+		buf = buf[len(src):]
+		copy(dst, src)
+		return dst
+	}
+	res := &out.res
+	res.Eps, res.Occ, res.DeltaQ = take(r.Eps), take(r.Occ), take(r.DeltaQ)
+	for _, mm := range [3]struct{ dst, src *linalg.Matrix }{{&out.c, r.C}, {&out.p, r.P}, {&out.w, r.W}} {
+		*mm.dst = linalg.Matrix{Rows: mm.src.Rows, Cols: mm.src.Cols, Data: take(mm.src.Data)}
+	}
+	res.C, res.P, res.W = &out.c, &out.p, &out.w
+	return res
 }
 
 // Workspace owns everything a charge loop needs for models of one size: the
 // Cholesky reduction of the geometry, the n×n buffers of an iteration, its
 // bound GEMMs, the eigensolver's storage, the Newton step's susceptibility,
-// the mixer's ring, and the Result it hands out. SolveSCF makes one for a
-// single solve; repeated solves of models of one size in one workspace
-// allocate nothing. A Workspace is used by one goroutine at a time.
+// the mixer's ring, and the Result it hands out — plus the scratch of what is
+// taken from its ground states (Calibrate, FieldDerivatives, NuclearHessian),
+// sized on first use. SolveSCF makes one for a single solve; repeated solves
+// of models of one size in one workspace allocate nothing. A Workspace is
+// used by one goroutine at a time. What it hands out points into it until its
+// next call: a caller that keeps a Result across another solve clones it.
 //
 // The generalized eigenproblem H·C = S·C·ε is reduced once per solve by
 // S = L·Lᵀ and X = L⁻ᵀ (Xᵀ·S·X = I, S·X = L). The Hamiltonian is affine in the
@@ -129,6 +160,7 @@ type Workspace struct {
 	mixer         *Pulay
 	fermiEvals    int
 	res           Result
+	der           derivWork
 }
 
 // minOverlapPivot is the smallest Cholesky pivot L_ii² of the overlap matrix a
@@ -379,6 +411,17 @@ func (ws *Workspace) reducedHamiltonian(m *Model) {
 // the cost of slightly more fractional occupations. Each rung above the
 // first is counted (obs.MetricSCFSmearingEscalations) when Obs is enabled.
 func (m *Model) SolveSCFRobust(opt Options) (*Result, error) {
+	res, err := NewWorkspace(m).SolveRobust(m, opt)
+	if err != nil {
+		return nil, err
+	}
+	out := *res
+	return &out, nil
+}
+
+// SolveRobust is SolveSCFRobust in the workspace: every rung solves in it, and
+// the Result is the workspace's (Solve).
+func (ws *Workspace) SolveRobust(m *Model, opt Options) (*Result, error) {
 	var firstErr error
 	for rung, scale := range []float64{1, 2.5, 5, 10} {
 		o := opt
@@ -389,7 +432,7 @@ func (m *Model) SolveSCFRobust(opt Options) (*Result, error) {
 		if rung > 0 && opt.Obs.Hot != nil {
 			opt.Obs.Hot.SCFSmearingEscalations.Inc()
 		}
-		res, err := m.SolveSCF(o)
+		res, err := ws.Solve(m, o)
 		if err == nil {
 			return res, nil
 		}

@@ -44,6 +44,10 @@ func (s *System) WriteText(w io.Writer) error {
 	return bw.Flush()
 }
 
+// maxLine is the longest line the text readers accept (ReadSystem,
+// TrajectoryReader); a longer one fails with bufio.ErrTooLong.
+const maxLine = 1 << 20
+
 // ReadSystem parses the text format produced by WriteText. Residues are
 // classified by name: the 20 amino-acid codes become protein residues
 // (backbone indices reconstructed from atom names N, CA, C, O), HOH becomes
@@ -51,7 +55,9 @@ func (s *System) WriteText(w io.Writer) error {
 // partitioner.
 func ReadSystem(r io.Reader) (*System, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	// The scanner's buffer starts small and grows to the longest line, so a
+	// text costs its own size, not the cap.
+	sc.Buffer(nil, maxLine)
 	sys := &System{}
 	type resKey struct {
 		name string

@@ -45,7 +45,7 @@ type TrajectoryReader struct {
 // NewTrajectoryReader wraps r for frame-by-frame decoding.
 func NewTrajectoryReader(r io.Reader) *TrajectoryReader {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
+	sc.Buffer(make([]byte, 64*1024), maxLine) // once per stream
 	return &TrajectoryReader{sc: sc}
 }
 
